@@ -38,10 +38,9 @@
 //! 1. zero lost/corrupted responses under concurrent load,
 //! 2. batched throughput ≥ 2.0× single-sample throughput at 4 threads
 //!    (enforced when the machine has ≥ 4 cores, like the kernels gate;
-//!    smaller machines enforce a ≥ 1.2× batching floor instead, loudly,
-//!    pinned to the fp32 lane — with cached or packed weights a single
-//!    core has too little per-request compute left for coalescing to
-//!    amortise, which is exactly the fast-lane point),
+//!    smaller machines print the ratio ungated — a frozen plan leaves a
+//!    single core too little per-request compute for coalescing to
+//!    amortise),
 //! 3. p99 latency under [`P99_BUDGET_US`] on the batched cell,
 //! 4. soak: idle connections cost bounded heap and the healthy client
 //!    holds p99 and bit-exactness,
@@ -50,14 +49,13 @@
 //! 7. fleet: zero corruption across ≥100 hot-swaps, swap p99 under
 //!    [`SWAP_P99_BUDGET_US`], typed eviction under memory pressure,
 //! 8. corruption: every damaged upload quarantined, serving undisturbed,
-//! 9. parity: the same k=4 checkpoint served over the dequant-free
-//!    integer lane must beat the fp32 lane (dequantise every forward) on
-//!    batched single-thread throughput, with every response bit-exact
-//!    (both sessions on the layer-replay path — freezing would delete the
-//!    dequantisation cost this gate measures),
-//! 10. freeze: the compiled frozen plan must be at least as fast as layer
-//!     replay on the same checkpoint and bit-identical to it (the bench
-//!     MLP has no batch norm, so nothing folds and no drift is allowed),
+//! 9. parity: the same k=4 checkpoint compiled for the dequant-free
+//!    integer lane must beat its dequant-cache plan on batched
+//!    single-thread throughput, with every response bit-exact,
+//! 10. freeze: the compiled frozen plan must be at least as fast as
+//!     `Network::forward_inference` on the same network and bit-identical
+//!     to it (the bench MLP has no batch norm, so nothing folds and no
+//!     drift is allowed),
 //! 11. zero-alloc: once warm, a frozen session's `infer_into` steady
 //!     state performs **zero** heap allocations per request, proven by
 //!     the counting global allocator.
@@ -70,7 +68,7 @@ use apt_serve::{
     protocol, BatchPolicy, ConnLimits, InferenceSession, KernelLane, ModelArch, ModelRegistry,
     ModelSpec, RegistryConfig, RetryPolicy, ServeClient, ServeError, Server, ServerConfig,
 };
-use apt_tensor::{par, rng};
+use apt_tensor::{par, rng, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
 use std::net::TcpStream;
@@ -166,18 +164,8 @@ fn build_session(bits: u32) -> InferenceSession {
 /// [`build_session`] with an explicit kernel-lane request. The parity
 /// cells pin the lane; every other cell serves on the default cache.
 fn build_session_lane(bits: u32, lane: KernelLane) -> InferenceSession {
-    build_session_opts(bits, lane, true)
-}
-
-/// [`build_session_lane`] with freezing made explicit. The lane-economics
-/// cells (gate 2's single-core form, gate 9's parity pair) pin
-/// `freeze: false` because their claims are about the **layer replay**
-/// kernels — a frozen plan dequantises at compile time, which removes the
-/// very per-request cost those gates measure.
-fn build_session_opts(bits: u32, lane: KernelLane, freeze: bool) -> InferenceSession {
     let blob = build_blob(bits, 11);
-    InferenceSession::from_checkpoint_with_options(&fleet_spec(), &blob, lane, freeze)
-        .expect("session loads")
+    InferenceSession::from_checkpoint_with_lane(&fleet_spec(), &blob, lane).expect("session loads")
 }
 
 /// The [`ModelSpec`] every fleet/corruption checkpoint loads against.
@@ -289,10 +277,9 @@ fn run_cell(
     policy: &Policy,
     per_client: usize,
     lane: KernelLane,
-    freeze: bool,
 ) -> Row {
     par::set_global_threads(threads);
-    let session = build_session_opts(bits, lane, freeze);
+    let session = build_session_lane(bits, lane);
     let achieved = session.lane();
     let workloads = build_workloads(&session, CLIENTS);
 
@@ -1352,30 +1339,26 @@ fn corruption_cell() -> (Row, bool) {
 }
 
 /// Parity cells: the same k=4 checkpoint served twice at batch8 on one
-/// thread — once over the fp32 lane (weights dequantised on every
-/// forward) and once over the dequant-free integer lane. The integer lane
-/// must win on throughput with zero corrupted or lost responses; this is
-/// the serving-level form of the integer fast lane's headline claim
-/// (DESIGN.md §14), and it is robust to kernel-level noise because the
-/// fp32 lane pays the full bit-unpack dequantisation on every batch.
-///
-/// Both sessions pin `freeze: false`: the claim compares layer-replay
-/// lanes, and a frozen plan would dequantise the fp32 lane's weights at
-/// compile time, deleting the cost this cell exists to measure.
+/// thread — once from its dequant-cache plan (f32 GEMM on weights
+/// dequantised at compile time) and once from its int-gemm plan (packed
+/// integer panels, fused rescale). The integer plan must win on
+/// throughput with zero corrupted or lost responses; this is the
+/// serving-level form of the integer fast lane's headline claim
+/// (DESIGN.md §14).
 fn parity_cells(per_client: usize) -> (Row, Row, bool) {
     let mut gate_ok = true;
-    let mut f32_row = run_cell(4, 1, &POLICIES[1], per_client, KernelLane::F32, false);
-    f32_row.cell = "parity";
-    let mut int_row = run_cell(4, 1, &POLICIES[1], per_client, KernelLane::IntGemm, false);
+    let mut cache_row = run_cell(4, 1, &POLICIES[1], per_client, KernelLane::DequantCache);
+    cache_row.cell = "parity";
+    let mut int_row = run_cell(4, 1, &POLICIES[1], per_client, KernelLane::IntGemm);
     int_row.cell = "parity";
     if int_row.lane != KernelLane::IntGemm.as_str() {
         println!(
-            "FAIL: parity session armed lane {}, wanted int-gemm",
+            "FAIL: parity plan achieved lane {}, wanted int-gemm",
             int_row.lane
         );
         gate_ok = false;
     }
-    for r in [&f32_row, &int_row] {
+    for r in [&cache_row, &int_row] {
         if r.corrupted != 0 || r.lost != 0 || r.ok != r.requests {
             println!(
                 "FAIL: parity lane {} completed {}/{} with {} corrupted, {} lost",
@@ -1384,34 +1367,35 @@ fn parity_cells(per_client: usize) -> (Row, Row, bool) {
             gate_ok = false;
         }
     }
-    let ratio = int_row.rps / f32_row.rps.max(1e-9);
-    if int_row.rps >= f32_row.rps {
+    let ratio = int_row.rps / cache_row.rps.max(1e-9);
+    if int_row.rps >= cache_row.rps {
         println!(
-            "ok: int-gemm {:.0} req/s ≥ fp32 {:.0} req/s ({ratio:.2}×), every response bit-exact",
-            int_row.rps, f32_row.rps
+            "ok: int-gemm {:.0} req/s ≥ dequant-cache {:.0} req/s ({ratio:.2}×), every response bit-exact",
+            int_row.rps, cache_row.rps
         );
     } else {
         println!(
-            "FAIL: int-gemm lane {:.0} req/s below fp32 lane {:.0} req/s ({ratio:.2}×)",
-            int_row.rps, f32_row.rps
+            "FAIL: int-gemm plan {:.0} req/s below dequant-cache plan {:.0} req/s ({ratio:.2}×)",
+            int_row.rps, cache_row.rps
         );
         gate_ok = false;
     }
-    (f32_row, int_row, gate_ok)
+    (cache_row, int_row, gate_ok)
 }
 
-/// Frozen-vs-replay cells: the same k=8 checkpoint at the default lane,
-/// once compiled by the freeze/fusion compiler and once on the legacy
-/// layer-replay path, driven in-process on one thread so the comparison
-/// measures the plan (fused kernels, packed panels, arena intermediates)
+/// Plan-vs-eval cells: the same k=8 network at the default lane, once
+/// through its compiled plan and once through
+/// `Network::forward_inference` (trainer eval, and what an unfreezable
+/// model falls back to), driven in-process on one thread so the comparison
+/// measures the plan (fused kernels, resident weights, arena intermediates)
 /// and not TCP framing. Requests are **single-sample** and the model is a
 /// deep, narrow MLP — the paper's constrained-device serving shape, where
 /// per-layer overhead (tensor allocation, separate bias and activation
 /// passes, dispatch) is commensurate with each layer's tiny GEMM, so the
 /// compiler's fusion and arena planning show up as throughput instead of
 /// vanishing under a 256-wide matmul. The model has no batch norm —
-/// nothing folds — so the frozen plan must be **bit-identical** to
-/// replay, and must not be slower. Timing uses paired interleaved rounds
+/// nothing folds — so the frozen plan must be **bit-identical** to the
+/// eval forward, and must not be slower. Timing uses paired interleaved rounds
 /// (same trick as the kernels gate) so a slow scheduling phase penalises
 /// both sides equally.
 fn freeze_cells(iters: usize) -> (Row, Row, bool) {
@@ -1428,56 +1412,58 @@ fn freeze_cells(iters: usize) -> (Row, Row, bool) {
         img_size: 0,
         width_mult: 1.0,
     };
-    let replay =
-        InferenceSession::from_checkpoint_with_options(&spec, &blob, KernelLane::default(), false)
-            .expect("session loads");
-    let frozen =
-        InferenceSession::from_checkpoint_with_options(&spec, &blob, KernelLane::default(), true)
-            .expect("session loads");
-    if replay.is_frozen() {
-        println!("FAIL: freeze cell's replay session froze a plan");
-        gate_ok = false;
-    }
+    let frozen = InferenceSession::from_checkpoint(&spec, &blob).expect("session loads");
     if !frozen.is_frozen() {
         println!(
-            "FAIL: freeze cell's frozen session fell back to replay: {:?}",
+            "FAIL: freeze cell's session fell back: {:?}",
             frozen.freeze_reason()
         );
         gate_ok = false;
     }
+    // The eval side does what a served request does around the forward:
+    // stage the samples into one batch, run, split the rows back out.
+    let net = frozen.network();
+    let eval = |samples: &[Vec<f32>]| -> Vec<Vec<f32>> {
+        let batch = Tensor::from_vec(samples.concat(), &[samples.len(), FREEZE_DIMS[0]])
+            .expect("batch shape");
+        let out = net.forward_inference(&batch).expect("eval forward");
+        (0..samples.len())
+            .map(|i| out.row(i).expect("row").to_vec())
+            .collect()
+    };
 
     let batch = 1usize;
     let mut r = rng::substream(1997, 0);
     let samples: Vec<Vec<f32>> = (0..batch)
         .map(|_| rng::normal(&[FREEZE_DIMS[0]], 1.0, &mut r).into_vec())
         .collect();
-    let want = replay.infer_samples(&samples).expect("replay forward");
+    let want = eval(&samples);
     let got = frozen.infer_samples(&samples).expect("frozen forward");
     let bit_exact = want.len() == got.len()
         && want.iter().zip(&got).all(|(w, g)| {
             w.len() == g.len() && w.iter().zip(g).all(|(a, b)| a.to_bits() == b.to_bits())
         });
     if !bit_exact {
-        println!("FAIL: frozen plan diverged from layer replay on a BN-free model");
+        println!("FAIL: frozen plan diverged from forward_inference on a BN-free model");
         gate_ok = false;
     }
 
-    // Warm both paths (arena buffers, dequant caches), then time paired
+    // Warm both paths (arena buffers, allocator), then time paired
     // interleaved rounds.
     for _ in 0..8 {
-        let _ = replay.infer_samples(&samples);
+        let _ = eval(&samples);
         let _ = frozen.infer_samples(&samples);
     }
     const ROUNDS: usize = 10;
     let per_round = iters.div_ceil(ROUNDS).max(1);
-    let mut replay_s = 0.0f64;
+    let mut eval_s = 0.0f64;
     let mut frozen_s = 0.0f64;
     for _ in 0..ROUNDS {
         let t = Instant::now();
         for _ in 0..per_round {
-            std::hint::black_box(replay.infer_samples(&samples).expect("replay forward"));
+            std::hint::black_box(eval(&samples));
         }
-        replay_s += t.elapsed().as_secs_f64();
+        eval_s += t.elapsed().as_secs_f64();
         let t = Instant::now();
         for _ in 0..per_round {
             std::hint::black_box(frozen.infer_samples(&samples).expect("frozen forward"));
@@ -1485,18 +1471,18 @@ fn freeze_cells(iters: usize) -> (Row, Row, bool) {
         frozen_s += t.elapsed().as_secs_f64();
     }
     let total = (ROUNDS * per_round * batch) as u64;
-    let replay_rps = total as f64 / replay_s.max(1e-9);
+    let eval_rps = total as f64 / eval_s.max(1e-9);
     let frozen_rps = total as f64 / frozen_s.max(1e-9);
-    let ratio = frozen_rps / replay_rps.max(1e-9);
-    if frozen_rps >= replay_rps {
+    let ratio = frozen_rps / eval_rps.max(1e-9);
+    if frozen_rps >= eval_rps {
         println!(
-            "ok: frozen {:.0} samples/s ≥ replay {:.0} samples/s ({ratio:.2}×), bit-identical",
-            frozen_rps, replay_rps
+            "ok: frozen {:.0} samples/s ≥ forward_inference {:.0} samples/s ({ratio:.2}×), bit-identical",
+            frozen_rps, eval_rps
         );
     } else {
         println!(
-            "FAIL: frozen plan {:.0} samples/s below layer replay {:.0} samples/s ({ratio:.2}×)",
-            frozen_rps, replay_rps
+            "FAIL: frozen plan {:.0} samples/s below forward_inference {:.0} samples/s ({ratio:.2}×)",
+            frozen_rps, eval_rps
         );
         gate_ok = false;
     }
@@ -1532,7 +1518,7 @@ fn freeze_cells(iters: usize) -> (Row, Row, bool) {
         swap_p99_us: 0,
     };
     (
-        mk_row("replay", replay_rps, replay_s),
+        mk_row("eval", eval_rps, eval_s),
         mk_row("frozen", frozen_rps, frozen_s),
         gate_ok,
     )
@@ -1732,46 +1718,13 @@ fn smoke() -> bool {
     let mut ok = true;
     let cores = par::default_threads();
     let gate_threads = if cores >= 4 { 4 } else { 1 };
-    // On one core, batching pays only by amortising per-forward compute.
-    // The cached/packed lanes leave so little per-request work that the
-    // floor stops being meaningful there, so the single-core form pins
-    // the fp32 lane, where the dequantisation traversal is the thing a
-    // coalesced batch amortises — the same path the gate has always
-    // measured. With ≥ 4 cores the batch parallelises across the pool
-    // and the strict form holds on the default lane.
-    // The single-core fallback also disables freezing: its floor leans on
-    // the fp32 lane's per-request dequantisation, which a frozen plan
-    // folds away at compile time. The ≥4-core strict form runs on what
-    // ships by default — the frozen plan on the default lane.
-    let (gate_lane, gate_freeze) = if cores >= 4 {
-        (KernelLane::default(), true)
-    } else {
-        (KernelLane::F32, false)
-    };
     let per_client = 100;
 
-    println!(
-        "# smoke cells: single vs batched @ k=8, {gate_threads} thread(s), {} lane{}",
-        gate_lane.as_str(),
-        if gate_freeze { "" } else { ", layer replay" }
-    );
-    let single = run_cell(
-        8,
-        gate_threads,
-        &POLICIES[0],
-        per_client,
-        gate_lane,
-        gate_freeze,
-    );
+    println!("# smoke cells: single vs batched @ k=8, {gate_threads} thread(s), default lane");
+    let lane = KernelLane::default();
+    let single = run_cell(8, gate_threads, &POLICIES[0], per_client, lane);
     print_row(&single);
-    let batched = run_cell(
-        8,
-        gate_threads,
-        &POLICIES[1],
-        per_client,
-        gate_lane,
-        gate_freeze,
-    );
+    let batched = run_cell(8, gate_threads, &POLICIES[1], per_client, lane);
     print_row(&batched);
 
     // Gate 1: nothing lost or corrupted under concurrent load.
@@ -1809,22 +1762,13 @@ fn smoke() -> bool {
             ok = false;
         }
     } else {
+        // On one core a frozen plan leaves too little per-request compute
+        // for coalescing to amortise; the ratio is reported, not gated.
         println!(
-            "# smoke gate 2: SKIPPED strict 2.0×@4t form (machine has {cores} core(s)); \
-             enforcing ≥ 1.2× batching floor at 1 thread instead"
+            "# smoke gate 2: SKIPPED (machine has {cores} core(s), strict form needs 4): \
+             batched {:.2}× single ({:.0} vs {:.0} req/s)",
+            ratio, batched.rps, single.rps
         );
-        if ratio >= 1.2 {
-            println!(
-                "ok: {:.2}× ({:.0} vs {:.0} req/s)",
-                ratio, batched.rps, single.rps
-            );
-        } else {
-            println!(
-                "FAIL: batched only {:.2}× single ({:.0} vs {:.0} req/s)",
-                ratio, batched.rps, single.rps
-            );
-            ok = false;
-        }
     }
 
     // Gate 3: tail latency stays inside the budget on the batched cell.
@@ -1881,20 +1825,20 @@ fn smoke() -> bool {
     ok &= corrupt_ok;
 
     println!(
-        "# smoke gate 9: parity — k=4 int-gemm lane ≥ fp32 lane rps at batch8, 1 thread, \
-         zero corrupted/lost"
+        "# smoke gate 9: parity — k=4 int-gemm plan ≥ dequant-cache plan rps at batch8, \
+         1 thread, zero corrupted/lost"
     );
-    let (parity_f32, parity_int, parity_ok) = parity_cells(per_client);
-    print_row(&parity_f32);
+    let (parity_cache, parity_int, parity_ok) = parity_cells(per_client);
+    print_row(&parity_cache);
     print_row(&parity_int);
     ok &= parity_ok;
 
     println!(
-        "# smoke gate 10: freeze — compiled plan ≥ layer replay samples/s, bit-identical \
+        "# smoke gate 10: freeze — compiled plan ≥ forward_inference samples/s, bit-identical \
          (k=8, single-sample in-process, 1 thread)"
     );
-    let (freeze_replay, freeze_frozen, freeze_ok) = freeze_cells(2000);
-    print_row(&freeze_replay);
+    let (freeze_eval, freeze_frozen, freeze_ok) = freeze_cells(2000);
+    print_row(&freeze_eval);
     print_row(&freeze_frozen);
     ok &= freeze_ok;
 
@@ -1909,9 +1853,9 @@ fn smoke() -> bool {
         over,
         fleet,
         corrupt,
-        parity_f32,
+        parity_cache,
         parity_int,
-        freeze_replay,
+        freeze_eval,
         freeze_frozen,
     ]);
     ok
@@ -1944,24 +1888,24 @@ fn main() {
         for &threads in &[1usize, 2, 4] {
             for policy in POLICIES {
                 for &lane in lanes {
-                    let row = run_cell(bits, threads, policy, 150, lane, true);
+                    let row = run_cell(bits, threads, policy, 150, lane);
                     print_row(&row);
                     rows.push(row);
                 }
             }
         }
     }
-    println!("# parity cells: fp32 lane vs dequant-free integer lane on the same k=4 model");
-    let (parity_f32, parity_int, _) = parity_cells(150);
-    print_row(&parity_f32);
+    println!("# parity cells: dequant-cache plan vs int-gemm plan on the same k=4 model");
+    let (parity_cache, parity_int, _) = parity_cells(150);
+    print_row(&parity_cache);
     print_row(&parity_int);
-    rows.push(parity_f32);
+    rows.push(parity_cache);
     rows.push(parity_int);
-    println!("# freeze cells: compiled plan vs layer replay on the same k=8 model");
-    let (freeze_replay, freeze_frozen, _) = freeze_cells(4000);
-    print_row(&freeze_replay);
+    println!("# freeze cells: compiled plan vs forward_inference on the same k=8 model");
+    let (freeze_eval, freeze_frozen, _) = freeze_cells(4000);
+    print_row(&freeze_eval);
     print_row(&freeze_frozen);
-    rows.push(freeze_replay);
+    rows.push(freeze_eval);
     rows.push(freeze_frozen);
     println!("# robustness cells: soak / slowloris / overload / fleet / corruption");
     let (soak, _) = soak_cell(150);

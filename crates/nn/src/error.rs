@@ -35,7 +35,7 @@ pub enum NnError {
     },
     /// A layer (or layer configuration) cannot be lowered into a frozen
     /// inference plan. Callers treat this as a *typed fallback signal* —
-    /// serving degrades to the per-layer replay path and records the
+    /// serving degrades to `Network::forward_inference` and records the
     /// reason — never as a fatal load error.
     Unfreezable {
         /// Name of the layer that refused to lower.

@@ -1,5 +1,4 @@
-use crate::{Param, ParamStore};
-use apt_quant::WeightPanel;
+use crate::Param;
 use apt_tensor::Tensor;
 
 /// Whether a forward pass is part of training (batch-norm uses batch
@@ -14,19 +13,21 @@ pub enum Mode {
     Eval,
 }
 
-/// Which compute kernels a frozen network's serving forwards use.
+/// Which compute kernels a [`FrozenPlan`](crate::FrozenPlan) executes.
 ///
-/// A lane is armed once per session load via
-/// [`Network::prepare_inference`](crate::Network::prepare_inference); the
-/// training path never consults it, so training keeps its
-/// bit-identical-across-threads invariant untouched.
+/// The lane is a request to the plan compiler
+/// ([`Network::freeze`](crate::Network::freeze)) and nothing else: layers
+/// hold no lane state, so `forward` and `forward_inference` are the same
+/// fp32 arithmetic whatever a plan built from them was compiled for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelLane {
-    /// No resident plan: weights are dequantised on every forward — the
-    /// exact arithmetic of `forward(input, Mode::Eval)`.
+    /// The exact arithmetic of `forward(input, Mode::Eval)`. Compiles the
+    /// same program as [`DequantCache`](Self::DequantCache); it is also
+    /// what a session that could not freeze reports, because
+    /// `forward_inference` dequantises on every forward.
     F32,
-    /// Dequantise each weight **once** at load and serve from the cached
-    /// f32 tensor. Same arithmetic as [`F32`](Self::F32) — bit-identical —
+    /// Dequantise each weight **once** at compile time and serve from the
+    /// f32 copy. Same arithmetic as [`F32`](Self::F32) — bit-identical —
     /// at the cost of an f32 weight copy held resident.
     #[default]
     DequantCache,
@@ -63,8 +64,8 @@ impl KernelLane {
 
     /// The weaker of two achieved lanes, ordered by how much of the
     /// dequant-free machinery is engaged: `F32 < DequantCache < IntGemm`.
-    /// A composite block that armed `IntGemm` on one conv but fell back to
-    /// the cache on another reports the fallback.
+    /// A plan that packed an integer panel for one weight but fell back to
+    /// the cache for another reports the fallback.
     pub fn weakest(self, other: Self) -> Self {
         let rank = |l: Self| match l {
             KernelLane::F32 => 0u8,
@@ -75,75 +76,6 @@ impl KernelLane {
             other
         } else {
             self
-        }
-    }
-}
-
-/// The per-layer serving state armed by [`Layer::prepare_inference`].
-#[derive(Debug, Clone, Default)]
-pub(crate) enum InferPlan {
-    /// No plan: dequantise on every forward (the [`KernelLane::F32`] lane).
-    #[default]
-    None,
-    /// [`KernelLane::DequantCache`]: the weight's f32 value, materialised
-    /// once at arm time.
-    Cached(Tensor),
-    /// [`KernelLane::IntGemm`]: packed centered weight codes plus the
-    /// pre-extracted f32 bias for the fused rescale.
-    Int {
-        /// GEMM-ready integer panel (codes + per-channel rescale metadata).
-        panel: WeightPanel,
-        /// Bias values, pulled out of the `Param` once.
-        bias: Option<Vec<f32>>,
-    },
-}
-
-impl InferPlan {
-    /// The lane this plan actually serves.
-    pub(crate) fn lane(&self) -> KernelLane {
-        match self {
-            InferPlan::None => KernelLane::F32,
-            InferPlan::Cached(_) => KernelLane::DequantCache,
-            InferPlan::Int { .. } => KernelLane::IntGemm,
-        }
-    }
-
-    /// Extra bytes this plan keeps resident beyond the parameters.
-    pub(crate) fn resident_bytes(&self) -> u64 {
-        match self {
-            InferPlan::None => 0,
-            InferPlan::Cached(w) => w.len() as u64 * 4,
-            InferPlan::Int { panel, bias } => {
-                panel.resident_bytes() + bias.as_ref().map_or(0, |b| b.len() as u64 * 4)
-            }
-        }
-    }
-}
-
-/// Builds the inference plan for a weight parameter viewed as a
-/// `[rows × cols]` GEMM operand. `IntGemm` requests degrade to the
-/// dequant cache whenever a panel cannot be built (non-integer storage,
-/// `k > 16`, rows too long for the `i8` dot tier); the caller reads the
-/// achieved lane off the returned plan.
-pub(crate) fn arm_weight_plan(
-    weight: &Param,
-    lane: KernelLane,
-    rows: usize,
-    cols: usize,
-) -> InferPlan {
-    match lane {
-        KernelLane::F32 => InferPlan::None,
-        KernelLane::DequantCache => InferPlan::Cached(weight.value()),
-        KernelLane::IntGemm => {
-            let panel = match weight.store() {
-                ParamStore::Quantized(q) => WeightPanel::from_quantized(q, rows, cols),
-                ParamStore::PerChannel(pc) => WeightPanel::from_per_channel(pc, rows, cols),
-                _ => None,
-            };
-            match panel {
-                Some(panel) => InferPlan::Int { panel, bias: None },
-                None => InferPlan::Cached(weight.value()),
-            }
         }
     }
 }
@@ -185,42 +117,16 @@ pub trait Layer: Send + Sync {
     /// arithmetic (batch-norm running statistics, quantised grids), no
     /// activation caching, no gradient bookkeeping, no MAC accounting.
     ///
-    /// This is the serving hot path: because it takes `&self`, a frozen
-    /// network can execute concurrent inferences through an `Arc` without
-    /// locks. Unless an approximation lane was explicitly armed via
-    /// [`prepare_inference`](Layer::prepare_inference) with
-    /// [`KernelLane::IntGemm`], the output is bit-identical to
-    /// `forward(input, Mode::Eval)` by contract (the serve crate's
-    /// differential tests enforce this); the integer lane is bit-close
-    /// with a documented bound instead.
+    /// Because it takes `&self`, a network behind an `Arc` can execute
+    /// concurrent inferences without locks. The output is bit-identical to
+    /// `forward(input, Mode::Eval)` by contract — this is trainer eval and
+    /// what a session falls back to when a layer has no
+    /// [`lower`](Layer::lower).
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError`] for shape mismatches.
     fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor>;
-
-    /// Arms (or clears) this layer's serving plan for `lane`, returning
-    /// the lane the layer actually achieved — a layer that cannot build an
-    /// integer panel degrades to [`KernelLane::DequantCache`], and
-    /// pass-through layers (activations, pooling, batch-norm) are exact in
-    /// any lane so they echo the request back. Called once per session
-    /// load, never on the training path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::NnError`] when plan construction fails outright
-    /// (composite layers propagate child errors).
-    fn prepare_inference(&mut self, lane: KernelLane) -> crate::Result<KernelLane> {
-        Ok(lane)
-    }
-
-    /// Extra bytes the armed inference plan keeps resident (cached f32
-    /// weights or packed integer panels). Counted into
-    /// [`Network::resident_bytes`](crate::Network::resident_bytes) so
-    /// serving eviction budgets stay honest. Layers without plans return 0.
-    fn plan_resident_bytes(&self) -> u64 {
-        0
-    }
 
     /// Back-propagates `grad_output`, accumulating parameter gradients and
     /// returning the gradient w.r.t. the layer input.

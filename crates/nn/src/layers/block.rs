@@ -1,5 +1,5 @@
 use crate::layers::{BatchNorm2d, Conv2d, Relu};
-use crate::{KernelLane, Layer, Mode, NnError, Param, ParamKind, QuantScheme};
+use crate::{Layer, Mode, NnError, Param, ParamKind, QuantScheme};
 use apt_tensor::{ops, Tensor};
 use rand::rngs::StdRng;
 
@@ -154,24 +154,6 @@ impl Layer for BasicBlock {
             reason: format!("residual add failed: {e}"),
         })?;
         Ok(sum.map(|x| x.max(0.0)))
-    }
-
-    fn prepare_inference(&mut self, lane: KernelLane) -> crate::Result<KernelLane> {
-        let mut achieved = self.conv1.prepare_inference(lane)?;
-        achieved = achieved.weakest(self.conv2.prepare_inference(lane)?);
-        if let Some((conv_s, _)) = &mut self.shortcut {
-            achieved = achieved.weakest(conv_s.prepare_inference(lane)?);
-        }
-        Ok(achieved)
-    }
-
-    fn plan_resident_bytes(&self) -> u64 {
-        self.conv1.plan_resident_bytes()
-            + self.conv2.plan_resident_bytes()
-            + self
-                .shortcut
-                .as_ref()
-                .map_or(0, |(c, _)| c.plan_resident_bytes())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

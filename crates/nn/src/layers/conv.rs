@@ -1,6 +1,4 @@
-use crate::layer::{arm_weight_plan, InferPlan};
-use crate::{KernelLane, Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
-use apt_quant::{ActPanel, WeightPanel};
+use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
 use apt_tensor::ops::conv::{self, Conv2dParams};
 use apt_tensor::{ops, rng as trng, Tensor};
 use rand::rngs::StdRng;
@@ -22,7 +20,6 @@ pub struct Conv2d {
     params: Conv2dParams,
     cached_input: Option<Tensor>,
     macs: u64,
-    plan: InferPlan,
 }
 
 impl Conv2d {
@@ -90,7 +87,6 @@ impl Conv2d {
             params: Conv2dParams::new(stride, padding, groups),
             cached_input: None,
             macs: 0,
-            plan: InferPlan::None,
         })
     }
 
@@ -118,11 +114,12 @@ impl Conv2d {
         Ok(())
     }
 
-    /// The f32 kernel body: convolve with `w`, add bias. The unarmed path
-    /// and the dequant-cache lane both call this with the same weight
-    /// values, which keeps them bit-identical.
-    fn compute_with_weight(&self, input: &Tensor, w: &Tensor) -> crate::Result<Tensor> {
-        let mut y = conv::conv2d(input, w, &self.params)?;
+    /// The shared compute kernel: validate, convolve, add bias. Called by
+    /// both the training forward and the inference path so the two stay
+    /// bit-identical.
+    fn compute_output(&self, input: &Tensor) -> crate::Result<Tensor> {
+        self.validate_input(input)?;
+        let mut y = conv::conv2d(input, &self.weight.value(), &self.params)?;
         if let Some(bias) = &self.bias {
             let b = bias.value();
             let (n, c, oh, ow) = (y.dims()[0], y.dims()[1], y.dims()[2], y.dims()[3]);
@@ -138,90 +135,6 @@ impl Conv2d {
             }
         }
         Ok(y)
-    }
-
-    /// The shared compute kernel: validate, convolve, add bias. Called by
-    /// both the training forward and the (unarmed) inference path so the
-    /// two stay bit-identical.
-    fn compute_output(&self, input: &Tensor) -> crate::Result<Tensor> {
-        self.validate_input(input)?;
-        self.compute_with_weight(input, &self.weight.value())
-    }
-
-    /// The dequant-free forward: per image and group, lower the input to a
-    /// **patch-major** im2col panel, quantise each patch row to its own
-    /// 8-bit grid, and run the fused integer GEMM against the group's row
-    /// slice of the packed panel. The `[oh·ow × c_out_g]` result is
-    /// transposed into the channel-major output block as it is written.
-    ///
-    /// Returns `Ok(None)` when the lane cannot serve this input
-    /// (non-finite activations, or a kernel that overruns the padded
-    /// input) — the caller falls back to the f32 path, which either
-    /// propagates NaN faithfully or raises the canonical shape error.
-    fn compute_int(
-        &self,
-        input: &Tensor,
-        panel: &WeightPanel,
-        bias: Option<&[f32]>,
-    ) -> crate::Result<Option<Tensor>> {
-        self.validate_input(input)?;
-        let d = input.dims();
-        let (n, c_in, h, w) = (d[0], d[1], d[2], d[3]);
-        let (kh, kw) = (self.kernel, self.kernel);
-        if h + 2 * self.params.padding < kh || w + 2 * self.params.padding < kw {
-            return Ok(None);
-        }
-        let g = self.params.groups;
-        let (c_in_g, c_out_g) = (c_in / g, self.out_channels / g);
-        let (oh, ow) = (self.params.out_size(h, kh), self.params.out_size(w, kw));
-        let col_rows = c_in_g * kh * kw;
-        let col_w = oh * ow;
-        let mut y = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        let yd = y.data_mut();
-        let mut patches = vec![0.0f32; col_w * col_rows];
-        let mut grp_out = vec![0.0f32; col_w * c_out_g];
-        for img in 0..n {
-            let in_img = &input.data()[img * c_in * h * w..(img + 1) * c_in * h * w];
-            for grp in 0..g {
-                conv::im2col_patches(
-                    in_img,
-                    grp * c_in_g,
-                    c_in_g,
-                    h,
-                    w,
-                    kh,
-                    kw,
-                    &self.params,
-                    oh,
-                    ow,
-                    &mut patches,
-                );
-                let Some(act) = ActPanel::quantize_rows(&patches, col_w, col_rows) else {
-                    return Ok(None);
-                };
-                let b_slice = bias.map(|b| &b[grp * c_out_g..(grp + 1) * c_out_g]);
-                panel
-                    .gemm_rescale_rows(
-                        &act,
-                        &mut grp_out,
-                        b_slice,
-                        grp * c_out_g,
-                        (grp + 1) * c_out_g,
-                    )
-                    .map_err(|e| NnError::BadInput {
-                        layer: self.name.clone(),
-                        reason: format!("integer lane rescale failed: {e}"),
-                    })?;
-                let dst =
-                    &mut yd[(img * self.out_channels + grp * c_out_g) * col_w..][..c_out_g * col_w];
-                for p in 0..col_w {
-                    for (co, &v) in grp_out[p * c_out_g..(p + 1) * c_out_g].iter().enumerate() {
-                        dst[co * col_w + p] = v;
-                    }
-                }
-            }
-        }
-        Ok(Some(y))
     }
 }
 
@@ -243,35 +156,7 @@ impl Layer for Conv2d {
     }
 
     fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        match &self.plan {
-            InferPlan::None => self.compute_output(input),
-            InferPlan::Cached(w) => {
-                self.validate_input(input)?;
-                self.compute_with_weight(input, w)
-            }
-            InferPlan::Int { panel, bias } => {
-                match self.compute_int(input, panel, bias.as_deref())? {
-                    Some(y) => Ok(y),
-                    None => self.compute_output(input),
-                }
-            }
-        }
-    }
-
-    fn prepare_inference(&mut self, lane: KernelLane) -> crate::Result<KernelLane> {
-        let c_in_g = self.in_channels / self.params.groups;
-        let cols = c_in_g * self.kernel * self.kernel;
-        let mut plan = arm_weight_plan(&self.weight, lane, self.out_channels, cols);
-        if let InferPlan::Int { bias, .. } = &mut plan {
-            *bias = self.bias.as_ref().map(|b| b.value().data().to_vec());
-        }
-        let achieved = plan.lane();
-        self.plan = plan;
-        Ok(achieved)
-    }
-
-    fn plan_resident_bytes(&self) -> u64 {
-        self.plan.resident_bytes()
+        self.compute_output(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -422,97 +307,6 @@ mod tests {
             "4-bit weights must have ≤16 levels, got {}",
             seen.len()
         );
-    }
-
-    fn make_quantized(groups: usize) -> Conv2d {
-        Conv2d::new(
-            "cq",
-            4,
-            6,
-            3,
-            2,
-            1,
-            groups,
-            ParamPrecision::Quantized(apt_quant::Bitwidth::new(4).unwrap()),
-            Some(ParamPrecision::Float32),
-            &mut seeded(11),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn dequant_cache_lane_is_bit_exact() {
-        let mut c = make_quantized(2);
-        let x = trng::normal(&[2, 4, 7, 7], 1.0, &mut seeded(12));
-        let base = c.forward_inference(&x).unwrap();
-        assert_eq!(
-            c.prepare_inference(KernelLane::DequantCache).unwrap(),
-            KernelLane::DequantCache
-        );
-        assert!(c.plan_resident_bytes() > 0);
-        let cached = c.forward_inference(&x).unwrap();
-        for (a, b) in cached.data().iter().zip(base.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn integer_lane_is_within_the_requant_bound() {
-        for groups in [1usize, 2] {
-            let mut c = make_quantized(groups);
-            let x = trng::normal(&[2, 4, 7, 7], 1.0, &mut seeded(13));
-            let base = c.forward_inference(&x).unwrap();
-            assert_eq!(
-                c.prepare_inference(KernelLane::IntGemm).unwrap(),
-                KernelLane::IntGemm
-            );
-            let int = c.forward_inference(&x).unwrap();
-            assert_eq!(int.dims(), base.dims());
-            let mut wv = None;
-            c.visit_params_ref(&mut |p| {
-                if p.kind() == ParamKind::Weight {
-                    wv = Some(p.value());
-                }
-            });
-            let w = wv.unwrap();
-            // Every patch row's 8-bit grid step is bounded by the global
-            // zero-widened input range, and the weight side is exact, so
-            // |Δy| ≤ εx_max/2 · max_o Σ|ŵ_o| holds per element.
-            let (lo, hi) = x
-                .data()
-                .iter()
-                .fold((0.0f32, 0.0f32), |(a, b), &v| (a.min(v), b.max(v)));
-            let eps_x = ((hi - lo) / 255.0).max(1e-12);
-            let filt = w.len() / 6;
-            let wsum_max: f32 = (0..6)
-                .map(|o| {
-                    w.data()[o * filt..(o + 1) * filt]
-                        .iter()
-                        .map(|v| v.abs())
-                        .sum()
-                })
-                .fold(0.0f32, f32::max);
-            let bound = 0.5 * eps_x * wsum_max * 1.001 + 1e-4;
-            for (i, (g, want)) in int.data().iter().zip(base.data()).enumerate() {
-                assert!(
-                    (g - want).abs() <= bound,
-                    "groups={groups} [{i}] {g} vs {want} ± {bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn integer_lane_falls_back_on_non_finite_input() {
-        let mut c = make_quantized(1);
-        assert_eq!(
-            c.prepare_inference(KernelLane::IntGemm).unwrap(),
-            KernelLane::IntGemm
-        );
-        let mut x = trng::normal(&[1, 4, 5, 5], 1.0, &mut seeded(14));
-        x.data_mut()[17] = f32::INFINITY;
-        let y = c.forward_inference(&x).unwrap();
-        assert!(y.data().iter().any(|v| !v.is_finite()));
     }
 
     #[test]

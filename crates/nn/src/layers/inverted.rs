@@ -1,5 +1,5 @@
 use crate::layers::{BatchNorm2d, Conv2d, Relu6};
-use crate::{KernelLane, Layer, Mode, NnError, Param, ParamKind, QuantScheme};
+use crate::{Layer, Mode, NnError, Param, ParamKind, QuantScheme};
 use apt_tensor::{ops, Tensor};
 use rand::rngs::StdRng;
 
@@ -167,24 +167,6 @@ impl Layer for InvertedResidual {
         } else {
             Ok(h)
         }
-    }
-
-    fn prepare_inference(&mut self, lane: KernelLane) -> crate::Result<KernelLane> {
-        let mut achieved = lane;
-        if let Some((conv, _, _)) = &mut self.expand {
-            achieved = achieved.weakest(conv.prepare_inference(lane)?);
-        }
-        achieved = achieved.weakest(self.depthwise.prepare_inference(lane)?);
-        achieved = achieved.weakest(self.project.prepare_inference(lane)?);
-        Ok(achieved)
-    }
-
-    fn plan_resident_bytes(&self) -> u64 {
-        self.expand
-            .as_ref()
-            .map_or(0, |(c, _, _)| c.plan_resident_bytes())
-            + self.depthwise.plan_resident_bytes()
-            + self.project.plan_resident_bytes()
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

@@ -1,6 +1,4 @@
-use crate::layer::{arm_weight_plan, InferPlan};
-use crate::{KernelLane, Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
-use apt_quant::{ActPanel, WeightPanel};
+use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
 use apt_tensor::{ops, rng as trng, Tensor};
 use rand::rngs::StdRng;
 
@@ -18,7 +16,6 @@ pub struct Linear {
     out_features: usize,
     cached_input: Option<Tensor>,
     macs: u64,
-    plan: InferPlan,
 }
 
 impl Linear {
@@ -66,7 +63,6 @@ impl Linear {
             out_features,
             cached_input: None,
             macs: 0,
-            plan: InferPlan::None,
         })
     }
 
@@ -94,12 +90,12 @@ impl Linear {
         Ok(())
     }
 
-    /// The f32 kernel body: `x·Wᵀ`, add bias. Both the unarmed path
-    /// (passing a freshly dequantised weight) and the dequant-cache lane
-    /// (passing the cached copy) call this with the same weight values, so
-    /// the two stay bit-identical.
-    fn compute_with_weight(&self, input: &Tensor, w: &Tensor) -> crate::Result<Tensor> {
-        let mut y = ops::matmul_a_bt(input, w)?;
+    /// The shared compute kernel: validate, `x·Wᵀ`, add bias. Pure w.r.t.
+    /// the layer — both the training forward and the inference path call
+    /// this, which is what keeps them bit-identical.
+    fn compute_output(&self, input: &Tensor) -> crate::Result<Tensor> {
+        self.validate_input(input)?;
+        let mut y = ops::matmul_a_bt(input, &self.weight.value())?;
         if let Some(bias) = &self.bias {
             let b = bias.value();
             let n = input.dims()[0];
@@ -113,40 +109,6 @@ impl Linear {
             }
         }
         Ok(y)
-    }
-
-    /// The shared compute kernel: validate, `x·Wᵀ`, add bias. Pure w.r.t.
-    /// the layer — both the training forward and the (unarmed) inference
-    /// path call this, which is what keeps them bit-identical.
-    fn compute_output(&self, input: &Tensor) -> crate::Result<Tensor> {
-        self.validate_input(input)?;
-        self.compute_with_weight(input, &self.weight.value())
-    }
-
-    /// The dequant-free forward: quantise the activation rows to per-row
-    /// 8-bit grids and run the fused integer GEMM against the packed
-    /// panel. Returns `Ok(None)` when the activations cannot be quantised
-    /// (non-finite values) — the caller falls back to the f32 arithmetic,
-    /// which propagates NaN/Inf faithfully instead of flushing it.
-    fn compute_int(
-        &self,
-        input: &Tensor,
-        panel: &WeightPanel,
-        bias: Option<&[f32]>,
-    ) -> crate::Result<Option<Tensor>> {
-        self.validate_input(input)?;
-        let n = input.dims()[0];
-        let Some(act) = ActPanel::quantize_rows(input.data(), n, self.in_features) else {
-            return Ok(None);
-        };
-        let mut y = Tensor::zeros(&[n, self.out_features]);
-        panel
-            .gemm_rescale(&act, y.data_mut(), bias)
-            .map_err(|e| NnError::BadInput {
-                layer: self.name.clone(),
-                reason: format!("integer lane rescale failed: {e}"),
-            })?;
-        Ok(Some(y))
     }
 }
 
@@ -166,33 +128,7 @@ impl Layer for Linear {
     }
 
     fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        match &self.plan {
-            InferPlan::None => self.compute_output(input),
-            InferPlan::Cached(w) => {
-                self.validate_input(input)?;
-                self.compute_with_weight(input, w)
-            }
-            InferPlan::Int { panel, bias } => {
-                match self.compute_int(input, panel, bias.as_deref())? {
-                    Some(y) => Ok(y),
-                    None => self.compute_output(input),
-                }
-            }
-        }
-    }
-
-    fn prepare_inference(&mut self, lane: KernelLane) -> crate::Result<KernelLane> {
-        let mut plan = arm_weight_plan(&self.weight, lane, self.out_features, self.in_features);
-        if let InferPlan::Int { bias, .. } = &mut plan {
-            *bias = self.bias.as_ref().map(|b| b.value().data().to_vec());
-        }
-        let achieved = plan.lane();
-        self.plan = plan;
-        Ok(achieved)
-    }
-
-    fn plan_resident_bytes(&self) -> u64 {
-        self.plan.resident_bytes()
+        self.compute_output(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -371,106 +307,5 @@ mod tests {
         let mut l = make(2, 2);
         let _ = l.forward(&Tensor::zeros(&[1, 2]), Mode::Eval).unwrap();
         assert!(l.backward(&Tensor::zeros(&[1, 2])).is_err());
-    }
-
-    fn make_quantized(out: usize, inp: usize, k: u32) -> Linear {
-        Linear::new(
-            "fcq",
-            inp,
-            out,
-            ParamPrecision::Quantized(apt_quant::Bitwidth::new(k).unwrap()),
-            Some(ParamPrecision::Float32),
-            &mut seeded(7),
-        )
-        .unwrap()
-    }
-
-    fn assert_bitwise_eq(a: &[f32], b: &[f32]) {
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "[{i}] {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn dequant_cache_lane_is_bit_exact() {
-        let mut l = make_quantized(6, 16, 4);
-        let x = trng::normal(&[3, 16], 1.0, &mut seeded(8));
-        let base = l.forward_inference(&x).unwrap();
-        assert_eq!(
-            l.prepare_inference(KernelLane::DequantCache).unwrap(),
-            KernelLane::DequantCache
-        );
-        assert!(l.plan_resident_bytes() >= 6 * 16 * 4);
-        assert_bitwise_eq(l.forward_inference(&x).unwrap().data(), base.data());
-    }
-
-    #[test]
-    fn integer_lane_is_within_the_requant_bound() {
-        let mut l = make_quantized(6, 16, 4);
-        let x = trng::normal(&[3, 16], 1.0, &mut seeded(9));
-        let base = l.forward_inference(&x).unwrap();
-        assert_eq!(
-            l.prepare_inference(KernelLane::IntGemm).unwrap(),
-            KernelLane::IntGemm
-        );
-        assert!(l.plan_resident_bytes() > 0);
-        let int = l.forward_inference(&x).unwrap();
-        let mut wv = None;
-        l.visit_params_ref(&mut |p| {
-            if p.kind() == ParamKind::Weight {
-                wv = Some(p.value());
-            }
-        });
-        let w = wv.unwrap();
-        // Weight side is exact; the divergence is bounded by the 8-bit
-        // activation rounding pushed through the dequantised weights.
-        for i in 0..3 {
-            let row = &x.data()[i * 16..(i + 1) * 16];
-            let (lo, hi) = row
-                .iter()
-                .fold((0.0f32, 0.0f32), |(a, b), &v| (a.min(v), b.max(v)));
-            let eps_x = ((hi - lo) / 255.0).max(1e-12);
-            for o in 0..6 {
-                let wsum: f32 = w.data()[o * 16..(o + 1) * 16].iter().map(|v| v.abs()).sum();
-                let bound = 0.5 * eps_x * wsum * 1.001 + 1e-4;
-                let (g, want) = (int.data()[i * 6 + o], base.data()[i * 6 + o]);
-                assert!(
-                    (g - want).abs() <= bound,
-                    "[{i},{o}] {g} vs {want} ± {bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn integer_lane_falls_back_on_non_finite_input() {
-        let mut l = make_quantized(4, 8, 4);
-        assert_eq!(
-            l.prepare_inference(KernelLane::IntGemm).unwrap(),
-            KernelLane::IntGemm
-        );
-        let mut x = trng::normal(&[2, 8], 1.0, &mut seeded(10));
-        x.data_mut()[3] = f32::NAN;
-        let y = l.forward_inference(&x).unwrap();
-        assert!(
-            y.data().iter().any(|v| v.is_nan()),
-            "fallback must propagate NaN, not flush it onto the grid"
-        );
-    }
-
-    #[test]
-    fn float_weights_degrade_to_dequant_cache() {
-        let mut l = make(2, 3);
-        assert_eq!(
-            l.prepare_inference(KernelLane::IntGemm).unwrap(),
-            KernelLane::DequantCache
-        );
-        assert!(l.plan_resident_bytes() >= (2 * 3 * 4) as u64);
-        assert_eq!(
-            l.prepare_inference(KernelLane::F32).unwrap(),
-            KernelLane::F32
-        );
-        assert_eq!(l.plan_resident_bytes(), 0);
     }
 }

@@ -86,28 +86,6 @@ impl Network {
         Ok(x)
     }
 
-    /// Arms every layer's serving plan for `lane` and returns the weakest
-    /// lane any weight-bearing layer achieved — the lane the session as a
-    /// whole can honestly advertise. Called once at session load, before
-    /// the network is frozen behind an `Arc`; the training path never
-    /// calls this, so its bit-identical invariants are untouched.
-    ///
-    /// Arming [`KernelLane::F32`] clears all plans, restoring the exact
-    /// unarmed arithmetic. [`KernelLane::DequantCache`] is also bit-exact;
-    /// only [`KernelLane::IntGemm`] changes output bits (within the
-    /// documented activation-requantisation bound).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing layer's error.
-    pub fn prepare_inference(&mut self, lane: KernelLane) -> crate::Result<KernelLane> {
-        let mut achieved = lane;
-        for layer in &mut self.layers {
-            achieved = achieved.weakest(layer.prepare_inference(lane)?);
-        }
-        Ok(achieved)
-    }
-
     /// Runs the full backward pass from `∂L/∂output`, accumulating parameter
     /// gradients, and returns `∂L/∂input`.
     ///
@@ -183,22 +161,14 @@ impl Network {
     }
 
     /// Bytes of process memory the model state actually occupies right now
-    /// — bit-packed code stores, fp32 tensors, any allocated momentum
-    /// buffers, plus whatever the armed inference plans keep resident
-    /// (cached f32 weights or packed integer panels). The
-    /// physically-measured counterpart of [`memory_bits`].
+    /// — bit-packed code stores, fp32 tensors and any allocated momentum
+    /// buffers. The physically-measured counterpart of [`memory_bits`].
     ///
     /// [`memory_bits`]: Network::memory_bits
     pub fn resident_bytes(&self) -> u64 {
         let mut bytes = 0;
         self.visit_params_ref(&mut |p| bytes += p.resident_bytes());
-        bytes + self.plan_resident_bytes()
-    }
-
-    /// Bytes held resident by armed inference plans alone (0 when no lane
-    /// has been prepared).
-    pub fn plan_resident_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.plan_resident_bytes()).sum()
+        bytes
     }
 
     /// Multiply-accumulates executed by the most recent forward pass.
@@ -236,15 +206,16 @@ impl Network {
     /// folds BatchNorm into preceding convolutions, fuses activations
     /// into kernel epilogues, and pre-plans every intermediate buffer
     /// into one scratch arena — see [`crate::plan`] for the contract.
-    /// The network itself is untouched (`&self`): training state, armed
-    /// inference plans and checkpointing behave exactly as before.
+    /// The network itself is untouched (`&self`) and the plan copies what
+    /// it needs, so later training steps neither see nor change it.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Unfreezable`](crate::NnError::Unfreezable) when
     /// a layer has no plan lowering or the shapes cannot be threaded
     /// through — callers treat this as a typed signal to fall back to
-    /// per-layer replay, not as a fatal error.
+    /// [`forward_inference`](Self::forward_inference), not as a fatal
+    /// error.
     pub fn freeze(
         &self,
         sample_dims: &[usize],
@@ -350,58 +321,6 @@ mod tests {
         let s = format!("{net:?}");
         assert!(s.contains("fc1"));
         assert!(s.contains("tiny"));
-    }
-
-    #[test]
-    fn prepare_inference_reports_weakest_lane_and_honest_bytes() {
-        let mut rng = seeded(5);
-        let lq = Linear::new(
-            "fcq",
-            4,
-            8,
-            ParamPrecision::Quantized(apt_quant::Bitwidth::new(4).unwrap()),
-            None,
-            &mut rng,
-        )
-        .unwrap();
-        let lf = Linear::new("fcf", 8, 3, ParamPrecision::Float32, None, &mut rng).unwrap();
-        let mut net = Network::new(
-            "mixed",
-            vec![Box::new(lq), Box::new(Relu::new("r")), Box::new(lf)],
-        );
-        let base_bytes = net.resident_bytes();
-        let x = normal(&[2, 4], 1.0, &mut seeded(6));
-        let unarmed = net.forward_inference(&x).unwrap();
-        // The float layer cannot build a panel, so the honest session lane
-        // is the dequant cache even though the quantised layer went integer.
-        assert_eq!(
-            net.prepare_inference(KernelLane::IntGemm).unwrap(),
-            KernelLane::DequantCache
-        );
-        assert!(net.plan_resident_bytes() > 0);
-        assert_eq!(
-            net.resident_bytes(),
-            base_bytes + net.plan_resident_bytes(),
-            "plans count into the eviction budget"
-        );
-        let armed = net.forward_inference(&x).unwrap();
-        assert_eq!(armed.dims(), unarmed.dims());
-        // Pure cache lane is bit-exact end to end.
-        assert_eq!(
-            net.prepare_inference(KernelLane::DequantCache).unwrap(),
-            KernelLane::DequantCache
-        );
-        let cached = net.forward_inference(&x).unwrap();
-        for (a, b) in cached.data().iter().zip(unarmed.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // F32 clears every plan.
-        assert_eq!(
-            net.prepare_inference(KernelLane::F32).unwrap(),
-            KernelLane::F32
-        );
-        assert_eq!(net.plan_resident_bytes(), 0);
-        assert_eq!(net.resident_bytes(), base_bytes);
     }
 
     #[test]

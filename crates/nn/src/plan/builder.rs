@@ -3,8 +3,8 @@
 use super::exec::FrozenPlan;
 use super::step::{Step, StepKind, ValueId, WeightSlot};
 use super::{arena, optimize, PlanReport};
-use crate::layer::{arm_weight_plan, InferPlan};
-use crate::{KernelLane, NnError, Param, Result};
+use crate::{KernelLane, NnError, Param, ParamStore, Result};
+use apt_quant::WeightPanel;
 use apt_tensor::ops::conv::Conv2dParams;
 use apt_tensor::ops::fused::Epilogue;
 
@@ -120,10 +120,10 @@ impl PlanBuilder {
         dst
     }
 
-    /// Lowers a fully-connected layer `y = x·Wᵀ (+ b)`. The weight is
-    /// armed against the plan's lane at compile time: integer storage
-    /// packs a [`apt_quant::WeightPanel`] here, anything else dequantises
-    /// once into an f32 slot.
+    /// Lowers a fully-connected layer `y = x·Wᵀ (+ b)`. Under an
+    /// [`KernelLane::IntGemm`] request integer storage packs a
+    /// [`WeightPanel`] here; anything else dequantises once into an f32
+    /// slot.
     ///
     /// # Errors
     ///
@@ -142,26 +142,29 @@ impl PlanBuilder {
                 "linear expects {in_f} input features, value has {flat}"
             )));
         }
-        let slot = match arm_weight_plan(weight, self.lane, out_f, in_f) {
-            InferPlan::Int { panel, .. } => {
+        // A panel needs integer storage, `k ≤ 16` and rows short enough for
+        // the `i8` dot tier; every other weight, and every other lane, takes
+        // the f32 slot (a frozen plan never re-dequantises per forward).
+        let panel = match (self.lane, weight.store()) {
+            (KernelLane::IntGemm, ParamStore::Quantized(q)) => {
+                WeightPanel::from_quantized(q, out_f, in_f)
+            }
+            (KernelLane::IntGemm, ParamStore::PerChannel(pc)) => {
+                WeightPanel::from_per_channel(pc, out_f, in_f)
+            }
+            _ => None,
+        };
+        let dequant = weight.value().into_vec();
+        let slot = match panel {
+            Some(panel) => {
                 self.packed_panels += 1;
                 self.weight_lanes.push(KernelLane::IntGemm);
-                WeightSlot::Int {
-                    panel,
-                    dequant: weight.value().into_vec(),
-                }
+                WeightSlot::Int { panel, dequant }
             }
-            InferPlan::Cached(w) => {
+            None => {
                 self.weight_lanes
                     .push(self.lane.weakest(KernelLane::DequantCache));
-                WeightSlot::F32(w.into_vec())
-            }
-            InferPlan::None => {
-                // F32 lane request: the plan still holds weights resident
-                // (a frozen plan never re-dequantises), but reports the
-                // requested lane honestly.
-                self.weight_lanes.push(KernelLane::F32);
-                WeightSlot::F32(weight.value().into_vec())
+                WeightSlot::F32(dequant)
             }
         };
         let bias = bias.map(|b| b.value().into_vec());

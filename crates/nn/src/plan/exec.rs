@@ -255,8 +255,8 @@ impl FrozenPlan {
                                 act.apply(dst);
                             }
                             // Non-finite activation rows cannot be code-
-                            // quantised; fall back to the dequantised
-                            // weights exactly like the layer path does.
+                            // quantised; the dequantised weights propagate
+                            // NaN/Inf the way `forward(Eval)` does.
                             None => fused::linear_bias_act(
                                 src,
                                 dequant,

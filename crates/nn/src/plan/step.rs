@@ -24,7 +24,8 @@ pub(crate) enum WeightSlot {
         /// Compile-time-packed codes + per-channel rescale metadata.
         panel: WeightPanel,
         /// `dequant(panel)` — used only when activation rows cannot be
-        /// quantised, mirroring the layer path's fallback.
+        /// quantised, so NaN/Inf propagate instead of being flushed onto
+        /// the grid.
         dequant: Vec<f32>,
     },
 }
@@ -59,10 +60,10 @@ pub(crate) enum StepKind {
     /// 2-D convolution `y = act(conv(x, W) + b)` on NCHW values.
     Conv {
         /// Weight `[c_out, c_in/groups, k, k]`, flattened. Convolutions
-        /// always compile to f32 weights: the integer conv lane stages
+        /// always compile to f32 weights: an integer conv would stage
         /// per-group activation panels per forward, which is incompatible
         /// with the zero-allocation arena contract, so under an `IntGemm`
-        /// request conv steps arm the dequant cache instead.
+        /// request conv steps report the dequant cache instead.
         weight: Vec<f32>,
         /// Per-output-channel bias (folded BatchNorm lands here).
         bias: Option<Vec<f32>>,

@@ -82,7 +82,6 @@ fn assert_close(name: &str, expected: &Tensor, got: &Tensor, exact: bool) {
 fn freeze_and_compare(net: &mut Network, dims: &[usize], lane: KernelLane, exact: bool) {
     let x = normal(dims, 1.0, &mut seeded(11));
     let _ = net.forward(&x, Mode::Train).unwrap();
-    net.prepare_inference(lane).unwrap();
     let expected = net.forward(&x, Mode::Eval).unwrap();
     let plan = net.freeze(&dims[1..], lane).unwrap();
     let got = plan.infer(&x).unwrap();
@@ -105,16 +104,109 @@ fn frozen_plan_matches_layer_eval_across_backbones_and_schemes() {
 }
 
 #[test]
-fn mlp_frozen_is_bit_identical_at_every_lane() {
-    for lane in [
-        KernelLane::F32,
-        KernelLane::DequantCache,
-        KernelLane::IntGemm,
-    ] {
+fn mlp_frozen_is_bit_identical_at_both_exact_lanes() {
+    for lane in [KernelLane::F32, KernelLane::DequantCache] {
         let mut net =
             models::mlp("m", &[16, 8, 10], &QuantScheme::paper_apt(), &mut seeded(7)).unwrap();
         freeze_and_compare(&mut net, &[2, 16], lane, true);
     }
+}
+
+/// A one-layer k-bit net: the smallest program whose `int-gemm` plan is a
+/// single `WeightSlot::Int` step.
+fn quantized_linear_net(out: usize, inp: usize, k: u32) -> Network {
+    let fc = apt_nn::layers::Linear::new(
+        "fcq",
+        inp,
+        out,
+        ParamPrecision::Quantized(apt_quant::Bitwidth::new(k).unwrap()),
+        Some(ParamPrecision::Float32),
+        &mut seeded(7),
+    )
+    .unwrap();
+    Network::new("one", vec![Box::new(fc)])
+}
+
+#[test]
+fn integer_lane_is_within_the_requant_bound() {
+    let mut net = quantized_linear_net(6, 16, 4);
+    let x = normal(&[3, 16], 1.0, &mut seeded(9));
+    let base = net.forward(&x, Mode::Eval).unwrap();
+    let plan = net.freeze(&[16], KernelLane::IntGemm).unwrap();
+    assert_eq!(plan.lane(), KernelLane::IntGemm);
+    assert_eq!(plan.report().packed_panels, 1);
+    let int = plan.infer(&x).unwrap();
+    let mut wv = None;
+    net.visit_params_ref(&mut |p| {
+        if p.kind() == apt_nn::ParamKind::Weight {
+            wv = Some(p.value());
+        }
+    });
+    let w = wv.unwrap();
+    // Weight side is exact; the divergence is bounded by the 8-bit
+    // activation rounding pushed through the dequantised weights.
+    for i in 0..3 {
+        let row = &x.data()[i * 16..(i + 1) * 16];
+        let (lo, hi) = row
+            .iter()
+            .fold((0.0f32, 0.0f32), |(a, b), &v| (a.min(v), b.max(v)));
+        let eps_x = ((hi - lo) / 255.0).max(1e-12);
+        for o in 0..6 {
+            let wsum: f32 = w.data()[o * 16..(o + 1) * 16].iter().map(|v| v.abs()).sum();
+            let bound = 0.5 * eps_x * wsum * 1.001 + 1e-4;
+            let (g, want) = (int.data()[i * 6 + o], base.data()[i * 6 + o]);
+            assert!(
+                (g - want).abs() <= bound,
+                "[{i},{o}] {g} vs {want} ± {bound}"
+            );
+        }
+    }
+}
+
+#[test]
+fn integer_lane_falls_back_on_non_finite_input() {
+    let mut net = quantized_linear_net(4, 8, 4);
+    let plan = net.freeze(&[8], KernelLane::IntGemm).unwrap();
+    assert_eq!(plan.lane(), KernelLane::IntGemm);
+    let mut x = normal(&[2, 8], 1.0, &mut seeded(10));
+    x.data_mut()[3] = f32::NAN;
+    let y = plan.infer(&x).unwrap();
+    assert!(
+        y.data().iter().any(|v| v.is_nan()),
+        "fallback must propagate NaN, not flush it onto the grid"
+    );
+    // The fallback is the dequantised-weight kernel, i.e. `forward(Eval)`.
+    let want = net.forward(&x, Mode::Eval).unwrap();
+    for (a, b) in y.data().iter().zip(want.data()) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+}
+
+#[test]
+fn a_plan_is_a_snapshot_that_training_neither_sees_nor_moves() {
+    let mut net =
+        models::mlp("m", &[16, 8, 10], &QuantScheme::paper_apt(), &mut seeded(7)).unwrap();
+    let x = normal(&[2, 16], 1.0, &mut seeded(41));
+    let plan = net.freeze(&[16], KernelLane::DequantCache).unwrap();
+    let before = plan.infer(&x).unwrap();
+
+    // One SGD step (Eq. 3 on the quantised weights).
+    let y = net.forward(&x, Mode::Train).unwrap();
+    net.backward(&Tensor::ones(y.dims())).unwrap();
+    let mut r = seeded(42);
+    net.visit_params(&mut |p| {
+        let g = p.grad().clone();
+        p.apply_update(&g, 0.5, apt_quant::RoundingMode::Truncate, &mut r)
+            .unwrap();
+    });
+
+    // The BN-free MLP runs the same arithmetic in both modes, so an eval
+    // forward that still served pre-step weights would show up here.
+    let train = net.forward(&x, Mode::Train).unwrap();
+    let eval = net.forward(&x, Mode::Eval).unwrap();
+    assert_close("eval after step", &train, &eval, true);
+    assert_ne!(eval.data(), before.data(), "the step must move the weights");
+    assert_close("plan after step", &before, &plan.infer(&x).unwrap(), true);
 }
 
 #[test]

@@ -175,57 +175,29 @@ impl WeightPanel {
         out: &mut [f32],
         bias: Option<&[f32]>,
     ) -> crate::Result<()> {
-        self.gemm_rescale_rows(act, out, bias, 0, self.rows)
-    }
-
-    /// [`gemm_rescale`](Self::gemm_rescale) restricted to the contiguous
-    /// panel rows `[row_start, row_end)` — grouped convolution serves each
-    /// group from its own row slice of one shared panel. `bias`, when
-    /// present, covers just the selected rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::ShapeMismatch`] when the row range is out of
-    /// bounds or the panels' shared dimensions, the output slice, or the
-    /// bias length disagree.
-    pub fn gemm_rescale_rows(
-        &self,
-        act: &ActPanel,
-        out: &mut [f32],
-        bias: Option<&[f32]>,
-        row_start: usize,
-        row_end: usize,
-    ) -> crate::Result<()> {
-        let n = row_end.saturating_sub(row_start);
-        if row_start > row_end
-            || row_end > self.rows
-            || act.cols != self.cols
-            || out.len() != act.rows * n
-            || bias.is_some_and(|b| b.len() != n)
+        if act.cols != self.cols
+            || out.len() != act.rows * self.rows
+            || bias.is_some_and(|b| b.len() != self.rows)
         {
             return Err(QuantError::ShapeMismatch {
                 op: "gemm_rescale",
                 lhs: vec![act.rows, act.cols],
-                rhs: vec![row_start, row_end, self.cols],
+                rhs: vec![self.rows, self.cols],
             });
         }
         let p = IntRescale {
-            w_scale: &self.w_scale[row_start..row_end],
-            w_dw: &self.w_dw[row_start..row_end],
-            w_sum: &self.w_sum[row_start..row_end],
+            w_scale: &self.w_scale,
+            w_dw: &self.w_dw,
+            w_sum: &self.w_sum,
             act_scale: &act.scale,
             act_dx: &act.dx,
             act_sum: &act.sum,
             bias,
         };
-        let (c0, c1) = (row_start * self.cols, row_end * self.cols);
+        let (m, n, k) = (act.rows, self.rows, self.cols);
         match &self.codes {
-            PanelCodes::I8(w) => {
-                int_gemm::gemm_i8_rescale(&act.codes, &w[c0..c1], out, act.rows, n, self.cols, &p)
-            }
-            PanelCodes::I16(w) => {
-                int_gemm::gemm_i16_rescale(&act.codes, &w[c0..c1], out, act.rows, n, self.cols, &p)
-            }
+            PanelCodes::I8(w) => int_gemm::gemm_i8_rescale(&act.codes, w, out, m, n, k, &p),
+            PanelCodes::I16(w) => int_gemm::gemm_i16_rescale(&act.codes, w, out, m, n, k, &p),
         }
         Ok(())
     }
@@ -439,31 +411,18 @@ mod tests {
     }
 
     #[test]
-    fn row_ranged_gemm_is_a_slice_of_the_full_gemm() {
+    fn gemm_rescale_rejects_mismatched_shapes() {
         let mut r = seeded(25);
         let w = normal(&[6, 12], 1.0, &mut r);
-        let x = normal(&[3, 12], 1.0, &mut r);
         let qw = QuantizedTensor::from_tensor(&w, b(4)).unwrap();
         let panel = WeightPanel::from_quantized(&qw, 6, 12).unwrap();
-        let act = ActPanel::quantize_rows(x.data(), 3, 12).unwrap();
-        let bias: Vec<f32> = (0..6).map(|i| i as f32 * 0.3 - 1.0).collect();
-        let mut full = vec![0.0f32; 3 * 6];
-        panel.gemm_rescale(&act, &mut full, Some(&bias)).unwrap();
-        for (r0, r1) in [(0usize, 3usize), (2, 6), (4, 5), (0, 6)] {
-            let n = r1 - r0;
-            let mut part = vec![0.0f32; 3 * n];
-            panel
-                .gemm_rescale_rows(&act, &mut part, Some(&bias[r0..r1]), r0, r1)
-                .unwrap();
-            for i in 0..3 {
-                for (o, &v) in part[i * n..(i + 1) * n].iter().enumerate() {
-                    assert_eq!(v.to_bits(), full[i * 6 + r0 + o].to_bits());
-                }
-            }
-        }
-        let mut bad = vec![0.0f32; 3];
-        assert!(panel.gemm_rescale_rows(&act, &mut bad, None, 5, 7).is_err());
-        assert!(panel.gemm_rescale_rows(&act, &mut bad, None, 3, 2).is_err());
+        let act = ActPanel::quantize_rows(&[0.5; 3 * 12], 3, 12).unwrap();
+        let mut out = vec![0.0f32; 3 * 6];
+        assert!(panel.gemm_rescale(&act, &mut out[..17], None).is_err());
+        assert!(panel.gemm_rescale(&act, &mut out, Some(&[0.0; 5])).is_err());
+        let narrow = ActPanel::quantize_rows(&[0.5; 3 * 11], 3, 11).unwrap();
+        assert!(panel.gemm_rescale(&narrow, &mut out, None).is_err());
+        assert!(panel.gemm_rescale(&act, &mut out, Some(&[0.0; 6])).is_ok());
     }
 
     #[test]

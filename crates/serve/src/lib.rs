@@ -4,15 +4,16 @@
 //! layers, each usable on its own:
 //!
 //! 1. **[`InferenceSession`]** — loads a checkpoint into an immutable,
-//!    `Arc`-shared frozen network. Packed quantized weights stay resident
-//!    at their physical width; the forward pass uses
-//!    `Network::forward_inference` (no activation caching, no gradient
-//!    bookkeeping) and stages request samples through a recycled
-//!    [`ScratchArena`] so the steady-state hot path does not grow the heap.
-//!    A [`KernelLane`] is armed at load: the default dequant cache keeps
-//!    outputs bit-identical to the trainer's `Mode::Eval` forward, while
-//!    the opt-in `int-gemm` lane serves dequant-free from packed integer
-//!    panels (bit-close, documented bound, faster than fp32 at low `k`).
+//!    `Arc`-shared network and compiles it into a frozen plan (BatchNorm
+//!    folded, activations fused, one pre-planned arena). Packed quantized
+//!    weights stay resident at their physical width, and request samples
+//!    are staged through a recycled [`ScratchArena`] so the steady-state
+//!    hot path does not grow the heap. The [`KernelLane`] is a request to
+//!    the plan compiler: the default dequant cache keeps outputs within
+//!    BN-fold rounding of the trainer's `Mode::Eval` forward (bit-identical
+//!    without BatchNorm), while the opt-in `int-gemm` lane serves linear
+//!    layers dequant-free from packed integer panels (bit-close,
+//!    documented bound, faster than f32 at low `k`).
 //! 2. **[`MicroBatcher`]** — a dynamic micro-batcher that coalesces
 //!    single-sample requests from an MPSC queue under a
 //!    [`BatchPolicy`] (`max_batch` / `max_delay_us`), executes them as one

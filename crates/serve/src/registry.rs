@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 /// Fleet configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RegistryConfig {
     /// Resident-bytes budget across all models; `0` means unbounded.
     pub budget_bytes: u64,
@@ -54,26 +54,11 @@ pub struct RegistryConfig {
     /// Architecture used to load checkpoints ingested from files. Blob
     /// ingestion ([`ModelRegistry::ingest_blob`]) carries its own spec.
     pub spec: Option<ModelSpec>,
-    /// Kernel lane armed on every ingested plan (default: the bit-exact
-    /// dequant cache). Panels or cached weights built for the lane are
-    /// part of each plan's resident bytes, so the budget sees them.
+    /// Kernel lane every ingested checkpoint is compiled for (default: the
+    /// bit-exact dequant cache). Panels or cached weights built for the
+    /// lane are part of each plan's resident bytes, so the budget sees
+    /// them.
     pub lane: KernelLane,
-    /// Compile ingested checkpoints into frozen plans (default `true`).
-    /// `false` pins every session to the legacy layer-replay path.
-    pub freeze: bool,
-}
-
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        RegistryConfig {
-            budget_bytes: 0,
-            model_dir: None,
-            quarantine_dir: None,
-            spec: None,
-            lane: KernelLane::default(),
-            freeze: true,
-        }
-    }
 }
 
 /// One registered model's bookkeeping.
@@ -442,15 +427,10 @@ impl ModelRegistry {
     fn validate(&self, spec: &ModelSpec, blob: &[u8]) -> Result<InferenceSession, ServeError> {
         // Rung 1: structural walk — framing, version, CRC, section bounds.
         checkpoint::verify(blob)?;
-        // Rung 2: full decode + construction-time probe, arming the
-        // configured kernel lane and (by default) compiling the frozen
-        // plan — so rung 3's probe exercises the program that will serve.
-        let session = InferenceSession::from_checkpoint_with_options(
-            spec,
-            blob,
-            self.config.lane,
-            self.config.freeze,
-        )?;
+        // Rung 2: full decode + construction-time probe, compiling the
+        // frozen plan for the configured kernel lane — so rung 3's probe
+        // exercises the program that will serve.
+        let session = InferenceSession::from_checkpoint_with_lane(spec, blob, self.config.lane)?;
         // Rung 3: digest stability — inference must not mutate the plan.
         let before = session.network().integrity_digests();
         let zeros = vec![0.0f32; session.sample_len()];

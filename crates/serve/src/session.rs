@@ -1,26 +1,28 @@
 //! Frozen inference sessions over `.aptc` checkpoints.
 //!
 //! An [`InferenceSession`] is the serving counterpart of the trainer: the
-//! network is loaded once, kept **immutable** behind an `Arc`, and executed
-//! through [`apt_nn::Network::forward_inference`] — evaluation arithmetic,
-//! no activation caching, no gradient or MAC bookkeeping. Quantised
-//! weights stay resident at their physical packed width (the code store is
-//! loaded verbatim from the checkpoint; nothing is inflated to fp32 at
-//! rest).
+//! network is loaded once, kept **immutable** behind an `Arc`, and compiled
+//! into a [`FrozenPlan`] — BatchNorm folded, activations fused,
+//! intermediates arena-planned, weights dequantised or packed once.
+//! Quantised weights in the network itself stay resident at their physical
+//! packed width (the code store is loaded verbatim from the checkpoint;
+//! nothing is inflated to fp32 at rest).
 //!
-//! At load time the session arms a [`KernelLane`] on the network — the
-//! default [`KernelLane::DequantCache`] caches each weight's f32 value once
-//! (bit-exact vs the unarmed forward), while [`KernelLane::IntGemm`] serves
-//! straight from packed integer panels through the fused integer GEMM
-//! kernels (bit-close, documented bound). Whatever the plans keep resident
-//! is counted by [`apt_nn::Network::resident_bytes`], so registry eviction
+//! The [`KernelLane`] is a request to the plan compiler and lives nowhere
+//! else: the default [`KernelLane::DequantCache`] plan is bit-exact against
+//! `forward(Mode::Eval)`, while [`KernelLane::IntGemm`] serves linear
+//! layers straight from packed integer panels through the fused integer
+//! GEMM kernels (bit-close, documented bound). What the plan keeps resident
+//! is counted by [`InferenceSession::resident_bytes`], so registry eviction
 //! budgets see the real footprint.
 //!
+//! A network with a layer that has no plan lowering still loads: the
+//! session records the typed reason and serves through
+//! [`apt_nn::Network::forward_inference`] — plain fp32 eval arithmetic,
+//! reported as [`KernelLane::F32`] whatever lane was requested.
+//!
 //! Input staging goes through a [`ScratchArena`] so steady-state request
-//! handling reuses buffers instead of allocating per call. Layer
-//! intermediates inside ops still allocate; the arena removes the
-//! per-request staging churn on the batcher's hot loop, which is the
-//! allocation the runtime actually controls.
+//! handling reuses buffers instead of allocating per call.
 
 use crate::ServeError;
 use apt_nn::{checkpoint, models, FrozenPlan, KernelLane, Network, PlanReport, QuantScheme};
@@ -200,10 +202,11 @@ impl ScratchArena {
 #[derive(Debug, Clone)]
 pub struct InferenceSession {
     net: Arc<Network>,
-    /// Compiled frozen plan — the default serving path. `None` when the
-    /// session was built with freezing disabled or freezing fell back.
+    /// Compiled frozen plan — the serving path. `None` only when a layer
+    /// had no plan lowering and the session fell back to
+    /// `Network::forward_inference`.
     plan: Option<Arc<FrozenPlan>>,
-    /// Why freezing fell back to layer-by-layer replay, when it did.
+    /// Why freezing fell back, when it did.
     freeze_reason: Option<Arc<str>>,
     arena: Arc<ScratchArena>,
     sample_dims: Vec<usize>,
@@ -214,8 +217,8 @@ pub struct InferenceSession {
 
 impl InferenceSession {
     /// Loads a `.aptc` checkpoint blob (any supported version: v1, v2, v3)
-    /// into the architecture described by `spec` and freezes the result,
-    /// arming the default [`KernelLane::DequantCache`] (bit-exact).
+    /// into the architecture described by `spec` and compiles it for the
+    /// default [`KernelLane::DequantCache`] (bit-exact).
     ///
     /// # Errors
     ///
@@ -237,29 +240,13 @@ impl InferenceSession {
         blob: &[u8],
         lane: KernelLane,
     ) -> Result<Self, ServeError> {
-        Self::from_checkpoint_with_options(spec, blob, lane, true)
-    }
-
-    /// [`from_checkpoint_with_lane`](Self::from_checkpoint_with_lane) with
-    /// the freeze compiler toggleable; see
-    /// [`from_network_with_options`](Self::from_network_with_options).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`from_checkpoint`](Self::from_checkpoint).
-    pub fn from_checkpoint_with_options(
-        spec: &ModelSpec,
-        blob: &[u8],
-        lane: KernelLane,
-        freeze: bool,
-    ) -> Result<Self, ServeError> {
         let mut net = spec.build()?;
         checkpoint::load(&mut net, blob)?;
-        Self::from_network_with_options(net, &spec.sample_dims(), lane, freeze)
+        Self::from_network_with_lane(net, &spec.sample_dims(), lane)
     }
 
-    /// Freezes an already-constructed network (e.g. straight out of a
-    /// trainer) into a session, arming the default
+    /// Compiles an already-constructed network (e.g. straight out of a
+    /// trainer) into a session for the default
     /// [`KernelLane::DequantCache`]. `sample_dims` is the shape of one
     /// input sample without the batch axis.
     ///
@@ -273,43 +260,24 @@ impl InferenceSession {
     }
 
     /// [`from_network`](Self::from_network) with an explicit kernel lane.
-    /// The requested lane is armed on every layer before the network is
-    /// frozen; the session records the **achieved** lane (layers that
-    /// cannot build an integer panel degrade, see
-    /// [`apt_nn::Network::prepare_inference`]), readable via
+    /// The network is compiled into a [`FrozenPlan`] for `lane`; the
+    /// session records the **achieved** lane (weights that cannot build an
+    /// integer panel degrade, see [`KernelLane::IntGemm`]), readable via
     /// [`lane`](Self::lane).
+    ///
+    /// When compilation reports a typed [`apt_nn::NnError::Unfreezable`]
+    /// the session records the reason
+    /// ([`freeze_reason`](Self::freeze_reason)) and serves through
+    /// [`Network::forward_inference`] at [`KernelLane::F32`] — a fallback
+    /// is never a load failure.
     ///
     /// # Errors
     ///
-    /// Same contract as [`from_network`](Self::from_network), plus any
-    /// plan-construction error from the layers.
+    /// Same contract as [`from_network`](Self::from_network).
     pub fn from_network_with_lane(
         net: Network,
         sample_dims: &[usize],
         lane: KernelLane,
-    ) -> Result<Self, ServeError> {
-        Self::from_network_with_options(net, sample_dims, lane, true)
-    }
-
-    /// [`from_network_with_lane`](Self::from_network_with_lane) with the
-    /// freeze compiler toggleable. With `freeze = true` (the default
-    /// everywhere) the network is compiled into a [`FrozenPlan`]: BN
-    /// folded, activations fused, intermediates arena-planned, weights
-    /// packed at load. When compilation reports a typed
-    /// [`apt_nn::NnError::Unfreezable`] the session records the reason
-    /// ([`freeze_reason`](Self::freeze_reason)) and falls back to
-    /// layer-by-layer replay — a fallback is never a load failure. With
-    /// `freeze = false` the legacy replay path is used unconditionally.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`from_network`](Self::from_network), plus any
-    /// plan-construction error from the layers.
-    pub fn from_network_with_options(
-        mut net: Network,
-        sample_dims: &[usize],
-        lane: KernelLane,
-        freeze: bool,
     ) -> Result<Self, ServeError> {
         if sample_dims.is_empty() || sample_dims.contains(&0) {
             return Err(ServeError::BadRequest {
@@ -317,50 +285,37 @@ impl InferenceSession {
             });
         }
         let sample_len: usize = sample_dims.iter().product();
-        let (plan, freeze_reason) = if freeze {
-            match net.freeze(sample_dims, lane) {
-                Ok(plan) => (Some(Arc::new(plan)), None),
-                Err(e) => (None, Some(Arc::<str>::from(e.to_string().as_str()))),
+        let (plan, freeze_reason, num_outputs, lane) = match net.freeze(sample_dims, lane) {
+            Ok(plan) => {
+                // A zero-sample probe validates the compiled program end
+                // to end.
+                let mut probe_out = vec![0.0f32; plan.output_len()];
+                plan.execute(
+                    &vec![0.0f32; sample_len],
+                    1,
+                    &mut Vec::new(),
+                    &mut probe_out,
+                )?;
+                let (outputs, achieved) = (plan.output_len(), plan.lane());
+                (Some(Arc::new(plan)), None, outputs, achieved)
             }
-        } else {
-            (None, Some(Arc::<str>::from("freezing disabled by request")))
+            Err(e) => {
+                let mut probe_dims = vec![1];
+                probe_dims.extend_from_slice(sample_dims);
+                let probe = net.forward_inference(&Tensor::zeros(&probe_dims))?;
+                let reason = Arc::<str>::from(e.to_string().as_str());
+                (None, Some(reason), probe.len(), KernelLane::F32)
+            }
         };
-        if let Some(plan) = plan {
-            // Frozen path: the plan holds the compiled weights, so the
-            // layer-side lane is left unarmed (no double residency). A
-            // zero-sample probe validates the compiled program end to end.
-            let mut probe_out = vec![0.0f32; plan.output_len()];
-            plan.execute(
-                &vec![0.0f32; sample_len],
-                1,
-                &mut Vec::new(),
-                &mut probe_out,
-            )?;
-            return Ok(InferenceSession {
-                net: Arc::new(net),
-                num_outputs: plan.output_len(),
-                lane: plan.lane(),
-                plan: Some(plan),
-                freeze_reason: None,
-                arena: Arc::new(ScratchArena::default()),
-                sample_dims: sample_dims.to_vec(),
-                sample_len,
-            });
-        }
-        let achieved = net.prepare_inference(lane)?;
-        let mut probe_dims = vec![1];
-        probe_dims.extend_from_slice(sample_dims);
-        let probe = net.forward_inference(&Tensor::zeros(&probe_dims))?;
-        let num_outputs = probe.len();
         Ok(InferenceSession {
             net: Arc::new(net),
-            plan: None,
+            plan,
             freeze_reason,
             arena: Arc::new(ScratchArena::default()),
             sample_dims: sample_dims.to_vec(),
             sample_len,
             num_outputs,
-            lane: achieved,
+            lane,
         })
     }
 
@@ -370,13 +325,13 @@ impl InferenceSession {
     }
 
     /// Whether this session serves from a compiled [`FrozenPlan`] (as
-    /// opposed to layer-by-layer replay).
+    /// opposed to the `forward_inference` fallback).
     pub fn is_frozen(&self) -> bool {
         self.plan.is_some()
     }
 
-    /// Why freezing fell back to layer replay, when it did. `None` on the
-    /// frozen path.
+    /// Why freezing fell back to `forward_inference`, when it did. `None`
+    /// on the frozen path.
     pub fn freeze_reason(&self) -> Option<&str> {
         self.freeze_reason.as_deref()
     }
@@ -387,15 +342,15 @@ impl InferenceSession {
     }
 
     /// Bytes this session keeps resident for serving: the parameter
-    /// stores plus whatever the compiled plan (or the per-layer lane
-    /// cache, on the fallback path) holds. This is the figure registry
-    /// budgets must count.
+    /// stores plus whatever the compiled plan holds. This is the figure
+    /// registry budgets must count.
     pub fn resident_bytes(&self) -> u64 {
         self.net.resident_bytes() + self.plan.as_deref().map_or(0, FrozenPlan::resident_bytes)
     }
 
-    /// The kernel lane the session actually achieved at load time (the
-    /// weakest lane across its weight-bearing layers).
+    /// The kernel lane the session actually achieved at load time: the
+    /// weakest lane across the plan's weight-bearing steps, or
+    /// [`KernelLane::F32`] on the fallback path.
     pub fn lane(&self) -> KernelLane {
         self.lane
     }
@@ -442,7 +397,7 @@ impl InferenceSession {
     /// # Errors
     ///
     /// Returns [`ServeError::Internal`] when the session is not frozen
-    /// (the replay path cannot honour the no-allocation contract), and
+    /// (the fallback path cannot honour the no-allocation contract), and
     /// [`ServeError::BadRequest`] on geometry mismatches.
     pub fn infer_into(
         &self,
@@ -652,6 +607,72 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// An identity layer with no `lower()`: the network around it cannot
+    /// freeze.
+    #[derive(Debug)]
+    struct Opaque;
+
+    impl apt_nn::Layer for Opaque {
+        fn name(&self) -> &str {
+            "opaque"
+        }
+        fn forward(&mut self, input: &Tensor, _mode: Mode) -> apt_nn::Result<Tensor> {
+            Ok(input.clone())
+        }
+        fn forward_inference(&self, input: &Tensor) -> apt_nn::Result<Tensor> {
+            Ok(input.clone())
+        }
+        fn backward(&mut self, grad: &Tensor) -> apt_nn::Result<Tensor> {
+            Ok(grad.clone())
+        }
+        fn visit_params(&mut self, _f: &mut dyn FnMut(&mut apt_nn::Param)) {}
+        fn visit_params_ref(&self, _f: &mut dyn FnMut(&apt_nn::Param)) {}
+    }
+
+    fn unfreezable_net() -> Network {
+        let fc = apt_nn::layers::Linear::new(
+            "fc",
+            6,
+            4,
+            apt_nn::ParamPrecision::Quantized(apt_quant::Bitwidth::new(4).unwrap()),
+            Some(apt_nn::ParamPrecision::Float32),
+            &mut rng::seeded(3),
+        )
+        .unwrap();
+        Network::new("odd", vec![Box::new(fc), Box::new(Opaque)])
+    }
+
+    #[test]
+    fn unfreezable_network_falls_back_to_fp32_eval() {
+        let s =
+            InferenceSession::from_network_with_lane(unfreezable_net(), &[6], KernelLane::IntGemm)
+                .unwrap();
+        assert!(!s.is_frozen());
+        assert!(s.plan_report().is_none());
+        let reason = s.freeze_reason().unwrap();
+        assert!(reason.contains("opaque"), "{reason}");
+        assert_eq!(s.lane(), KernelLane::F32, "whatever lane was requested");
+        assert_eq!(s.resident_bytes(), s.network().resident_bytes());
+
+        let x = apt_tensor::rng::normal(&[3, 6], 1.0, &mut rng::seeded(4));
+        let want = unfreezable_net().forward(&x, Mode::Eval).unwrap();
+        let samples: Vec<Vec<f32>> = (0..3).map(|i| x.row(i).unwrap().to_vec()).collect();
+        let rows = s.infer_samples(&samples).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(row), bits(want.row(i).unwrap()), "row {i}");
+        }
+        assert!(matches!(
+            s.infer_into(x.data(), 3, &mut [0.0; 12]),
+            Err(ServeError::Internal { .. })
+        ));
+
+        let registry = crate::ModelRegistry::new(crate::RegistryConfig::default());
+        registry.publish("odd", s).unwrap();
+        let stats = registry.stats();
+        assert_eq!((stats.plans_frozen, stats.freeze_fallbacks), (0, 1));
     }
 
     #[test]

@@ -158,8 +158,8 @@ impl ServeStats {
         self.plans_frozen.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one session that fell back to layer-by-layer replay
-    /// because its network could not be frozen (or freezing was disabled).
+    /// Records one session that fell back to `Network::forward_inference`
+    /// because its network could not be frozen.
     pub fn record_freeze_fallback(&self) {
         self.freeze_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
@@ -275,7 +275,7 @@ pub struct StatsSnapshot {
     pub resident_bytes: u64,
     /// Sessions loaded onto the compiled frozen-plan path.
     pub plans_frozen: u64,
-    /// Sessions that fell back to layer-by-layer replay at load.
+    /// Sessions that fell back to `Network::forward_inference` at load.
     pub freeze_fallbacks: u64,
     /// Median end-to-end latency, µs (log₂-bucket upper bound).
     pub p50_us: u64,

@@ -5,13 +5,14 @@
 //! unframed, v2 byte-granular, v3 packed+CRC) and both code-store backends
 //! (legacy one-`i64`-per-code and tiered physical).
 //!
-//! Two grades of agreement, matching the two serving paths:
+//! Two grades of agreement:
 //!
-//! * the **replay** path (freezing disabled) is **bit-identical** — it
-//!   runs the same layer kernels as the trainer's eval forward;
-//! * the default **frozen** path folds BatchNorm into conv weights at
-//!   compile time, which reassociates per-channel float multiplies, so
-//!   its logits agree within a small relative tolerance.
+//! * the checkpoint round trip is **bit-identical** — `forward(Mode::Eval)`
+//!   on a network loaded from the blob runs the same layer kernels on the
+//!   same weights as the trainer's eval forward;
+//! * the **frozen** session folds BatchNorm into conv weights at compile
+//!   time, which reassociates per-channel float multiplies, so its logits
+//!   agree with that reference within a small relative tolerance.
 //!
 //! The backend is selected through the process-global override, so this
 //! file holds a single serial `#[test]`.
@@ -92,22 +93,17 @@ fn session_matches_trainer_eval_across_versions_and_backends() {
 
         for version in [1u16, 2, 3] {
             let blob = checkpoint::save_full_as(&mut net, version).unwrap();
-            // Replay path: bit-identical to the trainer's eval forward.
-            let replay = InferenceSession::from_checkpoint_with_options(
-                &spec(),
-                &blob,
-                apt_nn::KernelLane::default(),
-                false,
-            )
-            .unwrap();
-            assert!(!replay.is_frozen());
-            let rows = replay.infer_samples(&samples).unwrap();
-            let got: Vec<u32> = rows.iter().flatten().map(|v| v.to_bits()).collect();
+            // Exact reference: eval forward on the loaded network.
+            let mut loaded = spec().build().unwrap();
+            checkpoint::load(&mut loaded, &blob).unwrap();
+            let exact = loaded.forward(&batch, Mode::Eval).unwrap();
+            let got: Vec<u32> = exact.data().iter().map(|v| v.to_bits()).collect();
             assert_eq!(
                 got, want,
-                "replay serving logits diverged from trainer eval \
+                "loaded eval logits diverged from trainer eval \
                  (checkpoint v{version}, backend {backend:?})"
             );
+            let rows: Vec<&[f32]> = (0..4).map(|i| exact.row(i).unwrap()).collect();
             // Frozen path: BN folding drifts only by float reassociation.
             let frozen = InferenceSession::from_checkpoint(&spec(), &blob).unwrap();
             assert!(frozen.is_frozen(), "{:?}", frozen.freeze_reason());

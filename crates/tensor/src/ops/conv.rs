@@ -191,69 +191,6 @@ pub(crate) fn im2col_group(
     }
 }
 
-/// Lowers one image's group-slice into a **patch-major** im2col matrix
-/// `[oh·ow, c_g·kh·kw]`: row `p` is the receptive field of output pixel
-/// `p` (`p = oi·ow + oj`), laid out `(c, ki, kj)`-major to match the
-/// flattened weight rows `[c_out_g, c_g·kh·kw]`.
-///
-/// This is the transpose of the `[c_g·kh·kw, oh·ow]` layout the f32
-/// forward kernel uses. The integer serving lane wants patches as
-/// contiguous rows so each one can be quantised to 8-bit codes and fed
-/// straight into [`int_gemm`](crate::ops::int_gemm) against a packed
-/// weight panel.
-///
-/// * `input_img` — one image, `[c_in · h · w]` (channel-major).
-/// * `c_start` — first input channel of the group.
-/// * `out` — destination, `oh·ow · c_g·kh·kw` floats, fully overwritten.
-///
-/// # Panics
-///
-/// Debug-asserts the slice lengths; callers validate shapes via
-/// [`Conv2dParams`] first.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_patches(
-    input_img: &[f32],
-    c_start: usize,
-    c_g: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    params: &Conv2dParams,
-    oh: usize,
-    ow: usize,
-    out: &mut [f32],
-) {
-    let col_rows = c_g * kh * kw;
-    debug_assert!(input_img.len() >= (c_start + c_g) * h * w);
-    debug_assert_eq!(out.len(), oh * ow * col_rows);
-    for oi in 0..oh {
-        for oj in 0..ow {
-            let row = &mut out[(oi * ow + oj) * col_rows..(oi * ow + oj + 1) * col_rows];
-            for c in 0..c_g {
-                let chan = &input_img[(c_start + c) * h * w..(c_start + c + 1) * h * w];
-                for ki in 0..kh {
-                    let ii = (oi * params.stride + ki) as isize - params.padding as isize;
-                    let dst = &mut row[(c * kh + ki) * kw..(c * kh + ki + 1) * kw];
-                    if ii < 0 || ii as usize >= h {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &chan[ii as usize * w..(ii as usize + 1) * w];
-                    for (kj, d) in dst.iter_mut().enumerate() {
-                        let jj = (oj * params.stride + kj) as isize - params.padding as isize;
-                        *d = if jj < 0 || jj as usize >= w {
-                            0.0
-                        } else {
-                            src_row[jj as usize]
-                        };
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Scatters an im2col-shaped gradient back onto the input (col2im).
 #[allow(clippy::too_many_arguments)]
 fn col2im_group(
@@ -698,60 +635,6 @@ mod tests {
         };
         let fd = (f(&xp) - f(&xm)) / (2.0 * eps);
         assert!((fd - gi.data()[k]).abs() < 2e-2);
-    }
-
-    #[test]
-    fn patch_major_im2col_is_transpose_of_column_major() {
-        // im2col_patches rows dotted with flattened weight rows must
-        // reproduce conv2d exactly (same j-ascending accumulation order
-        // as the blocked GEMM's k-ascending walk → bitwise equal).
-        let mut r = rng::seeded(15);
-        for &(groups, c_in, c_out) in &[(1usize, 3usize, 4usize), (2, 4, 6), (4, 4, 4)] {
-            let p = Conv2dParams::new(2, 1, groups);
-            let x = rng::normal(&[2, c_in, 5, 5], 1.0, &mut r);
-            let wt = rng::normal(&[c_out, c_in / groups, 3, 3], 1.0, &mut r);
-            let (oh, ow) = (p.out_size(5, 3), p.out_size(5, 3));
-            let (c_in_g, c_out_g) = (c_in / groups, c_out / groups);
-            let col_rows = c_in_g * 3 * 3;
-            let expected = conv2d(&x, &wt, &p).unwrap();
-            let mut patches = vec![0.0f32; oh * ow * col_rows];
-            for img in 0..2 {
-                let in_img = &x.data()[img * c_in * 25..(img + 1) * c_in * 25];
-                for grp in 0..groups {
-                    im2col_patches(
-                        in_img,
-                        grp * c_in_g,
-                        c_in_g,
-                        5,
-                        5,
-                        3,
-                        3,
-                        &p,
-                        oh,
-                        ow,
-                        &mut patches,
-                    );
-                    for co in 0..c_out_g {
-                        let w_row = &wt.data()
-                            [(grp * c_out_g + co) * col_rows..(grp * c_out_g + co + 1) * col_rows];
-                        for pi in 0..oh * ow {
-                            let patch = &patches[pi * col_rows..(pi + 1) * col_rows];
-                            let mut s = 0.0f32;
-                            for (a, b) in patch.iter().zip(w_row.iter()) {
-                                s += a * b;
-                            }
-                            let want = expected
-                                .at(&[img, grp * c_out_g + co, pi / ow, pi % ow])
-                                .unwrap();
-                            assert!(
-                                s.to_bits() == want.to_bits(),
-                                "img={img} grp={grp} co={co} pi={pi}: {s} vs {want}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

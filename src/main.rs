@@ -9,9 +9,9 @@
 //! checkpoint (`--checkpoint`) or a whole directory of them
 //! (`--model-dir`, one model per file) into an
 //! [`apt_serve::ModelRegistry`] and exposes the fleet over the
-//! length-prefixed TCP protocol; by default every ingested model is
-//! compiled into a frozen plan (BN folded, activations fused,
-//! arena-planned) — `--no-freeze` pins the legacy layer-replay path.
+//! length-prefixed TCP protocol; every ingested model is compiled into
+//! a frozen plan (BN folded, activations fused, arena-planned) for the
+//! requested `--lane`.
 //! `freeze` compiles a checkpoint without serving it and prints the plan
 //! report (step counts, fusions, arena size, achieved lane). `train`
 //! trains on the synthetic-CIFAR workload, data-parallel across
@@ -78,11 +78,10 @@ model geometry (must match how the checkpoint was trained):
 
 serving:
   --addr HOST:PORT      bind address                  [default 127.0.0.1:7878]
-  --lane LANE           compute kernel lane: fp32 | dequant-cache | int-gemm
-                        (int-gemm serves straight from packed integer codes;
+  --lane LANE           kernel lane the plan is compiled for: fp32 |
+                        dequant-cache | int-gemm (int-gemm serves linear
+                        layers straight from packed integer codes;
                         bit-close, not bit-exact)     [default dequant-cache]
-  --no-freeze           serve by layer-by-layer replay instead of compiling
-                        checkpoints into fused frozen plans
   --max-batch N         micro-batch coalescing cap    [default 8]
   --max-delay-us N      batching window in microsecs  [default 2000]
   --queue-depth N       admission queue bound         [default 128]
@@ -230,7 +229,6 @@ struct ServeArgs {
     limits: ConnLimits,
     threads: Option<usize>,
     stats_every: u64,
-    freeze: bool,
 }
 
 fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
@@ -251,7 +249,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
         limits: ConnLimits::default(),
         threads: None,
         stats_every: 10,
-        freeze: true,
     };
     let mut i = 0;
     while i < args.len() {
@@ -259,11 +256,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
         if flag == "--help" || flag == "-h" {
             eprintln!("{USAGE}");
             std::process::exit(0);
-        }
-        if flag == "--no-freeze" {
-            out.freeze = false;
-            i += 1;
-            continue;
         }
         let value = args
             .get(i + 1)
@@ -361,7 +353,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         quarantine_dir: a.quarantine_dir.clone().map(PathBuf::from),
         spec: Some(spec.clone()),
         lane: a.lane,
-        freeze: a.freeze,
     }));
 
     // Populate the fleet: one validated checkpoint, or a directory scan
@@ -432,7 +423,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
             "frozen plan".to_string()
         } else {
             format!(
-                "layer replay: {}",
+                "fp32 eval fallback: {}",
                 session.freeze_reason().unwrap_or("unknown reason")
             )
         },

@@ -2,11 +2,11 @@
 //!
 //! The point of bit-packed code storage is that APT's memory saving is
 //! *physically real*: a 6-bit model must occupy a fraction of the bytes an
-//! fp32 (or legacy one-`i64`-per-code) model does, as measured by the
+//! fp32 model does (the baseline Fig. 5 normalises to), as measured by the
 //! process allocator — not just by an idealised `k·N` bit count.
 //!
-//! This binary builds the same CifarNet under every bitwidth × code-backend
-//! combination and records, per cell:
+//! This binary builds the same CifarNet in fp32 and fully quantised at
+//! every swept bitwidth and records, per cell:
 //!
 //! * the *accounted* resident bytes (`Network::resident_bytes`, summing the
 //!   physical code-store tiers plus any momentum buffers),
@@ -26,17 +26,17 @@
 //!
 //! `--smoke` runs the same sweep, then gates:
 //!
-//! 1. accounted resident bytes of the tiered (packed) backend at k = 6 are
-//!    ≤ 0.30× the legacy i64 backend (the i8 tier is 1/8 in theory),
+//! 1. accounted resident bytes of the tiered code store at k = 6 are
+//!    ≤ 0.30× the fp32 cell (the i8 tier is 1/4 in theory),
 //! 2. the *measured* live heap delta at k = 6 shrinks accordingly
-//!    (≤ 0.70×; fp32 gradient buffers are identical across backends and
+//!    (≤ 0.70×; fp32 gradient buffers are identical in both cells and
 //!    dilute the ratio),
 //! 3. the k = 6 checkpoint is ≤ 0.30× the fp32 checkpoint of the same
 //!    architecture (6-bit packed words vs 32-bit floats ≈ 0.19 + framing).
 
 use apt_bench::results_dir;
 use apt_nn::{checkpoint, models, Network, ParamStore, QuantScheme};
-use apt_quant::{set_store_backend, Bitwidth, StoreBackend};
+use apt_quant::Bitwidth;
 use apt_tensor::rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
@@ -82,8 +82,9 @@ struct ParamRow {
     resident_bytes: u64,
 }
 
-/// One (backend × bitwidth) measurement.
+/// One measurement: the fp32 reference or one quantised bitwidth.
 struct Cell {
+    /// `"float"` (fp32 stores) or `"tiered"` (quantised code stores).
     backend: &'static str,
     bits: u32,
     params: usize,
@@ -123,22 +124,16 @@ fn param_rows(net: &Network) -> Vec<ParamRow> {
     rows
 }
 
-/// Builds the net under `backend`, measuring the live-heap delta of the
-/// construction itself, then the accounted footprint and checkpoint size.
-fn measure(
-    backend: StoreBackend,
-    backend_label: &'static str,
-    scheme: &QuantScheme,
-    bits: u32,
-) -> Cell {
-    set_store_backend(backend);
+/// Builds the net, measuring the live-heap delta of the construction
+/// itself, then the accounted footprint and checkpoint size.
+fn measure(backend: &'static str, scheme: &QuantScheme, bits: u32) -> Cell {
     let live0 = live();
     PEAK.store(live0, Ordering::Relaxed);
     let mut net = build_net(scheme);
     let measured_live_bytes = live().saturating_sub(live0);
     let peak_live_bytes = PEAK.load(Ordering::Relaxed).saturating_sub(live0);
-    let cell = Cell {
-        backend: backend_label,
+    Cell {
+        backend,
         bits,
         params: net.num_params(),
         resident_bytes: net.resident_bytes(),
@@ -147,27 +142,17 @@ fn measure(
         peak_live_bytes,
         checkpoint_bytes: checkpoint::save_full(&mut net).len(),
         rows: param_rows(&net),
-    };
-    set_store_backend(StoreBackend::Tiered);
-    cell
+    }
 }
 
 const SWEEP_BITS: [u32; 9] = [2, 4, 6, 8, 12, 16, 20, 24, 32];
 
 fn sweep() -> Vec<Cell> {
-    let mut cells = Vec::new();
-    // fp32 reference arm (code backend is irrelevant for float stores).
-    cells.push(measure(
-        StoreBackend::Tiered,
-        "float",
-        &QuantScheme::float32(),
-        32,
-    ));
-    for &(backend, label) in &[(StoreBackend::I64, "i64"), (StoreBackend::Tiered, "tiered")] {
-        for &k in &SWEEP_BITS {
-            let scheme = QuantScheme::fully_quantized(Bitwidth::new(k).expect("valid bitwidth"));
-            cells.push(measure(backend, label, &scheme, k));
-        }
+    // fp32 reference arm — the baseline Fig. 5 normalises to.
+    let mut cells = vec![measure("float", &QuantScheme::float32(), 32)];
+    for &k in &SWEEP_BITS {
+        let scheme = QuantScheme::fully_quantized(Bitwidth::new(k).expect("valid bitwidth"));
+        cells.push(measure("tiered", &scheme, k));
     }
     for c in &cells {
         println!(
@@ -253,28 +238,27 @@ fn find<'a>(cells: &'a [Cell], backend: &str, bits: u32) -> &'a Cell {
 fn smoke(cells: &[Cell]) -> bool {
     let mut ok = true;
     let f32_cell = find(cells, "float", 32);
-    let i64_6 = find(cells, "i64", 6);
     let tiered_6 = find(cells, "tiered", 6);
 
     // Gate 1: accounted resident bytes — the packed tiers must deliver the
     // physical saving the paper's Fig. 5 memory curve claims.
-    let r1 = tiered_6.resident_bytes as f64 / i64_6.resident_bytes as f64;
+    let r1 = tiered_6.resident_bytes as f64 / f32_cell.resident_bytes as f64;
     println!(
-        "# smoke gate 1: tiered/i64 accounted resident at k=6: {}/{} = {r1:.3} (need <= 0.30)",
-        tiered_6.resident_bytes, i64_6.resident_bytes
+        "# smoke gate 1: k=6 / fp32 accounted resident: {}/{} = {r1:.3} (need <= 0.30)",
+        tiered_6.resident_bytes, f32_cell.resident_bytes
     );
     if r1 > 0.30 {
-        eprintln!("FAIL: packed resident bytes not <= 0.30x the i64 baseline at k=6");
+        eprintln!("FAIL: packed resident bytes not <= 0.30x the fp32 baseline at k=6");
         ok = false;
     }
 
     // Gate 2: the allocator agrees — live heap delta of building the net
-    // shrinks too. Gradient buffers (fp32, identical across backends)
-    // dilute the ratio, hence the looser bound.
-    let r2 = tiered_6.measured_live_bytes as f64 / i64_6.measured_live_bytes as f64;
+    // shrinks too. Gradient buffers (fp32, identical in both cells) dilute
+    // the ratio, hence the looser bound.
+    let r2 = tiered_6.measured_live_bytes as f64 / f32_cell.measured_live_bytes as f64;
     println!(
-        "# smoke gate 2: tiered/i64 measured live heap at k=6: {}/{} = {r2:.3} (need <= 0.70)",
-        tiered_6.measured_live_bytes, i64_6.measured_live_bytes
+        "# smoke gate 2: k=6 / fp32 measured live heap: {}/{} = {r2:.3} (need <= 0.70)",
+        tiered_6.measured_live_bytes, f32_cell.measured_live_bytes
     );
     if r2 > 0.70 {
         eprintln!("FAIL: measured live heap does not reflect the packed saving at k=6");
@@ -297,7 +281,7 @@ fn smoke(cells: &[Cell]) -> bool {
 
 fn main() {
     let smoke_mode = std::env::args().skip(1).any(|a| a == "--smoke");
-    println!("# memory: resident-bytes sweep, backend x bitwidth (CifarNet 10-class, 8x8, w0.5)");
+    println!("# memory: resident-bytes sweep, fp32 + bitwidths (CifarNet 10-class, 8x8, w0.5)");
     let cells = sweep();
     write_outputs(&cells);
     if smoke_mode {

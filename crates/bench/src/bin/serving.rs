@@ -1144,9 +1144,9 @@ fn fleet_cell() -> (Row, bool) {
 }
 
 /// Corruption-campaign cell: flipped and truncated checkpoint uploads hit
-/// the in-band directory-reload path (`OP_RELOAD`). The campaign uses
-/// CRC-protected versions (v2/v3) for flips — where rejection is a hard
-/// contract — and every version for truncations, which are structural.
+/// the in-band directory-reload path (`OP_RELOAD`). Every upload is a v3
+/// blob, whose CRC makes rejection of any flip or cut a hard contract
+/// (legacy v1/v2 ingestion is swept in `serve/tests/ingest_faults.rs`).
 ///
 /// Gates: 100% of the damaged uploads are typed-rejected and moved to
 /// quarantine with `.reason` sidecars, none is left in the model dir, the
@@ -1201,25 +1201,18 @@ fn corruption_cell() -> (Row, bool) {
     // The campaign: drop damaged files into the watched directory.
     let t0 = Instant::now();
     let mut campaign = 0usize;
-    for version in [2u16, 3] {
-        let original = checkpoint::save_full_as(&mut build_net(8, 90 + version as u64), version)
-            .expect("versioned save");
-        for k in 0..6usize {
-            let path = dir.join(format!("bad-v{version}-flip{k}.aptc"));
-            std::fs::write(&path, &original).expect("write campaign file");
-            flip_byte(&path, (original.len() / 7) * (k + 1), 0x5A).expect("flip");
-            campaign += 1;
-        }
+    let original = build_blob(8, 93);
+    for k in 0..12usize {
+        let path = dir.join(format!("bad-v3-flip{k}.aptc"));
+        std::fs::write(&path, &original).expect("write campaign file");
+        flip_byte(&path, (original.len() / 13) * (k + 1), 0x5A).expect("flip");
+        campaign += 1;
     }
-    for version in [1u16, 2, 3] {
-        let original = checkpoint::save_full_as(&mut build_net(8, 90 + version as u64), version)
-            .expect("versioned save");
-        for k in 0..3usize {
-            let path = dir.join(format!("bad-v{version}-cut{k}.aptc"));
-            std::fs::write(&path, &original).expect("write campaign file");
-            truncate_file(&path, original.len() / (k + 2)).expect("truncate");
-            campaign += 1;
-        }
+    for k in 0..9usize {
+        let path = dir.join(format!("bad-v3-cut{k}.aptc"));
+        std::fs::write(&path, &original).expect("write campaign file");
+        truncate_file(&path, original.len() / (k + 2)).expect("truncate");
+        campaign += 1;
     }
 
     // Reload in-band, over the same connection that keeps inferring.

@@ -5,7 +5,7 @@ use apt_core::{GradQuant, PolicyConfig, TrainConfig, Trainer};
 use apt_data::{blobs, AugmentConfig, Dataset, SynthCifar, SynthCifarConfig};
 use apt_nn::{models, QuantScheme};
 use apt_optim::{LrSchedule, SgdConfig};
-use apt_quant::Bitwidth;
+use apt_quant::{Bitwidth, RoundingMode};
 use apt_tensor::rng::seeded;
 
 fn toy() -> (Dataset, Dataset) {
@@ -191,4 +191,37 @@ fn adam_optimizer_composes_with_apt() {
     assert!(!r.epochs.last().unwrap().gavg.is_empty());
     let total_changes: usize = r.epochs.iter().map(|e| e.changes.len()).sum();
     assert!(total_changes > 0, "policy should adapt under Adam too");
+}
+
+#[test]
+fn quantised_training_peaks_below_fp32_resident_memory() {
+    // The memory saving is physical through a whole APT run — policy
+    // re-packs, stochastic rounding, range expansion — for per-tensor and
+    // per-channel stores alike. The hidden layers are wide enough that the
+    // per-channel quantisers (one per output row, counted resident) do not
+    // swamp the code bytes.
+    let (train, test) = toy();
+    let run = |scheme: &QuantScheme| {
+        let net = models::mlp("m", &[6, 32, 32, 3], scheme, &mut seeded(0)).unwrap();
+        let mut cfg = base(4);
+        cfg.interval = 2;
+        cfg.policy = Some(PolicyConfig::default());
+        cfg.sgd.rounding = RoundingMode::Stochastic;
+        let mut t = Trainer::new(net, cfg).unwrap();
+        t.train(&train, &test).unwrap()
+    };
+    let fp32_peak = run(&QuantScheme::float32()).peak_resident_bytes;
+    for scheme in [
+        QuantScheme::paper_apt(),
+        QuantScheme::per_channel(Bitwidth::new(6).unwrap()),
+    ] {
+        let r = run(&scheme);
+        assert!(
+            r.peak_resident_bytes < fp32_peak,
+            "{scheme:?}: peak {} not below fp32 {fp32_peak}",
+            r.peak_resident_bytes
+        );
+        let changes: usize = r.epochs.iter().map(|e| e.changes.len()).sum();
+        assert!(changes > 0, "{scheme:?}: Alg. 1 never re-packed a layer");
+    }
 }

@@ -38,11 +38,10 @@ impl EnergyBreakdown {
 ///
 /// Traffic for quantised stores is charged at the **physical** resident
 /// width of the code storage (`CodeStore::resident_bits_per_code`: 8 bits
-/// for `k ≤ 8`, 16 for `k ≤ 16`, `≈k` bit-packed above, 64 under the
-/// legacy i64 backend), not the idealised `k` — moving a 6-bit code in and
-/// out of an `i8` tier costs a full byte on a real bus. Compute stays at
-/// the logical `k`: a `k`-bit MAC array doesn't widen because of how the
-/// operand was stored.
+/// for `k ≤ 8`, 16 for `k ≤ 16`, `≈k` bit-packed above), not the
+/// idealised `k` — moving a 6-bit code in and out of an `i8` tier costs a
+/// full byte on a real bus. Compute stays at the logical `k`: a `k`-bit
+/// MAC array doesn't widen because of how the operand was stored.
 ///
 /// Non-weight parameters (BN affine, biases) are charged traffic at their
 /// storage width; their compute is negligible and identical across arms.
@@ -189,9 +188,6 @@ mod tests {
 
     #[test]
     fn traffic_is_charged_at_physical_width() {
-        if apt_quant::store_backend() != apt_quant::StoreBackend::Tiered {
-            return; // legacy-backend differential runs charge 64-bit traffic
-        }
         // 6-bit and 8-bit codes both live in the i8 tier, so they move the
         // same number of physical bits per step — identical memory energy —
         // while the 6-bit MAC array stays cheaper.

@@ -542,9 +542,7 @@ impl Param {
                 h.write_u8(1);
                 hash_quantizer(&mut h, q.quantizer());
                 // Hash the *physical* storage words, so the digest covers
-                // exactly the bits an SEU can land on. The legacy i64 layout
-                // emits one word per code, which keeps the historical digest
-                // definition for that backend.
+                // exactly the bits an SEU can land on.
                 q.store().for_each_word(|w| h.write_u64(w));
             }
             ParamStore::MasterCopy { master, bits } => {

@@ -85,7 +85,7 @@ impl GradCodec {
 
     /// Quantises `grad + residual` onto the shared `scale` grid, updating
     /// `residual` with the error feedback. Returns the codes in a
-    /// [`CodeStore`] (process-backend tiering, like every other store).
+    /// [`CodeStore`] (tiered by `k`, like every other store).
     ///
     /// A `scale` of `0.0` produces all-zero codes and banks the entire
     /// input into the residual.
@@ -127,7 +127,7 @@ impl GradCodec {
         (0..store.len()).map(|i| store.get(i) - half).collect()
     }
 
-    /// Serialises a store to its canonical wire words (backend-independent
+    /// Serialises a store to its canonical wire words (tier-independent
     /// [`PackedCodes`] data words).
     pub fn to_wire(&self, store: &CodeStore) -> Vec<u64> {
         store.to_packed().data_words().to_vec()
@@ -147,7 +147,6 @@ impl GradCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StoreBackend;
     use apt_tensor::rng;
     use proptest::prelude::*;
     use rand::Rng;
@@ -227,11 +226,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Roundtrip across every exchange bitwidth and both store
-        /// backends: wire words decode to the exact signed codes that were
-        /// encoded, and the wire is backend-independent.
+        /// Roundtrip across every exchange bitwidth: wire words decode to
+        /// the exact signed codes that were encoded.
         #[test]
-        fn wire_roundtrip_across_bitwidths_and_backends(
+        fn wire_roundtrip_across_bitwidths(
             seed in 0u64..500,
             k in 2u32..=16,
             n in 1usize..200,
@@ -241,27 +239,13 @@ mod tests {
             let grad: Vec<f32> = (0..n).map(|_| r.gen_range(-2.0f32..2.0)).collect();
             let gmax = grad.iter().fold(0.0f32, |m, v| m.max(v.abs()));
             let scale = codec.scale(gmax);
-            let mut stores = Vec::new();
-            for backend in [StoreBackend::Tiered, StoreBackend::I64] {
-                // encode() uses the process backend; rebuild per backend
-                // from the same codes to pin backend independence.
-                let mut residual = vec![0.0f32; n];
-                let tiered = codec.encode(&grad, &mut residual, scale);
-                let raw: Vec<i64> = (0..tiered.len()).map(|i| tiered.get(i)).collect();
-                stores.push(CodeStore::with_backend(backend, &raw, b(k)));
-            }
-            let codes = codec.signed_codes(&stores[0]);
-            prop_assert_eq!(&codec.signed_codes(&stores[1]), &codes);
-            for store in &stores {
-                let wire = codec.to_wire(store);
-                let back = codec.from_wire(wire.clone(), n).unwrap();
-                prop_assert_eq!(&back, &codes);
-                // Physical wire width is the packed k-bit footprint.
-                prop_assert_eq!(
-                    wire.len(),
-                    (n * k as usize).div_ceil(64)
-                );
-            }
+            let mut residual = vec![0.0f32; n];
+            let store = codec.encode(&grad, &mut residual, scale);
+            let codes = codec.signed_codes(&store);
+            let wire = codec.to_wire(&store);
+            // Physical wire width is the packed k-bit footprint.
+            prop_assert_eq!(wire.len(), (n * k as usize).div_ceil(64));
+            prop_assert_eq!(&codec.from_wire(wire, n).unwrap(), &codes);
             // Every code obeys the symmetric bound.
             let m = codec.max_mag();
             prop_assert!(codes.iter().all(|&c| -m <= c && c <= m));

@@ -62,7 +62,7 @@ mod rounding;
 mod tensor_q;
 
 pub use bitwidth::Bitwidth;
-pub use code_store::{set_store_backend, store_backend, CodeStore, PackedCodes, StoreBackend};
+pub use code_store::{CodeStore, PackedCodes};
 pub use error::QuantError;
 pub use grad::GradCodec;
 pub use panel::{ActPanel, WeightPanel};

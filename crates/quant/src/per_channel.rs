@@ -166,9 +166,8 @@ impl PerChannelQuantized {
     /// [`crate::QuantizedTensor::sgd_update`] for semantics; range
     /// expansion recalibrates only the affected channels). In-range
     /// results go straight into the packed store; out-of-range codes are
-    /// spilled aside and the channel-local recalibration reproduces the
-    /// exact float sequence of the legacy `i64`-resident path, keeping the
-    /// update bit-identical across storage backends.
+    /// spilled aside and the channel-local recalibration runs on the exact
+    /// updated values, so the result does not depend on the storage tier.
     ///
     /// # Errors
     ///
@@ -457,11 +456,8 @@ mod tests {
         let t = normal(&[3, 8], 1.0, &mut seeded(2));
         let pc = PerChannelQuantized::from_tensor(&t, b(6)).unwrap();
         let meta = 3 * std::mem::size_of::<AffineQuantizer>() as u64;
-        let expect = match pc.store().tier_name() {
-            "i8" => 24 + meta,
-            _ => 24 * 8 + meta, // forced i64 backend
-        };
-        assert_eq!(pc.resident_bytes(), expect);
+        assert_eq!(pc.store().tier_name(), "i8");
+        assert_eq!(pc.resident_bytes(), 24 + meta);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use apt_quant::{
     fake, AffineQuantizer, Bitwidth, CodeStore, PackedCodes, PerChannelQuantized, QuantizedTensor,
-    RoundingMode, StoreBackend,
+    RoundingMode,
 };
 use apt_tensor::{rng, Tensor};
 use proptest::prelude::*;
@@ -235,20 +235,24 @@ proptest! {
     }
 
     #[test]
-    fn code_store_backends_agree(case in grid_codes_strategy()) {
-        // Tiered and legacy layouts hold identical logical content and
-        // produce identical canonical packed words.
+    fn code_store_holds_exactly_the_codes_it_was_built_from(case in grid_codes_strategy()) {
+        // The reference is the generated code vector: every tier returns
+        // it unchanged, counts its rails, and serialises to the words a
+        // direct packing of the centred codes gives.
         let (bits, codes) = case;
-        let tiered = CodeStore::with_backend(StoreBackend::Tiered, &codes, bits);
-        let legacy = CodeStore::with_backend(StoreBackend::I64, &codes, bits);
-        prop_assert_eq!(tiered.to_vec(), codes.clone());
-        prop_assert_eq!(legacy.to_vec(), codes.clone());
-        let (tp, lp) = (tiered.to_packed(), legacy.to_packed());
-        prop_assert_eq!(tp.data_words(), lp.data_words());
+        let store = CodeStore::from_codes(&codes, bits);
+        prop_assert_eq!(store.to_vec(), codes.clone());
+        for (i, &q) in codes.iter().enumerate() {
+            prop_assert_eq!(store.get(i), q);
+        }
         let max = bits.num_steps() as i64;
-        prop_assert_eq!(tiered.count_rails(max), legacy.count_rails(max));
-        // The physical footprint never exceeds the legacy layout's.
-        prop_assert!(tiered.resident_bytes() <= legacy.resident_bytes());
+        let rails = codes.iter().filter(|&&q| q == 0 || q == max).count();
+        prop_assert_eq!(store.count_rails(max), rails);
+        let half = 1i64 << (bits.get() - 1);
+        let centered: Vec<i64> = codes.iter().map(|&q| q - half).collect();
+        prop_assert_eq!(store.to_packed(), PackedCodes::from_signed(&centered, bits).unwrap());
+        // The physical footprint never exceeds one i64 per code.
+        prop_assert!(store.resident_bytes() <= 8 * codes.len() as u64);
     }
 
     #[test]
@@ -260,14 +264,13 @@ proptest! {
         // packed physical storage, element by element, flip by flip.
         let (bits, codes) = case;
         let k = bits.get();
-        let tiered = CodeStore::with_backend(StoreBackend::Tiered, &codes, bits);
+        let mut store = CodeStore::from_codes(&codes, bits);
         let mut q = QuantizedTensor::from_parts(
             codes.clone(),
             vec![codes.len()],
             AffineQuantizer::from_range(-1.0, 1.0, bits).unwrap(),
         ).unwrap();
         let mut expect = codes.clone();
-        let mut store = tiered;
         for &(e, bit) in &flips {
             let elem = e % codes.len();
             let new_store = store.flip_bit(elem, bit % k);

@@ -1,9 +1,9 @@
 //! Differential proof that the serving path is the training eval path:
 //! an [`InferenceSession`] loaded from a checkpoint must reproduce the
 //! trainer's own `forward(Mode::Eval)` on the network that wrote the
-//! checkpoint — across every checkpoint version the loader accepts (v1
-//! unframed, v2 byte-granular, v3 packed+CRC) and both code-store backends
-//! (legacy one-`i64`-per-code and tiered physical).
+//! checkpoint. (That a legacy v1/v2 blob loads to the same network as its
+//! v3 re-save is `apt-nn`'s fixture test; once `load` returns, the version
+//! is gone.)
 //!
 //! Two grades of agreement:
 //!
@@ -13,15 +13,11 @@
 //! * the **frozen** session folds BatchNorm into conv weights at compile
 //!   time, which reassociates per-channel float multiplies, so its logits
 //!   agree with that reference within a small relative tolerance.
-//!
-//! The backend is selected through the process-global override, so this
-//! file holds a single serial `#[test]`.
 
 use apt_core::{PolicyConfig, TrainConfig, Trainer};
 use apt_data::{SynthCifar, SynthCifarConfig};
 use apt_nn::{checkpoint, Mode, Network};
 use apt_optim::LrSchedule;
-use apt_quant::{set_store_backend, StoreBackend};
 use apt_serve::{InferenceSession, ModelArch, ModelSpec};
 use apt_tensor::Tensor;
 
@@ -75,7 +71,7 @@ fn eval_logits(net: &mut Network, batch: &Tensor) -> Vec<u32> {
 }
 
 #[test]
-fn session_matches_trainer_eval_across_versions_and_backends() {
+fn session_matches_trainer_eval_after_checkpoint_round_trip() {
     let samples: Vec<Vec<f32>> = (0..4)
         .map(|i| {
             (0..3 * 8 * 8)
@@ -86,39 +82,28 @@ fn session_matches_trainer_eval_across_versions_and_backends() {
     let flat: Vec<f32> = samples.iter().flatten().copied().collect();
     let batch = Tensor::from_vec(flat, &[4, 3, 8, 8]).unwrap();
 
-    for backend in [StoreBackend::I64, StoreBackend::Tiered] {
-        set_store_backend(backend);
-        let mut net = trained_network();
-        let want = eval_logits(&mut net, &batch);
+    let mut net = trained_network();
+    let want = eval_logits(&mut net, &batch);
+    let blob = checkpoint::save_full(&mut net);
 
-        for version in [1u16, 2, 3] {
-            let blob = checkpoint::save_full_as(&mut net, version).unwrap();
-            // Exact reference: eval forward on the loaded network.
-            let mut loaded = spec().build().unwrap();
-            checkpoint::load(&mut loaded, &blob).unwrap();
-            let exact = loaded.forward(&batch, Mode::Eval).unwrap();
-            let got: Vec<u32> = exact.data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                got, want,
-                "loaded eval logits diverged from trainer eval \
-                 (checkpoint v{version}, backend {backend:?})"
+    // Exact reference: eval forward on the loaded network.
+    let mut loaded = spec().build().unwrap();
+    checkpoint::load(&mut loaded, &blob).unwrap();
+    let exact = loaded.forward(&batch, Mode::Eval).unwrap();
+    let got: Vec<u32> = exact.data().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, want, "loaded eval logits diverged from trainer eval");
+    let rows: Vec<&[f32]> = (0..4).map(|i| exact.row(i).unwrap()).collect();
+    // Frozen path: BN folding drifts only by float reassociation.
+    let frozen = InferenceSession::from_checkpoint(&spec(), &blob).unwrap();
+    assert!(frozen.is_frozen(), "{:?}", frozen.freeze_reason());
+    let frows = frozen.infer_samples(&samples).unwrap();
+    for (row, frow) in rows.iter().zip(&frows) {
+        let scale = row.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+        for (&e, &g) in row.iter().zip(frow) {
+            assert!(
+                (e - g).abs() <= 1e-4 * scale,
+                "frozen logits drifted past tolerance: {e} vs {g}"
             );
-            let rows: Vec<&[f32]> = (0..4).map(|i| exact.row(i).unwrap()).collect();
-            // Frozen path: BN folding drifts only by float reassociation.
-            let frozen = InferenceSession::from_checkpoint(&spec(), &blob).unwrap();
-            assert!(frozen.is_frozen(), "{:?}", frozen.freeze_reason());
-            let frows = frozen.infer_samples(&samples).unwrap();
-            for (row, frow) in rows.iter().zip(&frows) {
-                let scale = row.iter().fold(1.0f32, |m, v| m.max(v.abs()));
-                for (&e, &g) in row.iter().zip(frow) {
-                    assert!(
-                        (e - g).abs() <= 1e-4 * scale,
-                        "frozen logits drifted past tolerance: {e} vs {g} \
-                         (checkpoint v{version}, backend {backend:?})"
-                    );
-                }
-            }
         }
     }
-    set_store_backend(StoreBackend::Tiered);
 }

@@ -7,6 +7,10 @@
 //! rejected with a typed error. v1 predates the CRC — the contract there
 //! is weaker but still crash-safe: loads may succeed or fail, but never
 //! panic, and structural validation still catches truncations.
+//!
+//! Nothing writes v1/v2 any more: those two come from `apt-nn`'s frozen
+//! fixtures (this file's [`net`], saved by the last commit that could), v3
+//! from `save_full`.
 
 use apt_core::faults::{flip_byte, truncate_file};
 use apt_nn::checkpoint;
@@ -34,6 +38,15 @@ fn net() -> apt_nn::Network {
     .unwrap()
 }
 
+/// [`net`] as a checkpoint of format `version`.
+fn blob(version: u16) -> Vec<u8> {
+    match version {
+        1 => include_bytes!("../../nn/tests/fixtures/mlp_apt.v1.aptc").to_vec(),
+        2 => include_bytes!("../../nn/tests/fixtures/mlp_apt.v2.aptc").to_vec(),
+        _ => checkpoint::save_full(&mut net()),
+    }
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("apt-ingest-faults-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -48,7 +61,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn flip_sweep_never_panics_and_crc_versions_always_reject() {
     let dir = temp_dir("flip");
     for version in [1u16, 2, 3] {
-        let original = checkpoint::save_full_as(&mut net(), version).unwrap();
+        let original = blob(version);
         let path = dir.join(format!("v{version}.aptc"));
         for offset in 0..original.len() {
             std::fs::write(&path, &original).unwrap();
@@ -82,7 +95,7 @@ fn flip_sweep_never_panics_and_crc_versions_always_reject() {
 fn truncate_sweep_always_rejects_typed() {
     let dir = temp_dir("trunc");
     for version in [1u16, 2, 3] {
-        let original = checkpoint::save_full_as(&mut net(), version).unwrap();
+        let original = blob(version);
         let path = dir.join(format!("v{version}.aptc"));
         for len in (0..original.len()).step_by(3) {
             std::fs::write(&path, &original).unwrap();
@@ -119,7 +132,7 @@ fn corrupt_upload_campaign_quarantines_everything() {
     });
 
     // A good model first — corruption must never disturb it.
-    let good = checkpoint::save_full_as(&mut net(), 3).unwrap();
+    let good = blob(3);
     std::fs::write(dir.join("serving.aptc"), &good).unwrap();
     registry.rescan().unwrap();
     let baseline = registry.get("serving").unwrap();
@@ -129,7 +142,7 @@ fn corrupt_upload_campaign_quarantines_everything() {
     // The campaign: flipped and truncated uploads across all versions.
     let mut campaign = 0usize;
     for (i, version) in [1u16, 2, 3].iter().enumerate() {
-        let original = checkpoint::save_full_as(&mut net(), *version).unwrap();
+        let original = blob(*version);
         for k in 0..4usize {
             let path = dir.join(format!("bad-v{version}-flip{k}.aptc"));
             std::fs::write(&path, &original).unwrap();

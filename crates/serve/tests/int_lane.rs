@@ -13,25 +13,18 @@
 //!    activation requantisation (weight side exact, integer bracket exact
 //!    in `i64`). Per layer that is an error of at most `εx/2 · Σ|ŵ|`; end
 //!    to end we assert logits within 6% of the largest exact logit
-//!    magnitude on every supported backbone, and across every checkpoint
-//!    version (v1/v2/v3) and both code-store backends on a *trained*
-//!    network.
+//!    magnitude on every supported backbone, and on a *trained* network.
 //!
 //! The plan compiler keeps convs in f32 (packing conv panels would break
 //! the plan's zero-allocation arena contract), so a conv net honestly
 //! reports the weakened `dequant-cache` lane under an `int-gemm` request —
 //! asserted below — while an all-linear net achieves the full integer
 //! lane.
-//!
-//! The store backend is a process global, so this file holds a single
-//! serial `#[test]` (integration tests compile to their own binary, so
-//! this cannot race `differential.rs`).
 
 use apt_core::{PolicyConfig, TrainConfig, Trainer};
 use apt_data::{SynthCifar, SynthCifarConfig};
-use apt_nn::{checkpoint, Mode, Network};
+use apt_nn::{checkpoint, Mode};
 use apt_optim::LrSchedule;
-use apt_quant::{set_store_backend, StoreBackend};
 use apt_serve::{InferenceSession, KernelLane, ModelArch, ModelSpec};
 use apt_tensor::Tensor;
 
@@ -46,7 +39,7 @@ fn cifar_spec() -> ModelSpec {
 
 /// A short real training run so the checkpoint carries non-trivial
 /// quantisers and batch-norm state (mirrors `differential.rs`).
-fn trained_network() -> Network {
+fn trained_checkpoint() -> Vec<u8> {
     let data = SynthCifar::generate(&SynthCifarConfig {
         num_classes: 3,
         train_per_class: 16,
@@ -67,10 +60,7 @@ fn trained_network() -> Network {
     let net = cifar_spec().build().unwrap();
     let mut t = Trainer::new(net, cfg).unwrap();
     t.train(&data.train, &data.test).unwrap();
-    let blob = checkpoint::save_full(t.network_mut());
-    let mut fresh = cifar_spec().build().unwrap();
-    checkpoint::load(&mut fresh, &blob).unwrap();
-    fresh
+    checkpoint::save_full(t.network_mut())
 }
 
 fn synth_samples(n: usize, sample_len: usize) -> Vec<Vec<f32>> {
@@ -129,7 +119,6 @@ fn assert_rows_close(got: &[Vec<f32>], want: &[Vec<f32>], rel: f32, ctx: &str) {
 
 #[test]
 fn integer_lane_is_bit_close_everywhere_dequant_cache_bit_exact() {
-    set_store_backend(StoreBackend::Tiered);
     // ── Claim 1 + 2 across every supported backbone (fresh paper-APT
     //    quantised weights straight from the model zoo). ──
     let backbones = [
@@ -202,26 +191,16 @@ fn integer_lane_is_bit_close_everywhere_dequant_cache_bit_exact() {
         assert_rows_close(&int.infer_samples(&samples).unwrap(), &want, 0.06, &ctx);
     }
 
-    // ── Claim 2 on a trained network, across checkpoint versions and
-    //    both store backends. ──
+    // ── Claim 2 on a trained network. ──
     let spec = cifar_spec();
     let samples = synth_samples(4, 3 * 8 * 8);
-    for backend in [StoreBackend::I64, StoreBackend::Tiered] {
-        set_store_backend(backend);
-        let mut net = trained_network();
-        let blob = checkpoint::save_full(&mut net);
-        let want = eval_rows(&spec, &blob, &samples);
-        for version in [1u16, 2, 3] {
-            let vblob = checkpoint::save_full_as(&mut net, version).unwrap();
-            let session =
-                InferenceSession::from_checkpoint_with_lane(&spec, &vblob, KernelLane::IntGemm)
-                    .unwrap();
-            // Both of cifarnet's linear layers go integer; its convs do not.
-            assert_eq!(session.plan_report().unwrap().packed_panels, 2);
-            assert_eq!(session.lane(), KernelLane::DequantCache);
-            let ctx = format!("trained cifarnet v{version} {backend:?}");
-            assert_rows_close(&session.infer_samples(&samples).unwrap(), &want, 0.06, &ctx);
-        }
-    }
-    set_store_backend(StoreBackend::Tiered);
+    let blob = trained_checkpoint();
+    let want = eval_rows(&spec, &blob, &samples);
+    let session =
+        InferenceSession::from_checkpoint_with_lane(&spec, &blob, KernelLane::IntGemm).unwrap();
+    // Both of cifarnet's linear layers go integer; its convs do not.
+    assert_eq!(session.plan_report().unwrap().packed_panels, 2);
+    assert_eq!(session.lane(), KernelLane::DequantCache);
+    let got = session.infer_samples(&samples).unwrap();
+    assert_rows_close(&got, &want, 0.06, "trained cifarnet");
 }

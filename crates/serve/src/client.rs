@@ -21,6 +21,7 @@ use crate::protocol::{
 };
 use crate::ServeError;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -110,6 +111,11 @@ pub struct ServeClient {
     addr: SocketAddr,
     config: ClientConfig,
     retry_nonce: u64,
+    /// The request frame being sent — header and payload encoded in place,
+    /// so it leaves in one write — reused across requests.
+    tx: Vec<u8>,
+    /// The last response's payload, reused across requests.
+    rx: Vec<u8>,
 }
 
 impl ServeClient {
@@ -148,6 +154,8 @@ impl ServeClient {
                         addr: resolved,
                         config: config.clone(),
                         retry_nonce: 0,
+                        tx: Vec::new(),
+                        rx: Vec::new(),
                     });
                 }
                 Err(e) => last_err = Some(e),
@@ -166,14 +174,44 @@ impl ServeClient {
         self.addr
     }
 
-    /// Sends one frame and reads the response, mapping error statuses back
-    /// onto typed [`ServeError`]s.
-    fn round_trip(&mut self, op: u8, payload: &[u8]) -> Result<Vec<u8>, ServeError> {
-        protocol::write_frame(&mut self.stream, op, payload)?;
-        let (status, body) = protocol::read_frame(&mut self.stream)?;
-        let text = || String::from_utf8_lossy(&body).into_owned();
+    /// Encodes the request frame into the send buffer: `op`, then whatever
+    /// payload `fill` appends.
+    fn compose(&mut self, op: u8, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), ServeError> {
+        self.tx.clear();
+        let mark = protocol::begin_frame(&mut self.tx, op);
+        fill(&mut self.tx);
+        let len = self.tx.len() - mark;
+        if len > protocol::MAX_FRAME {
+            return Err(ServeError::Protocol {
+                reason: format!("outgoing frame of {len} bytes exceeds cap"),
+            });
+        }
+        protocol::end_frame(&mut self.tx, mark);
+        Ok(())
+    }
+
+    /// Sends the composed frame with one write and reads the response
+    /// payload into the receive buffer, mapping error statuses back onto
+    /// typed [`ServeError`]s.
+    fn exchange(&mut self) -> Result<(), ServeError> {
+        self.stream.write_all(&self.tx)?;
+        let mut header = [0u8; 5];
+        self.stream.read_exact(&mut header)?;
+        let status = header[0];
+        let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
+        if len > protocol::MAX_FRAME {
+            return Err(ServeError::Protocol {
+                reason: format!(
+                    "incoming frame claims {len} bytes, cap is {}",
+                    protocol::MAX_FRAME
+                ),
+            });
+        }
+        self.rx.resize(len, 0);
+        self.stream.read_exact(&mut self.rx)?;
+        let text = || String::from_utf8_lossy(&self.rx).into_owned();
         match status {
-            STATUS_OK => Ok(body),
+            STATUS_OK => Ok(()),
             STATUS_OVERLOADED => Err(ServeError::Overloaded { queue_depth: 0 }),
             STATUS_BAD_REQUEST => Err(ServeError::BadRequest { reason: text() }),
             STATUS_SHUTTING_DOWN => Err(ServeError::ShuttingDown),
@@ -195,6 +233,15 @@ impl ServeClient {
         }
     }
 
+    /// One round trip for an op with no payload and a UTF-8 answer.
+    fn text_op(&mut self, op: u8, what: &str) -> Result<String, ServeError> {
+        self.compose(op, |_| {})?;
+        self.exchange()?;
+        String::from_utf8(self.rx.clone()).map_err(|_| ServeError::Protocol {
+            reason: format!("{what} response is not UTF-8"),
+        })
+    }
+
     /// Runs one sample through the served model and returns its output row.
     ///
     /// # Errors
@@ -203,7 +250,8 @@ impl ServeClient {
     /// [`ServeError::BadRequest`], [`ServeError::DeadlineExceeded`],
     /// [`ServeError::ShuttingDown`]) plus I/O and protocol errors.
     pub fn infer(&mut self, sample: &[f32]) -> Result<Vec<f32>, ServeError> {
-        self.infer_frame(OP_INFER, &protocol::encode_f32s(sample))
+        self.compose(OP_INFER, |out| protocol::put_f32s(out, sample))?;
+        self.infer_frame()
     }
 
     /// Runs one sample through the **named** model on a multi-tenant
@@ -216,9 +264,10 @@ impl ServeClient {
     /// evicted under the server's resident-bytes budget — a condition this
     /// client never retries.
     pub fn infer_model(&mut self, model: &str, sample: &[f32]) -> Result<Vec<f32>, ServeError> {
-        let payload = protocol::encode_model_infer(model, sample);
-        self.infer_frame(OP_INFER_MODEL, &payload)
-            .map_err(|e| fill_model(e, model))
+        self.compose(OP_INFER_MODEL, |out| {
+            protocol::put_model_infer(out, model, sample)
+        })?;
+        self.infer_frame().map_err(|e| fill_model(e, model))
     }
 
     /// Like [`infer`](Self::infer), but retries `Overloaded` sheds with
@@ -236,7 +285,8 @@ impl ServeClient {
         sample: &[f32],
         policy: &RetryPolicy,
     ) -> Result<Vec<f32>, ServeError> {
-        self.retry_frame(OP_INFER, &protocol::encode_f32s(sample), policy)
+        self.compose(OP_INFER, |out| protocol::put_f32s(out, sample))?;
+        self.retry_frame(policy)
     }
 
     /// [`infer_model`](Self::infer_model) with the retry policy of
@@ -253,9 +303,10 @@ impl ServeClient {
         sample: &[f32],
         policy: &RetryPolicy,
     ) -> Result<Vec<f32>, ServeError> {
-        let payload = protocol::encode_model_infer(model, sample);
-        self.retry_frame(OP_INFER_MODEL, &payload, policy)
-            .map_err(|e| fill_model(e, model))
+        self.compose(OP_INFER_MODEL, |out| {
+            protocol::put_model_infer(out, model, sample)
+        })?;
+        self.retry_frame(policy).map_err(|e| fill_model(e, model))
     }
 
     /// Asks the server to rescan its model directory, ingesting new or
@@ -268,27 +319,19 @@ impl ServeClient {
     /// [`ServeError::Overloaded`] when a rescan is already running, plus
     /// I/O and protocol errors.
     pub fn reload(&mut self) -> Result<String, ServeError> {
-        let body = self.round_trip(OP_RELOAD, &[])?;
-        String::from_utf8(body).map_err(|_| ServeError::Protocol {
-            reason: "reload response is not UTF-8".to_string(),
-        })
+        self.text_op(OP_RELOAD, "reload")
     }
 
-    /// One inference round trip for any infer-shaped op.
-    fn infer_frame(&mut self, op: u8, payload: &[u8]) -> Result<Vec<f32>, ServeError> {
-        let body = self.round_trip(op, payload)?;
-        protocol::decode_f32s(&body)
+    /// One inference round trip for the composed infer-shaped frame.
+    fn infer_frame(&mut self) -> Result<Vec<f32>, ServeError> {
+        self.exchange()?;
+        protocol::decode_f32s(&self.rx)
     }
 
-    /// The shared retry loop: only [`ServeError::Overloaded`] and
-    /// [`ServeError::Io`] are transient; everything else is the request's
-    /// final fate.
-    fn retry_frame(
-        &mut self,
-        op: u8,
-        payload: &[u8],
-        policy: &RetryPolicy,
-    ) -> Result<Vec<f32>, ServeError> {
+    /// The shared retry loop over the composed frame: only
+    /// [`ServeError::Overloaded`] and [`ServeError::Io`] are transient;
+    /// everything else is the request's final fate.
+    fn retry_frame(&mut self, policy: &RetryPolicy) -> Result<Vec<f32>, ServeError> {
         self.retry_nonce = self.retry_nonce.wrapping_add(1);
         let mut rng = StdRng::seed_from_u64(policy.seed ^ self.retry_nonce);
         let mut attempt = 0u32;
@@ -299,12 +342,12 @@ impl ServeClient {
                     Ok(fresh) => {
                         self.stream = fresh.stream;
                         broken = false;
-                        self.infer_frame(op, payload)
+                        self.infer_frame()
                     }
                     Err(e) => Err(e),
                 }
             } else {
-                self.infer_frame(op, payload)
+                self.infer_frame()
             };
             match result {
                 Ok(row) => return Ok(row),
@@ -330,10 +373,7 @@ impl ServeClient {
     ///
     /// I/O, protocol, and server-side errors as for [`infer`](Self::infer).
     pub fn stats_json(&mut self) -> Result<String, ServeError> {
-        let body = self.round_trip(OP_STATS, &[])?;
-        String::from_utf8(body).map_err(|_| ServeError::Protocol {
-            reason: "stats response is not UTF-8".to_string(),
-        })
+        self.text_op(OP_STATS, "stats")
     }
 
     /// Liveness/identity check; returns the health JSON.
@@ -342,10 +382,7 @@ impl ServeClient {
     ///
     /// I/O, protocol, and server-side errors as for [`infer`](Self::infer).
     pub fn health(&mut self) -> Result<String, ServeError> {
-        let body = self.round_trip(OP_HEALTH, &[])?;
-        String::from_utf8(body).map_err(|_| ServeError::Protocol {
-            reason: "health response is not UTF-8".to_string(),
-        })
+        self.text_op(OP_HEALTH, "health")
     }
 }
 

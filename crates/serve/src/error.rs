@@ -181,7 +181,7 @@ mod tests {
                 reason: "future ladder".into(),
             },
             ServeError::Protocol { reason: "y".into() },
-            ServeError::Io(std::io::Error::new(std::io::ErrorKind::Other, "z")),
+            ServeError::Io(std::io::Error::other("z")),
             ServeError::Internal { reason: "w".into() },
         ];
         for e in &errs {

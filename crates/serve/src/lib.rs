@@ -15,17 +15,28 @@
 //!    layers dequant-free from packed integer panels (bit-close,
 //!    documented bound, faster than f32 at low `k`).
 //! 2. **[`MicroBatcher`]** — a dynamic micro-batcher that coalesces
-//!    single-sample requests from an MPSC queue under a
-//!    [`BatchPolicy`] (`max_batch` / `max_delay_us`), executes them as one
-//!    batched forward on the `apt_tensor::par` worker pool, and applies
-//!    admission control: a bounded queue sheds excess load with a typed
-//!    [`ServeError::Overloaded`] instead of building an unbounded backlog.
-//!    Batching is lossless — batch-invariant kernels mean a coalesced
-//!    batch answers every request bit-identically to running it alone.
+//!    single-sample requests from a bounded MPSC queue under a
+//!    [`BatchPolicy`] (`max_batch` / `max_delay` / `queue_depth`),
+//!    executes them as one batched forward on the `apt_tensor::par` worker
+//!    pool, and applies admission control: the queue sheds excess load
+//!    with a typed [`ServeError::Overloaded`] instead of building an
+//!    unbounded backlog. An under-filled batch is held open at most
+//!    `max_delay` (500 µs by default; zero takes only what is already
+//!    queued). Coalescing is lossless: batch-invariant kernels mean a
+//!    coalesced batch answers every request bit-identically to running it
+//!    alone.
 //! 3. **[`Server`]** — a std-only TCP front-end built on a nonblocking
-//!    readiness-driven reactor: one thread drives every connection through
-//!    incremental per-connection frame state machines, so slow or hostile
-//!    peers cost a table slot, not a thread. Overload protection is typed
+//!    readiness-driven reactor: one thread sleeps in `poll(2)` over every
+//!    connection and drives them through incremental per-connection frame
+//!    state machines, so slow or hostile peers cost a table slot, not a
+//!    thread, and an idle server costs no wake-ups. A request that arrives
+//!    alone runs inline on the reactor (no queue hop, no allocation);
+//!    requests that arrive together go through the batcher; after a tick
+//!    that served something the reactor rests briefly, so under load its
+//!    tick rate is set by a timer and concurrent requests meet in one
+//!    tick. Unix only in earnest: elsewhere the wait degrades to a short
+//!    sleep.
+//!    Overload protection is typed
 //!    end-to-end ([`ConnLimits`]): connection caps refuse at accept, idle
 //!    and mid-frame deadlines reap slowloris peers, request deadlines
 //!    propagate into the batcher so expired work is shed *before*
@@ -51,12 +62,14 @@
 //! The CLI front-end is `apt serve`; the measurement harness is the
 //! `serving` bench binary.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 mod batcher;
 mod client;
 mod error;
+#[allow(unsafe_code)]
+mod poll;
 mod registry;
 mod server;
 mod session;

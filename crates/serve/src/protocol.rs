@@ -87,11 +87,34 @@ pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> Result<(), Se
             reason: format!("outgoing frame of {} bytes exceeds cap", payload.len()),
         });
     }
-    w.write_all(&[tag])?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    // One header write: on a `TCP_NODELAY` socket every `write_all` is a
+    // segment of its own.
+    w.write_all(&frame_header(tag, payload.len()))?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
+}
+
+/// The 5-byte frame header: tag, then the payload length little-endian.
+fn frame_header(tag: u8, len: usize) -> [u8; 5] {
+    let l = (len as u32).to_le_bytes();
+    [tag, l[0], l[1], l[2], l[3]]
+}
+
+/// Starts a frame in `out` (tag plus a length placeholder) so the payload
+/// can be appended in place; [`end_frame`] patches the length. Returns the
+/// mark `end_frame` needs.
+pub(crate) fn begin_frame(out: &mut Vec<u8>, tag: u8) -> usize {
+    out.extend_from_slice(&frame_header(tag, 0));
+    out.len()
+}
+
+/// Closes the frame whose payload starts at `mark`, truncating it to
+/// [`MAX_FRAME`] defensively like [`encode_frame`].
+pub(crate) fn end_frame(out: &mut Vec<u8>, mark: usize) {
+    out.truncate(out.len().min(mark + MAX_FRAME));
+    let len = ((out.len() - mark) as u32).to_le_bytes();
+    out[mark - 4..mark].copy_from_slice(&len);
 }
 
 /// Encodes one frame into a byte vector (for buffered, non-blocking
@@ -101,8 +124,7 @@ pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> Result<(), Se
 pub fn encode_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     let payload = &payload[..payload.len().min(MAX_FRAME)];
     let mut out = Vec::with_capacity(5 + payload.len());
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&frame_header(tag, payload.len()));
     out.extend_from_slice(payload);
     out
 }
@@ -159,6 +181,7 @@ impl FrameDecoder {
 
     /// Appends raw bytes from the socket. Cheap; no parsing happens here.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.compact();
         self.buf.extend_from_slice(bytes);
     }
 
@@ -184,13 +207,28 @@ impl FrameDecoder {
     /// than [`MAX_FRAME`] bytes; the error is latched and re-reported on
     /// every subsequent call.
     pub fn try_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, ServeError> {
+        Ok(self
+            .try_frame_ref()?
+            .map(|(tag, payload)| (tag, payload.to_vec())))
+    }
+
+    /// [`try_frame`](Self::try_frame) without the copy: the payload is a
+    /// slice of the decoder's own buffer, valid until the next call that
+    /// takes `&mut self`.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_frame`](Self::try_frame).
+    pub fn try_frame_ref(&mut self) -> Result<Option<(u8, &[u8])>, ServeError> {
         if let Some(reason) = &self.poisoned {
             return Err(ServeError::Protocol {
                 reason: reason.clone(),
             });
         }
+        // The previous frame's bytes were still on loan when it was
+        // returned; they are reclaimed here.
+        self.compact();
         if self.buffered() < 5 {
-            self.compact();
             return Ok(None);
         }
         let h = &self.buf[self.pos..self.pos + 5];
@@ -205,10 +243,8 @@ impl FrameDecoder {
             return Ok(None);
         }
         let start = self.pos + 5;
-        let payload = self.buf[start..start + len].to_vec();
         self.pos = start + len;
-        self.compact();
-        Ok(Some((tag, payload)))
+        Ok(Some((tag, &self.buf[start..start + len])))
     }
 
     /// Reclaims the consumed prefix once it is large (or the buffer is
@@ -227,11 +263,17 @@ impl FrameDecoder {
 /// Encodes a float vector as `count: u32 LE` + little-endian `f32`s.
 pub fn encode_f32s(values: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 4 * values.len());
+    put_f32s(&mut out, values);
+    out
+}
+
+/// Appends the [`encode_f32s`] encoding of `values` to `out`.
+pub(crate) fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    out.reserve(4 + 4 * values.len());
     out.extend_from_slice(&(values.len() as u32).to_le_bytes());
     for v in values {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    out
 }
 
 /// Decodes a float vector written by [`encode_f32s`].
@@ -241,6 +283,15 @@ pub fn encode_f32s(values: &[f32]) -> Vec<u8> {
 /// Returns [`ServeError::Protocol`] when the count disagrees with the
 /// payload length.
 pub fn decode_f32s(payload: &[u8]) -> Result<Vec<f32>, ServeError> {
+    let mut out = Vec::new();
+    decode_f32s_into(payload, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_f32s`] into a caller-owned buffer, which is cleared first and
+/// left empty on error.
+pub(crate) fn decode_f32s_into(payload: &[u8], out: &mut Vec<f32>) -> Result<(), ServeError> {
+    out.clear();
     if payload.len() < 4 {
         return Err(ServeError::Protocol {
             reason: format!("float payload of {} bytes has no count", payload.len()),
@@ -256,10 +307,11 @@ pub fn decode_f32s(payload: &[u8]) -> Result<Vec<f32>, ServeError> {
             ),
         });
     }
-    Ok(body
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
+    out.extend(
+        body.chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+    );
+    Ok(())
 }
 
 /// Version byte of the current [`OP_INFER_MODEL`] payload encoding. The
@@ -281,13 +333,19 @@ pub const MAX_MODEL_ID: usize = 255;
 /// defensively; the server validates ids at publish time, so a truncated
 /// id simply fails lookup with a typed status.
 pub fn encode_model_infer(model: &str, sample: &[f32]) -> Vec<u8> {
+    let id_len = model.len().min(MAX_MODEL_ID);
+    let mut out = Vec::with_capacity(2 + id_len + 4 + 4 * sample.len());
+    put_model_infer(&mut out, model, sample);
+    out
+}
+
+/// Appends the [`encode_model_infer`] encoding to `out`.
+pub(crate) fn put_model_infer(out: &mut Vec<u8>, model: &str, sample: &[f32]) {
     let id = &model.as_bytes()[..model.len().min(MAX_MODEL_ID)];
-    let mut out = Vec::with_capacity(2 + id.len() + 4 + 4 * sample.len());
     out.push(MODEL_INFER_V1);
     out.push(id.len() as u8);
     out.extend_from_slice(id);
-    out.extend_from_slice(&encode_f32s(sample));
-    out
+    put_f32s(out, sample);
 }
 
 /// Decodes an [`OP_INFER_MODEL`] payload into `(model_id, sample)`.
@@ -297,6 +355,13 @@ pub fn encode_model_infer(model: &str, sample: &[f32]) -> Vec<u8> {
 /// Returns [`ServeError::Protocol`] for an unknown payload version, a
 /// truncated id section, a non-UTF-8 id, or a malformed float section.
 pub fn decode_model_infer(payload: &[u8]) -> Result<(String, Vec<f32>), ServeError> {
+    let (id, floats) = split_model_infer(payload)?;
+    Ok((id.to_string(), decode_f32s(floats)?))
+}
+
+/// Splits an [`OP_INFER_MODEL`] payload into the model id and the float
+/// section ([`encode_f32s`] layout, not yet validated), both borrowed.
+pub(crate) fn split_model_infer(payload: &[u8]) -> Result<(&str, &[u8]), ServeError> {
     if payload.len() < 2 {
         return Err(ServeError::Protocol {
             reason: format!(
@@ -320,13 +385,10 @@ pub fn decode_model_infer(payload: &[u8]) -> Result<(String, Vec<f32>), ServeErr
             ),
         });
     }
-    let id = std::str::from_utf8(&payload[2..2 + id_len])
-        .map_err(|_| ServeError::Protocol {
-            reason: "model id is not UTF-8".to_string(),
-        })?
-        .to_string();
-    let sample = decode_f32s(&payload[2 + id_len..])?;
-    Ok((id, sample))
+    let id = std::str::from_utf8(&payload[2..2 + id_len]).map_err(|_| ServeError::Protocol {
+        reason: "model id is not UTF-8".to_string(),
+    })?;
+    Ok((id, &payload[2 + id_len..]))
 }
 
 #[cfg(test)]

@@ -163,16 +163,25 @@ const ARENA_CAP: usize = 16;
 
 impl ScratchArena {
     /// Fetches an empty buffer with at least `capacity` reserved,
-    /// recycling a previously returned one when available.
+    /// recycling a previously returned one when available: the smallest
+    /// parked buffer that already holds `capacity`, else the largest (it
+    /// has the least to grow). Buffers of very different sizes pass through
+    /// here — samples, output rows, whole-plan scratch — from more than one
+    /// thread, and handing out whichever came back last would let every one
+    /// of them drift up to the size of the largest.
     pub fn take(&self, capacity: usize) -> Vec<f32> {
-        let recycled = match self.free.lock() {
-            Ok(mut free) => free.pop(),
-            Err(_) => None,
-        };
+        let recycled = self.free.lock().ok().and_then(|mut free| {
+            let by_cap = |&i: &usize| free[i].capacity();
+            let at = (0..free.len())
+                .filter(|i| by_cap(i) >= capacity)
+                .min_by_key(by_cap)
+                .or_else(|| (0..free.len()).max_by_key(by_cap))?;
+            Some(free.swap_remove(at))
+        });
         match recycled {
             Some(mut buf) => {
                 buf.clear();
-                buf.reserve(capacity.saturating_sub(buf.capacity()));
+                buf.reserve(capacity);
                 buf
             }
             None => Vec::with_capacity(capacity),
@@ -209,7 +218,9 @@ pub struct InferenceSession {
     /// Why freezing fell back, when it did.
     freeze_reason: Option<Arc<str>>,
     arena: Arc<ScratchArena>,
-    sample_dims: Vec<usize>,
+    /// Shared so that cloning a session — once per served request, at the
+    /// registry's hot-swap read point — does not allocate.
+    sample_dims: Arc<[usize]>,
     sample_len: usize,
     num_outputs: usize,
     lane: KernelLane,
@@ -312,7 +323,7 @@ impl InferenceSession {
             plan,
             freeze_reason,
             arena: Arc::new(ScratchArena::default()),
-            sample_dims: sample_dims.to_vec(),
+            sample_dims: sample_dims.into(),
             sample_len,
             num_outputs,
             lane,
@@ -573,10 +584,10 @@ mod tests {
     #[test]
     fn arena_recycles_staging() {
         let s = mlp_session();
-        let _ = s.infer_one(&vec![1.0; 6]).unwrap();
+        let _ = s.infer_one(&[1.0; 6]).unwrap();
         assert!(s.arena().parked() >= 1, "staging buffer should be recycled");
         let before = s.arena().parked();
-        let _ = s.infer_one(&vec![1.0; 6]).unwrap();
+        let _ = s.infer_one(&[1.0; 6]).unwrap();
         assert_eq!(s.arena().parked(), before, "steady state reuses buffers");
     }
 
@@ -593,14 +604,14 @@ mod tests {
     #[test]
     fn concurrent_inference_through_arc() {
         let s = mlp_session();
-        let base = s.infer_one(&vec![0.1; 6]).unwrap();
+        let base = s.infer_one(&[0.1; 6]).unwrap();
         let mut handles = Vec::new();
         for _ in 0..4 {
             let s = s.clone();
             let base = base.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..25 {
-                    assert_eq!(s.infer_one(&vec![0.1; 6]).unwrap(), base);
+                    assert_eq!(s.infer_one(&[0.1; 6]).unwrap(), base);
                 }
             }));
         }

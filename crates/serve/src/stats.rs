@@ -35,6 +35,8 @@ pub struct ServeStats {
     resident_bytes: AtomicU64,
     plans_frozen: AtomicU64,
     freeze_fallbacks: AtomicU64,
+    reactor_wakeups: AtomicU64,
+    inline_requests: AtomicU64,
     lat: [AtomicU64; LAT_BUCKETS],
     batch_sizes: [AtomicU64; BATCH_BUCKETS],
 }
@@ -59,6 +61,8 @@ impl Default for ServeStats {
             resident_bytes: AtomicU64::new(0),
             plans_frozen: AtomicU64::new(0),
             freeze_fallbacks: AtomicU64::new(0),
+            reactor_wakeups: AtomicU64::new(0),
+            inline_requests: AtomicU64::new(0),
             lat: std::array::from_fn(|_| AtomicU64::new(0)),
             batch_sizes: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -164,6 +168,18 @@ impl ServeStats {
         self.freeze_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one return of the reactor's readiness wait, whatever ended
+    /// it: traffic, a completion, a deadline, shutdown.
+    pub fn record_reactor_wakeup(&self) {
+        self.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one infer request the reactor executed itself instead of
+    /// queueing it for the batching worker.
+    pub fn record_inline(&self) {
+        self.inline_requests.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Sets the fleet gauges: models currently resident and their summed
     /// resident bytes. Called by the registry after every mutation.
     pub fn set_fleet(&self, models: u64, bytes: u64) {
@@ -226,6 +242,8 @@ impl ServeStats {
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
             plans_frozen: self.plans_frozen.load(Ordering::Relaxed),
             freeze_fallbacks: self.freeze_fallbacks.load(Ordering::Relaxed),
+            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
+            inline_requests: self.inline_requests.load(Ordering::Relaxed),
             p50_us: pct(0.50),
             p90_us: pct(0.90),
             p99_us: pct(0.99),
@@ -277,6 +295,12 @@ pub struct StatsSnapshot {
     pub plans_frozen: u64,
     /// Sessions that fell back to `Network::forward_inference` at load.
     pub freeze_fallbacks: u64,
+    /// Times the server's reactor returned from its readiness wait.
+    pub reactor_wakeups: u64,
+    /// Infer requests executed on the reactor thread (a batch of one that
+    /// never crossed the queue); the rest of `completed` went through the
+    /// batching worker.
+    pub inline_requests: u64,
     /// Median end-to-end latency, µs (log₂-bucket upper bound).
     pub p50_us: u64,
     /// 90th-percentile latency, µs.
@@ -306,6 +330,7 @@ impl StatsSnapshot {
              \"model_unavailable\":{},\"models_resident\":{},\
              \"resident_bytes\":{},\
              \"plans_frozen\":{},\"freeze_fallbacks\":{},\
+             \"reactor_wakeups\":{},\"inline_requests\":{},\
              \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"mean_batch\":{:.3},\
              \"batch_hist\":[{}]}}",
             self.completed,
@@ -325,6 +350,8 @@ impl StatsSnapshot {
             self.resident_bytes,
             self.plans_frozen,
             self.freeze_fallbacks,
+            self.reactor_wakeups,
+            self.inline_requests,
             self.p50_us,
             self.p90_us,
             self.p99_us,
@@ -460,6 +487,20 @@ mod tests {
         let j = snap.to_json();
         assert!(j.contains("\"plans_frozen\":2"), "{j}");
         assert!(j.contains("\"freeze_fallbacks\":1"), "{j}");
+    }
+
+    #[test]
+    fn path_counters_count_and_serialize() {
+        let s = ServeStats::default();
+        s.record_reactor_wakeup();
+        s.record_reactor_wakeup();
+        s.record_reactor_wakeup();
+        s.record_inline();
+        let snap = s.snapshot();
+        assert_eq!((snap.reactor_wakeups, snap.inline_requests), (3, 1));
+        let j = snap.to_json();
+        assert!(j.contains("\"reactor_wakeups\":3"), "{j}");
+        assert!(j.contains("\"inline_requests\":1"), "{j}");
     }
 
     #[test]

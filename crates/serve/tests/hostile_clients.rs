@@ -17,9 +17,10 @@ use std::time::{Duration, Instant};
 
 const IN_DIM: usize = 5;
 
-fn session() -> InferenceSession {
+/// A frozen `in_dim → hidden → 3` MLP session.
+fn mlp_session(in_dim: usize, hidden: usize) -> InferenceSession {
     let spec = ModelSpec {
-        arch: ModelArch::Mlp(vec![IN_DIM, 8, 3]),
+        arch: ModelArch::Mlp(vec![in_dim, hidden, 3]),
         classes: 3,
         img_size: 0,
         width_mult: 1.0,
@@ -29,8 +30,11 @@ fn session() -> InferenceSession {
     InferenceSession::from_checkpoint(&spec, &blob).unwrap()
 }
 
-fn start(limits: ConnLimits) -> (Server, InferenceSession) {
-    let s = session();
+fn session() -> InferenceSession {
+    mlp_session(IN_DIM, 8)
+}
+
+fn start_on(s: InferenceSession, limits: ConnLimits) -> (Server, InferenceSession) {
     let server = Server::start(
         s.clone(),
         ServerConfig {
@@ -42,6 +46,10 @@ fn start(limits: ConnLimits) -> (Server, InferenceSession) {
     )
     .unwrap();
     (server, s)
+}
+
+fn start(limits: ConnLimits) -> (Server, InferenceSession) {
+    start_on(session(), limits)
 }
 
 /// Reads until EOF or timeout; returns all bytes seen.
@@ -261,6 +269,16 @@ fn pipelined_requests_answered_in_order() {
             "pipelined request {i} corrupted or misordered"
         );
     }
+    // Requests that arrive together leave together: the burst was queued as
+    // one tick's work and the worker took what was waiting, with no timer
+    // to hold a batch open.
+    let snap = server.stats();
+    assert_eq!(snap.completed, 8);
+    assert!(
+        snap.batches < 8,
+        "a burst in one write must coalesce, got {} batches",
+        snap.batches
+    );
     server.shutdown();
 }
 
@@ -302,13 +320,17 @@ fn request_deadline_sheds_typed_through_the_wire() {
         ..ConnLimits::default()
     });
     let mut client = ServeClient::connect(server.addr()).unwrap();
-    match client.infer(&vec![0.1; IN_DIM]) {
+    match client.infer(&[0.1; IN_DIM]) {
         Err(ServeError::DeadlineExceeded { .. }) => {}
         other => panic!("expected DeadlineExceeded over the wire, got {other:?}"),
     }
     let snap = server.stats();
     assert_eq!(snap.deadline_expired, 1);
     assert_eq!(snap.completed, 0, "expired work must not run");
+    assert_eq!(
+        snap.inline_requests, 1,
+        "a lone request takes the reactor's own path, which must shed it the same way"
+    );
     server.shutdown();
 }
 
@@ -320,7 +342,7 @@ fn shutdown_notice_is_typed_on_idle_connections() {
     server.shutdown();
     // The pushed SHUTTING_DOWN frame (or a closed socket) is what the next
     // round trip sees.
-    match client.infer(&vec![0.0; IN_DIM]) {
+    match client.infer(&[0.0; IN_DIM]) {
         Err(ServeError::ShuttingDown) | Err(ServeError::Io(_)) => {}
         other => panic!("expected typed shutdown, got {other:?}"),
     }
@@ -338,9 +360,135 @@ fn shutdown_notice_is_typed_on_idle_connections() {
     }
 }
 
+/// A model slow enough (about a million MACs a sample) that requests stay
+/// in flight for milliseconds: a reactor that spins instead of sleeping
+/// shows up as thousands of wake-ups in that time.
+const SLOW_DIM: usize = 1024;
+
+fn start_slow(limits: ConnLimits) -> (Server, InferenceSession) {
+    start_on(mlp_session(SLOW_DIM, SLOW_DIM), limits)
+}
+
+/// Sends `n` infer frames in one write, optionally half-closes, reads the
+/// `n` in-order answers back, and returns how often the reactor woke up
+/// from the moment the burst was sent.
+fn wakeups_for_burst(server: &Server, local: &InferenceSession, n: usize, half_close: bool) -> u64 {
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let samples: Vec<Vec<f32>> = (0..n)
+        .map(|i| vec![i as f32 * 0.01 - 0.05; SLOW_DIM])
+        .collect();
+    let mut burst = Vec::new();
+    for s in &samples {
+        protocol::write_frame(&mut burst, OP_INFER, &protocol::encode_f32s(s)).unwrap();
+    }
+    let before = server.stats().reactor_wakeups;
+    raw.write_all(&burst).unwrap();
+    if half_close {
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+    }
+    for (i, s) in samples.iter().enumerate() {
+        let (status, body) = protocol::read_frame(&mut raw).unwrap();
+        assert_eq!(status, STATUS_OK, "request {i}");
+        assert_eq!(
+            protocol::decode_f32s(&body).unwrap(),
+            local.infer_one(s).unwrap(),
+            "request {i} corrupted"
+        );
+    }
+    server.stats().reactor_wakeups - before
+}
+
+#[cfg(unix)] // elsewhere the wait is a short sleep, not a block
+#[test]
+fn idle_server_sleeps_through_idle_connections() {
+    let (mut server, _local) = start(ConnLimits::default());
+    let squatters: Vec<TcpStream> = (0..50)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().open_conns < 50 {
+        assert!(Instant::now() < deadline, "squatters never registered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Nothing is due for a minute (the idle deadline): the reactor has no
+    // reason to wake.
+    let before = server.stats().reactor_wakeups;
+    std::thread::sleep(Duration::from_millis(300));
+    let woke = server.stats().reactor_wakeups - before;
+    assert!(woke <= 20, "idle reactor woke {woke} times in 300 ms");
+    drop(squatters);
+    server.shutdown();
+}
+
+#[cfg(unix)] // elsewhere the wait is a short sleep, not a block
+#[test]
+fn half_closed_peer_with_work_in_flight_does_not_spin_the_reactor() {
+    // The peer's EOF stays readable for as long as the socket is open; a
+    // connection that is only waiting for its answers must not be polled
+    // for it.
+    let (mut server, local) = start_slow(ConnLimits::default());
+    let woke = wakeups_for_burst(&server, &local, 16, true);
+    assert!(woke <= 100, "reactor woke {woke} times for 16 requests");
+    server.shutdown();
+}
+
+#[cfg(unix)] // elsewhere the wait is a short sleep, not a block
+#[test]
+fn connection_parked_at_the_pipelining_bound_does_not_spin_the_reactor() {
+    // Ten unread requests sit in the socket and the decoder while two are
+    // in flight: readable the whole time, and not to be read.
+    let (mut server, local) = start_slow(ConnLimits {
+        max_pipeline: 2,
+        ..ConnLimits::default()
+    });
+    let woke = wakeups_for_burst(&server, &local, 12, false);
+    assert!(woke <= 150, "reactor woke {woke} times for 12 requests");
+    server.shutdown();
+}
+
+#[test]
+fn a_closed_loop_peer_cannot_drive_the_tick_rate() {
+    // Tick moderation: ticks that serve something start at least a period
+    // (60 µs) apart, however small the model and however fast the peer
+    // turns around. Only the lower bound is asserted — a sleep never
+    // returns early, so it holds on any host.
+    let (mut server, _local) = start(ConnLimits::default());
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let sample = [0.25; IN_DIM];
+    client.infer(&sample).unwrap();
+    const N: u32 = 300;
+    let t0 = Instant::now();
+    for _ in 0..N {
+        client.infer(&sample).unwrap();
+    }
+    let took = t0.elapsed();
+    assert!(
+        took >= Duration::from_micros(60) * (N - 1),
+        "{N} round trips, one tick each, took only {took:?}"
+    );
+    assert_eq!(server.stats().inline_requests, u64::from(N) + 1);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_interrupts_a_reactor_blocked_in_its_wait() {
+    let (mut server, _local) = start(ConnLimits::default());
+    let mut idle = ServeClient::connect(server.addr()).unwrap();
+    idle.health().unwrap();
+    // No traffic and no deadline for a minute: the reactor is blocked.
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "shutdown took {took:?} with the reactor asleep"
+    );
+}
+
 #[test]
 fn retry_policy_rides_out_overload() {
-    // Tiny queue on a slow batch window: bare sends shed; retried sends
+    // Tiny queue, one request per batch: bare sends shed; retried sends
     // eventually land.
     let s = session();
     let server = Server::start(
@@ -349,8 +497,8 @@ fn retry_policy_rides_out_overload() {
             addr: "127.0.0.1:0".to_string(),
             policy: BatchPolicy {
                 max_batch: 1,
-                max_delay: Duration::from_micros(1),
                 queue_depth: 1,
+                ..BatchPolicy::default()
             },
             model_name: "retry-test".to_string(),
             limits: ConnLimits::default(),

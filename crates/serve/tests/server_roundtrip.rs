@@ -58,8 +58,59 @@ fn infer_over_tcp_is_bit_exact() {
     assert!(health.contains("test-mlp"));
     assert!(health.contains("\"sample_len\":6"));
 
+    // One closed-loop client never has company: every request ran on the
+    // reactor, as a batch of one, and the wire stats say so.
     let stats = client.stats_json().unwrap();
     assert!(stats.contains("\"completed\":5"), "stats: {stats}");
+    assert!(stats.contains("\"inline_requests\":5"), "stats: {stats}");
+    assert!(stats.contains("\"batches\":5"), "stats: {stats}");
+    assert!(stats.contains("\"reactor_wakeups\":"), "stats: {stats}");
+    server.shutdown();
+}
+
+#[test]
+fn inline_path_reads_the_registry_and_refuses_typed() {
+    let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let sample: Vec<f32> = (0..6).map(|j| j as f32 * 0.2 - 0.5).collect();
+    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&client.infer(&sample).unwrap()),
+        bits(&local.infer_one(&sample).unwrap())
+    );
+
+    // A publish between two requests on one connection is honoured by the
+    // second: admission resolves the registry on the inline path too.
+    let mut net = apt_nn::models::mlp(
+        "mlp",
+        &[6, 10, 4],
+        &apt_nn::QuantScheme::paper_apt(),
+        &mut apt_tensor::rng::seeded(99),
+    )
+    .unwrap();
+    let spec = ModelSpec {
+        arch: ModelArch::Mlp(vec![6, 10, 4]),
+        classes: 4,
+        img_size: 0,
+        width_mult: 1.0,
+    };
+    let swapped =
+        InferenceSession::from_checkpoint(&spec, &checkpoint::save_full(&mut net)).unwrap();
+    let want = swapped.infer_one(&sample).unwrap();
+    assert_ne!(bits(&want), bits(&local.infer_one(&sample).unwrap()));
+    server.registry().publish("test-mlp", swapped).unwrap();
+    assert_eq!(bits(&client.infer(&sample).unwrap()), bits(&want));
+
+    // A wrong-length sample is refused before anything runs, in band.
+    match client.infer(&sample[..4]) {
+        Err(ServeError::BadRequest { reason }) => assert!(reason.contains("expects 6"), "{reason}"),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    assert!(client.infer(&sample).is_ok(), "connection died");
+
+    let snap = server.stats();
+    assert_eq!((snap.completed, snap.inline_requests), (3, 3));
+    assert_eq!((snap.batches, snap.errors, snap.shed), (3, 0, 0));
     server.shutdown();
 }
 
@@ -67,8 +118,8 @@ fn infer_over_tcp_is_bit_exact() {
 fn concurrent_clients_lose_nothing() {
     let policy = BatchPolicy {
         max_batch: 8,
-        max_delay: std::time::Duration::from_micros(500),
         queue_depth: 256,
+        ..BatchPolicy::default()
     };
     let (mut server, local) = start_server(&[4, 12, 3], policy);
     let addr = server.addr();

@@ -83,7 +83,8 @@ serving:
                         layers straight from packed integer codes;
                         bit-close, not bit-exact)     [default dequant-cache]
   --max-batch N         micro-batch coalescing cap    [default 8]
-  --max-delay-us N      batching window in microsecs  [default 2000]
+  --max-delay-us N      longest an under-filled batch is held open for
+                        company; 0 never waits        [default 500]
   --queue-depth N       admission queue bound         [default 128]
   --threads N           compute pool size             [default all cores]
   --stats-every SECS    print serving stats period    [default 10, 0 = off]
@@ -485,8 +486,9 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
 
 fn print_stats(s: &apt_serve::StatsSnapshot) {
     println!(
-        "stats: {} ok / {} shed / {} expired / {} errors | p50 {}µs p90 {}µs p99 {}µs | mean batch {:.2} | conns {} open, {} refused, {} idle-reaped, {} slow-reaped | fleet {} resident ({} bytes), {} swaps, {} evictions, {} quarantined | plans {} frozen, {} fallbacks",
+        "stats: {} ok ({} inline) / {} shed / {} expired / {} errors | p50 {}µs p90 {}µs p99 {}µs | mean batch {:.2} | {} wake-ups | conns {} open, {} refused, {} idle-reaped, {} slow-reaped | fleet {} resident ({} bytes), {} swaps, {} evictions, {} quarantined | plans {} frozen, {} fallbacks",
         s.completed,
+        s.inline_requests,
         s.shed,
         s.deadline_expired,
         s.errors,
@@ -494,6 +496,7 @@ fn print_stats(s: &apt_serve::StatsSnapshot) {
         s.p90_us,
         s.p99_us,
         s.mean_batch,
+        s.reactor_wakeups,
         s.open_conns,
         s.refused_accept,
         s.idle_reaped,

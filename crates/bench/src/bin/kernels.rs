@@ -7,7 +7,9 @@
 //!
 //! * `results/kernels.csv` — one row per cell,
 //! * `BENCH_kernels.json` (repo root) — the same data as machine-readable
-//!   JSON, plus the machine's available parallelism.
+//!   JSON, plus the machine's available parallelism and which f32 GEMM
+//!   micro-kernel ran (`"simd"`: `avx2` or `portable` — the same cells read
+//!   ~1.6× apart between the two, so the file says which it recorded).
 //!
 //! ```text
 //! cargo run --release -p apt-bench --bin kernels             # full sweep
@@ -19,13 +21,18 @@
 //!
 //! 1. every parallelised op is **bit-identical** across thread counts
 //!    {1, 2, 3, 7} (`f32::to_bits` comparison against the 1-thread run),
-//! 2. the blocked serial matmul is at least as fast as the old naive
-//!    zero-skip kernel (kept here as a reference implementation), within
-//!    a 10 % tolerance for timer noise, and
+//! 2. the register-tiled serial matmul beats the old naive zero-skip
+//!    kernel (kept here as a reference implementation) by ≥ 1.25× where
+//!    `gemm_isa()` reports the `avx2` micro-kernel, and is at least as
+//!    fast within a 10 % timer tolerance on the portable one (paired
+//!    interleaved rounds, median ratio — robust to shared-host noise),
 //! 3. on machines with ≥ 4 cores, 4-thread 256³ matmul reaches ≥ 1.5×
 //!    the 1-thread throughput (skipped, loudly, on smaller machines),
-//! 4. the integer GEMM beats f32 matmul at 256³ single-thread (paired
-//!    interleaved rounds, median ratio — robust to shared-host noise),
+//! 4. the integer GEMM holds an absolute GOP/s floor at 256³
+//!    single-thread (its ratio to the f32 matmul is printed from paired
+//!    rounds, ungated: the f32 kernel is runtime-dispatched to AVX2 and the
+//!    integer one is not, so the ratio says which host ran, not whether
+//!    the integer kernel regressed),
 //! 5. branch-free quantize/dequantize stay above absolute Gelem/s floors
 //!    (a regression to the old branchy loops is ~100× and trips them),
 //! 6. the freeze compiler's fused conv+bias+ReLU kernel is bit-identical
@@ -39,7 +46,7 @@ use apt_tensor::ops::fused;
 use apt_tensor::ops::int_gemm::{self, gemm_i8_rescale, IntRescale};
 use apt_tensor::ops::pool::max_pool2d;
 use apt_tensor::ops::softmax::softmax_rows;
-use apt_tensor::ops::{add, matmul, matmul_a_bt, matmul_at_b};
+use apt_tensor::ops::{add, gemm_isa, matmul, matmul_a_bt, matmul_at_b};
 use apt_tensor::{par, rng, Tensor};
 use std::io::Write as _;
 use std::time::Instant;
@@ -319,10 +326,11 @@ fn sweep(thread_counts: &[usize]) -> Vec<Row> {
 
 fn write_outputs(rows: &[Row]) {
     let csv_path = results_dir().join("kernels.csv");
-    let mut csv = String::from("op,shape,threads,ns_per_iter,gflops,speedup_vs_1t\n");
+    let simd = gemm_isa();
+    let mut csv = String::from("op,shape,threads,ns_per_iter,gflops,speedup_vs_1t,simd\n");
     for r in rows {
         csv.push_str(&format!(
-            "{},{},{},{:.1},{:.4},{:.4}\n",
+            "{},{},{},{:.1},{:.4},{:.4},{simd}\n",
             r.op, r.shape, r.threads, r.ns_per_iter, r.gflops, r.speedup_vs_1t
         ));
     }
@@ -340,7 +348,7 @@ fn write_outputs(rows: &[Row]) {
         })
         .collect();
     let json = format!(
-        "{{\n\"available_parallelism\": {},\n\"cells\": [\n{}\n]\n}}\n",
+        "{{\n\"available_parallelism\": {},\n\"simd\": \"{simd}\",\n\"cells\": [\n{}\n]\n}}\n",
         par::default_threads(),
         cells.join(",\n")
     );
@@ -368,6 +376,34 @@ fn naive_matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
     }
 }
 
+/// Paired timing for the smoke gates: interleaves `a` and `b` over five
+/// rounds, best-of-3 within each round, and returns the per-round
+/// `(a_ns, b_ns)`. Shared CI hosts drift through multi-second throughput
+/// phases, so a single timing of each side is a coin flip; interleaving
+/// puts both sides in the same phase and the gates judge the MEDIAN of
+/// the per-round figures.
+fn paired_rounds(a: &dyn Fn(), b: &dyn Fn()) -> Vec<(f64, f64)> {
+    (0..5)
+        .map(|_| {
+            let (mut a_ns, mut b_ns) = (f64::MAX, f64::MAX);
+            for _ in 0..3 {
+                let t = Instant::now();
+                a();
+                a_ns = a_ns.min(t.elapsed().as_secs_f64() * 1e9);
+                let t = Instant::now();
+                b();
+                b_ns = b_ns.min(t.elapsed().as_secs_f64() * 1e9);
+            }
+            (a_ns, b_ns)
+        })
+        .collect()
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v[v.len() / 2]
+}
+
 fn smoke() -> bool {
     let mut ok = true;
 
@@ -390,41 +426,49 @@ fn smoke() -> bool {
         println!("  {:<18} {:<22} bit-identical", k.op, k.shape);
     }
 
-    // Gate 2: blocked serial matmul at least matches the old naive kernel.
-    println!("# smoke gate 2: blocked serial matmul vs old naive kernel (192^3)");
-    let s = 192usize;
-    let a = tensor(&[s, s], 21);
-    let b = tensor(&[s, s], 22);
-    let (ad, bd) = (a.data().to_vec(), b.data().to_vec());
-    let time_serial = |f: &dyn Fn()| {
-        f(); // warm up
-        let iters = 12;
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        t.elapsed().as_secs_f64() / iters as f64
-    };
-    let naive_s = time_serial(&|| {
-        let mut c = vec![0.0f32; s * s];
-        naive_matmul(&ad, &bd, &mut c, s, s, s);
-        std::hint::black_box(&c);
-    });
-    let blocked_s = par::with_threads(1, || {
-        time_serial(&|| {
-            std::hint::black_box(matmul(&a, &b).unwrap());
-        })
-    });
+    // Gate 2: the register-tiled serial matmul against the old naive
+    // kernel, which streams C through memory. The AVX2 micro-kernel runs
+    // 1.8–3.2x that loop and the floor protects the lead; the portable tile
+    // is compiled for the same baseline ISA as the naive loop, so there it
+    // only must not lose (10 % tolerance absorbs timer noise).
+    let simd = gemm_isa();
+    let tiled_floor = if simd == "avx2" { 1.25 } else { 0.90 };
     println!(
-        "  naive {:.2} ms, blocked {:.2} ms ({:.2}x)",
-        naive_s * 1e3,
-        blocked_s * 1e3,
-        naive_s / blocked_s
+        "# smoke gate 2: tiled serial matmul vs old naive kernel (192^3, paired rounds; \
+         `{simd}` micro-kernel, floor {tiled_floor}x)"
     );
-    // 10 % tolerance absorbs timer noise on loaded CI machines.
-    if blocked_s > naive_s * 1.10 {
-        eprintln!("FAIL: blocked serial matmul slower than the old naive kernel");
-        ok = false;
+    {
+        let s = 192usize;
+        let a = tensor(&[s, s], 21);
+        let b = tensor(&[s, s], 22);
+        let rounds = par::with_threads(1, || {
+            paired_rounds(
+                &|| {
+                    let mut c = vec![0.0f32; s * s];
+                    naive_matmul(a.data(), b.data(), &mut c, s, s, s);
+                    std::hint::black_box(&c);
+                },
+                &|| {
+                    std::hint::black_box(matmul(&a, &b).unwrap());
+                },
+            )
+        });
+        for (round, (naive_ns, tiled_ns)) in rounds.iter().enumerate() {
+            println!(
+                "  round {round}: naive {:.2} ms, tiled {:.2} ms ({:.2}x)",
+                naive_ns / 1e6,
+                tiled_ns / 1e6,
+                naive_ns / tiled_ns
+            );
+        }
+        let ratio = median(rounds.iter().map(|(n, t)| n / t).collect());
+        println!("  median naive/tiled ratio {ratio:.2}x (floor {tiled_floor}x)");
+        if ratio < tiled_floor {
+            eprintln!(
+                "FAIL: tiled serial matmul below {tiled_floor}x the old naive kernel (median)"
+            );
+            ok = false;
+        }
     }
 
     // Gate 3: multi-thread speedup, only meaningful with enough cores.
@@ -461,17 +505,15 @@ fn smoke() -> bool {
         println!("# smoke gate 3 SKIPPED: only {cores} core(s) available, need >= 4");
     }
 
-    // Gate 4: the integer GEMM must beat f32 matmul at 256^3, single
-    // thread. Shared CI hosts drift through multi-second throughput
-    // phases (noisy neighbours hit the store-heavy staged kernel harder
-    // than the register-blocked f32 one), so a single timing of each side
-    // is a coin flip: the gate instead interleaves the two kernels over
-    // several rounds, takes best-of-3 within each round, and judges the
-    // MEDIAN of the per-round ratios. Fast phases show >= 2x (the SSE2
-    // pmaddwd ceiling); the floor is set at the sustained worst-phase
-    // advantage with margin. DESIGN.md section 14 has the full analysis.
-    println!("# smoke gate 4: i8 GEMM vs f32 matmul (256^3, 1 thread, paired rounds)");
-    const I8_VS_F32_FLOOR: f64 = 1.15;
+    // Gate 4: the integer GEMM at 256^3, single thread, against an
+    // absolute floor: ~40 % of the worst round observed on the reference
+    // CI host (15 GOP/s across machine phases) — a regression tripwire for
+    // the kernel, as gate 5 is for quantize/dequantize. Its ratio to the
+    // f32 matmul is printed from the paired rounds but not gated: the f32
+    // GEMM dispatches to an AVX2 micro-kernel and the staged integer kernel
+    // does not (DESIGN.md section 14), so the ratio says which host ran.
+    println!("# smoke gate 4: i8 GEMM floor (256^3, 1 thread, paired rounds with f32 matmul)");
+    const I8_FLOOR_GOPS: f64 = 6.0;
     {
         let s = 256usize;
         let mut r = rng::seeded(15);
@@ -484,37 +526,32 @@ fn smoke() -> bool {
             .map(|i| (((i * 13) % 15) as i32 - 7) as i8)
             .collect();
         let flops = 2.0 * (s * s * s) as f64;
-        let mut ratios = Vec::new();
-        par::with_threads(1, || {
-            for round in 0..5 {
-                let mut f32_ns = f64::MAX;
-                let mut i8_ns = f64::MAX;
-                for _ in 0..3 {
-                    let t = Instant::now();
+        let rounds = par::with_threads(1, || {
+            paired_rounds(
+                &|| {
                     std::hint::black_box(matmul(&af, &bf).unwrap());
-                    f32_ns = f32_ns.min(t.elapsed().as_secs_f64() * 1e9);
-                    let t = Instant::now();
+                },
+                &|| {
                     let mut c = vec![0i32; s * s];
                     int_gemm::gemm_i8(&a8, &w8, &mut c, s, s, s);
                     std::hint::black_box(&c);
-                    i8_ns = i8_ns.min(t.elapsed().as_secs_f64() * 1e9);
-                }
-                let ratio = f32_ns / i8_ns;
-                ratios.push(ratio);
-                println!(
-                    "  round {round}: i8 {:.2} GFLOP/s, f32 {:.2} GFLOP/s ({ratio:.2}x)",
-                    flops / i8_ns,
-                    flops / f32_ns
-                );
-            }
+                },
+            )
         });
-        ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = ratios[ratios.len() / 2];
-        println!("  median i8/f32 ratio {median:.2}x (floor {I8_VS_F32_FLOOR}x)");
-        if median < I8_VS_F32_FLOOR {
-            eprintln!(
-                "FAIL: i8 GEMM below {I8_VS_F32_FLOOR}x f32 matmul throughput at 256^3 (median)"
+        for (round, (f32_ns, i8_ns)) in rounds.iter().enumerate() {
+            println!(
+                "  round {round}: i8 {:.2} GOP/s, f32 {:.2} GFLOP/s ({:.2}x)",
+                flops / i8_ns,
+                flops / f32_ns,
+                f32_ns / i8_ns
             );
+        }
+        let ratio = median(rounds.iter().map(|(f, i)| f / i).collect());
+        let i8_gops = median(rounds.iter().map(|(_, i)| flops / i).collect());
+        println!("  median i8/f32 ratio {ratio:.2}x (ungated; f32 micro-kernel: `{simd}`)");
+        println!("  median i8 rate {i8_gops:.2} GOP/s (floor {I8_FLOOR_GOPS})");
+        if i8_gops < I8_FLOOR_GOPS {
+            eprintln!("FAIL: i8 GEMM below the {I8_FLOOR_GOPS} GOP/s floor at 256^3 (median)");
             ok = false;
         }
     }
@@ -618,30 +655,25 @@ fn smoke() -> bool {
                 ok = false;
             }
         }
-        let mut ratios = Vec::new();
-        par::with_threads(1, || {
-            for round in 0..5 {
-                let mut unfused_ns = f64::MAX;
-                let mut fused_ns = f64::MAX;
-                for _ in 0..3 {
-                    let t = Instant::now();
+        let rounds = par::with_threads(1, || {
+            paired_rounds(
+                &|| {
                     std::hint::black_box(unfused(1));
-                    unfused_ns = unfused_ns.min(t.elapsed().as_secs_f64() * 1e9);
-                    let t = Instant::now();
+                },
+                &|| {
                     std::hint::black_box(fused_run(1));
-                    fused_ns = fused_ns.min(t.elapsed().as_secs_f64() * 1e9);
-                }
-                let ratio = unfused_ns / fused_ns;
-                ratios.push(ratio);
-                println!(
-                    "  round {round}: fused {:.3} ms, unfused {:.3} ms ({ratio:.2}x)",
-                    fused_ns / 1e6,
-                    unfused_ns / 1e6
-                );
-            }
+                },
+            )
         });
-        ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = ratios[ratios.len() / 2];
+        for (round, (unfused_ns, fused_ns)) in rounds.iter().enumerate() {
+            println!(
+                "  round {round}: fused {:.3} ms, unfused {:.3} ms ({:.2}x)",
+                fused_ns / 1e6,
+                unfused_ns / 1e6,
+                unfused_ns / fused_ns
+            );
+        }
+        let median = median(rounds.iter().map(|(u, f)| u / f).collect());
         println!("  median unfused/fused ratio {median:.2}x (floor 0.90x)");
         if median < 0.90 {
             eprintln!("FAIL: fused conv+bias+relu slower than the unfused sequence (median)");
@@ -654,8 +686,9 @@ fn smoke() -> bool {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    println!("# f32 GEMM micro-kernel: {}", gemm_isa());
     if args.iter().any(|a| a == "--smoke") {
-        println!("# kernels --smoke: determinism + blocked-kernel regression gate");
+        println!("# kernels --smoke: determinism + kernel regression gate");
         if !smoke() {
             std::process::exit(1);
         }

@@ -50,8 +50,11 @@
 //!    [`SWAP_P99_BUDGET_US`], typed eviction under memory pressure,
 //! 8. corruption: every damaged upload quarantined, serving undisturbed,
 //! 9. parity: the same k=4 checkpoint compiled for the dequant-free
-//!    integer lane must beat its dequant-cache plan on batched
-//!    single-thread throughput, with every response bit-exact,
+//!    integer lane must achieve that lane with every response bit-exact
+//!    and hold [`PARITY_INT_FLOOR_RPS`] on batched single-thread
+//!    throughput — an absolute tripwire for the integer plan, set like the
+//!    kernels bench sets its floors; its ratio to the dequant-cache plan
+//!    is printed, ungated (DESIGN.md §14 says why it no longer wins),
 //! 10. freeze: the compiled frozen plan must be at least as fast as
 //!     `Network::forward_inference` on the same network and bit-identical
 //!     to it (the bench MLP has no batch norm, so nothing folds and no
@@ -194,9 +197,12 @@ fn build_blob(bits: u32, seed: u64) -> Vec<u8> {
     checkpoint::save_full(&mut build_net(bits, seed))
 }
 
+/// One client's request samples and the outputs a local forward gives them.
+type ClientWorkload = (Vec<Vec<f32>>, Vec<Vec<f32>>);
+
 /// Deterministic per-client request sets with locally computed expected
 /// outputs (bit-identical by batch invariance).
-fn build_workloads(session: &InferenceSession, n: usize) -> Vec<(Vec<Vec<f32>>, Vec<Vec<f32>>)> {
+fn build_workloads(session: &InferenceSession, n: usize) -> Vec<ClientWorkload> {
     (0..n)
         .map(|c| {
             let mut r = rng::substream(997, c as u64);
@@ -1331,13 +1337,26 @@ fn corruption_cell() -> (Row, bool) {
     )
 }
 
+/// Floor on the int-gemm parity cell's throughput, req/s: ~40 % of the
+/// worst rate observed over 41 smoke runs on a disturbed 2-vCPU host
+/// (13,420; the middle 80 % read 18.7–25.0k, and the parent commit's
+/// cell 20–24k) — the way the kernels bench sets its quantize/dequantize
+/// and i8-GEMM floors. An absolute rate, not a ratio to the dequant-cache
+/// plan: that plan's f32 GEMM moves with every f32 kernel change, and a
+/// gate on the integer lane should not.
+const PARITY_INT_FLOOR_RPS: f64 = 5_000.0;
+
 /// Parity cells: the same k=4 checkpoint served twice at batch8 on one
 /// thread — once from its dequant-cache plan (f32 GEMM on weights
 /// dequantised at compile time) and once from its int-gemm plan (packed
-/// integer panels, fused rescale). The integer plan must win on
-/// throughput with zero corrupted or lost responses; this is the
-/// serving-level form of the integer fast lane's headline claim
-/// (DESIGN.md §14).
+/// integer panels, fused rescale). The integer plan must achieve its lane
+/// with zero corrupted or lost responses and hold
+/// [`PARITY_INT_FLOOR_RPS`]. Its ratio to the dequant-cache plan is
+/// printed and not gated: the f32 GEMM is register-tiled and
+/// AVX2-dispatched while the integer kernel is neither, so at batch 8 the
+/// integer plan trails (0.6–1.2×, median 0.81× — DESIGN.md §14, ROADMAP
+/// item 4). It leads single-sample, where the f32 path is the scalar dot
+/// kernel — see the `single` rows of the full sweep.
 fn parity_cells(per_client: usize) -> (Row, Row, bool) {
     let mut gate_ok = true;
     let mut cache_row = run_cell(4, 1, &POLICIES[1], per_client, KernelLane::DequantCache);
@@ -1361,15 +1380,20 @@ fn parity_cells(per_client: usize) -> (Row, Row, bool) {
         }
     }
     let ratio = int_row.rps / cache_row.rps.max(1e-9);
-    if int_row.rps >= cache_row.rps {
+    println!(
+        "info: int-gemm / dequant-cache = {ratio:.2}× ({:.0} vs {:.0} req/s), not gated",
+        int_row.rps, cache_row.rps
+    );
+    if int_row.rps >= PARITY_INT_FLOOR_RPS {
         println!(
-            "ok: int-gemm {:.0} req/s ≥ dequant-cache {:.0} req/s ({ratio:.2}×), every response bit-exact",
-            int_row.rps, cache_row.rps
+            "ok: int-gemm {:.0} req/s ≥ floor {PARITY_INT_FLOOR_RPS:.0} req/s, every response \
+             bit-exact",
+            int_row.rps
         );
     } else {
         println!(
-            "FAIL: int-gemm plan {:.0} req/s below dequant-cache plan {:.0} req/s ({ratio:.2}×)",
-            int_row.rps, cache_row.rps
+            "FAIL: int-gemm plan {:.0} req/s below its floor of {PARITY_INT_FLOOR_RPS:.0} req/s",
+            int_row.rps
         );
         gate_ok = false;
     }
@@ -1818,8 +1842,8 @@ fn smoke() -> bool {
     ok &= corrupt_ok;
 
     println!(
-        "# smoke gate 9: parity — k=4 int-gemm plan ≥ dequant-cache plan rps at batch8, \
-         1 thread, zero corrupted/lost"
+        "# smoke gate 9: parity — k=4 int-gemm plan ≥ {PARITY_INT_FLOOR_RPS:.0} req/s at batch8, \
+         1 thread, lane achieved, zero corrupted/lost (ratio to the dequant-cache plan printed)"
     );
     let (parity_cache, parity_int, parity_ok) = parity_cells(per_client);
     print_row(&parity_cache);

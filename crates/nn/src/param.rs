@@ -972,7 +972,7 @@ mod tests {
         )
         .unwrap();
         let store_bytes = match q.store() {
-            ParamStore::Quantized(qt) => qt.resident_bytes() as u64,
+            ParamStore::Quantized(qt) => qt.resident_bytes(),
             _ => unreachable!(),
         };
         assert_eq!(q.resident_bytes(), store_bytes);

@@ -508,7 +508,7 @@ mod tests {
         // Every channel pins its min/max, so the clean floor is 2/stride
         // pooled over channels.
         let clean = pc.saturation_ratio();
-        assert!(clean >= 8.0 / 64.0 && clean < 0.35, "clean ratio {clean}");
+        assert!((8.0 / 64.0..0.35).contains(&clean), "clean ratio {clean}");
         let max_code = pc.bits().num_steps() as i64;
         for bit in 0..16u32 {
             let new = pc.flip_code_bit(bit as usize, bit).unwrap();

@@ -574,7 +574,7 @@ mod tests {
         // Calibration pins min→0 and max→2^k−1, so a clean tensor sits near
         // the 2/N floor.
         let clean = q.saturation_ratio();
-        assert!(clean >= 2.0 / 64.0 && clean < 0.2, "clean ratio {clean}");
+        assert!((2.0 / 64.0..0.2).contains(&clean), "clean ratio {clean}");
         let forced = q.saturate(0.5, true);
         assert_eq!(forced, 32);
         assert!(q.saturation_ratio() >= 0.5);

@@ -12,11 +12,20 @@
 //! depthwise layers (`groups == in_channels`). All kernels take a
 //! [`Conv2dParams`] describing stride/padding/groups, validated once.
 //!
+//! The lowering moves rows, not elements: for each kernel tap the range of
+//! output positions that land inside the image is computed once
+//! (`Conv2dParams::valid_outputs`), and every matrix row is then a slice
+//! copy (im2col) or slice add (col2im) of that range with the edges
+//! zero-filled — no per-element bounds test. Values, and the order in which
+//! col2im adds contributions onto each input pixel, are those of the
+//! per-element loops, which the tests keep as the reference.
+//!
 //! The im2col/col2im staging matrices live in a per-thread scratch
 //! buffer that is grown once and reused for every subsequent call, so
 //! steady-state training allocates nothing here beyond the output
 //! tensor. The GEMMs run on the scratch slices directly via the
-//! `pub(crate)` kernels in `matmul_impl`. Forward and backward-input are
+//! `pub(crate)` kernels in `matmul_impl` — the register-tiled micro-kernel
+//! every conv and linear layer shares. Forward and backward-input are
 //! parallelised over images (each image owns a disjoint output slice);
 //! backward-weight keeps its image loop serial — every image's
 //! contribution is `+=`-accumulated into the same weight gradient, and
@@ -83,43 +92,31 @@ impl Conv2dParams {
         (in_size + 2 * self.padding).saturating_sub(kernel) / self.stride + 1
     }
 
+    /// Checks `[n, c_in, h, w]` input dims against `[c_out, c_in/groups,
+    /// kh, kw]` weight dims and returns `(n, c_in, h, w, c_out, kh, kw)`.
     fn validate(
         &self,
-        input: &Tensor,
-        weight: &Tensor,
+        input_dims: &[usize],
+        weight_dims: &[usize],
     ) -> Result<(usize, usize, usize, usize, usize, usize, usize)> {
-        if input.rank() != 4 {
+        let (&[n, c_in, h, w], &[c_out, c_in_per_group, kh, kw]) = (input_dims, weight_dims) else {
+            let bad = if input_dims.len() != 4 {
+                input_dims
+            } else {
+                weight_dims
+            };
             return Err(TensorError::RankMismatch {
                 op: "conv2d",
                 expected: 4,
-                actual: input.rank(),
+                actual: bad.len(),
             });
-        }
-        if weight.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                op: "conv2d",
-                expected: 4,
-                actual: weight.rank(),
-            });
-        }
+        };
         if self.stride == 0 {
             return Err(TensorError::InvalidArgument {
                 op: "conv2d",
                 reason: "stride must be >= 1".into(),
             });
         }
-        let (n, c_in, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
-        let (c_out, c_in_per_group, kh, kw) = (
-            weight.dims()[0],
-            weight.dims()[1],
-            weight.dims()[2],
-            weight.dims()[3],
-        );
         if self.groups == 0 || c_in % self.groups != 0 || c_out % self.groups != 0 {
             return Err(TensorError::InvalidArgument {
                 op: "conv2d",
@@ -132,8 +129,8 @@ impl Conv2dParams {
         if c_in / self.groups != c_in_per_group {
             return Err(TensorError::ShapeMismatch {
                 op: "conv2d",
-                lhs: input.dims().to_vec(),
-                rhs: weight.dims().to_vec(),
+                lhs: input_dims.to_vec(),
+                rhs: weight_dims.to_vec(),
             });
         }
         if h + 2 * self.padding < kh || w + 2 * self.padding < kw {
@@ -144,11 +141,29 @@ impl Conv2dParams {
         }
         Ok((n, c_in, h, w, c_out, kh, kw))
     }
+
+    /// The output positions `o` of one axis whose tap `o·stride + tap −
+    /// padding` lands inside an input axis of length `len`, as a half-open
+    /// range clipped to `0..out_len`. It depends on the tap alone, so the
+    /// lowering computes it once per kernel row/column instead of testing
+    /// every element.
+    fn valid_outputs(&self, tap: usize, len: usize, out_len: usize) -> (usize, usize) {
+        let lo = self.padding.saturating_sub(tap).div_ceil(self.stride);
+        let hi = match (len + self.padding).checked_sub(tap + 1) {
+            Some(last) => (last / self.stride + 1).min(out_len),
+            None => 0,
+        };
+        (lo.min(hi), hi)
+    }
 }
 
 /// Lowers one image's group-slice into the im2col matrix
 /// `[c_g·kh·kw, oh·ow]`. Shared with [`crate::ops::fused`] so the fused
 /// conv epilogue kernel stages patches exactly like [`conv2d`] does.
+///
+/// Each `(c, ki, kj, oi)` row of the matrix is one input row shifted by
+/// `kj − padding`: the valid `oj` range is copied as a slice (a strided
+/// walk when `stride > 1`) and the out-of-image edges are zero-filled.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn im2col_group(
     input: &[f32],
@@ -167,23 +182,31 @@ pub(crate) fn im2col_group(
     for c in 0..c_g {
         let chan = &input[(c_start + c) * h * w..(c_start + c + 1) * h * w];
         for ki in 0..kh {
+            let (oi_lo, oi_hi) = p.valid_outputs(ki, h, oh);
             for kj in 0..kw {
-                let row = ((c * kh + ki) * kw + kj) * col_w;
-                for oi in 0..oh {
-                    let ii = (oi * p.stride + ki) as isize - p.padding as isize;
-                    let dst = &mut col[row + oi * ow..row + (oi + 1) * ow];
-                    if ii < 0 || ii as usize >= h {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &chan[ii as usize * w..(ii as usize + 1) * w];
-                    for (oj, d) in dst.iter_mut().enumerate() {
-                        let jj = (oj * p.stride + kj) as isize - p.padding as isize;
-                        *d = if jj < 0 || jj as usize >= w {
-                            0.0
-                        } else {
-                            src_row[jj as usize]
-                        };
+                let (oj_lo, oj_hi) = p.valid_outputs(kj, w, ow);
+                let row = &mut col[((c * kh + ki) * kw + kj) * col_w..][..col_w];
+                if oj_lo == oj_hi {
+                    // This tap reads padding only (kernel wider than the image).
+                    row.fill(0.0);
+                    continue;
+                }
+                row[..oi_lo * ow].fill(0.0);
+                row[oi_hi * ow..].fill(0.0);
+                for oi in oi_lo..oi_hi {
+                    let ii = oi * p.stride + ki - p.padding;
+                    // First input column a valid `oj` reads.
+                    let src = &chan[ii * w + oj_lo * p.stride + kj - p.padding..(ii + 1) * w];
+                    let dst = &mut row[oi * ow..(oi + 1) * ow];
+                    dst[..oj_lo].fill(0.0);
+                    dst[oj_hi..].fill(0.0);
+                    let dst = &mut dst[oj_lo..oj_hi];
+                    if p.stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(p.stride)) {
+                            *d = v;
+                        }
                     }
                 }
             }
@@ -191,7 +214,11 @@ pub(crate) fn im2col_group(
     }
 }
 
-/// Scatters an im2col-shaped gradient back onto the input (col2im).
+/// Scatters an im2col-shaped gradient back onto the input (col2im): the
+/// inverse walk of [`im2col_group`], adding each matrix row's valid `oj`
+/// range onto its input row. Every input pixel receives its
+/// contributions in the same `(ki, kj, oi, oj)` order as a per-element
+/// scatter would deliver them.
 #[allow(clippy::too_many_arguments)]
 fn col2im_group(
     col: &[f32],
@@ -210,18 +237,24 @@ fn col2im_group(
     for c in 0..c_g {
         let chan = &mut out[(c_start + c) * h * w..(c_start + c + 1) * h * w];
         for ki in 0..kh {
+            let (oi_lo, oi_hi) = p.valid_outputs(ki, h, oh);
             for kj in 0..kw {
-                let row = ((c * kh + ki) * kw + kj) * col_w;
-                for oi in 0..oh {
-                    let ii = (oi * p.stride + ki) as isize - p.padding as isize;
-                    if ii < 0 || ii as usize >= h {
-                        continue;
-                    }
-                    let src = &col[row + oi * ow..row + (oi + 1) * ow];
-                    for (oj, &v) in src.iter().enumerate() {
-                        let jj = (oj * p.stride + kj) as isize - p.padding as isize;
-                        if jj >= 0 && (jj as usize) < w {
-                            chan[ii as usize * w + jj as usize] += v;
+                let (oj_lo, oj_hi) = p.valid_outputs(kj, w, ow);
+                if oj_lo == oj_hi {
+                    continue;
+                }
+                let row = &col[((c * kh + ki) * kw + kj) * col_w..][..col_w];
+                for oi in oi_lo..oi_hi {
+                    let ii = oi * p.stride + ki - p.padding;
+                    let dst = &mut chan[ii * w + oj_lo * p.stride + kj - p.padding..(ii + 1) * w];
+                    let src = &row[oi * ow + oj_lo..oi * ow + oj_hi];
+                    if p.stride == 1 {
+                        for (d, &v) in dst.iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(p.stride).zip(src) {
+                            *d += v;
                         }
                     }
                 }
@@ -242,7 +275,7 @@ fn col2im_group(
 /// Returns shape/rank/argument errors for malformed operands; see
 /// [`Conv2dParams`].
 pub fn conv2d(input: &Tensor, weight: &Tensor, params: &Conv2dParams) -> Result<Tensor> {
-    let (n, c_in, h, w, c_out, kh, kw) = params.validate(input, weight)?;
+    let (n, c_in, h, w, c_out, kh, kw) = params.validate(input.dims(), weight.dims())?;
     let (oh, ow) = (params.out_size(h, kh), params.out_size(w, kw));
     let g = params.groups;
     let (c_in_g, c_out_g) = (c_in / g, c_out / g);
@@ -309,8 +342,7 @@ pub fn conv2d_backward_input(
             actual: input_dims.len(),
         });
     }
-    let probe = Tensor::zeros(input_dims);
-    let (n, c_in, h, w, c_out, kh, kw) = params.validate(&probe, weight)?;
+    let (n, c_in, h, w, c_out, kh, kw) = params.validate(input_dims, weight.dims())?;
     let (oh, ow) = (params.out_size(h, kh), params.out_size(w, kw));
     if grad_output.dims() != [n, c_out, oh, ow] {
         return Err(TensorError::ShapeMismatch {
@@ -388,8 +420,7 @@ pub fn conv2d_backward_weight(
             actual: weight_dims.len(),
         });
     }
-    let probe = Tensor::zeros(weight_dims);
-    let (n, c_in, h, w, c_out, kh, kw) = params.validate(input, &probe)?;
+    let (n, c_in, h, w, c_out, kh, kw) = params.validate(input.dims(), weight_dims)?;
     let (oh, ow) = (params.out_size(h, kh), params.out_size(w, kw));
     if grad_output.dims() != [n, c_out, oh, ow] {
         return Err(TensorError::ShapeMismatch {
@@ -635,6 +666,121 @@ mod tests {
         };
         let fd = (f(&xp) - f(&xm)) / (2.0 * eps);
         assert!((fd - gi.data()[k]).abs() < 2e-2);
+    }
+
+    /// The per-element lowering the row-wise [`im2col_group`] replaced
+    /// (one bounds test per matrix element), kept as its reference.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col_group_ref(
+        input: &[f32],
+        c_start: usize,
+        c_g: usize,
+        (h, w): (usize, usize),
+        (kh, kw): (usize, usize),
+        p: &Conv2dParams,
+        (oh, ow): (usize, usize),
+        col: &mut [f32],
+    ) {
+        for c in 0..c_g {
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    for oi in 0..oh {
+                        for oj in 0..ow {
+                            let ii = (oi * p.stride + ki) as isize - p.padding as isize;
+                            let jj = (oj * p.stride + kj) as isize - p.padding as isize;
+                            let inside =
+                                ii >= 0 && jj >= 0 && (ii as usize) < h && (jj as usize) < w;
+                            col[(((c * kh + ki) * kw + kj) * oh + oi) * ow + oj] = if inside {
+                                input[((c_start + c) * h + ii as usize) * w + jj as usize]
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per-element scatter: the reference for [`col2im_group`], including
+    /// the order in which each input pixel receives its contributions.
+    #[allow(clippy::too_many_arguments)]
+    fn col2im_group_ref(
+        col: &[f32],
+        c_start: usize,
+        c_g: usize,
+        (h, w): (usize, usize),
+        (kh, kw): (usize, usize),
+        p: &Conv2dParams,
+        (oh, ow): (usize, usize),
+        out: &mut [f32],
+    ) {
+        for c in 0..c_g {
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    for oi in 0..oh {
+                        for oj in 0..ow {
+                            let ii = (oi * p.stride + ki) as isize - p.padding as isize;
+                            let jj = (oj * p.stride + kj) as isize - p.padding as isize;
+                            if ii >= 0 && jj >= 0 && (ii as usize) < h && (jj as usize) < w {
+                                out[((c_start + c) * h + ii as usize) * w + jj as usize] +=
+                                    col[(((c * kh + ki) * kw + kj) * oh + oi) * ow + oj];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn row_wise_lowering_matches_per_element_reference(
+            stride in 1usize..4,
+            padding in 0usize..4,
+            kh_idx in 0usize..3,
+            kw_idx in 0usize..3,
+            h in 1usize..8,
+            w in 1usize..8,
+            c_in in 1usize..3,
+            g_idx in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            // Kernels up to 5 on inputs down to 1 pixel: the kernel is often
+            // wider than the unpadded image, and some taps read padding only.
+            let (kh, kw) = ([1, 3, 5][kh_idx], [1, 3, 5][kw_idx]);
+            proptest::prop_assume!(h + 2 * padding >= kh && w + 2 * padding >= kw);
+            let p = Conv2dParams::new(stride, padding, 1);
+            let (hw, k, o) = ((h, w), (kh, kw), (p.out_size(h, kh), p.out_size(w, kw)));
+            // groups ∈ {1, 2, c_in} over 2 or 4 channels: the lowering sees
+            // one group at a time, as a channel offset into the image.
+            let c_in = 2 * c_in;
+            let groups = [1, 2, c_in][g_idx];
+            let c_g = c_in / groups;
+            let col_len = c_g * kh * kw * o.0 * o.1;
+            let mut r = rng::seeded(seed);
+            let image = rng::normal(&[c_in, h, w], 1.0, &mut r);
+            let dcol = rng::normal(&[col_len], 1.0, &mut r);
+            let grad_seed = rng::normal(&[c_in, h, w], 1.0, &mut r);
+            let same =
+                |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+            for c0 in (0..groups).map(|grp| grp * c_g) {
+                // Poisoned destination: every element must be written.
+                let mut got = vec![f32::NAN; col_len];
+                let mut want = got.clone();
+                im2col_group(image.data(), c0, c_g, h, w, kh, kw, &p, o.0, o.1, &mut got);
+                im2col_group_ref(image.data(), c0, c_g, hw, k, &p, o, &mut want);
+                proptest::prop_assert!(same(&got, &want), "im2col");
+
+                let mut got = grad_seed.data().to_vec();
+                let mut want = got.clone();
+                col2im_group(dcol.data(), c0, c_g, h, w, kh, kw, &p, o.0, o.1, &mut got);
+                col2im_group_ref(dcol.data(), c0, c_g, hw, k, &p, o, &mut want);
+                proptest::prop_assert!(same(&got, &want), "col2im");
+            }
+        }
     }
 
     #[test]

@@ -1,26 +1,39 @@
 //! Dense matrix multiplication.
 //!
-//! Three kernels cover every use in the training stack:
+//! Three entry points cover every use in the training stack:
 //!
 //! * [`matmul`] — `C = A·B` (forward pass of linear layers, im2col conv).
 //! * [`matmul_at_b`] — `C = Aᵀ·B` (weight gradients).
 //! * [`matmul_a_bt`] — `C = A·Bᵀ` (input gradients).
 //!
-//! Each is a register/cache-blocked micro-kernel parallelised over output
-//! rows with the [`crate::par`] pool. `matmul` tiles the shared dimension
-//! (so a `KC`-row panel of B stays hot in cache) and processes C in quads
-//! of rows that share each B-row load; `matmul_a_bt` packs Bᵀ into a
-//! contiguous panel once and reuses the same blocked core (falling back to
-//! a four-wide register dot kernel when C has too few rows to amortise the
-//! transpose). Every per-element accumulation runs in the same order as
-//! the naive serial loop (k ascending for `matmul` and `matmul_at_b`,
-//! j ascending for `matmul_a_bt`), so results are bit-identical for every
-//! thread count and across both `matmul_a_bt` paths.
+//! All three run **one register-tiled micro-kernel**, [`tile`]: a
+//! `4 × TN` block of C is loaded into accumulators, `C_tile += A(r,kk) ·
+//! B[kk][j..j+TN]` runs with `kk` ascending, and the block is stored once —
+//! C is never streamed through memory per multiply-add. The left
+//! operand is addressed by a `(row stride, k stride)` pair ([`Lhs`]), so
+//! `A·B` `(k, 1)` and `Aᵀ·B` `(1, k)` are the same code; `A·Bᵀ` transposes
+//! whichever operand has fewer rows into a contiguous panel and feeds the
+//! kernel a zeroed accumulator that is added to C once (falling back to a
+//! four-wide register dot kernel when C has too few rows to amortise the
+//! transpose). The kernel is plain safe Rust over fixed-size arrays and is
+//! compiled twice: at `TN = 8` for the baseline build (two 128-bit vectors
+//! per tile row) and at `TN = 16` inside one `#[target_feature(enable =
+//! "avx2")]` wrapper (two 256-bit vectors) picked by runtime detection —
+//! [`gemm_isa`] says which. Narrower instantiations of the same function
+//! (8/4/1 columns, 1 row) finish ragged edges.
+//!
+//! Every per-element accumulation runs in the same order as the naive
+//! serial loop (k ascending for `matmul` and `matmul_at_b`, j ascending
+//! for `matmul_a_bt`), each step a separately rounded multiply then add:
+//! `fma` is never enabled, because a fused rounding would make the wide
+//! and the portable build (and two hosts) disagree in the last bit. So
+//! results are bit-identical across instruction sets, thread counts and
+//! both `matmul_a_bt` paths.
 //!
 //! The old kernels skipped `aik == 0.0` terms; that branch defeated
 //! autovectorisation and silently swallowed NaN/Inf coming from B (a
 //! `0.0 × NaN` term was dropped instead of poisoning C), which could hide
-//! corruption from the integrity sentinels. The blocked kernels have no
+//! corruption from the integrity sentinels. The tiled kernel has no
 //! such branch: IEEE-754 propagation is faithful.
 //!
 //! The slice-level `gemm*` entry points are shared with the conv kernels,
@@ -30,24 +43,38 @@
 use crate::{par, Result, Tensor, TensorError};
 use std::cell::RefCell;
 
-/// Shared-dimension tile: one tile of B (`KC × n` floats) is streamed
-/// through while a block of C rows stays resident.
+/// Shared-dimension tile: a `KC × TN` strip of B (at most 8 KiB) stays in
+/// L1 while every row tile of the chunk passes over it.
 const KC: usize = 128;
-/// C-row quad size: four output rows share each B-row load.
-const MR: usize = 4;
-/// Minimum C-row count before [`gemm_a_bt`] packs Bᵀ into a contiguous
-/// panel: below this the one-off transpose rivals the GEMM itself and the
+/// C rows per register tile.
+const TM: usize = 4;
+/// Fewest C rows in a pool chunk: eight row tiles share each B strip, so
+/// the strip's trip from L2 is amortised. Chunks are walked one by one
+/// whatever the thread count, so one-tile chunks re-stream the whole B
+/// panel for every four rows of C on one thread too (192³ 297 → 262 µs
+/// from 4 rows to 32, 128³ and 256³ level; 64 reads the same).
+const CHUNK_ROWS_MIN: usize = 8 * TM;
+/// Minimum C-row count before [`gemm_a_bt`] packs a transposed panel:
+/// below this the one-off transpose rivals the GEMM itself and the
 /// register-dot kernel wins.
 const ABT_PACK_MIN_ROWS: usize = 8;
 
 thread_local! {
-    /// Packed Bᵀ panel for the blocked `gemm_a_bt` path, grown
+    /// Transposed panel for the packed `gemm_a_bt` path, grown
     /// monotonically and reused across calls.
     static BT_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-chunk zeroed accumulator for the blocked `gemm_a_bt` path (so
-    /// callers that `+=` into non-zero C keep the one-add-per-element
-    /// semantics of the dot kernel).
+    /// Zeroed accumulator for the packed `gemm_a_bt` path (so callers that
+    /// `+=` into non-zero C keep the one-add-per-element semantics of the
+    /// dot kernel).
     static ABT_ACC_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The first `len` elements of a grown-once scratch vector.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
 fn check_matrix(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
@@ -62,125 +89,257 @@ fn check_matrix(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
 }
 
 // ---------------------------------------------------------------------------
+// The micro-kernel and its two instantiations
+// ---------------------------------------------------------------------------
+
+/// Which instantiation of the micro-kernel a GEMM call runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// `TN = 8`, the build's baseline instruction set.
+    Portable,
+    /// `TN = 16`, compiled with `avx2` enabled. Constructed only by
+    /// [`Isa::detect`], which is what makes the dispatch call sound.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The widest instantiation this CPU can run (the detection macro
+    /// caches its answer, so asking once per GEMM call is free).
+    fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Portable
+    }
+}
+
+/// Name of the f32 GEMM micro-kernel this process dispatches to:
+/// `"avx2"` (4 × 16 tile) or `"portable"` (4 × 8 tile, baseline
+/// instruction set). Both produce the same bits; throughput differs ~1.6×,
+/// so benchmark artefacts record it.
+pub fn gemm_isa() -> &'static str {
+    match Isa::detect() {
+        Isa::Portable => "portable",
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => "avx2",
+    }
+}
+
+/// Left operand of the micro-kernel: element `(r, kk)` is
+/// `data[r * rs + kk * ks]`. `(k, 1)` reads a row-major `[rows × k]`
+/// matrix, `(1, rows)` reads the transpose of a row-major `[k × rows]`
+/// one — which is all that separates `A·B` from `Aᵀ·B`.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    rs: usize,
+    ks: usize,
+}
+
+/// The micro-kernel: `C[i..i+M][j..j+N] += Σ_kk A(i.., kk) · B[kk][j..j+N]`
+/// for `kk` in `k0..k1` ascending, with the `M × N` block of C held in
+/// accumulators from the first load to the single store. Each C element
+/// sees `mul` then `add` in kk order — the naive loop's chain exactly.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile<const M: usize, const N: usize>(
+    a: Lhs,
+    b: &[f32],
+    c: &mut [f32],
+    i: usize,
+    j: usize,
+    n: usize,
+    k0: usize,
+    k1: usize,
+) {
+    let kc = k1 - k0;
+    // Every A row of the tile is cut to the same span, so one bounds test
+    // per kk step covers all M loads.
+    let span = (kc - 1) * a.ks + 1;
+    let a_rows: [&[f32]; M] =
+        std::array::from_fn(|r| &a.data[(i + r) * a.rs + k0 * a.ks..][..span]);
+    let b_strip = &b[k0 * n + j..];
+    let mut acc = [[0.0f32; N]; M];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[(i + r) * n + j..][..N]);
+    }
+    for t in 0..kc {
+        let bv: [f32; N] = b_strip[t * n..][..N]
+            .try_into()
+            .expect("slice has the tile width");
+        for (row, a_row) in acc.iter_mut().zip(a_rows) {
+            let x = a_row[t * a.ks];
+            for (v, &bj) in row.iter_mut().zip(bv.iter()) {
+                *v += x * bj;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        c[(i + r) * n + j..][..N].copy_from_slice(row);
+    }
+}
+
+/// One `N`-wide column strip of the chunk: row tiles of [`TM`], then
+/// single rows.
+#[inline(always)]
+fn strip<const N: usize>(
+    a: Lhs,
+    b: &[f32],
+    c: &mut [f32],
+    j: usize,
+    n: usize,
+    k0: usize,
+    k1: usize,
+) {
+    let rows = c.len() / n;
+    let mut i = 0;
+    while i + TM <= rows {
+        tile::<TM, N>(a, b, c, i, j, n, k0, k1);
+        i += TM;
+    }
+    while i < rows {
+        tile::<1, N>(a, b, c, i, j, n, k0, k1);
+        i += 1;
+    }
+}
+
+/// `C += A · B[k × n]` over one chunk of C rows (`a` starts at the chunk's
+/// first row), tiled `TN` columns wide. k is cut into [`KC`] blocks (a
+/// pause in each element's chain, never a reorder); within a block, column
+/// strips run outermost so one B strip serves every row tile.
+#[inline(always)]
+fn rows_tiled<const TN: usize>(a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    let mut k0 = 0;
+    while k0 < k {
+        let k1 = (k0 + KC).min(k);
+        let mut j = 0;
+        while j + TN <= n {
+            strip::<TN>(a, b, c, j, n, k0, k1);
+            j += TN;
+        }
+        if TN > 8 && j + 8 <= n {
+            strip::<8>(a, b, c, j, n, k0, k1);
+            j += 8;
+        }
+        if j + 4 <= n {
+            strip::<4>(a, b, c, j, n, k0, k1);
+            j += 4;
+        }
+        while j < n {
+            strip::<1>(a, b, c, j, n, k0, k1);
+            j += 1;
+        }
+        k0 = k1;
+    }
+}
+
+/// [`rows_tiled`] at `TN = 16` with `avx2` code generation: the
+/// `#[inline(always)]` kernel is compiled into this function, so its
+/// 16-float rows become two `ymm` registers each.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rows_avx2(a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    rows_tiled::<16>(a, b, c, k, n);
+}
+
+/// Serial core of every GEMM form: runs the micro-kernel instantiation
+/// `isa` names over one chunk of C rows.
+fn kernel_rows(isa: Isa, a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    match isa {
+        Isa::Portable => rows_tiled::<8>(a, b, c, k, n),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => {
+            // SAFETY: `rows_avx2` requires a CPU with AVX2. `Isa::Avx2` is
+            // constructed only in `Isa::detect`, after
+            // `is_x86_feature_detected!("avx2")` returned true on this CPU.
+            #[allow(unsafe_code)]
+            unsafe {
+                rows_avx2(a, b, c, k, n)
+            }
+        }
+    }
+}
+
+/// `C[rows × n] += A · B[k × n]`, parallel over C row chunks whose
+/// boundaries depend on the shape only: whole row tiles, at least
+/// [`CHUNK_ROWS_MIN`] rows each.
+fn kernel_par(isa: Isa, a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    let rows = c.len() / n;
+    let row_cost = 2 * k.max(1) * n;
+    if !par::worth_parallelising(rows * row_cost) {
+        kernel_rows(isa, a, b, c, k, n);
+        return;
+    }
+    let rows_per_chunk = par::chunk_items(rows, row_cost)
+        .max(CHUNK_ROWS_MIN)
+        .next_multiple_of(TM);
+    par::for_each_chunk_mut(c, rows_per_chunk * n, |ci, c_rows| {
+        let a_chunk = Lhs {
+            data: &a.data[ci * rows_per_chunk * a.rs..],
+            ..a
+        };
+        kernel_rows(isa, a_chunk, b, c_rows, k, n);
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Slice-level kernels (shared with ops::conv)
 // ---------------------------------------------------------------------------
 
 /// `C[m×n] += A[m×k] · B[k×n]` on raw slices, parallel over C row chunks.
+/// Per C element the accumulation walks k ascending, matching the naive
+/// serial loop.
 pub(crate) fn gemm(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_on(Isa::detect(), ad, bd, cd, m, k, n);
+}
+
+fn gemm_on(isa: Isa, ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(ad.len(), m * k);
     debug_assert_eq!(bd.len(), k * n);
     debug_assert_eq!(cd.len(), m * n);
     if m == 0 || n == 0 {
         return;
     }
-    let row_cost = 2 * k.max(1) * n;
-    if !par::worth_parallelising(m * row_cost) {
-        gemm_rows(ad, bd, cd, 0, k, n);
-        return;
-    }
-    let rows_per_chunk = par::chunk_items(m, row_cost);
-    par::for_each_chunk_mut(cd, rows_per_chunk * n, |ci, c_rows| {
-        gemm_rows(ad, bd, c_rows, ci * rows_per_chunk, k, n);
-    });
-}
-
-/// Serial core of [`gemm`] for C rows `row0..row0 + c_rows.len()/n`.
-///
-/// k is tiled so the active B panel stays cached, and C rows are walked
-/// in quads that reuse each B row four times. Both blockings leave every
-/// C element's accumulation order k-ascending — identical to the naive
-/// i-k-j loop.
-fn gemm_rows(ad: &[f32], bd: &[f32], c_rows: &mut [f32], row0: usize, k: usize, n: usize) {
-    let rows = c_rows.len() / n;
-    let mut k0 = 0;
-    while k0 < k {
-        let k1 = (k0 + KC).min(k);
-        let mut i = 0;
-        while i + MR <= rows {
-            let block = &mut c_rows[i * n..(i + MR) * n];
-            let (c0, rest) = block.split_at_mut(n);
-            let (c1, rest) = rest.split_at_mut(n);
-            let (c2, c3) = rest.split_at_mut(n);
-            let a0 = &ad[(row0 + i) * k..(row0 + i + 1) * k];
-            let a1 = &ad[(row0 + i + 1) * k..(row0 + i + 2) * k];
-            let a2 = &ad[(row0 + i + 2) * k..(row0 + i + 3) * k];
-            let a3 = &ad[(row0 + i + 3) * k..(row0 + i + 4) * k];
-            for kk in k0..k1 {
-                let b_row = &bd[kk * n..(kk + 1) * n];
-                let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                // Zip chain (not indexing) so the bounds checks vanish and
-                // the loop vectorises into four FMA streams.
-                let quads = b_row
-                    .iter()
-                    .zip(c0.iter_mut())
-                    .zip(c1.iter_mut())
-                    .zip(c2.iter_mut())
-                    .zip(c3.iter_mut());
-                for ((((&bv, v0), v1), v2), v3) in quads {
-                    *v0 += x0 * bv;
-                    *v1 += x1 * bv;
-                    *v2 += x2 * bv;
-                    *v3 += x3 * bv;
-                }
-            }
-            i += MR;
-        }
-        while i < rows {
-            let c_row = &mut c_rows[i * n..(i + 1) * n];
-            let a_row = &ad[(row0 + i) * k..(row0 + i + 1) * k];
-            for kk in k0..k1 {
-                let x = a_row[kk];
-                let b_row = &bd[kk * n..(kk + 1) * n];
-                for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                    *cv += x * bv;
-                }
-            }
-            i += 1;
-        }
-        k0 = k1;
-    }
+    let a = Lhs {
+        data: ad,
+        rs: k,
+        ks: 1,
+    };
+    kernel_par(isa, a, bd, cd, k, n);
 }
 
 /// `C[k×n] += Aᵀ·B` (A stored `[m×k]`) on raw slices, parallel over C row
 /// chunks. Per C element the accumulation walks i = 0..m ascending,
 /// matching the naive serial loop.
 pub(crate) fn gemm_at_b(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_at_b_on(Isa::detect(), ad, bd, cd, m, k, n);
+}
+
+fn gemm_at_b_on(isa: Isa, ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(ad.len(), m * k);
     debug_assert_eq!(bd.len(), m * n);
     debug_assert_eq!(cd.len(), k * n);
     if k == 0 || n == 0 {
         return;
     }
-    let row_cost = 2 * m.max(1) * n;
-    if !par::worth_parallelising(k * row_cost) {
-        at_b_rows(ad, bd, cd, 0, m, k, n);
-        return;
-    }
-    let rows_per_chunk = par::chunk_items(k, row_cost);
-    par::for_each_chunk_mut(cd, rows_per_chunk * n, |ci, c_rows| {
-        at_b_rows(ad, bd, c_rows, ci * rows_per_chunk, m, k, n);
-    });
-}
-
-/// Serial core of [`gemm_at_b`] for C rows `kk0..kk0 + c_rows.len()/n`.
-fn at_b_rows(ad: &[f32], bd: &[f32], c_rows: &mut [f32], kk0: usize, m: usize, k: usize, n: usize) {
-    let kkn = c_rows.len() / n;
-    for i in 0..m {
-        let b_row = &bd[i * n..(i + 1) * n];
-        let a_i = &ad[i * k + kk0..i * k + kk0 + kkn];
-        for (r, &x) in a_i.iter().enumerate() {
-            let c_row = &mut c_rows[r * n..(r + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                *cv += x * bv;
-            }
-        }
-    }
+    let a = Lhs {
+        data: ad,
+        rs: 1,
+        ks: k,
+    };
+    kernel_par(isa, a, bd, cd, m, n);
 }
 
 /// `C[m×k] += A·Bᵀ` (B stored `[k×n]`) on raw slices, parallel over C row
 /// chunks. Each C element is a j-ascending dot product, matching the
 /// naive serial loop.
 pub(crate) fn gemm_a_bt(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_a_bt_on(Isa::detect(), ad, bd, cd, m, k, n);
+}
+
+fn gemm_a_bt_on(isa: Isa, ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(ad.len(), m * n);
     debug_assert_eq!(bd.len(), k * n);
     debug_assert_eq!(cd.len(), m * k);
@@ -188,7 +347,7 @@ pub(crate) fn gemm_a_bt(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usi
         return;
     }
     if m >= ABT_PACK_MIN_ROWS && n > 0 {
-        gemm_a_bt_packed(ad, bd, cd, m, k, n);
+        gemm_a_bt_packed(isa, ad, bd, cd, m, k, n);
         return;
     }
     let row_cost = 2 * k * n.max(1);
@@ -202,54 +361,64 @@ pub(crate) fn gemm_a_bt(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usi
     });
 }
 
-/// Packed-Bᵀ path of [`gemm_a_bt`]: transposes B once into a contiguous
-/// `[n×k]` panel so the inner kernel streams unit-stride rows (the strided
-/// dot kernel ran at roughly half the `gemm` throughput), then reuses the
-/// blocked [`gemm_rows`] core with the roles of `k` and `n` swapped.
+/// Packed path of [`gemm_a_bt`]: transposes **whichever operand has fewer
+/// rows** into a contiguous `[n × rows]` panel so the micro-kernel streams
+/// unit-stride rows, and lets the other operand be the kernel's left side
+/// as it lies. Packing B gives `C = A·Bᵀ` directly; packing A gives
+/// `Cᵀ = B·Aᵀ` (conv backward-weight, where dY has 4.5× fewer rows than
+/// `col`, and `Linear::forward`, where the batch is smaller than the layer).
 ///
 /// Bit-compatibility with [`a_bt_rows`]: each C element there is a single
 /// register dot product (j-ascending from `0.0`) added to C once. Here the
-/// same j-ascending chain accumulates in a zeroed scratch element — the KC
-/// tiling only pauses the chain, never reorders it — and is then added to C
-/// once, so the f32 operation sequence per element is identical for both
-/// zeroed (matmul) and pre-accumulated (conv backward-weight) destinations.
-fn gemm_a_bt_packed(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
-    BT_SCRATCH.with(|cell| {
-        let mut bt_buf = cell.borrow_mut();
-        if bt_buf.len() < n * k {
-            bt_buf.resize(n * k, 0.0);
-        }
-        let bt = &mut bt_buf[..n * k];
-        for kk in 0..k {
-            let b_row = &bd[kk * n..(kk + 1) * n];
-            for (j, &v) in b_row.iter().enumerate() {
-                bt[j * k + kk] = v;
-            }
-        }
-        let bt: &[f32] = bt;
-        let run = |c_rows: &mut [f32], row0: usize| {
-            ABT_ACC_SCRATCH.with(|acc_cell| {
-                let mut acc_buf = acc_cell.borrow_mut();
-                if acc_buf.len() < c_rows.len() {
-                    acc_buf.resize(c_rows.len(), 0.0);
+/// same j-ascending chain of the same products (`a·b` and `b·a` round
+/// alike) accumulates in a zeroed scratch element — the KC tiling only
+/// pauses the chain, never reorders it — and is then added to C once, so
+/// the f32 operation sequence per element is identical for both zeroed
+/// (matmul) and pre-accumulated (conv backward-weight) destinations.
+fn gemm_a_bt_packed(
+    isa: Isa,
+    ad: &[f32],
+    bd: &[f32],
+    cd: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let pack_a = m < k;
+    // The kernel computes acc[rows × width] = left[rows × n] · packedᵀ.
+    let (left, packed, rows, width) = if pack_a {
+        (bd, ad, k, m)
+    } else {
+        (ad, bd, m, k)
+    };
+    BT_SCRATCH.with(|pt_cell| {
+        ABT_ACC_SCRATCH.with(|acc_cell| {
+            let (mut pt_buf, mut acc_buf) = (pt_cell.borrow_mut(), acc_cell.borrow_mut());
+            let pt = grown(&mut pt_buf, n * width);
+            for (r, row) in packed.chunks_exact(n).enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    pt[j * width + r] = v;
                 }
-                let acc = &mut acc_buf[..c_rows.len()];
-                acc.fill(0.0);
-                // Shared dim is n, output width is k: C_chunk = A_chunk · Bᵀ.
-                gemm_rows(ad, bt, acc, row0, n, k);
-                for (cv, &sv) in c_rows.iter_mut().zip(acc.iter()) {
+            }
+            let acc = grown(&mut acc_buf, rows * width);
+            acc.fill(0.0);
+            let left = Lhs {
+                data: left,
+                rs: n,
+                ks: 1,
+            };
+            kernel_par(isa, left, pt, acc, n, width);
+            if pack_a {
+                for (i, c_row) in cd.chunks_exact_mut(k).enumerate() {
+                    for (kk, cv) in c_row.iter_mut().enumerate() {
+                        *cv += acc[kk * m + i];
+                    }
+                }
+            } else {
+                for (cv, &sv) in cd.iter_mut().zip(acc.iter()) {
                     *cv += sv;
                 }
-            });
-        };
-        let row_cost = 2 * k * n;
-        if !par::worth_parallelising(m * row_cost) {
-            run(cd, 0);
-            return;
-        }
-        let rows_per_chunk = par::chunk_items(m, row_cost);
-        par::for_each_chunk_mut(cd, rows_per_chunk * k, |ci, c_rows| {
-            run(c_rows, ci * rows_per_chunk);
+            }
         });
     });
 }
@@ -498,6 +667,87 @@ mod tests {
                 .zip(dotk.iter())
                 .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
+    }
+
+    /// The three GEMM forms over one `C[rows × cols]`, shared dimension
+    /// `s`, as the naive serial loops: the accumulation chains every
+    /// instantiation of the micro-kernel must reproduce bit for bit.
+    /// `a` is `[rows × s]` (`[s × rows]` for `Aᵀ·B`), `b` is `[s × cols]`
+    /// (`[cols × s]` for `A·Bᵀ`).
+    fn naive_forms(
+        a: &[f32],
+        b: &[f32],
+        c0: &[f32],
+        rows: usize,
+        s: usize,
+        cols: usize,
+    ) -> [Vec<f32>; 3] {
+        let (mut ab, mut at_b, mut a_bt) = (c0.to_vec(), c0.to_vec(), c0.to_vec());
+        for i in 0..rows {
+            for j in 0..cols {
+                for t in 0..s {
+                    ab[i * cols + j] += a[i * s + t] * b[t * cols + j];
+                    at_b[i * cols + j] += a[t * rows + i] * b[t * cols + j];
+                }
+                let mut dot = 0.0f32;
+                for t in 0..s {
+                    dot += a[i * s + t] * b[j * s + t];
+                }
+                a_bt[i * cols + j] += dot;
+            }
+        }
+        [ab, at_b, a_bt]
+    }
+
+    #[test]
+    fn dispatched_portable_and_naive_agree_bitwise_on_ragged_shapes() {
+        // Every residue of rows mod TM and cols mod 16 (the widest tile),
+        // cols below the narrowest vector tile, rows on both sides of
+        // ABT_PACK_MIN_ROWS and of cols (so `A·Bᵀ` packs each operand in
+        // turn), and shared dimensions around the KC block edge.
+        let mut shapes = Vec::new();
+        for rows in (1..=9).chain([33]) {
+            for cols in (1..=3).chain(16..32) {
+                shapes.push((rows, 5, cols));
+            }
+        }
+        for s in [0, 1, KC - 1, KC, KC + 1] {
+            for (rows, cols) in [(5, 19), (9, 33), (33, 9), (13, 7)] {
+                shapes.push((rows, s, cols));
+            }
+        }
+        // One shape with more than CHUNK_ROWS_MIN rows in every form: on
+        // three threads each is cut into several pool chunks, the last of
+        // them ragged.
+        const BIG: (usize, usize, usize) = (70, 130, 241);
+        const { assert!(BIG.0 > 2 * CHUNK_ROWS_MIN && !BIG.0.is_multiple_of(CHUNK_ROWS_MIN)) };
+        const { assert!(BIG.2 > 2 * CHUNK_ROWS_MIN && !BIG.2.is_multiple_of(CHUNK_ROWS_MIN)) };
+        shapes.push(BIG);
+        let mut rng = crate::rng::seeded(23);
+        par::with_threads(3, || {
+            for &(rows, s, cols) in &shapes {
+                let a = crate::rng::normal(&[rows * s], 1.0, &mut rng);
+                let b = crate::rng::normal(&[s * cols], 1.0, &mut rng);
+                let seed = crate::rng::normal(&[rows * cols], 1.0, &mut rng);
+                for c0 in [vec![0.0; rows * cols], seed.data().to_vec()] {
+                    let want = naive_forms(a.data(), b.data(), &c0, rows, s, cols);
+                    for isa in [Isa::Portable, Isa::detect()] {
+                        let mut got = [c0.clone(), c0.clone(), c0.clone()];
+                        gemm_on(isa, a.data(), b.data(), &mut got[0], rows, s, cols);
+                        gemm_at_b_on(isa, a.data(), b.data(), &mut got[1], s, rows, cols);
+                        gemm_a_bt_on(isa, a.data(), b.data(), &mut got[2], rows, cols, s);
+                        for (form, (g, w)) in
+                            ["a_b", "at_b", "a_bt"].iter().zip(got.iter().zip(&want))
+                        {
+                            assert!(
+                                g.iter().zip(w).all(|(x, y)| x.to_bits() == y.to_bits()),
+                                "{form} {isa:?} differs from the naive loop at {rows}x{s}x{cols}"
+                            );
+                        }
+                    }
+                }
+            }
+        });
     }
 
     #[test]

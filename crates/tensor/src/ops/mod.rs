@@ -3,7 +3,8 @@
 //! Kernels are grouped by family:
 //!
 //! * [`elementwise`] — add/sub/mul/axpy/scale and friends.
-//! * [`matmul`](self::matmul()) — cache-blocked GEMM plus transposed variants.
+//! * [`matmul`](self::matmul()) — register-tiled GEMM plus transposed
+//!   variants, one micro-kernel dispatched by [`gemm_isa`].
 //! * [`int_gemm`] — integer-domain GEMM with fused per-channel rescale
 //!   (the dequant-free serving lane's compute kernel).
 //! * [`conv`] — 2-D convolution (im2col + GEMM) with both backward kernels.
@@ -28,4 +29,4 @@ pub mod reduce;
 pub mod softmax;
 
 pub use elementwise::{add, add_in_place, axpy, mul, scale, scale_in_place, sub};
-pub use matmul_impl::{matmul, matmul_a_bt, matmul_at_b, transpose};
+pub use matmul_impl::{gemm_isa, matmul, matmul_a_bt, matmul_at_b, transpose};

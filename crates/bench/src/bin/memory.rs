@@ -32,7 +32,10 @@
 //!    (≤ 0.70×; fp32 gradient buffers are identical in both cells and
 //!    dilute the ratio),
 //! 3. the k = 6 checkpoint is ≤ 0.30× the fp32 checkpoint of the same
-//!    architecture (6-bit packed words vs 32-bit floats ≈ 0.19 + framing).
+//!    architecture (6-bit packed words vs 32-bit floats ≈ 0.19 + framing),
+//! 4. *building* a quantised net at any k ≤ 16 peaks no higher than building
+//!    the fp32 one: the codes are quantised straight into the `i8`/`i16`
+//!    tier, so no transient outweighs the fp32 tensors it replaces.
 
 use apt_bench::results_dir;
 use apt_nn::{checkpoint, models, Network, ParamStore, QuantScheme};
@@ -274,6 +277,22 @@ fn smoke(cells: &[Cell]) -> bool {
     );
     if r3 > 0.30 {
         eprintln!("FAIL: k=6 checkpoint not <= 0.30x the fp32 checkpoint");
+        ok = false;
+    }
+
+    // Gate 4: the saving holds while the model is being built, not only
+    // once it stands — a constrained device has to survive construction.
+    let worst = cells
+        .iter()
+        .filter(|c| c.backend == "tiered" && c.bits <= 16)
+        .max_by_key(|c| c.peak_live_bytes)
+        .expect("the sweep has cells at k <= 16");
+    println!(
+        "# smoke gate 4: peak live heap of a k<=16 build, worst (k={}): {} (need <= fp32's {})",
+        worst.bits, worst.peak_live_bytes, f32_cell.peak_live_bytes
+    );
+    if worst.peak_live_bytes > f32_cell.peak_live_bytes {
+        eprintln!("FAIL: building a k<=16 net peaks above building the fp32 net");
         ok = false;
     }
     ok

@@ -7,9 +7,14 @@
 //! a detection-and-containment layer:
 //!
 //! * **Detection** — after every clean step the [`StepGuard`] refreshes a
-//!   per-parameter FNV-1a digest ([`apt_nn::Param::integrity_digest`]) plus
+//!   per-parameter digest ([`apt_nn::Param::integrity_digest`]) plus
 //!   an exact snapshot of the Gavg profile; before the next step it
-//!   re-checks all of them. Input batches are range/finiteness-screened,
+//!   re-checks all of them. The digest absorbs the resident words of the
+//!   store, the quantiser and the momentum buffer one 64-bit word per
+//!   step, every step a bijection of the state and of the word, so an
+//!   upset confined to one word is detected with certainty (a fold after
+//!   the multiplication keeps two flips of bit 63 in two words from
+//!   cancelling). Input batches are range/finiteness-screened,
 //!   gradients are bounded, and quantised layers are watched for code
 //!   saturation (all codes pinned to the `i`-bit rails).
 //! * **Containment** — a digest mismatch is *healed in place* from the

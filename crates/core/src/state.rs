@@ -23,7 +23,7 @@
 use crate::trainer::EpochRecord;
 use crate::{CoreError, PrecisionChange};
 use apt_energy::EnergyBreakdown;
-use apt_nn::checkpoint::crc32;
+use apt_nn::checkpoint::{crc32, write_f32s};
 use apt_optim::{AdamState, SgdState};
 use apt_quant::Bitwidth;
 use apt_tensor::Tensor;
@@ -157,9 +157,7 @@ impl Writer {
         for &d in t.dims() {
             self.u32(d as u32);
         }
-        for &x in t.data() {
-            self.f32(x);
-        }
+        write_f32s(&mut self.out, t.data());
     }
     fn bytes(&mut self, b: &[u8]) {
         self.u32(b.len() as u32);

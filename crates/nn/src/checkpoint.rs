@@ -62,33 +62,64 @@ const MIN_PARAM_BYTES: usize = 4 + 1 + 4;
 /// Smallest possible per-buffer encoding (name len + rank).
 const MIN_BUFFER_BYTES: usize = 4 + 4;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table of the reflected
+/// polynomial `0xEDB88320`; `CRC_TABLES[n][b]` is the CRC of byte `b`
+/// followed by `n` zero bytes, which is what lets eight input bytes be
+/// folded with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut n = 1;
+    while n < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[n - 1][i];
+            tables[n][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        n += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`,
+/// computed by slicing-by-8: eight table lookups per eight bytes instead
+/// of a dependent lookup chain per byte. Same polynomial, same values.
 ///
 /// Shared by the model checkpoint and the trainer-state file so a single
 /// integrity scheme covers everything written to flash.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -109,70 +140,62 @@ pub fn save(net: &Network) -> Vec<u8> {
     frame(params_payload(net))
 }
 
-/// Appends a packed store's canonical data words, little-endian.
-fn write_packed_words(out: &mut Vec<u8>, p: &PackedCodes) {
-    for &w in p.data_words() {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
 /// Builds the payload section with all parameters and a zero buffer count
-/// (patched by [`save_full`]).
+/// (patched by [`save_full`]). Each store is serialised where it lives:
+/// code sections stream out of the tier
+/// ([`apt_quant::CodeStore::write_packed_le`]), nothing is cloned first.
 fn params_payload(net: &Network) -> Vec<u8> {
-    let mut params: Vec<(String, ParamStore, Vec<usize>)> = Vec::new();
+    // Param count and buffer count, both patched once known; a params-only
+    // checkpoint keeps the zero buffer count.
+    let mut out = vec![0u8; 8];
+    let mut count = 0u32;
     net.visit_params_ref(&mut |p| {
-        params.push((p.name().to_string(), p.store().clone(), p.dims().to_vec()));
-    });
-    let mut out = Vec::new();
-    out.extend_from_slice(&(params.len() as u32).to_le_bytes());
-    // Buffer count: zero for a params-only checkpoint; `save_full` patches
-    // this field and appends the buffers.
-    out.extend_from_slice(&0u32.to_le_bytes());
-
-    for (name, store, dims) in &params {
-        write_str(&mut out, name);
-        match store {
+        count += 1;
+        let out = &mut out;
+        write_str(out, p.name());
+        match p.store() {
             ParamStore::Float(t) => {
                 out.push(0);
-                write_dims(&mut out, dims);
-                write_f32s(&mut out, t.data());
+                write_dims(out, p.dims());
+                write_f32s(out, t.data());
             }
             ParamStore::Quantized(q) => {
                 out.push(1);
-                write_dims(&mut out, dims);
+                write_dims(out, p.dims());
                 out.push(q.bits().get() as u8);
                 out.extend_from_slice(&q.quantizer().eps().to_le_bytes());
                 out.extend_from_slice(&q.quantizer().zero_point().to_le_bytes());
-                write_packed_words(&mut out, &q.store().to_packed());
+                q.store().write_packed_le(out);
             }
             ParamStore::MasterCopy { master, bits } => {
                 out.push(2);
-                write_dims(&mut out, dims);
+                write_dims(out, p.dims());
                 out.push(bits.get() as u8);
-                write_f32s(&mut out, master.data());
+                write_f32s(out, master.data());
             }
             ParamStore::Projected { master, projection } => {
                 out.push(3);
-                write_dims(&mut out, dims);
+                write_dims(out, p.dims());
                 out.push(match projection {
                     Projection::Binary => 0,
                     Projection::Ternary => 1,
                 });
-                write_f32s(&mut out, master.data());
+                write_f32s(out, master.data());
             }
             ParamStore::PerChannel(pc) => {
                 out.push(4);
-                write_dims(&mut out, dims);
+                write_dims(out, p.dims());
                 out.push(pc.bits().get() as u8);
                 out.extend_from_slice(&(pc.channels() as u32).to_le_bytes());
                 for q in pc.quantizers() {
                     out.extend_from_slice(&q.eps().to_le_bytes());
                     out.extend_from_slice(&q.zero_point().to_le_bytes());
                 }
-                write_packed_words(&mut out, &pc.store().to_packed());
+                pc.store().write_packed_le(out);
             }
         }
-    }
+    });
+    out[..4].copy_from_slice(&count.to_le_bytes());
     out
 }
 
@@ -180,15 +203,15 @@ fn params_payload(net: &Network) -> Vec<u8> {
 /// `&mut` because buffer visitation is mutable by trait design).
 pub fn save_full(net: &mut Network) -> Vec<u8> {
     let mut payload = params_payload(net);
-    let mut buffers: Vec<(String, Tensor)> = Vec::new();
-    net.visit_buffers(&mut |name, t| buffers.push((name.to_string(), t.clone())));
-    // Buffer count lives right after the param count in the payload.
-    payload[4..8].copy_from_slice(&(buffers.len() as u32).to_le_bytes());
-    for (name, t) in &buffers {
+    let mut buffers = 0u32;
+    net.visit_buffers(&mut |name, t| {
+        buffers += 1;
         write_str(&mut payload, name);
         write_dims(&mut payload, t.dims());
         write_f32s(&mut payload, t.data());
-    }
+    });
+    // Buffer count lives right after the param count in the payload.
+    payload[4..8].copy_from_slice(&buffers.to_le_bytes());
     frame(payload)
 }
 
@@ -520,9 +543,17 @@ fn write_dims(out: &mut Vec<u8>, dims: &[usize]) {
     }
 }
 
-fn write_f32s(out: &mut Vec<u8>, vals: &[f32]) {
-    for &v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Appends `vals` little-endian, a block at a time rather than four bytes
+/// at a time. Shared, like [`crc32`], with the trainer-state writer.
+pub fn write_f32s(out: &mut Vec<u8>, vals: &[f32]) {
+    const BLOCK: usize = 64;
+    out.reserve(4 * vals.len());
+    let mut bytes = [0u8; 4 * BLOCK];
+    for block in vals.chunks(BLOCK) {
+        for (dst, v) in bytes.chunks_exact_mut(4).zip(block) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&bytes[..4 * block.len()]);
     }
 }
 
@@ -688,7 +719,8 @@ mod tests {
 
     /// A net saved as v1 and v2 by the last commit that could write them
     /// (`tests/fixtures/README.md` records the commit, constructor calls
-    /// and seeds), with the `integrity_digests()` it had when saved.
+    /// and seeds), with the `integrity_digests()` this build gives it.
+    /// Digests identify content within one build; no format carries them.
     struct Fixture {
         name: &'static str,
         v1: &'static [u8],
@@ -698,6 +730,11 @@ mod tests {
         /// Input batch the net takes.
         input: &'static [usize],
         digests: &'static [(&'static str, u64)],
+        /// CRC-32 and length of `save_full` of the loaded net, computed at
+        /// 6aa81c8 (PR 17) — a record of what the legacy readers load that
+        /// does not pass through the digest, so re-pinning `digests` for a
+        /// new hash cannot hide a reader or writer that moved.
+        resaved: (u32, usize),
     }
 
     fn fresh_cifarnet() -> Network {
@@ -717,17 +754,18 @@ mod tests {
             fresh: fresh_cifarnet,
             input: &[2, 3, 8, 8],
             digests: &[
-                ("conv1.weight", 0x73FC02C739F1A674),
-                ("bn1.gamma", 0xE9FC85E3EA004FAD),
-                ("bn1.beta", 0xB52EA91C8E5CA66D),
-                ("conv2.weight", 0xD9D48459C3D15C89),
-                ("bn2.gamma", 0x87EFBC289C529F6D),
-                ("bn2.beta", 0x33BF1941CD091CED),
-                ("fc1.weight", 0x6BE7CE7E40A60409),
-                ("fc1.bias", 0xF0CFCE200093C9ED),
-                ("fc2.weight", 0xCA8773F80523EE43),
-                ("fc2.bias", 0x77E875B1C7B6A32D),
+                ("conv1.weight", 0xD6592292C005FAB1),
+                ("bn1.gamma", 0x059D811A5BAF6AE4),
+                ("bn1.beta", 0x36536E9044B99D6C),
+                ("conv2.weight", 0xD6AAE35167713974),
+                ("bn2.gamma", 0x7F17FB3B97F424A6),
+                ("bn2.beta", 0xAA8EEB17507C3773),
+                ("fc1.weight", 0x30CBBC6937CB979D),
+                ("fc1.bias", 0x1C19FA6C2D2D6CF7),
+                ("fc2.weight", 0x545BFF0DE801DBA5),
+                ("fc2.bias", 0x54175FAE69C1EDE6),
             ],
+            resaved: (0xDC85E470, 3632),
         },
         // Fully quantised, every parameter at its own width (2…32 bits), so
         // the byte-granular v2 bitstream is decoded at ten widths.
@@ -738,17 +776,18 @@ mod tests {
             fresh: fresh_cifarnet,
             input: &[2, 3, 8, 8],
             digests: &[
-                ("conv1.weight", 0x1E1E48D7B46300E9),
-                ("bn1.gamma", 0x5D14729906A23313),
-                ("bn1.beta", 0x85AEC82BF6C289C3),
-                ("conv2.weight", 0x3037010CC70B6373),
-                ("bn2.gamma", 0x6864A07E61751A2B),
-                ("bn2.beta", 0x33D1D204FFADD393),
-                ("fc1.weight", 0x1EE53CAA6B5BADDE),
-                ("fc1.bias", 0x1F4AD4EF60AADFDA),
-                ("fc2.weight", 0x24BA56DEBEA0A705),
-                ("fc2.bias", 0xD757FD928CE022DD),
+                ("conv1.weight", 0x44B47E69A167E405),
+                ("bn1.gamma", 0x99E35C2E8D21EB7D),
+                ("bn1.beta", 0x8E44EF893FCB9AF1),
+                ("conv2.weight", 0xBB63D943F4B7BE93),
+                ("bn2.gamma", 0xD29C7A86ED14DA29),
+                ("bn2.beta", 0x01700DB7F2BE0FEB),
+                ("fc1.weight", 0x413D10E7C14F90C2),
+                ("fc1.bias", 0x940B148EF9CF5CBA),
+                ("fc2.weight", 0xF150AD79B5F2BDC7),
+                ("fc2.bias", 0x453A12F100752AC0),
             ],
+            resaved: (0x280AF85F, 2910),
         },
         // `trained_net(&QuantScheme::per_channel(6))`: tag 4 under v1/v2.
         Fixture {
@@ -758,17 +797,18 @@ mod tests {
             fresh: fresh_cifarnet,
             input: &[2, 3, 8, 8],
             digests: &[
-                ("conv1.weight", 0x83902AA1A963FEE1),
-                ("bn1.gamma", 0xE9FC85E3EA004FAD),
-                ("bn1.beta", 0xB52EA91C8E5CA66D),
-                ("conv2.weight", 0xC190143C0D559148),
-                ("bn2.gamma", 0x87EFBC289C529F6D),
-                ("bn2.beta", 0x33BF1941CD091CED),
-                ("fc1.weight", 0x67DC0623C06C6125),
-                ("fc1.bias", 0xF0CFCE200093C9ED),
-                ("fc2.weight", 0x1A5F38DBA92DC3E8),
-                ("fc2.bias", 0x77E875B1C7B6A32D),
+                ("conv1.weight", 0x35D2DCB42A51A84E),
+                ("bn1.gamma", 0x059D811A5BAF6AE4),
+                ("bn1.beta", 0x36536E9044B99D6C),
+                ("conv2.weight", 0x17E59C4305072468),
+                ("bn2.gamma", 0x7F17FB3B97F424A6),
+                ("bn2.beta", 0xAA8EEB17507C3773),
+                ("fc1.weight", 0x748350163E7FD732),
+                ("fc1.bias", 0x1C19FA6C2D2D6CF7),
+                ("fc2.weight", 0x99647F2611BCC3AB),
+                ("fc2.bias", 0x54175FAE69C1EDE6),
             ],
+            resaved: (0xB232600C, 4320),
         },
         // The BN-free MLP the serve ingestion sweeps mutate.
         Fixture {
@@ -778,11 +818,12 @@ mod tests {
             fresh: fresh_mlp,
             input: &[2, 6],
             digests: &[
-                ("fc0.weight", 0xB17C573634AFC0FA),
-                ("fc0.bias", 0x2A3129A9C3CFF60D),
-                ("fc1.weight", 0x199DF061068FA6C3),
-                ("fc1.bias", 0x77E875B1C7B6A32D),
+                ("fc0.weight", 0x2745226BD52D2811),
+                ("fc0.bias", 0x45F0B4EBE5428D37),
+                ("fc1.weight", 0x35229D32606CBCB1),
+                ("fc1.bias", 0x54175FAE69C1EDE6),
             ],
+            resaved: (0x2566E395, 280),
         },
     ];
 
@@ -790,11 +831,48 @@ mod tests {
         f.digests.iter().map(|&(n, d)| (n.to_string(), d)).collect()
     }
 
+    /// The byte-at-a-time CRC-32 that [`crc32`] computed before it sliced
+    /// by eight: the definition the fast one is held to.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let crc = bytes.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
+            CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
+        });
+        !crc
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    #[test]
+    fn crc32_slicing_equals_the_bytewise_definition() {
+        // Every length that leaves 0–7 tail bytes after 0–8 full blocks, at
+        // every alignment of the slice's start.
+        use rand::Rng;
+        let mut r = seeded(17);
+        let data: Vec<u8> = (0..64 + 8).map(|_| r.gen()).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        let big: Vec<u8> = (0..100_003).map(|_| r.gen()).collect();
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
     }
 
     #[test]
@@ -911,6 +989,7 @@ mod tests {
                 load(&mut loaded, blob).unwrap();
                 assert_eq!(loaded.integrity_digests(), pinned(f), "{}", f.name);
                 let v3 = save_full(&mut loaded);
+                assert_eq!((crc32(&v3), v3.len()), f.resaved, "{}", f.name);
                 assert_eq!(verify(&v3).unwrap().version, VERSION);
                 let mut resaved = (f.fresh)();
                 load(&mut resaved, &v3).unwrap();

@@ -203,6 +203,53 @@ pub enum ParamStore {
     PerChannel(apt_quant::PerChannelQuantized),
 }
 
+impl ParamStore {
+    /// The float view [`Param::value`] returns.
+    fn value(&self) -> Tensor {
+        match self {
+            ParamStore::Float(t) => t.clone(),
+            ParamStore::Quantized(q) => q.to_tensor(),
+            ParamStore::MasterCopy { master, bits } => {
+                fake::fake_quantize(master, *bits).unwrap_or_else(|_| master.clone())
+            }
+            ParamStore::Projected { master, projection } => match projection {
+                Projection::Binary => fake::binarize(master),
+                Projection::Ternary => fake::ternarize(master),
+            },
+            ParamStore::PerChannel(pc) => pc.to_tensor(),
+        }
+    }
+
+    /// Number of scalar parameters held.
+    fn len(&self) -> usize {
+        match self {
+            ParamStore::Float(t) => t.len(),
+            ParamStore::Quantized(q) => q.len(),
+            ParamStore::MasterCopy { master, .. } => master.len(),
+            ParamStore::Projected { master, .. } => master.len(),
+            ParamStore::PerChannel(pc) => pc.len(),
+        }
+    }
+
+    /// Calls `f(i, w)` for every element in order, `w` its value in the
+    /// compute view ([`Param::value`]) — read straight from the code tier
+    /// for the quantised kinds.
+    #[inline]
+    fn for_each_weight(&self, f: impl FnMut(usize, f32)) {
+        #[inline]
+        fn plain(t: &Tensor, mut f: impl FnMut(usize, f32)) {
+            t.data().iter().enumerate().for_each(|(i, &w)| f(i, w));
+        }
+        match self {
+            ParamStore::Quantized(q) => q.for_each_value(f),
+            ParamStore::PerChannel(pc) => pc.for_each_value(f),
+            ParamStore::Float(t) => plain(t, f),
+            // The view is a function of the whole master: materialise it.
+            ParamStore::MasterCopy { .. } | ParamStore::Projected { .. } => plain(&self.value(), f),
+        }
+    }
+}
+
 /// A named learnable tensor with its gradient accumulator and (optional)
 /// momentum buffer.
 ///
@@ -281,13 +328,7 @@ impl Param {
     /// Returns [`NnError::BadConfig`] if the replacement's element count
     /// differs.
     pub fn set_store(&mut self, store: ParamStore) -> crate::Result<()> {
-        let len = match &store {
-            ParamStore::Float(t) => t.len(),
-            ParamStore::Quantized(q) => q.len(),
-            ParamStore::MasterCopy { master, .. } => master.len(),
-            ParamStore::Projected { master, .. } => master.len(),
-            ParamStore::PerChannel(pc) => pc.len(),
-        };
+        let len = store.len();
         if len != self.len() {
             return Err(NnError::BadConfig {
                 reason: format!(
@@ -305,21 +346,11 @@ impl Param {
     /// Materialises the float view used for compute:
     ///
     /// * `Float` — the values themselves,
-    /// * `Quantized` — the dequantised grid values,
-    /// * `MasterCopy` — the master fake-quantised at the view bitwidth.
+    /// * `Quantized` / `PerChannel` — the dequantised grid values,
+    /// * `MasterCopy` — the master fake-quantised at the view bitwidth,
+    /// * `Projected` — the master through its sign/ternary projection.
     pub fn value(&self) -> Tensor {
-        match &self.store {
-            ParamStore::Float(t) => t.clone(),
-            ParamStore::Quantized(q) => q.to_tensor(),
-            ParamStore::MasterCopy { master, bits } => {
-                fake::fake_quantize(master, *bits).unwrap_or_else(|_| master.clone())
-            }
-            ParamStore::Projected { master, projection } => match projection {
-                Projection::Binary => fake::binarize(master),
-                Projection::Ternary => fake::ternarize(master),
-            },
-            ParamStore::PerChannel(pc) => pc.to_tensor(),
-        }
+        self.store.value()
     }
 
     /// Number of scalar parameters.
@@ -500,7 +531,17 @@ impl Param {
         mode: RoundingMode,
         rng: &mut StdRng,
     ) -> crate::Result<Option<UpdateStats>> {
-        match &mut self.store {
+        Self::update_store(&mut self.store, effective_grad, lr, mode, rng)
+    }
+
+    fn update_store(
+        store: &mut ParamStore,
+        effective_grad: &Tensor,
+        lr: f32,
+        mode: RoundingMode,
+        rng: &mut StdRng,
+    ) -> crate::Result<Option<UpdateStats>> {
+        match store {
             ParamStore::Float(t) => {
                 apt_tensor::ops::axpy(-lr, effective_grad, t)?;
                 Ok(None)
@@ -509,71 +550,138 @@ impl Param {
                 apt_tensor::ops::axpy(-lr, effective_grad, master)?;
                 Ok(None)
             }
-            ParamStore::Quantized(q) => {
-                let stats = q.sgd_update(effective_grad, lr, mode, rng)?;
-                Ok(Some(stats))
-            }
-            ParamStore::PerChannel(pc) => {
-                let stats = pc.sgd_update(effective_grad, lr, mode, rng)?;
-                Ok(Some(stats))
-            }
+            ParamStore::Quantized(q) => Ok(Some(q.sgd_update(effective_grad, lr, mode, rng)?)),
+            ParamStore::PerChannel(pc) => Ok(Some(pc.sgd_update(effective_grad, lr, mode, rng)?)),
         }
     }
 
-    /// A 64-bit FNV-1a digest of everything that must stay bit-stable
-    /// between optimiser steps: the stored representation (integer codes
-    /// *and* quantiser calibration, or raw fp32 bits), plus the momentum
-    /// buffer if one exists.
+    /// One SGD step from the accumulated gradient, which is left untouched:
+    /// with momentum, two passes that allocate nothing once the velocity
+    /// buffer exists.
+    ///
+    /// **Pass A** folds the effective gradient into the velocity element
+    /// by element, `v ← µ·v + (s·g + λ·w)` — `s` the norm-clipping factor
+    /// when the gradient's L2 norm exceeds `clip_norm` (one read-only norm
+    /// pass), `λ = weight_decay` on [`ParamKind::Weight`] tensors and 0
+    /// elsewhere, `w` dequantised straight from the code tier. No copy of
+    /// the gradient, no fp32 view of the weights and no copy of the
+    /// velocity is made, and each element sees exactly the f32 operations,
+    /// in the order, that scaling a copy of the gradient, `axpy`-ing the
+    /// weights into it, scaling the velocity and adding would perform.
+    /// **Pass B** is [`apply_update`](Self::apply_update) on `v`, which
+    /// rejects a non-finite operand before any code is written.
+    ///
+    /// Without momentum there is no buffer to build in: the effective
+    /// gradient, where it differs from the accumulated one, is a transient
+    /// tensor.
+    ///
+    /// # Errors
+    ///
+    /// As [`apply_update`](Self::apply_update).
+    pub fn sgd_step(
+        &mut self,
+        lr: f32,
+        momentum: f32,
+        weight_decay: f32,
+        clip_norm: Option<f32>,
+        mode: RoundingMode,
+        rng: &mut StdRng,
+    ) -> crate::Result<Option<UpdateStats>> {
+        // Multiplying by 1.0 is the identity on every non-NaN float (and a
+        // NaN stays one), so an unclipped gradient passes through bit for
+        // bit without a second copy of every loop below.
+        let clip = clip_norm.map_or(1.0, |max_norm| {
+            let norm = self.grad.l2_norm();
+            if norm > max_norm {
+                max_norm / norm
+            } else {
+                1.0
+            }
+        });
+        let decay = if self.kind == ParamKind::Weight {
+            weight_decay
+        } else {
+            0.0
+        };
+        if momentum == 0.0 {
+            if clip == 1.0 && decay == 0.0 {
+                return Self::update_store(&mut self.store, &self.grad, lr, mode, rng);
+            }
+            let mut effective = apt_tensor::ops::scale(&self.grad, clip);
+            if decay != 0.0 {
+                apt_tensor::ops::axpy(decay, &self.store.value(), &mut effective)?;
+            }
+            return Self::update_store(&mut self.store, &effective, lr, mode, rng);
+        }
+        let n = self.grad.len();
+        let dims = self.grad.dims();
+        let velocity = self.velocity.get_or_insert_with(|| Tensor::zeros(dims));
+        // Both cut to one length up front, so the indexed loop below
+        // carries no bounds check and vectorises.
+        let (g, v) = (&self.grad.data()[..n], &mut velocity.data_mut()[..n]);
+        if decay == 0.0 {
+            for (v, &g) in v.iter_mut().zip(g) {
+                *v = *v * momentum + g * clip;
+            }
+        } else {
+            self.store.for_each_weight(
+                #[inline(always)]
+                |i, w| v[i] = v[i] * momentum + (g[i] * clip + decay * w),
+            );
+        }
+        Self::update_store(&mut self.store, velocity, lr, mode, rng)
+    }
+
+    /// A 64-bit digest of everything that must stay bit-stable between
+    /// optimiser steps: the stored representation (integer codes *and*
+    /// quantiser calibration, or raw fp32 bits), plus the momentum buffer
+    /// if one exists.
     ///
     /// Any single-event upset in the parameter's memory — a flipped code
     /// bit, a corrupted scale, a perturbed velocity — changes the digest,
     /// which is how the trainer's integrity guard detects silent corruption
-    /// without keeping a second copy of the values.
+    /// without keeping a second copy of the values. The guarantee is exact,
+    /// not probabilistic. The state is absorbed a resident 64-bit word at a
+    /// time, `h ← fold((h ⊕ w)·P)` with `P` odd and `fold(x) = x ⊕ (x ≫ 32)`
+    /// — each step a bijection of `h` for a fixed word and of the word for
+    /// a fixed `h` — so a change confined to one word, one bit of it or all
+    /// sixty-four, always changes the result. Digests identify content
+    /// within one build; no file or wire format carries them.
     pub fn integrity_digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = WordDigest::new();
         match &self.store {
             ParamStore::Float(t) => {
-                h.write_u8(0);
-                for &v in t.data() {
-                    h.write_u32(v.to_bits());
-                }
+                h.write(0);
+                h.write_f32s(t.data());
             }
             ParamStore::Quantized(q) => {
-                h.write_u8(1);
-                hash_quantizer(&mut h, q.quantizer());
+                h.write(1);
+                h.write_quantizer(q.quantizer());
                 // Hash the *physical* storage words, so the digest covers
                 // exactly the bits an SEU can land on.
-                q.store().for_each_word(|w| h.write_u64(w));
+                q.store().for_each_word(|w| h.write(w));
             }
             ParamStore::MasterCopy { master, bits } => {
-                h.write_u8(2);
-                h.write_u32(bits.get());
-                for &v in master.data() {
-                    h.write_u32(v.to_bits());
-                }
+                h.write(2 | u64::from(bits.get()) << 8);
+                h.write_f32s(master.data());
             }
             ParamStore::Projected { master, projection } => {
-                h.write_u8(3);
-                h.write_u8(projection.view_bits() as u8);
-                for &v in master.data() {
-                    h.write_u32(v.to_bits());
-                }
+                h.write(3 | u64::from(projection.view_bits()) << 8);
+                h.write_f32s(master.data());
             }
             ParamStore::PerChannel(pc) => {
-                h.write_u8(4);
+                h.write(4);
                 for q in pc.quantizers() {
-                    hash_quantizer(&mut h, q);
+                    h.write_quantizer(q);
                 }
-                pc.store().for_each_word(|w| h.write_u64(w));
+                pc.store().for_each_word(|w| h.write(w));
             }
         }
         match &self.velocity {
-            None => h.write_u8(0),
+            None => h.write(0),
             Some(v) => {
-                h.write_u8(1);
-                for &x in v.data() {
-                    h.write_u32(x.to_bits());
-                }
+                h.write(1);
+                h.write_f32s(v.data());
             }
         }
         h.finish()
@@ -692,43 +800,57 @@ impl Param {
     }
 }
 
-/// Incremental 64-bit FNV-1a hasher (offset basis `0xcbf29ce484222325`,
-/// prime `0x100000001b3`) — small, dependency-free, and sensitive to every
-/// input bit, which is all an SEU detector needs.
+/// The one integrity hasher: absorbs a 64-bit word per step,
+/// `h ← fold((h ⊕ w)·P)` with `P` odd and `fold(x) = x ⊕ (x ≫ 32)`.
+///
+/// Xor with a fixed word, multiplication by an odd constant and the
+/// xor-shift are each bijections of `u64`, so a step is a bijection of the
+/// state for a fixed word **and** of the word for a fixed state. Changing
+/// one absorbed word therefore changes the state right after it, and every
+/// later step — its word unchanged — carries distinct states to distinct
+/// states: a single-word upset is detected with certainty.
+///
+/// The fold is what makes the next-weakest case safe. Bit 63 of `h ⊕ w`
+/// survives the multiplication as bit 63 alone (`2⁶³·P ≡ 2⁶³`), so without
+/// it, flipping bit 63 of two different words would cancel; folded, the
+/// difference also sits in bit 31, where the next multiplication smears it.
 #[derive(Debug, Clone)]
-struct Fnv1a(u64);
+struct WordDigest(u64);
 
-impl Fnv1a {
+impl WordDigest {
+    /// 2⁶⁴/φ, odd.
+    const P: u64 = 0x9E37_79B9_7F4A_7C15;
+
     fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+        WordDigest(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write_u8(&mut self, byte: u8) {
-        self.0 ^= u64::from(byte);
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+    #[inline]
+    fn write(&mut self, word: u64) {
+        let h = (self.0 ^ word).wrapping_mul(Self::P);
+        self.0 = h ^ (h >> 32);
     }
 
-    fn write_u32(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.write_u8(b);
+    /// Absorbs the raw bits of `xs`, two to a word (an odd last element
+    /// alone in its word).
+    fn write_f32s(&mut self, xs: &[f32]) {
+        let mut pairs = xs.chunks_exact(2);
+        for p in &mut pairs {
+            self.write(u64::from(p[0].to_bits()) | u64::from(p[1].to_bits()) << 32);
+        }
+        if let [last] = pairs.remainder() {
+            self.write(u64::from(last.to_bits()));
         }
     }
 
-    fn write_u64(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.write_u8(b);
-        }
+    fn write_quantizer(&mut self, q: &apt_quant::AffineQuantizer) {
+        self.write(u64::from(q.eps().to_bits()) | u64::from(q.bits().get()) << 32);
+        self.write(q.zero_point() as u64);
     }
 
     fn finish(&self) -> u64 {
         self.0
     }
-}
-
-fn hash_quantizer(h: &mut Fnv1a, q: &apt_quant::AffineQuantizer) {
-    h.write_u32(q.eps().to_bits());
-    h.write_u64(q.zero_point() as u64);
-    h.write_u32(q.bits().get());
 }
 
 #[cfg(test)]
@@ -884,27 +1006,173 @@ mod tests {
         assert_eq!(p.velocity().unwrap().sum(), 4.0);
     }
 
-    #[test]
-    fn digest_detects_single_bit_flips_in_every_store_kind() {
-        let init = normal(&[32], 1.0, &mut seeded(9));
+    /// A 3 × 7 weight of every store kind and code tier, momentum buffer
+    /// allocated: 21 elements, so f32 data ends on a half-filled word and
+    /// the `i8`, `i16` and packed tiers each end mid-word.
+    fn one_of_each_kind() -> Vec<Param> {
+        let init = normal(&[3, 7], 1.0, &mut seeded(9));
         let precisions = [
             ParamPrecision::Float32,
             ParamPrecision::Quantized(b(6)),
+            ParamPrecision::Quantized(b(12)),
+            ParamPrecision::Quantized(b(20)),
             ParamPrecision::MasterCopy(b(8)),
             ParamPrecision::Projected(Projection::Ternary),
             ParamPrecision::PerChannel(b(6)),
         ];
-        for prec in precisions {
-            let init2 = Tensor::from_vec(init.data().to_vec(), &[4, 8]).unwrap();
-            let mut p = Param::new("w", ParamKind::Weight, init2, prec).unwrap();
+        let build = |prec| {
+            let mut p = Param::new("w", ParamKind::Weight, init.clone(), prec).unwrap();
+            *p.velocity_mut() = normal(&[3, 7], 0.1, &mut seeded(10));
+            p
+        };
+        precisions.into_iter().map(build).collect()
+    }
+
+    #[test]
+    fn digest_detects_every_single_bit_flip_in_every_store_kind() {
+        for mut p in one_of_each_kind() {
+            let what = format!("{:?}", p.store());
             let clean = p.integrity_digest();
             assert_eq!(clean, p.integrity_digest(), "digest must be deterministic");
-            p.flip_stored_bit(13, 2).unwrap();
-            assert_ne!(
-                clean,
-                p.integrity_digest(),
-                "flip undetected under {prec:?}"
-            );
+            let width = p
+                .bits()
+                .filter(|_| p.eps().is_some())
+                .map_or(32, Bitwidth::get);
+            for elem in 0..p.len() {
+                for bit in 0..width {
+                    p.flip_stored_bit(elem, bit).unwrap();
+                    assert_ne!(clean, p.integrity_digest(), "store {elem}:{bit} of {what}");
+                    p.flip_stored_bit(elem, bit).unwrap();
+                }
+                for bit in 0..32 {
+                    assert!(p.flip_velocity_bit(elem, bit));
+                    assert_ne!(
+                        clean,
+                        p.integrity_digest(),
+                        "velocity {elem}:{bit} of {what}"
+                    );
+                    assert!(p.flip_velocity_bit(elem, bit));
+                }
+            }
+            assert_eq!(clean, p.integrity_digest(), "every flip was undone");
+        }
+    }
+
+    #[test]
+    fn digest_detects_every_bit_flip_in_the_quantiser_fields() {
+        use apt_quant::{AffineQuantizer, PerChannelQuantized};
+        // Flips that leave the field valid (a finite positive scale, a
+        // zero point on the grid) — what `from_parts` lets exist at all.
+        let variants = |q: &AffineQuantizer| -> Vec<AffineQuantizer> {
+            let scale = (0..32).map(|bit| {
+                let flipped = f32::from_bits(q.eps().to_bits() ^ 1 << bit);
+                AffineQuantizer::from_parts(flipped, q.zero_point(), q.bits())
+            });
+            let zero = (0..64).map(|bit| {
+                AffineQuantizer::from_parts(q.eps(), q.zero_point() ^ 1 << bit, q.bits())
+            });
+            scale.chain(zero).filter_map(Result::ok).collect()
+        };
+        let mut checked = 0;
+        for mut p in one_of_each_kind() {
+            let clean = p.integrity_digest();
+            match p.store().clone() {
+                ParamStore::Quantized(q) => {
+                    for v in variants(q.quantizer()) {
+                        let hurt = QuantizedTensor::from_parts(q.codes(), q.dims().to_vec(), v);
+                        p.set_store(ParamStore::Quantized(hurt.unwrap())).unwrap();
+                        assert_ne!(clean, p.integrity_digest(), "{v:?}");
+                        checked += 1;
+                    }
+                }
+                ParamStore::PerChannel(pc) => {
+                    for ch in 0..pc.channels() {
+                        for v in variants(&pc.quantizers()[ch]) {
+                            let mut qs = pc.quantizers().to_vec();
+                            qs[ch] = v;
+                            let hurt =
+                                PerChannelQuantized::from_parts(pc.codes(), pc.dims().to_vec(), qs);
+                            p.set_store(ParamStore::PerChannel(hurt.unwrap())).unwrap();
+                            assert_ne!(clean, p.integrity_digest(), "channel {ch}: {v:?}");
+                            checked += 1;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        // 3 quantised tiers + 3 channels, ≥ 23 mantissa + some exponent
+        // flips + the in-grid zero-point flips each.
+        assert!(checked > 6 * 25, "only {checked} variants were valid");
+    }
+
+    #[test]
+    fn word_digest_separates_every_single_word_change_and_paired_top_bits() {
+        let digest = |words: &[u64]| {
+            let mut h = WordDigest::new();
+            words.iter().for_each(|&w| h.write(w));
+            h.finish()
+        };
+        let mut r = seeded(14);
+        for len in 1..=9usize {
+            use rand::Rng;
+            let mut words: Vec<u64> = (0..len).map(|_| r.gen()).collect();
+            // The degenerate content a fresh buffer holds.
+            if len.is_multiple_of(3) {
+                words.iter_mut().for_each(|w| *w = 0);
+            }
+            let clean = digest(&words);
+            for at in 0..len {
+                for bit in 0..64 {
+                    words[at] ^= 1 << bit;
+                    assert_ne!(digest(&words), clean, "word {at} bit {bit} of {len}");
+                    words[at] ^= 1 << bit;
+                }
+                // A whole-word change is still one word.
+                let keep = std::mem::replace(&mut words[at], r.gen());
+                assert!(digest(&words) != clean || words[at] == keep);
+                words[at] = keep;
+            }
+            // `(h ⊕ w)·P` alone would let these cancel: bit 63 passes
+            // through the multiplication as bit 63.
+            for first in 0..len {
+                for second in first + 1..len {
+                    words[first] ^= 1 << 63;
+                    words[second] ^= 1 << 63;
+                    assert_ne!(
+                        digest(&words),
+                        clean,
+                        "bit 63 of words {first} and {second}"
+                    );
+                    words[first] ^= 1 << 63;
+                    words[second] ^= 1 << 63;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digest_detects_paired_top_bit_flips_in_resident_words() {
+        // Bit 63 of an f32 word is the sign of its odd-indexed element; of
+        // an `i8` word, code bit 5 (after sign extension, the byte's top
+        // bit) of its eighth element.
+        for mut p in one_of_each_kind() {
+            let clean = p.integrity_digest();
+            for (first, second) in [(1, 3), (7, 15), (5, 19)] {
+                assert!(p.flip_velocity_bit(first, 31) && p.flip_velocity_bit(second, 31));
+                assert_ne!(clean, p.integrity_digest(), "velocity {first}+{second}");
+                assert!(p.flip_velocity_bit(first, 31) && p.flip_velocity_bit(second, 31));
+                let top = p
+                    .bits()
+                    .filter(|_| p.eps().is_some())
+                    .map_or(31, |k| k.get() - 1);
+                p.flip_stored_bit(first, top).unwrap();
+                p.flip_stored_bit(second, top).unwrap();
+                assert_ne!(clean, p.integrity_digest(), "store {first}+{second}");
+                p.flip_stored_bit(first, top).unwrap();
+                p.flip_stored_bit(second, top).unwrap();
+            }
+            assert_eq!(clean, p.integrity_digest());
         }
     }
 

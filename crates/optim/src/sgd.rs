@@ -1,7 +1,7 @@
 use crate::OptimError;
-use apt_nn::{Network, Param, ParamKind};
+use apt_nn::{Network, Param};
 use apt_quant::RoundingMode;
-use apt_tensor::{ops, rng as trng, Tensor};
+use apt_tensor::rng as trng;
 use rand::rngs::StdRng;
 
 /// SGD hyper-parameters (paper §IV: momentum 0.9, weight decay 1e-4).
@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 pub struct SgdConfig {
     /// Momentum coefficient µ (0 disables the velocity buffer).
     pub momentum: f32,
-    /// L2 weight decay λ, applied to [`ParamKind::Weight`] tensors only
+    /// L2 weight decay λ, applied to [`apt_nn::ParamKind::Weight`] tensors only
     /// (the usual convention — BN affine and biases are not decayed).
     pub weight_decay: f32,
     /// Rounding mode for quantised parameter updates (paper: truncation,
@@ -65,14 +65,27 @@ impl StepStats {
 ///
 /// The velocity buffer `v ← µ·v + (g + λ·w)` is kept in fp32 on every
 /// store kind — it is optimiser state, not model state, and the paper's
-/// memory figure (Fig. 5) counts the *model* representation. The update
-/// actually applied to a quantised store still goes through Eq. 3, which
-/// executes directly against the bit-packed (or `i8`/`i16`-tiered)
-/// physical code store — no i64 shadow copy of the codes is materialised
-/// for the step, so velocity cannot smuggle sub-ε changes into the weights
-/// and the step does not inflate the resident footprint beyond the fp32
-/// buffers it owns. Once momentum allocates velocity, those `4·N` bytes
-/// show up in [`Param::resident_bytes`] / `Network::resident_bytes`.
+/// memory figure (Fig. 5) counts the *model* representation. Once momentum
+/// allocates velocity, those `4·N` bytes show up in
+/// [`Param::resident_bytes`] / `Network::resident_bytes`.
+///
+/// A parameter's step ([`Param::sgd_step`]) is two passes over its
+/// elements, and in steady state neither allocates. **Pass A** builds the
+/// velocity in place: per element, the clipped gradient plus `λ` times the
+/// weight dequantised straight from the code tier — no copy of the
+/// gradient, no fp32 view of the weights, no copy of the velocity. After
+/// the finiteness check, **pass B** is Eq. 3 on the tier itself
+/// ([`apt_quant::CodeStore::rewrite`]): `q ← q − round(lr·v/ε)`, with the
+/// rail count folded into the same sweep, so velocity cannot smuggle
+/// sub-ε changes into the weights and no i64 shadow of the codes exists.
+///
+/// Under the paper's truncation, pass B decides underflow without
+/// dividing ([`RoundingMode::round_quotient`]): for doubles `|lr·v| < ε`
+/// implies the correctly rounded quotient is at most `1 − 2⁻⁵³`, which
+/// truncates to zero — exactly what the division would have produced, and
+/// on an under-resolved layer (the condition Gavg watches for) it is nine
+/// elements in ten. Stochastic rounding still draws once per element, in
+/// element order.
 #[derive(Debug)]
 pub struct Sgd {
     cfg: SgdConfig,
@@ -187,15 +200,54 @@ impl Sgd {
         stats: &mut StepStats,
     ) -> crate::Result<()> {
         stats.params += 1;
-        // Effective gradient: clip, then g + λ·w (weights only), then
-        // momentum.
-        let mut g = p.grad().clone();
         if let Some(max_norm) = cfg.clip_grad_norm {
             if !(max_norm.is_finite() && max_norm > 0.0) {
                 return Err(OptimError::BadConfig {
                     reason: format!("invalid clip_grad_norm {max_norm}"),
                 });
             }
+        }
+        let update = p.sgd_step(
+            lr,
+            cfg.momentum,
+            cfg.weight_decay,
+            cfg.clip_grad_norm,
+            cfg.rounding,
+            rng,
+        )?;
+        if let Some(us) = update {
+            stats.underflowed += us.underflowed;
+            stats.expanded += us.expanded;
+            stats.saturated += us.saturated;
+            stats.quantized_total += us.total;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apt_nn::{models, Mode, ParamKind, ParamPrecision, Projection, QuantScheme};
+    use apt_quant::Bitwidth;
+    use apt_tensor::ops::softmax::cross_entropy;
+    use apt_tensor::rng::{normal, seeded};
+    use apt_tensor::{ops, Tensor};
+
+    /// The multi-pass step [`Param::sgd_step`] replaced, kept as the
+    /// reference the fused one must match bit for bit: clone the gradient,
+    /// clip it, `axpy` a materialised fp32 view of the weights into it,
+    /// scale and add into the velocity, clone that, update.
+    fn step_param_reference(
+        p: &mut Param,
+        lr: f32,
+        cfg: &SgdConfig,
+        rng: &mut StdRng,
+        stats: &mut StepStats,
+    ) -> crate::Result<()> {
+        stats.params += 1;
+        let mut g = p.grad().clone();
+        if let Some(max_norm) = cfg.clip_grad_norm {
             let norm = g.l2_norm();
             if norm > max_norm {
                 ops::scale_in_place(&mut g, max_norm / norm);
@@ -221,14 +273,153 @@ impl Sgd {
         }
         Ok(())
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use apt_nn::{models, Mode, QuantScheme};
-    use apt_tensor::ops::softmax::cross_entropy;
-    use apt_tensor::rng::{normal, seeded};
+    fn bits_of(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A 7 × 11 weight (odd length, so every tier ends mid-word) under
+    /// `precision`.
+    fn weight(precision: ParamPrecision) -> Param {
+        let init = normal(&[7, 11], 0.5, &mut seeded(21));
+        Param::new("w", ParamKind::Weight, init, precision).unwrap()
+    }
+
+    /// Gradients spanning every branch of Eq. 3 at the parameter's ε:
+    /// exact zeros, sub-ε values of both signs, values of a few ε, and a
+    /// handful large enough to leave the grid (range expansion).
+    fn mixed_grad(p: &Param, seed: u64) -> Tensor {
+        let eps = p.eps().unwrap_or(0.02);
+        let mut g = normal(p.dims(), eps * 12.0, &mut seeded(seed));
+        for (i, x) in g.data_mut().iter_mut().enumerate() {
+            match i % 7 {
+                0 => *x = 0.0,
+                1 | 2 => *x *= 0.01,
+                3 => *x *= 40.0,
+                _ => {}
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn fused_step_matches_the_multi_pass_reference_bit_for_bit() {
+        let b = |k| Bitwidth::new(k).unwrap();
+        let precisions = [
+            ParamPrecision::Float32,
+            ParamPrecision::Quantized(b(6)),
+            ParamPrecision::Quantized(b(12)),
+            ParamPrecision::Quantized(b(20)),
+            ParamPrecision::MasterCopy(b(8)),
+            ParamPrecision::Projected(Projection::Ternary),
+            ParamPrecision::PerChannel(b(6)),
+        ];
+        let modes = [
+            RoundingMode::Truncate,
+            RoundingMode::Nearest,
+            RoundingMode::Stochastic,
+        ];
+        let (mut spilled, mut underflowed, mut clipped) = (0, 0, 0);
+        for precision in precisions {
+            for rounding in modes {
+                for momentum in [0.0, 0.9] {
+                    for weight_decay in [0.0, 1e-4] {
+                        for clip_grad_norm in [None, Some(0.05)] {
+                            let cfg = SgdConfig {
+                                momentum,
+                                weight_decay,
+                                rounding,
+                                clip_grad_norm,
+                            };
+                            let what = format!("{precision:?} {cfg:?}");
+                            let (mut fused, mut reference) = (weight(precision), weight(precision));
+                            let (mut rf, mut rr) = (seeded(5), seeded(5));
+                            // Several steps, so the velocity both sides
+                            // build on is itself a product of the step.
+                            for step in 0..4 {
+                                let g = mixed_grad(&reference, 30 + step);
+                                clipped += usize::from(g.l2_norm() > 0.05);
+                                for p in [&mut fused, &mut reference] {
+                                    p.zero_grad();
+                                    p.accumulate_grad(&g).unwrap();
+                                }
+                                let (mut sf, mut sr) = (StepStats::default(), StepStats::default());
+                                Sgd::step_param(&mut fused, 0.5, &cfg, &mut rf, &mut sf).unwrap();
+                                step_param_reference(&mut reference, 0.5, &cfg, &mut rr, &mut sr)
+                                    .unwrap();
+                                assert_eq!(sf, sr, "stats, step {step}: {what}");
+                                assert_eq!(
+                                    fused.integrity_digest(),
+                                    reference.integrity_digest(),
+                                    "store or velocity, step {step}: {what}"
+                                );
+                                assert_eq!(bits_of(&fused.value()), bits_of(&reference.value()));
+                                assert_eq!(fused.bits(), reference.bits());
+                                assert_eq!(
+                                    fused.velocity().map(bits_of),
+                                    reference.velocity().map(bits_of),
+                                    "velocity, step {step}: {what}"
+                                );
+                                assert_eq!(
+                                    bits_of(fused.grad()),
+                                    bits_of(&g),
+                                    "gradient untouched"
+                                );
+                                spilled += sf.expanded;
+                                underflowed += sf.underflowed;
+                            }
+                            // The two rounding streams were drawn in step.
+                            use rand::Rng;
+                            assert_eq!(rf.gen::<u64>(), rr.gen::<u64>(), "rng position: {what}");
+                        }
+                    }
+                }
+            }
+        }
+        // The sweep is only worth its name if it reached every branch.
+        assert!(spilled > 0 && underflowed > 0 && clipped > 0);
+    }
+
+    #[test]
+    fn nan_gradient_is_a_typed_error_and_writes_no_code() {
+        let b6 = Bitwidth::new(6).unwrap();
+        for precision in [
+            ParamPrecision::Quantized(b6),
+            ParamPrecision::PerChannel(b6),
+        ] {
+            for momentum in [0.0, 0.9] {
+                for weight_decay in [0.0, 1e-4] {
+                    let cfg = SgdConfig {
+                        momentum,
+                        weight_decay,
+                        ..SgdConfig::default()
+                    };
+                    let mut p = weight(precision);
+                    let before = bits_of(&p.value());
+                    let mut g = mixed_grad(&p, 3);
+                    g.data_mut()[40] = f32::NAN;
+                    p.accumulate_grad(&g).unwrap();
+                    let err = Sgd::step_param(
+                        &mut p,
+                        0.5,
+                        &cfg,
+                        &mut seeded(1),
+                        &mut StepStats::default(),
+                    );
+                    assert!(
+                        matches!(
+                            err,
+                            Err(OptimError::Nn(apt_nn::NnError::Quant(
+                                apt_quant::QuantError::NonFiniteOperand { .. }
+                            )))
+                        ),
+                        "{err:?}"
+                    );
+                    assert_eq!(bits_of(&p.value()), before, "{precision:?} {cfg:?}");
+                }
+            }
+        }
+    }
 
     fn loss_of(net: &mut Network, x: &Tensor, labels: &[usize]) -> f32 {
         let logits = net.forward(x, Mode::Eval).unwrap();
@@ -502,6 +693,7 @@ mod tests {
 mod clip_tests {
     use super::*;
     use apt_nn::{models, QuantScheme};
+    use apt_tensor::ops;
     use apt_tensor::rng::seeded;
 
     fn net_with_big_grads() -> Network {

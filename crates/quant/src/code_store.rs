@@ -25,8 +25,45 @@
 //! `q ^= 1 << b`, matching the SEU model the fault-injection campaign
 //! documents. Bits above `k` in the `i8`/`i16` tiers are sign copies; the
 //! SEU model targets the `k` payload bits in every tier.
+//!
+//! ## Bulk kernels
+//!
+//! Anything that walks a whole store once per training step goes through
+//! an operation that resolves the tier **once per call**:
+//! [`CodeStore::for_each`] (in-order read), [`CodeStore::rewrite`]
+//! (in-place `q ← f(i, q)`), [`CodeStore::for_each_word`] (resident words,
+//! for digests), [`CodeStore::for_each_packed_word`] /
+//! [`CodeStore::write_packed_le`] (the canonical serialisation, streamed
+//! from a bit accumulator) and [`CodeStore::from_code_iter`] (build
+//! straight into the tier). No `Vec<i64>` of the codes exists on any of
+//! them. [`CodeStore::get`], [`CodeStore::set`], [`CodeStore::to_vec`] and
+//! [`CodeStore::to_packed`] remain for single elements, fault injection
+//! and tests.
 
 use crate::{Bitwidth, QuantError};
+
+/// Lays `k`-bit `fields` (higher bits zero) end to end, LSB first, and
+/// hands every `u64` word to `emit` as it fills, the zero-padded partial
+/// last one included — the one writer of the canonical packed layout.
+#[inline]
+fn pack_words(fields: impl Iterator<Item = u64>, bits: Bitwidth, mut emit: impl FnMut(u64)) {
+    let k = bits.get();
+    let (mut acc, mut fill) = (0u64, 0u32);
+    for field in fields {
+        acc |= field << fill;
+        fill += k;
+        if fill >= 64 {
+            emit(acc);
+            fill -= 64;
+            // The bits of `field` that did not fit the emitted word; zero
+            // when the field ended exactly on the boundary.
+            acc = field >> (k - fill);
+        }
+    }
+    if fill > 0 {
+        emit(acc);
+    }
+}
 
 /// `k`-bit signed codes packed end-to-end into little-endian `u64` words.
 ///
@@ -79,15 +116,19 @@ impl PackedCodes {
                 reason: "signed code outside the k-bit two's-complement range",
             });
         }
-        let mut p = PackedCodes {
-            words: vec![0u64; Self::data_word_count(codes.len(), bits) + 1],
-            len: codes.len(),
-            bits,
-        };
-        for (i, &c) in codes.iter().enumerate() {
-            p.set(i, c);
-        }
-        Ok(p)
+        Ok(Self::pack(codes.iter().copied(), bits))
+    }
+
+    /// Packs a stream of in-range signed codes (no validation: only the
+    /// low `k` bits of each are kept).
+    fn pack(signed: impl Iterator<Item = i64>, bits: Bitwidth) -> Self {
+        let mask = Self::mask(bits);
+        let mut words = Vec::with_capacity(Self::data_word_count(signed.size_hint().0, bits) + 1);
+        let mut len = 0usize;
+        let fields = signed.inspect(|_| len += 1).map(|c| c as u64 & mask);
+        pack_words(fields, bits, |w| words.push(w));
+        words.push(0);
+        PackedCodes { words, len, bits }
     }
 
     /// Number of stored codes.
@@ -240,21 +281,24 @@ impl CodeStore {
     /// holds `bits`. Codes must already be on the `[0, 2^k − 1]` grid;
     /// callers validate (debug builds assert).
     pub fn from_codes(codes: &[i64], bits: Bitwidth) -> Self {
-        debug_assert!({
-            let max = bits.num_steps() as i64;
-            codes.iter().all(|&q| (0..=max).contains(&q))
-        });
+        Self::from_code_iter(codes.iter().copied(), bits)
+    }
+
+    /// Builds a store straight from a stream of raw grid codes: each code
+    /// is narrowed into the tier as it arrives, so a quantiser mapped over
+    /// an f32 slice fills the store with nothing in between. Same
+    /// contract as [`from_codes`](Self::from_codes).
+    pub fn from_code_iter(codes: impl Iterator<Item = i64>, bits: Bitwidth) -> Self {
         let half = Self::half(bits);
+        let max = bits.num_steps() as i64;
+        let centred = codes.map(|q| {
+            debug_assert!((0..=max).contains(&q), "code {q} off the {bits} grid");
+            q - half
+        });
         let repr = match bits.get() {
-            ..=8 => Repr::I8(codes.iter().map(|&q| (q - half) as i8).collect()),
-            9..=16 => Repr::I16(codes.iter().map(|&q| (q - half) as i16).collect()),
-            _ => {
-                let centered: Vec<i64> = codes.iter().map(|&q| q - half).collect();
-                Repr::Packed(
-                    PackedCodes::from_signed(&centered, bits)
-                        .expect("centered grid codes fit the k-bit range"),
-                )
-            }
+            ..=8 => Repr::I8(centred.map(|c| c as i8).collect()),
+            9..=16 => Repr::I16(centred.map(|c| c as i16).collect()),
+            _ => Repr::Packed(PackedCodes::pack(centred, bits)),
         };
         CodeStore { repr, bits }
     }
@@ -301,13 +345,76 @@ impl CodeStore {
         }
     }
 
-    /// Materialises every raw grid code.
+    /// Materialises every raw grid code (tests and diagnostics; per-step
+    /// code uses [`for_each`](Self::for_each)).
     pub fn to_vec(&self) -> Vec<i64> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each(|_, q| out.push(q));
+        out
+    }
+
+    /// Calls `f(i, q)` for every raw grid code in element order. The tier
+    /// is resolved once, outside the loop, so a simple `f` (dequantise into
+    /// `out[i]`, accumulate) compiles to a vector loop over the `i8`/`i16`
+    /// tiers. `f` is instantiated once per tier: mark a large closure
+    /// `#[inline(always)]` at the call site, or the optimiser may leave it
+    /// out of line and pay a call per element.
+    #[inline]
+    pub fn for_each(&self, mut f: impl FnMut(usize, i64)) {
         let half = Self::half(self.bits);
         match &self.repr {
-            Repr::I8(v) => v.iter().map(|&c| i64::from(c) + half).collect(),
-            Repr::I16(v) => v.iter().map(|&c| i64::from(c) + half).collect(),
-            Repr::Packed(p) => (0..p.len()).map(|i| p.get(i) + half).collect(),
+            Repr::I8(v) => {
+                for (i, &c) in v.iter().enumerate() {
+                    f(i, i64::from(c) + half);
+                }
+            }
+            Repr::I16(v) => {
+                for (i, &c) in v.iter().enumerate() {
+                    f(i, i64::from(c) + half);
+                }
+            }
+            Repr::Packed(p) => {
+                for i in 0..p.len() {
+                    f(i, p.get(i) + half);
+                }
+            }
+        }
+    }
+
+    /// Replaces every code `q` at index `i` with `f(i, q)`, in element
+    /// order and in place; `f` must return a code on the grid (return `q`
+    /// to leave an element alone). The tier is resolved once per call; as
+    /// with [`for_each`](Self::for_each), a large `f` wants
+    /// `#[inline(always)]`.
+    #[inline]
+    pub fn rewrite(&mut self, mut f: impl FnMut(usize, i64) -> i64) {
+        let half = Self::half(self.bits);
+        let max = self.bits.num_steps() as i64;
+        let mut checked = |i: usize, q: i64| {
+            let new = f(i, q);
+            debug_assert!((0..=max).contains(&new), "code {new} off the grid");
+            new - half
+        };
+        match &mut self.repr {
+            Repr::I8(v) => {
+                for (i, c) in v.iter_mut().enumerate() {
+                    *c = checked(i, i64::from(*c) + half) as i8;
+                }
+            }
+            Repr::I16(v) => {
+                for (i, c) in v.iter_mut().enumerate() {
+                    *c = checked(i, i64::from(*c) + half) as i16;
+                }
+            }
+            Repr::Packed(p) => {
+                for i in 0..p.len() {
+                    let old = p.get(i);
+                    let new = checked(i, old + half);
+                    if new != old {
+                        p.set(i, new);
+                    }
+                }
+            }
         }
     }
 
@@ -406,26 +513,35 @@ impl CodeStore {
 
     /// Feeds the physical representation to `f` word by word — the basis
     /// of integrity digests, which must change when any resident bit
-    /// flips. `i8`/`i16` chunk their bytes little-endian, zero-padded; the
-    /// packed tier emits its data words.
+    /// flips. `i8`/`i16` chunk their bytes little-endian, the last word
+    /// zero-padded; the packed tier emits its data words.
+    #[inline]
     pub fn for_each_word(&self, mut f: impl FnMut(u64)) {
+        /// The short last chunk as one zero-padded little-endian word.
+        fn tail_word<T: Copy>(tail: &[T], lane: impl Fn(T) -> u64) -> u64 {
+            let width = 8 * std::mem::size_of::<T>();
+            tail.iter()
+                .enumerate()
+                .fold(0, |w, (j, &x)| w | lane(x) << (width * j))
+        }
         match &self.repr {
             Repr::I8(v) => {
-                for chunk in v.chunks(8) {
-                    let mut w = 0u64;
-                    for (j, &c) in chunk.iter().enumerate() {
-                        w |= u64::from(c as u8) << (8 * j);
-                    }
-                    f(w);
+                let mut chunks = v.chunks_exact(8);
+                for c in &mut chunks {
+                    f(u64::from_le_bytes(std::array::from_fn(|j| c[j] as u8)));
+                }
+                if !chunks.remainder().is_empty() {
+                    f(tail_word(chunks.remainder(), |c| u64::from(c as u8)));
                 }
             }
             Repr::I16(v) => {
-                for chunk in v.chunks(4) {
-                    let mut w = 0u64;
-                    for (j, &c) in chunk.iter().enumerate() {
-                        w |= u64::from(c as u16) << (16 * j);
-                    }
-                    f(w);
+                let mut chunks = v.chunks_exact(4);
+                for c in &mut chunks {
+                    let lane = |j: usize| u64::from(c[j] as u16) << (16 * j);
+                    f(lane(0) | lane(1) | lane(2) | lane(3));
+                }
+                if !chunks.remainder().is_empty() {
+                    f(tail_word(chunks.remainder(), |c| u64::from(c as u16)));
                 }
             }
             Repr::Packed(p) => {
@@ -436,16 +552,41 @@ impl CodeStore {
         }
     }
 
+    /// Feeds the canonical bit-packed form to `f` word by word: the words
+    /// [`to_packed`](Self::to_packed) would hold, identical for identical
+    /// logical content whatever the tier, streamed from a bit accumulator
+    /// with no intermediate store.
+    #[inline]
+    pub fn for_each_packed_word(&self, mut f: impl FnMut(u64)) {
+        let mask = PackedCodes::mask(self.bits);
+        match &self.repr {
+            Repr::I8(v) => pack_words(v.iter().map(|&c| c as u64 & mask), self.bits, f),
+            Repr::I16(v) => pack_words(v.iter().map(|&c| c as u64 & mask), self.bits, f),
+            Repr::Packed(p) => p.data_words().iter().for_each(|&w| f(w)),
+        }
+    }
+
+    /// Appends the canonical packed words, little-endian — the code
+    /// section of checkpoint format v3.
+    pub fn write_packed_le(&self, out: &mut Vec<u8>) {
+        out.reserve(PackedCodes::data_word_count(self.len(), self.bits) * 8);
+        self.for_each_packed_word(|w| out.extend_from_slice(&w.to_le_bytes()));
+    }
+
     /// Converts to the canonical bit-packed form — identical words for
-    /// identical logical content regardless of the active tier, which is
-    /// what checkpoint v3 serialises.
+    /// identical logical content regardless of the active tier.
     pub fn to_packed(&self) -> PackedCodes {
-        let centered: Vec<i64> = match &self.repr {
-            Repr::I8(v) => v.iter().map(|&c| i64::from(c)).collect(),
-            Repr::I16(v) => v.iter().map(|&c| i64::from(c)).collect(),
-            Repr::Packed(p) => return p.clone(),
-        };
-        PackedCodes::from_signed(&centered, self.bits).expect("grid codes fit the k-bit range")
+        if let Repr::Packed(p) = &self.repr {
+            return p.clone();
+        }
+        let mut words = Vec::with_capacity(PackedCodes::data_word_count(self.len(), self.bits) + 1);
+        self.for_each_packed_word(|w| words.push(w));
+        words.push(0);
+        PackedCodes {
+            words,
+            len: self.len(),
+            bits: self.bits,
+        }
     }
 }
 
@@ -469,6 +610,140 @@ mod tests {
             v[1] = max;
         }
         v
+    }
+
+    /// Lengths around every boundary the bulk kernels have: empty, one,
+    /// either side of a `u64` of `i8`s and of 64 codes, and one code past
+    /// the first and the second packed-word boundary at this `k`.
+    fn edge_lengths(k: u32) -> Vec<usize> {
+        let mut lens = vec![0, 1, 7, 8, 9, 63, 64, 65];
+        lens.extend([64 / k as usize + 1, 128 / k as usize + 1]);
+        lens
+    }
+
+    /// The canonical packing built one `set` at a time — the per-element
+    /// path the streaming packer must agree with.
+    fn packed_by_set(codes: &[i64], k: u32) -> PackedCodes {
+        let mut p = PackedCodes {
+            words: vec![0; PackedCodes::data_word_count(codes.len(), b(k)) + 1],
+            len: codes.len(),
+            bits: b(k),
+        };
+        let half = 1i64 << (k - 1);
+        for (i, &q) in codes.iter().enumerate() {
+            p.set(i, q - half);
+        }
+        p
+    }
+
+    #[test]
+    fn direct_constructor_and_read_visitor_agree_with_get() {
+        for k in 2..=32u32 {
+            for n in edge_lengths(k) {
+                let codes = grid_codes(k, n, u64::from(k) * 131 + n as u64);
+                let store = CodeStore::from_code_iter(codes.iter().copied(), b(k));
+                assert_eq!(store.len(), n, "k={k}");
+                assert_eq!(store.bits(), b(k));
+                let mut seen = Vec::new();
+                store.for_each(|i, q| {
+                    assert_eq!(i, seen.len(), "in order, k={k} n={n}");
+                    assert_eq!(q, store.get(i), "k={k} n={n} i={i}");
+                    seen.push(q);
+                });
+                assert_eq!(seen, codes, "k={k} n={n}");
+                assert_eq!(store, CodeStore::from_codes(&codes, b(k)));
+                if let Repr::Packed(p) = &store.repr {
+                    assert_eq!(*p, packed_by_set(&codes, k), "k={k} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_rewrite_agrees_with_set() {
+        for k in 2..=32u32 {
+            let levels = b(k).num_steps() as i64 + 1;
+            for n in edge_lengths(k) {
+                let codes = grid_codes(k, n, u64::from(k) * 137 + n as u64);
+                // Moves most codes, leaves every third alone.
+                let f = |i: usize, q: i64| {
+                    if i.is_multiple_of(3) {
+                        q
+                    } else {
+                        (q * 5 + i as i64 + 1) % levels
+                    }
+                };
+                let mut bulk = CodeStore::from_codes(&codes, b(k));
+                let mut visited = 0;
+                bulk.rewrite(|i, q| {
+                    assert_eq!((i, q), (visited, codes[i]), "k={k} n={n}");
+                    visited += 1;
+                    f(i, q)
+                });
+                assert_eq!(visited, n);
+                let mut one_by_one = CodeStore::from_codes(&codes, b(k));
+                for i in 0..n {
+                    one_by_one.set(i, f(i, one_by_one.get(i)));
+                }
+                assert_eq!(bulk, one_by_one, "k={k} n={n}");
+                // Equal stores, padding bits included.
+                assert_eq!(bulk.to_packed(), packed_by_set(&bulk.to_vec(), k));
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_packer_agrees_with_per_element_packing() {
+        for k in 2..=32u32 {
+            for n in edge_lengths(k) {
+                let codes = grid_codes(k, n, u64::from(k) * 139 + n as u64);
+                let store = CodeStore::from_codes(&codes, b(k));
+                let reference = packed_by_set(&codes, k);
+                let mut words = Vec::new();
+                store.for_each_packed_word(|w| words.push(w));
+                assert_eq!(words, reference.data_words(), "k={k} n={n}");
+                assert_eq!(store.to_packed(), reference, "k={k} n={n}");
+                let mut bytes = vec![0xAB]; // appends, does not overwrite
+                store.write_packed_le(&mut bytes);
+                let expect: Vec<u8> = std::iter::once(0xAB)
+                    .chain(reference.data_words().iter().flat_map(|w| w.to_le_bytes()))
+                    .collect();
+                assert_eq!(bytes, expect, "k={k} n={n}");
+                let signed: Vec<i64> = codes.iter().map(|&q| q - (1i64 << (k - 1))).collect();
+                assert_eq!(PackedCodes::from_signed(&signed, b(k)).unwrap(), reference);
+            }
+        }
+    }
+
+    #[test]
+    fn resident_words_are_the_little_endian_bytes_zero_padded() {
+        for k in [2u32, 6, 8, 9, 12, 16, 17, 32] {
+            for n in edge_lengths(k) {
+                let codes = grid_codes(k, n, u64::from(k) * 149 + n as u64);
+                let store = CodeStore::from_codes(&codes, b(k));
+                // The resident bytes, as a byte-at-a-time reading has them.
+                let bytes: Vec<u8> = match &store.repr {
+                    Repr::I8(v) => v.iter().map(|&c| c as u8).collect(),
+                    Repr::I16(v) => v.iter().flat_map(|&c| c.to_le_bytes()).collect(),
+                    Repr::Packed(p) => p
+                        .data_words()
+                        .iter()
+                        .flat_map(|w| w.to_le_bytes())
+                        .collect(),
+                };
+                let expect: Vec<u64> = bytes
+                    .chunks(8)
+                    .map(|c| {
+                        c.iter()
+                            .enumerate()
+                            .fold(0u64, |w, (j, &x)| w | u64::from(x) << (8 * j))
+                    })
+                    .collect();
+                let mut words = Vec::new();
+                store.for_each_word(|w| words.push(w));
+                assert_eq!(words, expect, "k={k} n={n}");
+            }
+        }
     }
 
     #[test]

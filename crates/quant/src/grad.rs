@@ -97,8 +97,8 @@ impl GradCodec {
         debug_assert_eq!(grad.len(), residual.len());
         let m = self.max_mag();
         let half = 1i64 << (self.bits.get() - 1);
-        let mut raw = vec![0i64; grad.len()];
-        for (i, (&g, r)) in grad.iter().zip(residual.iter_mut()).enumerate() {
+        // Each code goes straight into the tier as it is produced.
+        let raw = grad.iter().zip(residual.iter_mut()).map(|(&g, r)| {
             let a = g + *r;
             let c = if scale > 0.0 && a.is_finite() {
                 let q = (a / scale).round() as i64;
@@ -107,30 +107,36 @@ impl GradCodec {
                 0
             };
             *r = a - c as f32 * scale;
-            raw[i] = c + half;
-        }
-        CodeStore::from_codes(&raw, self.bits)
+            c + half
+        });
+        CodeStore::from_code_iter(raw, self.bits)
     }
 
     /// Dequantises signed codes back to gradient values: `g = c · scale`.
     pub fn decode(&self, store: &CodeStore, scale: f32) -> Vec<f32> {
         let half = 1i64 << (self.bits.get() - 1);
-        (0..store.len())
-            .map(|i| (store.get(i) - half) as f32 * scale)
-            .collect()
+        let mut out = vec![0.0f32; store.len()];
+        // A signed `k ≤ 32`-bit code is an `i32`: converting through it
+        // gives the same float as from `i64`, in a loop that vectorises.
+        store.for_each(|i, q| out[i] = (q - half) as i32 as f32 * scale);
+        out
     }
 
     /// Signed codes of a store produced by [`encode`](GradCodec::encode) —
     /// the integer-domain values peers accumulate.
     pub fn signed_codes(&self, store: &CodeStore) -> Vec<i64> {
         let half = 1i64 << (self.bits.get() - 1);
-        (0..store.len()).map(|i| store.get(i) - half).collect()
+        let mut out = vec![0i64; store.len()];
+        store.for_each(|i, q| out[i] = q - half);
+        out
     }
 
     /// Serialises a store to its canonical wire words (tier-independent
     /// [`PackedCodes`] data words).
     pub fn to_wire(&self, store: &CodeStore) -> Vec<u64> {
-        store.to_packed().data_words().to_vec()
+        let mut words = Vec::with_capacity((store.len() * self.bits.get() as usize).div_ceil(64));
+        store.for_each_packed_word(|w| words.push(w));
+        words
     }
 
     /// Deserialises wire words back into signed codes.

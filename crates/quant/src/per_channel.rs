@@ -8,6 +8,7 @@
 //! gives every channel its own `ε_c`, with Eq. 3/Eq. 4 applied per channel.
 //! The `ablations` binary compares both calibrations.
 
+use crate::tensor_q::{eq3_sweep, Eq3Sweep};
 use crate::{AffineQuantizer, Bitwidth, CodeStore, QuantError, RoundingMode, UpdateStats};
 use apt_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -39,33 +40,47 @@ impl PerChannelQuantized {
         }
         let channels = t.dims()[0];
         let stride = t.len() / channels;
-        let mut codes = Vec::with_capacity(t.len());
-        let mut quantizers = Vec::with_capacity(channels);
-        for c in 0..channels {
-            let slice = &t.data()[c * stride..(c + 1) * stride];
-            let (min, max) = slice
-                .iter()
-                .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v), hi.max(v))
-                });
-            let q = AffineQuantizer::from_range(min, max, bits)?;
-            codes.extend(slice.iter().map(|&v| q.quantize_value(v)));
-            quantizers.push(q);
-        }
+        let quantizers = t
+            .data()
+            .chunks(stride)
+            .map(|slice| Self::calibrate(slice, bits))
+            .collect::<crate::Result<Vec<_>>>()?;
+        // Each value goes through its channel's quantiser straight into
+        // the tier.
+        let codes = (t.data().chunks(stride).zip(&quantizers))
+            .flat_map(|(slice, q)| slice.iter().map(|&v| q.quantize_value(v)));
         Ok(PerChannelQuantized {
-            store: CodeStore::from_codes(&codes, bits),
+            store: CodeStore::from_code_iter(codes, bits),
             dims: t.dims().to_vec(),
             quantizers,
         })
     }
 
-    /// Materialises the float view.
+    /// The quantiser covering one channel's `[min, max]`.
+    fn calibrate(channel: &[f32], bits: Bitwidth) -> crate::Result<AffineQuantizer> {
+        let (min, max) = channel
+            .iter()
+            .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
+        AffineQuantizer::from_range(min, max, bits)
+    }
+
+    /// Materialises the float view, straight from the tier.
     pub fn to_tensor(&self) -> Tensor {
-        let stride = self.stride();
-        let data: Vec<f32> = (0..self.store.len())
-            .map(|i| self.quantizers[i / stride].dequantize_value(self.store.get(i)))
-            .collect();
+        let mut data = vec![0.0f32; self.store.len()];
+        self.for_each_value(|i, w| data[i] = w);
         Tensor::from_vec(data, &self.dims).expect("codes/dims invariant")
+    }
+
+    /// Calls `f(i, w)` with the float value of every element under its
+    /// channel's quantiser, in order (see
+    /// [`crate::QuantizedTensor::for_each_value`]).
+    #[inline]
+    pub fn for_each_value(&self, mut f: impl FnMut(usize, f32)) {
+        let stride = self.stride();
+        self.store
+            .for_each(|i, q| f(i, self.quantizers[i / stride].dequantize_value(q)));
     }
 
     fn stride(&self) -> usize {
@@ -190,66 +205,47 @@ impl PerChannelQuantized {
             return Err(QuantError::NonFiniteOperand { op: "sgd_update" });
         }
         let stride = self.stride();
-        let mut stats = UpdateStats {
-            total: self.store.len(),
-            ..Default::default()
-        };
-        let mut dirty_channels: Vec<bool> = vec![false; self.quantizers.len()];
-        // (index, raw out-of-grid code) pairs awaiting channel expansion.
-        let mut spills: Vec<(usize, i64)> = Vec::new();
-        for (i, &g) in grad.data().iter().enumerate() {
-            let ch = i / stride;
-            let q = &self.quantizers[ch];
-            let eps = q.eps() as f64;
-            let steps = mode.round_steps((lr as f64 * g as f64) / eps, rng);
-            if steps == 0 {
-                if g != 0.0 {
-                    stats.underflowed += 1;
-                }
-                continue;
-            }
-            // Saturating for the same reason as the per-tensor path: a
-            // pathological gradient can round to ±i64::MAX steps.
-            let new_code = self.store.get(i).saturating_sub(steps);
-            let max_code = q.bits().num_steps() as i64;
-            if new_code < 0 || new_code > max_code {
-                dirty_channels[ch] = true;
-                stats.expanded += 1;
-                spills.push((i, new_code));
-            } else {
-                self.store.set(i, new_code);
-            }
-        }
         let bits = self.bits();
+        let max_code = bits.num_steps() as i64;
+        let quantizers = &self.quantizers;
+        let eps_at = |i: usize| f64::from(quantizers[i / stride].eps());
+        let Eq3Sweep {
+            underflowed,
+            mut on_rails,
+            spills,
+        } = eq3_sweep(&mut self.store, grad.data(), lr, eps_at, mode, rng);
         if !spills.is_empty() {
             // Recalibrate only the channels whose values left their range,
-            // from the raw (possibly out-of-grid) codes.
-            let mut raw = self.store.to_vec();
-            for &(i, c) in &spills {
-                raw[i] = c;
-            }
-            for (ch, dirty) in dirty_channels.iter().enumerate() {
-                if !dirty {
-                    continue;
+            // from the exact updated values: the channel's stored codes
+            // with the spilled (out-of-grid) ones patched in. The rare
+            // path: it touches single channels, so it goes through
+            // `get`/`set`.
+            let mut at = 0;
+            while at < spills.len() {
+                let ch = spills[at].0 / stride;
+                let base = ch * stride;
+                let old = self.quantizers[ch];
+                let mut float: Vec<f32> = (base..base + stride)
+                    .map(|i| old.dequantize_value(self.store.get(i)))
+                    .collect();
+                while let Some(&(i, c)) = spills.get(at).filter(|s| s.0 / stride == ch) {
+                    float[i - base] = old.dequantize_value(c);
+                    at += 1;
                 }
-                let q = self.quantizers[ch];
-                let slice = &raw[ch * stride..(ch + 1) * stride];
-                let float: Vec<f32> = slice.iter().map(|&c| q.dequantize_value(c)).collect();
-                let (min, max) = float
-                    .iter()
-                    .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
-                        (lo.min(v), hi.max(v))
-                    });
-                let new_q = AffineQuantizer::from_range(min, max, bits)?;
+                let new_q = Self::calibrate(&float, bits)?;
                 for (j, &v) in float.iter().enumerate() {
-                    self.store.set(ch * stride + j, new_q.quantize_value(v));
+                    self.store.set(base + j, new_q.quantize_value(v));
                 }
                 self.quantizers[ch] = new_q;
             }
+            on_rails = self.store.count_rails(max_code);
         }
-        let max_code = bits.num_steps() as i64;
-        stats.saturated = self.store.count_rails(max_code);
-        Ok(stats)
+        Ok(UpdateStats {
+            underflowed,
+            expanded: spills.len(),
+            saturated: on_rails,
+            total: self.store.len(),
+        })
     }
 
     /// Fraction of codes sitting on a grid rail (0 or `2^k − 1`), pooled

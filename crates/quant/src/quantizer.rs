@@ -1,4 +1,4 @@
-use crate::{Bitwidth, QuantError};
+use crate::{Bitwidth, CodeStore, QuantError};
 use apt_tensor::{par, Tensor};
 
 /// Elements per parallel chunk for the whole-tensor maps below. Fixed
@@ -178,33 +178,36 @@ impl AffineQuantizer {
         self.scale * q.saturating_sub(self.zero_point) as f32
     }
 
+    /// [`quantize_value`](Self::quantize_value) for `k ≤ 16`, branch-free:
+    /// the grid bounds `[−Z, 2^k−1−Z]` are integers of magnitude ≤ 65535,
+    /// exactly representable in f32, so the clamp runs in f32 lanes and the
+    /// final conversion is a plain f32→i32 cast. Bit-equivalent to the
+    /// scalar path for every input including NaN (→ `Z`, since both
+    /// `NaN as i64` and `NaN as i32` are 0) and ±Inf (→ the grid rails),
+    /// but unlike it, a loop over this autovectorises.
+    fn quantize_lane16(&self) -> impl Fn(f32) -> i64 + Sync {
+        debug_assert!(self.bits.get() <= 16);
+        let (scale, z) = (self.scale, self.zero_point);
+        let lo = -(z as f32);
+        let hi = (self.bits.num_steps() as i64 - z) as f32;
+        move |r| i64::from((r / scale).round().clamp(lo, hi) as i32) + z
+    }
+
     /// Quantises a whole tensor into codes (clamped to the grid).
     ///
     /// Pure per-element map, so it chunks onto the [`apt_tensor::par`]
-    /// pool; results are bit-identical for every thread count.
-    ///
-    /// For `k ≤ 16` the inner loop is branch-free: the grid bounds
-    /// `[−Z, 2^k−1−Z]` are integers of magnitude ≤ 65535, exactly
-    /// representable in f32, so the clamp runs in f32 lanes and the final
-    /// conversion is a plain f32→i32 cast. This is bit-equivalent to
-    /// [`quantize_value`](Self::quantize_value) for every input including
-    /// NaN (→ `Z`, since both `NaN as i64` and `NaN as i32` are 0) and
-    /// ±Inf (→ the grid rails), but unlike the scalar path it
-    /// autovectorises.
+    /// pool; results are bit-identical for every thread count, and equal
+    /// to [`quantize_value`](Self::quantize_value) of every element.
     pub fn quantize_tensor(&self, t: &Tensor) -> Vec<i64> {
         let mut codes = vec![0i64; t.len()];
         let rd = t.data();
         if self.bits.get() <= 16 {
-            let scale = self.scale;
-            let z = self.zero_point;
-            let lo = -(z as f32);
-            let hi = (self.bits.num_steps() as i64 - z) as f32;
+            let lane = self.quantize_lane16();
             par::for_each_chunk_mut(&mut codes, QUANT_CHUNK, |ci, chunk| {
                 let base = ci * QUANT_CHUNK;
                 let src = &rd[base..base + chunk.len()];
                 for (q, &r) in chunk.iter_mut().zip(src) {
-                    let t = (r / scale).round().clamp(lo, hi);
-                    *q = i64::from(t as i32) + z;
+                    *q = lane(r);
                 }
             });
         } else {
@@ -218,6 +221,21 @@ impl AffineQuantizer {
             });
         }
         codes
+    }
+
+    /// Quantises `values` straight into a [`CodeStore`] of this
+    /// quantiser's tier — the codes [`quantize_tensor`](Self::quantize_tensor)
+    /// yields, with no `Vec<i64>` (8 bytes per one-byte code) between the
+    /// f32 source and the store. This is how every parameter store is
+    /// built and recalibrated.
+    pub fn quantize_to_store(&self, values: &[f32]) -> CodeStore {
+        if self.bits.get() <= 16 {
+            let lane = self.quantize_lane16();
+            CodeStore::from_code_iter(values.iter().map(|&r| lane(r)), self.bits)
+        } else {
+            let codes = values.iter().map(|&r| self.quantize_value(r));
+            CodeStore::from_code_iter(codes, self.bits)
+        }
     }
 
     /// Reconstructs a float tensor from codes.

@@ -44,6 +44,63 @@ impl UpdateStats {
     }
 }
 
+/// What one [`eq3_sweep`] did.
+pub(crate) struct Eq3Sweep {
+    /// Non-zero gradients whose step rounded to zero.
+    pub underflowed: usize,
+    /// Codes on a grid rail after the sweep (spilled elements counted at
+    /// the code they kept).
+    pub on_rails: usize,
+    /// `(index, raw code)` of every update that left the grid, in index
+    /// order; the store keeps the old code there.
+    pub spills: Vec<(usize, i64)>,
+}
+
+/// Eq. 3 over a whole store, in place and in one pass:
+/// `q_i ← q_i − round(lr·g_i / ε(i))`, counting underflow and rail codes
+/// on the way. An update that would leave the grid is not written — a
+/// `k`-bit field cannot hold it — but returned for range expansion.
+pub(crate) fn eq3_sweep(
+    store: &mut CodeStore,
+    g: &[f32],
+    lr: f32,
+    eps_at: impl Fn(usize) -> f64,
+    mode: RoundingMode,
+    rng: &mut StdRng,
+) -> Eq3Sweep {
+    let lr = f64::from(lr);
+    let max_code = store.bits().num_steps() as i64;
+    let (mut underflowed, mut on_rails) = (0usize, 0usize);
+    let mut spills: Vec<(usize, i64)> = Vec::new();
+    store.rewrite(
+        #[inline(always)]
+        |i, q| {
+            let steps = mode.round_quotient(lr * f64::from(g[i]), eps_at(i), rng);
+            let mut new = q;
+            if steps == 0 {
+                underflowed += usize::from(g[i] != 0.0);
+            } else {
+                // Saturating: a pathological gradient can round to
+                // ±i64::MAX steps, and plain subtraction would overflow.
+                // The saturated code is out of range, so it spills.
+                let moved = q.saturating_sub(steps);
+                if (0..=max_code).contains(&moved) {
+                    new = moved;
+                } else {
+                    spills.push((i, moved));
+                }
+            }
+            on_rails += usize::from(new == 0 || new == max_code);
+            new
+        },
+    );
+    Eq3Sweep {
+        underflowed,
+        on_rails,
+        spills,
+    }
+}
+
 /// A parameter tensor whose source of truth is its integer codes.
 ///
 /// This realises the paper's central memory claim: during training the model
@@ -95,7 +152,7 @@ impl QuantizedTensor {
     pub fn from_tensor(t: &Tensor, bits: Bitwidth) -> crate::Result<Self> {
         let quantizer = AffineQuantizer::from_tensor(t, bits)?;
         Ok(QuantizedTensor {
-            store: CodeStore::from_codes(&quantizer.quantize_tensor(t), bits),
+            store: quantizer.quantize_to_store(t.data()),
             dims: t.dims().to_vec(),
             quantizer,
         })
@@ -147,12 +204,34 @@ impl QuantizedTensor {
         &self.store
     }
 
-    /// Materialises the float view `S·(q − Z)` of every element.
+    /// Materialises the float view `S·(q − Z)` of every element, straight
+    /// from the tier.
     pub fn to_tensor(&self) -> Tensor {
-        // Codes are always in-range, so this cannot fail.
-        self.quantizer
-            .dequantize_tensor(&self.store.to_vec(), &self.dims)
-            .expect("codes/dims invariant")
+        let mut data = vec![0.0f32; self.store.len()];
+        self.for_each_value(|i, w| data[i] = w);
+        Tensor::from_vec(data, &self.dims).expect("codes/dims invariant")
+    }
+
+    /// Calls `f(i, w)` with the float value `w = S·(q_i − Z)` of every
+    /// element, in order — [`to_tensor`](Self::to_tensor) without the
+    /// tensor, for callers that fold the weights into something else (the
+    /// optimiser's weight-decay term).
+    ///
+    /// Every value equals [`AffineQuantizer::dequantize_value`] of its
+    /// code. For `k ≤ 16` it is computed as an i32→f32 conversion, which
+    /// yields the same float as the i64 one for these magnitudes and lets
+    /// the loop vectorise.
+    #[inline]
+    pub fn for_each_value(&self, mut f: impl FnMut(usize, f32)) {
+        let quantizer = self.quantizer;
+        let (scale, z) = (quantizer.eps(), quantizer.zero_point());
+        if self.bits().get() <= 16 {
+            self.store
+                .for_each(|i, q| f(i, scale * ((q - z) as i32 as f32)));
+        } else {
+            self.store
+                .for_each(|i, q| f(i, quantizer.dequantize_value(q)));
+        }
     }
 
     /// The tensor's quantisation step — the paper's `ε_i` for this layer.
@@ -209,9 +288,13 @@ impl QuantizedTensor {
     ///
     /// Returns [`QuantError::NonFiniteRange`] if the tensor is empty.
     pub fn set_bits(&mut self, bits: Bitwidth) -> crate::Result<()> {
-        let float = self.to_tensor();
-        let quantizer = AffineQuantizer::from_tensor(&float, bits)?;
-        self.store = CodeStore::from_codes(&quantizer.quantize_tensor(&float), bits);
+        self.recalibrate(&self.to_tensor(), bits)
+    }
+
+    /// Re-quantises to `values` at `bits`, calibrating the range from them.
+    fn recalibrate(&mut self, values: &Tensor, bits: Bitwidth) -> crate::Result<()> {
+        let quantizer = AffineQuantizer::from_tensor(values, bits)?;
+        self.store = quantizer.quantize_to_store(values.data());
         self.quantizer = quantizer;
         Ok(())
     }
@@ -249,53 +332,31 @@ impl QuantizedTensor {
         if !lr.is_finite() || grad.has_non_finite() {
             return Err(QuantError::NonFiniteOperand { op: "sgd_update" });
         }
-        let eps = self.eps() as f64;
+        let eps = f64::from(self.eps());
         let max_code = self.bits().num_steps() as i64;
-        let mut stats = UpdateStats {
-            total: self.store.len(),
-            ..Default::default()
-        };
-        // (index, raw out-of-grid code) pairs awaiting range expansion.
-        let mut spills: Vec<(usize, i64)> = Vec::new();
-
-        for (i, &g) in grad.data().iter().enumerate() {
-            let steps = mode.round_steps((lr as f64 * g as f64) / eps, rng);
-            if steps == 0 {
-                if g != 0.0 {
-                    stats.underflowed += 1;
-                }
-                continue;
-            }
-            // Saturating: a pathological gradient can round to ±i64::MAX
-            // steps, and plain subtraction would overflow. The saturated
-            // code is out of range, so the expansion below recalibrates.
-            let new_code = self.store.get(i).saturating_sub(steps);
-            if new_code < 0 || new_code > max_code {
-                stats.expanded += 1;
-                spills.push((i, new_code));
-            } else {
-                self.store.set(i, new_code);
-            }
-        }
+        let Eq3Sweep {
+            underflowed,
+            mut on_rails,
+            spills,
+        } = eq3_sweep(&mut self.store, grad.data(), lr, |_| eps, mode, rng);
 
         if !spills.is_empty() {
-            // Expand: recalibrate the quantiser to cover the new values.
-            // Values are exact multiples of the old ε, reconstructed here.
-            let mut raw = self.store.to_vec();
+            // Expand: recalibrate the quantiser to cover the new values,
+            // which are exact multiples of the old ε — the stored ones
+            // with the spilled ones patched in.
+            let mut values = self.to_tensor();
             for &(i, c) in &spills {
-                raw[i] = c;
+                values.data_mut()[i] = self.quantizer.dequantize_value(c);
             }
-            let float: Vec<f32> = raw
-                .iter()
-                .map(|&q| self.quantizer.dequantize_value(q))
-                .collect();
-            let t = Tensor::from_vec(float, &self.dims)?;
-            let quantizer = AffineQuantizer::from_tensor(&t, self.bits())?;
-            self.store = CodeStore::from_codes(&quantizer.quantize_tensor(&t), self.bits());
-            self.quantizer = quantizer;
+            self.recalibrate(&values, self.bits())?;
+            on_rails = self.store.count_rails(max_code);
         }
-        stats.saturated = self.store.count_rails(max_code);
-        Ok(stats)
+        Ok(UpdateStats {
+            underflowed,
+            expanded: spills.len(),
+            saturated: on_rails,
+            total: self.store.len(),
+        })
     }
 
     /// Fraction of codes sitting on a grid rail (0 or `2^k − 1`).
@@ -378,10 +439,7 @@ impl QuantizedTensor {
                 rhs: t.dims().to_vec(),
             });
         }
-        let quantizer = AffineQuantizer::from_tensor(t, self.bits())?;
-        self.store = CodeStore::from_codes(&quantizer.quantize_tensor(t), self.bits());
-        self.quantizer = quantizer;
-        Ok(())
+        self.recalibrate(t, self.bits())
     }
 }
 

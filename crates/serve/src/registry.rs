@@ -16,10 +16,13 @@
 //! 2. [`apt_nn::checkpoint::load`] via [`InferenceSession::from_checkpoint`]
 //!    — full decode with CRC/bounds/packed-word validation, plus the
 //!    construction-time probe forward.
-//! 3. Digest stability — per-layer FNV-1a integrity digests
+//! 3. Digest stability — per-layer integrity digests
 //!    ([`apt_nn::Network::integrity_digests`]) are captured, a second probe
 //!    forward runs, and the digests are re-captured: inference must not
-//!    mutate the plan.
+//!    mutate the plan. The digest absorbs resident state a 64-bit word per
+//!    bijective step ([`apt_nn::Param::integrity_digest`]), so a change
+//!    confined to any one word is certain to show; it identifies content
+//!    within this build only and is carried by no file or frame.
 //!
 //! A file failing the ladder is moved to a **quarantine directory** with a
 //! `.reason` sidecar and counted; the previously published plan (if any)
@@ -97,7 +100,7 @@ pub struct ModelInfo {
     pub version: u64,
     /// Resident bytes of the (last) published plan.
     pub resident_bytes: u64,
-    /// Per-layer FNV-1a integrity digests captured at ingestion.
+    /// Per-layer integrity digests captured at ingestion.
     pub digests: Vec<(String, u64)>,
 }
 

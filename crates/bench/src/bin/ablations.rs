@@ -12,7 +12,7 @@
 //! Regenerate with `cargo run --release -p apt-bench --bin ablations -- --scale small`.
 
 use apt_baselines::{run_baseline, BaselineSpec};
-use apt_bench::{parse_cli, pct, results_dir, ExpParams};
+use apt_bench::{parse_cli, pct, write_output, ExpParams};
 use apt_core::{PolicyConfig, TrainConfig, Trainer};
 use apt_metrics::Table;
 use apt_nn::{models, QuantScheme};
@@ -121,7 +121,5 @@ fn main() {
     push("reference", "fp32".into(), &fp32);
 
     println!("{table}");
-    let path = results_dir().join("ablations.csv");
-    table.write_csv(&path).expect("write csv");
-    println!("wrote {}", path.display());
+    write_output(false, "results/ablations.csv", &table.to_csv());
 }

@@ -6,7 +6,9 @@
 //! runs a PowerCut recovery campaign (kill a rank mid-run, measure the
 //! fleet-rollback cost and verify the recovered run is bit-identical to
 //! the uninterrupted one) and a rank-scaling measurement on a larger
-//! replica. Outputs `results/distributed.csv` + `BENCH_distributed.json`.
+//! replica. Outputs `results/distributed{,_recovery}.csv` +
+//! `BENCH_distributed.json`; a `--smoke` run writes its two cells to
+//! `results/distributed*_smoke.*` and leaves the record alone.
 //!
 //! ```text
 //! cargo run --release -p apt-bench --bin distributed            # full sweep
@@ -27,15 +29,15 @@
 //!    compute-bound replica (auto-relaxed to a loud SKIP on smaller hosts —
 //!    gates 1–4 are the primary, core-count-independent contract).
 
-use apt_bench::results_dir;
+use apt_bench::{arg_value, json_doc, row, schema, smoke_flag, table, write_output, Gates};
 use apt_core::{CheckpointConfig, PolicyConfig, TrainConfig, Trainer};
 use apt_data::{SynthCifar, SynthCifarConfig};
 use apt_dist::{DistConfig, DistFault, DistReport, DistTrainer};
 use apt_nn::{models, Network, QuantScheme};
 use apt_quant::Bitwidth;
 use apt_tensor::{par, rng};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::time::Instant;
 
 fn workload() -> SynthCifar {
@@ -121,45 +123,6 @@ struct Cell {
     lockstep: bool,
 }
 
-impl Cell {
-    fn csv(&self) -> String {
-        format!(
-            "sweep,{},{},{},{:.1},{:.4},{},{},{:.4},{},{},{},,",
-            self.world,
-            self.bits,
-            self.steps,
-            self.wall_ms,
-            self.final_accuracy,
-            self.bytes_on_wire,
-            self.fp32_bytes,
-            self.wire_ratio,
-            self.digest_checks,
-            self.deterministic,
-            self.lockstep,
-        )
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"world\":{},\"bits\":{},\"steps\":{},\"wall_ms\":{:.1},\
-             \"final_accuracy\":{:.4},\"bytes_on_wire\":{},\"fp32_bytes\":{},\
-             \"wire_ratio\":{:.4},\"digest_checks\":{},\"deterministic\":{},\
-             \"lockstep\":{}}}",
-            self.world,
-            self.bits,
-            self.steps,
-            self.wall_ms,
-            self.final_accuracy,
-            self.bytes_on_wire,
-            self.fp32_bytes,
-            self.wire_ratio,
-            self.digest_checks,
-            self.deterministic,
-            self.lockstep,
-        )
-    }
-}
-
 fn run_once(world: usize, bits: u32, data: &SynthCifar, ckpt: Option<&Path>) -> (DistReport, f64) {
     let t = Instant::now();
     let report = DistTrainer::new(dist_cfg(world, bits, ckpt), replica)
@@ -202,28 +165,6 @@ struct RecoveryCell {
     bit_identical: bool,
 }
 
-impl RecoveryCell {
-    fn csv(&self) -> String {
-        format!(
-            "recovery,2,4,{},{:.1},,,,,,,,{},{}",
-            self.at_step, self.hurt_wall_ms, self.recovery_rounds, self.bit_identical,
-        )
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"rank\":{},\"at_step\":{},\"recovery_rounds\":{},\
-             \"clean_wall_ms\":{:.1},\"hurt_wall_ms\":{:.1},\"bit_identical\":{}}}",
-            self.rank,
-            self.at_step,
-            self.recovery_rounds,
-            self.clean_wall_ms,
-            self.hurt_wall_ms,
-            self.bit_identical,
-        )
-    }
-}
-
 /// PowerCut campaign at world = 2, k = 4: the 12-step run is killed at
 /// `at_steps` (alternating ranks), each time recovering from the lockstep
 /// checkpoints.
@@ -264,17 +205,12 @@ fn recovery_campaign(data: &SynthCifar, at_steps: &[u64]) -> Vec<RecoveryCell> {
 /// pinned to 1, so worker ranks are the only parallelism).
 fn scaling_wall_ms(world: usize, data: &SynthCifar) -> f64 {
     let cfg = DistConfig {
-        world,
-        grad_bits: Bitwidth::new(4).expect("valid bitwidth"),
         train: TrainConfig {
             epochs: 2,
-            batch_size: 2,
-            interval: 1,
-            policy: Some(PolicyConfig::default()),
-            seed: 11,
-            ..TrainConfig::default()
+            ..base_cfg(None)
         },
         max_recovery_rounds: 0,
+        ..dist_cfg(world, 4, None)
     };
     let t = Instant::now();
     DistTrainer::new(cfg, wide_replica)
@@ -284,158 +220,148 @@ fn scaling_wall_ms(world: usize, data: &SynthCifar) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-fn write_outputs(cells: &[Cell], recovery: &[RecoveryCell], scaling: Option<(f64, f64)>) {
-    let header = "kind,world,bits,steps,wall_ms,final_accuracy,bytes_on_wire,\
-                  fp32_bytes,wire_ratio,digest_checks,deterministic,lockstep,\
-                  recovery_rounds,bit_identical";
-    let mut rows = vec![header.to_string()];
-    rows.extend(cells.iter().map(Cell::csv));
-    rows.extend(recovery.iter().map(RecoveryCell::csv));
-    let csv_path = results_dir().join("distributed.csv");
-    std::fs::write(&csv_path, rows.join("\n") + "\n").expect("write csv");
-    println!("wrote {}", csv_path.display());
-
-    let scaling_json = match scaling {
-        Some((w1, w4)) => format!(
-            "{{\"world1_wall_ms\":{:.1},\"world4_wall_ms\":{:.1},\"speedup\":{:.2}}}",
-            w1,
-            w4,
-            w1 / w4.max(1e-9)
-        ),
-        None => "null".to_string(),
-    };
-    let json = format!(
-        "{{\n\"available_parallelism\": {},\n\"scaling\": {},\n\"cells\": [\n{}\n],\n\"recovery\": [\n{}\n]\n}}\n",
-        par::default_threads(),
-        scaling_json,
-        cells
-            .iter()
-            .map(|c| format!("  {}", c.json()))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-        recovery
-            .iter()
-            .map(|c| format!("  {}", c.json()))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    let mut f =
-        std::fs::File::create("BENCH_distributed.json").expect("create BENCH_distributed.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_distributed.json");
-    println!("wrote BENCH_distributed.json");
+/// Rank scaling on the wide replica, `(1-worker, 4-worker)` wall ms —
+/// measured only where there are cores for four ranks to run on.
+fn rank_scaling(data: &SynthCifar) -> Option<(f64, f64)> {
+    (par::default_threads() >= 4).then(|| (scaling_wall_ms(1, data), scaling_wall_ms(4, data)))
 }
 
-fn print_cell(c: &Cell) {
-    println!(
-        "world={} k={}: {:>4} steps {:>8.1} ms acc {:.3} wire {:>8} B ({:.3}x fp32) \
-         deterministic={} lockstep={}",
-        c.world,
-        c.bits,
-        c.steps,
-        c.wall_ms,
-        c.final_accuracy,
-        c.bytes_on_wire,
-        c.wire_ratio,
-        c.deterministic,
-        c.lockstep,
-    );
+/// Prints both tables and writes `results/distributed.csv`,
+/// `results/distributed_recovery.csv` and `BENCH_distributed.json`.
+fn write_outputs(
+    smoke: bool,
+    cells: &[Cell],
+    recovery: &[RecoveryCell],
+    scaling: Option<(f64, f64)>,
+) {
+    let mut sweep = table(schema::DISTRIBUTED);
+    for c in cells {
+        sweep.push_row(row![
+            c.world,
+            c.bits,
+            c.steps,
+            format!("{:.1}", c.wall_ms),
+            format!("{:.4}", c.final_accuracy),
+            c.bytes_on_wire,
+            c.fp32_bytes,
+            format!("{:.4}", c.wire_ratio),
+            c.digest_checks,
+            c.deterministic,
+            c.lockstep
+        ]);
+    }
+    let mut kills = table(schema::DISTRIBUTED_RECOVERY);
+    for r in recovery {
+        kills.push_row(row![
+            r.rank,
+            r.at_step,
+            r.recovery_rounds,
+            format!("{:.1}", r.clean_wall_ms),
+            format!("{:.1}", r.hurt_wall_ms),
+            r.bit_identical
+        ]);
+    }
+    println!("{sweep}\n# recovery: world=2 k=4, one rank power-cut at `at_step`\n{kills}");
+    write_output(smoke, "results/distributed.csv", &sweep.to_csv());
+    write_output(smoke, "results/distributed_recovery.csv", &kills.to_csv());
+
+    let scaling_json = scaling.map_or("null".to_string(), |(w1, w4)| {
+        let mut t = table("world1_wall_ms,world4_wall_ms,speedup");
+        t.push_row(row![
+            format!("{w1:.1}"),
+            format!("{w4:.1}"),
+            format!("{:.2}", w1 / w4.max(1e-9))
+        ]);
+        t.to_json_rows().trim_start().to_string()
+    });
+    let head = [
+        ("available_parallelism", par::default_threads().to_string()),
+        ("scaling", scaling_json),
+    ];
+    let record = json_doc(&head, &[("cells", &sweep), ("recovery", &kills)]);
+    write_output(smoke, "BENCH_distributed.json", &record);
 }
 
-fn smoke() -> bool {
-    let mut ok = true;
+fn smoke() -> ExitCode {
+    let mut gates = Gates::stdout();
     let data = workload();
-    let cores = par::default_threads();
 
     // Gate 1: bytes on wire at the paper's operating point.
-    println!("# smoke gate 1: k=4 N=4 exchange <= 0.2x fp32 bytes");
+    gates.open("k=4 N=4 exchange <= 0.2x fp32 bytes");
     let cell = run_cell(4, 4, &data);
-    print_cell(&cell);
-    if cell.wire_ratio <= 0.2 {
-        println!("ok: wire ratio {:.3}", cell.wire_ratio);
-    } else {
-        println!("FAIL: wire ratio {:.3} > 0.2", cell.wire_ratio);
-        ok = false;
-    }
+    gates.check(
+        cell.wire_ratio <= 0.2,
+        format_args!("wire ratio {:.3} > 0.2", cell.wire_ratio),
+    );
+    gates.pass(format_args!("wire ratio {:.3}", cell.wire_ratio));
 
     // Gate 2: determinism — N=2 bit-reproducible, world=1 == Trainer.
-    println!("# smoke gate 2: bit-reproducible runs, world=1 == single-process");
+    gates.open("bit-reproducible runs, world=1 == single-process");
     let two = run_cell(2, 4, &data);
-    print_cell(&two);
     let single = Trainer::new(replica().expect("net"), base_cfg(None))
         .expect("trainer")
         .train(&data.train, &data.test)
         .expect("single-process run");
     let (one, _) = run_once(1, 4, &data, None);
     let one_matches = one.reports.len() == 1 && one.reports[0] == single;
-    if two.deterministic && one_matches {
-        println!("ok: N=2 reproducible, 1-worker fleet bit-identical to Trainer");
-    } else {
-        println!(
-            "FAIL: deterministic={} one_worker_matches_trainer={}",
-            two.deterministic, one_matches
-        );
-        ok = false;
-    }
+    gates.check(
+        two.deterministic && one_matches,
+        format_args!(
+            "deterministic={} one_worker_matches_trainer={one_matches}",
+            two.deterministic
+        ),
+    );
+    gates.pass("N=2 reproducible, 1-worker fleet bit-identical to Trainer");
 
     // Gate 3: zero replica divergence, every step digest-gated.
-    println!("# smoke gate 3: zero post-reduce divergence, digest-gated every step");
-    let gated = [&cell, &two]
-        .iter()
-        .all(|c| c.lockstep && c.digest_checks == c.steps);
-    if gated {
-        println!(
-            "ok: {} digest checks across both cells",
-            cell.digest_checks + two.digest_checks
-        );
-    } else {
-        println!("FAIL: a cell diverged or skipped digest gating");
-        ok = false;
-    }
+    gates.open("zero post-reduce divergence, digest-gated every step");
+    gates.check(
+        [&cell, &two]
+            .iter()
+            .all(|c| c.lockstep && c.digest_checks == c.steps),
+        "a cell diverged or skipped digest gating",
+    );
+    gates.pass(format_args!(
+        "{} digest checks across both cells",
+        cell.digest_checks + two.digest_checks
+    ));
 
     // Gate 4: kill-anywhere recovery stays bit-identical.
-    println!("# smoke gate 4: power-cut rank recovers bit-identically");
+    gates.open("power-cut rank recovers bit-identically");
     let recovery = recovery_campaign(&data, &[5]);
     for r in &recovery {
-        println!(
-            "kill rank {} at step {}: rounds={} clean {:.1} ms hurt {:.1} ms bit_identical={}",
-            r.rank, r.at_step, r.recovery_rounds, r.clean_wall_ms, r.hurt_wall_ms, r.bit_identical
+        gates.check(
+            r.recovery_rounds == 1 && r.bit_identical,
+            format_args!(
+                "kill rank {} at step {}: recovery must take one rollback and reproduce the \
+                 clean run (rounds={} bit_identical={})",
+                r.rank, r.at_step, r.recovery_rounds, r.bit_identical
+            ),
         );
-        if r.recovery_rounds != 1 || !r.bit_identical {
-            println!("FAIL: recovery must take one rollback and reproduce the clean run");
-            ok = false;
-        }
     }
-    if recovery
-        .iter()
-        .all(|r| r.recovery_rounds == 1 && r.bit_identical)
-    {
-        println!("ok: fleet rollback reproduced the uninterrupted run");
-    }
+    gates.pass("fleet rollback reproduced the uninterrupted run");
 
     // Gate 5: rank scaling — needs real cores to mean anything.
-    let scaling = if cores >= 4 {
-        println!("# smoke gate 5: 4 workers >= 1.5x faster than 1 on the wide replica");
-        let w1 = scaling_wall_ms(1, &data);
-        let w4 = scaling_wall_ms(4, &data);
-        let speedup = w1 / w4.max(1e-9);
-        if speedup >= 1.5 {
-            println!("ok: {speedup:.2}x ({w1:.0} ms vs {w4:.0} ms)");
-        } else {
-            println!("FAIL: only {speedup:.2}x ({w1:.0} ms vs {w4:.0} ms)");
-            ok = false;
+    let scaling = rank_scaling(&data);
+    match scaling {
+        Some((w1, w4)) => {
+            gates.open("4 workers >= 1.5x faster than 1 on the wide replica");
+            let speedup = w1 / w4.max(1e-9);
+            gates.check(
+                speedup >= 1.5,
+                format_args!("only {speedup:.2}x ({w1:.0} ms vs {w4:.0} ms)"),
+            );
+            gates.pass(format_args!("{speedup:.2}x ({w1:.0} ms vs {w4:.0} ms)"));
         }
-        Some((w1, w4))
-    } else {
-        println!(
-            "# smoke gate 5 SKIPPED: only {cores} core(s); rank scaling needs >= 4 \
-             (gates 1-4 are the core-count-independent contract)"
-        );
-        None
-    };
+        None => gates.skip(format_args!(
+            "only {} core(s); rank scaling needs >= 4 (gates 1-4 are the \
+             core-count-independent contract)",
+            par::default_threads()
+        )),
+    }
 
-    write_outputs(&[cell, two], &recovery, scaling);
-    ok
+    write_outputs(true, &[cell, two], &recovery, scaling);
+    gates.finish()
 }
 
 fn full_sweep() {
@@ -443,59 +369,39 @@ fn full_sweep() {
     let mut cells = Vec::new();
     for world in [1usize, 2, 4] {
         for bits in [2u32, 4, 8] {
-            let cell = run_cell(world, bits, &data);
-            print_cell(&cell);
-            cells.push(cell);
+            cells.push(run_cell(world, bits, &data));
         }
     }
-    println!("# recovery campaign: world=2 k=4, kill at steps 1/5/9");
+    // world=2 k=4, killed at steps 1/5/9.
     let recovery = recovery_campaign(&data, &[1, 5, 9]);
-    for r in &recovery {
-        println!(
-            "kill rank {} at step {}: rounds={} clean {:.1} ms hurt {:.1} ms bit_identical={}",
-            r.rank, r.at_step, r.recovery_rounds, r.clean_wall_ms, r.hurt_wall_ms, r.bit_identical
-        );
-    }
-    let scaling = if par::default_threads() >= 4 {
-        let w1 = scaling_wall_ms(1, &data);
-        let w4 = scaling_wall_ms(4, &data);
-        println!(
+    let scaling = rank_scaling(&data);
+    match scaling {
+        Some((w1, w4)) => println!(
             "# rank scaling (wide replica): {w1:.0} ms @ 1 worker, {w4:.0} ms @ 4 ({:.2}x)",
             w1 / w4.max(1e-9)
-        );
-        Some((w1, w4))
-    } else {
-        println!(
+        ),
+        None => println!(
             "# rank scaling SKIPPED: only {} core(s)",
             par::default_threads()
-        );
-        None
-    };
-    write_outputs(&cells, &recovery, scaling);
+        ),
+    }
+    write_outputs(false, &cells, &recovery, scaling);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke_mode = args.iter().any(|a| a == "--smoke");
+fn main() -> ExitCode {
     // Rank threads are the unit of parallelism being measured; pin the
     // inner-op pool so it does not compete with them (overridable).
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
+    let threads = arg_value("--threads")
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1);
     par::set_global_threads(threads);
 
-    if smoke_mode {
+    if smoke_flag() {
         println!("# distributed --smoke: bandwidth / determinism / divergence / recovery gates");
-        if !smoke() {
-            std::process::exit(1);
-        }
-        return;
+        return smoke();
     }
-
     println!("# distributed: world x grad-bits sweep, recovery campaign, rank scaling");
     full_sweep();
+    ExitCode::SUCCESS
 }

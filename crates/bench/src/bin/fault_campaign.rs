@@ -22,7 +22,7 @@
 //! is detected and at least 9/10 runs recover to within 2 % of clean —
 //! the acceptance gate CI enforces on every push.
 
-use apt_bench::results_dir;
+use apt_bench::{arg_value, json_doc, row, smoke_flag, table, write_output, Gates};
 use apt_core::faults::{BatchCorruptor, BitFlip, Saturator, StepHook, SurfaceKind};
 use apt_core::{CoreError, IntegrityConfig, TrainConfig, TrainReport, Trainer};
 use apt_data::{blobs, Dataset};
@@ -30,7 +30,7 @@ use apt_nn::{models, Network, QuantScheme};
 use apt_optim::LrSchedule;
 use apt_quant::Bitwidth;
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::process::ExitCode;
 
 /// Recovery criterion: within 2 % absolute accuracy of the paired clean run.
 const RECOVERY_TOL: f64 = 0.02;
@@ -125,26 +125,6 @@ impl Cell {
             self.acc_deltas.iter().sum::<f64>() / self.acc_deltas.len() as f64
         }
     }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"injector\":\"{}\",\"rate\":{},\"bits\":{},\"runs\":{},\
-             \"injected\":{},\"detected\":{},\"detection_rate\":{:.4},\
-             \"recovered\":{},\"recovery_rate\":{:.4},\"aborted\":{},\
-             \"mean_acc_delta\":{:.6}}}",
-            self.injector,
-            self.rate,
-            self.bits,
-            self.runs,
-            self.injected,
-            self.detected,
-            self.detection_rate(),
-            self.recovered,
-            self.recovery_rate(),
-            self.aborted,
-            self.mean_acc_delta(),
-        )
-    }
 }
 
 /// Clean-run accuracy cache keyed by (bits, seed): every injected run is
@@ -161,24 +141,45 @@ impl CleanCache {
     }
 }
 
-fn score(cell: &mut Cell, clean_acc: f64, injected: usize, detected: usize, out: &CampaignRun) {
-    cell.runs += 1;
-    cell.injected += injected;
-    if out.aborted {
-        cell.aborted += 1;
+/// One cell: `seeds` injected runs at `bits`, each scored against the clean
+/// run of its seed. `inject` runs one seed and says how many faults landed;
+/// `flagged` reads off a finished run's report how many the guard caught.
+fn campaign(
+    clean: &mut CleanCache,
+    (injector, rate, bits): (&str, f64, u32),
+    seeds: u64,
+    flagged: fn(&TrainReport) -> usize,
+    mut inject: impl FnMut(u64) -> (CampaignRun, usize),
+) -> Cell {
+    let mut cell = Cell {
+        injector: injector.into(),
+        rate,
+        bits,
+        ..Default::default()
+    };
+    for seed in 0..seeds {
+        let clean_acc = clean.accuracy(bits, seed);
+        let (out, injected) = inject(seed);
+        cell.runs += 1;
+        cell.injected += injected;
         // An abort is a detection event by construction: the ladder only
         // trips after repeated flagged violations.
-        cell.detected += injected;
-    } else {
-        cell.detected += detected.min(injected);
+        let detected = out.report.as_ref().map_or(injected, flagged).min(injected);
+        cell.detected += detected;
+        cell.aborted += usize::from(out.aborted);
+        let delta = out
+            .report
+            .as_ref()
+            .map(|r| (r.final_accuracy - clean_acc).abs());
+        cell.acc_deltas.extend(delta);
+        cell.recovered += usize::from(delta.is_some_and(|d| d <= RECOVERY_TOL));
+        eprintln!(
+            "{injector:<15} rate={rate:<4} bits={bits} seed {seed}: injected={injected} \
+             detected={detected} acc_delta={:.4}",
+            delta.unwrap_or(f64::NAN)
+        );
     }
-    if let Some(report) = &out.report {
-        let delta = (report.final_accuracy - clean_acc).abs();
-        cell.acc_deltas.push(delta);
-        if delta <= RECOVERY_TOL {
-            cell.recovered += 1;
-        }
-    }
+    cell
 }
 
 fn violations(r: &TrainReport) -> usize {
@@ -189,186 +190,124 @@ fn violations(r: &TrainReport) -> usize {
 }
 
 fn full_sweep(seeds: u64) -> Vec<Cell> {
-    let bitwidths = [4u32, 6, 8];
-    let flip_rates = [0.02f64, 0.1, 0.5];
-    let batch_rates = [0.05f64, 0.25];
     let mut cells = Vec::new();
-
     let mut clean = CleanCache(HashMap::new());
-
-    for &bits in &bitwidths {
-        for &rate in &flip_rates {
-            let mut cell = Cell {
-                injector: "bitflip".into(),
-                rate,
-                bits,
-                ..Default::default()
-            };
-            for seed in 0..seeds {
-                let clean_acc = clean.accuracy(bits, seed);
+    for bits in [4u32, 6, 8] {
+        for rate in [0.02f64, 0.1, 0.5] {
+            let cell = ("bitflip", rate, bits);
+            cells.push(campaign(&mut clean, cell, seeds, violations, |seed| {
                 let mut hook = BitFlip::with_rate(rate, 0xF1_0000 + seed).surfaces(&[
                     SurfaceKind::Weight,
                     SurfaceKind::Velocity,
                     SurfaceKind::GavgEma,
                 ]);
                 let out = run(bits, seed, true, &mut hook);
-                let injected = hook.records().len();
-                let detected = out.report.as_ref().map(violations).unwrap_or(injected);
-                score(&mut cell, clean_acc, injected, detected, &out);
-            }
-            eprintln!(
-                "bitflip   rate={rate:<4} bits={bits}: det={:.0}% rec={:.0}% aborts={}",
-                100.0 * cell.detection_rate(),
-                100.0 * cell.recovery_rate(),
-                cell.aborted
-            );
-            cells.push(cell);
+                (out, hook.records().len())
+            }));
         }
-
-        for &rate in &batch_rates {
-            let mut cell = Cell {
-                injector: "batch".into(),
-                rate,
-                bits,
-                ..Default::default()
-            };
-            for seed in 0..seeds {
-                let clean_acc = clean.accuracy(bits, seed);
+        for rate in [0.05f64, 0.25] {
+            let skipped = |r: &TrainReport| r.integrity.skipped_batches;
+            let cell = ("batch", rate, bits);
+            cells.push(campaign(&mut clean, cell, seeds, skipped, |seed| {
                 let mut hook = BatchCorruptor::with_rate(rate, 0xBA_0000 + seed);
                 let out = run(bits, seed, true, &mut hook);
-                let injected = hook.injected();
-                let detected = out
-                    .report
-                    .as_ref()
-                    .map(|r| r.integrity.skipped_batches)
-                    .unwrap_or(injected);
-                score(&mut cell, clean_acc, injected, detected, &out);
-            }
-            eprintln!(
-                "batch     rate={rate:<4} bits={bits}: det={:.0}% rec={:.0}% aborts={}",
-                100.0 * cell.detection_rate(),
-                100.0 * cell.recovery_rate(),
-                cell.aborted
-            );
-            cells.push(cell);
+                (out, hook.injected())
+            }));
         }
-
         // One-shot rail saturation, digests off so the saturation guard —
         // not the digest scan — does the catching.
-        let mut cell = Cell {
-            injector: "saturate".into(),
-            rate: 0.0,
-            bits,
-            ..Default::default()
-        };
-        for seed in 0..seeds {
-            let clean_acc = clean.accuracy(bits, seed);
+        let saturated = |r: &TrainReport| r.integrity.saturation_violations;
+        let cell = ("saturate", 0.0, bits);
+        cells.push(campaign(&mut clean, cell, seeds, saturated, |seed| {
             let mut hook = Saturator::at(4);
             let out = run(bits, seed, false, &mut hook);
-            let injected = usize::from(hook.forced() > 0);
-            let detected = out
-                .report
-                .as_ref()
-                .map(|r| r.integrity.saturation_violations)
-                .unwrap_or(injected);
-            score(&mut cell, clean_acc, injected, detected, &out);
-        }
-        eprintln!(
-            "saturate  one-shot  bits={bits}: det={:.0}% rec={:.0}% aborts={}",
-            100.0 * cell.detection_rate(),
-            100.0 * cell.recovery_rate(),
-            cell.aborted
-        );
-        cells.push(cell);
+            (out, usize::from(hook.forced() > 0))
+        }));
     }
     cells
 }
 
 /// The CI acceptance gate: 10 one-shot weight flips at 6 bits must all be
 /// detected, and ≥ 9/10 runs must recover to within 2 % of clean.
-fn smoke() -> bool {
+fn smoke() -> ExitCode {
     const SEEDS: u64 = 10;
     let mut clean = CleanCache(HashMap::new());
-    let mut cell = Cell {
-        injector: "bitflip-oneshot".into(),
-        rate: 0.0,
-        bits: 6,
-        ..Default::default()
-    };
-    for seed in 0..SEEDS {
-        let clean_acc = clean.accuracy(6, seed);
-        let mut hook = BitFlip::at(5, 0x50_0000 + seed);
-        let out = run(6, seed, true, &mut hook);
-        let injected = hook.records().len();
-        let detected = out
-            .report
-            .as_ref()
-            .map(|r| r.integrity.digest_violations)
-            .unwrap_or(injected);
-        score(&mut cell, clean_acc, injected, detected, &out);
-        println!(
-            "seed {seed}: injected={injected} detected={detected} acc_delta={:.4}",
-            cell.acc_deltas.last().copied().unwrap_or(f64::NAN)
-        );
-    }
-
-    write_json("fault_campaign_smoke.json", std::slice::from_ref(&cell));
-
-    let det_ok = cell.injected == SEEDS as usize && cell.detection_rate() == 1.0;
-    let rec_ok = cell.recovered >= 9;
-    println!(
-        "smoke: detection {}/{} recovery {}/{}",
-        cell.detected, cell.injected, cell.recovered, cell.runs
+    let digest = |r: &TrainReport| r.integrity.digest_violations;
+    let cell = campaign(
+        &mut clean,
+        ("bitflip-oneshot", 0.0, 6),
+        SEEDS,
+        digest,
+        |seed| {
+            let mut hook = BitFlip::at(5, 0x50_0000 + seed);
+            let out = run(6, seed, true, &mut hook);
+            (out, hook.records().len())
+        },
     );
-    if !det_ok {
-        eprintln!("FAIL: expected 100% detection of injected weight bit flips");
-    }
-    if !rec_ok {
-        eprintln!("FAIL: expected >= 9/10 runs within 2% of clean accuracy");
-    }
-    det_ok && rec_ok
+    write_json(true, std::slice::from_ref(&cell));
+
+    let mut gates = Gates::stdout();
+    gates.open("every injected weight bit flip detected");
+    gates.check(
+        cell.injected == SEEDS as usize && cell.detection_rate() == 1.0,
+        "expected 100% detection of injected weight bit flips",
+    );
+    gates.pass(format_args!(
+        "detection {}/{}",
+        cell.detected, cell.injected
+    ));
+    gates.open("at least 9/10 runs recover to within 2% of clean accuracy");
+    gates.check(
+        cell.recovered >= 9,
+        "expected >= 9/10 runs within 2% of clean accuracy",
+    );
+    gates.pass(format_args!("recovery {}/{}", cell.recovered, cell.runs));
+    gates.finish()
 }
 
-fn write_json(name: &str, cells: &[Cell]) {
-    let body: Vec<String> = cells.iter().map(|c| format!("  {}", c.to_json())).collect();
-    let json = format!(
-        "{{\n\"recovery_tolerance\": {RECOVERY_TOL},\n\"cells\": [\n{}\n]\n}}\n",
-        body.join(",\n")
+/// Prints the cells and writes them to `results/fault_campaign.json`.
+fn write_json(smoke: bool, cells: &[Cell]) {
+    let mut t = table(
+        "injector,rate,bits,runs,injected,detected,detection_rate,recovered,recovery_rate,\
+         aborted,mean_acc_delta",
     );
-    let path = results_dir().join(name);
-    let mut f = std::fs::File::create(&path).expect("create results file");
-    f.write_all(json.as_bytes()).expect("write results");
-    println!("wrote {}", path.display());
+    for c in cells {
+        t.push_row(row![
+            c.injector,
+            c.rate,
+            c.bits,
+            c.runs,
+            c.injected,
+            c.detected,
+            format!("{:.4}", c.detection_rate()),
+            c.recovered,
+            format!("{:.4}", c.recovery_rate()),
+            c.aborted,
+            format!("{:.6}", c.mean_acc_delta())
+        ]);
+    }
+    println!("{t}");
+    let head = [("recovery_tolerance", RECOVERY_TOL.to_string())];
+    let record = json_doc(&head, &[("cells", &t)]);
+    write_output(smoke, "results/fault_campaign.json", &record);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke_mode = args.iter().any(|a| a == "--smoke");
-    let seeds = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
+fn main() -> ExitCode {
+    let seeds = arg_value("--seeds")
         .and_then(|s| s.parse::<u64>().ok())
         .unwrap_or(5);
-    if let Some(n) = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
+    if let Some(n) = arg_value("--threads")
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&n| n >= 1)
     {
         apt_tensor::par::set_global_threads(n);
     }
 
-    if smoke_mode {
+    if smoke_flag() {
         println!("# fault-campaign --smoke: one-shot weight flips, 6-bit, 10 seeds");
-        if !smoke() {
-            std::process::exit(1);
-        }
-        return;
+        return smoke();
     }
-
     println!("# fault-campaign: injector x rate x bitwidth sweep, {seeds} seeds/cell");
-    let cells = full_sweep(seeds);
-    write_json("fault_campaign.json", &cells);
+    write_json(false, &full_sweep(seeds));
+    ExitCode::SUCCESS
 }

@@ -9,7 +9,7 @@
 //! Regenerate with `cargo run --release -p apt-bench --bin fig1 -- --scale small`.
 
 use apt_baselines::{run_baseline, BaselineSpec};
-use apt_bench::{parse_cli, results_dir};
+use apt_bench::{parse_cli, write_output};
 use apt_metrics::Table;
 use apt_nn::models;
 
@@ -74,9 +74,7 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let path = results_dir().join("fig1.csv");
-    table.write_csv(&path).expect("write csv");
-    println!("wrote {}", path.display());
+    write_output(false, "results/fig1.csv", &table.to_csv());
     println!(
         "final accuracy {:.1}% | shape check: APT raises bitwidth wherever Gavg < T_min",
         100.0 * report.final_accuracy

@@ -8,7 +8,7 @@
 //! Regenerate with `cargo run --release -p apt-bench --bin fig2 -- --scale small`.
 
 use apt_baselines::{run_baseline, BaselineSpec};
-use apt_bench::{parse_cli, pct, results_dir};
+use apt_bench::{parse_cli, pct, write_output};
 use apt_metrics::Table;
 use apt_nn::models;
 use apt_quant::Bitwidth;
@@ -53,9 +53,7 @@ fn main() {
         table.push_row(row);
     }
     println!("{table}");
-    let path = results_dir().join("fig2.csv");
-    table.write_csv(&path).expect("write csv");
-    println!("wrote {}", path.display());
+    write_output(false, "results/fig2.csv", &table.to_csv());
 
     println!("\nfinal accuracies:");
     for (name, r) in &curves {

@@ -9,7 +9,7 @@
 //! Regenerate with `cargo run --release -p apt-bench --bin fig3 -- --scale small`.
 
 use apt_baselines::{run_baseline, BaselineSpec};
-use apt_bench::{parse_cli, results_dir};
+use apt_bench::{parse_cli, write_output};
 use apt_metrics::Table;
 use apt_nn::models;
 
@@ -77,8 +77,7 @@ fn main() {
         table.push_row(row);
     }
     println!("{table}");
-    let path = results_dir().join("fig3.csv");
-    table.write_csv(&path).expect("write csv");
+    write_output(false, "results/fig3.csv", &table.to_csv());
 
     // Also dump every layer's trajectory for completeness.
     let mut full_cols: Vec<String> = vec!["epoch".into()];
@@ -98,9 +97,7 @@ fn main() {
         }
         full.push_row(row);
     }
-    let full_path = results_dir().join("fig3_all_layers.csv");
-    full.write_csv(&full_path).expect("write csv");
-    println!("wrote {} and {}", path.display(), full_path.display());
+    write_output(false, "results/fig3_all_layers.csv", &full.to_csv());
 
     let start: u32 = report.epochs[0].layer_bits.iter().map(|&(_, b)| b).sum();
     let end: u32 = report

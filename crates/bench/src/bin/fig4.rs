@@ -10,7 +10,7 @@
 //! Regenerate with `cargo run --release -p apt-bench --bin fig4 -- --scale small`.
 
 use apt_baselines::{run_baseline, BaselineSpec};
-use apt_bench::{parse_cli, pct, results_dir};
+use apt_bench::{parse_cli, pct, write_output};
 use apt_core::TrainReport;
 use apt_metrics::Table;
 use apt_nn::models;
@@ -89,9 +89,7 @@ fn main() {
         table.push_row(row);
     }
     println!("{table}");
-    let path = results_dir().join("fig4.csv");
-    table.write_csv(&path).expect("write csv");
-    println!("wrote {}", path.display());
+    write_output(false, "results/fig4.csv", &table.to_csv());
     println!(
         "shape check: APT column should be the smallest ratio at each reachable target;\n\
          low fixed-bit arms go `absent` at the top targets."

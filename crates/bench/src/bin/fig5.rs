@@ -10,7 +10,7 @@
 //! Regenerate with `cargo run --release -p apt-bench --bin fig5 -- --scale small`.
 
 use apt_baselines::{run_baseline, BaselineSpec};
-use apt_bench::{parse_cli, pct, results_dir};
+use apt_bench::{parse_cli, pct, write_output};
 use apt_metrics::Table;
 use apt_nn::models;
 
@@ -69,9 +69,7 @@ fn main() {
         ]);
     }
     println!("{table}");
-    let path = results_dir().join("fig5.csv");
-    table.write_csv(&path).expect("write csv");
-    println!("wrote {}", path.display());
+    write_output(false, "results/fig5.csv", &table.to_csv());
     println!(
         "shape check: all three columns rise with T_min; accuracy gains flatten past T_min≈1\n\
          while energy keeps rising — the paper's trade-off knob."

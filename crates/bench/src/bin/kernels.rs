@@ -39,7 +39,10 @@
 //!    to the unfused conv → bias → ReLU sequence and at least as fast
 //!    within timer tolerance (paired rounds, median ratio).
 
-use apt_bench::results_dir;
+use apt_bench::{
+    arg_value, bit_identical, json_doc, median, paired_rounds, row, schema, smoke_flag, table,
+    write_output, Gates,
+};
 use apt_quant::{AffineQuantizer, Bitwidth};
 use apt_tensor::ops::conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dParams};
 use apt_tensor::ops::fused;
@@ -48,7 +51,7 @@ use apt_tensor::ops::pool::max_pool2d;
 use apt_tensor::ops::softmax::softmax_rows;
 use apt_tensor::ops::{add, gemm_isa, matmul, matmul_a_bt, matmul_at_b};
 use apt_tensor::{par, rng, Tensor};
-use std::io::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Target wall time per measured cell; iteration counts adapt to hit it.
@@ -146,33 +149,12 @@ fn kernels() -> Vec<Kernel> {
         });
         // The freeze compiler's fused serving kernel: same conv
         // decomposition with the bias add and ReLU applied in-slice.
-        let xs = tensor(&[n, c_in, hw, hw], 7).data().to_vec();
-        let ws = tensor(&[c_out, c_in, k, k], 8).data().to_vec();
-        let bias = tensor(&[c_out], 12).data().to_vec();
-        let out_len = n * c_out * hw * hw;
+        let (xf, bias) = (tensor(&[n, c_in, hw, hw], 7), tensor(&[c_out], 12));
         v.push(Kernel {
             op: "conv2d_bias_relu",
             shape,
             flops,
-            run: Box::new(move || {
-                let mut out = vec![0.0f32; out_len];
-                fused::conv2d_bias_act(
-                    &xs,
-                    &ws,
-                    &mut out,
-                    n,
-                    c_in,
-                    hw,
-                    hw,
-                    c_out,
-                    k,
-                    &p,
-                    Some(&bias),
-                    fused::Epilogue::Relu,
-                )
-                .unwrap();
-                out
-            }),
+            run: Box::new(move || fused_conv_relu(&xf, &w, &bias)),
         });
     }
 
@@ -273,6 +255,30 @@ fn kernels() -> Vec<Kernel> {
     v
 }
 
+/// `conv2d` + bias + ReLU through the freeze compiler's fused kernel, at the
+/// conv cell's stride-1, pad-1 geometry.
+fn fused_conv_relu(x: &Tensor, w: &Tensor, bias: &Tensor) -> Vec<f32> {
+    let (n, c_in, h, wd) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+    let (c_out, k) = (w.dims()[0], w.dims()[2]);
+    let mut out = vec![0.0f32; n * c_out * h * wd];
+    fused::conv2d_bias_act(
+        x.data(),
+        w.data(),
+        &mut out,
+        n,
+        c_in,
+        h,
+        wd,
+        c_out,
+        k,
+        &Conv2dParams::new(1, 1, 1),
+        Some(bias.data()),
+        fused::Epilogue::Relu,
+    )
+    .unwrap();
+    out
+}
+
 /// Times one kernel: warm up once, pick an iteration count targeting
 /// [`TARGET_SECS`], report mean ns/iter.
 fn time_kernel(k: &Kernel) -> f64 {
@@ -288,17 +294,10 @@ fn time_kernel(k: &Kernel) -> f64 {
     t1.elapsed().as_secs_f64() * 1e9 / iters as f64
 }
 
-struct Row {
-    op: String,
-    shape: String,
-    threads: usize,
-    ns_per_iter: f64,
-    gflops: f64,
-    speedup_vs_1t: f64,
-}
-
-fn sweep(thread_counts: &[usize]) -> Vec<Row> {
-    let mut rows = Vec::new();
+/// Times every kernel at every thread count, prints the cells and writes
+/// `results/kernels.csv` + `BENCH_kernels.json`.
+fn sweep(thread_counts: &[usize]) {
+    let mut cells = table(schema::KERNELS);
     for k in kernels() {
         let mut ns_1t = f64::NAN;
         for &t in thread_counts {
@@ -306,56 +305,25 @@ fn sweep(thread_counts: &[usize]) -> Vec<Row> {
             if t == 1 {
                 ns_1t = ns;
             }
-            let row = Row {
-                op: k.op.into(),
-                shape: k.shape.clone(),
-                threads: t,
-                ns_per_iter: ns,
-                gflops: k.flops / ns,
-                speedup_vs_1t: if ns_1t.is_finite() { ns_1t / ns } else { 1.0 },
-            };
-            println!(
-                "{:<18} {:<22} threads={:<2} {:>12.0} ns/iter {:>7.2} GFLOP/s {:>5.2}x",
-                row.op, row.shape, row.threads, row.ns_per_iter, row.gflops, row.speedup_vs_1t
-            );
-            rows.push(row);
+            let speedup_vs_1t = if ns_1t.is_finite() { ns_1t / ns } else { 1.0 };
+            cells.push_row(row![
+                k.op,
+                k.shape,
+                t,
+                format!("{ns:.1}"),
+                format!("{:.4}", k.flops / ns),
+                format!("{speedup_vs_1t:.4}")
+            ]);
         }
     }
-    rows
-}
-
-fn write_outputs(rows: &[Row]) {
-    let csv_path = results_dir().join("kernels.csv");
-    let simd = gemm_isa();
-    let mut csv = String::from("op,shape,threads,ns_per_iter,gflops,speedup_vs_1t,simd\n");
-    for r in rows {
-        csv.push_str(&format!(
-            "{},{},{},{:.1},{:.4},{:.4},{simd}\n",
-            r.op, r.shape, r.threads, r.ns_per_iter, r.gflops, r.speedup_vs_1t
-        ));
-    }
-    std::fs::write(&csv_path, &csv).expect("write kernels.csv");
-    println!("wrote {}", csv_path.display());
-
-    let cells: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\"op\":\"{}\",\"shape\":\"{}\",\"threads\":{},\
-                 \"ns_per_iter\":{:.1},\"gflops\":{:.4},\"speedup_vs_1t\":{:.4}}}",
-                r.op, r.shape, r.threads, r.ns_per_iter, r.gflops, r.speedup_vs_1t
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n\"available_parallelism\": {},\n\"simd\": \"{simd}\",\n\"cells\": [\n{}\n]\n}}\n",
-        par::default_threads(),
-        cells.join(",\n")
-    );
-    let mut f = std::fs::File::create("BENCH_kernels.json").expect("create BENCH_kernels.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_kernels.json");
-    println!("wrote BENCH_kernels.json");
+    println!("{cells}");
+    write_output(false, "results/kernels.csv", &cells.to_csv());
+    let head = [
+        ("available_parallelism", par::default_threads().to_string()),
+        ("simd", format!("\"{}\"", gemm_isa())),
+    ];
+    let record = json_doc(&head, &[("cells", &cells)]);
+    write_output(false, "BENCH_kernels.json", &record);
 }
 
 /// The old naive matmul kernel (pre-blocking, with the zero-skip branch)
@@ -376,52 +344,19 @@ fn naive_matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
     }
 }
 
-/// Paired timing for the smoke gates: interleaves `a` and `b` over five
-/// rounds, best-of-3 within each round, and returns the per-round
-/// `(a_ns, b_ns)`. Shared CI hosts drift through multi-second throughput
-/// phases, so a single timing of each side is a coin flip; interleaving
-/// puts both sides in the same phase and the gates judge the MEDIAN of
-/// the per-round figures.
-fn paired_rounds(a: &dyn Fn(), b: &dyn Fn()) -> Vec<(f64, f64)> {
-    (0..5)
-        .map(|_| {
-            let (mut a_ns, mut b_ns) = (f64::MAX, f64::MAX);
-            for _ in 0..3 {
-                let t = Instant::now();
-                a();
-                a_ns = a_ns.min(t.elapsed().as_secs_f64() * 1e9);
-                let t = Instant::now();
-                b();
-                b_ns = b_ns.min(t.elapsed().as_secs_f64() * 1e9);
-            }
-            (a_ns, b_ns)
-        })
-        .collect()
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v[v.len() / 2]
-}
-
-fn smoke() -> bool {
-    let mut ok = true;
+fn smoke() -> ExitCode {
+    let mut gates = Gates::stdout();
 
     // Gate 1: bit-exactness across thread counts for every kernel.
-    println!("# smoke gate 1: bit-exactness across threads {{1, 2, 3, 7}}");
+    gates.open("bit-exactness across threads {1, 2, 3, 7}");
     for k in kernels() {
         let reference = par::with_threads(1, || (k.run)());
         for t in [2usize, 3, 7] {
             let got = par::with_threads(t, || (k.run)());
-            let bitwise_equal = reference.len() == got.len()
-                && reference
-                    .iter()
-                    .zip(&got)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !bitwise_equal {
-                eprintln!("FAIL: {} ({}) differs at {} threads", k.op, k.shape, t);
-                ok = false;
-            }
+            gates.check(
+                bit_identical(&reference, &got),
+                format_args!("{} ({}) differs at {t} threads", k.op, k.shape),
+            );
         }
         println!("  {:<18} {:<22} bit-identical", k.op, k.shape);
     }
@@ -433,10 +368,10 @@ fn smoke() -> bool {
     // only must not lose (10 % tolerance absorbs timer noise).
     let simd = gemm_isa();
     let tiled_floor = if simd == "avx2" { 1.25 } else { 0.90 };
-    println!(
-        "# smoke gate 2: tiled serial matmul vs old naive kernel (192^3, paired rounds; \
+    gates.open(format_args!(
+        "tiled serial matmul vs old naive kernel (192^3, paired rounds; \
          `{simd}` micro-kernel, floor {tiled_floor}x)"
-    );
+    ));
     {
         let s = 192usize;
         let a = tensor(&[s, s], 21);
@@ -463,18 +398,18 @@ fn smoke() -> bool {
         }
         let ratio = median(rounds.iter().map(|(n, t)| n / t).collect());
         println!("  median naive/tiled ratio {ratio:.2}x (floor {tiled_floor}x)");
-        if ratio < tiled_floor {
-            eprintln!(
-                "FAIL: tiled serial matmul below {tiled_floor}x the old naive kernel (median)"
-            );
-            ok = false;
-        }
+        gates.check(
+            ratio >= tiled_floor,
+            format_args!("tiled serial matmul below {tiled_floor}x the old naive kernel (median)"),
+        );
     }
 
     // Gate 3: multi-thread speedup, only meaningful with enough cores.
     let cores = par::default_threads();
     if cores >= 4 {
-        println!("# smoke gate 3: 4-thread 256^3 matmul speedup (machine has {cores} cores)");
+        gates.open(format_args!(
+            "4-thread 256^3 matmul speedup (machine has {cores} cores)"
+        ));
         let s = 256usize;
         let a = tensor(&[s, s], 23);
         let b = tensor(&[s, s], 24);
@@ -497,12 +432,12 @@ fn smoke() -> bool {
             t4 * 1e3,
             t1 / t4
         );
-        if t1 / t4 < 1.5 {
-            eprintln!("FAIL: expected >= 1.5x speedup at 4 threads on a >= 4-core machine");
-            ok = false;
-        }
+        gates.check(
+            t1 / t4 >= 1.5,
+            "expected >= 1.5x speedup at 4 threads on a >= 4-core machine",
+        );
     } else {
-        println!("# smoke gate 3 SKIPPED: only {cores} core(s) available, need >= 4");
+        gates.skip(format_args!("only {cores} core(s) available, need >= 4"));
     }
 
     // Gate 4: the integer GEMM at 256^3, single thread, against an
@@ -512,7 +447,7 @@ fn smoke() -> bool {
     // f32 matmul is printed from the paired rounds but not gated: the f32
     // GEMM dispatches to an AVX2 micro-kernel and the staged integer kernel
     // does not (DESIGN.md section 14), so the ratio says which host ran.
-    println!("# smoke gate 4: i8 GEMM floor (256^3, 1 thread, paired rounds with f32 matmul)");
+    gates.open("i8 GEMM floor (256^3, 1 thread, paired rounds with f32 matmul)");
     const I8_FLOOR_GOPS: f64 = 6.0;
     {
         let s = 256usize;
@@ -550,10 +485,10 @@ fn smoke() -> bool {
         let i8_gops = median(rounds.iter().map(|(_, i)| flops / i).collect());
         println!("  median i8/f32 ratio {ratio:.2}x (ungated; f32 micro-kernel: `{simd}`)");
         println!("  median i8 rate {i8_gops:.2} GOP/s (floor {I8_FLOOR_GOPS})");
-        if i8_gops < I8_FLOOR_GOPS {
-            eprintln!("FAIL: i8 GEMM below the {I8_FLOOR_GOPS} GOP/s floor at 256^3 (median)");
-            ok = false;
-        }
+        gates.check(
+            i8_gops >= I8_FLOOR_GOPS,
+            format_args!("i8 GEMM below the {I8_FLOOR_GOPS} GOP/s floor at 256^3 (median)"),
+        );
     }
     let all = kernels();
     let cell = |op: &str| {
@@ -568,7 +503,7 @@ fn smoke() -> bool {
     // reference CI host (0.14 / 0.45 Gelem/s across machine phases), so a
     // regression to the old branchy inner loops (~100x slower) trips the
     // gate without flaking on a slow phase.
-    println!("# smoke gate 5: quantize/dequantize throughput floors (1 thread)");
+    gates.open("quantize/dequantize throughput floors (1 thread)");
     const QUANT_FLOOR_GELEMS: f64 = 0.06;
     const DEQUANT_FLOOR_GELEMS: f64 = 0.18;
     for (op, floor) in [
@@ -579,10 +514,10 @@ fn smoke() -> bool {
         let ns = measure_1t(k);
         let gelems = k.flops / ns;
         println!("  {op:<10} {gelems:.3} Gelem/s (floor {floor})");
-        if gelems < floor {
-            eprintln!("FAIL: {op} below the {floor} Gelem/s floor");
-            ok = false;
-        }
+        gates.check(
+            gelems >= floor,
+            format_args!("{op} below the {floor} Gelem/s floor"),
+        );
     }
 
     // Gate 6: the freeze compiler's fused conv+bias+ReLU kernel against
@@ -594,15 +529,13 @@ fn smoke() -> bool {
     // is a small fraction of the im2col+gemm cost at this shape, so the
     // gate is a regression floor, not a speedup claim. Paired interleaved
     // rounds with a median ratio keep it robust on noisy hosts.
-    println!("# smoke gate 6: fused conv+bias+relu vs unfused sequence (1 thread, paired rounds)");
+    gates.open("fused conv+bias+relu vs unfused sequence (1 thread, paired rounds)");
     {
         let (n, c_in, c_out, hw, k) = (8usize, 8usize, 16usize, 16usize, 3usize);
         let p = Conv2dParams::new(1, 1, 1);
         let x = tensor(&[n, c_in, hw, hw], 31);
         let w = tensor(&[c_out, c_in, k, k], 32);
-        let bias = tensor(&[c_out], 33).data().to_vec();
-        let (xs, ws) = (x.data().to_vec(), w.data().to_vec());
-        let out_len = n * c_out * hw * hw;
+        let bias = tensor(&[c_out], 33);
         let plane = hw * hw;
 
         let unfused = |threads: usize| {
@@ -610,7 +543,7 @@ fn smoke() -> bool {
                 let mut out = conv2d(&x, &w, &p).unwrap().data().to_vec();
                 for img in out.chunks_mut(c_out * plane) {
                     for (ch, row) in img.chunks_mut(plane).enumerate() {
-                        let b = bias[ch];
+                        let b = bias.data()[ch];
                         for v in row {
                             *v = (*v + b).max(0.0);
                         }
@@ -619,40 +552,19 @@ fn smoke() -> bool {
                 out
             })
         };
-        let fused_run = |threads: usize| {
-            par::with_threads(threads, || {
-                let mut out = vec![0.0f32; out_len];
-                fused::conv2d_bias_act(
-                    &xs,
-                    &ws,
-                    &mut out,
-                    n,
-                    c_in,
-                    hw,
-                    hw,
-                    c_out,
-                    k,
-                    &p,
-                    Some(&bias),
-                    fused::Epilogue::Relu,
-                )
-                .unwrap();
-                out
-            })
-        };
+        let fused_run =
+            |threads: usize| par::with_threads(threads, || fused_conv_relu(&x, &w, &bias));
         for threads in [1usize, 3] {
             let want = unfused(threads);
             let got = fused_run(threads);
-            let bitwise_equal = want.len() == got.len()
-                && want
-                    .iter()
-                    .zip(&got)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if bitwise_equal {
+            let same = gates.check(
+                bit_identical(&want, &got),
+                format_args!(
+                    "fused conv+bias+relu differs from the unfused sequence at {threads} threads"
+                ),
+            );
+            if same {
                 println!("  fused == unfused bit-identical at {threads} thread(s)");
-            } else {
-                eprintln!("FAIL: fused conv+bias+relu differs from the unfused sequence at {threads} threads");
-                ok = false;
             }
         }
         let rounds = par::with_threads(1, || {
@@ -675,31 +587,23 @@ fn smoke() -> bool {
         }
         let median = median(rounds.iter().map(|(u, f)| u / f).collect());
         println!("  median unfused/fused ratio {median:.2}x (floor 0.90x)");
-        if median < 0.90 {
-            eprintln!("FAIL: fused conv+bias+relu slower than the unfused sequence (median)");
-            ok = false;
-        }
+        gates.check(
+            median >= 0.90,
+            "fused conv+bias+relu slower than the unfused sequence (median)",
+        );
     }
 
-    ok
+    gates.finish()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn main() -> ExitCode {
     println!("# f32 GEMM micro-kernel: {}", gemm_isa());
-    if args.iter().any(|a| a == "--smoke") {
+    if smoke_flag() {
         println!("# kernels --smoke: determinism + kernel regression gate");
-        if !smoke() {
-            std::process::exit(1);
-        }
-        println!("smoke: all gates passed");
-        return;
+        return smoke();
     }
 
-    let thread_counts: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
+    let thread_counts: Vec<usize> = arg_value("--threads")
         .map(|s| {
             s.split(',')
                 .map(|p| match p.parse::<usize>() {
@@ -719,6 +623,6 @@ fn main() {
         "# kernels: op x shape x threads sweep (machine has {} core(s))",
         par::default_threads()
     );
-    let rows = sweep(&thread_counts);
-    write_outputs(&rows);
+    sweep(&thread_counts);
+    ExitCode::SUCCESS
 }

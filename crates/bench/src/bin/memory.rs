@@ -17,7 +17,8 @@
 //! * a per-parameter breakdown (logical k, physical storage width, bytes).
 //!
 //! Outputs: `results/memory.csv` (one row per parameter plus a `net` total
-//! row per cell) and `BENCH_memory.json` (cell summaries).
+//! row per cell) and `BENCH_memory.json` (cell summaries); a `--smoke` run
+//! writes `results/memory_smoke.{csv,json}` and leaves the record alone.
 //!
 //! ```text
 //! cargo run --release -p apt-bench --bin memory             # full sweep
@@ -37,53 +38,15 @@
 //!    the fp32 one: the codes are quantised straight into the `i8`/`i16`
 //!    tier, so no transient outweighs the fp32 tensors it replaces.
 
-use apt_bench::results_dir;
+use apt_bench::{json_doc, row, schema, smoke_flag, table, write_output, CountingAlloc, Gates};
+use apt_metrics::Table;
 use apt_nn::{checkpoint, models, Network, ParamStore, QuantScheme};
 use apt_quant::Bitwidth;
 use apt_tensor::rng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Global allocator that tracks live (alloc − dealloc) and peak heap bytes.
-/// `realloc`/`alloc_zeroed` route through `alloc`+`dealloc` by default, so
-/// overriding these two is sufficient.
-struct TrackingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for TrackingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
+use std::process::ExitCode;
 
 #[global_allocator]
-static ALLOC: TrackingAlloc = TrackingAlloc;
-
-fn live() -> usize {
-    LIVE.load(Ordering::Relaxed)
-}
-
-/// One parameter's storage footprint.
-struct ParamRow {
-    name: String,
-    len: usize,
-    logical_bits: u32,
-    physical_bits_per_code: u32,
-    resident_bytes: u64,
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// One measurement: the fp32 reference or one quantised bitwidth.
 struct Cell {
@@ -96,8 +59,12 @@ struct Cell {
     measured_live_bytes: usize,
     peak_live_bytes: usize,
     checkpoint_bytes: usize,
-    rows: Vec<ParamRow>,
 }
+
+/// Columns of `results/memory.csv`: one row per parameter (logical k,
+/// physical storage width, bytes), then a `net` total row per cell.
+const BREAKDOWN: &str = "backend,bits,scope,len,logical_bits,physical_bits_per_code,\
+     resident_bytes,measured_live_bytes,peak_live_bytes,checkpoint_bytes";
 
 /// The fixed architecture every cell builds: CifarNet with two conv/bn
 /// stages and two linear layers (~14k parameters — large enough that
@@ -106,8 +73,23 @@ fn build_net(scheme: &QuantScheme) -> Network {
     models::cifarnet(10, 8, 0.5, scheme, &mut rng::seeded(7)).expect("cifarnet builds")
 }
 
-fn param_rows(net: &Network) -> Vec<ParamRow> {
-    let mut rows = Vec::new();
+/// Builds the net, measuring the live-heap delta of the construction
+/// itself, then the accounted footprint and checkpoint size; appends the
+/// net's rows to `breakdown`.
+fn measure(backend: &'static str, scheme: &QuantScheme, bits: u32, breakdown: &mut Table) -> Cell {
+    let live0 = ALLOC.live();
+    ALLOC.reset_peak();
+    let mut net = build_net(scheme);
+    let c = Cell {
+        backend,
+        bits,
+        params: net.num_params(),
+        resident_bytes: net.resident_bytes(),
+        memory_bits: net.memory_bits(),
+        measured_live_bytes: ALLOC.live().saturating_sub(live0),
+        peak_live_bytes: ALLOC.peak().saturating_sub(live0),
+        checkpoint_bytes: checkpoint::save_full(&mut net).len(),
+    };
     net.visit_params_ref(&mut |p| {
         let (logical, physical) = match p.store() {
             ParamStore::Float(_) => (32, 32),
@@ -116,120 +98,27 @@ fn param_rows(net: &Network) -> Vec<ParamRow> {
             ParamStore::Quantized(q) => (q.bits().get(), q.store().resident_bits_per_code()),
             ParamStore::PerChannel(pc) => (pc.bits().get(), pc.store().resident_bits_per_code()),
         };
-        rows.push(ParamRow {
-            name: p.name().to_string(),
-            len: p.len(),
-            logical_bits: logical,
-            physical_bits_per_code: physical,
-            resident_bytes: p.resident_bytes(),
-        });
+        let (name, len, resident) = (p.name(), p.len(), p.resident_bytes());
+        breakdown.push_row(row![
+            backend, bits, name, len, logical, physical, resident, 0, 0, 0
+        ]);
     });
-    rows
-}
-
-/// Builds the net, measuring the live-heap delta of the construction
-/// itself, then the accounted footprint and checkpoint size.
-fn measure(backend: &'static str, scheme: &QuantScheme, bits: u32) -> Cell {
-    let live0 = live();
-    PEAK.store(live0, Ordering::Relaxed);
-    let mut net = build_net(scheme);
-    let measured_live_bytes = live().saturating_sub(live0);
-    let peak_live_bytes = PEAK.load(Ordering::Relaxed).saturating_sub(live0);
-    Cell {
+    breakdown.push_row(row![
         backend,
         bits,
-        params: net.num_params(),
-        resident_bytes: net.resident_bytes(),
-        memory_bits: net.memory_bits(),
-        measured_live_bytes,
-        peak_live_bytes,
-        checkpoint_bytes: checkpoint::save_full(&mut net).len(),
-        rows: param_rows(&net),
-    }
+        "net",
+        c.params,
+        0,
+        0,
+        c.resident_bytes,
+        c.measured_live_bytes,
+        c.peak_live_bytes,
+        c.checkpoint_bytes
+    ]);
+    c
 }
 
 const SWEEP_BITS: [u32; 9] = [2, 4, 6, 8, 12, 16, 20, 24, 32];
-
-fn sweep() -> Vec<Cell> {
-    // fp32 reference arm — the baseline Fig. 5 normalises to.
-    let mut cells = vec![measure("float", &QuantScheme::float32(), 32)];
-    for &k in &SWEEP_BITS {
-        let scheme = QuantScheme::fully_quantized(Bitwidth::new(k).expect("valid bitwidth"));
-        cells.push(measure("tiered", &scheme, k));
-    }
-    for c in &cells {
-        println!(
-            "{:<7} k={:<2} params={:<6} resident={:>8} B  live_delta={:>8} B  peak={:>8} B  ckpt={:>7} B",
-            c.backend,
-            c.bits,
-            c.params,
-            c.resident_bytes,
-            c.measured_live_bytes,
-            c.peak_live_bytes,
-            c.checkpoint_bytes
-        );
-    }
-    cells
-}
-
-fn write_outputs(cells: &[Cell]) {
-    let csv_path = results_dir().join("memory.csv");
-    let mut csv = String::from(
-        "backend,bits,scope,len,logical_bits,physical_bits_per_code,\
-         resident_bytes,measured_live_bytes,peak_live_bytes,checkpoint_bytes\n",
-    );
-    for c in cells {
-        for r in &c.rows {
-            csv.push_str(&format!(
-                "{},{},{},{},{},{},{},0,0,0\n",
-                c.backend,
-                c.bits,
-                r.name,
-                r.len,
-                r.logical_bits,
-                r.physical_bits_per_code,
-                r.resident_bytes
-            ));
-        }
-        csv.push_str(&format!(
-            "{},{},net,{},0,0,{},{},{},{}\n",
-            c.backend,
-            c.bits,
-            c.params,
-            c.resident_bytes,
-            c.measured_live_bytes,
-            c.peak_live_bytes,
-            c.checkpoint_bytes
-        ));
-    }
-    std::fs::write(&csv_path, &csv).expect("write memory.csv");
-    println!("wrote {}", csv_path.display());
-
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "  {{\"backend\":\"{}\",\"bits\":{},\"params\":{},\
-                 \"resident_bytes\":{},\"memory_bits\":{},\
-                 \"measured_live_bytes\":{},\"peak_live_bytes\":{},\
-                 \"checkpoint_bytes\":{}}}",
-                c.backend,
-                c.bits,
-                c.params,
-                c.resident_bytes,
-                c.memory_bits,
-                c.measured_live_bytes,
-                c.peak_live_bytes,
-                c.checkpoint_bytes
-            )
-        })
-        .collect();
-    let json = format!("{{\n\"cells\": [\n{}\n]\n}}\n", rows.join(",\n"));
-    let mut f = std::fs::File::create("BENCH_memory.json").expect("create BENCH_memory.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_memory.json");
-    println!("wrote BENCH_memory.json");
-}
 
 fn find<'a>(cells: &'a [Cell], backend: &str, bits: u32) -> &'a Cell {
     cells
@@ -238,47 +127,47 @@ fn find<'a>(cells: &'a [Cell], backend: &str, bits: u32) -> &'a Cell {
         .expect("cell present in sweep")
 }
 
-fn smoke(cells: &[Cell]) -> bool {
-    let mut ok = true;
+fn smoke(cells: &[Cell]) -> ExitCode {
+    let mut gates = Gates::stdout();
     let f32_cell = find(cells, "float", 32);
     let tiered_6 = find(cells, "tiered", 6);
 
     // Gate 1: accounted resident bytes — the packed tiers must deliver the
     // physical saving the paper's Fig. 5 memory curve claims.
     let r1 = tiered_6.resident_bytes as f64 / f32_cell.resident_bytes as f64;
-    println!(
-        "# smoke gate 1: k=6 / fp32 accounted resident: {}/{} = {r1:.3} (need <= 0.30)",
+    gates.open(format_args!(
+        "k=6 / fp32 accounted resident: {}/{} = {r1:.3} (need <= 0.30)",
         tiered_6.resident_bytes, f32_cell.resident_bytes
+    ));
+    gates.check(
+        r1 <= 0.30,
+        "packed resident bytes not <= 0.30x the fp32 baseline at k=6",
     );
-    if r1 > 0.30 {
-        eprintln!("FAIL: packed resident bytes not <= 0.30x the fp32 baseline at k=6");
-        ok = false;
-    }
 
     // Gate 2: the allocator agrees — live heap delta of building the net
     // shrinks too. Gradient buffers (fp32, identical in both cells) dilute
     // the ratio, hence the looser bound.
     let r2 = tiered_6.measured_live_bytes as f64 / f32_cell.measured_live_bytes as f64;
-    println!(
-        "# smoke gate 2: k=6 / fp32 measured live heap: {}/{} = {r2:.3} (need <= 0.70)",
+    gates.open(format_args!(
+        "k=6 / fp32 measured live heap: {}/{} = {r2:.3} (need <= 0.70)",
         tiered_6.measured_live_bytes, f32_cell.measured_live_bytes
+    ));
+    gates.check(
+        r2 <= 0.70,
+        "measured live heap does not reflect the packed saving at k=6",
     );
-    if r2 > 0.70 {
-        eprintln!("FAIL: measured live heap does not reflect the packed saving at k=6");
-        ok = false;
-    }
 
     // Gate 3: checkpoint shrinkage — v3 word-packed payloads must carry the
     // saving to disk (6-bit codes vs fp32 ≈ 0.19 plus framing).
     let r3 = tiered_6.checkpoint_bytes as f64 / f32_cell.checkpoint_bytes as f64;
-    println!(
-        "# smoke gate 3: k=6 / fp32 checkpoint bytes: {}/{} = {r3:.3} (need <= 0.30)",
+    gates.open(format_args!(
+        "k=6 / fp32 checkpoint bytes: {}/{} = {r3:.3} (need <= 0.30)",
         tiered_6.checkpoint_bytes, f32_cell.checkpoint_bytes
+    ));
+    gates.check(
+        r3 <= 0.30,
+        "k=6 checkpoint not <= 0.30x the fp32 checkpoint",
     );
-    if r3 > 0.30 {
-        eprintln!("FAIL: k=6 checkpoint not <= 0.30x the fp32 checkpoint");
-        ok = false;
-    }
 
     // Gate 4: the saving holds while the model is being built, not only
     // once it stands — a constrained device has to survive construction.
@@ -287,26 +176,52 @@ fn smoke(cells: &[Cell]) -> bool {
         .filter(|c| c.backend == "tiered" && c.bits <= 16)
         .max_by_key(|c| c.peak_live_bytes)
         .expect("the sweep has cells at k <= 16");
-    println!(
-        "# smoke gate 4: peak live heap of a k<=16 build, worst (k={}): {} (need <= fp32's {})",
+    gates.open(format_args!(
+        "peak live heap of a k<=16 build, worst (k={}): {} (need <= fp32's {})",
         worst.bits, worst.peak_live_bytes, f32_cell.peak_live_bytes
+    ));
+    gates.check(
+        worst.peak_live_bytes <= f32_cell.peak_live_bytes,
+        "building a k<=16 net peaks above building the fp32 net",
     );
-    if worst.peak_live_bytes > f32_cell.peak_live_bytes {
-        eprintln!("FAIL: building a k<=16 net peaks above building the fp32 net");
-        ok = false;
-    }
-    ok
+    gates.finish()
 }
 
-fn main() {
-    let smoke_mode = std::env::args().skip(1).any(|a| a == "--smoke");
+fn main() -> ExitCode {
+    let smoke_mode = smoke_flag();
     println!("# memory: resident-bytes sweep, fp32 + bitwidths (CifarNet 10-class, 8x8, w0.5)");
-    let cells = sweep();
-    write_outputs(&cells);
+    let mut breakdown = table(BREAKDOWN);
+    // fp32 reference arm — the baseline Fig. 5 normalises to.
+    let mut cells = vec![measure(
+        "float",
+        &QuantScheme::float32(),
+        32,
+        &mut breakdown,
+    )];
+    for &k in &SWEEP_BITS {
+        let scheme = QuantScheme::fully_quantized(Bitwidth::new(k).expect("valid bitwidth"));
+        cells.push(measure("tiered", &scheme, k, &mut breakdown));
+    }
+    let mut summary = table(schema::MEMORY);
+    for c in &cells {
+        summary.push_row(row![
+            c.backend,
+            c.bits,
+            c.params,
+            c.resident_bytes,
+            c.memory_bits,
+            c.measured_live_bytes,
+            c.peak_live_bytes,
+            c.checkpoint_bytes
+        ]);
+    }
+    println!("{summary}");
+    write_output(smoke_mode, "results/memory.csv", &breakdown.to_csv());
+    let record = json_doc(&[], &[("cells", &summary)]);
+    write_output(smoke_mode, "BENCH_memory.json", &record);
     if smoke_mode {
-        if !smoke(&cells) {
-            std::process::exit(1);
-        }
-        println!("smoke: all gates passed");
+        smoke(&cells)
+    } else {
+        ExitCode::SUCCESS
     }
 }

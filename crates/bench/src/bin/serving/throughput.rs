@@ -1,0 +1,118 @@
+//! Throughput cells: the k=8 model served single-sample and batched to
+//! [`CLIENTS`] concurrent connections. Gates:
+//!
+//! 1. zero lost/corrupted responses under concurrent load,
+//! 2. batched throughput ≥ 2.0× single-sample throughput at 4 threads
+//!    (enforced when the machine has ≥ 4 cores, like the kernels gate;
+//!    smaller machines print the ratio ungated — a frozen plan leaves a
+//!    single core too little per-request compute for coalescing to
+//!    amortise),
+//! 3. p99 latency under [`P99_BUDGET_US`] on the batched cell.
+
+use crate::{
+    build_session, build_workloads, drive, push_row, Cell, Gates, Policy, Served, BATCH8,
+    P99_BUDGET_US, SINGLE,
+};
+use apt_metrics::Table;
+use apt_serve::{ConnLimits, KernelLane, RetryPolicy, Server};
+use apt_tensor::par;
+use std::time::{Duration, Instant};
+
+/// Concurrent client connections per throughput cell.
+const CLIENTS: usize = 8;
+
+/// Drives one throughput cell: starts a server, hammers it with [`CLIENTS`]
+/// connections × `per_client` requests, verifies every response
+/// bit-exactly, and reads the server-side histograms. The cell's `lane` is
+/// the one the plan achieved, which may not be the one requested.
+pub(crate) fn cell(
+    name: &'static str,
+    bits: u32,
+    threads: usize,
+    policy: Policy,
+    per_client: usize,
+    lane: KernelLane,
+) -> (Cell, Served) {
+    par::set_global_threads(threads);
+    let session = build_session(bits, lane);
+    let cell = Cell {
+        name,
+        bits,
+        lane: session.lane().as_str(),
+        threads,
+        policy,
+        clients: CLIENTS,
+    };
+    let workloads = build_workloads(&session, CLIENTS);
+    let config = cell.server_config(&format!("mlp-k{bits}"), 128, ConnLimits::default());
+    let mut server = Server::start(session, config).expect("server starts");
+
+    // Typed backpressure is retried with jittered exponential backoff;
+    // effectively unbounded so a transient shed never counts as a lost
+    // request in the throughput cells.
+    let retry = RetryPolicy {
+        max_retries: 10_000,
+        base_delay: Duration::from_micros(200),
+        max_delay: Duration::from_millis(2),
+        jitter: 0.5,
+        seed: 0,
+    };
+    let t0 = Instant::now();
+    let tally = drive(server.addr(), &workloads, per_client, Some(&retry));
+    let served = Served::close(&mut server, t0, (CLIENTS * per_client) as u64, tally);
+    (cell, served)
+}
+
+pub(crate) fn run(gates: &mut Gates, rows: &mut Table, per_client: usize) {
+    let cores = par::default_threads();
+    let gate_threads = if cores >= 4 { 4 } else { 1 };
+    println!("# single vs batched @ k=8, {gate_threads} thread(s), default lane");
+    let lane = KernelLane::default();
+    let (single_cell, single) = cell("throughput", 8, gate_threads, SINGLE, per_client, lane);
+    push_row(rows, &single_cell, &single);
+    let (batched_cell, batched) = cell("throughput", 8, gate_threads, BATCH8, per_client, lane);
+    push_row(rows, &batched_cell, &batched);
+
+    // Gate 1: nothing lost or corrupted under concurrent load.
+    gates.open("zero lost/corrupted responses");
+    for (c, s) in [(&single_cell, &single), (&batched_cell, &batched)] {
+        gates.check(
+            s.clean(),
+            format_args!(
+                "policy {} completed {}/{} with {} corrupted, {} lost",
+                c.policy.name, s.tally.ok, s.requests, s.tally.corrupted, s.tally.lost
+            ),
+        );
+    }
+    gates.pass(format_args!(
+        "{} responses, every one bit-exact",
+        single.tally.ok + batched.tally.ok
+    ));
+
+    // Gate 2: coalescing pays for itself.
+    let ratio = batched.rps() / single.rps().max(1e-9);
+    let rates = format!("({:.0} vs {:.0} req/s)", batched.rps(), single.rps());
+    if cores >= 4 {
+        gates.open("batched ≥ 2.0× single-sample throughput at 4 threads");
+        gates.check(
+            ratio >= 2.0,
+            format_args!("batched only {ratio:.2}× single {rates}"),
+        );
+        gates.pass(format_args!("{ratio:.2}× {rates}"));
+    } else {
+        // On one core a frozen plan leaves too little per-request compute
+        // for coalescing to amortise; the ratio is reported, not gated.
+        gates.skip(format_args!(
+            "machine has {cores} core(s), strict form needs 4: batched {ratio:.2}× single {rates}"
+        ));
+    }
+
+    // Gate 3: tail latency stays inside the budget on the batched cell.
+    gates.open(format_args!("batched p99 ≤ {P99_BUDGET_US}µs"));
+    let p99 = batched.stats.p99_us;
+    gates.check(
+        p99 <= P99_BUDGET_US,
+        format_args!("p99 {p99}µs over budget"),
+    );
+    gates.pass(format_args!("p99 {p99}µs"));
+}

@@ -10,7 +10,7 @@
 //! Regenerate with `cargo run --release -p apt-bench --bin table1 -- --scale small`.
 
 use apt_baselines::{run_baseline, BaselineSpec};
-use apt_bench::{parse_cli, pct, results_dir};
+use apt_bench::{parse_cli, pct, write_output};
 use apt_metrics::Table;
 use apt_nn::models;
 use apt_quant::Bitwidth;
@@ -123,9 +123,7 @@ fn main() {
     ]);
 
     println!("{table}");
-    let path = results_dir().join("table1.csv");
-    table.write_csv(&path).expect("write csv");
-    println!("wrote {}", path.display());
+    write_output(false, "results/table1.csv", &table.to_csv());
     println!(
         "shape check: every fp32-master method shows train-mem/fp32 > 1.0; APT < 1.0 with\n\
          competitive accuracy under plain SGD."

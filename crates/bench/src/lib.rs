@@ -2,10 +2,18 @@
 //!
 //! Experiment harness for the APT reproduction. One binary per paper
 //! figure/table (`fig1`…`fig5`, `table1`, `ablations`), all sharing the
-//! scale/seed CLI and the [`ExpParams`] presets defined here, plus
-//! criterion micro-benchmarks of the underlying kernels (`benches/`).
+//! scale/seed CLI and the [`ExpParams`] presets defined here, plus five
+//! gate binaries — `memory`, `kernels`, `serving`, `distributed`,
+//! `fault-campaign` — whose `--smoke` mode is a CI acceptance gate and
+//! whose full run writes a `BENCH_*.json` record. The gate binaries share
+//! one harness: the [`CountingAlloc`] they measure the heap with, the
+//! [`schema`] of each record and its [`json_doc`] layout (rows rendered by
+//! [`apt_metrics::Table`], like every CSV and aligned print in this crate),
+//! the [`write_output`] rule that keeps a smoke run off the committed
+//! records, the numbered [`Gates`], and [`paired_rounds`] / [`median`]
+//! timing.
 //!
-//! Every binary accepts:
+//! Every figure binary accepts:
 //!
 //! ```text
 //! --scale tiny|small|paper   (default: tiny)
@@ -22,12 +30,23 @@
 //! into `results/`.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+
+// `unsafe impl GlobalAlloc` cannot be written otherwise; its SAFETY comment
+// is in the module.
+#[allow(unsafe_code)]
+mod alloc;
+mod harness;
+
+pub use alloc::CountingAlloc;
+pub use harness::{
+    arg_value, bit_identical, json_doc, median, output_path, paired_rounds, schema, smoke_flag,
+    table, write_output, Gates,
+};
 
 use apt_core::TrainConfig;
 use apt_data::{SynthCifar, SynthCifarConfig};
 use apt_optim::LrSchedule;
-use std::path::PathBuf;
 
 /// Experiment scale preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -186,53 +205,21 @@ impl ExpParams {
 /// only changes speed). Without it the pool obeys `APT_THREADS` or the
 /// machine's available parallelism.
 pub fn parse_cli() -> ExpParams {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = Scale::default();
-    let mut seed = 42u64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                if let Some(s) = Scale::parse(&args[i + 1]) {
-                    scale = s;
-                } else {
-                    eprintln!("unknown scale `{}` (tiny|small|paper)", args[i + 1]);
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--seed" if i + 1 < args.len() => {
-                match args[i + 1].parse() {
-                    Ok(s) => seed = s,
-                    Err(_) => {
-                        eprintln!("invalid seed `{}`", args[i + 1]);
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--threads" if i + 1 < args.len() => {
-                match args[i + 1].parse::<usize>() {
-                    Ok(n) if n >= 1 => apt_tensor::par::set_global_threads(n),
-                    _ => {
-                        eprintln!("invalid thread count `{}` (need ≥ 1)", args[i + 1]);
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            _ => i += 1,
-        }
+    /// `flag`'s value through `parse`; absent → `None`, unparsable → exit 2.
+    fn value<T>(flag: &str, parse: impl Fn(&str) -> Option<T>, want: &str) -> Option<T> {
+        let text = arg_value(flag)?;
+        parse(&text).or_else(|| {
+            eprintln!("invalid {flag} `{text}` ({want})");
+            std::process::exit(2)
+        })
+    }
+    let scale = value("--scale", Scale::parse, "tiny|small|paper").unwrap_or_default();
+    let seed = value("--seed", |s| s.parse().ok(), "a u64").unwrap_or(42);
+    let threads = |s: &str| s.parse().ok().filter(|&n: &usize| n >= 1);
+    if let Some(n) = value("--threads", threads, "need ≥ 1") {
+        apt_tensor::par::set_global_threads(n);
     }
     ExpParams::for_scale(scale, seed)
-}
-
-/// The directory figure binaries write CSV into (`results/`, created on
-/// demand).
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir).ok();
-    dir
 }
 
 /// Formats a ratio as a percentage string with one decimal.

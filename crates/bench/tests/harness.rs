@@ -1,0 +1,172 @@
+//! The harness the five gate binaries share: the counting allocator, the
+//! record layout and its pinned schemas, the smoke-run output rule, and the
+//! numbered gates.
+
+use apt_bench::{json_doc, output_path, row, schema, table, CountingAlloc, Gates};
+use std::path::Path;
+use std::process::ExitCode;
+use std::sync::Mutex;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// The allocator's counters are process-wide and libtest runs tests on
+/// parallel threads: every test holds this lock, so none allocates while
+/// the allocator test measures.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[test]
+fn counting_alloc_sees_a_vec_come_and_go() {
+    let _serial = serial();
+    const MIB: usize = 1 << 20;
+    // libtest's own thread may still print a finished test's line while this
+    // one measures; that is tens of bytes against a 1 MiB signal.
+    const SLACK: usize = 16 * 1024;
+    let (live0, calls0) = (ALLOC.live(), ALLOC.calls());
+    ALLOC.reset_peak();
+    let v = vec![1u8; MIB];
+    assert!(ALLOC.live() >= live0 + MIB - SLACK);
+    assert!(ALLOC.calls() > calls0);
+    assert!(ALLOC.peak() >= ALLOC.live());
+    assert!(ALLOC.peak() >= live0 + MIB - SLACK);
+    drop(std::hint::black_box(v));
+    assert!(ALLOC.live().abs_diff(live0) <= SLACK);
+    assert!(
+        ALLOC.peak() >= live0 + MIB - SLACK,
+        "the peak outlives the Vec"
+    );
+}
+
+#[test]
+fn json_doc_lays_a_record_out_like_the_committed_files() {
+    let _serial = serial();
+    let mut cells = table("world,wall_ms,lockstep");
+    cells.push_row(row![1, format!("{:.1}", 3.94), true]);
+    cells.push_row(row![2, format!("{:.1}", 7.0), true]);
+    let mut recovery = table("rank,bit_identical");
+    recovery.push_row(row![0, true]);
+    let head = [
+        ("available_parallelism", 1.to_string()),
+        ("scaling", "null".to_string()),
+    ];
+    assert_eq!(
+        json_doc(&head, &[("cells", &cells), ("recovery", &recovery)]),
+        "{\n\"available_parallelism\": 1,\n\"scaling\": null,\n\"cells\": [\n  \
+         {\"world\":1,\"wall_ms\":3.9,\"lockstep\":true},\n  \
+         {\"world\":2,\"wall_ms\":7.0,\"lockstep\":true}\n],\n\"recovery\": [\n  \
+         {\"rank\":0,\"bit_identical\":true}\n]\n}\n"
+    );
+    assert_eq!(
+        json_doc(&[], &[("cells", &recovery)]),
+        "{\n\"cells\": [\n  {\"rank\":0,\"bit_identical\":true}\n]\n}\n"
+    );
+}
+
+/// The keys of one rendered row object, in order.
+fn keys(row: &str) -> String {
+    let parts: Vec<&str> = row.split('"').collect();
+    let keys: Vec<&str> = parts
+        .windows(2)
+        .filter(|w| w[1].starts_with(':'))
+        .map(|w| w[0])
+        .collect();
+    keys.join(",")
+}
+
+/// One row's keys of each array of each record, as committed at ca6199d —
+/// the parent of the harness change — in [`PINNED`] order.
+const RECORDED: [&str; 5] = [
+    "backend,bits,params,resident_bytes,memory_bits,measured_live_bytes,peak_live_bytes,\
+     checkpoint_bytes",
+    "op,shape,threads,ns_per_iter,gflops,speedup_vs_1t",
+    "cell,bits,lane,threads,policy,max_batch,max_delay_us,clients,requests,ok,shed,\
+     deadline_expired,corrupted,lost,refused_accept,idle_reaped,slow_reaped,wall_ms,rps,p50_us,\
+     p90_us,p99_us,mean_batch,swaps,evictions,quarantines,model_unavailable,swap_p99_us",
+    "world,bits,steps,wall_ms,final_accuracy,bytes_on_wire,fp32_bytes,wire_ratio,digest_checks,\
+     deterministic,lockstep",
+    "rank,at_step,recovery_rounds,clean_wall_ms,hurt_wall_ms,bit_identical",
+];
+
+/// (record, array, what its writer builds the table from).
+const PINNED: [(&str, &str, &str); 5] = [
+    ("BENCH_memory.json", "cells", schema::MEMORY),
+    ("BENCH_kernels.json", "cells", schema::KERNELS),
+    ("BENCH_serving.json", "cells", schema::SERVING),
+    ("BENCH_distributed.json", "cells", schema::DISTRIBUTED),
+    (
+        "BENCH_distributed.json",
+        "recovery",
+        schema::DISTRIBUTED_RECOVERY,
+    ),
+];
+
+#[test]
+fn record_schemas_are_the_ones_recorded_at_ca6199d() {
+    let _serial = serial();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for ((file, array, schema), recorded) in PINNED.into_iter().zip(RECORDED) {
+        // What the writers emit, for a synthetic row of mixed cell types.
+        let mut t = table(schema);
+        let cells = ["x", "1", "0.5", "true"].map(String::from);
+        t.push_row(cells.into_iter().cycle().take(t.columns().len()).collect());
+        assert_eq!(keys(&t.to_json_rows()), recorded, "{file} `{array}` writer");
+
+        // And the committed record still reads the same.
+        let text = std::fs::read_to_string(root.join(file)).expect("committed record");
+        let first_row = text
+            .split_once(&format!("\"{array}\": [\n"))
+            .and_then(|(_, rows)| rows.lines().next())
+            .expect("the array has a row");
+        assert_eq!(keys(first_row), recorded, "{file} `{array}` as committed");
+    }
+}
+
+#[test]
+fn a_smoke_run_writes_only_under_results() {
+    let _serial = serial();
+    for (full, smoke) in [
+        ("BENCH_serving.json", "results/serving_smoke.json"),
+        ("BENCH_distributed.json", "results/distributed_smoke.json"),
+        ("results/memory.csv", "results/memory_smoke.csv"),
+        (
+            "results/fault_campaign.json",
+            "results/fault_campaign_smoke.json",
+        ),
+    ] {
+        assert_eq!(output_path(false, full), Path::new(full));
+        assert_eq!(output_path(true, full), Path::new(smoke));
+    }
+}
+
+#[test]
+fn gates_number_fail_skip_and_report_a_status() {
+    let _serial = serial();
+    let mut out = Vec::new();
+    let mut gates = Gates::to(&mut out);
+    gates.open("first");
+    assert!(gates.check(true, "unused"));
+    gates.pass("held");
+    gates.skip("needs 4 cores");
+    gates.open("third");
+    assert!(!gates.check(1 + 1 == 3, format_args!("{} != 3", 1 + 1)));
+    gates.pass("never printed");
+    assert_eq!(gates.finish(), ExitCode::FAILURE);
+    assert_eq!(
+        String::from_utf8(out).expect("utf-8"),
+        "# smoke gate 1: first\nok: held\n# smoke gate 2: SKIPPED: needs 4 cores\n\
+         # smoke gate 3: third\nFAIL: 2 != 3\nsmoke: 1 check(s) failed\n"
+    );
+
+    // A skipped gate does not fail the run.
+    let mut out = Vec::new();
+    let mut gates = Gates::to(&mut out);
+    gates.skip("no cores");
+    assert_eq!(gates.finish(), ExitCode::SUCCESS);
+    assert!(String::from_utf8(out)
+        .expect("utf-8")
+        .ends_with("smoke: all gates passed\n"));
+}

@@ -785,16 +785,7 @@ impl Trainer {
                             .reroll(0x5A17 ^ ls.global_step.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                     }
                     if outcome.rollback {
-                        let snap = snapshot
-                            .as_ref()
-                            .expect("snapshot exists while the guard is armed")
-                            .clone();
-                        self.restore_subsystems(&snap)?;
-                        ls.rollback_accumulators(&snap);
-                        if outcome.escalate {
-                            self.escalate_bits();
-                        }
-                        g.refresh(&self.net, &self.profiler);
+                        self.roll_back(&mut ls, snapshot.as_ref(), outcome.escalate, Some(g))?;
                         continue;
                     }
                     // Corrupt input never reaches the forward pass: the
@@ -837,21 +828,12 @@ impl Trainer {
                                 retries: faults - 1,
                             });
                         }
-                        let snap = snapshot
-                            .as_ref()
-                            .expect("sentinel snapshot exists while sentinel is armed")
-                            .clone();
-                        self.restore_subsystems(&snap)?;
-                        ls.rollback_accumulators(&snap);
-                        match faults {
-                            1 => {} // skip the offending batch
-                            2 => ls.lr_scale *= 0.5,
-                            _ => self.escalate_bits(),
-                        }
-                        // The rollback rewrote stores legitimately; the
-                        // guard must not "heal" them back.
-                        if let Some(g) = guard.as_mut() {
-                            g.refresh(&self.net, &self.profiler);
+                        // The ladder: the first fault only skips the
+                        // offending batch, the second also halves the
+                        // learning rate, any further one raises precision.
+                        self.roll_back(&mut ls, snapshot.as_ref(), faults > 2, guard.as_mut())?;
+                        if faults == 2 {
+                            ls.lr_scale *= 0.5;
                         }
                         continue;
                     }
@@ -876,16 +858,7 @@ impl Trainer {
                                 0x5A17 ^ ls.global_step.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                             );
                         }
-                        let snap = snapshot
-                            .as_ref()
-                            .expect("snapshot exists while the guard is armed")
-                            .clone();
-                        self.restore_subsystems(&snap)?;
-                        ls.rollback_accumulators(&snap);
-                        if outcome.escalate {
-                            self.escalate_bits();
-                        }
-                        g.refresh(&self.net, &self.profiler);
+                        self.roll_back(&mut ls, snapshot.as_ref(), outcome.escalate, Some(g))?;
                         continue;
                     }
                 }
@@ -1006,6 +979,29 @@ impl Trainer {
         report.total_energy_pj = self.meter.total_pj();
         report.integrity = guard.map(StepGuard::into_report).unwrap_or_default();
         Ok(report)
+    }
+
+    /// The rollback every recovery rung shares: restores the subsystems and
+    /// the loop accumulators from the in-memory snapshot, raises precision
+    /// when the rung `escalate`s, then re-baselines the guard — the rollback
+    /// rewrote stores legitimately, and the guard must not "heal" them back.
+    fn roll_back(
+        &mut self,
+        ls: &mut LoopState,
+        snapshot: Option<&TrainState>,
+        escalate: bool,
+        guard: Option<&mut StepGuard>,
+    ) -> crate::Result<()> {
+        let snap = snapshot.expect("a snapshot is kept while the sentinel or the guard is armed");
+        self.restore_subsystems(snap)?;
+        ls.rollback_accumulators(snap);
+        if escalate {
+            self.escalate_bits();
+        }
+        if let Some(g) = guard {
+            g.refresh(&self.net, &self.profiler);
+        }
+        Ok(())
     }
 
     /// Captures the complete training state at the current point; `epoch`

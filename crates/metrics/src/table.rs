@@ -75,6 +75,40 @@ impl Table {
         out
     }
 
+    /// Renders the rows as JSON objects — `  {"col":cell,…}`, one per line,
+    /// comma-separated, keys in column order — for the `cells` arrays of the
+    /// `BENCH_*.json` records. A column is written bare when every cell in
+    /// it is a JSON number, `true`, `false` or `null`, exactly as the cell
+    /// was formatted (`"{:.1}"` stays `73.6`); any other column is written
+    /// as quoted, escaped strings, so a column has one JSON type.
+    pub fn to_json_rows(&self) -> String {
+        let bare: Vec<bool> = (0..self.columns.len())
+            .map(|c| self.rows.iter().all(|row| is_json_literal(&row[c])))
+            .collect();
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let fields: Vec<String> = self
+                    .columns
+                    .iter()
+                    .zip(row)
+                    .zip(&bare)
+                    .map(|((key, cell), &bare)| {
+                        let value = if bare {
+                            cell.clone()
+                        } else {
+                            json_string(cell)
+                        };
+                        format!("{}:{value}", json_string(key))
+                    })
+                    .collect();
+                format!("  {{{}}}", fields.join(","))
+            })
+            .collect();
+        rows.join(",\n")
+    }
+
     /// Writes the CSV rendering to `path`, creating parent directories.
     ///
     /// # Errors
@@ -86,6 +120,37 @@ impl Table {
         }
         fs::write(path, self.to_csv())
     }
+}
+
+/// `true` for text that is already a JSON value of a non-string scalar type.
+fn is_json_literal(cell: &str) -> bool {
+    if matches!(cell, "true" | "false" | "null") {
+        return true;
+    }
+    // `str::parse::<f64>` is laxer than the JSON grammar: rule out a sign
+    // other than `-`, a bare or trailing `.`, a leading zero, `inf`, `NaN`.
+    let digits = cell.strip_prefix('-').unwrap_or(cell).as_bytes();
+    digits.first().is_some_and(u8::is_ascii_digit)
+        && digits.last().is_some_and(u8::is_ascii_digit)
+        && !(digits.len() > 1 && digits[0] == b'0' && digits[1].is_ascii_digit())
+        && cell.parse::<f64>().is_ok_and(f64::is_finite)
+}
+
+/// `s` as a quoted JSON string.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 impl fmt::Display for Table {
@@ -141,6 +206,35 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\""));
         assert!(csv.contains("\"he said \"\"hi\"\"\""));
+    }
+
+    #[test]
+    fn json_rows_match_a_hand_written_golden() {
+        let mut t = Table::new(&["op", "shape", "n", "ms", "ok", "scaling"]);
+        t.push_row(
+            ["add", "1048576", "-3", "73.60", "true", "null"]
+                .map(String::from)
+                .to_vec(),
+        );
+        t.push_row(
+            ["say \"hi\"\\\n", "8x8", "12", "1e-3", "false", "null"]
+                .map(String::from)
+                .to_vec(),
+        );
+        // Keys in column order; `shape` is quoted in both rows because one
+        // of its cells is not a number; `73.60` keeps its trailing zero.
+        assert_eq!(
+            t.to_json_rows(),
+            concat!(
+                r#"  {"op":"add","shape":"1048576","n":-3,"ms":73.60,"ok":true,"scaling":null},"#,
+                "\n",
+                r#"  {"op":"say \"hi\"\\\n","shape":"8x8","n":12,"ms":1e-3,"ok":false,"scaling":null}"#,
+            )
+        );
+        for not_json in ["", "+1", "1.", ".5", "01", "inf", "NaN", "0x10", "1 "] {
+            assert!(!is_json_literal(not_json), "{not_json:?}");
+        }
+        assert_eq!(Table::new(&["a"]).to_json_rows(), "");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
-use apt_quant::Bitwidth;
+use apt_quant::{fake, Bitwidth};
 use apt_tensor::Tensor;
 
 /// Activation quantisation with a **learnable clipping point** — the
@@ -58,6 +58,13 @@ impl ActQuant {
     pub fn clip_value(&self) -> f32 {
         self.clip.value().data()[0]
     }
+
+    /// The `[0, α]` grid as `(α, ε)`: the clip floored away from zero and
+    /// the step `α / (2^k − 1)`.
+    fn grid(&self) -> (f32, f32) {
+        let alpha = self.clip_value().max(f32::MIN_POSITIVE);
+        (alpha, alpha / self.bits.num_steps() as f32)
+    }
 }
 
 impl Layer for ActQuant {
@@ -75,13 +82,8 @@ impl Layer for ActQuant {
     }
 
     fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        let alpha = self.clip_value().max(f32::MIN_POSITIVE);
-        let steps = self.bits.num_steps() as f32;
-        let eps = alpha / steps;
-        Ok(input.map(|x| {
-            let clamped = x.clamp(0.0, alpha);
-            (clamped / eps).round() * eps
-        }))
+        let (alpha, eps) = self.grid();
+        Ok(input.map(|x| fake::quantize_clipped(x, alpha, eps)))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -91,7 +93,7 @@ impl Layer for ActQuant {
             .ok_or_else(|| NnError::BackwardBeforeForward {
                 layer: self.name.clone(),
             })?;
-        let alpha = self.clip_value().max(f32::MIN_POSITIVE);
+        let (alpha, _) = self.grid();
         // dα accumulates from saturated positions; dx passes inside (0, α).
         let mut dalpha = 0.0f64;
         for (&x, &g) in input.data().iter().zip(grad_output.data()) {
@@ -117,10 +119,9 @@ impl Layer for ActQuant {
     }
 
     fn lower(&self, builder: &mut crate::plan::PlanBuilder) -> crate::Result<()> {
-        // Same grid derivation as `forward_inference`, captured at compile
-        // time — freezing snapshots the learned clip.
-        let alpha = self.clip_value().max(f32::MIN_POSITIVE);
-        let eps = alpha / self.bits.num_steps() as f32;
+        // The grid `forward_inference` uses, captured at compile time —
+        // freezing snapshots the learned clip.
+        let (alpha, eps) = self.grid();
         builder.push_act_quant(alpha, eps)
     }
 }

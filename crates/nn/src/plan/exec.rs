@@ -4,7 +4,7 @@ use super::arena::Layout;
 use super::step::{Step, StepKind, ValueId, WeightSlot};
 use super::PlanReport;
 use crate::{KernelLane, NnError, Result};
-use apt_quant::ActPanel;
+use apt_quant::{fake, ActPanel};
 use apt_tensor::ops::fused;
 use apt_tensor::Tensor;
 
@@ -342,10 +342,7 @@ impl FrozenPlan {
                 }
             }
             StepKind::ActQuant { alpha, eps } => {
-                let snap = |x: f32| {
-                    let clamped = x.clamp(0.0, *alpha);
-                    (clamped / eps).round() * eps
-                };
+                let snap = |x: f32| fake::quantize_clipped(x, *alpha, *eps);
                 if in_place {
                     for v in &mut buf[d_off..d_off + d_len] {
                         *v = snap(*v);

@@ -5,6 +5,9 @@
 //!
 //! * [`fake_quantize`] — quantise→dequantise at `k` bits (DoReFa/TTQ-style
 //!   weight views, WAGE-style activations).
+//! * [`quantize_clipped`] — one value onto the `[0, α]` activation grid: the
+//!   arithmetic of the PACT-style `ActQuant` layer and of the plan step it
+//!   lowers to, written once so the two cannot drift apart.
 //! * [`ternarize`] — TWN/TernGrad-style `{−s, 0, +s}` projection.
 //! * [`binarize`] — BNN-style `{−s, +s}` projection.
 //!
@@ -41,6 +44,15 @@ pub fn fake_quantize(t: &Tensor, bits: Bitwidth) -> crate::Result<Tensor> {
         }
     });
     Ok(out)
+}
+
+/// Snaps `x` onto the uniform grid of step `eps` over `[0, alpha]`:
+/// `round(clamp(x, 0, α) / ε) · ε`. The caller derives `eps = α / (2^k − 1)`
+/// once; a frozen plan must reproduce the eval forward bit for bit, so these
+/// four `f32` operations, in this order, are the contract.
+#[inline]
+pub fn quantize_clipped(x: f32, alpha: f32, eps: f32) -> f32 {
+    (x.clamp(0.0, alpha) / eps).round() * eps
 }
 
 /// Projects onto `{−s, 0, +s}` with threshold `0.7·mean(|t|)` and scale `s`

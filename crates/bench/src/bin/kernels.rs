@@ -33,8 +33,10 @@
 //!    rounds, ungated: the f32 kernel is runtime-dispatched to AVX2 and the
 //!    integer one is not, so the ratio says which host ran, not whether
 //!    the integer kernel regressed),
-//! 5. branch-free quantize/dequantize stay above absolute Gelem/s floors
-//!    (a regression to the old branchy loops is ~100× and trips them),
+//! 5. branch-free quantize/dequantize — `quantize_to_store` and
+//!    `QuantizedTensor::to_tensor`, what every parameter is built and read
+//!    through — stay above absolute Gelem/s floors (a regression to the
+//!    old branchy loops is ~100× and trips them),
 //! 6. the freeze compiler's fused conv+bias+ReLU kernel is bit-identical
 //!    to the unfused conv → bias → ReLU sequence and at least as fast
 //!    within timer tolerance (paired rounds, median ratio).
@@ -43,7 +45,7 @@ use apt_bench::{
     arg_value, bit_identical, json_doc, median, paired_rounds, row, schema, smoke_flag, table,
     write_output, Gates,
 };
-use apt_quant::{AffineQuantizer, Bitwidth};
+use apt_quant::{AffineQuantizer, Bitwidth, QuantizedTensor};
 use apt_tensor::ops::conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dParams};
 use apt_tensor::ops::fused;
 use apt_tensor::ops::int_gemm::{self, gemm_i8_rescale, IntRescale};
@@ -223,22 +225,35 @@ fn kernels() -> Vec<Kernel> {
         });
     }
     {
+        // What `Param::new`, `set_bits` and every forward actually run: a
+        // slice quantised straight into its code tier, and the tier
+        // dequantised into a tensor.
         let n = 1 << 20;
+        let bits = Bitwidth::new(8).unwrap();
         let x = tensor(&[n], 12);
-        let q = AffineQuantizer::from_tensor(&x, Bitwidth::new(8).unwrap()).unwrap();
-        let codes = q.quantize_tensor(&x);
-        let (xq, qq) = (x.clone(), q);
+        let q = AffineQuantizer::from_tensor(&x, bits).unwrap();
+        let stored = QuantizedTensor::from_tensor(&x, bits).unwrap();
         v.push(Kernel {
-            op: "quantize",
+            op: "quantize_to_store",
             shape: format!("{n}"),
             flops: n as f64,
-            run: Box::new(move || qq.quantize_tensor(&xq).iter().map(|&c| c as f32).collect()),
+            run: Box::new(move || {
+                // The store's resident words, folded, as the checksum: a
+                // pass over n/8 words beside n calls to `round`.
+                let mut fold = 0u64;
+                q.quantize_to_store(x.data())
+                    .for_each_word(|w| fold = fold.rotate_left(7) ^ w);
+                vec![
+                    f32::from_bits(fold as u32),
+                    f32::from_bits((fold >> 32) as u32),
+                ]
+            }),
         });
         v.push(Kernel {
-            op: "dequantize",
+            op: "dequantize_store",
             shape: format!("{n}"),
             flops: n as f64,
-            run: Box::new(move || q.dequantize_tensor(&codes, &[n]).unwrap().data().to_vec()),
+            run: Box::new(move || stored.to_tensor().into_vec()),
         });
     }
     {
@@ -507,13 +522,13 @@ fn smoke() -> ExitCode {
     const QUANT_FLOOR_GELEMS: f64 = 0.06;
     const DEQUANT_FLOOR_GELEMS: f64 = 0.18;
     for (op, floor) in [
-        ("quantize", QUANT_FLOOR_GELEMS),
-        ("dequantize", DEQUANT_FLOOR_GELEMS),
+        ("quantize_to_store", QUANT_FLOOR_GELEMS),
+        ("dequantize_store", DEQUANT_FLOOR_GELEMS),
     ] {
         let k = cell(op);
         let ns = measure_1t(k);
         let gelems = k.flops / ns;
-        println!("  {op:<10} {gelems:.3} Gelem/s (floor {floor})");
+        println!("  {op:<17} {gelems:.3} Gelem/s (floor {floor})");
         gates.check(
             gelems >= floor,
             format_args!("{op} below the {floor} Gelem/s floor"),

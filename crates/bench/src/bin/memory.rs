@@ -96,7 +96,6 @@ fn measure(backend: &'static str, scheme: &QuantScheme, bits: u32, breakdown: &m
             ParamStore::MasterCopy { bits, .. } => (bits.get(), 32),
             ParamStore::Projected { projection, .. } => (projection.view_bits(), 32),
             ParamStore::Quantized(q) => (q.bits().get(), q.store().resident_bits_per_code()),
-            ParamStore::PerChannel(pc) => (pc.bits().get(), pc.store().resident_bits_per_code()),
         };
         let (name, len, resident) = (p.name(), p.len(), p.resident_bytes());
         breakdown.push_row(row![

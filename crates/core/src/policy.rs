@@ -116,10 +116,7 @@ pub fn apply_policy(
         }
         // Policy only drives integer-codes storage; master-copy baselines
         // keep their configured view precision.
-        if !matches!(
-            p.store(),
-            ParamStore::Quantized(_) | ParamStore::PerChannel(_)
-        ) {
+        if !matches!(p.store(), ParamStore::Quantized(_)) {
             return;
         }
         let Some(&gavg) = lookup.get(p.name()) else {

@@ -1326,6 +1326,28 @@ mod tests {
     }
 
     #[test]
+    fn fixed_grad_quant_refuses_a_nan_gradient() {
+        // One NaN pixel makes the first layer's weight gradient NaN.
+        // Calibration used to skip it (`f32::min`/`max` do) and store it as
+        // 0.0, so the poisoned step went through as a clean one, before
+        // `sgd_update`'s screen could see it.
+        let (train, test) = toy_data();
+        let mut images: Vec<_> = (0..train.len()).map(|i| train.image(i).clone()).collect();
+        images[0].data_mut()[0] = f32::NAN;
+        let poisoned = Dataset::new(images, train.labels().to_vec(), train.num_classes()).unwrap();
+        let net = models::mlp("m", &[6, 8, 3], &QuantScheme::paper_apt(), &mut seeded(5)).unwrap();
+        let mut cfg = base_cfg(1);
+        cfg.grad_quant = GradQuant::Fixed(Bitwidth::new(8).unwrap());
+        let mut t = Trainer::new(net, cfg).unwrap();
+        assert!(matches!(
+            t.train(&poisoned, &test),
+            Err(CoreError::Quant(
+                apt_quant::QuantError::NonFiniteRange { .. }
+            ))
+        ));
+    }
+
+    #[test]
     fn config_validation() {
         let net = models::mlp("m", &[2, 2], &QuantScheme::float32(), &mut seeded(6)).unwrap();
         let mut cfg = base_cfg(0);

@@ -83,12 +83,6 @@ impl EnergyMeter {
                 ParamStore::Projected { projection, .. } => {
                     (projection.view_bits(), projection.view_bits(), false, true)
                 }
-                ParamStore::PerChannel(pc) => (
-                    pc.bits().get(),
-                    pc.store().resident_bits_per_code(),
-                    false,
-                    false,
-                ),
             };
             params.insert(
                 p.name().to_string(),

@@ -2,8 +2,8 @@
 //!
 //! Lightweight experiment metrics for the APT reproduction: classification
 //! accuracy, exponential moving averages (the smoothing Algorithm 2 applies
-//! to Gavg), named series for figure regeneration, and an aligned-text/CSV
-//! table writer used by every `fig*`/`table1` binary.
+//! to Gavg), and an aligned-text/CSV table writer used by every
+//! `fig*`/`table1` binary.
 //!
 //! ```
 //! use apt_metrics::{accuracy, Ema, Table};
@@ -19,11 +19,9 @@
 #![forbid(unsafe_code)]
 
 mod ema;
-mod series;
 mod table;
 
 pub use ema::Ema;
-pub use series::Series;
 pub use table::Table;
 
 /// Top-1 accuracy of `predictions` against `labels` (0.0 for empty input

@@ -19,18 +19,21 @@
 //!   param_count u32 | buffer_count u32
 //!   per param : name (u32 len + utf8) | tag u8 | dims (u32 count + u32s) | data
 //!     tag 0 Float      : f32 × volume
-//!     tag 1 Quantized  : bits u8 | scale f32 | zero i64 |
-//!                        ⌈volume·bits/64⌉ u64 words — the canonical
+//!     tag 1 Quantized, : bits u8 | scale f32 | zero i64 |
+//!           per tensor   ⌈volume·bits/64⌉ u64 words — the canonical
 //!                        [`apt_quant::PackedCodes`] data words (centred
 //!                        codes `q − 2^{k−1}`, LSB-first within each word)
 //!     tag 2 MasterCopy : bits u8 | f32 × volume
 //!     tag 3 Projected  : proj u8 (0=binary, 1=ternary) | f32 × volume
-//!     tag 4 PerChannel : bits u8 | channels u32 |
-//!                        (scale f32, zero i64) × channels | packed words
+//!     tag 4 Quantized, : bits u8 | channels u32 |
+//!           per channel  (scale f32, zero i64) × channels | packed words
 //!   per buffer: name (u32 len + utf8) | dims | f32 × volume
 //! ```
 //!
-//! The word payload is exactly what a packed-tier [`apt_quant::CodeStore`]
+//! Tags 1 and 4 are the two calibrations of the one
+//! [`apt_quant::QuantizedTensor`] ([`ParamStore::Quantized`]); a per-channel
+//! tensor stays tag 4 even when its axis 0 has a single channel. The word
+//! payload is exactly what a packed-tier [`apt_quant::CodeStore`]
 //! holds in RAM, so saving a quantised layer is a plain copy of its
 //! physical storage, and loading validates the words (padding bits must be
 //! zero) before any code reaches the grid.
@@ -160,11 +163,16 @@ fn params_payload(net: &Network) -> Vec<u8> {
                 write_f32s(out, t.data());
             }
             ParamStore::Quantized(q) => {
-                out.push(1);
+                out.push(if q.is_per_channel() { 4 } else { 1 });
                 write_dims(out, p.dims());
                 out.push(q.bits().get() as u8);
-                out.extend_from_slice(&q.quantizer().eps().to_le_bytes());
-                out.extend_from_slice(&q.quantizer().zero_point().to_le_bytes());
+                if q.is_per_channel() {
+                    out.extend_from_slice(&(q.quantizers().len() as u32).to_le_bytes());
+                }
+                for quantizer in q.quantizers() {
+                    out.extend_from_slice(&quantizer.eps().to_le_bytes());
+                    out.extend_from_slice(&quantizer.zero_point().to_le_bytes());
+                }
                 q.store().write_packed_le(out);
             }
             ParamStore::MasterCopy { master, bits } => {
@@ -181,17 +189,6 @@ fn params_payload(net: &Network) -> Vec<u8> {
                     Projection::Ternary => 1,
                 });
                 write_f32s(out, master.data());
-            }
-            ParamStore::PerChannel(pc) => {
-                out.push(4);
-                write_dims(out, p.dims());
-                out.push(pc.bits().get() as u8);
-                out.extend_from_slice(&(pc.channels() as u32).to_le_bytes());
-                for q in pc.quantizers() {
-                    out.extend_from_slice(&q.eps().to_le_bytes());
-                    out.extend_from_slice(&q.zero_point().to_le_bytes());
-                }
-                pc.store().write_packed_le(out);
             }
         }
     });
@@ -228,30 +225,37 @@ pub fn save_full(net: &mut Network) -> Vec<u8> {
 /// blob that does not match the network (unknown parameter names, shape
 /// mismatches).
 pub fn load(net: &mut Network, blob: &[u8]) -> crate::Result<()> {
+    let (version, payload) = unframe(blob)?;
+    load_payload(net, payload, version)
+}
+
+/// Checks the framing — magic, version, and for v2/v3 the declared length
+/// and CRC — and returns the version with the payload it frames. [`load`]
+/// and [`verify`] both start here, so neither can accept a frame the other
+/// refuses.
+fn unframe(blob: &[u8]) -> crate::Result<(u16, &[u8])> {
     let mut r = Reader { blob, pos: 0 };
-    let magic = r.take(4)?;
-    if magic != MAGIC {
+    if r.take(4)? != MAGIC {
         return Err(corrupt("not an APTC checkpoint"));
     }
     let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"));
-    let payload = match version {
+    match version {
         // v1: the payload follows the version directly, unprotected.
-        1 => &blob[r.pos..],
+        1 => Ok((version, &blob[r.pos..])),
         2 | 3 => {
             let len = r.read_u32()? as usize;
             let expected_crc = r.read_u32()?;
             let payload = r.take(len)?;
-            if r.pos != blob.len() {
+            if r.remaining() != 0 {
                 return Err(corrupt("trailing bytes after checkpoint payload"));
             }
             if crc32(payload) != expected_crc {
                 return Err(corrupt("CRC32 mismatch (truncated or bit-flipped blob)"));
             }
-            payload
+            Ok((version, payload))
         }
-        other => return Err(NnError::UnsupportedVersion { version: other }),
-    };
-    load_payload(net, payload, version)
+        other => Err(NnError::UnsupportedVersion { version: other }),
+    }
 }
 
 /// Parses and applies the (already integrity-checked) payload section.
@@ -279,17 +283,24 @@ fn load_payload(net: &mut Network, payload: &[u8], version: u16) -> crate::Resul
         let volume = checked_volume(&dims)?;
         let store = match tag {
             0 => ParamStore::Float(Tensor::from_vec(r.read_f32s(volume)?, &dims)?),
-            1 => {
-                let bits = Bitwidth::new(u32::from(r.read_u8()?))?;
-                let scale = r.read_f32()?;
-                let zero = r.read_i64()?;
-                let quantizer = AffineQuantizer::from_parts(scale, zero, bits)?;
+            1 | 4 => {
+                let (bits, groups) = r.read_quantized_head(tag)?;
+                let mut quantizers = Vec::with_capacity(groups);
+                for _ in 0..groups {
+                    let scale = r.read_f32()?;
+                    let zero = r.read_i64()?;
+                    quantizers.push(AffineQuantizer::from_parts(scale, zero, bits)?);
+                }
                 let codes = if version >= 3 {
                     r.read_packed_words(volume, bits)?
                 } else {
                     r.read_codes(volume, bits.get())?
                 };
-                ParamStore::Quantized(QuantizedTensor::from_parts(codes, dims, quantizer)?)
+                ParamStore::Quantized(if tag == 4 {
+                    QuantizedTensor::from_parts_per_channel(codes, dims, quantizers)?
+                } else {
+                    QuantizedTensor::from_parts(codes, dims, quantizers[0])?
+                })
             }
             2 => {
                 let bits = Bitwidth::new(u32::from(r.read_u8()?))?;
@@ -309,28 +320,6 @@ fn load_payload(net: &mut Network, payload: &[u8], version: u16) -> crate::Resul
                     projection,
                 }
             }
-            4 => {
-                let bits = Bitwidth::new(u32::from(r.read_u8()?))?;
-                let channels = r.read_u32()? as usize;
-                // 12 bytes (scale f32 + zero i64) per channel must exist.
-                if channels > r.remaining() / 12 {
-                    return Err(corrupt("per-channel count exceeds available bytes"));
-                }
-                let mut quantizers = Vec::with_capacity(channels);
-                for _ in 0..channels {
-                    let scale = r.read_f32()?;
-                    let zero = r.read_i64()?;
-                    quantizers.push(AffineQuantizer::from_parts(scale, zero, bits)?);
-                }
-                let codes = if version >= 3 {
-                    r.read_packed_words(volume, bits)?
-                } else {
-                    r.read_codes(volume, bits.get())?
-                };
-                ParamStore::PerChannel(apt_quant::PerChannelQuantized::from_parts(
-                    codes, dims, quantizers,
-                )?)
-            }
             other => return Err(corrupt(&format!("unknown store tag {other}"))),
         };
         stores.push((name, store));
@@ -341,6 +330,9 @@ fn load_payload(net: &mut Network, payload: &[u8], version: u16) -> crate::Resul
         let dims = r.read_dims()?;
         let volume = checked_volume(&dims)?;
         buffers.push((name, Tensor::from_vec(r.read_f32s(volume)?, &dims)?));
+    }
+    if r.remaining() != 0 {
+        return Err(corrupt("trailing bytes after checkpoint sections"));
     }
 
     // Apply parameters by name.
@@ -428,27 +420,7 @@ pub struct CheckpointSummary {
 /// [`NnError::UnsupportedVersion`] for unknown versions — the same typed
 /// errors [`load`] produces, never a panic.
 pub fn verify(blob: &[u8]) -> crate::Result<CheckpointSummary> {
-    let mut r = Reader { blob, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(corrupt("not an APTC checkpoint"));
-    }
-    let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"));
-    let payload = match version {
-        1 => &blob[r.pos..],
-        2 | 3 => {
-            let len = r.read_u32()? as usize;
-            let expected_crc = r.read_u32()?;
-            let payload = r.take(len)?;
-            if r.pos != blob.len() {
-                return Err(corrupt("trailing bytes after checkpoint payload"));
-            }
-            if crc32(payload) != expected_crc {
-                return Err(corrupt("CRC32 mismatch (truncated or bit-flipped blob)"));
-            }
-            payload
-        }
-        other => return Err(NnError::UnsupportedVersion { version: other }),
-    };
+    let (version, payload) = unframe(blob)?;
     let mut r = Reader {
         blob: payload,
         pos: 0,
@@ -467,10 +439,9 @@ pub fn verify(blob: &[u8]) -> crate::Result<CheckpointSummary> {
         let volume = checked_volume(&dims)?;
         match tag {
             0 => r.skip_f32s(volume)?,
-            1 => {
-                let bits = Bitwidth::new(u32::from(r.read_u8()?))?;
-                let _scale = r.read_f32()?;
-                let _zero = r.read_i64()?;
+            1 | 4 => {
+                let (bits, groups) = r.read_quantized_head(tag)?;
+                r.take(groups * 12)?;
                 r.skip_code_section(volume, bits, version)?;
             }
             2 => {
@@ -482,15 +453,6 @@ pub fn verify(blob: &[u8]) -> crate::Result<CheckpointSummary> {
                     return Err(corrupt("unknown projection"));
                 }
                 r.skip_f32s(volume)?;
-            }
-            4 => {
-                let bits = Bitwidth::new(u32::from(r.read_u8()?))?;
-                let channels = r.read_u32()? as usize;
-                if channels > r.remaining() / 12 {
-                    return Err(corrupt("per-channel count exceeds available bytes"));
-                }
-                r.take(channels * 12)?;
-                r.skip_code_section(volume, bits, version)?;
             }
             other => return Err(corrupt(&format!("unknown store tag {other}"))),
         }
@@ -592,6 +554,22 @@ impl<'a> Reader<'a> {
         Ok(f32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
+    }
+    /// The head of a quantised section: `bits u8`, then how many
+    /// `(scale f32, zero i64)` pairs follow — one under tag 1, `channels
+    /// u32` under tag 4. Their 12 bytes each must exist before anything is
+    /// sized from the count.
+    fn read_quantized_head(&mut self, tag: u8) -> crate::Result<(Bitwidth, usize)> {
+        let bits = Bitwidth::new(u32::from(self.read_u8()?))?;
+        let groups = if tag == 4 {
+            self.read_u32()? as usize
+        } else {
+            1
+        };
+        if groups > self.remaining() / 12 {
+            return Err(corrupt("quantiser count exceeds available bytes"));
+        }
+        Ok((bits, groups))
     }
     fn read_str(&mut self) -> crate::Result<String> {
         let len = self.read_u32()? as usize;
@@ -1015,10 +993,10 @@ mod tests {
             net.visit_params_ref(&mut |p| {
                 tags.insert(match p.store() {
                     ParamStore::Float(_) => 0,
+                    ParamStore::Quantized(q) if q.is_per_channel() => 4,
                     ParamStore::Quantized(_) => 1,
                     ParamStore::MasterCopy { .. } => 2,
                     ParamStore::Projected { .. } => 3,
-                    ParamStore::PerChannel(_) => 4,
                 });
                 widths.extend(p.bits().map(|b| b.get()));
             });
@@ -1191,6 +1169,50 @@ mod tests {
                 let _ = verify(&f.v1[..cut]);
             }
         }
+        // Bytes after the last section, correctly framed: garbage appended
+        // to an unframed v1 blob, and a v2 / v3 payload grown by a few bytes
+        // with its length and CRC fields to match. Neither may pass either
+        // function.
+        let mlp = &FIXTURES[3];
+        let mut padded = vec![[mlp.v1, &[7u8; 5]].concat()];
+        let mut net = (mlp.fresh)();
+        load(&mut net, mlp.v2).unwrap();
+        for framed in [mlp.v2.to_vec(), save_full(&mut net)] {
+            let payload = [&framed[V2_HEADER..], &[7u8; 3]].concat();
+            let mut grown = framed[..6].to_vec();
+            grown.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            grown.extend_from_slice(&crc32(&payload).to_le_bytes());
+            grown.extend_from_slice(&payload);
+            padded.push(grown);
+        }
+        for (version, blob) in padded.iter().enumerate() {
+            for result in [verify(blob).map(drop), load(&mut net, blob)] {
+                assert!(
+                    matches!(&result, Err(NnError::Corrupt { reason }) if reason.contains("trailing")),
+                    "v{}: {result:?}",
+                    version + 1
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_channel_per_channel_store_keeps_tag_4_and_its_digest_word() {
+        // `fc0.weight` is `[1, 3]`: it calibrates to the same codes and
+        // `(S, Z)` either way, and the form is still a recorded fact of the
+        // blob and of the digest.
+        let (mut tags, mut digests) = (Vec::new(), Vec::new());
+        for scheme in [QuantScheme::paper_apt(), QuantScheme::per_channel(b6())] {
+            let net = models::mlp("m", &[3, 1], &scheme, &mut seeded(0)).unwrap();
+            let blob = save(&net);
+            tags.push(blob[V2_HEADER + 8 + 4 + "fc0.weight".len()]);
+            digests.push(net.integrity_digests()[0].1);
+            let mut back = models::mlp("m", &[3, 1], &scheme, &mut seeded(1)).unwrap();
+            load(&mut back, &blob).unwrap();
+            assert_eq!(save(&back), blob);
+        }
+        assert_eq!(tags, [1, 4]);
+        assert_ne!(digests[0], digests[1]);
     }
 
     #[test]

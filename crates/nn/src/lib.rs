@@ -10,12 +10,14 @@
 //! Every learnable tensor is a [`Param`] wrapping a [`ParamStore`]:
 //!
 //! * [`ParamStore::Quantized`] — integer codes only (APT and the
-//!   fixed-bitwidth baselines). Training memory is `N·k` bits.
+//!   fixed-bitwidth baselines), calibrated per tensor or, for the
+//!   ablation, per output channel: one store variant over the one
+//!   `apt_quant::QuantizedTensor`. Training memory is `N·k` bits.
 //! * [`ParamStore::Float`] — plain fp32 (the fp32 baseline).
-//! * [`ParamStore::MasterCopy`] — fp32 master plus a `k`-bit quantised view
-//!   (DoReFa/TTQ/BNN-style comparators of Table I). Training memory is
-//!   `N·32 + N·k` bits, which is exactly why those methods save no training
-//!   memory (paper §IV-C).
+//! * [`ParamStore::MasterCopy`] / [`ParamStore::Projected`] — fp32 master
+//!   plus a `k`-bit quantised (or binary/ternary) view (DoReFa/TTQ/BNN-style
+//!   comparators of Table I). Training memory is `N·32 + N·k` bits, which
+//!   is exactly why those methods save no training memory (paper §IV-C).
 //!
 //! ## Example
 //!

@@ -183,7 +183,10 @@ impl Default for QuantScheme {
 pub enum ParamStore {
     /// Plain fp32 values.
     Float(Tensor),
-    /// Integer codes only — no fp32 copy anywhere (APT's memory saving).
+    /// Integer codes only — no fp32 copy anywhere (APT's memory saving):
+    /// calibrated per tensor ([`ParamPrecision::Quantized`], the paper's
+    /// scheme) or per output channel ([`ParamPrecision::PerChannel`]); the
+    /// one [`QuantizedTensor`] type holds both.
     Quantized(QuantizedTensor),
     /// fp32 master plus the bitwidth of the fake-quantised compute view.
     MasterCopy {
@@ -199,8 +202,6 @@ pub enum ParamStore {
         /// The extreme-quantisation projection of the compute view.
         projection: Projection,
     },
-    /// Integer codes with per-output-channel calibration, no fp32 copy.
-    PerChannel(apt_quant::PerChannelQuantized),
 }
 
 impl ParamStore {
@@ -216,7 +217,6 @@ impl ParamStore {
                 Projection::Binary => fake::binarize(master),
                 Projection::Ternary => fake::ternarize(master),
             },
-            ParamStore::PerChannel(pc) => pc.to_tensor(),
         }
     }
 
@@ -227,13 +227,12 @@ impl ParamStore {
             ParamStore::Quantized(q) => q.len(),
             ParamStore::MasterCopy { master, .. } => master.len(),
             ParamStore::Projected { master, .. } => master.len(),
-            ParamStore::PerChannel(pc) => pc.len(),
         }
     }
 
     /// Calls `f(i, w)` for every element in order, `w` its value in the
     /// compute view ([`Param::value`]) — read straight from the code tier
-    /// for the quantised kinds.
+    /// for a quantised store.
     #[inline]
     fn for_each_weight(&self, f: impl FnMut(usize, f32)) {
         #[inline]
@@ -242,7 +241,6 @@ impl ParamStore {
         }
         match self {
             ParamStore::Quantized(q) => q.for_each_value(f),
-            ParamStore::PerChannel(pc) => pc.for_each_value(f),
             ParamStore::Float(t) => plain(t, f),
             // The view is a function of the whole master: materialise it.
             ParamStore::MasterCopy { .. } | ParamStore::Projected { .. } => plain(&self.value(), f),
@@ -291,7 +289,7 @@ impl Param {
                 projection,
             },
             ParamPrecision::PerChannel(bits) => {
-                ParamStore::PerChannel(apt_quant::PerChannelQuantized::from_tensor(&init, bits)?)
+                ParamStore::Quantized(QuantizedTensor::from_tensor_per_channel(&init, bits)?)
             }
         };
         Ok(Param {
@@ -346,7 +344,7 @@ impl Param {
     /// Materialises the float view used for compute:
     ///
     /// * `Float` — the values themselves,
-    /// * `Quantized` / `PerChannel` — the dequantised grid values,
+    /// * `Quantized` — the dequantised grid values,
     /// * `MasterCopy` — the master fake-quantised at the view bitwidth,
     /// * `Projected` — the master through its sign/ternary projection.
     pub fn value(&self) -> Tensor {
@@ -393,37 +391,22 @@ impl Param {
         self.grad.fill(0.0);
     }
 
-    /// The parameter's quantisation step `ε_i`, if it is quantised.
+    /// The parameter's quantisation step `ε_i`, if it is quantised (the
+    /// mean over channels under per-channel calibration).
     pub fn eps(&self) -> Option<f32> {
         match &self.store {
             ParamStore::Quantized(q) => Some(q.eps()),
-            ParamStore::PerChannel(pc) => Some(pc.mean_eps()),
             _ => None,
         }
     }
 
     /// The Gavg metric (paper Eq. 4) of the accumulated gradient against
-    /// this parameter's quantisation resolution — per-tensor `ε` for
-    /// [`ParamStore::Quantized`], per-channel `ε_c` for
-    /// [`ParamStore::PerChannel`]. `None` for stores without a live `ε`
+    /// this parameter's quantisation resolution
+    /// ([`QuantizedTensor::gavg`]). `None` for stores without a live `ε`
     /// (fp32, master-copy, projected).
     pub fn gavg(&self) -> Option<f64> {
         match &self.store {
-            ParamStore::Quantized(q) => {
-                let grad = &self.grad;
-                if grad.is_empty() {
-                    return Some(0.0);
-                }
-                let inv = 1.0 / f64::from(q.eps());
-                Some(
-                    grad.data()
-                        .iter()
-                        .map(|&g| f64::from(g).abs() * inv)
-                        .sum::<f64>()
-                        / grad.len() as f64,
-                )
-            }
-            ParamStore::PerChannel(pc) => pc.gavg(&self.grad).ok(),
+            ParamStore::Quantized(q) => q.gavg(&self.grad).ok(),
             _ => None,
         }
     }
@@ -434,7 +417,6 @@ impl Param {
         match &self.store {
             ParamStore::Float(_) | ParamStore::Projected { .. } => None,
             ParamStore::Quantized(q) => Some(q.bits()),
-            ParamStore::PerChannel(pc) => Some(pc.bits()),
             ParamStore::MasterCopy { bits, .. } => Some(*bits),
         }
     }
@@ -450,10 +432,6 @@ impl Param {
         match &mut self.store {
             ParamStore::Quantized(q) => {
                 q.set_bits(bits)?;
-                Ok(())
-            }
-            ParamStore::PerChannel(pc) => {
-                pc.set_bits(bits)?;
                 Ok(())
             }
             ParamStore::MasterCopy { bits: b, .. } => {
@@ -473,7 +451,8 @@ impl Param {
     /// (the quantity Figure 5 reports):
     ///
     /// * `Float` — `32·N`
-    /// * `Quantized` — `k·N`
+    /// * `Quantized` — `k·N` (`+ 96` per channel when calibrated per
+    ///   channel)
     /// * `MasterCopy` — `32·N + k·N` (master **and** view live in memory)
     pub fn memory_bits(&self) -> u64 {
         let n = self.len() as u64;
@@ -484,7 +463,6 @@ impl Param {
             ParamStore::Projected { projection, .. } => {
                 32 * n + u64::from(projection.view_bits()) * n
             }
-            ParamStore::PerChannel(pc) => pc.memory_bits(),
         }
     }
 
@@ -504,7 +482,6 @@ impl Param {
                 4 * n
             }
             ParamStore::Quantized(q) => q.resident_bytes(),
-            ParamStore::PerChannel(pc) => pc.resident_bytes(),
         };
         let velocity = self.velocity.as_ref().map_or(0, |v| 4 * v.len() as u64);
         store + velocity
@@ -551,7 +528,6 @@ impl Param {
                 Ok(None)
             }
             ParamStore::Quantized(q) => Ok(Some(q.sgd_update(effective_grad, lr, mode, rng)?)),
-            ParamStore::PerChannel(pc) => Ok(Some(pc.sgd_update(effective_grad, lr, mode, rng)?)),
         }
     }
 
@@ -655,8 +631,11 @@ impl Param {
                 h.write_f32s(t.data());
             }
             ParamStore::Quantized(q) => {
-                h.write(1);
-                h.write_quantizer(q.quantizer());
+                // The store kinds' words are the checkpoint's store tags.
+                h.write(if q.is_per_channel() { 4 } else { 1 });
+                for quantizer in q.quantizers() {
+                    h.write_quantizer(quantizer);
+                }
                 // Hash the *physical* storage words, so the digest covers
                 // exactly the bits an SEU can land on.
                 q.store().for_each_word(|w| h.write(w));
@@ -668,13 +647,6 @@ impl Param {
             ParamStore::Projected { master, projection } => {
                 h.write(3 | u64::from(projection.view_bits()) << 8);
                 h.write_f32s(master.data());
-            }
-            ParamStore::PerChannel(pc) => {
-                h.write(4);
-                for q in pc.quantizers() {
-                    h.write_quantizer(q);
-                }
-                pc.store().for_each_word(|w| h.write(w));
             }
         }
         match &self.velocity {
@@ -717,10 +689,6 @@ impl Param {
                 q.flip_code_bit(elem, bit)?;
                 Ok(())
             }
-            ParamStore::PerChannel(pc) => {
-                pc.flip_code_bit(elem, bit)?;
-                Ok(())
-            }
         }
     }
 
@@ -746,7 +714,6 @@ impl Param {
     pub fn saturation_ratio(&self) -> Option<f64> {
         match &self.store {
             ParamStore::Quantized(q) => Some(q.saturation_ratio()),
-            ParamStore::PerChannel(pc) => Some(pc.saturation_ratio()),
             _ => None,
         }
     }
@@ -757,7 +724,6 @@ impl Param {
     pub fn saturate_codes(&mut self, fraction: f64, high: bool) -> usize {
         match &mut self.store {
             ParamStore::Quantized(q) => q.saturate(fraction, high),
-            ParamStore::PerChannel(pc) => pc.saturate(fraction, high),
             _ => 0,
         }
     }
@@ -1060,7 +1026,7 @@ mod tests {
 
     #[test]
     fn digest_detects_every_bit_flip_in_the_quantiser_fields() {
-        use apt_quant::{AffineQuantizer, PerChannelQuantized};
+        use apt_quant::AffineQuantizer;
         // Flips that leave the field valid (a finite positive scale, a
         // zero point on the grid) — what `from_parts` lets exist at all.
         let variants = |q: &AffineQuantizer| -> Vec<AffineQuantizer> {
@@ -1076,29 +1042,23 @@ mod tests {
         let mut checked = 0;
         for mut p in one_of_each_kind() {
             let clean = p.integrity_digest();
-            match p.store().clone() {
-                ParamStore::Quantized(q) => {
-                    for v in variants(q.quantizer()) {
-                        let hurt = QuantizedTensor::from_parts(q.codes(), q.dims().to_vec(), v);
-                        p.set_store(ParamStore::Quantized(hurt.unwrap())).unwrap();
-                        assert_ne!(clean, p.integrity_digest(), "{v:?}");
-                        checked += 1;
-                    }
+            let ParamStore::Quantized(q) = p.store().clone() else {
+                continue;
+            };
+            for ch in 0..q.quantizers().len() {
+                for v in variants(&q.quantizers()[ch]) {
+                    let mut qs = q.quantizers().to_vec();
+                    qs[ch] = v;
+                    let (codes, dims) = (q.codes(), q.dims().to_vec());
+                    let hurt = if q.is_per_channel() {
+                        QuantizedTensor::from_parts_per_channel(codes, dims, qs)
+                    } else {
+                        QuantizedTensor::from_parts(codes, dims, qs[0])
+                    };
+                    p.set_store(ParamStore::Quantized(hurt.unwrap())).unwrap();
+                    assert_ne!(clean, p.integrity_digest(), "channel {ch}: {v:?}");
+                    checked += 1;
                 }
-                ParamStore::PerChannel(pc) => {
-                    for ch in 0..pc.channels() {
-                        for v in variants(&pc.quantizers()[ch]) {
-                            let mut qs = pc.quantizers().to_vec();
-                            qs[ch] = v;
-                            let hurt =
-                                PerChannelQuantized::from_parts(pc.codes(), pc.dims().to_vec(), qs);
-                            p.set_store(ParamStore::PerChannel(hurt.unwrap())).unwrap();
-                            assert_ne!(clean, p.integrity_digest(), "channel {ch}: {v:?}");
-                            checked += 1;
-                        }
-                    }
-                }
-                _ => {}
             }
         }
         // 3 quantised tiers + 3 channels, ≥ 23 mantissa + some exponent

@@ -149,9 +149,6 @@ impl PlanBuilder {
             (KernelLane::IntGemm, ParamStore::Quantized(q)) => {
                 WeightPanel::from_quantized(q, out_f, in_f)
             }
-            (KernelLane::IntGemm, ParamStore::PerChannel(pc)) => {
-                WeightPanel::from_per_channel(pc, out_f, in_f)
-            }
             _ => None,
         };
         let dequant = weight.value().into_vec();

@@ -30,8 +30,10 @@
 //!
 //! Anything that walks a whole store once per training step goes through
 //! an operation that resolves the tier **once per call**:
-//! [`CodeStore::for_each`] (in-order read), [`CodeStore::rewrite`]
-//! (in-place `q ← f(i, q)`), [`CodeStore::for_each_word`] (resident words,
+//! [`CodeStore::for_each`] (in-order read of a range), [`CodeStore::rewrite`]
+//! (in-place `q ← f(i, q)` over a range — a range so that a per-channel
+//! tensor walks one channel at a time with that channel's quantiser
+//! loop-invariant), [`CodeStore::for_each_word`] (resident words,
 //! for digests), [`CodeStore::for_each_packed_word`] /
 //! [`CodeStore::write_packed_le`] (the canonical serialisation, streamed
 //! from a bit accumulator) and [`CodeStore::from_code_iter`] (build
@@ -41,6 +43,7 @@
 //! and tests.
 
 use crate::{Bitwidth, QuantError};
+use std::ops::Range;
 
 /// Lays `k`-bit `fields` (higher bits zero) end to end, LSB first, and
 /// hands every `u64` word to `emit` as it fills, the zero-padded partial
@@ -349,45 +352,56 @@ impl CodeStore {
     /// code uses [`for_each`](Self::for_each)).
     pub fn to_vec(&self) -> Vec<i64> {
         let mut out = Vec::with_capacity(self.len());
-        self.for_each(|_, q| out.push(q));
+        self.for_each(0..self.len(), |_, q| out.push(q));
         out
     }
 
-    /// Calls `f(i, q)` for every raw grid code in element order. The tier
-    /// is resolved once, outside the loop, so a simple `f` (dequantise into
-    /// `out[i]`, accumulate) compiles to a vector loop over the `i8`/`i16`
-    /// tiers. `f` is instantiated once per tier: mark a large closure
+    /// Calls `f(i, q)` for every raw grid code of `range`, in element order
+    /// (`0..len` walks the store; a per-channel tensor walks one channel at
+    /// a time, its quantiser loop-invariant). The tier is resolved once,
+    /// outside the loop, so a simple `f` (dequantise into `out[i]`,
+    /// accumulate) compiles to a vector loop over the `i8`/`i16` tiers. `f`
+    /// is instantiated once per tier: mark a large closure
     /// `#[inline(always)]` at the call site, or the optimiser may leave it
     /// out of line and pay a call per element.
+    ///
+    /// # Panics
+    ///
+    /// If `range` reaches past the end of the store.
     #[inline]
-    pub fn for_each(&self, mut f: impl FnMut(usize, i64)) {
+    pub fn for_each(&self, range: Range<usize>, mut f: impl FnMut(usize, i64)) {
         let half = Self::half(self.bits);
         match &self.repr {
             Repr::I8(v) => {
-                for (i, &c) in v.iter().enumerate() {
+                for (i, &c) in range.clone().zip(&v[range]) {
                     f(i, i64::from(c) + half);
                 }
             }
             Repr::I16(v) => {
-                for (i, &c) in v.iter().enumerate() {
+                for (i, &c) in range.clone().zip(&v[range]) {
                     f(i, i64::from(c) + half);
                 }
             }
             Repr::Packed(p) => {
-                for i in 0..p.len() {
+                assert!(range.end <= p.len(), "range past the end of the store");
+                for i in range {
                     f(i, p.get(i) + half);
                 }
             }
         }
     }
 
-    /// Replaces every code `q` at index `i` with `f(i, q)`, in element
-    /// order and in place; `f` must return a code on the grid (return `q`
-    /// to leave an element alone). The tier is resolved once per call; as
-    /// with [`for_each`](Self::for_each), a large `f` wants
+    /// Replaces every code `q` at index `i` of `range` with `f(i, q)`, in
+    /// element order and in place; `f` must return a code on the grid
+    /// (return `q` to leave an element alone). The tier is resolved once
+    /// per call; as with [`for_each`](Self::for_each), a large `f` wants
     /// `#[inline(always)]`.
+    ///
+    /// # Panics
+    ///
+    /// If `range` reaches past the end of the store.
     #[inline]
-    pub fn rewrite(&mut self, mut f: impl FnMut(usize, i64) -> i64) {
+    pub fn rewrite(&mut self, range: Range<usize>, mut f: impl FnMut(usize, i64) -> i64) {
         let half = Self::half(self.bits);
         let max = self.bits.num_steps() as i64;
         let mut checked = |i: usize, q: i64| {
@@ -397,17 +411,20 @@ impl CodeStore {
         };
         match &mut self.repr {
             Repr::I8(v) => {
-                for (i, c) in v.iter_mut().enumerate() {
-                    *c = checked(i, i64::from(*c) + half) as i8;
+                let start = range.start;
+                for (j, c) in v[range].iter_mut().enumerate() {
+                    *c = checked(start + j, i64::from(*c) + half) as i8;
                 }
             }
             Repr::I16(v) => {
-                for (i, c) in v.iter_mut().enumerate() {
-                    *c = checked(i, i64::from(*c) + half) as i16;
+                let start = range.start;
+                for (j, c) in v[range].iter_mut().enumerate() {
+                    *c = checked(start + j, i64::from(*c) + half) as i16;
                 }
             }
             Repr::Packed(p) => {
-                for i in 0..p.len() {
+                assert!(range.end <= p.len(), "range past the end of the store");
+                for i in range {
                     let old = p.get(i);
                     let new = checked(i, old + half);
                     if new != old {
@@ -644,12 +661,15 @@ mod tests {
                 let store = CodeStore::from_code_iter(codes.iter().copied(), b(k));
                 assert_eq!(store.len(), n, "k={k}");
                 assert_eq!(store.bits(), b(k));
+                // In two ranges, as a per-channel tensor walks its groups.
                 let mut seen = Vec::new();
-                store.for_each(|i, q| {
-                    assert_eq!(i, seen.len(), "in order, k={k} n={n}");
-                    assert_eq!(q, store.get(i), "k={k} n={n} i={i}");
-                    seen.push(q);
-                });
+                for range in [0..n / 3, n / 3..n] {
+                    store.for_each(range, |i, q| {
+                        assert_eq!(i, seen.len(), "in order, k={k} n={n}");
+                        assert_eq!(q, store.get(i), "k={k} n={n} i={i}");
+                        seen.push(q);
+                    });
+                }
                 assert_eq!(seen, codes, "k={k} n={n}");
                 assert_eq!(store, CodeStore::from_codes(&codes, b(k)));
                 if let Repr::Packed(p) = &store.repr {
@@ -675,11 +695,13 @@ mod tests {
                 };
                 let mut bulk = CodeStore::from_codes(&codes, b(k));
                 let mut visited = 0;
-                bulk.rewrite(|i, q| {
-                    assert_eq!((i, q), (visited, codes[i]), "k={k} n={n}");
-                    visited += 1;
-                    f(i, q)
-                });
+                for range in [0..n / 3, n / 3..n] {
+                    bulk.rewrite(range, |i, q| {
+                        assert_eq!((i, q), (visited, codes[i]), "k={k} n={n}");
+                        visited += 1;
+                        f(i, q)
+                    });
+                }
                 assert_eq!(visited, n);
                 let mut one_by_one = CodeStore::from_codes(&codes, b(k));
                 for i in 0..n {

@@ -34,7 +34,7 @@ const FQ_CHUNK: usize = 16 * 1024;
 ///
 /// Returns [`crate::QuantError::NonFiniteRange`] for empty/non-finite input.
 pub fn fake_quantize(t: &Tensor, bits: Bitwidth) -> crate::Result<Tensor> {
-    let q = AffineQuantizer::from_tensor(t, bits)?;
+    let q = AffineQuantizer::calibrate(t.data(), bits)?;
     let mut out = Tensor::zeros(t.dims());
     let rd = t.data();
     par::for_each_chunk_mut(out.data_mut(), FQ_CHUNK, |ci, chunk| {
@@ -136,6 +136,19 @@ mod tests {
         let fq = fake_quantize(&t, Bitwidth::MAX).unwrap();
         for (a, b) in t.data().iter().zip(fq.data()) {
             assert!((a - b).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn fake_quantize_rejects_a_nan_at_any_position() {
+        for at in [0, 1, 3] {
+            let mut t = Tensor::from_slice(&[1.0, 0.5, -1.0, 0.25]);
+            t.data_mut()[at] = f32::NAN;
+            let got = fake_quantize(&t, Bitwidth::new(6).unwrap());
+            assert!(
+                matches!(got, Err(crate::QuantError::NonFiniteRange { .. })),
+                "NaN at {at}: {got:?}"
+            );
         }
     }
 

@@ -118,7 +118,9 @@ impl GradCodec {
         let mut out = vec![0.0f32; store.len()];
         // A signed `k ≤ 32`-bit code is an `i32`: converting through it
         // gives the same float as from `i64`, in a loop that vectorises.
-        store.for_each(|i, q| out[i] = (q - half) as i32 as f32 * scale);
+        store.for_each(0..store.len(), |i, q| {
+            out[i] = (q - half) as i32 as f32 * scale
+        });
         out
     }
 
@@ -127,7 +129,7 @@ impl GradCodec {
     pub fn signed_codes(&self, store: &CodeStore) -> Vec<i64> {
         let half = 1i64 << (self.bits.get() - 1);
         let mut out = vec![0i64; store.len()];
-        store.for_each(|i, q| out[i] = q - half);
+        store.for_each(0..store.len(), |i, q| out[i] = q - half);
         out
     }
 

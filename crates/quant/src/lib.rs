@@ -12,9 +12,13 @@
 //!   the paper's minimum resolution `ε` (Eq. 2).
 //! * [`QuantizedTensor`] — a parameter tensor whose **source of truth is the
 //!   integer codes**: there is no fp32 master copy, which is how APT saves
-//!   training memory (paper §III, Table I). Its
-//!   [`sgd_update`](QuantizedTensor::sgd_update) implements the
-//!   underflow-prone update of Eq. 3 exactly.
+//!   training memory (paper §III, Table I). One type holds both
+//!   calibrations — the paper's one `(S, Z)` per tensor is the one-group
+//!   case of one per output channel — so Eq. 2 calibration, the
+//!   underflow-prone update of Eq. 3
+//!   ([`sgd_update`](QuantizedTensor::sgd_update)) and the Gavg of Eq. 4
+//!   ([`gavg`](QuantizedTensor::gavg)) are each written once, over
+//!   [`quantizers`](QuantizedTensor::quantizers).
 //! * [`CodeStore`] / [`PackedCodes`] — the *physical* storage behind the
 //!   codes: an `i8`/`i16` fast tier and bit-packed `u64` words, so a
 //!   `k`-bit layer actually occupies about `k` bits per weight of process
@@ -56,7 +60,6 @@ mod error;
 pub mod fake;
 mod grad;
 mod panel;
-mod per_channel;
 mod quantizer;
 mod rounding;
 mod tensor_q;
@@ -66,7 +69,6 @@ pub use code_store::{CodeStore, PackedCodes};
 pub use error::QuantError;
 pub use grad::GradCodec;
 pub use panel::{ActPanel, WeightPanel};
-pub use per_channel::PerChannelQuantized;
 pub use quantizer::AffineQuantizer;
 pub use rounding::RoundingMode;
 pub use tensor_q::{QuantizedTensor, UpdateStats};

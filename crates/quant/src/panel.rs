@@ -5,9 +5,9 @@
 //! (`wq = q − 2^(k−1)`) and laid out as row-major `i8`/`i16` rows over the
 //! shared GEMM dimension, with the per-output-channel rescale metadata
 //! (`Sw_o`, `dw_o = 2^(k−1) − Zw_o`, `wsum_o = Σ_j wq_oj`) alongside.
-//! Per-tensor parameters splat one scale into every channel slot, so the
-//! integer kernels in [`apt_tensor::ops::int_gemm`] never branch on the
-//! calibration flavour.
+//! A one-group (per-tensor) parameter's single scale serves every channel
+//! slot, so the integer kernels in [`apt_tensor::ops::int_gemm`] never
+//! branch on the calibration flavour.
 //!
 //! An [`ActPanel`] is the per-request counterpart: each activation row is
 //! calibrated to its own 8-bit affine grid, quantised branch-free, and
@@ -29,7 +29,7 @@
 //! longer than [`MAX_I8_DOT_LEN`] in the `i8` tier, or shape mismatches;
 //! callers fall back to the cached-f32 lane.
 
-use crate::{AffineQuantizer, Bitwidth, PerChannelQuantized, QuantError, QuantizedTensor};
+use crate::{AffineQuantizer, Bitwidth, QuantError, QuantizedTensor};
 use apt_tensor::ops::int_gemm::{self, IntRescale, MAX_I8_DOT_LEN};
 
 /// Physical tier of a panel's centered weight codes.
@@ -55,81 +55,61 @@ pub struct WeightPanel {
 }
 
 impl WeightPanel {
-    /// Builds a panel from a per-tensor quantised parameter, splatting the
-    /// single `(S, Z)` into every output-channel slot.
+    /// Builds a panel from a quantised parameter, one `(S, Z)` per row: a
+    /// per-channel tensor's axis-0 channels are the panel rows, and a
+    /// one-group tensor's single pair serves every row.
     ///
     /// Returns `None` when the integer lane cannot serve this parameter:
-    /// `rows·cols` disagrees with the tensor volume, `k > 16`, or the
-    /// shared dimension exceeds [`MAX_I8_DOT_LEN`] in the `i8` tier.
+    /// `rows·cols` disagrees with the tensor volume, several calibration
+    /// groups that are not one per row, `k > 16`, or the shared dimension
+    /// exceeds [`MAX_I8_DOT_LEN`] in the `i8` tier.
     pub fn from_quantized(q: &QuantizedTensor, rows: usize, cols: usize) -> Option<Self> {
-        if q.len() != rows * cols {
-            return None;
-        }
-        let quantizers = vec![*q.quantizer(); rows.max(1)];
-        Self::build(&q.codes(), &quantizers, rows, cols, q.bits())
-    }
-
-    /// Builds a panel from a per-output-channel quantised parameter
-    /// (axis-0 channels become panel rows).
-    ///
-    /// Returns `None` under the same conditions as
-    /// [`from_quantized`](Self::from_quantized), or when the channel count
-    /// disagrees with `rows`.
-    pub fn from_per_channel(q: &PerChannelQuantized, rows: usize, cols: usize) -> Option<Self> {
-        if q.len() != rows * cols || q.channels() != rows {
-            return None;
-        }
-        Self::build(&q.codes(), q.quantizers(), rows, cols, q.bits())
-    }
-
-    fn build(
-        codes: &[i64],
-        quantizers: &[AffineQuantizer],
-        rows: usize,
-        cols: usize,
-        bits: Bitwidth,
-    ) -> Option<Self> {
-        let k = bits.get();
-        if k > 16 {
+        let quantizers = q.quantizers();
+        let k = q.bits().get();
+        if q.len() != rows * cols
+            || (quantizers.len() != 1 && quantizers.len() != rows)
+            || k > 16
+            || (k <= 8 && cols > MAX_I8_DOT_LEN)
+        {
             return None;
         }
         let half = 1i64 << (k - 1);
-        let mut w_scale = Vec::with_capacity(rows);
-        let mut w_dw = Vec::with_capacity(rows);
-        let mut w_sum = Vec::with_capacity(rows);
-        for q in quantizers.iter().take(rows) {
-            w_scale.push(q.eps());
-            w_dw.push((half - q.zero_point()) as i32);
-            w_sum.push(0i64);
+        let (mut w_scale, mut w_dw) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        for quantizer in quantizers.iter().cycle().take(rows) {
+            w_scale.push(quantizer.eps());
+            w_dw.push((half - quantizer.zero_point()) as i32);
         }
-        let panel = if k <= 8 {
-            if cols > MAX_I8_DOT_LEN {
-                return None;
-            }
-            let mut data = Vec::with_capacity(codes.len());
-            for (i, &q) in codes.iter().enumerate() {
-                let wq = q - half;
-                data.push(wq as i8);
-                w_sum[i / cols.max(1)] += wq;
-            }
-            PanelCodes::I8(data)
+        let mut w_sum = vec![0i64; rows];
+        let codes = if k <= 8 {
+            PanelCodes::I8(Self::centred(q, cols, &mut w_sum, |wq| wq as i8))
         } else {
-            let mut data = Vec::with_capacity(codes.len());
-            for (i, &q) in codes.iter().enumerate() {
-                let wq = q - half;
-                data.push(wq as i16);
-                w_sum[i / cols.max(1)] += wq;
-            }
-            PanelCodes::I16(data)
+            PanelCodes::I16(Self::centred(q, cols, &mut w_sum, |wq| wq as i16))
         };
         Some(WeightPanel {
-            codes: panel,
+            codes,
             rows,
             cols,
             w_scale,
             w_dw,
             w_sum,
         })
+    }
+
+    /// The centred codes `q − 2^(k−1)` straight out of the tier, narrowed
+    /// to the panel's element type, each added into its row's sum.
+    fn centred<T>(
+        q: &QuantizedTensor,
+        cols: usize,
+        w_sum: &mut [i64],
+        narrow: impl Fn(i64) -> T,
+    ) -> Vec<T> {
+        let half = 1i64 << (q.bits().get() - 1);
+        let mut data = Vec::with_capacity(q.len());
+        q.store().for_each(0..q.len(), |i, code| {
+            data.push(narrow(code - half));
+            w_sum[i / cols.max(1)] += code - half;
+        });
+        data
     }
 
     /// Output channels (panel rows).
@@ -236,17 +216,8 @@ impl ActPanel {
         let mut sum = Vec::with_capacity(rows);
         for r in 0..rows {
             let row = &data[r * cols..(r + 1) * cols];
-            let (mut finite, mut lo, mut hi) = (true, f32::INFINITY, f32::NEG_INFINITY);
-            for &v in row {
-                finite &= v.is_finite();
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            if !finite {
-                return None;
-            }
-            let (lo, hi) = if cols == 0 { (0.0, 0.0) } else { (lo, hi) };
-            let q = AffineQuantizer::from_range(lo, hi, bits8).ok()?;
+            // An empty row calibrates like an all-zero one.
+            let q = AffineQuantizer::calibrate(if cols == 0 { &[0.0] } else { row }, bits8).ok()?;
             let (s, z) = (q.eps(), q.zero_point());
             let (clamp_lo, clamp_hi) = (-(z as f32), (255 - z) as f32);
             let mut asum = 0i64;
@@ -365,8 +336,8 @@ mod tests {
         let mut r = seeded(22);
         let w = normal(&[8, 30], 1.0, &mut r);
         let x = normal(&[4, 30], 1.0, &mut r);
-        let qw = PerChannelQuantized::from_tensor(&w, b(4)).unwrap();
-        let panel = WeightPanel::from_per_channel(&qw, 8, 30).unwrap();
+        let qw = QuantizedTensor::from_tensor_per_channel(&w, b(4)).unwrap();
+        let panel = WeightPanel::from_quantized(&qw, 8, 30).unwrap();
         let act = ActPanel::quantize_rows(x.data(), 4, 30).unwrap();
         let mut out = vec![0.0f32; 4 * 8];
         panel.gemm_rescale(&act, &mut out, None).unwrap();
@@ -402,12 +373,12 @@ mod tests {
         assert!(WeightPanel::from_quantized(&q20, 4, 8).is_none(), "k>16");
         let q4 = QuantizedTensor::from_tensor(&w, b(4)).unwrap();
         assert!(WeightPanel::from_quantized(&q4, 4, 9).is_none(), "shape");
-        let pc = PerChannelQuantized::from_tensor(&w, b(4)).unwrap();
+        let pc = QuantizedTensor::from_tensor_per_channel(&w, b(4)).unwrap();
         assert!(
-            WeightPanel::from_per_channel(&pc, 8, 4).is_none(),
+            WeightPanel::from_quantized(&pc, 8, 4).is_none(),
             "channel/row mismatch"
         );
-        assert!(WeightPanel::from_per_channel(&pc, 4, 8).is_some());
+        assert!(WeightPanel::from_quantized(&pc, 4, 8).is_some());
     }
 
     #[test]

@@ -1,9 +1,5 @@
 use crate::{Bitwidth, CodeStore, QuantError};
-use apt_tensor::{par, Tensor};
-
-/// Elements per parallel chunk for the whole-tensor maps below. Fixed
-/// (shape-independent) so chunk boundaries never depend on thread count.
-const QUANT_CHUNK: usize = 16 * 1024;
+use apt_tensor::Tensor;
 
 /// Floor applied to the quantisation step so a degenerate (constant) tensor
 /// never produces `ε = 0`, which would make the paper's `g/ε` metrics and
@@ -70,47 +66,36 @@ impl AffineQuantizer {
     /// Returns [`QuantError::NonFiniteRange`] for empty tensors or tensors
     /// containing NaN/Inf.
     pub fn from_tensor(t: &Tensor, bits: Bitwidth) -> crate::Result<Self> {
-        let (min, max) = match (t.min(), t.max()) {
-            (Some(a), Some(b)) => (a, b),
-            _ => {
-                return Err(QuantError::NonFiniteRange {
-                    min: f32::NAN,
-                    max: f32::NAN,
-                })
-            }
-        };
-        Self::from_range(min, max, bits)
+        Self::calibrate(t.data(), bits)
     }
 
-    /// Calibrates from the `(pct, 1−pct)` percentile range of a tensor
-    /// instead of its absolute min/max — the standard outlier-robust
-    /// calibration (Krishnamoorthi \[13\] §3): a handful of extreme weights
-    /// no longer inflate `ε` for the whole tensor. Values outside the
-    /// clipped range saturate at the grid ends.
+    /// Eq. 2 over a slice — the crate's one min/max calibration: a whole
+    /// tensor, one channel of it, a gradient being fake-quantised or an
+    /// activation row all come through here.
+    ///
+    /// The range is found under IEEE total order, where a NaN cannot hide:
+    /// `f32::min`/`max` skip one, so it would calibrate a finite range and
+    /// be stored as the zero point, but in total order it sorts beyond the
+    /// infinities, comes out as an extreme and is refused with them. The
+    /// order is taken on the integer key [`f32::total_cmp`] compares by, so
+    /// the one pass is two integer reductions and vectorises on any target.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::NonFiniteRange`] for empty/non-finite tensors
-    /// or `pct` outside `[0, 0.5)`.
-    pub fn from_tensor_percentile(t: &Tensor, bits: Bitwidth, pct: f64) -> crate::Result<Self> {
-        if !(0.0..0.5).contains(&pct) || t.is_empty() {
-            return Err(QuantError::NonFiniteRange {
-                min: pct as f32,
-                max: pct as f32,
-            });
+    /// Returns [`QuantError::NonFiniteRange`] for an empty slice or one
+    /// holding NaN/Inf anywhere.
+    pub(crate) fn calibrate(values: &[f32], bits: Bitwidth) -> crate::Result<Self> {
+        /// Float bits to total-order key and back: it is its own inverse.
+        fn key(bits: i32) -> i32 {
+            bits ^ (((bits >> 31) as u32) >> 1) as i32
         }
-        let mut sorted: Vec<f32> = t.data().to_vec();
-        if sorted.iter().any(|v| !v.is_finite()) {
-            return Err(QuantError::NonFiniteRange {
-                min: f32::NAN,
-                max: f32::NAN,
-            });
-        }
-        sorted.sort_by(f32::total_cmp);
-        let n = sorted.len();
-        let lo_idx = ((n as f64 * pct) as usize).min(n - 1);
-        let hi_idx = n - 1 - lo_idx;
-        Self::from_range(sorted[lo_idx], sorted[hi_idx], bits)
+        // Empty: the untouched extremes decode to NaN.
+        let (min, max) = values.iter().fold((i32::MAX, i32::MIN), |(min, max), v| {
+            let k = key(v.to_bits() as i32);
+            (min.min(k), max.max(k))
+        });
+        let value = |k: i32| f32::from_bits(key(k) as u32);
+        Self::from_range(value(min), value(max), bits)
     }
 
     /// Reassembles a quantiser from its stored parts (checkpoint loading).
@@ -185,7 +170,7 @@ impl AffineQuantizer {
     /// scalar path for every input including NaN (→ `Z`, since both
     /// `NaN as i64` and `NaN as i32` are 0) and ±Inf (→ the grid rails),
     /// but unlike it, a loop over this autovectorises.
-    fn quantize_lane16(&self) -> impl Fn(f32) -> i64 + Sync {
+    fn quantize_lane16(&self) -> impl Fn(f32) -> i64 {
         debug_assert!(self.bits.get() <= 16);
         let (scale, z) = (self.scale, self.zero_point);
         let lo = -(z as f32);
@@ -193,39 +178,9 @@ impl AffineQuantizer {
         move |r| i64::from((r / scale).round().clamp(lo, hi) as i32) + z
     }
 
-    /// Quantises a whole tensor into codes (clamped to the grid).
-    ///
-    /// Pure per-element map, so it chunks onto the [`apt_tensor::par`]
-    /// pool; results are bit-identical for every thread count, and equal
-    /// to [`quantize_value`](Self::quantize_value) of every element.
-    pub fn quantize_tensor(&self, t: &Tensor) -> Vec<i64> {
-        let mut codes = vec![0i64; t.len()];
-        let rd = t.data();
-        if self.bits.get() <= 16 {
-            let lane = self.quantize_lane16();
-            par::for_each_chunk_mut(&mut codes, QUANT_CHUNK, |ci, chunk| {
-                let base = ci * QUANT_CHUNK;
-                let src = &rd[base..base + chunk.len()];
-                for (q, &r) in chunk.iter_mut().zip(src) {
-                    *q = lane(r);
-                }
-            });
-        } else {
-            // Above 16 bits the rails are no longer exact in f32; keep the
-            // saturating scalar path.
-            par::for_each_chunk_mut(&mut codes, QUANT_CHUNK, |ci, chunk| {
-                let base = ci * QUANT_CHUNK;
-                for (j, q) in chunk.iter_mut().enumerate() {
-                    *q = self.quantize_value(rd[base + j]);
-                }
-            });
-        }
-        codes
-    }
-
     /// Quantises `values` straight into a [`CodeStore`] of this
-    /// quantiser's tier — the codes [`quantize_tensor`](Self::quantize_tensor)
-    /// yields, with no `Vec<i64>` (8 bytes per one-byte code) between the
+    /// quantiser's tier — [`quantize_value`](Self::quantize_value) of every
+    /// element, with no `Vec<i64>` (8 bytes per one-byte code) between the
     /// f32 source and the store. This is how every parameter store is
     /// built and recalibrated.
     pub fn quantize_to_store(&self, values: &[f32]) -> CodeStore {
@@ -236,52 +191,6 @@ impl AffineQuantizer {
             let codes = values.iter().map(|&r| self.quantize_value(r));
             CodeStore::from_code_iter(codes, self.bits)
         }
-    }
-
-    /// Reconstructs a float tensor from codes.
-    ///
-    /// Pure per-element map (parallel, bit-identical for any thread count).
-    ///
-    /// For `k ≤ 16`, chunks whose codes are all on the grid take a
-    /// branch-free lane: `q − Z` fits an `i32`, so the conversion is a
-    /// vectorisable i32→f32 cast producing the same f32 value as the
-    /// scalar i64→f32 conversion (same integer, same rounding). Chunks
-    /// containing out-of-grid codes — impossible from a [`crate::CodeStore`],
-    /// but allowed by this public API — fall back to the saturating scalar
-    /// path, keeping the output bit-identical in every case.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error if `codes.len()` disagrees with `dims`.
-    pub fn dequantize_tensor(&self, codes: &[i64], dims: &[usize]) -> crate::Result<Tensor> {
-        let mut data = vec![0.0f32; codes.len()];
-        if self.bits.get() <= 16 {
-            let scale = self.scale;
-            let z = self.zero_point;
-            let max = self.bits.num_steps() as i64;
-            par::for_each_chunk_mut(&mut data, QUANT_CHUNK, |ci, chunk| {
-                let base = ci * QUANT_CHUNK;
-                let src = &codes[base..base + chunk.len()];
-                let on_grid = src.iter().fold(true, |ok, &q| ok & (q >= 0) & (q <= max));
-                if on_grid {
-                    for (r, &q) in chunk.iter_mut().zip(src) {
-                        *r = scale * ((q - z) as i32 as f32);
-                    }
-                } else {
-                    for (r, &q) in chunk.iter_mut().zip(src) {
-                        *r = self.dequantize_value(q);
-                    }
-                }
-            });
-        } else {
-            par::for_each_chunk_mut(&mut data, QUANT_CHUNK, |ci, chunk| {
-                let base = ci * QUANT_CHUNK;
-                for (j, r) in chunk.iter_mut().enumerate() {
-                    *r = self.dequantize_value(codes[base + j]);
-                }
-            });
-        }
-        Ok(Tensor::from_vec(data, dims)?)
     }
 }
 
@@ -346,6 +255,21 @@ mod tests {
         assert!(AffineQuantizer::from_range(0.0, f32::INFINITY, b(8)).is_err());
         let empty = Tensor::from_vec(vec![], &[0]).unwrap();
         assert!(AffineQuantizer::from_tensor(&empty, b(8)).is_err());
+        // `f32::min`/`max` skip a NaN: it must be caught wherever it sits,
+        // whatever its sign.
+        for at in [0, 2, 3] {
+            for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut t = Tensor::from_slice(&[1.0, -1.0, 0.5, 0.25]);
+                t.data_mut()[at] = bad;
+                assert!(
+                    matches!(
+                        AffineQuantizer::from_tensor(&t, b(8)),
+                        Err(QuantError::NonFiniteRange { .. })
+                    ),
+                    "{bad} at {at}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -359,22 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn tensor_roundtrip() {
-        let t = Tensor::from_slice(&[-1.0, -0.25, 0.0, 0.5, 1.0]);
-        let q = AffineQuantizer::from_tensor(&t, b(8)).unwrap();
-        let codes = q.quantize_tensor(&t);
-        let back = q.dequantize_tensor(&codes, t.dims()).unwrap();
-        for (a, b_) in t.data().iter().zip(back.data()) {
-            assert!((a - b_).abs() <= q.eps() / 2.0 + 1e-6);
-        }
-        assert!(q.dequantize_tensor(&codes, &[3]).is_err());
-    }
-
-    #[test]
-    fn branch_free_paths_match_scalar_bitwise() {
-        // The k ≤ 16 fast lanes must agree with quantize_value /
-        // dequantize_value to the last bit for every input class,
-        // including non-finite values and off-grid codes.
+    fn branch_free_path_matches_scalar_bitwise() {
+        // The k ≤ 16 fast lane of `quantize_to_store` must agree with
+        // `quantize_value` for every input class, including non-finite
+        // values.
         for k in [2u32, 4, 8, 12, 16, 20, 32] {
             let q = AffineQuantizer::from_range(-1.3, 2.7, b(k)).unwrap();
             let mut vals: Vec<f32> = vec![
@@ -393,24 +305,9 @@ mod tests {
             for i in 0..1000 {
                 vals.push(-2.0 + 5.0 * (i as f32 / 999.0));
             }
-            let t = Tensor::from_vec(vals.clone(), &[vals.len()]).unwrap();
-            let codes = q.quantize_tensor(&t);
-            for (&r, &c) in vals.iter().zip(&codes) {
-                assert_eq!(c, q.quantize_value(r), "k={k} r={r}");
-            }
-            let back = q.dequantize_tensor(&codes, t.dims()).unwrap();
-            for (&c, &r) in codes.iter().zip(back.data()) {
-                assert_eq!(
-                    r.to_bits(),
-                    q.dequantize_value(c).to_bits(),
-                    "k={k} code={c}"
-                );
-            }
-            // Off-grid codes exercise the per-chunk fallback.
-            let wild = vec![-1i64, q.bits().num_steps() as i64 + 7, i64::MIN, i64::MAX];
-            let back = q.dequantize_tensor(&wild, &[4]).unwrap();
-            for (&c, &r) in wild.iter().zip(back.data()) {
-                assert_eq!(r.to_bits(), q.dequantize_value(c).to_bits(), "k={k}");
+            let store = q.quantize_to_store(&vals);
+            for (i, &r) in vals.iter().enumerate() {
+                assert_eq!(store.get(i), q.quantize_value(r), "k={k} r={r}");
             }
         }
     }
@@ -420,63 +317,5 @@ mod tests {
         let q = AffineQuantizer::from_range(-0.7, 1.3, b(8)).unwrap();
         let zero_code = q.quantize_value(0.0);
         assert!(q.dequantize_value(zero_code).abs() <= q.eps() / 2.0);
-    }
-}
-
-#[cfg(test)]
-mod percentile_tests {
-    use super::*;
-    use apt_tensor::rng::{normal, seeded};
-
-    fn b(k: u32) -> Bitwidth {
-        Bitwidth::new(k).unwrap()
-    }
-
-    #[test]
-    fn percentile_calibration_shrinks_eps_under_outliers() {
-        // 1000 tight values plus two extreme outliers.
-        let mut t = normal(&[1000], 0.1, &mut seeded(1));
-        t.data_mut()[0] = 50.0;
-        t.data_mut()[1] = -50.0;
-        let minmax = AffineQuantizer::from_tensor(&t, b(8)).unwrap();
-        let robust = AffineQuantizer::from_tensor_percentile(&t, b(8), 0.01).unwrap();
-        assert!(
-            robust.eps() < minmax.eps() / 10.0,
-            "robust eps {} vs minmax {}",
-            robust.eps(),
-            minmax.eps()
-        );
-    }
-
-    #[test]
-    fn percentile_zero_equals_minmax() {
-        let t = normal(&[256], 1.0, &mut seeded(2));
-        let a = AffineQuantizer::from_tensor(&t, b(6)).unwrap();
-        let p = AffineQuantizer::from_tensor_percentile(&t, b(6), 0.0).unwrap();
-        assert!((a.eps() - p.eps()).abs() < 1e-9);
-        assert_eq!(a.zero_point(), p.zero_point());
-    }
-
-    #[test]
-    fn outliers_saturate_rather_than_widen() {
-        let mut t = normal(&[512], 0.1, &mut seeded(3));
-        t.data_mut()[0] = 100.0;
-        let q = AffineQuantizer::from_tensor_percentile(&t, b(8), 0.01).unwrap();
-        assert_eq!(q.quantize_value(100.0), q.bits().num_steps() as i64);
-        // Reconstruction of the outlier clamps to the range edge.
-        let back = q.dequantize_value(q.quantize_value(100.0));
-        assert!(back < 5.0, "outlier should saturate: back={back}");
-    }
-
-    #[test]
-    fn percentile_validation() {
-        let t = normal(&[16], 1.0, &mut seeded(4));
-        assert!(AffineQuantizer::from_tensor_percentile(&t, b(8), 0.5).is_err());
-        assert!(AffineQuantizer::from_tensor_percentile(&t, b(8), -0.1).is_err());
-        let empty = Tensor::from_vec(vec![], &[0]).unwrap();
-        assert!(AffineQuantizer::from_tensor_percentile(&empty, b(8), 0.01).is_err());
-        let mut nan = normal(&[8], 1.0, &mut seeded(5));
-        nan.data_mut()[3] = f32::NAN;
-        assert!(AffineQuantizer::from_tensor_percentile(&nan, b(8), 0.01).is_err());
     }
 }

@@ -1,6 +1,7 @@
 use crate::{AffineQuantizer, Bitwidth, CodeStore, QuantError, RoundingMode};
 use apt_tensor::Tensor;
 use rand::rngs::StdRng;
+use std::ops::Range;
 
 /// Per-update bookkeeping returned by [`QuantizedTensor::sgd_update`].
 ///
@@ -44,60 +45,39 @@ impl UpdateStats {
     }
 }
 
-/// What one [`eq3_sweep`] did.
-pub(crate) struct Eq3Sweep {
-    /// Non-zero gradients whose step rounded to zero.
-    pub underflowed: usize,
-    /// Codes on a grid rail after the sweep (spilled elements counted at
-    /// the code they kept).
-    pub on_rails: usize,
-    /// `(index, raw code)` of every update that left the grid, in index
-    /// order; the store keeps the old code there.
-    pub spills: Vec<(usize, i64)>,
+/// Who holds the `(S, Z)` pairs of a [`QuantizedTensor`]. Its only job is
+/// the slice view: every algorithm walks it with `stride = len / groups`,
+/// so the paper's per-tensor scheme is the one-group case of per-channel
+/// calibration — held inline, it allocates nothing.
+#[derive(Debug, Clone)]
+enum Grid {
+    /// The paper's scheme: one quantiser for the whole tensor.
+    PerTensor(AffineQuantizer),
+    /// One per axis-0 channel (Krishnamoorthi \[13\] §3.1), all at one
+    /// bitwidth — even when axis 0 has a single channel.
+    PerChannel(Vec<AffineQuantizer>),
 }
 
-/// Eq. 3 over a whole store, in place and in one pass:
-/// `q_i ← q_i − round(lr·g_i / ε(i))`, counting underflow and rail codes
-/// on the way. An update that would leave the grid is not written — a
-/// `k`-bit field cannot hold it — but returned for range expansion.
-pub(crate) fn eq3_sweep(
-    store: &mut CodeStore,
-    g: &[f32],
-    lr: f32,
-    eps_at: impl Fn(usize) -> f64,
-    mode: RoundingMode,
-    rng: &mut StdRng,
-) -> Eq3Sweep {
-    let lr = f64::from(lr);
-    let max_code = store.bits().num_steps() as i64;
-    let (mut underflowed, mut on_rails) = (0usize, 0usize);
-    let mut spills: Vec<(usize, i64)> = Vec::new();
-    store.rewrite(
-        #[inline(always)]
-        |i, q| {
-            let steps = mode.round_quotient(lr * f64::from(g[i]), eps_at(i), rng);
-            let mut new = q;
-            if steps == 0 {
-                underflowed += usize::from(g[i] != 0.0);
-            } else {
-                // Saturating: a pathological gradient can round to
-                // ±i64::MAX steps, and plain subtraction would overflow.
-                // The saturated code is out of range, so it spills.
-                let moved = q.saturating_sub(steps);
-                if (0..=max_code).contains(&moved) {
-                    new = moved;
-                } else {
-                    spills.push((i, moved));
-                }
-            }
-            on_rails += usize::from(new == 0 || new == max_code);
-            new
-        },
-    );
-    Eq3Sweep {
-        underflowed,
-        on_rails,
-        spills,
+impl Grid {
+    fn quantizers(&self) -> &[AffineQuantizer] {
+        match self {
+            Grid::PerTensor(q) => std::slice::from_ref(q),
+            Grid::PerChannel(qs) => qs,
+        }
+    }
+
+    fn quantizers_mut(&mut self) -> &mut [AffineQuantizer] {
+        match self {
+            Grid::PerTensor(q) => std::slice::from_mut(q),
+            Grid::PerChannel(qs) => qs,
+        }
+    }
+
+    /// Each group's element range in a store of `len` codes, with its
+    /// quantiser, in order.
+    fn groups(&self, len: usize) -> impl Iterator<Item = (Range<usize>, AffineQuantizer)> + '_ {
+        let stride = len / self.quantizers().len();
+        (self.quantizers().iter().enumerate()).map(move |(c, &q)| (c * stride..(c + 1) * stride, q))
     }
 }
 
@@ -108,6 +88,14 @@ pub(crate) fn eq3_sweep(
 /// master copy (§I, §III-B, Table I "Model Precision in BPROP"). Float views
 /// are materialised on demand for compute, but every value is always exactly
 /// `S·(q − Z)` for an integer code `q` on the `k`-bit grid.
+///
+/// The paper calibrates one `(S, Z)` per tensor
+/// ([`from_tensor`](Self::from_tensor)), so one outlier channel inflates `ε`
+/// for every channel and pushes the whole layer toward underflow;
+/// [`from_tensor_per_channel`](Self::from_tensor_per_channel) gives each
+/// output channel (axis-0 slice) its own range instead (the `ablations`
+/// binary compares them). Eq. 2, Eq. 3 and Eq. 4 are written once, over
+/// [`quantizers`](Self::quantizers), each group under its own `ε`.
 ///
 /// The codes live in a [`CodeStore`], so the saving is *physical*: a 6-bit
 /// layer occupies one byte per weight of process memory (`i8` tier), not a
@@ -124,7 +112,7 @@ pub(crate) fn eq3_sweep(
 ///
 /// so updates smaller than `ε_i` vanish (quantisation underflow). When an
 /// update would leave the representable range, the range is expanded and the
-/// tensor recalibrated — weights may legitimately grow during training.
+/// group recalibrated — weights may legitimately grow during training.
 ///
 /// ```
 /// use apt_quant::{Bitwidth, QuantizedTensor};
@@ -139,27 +127,67 @@ pub(crate) fn eq3_sweep(
 pub struct QuantizedTensor {
     store: CodeStore,
     dims: Vec<usize>,
-    quantizer: AffineQuantizer,
+    grid: Grid,
 }
 
 impl QuantizedTensor {
-    /// Quantises a float tensor at the given precision, calibrating the
-    /// range from the tensor's own min/max (Eq. 2).
+    /// Quantises a float tensor at the given precision, calibrating one
+    /// range from the whole tensor's min/max (Eq. 2) — the paper's scheme.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::NonFiniteRange`] for empty or non-finite input.
     pub fn from_tensor(t: &Tensor, bits: Bitwidth) -> crate::Result<Self> {
-        let quantizer = AffineQuantizer::from_tensor(t, bits)?;
-        Ok(QuantizedTensor {
-            store: quantizer.quantize_to_store(t.data()),
-            dims: t.dims().to_vec(),
-            quantizer,
-        })
+        let (store, grid) = Self::quantize(t.data(), None, bits)?;
+        let dims = t.dims().to_vec();
+        Ok(QuantizedTensor { store, dims, grid })
     }
 
-    /// Reassembles a quantised tensor from stored parts (checkpoint
-    /// loading).
+    /// Quantises a tensor (rank ≥ 1) with one range per axis-0 channel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::NonFiniteRange`] for empty, rank-0 or
+    /// non-finite input.
+    pub fn from_tensor_per_channel(t: &Tensor, bits: Bitwidth) -> crate::Result<Self> {
+        // Rank 0 has no axis 0: zero channels, rejected like an empty tensor.
+        let channels = t.dims().first().copied().unwrap_or(0);
+        let (store, grid) = Self::quantize(t.data(), Some(channels), bits)?;
+        let dims = t.dims().to_vec();
+        Ok(QuantizedTensor { store, dims, grid })
+    }
+
+    /// Eq. 2 per group — the whole of `values`, or each of `channels` equal
+    /// slices — then every value through its group's quantiser straight
+    /// into the tier.
+    fn quantize(
+        values: &[f32],
+        channels: Option<usize>,
+        bits: Bitwidth,
+    ) -> crate::Result<(CodeStore, Grid)> {
+        let Some(channels) = channels else {
+            let quantizer = AffineQuantizer::calibrate(values, bits)?;
+            let store = quantizer.quantize_to_store(values);
+            return Ok((store, Grid::PerTensor(quantizer)));
+        };
+        if values.is_empty() || channels == 0 {
+            return Err(QuantError::NonFiniteRange {
+                min: f32::NAN,
+                max: f32::NAN,
+            });
+        }
+        let stride = values.len() / channels;
+        let quantizers = (values.chunks(stride))
+            .map(|channel| AffineQuantizer::calibrate(channel, bits))
+            .collect::<crate::Result<Vec<_>>>()?;
+        let codes = (values.chunks(stride).zip(&quantizers))
+            .flat_map(|(channel, q)| channel.iter().map(|&v| q.quantize_value(v)));
+        let store = CodeStore::from_code_iter(codes, bits);
+        Ok((store, Grid::PerChannel(quantizers)))
+    }
+
+    /// Reassembles a per-tensor quantised tensor from stored parts
+    /// (checkpoint store tag 1).
     ///
     /// # Errors
     ///
@@ -171,6 +199,39 @@ impl QuantizedTensor {
         dims: Vec<usize>,
         quantizer: AffineQuantizer,
     ) -> crate::Result<Self> {
+        Self::assemble(codes, dims, Grid::PerTensor(quantizer))
+    }
+
+    /// Reassembles a per-channel quantised tensor from stored parts
+    /// (checkpoint store tag 4).
+    ///
+    /// # Errors
+    ///
+    /// As [`from_parts`](Self::from_parts), and
+    /// [`QuantError::ShapeMismatch`] unless there is exactly one quantiser
+    /// per axis-0 channel, all at one bitwidth (the physical store packs at
+    /// a single width).
+    pub fn from_parts_per_channel(
+        codes: Vec<i64>,
+        dims: Vec<usize>,
+        quantizers: Vec<AffineQuantizer>,
+    ) -> crate::Result<Self> {
+        if quantizers.is_empty()
+            || dims.first() != Some(&quantizers.len())
+            || quantizers.iter().any(|q| q.bits() != quantizers[0].bits())
+        {
+            return Err(QuantError::ShapeMismatch {
+                op: "from_parts",
+                lhs: vec![codes.len(), quantizers.len()],
+                rhs: dims,
+            });
+        }
+        Self::assemble(codes, dims, Grid::PerChannel(quantizers))
+    }
+
+    /// The checks both forms share: volume against `dims`, every code on
+    /// the grid. Sits behind the checkpoint reader — a trust boundary.
+    fn assemble(codes: Vec<i64>, dims: Vec<usize>, grid: Grid) -> crate::Result<Self> {
         let volume: usize = dims.iter().product();
         if codes.len() != volume {
             return Err(QuantError::ShapeMismatch {
@@ -179,7 +240,8 @@ impl QuantizedTensor {
                 rhs: dims,
             });
         }
-        let max_code = quantizer.bits().num_steps() as i64;
+        let bits = grid.quantizers()[0].bits();
+        let max_code = bits.num_steps() as i64;
         if codes.iter().any(|&q| !(0..=max_code).contains(&q)) {
             return Err(QuantError::NonFiniteRange {
                 min: 0.0,
@@ -187,13 +249,13 @@ impl QuantizedTensor {
             });
         }
         Ok(QuantizedTensor {
-            store: CodeStore::from_codes(&codes, quantizer.bits()),
+            store: CodeStore::from_codes(&codes, bits),
             dims,
-            quantizer,
+            grid,
         })
     }
 
-    /// Materialises the raw integer codes (checkpoint saving, tests).
+    /// Materialises the raw integer codes (tests and diagnostics).
     pub fn codes(&self) -> Vec<i64> {
         self.store.to_vec()
     }
@@ -202,6 +264,22 @@ impl QuantizedTensor {
     /// memory accounting).
     pub fn store(&self) -> &CodeStore {
         &self.store
+    }
+
+    /// The calibration groups' quantisers, in order: one for a per-tensor
+    /// tensor, one per axis-0 channel for a per-channel one. Group `c`
+    /// covers elements `c·stride .. (c+1)·stride`, `stride = len / groups`.
+    pub fn quantizers(&self) -> &[AffineQuantizer] {
+        self.grid.quantizers()
+    }
+
+    /// Whether the tensor was calibrated per axis-0 channel — a recorded
+    /// fact even when axis 0 is 1 and it behaves as a per-tensor one. It
+    /// decides the checkpoint store tag (4, not 1), the leading word of the
+    /// integrity digest and the metadata term of
+    /// [`memory_bits`](Self::memory_bits); nothing else may ask.
+    pub fn is_per_channel(&self) -> bool {
+        matches!(self.grid, Grid::PerChannel(_))
     }
 
     /// Materialises the float view `S·(q − Z)` of every element, straight
@@ -213,9 +291,10 @@ impl QuantizedTensor {
     }
 
     /// Calls `f(i, w)` with the float value `w = S·(q_i − Z)` of every
-    /// element, in order — [`to_tensor`](Self::to_tensor) without the
-    /// tensor, for callers that fold the weights into something else (the
-    /// optimiser's weight-decay term).
+    /// element under its group's quantiser, in order —
+    /// [`to_tensor`](Self::to_tensor) without the tensor, for callers that
+    /// fold the weights into something else (the optimiser's weight-decay
+    /// term).
     ///
     /// Every value equals [`AffineQuantizer::dequantize_value`] of its
     /// code. For `k ≤ 16` it is computed as an i32→f32 conversion, which
@@ -223,30 +302,41 @@ impl QuantizedTensor {
     /// the loop vectorise.
     #[inline]
     pub fn for_each_value(&self, mut f: impl FnMut(usize, f32)) {
-        let quantizer = self.quantizer;
-        let (scale, z) = (quantizer.eps(), quantizer.zero_point());
-        if self.bits().get() <= 16 {
-            self.store
-                .for_each(|i, q| f(i, scale * ((q - z) as i32 as f32)));
-        } else {
-            self.store
-                .for_each(|i, q| f(i, quantizer.dequantize_value(q)));
+        for (range, quantizer) in self.grid.groups(self.len()) {
+            self.for_each_value_in(range, quantizer, &mut f);
         }
     }
 
-    /// The tensor's quantisation step — the paper's `ε_i` for this layer.
+    /// [`for_each_value`](Self::for_each_value) over one group's `range`.
+    #[inline]
+    fn for_each_value_in(
+        &self,
+        range: Range<usize>,
+        quantizer: AffineQuantizer,
+        mut f: impl FnMut(usize, f32),
+    ) {
+        let (scale, z) = (quantizer.eps(), quantizer.zero_point());
+        if self.bits().get() <= 16 {
+            self.store
+                .for_each(range, |i, q| f(i, scale * ((q - z) as i32 as f32)));
+        } else {
+            self.store
+                .for_each(range, |i, q| f(i, quantizer.dequantize_value(q)));
+        }
+    }
+
+    /// The quantisation step — the paper's `ε_i` for this layer: the mean
+    /// over groups, which is the one `ε` itself under per-tensor
+    /// calibration and a scalar summary for reporting under per-channel
+    /// (Eq. 3 and Eq. 4 use each channel's own).
     pub fn eps(&self) -> f32 {
-        self.quantizer.eps()
+        let qs = self.quantizers();
+        (qs.iter().map(|q| f64::from(q.eps())).sum::<f64>() / qs.len() as f64) as f32
     }
 
-    /// Current precision.
+    /// Current precision (uniform across groups).
     pub fn bits(&self) -> Bitwidth {
-        self.quantizer.bits()
-    }
-
-    /// The underlying quantiser (scale, zero point, range).
-    pub fn quantizer(&self) -> &AffineQuantizer {
-        &self.quantizer
+        self.store.bits()
     }
 
     /// Shape of the parameter tensor.
@@ -264,25 +354,65 @@ impl QuantizedTensor {
         self.store.is_empty()
     }
 
-    /// Training-memory footprint of this parameter in bits: `N · k`.
+    /// Training-memory footprint of this parameter in bits: `N · k`, plus
+    /// one `(S, Z)` pair (96 bits) per channel of calibration metadata for
+    /// a per-channel tensor.
     ///
     /// This is the quantity Figure 5 normalises ("model size for training")
     /// — the *idealised* k-bit model. Compare
     /// [`resident_bytes`](Self::resident_bytes) for what the process
     /// actually holds.
     pub fn memory_bits(&self) -> u64 {
-        self.store.len() as u64 * u64::from(self.bits().get())
+        let channels = if self.is_per_channel() {
+            self.quantizers().len()
+        } else {
+            0
+        };
+        self.store.len() as u64 * u64::from(self.bits().get()) + channels as u64 * 96
     }
 
-    /// Physical bytes resident for this parameter: the code store plus the
-    /// quantiser's `(S, Z, k)` metadata.
+    /// Physical bytes resident for this parameter: the code store plus one
+    /// quantiser's `(S, Z, k)` per calibration group.
     pub fn resident_bytes(&self) -> u64 {
-        self.store.resident_bytes() + std::mem::size_of::<AffineQuantizer>() as u64
+        self.store.resident_bytes() + std::mem::size_of_val(self.quantizers()) as u64
     }
 
-    /// Re-quantises the tensor at a new precision, recalibrating the range
-    /// from the current values (used by Alg. 1 when `k_i` changes). The
-    /// codes are re-packed into the tier matching the new bitwidth.
+    /// The Gavg metric of Eq. 4 for a gradient of this tensor:
+    /// `mean_j |g_j| / ε_group(j)`, each group's reciprocal taken once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::ShapeMismatch`] if `grad` differs in shape.
+    pub fn gavg(&self, grad: &Tensor) -> crate::Result<f64> {
+        self.check_shape("gavg", grad)?;
+        if grad.is_empty() {
+            return Ok(0.0);
+        }
+        let mut sum = 0.0f64;
+        for (range, quantizer) in self.grid.groups(self.len()) {
+            let inv = 1.0 / f64::from(quantizer.eps());
+            for &g in &grad.data()[range] {
+                sum += f64::from(g).abs() * inv;
+            }
+        }
+        Ok(sum / grad.len() as f64)
+    }
+
+    fn check_shape(&self, op: &'static str, t: &Tensor) -> crate::Result<()> {
+        if t.dims() == self.dims.as_slice() {
+            return Ok(());
+        }
+        Err(QuantError::ShapeMismatch {
+            op,
+            lhs: self.dims.clone(),
+            rhs: t.dims().to_vec(),
+        })
+    }
+
+    /// Re-quantises the tensor at a new precision, recalibrating every
+    /// group's range from its current values (used by Alg. 1 when `k_i`
+    /// changes). The codes are re-packed into the tier matching the new
+    /// bitwidth.
     ///
     /// # Errors
     ///
@@ -291,25 +421,27 @@ impl QuantizedTensor {
         self.recalibrate(&self.to_tensor(), bits)
     }
 
-    /// Re-quantises to `values` at `bits`, calibrating the range from them.
+    /// Re-quantises to `values` at `bits`, calibrating every group from them.
     fn recalibrate(&mut self, values: &Tensor, bits: Bitwidth) -> crate::Result<()> {
-        let quantizer = AffineQuantizer::from_tensor(values, bits)?;
-        self.store = quantizer.quantize_to_store(values.data());
-        self.quantizer = quantizer;
+        let channels = self.is_per_channel().then(|| self.quantizers().len());
+        (self.store, self.grid) = Self::quantize(values.data(), channels, bits)?;
         Ok(())
     }
 
     /// Applies the quantised SGD step of Eq. 3 with effective step
-    /// `lr · grad` (callers fold momentum/weight-decay into `grad`).
+    /// `lr · grad` (callers fold momentum/weight-decay into `grad`), each
+    /// calibration group under its own `ε`.
     ///
     /// Elements whose step quantises to zero are counted as underflow. If
-    /// any updated value leaves the representable range, the whole tensor is
-    /// recalibrated to the new min/max (range expansion) — the count of such
-    /// elements is reported in [`UpdateStats::expanded`]. In-range results
-    /// are written straight into the packed store; out-of-range codes (rare)
-    /// are spilled to the side, since a `k`-bit field cannot hold them, and
-    /// the recalibration runs on the exact updated values, so the result
-    /// does not depend on the storage tier.
+    /// any updated value leaves its group's representable range, that group
+    /// — the whole tensor under per-tensor calibration, one channel under
+    /// per-channel — is recalibrated to the new min/max (range expansion);
+    /// the count of such elements is reported in
+    /// [`UpdateStats::expanded`]. In-range results are written straight
+    /// into the packed store; out-of-range codes (rare) are spilled to the
+    /// side, since a `k`-bit field cannot hold them, and the recalibration
+    /// runs on the exact updated values, so the result does not depend on
+    /// the storage tier.
     ///
     /// # Errors
     ///
@@ -322,33 +454,47 @@ impl QuantizedTensor {
         mode: RoundingMode,
         rng: &mut StdRng,
     ) -> crate::Result<UpdateStats> {
-        if grad.dims() != self.dims.as_slice() {
-            return Err(QuantError::ShapeMismatch {
-                op: "sgd_update",
-                lhs: self.dims.clone(),
-                rhs: grad.dims().to_vec(),
-            });
-        }
+        self.check_shape("sgd_update", grad)?;
         if !lr.is_finite() || grad.has_non_finite() {
             return Err(QuantError::NonFiniteOperand { op: "sgd_update" });
         }
-        let eps = f64::from(self.eps());
+        let lr = f64::from(lr);
         let max_code = self.bits().num_steps() as i64;
-        let Eq3Sweep {
-            underflowed,
-            mut on_rails,
-            spills,
-        } = eq3_sweep(&mut self.store, grad.data(), lr, |_| eps, mode, rng);
-
+        let g = grad.data();
+        let (mut underflowed, mut on_rails) = (0usize, 0usize);
+        // `(index, raw code)` of every update that left its grid, in index
+        // order: a `k`-bit field cannot hold it, so the store keeps the old
+        // code there (counted, for now, at the code it kept).
+        let mut spills: Vec<(usize, i64)> = Vec::new();
+        for (range, quantizer) in self.grid.groups(self.store.len()) {
+            let eps = f64::from(quantizer.eps());
+            self.store.rewrite(
+                range,
+                #[inline(always)]
+                |i, q| {
+                    let steps = mode.round_quotient(lr * f64::from(g[i]), eps, rng);
+                    let mut new = q;
+                    if steps == 0 {
+                        underflowed += usize::from(g[i] != 0.0);
+                    } else {
+                        // Saturating: a pathological gradient can round to
+                        // ±i64::MAX steps, and plain subtraction would
+                        // overflow. The saturated code is out of range, so
+                        // it spills.
+                        let moved = q.saturating_sub(steps);
+                        if (0..=max_code).contains(&moved) {
+                            new = moved;
+                        } else {
+                            spills.push((i, moved));
+                        }
+                    }
+                    on_rails += usize::from(new == 0 || new == max_code);
+                    new
+                },
+            );
+        }
         if !spills.is_empty() {
-            // Expand: recalibrate the quantiser to cover the new values,
-            // which are exact multiples of the old ε — the stored ones
-            // with the spilled ones patched in.
-            let mut values = self.to_tensor();
-            for &(i, c) in &spills {
-                values.data_mut()[i] = self.quantizer.dequantize_value(c);
-            }
-            self.recalibrate(&values, self.bits())?;
+            self.expand(&spills)?;
             on_rails = self.store.count_rails(max_code);
         }
         Ok(UpdateStats {
@@ -359,10 +505,44 @@ impl QuantizedTensor {
         })
     }
 
-    /// Fraction of codes sitting on a grid rail (0 or `2^k − 1`).
+    /// Range expansion: recalibrates each group named in `spills` (index
+    /// order, so a group's are adjacent) to cover its new values, which are
+    /// exact multiples of its old ε — the stored ones with the spilled ones
+    /// patched in. Out of line so [`sgd_update`](Self::sgd_update)'s sweep
+    /// keeps the registers.
+    #[inline(never)]
+    fn expand(&mut self, spills: &[(usize, i64)]) -> crate::Result<()> {
+        let stride = self.len() / self.quantizers().len();
+        for spilled in spills.chunk_by(|a, b| a.0 / stride == b.0 / stride) {
+            let c = spilled[0].0 / stride;
+            let range = c * stride..(c + 1) * stride;
+            let old = self.quantizers()[c];
+            let mut values = vec![0.0f32; stride];
+            self.for_each_value_in(range.clone(), old, |i, w| values[i - range.start] = w);
+            for &(i, q) in spilled {
+                values[i - range.start] = old.dequantize_value(q);
+            }
+            let new = AffineQuantizer::calibrate(&values, self.bits())?;
+            if self.quantizers().len() == 1 {
+                // The group is the whole store: build it afresh, streaming
+                // (in place, the packed tier pays a read-modify-write per
+                // code).
+                self.store = new.quantize_to_store(&values);
+            } else {
+                self.store.rewrite(range.clone(), |i, _| {
+                    new.quantize_value(values[i - range.start])
+                });
+            }
+            self.grid.quantizers_mut()[c] = new;
+        }
+        Ok(())
+    }
+
+    /// Fraction of codes sitting on a grid rail (0 or `2^k − 1`), pooled
+    /// across groups.
     ///
-    /// A freshly calibrated tensor keeps its min/max on (or one code off)
-    /// the rails, so a healthy ratio is about `2/N`. Values
+    /// A freshly calibrated group keeps its min/max on (or one code off)
+    /// the rails, so a healthy ratio is about `2/stride`. Values
     /// far above that indicate integer saturation — either a pathological
     /// update or an injected fault — and are what the trainer's saturation
     /// guard watches.
@@ -425,20 +605,15 @@ impl QuantizedTensor {
         forced
     }
 
-    /// Directly overwrites the values (recalibrating the range), keeping the
-    /// current precision. Used by tests and by layers that re-initialise.
+    /// Directly overwrites the values (recalibrating every group's range),
+    /// keeping the current precision. Used by tests and by layers that
+    /// re-initialise.
     ///
     /// # Errors
     ///
     /// Returns errors for shape mismatch or non-finite input.
     pub fn assign(&mut self, t: &Tensor) -> crate::Result<()> {
-        if t.dims() != self.dims.as_slice() {
-            return Err(QuantError::ShapeMismatch {
-                op: "assign",
-                lhs: self.dims.clone(),
-                rhs: t.dims().to_vec(),
-            });
-        }
+        self.check_shape("assign", t)?;
         self.recalibrate(t, self.bits())
     }
 }
@@ -446,7 +621,7 @@ impl QuantizedTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apt_tensor::rng::{self, seeded};
+    use apt_tensor::rng::{self, normal, seeded};
 
     fn b(k: u32) -> Bitwidth {
         Bitwidth::new(k).unwrap()
@@ -454,11 +629,17 @@ mod tests {
 
     #[test]
     fn roundtrip_within_half_eps() {
-        let w = rng::normal(&[64], 0.5, &mut seeded(1));
-        let q = QuantizedTensor::from_tensor(&w, b(8)).unwrap();
-        let back = q.to_tensor();
-        for (a, b_) in w.data().iter().zip(back.data()) {
-            assert!((a - b_).abs() <= q.eps() / 2.0 + 1e-6);
+        // Each element within half its own group's ε.
+        let w = normal(&[4, 16], 0.5, &mut seeded(1));
+        for q in [
+            QuantizedTensor::from_tensor(&w, b(8)).unwrap(),
+            QuantizedTensor::from_tensor_per_channel(&w, b(8)).unwrap(),
+        ] {
+            let stride = 64 / q.quantizers().len();
+            let back = q.to_tensor();
+            for (i, (a, b_)) in w.data().iter().zip(back.data()).enumerate() {
+                assert!((a - b_).abs() <= q.quantizers()[i / stride].eps() / 2.0 + 1e-6);
+            }
         }
     }
 
@@ -598,6 +779,26 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_nan_at_any_position() {
+        // `f32::min`/`max` skip a NaN, which would otherwise calibrate a
+        // finite range and be stored as the zero point.
+        let clean = Tensor::from_vec(vec![1.0, -1.0, 0.5, 0.25], &[2, 2]).unwrap();
+        let refused = |r: crate::Result<()>| matches!(r, Err(QuantError::NonFiniteRange { .. }));
+        for build in [
+            QuantizedTensor::from_tensor,
+            QuantizedTensor::from_tensor_per_channel,
+        ] {
+            for at in [0, 1, 3] {
+                let mut t = clean.clone();
+                t.data_mut()[at] = f32::NAN;
+                assert!(refused(build(&t, b(6)).map(drop)), "NaN at {at}");
+                let mut q = build(&clean, b(6)).unwrap();
+                assert!(refused(q.assign(&t)), "assign, NaN at {at}");
+            }
+        }
+    }
+
+    #[test]
     fn assign_replaces_values() {
         let w = Tensor::from_slice(&[0.0, 1.0]);
         let mut q = QuantizedTensor::from_tensor(&w, b(8)).unwrap();
@@ -637,7 +838,7 @@ mod tests {
         assert_eq!(forced, 32);
         assert!(q.saturation_ratio() >= 0.5);
         // All forced codes decode to the calibrated maximum.
-        let max = q.quantizer().range_max();
+        let max = q.quantizers()[0].range_max();
         let t = q.to_tensor();
         for v in t.data().iter().step_by(2) {
             assert!((v - max).abs() <= q.eps(), "v={v} max={max}");
@@ -698,5 +899,145 @@ mod tests {
             "underflowed={}",
             s.underflowed
         );
+    }
+
+    /// Per-channel `ε_c`, for the cases the one-group form cannot show.
+    fn channel_eps(q: &QuantizedTensor) -> Vec<f32> {
+        q.quantizers().iter().map(|q| q.eps()).collect()
+    }
+
+    #[test]
+    fn outlier_channel_does_not_inflate_other_channels_eps() {
+        // Channel 0 has range 100×, channel 1 stays tight — the motivation
+        // for per-channel calibration.
+        let mut data = vec![0.0f32; 32];
+        for (i, v) in data.iter_mut().enumerate() {
+            *v = if i < 16 {
+                (i as f32 - 8.0) * 10.0
+            } else {
+                (i as f32 - 24.0) * 0.1
+            };
+        }
+        let t = Tensor::from_vec(data, &[2, 16]).unwrap();
+        let pc = QuantizedTensor::from_tensor_per_channel(&t, b(8)).unwrap();
+        let eps = channel_eps(&pc);
+        assert!(eps[0] > eps[1] * 50.0, "eps0={} eps1={}", eps[0], eps[1]);
+        // Per-tensor calibration would give channel 1 the inflated ε.
+        let pt = QuantizedTensor::from_tensor(&t, b(8)).unwrap();
+        assert!(pt.eps() > eps[1] * 50.0);
+    }
+
+    #[test]
+    fn gavg_uses_per_channel_eps() {
+        let t = Tensor::from_vec(vec![-10.0, 10.0, -0.1, 0.1], &[2, 2]).unwrap();
+        let pc = QuantizedTensor::from_tensor_per_channel(&t, b(4)).unwrap();
+        let grad = Tensor::from_vec(vec![0.01, 0.01, 0.01, 0.01], &[2, 2]).unwrap();
+        let g = pc.gavg(&grad).unwrap();
+        let eps = channel_eps(&pc);
+        let gm = f64::from(0.01f32);
+        let expected = 0.5 * (gm / f64::from(eps[0])) + 0.5 * (gm / f64::from(eps[1]));
+        assert!((g - expected).abs() < 1e-9, "g={g} expected={expected}");
+        assert!(pc.gavg(&Tensor::zeros(&[3])).is_err());
+    }
+
+    #[test]
+    fn underflow_depends_on_channel() {
+        // A gradient that underflows the coarse channel but lands on the
+        // fine one — per-tensor calibration would lose both.
+        let t = Tensor::from_vec(vec![-10.0, 10.0, -0.1, 0.1], &[2, 2]).unwrap();
+        let mut pc = QuantizedTensor::from_tensor_per_channel(&t, b(4)).unwrap();
+        let eps = channel_eps(&pc);
+        let g_mag = eps[1] * 1.5; // > ε₁ but well below ε₀
+        assert!(g_mag < eps[0] * 0.1, "g_mag={g_mag} eps0={}", eps[0]);
+        let grad = Tensor::from_vec(vec![g_mag, g_mag, g_mag, g_mag], &[2, 2]).unwrap();
+        let stats = pc
+            .sgd_update(&grad, 1.0, RoundingMode::Truncate, &mut seeded(0))
+            .unwrap();
+        assert_eq!(
+            stats.underflowed, 2,
+            "coarse channel underflows, fine channel updates"
+        );
+    }
+
+    #[test]
+    fn set_bits_and_memory() {
+        let t = normal(&[3, 8], 1.0, &mut seeded(2));
+        let mut pc = QuantizedTensor::from_tensor_per_channel(&t, b(6)).unwrap();
+        assert_eq!(pc.memory_bits(), 24 * 6 + 3 * 96);
+        pc.set_bits(b(9)).unwrap();
+        assert_eq!(pc.bits().get(), 9);
+        assert_eq!(pc.memory_bits(), 24 * 9 + 3 * 96);
+        assert!(pc.eps() > 0.0);
+    }
+
+    #[test]
+    fn resident_bytes_count_store_and_quantizers() {
+        let t = normal(&[3, 8], 1.0, &mut seeded(2));
+        let pc = QuantizedTensor::from_tensor_per_channel(&t, b(6)).unwrap();
+        let meta = 3 * std::mem::size_of::<AffineQuantizer>() as u64;
+        assert_eq!(pc.store().tier_name(), "i8");
+        assert_eq!(pc.resident_bytes(), 24 + meta);
+    }
+
+    #[test]
+    fn from_parts_roundtrip_and_validation() {
+        let t = normal(&[2, 4], 1.0, &mut seeded(3));
+        let pc = QuantizedTensor::from_tensor_per_channel(&t, b(5)).unwrap();
+        let re = QuantizedTensor::from_parts_per_channel(
+            pc.codes().to_vec(),
+            pc.dims().to_vec(),
+            pc.quantizers().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(re.to_tensor().data(), pc.to_tensor().data());
+        assert!(QuantizedTensor::from_parts_per_channel(
+            vec![0; 8],
+            vec![3, 4],
+            pc.quantizers().to_vec()
+        )
+        .is_err());
+        // Mixed channel bitwidths cannot share one packed store.
+        let mixed = vec![
+            AffineQuantizer::from_range(-1.0, 1.0, b(5)).unwrap(),
+            AffineQuantizer::from_range(-1.0, 1.0, b(6)).unwrap(),
+        ];
+        assert!(QuantizedTensor::from_parts_per_channel(vec![0; 8], vec![2, 4], mixed).is_err());
+    }
+
+    #[test]
+    fn rejects_bad_input() {
+        let empty = Tensor::from_vec(vec![], &[0]).unwrap();
+        assert!(QuantizedTensor::from_tensor_per_channel(&empty, b(8)).is_err());
+        let scalar = Tensor::scalar(1.0);
+        assert!(QuantizedTensor::from_tensor_per_channel(&scalar, b(8)).is_err());
+        let t = normal(&[2, 4], 1.0, &mut seeded(4));
+        let mut pc = QuantizedTensor::from_tensor_per_channel(&t, b(8)).unwrap();
+        assert!(pc
+            .sgd_update(
+                &Tensor::zeros(&[3]),
+                0.1,
+                RoundingMode::Truncate,
+                &mut seeded(0)
+            )
+            .is_err());
+    }
+
+    #[test]
+    fn range_expansion_is_channel_local() {
+        let t = Tensor::from_vec(vec![-1.0, 1.0, -1.0, 1.0], &[2, 2]).unwrap();
+        let mut pc = QuantizedTensor::from_tensor_per_channel(&t, b(8)).unwrap();
+        let eps_before = channel_eps(&pc);
+        // Push only channel 0 out of range.
+        let grad = Tensor::from_vec(vec![-5.0, 0.0, 0.0, 0.0], &[2, 2]).unwrap();
+        let stats = pc
+            .sgd_update(&grad, 1.0, RoundingMode::Truncate, &mut seeded(0))
+            .unwrap();
+        assert!(stats.expanded > 0);
+        let eps_after = channel_eps(&pc);
+        assert!(
+            eps_after[0] > eps_before[0],
+            "expanded channel recalibrates"
+        );
+        assert_eq!(eps_after[1], eps_before[1], "other channel untouched");
     }
 }

@@ -2,8 +2,7 @@
 //! paper's Eqs. 2–3 rely on.
 
 use apt_quant::{
-    fake, AffineQuantizer, Bitwidth, CodeStore, PackedCodes, PerChannelQuantized, QuantizedTensor,
-    RoundingMode,
+    fake, AffineQuantizer, Bitwidth, CodeStore, PackedCodes, QuantizedTensor, RoundingMode,
 };
 use apt_tensor::{rng, Tensor};
 use proptest::prelude::*;
@@ -210,12 +209,67 @@ proptest! {
         bits in bits_strategy(),
     ) {
         let t = rng::normal(&[ch, stride], 2.0, &mut rng::seeded(seed));
-        let mut pc = PerChannelQuantized::from_tensor(&t, bits).unwrap();
+        let mut pc = QuantizedTensor::from_tensor_per_channel(&t, bits).unwrap();
         prop_assert!(pc.to_tensor().data().iter().all(|v| v.is_finite()));
         prop_assert!(pc.saturation_ratio() >= 0.0 && pc.saturation_ratio() <= 1.0);
         pc.saturate(0.3, false);
         pc.flip_code_bit(0, 5).unwrap();
         prop_assert!(pc.to_tensor().data().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn per_tensor_is_the_one_group_case_of_per_channel(
+        seed in 0u64..10_000,
+        n in 1usize..48,
+        k in (0usize..4).prop_map(|tier| [3u32, 6, 12, 20][tier]),
+        updates in 1usize..6,
+        up in any::<bool>(),
+    ) {
+        // A `[1, n]` tensor has one channel: calibrated either way it must
+        // hold the same codes on the same grid, and keep doing so through
+        // Eq. 3 (in-range steps and range expansion alike) and Alg. 1's
+        // ±1-bit moves — in every storage tier and rounding mode.
+        use rand::Rng;
+        let same = |pt: &QuantizedTensor, pc: &QuantizedTensor| {
+            prop_assert_eq!(pt.codes(), pc.codes());
+            prop_assert_eq!(pt.quantizers(), pc.quantizers());
+            prop_assert_eq!(pt.eps().to_bits(), pc.eps().to_bits());
+            prop_assert_eq!(pt.resident_bytes(), pc.resident_bytes());
+            // What still tells them apart: the form, and the metadata term
+            // of the accounted footprint.
+            prop_assert!(!pt.is_per_channel() && pc.is_per_channel());
+            prop_assert_eq!(pt.memory_bits() + 96, pc.memory_bits());
+            Ok(())
+        };
+        let bits = Bitwidth::new(k).unwrap();
+        let w = rng::normal(&[1, n], 1.0, &mut rng::seeded(seed));
+        for mode in [RoundingMode::Truncate, RoundingMode::Nearest, RoundingMode::Stochastic] {
+            let mut pt = QuantizedTensor::from_tensor(&w, bits).unwrap();
+            let mut pc = QuantizedTensor::from_tensor_per_channel(&w, bits).unwrap();
+            same(&pt, &pc)?;
+            let (mut rng_pt, mut rng_pc) = (rng::seeded(seed ^ 7), rng::seeded(seed ^ 7));
+            let mut grads = rng::seeded(seed ^ 11);
+            let mut expanded = 0;
+            for step in 0..updates {
+                let mut g = rng::normal(&[1, n], 3.0 * pt.eps(), &mut grads);
+                if step == updates / 2 {
+                    // Twice the whole range: leaves the grid whatever the code.
+                    g.data_mut()[seed as usize % n] = -2.0 * pt.eps() * bits.num_steps() as f32;
+                }
+                let stats_pt = pt.sgd_update(&g, 1.0, mode, &mut rng_pt).unwrap();
+                let stats_pc = pc.sgd_update(&g, 1.0, mode, &mut rng_pc).unwrap();
+                prop_assert_eq!(stats_pt, stats_pc);
+                prop_assert_eq!(pt.gavg(&g).unwrap().to_bits(), pc.gavg(&g).unwrap().to_bits());
+                expanded += stats_pt.expanded;
+                same(&pt, &pc)?;
+            }
+            prop_assert!(expanded > 0, "the sequence must include a range expansion");
+            prop_assert_eq!(rng_pt.gen::<u64>(), rng_pc.gen::<u64>(), "rng position");
+            let moved = Bitwidth::new(if up { k + 1 } else { k - 1 }).unwrap();
+            pt.set_bits(moved).unwrap();
+            pc.set_bits(moved).unwrap();
+            same(&pt, &pc)?;
+        }
     }
 
     #[test]

@@ -128,7 +128,7 @@ mod tests {
             let row_sum: f32 = s.data()[i * 7..(i + 1) * 7].iter().sum();
             assert!((row_sum - 1.0).abs() < 1e-5);
         }
-        assert!(s.min().unwrap() >= 0.0);
+        assert!(s.data().iter().all(|&v| v >= 0.0));
     }
 
     #[test]

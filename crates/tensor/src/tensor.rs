@@ -255,16 +255,6 @@ impl Tensor {
         }
     }
 
-    /// Minimum element. Returns `None` for empty tensors.
-    pub fn min(&self) -> Option<f32> {
-        self.data.iter().copied().reduce(f32::min)
-    }
-
-    /// Maximum element. Returns `None` for empty tensors.
-    pub fn max(&self) -> Option<f32> {
-        self.data.iter().copied().reduce(f32::max)
-    }
-
     /// Sum of all elements (f64 accumulator for stability).
     pub fn sum(&self) -> f32 {
         self.data.iter().map(|&x| x as f64).sum::<f64>() as f32
@@ -380,8 +370,6 @@ mod tests {
     #[test]
     fn statistics() {
         let t = Tensor::from_slice(&[-1.0, 0.0, 3.0]);
-        assert_eq!(t.min(), Some(-1.0));
-        assert_eq!(t.max(), Some(3.0));
         assert!((t.mean() - 2.0 / 3.0).abs() < 1e-6);
         assert_eq!(t.abs_max(), 3.0);
         assert!((t.l2_norm() - 10.0f32.sqrt()).abs() < 1e-6);

@@ -11,7 +11,8 @@
 //! [`apt_metrics::Table`], like every CSV and aligned print in this crate),
 //! the [`write_output`] rule that keeps a smoke run off the committed
 //! records, the numbered [`Gates`], and [`paired_rounds`] / [`median`]
-//! timing.
+//! timing. Figure and gate binaries only: the training command is `apt
+//! train`, in the root package.
 //!
 //! Every figure binary accepts:
 //!
@@ -110,7 +111,7 @@ pub struct ExpParams {
 
 impl ExpParams {
     /// Builds the parameters for a scale/seed pair.
-    pub fn for_scale(scale: Scale, seed: u64) -> ExpParams {
+    fn for_scale(scale: Scale, seed: u64) -> ExpParams {
         match scale {
             Scale::Tiny => ExpParams {
                 scale,

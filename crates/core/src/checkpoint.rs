@@ -2,10 +2,12 @@
 //!
 //! Write path (power-cut safe): the encoded state is written to a hidden
 //! `.tmp` file, `sync_all`'d, then atomically renamed to its final
-//! `state-{global_step:012}.apts` name. A cut during the write leaves
-//! either the previous good file untouched or a stray `.tmp` that is never
-//! read; a cut during the rename leaves one of the two valid states —
-//! never a half-written visible checkpoint.
+//! `state-{global_step:012}.apts` name, and the directory is `sync_all`'d
+//! so the new entry is as durable as the bytes it names. A cut during the
+//! write leaves either the previous good file untouched or a stray `.tmp`
+//! that is never read; a cut during the rename leaves one of the two valid
+//! states — never a half-written visible checkpoint; a cut after
+//! [`write_state`] returns cannot lose the file.
 //!
 //! Read path (corruption safe): [`latest_valid`] scans the directory
 //! newest-first and returns the first blob whose CRC and structure check
@@ -80,7 +82,13 @@ fn list_states(dir: &Path) -> crate::Result<Vec<PathBuf>> {
 /// Returns [`CoreError::Io`] if the directory cannot be created or any
 /// write/sync/rename fails.
 pub fn write_state(cfg: &CheckpointConfig, state: &TrainState) -> crate::Result<PathBuf> {
+    let is_missing = |p: &&Path| !p.as_os_str().is_empty() && !p.is_dir();
+    let created = cfg.dir.ancestors().take_while(is_missing).count();
     fs::create_dir_all(&cfg.dir).map_err(|e| io_err("creating", &cfg.dir, e))?;
+    // A new directory's own entry lives in its parent.
+    for parent in cfg.dir.ancestors().skip(1).take(created) {
+        sync_dir(parent)?;
+    }
     let final_path = cfg.dir.join(file_name(state.global_step));
     let tmp_path = cfg
         .dir
@@ -94,8 +102,28 @@ pub fn write_state(cfg: &CheckpointConfig, state: &TrainState) -> crate::Result<
         f.sync_all().map_err(|e| io_err("syncing", &tmp_path, e))?;
     }
     fs::rename(&tmp_path, &final_path).map_err(|e| io_err("renaming", &tmp_path, e))?;
+    // Until the directory itself is synced the rename is only in the page
+    // cache: a power cut could lose the file this call reports written.
+    sync_dir(&cfg.dir)?;
     prune(cfg)?;
     Ok(final_path)
+}
+
+/// Flushes `dir`'s entries (a create or rename inside it) to stable
+/// storage; the empty path is the current directory. Only Unix can open a
+/// directory as a file — elsewhere the rename is as durable as it gets.
+fn sync_dir(dir: &Path) -> crate::Result<()> {
+    if cfg!(not(unix)) {
+        return Ok(());
+    }
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("syncing", dir, e))
 }
 
 /// Removes all but the `cfg.keep` newest checkpoints (and any stale `.tmp`

@@ -152,14 +152,6 @@ pub struct IntegrityReport {
 }
 
 impl IntegrityReport {
-    /// Total violations of every kind.
-    pub fn total_violations(&self) -> usize {
-        self.digest_violations
-            + self.saturation_violations
-            + self.batch_violations
-            + self.gradient_violations
-    }
-
     /// `true` when no check ever fired.
     pub fn is_clean(&self) -> bool {
         *self == IntegrityReport::default()

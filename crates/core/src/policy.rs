@@ -49,14 +49,6 @@ impl PolicyConfig {
             t_max: f64::INFINITY,
         }
     }
-
-    /// The Figure 1 demo setting, `(1.0, ∞)`.
-    pub fn fig1_demo() -> Self {
-        PolicyConfig {
-            t_min: 1.0,
-            t_max: f64::INFINITY,
-        }
-    }
 }
 
 impl Default for PolicyConfig {
@@ -200,7 +192,6 @@ mod tests {
         assert!(PolicyConfig::new(f64::NAN, 2.0).is_err());
         assert!(PolicyConfig::new(0.0, f64::INFINITY).is_ok());
         assert_eq!(PolicyConfig::paper_default().t_min, 6.0);
-        assert_eq!(PolicyConfig::fig1_demo().t_min, 1.0);
         assert_eq!(PolicyConfig::default(), PolicyConfig::paper_default());
     }
 

@@ -41,7 +41,7 @@ pub trait GradReducer {
     /// # Errors
     ///
     /// A reducer error aborts the step and propagates out of
-    /// [`Trainer::train_with_reducer`](crate::Trainer::train_with_reducer)
+    /// [`Trainer::run`](crate::Trainer::run)
     /// — in the distributed harness, a peer's death surfaces here as a
     /// disconnected channel, which the coordinator turns into a fleet
     /// rollback to the last lockstep checkpoint.

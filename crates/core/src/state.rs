@@ -54,7 +54,7 @@ pub enum OptimizerState {
 ///
 /// Produced by the trainer every `checkpoint.every` steps (and after every
 /// clean step when the divergence sentinel is armed); consumed by
-/// [`crate::Trainer::resume`] and by the sentinel's rollback path.
+/// [`crate::Trainer::run`] and by the sentinel's rollback path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainState {
     /// Master seed of the run (sanity-checked against the config on

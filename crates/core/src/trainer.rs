@@ -588,96 +588,6 @@ impl Trainer {
         self.run(train, test, None, hooks, None)
     }
 
-    /// [`train`](Trainer::train) with a [`GradReducer`] invoked after every
-    /// backward pass — the data-parallel entry point (`apt-dist` drives one
-    /// of these per rank). `hooks` ride along so the fault campaigns can
-    /// kill a rank mid-exchange.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BadConfig`] when the sentinel or integrity guard is
-    /// armed: both perform *rank-local* rollbacks, which would silently
-    /// diverge the replicas. Otherwise as
-    /// [`train_with_hooks`](Trainer::train_with_hooks).
-    pub fn train_with_reducer(
-        &mut self,
-        train: &Dataset,
-        test: &Dataset,
-        hooks: &mut dyn StepHook,
-        reducer: &mut dyn GradReducer,
-    ) -> crate::Result<TrainReport> {
-        self.check_reducer_compat()?;
-        self.run(train, test, None, hooks, Some(reducer))
-    }
-
-    /// [`resume`](Trainer::resume) with a [`GradReducer`] — how a restarted
-    /// rank re-joins the fleet from its checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// As [`train_with_reducer`](Trainer::train_with_reducer) plus the
-    /// checkpoint-validation errors of [`resume`](Trainer::resume).
-    pub fn resume_with_reducer(
-        &mut self,
-        train: &Dataset,
-        test: &Dataset,
-        state: TrainState,
-        hooks: &mut dyn StepHook,
-        reducer: &mut dyn GradReducer,
-    ) -> crate::Result<TrainReport> {
-        self.check_reducer_compat()?;
-        self.run(train, test, Some(state), hooks, Some(reducer))
-    }
-
-    /// Rank-local recovery subsystems cannot compose with a cross-rank
-    /// reducer: a sentinel or guard rollback on one rank would rewind that
-    /// replica alone and break bit-identity. Distributed runs get their
-    /// resilience from the fleet-rollback protocol instead.
-    fn check_reducer_compat(&self) -> crate::Result<()> {
-        if self.cfg.sentinel.is_some() || self.cfg.integrity.is_some() {
-            return Err(CoreError::BadConfig {
-                reason: "gradient reduction cannot combine with the sentinel or integrity guard \
-                         (rank-local rollbacks would diverge the replicas)"
-                    .into(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Continues an interrupted run from a captured [`TrainState`]: the
-    /// network, optimiser, profiler, meter and loop cursor are restored
-    /// and training proceeds from the exact next step, producing a report
-    /// bit-identical to the uninterrupted run's.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BadConfig`] if the state belongs to a different run
-    /// (seed/epochs/optimiser mismatch); otherwise as
-    /// [`train`](Trainer::train).
-    pub fn resume(
-        &mut self,
-        train: &Dataset,
-        test: &Dataset,
-        state: TrainState,
-    ) -> crate::Result<TrainReport> {
-        self.run(train, test, Some(state), &mut NoFaults, None)
-    }
-
-    /// [`resume`](Trainer::resume) with a fault-injection hook.
-    ///
-    /// # Errors
-    ///
-    /// As [`resume`](Trainer::resume) plus [`CoreError::Interrupted`].
-    pub fn resume_with_hooks(
-        &mut self,
-        train: &Dataset,
-        test: &Dataset,
-        state: TrainState,
-        hooks: &mut dyn StepHook,
-    ) -> crate::Result<TrainReport> {
-        self.run(train, test, Some(state), hooks, None)
-    }
-
     /// Resumes from the newest valid checkpoint in the configured
     /// [`TrainConfig::checkpoint`] directory, falling back across corrupt
     /// files; starts a fresh run if no valid checkpoint exists yet.
@@ -685,7 +595,7 @@ impl Trainer {
     /// # Errors
     ///
     /// [`CoreError::BadConfig`] when no checkpoint directory is
-    /// configured; otherwise as [`resume`](Trainer::resume).
+    /// configured; otherwise as [`run`](Trainer::run) with a state.
     pub fn resume_from_dir(
         &mut self,
         train: &Dataset,
@@ -696,13 +606,36 @@ impl Trainer {
                 reason: "resume_from_dir requires TrainConfig::checkpoint".into(),
             });
         };
-        match crate::checkpoint::latest_valid(&ck.dir)? {
-            Some((_, state)) => self.resume(train, test, state),
-            None => self.train(train, test),
-        }
+        let state = crate::checkpoint::latest_valid(&ck.dir)?.map(|(_, s)| s);
+        self.run(train, test, state, &mut NoFaults, None)
     }
 
-    fn run(
+    /// The one way into the loop; [`train`](Trainer::train),
+    /// [`train_with_hooks`](Trainer::train_with_hooks) and
+    /// [`resume_from_dir`](Trainer::resume_from_dir) are this with
+    /// arguments left out.
+    ///
+    /// With `resume`, continues an interrupted run from a captured
+    /// [`TrainState`]: the network, optimiser, profiler, meter and loop
+    /// cursor are restored and training proceeds from the exact next step,
+    /// producing a report bit-identical to the uninterrupted run's. `hooks`
+    /// are consulted before every step (pass [`NoFaults`] for none). With
+    /// `reducer`, a [`GradReducer`] runs after every backward pass — the
+    /// data-parallel seam (`apt-dist` drives one trainer per rank; a
+    /// restarted rank re-joins the fleet by passing its checkpoint as
+    /// `resume`).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadConfig`] for an empty training split, for a state
+    /// that belongs to a different run (seed/epochs/optimiser mismatch),
+    /// and for a reducer combined with the sentinel or integrity guard:
+    /// both perform *rank-local* rollbacks, which would rewind one replica
+    /// alone and break bit-identity (distributed runs get their resilience
+    /// from the fleet-rollback protocol instead).
+    /// [`CoreError::Interrupted`] when the hook simulates a power cut;
+    /// otherwise any substrate error.
+    pub fn run(
         &mut self,
         train: &Dataset,
         test: &Dataset,
@@ -710,6 +643,13 @@ impl Trainer {
         hooks: &mut dyn StepHook,
         mut reducer: Option<&mut dyn GradReducer>,
     ) -> crate::Result<TrainReport> {
+        if reducer.is_some() && (self.cfg.sentinel.is_some() || self.cfg.integrity.is_some()) {
+            return Err(CoreError::BadConfig {
+                reason: "gradient reduction cannot combine with the sentinel or integrity guard \
+                         (rank-local rollbacks would diverge the replicas)"
+                    .into(),
+            });
+        }
         if train.is_empty() {
             return Err(CoreError::BadConfig {
                 reason: "empty training split".into(),

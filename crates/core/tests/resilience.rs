@@ -3,7 +3,7 @@
 //! corruption with CRC fallback, and divergence-sentinel recovery.
 
 use apt_core::faults::{
-    flip_byte, truncate_file, NanBomb, PowerCut, StepAction, StepHook, StepInfo,
+    flip_byte, truncate_file, NanBomb, NoFaults, PowerCut, StepAction, StepHook, StepInfo,
 };
 use apt_core::{
     latest_valid, CheckpointConfig, CoreError, SentinelConfig, TrainConfig, TrainReport, Trainer,
@@ -191,7 +191,9 @@ fn resume_rejects_checkpoint_from_a_different_run() {
     let mut other = cfg;
     other.seed = 43;
     let mut t2 = Trainer::new(toy_net(), other).unwrap();
-    let err = t2.resume(&train, &test, state).unwrap_err();
+    let err = t2
+        .run(&train, &test, Some(state), &mut NoFaults, None)
+        .unwrap_err();
     assert!(matches!(err, CoreError::BadConfig { .. }), "{err:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -33,7 +33,6 @@ pub struct Batcher {
     batch_size: usize,
     augment: Option<AugmentConfig>,
     seed: u64,
-    drop_last: bool,
     skip_corrupt: Option<Option<f32>>,
 }
 
@@ -57,16 +56,8 @@ impl Batcher {
             batch_size,
             augment,
             seed,
-            drop_last: false,
             skip_corrupt: None,
         })
-    }
-
-    /// Drops the final short batch of each epoch (stabilises batch-norm on
-    /// tiny datasets).
-    pub fn drop_last(mut self, yes: bool) -> Self {
-        self.drop_last = yes;
-        self
     }
 
     /// Enables the skip-and-count policy: samples with non-finite pixels —
@@ -75,9 +66,7 @@ impl Batcher {
     ///
     /// The check runs on the *raw* stored sample, before augmentation, so a
     /// sensor glitch is caught at the source. [`Batcher::epoch`] applies the
-    /// policy transparently; use [`Batcher::epoch_counted`] to also learn
-    /// how many samples were dropped (the trainer's integrity report counts
-    /// them).
+    /// policy transparently.
     pub fn skip_corrupt(mut self, max_abs: Option<f32>) -> Self {
         self.skip_corrupt = Some(max_abs);
         self
@@ -92,18 +81,9 @@ impl Batcher {
         Ok(self.epoch_counted(data, epoch)?.0)
     }
 
-    /// Like [`Batcher::epoch`], but also returns how many samples the
-    /// skip-and-count policy dropped (always 0 unless
-    /// [`Batcher::skip_corrupt`] was enabled).
-    ///
-    /// # Errors
-    ///
-    /// Propagates augmentation/stacking errors.
-    pub fn epoch_counted(
-        &self,
-        data: &Dataset,
-        epoch: usize,
-    ) -> crate::Result<(Vec<Batch>, usize)> {
+    /// [`Batcher::epoch`], plus how many samples the skip-and-count policy
+    /// dropped (always 0 unless [`Batcher::skip_corrupt`] was enabled).
+    fn epoch_counted(&self, data: &Dataset, epoch: usize) -> crate::Result<(Vec<Batch>, usize)> {
         let mut rng = trng::substream(self.seed, 0x6000 + epoch as u64);
         let mut indices: Vec<usize> = (0..data.len()).collect();
         trng::shuffle_indices(&mut indices, &mut rng);
@@ -116,9 +96,6 @@ impl Batcher {
         }
         let mut batches = Vec::new();
         for chunk in indices.chunks(self.batch_size) {
-            if self.drop_last && chunk.len() < self.batch_size {
-                break;
-            }
             let mut images = Vec::with_capacity(chunk.len());
             let mut labels = Vec::with_capacity(chunk.len());
             for &i in chunk {
@@ -177,15 +154,6 @@ mod tests {
         assert_eq!(batches.len(), 4); // 3+3+3+1
         let total: usize = batches.iter().map(Batch::len).sum();
         assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn drop_last_discards_short_batch() {
-        let data = dataset(10);
-        let b = Batcher::new(3, None, 7).unwrap().drop_last(true);
-        let batches = b.epoch(&data, 0).unwrap();
-        assert_eq!(batches.len(), 3);
-        assert!(batches.iter().all(|b| b.len() == 3));
     }
 
     #[test]

@@ -53,18 +53,6 @@ impl SynthCifarConfig {
             ..Default::default()
         }
     }
-
-    /// The CIFAR-100 analogue (100 classes, fewer examples per class).
-    pub fn cifar100_like(train_per_class: usize, img_size: usize, seed: u64) -> Self {
-        SynthCifarConfig {
-            num_classes: 100,
-            train_per_class,
-            test_per_class: (train_per_class / 5).max(1),
-            img_size,
-            seed,
-            ..Default::default()
-        }
-    }
 }
 
 /// One sinusoidal component of a class template.
@@ -311,8 +299,5 @@ mod tests {
         let c10 = SynthCifarConfig::cifar10_like(50, 16, 1);
         assert_eq!(c10.num_classes, 10);
         assert_eq!(c10.test_per_class, 10);
-        let c100 = SynthCifarConfig::cifar100_like(10, 16, 1);
-        assert_eq!(c100.num_classes, 100);
-        assert_eq!(c100.test_per_class, 2);
     }
 }

@@ -41,8 +41,7 @@ use apt_quant::{Bitwidth, GradCodec, PackedCodes};
 /// Flat-tree quantised all-reduce over an in-process channel fabric.
 ///
 /// Built by the coordinator, one per rank, around that rank's
-/// [`Links`]; plugged into
-/// [`Trainer::train_with_reducer`](apt_core::Trainer::train_with_reducer).
+/// [`Links`]; plugged into [`Trainer::run`](apt_core::Trainer::run).
 #[derive(Debug)]
 pub struct TreeReducer {
     links: Links,

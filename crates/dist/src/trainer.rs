@@ -30,10 +30,11 @@
 use crate::fabric::fabric;
 use crate::{ExchangeStats, TreeReducer};
 use apt_core::{
-    latest_valid, CoreError, NoFaults, PowerCut, StepHook, TrainConfig, TrainReport, Trainer,
+    latest_valid, CoreError, GradReducer, NoFaults, PowerCut, StepHook, TrainConfig, TrainReport,
+    Trainer,
 };
 use apt_data::Dataset;
-use apt_nn::Network;
+use apt_nn::{checkpoint, Network};
 use apt_quant::{Bitwidth, GradCodec};
 use std::thread;
 
@@ -90,6 +91,10 @@ pub struct DistReport {
     pub per_rank_exchange: Vec<ExchangeStats>,
     /// Fleet rollbacks performed before the run completed.
     pub recovery_rounds: usize,
+    /// The trained model: rank 0's [`apt_nn::checkpoint::save_full`] blob,
+    /// serialised once, after its last step (every replica holds the same
+    /// bytes — the per-step digest gate is what says so).
+    pub model: Vec<u8>,
 }
 
 impl DistReport {
@@ -126,6 +131,10 @@ impl DistReport {
         })
     }
 }
+
+/// What one rank hands back: its report, its exchange statistics, and —
+/// from rank 0 only — the serialised model.
+type RankOutcome = (TrainReport, ExchangeStats, Vec<u8>);
 
 /// Data-parallel trainer over `world` in-process ranks.
 ///
@@ -208,11 +217,10 @@ where
         loop {
             let inject = if rounds == 0 { fault } else { None };
             match self.round(&shards, test, inject) {
-                Ok((reports, stats)) => {
+                Ok(report) => {
                     return Ok(DistReport {
-                        reports,
-                        per_rank_exchange: stats,
                         recovery_rounds: rounds,
+                        ..report
                     })
                 }
                 Err(e) if recoverable(&e) && rounds < self.cfg.max_recovery_rounds => {
@@ -233,52 +241,60 @@ where
         cfg
     }
 
-    /// One attempt at running the fleet to completion.
-    #[allow(clippy::type_complexity)]
+    /// One attempt at running the fleet to completion (the report's
+    /// `recovery_rounds` is the caller's to fill in).
     fn round(
         &self,
         shards: &[Dataset],
         test: &Dataset,
         fault: Option<DistFault>,
-    ) -> apt_core::Result<(Vec<TrainReport>, Vec<ExchangeStats>)> {
+    ) -> apt_core::Result<DistReport> {
         let world = self.cfg.world;
-        if world == 1 {
-            let report = self.worker(0, None, &shards[0], test, fault)?;
-            return Ok((vec![report.0], vec![report.1]));
-        }
-        let mut links = fabric(world);
-        let results: Vec<apt_core::Result<(TrainReport, ExchangeStats)>> = thread::scope(|s| {
-            let handles: Vec<_> = links
-                .drain(..)
-                .enumerate()
-                .map(|(rank, l)| {
-                    s.spawn(move || self.worker(rank, Some(l), &shards[rank], test, fault))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(rank, h)| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(CoreError::Corrupt {
-                            reason: format!("worker rank {rank} panicked"),
+        let results: Vec<apt_core::Result<RankOutcome>> = if world == 1 {
+            // No fabric, the caller's thread: the single-process trainer.
+            vec![self.worker(0, None, &shards[0], test, fault)]
+        } else {
+            let mut links = fabric(world);
+            thread::scope(|s| {
+                let handles: Vec<_> = links
+                    .drain(..)
+                    .enumerate()
+                    .map(|(rank, l)| {
+                        s.spawn(move || self.worker(rank, Some(l), &shards[rank], test, fault))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .enumerate()
+                    .map(|(rank, h)| {
+                        h.join().unwrap_or_else(|_| {
+                            Err(CoreError::Corrupt {
+                                reason: format!("worker rank {rank} panicked"),
+                            })
                         })
                     })
-                })
-                .collect()
-        });
+                    .collect()
+            })
+        };
+        let mut out = DistReport {
+            reports: Vec::with_capacity(world),
+            per_rank_exchange: Vec::with_capacity(world),
+            recovery_rounds: 0,
+            model: Vec::new(),
+        };
         // Surface the root cause, not a symptom: the injected power cut
         // (recoverable) outranks the peers' secondary `PeerLost`, and a
         // genuine failure on one rank outranks the disconnects it caused.
-        let mut reports = Vec::with_capacity(world);
-        let mut stats = Vec::with_capacity(world);
         let mut peer_lost: Option<CoreError> = None;
         let mut other: Option<CoreError> = None;
-        for r in results {
+        for (rank, r) in results.into_iter().enumerate() {
             match r {
-                Ok((rep, st)) => {
-                    reports.push(rep);
-                    stats.push(st);
+                Ok((report, stats, model)) => {
+                    out.reports.push(report);
+                    out.per_rank_exchange.push(stats);
+                    if rank == 0 {
+                        out.model = model;
+                    }
                 }
                 Err(e @ CoreError::Interrupted { .. }) => return Err(e),
                 Err(e @ CoreError::PeerLost { .. }) => peer_lost = peer_lost.or(Some(e)),
@@ -291,7 +307,7 @@ where
         if let Some(e) = peer_lost {
             return Err(e);
         }
-        Ok((reports, stats))
+        Ok(out)
     }
 
     /// One rank's life inside a round: build the replica, re-join from the
@@ -304,7 +320,7 @@ where
         shard: &Dataset,
         test: &Dataset,
         fault: Option<DistFault>,
-    ) -> apt_core::Result<(TrainReport, ExchangeStats)> {
+    ) -> apt_core::Result<RankOutcome> {
         let cfg = self.rank_cfg(rank);
         let state = match &cfg.checkpoint {
             Some(ck) => latest_valid(&ck.dir)?.map(|(_, s)| s),
@@ -320,24 +336,27 @@ where
             }
             _ => &mut clean,
         };
-        match links {
-            Some(l) => {
-                let reset = cfg.checkpoint.as_ref().map_or(0, |c| c.every as u64);
-                let mut reducer = TreeReducer::new(l, self.cfg.grad_bits, reset)?;
-                let report = match state {
-                    Some(st) => trainer.resume_with_reducer(shard, test, st, hooks, &mut reducer),
-                    None => trainer.train_with_reducer(shard, test, hooks, &mut reducer),
-                }?;
-                Ok((report, reducer.stats()))
-            }
-            None => {
-                let report = match state {
-                    Some(st) => trainer.resume_with_hooks(shard, test, st, hooks),
-                    None => trainer.train_with_hooks(shard, test, hooks),
-                }?;
-                Ok((report, ExchangeStats::default()))
-            }
-        }
+        let reset = cfg.checkpoint.as_ref().map_or(0, |c| c.every as u64);
+        let mut reducer = match links {
+            Some(l) => Some(TreeReducer::new(l, self.cfg.grad_bits, reset)?),
+            None => None,
+        };
+        let report = trainer.run(
+            shard,
+            test,
+            state,
+            hooks,
+            reducer.as_mut().map(|r| r as &mut dyn GradReducer),
+        )?;
+        // Replicas are digest-gated identical every step, so rank 0's bytes
+        // are the fleet's model.
+        let model = if rank == 0 {
+            checkpoint::save_full(trainer.network_mut())
+        } else {
+            Vec::new()
+        };
+        let stats = reducer.map_or_else(ExchangeStats::default, |r| r.stats());
+        Ok((report, stats, model))
     }
 }
 

@@ -258,82 +258,158 @@ fn unframe(blob: &[u8]) -> crate::Result<(u16, &[u8])> {
     }
 }
 
-/// Parses and applies the (already integrity-checked) payload section.
-/// `version` selects the quantised-code layout (≥3: packed words).
-fn load_payload(net: &mut Network, payload: &[u8], version: u16) -> crate::Result<()> {
+/// The data of one parameter section as [`walk`] hands it over, by store
+/// tag: header fields parsed and bounded, data as the bytes it occupies —
+/// [`verify`] drops them, [`load`] decodes them.
+enum StoreBytes<'a> {
+    /// Tag 0: `f32 × volume`.
+    Float(&'a [u8]),
+    /// Tags 1 and 4: `(scale f32, zero i64)` pairs, then the code section
+    /// in the layout of the blob's version.
+    Quantized {
+        per_channel: bool,
+        bits: Bitwidth,
+        quantizers: &'a [u8],
+        codes: &'a [u8],
+    },
+    /// Tag 2.
+    MasterCopy { bits: Bitwidth, master: &'a [u8] },
+    /// Tag 3.
+    Projected {
+        projection: Projection,
+        master: &'a [u8],
+    },
+}
+
+/// Walks an (already integrity-checked) payload once: counts, then every
+/// name, tag, dims, bitwidth and the exact byte extent of every data
+/// section, each handed to `param(name, dims, store)` or `buffer(name, dims,
+/// f32 bytes)` as it is delimited. The only parser of the section layout —
+/// a tag or a bound added here is one both [`verify`] and [`load`] know.
+/// Returns `(params, buffers)`.
+fn walk<'a>(
+    payload: &'a [u8],
+    version: u16,
+    mut param: impl FnMut(&'a str, Vec<usize>, StoreBytes<'a>) -> crate::Result<()>,
+    mut buffer: impl FnMut(&'a str, Vec<usize>, &'a [u8]) -> crate::Result<()>,
+) -> crate::Result<(usize, usize)> {
     let mut r = Reader {
         blob: payload,
         pos: 0,
     };
     let param_count = r.read_u32()? as usize;
     let buffer_count = r.read_u32()? as usize;
-    // Counts size allocations below, so bound them by what the bytes could
-    // possibly encode before trusting them.
-    let max_params = r.remaining() / MIN_PARAM_BYTES;
-    let max_buffers = r.remaining() / MIN_BUFFER_BYTES;
-    if param_count > max_params || buffer_count > max_buffers {
+    // Callers size allocations from the counts, so bound them by what the
+    // bytes could possibly encode before trusting them.
+    if param_count > r.remaining() / MIN_PARAM_BYTES
+        || buffer_count > r.remaining() / MIN_BUFFER_BYTES
+    {
         return Err(corrupt("section count exceeds available bytes"));
     }
-
-    let mut stores: Vec<(String, ParamStore)> = Vec::with_capacity(param_count);
     for _ in 0..param_count {
         let name = r.read_str()?;
         let tag = r.read_u8()?;
         let dims = r.read_dims()?;
         let volume = checked_volume(&dims)?;
         let store = match tag {
-            0 => ParamStore::Float(Tensor::from_vec(r.read_f32s(volume)?, &dims)?),
+            0 => StoreBytes::Float(r.take_f32s(volume)?),
             1 | 4 => {
-                let (bits, groups) = r.read_quantized_head(tag)?;
-                let mut quantizers = Vec::with_capacity(groups);
-                for _ in 0..groups {
-                    let scale = r.read_f32()?;
-                    let zero = r.read_i64()?;
-                    quantizers.push(AffineQuantizer::from_parts(scale, zero, bits)?);
+                let bits = Bitwidth::new(u32::from(r.read_u8()?))?;
+                let groups = if tag == 4 { r.read_u32()? as usize } else { 1 };
+                // The pairs must exist before anything is sized from
+                // their count.
+                if groups > r.remaining() / QUANTIZER_BYTES {
+                    return Err(corrupt("quantiser count exceeds available bytes"));
                 }
-                let codes = if version >= 3 {
-                    r.read_packed_words(volume, bits)?
-                } else {
-                    r.read_codes(volume, bits.get())?
+                StoreBytes::Quantized {
+                    per_channel: tag == 4,
+                    bits,
+                    quantizers: r.take(groups * QUANTIZER_BYTES)?,
+                    codes: r.take_codes(volume, bits, version)?,
+                }
+            }
+            2 => StoreBytes::MasterCopy {
+                bits: Bitwidth::new(u32::from(r.read_u8()?))?,
+                master: r.take_f32s(volume)?,
+            },
+            3 => StoreBytes::Projected {
+                projection: match r.read_u8()? {
+                    0 => Projection::Binary,
+                    1 => Projection::Ternary,
+                    other => return Err(corrupt(&format!("unknown projection {other}"))),
+                },
+                master: r.take_f32s(volume)?,
+            },
+            other => return Err(corrupt(&format!("unknown store tag {other}"))),
+        };
+        param(name, dims, store)?;
+    }
+    for _ in 0..buffer_count {
+        let name = r.read_str()?;
+        let dims = r.read_dims()?;
+        let data = r.take_f32s(checked_volume(&dims)?)?;
+        buffer(name, dims, data)?;
+    }
+    if r.remaining() != 0 {
+        return Err(corrupt("trailing bytes after checkpoint sections"));
+    }
+    Ok((param_count, buffer_count))
+}
+
+/// Decodes and applies the (already integrity-checked) payload section.
+/// `version` selects the quantised-code layout (≥3: packed words).
+fn load_payload(net: &mut Network, payload: &[u8], version: u16) -> crate::Result<()> {
+    let mut stores: Vec<(String, ParamStore)> = Vec::new();
+    let mut buffers: Vec<(String, Tensor)> = Vec::new();
+    let tensor = |bytes: &[u8], dims: &[usize]| Tensor::from_vec(decode_f32s(bytes), dims);
+    let param = |name: &str, dims: Vec<usize>, store| {
+        let store = match store {
+            StoreBytes::Float(data) => ParamStore::Float(tensor(data, &dims)?),
+            StoreBytes::Quantized {
+                per_channel,
+                bits,
+                quantizers,
+                codes,
+            } => {
+                let mut pairs = Reader {
+                    blob: quantizers,
+                    pos: 0,
                 };
-                ParamStore::Quantized(if tag == 4 {
+                let quantizers = (0..quantizers.len() / QUANTIZER_BYTES)
+                    .map(|_| {
+                        let (scale, zero) = (pairs.read_f32()?, pairs.read_i64()?);
+                        Ok(AffineQuantizer::from_parts(scale, zero, bits)?)
+                    })
+                    .collect::<crate::Result<Vec<_>>>()?;
+                let volume = dims.iter().product();
+                let codes = if version >= 3 {
+                    decode_packed_words(codes, volume, bits)?
+                } else {
+                    decode_legacy_codes(codes, volume, bits.get())
+                };
+                ParamStore::Quantized(if per_channel {
                     QuantizedTensor::from_parts_per_channel(codes, dims, quantizers)?
                 } else {
                     QuantizedTensor::from_parts(codes, dims, quantizers[0])?
                 })
             }
-            2 => {
-                let bits = Bitwidth::new(u32::from(r.read_u8()?))?;
-                ParamStore::MasterCopy {
-                    master: Tensor::from_vec(r.read_f32s(volume)?, &dims)?,
-                    bits,
-                }
-            }
-            3 => {
-                let projection = match r.read_u8()? {
-                    0 => Projection::Binary,
-                    1 => Projection::Ternary,
-                    other => return Err(corrupt(&format!("unknown projection {other}"))),
-                };
-                ParamStore::Projected {
-                    master: Tensor::from_vec(r.read_f32s(volume)?, &dims)?,
-                    projection,
-                }
-            }
-            other => return Err(corrupt(&format!("unknown store tag {other}"))),
+            StoreBytes::MasterCopy { bits, master } => ParamStore::MasterCopy {
+                master: tensor(master, &dims)?,
+                bits,
+            },
+            StoreBytes::Projected { projection, master } => ParamStore::Projected {
+                master: tensor(master, &dims)?,
+                projection,
+            },
         };
-        stores.push((name, store));
-    }
-    let mut buffers: Vec<(String, Tensor)> = Vec::with_capacity(buffer_count);
-    for _ in 0..buffer_count {
-        let name = r.read_str()?;
-        let dims = r.read_dims()?;
-        let volume = checked_volume(&dims)?;
-        buffers.push((name, Tensor::from_vec(r.read_f32s(volume)?, &dims)?));
-    }
-    if r.remaining() != 0 {
-        return Err(corrupt("trailing bytes after checkpoint sections"));
-    }
+        stores.push((name.to_string(), store));
+        Ok(())
+    };
+    let buffer = |name: &str, dims: Vec<usize>, data| {
+        buffers.push((name.to_string(), tensor(data, &dims)?));
+        Ok(())
+    };
+    walk(payload, version, param, buffer)?;
 
     // Apply parameters by name.
     let mut store_map: std::collections::HashMap<String, ParamStore> = stores.into_iter().collect();
@@ -421,55 +497,12 @@ pub struct CheckpointSummary {
 /// errors [`load`] produces, never a panic.
 pub fn verify(blob: &[u8]) -> crate::Result<CheckpointSummary> {
     let (version, payload) = unframe(blob)?;
-    let mut r = Reader {
-        blob: payload,
-        pos: 0,
-    };
-    let param_count = r.read_u32()? as usize;
-    let buffer_count = r.read_u32()? as usize;
-    if param_count > r.remaining() / MIN_PARAM_BYTES
-        || buffer_count > r.remaining() / MIN_BUFFER_BYTES
-    {
-        return Err(corrupt("section count exceeds available bytes"));
-    }
-    for _ in 0..param_count {
-        let _name = r.read_str()?;
-        let tag = r.read_u8()?;
-        let dims = r.read_dims()?;
-        let volume = checked_volume(&dims)?;
-        match tag {
-            0 => r.skip_f32s(volume)?,
-            1 | 4 => {
-                let (bits, groups) = r.read_quantized_head(tag)?;
-                r.take(groups * 12)?;
-                r.skip_code_section(volume, bits, version)?;
-            }
-            2 => {
-                let _bits = Bitwidth::new(u32::from(r.read_u8()?))?;
-                r.skip_f32s(volume)?;
-            }
-            3 => {
-                if r.read_u8()? > 1 {
-                    return Err(corrupt("unknown projection"));
-                }
-                r.skip_f32s(volume)?;
-            }
-            other => return Err(corrupt(&format!("unknown store tag {other}"))),
-        }
-    }
-    for _ in 0..buffer_count {
-        let _name = r.read_str()?;
-        let dims = r.read_dims()?;
-        r.skip_f32s(checked_volume(&dims)?)?;
-    }
-    if r.remaining() != 0 {
-        return Err(corrupt("trailing bytes after checkpoint sections"));
-    }
+    let (params, buffers) = walk(payload, version, |_, _, _| Ok(()), |_, _, _| Ok(()))?;
     Ok(CheckpointSummary {
         version,
         payload_len: payload.len(),
-        params: param_count,
-        buffers: buffer_count,
+        params,
+        buffers,
     })
 }
 
@@ -555,26 +588,9 @@ impl<'a> Reader<'a> {
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
-    /// The head of a quantised section: `bits u8`, then how many
-    /// `(scale f32, zero i64)` pairs follow — one under tag 1, `channels
-    /// u32` under tag 4. Their 12 bytes each must exist before anything is
-    /// sized from the count.
-    fn read_quantized_head(&mut self, tag: u8) -> crate::Result<(Bitwidth, usize)> {
-        let bits = Bitwidth::new(u32::from(self.read_u8()?))?;
-        let groups = if tag == 4 {
-            self.read_u32()? as usize
-        } else {
-            1
-        };
-        if groups > self.remaining() / 12 {
-            return Err(corrupt("quantiser count exceeds available bytes"));
-        }
-        Ok((bits, groups))
-    }
-    fn read_str(&mut self) -> crate::Result<String> {
+    fn read_str(&mut self) -> crate::Result<&'a str> {
         let len = self.read_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("invalid utf8 in checkpoint"))
+        std::str::from_utf8(self.take(len)?).map_err(|_| corrupt("invalid utf8 in checkpoint"))
     }
     fn read_dims(&mut self) -> crate::Result<Vec<usize>> {
         let rank = self.read_u32()? as usize;
@@ -587,89 +603,78 @@ impl<'a> Reader<'a> {
         }
         Ok(dims)
     }
-    fn read_f32s(&mut self, n: usize) -> crate::Result<Vec<f32>> {
+    /// The bytes of an `f32 × n` section.
+    fn take_f32s(&mut self, n: usize) -> crate::Result<&'a [u8]> {
         let byte_len = n
             .checked_mul(4)
             .ok_or_else(|| corrupt("f32 section length overflows"))?;
-        let bytes = self.take(byte_len)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
+        self.take(byte_len)
     }
-    /// Skips an f32 section without materialising it (used by [`verify`]).
-    fn skip_f32s(&mut self, n: usize) -> crate::Result<()> {
-        let byte_len = n
-            .checked_mul(4)
-            .ok_or_else(|| corrupt("f32 section length overflows"))?;
-        self.take(byte_len).map(|_| ())
-    }
-    /// Skips a quantised-code section (v3 packed words or legacy v2
-    /// byte-granular bitstream) without decoding it.
-    fn skip_code_section(&mut self, n: usize, bits: Bitwidth, version: u16) -> crate::Result<()> {
-        let byte_len = if version >= 3 {
-            n.checked_mul(bits.get() as usize)
-                .map(|b| b.div_ceil(64) * 8)
-                .ok_or_else(|| corrupt("packed word section length overflows"))?
-        } else {
-            n.checked_mul(bits.get() as usize)
-                .map(|b| b.div_ceil(8))
-                .ok_or_else(|| corrupt("packed code section length overflows"))?
-        };
-        self.take(byte_len).map(|_| ())
-    }
-    /// Reads a legacy v1/v2 code section: `n` raw grid codes of `bits` bits
-    /// each, LSB-first in a byte-granular bitstream (nothing writes this
-    /// layout any more). The packed length is bounds-checked before any
-    /// allocation is sized from it.
-    fn read_codes(&mut self, n: usize, bits: u32) -> crate::Result<Vec<i64>> {
-        let packed_len = n
-            .checked_mul(bits as usize)
-            .map(|b| b.div_ceil(8))
-            .ok_or_else(|| corrupt("packed code section length overflows"))?;
-        let bytes = self.take(packed_len)?;
-        let mut codes = Vec::with_capacity(n);
-        let mut bit_pos = 0usize;
-        for _ in 0..n {
-            let mut value = 0u64;
-            let mut filled = 0usize;
-            let mut remaining = bits as usize;
-            while remaining > 0 {
-                let byte = bit_pos / 8;
-                let offset = bit_pos % 8;
-                let take = remaining.min(8 - offset);
-                let chunk = (u64::from(bytes[byte]) >> offset) & ((1u64 << take) - 1);
-                value |= chunk << filled;
-                filled += take;
-                bit_pos += take;
-                remaining -= take;
-            }
-            codes.push(value as i64);
-        }
-        Ok(codes)
-    }
-    /// Reads a v3 packed-word section: `⌈n·bits/64⌉` little-endian `u64`
-    /// words, validated (word count, zero padding, in-range codes) before
-    /// any code is trusted, then lifted back to the raw `q` grid domain.
-    fn read_packed_words(&mut self, n: usize, bits: Bitwidth) -> crate::Result<Vec<i64>> {
-        let words = n
+    /// The bytes of a section of `n` codes at `bits`: v3 packed words or
+    /// the legacy byte-granular bitstream.
+    fn take_codes(&mut self, n: usize, bits: Bitwidth, version: u16) -> crate::Result<&'a [u8]> {
+        let total_bits = n
             .checked_mul(bits.get() as usize)
-            .map(|b| b.div_ceil(64))
-            .ok_or_else(|| corrupt("packed word section length overflows"))?;
-        let bytes = self.take(words * 8)?;
-        let data: Vec<u64> = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        let packed = PackedCodes::from_data_words(data, n, bits)
-            .map_err(|e| corrupt(&format!("invalid packed code payload: {e}")))?;
-        let half = 1i64 << (bits.get() - 1);
-        Ok(packed
-            .to_signed_vec()
-            .into_iter()
-            .map(|c| c + half)
-            .collect())
+            .ok_or_else(|| corrupt("packed code section length overflows"))?;
+        self.take(if version >= 3 {
+            total_bits.div_ceil(64) * 8
+        } else {
+            total_bits.div_ceil(8)
+        })
     }
+}
+
+/// One `(scale f32, zero i64)` pair of a quantised section.
+const QUANTIZER_BYTES: usize = 12;
+
+fn decode_f32s(bytes: &[u8]) -> Vec<f32> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+        .collect()
+}
+
+/// Decodes a legacy v1/v2 code section: `n` raw grid codes of `bits` bits
+/// each, LSB-first in a byte-granular bitstream (nothing writes this layout
+/// any more). `bytes` is exactly the section ([`Reader::take_codes`]).
+fn decode_legacy_codes(bytes: &[u8], n: usize, bits: u32) -> Vec<i64> {
+    let mut codes = Vec::with_capacity(n);
+    let mut bit_pos = 0usize;
+    for _ in 0..n {
+        let mut value = 0u64;
+        let mut filled = 0usize;
+        let mut remaining = bits as usize;
+        while remaining > 0 {
+            let byte = bit_pos / 8;
+            let offset = bit_pos % 8;
+            let take = remaining.min(8 - offset);
+            let chunk = (u64::from(bytes[byte]) >> offset) & ((1u64 << take) - 1);
+            value |= chunk << filled;
+            filled += take;
+            bit_pos += take;
+            remaining -= take;
+        }
+        codes.push(value as i64);
+    }
+    codes
+}
+
+/// Decodes a v3 packed-word section: `⌈n·bits/64⌉` little-endian `u64`
+/// words, validated (word count, zero padding, in-range codes) before any
+/// code is trusted, then lifted back to the raw `q` grid domain.
+fn decode_packed_words(bytes: &[u8], n: usize, bits: Bitwidth) -> crate::Result<Vec<i64>> {
+    let data: Vec<u64> = bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .collect();
+    let packed = PackedCodes::from_data_words(data, n, bits)
+        .map_err(|e| corrupt(&format!("invalid packed code payload: {e}")))?;
+    let half = 1i64 << (bits.get() - 1);
+    Ok(packed
+        .to_signed_vec()
+        .into_iter()
+        .map(|c| c + half)
+        .collect())
 }
 
 #[cfg(test)]
@@ -1213,6 +1218,23 @@ mod tests {
         }
         assert_eq!(tags, [1, 4]);
         assert_ne!(digests[0], digests[1]);
+    }
+
+    #[test]
+    fn a_store_of_the_right_length_and_the_wrong_shape_is_refused() {
+        // `fc0.weight` is `[8, 4]` in the blob and `[4, 8]` in the target:
+        // 32 elements either way, and under per-channel calibration 8
+        // groups of 4 against 4 groups of 8.
+        for scheme in [QuantScheme::float32(), QuantScheme::per_channel(b6())] {
+            let source = models::mlp("m", &[4, 8], &scheme, &mut seeded(0)).unwrap();
+            let mut target = models::mlp("m", &[8, 4], &scheme, &mut seeded(0)).unwrap();
+            let err = load(&mut target, &save(&source)).unwrap_err();
+            assert!(
+                matches!(&err, NnError::BadConfig { reason } if reason.contains("fc0.weight")
+                    && reason.contains("[8, 4]") && reason.contains("[4, 8]")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl ActQuant {
     }
 
     /// The current clipping point α.
-    pub fn clip_value(&self) -> f32 {
+    fn clip_value(&self) -> f32 {
         self.clip.value().data()[0]
     }
 

@@ -99,11 +99,6 @@ impl BasicBlock {
             cached_sum: None,
         })
     }
-
-    /// `true` if the block uses a projection shortcut.
-    pub fn has_projection(&self) -> bool {
-        self.shortcut.is_some()
-    }
 }
 
 impl Layer for BasicBlock {
@@ -259,7 +254,7 @@ mod tests {
     #[test]
     fn identity_block_shapes() {
         let mut b = BasicBlock::new("b", 8, 8, 1, &QuantScheme::float32(), &mut seeded(0)).unwrap();
-        assert!(!b.has_projection());
+        assert!(b.shortcut.is_none());
         let x = normal(&[2, 8, 4, 4], 1.0, &mut seeded(1));
         let y = b.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), x.dims());
@@ -272,7 +267,7 @@ mod tests {
     fn projection_block_downsamples() {
         let mut b =
             BasicBlock::new("b", 8, 16, 2, &QuantScheme::float32(), &mut seeded(0)).unwrap();
-        assert!(b.has_projection());
+        assert!(b.shortcut.is_some());
         let x = normal(&[1, 8, 8, 8], 1.0, &mut seeded(1));
         let y = b.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), &[1, 16, 4, 4]);

@@ -90,11 +90,6 @@ impl Conv2d {
         })
     }
 
-    /// The convolution hyper-parameters (stride/padding/groups).
-    pub fn conv_params(&self) -> &Conv2dParams {
-        &self.params
-    }
-
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.out_channels

@@ -108,11 +108,6 @@ impl InvertedResidual {
             forwarded: false,
         })
     }
-
-    /// `true` if the block adds the identity skip connection.
-    pub fn uses_skip(&self) -> bool {
-        self.use_skip
-    }
 }
 
 impl Layer for InvertedResidual {
@@ -267,7 +262,7 @@ mod tests {
         let mut b =
             InvertedResidual::new("ir", 8, 8, 1, 2, &QuantScheme::float32(), &mut seeded(0))
                 .unwrap();
-        assert!(b.uses_skip());
+        assert!(b.use_skip);
         let x = normal(&[1, 8, 4, 4], 1.0, &mut seeded(1));
         let y = b.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), x.dims());
@@ -280,7 +275,7 @@ mod tests {
         let mut b =
             InvertedResidual::new("ir", 8, 16, 2, 4, &QuantScheme::float32(), &mut seeded(0))
                 .unwrap();
-        assert!(!b.uses_skip());
+        assert!(!b.use_skip);
         let x = normal(&[2, 8, 8, 8], 1.0, &mut seeded(1));
         let y = b.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), &[2, 16, 4, 4]);

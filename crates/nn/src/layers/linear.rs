@@ -66,16 +66,6 @@ impl Linear {
         })
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     fn validate_input(&self, input: &Tensor) -> crate::Result<()> {
         if input.rank() != 2 || input.dims()[1] != self.in_features {
             return Err(NnError::BadInput {

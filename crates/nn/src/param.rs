@@ -220,13 +220,15 @@ impl ParamStore {
         }
     }
 
-    /// Number of scalar parameters held.
-    fn len(&self) -> usize {
+    /// Shape of the tensor held. A per-channel store's calibration groups
+    /// follow from it (one per axis-0 channel), so equal dims mean equal
+    /// grouping.
+    fn dims(&self) -> &[usize] {
         match self {
-            ParamStore::Float(t) => t.len(),
-            ParamStore::Quantized(q) => q.len(),
-            ParamStore::MasterCopy { master, .. } => master.len(),
-            ParamStore::Projected { master, .. } => master.len(),
+            ParamStore::Float(t) => t.dims(),
+            ParamStore::Quantized(q) => q.dims(),
+            ParamStore::MasterCopy { master, .. } => master.dims(),
+            ParamStore::Projected { master, .. } => master.dims(),
         }
     }
 
@@ -323,17 +325,17 @@ impl Param {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BadConfig`] if the replacement's element count
-    /// differs.
+    /// Returns [`NnError::BadConfig`] if the replacement's shape differs:
+    /// this is the last check between a checkpoint and the layer's GEMM,
+    /// and an `[8, 4]` weight is not a `[4, 8]` one.
     pub fn set_store(&mut self, store: ParamStore) -> crate::Result<()> {
-        let len = store.len();
-        if len != self.len() {
+        if store.dims() != self.dims() {
             return Err(NnError::BadConfig {
                 reason: format!(
-                    "parameter `{}`: checkpoint has {} elements, expected {}",
+                    "parameter `{}`: checkpoint has shape {:?}, expected {:?}",
                     self.name,
-                    len,
-                    self.len()
+                    store.dims(),
+                    self.dims()
                 ),
             });
         }
@@ -1049,7 +1051,7 @@ mod tests {
                 for v in variants(&q.quantizers()[ch]) {
                     let mut qs = q.quantizers().to_vec();
                     qs[ch] = v;
-                    let (codes, dims) = (q.codes(), q.dims().to_vec());
+                    let (codes, dims) = (q.store().to_vec(), q.dims().to_vec());
                     let hurt = if q.is_per_channel() {
                         QuantizedTensor::from_parts_per_channel(codes, dims, qs)
                     } else {

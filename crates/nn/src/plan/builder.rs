@@ -69,7 +69,7 @@ impl PlanBuilder {
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] for an unknown id.
-    pub fn value_dims(&self, id: ValueId) -> Result<&[usize]> {
+    fn value_dims(&self, id: ValueId) -> Result<&[usize]> {
         self.values
             .get(id.0)
             .map(|d| d.as_slice())

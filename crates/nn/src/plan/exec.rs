@@ -90,11 +90,6 @@ impl FrozenPlan {
         self.output_len
     }
 
-    /// Per-sample output shape.
-    pub fn output_dims(&self) -> &[usize] {
-        &self.output_dims
-    }
-
     /// Number of executable steps after optimisation.
     pub fn num_steps(&self) -> usize {
         self.steps.len()

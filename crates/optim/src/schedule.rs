@@ -5,8 +5,8 @@
 /// * CIFAR-10: lr 0.1, ÷10 at epoch 100 and 150 of 200 —
 ///   [`LrSchedule::paper_cifar10`] generalises this to "÷10 at 50 % and
 ///   75 % of the run" for scaled epoch budgets.
-/// * CIFAR-100: the same plus a 2-epoch warm-up at lr 0.01 —
-///   [`LrSchedule::paper_cifar100`].
+/// * CIFAR-100: the same plus a 2-epoch warm-up at lr 0.01 — not
+///   implemented: nothing here trains on a CIFAR-100 analogue.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LrSchedule {
     /// Fixed learning rate.
@@ -20,19 +20,6 @@ pub enum LrSchedule {
         /// Decay multiplier (paper: 0.1).
         gamma: f32,
     },
-    /// Step decay preceded by a constant low-rate warm-up.
-    WarmupStepDecay {
-        /// Warm-up duration in epochs.
-        warmup_epochs: usize,
-        /// Learning rate during warm-up.
-        warmup_lr: f32,
-        /// Initial post-warm-up learning rate.
-        base: f32,
-        /// Epochs at which the rate is multiplied by `gamma`.
-        milestones: Vec<usize>,
-        /// Decay multiplier.
-        gamma: f32,
-    },
 }
 
 impl LrSchedule {
@@ -40,18 +27,6 @@ impl LrSchedule {
     /// 50 % and 75 % of the run.
     pub fn paper_cifar10(total_epochs: usize) -> Self {
         LrSchedule::StepDecay {
-            base: 0.1,
-            milestones: vec![total_epochs / 2, total_epochs * 3 / 4],
-            gamma: 0.1,
-        }
-    }
-
-    /// The paper's CIFAR-100 recipe scaled to `total_epochs`: 2-epoch
-    /// warm-up at 0.01, then the CIFAR-10 schedule.
-    pub fn paper_cifar100(total_epochs: usize) -> Self {
-        LrSchedule::WarmupStepDecay {
-            warmup_epochs: 2,
-            warmup_lr: 0.01,
             base: 0.1,
             milestones: vec![total_epochs / 2, total_epochs * 3 / 4],
             gamma: 0.1,
@@ -69,20 +44,6 @@ impl LrSchedule {
             } => {
                 let decays = milestones.iter().filter(|&&m| epoch >= m).count();
                 base * gamma.powi(decays as i32)
-            }
-            LrSchedule::WarmupStepDecay {
-                warmup_epochs,
-                warmup_lr,
-                base,
-                milestones,
-                gamma,
-            } => {
-                if epoch < *warmup_epochs {
-                    *warmup_lr
-                } else {
-                    let decays = milestones.iter().filter(|&&m| epoch >= m).count();
-                    base * gamma.powi(decays as i32)
-                }
             }
         }
     }
@@ -114,16 +75,6 @@ mod tests {
         assert!((s.lr_at(149) - 0.01).abs() < 1e-9);
         assert!((s.lr_at(150) - 0.001).abs() < 1e-9);
         assert!((s.lr_at(199) - 0.001).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warmup_then_decay() {
-        let s = LrSchedule::paper_cifar100(200);
-        assert_eq!(s.lr_at(0), 0.01);
-        assert_eq!(s.lr_at(1), 0.01);
-        assert_eq!(s.lr_at(2), 0.1);
-        assert!((s.lr_at(100) - 0.01).abs() < 1e-9);
-        assert!((s.lr_at(150) - 0.001).abs() < 1e-9);
     }
 
     #[test]

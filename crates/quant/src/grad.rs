@@ -55,7 +55,7 @@ impl GradCodec {
     }
 
     /// Largest code magnitude: `m = 2^(k−1) − 1` (symmetric range).
-    pub fn max_mag(&self) -> i64 {
+    fn max_mag(&self) -> i64 {
         (1i64 << (self.bits.get() - 1)) - 1
     }
 

@@ -139,11 +139,6 @@ impl AffineQuantizer {
         self.bits
     }
 
-    /// Smallest representable real value (`q = 0`).
-    pub fn range_min(&self) -> f32 {
-        self.dequantize_value(0)
-    }
-
     /// Largest representable real value (`q = 2^k − 1`).
     pub fn range_max(&self) -> f32 {
         self.dequantize_value(self.bits.num_steps() as i64)
@@ -214,7 +209,7 @@ mod tests {
     #[test]
     fn range_widened_to_include_zero() {
         let q = AffineQuantizer::from_range(2.0, 6.0, b(4)).unwrap();
-        assert!(q.range_min() <= 0.0 + q.eps() / 2.0);
+        assert!(q.dequantize_value(0) <= 0.0 + q.eps() / 2.0);
         let q = AffineQuantizer::from_range(-6.0, -2.0, b(4)).unwrap();
         assert!(q.range_max() >= 0.0 - q.eps() / 2.0);
     }

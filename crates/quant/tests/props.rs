@@ -231,7 +231,7 @@ proptest! {
         // ±1-bit moves — in every storage tier and rounding mode.
         use rand::Rng;
         let same = |pt: &QuantizedTensor, pc: &QuantizedTensor| {
-            prop_assert_eq!(pt.codes(), pc.codes());
+            prop_assert_eq!(pt.store().to_vec(), pc.store().to_vec());
             prop_assert_eq!(pt.quantizers(), pc.quantizers());
             prop_assert_eq!(pt.eps().to_bits(), pc.eps().to_bits());
             prop_assert_eq!(pt.resident_bytes(), pc.resident_bytes());

@@ -329,7 +329,7 @@ impl BatcherHandle {
     ///
     /// As [`infer_blocking`](Self::infer_blocking), plus
     /// [`ServeError::DeadlineExceeded`].
-    pub fn infer_with_deadline(
+    fn infer_with_deadline(
         &self,
         sample: Vec<f32>,
         deadline: Option<Instant>,

@@ -289,26 +289,6 @@ impl ServeClient {
         self.retry_frame(policy)
     }
 
-    /// [`infer_model`](Self::infer_model) with the retry policy of
-    /// [`infer_retry`](Self::infer_retry). [`ServeError::ModelUnavailable`]
-    /// is **not** retried: re-sending the same request to the same
-    /// instance cannot succeed until someone re-publishes the model.
-    ///
-    /// # Errors
-    ///
-    /// As [`infer_retry`](Self::infer_retry).
-    pub fn infer_model_retry(
-        &mut self,
-        model: &str,
-        sample: &[f32],
-        policy: &RetryPolicy,
-    ) -> Result<Vec<f32>, ServeError> {
-        self.compose(OP_INFER_MODEL, |out| {
-            protocol::put_model_infer(out, model, sample)
-        })?;
-        self.retry_frame(policy).map_err(|e| fill_model(e, model))
-    }
-
     /// Asks the server to rescan its model directory, ingesting new or
     /// changed checkpoints (and quarantining bad ones). Returns the JSON
     /// rescan report.
@@ -328,7 +308,7 @@ impl ServeClient {
         protocol::decode_f32s(&self.rx)
     }
 
-    /// The shared retry loop over the composed frame: only
+    /// The retry loop over the composed frame: only
     /// [`ServeError::Overloaded`] and [`ServeError::Io`] are transient;
     /// everything else is the request's final fate.
     fn retry_frame(&mut self, policy: &RetryPolicy) -> Result<Vec<f32>, ServeError> {
@@ -475,7 +455,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert!(matches!(
-            client.infer_model_retry("fleet-a", &[1.0, 2.0], &policy),
+            client.infer_retry(&[1.0, 2.0], &policy),
             Err(ServeError::ModelUnavailable { .. })
         ));
         drop(client);

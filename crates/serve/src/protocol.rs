@@ -12,7 +12,7 @@
 //! [`ServeError`] backpressure ladder). Infer payloads are a
 //! `count: u32 LE` followed by `count` little-endian `f32`s; named-model
 //! infer payloads prepend a versioned model-id header
-//! ([`encode_model_infer`]); stats/health/reload payloads are UTF-8 JSON.
+//! ([`MODEL_INFER_V1`]); stats/health/reload payloads are UTF-8 JSON.
 //! Error responses carry the rendered error message as UTF-8.
 //!
 //! Frames are capped at [`MAX_FRAME`] so a corrupt or hostile length
@@ -28,7 +28,7 @@ pub const OP_STATS: u8 = 2;
 /// Liveness/identity check; empty payload.
 pub const OP_HEALTH: u8 = 3;
 /// Run one sample through a **named** model; payload is the versioned
-/// model-infer encoding ([`encode_model_infer`]). Servers predating the
+/// model-infer encoding ([`MODEL_INFER_V1`]). Servers predating the
 /// model fleet answer `STATUS_BAD_REQUEST` (unknown op) — the original
 /// [`OP_INFER`] frame layout is untouched, so old clients keep working.
 pub const OP_INFER_MODEL: u8 = 4;
@@ -314,32 +314,24 @@ pub(crate) fn decode_f32s_into(payload: &[u8], out: &mut Vec<f32>) -> Result<(),
     Ok(())
 }
 
-/// Version byte of the current [`OP_INFER_MODEL`] payload encoding. The
-/// version leads the payload so the layout can evolve without a new op:
-/// decoders reject versions they do not know with a typed error instead of
-/// misparsing.
-pub const MODEL_INFER_V1: u8 = 1;
-
-/// Longest accepted model id on the wire (also bounds registry keys).
-pub const MAX_MODEL_ID: usize = 255;
-
-/// Encodes a named-model inference request:
+/// Version byte of the current [`OP_INFER_MODEL`] payload encoding:
 ///
 /// ```text
 /// ver: u8 = 1 | id_len: u8 | id: utf8 | count: u32 LE | f32 × count
 /// ```
 ///
+/// The version leads the payload so the layout can evolve without a new
+/// op: decoders reject versions they do not know with a typed error instead
+/// of misparsing.
+pub const MODEL_INFER_V1: u8 = 1;
+
+/// Longest accepted model id on the wire (also bounds registry keys).
+pub const MAX_MODEL_ID: usize = 255;
+
+/// Appends a named-model inference request ([`MODEL_INFER_V1`]) to `out`.
 /// An over-long model id is truncated at [`MAX_MODEL_ID`] bytes
 /// defensively; the server validates ids at publish time, so a truncated
 /// id simply fails lookup with a typed status.
-pub fn encode_model_infer(model: &str, sample: &[f32]) -> Vec<u8> {
-    let id_len = model.len().min(MAX_MODEL_ID);
-    let mut out = Vec::with_capacity(2 + id_len + 4 + 4 * sample.len());
-    put_model_infer(&mut out, model, sample);
-    out
-}
-
-/// Appends the [`encode_model_infer`] encoding to `out`.
 pub(crate) fn put_model_infer(out: &mut Vec<u8>, model: &str, sample: &[f32]) {
     let id = &model.as_bytes()[..model.len().min(MAX_MODEL_ID)];
     out.push(MODEL_INFER_V1);
@@ -348,19 +340,13 @@ pub(crate) fn put_model_infer(out: &mut Vec<u8>, model: &str, sample: &[f32]) {
     put_f32s(out, sample);
 }
 
-/// Decodes an [`OP_INFER_MODEL`] payload into `(model_id, sample)`.
+/// Splits an [`OP_INFER_MODEL`] payload into the model id and the float
+/// section ([`encode_f32s`] layout, not yet validated), both borrowed.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Protocol`] for an unknown payload version, a
-/// truncated id section, a non-UTF-8 id, or a malformed float section.
-pub fn decode_model_infer(payload: &[u8]) -> Result<(String, Vec<f32>), ServeError> {
-    let (id, floats) = split_model_infer(payload)?;
-    Ok((id.to_string(), decode_f32s(floats)?))
-}
-
-/// Splits an [`OP_INFER_MODEL`] payload into the model id and the float
-/// section ([`encode_f32s`] layout, not yet validated), both borrowed.
+/// truncated id section or a non-UTF-8 id.
 pub(crate) fn split_model_infer(payload: &[u8]) -> Result<(&str, &[u8]), ServeError> {
     if payload.len() < 2 {
         return Err(ServeError::Protocol {
@@ -539,6 +525,18 @@ mod tests {
             }),
             STATUS_INTERNAL
         );
+    }
+
+    /// The two halves as the client and the server use them.
+    fn encode_model_infer(model: &str, sample: &[f32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_model_infer(&mut out, model, sample);
+        out
+    }
+
+    fn decode_model_infer(payload: &[u8]) -> Result<(String, Vec<f32>), ServeError> {
+        let (id, floats) = split_model_infer(payload)?;
+        Ok((id.to_string(), decode_f32s(floats)?))
     }
 
     #[test]

@@ -278,32 +278,6 @@ impl ModelRegistry {
         self.publish_inner(id, session, None)
     }
 
-    /// Like [`ingest_blob`](Self::ingest_blob), additionally requiring the
-    /// loaded plan's per-layer integrity digests to equal `expected` —
-    /// end-to-end transport verification when the uploader ships the
-    /// digests out of band.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest_blob`](Self::ingest_blob), plus [`ServeError::Nn`]
-    /// (corrupt) on a digest mismatch.
-    pub fn ingest_blob_verified(
-        &self,
-        id: &str,
-        spec: &ModelSpec,
-        blob: &[u8],
-        expected: &[(String, u64)],
-    ) -> Result<PublishOutcome, ServeError> {
-        let session = self.validate(spec, blob)?;
-        let got = session.network().integrity_digests();
-        if got != expected {
-            return Err(ServeError::Nn(apt_nn::NnError::Corrupt {
-                reason: "loaded plan's integrity digests differ from the expected set".to_string(),
-            }));
-        }
-        self.publish_inner(id, session, None)
-    }
-
     /// Publishes an already-validated session (e.g. straight out of a
     /// trainer) atomically under `id`.
     ///
@@ -730,25 +704,6 @@ mod tests {
             "failed ingest must not disturb the serving plan"
         );
         assert_eq!(reg.models()[0].version, 1);
-    }
-
-    #[test]
-    fn digest_verified_ingest() {
-        let reg = ModelRegistry::new(RegistryConfig::default());
-        let s = spec(&[4, 6, 2]);
-        let b = blob(&[4, 6, 2], 5);
-        let out = reg.ingest_blob("a", &s, &b).unwrap();
-        assert!(out.resident_bytes > 0);
-        let digests = reg.models()[0].digests.clone();
-        assert!(!digests.is_empty());
-        // Same blob against its own digests: accepted.
-        reg.ingest_blob_verified("a", &s, &b, &digests).unwrap();
-        // Different weights against those digests: typed corrupt.
-        let other = blob(&[4, 6, 2], 6);
-        assert!(matches!(
-            reg.ingest_blob_verified("a", &s, &other, &digests),
-            Err(ServeError::Nn(apt_nn::NnError::Corrupt { .. }))
-        ));
     }
 
     #[test]

@@ -27,6 +27,7 @@
 use crate::ServeError;
 use apt_nn::{checkpoint, models, FrozenPlan, KernelLane, Network, PlanReport, QuantScheme};
 use apt_tensor::{rng, Tensor};
+use rand::rngs::StdRng;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
@@ -55,32 +56,30 @@ impl FromStr for ModelArch {
     /// Parses `"cifarnet"`, `"vgg_small"`, `"resnet20"`, `"resnet110"`,
     /// `"mobilenet_v2"`, or `"mlp:IN-HIDDEN-…-OUT"` (e.g. `mlp:784-128-10`).
     fn from_str(s: &str) -> Result<Self, ServeError> {
+        if let Some(dims) = s.strip_prefix("mlp:") {
+            return match dims
+                .split('-')
+                .map(str::parse)
+                .collect::<Result<Vec<usize>, _>>()
+            {
+                Ok(d) if d.len() >= 2 => Ok(ModelArch::Mlp(d)),
+                _ => Err(ServeError::BadRequest {
+                    reason: format!("bad mlp dims `{dims}` (want e.g. mlp:784-128-10)"),
+                }),
+            };
+        }
         match s {
             "cifarnet" => Ok(ModelArch::Cifarnet),
             "vgg_small" => Ok(ModelArch::VggSmall),
             "resnet20" => Ok(ModelArch::Resnet20),
             "resnet110" => Ok(ModelArch::Resnet110),
             "mobilenet_v2" => Ok(ModelArch::MobilenetV2),
-            other => {
-                if let Some(dims) = other.strip_prefix("mlp:") {
-                    let parsed: Result<Vec<usize>, _> =
-                        dims.split('-').map(|d| d.parse::<usize>()).collect();
-                    match parsed {
-                        Ok(d) if d.len() >= 2 => return Ok(ModelArch::Mlp(d)),
-                        _ => {
-                            return Err(ServeError::BadRequest {
-                                reason: format!("bad mlp dims `{dims}` (want e.g. mlp:784-128-10)"),
-                            })
-                        }
-                    }
-                }
-                Err(ServeError::BadRequest {
-                    reason: format!(
-                        "unknown model `{other}` (known: cifarnet, vgg_small, resnet20, \
-                         resnet110, mobilenet_v2, mlp:IN-…-OUT)"
-                    ),
-                })
-            }
+            other => Err(ServeError::BadRequest {
+                reason: format!(
+                    "unknown model `{other}` (known: cifarnet, vgg_small, resnet20, \
+                     resnet110, mobilenet_v2, mlp:IN-…-OUT)"
+                ),
+            }),
         }
     }
 }
@@ -109,36 +108,27 @@ impl ModelSpec {
     ///
     /// Propagates model-constructor configuration errors.
     pub fn build(&self) -> Result<Network, ServeError> {
-        // Seed is irrelevant: every parameter is overwritten by the load.
-        let mut r = rng::seeded(0);
-        let scheme = QuantScheme::paper_apt();
-        let net = match &self.arch {
-            ModelArch::Mlp(dims) => models::mlp("mlp", dims, &scheme, &mut r)?,
-            ModelArch::Cifarnet => models::cifarnet(
-                self.classes,
-                self.img_size,
-                self.width_mult,
-                &scheme,
-                &mut r,
-            )?,
-            ModelArch::VggSmall => models::vgg_small(
-                self.classes,
-                self.img_size,
-                self.width_mult,
-                &scheme,
-                &mut r,
-            )?,
-            ModelArch::Resnet20 => {
-                models::resnet20(self.classes, self.width_mult, &scheme, &mut r)?
-            }
-            ModelArch::Resnet110 => {
-                models::resnet110(self.classes, self.width_mult, &scheme, &mut r)?
-            }
-            ModelArch::MobilenetV2 => {
-                models::mobilenet_v2(self.classes, self.width_mult, &scheme, &mut r)?
-            }
-        };
-        Ok(net)
+        // Seed and scheme are irrelevant: the load overwrites every store.
+        self.build_with(&QuantScheme::paper_apt(), &mut rng::seeded(0))
+    }
+
+    /// Instantiates the architecture under `scheme`, every initialisation
+    /// drawn from `rng` — the one table from a parsed [`ModelArch`] to a
+    /// network, so a name that trains is a name that serves.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model-constructor configuration errors.
+    pub fn build_with(&self, scheme: &QuantScheme, r: &mut StdRng) -> Result<Network, ServeError> {
+        let (classes, img, width) = (self.classes, self.img_size, self.width_mult);
+        Ok(match &self.arch {
+            ModelArch::Mlp(dims) => models::mlp("mlp", dims, scheme, r)?,
+            ModelArch::Cifarnet => models::cifarnet(classes, img, width, scheme, r)?,
+            ModelArch::VggSmall => models::vgg_small(classes, img, width, scheme, r)?,
+            ModelArch::Resnet20 => models::resnet20(classes, width, scheme, r)?,
+            ModelArch::Resnet110 => models::resnet110(classes, width, scheme, r)?,
+            ModelArch::MobilenetV2 => models::mobilenet_v2(classes, width, scheme, r)?,
+        })
     }
 
     /// Shape of one input sample (without the batch axis).
@@ -240,8 +230,16 @@ impl InferenceSession {
     }
 
     /// [`from_checkpoint`](Self::from_checkpoint) with an explicit kernel
-    /// lane request; see [`from_network_with_lane`]
-    /// (Self::from_network_with_lane) for lane semantics.
+    /// lane request. The network is compiled into a [`FrozenPlan`] for
+    /// `lane`; the session records the **achieved** lane (weights that
+    /// cannot build an integer panel degrade, see [`KernelLane::IntGemm`]),
+    /// readable via [`lane`](Self::lane).
+    ///
+    /// When compilation reports a typed [`apt_nn::NnError::Unfreezable`]
+    /// the session records the reason
+    /// ([`freeze_reason`](Self::freeze_reason)) and serves through
+    /// [`Network::forward_inference`] at [`KernelLane::F32`] — a fallback
+    /// is never a load failure.
     ///
     /// # Errors
     ///
@@ -256,36 +254,11 @@ impl InferenceSession {
         Self::from_network_with_lane(net, &spec.sample_dims(), lane)
     }
 
-    /// Compiles an already-constructed network (e.g. straight out of a
-    /// trainer) into a session for the default
-    /// [`KernelLane::DequantCache`]. `sample_dims` is the shape of one
-    /// input sample without the batch axis.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the probe forward pass (batch of one zero sample) errors,
-    /// which catches sample-shape mismatches at construction time rather
-    /// than on the first request.
-    pub fn from_network(net: Network, sample_dims: &[usize]) -> Result<Self, ServeError> {
-        Self::from_network_with_lane(net, sample_dims, KernelLane::default())
-    }
-
-    /// [`from_network`](Self::from_network) with an explicit kernel lane.
-    /// The network is compiled into a [`FrozenPlan`] for `lane`; the
-    /// session records the **achieved** lane (weights that cannot build an
-    /// integer panel degrade, see [`KernelLane::IntGemm`]), readable via
-    /// [`lane`](Self::lane).
-    ///
-    /// When compilation reports a typed [`apt_nn::NnError::Unfreezable`]
-    /// the session records the reason
-    /// ([`freeze_reason`](Self::freeze_reason)) and serves through
-    /// [`Network::forward_inference`] at [`KernelLane::F32`] — a fallback
-    /// is never a load failure.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`from_network`](Self::from_network).
-    pub fn from_network_with_lane(
+    /// Compiles a loaded network into a session. `sample_dims` is the shape
+    /// of one input sample without the batch axis; the probe (a batch of
+    /// one zero sample) catches a sample-shape mismatch here rather than on
+    /// the first request.
+    fn from_network_with_lane(
         net: Network,
         sample_dims: &[usize],
         lane: KernelLane,
@@ -694,12 +667,13 @@ mod tests {
             img_size: 0,
             width_mult: 1.0,
         };
+        let lane = KernelLane::default();
         let net = spec.build().unwrap();
-        assert!(InferenceSession::from_network(net, &[]).is_err());
+        assert!(InferenceSession::from_network_with_lane(net, &[], lane).is_err());
         let net2 = spec.build().unwrap();
-        assert!(InferenceSession::from_network(net2, &[0]).is_err());
+        assert!(InferenceSession::from_network_with_lane(net2, &[0], lane).is_err());
         // probe catches arch/sample mismatch up front
         let net3 = spec.build().unwrap();
-        assert!(InferenceSession::from_network(net3, &[5]).is_err());
+        assert!(InferenceSession::from_network_with_lane(net3, &[5], lane).is_err());
     }
 }

@@ -11,7 +11,6 @@ use std::fmt;
 /// use apt_tensor::Shape;
 /// let s = Shape::new(&[2, 3, 4]);
 /// assert_eq!(s.volume(), 24);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// assert_eq!(s.flat_index(&[1, 2, 3]).unwrap(), 23);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
@@ -57,7 +56,7 @@ impl Shape {
     }
 
     /// Row-major strides for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];

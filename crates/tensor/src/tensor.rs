@@ -191,23 +191,6 @@ impl Tensor {
         })
     }
 
-    /// In-place reshape (no data copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the volumes differ.
-    pub fn reshape_in_place(&mut self, dims: &[usize]) -> crate::Result<()> {
-        let shape = Shape::new(dims);
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: self.data.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
@@ -351,9 +334,6 @@ mod tests {
         let r = t.reshape(&[2, 6]).unwrap();
         assert_eq!(r.data(), t.data());
         assert!(t.reshape(&[5]).is_err());
-        let mut t2 = t.clone();
-        t2.reshape_in_place(&[12]).unwrap();
-        assert_eq!(t2.rank(), 1);
     }
 
     #[test]

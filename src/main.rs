@@ -13,12 +13,14 @@
 //! a frozen plan (BN folded, activations fused, arena-planned) for the
 //! requested `--lane`.
 //! `freeze` compiles a checkpoint without serving it and prints the plan
-//! report (step counts, fusions, arena size, achieved lane). `train`
-//! trains on the synthetic-CIFAR workload, data-parallel across
-//! `--workers N` in-process ranks exchanging `--grad-bits k` quantised
-//! gradients (one worker takes the exact single-process path); the
-//! figure/table experiment harness stays with the bench binaries
-//! (`cargo run -p apt-bench --bin train`).
+//! report (step counts, fusions, arena size, achieved lane). `train` is
+//! the one way to start a run from a shell: Algorithm 2 on the
+//! synthetic-CIFAR workload under any storage scheme of Table I
+//! (`--scheme`), on `--workers N` in-process ranks exchanging
+//! `--grad-bits k` quantised gradients (one worker *is* the
+//! single-process trainer), shipping the trained `<out>.aptc` and a
+//! per-epoch `<out>.csv`. The same `--model` string names the
+//! architecture in all three.
 //!
 //! Every malformed invocation exits with a one-line message and usage
 //! text (exit code 2); runtime failures exit 1. Nothing in this binary
@@ -26,10 +28,18 @@
 //! shutdown: stop accepting, drain in-flight work, print a final stats
 //! snapshot.
 
+use apt_core::{CheckpointConfig, CoreError, PolicyConfig, SentinelConfig, TrainConfig};
+use apt_data::{SynthCifar, SynthCifarConfig};
+use apt_dist::{DistConfig, DistTrainer};
+use apt_metrics::Table;
+use apt_nn::QuantScheme;
+use apt_optim::LrSchedule;
+use apt_quant::Bitwidth;
 use apt_serve::{
     BatchPolicy, ConnLimits, KernelLane, ModelArch, ModelRegistry, ModelSpec, RegistryConfig,
     Server, ServerConfig,
 };
+use apt_tensor::rng;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -118,86 +128,88 @@ compilation:
 
 const TRAIN_USAGE: &str = "usage: apt train --model MODEL [options]
 
-Trains a model data-parallel across N in-process worker ranks that
-exchange k-bit quantised gradients through a deterministic flat-tree
-all-reduce (exact integer-domain accumulation). One worker takes the
-exact single-process training path; N workers train on disjoint shards
-and are bit-reproducible run-to-run. With --checkpoint-dir, every rank
-writes APTS checkpoints on a lockstep cadence and a crashed fleet
-resumes from them automatically on the next invocation.
+Runs Algorithm 2 on a synthetic-CIFAR task and writes the trained model
+(OUT.aptc, what `apt serve` / `apt freeze` load under the same --model and
+geometry flags) and a per-epoch OUT.csv. Both are a pure function of the
+flags: any --threads, any rerun, and a killed run continued with --resume
+give the same bytes.
 
 required:
   --model MODEL         cifarnet | vgg_small | resnet20 | resnet110 |
                         mobilenet_v2 | mlp:IN-HIDDEN-...-OUT
                         (an MLP input must equal 3 x img-size^2)
 
-fleet:
-  --workers N           worker ranks (data-parallel replicas) [default 1]
-  --grad-bits K         gradient exchange bitwidth, 2..=16    [default 4]
-  --recovery-rounds N   fleet rollback budget after a crash   [default 3]
-  --checkpoint-dir DIR  per-rank checkpoint root (rank0/, rank1/, ...)
-
 training:
-  --epochs N            [default 10]
-  --batch-size N        [default 8]
-  --seed N              shuffle/augmentation seed             [default 42]
+  --scheme SCHEME       fp32 | apt | fixed:K | master:K | per-channel:K
+                                                              [default apt]
+  --t-min F             Algorithm 1's lower Gavg threshold (apt only)
+                                                              [default 6]
+  --epochs N            lr is divided by 10 at 50 % and 75 %  [default 20]
+  --batch-size N                                              [default 32]
+  --seed N              data, initialisation and shuffling    [default 42]
   --threads N           inner-op compute pool size            [default 1]
+  --out OUT             writes OUT.csv and OUT.aptc   [default results/train]
 
-data (synthetic CIFAR, sharded disjointly across ranks):
+data and geometry:
   --classes N           [default 10]
   --img-size N          [default 12]
-  --per-class N         training samples per class            [default 32]
-  --data-seed N         generator seed                        [default 3]";
+  --width-mult F        channel width multiplier              [default 0.25]
+  --per-class N         training samples per class            [default 60]
+
+fleet (data-parallel replicas on disjoint shards, bit-reproducible):
+  --workers N           worker ranks                          [default 1]
+  --grad-bits K         gradient exchange bitwidth, 2..=16    [default 4]
+
+resilience:
+  --checkpoint-dir DIR  crash-safe state under DIR/rank<r>/state-*.apts
+  --checkpoint-every N  optimiser steps between checkpoints   [default 25]
+  --resume              continue from the newest valid checkpoint in DIR
+                        (without it a DIR that holds one is refused)
+  --sentinel            arm the divergence sentinel (one worker only)";
+
+type Command = fn(&[String]) -> Result<(), CliError>;
 
 fn main() {
+    let commands: [(&str, &str, Command); 3] = [
+        ("serve", USAGE, run_serve),
+        ("train", TRAIN_USAGE, run_train),
+        ("freeze", FREEZE_USAGE, run_freeze),
+    ];
     let argv: Vec<String> = std::env::args().collect();
-    let code = match argv.get(1).map(String::as_str) {
-        Some("serve") => match run_serve(&argv[2..]) {
-            Ok(()) => 0,
-            Err(CliError::Usage(m)) => {
-                eprintln!("apt serve: {m}\n\n{USAGE}");
-                2
-            }
-            Err(CliError::Runtime(m)) => {
-                eprintln!("apt serve: {m}");
-                1
-            }
-        },
-        Some("freeze") => match run_freeze(&argv[2..]) {
-            Ok(()) => 0,
-            Err(CliError::Usage(m)) => {
-                eprintln!("apt freeze: {m}\n\n{FREEZE_USAGE}");
-                2
-            }
-            Err(CliError::Runtime(m)) => {
-                eprintln!("apt freeze: {m}");
-                1
-            }
-        },
-        Some("train") => match run_train(&argv[2..]) {
-            Ok(()) => 0,
-            Err(CliError::Usage(m)) => {
-                eprintln!("apt train: {m}\n\n{TRAIN_USAGE}");
-                2
-            }
-            Err(CliError::Runtime(m)) => {
-                eprintln!("apt train: {m}");
-                1
-            }
-        },
-        Some("--help") | Some("-h") | None => {
-            eprintln!("{USAGE}\n\n{TRAIN_USAGE}\n\n{FREEZE_USAGE}");
-            if argv.len() < 2 {
-                2
-            } else {
+    let is_help = |a: &String| a == "--help" || a == "-h";
+    let code = match argv.get(1) {
+        Some(name) if !is_help(name) => match commands.iter().find(|c| c.0 == name) {
+            Some(&(_, usage, _)) if argv[2..].iter().any(is_help) => {
+                eprintln!("{usage}");
                 0
             }
-        }
-        Some(other) => {
-            eprintln!(
-                "apt: unknown subcommand `{other}` (have: serve, train, freeze)\n\n{USAGE}\n\n{TRAIN_USAGE}\n\n{FREEZE_USAGE}"
-            );
-            2
+            Some(&(_, usage, run)) => match run(&argv[2..]) {
+                Ok(()) => 0,
+                Err(CliError::Usage(m)) => {
+                    eprintln!("apt {name}: {m}\n\n{usage}");
+                    2
+                }
+                Err(CliError::Runtime(m)) => {
+                    eprintln!("apt {name}: {m}");
+                    1
+                }
+            },
+            None => {
+                eprintln!(
+                    "apt: unknown subcommand `{name}` (have: serve, train, freeze)\n\n{USAGE}\n\n{TRAIN_USAGE}\n\n{FREEZE_USAGE}"
+                );
+                2
+            }
+        },
+        help => {
+            eprintln!("{USAGE}\n\n{TRAIN_USAGE}\n\n{FREEZE_USAGE}");
+            // Asked for, it is an answer; printed for want of a subcommand,
+            // a usage error.
+            if help.is_some() {
+                0
+            } else {
+                2
+            }
         }
     };
     std::process::exit(code);
@@ -213,6 +225,64 @@ where
         .map_err(|e| CliError::Usage(format!("bad value `{value}` for {flag}: {e}")))
 }
 
+fn parse_lane(value: &str) -> Result<KernelLane, CliError> {
+    KernelLane::parse(value).ok_or_else(|| {
+        CliError::Usage(format!(
+            "bad value `{value}` for --lane (want fp32 | dequant-cache | int-gemm)"
+        ))
+    })
+}
+
+/// The value following `args[i]`, or the usage error that names the flag.
+fn flag_value(args: &[String], i: usize) -> Result<&String, CliError> {
+    args.get(i + 1)
+        .ok_or_else(|| CliError::Usage(format!("missing value for {}", args[i])))
+}
+
+/// The flags every subcommand shares: which architecture, at which
+/// geometry. `--model` has no default.
+struct SpecArgs {
+    arch: Option<ModelArch>,
+    classes: usize,
+    img_size: usize,
+    width_mult: f32,
+}
+
+impl SpecArgs {
+    fn new() -> Self {
+        SpecArgs {
+            arch: None,
+            classes: 10,
+            img_size: 12,
+            width_mult: 0.25,
+        }
+    }
+
+    /// Consumes `flag` if it is one of the four; `false` leaves it to the
+    /// caller's own table.
+    fn take(&mut self, flag: &str, value: &str) -> Result<bool, CliError> {
+        match flag {
+            "--model" => self.arch = Some(parse_flag(flag, value)?),
+            "--classes" => self.classes = parse_flag(flag, value)?,
+            "--img-size" => self.img_size = parse_flag(flag, value)?,
+            "--width-mult" => self.width_mult = parse_flag(flag, value)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn finish(self) -> Result<ModelSpec, CliError> {
+        Ok(ModelSpec {
+            arch: self
+                .arch
+                .ok_or_else(|| CliError::Usage("--model is required".into()))?,
+            classes: self.classes,
+            img_size: self.img_size,
+            width_mult: self.width_mult,
+        })
+    }
+}
+
 /// Everything `apt serve` needs, parsed and validated.
 struct ServeArgs {
     checkpoint: Option<String>,
@@ -220,10 +290,6 @@ struct ServeArgs {
     quarantine_dir: Option<String>,
     default_model: Option<String>,
     budget_mb: u64,
-    model: ModelArch,
-    classes: usize,
-    img_size: usize,
-    width_mult: f32,
     addr: String,
     lane: KernelLane,
     policy: BatchPolicy,
@@ -232,18 +298,14 @@ struct ServeArgs {
     stats_every: u64,
 }
 
-fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
-    let mut model: Option<ModelArch> = None;
+fn parse_serve_args(args: &[String]) -> Result<(ServeArgs, ModelSpec), CliError> {
+    let mut spec = SpecArgs::new();
     let mut out = ServeArgs {
         checkpoint: None,
         model_dir: None,
         quarantine_dir: None,
         default_model: None,
         budget_mb: 0,
-        model: ModelArch::Cifarnet,
-        classes: 10,
-        img_size: 12,
-        width_mult: 0.25,
         addr: "127.0.0.1:7878".to_string(),
         lane: KernelLane::default(),
         policy: BatchPolicy::default(),
@@ -254,37 +316,16 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            eprintln!("{USAGE}");
-            std::process::exit(0);
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("missing value for {flag}")))?;
+        let value = flag_value(args, i)?;
         match flag {
+            _ if spec.take(flag, value)? => {}
             "--checkpoint" => out.checkpoint = Some(value.clone()),
             "--model-dir" => out.model_dir = Some(value.clone()),
             "--quarantine-dir" => out.quarantine_dir = Some(value.clone()),
             "--default-model" => out.default_model = Some(value.clone()),
             "--resident-budget-mb" => out.budget_mb = parse_flag(flag, value)?,
-            "--model" => {
-                model = Some(
-                    value
-                        .parse::<ModelArch>()
-                        .map_err(|e| CliError::Usage(e.to_string()))?,
-                )
-            }
-            "--classes" => out.classes = parse_flag(flag, value)?,
-            "--img-size" => out.img_size = parse_flag(flag, value)?,
-            "--width-mult" => out.width_mult = parse_flag(flag, value)?,
             "--addr" => out.addr = value.clone(),
-            "--lane" => {
-                out.lane = KernelLane::parse(value).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "bad value `{value}` for --lane (want fp32 | dequant-cache | int-gemm)"
-                    ))
-                })?
-            }
+            "--lane" => out.lane = parse_lane(value)?,
             "--max-batch" => out.policy.max_batch = parse_flag(flag, value)?,
             "--max-delay-us" => {
                 out.policy.max_delay = Duration::from_micros(parse_flag(flag, value)?)
@@ -326,28 +367,21 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
         }
         _ => {}
     }
-    out.model = model.ok_or_else(|| CliError::Usage("--model is required".into()))?;
+    let spec = spec.finish()?;
     out.policy
         .validate()
         .map_err(|e| CliError::Usage(e.to_string()))?;
     out.limits
         .validate()
         .map_err(|e| CliError::Usage(e.to_string()))?;
-    Ok(out)
+    Ok((out, spec))
 }
 
 fn run_serve(args: &[String]) -> Result<(), CliError> {
-    let a = parse_serve_args(args)?;
+    let (a, spec) = parse_serve_args(args)?;
     if let Some(n) = a.threads {
         apt_tensor::par::set_global_threads(n);
     }
-
-    let spec = ModelSpec {
-        arch: a.model.clone(),
-        classes: a.classes,
-        img_size: a.img_size,
-        width_mult: a.width_mult,
-    };
     let registry = Arc::new(ModelRegistry::new(RegistryConfig {
         budget_bytes: a.budget_mb * 1024 * 1024,
         model_dir: a.model_dir.clone().map(PathBuf::from),
@@ -368,12 +402,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         });
         registry
             .ingest_file(&id, std::path::Path::new(ckpt))
-            .map_err(|e| {
-                CliError::Runtime(format!(
-                    "cannot load `{ckpt}` as {:?} (classes {}, img {}, width {}): {e}",
-                    a.model, a.classes, a.img_size, a.width_mult
-                ))
-            })?;
+            .map_err(|e| CliError::Runtime(format!("cannot load `{ckpt}` as {spec:?}: {e}")))?;
         id
     } else {
         let report = registry
@@ -414,7 +443,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::Runtime(format!("cannot start server on `{}`: {e}", a.addr)))?;
     println!(
         "serving {default_model} [{:?}] ({} inputs → {} outputs, {} resident bytes, {} models, lane {}, {}) on {}",
-        a.model,
+        spec.arch,
         session.sample_len(),
         session.num_outputs(),
         registry.resident_bytes(),
@@ -515,18 +544,11 @@ fn print_stats(s: &apt_serve::StatsSnapshot) {
 /// plan and print the compile report without serving anything.
 fn run_freeze(args: &[String]) -> Result<(), CliError> {
     let mut checkpoint_path: Option<String> = None;
-    let mut model: Option<ModelArch> = None;
-    let mut classes = 10usize;
-    let mut img_size = 12usize;
-    let mut width_mult = 0.25f32;
+    let mut spec = SpecArgs::new();
     let mut lane = KernelLane::default();
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            eprintln!("{FREEZE_USAGE}");
-            std::process::exit(0);
-        }
         if !flag.starts_with("--") {
             if checkpoint_path.is_some() {
                 return Err(CliError::Usage(format!(
@@ -537,49 +559,24 @@ fn run_freeze(args: &[String]) -> Result<(), CliError> {
             i += 1;
             continue;
         }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("missing value for {flag}")))?;
+        let value = flag_value(args, i)?;
         match flag {
-            "--model" => {
-                model = Some(
-                    value
-                        .parse::<ModelArch>()
-                        .map_err(|e| CliError::Usage(e.to_string()))?,
-                )
-            }
-            "--classes" => classes = parse_flag(flag, value)?,
-            "--img-size" => img_size = parse_flag(flag, value)?,
-            "--width-mult" => width_mult = parse_flag(flag, value)?,
-            "--lane" => {
-                lane = KernelLane::parse(value).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "bad value `{value}` for --lane (want fp32 | dequant-cache | int-gemm)"
-                    ))
-                })?
-            }
+            _ if spec.take(flag, value)? => {}
+            "--lane" => lane = parse_lane(value)?,
             other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
         }
         i += 2;
     }
     let ckpt = checkpoint_path.ok_or_else(|| CliError::Usage("CHECKPOINT is required".into()))?;
-    let arch = model.ok_or_else(|| CliError::Usage("--model is required".into()))?;
-    let spec = ModelSpec {
-        arch: arch.clone(),
-        classes,
-        img_size,
-        width_mult,
-    };
+    let spec = spec.finish()?;
+    let arch = &spec.arch;
     let blob = std::fs::read(&ckpt)
         .map_err(|e| CliError::Runtime(format!("cannot read `{ckpt}`: {e}")))?;
     let mut net = spec
         .build()
         .map_err(|e| CliError::Runtime(format!("cannot build {arch:?}: {e}")))?;
-    apt_nn::checkpoint::load(&mut net, &blob).map_err(|e| {
-        CliError::Runtime(format!(
-            "cannot load `{ckpt}` as {arch:?} (classes {classes}, img {img_size}, width {width_mult}): {e}"
-        ))
-    })?;
+    apt_nn::checkpoint::load(&mut net, &blob)
+        .map_err(|e| CliError::Runtime(format!("cannot load `{ckpt}` as {spec:?}: {e}")))?;
     let plan = net
         .freeze(&spec.sample_dims(), lane)
         .map_err(|e| CliError::Runtime(format!("cannot freeze `{ckpt}`: {e}")))?;
@@ -600,168 +597,229 @@ fn run_freeze(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `apt train --model … --workers N --grad-bits K` — deterministic
-/// data-parallel training with k-bit gradient exchange on the synthetic
-/// CIFAR workload.
+/// `--scheme fp32|apt|fixed:K|master:K|per-channel:K` — a storage scheme
+/// of Table I, and Algorithm 1's policy when the scheme is the adaptive one.
+fn parse_scheme(spec: &str, t_min: f64) -> Result<(QuantScheme, Option<PolicyConfig>), CliError> {
+    let (kind, bits) = match spec.split_once(':') {
+        Some((kind, b)) => {
+            let n: u32 = parse_flag("--scheme", b)?;
+            let bits = Bitwidth::new(n)
+                .map_err(|e| CliError::Usage(format!("bad bitwidth in --scheme `{spec}`: {e}")))?;
+            (kind, Some(bits))
+        }
+        None => (spec, None),
+    };
+    Ok(match (kind, bits) {
+        ("fp32", None) => (QuantScheme::float32(), None),
+        ("apt", None) => {
+            let policy = PolicyConfig::new(t_min, f64::INFINITY)
+                .map_err(|e| CliError::Usage(format!("bad --t-min: {e}")))?;
+            (QuantScheme::paper_apt(), Some(policy))
+        }
+        ("fixed", Some(k)) => (QuantScheme::fixed(k), None),
+        ("master", Some(k)) => (QuantScheme::master_copy(k), None),
+        ("per-channel", Some(k)) => (QuantScheme::per_channel(k), None),
+        _ => {
+            return Err(CliError::Usage(format!(
+                "unknown scheme `{spec}` (want fp32 | apt | fixed:K | master:K | per-channel:K)"
+            )))
+        }
+    })
+}
+
+/// `apt train --model … --scheme … --out OUT` — Algorithm 2 on the
+/// synthetic CIFAR workload, always through [`DistTrainer`]: a world of one
+/// is the single-process trainer.
 fn run_train(args: &[String]) -> Result<(), CliError> {
-    let mut model: Option<ModelArch> = None;
-    let mut workers = 1usize;
-    let mut grad_bits = 4u32;
-    let mut recovery_rounds = 3usize;
-    let mut checkpoint_dir: Option<String> = None;
-    let mut checkpoint_every = 50usize;
-    let mut epochs = 10usize;
-    let mut batch_size = 8usize;
+    let mut spec = SpecArgs::new();
+    let mut scheme = "apt".to_string();
+    let mut t_min = 6.0f64;
+    let mut epochs = 20usize;
+    let mut batch_size = 32usize;
     let mut seed = 42u64;
     let mut threads = 1usize;
-    let mut classes = 10usize;
-    let mut img_size = 12usize;
-    let mut per_class = 32usize;
-    let mut data_seed = 3u64;
+    let mut out = "results/train".to_string();
+    let mut per_class = 60usize;
+    let mut workers = 1usize;
+    let mut grad_bits = 4u32;
+    let mut checkpoint_dir: Option<PathBuf> = None;
+    let mut checkpoint_every = 25usize;
+    let mut resume = false;
+    let mut sentinel = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            eprintln!("{TRAIN_USAGE}");
-            std::process::exit(0);
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("missing value for {flag}")))?;
         match flag {
-            "--model" => {
-                model = Some(
-                    value
-                        .parse::<ModelArch>()
-                        .map_err(|e| CliError::Usage(e.to_string()))?,
-                )
+            "--resume" => resume = true,
+            "--sentinel" => sentinel = true,
+            _ => {
+                let value = flag_value(args, i)?;
+                match flag {
+                    _ if spec.take(flag, value)? => {}
+                    "--scheme" => scheme = value.clone(),
+                    "--t-min" => t_min = parse_flag(flag, value)?,
+                    "--epochs" => epochs = parse_flag(flag, value)?,
+                    "--batch-size" => batch_size = parse_flag(flag, value)?,
+                    "--seed" => seed = parse_flag(flag, value)?,
+                    "--threads" => threads = parse_flag(flag, value)?,
+                    "--out" => out = value.clone(),
+                    "--per-class" => per_class = parse_flag(flag, value)?,
+                    "--workers" => workers = parse_flag(flag, value)?,
+                    "--grad-bits" => grad_bits = parse_flag(flag, value)?,
+                    "--checkpoint-dir" => checkpoint_dir = Some(PathBuf::from(value)),
+                    "--checkpoint-every" => checkpoint_every = parse_flag(flag, value)?,
+                    other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
+                }
+                i += 1;
             }
-            "--workers" => workers = parse_flag(flag, value)?,
-            "--grad-bits" => grad_bits = parse_flag(flag, value)?,
-            "--recovery-rounds" => recovery_rounds = parse_flag(flag, value)?,
-            "--checkpoint-dir" => checkpoint_dir = Some(value.clone()),
-            "--checkpoint-every" => checkpoint_every = parse_flag(flag, value)?,
-            "--epochs" => epochs = parse_flag(flag, value)?,
-            "--batch-size" => batch_size = parse_flag(flag, value)?,
-            "--seed" => seed = parse_flag(flag, value)?,
-            "--threads" => threads = parse_flag(flag, value)?,
-            "--classes" => classes = parse_flag(flag, value)?,
-            "--img-size" => img_size = parse_flag(flag, value)?,
-            "--per-class" => per_class = parse_flag(flag, value)?,
-            "--data-seed" => data_seed = parse_flag(flag, value)?,
-            other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
         }
-        i += 2;
+        i += 1;
     }
-    let arch = model.ok_or_else(|| CliError::Usage("--model is required".into()))?;
-    if workers == 0 {
-        return Err(CliError::Usage("--workers must be at least 1".into()));
-    }
+    let spec = spec.finish()?;
+    let (quant, policy) = parse_scheme(&scheme, t_min)?;
     if !(2..=16).contains(&grad_bits) {
         return Err(CliError::Usage(format!(
             "--grad-bits must be in 2..=16, got {grad_bits}"
         )));
     }
-    if let ModelArch::Mlp(dims) = &arch {
-        let want = 3 * img_size * img_size;
-        if dims.first() != Some(&want) {
-            return Err(CliError::Usage(format!(
-                "mlp input must match the flattened image: want {want} (3 x {img_size}^2), got {:?}",
-                dims.first()
-            )));
-        }
+    let grad_bits =
+        Bitwidth::new(grad_bits).map_err(|e| CliError::Usage(format!("bad --grad-bits: {e}")))?;
+    let (inputs, pixels) = (spec.sample_dims(), 3 * spec.img_size * spec.img_size);
+    if inputs.iter().product::<usize>() != pixels {
+        return Err(CliError::Usage(format!(
+            "{:?} takes {inputs:?} inputs, an image has {pixels} (3 x {}^2)",
+            spec.arch, spec.img_size
+        )));
     }
-    if threads >= 1 {
-        apt_tensor::par::set_global_threads(threads);
+    // `--resume` is consent, not a mode: the fleet re-joins from whatever
+    // valid state its rank directories hold, so continuing someone else's
+    // run by accident is what has to be asked for.
+    match &checkpoint_dir {
+        None if resume => return Err(CliError::Usage("--resume requires --checkpoint-dir".into())),
+        Some(dir) if !resume => {
+            for rank in 0..workers {
+                let rank_dir = dir.join(format!("rank{rank}"));
+                let found = apt_core::latest_valid(&rank_dir)
+                    .map_err(|e| CliError::Runtime(format!("cannot scan checkpoints: {e}")))?;
+                if let Some((path, _)) = found {
+                    return Err(CliError::Usage(format!(
+                        "`{}` already holds a run; pass --resume to continue it",
+                        path.display()
+                    )));
+                }
+            }
+        }
+        _ => {}
     }
 
-    let data = apt_data::SynthCifar::generate(&apt_data::SynthCifarConfig {
-        num_classes: classes,
+    let data = SynthCifar::generate(&SynthCifarConfig {
+        num_classes: spec.classes,
         train_per_class: per_class,
         test_per_class: (per_class / 4).max(1),
-        img_size,
-        seed: data_seed,
-        ..apt_data::SynthCifarConfig::default()
+        img_size: spec.img_size,
+        seed,
+        ..SynthCifarConfig::default()
     })
-    .map_err(|e| CliError::Runtime(format!("cannot generate dataset: {e}")))?;
+    .map_err(|e| CliError::Usage(format!("cannot generate dataset: {e}")))?;
 
-    let bits = apt_quant::Bitwidth::new(grad_bits)
-        .map_err(|e| CliError::Usage(format!("bad --grad-bits: {e}")))?;
-    let cfg = apt_dist::DistConfig {
-        world: workers,
-        grad_bits: bits,
-        train: apt_core::TrainConfig {
-            epochs,
-            batch_size,
-            seed,
-            policy: Some(apt_core::PolicyConfig::default()),
-            checkpoint: checkpoint_dir
-                .as_ref()
-                .map(|dir| apt_core::CheckpointConfig {
-                    dir: PathBuf::from(dir),
-                    every: checkpoint_every,
-                    keep: 3,
-                }),
-            ..apt_core::TrainConfig::default()
-        },
-        max_recovery_rounds: recovery_rounds,
+    let mut cfg = DistConfig::new(workers, grad_bits);
+    cfg.train = TrainConfig {
+        epochs,
+        batch_size,
+        schedule: LrSchedule::paper_cifar10(epochs),
+        policy,
+        seed,
+        threads: Some(threads),
+        checkpoint: checkpoint_dir.map(|dir| CheckpointConfig {
+            dir,
+            every: checkpoint_every,
+            keep: 3,
+        }),
+        sentinel: sentinel.then(SentinelConfig::default),
+        ..TrainConfig::default()
     };
-    let spec = ModelSpec {
-        arch: arch.clone(),
-        classes,
-        img_size,
-        width_mult: 0.25,
+    let bad_config = |e: CoreError| match e {
+        CoreError::BadConfig { reason } => CliError::Usage(reason),
+        other => CliError::Runtime(format!("training failed: {other}")),
     };
-    let net_fn = move || {
-        spec.build().map_err(|e| apt_core::CoreError::BadConfig {
-            reason: format!("cannot build replica: {e}"),
-        })
+    let replica = {
+        let spec = spec.clone();
+        move || {
+            spec.build_with(&quant, &mut rng::substream(seed, 0x7121))
+                .map_err(|e| CoreError::BadConfig {
+                    reason: format!("cannot build {:?}: {e}", spec.arch),
+                })
+        }
     };
+    let fleet = DistTrainer::new(cfg, replica).map_err(bad_config)?;
 
     println!(
-        "training {arch:?} on synthetic CIFAR ({} train / {} test), {workers} worker(s), \
-         {grad_bits}-bit gradient exchange",
+        "training {:?} (scheme {scheme}) on {} train / {} test images for {epochs} epochs, \
+         {workers} worker(s), {}-bit gradient exchange",
+        spec.arch,
         data.train.len(),
-        data.test.len()
+        data.test.len(),
+        grad_bits.get()
     );
     let start = Instant::now();
-    let report = apt_dist::DistTrainer::new(cfg, net_fn)
-        .map_err(|e| CliError::Usage(format!("bad fleet configuration: {e}")))?
-        .train(&data.train, &data.test)
-        .map_err(|e| CliError::Runtime(format!("training failed: {e}")))?;
+    let run = fleet.train(&data.train, &data.test).map_err(bad_config)?;
     let wall = start.elapsed().as_secs_f64();
+    if !run.replicas_in_lockstep() {
+        return Err(CliError::Runtime(
+            "replicas finished out of lockstep (this is a bug)".into(),
+        ));
+    }
 
-    for e in &report.report().epochs {
-        println!(
-            "epoch {:>3}: lr {:.4} loss {:.4} acc {:.3} energy {:.0} pJ",
-            e.epoch, e.lr, e.train_loss, e.test_accuracy, e.cumulative_energy_pj
-        );
+    let report = run.report();
+    let mut table = Table::new(&[
+        "epoch",
+        "lr",
+        "train_loss",
+        "test_acc",
+        "energy_pj",
+        "mean_bits",
+    ]);
+    for e in &report.epochs {
+        let mean_bits = if e.layer_bits.is_empty() {
+            0.0
+        } else {
+            e.layer_bits.iter().map(|&(_, b)| b as f64).sum::<f64>() / e.layer_bits.len() as f64
+        };
+        table.push_row(vec![
+            e.epoch.to_string(),
+            format!("{:.4}", e.lr),
+            format!("{:.4}", e.train_loss),
+            format!("{:.4}", e.test_accuracy),
+            format!("{:.4e}", e.cumulative_energy_pj),
+            format!("{mean_bits:.2}"),
+        ]);
     }
-    let r = report.report();
+    let (csv_path, ckpt_path) = (format!("{out}.csv"), format!("{out}.aptc"));
+    table
+        .write_csv(&csv_path)
+        .and_then(|()| std::fs::write(&ckpt_path, &run.model))
+        .map_err(|e| CliError::Runtime(format!("cannot write {csv_path} / {ckpt_path}: {e}")))?;
+
+    let ex = run.exchange();
     println!(
-        "done in {wall:.1}s: final acc {:.3} (best {:.3}), energy {:.0} pJ, peak {} bits",
-        r.final_accuracy, r.best_accuracy, r.total_energy_pj, r.peak_memory_bits
+        "done in {wall:.1}s: final accuracy {:.1}% | best {:.1}% | energy {:.2} µJ | peak memory {:.1} KiB",
+        100.0 * report.final_accuracy,
+        100.0 * report.best_accuracy,
+        report.total_energy_pj / 1e6,
+        report.peak_memory_bits as f64 / 8192.0
     );
-    if workers > 1 {
-        let ex = report.exchange();
-        println!(
-            "exchange: {} steps, {} digest checks, {} bytes on wire ({:.3}x fp32), \
-             recovery rounds {}",
-            ex.steps,
-            ex.digest_checks,
-            ex.bytes_on_wire,
-            ex.wire_ratio(),
-            report.recovery_rounds
-        );
-        if !report.replicas_in_lockstep() {
-            return Err(CliError::Runtime(
-                "replicas finished out of lockstep (this is a bug)".into(),
-            ));
-        }
-    }
-    if let Some(dir) = &checkpoint_dir {
-        println!("per-rank checkpoints under {dir}/rank<r>/");
-    }
+    println!(
+        "exchange: {} steps, {} digest checks, {} bytes on wire ({:.3}x fp32), recovery rounds {}",
+        ex.steps,
+        ex.digest_checks,
+        ex.bytes_on_wire,
+        ex.wire_ratio(),
+        run.recovery_rounds
+    );
+    println!(
+        "wrote {csv_path} and {ckpt_path} ({} bytes)",
+        run.model.len()
+    );
     Ok(())
 }
 

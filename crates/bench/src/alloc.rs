@@ -1,5 +1,5 @@
-//! The counting global allocator the `memory` and `serving` gates measure
-//! with — the crate's one `unsafe` item.
+//! The counting global allocator the `memory`, `serving` and `distributed`
+//! gates measure with — the crate's one `unsafe` item.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};

@@ -27,11 +27,16 @@
 //!    bit-identical to the uninterrupted fleet;
 //! 5. rank scaling: with ≥ 4 cores, 4 workers beat 1 worker ≥ 1.5× on the
 //!    compute-bound replica (auto-relaxed to a loud SKIP on smaller hosts —
-//!    gates 1–4 are the primary, core-count-independent contract).
+//!    gates 1–4 are the primary, core-count-independent contract);
+//! 6. the exchange stays O(frames): the allocation calls a step makes
+//!    because it exchanges — a two-rank step less what its ranks allocate
+//!    training alone — hold a bound set from the streaming reducer's count.
 
-use apt_bench::{arg_value, json_doc, row, schema, smoke_flag, table, write_output, Gates};
+use apt_bench::{
+    arg_value, json_doc, row, schema, smoke_flag, table, write_output, CountingAlloc, Gates,
+};
 use apt_core::{CheckpointConfig, PolicyConfig, TrainConfig, Trainer};
-use apt_data::{SynthCifar, SynthCifarConfig};
+use apt_data::{Dataset, SynthCifar, SynthCifarConfig};
 use apt_dist::{DistConfig, DistFault, DistReport, DistTrainer};
 use apt_nn::{models, Network, QuantScheme};
 use apt_quant::Bitwidth;
@@ -39,6 +44,9 @@ use apt_tensor::{par, rng};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 fn workload() -> SynthCifar {
     SynthCifar::generate(&SynthCifarConfig {
@@ -55,13 +63,12 @@ fn workload() -> SynthCifar {
 /// The sweep replica: small enough that every (world, bits) cell runs
 /// twice in seconds.
 fn replica() -> apt_core::Result<Network> {
-    models::mlp(
-        "dist-mlp",
-        &[108, 24, 2],
-        &QuantScheme::paper_apt(),
-        &mut rng::seeded(7),
-    )
-    .map_err(apt_core::CoreError::from)
+    replica_in(&QuantScheme::paper_apt())
+}
+
+fn replica_in(scheme: &QuantScheme) -> apt_core::Result<Network> {
+    models::mlp("dist-mlp", &[108, 24, 2], scheme, &mut rng::seeded(7))
+        .map_err(apt_core::CoreError::from)
 }
 
 /// The scaling replica: wide enough that per-step compute dominates the
@@ -226,6 +233,34 @@ fn rank_scaling(data: &SynthCifar) -> Option<(f64, f64)> {
     (par::default_threads() >= 4).then(|| (scaling_wall_ms(1, data), scaling_wall_ms(4, data)))
 }
 
+/// Allocation calls per step that exist only because the step exchanges
+/// (gate 6). A fleet's per-step count is the difference between a run of
+/// `2 · EPOCHS` and one of `EPOCHS`, so what a call pays once — replicas,
+/// threads, the fabric, reports — cancels; taking each rank's figure when
+/// it trains alone on its own shard, so the per-rank batch is the same, off
+/// the two-worker one leaves the reducer, its frames and the channel. The
+/// replica is fp32 with the policy off, so a step's count follows from
+/// shapes alone: k-bit stores expand their range, and Algorithm 1 rebuilds
+/// them, where the gradients send them, and the fleets' gradients differ.
+fn exchange_allocs_per_step(data: &SynthCifar) -> f64 {
+    const EPOCHS: usize = 3;
+    let allocs = |world: usize, epochs: usize, train: &Dataset| {
+        let mut cfg = dist_cfg(world, 4, None);
+        (cfg.train.epochs, cfg.train.policy) = (epochs, None);
+        let fp32 = || replica_in(&QuantScheme::float32());
+        let fleet = DistTrainer::new(cfg, fp32).expect("trainer");
+        let before = ALLOC.calls();
+        fleet.train(train, &data.test).expect("training");
+        ALLOC.calls() - before
+    };
+    let per_step = |world: usize, train: &Dataset| {
+        let steps = EPOCHS * (train.len() / world / base_cfg(None).batch_size);
+        (allocs(world, 2 * EPOCHS, train) - allocs(world, EPOCHS, train)) as f64 / steps as f64
+    };
+    let alone = |rank| per_step(1, &data.train.shard(rank, 2).expect("two shards"));
+    per_step(2, &data.train) - alone(0) - alone(1)
+}
+
 /// Prints both tables and writes `results/distributed.csv`,
 /// `results/distributed_recovery.csv` and `BENCH_distributed.json`.
 fn write_outputs(
@@ -281,6 +316,15 @@ fn write_outputs(
     let record = json_doc(&head, &[("cells", &sweep), ("recovery", &kills)]);
     write_output(smoke, "BENCH_distributed.json", &record);
 }
+
+/// Gate 6's bound: what the exchange may add to a two-rank step, both
+/// ranks together. The streaming reducer reads 7.2 — per rank an `amax`
+/// (which becomes `gmax`), a `scales` and one payload, the root's `gmax`
+/// copy for its peer, and a channel block every 31 frames — whatever the
+/// parameter count; the bound is that plus a quarter. The reducer it
+/// replaced (a gradient copy, a store, a `Vec<i64>` and a `PackedCodes`
+/// per parameter per hop) read 88.2 on this replica's four parameters.
+const EXCHANGE_ALLOCS_BOUND: f64 = 9.0;
 
 fn smoke() -> ExitCode {
     let mut gates = Gates::stdout();
@@ -359,6 +403,15 @@ fn smoke() -> ExitCode {
             par::default_threads()
         )),
     }
+
+    // Gate 6: the exchange allocates per frame, not per parameter.
+    gates.open("the exchange adds <= 9 allocations a step at N=2");
+    let added = exchange_allocs_per_step(&data);
+    gates.check(
+        added <= EXCHANGE_ALLOCS_BOUND,
+        format_args!("{added:.1} allocations a step > {EXCHANGE_ALLOCS_BOUND}"),
+    );
+    gates.pass(format_args!("{added:.1} allocations a step, both ranks"));
 
     write_outputs(true, &[cell, two], &recovery, scaling);
     gates.finish()

@@ -18,21 +18,29 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 /// link, not what the in-process channel actually allocates.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Frame {
-    /// Phase-1 uplink: the rank's replica digest and per-parameter
-    /// `max |g + r|`. 8 bytes + 4 per parameter.
+    /// Phase-1 uplink: the rank's replica digest, per-parameter
+    /// `max |g + r|` and its state buffers. 8 bytes + 4 per parameter +
+    /// 4 per buffer element.
     Begin {
         /// Folded replica integrity digest (divergence gate).
         digest: u64,
         /// Per-parameter local gradient magnitude.
         amax: Vec<f32>,
+        /// The rank's non-learnable state (batch-norm running statistics,
+        /// `Network::visit_buffers` order) after this step's forward;
+        /// empty for a net that has none.
+        buffers: Vec<f32>,
     },
-    /// Phase-1 downlink: the digest verdict and per-parameter global
-    /// maxima. 1 byte + 4 per parameter.
+    /// Phase-1 downlink: the digest verdict, per-parameter global maxima
+    /// and the fleet's mean buffers. 1 byte + 4 per parameter + 4 per
+    /// buffer element.
     Scales {
         /// `false` when any rank's digest disagreed with the root's.
         ok: bool,
         /// Per-parameter `max` over all ranks' `amax`.
         gmax: Vec<f32>,
+        /// Rank-ordered mean of every rank's `buffers`.
+        buffers: Vec<f32>,
     },
     /// Phase-2 uplink: every parameter's `k`-bit codes, packed and
     /// concatenated. 8 bytes per word.
@@ -46,8 +54,8 @@ impl Frame {
     /// Accounted size of this frame on a physical wire.
     pub(crate) fn wire_bytes(&self) -> u64 {
         match self {
-            Frame::Begin { amax, .. } => 8 + 4 * amax.len() as u64,
-            Frame::Scales { gmax, .. } => 1 + 4 * gmax.len() as u64,
+            Frame::Begin { amax, buffers, .. } => 8 + 4 * (amax.len() + buffers.len()) as u64,
+            Frame::Scales { gmax, buffers, .. } => 1 + 4 * (gmax.len() + buffers.len()) as u64,
             Frame::Codes(words) | Frame::Sums(words) => 8 * words.len() as u64,
         }
     }
@@ -141,16 +149,20 @@ mod tests {
 
     #[test]
     fn frames_account_their_physical_size() {
-        let begin = Frame::Begin {
+        let begin = |buffers| Frame::Begin {
             digest: 7,
             amax: vec![1.0; 3],
+            buffers,
         };
-        assert_eq!(begin.wire_bytes(), 8 + 12);
-        let scales = Frame::Scales {
+        assert_eq!(begin(vec![]).wire_bytes(), 8 + 12);
+        assert_eq!(begin(vec![0.5; 4]).wire_bytes(), 8 + 12 + 16);
+        let scales = |buffers| Frame::Scales {
             ok: true,
             gmax: vec![1.0; 3],
+            buffers,
         };
-        assert_eq!(scales.wire_bytes(), 1 + 12);
+        assert_eq!(scales(vec![]).wire_bytes(), 1 + 12);
+        assert_eq!(scales(vec![0.5; 4]).wire_bytes(), 1 + 12 + 16);
         assert_eq!(Frame::Codes(vec![0; 5]).wire_bytes(), 40);
         assert_eq!(Frame::Sums(vec![0; 2]).wire_bytes(), 16);
     }

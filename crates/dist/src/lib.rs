@@ -18,8 +18,10 @@
 //!   plugged into the trainer's [`apt_core::GradReducer`] seam. Two-phase:
 //!   an order-independent `max` fold fixes one scale per parameter, then
 //!   the integer-domain sum at `k + ⌈log₂N⌉` bits comes back down the
-//!   tree. Carries EF-SGD error-feedback residuals and the per-step
-//!   replica-divergence digest gate.
+//!   tree, streamed: no copy of the gradients, one persistent `i32` sum,
+//!   wire words decoded where they are consumed. Carries EF-SGD
+//!   error-feedback residuals, the per-step replica-divergence digest gate
+//!   and the mean of the replicas' state buffers (batch-norm statistics).
 //! * [`DistTrainer`] — the coordinator: sharding, rank threads, per-rank
 //!   APTS checkpoints on a lockstep cadence, and fleet-rollback crash
 //!   recovery (a killed rank's peers observe

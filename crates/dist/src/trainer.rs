@@ -10,7 +10,8 @@
 //! [`Trainer`] loop; the only cross-rank coupling is the per-step gradient
 //! exchange, which doubles as a step barrier. Every downstream decision —
 //! Gavg profiling, Algorithm 1 precision moves, evaluation, early stop —
-//! consumes reduced gradients or replicated state, so the replicas stay
+//! consumes reduced gradients or replicated state (batch-norm running
+//! statistics included: the exchange averages them), so the replicas stay
 //! bit-identical and `world = 1` degenerates to exactly the single-process
 //! trainer (the reducer is skipped entirely, not run with one rank).
 //!
@@ -92,8 +93,11 @@ pub struct DistReport {
     /// Fleet rollbacks performed before the run completed.
     pub recovery_rounds: usize,
     /// The trained model: rank 0's [`apt_nn::checkpoint::save_full`] blob,
-    /// serialised once, after its last step (every replica holds the same
-    /// bytes — the per-step digest gate is what says so).
+    /// serialised once, after its last step. Every replica holds the same
+    /// bytes: the parameters because each step applies one reduced gradient
+    /// (the per-step digest gate checks it), the state buffers — batch-norm
+    /// running statistics, which each rank updates from its own shard —
+    /// because the same exchange replaces them with the fleet's mean.
     pub model: Vec<u8>,
 }
 
@@ -348,8 +352,8 @@ where
             hooks,
             reducer.as_mut().map(|r| r as &mut dyn GradReducer),
         )?;
-        // Replicas are digest-gated identical every step, so rank 0's bytes
-        // are the fleet's model.
+        // The exchange keeps parameters (digest-gated) and buffers (averaged)
+        // identical on every rank, so rank 0's bytes are the fleet's model.
         let model = if rank == 0 {
             checkpoint::save_full(trainer.network_mut())
         } else {

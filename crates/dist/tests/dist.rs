@@ -6,7 +6,9 @@
 //!    lockstep, and the k = 4 exchange moves < 0.2× the fp32 bytes;
 //! 3. kill-anywhere crash recovery: a rank power-cut at any step resumes
 //!    from the lockstep checkpoints and finishes with reports bit-identical
-//!    to the uninterrupted fleet's.
+//!    to the uninterrupted fleet's;
+//! 4. all of 2–3 on a batch-norm net, whose running statistics every rank
+//!    updates from its own shard and the exchange has to make identical.
 
 use apt_core::{CheckpointConfig, PolicyConfig, TrainConfig, TrainReport, Trainer};
 use apt_data::{Dataset, SynthCifar, SynthCifarConfig};
@@ -98,6 +100,27 @@ fn run_dist(
         .unwrap()
         .train_with_fault(train, test, fault)
         .unwrap()
+}
+
+/// The batch-norm fleet's data: 8 × 8 images (cifarnet pools twice), 24 to
+/// train on so worlds 2 and 3 shard evenly, and a test split large enough
+/// that replicas evaluating with different running statistics disagree on
+/// some image.
+fn bn_data() -> SynthCifar {
+    SynthCifar::generate(&SynthCifarConfig {
+        num_classes: 2,
+        train_per_class: 12,
+        test_per_class: 100,
+        img_size: 8,
+        seed: 5,
+        ..SynthCifarConfig::default()
+    })
+    .unwrap()
+}
+
+fn bn_replica() -> apt_core::Result<Network> {
+    models::cifarnet(2, 8, 0.25, &QuantScheme::paper_apt(), &mut rng::seeded(7))
+        .map_err(apt_core::CoreError::from)
 }
 
 #[test]
@@ -210,6 +233,38 @@ fn killed_rank_recovers_bit_identically_anywhere_in_the_run() {
         let _ = fs::remove_dir_all(&dir);
     }
     let _ = fs::remove_dir_all(&dir_base);
+}
+
+#[test]
+fn batch_norm_fleet_is_in_lockstep_reproducible_and_recovers() {
+    let data = bn_data();
+    for world in [2usize, 3] {
+        let run = |tag: &str, fault| {
+            let dir = tmp(&format!("bn-{world}-{tag}"));
+            let report = DistTrainer::new(dist_cfg(world, Some(&dir)), bn_replica)
+                .unwrap()
+                .train_with_fault(&data.train, &data.test, fault)
+                .unwrap();
+            let _ = fs::remove_dir_all(&dir);
+            report
+        };
+        let base = run("base", None);
+        assert!(
+            base.replicas_in_lockstep(),
+            "world={world}: every rank must evaluate with the same running statistics"
+        );
+        assert_eq!(base.reports.len(), world);
+        assert_eq!(base.recovery_rounds, 0);
+        assert_eq!(base, run("again", None), "world={world}: run to run");
+        // A death after the first checkpoint and off the cadence: the
+        // relaunched fleet resumes buffers the exchange had already made
+        // equal, and ends on the same bytes.
+        let rank = world - 1;
+        let hurt = run("hurt", Some(DistFault { rank, at_step: 5 }));
+        assert_eq!(hurt.recovery_rounds, 1, "world={world}");
+        assert_eq!(hurt.reports, base.reports, "world={world}");
+        assert_eq!(hurt.model, base.model, "world={world}");
+    }
 }
 
 #[test]

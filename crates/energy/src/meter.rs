@@ -236,7 +236,8 @@ mod tests {
         let grad: Vec<f32> = (0..1000).map(|i| (i as f32 - 500.0) / 500.0).collect();
         let mut residual = vec![0.0f32; grad.len()];
         let store = codec.encode(&grad, &mut residual, codec.scale(1.0));
-        let wire_bytes = codec.to_wire(&store).len() as u64 * 8;
+        let mut wire_bytes = 0u64;
+        store.for_each_packed_word(|_| wire_bytes += 8);
         assert_eq!(wire_bytes, (1000u64 * 4).div_ceil(64) * 8);
         let mut meter = EnergyMeter::default();
         meter.record_comm(wire_bytes);

@@ -161,13 +161,17 @@ impl Layer for Conv2d {
             .ok_or_else(|| NnError::BackwardBeforeForward {
                 layer: self.name.clone(),
             })?;
-        let w = self.weight.value();
-        let dw = conv::conv2d_backward_weight(input, grad_output, w.dims(), &self.params)?;
-        self.weight.accumulate_grad(&dw)?;
-        if let Some(bias) = &mut self.bias {
-            let db = ops::reduce::sum_channels(grad_output)?;
-            bias.accumulate_grad(&db)?;
+        // Backward-weight needs only the weight's dims, which the parameter
+        // has without dequantising: `dW` drops before `value()` allocates.
+        {
+            let dims = self.weight.dims();
+            let dw = conv::conv2d_backward_weight(input, grad_output, dims, &self.params)?;
+            self.weight.accumulate_grad(&dw)?;
         }
+        if let Some(bias) = &mut self.bias {
+            bias.accumulate_grad(&ops::reduce::sum_channels(grad_output)?)?;
+        }
+        let w = self.weight.value();
         let dx = conv::conv2d_backward_input(grad_output, &w, input.dims(), &self.params)?;
         Ok(dx)
     }

@@ -141,12 +141,13 @@ impl Layer for Linear {
                 ),
             });
         }
-        // dW = dYᵀ · X, dX = dY · W, db = Σ_rows dY
-        let dw = ops::matmul_at_b(grad_output, input)?;
-        self.weight.accumulate_grad(&dw)?;
+        // dW = dYᵀ · X, dX = dY · W, db = Σ_rows dY. Each temporary drops
+        // as soon as it is accumulated, so the `[out, in]` f32 `dW` is
+        // gone before `value()` dequantises a second tensor of that shape.
+        self.weight
+            .accumulate_grad(&ops::matmul_at_b(grad_output, input)?)?;
         if let Some(bias) = &mut self.bias {
-            let db = ops::reduce::sum_rows(grad_output)?;
-            bias.accumulate_grad(&db)?;
+            bias.accumulate_grad(&ops::reduce::sum_rows(grad_output)?)?;
         }
         let w = self.weight.value();
         let dx = ops::matmul(grad_output, &w)?;

@@ -41,6 +41,17 @@
 //! them. [`CodeStore::get`], [`CodeStore::set`], [`CodeStore::to_vec`] and
 //! [`CodeStore::to_packed`] remain for single elements, fault injection
 //! and tests.
+//!
+//! ## The canonical layout without a store
+//!
+//! A gradient exchange has codes that never live in a store: `i32` sums on
+//! one side, borrowed frame words on the other. The layout still has one
+//! writer (`pack_words`, below) and its readers still make the same two
+//! checks (`check_data_words`): [`PackedCodes::append_words`] packs a
+//! `&[i32]` onto the end of a `Vec<u64>` through that writer, and
+//! [`PackedCodes::read_words`] walks borrowed `&[u64]` words with one bit
+//! accumulator, handing each sign-extended code to the caller as it is
+//! decoded — the writer run backwards.
 
 use crate::{Bitwidth, QuantError};
 use std::ops::Range;
@@ -66,6 +77,24 @@ fn pack_words(fields: impl Iterator<Item = u64>, bits: Bitwidth, mut emit: impl 
     if fill > 0 {
         emit(acc);
     }
+}
+
+/// The two checks every reader of the canonical layout makes before it
+/// trusts a word: the count is `⌈len·k / 64⌉`, and no bit past `len·k` is
+/// set (so equal logical content means equal words).
+fn check_data_words(words: &[u64], len: usize, bits: Bitwidth) -> crate::Result<()> {
+    if words.len() != PackedCodes::data_word_count(len, bits) {
+        return Err(QuantError::CorruptStore {
+            reason: "packed word count disagrees with the logical length",
+        });
+    }
+    let rem = (len * bits.get() as usize) % 64;
+    if rem != 0 && words.last().is_some_and(|&last| last >> rem != 0) {
+        return Err(QuantError::CorruptStore {
+            reason: "nonzero padding bits in packed payload",
+        });
+    }
+    Ok(())
 }
 
 /// `k`-bit signed codes packed end-to-end into little-endian `u64` words.
@@ -216,24 +245,82 @@ impl PackedCodes {
     /// in-range bit pattern decodes to a valid field, so no per-element
     /// validation is needed.
     pub fn from_data_words(words: Vec<u64>, len: usize, bits: Bitwidth) -> crate::Result<Self> {
-        if words.len() != Self::data_word_count(len, bits) {
-            return Err(QuantError::CorruptStore {
-                reason: "packed word count disagrees with the logical length",
-            });
-        }
-        let rem = (len * bits.get() as usize) % 64;
-        if rem != 0 {
-            if let Some(&last) = words.last() {
-                if last >> rem != 0 {
-                    return Err(QuantError::CorruptStore {
-                        reason: "nonzero padding bits in packed payload",
-                    });
-                }
-            }
-        }
+        check_data_words(&words, len, bits)?;
         let mut words = words;
         words.push(0);
         Ok(PackedCodes { words, len, bits })
+    }
+
+    /// Appends the canonical words of `codes` to `out` — the layout
+    /// [`from_signed`](Self::from_signed) builds, written where the caller
+    /// wants it (a wire frame) with no store in between. A `k ≤ 32`-bit
+    /// field is an `i32`, so that is what the streaming pair speaks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::CorruptStore`] if any code is outside
+    /// `[−2^(k−1), 2^(k−1) − 1]`; `out` is untouched then.
+    pub fn append_words(codes: &[i32], bits: Bitwidth, out: &mut Vec<u64>) -> crate::Result<()> {
+        // Both ends fit an `i32` at every `k ≤ 32`. A fold, not `any`: no
+        // early exit, so the pass is a vector compare.
+        let half = 1i64 << (bits.get() - 1);
+        let (lo, hi) = ((-half) as i32, (half - 1) as i32);
+        let off_range = |bad: bool, &c: &i32| bad | (c < lo) | (c > hi);
+        if codes.iter().fold(false, off_range) {
+            return Err(QuantError::CorruptStore {
+                reason: "signed code outside the k-bit two's-complement range",
+            });
+        }
+        let mask = Self::mask(bits);
+        out.reserve(Self::data_word_count(codes.len(), bits));
+        pack_words(codes.iter().map(|&c| c as u64 & mask), bits, |w| {
+            out.push(w)
+        });
+        Ok(())
+    }
+
+    /// Reads `len` codes back out of borrowed canonical `words`, calling
+    /// `f(i, c)` in element order with each field sign-extended — the
+    /// inverse of [`append_words`](Self::append_words), decoding where the
+    /// codes are consumed. One bit accumulator walks the words once; no
+    /// field is looked up by index.
+    ///
+    /// # Errors
+    ///
+    /// The two checks of [`from_data_words`](Self::from_data_words), made
+    /// before `f` sees anything.
+    #[inline]
+    pub fn read_words(
+        words: &[u64],
+        len: usize,
+        bits: Bitwidth,
+        mut f: impl FnMut(usize, i32),
+    ) -> crate::Result<()> {
+        check_data_words(words, len, bits)?;
+        let k = bits.get();
+        let mask = Self::mask(bits);
+        let sign = 64 - k;
+        let (mut acc, mut avail) = (0u64, 0u32);
+        let mut next = words.iter();
+        for i in 0..len {
+            let field = if avail >= k {
+                let field = acc & mask;
+                acc >>= k;
+                avail -= k;
+                field
+            } else {
+                // The field straddles into (or starts) the next word; the
+                // count was checked, so there is one.
+                let w = next.next().copied().unwrap_or(0);
+                let field = (acc | w << avail) & mask;
+                let taken = k - avail;
+                acc = w >> taken;
+                avail = 64 - taken;
+                field
+            };
+            f(i, (((field << sign) as i64) >> sign) as i32);
+        }
+        Ok(())
     }
 
     /// Physical bytes held by this store (data words plus the one padding
@@ -803,6 +890,53 @@ mod tests {
         // Clean words round-trip.
         let re = PackedCodes::from_data_words(p.data_words().to_vec(), 3, b(5)).unwrap();
         assert_eq!(re, p);
+    }
+
+    #[test]
+    fn streaming_writer_and_reader_agree_with_packed_codes() {
+        for k in 2..=32u32 {
+            let half = 1i64 << (k - 1);
+            for n in edge_lengths(k) {
+                let mut r = rng::seeded(u64::from(k) * 151 + n as u64);
+                let mut signed: Vec<i64> = (0..n).map(|_| r.gen_range(-half..half)).collect();
+                if n >= 2 {
+                    signed[0] = -half;
+                    signed[n - 1] = half - 1;
+                }
+                let narrow: Vec<i32> = signed.iter().map(|&c| c as i32).collect();
+                let reference = PackedCodes::from_signed(&signed, b(k)).unwrap();
+                let mut words = vec![7]; // appends, does not overwrite
+                PackedCodes::append_words(&narrow, b(k), &mut words).unwrap();
+                assert_eq!(words[0], 7);
+                assert_eq!(&words[1..], reference.data_words(), "k={k} n={n}");
+                let mut back = Vec::new();
+                PackedCodes::read_words(&words[1..], n, b(k), |i, c| {
+                    assert_eq!(i, back.len(), "in order, k={k} n={n}");
+                    back.push(c);
+                })
+                .unwrap();
+                assert_eq!(back, narrow, "k={k} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_pair_makes_the_checks_of_the_owning_constructors() {
+        let mut words = vec![9];
+        for bad in [4, -5] {
+            assert!(PackedCodes::append_words(&[0, bad], b(3), &mut words).is_err());
+            assert_eq!(words, [9], "a refused append leaves `out` alone");
+        }
+        let seen = |words: &[u64], len| {
+            let mut n = 0;
+            PackedCodes::read_words(words, len, b(5), |_, _| n += 1).map(|()| n)
+        };
+        PackedCodes::append_words(&[1, -2, 3], b(5), &mut words).unwrap();
+        assert_eq!(seen(&words[1..], 3), Ok(3));
+        // Wrong word count, either way; then a set bit past the 15 used.
+        assert!(seen(&words, 3).is_err());
+        assert!(seen(&[], 3).is_err());
+        assert!(seen(&[words[1] | 1 << 40], 3).is_err());
     }
 
     #[test]

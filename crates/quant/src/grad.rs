@@ -3,10 +3,12 @@
 //!
 //! Data-parallel ranks cannot afford to ship fp32 gradients: a replica
 //! exchange costs `32N` bits per step per peer. This module encodes a
-//! gradient tensor as **symmetric `k`-bit signed codes on a shared scale**,
-//! stored in the same [`CodeStore`] tiers the weights use and serialised
-//! through the canonical [`PackedCodes`] words, so `k = 4` traffic really
-//! is one eighth of fp32 on the wire.
+//! gradient tensor as **symmetric `k`-bit signed codes on a shared scale**
+//! — one kernel, [`GradCodec::codes`], whose output a reducer sums as
+//! `i32`s and [`GradCodec::encode`] stores in the same [`CodeStore`] tiers
+//! the weights use — serialised through the canonical
+//! [`PackedCodes`](crate::PackedCodes) words, so `k = 4` traffic really is
+//! one eighth of fp32 on the wire.
 //!
 //! ## Encoding
 //!
@@ -32,7 +34,7 @@
 //! lost, it is just delayed. The residual state lives with the caller —
 //! one `Vec<f32>` per parameter per rank.
 
-use crate::{Bitwidth, CodeStore, PackedCodes};
+use crate::{Bitwidth, CodeStore};
 
 /// Shared-scale symmetric `k`-bit gradient quantiser.
 ///
@@ -83,6 +85,61 @@ impl GradCodec {
         Bitwidth::new(self.bits.get() + extra)
     }
 
+    /// The codec's one kernel: the signed codes of `grad + residual` on
+    /// the shared `scale` grid, in element order, each residual updated
+    /// with its error feedback as its code is produced. Everything that
+    /// quantises a gradient is this iterator zipped into a destination —
+    /// [`encode`](GradCodec::encode)'s tier, a reducer's `i32` sums.
+    ///
+    /// `c = clamp(round(a / s), −m, m)` with `a = g + r`, rounding half
+    /// away from zero as `f32::round` does, without the libm call and
+    /// without a float-to-int cast (which saturates, and so does not
+    /// vectorise). Three steps, each exact for every f32 quotient `x`:
+    ///
+    /// 1. *Clamp first.* `m` is an integer and rounding is monotone, so
+    ///    `clamp(round(x)) = round(clamp(x))`; from here `v = |x| ≤ m <
+    ///    2^31`, and ±∞ quotients (a subnormal `scale`) are already `±m`.
+    /// 2. *Nearest integer from the mantissa.* In f64, `v + 2^52` lies in
+    ///    `[2^52, 2^53)` where the spacing is 1, so the addition itself
+    ///    rounds `v` to the nearest integer, ties to even, and leaves it in
+    ///    the low mantissa bits; subtracting `2^52` back is exact.
+    /// 3. *Ties away.* `v − nearest` is exact (`v` is an f32 widened; the
+    ///    difference is at most ½) and equals `½` only when a tie went
+    ///    down to the even neighbour; adding one there is `⌊v + ½⌋`.
+    ///
+    /// A zero `scale` or a non-finite `a` selects code 0 — the quotient is
+    /// then garbage nobody reads — and `a − 0 · s` banks `a` whole, so the
+    /// loop has no branch and compiles to vector code.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts `grad.len() == residual.len()`.
+    #[inline]
+    pub fn codes<'a>(
+        &self,
+        grad: &'a [f32],
+        residual: &'a mut [f32],
+        scale: f32,
+    ) -> impl Iterator<Item = i32> + 'a {
+        /// `2^52`: the first f64 binade whose spacing is 1.
+        const UNIT: f64 = 4_503_599_627_370_496.0;
+        debug_assert_eq!(grad.len(), residual.len());
+        let m = self.max_mag() as f64;
+        let live = scale > 0.0;
+        grad.iter().zip(residual).map(move |(&g, r)| {
+            let a = g + *r;
+            let x = f64::from(a / scale).clamp(-m, m);
+            let v = x.abs();
+            let shifted = v + UNIT;
+            let tie_went_down = v - (shifted - UNIT) == 0.5;
+            let mag = shifted.to_bits() as u32 as i32 + i32::from(tie_went_down);
+            let c = if x < 0.0 { -mag } else { mag };
+            let c = if live & a.is_finite() { c } else { 0 };
+            *r = a - c as f32 * scale;
+            c
+        })
+    }
+
     /// Quantises `grad + residual` onto the shared `scale` grid, updating
     /// `residual` with the error feedback. Returns the codes in a
     /// [`CodeStore`] (tiered by `k`, like every other store).
@@ -94,21 +151,11 @@ impl GradCodec {
     ///
     /// Debug-asserts `grad.len() == residual.len()`.
     pub fn encode(&self, grad: &[f32], residual: &mut [f32], scale: f32) -> CodeStore {
-        debug_assert_eq!(grad.len(), residual.len());
-        let m = self.max_mag();
         let half = 1i64 << (self.bits.get() - 1);
         // Each code goes straight into the tier as it is produced.
-        let raw = grad.iter().zip(residual.iter_mut()).map(|(&g, r)| {
-            let a = g + *r;
-            let c = if scale > 0.0 && a.is_finite() {
-                let q = (a / scale).round() as i64;
-                q.clamp(-m, m)
-            } else {
-                0
-            };
-            *r = a - c as f32 * scale;
-            c + half
-        });
+        let raw = self
+            .codes(grad, residual, scale)
+            .map(|c| i64::from(c) + half);
         CodeStore::from_code_iter(raw, self.bits)
     }
 
@@ -123,38 +170,12 @@ impl GradCodec {
         });
         out
     }
-
-    /// Signed codes of a store produced by [`encode`](GradCodec::encode) —
-    /// the integer-domain values peers accumulate.
-    pub fn signed_codes(&self, store: &CodeStore) -> Vec<i64> {
-        let half = 1i64 << (self.bits.get() - 1);
-        let mut out = vec![0i64; store.len()];
-        store.for_each(0..store.len(), |i, q| out[i] = q - half);
-        out
-    }
-
-    /// Serialises a store to its canonical wire words (tier-independent
-    /// [`PackedCodes`] data words).
-    pub fn to_wire(&self, store: &CodeStore) -> Vec<u64> {
-        let mut words = Vec::with_capacity((store.len() * self.bits.get() as usize).div_ceil(64));
-        store.for_each_packed_word(|w| words.push(w));
-        words
-    }
-
-    /// Deserialises wire words back into signed codes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::QuantError::CorruptStore`] on a word count / padding
-    /// mismatch.
-    pub fn from_wire(&self, words: Vec<u64>, len: usize) -> crate::Result<Vec<i64>> {
-        Ok(PackedCodes::from_data_words(words, len, self.bits)?.to_signed_vec())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PackedCodes;
     use apt_tensor::rng;
     use proptest::prelude::*;
     use rand::Rng;
@@ -163,13 +184,95 @@ mod tests {
         Bitwidth::new(k).unwrap()
     }
 
+    /// The signed codes a store produced by `encode` holds.
+    fn signed(store: &CodeStore) -> Vec<i64> {
+        let half = 1i64 << (store.bits().get() - 1);
+        store.to_vec().into_iter().map(|q| q - half).collect()
+    }
+
+    /// The rule as it was first written — libm's `roundf`, then the clamp —
+    /// which the kernel must reproduce bit for bit: `(code, new residual)`.
+    fn reference(g: f32, r: f32, scale: f32, m: i64) -> (i64, f32) {
+        let a = g + r;
+        let c = if scale > 0.0 && a.is_finite() {
+            ((a / scale).round() as i64).clamp(-m, m)
+        } else {
+            0
+        };
+        (c, a - c as f32 * scale)
+    }
+
+    /// Codes and residual bits of the kernel against [`reference`], at
+    /// every exchange bitwidth.
+    fn assert_matches_reference(grad: &[f32], residual: &[f32], scale: f32) {
+        for k in 2..=31u32 {
+            let codec = GradCodec::new(b(k));
+            let mut res = residual.to_vec();
+            let codes: Vec<i32> = codec.codes(grad, &mut res, scale).collect();
+            for (i, (&g, &r)) in grad.iter().zip(residual).enumerate() {
+                let (c, r_out) = reference(g, r, scale, codec.max_mag());
+                assert_eq!(
+                    (i64::from(codes[i]), res[i].to_bits()),
+                    (c, r_out.to_bits()),
+                    "k={k} g={g:e} r={r:e} scale={scale:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rounding_matches_libm_on_the_adversarial_set() {
+        // At scale 1 and residual 0 the quotient *is* the gradient: every
+        // tie, every neighbour of a tie, the first integers f32 cannot
+        // step by a half, and both infinities' worth of overflow.
+        let mut xs = vec![0.0f32, 0.5, 0.49999997, 0.50000006, 1.5, 2.5, 16_777_216.0];
+        for n in [
+            1u32,
+            2,
+            3,
+            7,
+            8,
+            1000,
+            65_535,
+            1 << 20,
+            (1 << 22) + 1,
+            (1 << 23) - 1,
+        ] {
+            let tie = n as f32 + 0.5;
+            xs.extend([
+                f32::from_bits(tie.to_bits() - 1),
+                tie,
+                f32::from_bits(tie.to_bits() + 1),
+            ]);
+        }
+        xs.extend([
+            8_388_608.0,
+            8_388_609.0,
+            3.0e9,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            1e-45,
+        ]);
+        xs.extend([f32::INFINITY, f32::NAN]);
+        let grad: Vec<f32> = xs.iter().flat_map(|&x| [x, -x]).collect();
+        let zeros = vec![0.0f32; grad.len()];
+        assert_matches_reference(&grad, &zeros, 1.0);
+        // A subnormal scale: quotients overflow to ±∞ and must clamp.
+        assert_matches_reference(&grad, &zeros, 1e-42);
+        assert_matches_reference(&grad, &zeros, f32::MIN_POSITIVE);
+        // Degenerate scales bank everything.
+        for scale in [0.0f32, -1.0, f32::NAN, f32::INFINITY] {
+            assert_matches_reference(&grad, &zeros, scale);
+        }
+    }
+
     #[test]
     fn zero_scale_banks_everything_into_residual() {
         let codec = GradCodec::new(b(4));
         let grad = [0.5f32, -0.25, 1.0];
         let mut residual = vec![0.0f32; 3];
         let store = codec.encode(&grad, &mut residual, 0.0);
-        assert_eq!(codec.signed_codes(&store), vec![0, 0, 0]);
+        assert_eq!(signed(&store), vec![0, 0, 0]);
         assert_eq!(residual, grad);
     }
 
@@ -226,16 +329,37 @@ mod tests {
         let grad = [10.0f32, -10.0];
         let mut residual = vec![0.0f32; 2];
         let store = codec.encode(&grad, &mut residual, codec.scale(1.0));
-        assert_eq!(codec.signed_codes(&store), vec![1, -1]);
+        assert_eq!(signed(&store), vec![1, -1]);
         // The clamped mass is all in the residual.
         assert_eq!(residual, vec![9.0, -9.0]);
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any f32 gradient, residual and scale — every bit pattern, NaNs
+        /// and subnormals included: codes and residual bits as libm's.
+        #[test]
+        fn rounding_matches_libm_on_random_bits(
+            bits in prop::collection::vec((0u32..=u32::MAX, 0u32..=u32::MAX), 1..64),
+            scale_bits in 0u32..=u32::MAX,
+            exponent in -30i32..30,
+        ) {
+            let grad: Vec<f32> = bits.iter().map(|&(g, _)| f32::from_bits(g)).collect();
+            let residual: Vec<f32> = bits.iter().map(|&(_, r)| f32::from_bits(r)).collect();
+            assert_matches_reference(&grad, &residual, f32::from_bits(scale_bits));
+            // Random bits are mostly astronomically large or small; also
+            // draw quotients that land among the codes.
+            let near: Vec<f32> = grad.iter().map(|g| (g % 4096.0) * 0.37).collect();
+            assert_matches_reference(&near, &vec![0.0; near.len()], 2f32.powi(exponent % 8));
+        }
+    }
+
+    proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Roundtrip across every exchange bitwidth: wire words decode to
-        /// the exact signed codes that were encoded.
+        /// Roundtrip across every exchange bitwidth: the canonical wire
+        /// words of a store decode to the exact signed codes it holds.
         #[test]
         fn wire_roundtrip_across_bitwidths(
             seed in 0u64..500,
@@ -249,11 +373,14 @@ mod tests {
             let scale = codec.scale(gmax);
             let mut residual = vec![0.0f32; n];
             let store = codec.encode(&grad, &mut residual, scale);
-            let codes = codec.signed_codes(&store);
-            let wire = codec.to_wire(&store);
+            let codes = signed(&store);
+            let mut wire = Vec::new();
+            store.for_each_packed_word(|w| wire.push(w));
             // Physical wire width is the packed k-bit footprint.
             prop_assert_eq!(wire.len(), (n * k as usize).div_ceil(64));
-            prop_assert_eq!(&codec.from_wire(wire, n).unwrap(), &codes);
+            let mut back = Vec::new();
+            PackedCodes::read_words(&wire, n, b(k), |_, c| back.push(i64::from(c))).unwrap();
+            prop_assert_eq!(&back, &codes);
             // Every code obeys the symmetric bound.
             let m = codec.max_mag();
             prop_assert!(codes.iter().all(|&c| -m <= c && c <= m));
@@ -271,24 +398,22 @@ mod tests {
             let codec = GradCodec::new(b(k));
             let n = 37usize;
             let mut r = rng::seeded(seed);
-            let mut sum = vec![0i64; n];
-            let mut per_rank = Vec::new();
+            let mut sum = vec![0i32; n];
             for _ in 0..world {
                 let grad: Vec<f32> = (0..n).map(|_| r.gen_range(-1.0f32..1.0)).collect();
                 let mut residual = vec![0.0f32; n];
-                let store = codec.encode(&grad, &mut residual, codec.scale(1.0));
-                let codes = codec.signed_codes(&store);
-                for (s, c) in sum.iter_mut().zip(&codes) {
+                let codes = codec.codes(&grad, &mut residual, codec.scale(1.0));
+                for (s, c) in sum.iter_mut().zip(codes) {
                     *s += c;
                 }
-                per_rank.push(codes);
             }
             let ks = codec.sum_bits(world).unwrap();
             // The sum fits the widened range and survives its own wire trip.
-            let packed = PackedCodes::from_signed(&sum, ks).unwrap();
-            let back = PackedCodes::from_data_words(
-                packed.data_words().to_vec(), n, ks).unwrap();
-            prop_assert_eq!(back.to_signed_vec(), sum);
+            let mut wire = Vec::new();
+            PackedCodes::append_words(&sum, ks, &mut wire).unwrap();
+            let mut back = vec![0i32; n];
+            PackedCodes::read_words(&wire, n, ks, |i, c| back[i] = c).unwrap();
+            prop_assert_eq!(back, sum);
         }
     }
 }

@@ -125,6 +125,25 @@ fn seed_and_fleet_flags_reach_the_model() {
 }
 
 #[test]
+fn batch_norm_fleet_finishes_in_lockstep() {
+    // Each rank's batch norm sees only its shard; the exchange has to make
+    // the running statistics equal, or the ranks evaluate differently and
+    // the command reports the replicas out of lockstep (it did, on this
+    // recipe, while smaller ones passed by luck of one test image).
+    let dir = scratch("bn-fleet");
+    let out = dir.join("run");
+    #[rustfmt::skip]
+    let output = apt(&[
+        "train", "--model", "cifarnet", "--classes", "10", "--img-size", "12", "--scheme", "apt",
+        "--t-min", "6", "--epochs", "3", "--per-class", "40", "--seed", "9", "--workers", "2",
+        "--grad-bits", "4", "--out", out.to_str().unwrap(),
+    ]);
+    assert!(output.status.success(), "{output:?}");
+    assert!(out.with_extension("aptc").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_is_consent_and_reproduces_the_uninterrupted_run() {
     let dir = scratch("resume");
     let reference = trained(&dir, "ref", &[]);

@@ -20,6 +20,8 @@ pub mod schema {
          measured_live_bytes,peak_live_bytes,checkpoint_bytes";
     /// `BENCH_kernels.json` → `cells`.
     pub const KERNELS: &str = "op,shape,threads,ns_per_iter,gflops,speedup_vs_1t";
+    /// `BENCH_kernels.json` → `memory_bound`.
+    pub const KERNELS_MEMORY_BOUND: &str = "op,shape,ns_per_iter,bytes,gbytes_per_s";
     /// `BENCH_serving.json` → `cells`.
     pub const SERVING: &str = "cell,bits,lane,threads,policy,max_batch,max_delay_us,clients,\
          requests,ok,shed,deadline_expired,corrupted,lost,refused_accept,idle_reaped,\

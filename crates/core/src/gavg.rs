@@ -179,7 +179,7 @@ mod tests {
             models::mlp("m", &[4, 8, 2], &QuantScheme::paper_apt(), &mut seeded(3)).unwrap();
         let x = normal(&[4, 4], 1.0, &mut seeded(4));
         let y = net.forward(&x, Mode::Train).unwrap();
-        let _ = net.backward(&Tensor::ones(y.dims())).unwrap();
+        net.backward(&Tensor::ones(y.dims())).unwrap();
         let mut prof = GavgProfiler::new(1.0);
         let sampled = prof.sample(&net);
         assert_eq!(sampled, 2); // two quantised linear weights; biases skipped
@@ -194,7 +194,7 @@ mod tests {
             models::mlp("m", &[4, 8, 2], &QuantScheme::float32(), &mut seeded(5)).unwrap();
         let x = normal(&[4, 4], 1.0, &mut seeded(6));
         let y = net.forward(&x, Mode::Train).unwrap();
-        let _ = net.backward(&Tensor::ones(y.dims())).unwrap();
+        net.backward(&Tensor::ones(y.dims())).unwrap();
         let mut prof = GavgProfiler::new(1.0);
         assert_eq!(prof.sample(&net), 0);
         assert!(prof.profile().is_empty());
@@ -208,7 +208,7 @@ mod tests {
         let mut prof = GavgProfiler::new(0.5);
         // First sample with real gradients.
         let y = net.forward(&x, Mode::Train).unwrap();
-        let _ = net.backward(&Tensor::ones(y.dims())).unwrap();
+        net.backward(&Tensor::ones(y.dims())).unwrap();
         prof.sample(&net);
         let first = prof.get("fc0.weight").unwrap();
         // Second sample with zero gradients: EMA halves instead of dropping

@@ -202,7 +202,7 @@ mod tests {
         // Tiny gradients ⇒ Gavg ≈ 0 ⇒ both layers gain a bit.
         let x = normal(&[2, 4], 1.0, &mut seeded(2));
         let y = net.forward(&x, Mode::Train).unwrap();
-        let _ = net.backward(&Tensor::full(y.dims(), 1e-9)).unwrap();
+        net.backward(&Tensor::full(y.dims(), 1e-9)).unwrap();
         let mut prof = crate::GavgProfiler::new(1.0);
         prof.sample(&net);
         let changes =
@@ -235,7 +235,7 @@ mod tests {
         });
         let x = normal(&[2, 4], 1.0, &mut seeded(10));
         let y = net.forward(&x, Mode::Train).unwrap();
-        let _ = net.backward(&Tensor::full(y.dims(), 1e-9)).unwrap();
+        net.backward(&Tensor::full(y.dims(), 1e-9)).unwrap();
         let mut prof = crate::GavgProfiler::new(1.0);
         assert_eq!(prof.sample(&net), 4, "2 weights + 2 biases profiled");
         let changes =

@@ -88,6 +88,9 @@ impl KernelLane {
 ///    whatever it needs for the backward pass (in [`Mode::Train`]).
 /// 2. [`backward`](Layer::backward) consumes `∂L/∂output`, **accumulates**
 ///    parameter gradients into its [`Param`]s, and returns `∂L/∂input`.
+///    [`backward_params`](Layer::backward_params) is the same pass for the
+///    layer whose `∂L/∂input` nobody reads — the first trainable layer of
+///    a [`crate::Network`] — and may skip computing it.
 ///
 /// Layers also self-report the multiply-accumulate count of their last
 /// forward pass ([`macs_last_forward`](Layer::macs_last_forward)), which the
@@ -136,6 +139,24 @@ pub trait Layer: Send + Sync {
     /// Returns [`crate::NnError::BackwardBeforeForward`] if no activations
     /// are cached, and shape errors for mismatched gradients.
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor>;
+
+    /// [`backward`](Layer::backward) without its result: accumulates the
+    /// same parameter gradients, bit for bit, and makes the same checks,
+    /// but owes nobody `∂L/∂input`. [`crate::Network::backward`] calls it
+    /// on the first layer that has parameters, where that gradient is the
+    /// one with respect to the training images.
+    ///
+    /// The default runs `backward` and drops what it returns; a layer whose
+    /// input gradient is separate work (`Conv2d`: dequantise, `Wᵀ·dY`,
+    /// col2im; `Linear`: dequantise, `dY·W`) overrides it to stop after
+    /// `dW` / `db`.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`backward`](Layer::backward).
+    fn backward_params(&mut self, grad_output: &Tensor) -> crate::Result<()> {
+        self.backward(grad_output).map(drop)
+    }
 
     /// Visits every learnable parameter mutably (optimiser / precision
     /// controller entry point).

@@ -94,61 +94,82 @@ impl BatchNorm2d {
         Ok(())
     }
 
-    fn normalize(&self, input: &Tensor, mean: &Tensor, var: &Tensor) -> (Tensor, Tensor) {
-        let (n, c, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
-        let mut xhat = Tensor::zeros(input.dims());
-        let mut inv_std = Tensor::zeros(&[c]);
-        for ch in 0..c {
-            inv_std.data_mut()[ch] = 1.0 / (var.data()[ch] + BN_EPS).sqrt();
+    /// `x̂ = (x − μ)·inv_std` and `y = γ·x̂ + β` in **one pass** over the
+    /// input, shared by training and evaluation so the two agree bit for
+    /// bit: each output is the same four separately rounded operations
+    /// whether or not `x̂` is also stored (`xhat`, training only). Returns
+    /// `(y, inv_std)`.
+    fn normalize(
+        &self,
+        input: &Tensor,
+        mean: &Tensor,
+        var: &Tensor,
+        mut xhat: Option<&mut Tensor>,
+    ) -> (Tensor, Tensor) {
+        let hw = input.dims()[2] * input.dims()[3];
+        let inv_std = var.map(|v| 1.0 / (v + BN_EPS).sqrt());
+        let (gamma, beta) = (self.gamma.value(), self.beta.value());
+        let mut y = Tensor::zeros(input.dims());
+        if hw == 0 {
+            return (y, inv_std);
         }
-        let xd = input.data();
-        let xh = xhat.data_mut();
-        for img in 0..n {
-            for ch in 0..c {
-                let (mu, is) = (mean.data()[ch], inv_std.data()[ch]);
-                let base = (img * c + ch) * h * w;
-                for (o, &x) in xh[base..base + h * w]
-                    .iter_mut()
-                    .zip(&xd[base..base + h * w])
-                {
-                    *o = (x - mu) * is;
+        let planes = y
+            .data_mut()
+            .chunks_exact_mut(hw)
+            .zip(input.data().chunks_exact(hw));
+        for (p, (y_plane, x_plane)) in planes.enumerate() {
+            let ch = p % self.channels;
+            let (mu, is) = (mean.data()[ch], inv_std.data()[ch]);
+            let (g, b) = (gamma.data()[ch], beta.data()[ch]);
+            match &mut xhat {
+                Some(xhat) => {
+                    let xh_plane = &mut xhat.data_mut()[p * hw..(p + 1) * hw];
+                    for ((o, h), &x) in y_plane.iter_mut().zip(xh_plane).zip(x_plane) {
+                        *h = (x - mu) * is;
+                        *o = g * *h + b;
+                    }
+                }
+                None => {
+                    for (o, &x) in y_plane.iter_mut().zip(x_plane) {
+                        *o = g * ((x - mu) * is) + b;
+                    }
                 }
             }
         }
-        (xhat, inv_std)
+        (y, inv_std)
     }
+}
 
-    fn affine(&self, xhat: &Tensor) -> Tensor {
-        let (n, c, h, w) = (
-            xhat.dims()[0],
-            xhat.dims()[1],
-            xhat.dims()[2],
-            xhat.dims()[3],
-        );
-        let gamma = self.gamma.value();
-        let beta = self.beta.value();
-        let mut y = Tensor::zeros(xhat.dims());
-        let yd = y.data_mut();
-        let xd = xhat.data();
-        for img in 0..n {
-            for ch in 0..c {
-                let (g, b) = (gamma.data()[ch], beta.data()[ch]);
-                let base = (img * c + ch) * h * w;
-                for (o, &x) in yd[base..base + h * w]
-                    .iter_mut()
-                    .zip(&xd[base..base + h * w])
-                {
-                    *o = g * x + b;
-                }
-            }
+/// Channels whose backward reductions run side by side. `Σdy` and
+/// `Σ(dy·x̂)` are one f64 chain per channel across the whole batch, so the
+/// independent chains are those of different *channels*: each image is
+/// walked [`CHAINS`] channels at a time (two sums each), every channel
+/// still receiving its elements in `(image, element)` order — interleaved,
+/// never reassociated.
+const CHAINS: usize = 4;
+
+/// Adds one image's `dy` and `dy·x̂` for `L` adjacent channels (`go`, `xh`:
+/// `L` planes of `hw`) onto the channels' running sums.
+#[inline(always)]
+fn add_image_sums<const L: usize>(
+    go: &[f32],
+    xh: &[f32],
+    hw: usize,
+    sum_dy: &mut [f64],
+    sum_dy_xhat: &mut [f64],
+) {
+    let (go, xh) = (&go[..L * hw], &xh[..L * hw]);
+    let mut sd: [f64; L] = std::array::from_fn(|l| sum_dy[l]);
+    let mut sdx: [f64; L] = std::array::from_fn(|l| sum_dy_xhat[l]);
+    for t in 0..hw {
+        for l in 0..L {
+            let (g, x) = (go[l * hw + t], xh[l * hw + t]);
+            sd[l] += g as f64;
+            sdx[l] += (g * x) as f64;
         }
-        y
     }
+    sum_dy[..L].copy_from_slice(&sd);
+    sum_dy_xhat[..L].copy_from_slice(&sdx);
 }
 
 impl Layer for BatchNorm2d {
@@ -169,8 +190,8 @@ impl Layer for BatchNorm2d {
             let rv = &mut self.running_var.data_mut()[ch];
             *rv = (1.0 - self.momentum) * *rv + self.momentum * var.data()[ch];
         }
-        let (xhat, inv_std) = self.normalize(input, &mean, &var);
-        let y = self.affine(&xhat);
+        let mut xhat = Tensor::zeros(input.dims());
+        let (y, inv_std) = self.normalize(input, &mean, &var, Some(&mut xhat));
         self.cache = Some(BnCache {
             xhat,
             inv_std,
@@ -181,8 +202,8 @@ impl Layer for BatchNorm2d {
 
     fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
         self.check_input(input)?;
-        let (xhat, _) = self.normalize(input, &self.running_mean, &self.running_var);
-        Ok(self.affine(&xhat))
+        let (y, _) = self.normalize(input, &self.running_mean, &self.running_var, None);
+        Ok(y)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -202,8 +223,8 @@ impl Layer for BatchNorm2d {
                 ),
             });
         }
-        let (n, c, h, w) = (cache.dims[0], cache.dims[1], cache.dims[2], cache.dims[3]);
-        let m = (n * h * w) as f32;
+        let (n, c, hw) = (cache.dims[0], cache.dims[1], cache.dims[2] * cache.dims[3]);
+        let m = (n * hw) as f32;
         let gamma = self.gamma.value();
         let go = grad_output.data();
         let xh = cache.xhat.data();
@@ -212,11 +233,16 @@ impl Layer for BatchNorm2d {
         let mut sum_dy = vec![0.0f64; c];
         let mut sum_dy_xhat = vec![0.0f64; c];
         for img in 0..n {
-            for ch in 0..c {
-                let base = (img * c + ch) * h * w;
-                for k in base..base + h * w {
-                    sum_dy[ch] += go[k] as f64;
-                    sum_dy_xhat[ch] += (go[k] * xh[k]) as f64;
+            let mut ch = 0;
+            while ch < c {
+                let at = (img * c + ch) * hw;
+                let (sd, sdx) = (&mut sum_dy[ch..], &mut sum_dy_xhat[ch..]);
+                if ch + CHAINS <= c {
+                    add_image_sums::<CHAINS>(&go[at..], &xh[at..], hw, sd, sdx);
+                    ch += CHAINS;
+                } else {
+                    add_image_sums::<1>(&go[at..], &xh[at..], hw, sd, sdx);
+                    ch += 1;
                 }
             }
         }
@@ -228,14 +254,15 @@ impl Layer for BatchNorm2d {
 
         // dx = γ·inv_std/m · (m·dy − Σdy − x̂·Σ(dy·x̂))
         let mut dx = Tensor::zeros(&cache.dims);
-        let dxd = dx.data_mut();
-        for img in 0..n {
-            for ch in 0..c {
+        if hw > 0 {
+            let planes = dx.data_mut().chunks_exact_mut(hw);
+            let planes = planes.zip(go.chunks_exact(hw).zip(xh.chunks_exact(hw)));
+            for (p, (dx_plane, (go_plane, xh_plane))) in planes.enumerate() {
+                let ch = p % c;
                 let scale = gamma.data()[ch] * cache.inv_std.data()[ch] / m;
-                let (sd, sdx) = (sum_dy[ch] as f32, sum_dy_xhat[ch] as f32);
-                let base = (img * c + ch) * h * w;
-                for k in base..base + h * w {
-                    dxd[k] = scale * (m * go[k] - sd - xh[k] * sdx);
+                let (sd, sdx) = (dbeta.data()[ch], dgamma.data()[ch]);
+                for (d, (&g, &x)) in dx_plane.iter_mut().zip(go_plane.iter().zip(xh_plane)) {
+                    *d = scale * (m * g - sd - x * sdx);
                 }
             }
         }
@@ -348,6 +375,136 @@ mod tests {
             ParamKind::BnGamma => assert!(p.grad().data()[0].abs() < 1e-3),
             _ => {}
         });
+    }
+
+    /// The layer as it was before the forward passes were fused and the
+    /// backward reductions interleaved, on raw slices: `x̂` written out and
+    /// read back for `γ·x̂ + β`, `Σdy` / `Σ(dy·x̂)` one serial chain per
+    /// channel. Returns `(y, dx, dγ, dβ)`.
+    fn serial_layer(
+        (n, c, hw): (usize, usize, usize),
+        x: &[f32],
+        go: &[f32],
+        (mean, var): (&[f32], &[f32]),
+        (gamma, beta): (&[f32], &[f32]),
+    ) -> [Vec<f32>; 4] {
+        let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + BN_EPS).sqrt()).collect();
+        let mut xhat = vec![0.0f32; x.len()];
+        for img in 0..n {
+            for ch in 0..c {
+                let base = (img * c + ch) * hw;
+                for k in base..base + hw {
+                    xhat[k] = (x[k] - mean[ch]) * inv_std[ch];
+                }
+            }
+        }
+        let mut y = vec![0.0f32; x.len()];
+        for img in 0..n {
+            for ch in 0..c {
+                let base = (img * c + ch) * hw;
+                for k in base..base + hw {
+                    y[k] = gamma[ch] * xhat[k] + beta[ch];
+                }
+            }
+        }
+        let m = (n * hw) as f32;
+        let mut sum_dy = vec![0.0f64; c];
+        let mut sum_dy_xhat = vec![0.0f64; c];
+        for img in 0..n {
+            for ch in 0..c {
+                let base = (img * c + ch) * hw;
+                for k in base..base + hw {
+                    sum_dy[ch] += go[k] as f64;
+                    sum_dy_xhat[ch] += (go[k] * xhat[k]) as f64;
+                }
+            }
+        }
+        let mut dx = vec![0.0f32; x.len()];
+        for img in 0..n {
+            for ch in 0..c {
+                let scale = gamma[ch] * inv_std[ch] / m;
+                let (sd, sdx) = (sum_dy[ch] as f32, sum_dy_xhat[ch] as f32);
+                let base = (img * c + ch) * hw;
+                for k in base..base + hw {
+                    dx[k] = scale * (m * go[k] - sd - xhat[k] * sdx);
+                }
+            }
+        }
+        let narrow = |v: Vec<f64>| v.into_iter().map(|s| s as f32).collect();
+        [y, dx, narrow(sum_dy_xhat), narrow(sum_dy)]
+    }
+
+    #[test]
+    fn fused_and_interleaved_passes_match_the_serial_layer_bit_for_bit() {
+        use apt_tensor::par;
+        let same = |a: &[f32], b: &[f32]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let mut rng = seeded(41);
+        for n in [1, 3, 4, 5, 32] {
+            for c in [1, 3, 4, 6, 16] {
+                for (h, w) in [(1, 1), (3, 3), (8, 8)] {
+                    let dims = [n, c, h, w];
+                    let plain_x = normal(&dims, 2.0, &mut rng);
+                    let plain_go = normal(&dims, 1.0, &mut rng);
+                    let gamma = normal(&[c], 1.0, &mut rng);
+                    let beta = normal(&[c], 1.0, &mut rng);
+                    // A special value at the first and the last element of
+                    // the input, then of the gradient.
+                    let mut cases = vec![(plain_x.clone(), plain_go.clone())];
+                    let specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+                    for special in specials {
+                        let last = plain_x.len() - 1;
+                        let (mut x, mut go) = (plain_x.clone(), plain_go.clone());
+                        (x.data_mut()[0], x.data_mut()[last]) = (special, special);
+                        cases.push((x, plain_go.clone()));
+                        (go.data_mut()[0], go.data_mut()[last]) = (special, special);
+                        cases.push((plain_x.clone(), go));
+                    }
+                    for (x, go) in &cases {
+                        for threads in [1, 3] {
+                            par::with_threads(threads, || {
+                                let at = format!("{dims:?}, {threads} threads");
+                                let mut bn = BatchNorm2d::new("bn", c, ParamPrecision::Float32);
+                                let bn = bn.as_mut().unwrap();
+                                let float = crate::ParamStore::Float;
+                                bn.gamma.set_store(float(gamma.clone())).unwrap();
+                                bn.beta.set_store(float(beta.clone())).unwrap();
+
+                                let (mean, var) = reduce::channel_mean_var(x).unwrap();
+                                let [y, dx, dgamma, dbeta] = serial_layer(
+                                    (n, c, h * w),
+                                    x.data(),
+                                    go.data(),
+                                    (mean.data(), var.data()),
+                                    (gamma.data(), beta.data()),
+                                );
+                                let got_y = bn.forward(x, Mode::Train).unwrap();
+                                assert!(same(got_y.data(), &y), "y at {at}");
+                                let got_dx = bn.backward(go).unwrap();
+                                assert!(same(got_dx.data(), &dx), "dx at {at}");
+                                assert!(same(bn.gamma.grad().data(), &dgamma), "dγ at {at}");
+                                assert!(same(bn.beta.grad().data(), &dbeta), "dβ at {at}");
+
+                                // Evaluation: the same pass without the x̂ store.
+                                let stats = (bn.running_mean.data(), bn.running_var.data());
+                                let [y_eval, ..] = serial_layer(
+                                    (n, c, h * w),
+                                    x.data(),
+                                    go.data(),
+                                    stats,
+                                    (gamma.data(), beta.data()),
+                                );
+                                let got = bn.forward_inference(x).unwrap();
+                                assert!(same(got.data(), &y_eval), "eval y at {at}");
+                                let got = bn.forward(x, Mode::Eval).unwrap();
+                                assert!(same(got.data(), &y_eval), "Mode::Eval y at {at}");
+                            });
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

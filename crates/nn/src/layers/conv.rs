@@ -155,25 +155,35 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
+        // `dW` has dropped by the time `value()` allocates.
+        self.backward_params(grad_output)?;
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("backward_params returned Ok, so an input is cached");
+        let w = self.weight.value();
+        let dx = conv::conv2d_backward_input(grad_output, &w, input.dims(), &self.params)?;
+        Ok(dx)
+    }
+
+    /// `dW` and `db` only. Backward-weight needs just the weight's dims,
+    /// which the parameter has without dequantising, and it validates
+    /// `grad_output` against the cached input and those dims — every check
+    /// backward-input would repeat.
+    fn backward_params(&mut self, grad_output: &Tensor) -> crate::Result<()> {
         let input = self
             .cached_input
             .as_ref()
             .ok_or_else(|| NnError::BackwardBeforeForward {
                 layer: self.name.clone(),
             })?;
-        // Backward-weight needs only the weight's dims, which the parameter
-        // has without dequantising: `dW` drops before `value()` allocates.
-        {
-            let dims = self.weight.dims();
-            let dw = conv::conv2d_backward_weight(input, grad_output, dims, &self.params)?;
-            self.weight.accumulate_grad(&dw)?;
-        }
+        let dims = self.weight.dims();
+        let dw = conv::conv2d_backward_weight(input, grad_output, dims, &self.params)?;
+        self.weight.accumulate_grad(&dw)?;
         if let Some(bias) = &mut self.bias {
             bias.accumulate_grad(&ops::reduce::sum_channels(grad_output)?)?;
         }
-        let w = self.weight.value();
-        let dx = conv::conv2d_backward_input(grad_output, &w, input.dims(), &self.params)?;
-        Ok(dx)
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -122,6 +122,15 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
+        // dX = dY · W. The `[out, in]` f32 `dW` is gone before `value()`
+        // dequantises a second tensor of that shape.
+        self.backward_params(grad_output)?;
+        let w = self.weight.value();
+        let dx = ops::matmul(grad_output, &w)?;
+        Ok(dx)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> crate::Result<()> {
         let input = self
             .cached_input
             .as_ref()
@@ -141,17 +150,14 @@ impl Layer for Linear {
                 ),
             });
         }
-        // dW = dYᵀ · X, dX = dY · W, db = Σ_rows dY. Each temporary drops
-        // as soon as it is accumulated, so the `[out, in]` f32 `dW` is
-        // gone before `value()` dequantises a second tensor of that shape.
+        // dW = dYᵀ · X, db = Σ_rows dY; each temporary drops as soon as it
+        // is accumulated.
         self.weight
             .accumulate_grad(&ops::matmul_at_b(grad_output, input)?)?;
         if let Some(bias) = &mut self.bias {
             bias.accumulate_grad(&ops::reduce::sum_rows(grad_output)?)?;
         }
-        let w = self.weight.value();
-        let dx = ops::matmul(grad_output, &w)?;
-        Ok(dx)
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -110,7 +110,7 @@ mod tests {
         let x = normal(&[1, 3, 16, 16], 1.0, &mut seeded(1));
         let y = net.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), &[1, 10]);
-        let dx = net.backward(&Tensor::ones(&[1, 10])).unwrap();
+        let dx = net.backward_by_hand(&Tensor::ones(&[1, 10])).unwrap();
         assert_eq!(dx.dims(), x.dims());
     }
 

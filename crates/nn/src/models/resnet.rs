@@ -136,7 +136,9 @@ mod tests {
         let x = normal(&[2, 3, 8, 8], 1.0, &mut seeded(2));
         let y = net.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), &[2, 10]);
-        let dx = net.backward(&apt_tensor::Tensor::ones(&[2, 10])).unwrap();
+        let dx = net
+            .backward_by_hand(&apt_tensor::Tensor::ones(&[2, 10]))
+            .unwrap();
         assert_eq!(dx.dims(), x.dims());
         assert!(net.macs_last_forward() > 0);
     }

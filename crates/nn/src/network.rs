@@ -23,6 +23,21 @@ pub struct Network {
     layers: Vec<Box<dyn Layer>>,
 }
 
+/// Threads `input` through `steps`: the first step reads the borrowed
+/// tensor itself, every later one the tensor the step before it produced.
+/// `None` when there was no step.
+fn thread<L>(
+    steps: impl Iterator<Item = L>,
+    input: &Tensor,
+    mut step: impl FnMut(L, &Tensor) -> crate::Result<Tensor>,
+) -> crate::Result<Option<Tensor>> {
+    let mut x = None;
+    for s in steps {
+        x = Some(step(s, x.as_ref().unwrap_or(input))?);
+    }
+    Ok(x)
+}
+
 impl Network {
     /// Creates a network from an ordered layer list.
     pub fn new(name: impl Into<String>, layers: Vec<Box<dyn Layer>>) -> Self {
@@ -48,11 +63,8 @@ impl Network {
     ///
     /// Propagates the first failing layer's error.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, mode)?;
-        }
-        Ok(x)
+        let y = thread(self.layers.iter_mut(), input, |l, x| l.forward(x, mode))?;
+        Ok(y.unwrap_or_else(|| input.clone()))
     }
 
     /// Runs the full forward pass through a **shared** reference —
@@ -79,25 +91,40 @@ impl Network {
     ///
     /// Propagates the first failing layer's error.
     pub fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        let mut x = input.clone();
-        for layer in &self.layers {
-            x = layer.forward_inference(&x)?;
-        }
-        Ok(x)
+        let y = thread(self.layers.iter(), input, |l, x| l.forward_inference(x))?;
+        Ok(y.unwrap_or_else(|| input.clone()))
     }
 
-    /// Runs the full backward pass from `∂L/∂output`, accumulating parameter
-    /// gradients, and returns `∂L/∂input`.
+    /// Runs the backward pass from `∂L/∂output`, accumulating every
+    /// parameter gradient.
+    ///
+    /// It returns no `∂L/∂input`, and does not compute one: the pass stops
+    /// at the first layer that has parameters, which runs
+    /// [`Layer::backward_params`] (for a `Conv2d` or `Linear` that is `dW`
+    /// and `db` without the input-gradient GEMM), and the parameter-free
+    /// layers in front of it (an MLP's `Flatten`) do not run at all. Every
+    /// layer behind it runs [`Layer::backward`]. A caller that wants the
+    /// gradient with respect to an input calls the layers' `backward`
+    /// itself.
     ///
     /// # Errors
     ///
     /// Propagates the first failing layer's error.
-    pub fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
-        }
-        Ok(g)
+    pub fn backward(&mut self, grad_output: &Tensor) -> crate::Result<()> {
+        let has_params = |l: &dyn Layer| {
+            let mut any = false;
+            l.visit_params_ref(&mut |_| any = true);
+            any
+        };
+        // Where the pass stops: the first layer that has parameters, or the
+        // first layer of a network that has none.
+        let stop = self.layers.iter().position(|l| has_params(l.as_ref()));
+        let stop = stop.unwrap_or(0);
+        let Some((first, behind)) = self.layers[stop..].split_first_mut() else {
+            return Ok(());
+        };
+        let g = thread(behind.iter_mut().rev(), grad_output, |l, g| l.backward(g))?;
+        first.backward_params(g.as_ref().unwrap_or(grad_output))
     }
 
     /// Visits every parameter mutably, in layer order.
@@ -230,6 +257,20 @@ impl Network {
     }
 }
 
+#[cfg(test)]
+impl Network {
+    /// Every layer's [`Layer::backward`] called by hand, last to first,
+    /// returning the first layer's `∂L/∂input`: the loop
+    /// [`backward`](Network::backward) was, kept as its reference.
+    pub(crate) fn backward_by_hand(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
+        let mut g = grad_output.clone();
+        for layer in self.layers.iter_mut().rev() {
+            g = layer.backward(&g)?;
+        }
+        Ok(g)
+    }
+}
+
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
@@ -282,8 +323,112 @@ mod tests {
         let x = normal(&[2, 4], 1.0, &mut seeded(1));
         let y = net.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), &[2, 3]);
-        let dx = net.backward(&Tensor::ones(&[2, 3])).unwrap();
+        let dx = net.backward_by_hand(&Tensor::ones(&[2, 3])).unwrap();
         assert_eq!(dx.dims(), &[2, 4]);
+    }
+
+    #[test]
+    fn backward_accumulates_what_the_layers_do_by_hand() {
+        use crate::layers::Conv2d;
+        use crate::models;
+        let fp = ParamPrecision::Float32;
+        type Build = Box<dyn Fn() -> Network>;
+        let nets: Vec<(Build, Vec<usize>)> = vec![
+            (
+                Box::new(|| {
+                    models::cifarnet(10, 8, 0.5, &QuantScheme::paper_apt(), &mut seeded(3)).unwrap()
+                }),
+                vec![4, 3, 8, 8],
+            ),
+            (
+                // `Flatten` in front: the first trainable layer is `fc0`.
+                Box::new(|| {
+                    let dims = [48, 16, 8, 10];
+                    models::mlp("m", &dims, &QuantScheme::paper_apt(), &mut seeded(4)).unwrap()
+                }),
+                vec![4, 3, 4, 4],
+            ),
+            (
+                Box::new(|| {
+                    models::resnet20(10, 0.25, &QuantScheme::paper_apt(), &mut seeded(5)).unwrap()
+                }),
+                vec![2, 3, 8, 8],
+            ),
+            (
+                Box::new(|| {
+                    models::mobilenet_v2(10, 0.25, &QuantScheme::float32(), &mut seeded(6)).unwrap()
+                }),
+                vec![2, 3, 8, 8],
+            ),
+            (
+                Box::new(|| {
+                    models::vgg_small(10, 8, 0.05, &QuantScheme::float32(), &mut seeded(7)).unwrap()
+                }),
+                vec![2, 3, 8, 8],
+            ),
+            (
+                Box::new(move || {
+                    let fc = Linear::new("fc", 6, 3, fp, Some(fp), &mut seeded(8)).unwrap();
+                    Network::new("one-linear", vec![Box::new(fc)])
+                }),
+                vec![5, 6],
+            ),
+            (
+                Box::new(move || {
+                    let conv = Conv2d::new("c", 3, 4, 3, 1, 1, 1, fp, Some(fp), &mut seeded(9));
+                    Network::new("one-conv", vec![Box::new(conv.unwrap())])
+                }),
+                vec![2, 3, 5, 5],
+            ),
+        ];
+        for (build, dims) in nets {
+            let (mut net, mut by_hand) = (build(), build());
+            let x = normal(&dims, 1.0, &mut seeded(11));
+            // Two steps, so the second accumulates onto gradients in place.
+            for step in 0..2 {
+                let y = net.forward(&x, Mode::Train).unwrap();
+                let same_y = by_hand.forward(&x, Mode::Train).unwrap();
+                assert_eq!(y.data(), same_y.data());
+                let g = normal(y.dims(), 1.0, &mut seeded(12 + step));
+                net.backward(&g).unwrap();
+                let dx = by_hand.backward_by_hand(&g).unwrap();
+                assert_eq!(dx.dims(), x.dims(), "{}", net.name());
+            }
+            let grads = |n: &Network| {
+                let mut all = Vec::new();
+                n.visit_params_ref(&mut |p| {
+                    all.push((p.name().to_string(), p.grad().data().to_vec()));
+                });
+                all
+            };
+            let (got, want) = (grads(&net), grads(&by_hand));
+            assert_eq!(got.len(), want.len());
+            for ((name, g), (_, w)) in got.iter().zip(&want) {
+                assert!(g.iter().any(|&v| v != 0.0), "{name}: no gradient arrived");
+                assert!(
+                    g.iter().zip(w).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{}: {name} differs from the layer-by-layer pass",
+                    net.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn backward_errors_are_the_layers_errors() {
+        // The shortened pass keeps every check of the full one.
+        let mut net = tiny_net();
+        assert!(matches!(
+            net.backward(&Tensor::ones(&[2, 3])),
+            Err(crate::NnError::BackwardBeforeForward { .. })
+        ));
+        let x = normal(&[2, 4], 1.0, &mut seeded(1));
+        let _ = net.forward(&x, Mode::Train).unwrap();
+        assert!(net.backward(&Tensor::ones(&[2, 5])).is_err());
+        assert!(net.backward(&Tensor::ones(&[3, 3])).is_err());
+        let mut empty = Network::new("empty", Vec::new());
+        assert_eq!(empty.forward(&x, Mode::Train).unwrap().data(), x.data());
+        empty.backward(&x).unwrap();
     }
 
     #[test]
@@ -303,7 +448,7 @@ mod tests {
         let mut net = tiny_net();
         let x = normal(&[2, 4], 1.0, &mut seeded(2));
         let _ = net.forward(&x, Mode::Train).unwrap();
-        let _ = net.backward(&Tensor::ones(&[2, 3])).unwrap();
+        net.backward(&Tensor::ones(&[2, 3])).unwrap();
         let mut nonzero = 0;
         net.visit_params_ref(&mut |p| {
             if p.grad().abs_max() > 0.0 {

@@ -111,8 +111,14 @@ fn every_scheme_builds_every_backbone() {
             let x = normal(&dims, 1.0, &mut seeded(3));
             let y = net.forward(&x, Mode::Train).unwrap();
             assert_eq!(y.dims()[1], 10, "{}", net.name());
-            let dx = net.backward(&Tensor::ones(y.dims())).unwrap();
-            assert_eq!(dx.dims(), x.dims(), "{}", net.name());
+            net.backward(&Tensor::ones(y.dims())).unwrap();
+            let mut with_grad = 0;
+            net.visit_params_ref(&mut |p| with_grad += usize::from(p.grad().abs_max() > 0.0));
+            assert!(
+                with_grad > 0,
+                "{}: backward reached no parameter",
+                net.name()
+            );
         }
     }
 }

@@ -8,8 +8,9 @@
 //! * [`Tensor`] — a contiguous, row-major, heap-allocated `f32` array with a
 //!   dynamic [`Shape`].
 //! * Matrix multiply ([`ops::matmul`] and its transposed forms) on one
-//!   register-tiled micro-kernel, runtime-dispatched to AVX2 where the CPU
-//!   has it ([`ops::gemm_isa`]) with bit-identical results either way.
+//!   register-tiled micro-kernel, runtime-dispatched to the widest of
+//!   AVX-512, AVX2 and the baseline build the CPU has ([`ops::gemm_isa`])
+//!   with bit-identical results on all three.
 //! * 2-D convolution via im2col + GEMM ([`ops::conv`]), including the two
 //!   backward kernels (gradient w.r.t. input and w.r.t. weights).
 //! * Pooling, padding/cropping/flipping (used by data augmentation),
@@ -35,8 +36,9 @@
 
 #![deny(missing_docs)]
 // `unsafe` is denied everywhere except the narrowly-audited pointer
-// plumbing inside `par` and the one call into the `avx2`-compiled GEMM
-// micro-kernel in `ops::matmul_impl` (made only after runtime detection);
+// plumbing inside `par` and the one call into the `avx2`- / `avx512f`-
+// compiled GEMM micro-kernel in `ops::matmul_impl` (made only after
+// runtime detection);
 // each site carries its own SAFETY justification.
 #![deny(unsafe_code)]
 

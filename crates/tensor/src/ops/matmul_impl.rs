@@ -43,7 +43,7 @@
 use crate::{par, Result, Tensor, TensorError};
 use std::cell::RefCell;
 
-/// Shared-dimension tile: a `KC × TN` strip of B (at most 8 KiB) stays in
+/// Shared-dimension tile: a `KC × TN` strip of B (at most 16 KiB) stays in
 /// L1 while every row tile of the chunk passes over it.
 const KC: usize = 128;
 /// C rows per register tile.
@@ -89,7 +89,7 @@ fn check_matrix(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
 }
 
 // ---------------------------------------------------------------------------
-// The micro-kernel and its two instantiations
+// The micro-kernel and its three instantiations
 // ---------------------------------------------------------------------------
 
 /// Which instantiation of the micro-kernel a GEMM call runs.
@@ -101,6 +101,10 @@ enum Isa {
     /// [`Isa::detect`], which is what makes the dispatch call sound.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// `TN = 32`, compiled with `avx512f` enabled. Constructed only by
+    /// [`Isa::detect`], like [`Isa::Avx2`].
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Isa {
@@ -108,23 +112,35 @@ impl Isa {
     /// caches its answer, so asking once per GEMM call is free).
     fn detect() -> Isa {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Isa::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Isa::Avx2;
+            }
         }
         Isa::Portable
+    }
+
+    /// The name [`gemm_isa`] reports.
+    fn name(self) -> &'static str {
+        match self {
+            Isa::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512",
+        }
     }
 }
 
 /// Name of the f32 GEMM micro-kernel this process dispatches to:
-/// `"avx2"` (4 × 16 tile) or `"portable"` (4 × 8 tile, baseline
-/// instruction set). Both produce the same bits; throughput differs ~1.6×,
-/// so benchmark artefacts record it.
+/// `"avx512"` (4 × 32 tile), `"avx2"` (4 × 16 tile) or `"portable"`
+/// (4 × 8 tile, baseline instruction set). All three produce the same
+/// bits; throughput differs, so benchmark artefacts record it.
 pub fn gemm_isa() -> &'static str {
-    match Isa::detect() {
-        Isa::Portable => "portable",
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => "avx2",
-    }
+    Isa::detect().name()
 }
 
 /// Left operand of the micro-kernel: element `(r, kk)` is
@@ -219,6 +235,10 @@ fn rows_tiled<const TN: usize>(a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: us
             strip::<TN>(a, b, c, j, n, k0, k1);
             j += TN;
         }
+        if TN > 16 && j + 16 <= n {
+            strip::<16>(a, b, c, j, n, k0, k1);
+            j += 16;
+        }
         if TN > 8 && j + 8 <= n {
             strip::<8>(a, b, c, j, n, k0, k1);
             j += 8;
@@ -244,19 +264,34 @@ fn rows_avx2(a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
     rows_tiled::<16>(a, b, c, k, n);
 }
 
+/// [`rows_tiled`] at `TN = 32` with `avx512f` code generation: two `zmm`
+/// registers per tile row. The multiply and the add stay two instructions
+/// (see the module docs), so the bits are the portable tile's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn rows_avx512(a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    rows_tiled::<32>(a, b, c, k, n);
+}
+
 /// Serial core of every GEMM form: runs the micro-kernel instantiation
 /// `isa` names over one chunk of C rows.
 fn kernel_rows(isa: Isa, a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
     match isa {
         Isa::Portable => rows_tiled::<8>(a, b, c, k, n),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => {
-            // SAFETY: `rows_avx2` requires a CPU with AVX2. `Isa::Avx2` is
-            // constructed only in `Isa::detect`, after
-            // `is_x86_feature_detected!("avx2")` returned true on this CPU.
+        Isa::Avx2 | Isa::Avx512 => {
+            // SAFETY: `rows_avx2` requires a CPU with AVX2 and `rows_avx512`
+            // one with AVX-512F. `Isa::Avx2` and `Isa::Avx512` are
+            // constructed only in `Isa::detect` (and in the test module's
+            // `supported_isas`), each after `is_x86_feature_detected!` of
+            // its own feature returned true on this CPU.
             #[allow(unsafe_code)]
             unsafe {
-                rows_avx2(a, b, c, k, n)
+                if isa == Isa::Avx512 {
+                    rows_avx512(a, b, c, k, n)
+                } else {
+                    rows_avx2(a, b, c, k, n)
+                }
             }
         }
     }
@@ -699,15 +734,41 @@ mod tests {
         [ab, at_b, a_bt]
     }
 
+    /// Every instantiation of the micro-kernel this CPU can run, each
+    /// behind its own feature test (which is what lets `kernel_rows`
+    /// dispatch to it).
+    fn supported_isas() -> Vec<Isa> {
+        let mut isas = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                isas.push(Isa::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(Isa::Avx512);
+            }
+        }
+        isas
+    }
+
     #[test]
     fn dispatched_portable_and_naive_agree_bitwise_on_ragged_shapes() {
-        // Every residue of rows mod TM and cols mod 16 (the widest tile),
+        // The test covers what it says: the portable tile, the one this
+        // process dispatches to, and the 256-bit one as well on a host that
+        // dispatches past it — a detection typo must not quietly test
+        // `Portable` twice.
+        let isas = supported_isas();
+        assert!(isas.contains(&Isa::Portable) && isas.contains(&Isa::detect()));
+        #[cfg(target_arch = "x86_64")]
+        assert!(Isa::detect() != Isa::Avx512 || isas.contains(&Isa::Avx2));
+        assert_eq!(isas.len() > 1, gemm_isa() != "portable");
+        // Every residue of rows mod TM and cols mod 32 (the widest tile),
         // cols below the narrowest vector tile, rows on both sides of
         // ABT_PACK_MIN_ROWS and of cols (so `A·Bᵀ` packs each operand in
         // turn), and shared dimensions around the KC block edge.
         let mut shapes = Vec::new();
         for rows in (1..=9).chain([33]) {
-            for cols in (1..=3).chain(16..32) {
+            for cols in (1..=3).chain(32..64) {
                 shapes.push((rows, 5, cols));
             }
         }
@@ -731,7 +792,7 @@ mod tests {
                 let seed = crate::rng::normal(&[rows * cols], 1.0, &mut rng);
                 for c0 in [vec![0.0; rows * cols], seed.data().to_vec()] {
                     let want = naive_forms(a.data(), b.data(), &c0, rows, s, cols);
-                    for isa in [Isa::Portable, Isa::detect()] {
+                    for &isa in &isas {
                         let mut got = [c0.clone(), c0.clone(), c0.clone()];
                         gemm_on(isa, a.data(), b.data(), &mut got[0], rows, s, cols);
                         gemm_at_b_on(isa, a.data(), b.data(), &mut got[1], s, rows, cols);

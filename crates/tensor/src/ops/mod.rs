@@ -4,7 +4,8 @@
 //!
 //! * [`elementwise`] — add/sub/mul/axpy/scale and friends.
 //! * [`matmul`](self::matmul()) — register-tiled GEMM plus transposed
-//!   variants, one micro-kernel dispatched by [`gemm_isa`].
+//!   variants, one micro-kernel in three widths (`avx512`, `avx2`,
+//!   `portable`), dispatched by [`gemm_isa`].
 //! * [`int_gemm`] — integer-domain GEMM with fused per-channel rescale
 //!   (the dequant-free serving lane's compute kernel).
 //! * [`conv`] — 2-D convolution (im2col + GEMM) with both backward kernels.

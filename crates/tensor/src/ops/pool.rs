@@ -31,7 +31,51 @@ pub struct MaxPoolOutput {
     pub argmax: Vec<usize>,
 }
 
+/// The one max-pool loop. `out` / `arg` hold whole output rows of `ow =
+/// w / k` elements, the first of them output row `row0` of the tensor
+/// (planes are contiguous, so output row `r` pools input rows `r·k..`).
+///
+/// Candidates are visited in `(di, dj)` order and taken on a strict `>`,
+/// written as selects: on activations the winner of a window is a coin
+/// toss, and a branch per candidate mispredicts accordingly. The running
+/// maximum starts at `−∞` and the index at the window's own first element,
+/// so a window with nothing above `−∞` (all NaN, all `−∞`) routes its
+/// gradient to itself.
+///
+/// `#[inline(always)]` so a caller passing a literal `k` gets the window
+/// loops unrolled and the slices' bounds hoisted — the GEMM tile's trick.
+#[inline(always)]
+fn max_pool_rows(x: &[f32], w: usize, k: usize, row0: usize, out: &mut [f32], arg: &mut [usize]) {
+    let ow = w / k;
+    for (r, (orow, arow)) in out
+        .chunks_exact_mut(ow)
+        .zip(arg.chunks_exact_mut(ow))
+        .enumerate()
+    {
+        let base = (row0 + r) * k * w;
+        let rows = &x[base..base + k * w];
+        for (oj, (o, a)) in orow.iter_mut().zip(arow.iter_mut()).enumerate() {
+            let first = base + oj * k;
+            let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
+            for di in 0..k {
+                let window_row = &rows[di * w + oj * k..][..k];
+                for (dj, &v) in window_row.iter().enumerate() {
+                    let take = v > best;
+                    best = if take { v } else { best };
+                    best_idx = if take { first + di * w + dj } else { best_idx };
+                }
+            }
+            *o = best;
+            *a = best_idx;
+        }
+    }
+}
+
 /// Max pooling with square window `k` and stride `k` (non-overlapping).
+///
+/// The argmax of a window is its first element (in row-major order) that
+/// no other exceeds; NaN candidates never win, and a window holding
+/// nothing above `−∞` yields `−∞` and its own first element.
 ///
 /// # Errors
 ///
@@ -58,30 +102,13 @@ pub fn max_pool2d(input: &Tensor, k: usize) -> Result<MaxPoolOutput> {
             &mut argmax,
             planes_per_chunk * plane,
             |ci, out_planes, arg_planes| {
-                let p0 = ci * planes_per_chunk;
-                for (local, (op, ap)) in out_planes
-                    .chunks_mut(plane)
-                    .zip(arg_planes.chunks_mut(plane))
-                    .enumerate()
-                {
-                    let base = (p0 + local) * h * w;
-                    for oi in 0..oh {
-                        for oj in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_idx = 0usize;
-                            for di in 0..k {
-                                for dj in 0..k {
-                                    let idx = base + (oi * k + di) * w + oj * k + dj;
-                                    if x[idx] > best {
-                                        best = x[idx];
-                                        best_idx = idx;
-                                    }
-                                }
-                            }
-                            op[oi * ow + oj] = best;
-                            ap[oi * ow + oj] = best_idx;
-                        }
-                    }
+                let row0 = ci * planes_per_chunk * oh;
+                // Every pool in the model zoo is 2 × 2; a literal there
+                // halves the pass (63–72 µs against 131–134 for the loop
+                // with `k` a variable, [32, 16, 16, 16] on the build host).
+                match k {
+                    2 => max_pool_rows(x, w, 2, row0, out_planes, arg_planes),
+                    _ => max_pool_rows(x, w, k, row0, out_planes, arg_planes),
                 }
             },
         );
@@ -308,6 +335,134 @@ mod tests {
         assert_eq!(gi.at(&[0, 0, 3, 1]).unwrap(), 3.0);
         assert_eq!(gi.at(&[0, 0, 3, 3]).unwrap(), 4.0);
         assert_eq!(gi.sum(), 10.0);
+    }
+
+    /// The loop [`max_pool_rows`] replaced: a branch per candidate and a
+    /// *flat* index seed of 0, kept as its reference.
+    fn max_pool_branchy(x: &[f32], planes: usize, h: usize, w: usize, k: usize) -> MaxPoolOutput {
+        let (oh, ow) = (h / k, w / k);
+        let mut out = vec![0.0f32; planes * oh * ow];
+        let mut argmax = vec![0usize; planes * oh * ow];
+        for p in 0..planes {
+            let base = p * h * w;
+            for oi in 0..oh {
+                for oj in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0usize;
+                    for di in 0..k {
+                        for dj in 0..k {
+                            let idx = base + (oi * k + di) * w + oj * k + dj;
+                            if x[idx] > best {
+                                best = x[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    out[(p * oh + oi) * ow + oj] = best;
+                    argmax[(p * oh + oi) * ow + oj] = best_idx;
+                }
+            }
+        }
+        MaxPoolOutput {
+            output: Tensor::from_vec(out, &[1, planes, oh, ow]).unwrap(),
+            argmax,
+        }
+    }
+
+    #[test]
+    fn select_loop_matches_the_branchy_loop_bit_for_bit() {
+        // Values drawn from a small set so windows are full of ties, signed
+        // zeros, NaN and −∞; every special value visits every window
+        // position many times over 12 planes.
+        const POOL: [f32; 8] = [
+            0.0,
+            -0.0,
+            1.0,
+            1.0,
+            -1.0,
+            f32::NAN,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+        ];
+        for k in 1..=4usize {
+            let (planes, h, w) = (12, 3 * k, 5 * k);
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ k as u64;
+            let mut x: Vec<f32> = (0..planes * h * w)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    POOL[(state >> 61) as usize]
+                })
+                .collect();
+            // The first plane is plain data with distinct values, the next
+            // two have nothing above −∞ anywhere.
+            for (i, v) in x[..h * w].iter_mut().enumerate() {
+                *v = ((i * 7919) % 101) as f32 - 50.0;
+            }
+            x[h * w..2 * h * w].fill(f32::NAN);
+            x[2 * h * w..3 * h * w].fill(f32::NEG_INFINITY);
+            let input = Tensor::from_vec(x.clone(), &[1, planes, h, w]).unwrap();
+            let want = max_pool_branchy(&x, planes, h, w, k);
+            // (window position, special value) pairs met in windows that have a
+            // winner.
+            let mut seen = std::collections::BTreeSet::new();
+            for threads in [1, 3] {
+                let got = par::with_threads(threads, || max_pool2d(&input, k).unwrap());
+                assert_eq!(got.output.dims(), want.output.dims());
+                let (ow, per_plane) = (w / k, (h / k) * (w / k));
+                for (t, (g, r)) in got.output.data().iter().zip(want.output.data()).enumerate() {
+                    assert_eq!(g.to_bits(), r.to_bits(), "k={k} output {t}");
+                    let (p, oi, oj) = (t / per_plane, (t % per_plane) / ow, t % ow);
+                    let first = p * h * w + oi * k * w + oj * k;
+                    let window = (0..k * k).map(|c| x[first + (c / k) * w + c % k]);
+                    if window.clone().any(|v| v > f32::NEG_INFINITY) {
+                        seen.extend(window.enumerate().filter_map(|(c, v)| {
+                            let special = [f32::NAN, f32::NEG_INFINITY, -0.0, 0.0]
+                                .iter()
+                                .position(|s| s.to_bits() == v.to_bits())?;
+                            Some((c, special))
+                        }));
+                        assert_eq!(got.argmax[t], want.argmax[t], "k={k} argmax {t}");
+                    } else {
+                        // The seed the bugfix moved: the reference says 0.
+                        assert_eq!(g.to_bits(), f32::NEG_INFINITY.to_bits());
+                        assert_eq!((got.argmax[t], want.argmax[t]), (first, 0), "k={k} {t}");
+                    }
+                }
+            }
+            // (A one-element window holding NaN or −∞ has no winner.)
+            let specials = if k == 1 { 2 } else { 4 };
+            assert_eq!(
+                seen.len(),
+                specials * k * k,
+                "k={k}: a special missed a position"
+            );
+        }
+    }
+
+    #[test]
+    fn a_window_with_nothing_above_neg_infinity_keeps_its_gradient() {
+        // Regression: the index seed was the flat index 0, so an all-NaN
+        // window in image 1 / channel 2 sent its gradient to element 0 of
+        // the whole tensor.
+        let mut x = Tensor::ones(&[2, 3, 4, 4]);
+        let late = ((3 + 2) * 4 + 2) * 4 + 2; // image 1, channel 2, row 2, col 2
+        for off in [0, 1, 4, 5] {
+            x.data_mut()[late + off] = f32::NAN;
+        }
+        let MaxPoolOutput { output, argmax } = max_pool2d(&x, 2).unwrap();
+        let t = argmax
+            .iter()
+            .position(|&a| a == late)
+            .expect("argmax inside the window");
+        assert_eq!(output.data()[t], f32::NEG_INFINITY);
+        let mut go = Tensor::zeros(output.dims());
+        go.data_mut()[t] = 5.0;
+        let gi = max_pool2d_backward(&go, &argmax, x.dims()).unwrap();
+        assert_eq!(gi.data()[0], 0.0, "element 0 is another image's pixel");
+        assert_eq!(gi.data()[late], 5.0);
+        assert_eq!(gi.sum(), 5.0);
     }
 
     #[test]

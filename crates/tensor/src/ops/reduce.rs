@@ -8,6 +8,15 @@
 //! bit-identical for every thread count. Full-tensor scalar reductions
 //! ([`mean_abs`]) stay serial — splitting them would need a reduction
 //! tree, which changes the floating-point accumulation order.
+//!
+//! A floating-point sum is a chain: one add per element, each waiting out
+//! the latency of the one before. [`channel_mean_var`] is defined as one
+//! partial sum per image folded in image order, so the partials of
+//! different images are independent chains; it runs [`CHAINS`] of them
+//! **side by side** and folds them in the order it always did. Chains are
+//! interleaved, never reassociated — no element changes the chain it is
+//! added to or its place in it, so the bits are the serial loop's (kept in
+//! the test module as the reference).
 
 use crate::{par, Result, Tensor, TensorError};
 
@@ -161,30 +170,60 @@ pub fn channel_mean_var(a: &Tensor) -> Result<(Tensor, Tensor)> {
         |ci, mean_c, var_c| {
             let ch0 = ci * chans_per_chunk;
             for (k, (mu_out, var_out)) in mean_c.iter_mut().zip(var_c.iter_mut()).enumerate() {
-                let ch = ch0 + k;
-                let mut s = 0.0f64;
-                for img in 0..n {
-                    let base = (img * c + ch) * h * w;
-                    s += x[base..base + h * w].iter().map(|&v| v as f64).sum::<f64>();
-                }
-                let mu = s / count as f64;
-                let mut sq = 0.0f64;
-                for img in 0..n {
-                    let base = (img * c + ch) * h * w;
-                    sq += x[base..base + h * w]
-                        .iter()
-                        .map(|&v| {
-                            let d = v as f64 - mu;
-                            d * d
-                        })
-                        .sum::<f64>();
-                }
+                let plane = |img: usize| &x[(img * c + ch0 + k) * h * w..][..h * w];
+                let mu = sum_over_images(n, plane, |v| v as f64) / count as f64;
+                let sq = sum_over_images(n, plane, |v| {
+                    let d = v as f64 - mu;
+                    d * d
+                });
                 *mu_out = mu as f32;
                 *var_out = (sq / count as f64) as f32;
             }
         },
     );
     Ok((mean, var))
+}
+
+/// Partial sums that run side by side: enough independent adds in flight
+/// to cover the latency of one (3–4 cycles, one add issued per cycle).
+const CHAINS: usize = 4;
+
+/// `Σ f(v)` over each of `L` equally long planes, every plane its own
+/// chain in element order from the `−0.0` that `Iterator::sum` starts at.
+#[inline(always)]
+fn plane_sums<const L: usize>(planes: [&[f32]; L], f: impl Fn(f32) -> f64) -> [f64; L] {
+    let len = planes[0].len();
+    let planes = planes.map(|p| &p[..len]);
+    let mut acc = [-0.0f64; L];
+    for t in 0..len {
+        for (s, p) in acc.iter_mut().zip(planes) {
+            *s += f(p[t]);
+        }
+    }
+    acc
+}
+
+/// `Σ_img Σ_plane f(v)`: one partial per image (`plane(img)`), the partials
+/// added in image order — [`CHAINS`] images at a time, then one by one.
+#[inline(always)]
+fn sum_over_images<'a>(
+    n: usize,
+    plane: impl Fn(usize) -> &'a [f32],
+    f: impl Fn(f32) -> f64,
+) -> f64 {
+    let mut s = 0.0f64;
+    let mut img = 0;
+    while img + CHAINS <= n {
+        for partial in plane_sums::<CHAINS>(std::array::from_fn(|l| plane(img + l)), &f) {
+            s += partial;
+        }
+        img += CHAINS;
+    }
+    while img < n {
+        s += plane_sums([plane(img)], &f)[0];
+        img += 1;
+    }
+    s
 }
 
 #[cfg(test)]
@@ -229,6 +268,74 @@ mod tests {
         assert_eq!(m.data(), &[2.5, 10.0]);
         assert!((v.data()[0] - 1.25).abs() < 1e-6);
         assert_eq!(v.data()[1], 0.0);
+    }
+
+    /// [`channel_mean_var`] as it was before the image partials ran side by
+    /// side: one serial chain per image, folded in image order.
+    fn channel_mean_var_serial(a: &Tensor) -> (Vec<f32>, Vec<f32>) {
+        let (n, c, hw) = (a.dims()[0], a.dims()[1], a.dims()[2] * a.dims()[3]);
+        let (x, count) = (a.data(), n * hw);
+        let (mut mean, mut var) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for ch in 0..c {
+            let mut s = 0.0f64;
+            for img in 0..n {
+                let base = (img * c + ch) * hw;
+                s += x[base..base + hw].iter().map(|&v| v as f64).sum::<f64>();
+            }
+            let mu = s / count as f64;
+            let mut sq = 0.0f64;
+            for img in 0..n {
+                let base = (img * c + ch) * hw;
+                sq += x[base..base + hw]
+                    .iter()
+                    .map(|&v| {
+                        let d = v as f64 - mu;
+                        d * d
+                    })
+                    .sum::<f64>();
+            }
+            mean[ch] = mu as f32;
+            var[ch] = (sq / count as f64) as f32;
+        }
+        (mean, var)
+    }
+
+    #[test]
+    fn side_by_side_chains_match_the_serial_chain_bit_for_bit() {
+        let same = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        let mut rng = crate::rng::seeded(31);
+        for n in [1, 3, 4, 5, 32] {
+            for c in [1, 3, 4, 6, 16] {
+                for (h, w) in [(1, 1), (3, 3), (8, 8)] {
+                    let plain = crate::rng::normal(&[n, c, h, w], 3.0, &mut rng);
+                    // Channel 0 all −0.0 (the sum's sign), then one special
+                    // value planted in the first and in the last image.
+                    let mut zeros = plain.clone();
+                    for img in 0..n {
+                        zeros.data_mut()[img * c * h * w..][..h * w].fill(-0.0);
+                    }
+                    let mut cases = vec![plain.clone(), zeros];
+                    for special in [0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                        let mut t = plain.clone();
+                        t.data_mut()[0] = special;
+                        let last = t.len() - 1;
+                        t.data_mut()[last] = special;
+                        cases.push(t);
+                    }
+                    for a in &cases {
+                        let (want_mean, want_var) = channel_mean_var_serial(a);
+                        for threads in [1, 3] {
+                            let (mean, var) =
+                                par::with_threads(threads, || channel_mean_var(a).unwrap());
+                            assert!(
+                                same(mean.data(), &want_mean) && same(var.data(), &want_var),
+                                "[{n}, {c}, {h}, {w}] at {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //! `--smoke` runs 10 seeded one-shot weight bit flips at the paper's
 //! 6-bit starting precision and **fails the process** unless every flip
 //! is detected and at least 9/10 runs recover to within 2 % of clean —
-//! the acceptance gate CI enforces on every push.
+//! the acceptance gate CI enforces on every push. It also prints what the
+//! armed guard costs a clean run on this MLP — a guarded run's time over an
+//! unguarded one's, paired rounds — as information: nothing gates on it.
 
-use apt_bench::{arg_value, json_doc, row, smoke_flag, table, write_output, Gates};
+use apt_bench::{
+    arg_value, json_doc, median, paired_rounds, row, smoke_flag, table, write_output, Gates,
+};
 use apt_core::faults::{BatchCorruptor, BitFlip, Saturator, StepHook, SurfaceKind};
 use apt_core::{CoreError, IntegrityConfig, TrainConfig, TrainReport, Trainer};
 use apt_data::{blobs, Dataset};
@@ -262,7 +266,38 @@ fn smoke() -> ExitCode {
         "expected >= 9/10 runs within 2% of clean accuracy",
     );
     gates.pass(format_args!("recovery {}/{}", cell.recovered, cell.runs));
+    print_guard_cost();
     gates.finish()
+}
+
+/// What arming the guard costs a clean run of the campaign's MLP: the same
+/// seed trained with and without it, in paired rounds.
+fn print_guard_cost() {
+    let (train, test) = workload();
+    let clean_run = |integrity: Option<IntegrityConfig>| {
+        let cfg = TrainConfig {
+            integrity,
+            ..cfg(true)
+        };
+        let mut trainer = Trainer::new(net(6, 0), cfg).expect("trainer");
+        let report = trainer.train(&train, &test).expect("a clean run finishes");
+        assert!(report.integrity.is_clean());
+    };
+    let rounds = paired_rounds(&|| clean_run(None), &|| {
+        clean_run(Some(IntegrityConfig::default()))
+    });
+    let ratio = median(rounds.iter().map(|(bare, armed)| armed / bare).collect());
+    let steps = 4.0 * 6.0;
+    let armed_us = median(
+        rounds
+            .iter()
+            .map(|(_, armed)| armed / steps / 1e3)
+            .collect(),
+    );
+    println!(
+        "# guarded / unguarded clean run (6-bit MLP, paired rounds, ungated): {ratio:.2}x, \
+         {armed_us:.1} us a guarded step"
+    );
 }
 
 /// Prints the cells and writes them to `results/fault_campaign.json`.

@@ -14,8 +14,11 @@
 //!   that do no arithmetic to speak of (batch-norm statistics, forward
 //!   and backward, max-pool) at `[32, 16, 16, 16]` on one thread, each
 //!   with the bytes it has to move and the rate it moved them at, beside
-//!   an `add` over the same element count — what "memory speed" is here.
-//!   Both modes print that table; nothing gates on it.
+//!   an `add` over the same element count — what "memory speed" is here —
+//!   and the guarded step's O(parameters) passes (integrity digest,
+//!   finiteness screen, rail count, the Eq. 3 sweep, checkpoint
+//!   serialisation and its CRC) at the `[768, 256, 256, 10]` MLP's
+//!   inventory. Both modes print that table; nothing gates on it.
 //!
 //! ```text
 //! cargo run --release -p apt-bench --bin kernels             # full sweep
@@ -54,8 +57,8 @@ use apt_bench::{
 };
 use apt_metrics::Table;
 use apt_nn::layers::BatchNorm2d;
-use apt_nn::{Layer, Mode, ParamPrecision};
-use apt_quant::{AffineQuantizer, Bitwidth, QuantizedTensor};
+use apt_nn::{checkpoint, models, Layer, Mode, ParamPrecision, ParamStore, QuantScheme};
+use apt_quant::{AffineQuantizer, Bitwidth, QuantizedTensor, RoundingMode};
 use apt_tensor::ops::conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dParams};
 use apt_tensor::ops::fused;
 use apt_tensor::ops::int_gemm::{self, gemm_i8_rescale, IntRescale};
@@ -265,9 +268,10 @@ fn kernels() -> Vec<Kernel> {
             run: Box::new(move || {
                 // The store's resident words, folded, as the checksum: a
                 // pass over n/8 words beside n calls to `round`.
-                let mut fold = 0u64;
+                let (mut fold, mut last) = (0u64, 0u64);
                 q.quantize_to_store(x.data())
-                    .for_each_word(|w| fold = fold.rotate_left(7) ^ w);
+                    .for_each_word_block(|[w]| fold = fold.rotate_left(7) ^ w, |w| last = w);
+                fold = fold.rotate_left(7) ^ last;
                 vec![
                     f32::from_bits(fold as u32),
                     f32::from_bits((fold >> 32) as u32),
@@ -299,49 +303,129 @@ fn kernels() -> Vec<Kernel> {
 /// cells.
 const ACTIVATION: [usize; 4] = [32, 16, 16, 16];
 
-/// The conv training step's memory-bound passes on one thread: op, shape,
-/// ns per call, the bytes the pass must move (each input element read once
-/// per pass over it, each output element written once) and the rate that
-/// comes to. `add` over the same element count is the yardstick: three
+/// The guarded workload's model: what its O(parameters) passes walk.
+const GUARDED_MLP: [usize; 4] = [768, 256, 256, 10];
+
+/// The training steps' memory-bound passes on one thread: op, shape, ns per
+/// call, the bytes the pass must move (each input element read once per
+/// pass over it, each output element written once) and the rate that comes
+/// to. `add` over the activation's element count is the yardstick: three
 /// streams and one rounding per element.
 fn memory_bound_cells() -> Table {
-    let n = ACTIVATION.iter().product::<usize>();
-    let (x, dy) = (tensor(&ACTIVATION, 41), tensor(&ACTIVATION, 42));
-    let (a, b) = (tensor(&[n], 43), tensor(&[n], 44));
-    let mut bn = BatchNorm2d::new("bn", ACTIVATION[1], ParamPrecision::Float32)
-        .expect("sixteen channels is a valid batch-norm");
     let mut cells = table(schema::KERNELS_MEMORY_BOUND);
-    let mut cell = |op: &str, f32s_moved: usize, other_bytes: usize, run: &mut dyn FnMut()| {
-        let bytes = 4 * f32s_moved + other_bytes;
+    let mut cell = |op: &str, shape: &str, bytes: usize, run: &mut dyn FnMut()| {
         let ns = par::with_threads(1, || time_ns(run));
         cells.push_row(row![
             op,
-            "32x16x16x16",
+            shape,
             format!("{ns:.1}"),
             bytes,
             format!("{:.3}", bytes as f64 / ns)
         ]);
     };
-    cell("add", 3 * n, 0, &mut || {
+
+    // The conv step, at cifarnet's first activation.
+    let shape = "32x16x16x16";
+    let n = ACTIVATION.iter().product::<usize>();
+    let (x, dy) = (tensor(&ACTIVATION, 41), tensor(&ACTIVATION, 42));
+    let (a, b) = (tensor(&[n], 43), tensor(&[n], 44));
+    let mut bn = BatchNorm2d::new("bn", ACTIVATION[1], ParamPrecision::Float32)
+        .expect("sixteen channels is a valid batch-norm");
+    cell("add", shape, 4 * 3 * n, &mut || {
         drop(std::hint::black_box(add(&a, &b)))
     });
     // Two passes over the input: the mean, then the variance.
-    cell("channel_mean_var", 2 * n, 0, &mut || {
+    cell("channel_mean_var", shape, 4 * 2 * n, &mut || {
         drop(std::hint::black_box(channel_mean_var(&x)))
     });
     // The statistics, then one pass reading x and writing x̂ and y.
-    cell("batchnorm_forward", 5 * n, 0, &mut || {
+    cell("batchnorm_forward", shape, 4 * 5 * n, &mut || {
         drop(std::hint::black_box(bn.forward(&x, Mode::Train)))
     });
     // dy and x̂ (the cache the forward cell left behind) read for the two
     // sums, read again to write dx.
-    cell("batchnorm_backward", 5 * n, 0, &mut || {
+    cell("batchnorm_backward", shape, 4 * 5 * n, &mut || {
         drop(std::hint::black_box(bn.backward(&dy)))
     });
     // The input read once; a quarter as many maxima and 8-byte argmax
     // indices written.
-    cell("max_pool2d", n + n / 4, 8 * (n / 4), &mut || {
+    let pooled = 4 * (n + n / 4) + 8 * (n / 4);
+    cell("max_pool2d", shape, pooled, &mut || {
         drop(std::hint::black_box(max_pool2d(&x, 2)))
+    });
+
+    // The guarded step, at its MLP's inventory: 6-bit weights one byte a
+    // code, fp32 biases, momentum allocated on both.
+    let shape = "768-256-256-10";
+    let mut net = models::mlp(
+        "mlp",
+        &GUARDED_MLP,
+        &QuantScheme::paper_apt(),
+        &mut rng::seeded(7),
+    )
+    .expect("the guarded MLP is a valid configuration");
+    net.visit_params(&mut |p| {
+        let dims = p.dims().to_vec();
+        *p.velocity_mut() = rng::normal(&dims, 0.01, &mut rng::seeded(45));
+    });
+    let (mut params, mut codes) = (0, 0);
+    net.visit_params_ref(&mut |p| {
+        params += p.len();
+        if let ParamStore::Quantized(q) = p.store() {
+            codes += q.store().resident_bytes() as usize;
+        }
+    });
+    // Every resident word of every store and momentum buffer, once.
+    let resident = net.resident_bytes() as usize;
+    cell("integrity_digest", shape, resident, &mut || {
+        drop(std::hint::black_box(net.integrity_digests()))
+    });
+    let grad = tensor(&[params], 46);
+    cell("has_non_finite", shape, 4 * params, &mut || {
+        std::hint::black_box(std::hint::black_box(&grad).has_non_finite());
+    });
+    cell("count_rails", shape, codes, &mut || {
+        net.visit_params_ref(&mut |p| {
+            std::hint::black_box(p.saturation_ratio());
+        })
+    });
+    {
+        // Eq. 3 under truncation at k = 6 with nine steps in ten under ε:
+        // the gradient read twice (the finiteness screen, then the sweep),
+        // the codes read and written back. Applied with alternating sign,
+        // the codes return to where they started, so every call does the
+        // same work; no gradient pushes a code past a rail.
+        let weights = rng::normal(&[codes], 0.05, &mut rng::seeded(47));
+        let mut q = QuantizedTensor::from_tensor(&weights, Bitwidth::new(6).unwrap())
+            .expect("finite weights quantise");
+        let eps = q.eps();
+        let max = q.bits().num_steps() as i64;
+        let mut g = rng::normal(&[codes], 0.6 * eps, &mut rng::seeded(48));
+        for (g, code) in g.data_mut().iter_mut().zip(q.store().to_vec()) {
+            let steps = (*g / eps) as i64;
+            if !(steps.abs()..=max - steps.abs()).contains(&code) {
+                *g = 0.0;
+            }
+        }
+        let back = g.map(|x| -x);
+        let mut r = rng::seeded(49);
+        let mut forth = true;
+        cell("sgd_update", shape, (4 + 4 + 1 + 1) * codes, &mut || {
+            let g = if forth { &g } else { &back };
+            forth = !forth;
+            let stats = q.sgd_update(g, 1.0, RoundingMode::Truncate, &mut r);
+            let stats = stats.expect("finite operands");
+            assert!(stats.expanded == 0 && (0.85..0.95).contains(&stats.underflow_rate()));
+        });
+    }
+    // Every store read, the blob written, then read again for its CRC.
+    let blob = checkpoint::save_full(&mut net);
+    let stores = resident - 4 * params;
+    cell("save_full", shape, stores + 2 * blob.len(), &mut || {
+        drop(std::hint::black_box(checkpoint::save_full(&mut net)))
+    });
+    cell("crc32", shape, blob.len(), &mut || {
+        std::hint::black_box(checkpoint::crc32(std::hint::black_box(&blob)));
     });
     cells
 }

@@ -42,6 +42,48 @@ fn counting_alloc_sees_a_vec_come_and_go() {
 }
 
 #[test]
+fn a_steady_state_guard_scan_allocates_nothing() {
+    use apt_core::{GavgProfiler, IntegrityConfig, StepGuard, StepInfo};
+    use apt_nn::{models, QuantScheme};
+    let _serial = serial();
+    // The benchmark's guarded MLP (265 k parameters), momentum allocated and
+    // a Gavg profile seeded, as after its first optimiser step.
+    let mut r = apt_tensor::rng::seeded(7);
+    let mut net = models::mlp(
+        "mlp",
+        &[768, 256, 256, 10],
+        &QuantScheme::paper_apt(),
+        &mut r,
+    )
+    .unwrap();
+    net.visit_params(&mut |p| {
+        p.velocity_mut().fill(0.5);
+        p.grad_mut().fill(1e-3);
+    });
+    let mut profiler = GavgProfiler::new(0.3);
+    profiler.sample(&net);
+    let mut guard = StepGuard::new(IntegrityConfig::default());
+    guard.refresh(&net, &profiler);
+    let info = StepInfo {
+        epoch: 0,
+        iter: 0,
+        global_step: 0,
+    };
+    // libtest's own thread may allocate while this one measures, which only
+    // ever adds: one round at zero shows the scan itself allocates nothing.
+    let rounds = (0..5).map(|_| {
+        let before = ALLOC.calls();
+        let scan = guard.pre_step(&mut net, &mut profiler, &info).unwrap();
+        guard.step_clean();
+        guard.refresh(&net, &profiler);
+        assert_eq!(scan.healed, 0);
+        ALLOC.calls() - before
+    });
+    assert_eq!(rounds.min(), Some(0));
+    assert!(guard.report().is_clean());
+}
+
+#[test]
 fn json_doc_lays_a_record_out_like_the_committed_files() {
     let _serial = serial();
     let mut cells = table("world,wall_ms,lockstep");

@@ -112,6 +112,33 @@ impl GavgProfiler {
         self.profile()
     }
 
+    /// [`export`](GavgProfiler::export) into a snapshot taken earlier: when
+    /// `snapshot` names exactly the seeded averages (the steady state: the
+    /// set of sampled layers does not change between steps) only the
+    /// values are rewritten and nothing is allocated; otherwise it is
+    /// replaced.
+    pub(crate) fn export_into(&self, snapshot: &mut Vec<(String, f64)>) {
+        if self.names_exactly(snapshot) {
+            for (name, value) in snapshot.iter_mut() {
+                *value = self.get(name).expect("checked: every name is seeded");
+            }
+        } else {
+            *snapshot = self.export();
+        }
+    }
+
+    /// `export() == snapshot`, without building the export.
+    pub(crate) fn exports(&self, snapshot: &[(String, f64)]) -> bool {
+        self.names_exactly(snapshot) && snapshot.iter().all(|(name, v)| self.get(name) == Some(*v))
+    }
+
+    /// Whether `snapshot`'s names (unique, as an export's are) are exactly
+    /// the seeded averages'.
+    fn names_exactly(&self, snapshot: &[(String, f64)]) -> bool {
+        let seeded = self.emas.values().filter(|e| e.value().is_some()).count();
+        seeded == snapshot.len() && snapshot.iter().all(|(name, _)| self.get(name).is_some())
+    }
+
     /// Rebuilds the profiler state from an [`export`](GavgProfiler::export)
     /// snapshot, replacing whatever was accumulated so far. Exact because
     /// an [`Ema`]'s first update adopts the raw value.

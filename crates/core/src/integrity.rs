@@ -36,9 +36,8 @@ use crate::faults::StepInfo;
 use crate::gavg::GavgProfiler;
 use crate::CoreError;
 use apt_data::Batch;
-use apt_nn::{Network, ParamStore};
+use apt_nn::{Network, Param, ParamStore};
 use apt_tensor::Tensor;
-use std::collections::HashMap;
 
 /// Tuning knobs for the in-memory integrity layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,11 +171,70 @@ pub struct ScanOutcome {
     pub escalate: bool,
 }
 
-/// A parameter's last known-clean in-memory state.
+/// Elements a range screen folds between two looks at its verdict.
+const SCREEN_CHUNK: usize = 256;
+
+/// `true` if any of `xs` is non-finite or larger than `max` in magnitude:
+/// a branch-free OR-fold per [`SCREEN_CHUNK`] elements (a vector compare),
+/// leaving between chunks instead of between elements.
+fn any_beyond(xs: &[f32], max: f32) -> bool {
+    let beyond = |bad: bool, &x: &f32| bad | !x.is_finite() | (x.abs() > max);
+    xs.chunks(SCREEN_CHUNK)
+        .any(|chunk| chunk.iter().fold(false, beyond))
+}
+
+/// What the guard keeps of one parameter: its digest, its saturation
+/// baseline and its last known-clean in-memory state, refreshed in place
+/// after every clean step.
 #[derive(Debug, Clone)]
-struct LayerSnapshot {
+struct Baseline {
+    name: String,
+    /// [`Param::integrity_digest`] at the last refresh; not computed (and
+    /// not read) with [`IntegrityConfig::check_digests`] off.
+    digest: u64,
+    /// Saturation ratio at the last refresh (`None` for stores without
+    /// rails). A layer only *violates* when it crosses the limit from a
+    /// clean baseline — a constant tensor (e.g. a zero-initialised bias)
+    /// legitimately lives on one rail forever.
+    sat: Option<f64>,
+    /// The bitwidth the saturation guard last raised this layer to, so an
+    /// unavoidably rail-heavy layer is not re-flagged every step. Outlives
+    /// refreshes.
+    sat_handled: Option<u32>,
     store: ParamStore,
     velocity: Option<Tensor>,
+}
+
+impl Baseline {
+    fn of(p: &Param, digests: bool, sat_handled: Option<u32>) -> Self {
+        Baseline {
+            name: p.name().to_string(),
+            digest: if digests { p.integrity_digest() } else { 0 },
+            sat: p.saturation_ratio(),
+            sat_handled,
+            store: p.store().clone(),
+            velocity: p.velocity().cloned(),
+        }
+    }
+
+    /// Re-captures `p` into the buffers this baseline already owns.
+    fn recapture(&mut self, p: &Param, digests: bool) {
+        if digests {
+            self.digest = p.integrity_digest();
+        }
+        self.sat = p.saturation_ratio();
+        self.store.clone_from(p.store());
+        match (&mut self.velocity, p.velocity()) {
+            (Some(to), Some(from)) => to.clone_from(from),
+            (to, from) => *to = from.cloned(),
+        }
+    }
+
+    /// Puts the clean store and momentum back into `p`.
+    fn heal(&self, p: &mut Param) -> apt_nn::Result<()> {
+        p.set_store(self.store.clone())?;
+        p.set_velocity(self.velocity.clone())
+    }
 }
 
 /// The self-healing wrapper around the inner training step.
@@ -191,15 +249,9 @@ struct LayerSnapshot {
 #[derive(Debug, Clone)]
 pub struct StepGuard {
     cfg: IntegrityConfig,
-    digests: HashMap<String, u64>,
-    snapshots: HashMap<String, LayerSnapshot>,
+    /// One per parameter, in the network's visiting order.
+    baselines: Vec<Baseline>,
     profiler_snapshot: Vec<(String, f64)>,
-    /// Saturation ratio of each quantised layer at the last refresh. A
-    /// layer only *violates* when it crosses the limit from a clean
-    /// baseline — a constant tensor (e.g. a zero-initialised bias)
-    /// legitimately lives on one rail forever.
-    baseline_sat: HashMap<String, f64>,
-    sat_handled: HashMap<String, u32>,
     incidents: usize,
     report: IntegrityReport,
 }
@@ -209,11 +261,8 @@ impl StepGuard {
     pub fn new(cfg: IntegrityConfig) -> Self {
         StepGuard {
             cfg,
-            digests: HashMap::new(),
-            snapshots: HashMap::new(),
+            baselines: Vec::new(),
             profiler_snapshot: Vec::new(),
-            baseline_sat: HashMap::new(),
-            sat_handled: HashMap::new(),
             incidents: 0,
             report: IntegrityReport::default(),
         }
@@ -230,28 +279,40 @@ impl StepGuard {
     }
 
     /// Re-captures digests, per-layer snapshots and the Gavg profile from
-    /// the current (trusted) state.
+    /// the current (trusted) state — into the buffers the guard already
+    /// holds, so a refresh after a step that changed no tier and no
+    /// inventory allocates nothing. A network whose parameters are not the
+    /// ones last captured, name for name in order, gets a fresh list.
     pub fn refresh(&mut self, net: &Network, profiler: &GavgProfiler) {
-        self.digests.clear();
-        self.snapshots.clear();
-        self.baseline_sat.clear();
-        let digests = &mut self.digests;
-        let snapshots = &mut self.snapshots;
-        let baseline_sat = &mut self.baseline_sat;
+        let digests = self.cfg.check_digests;
+        let baselines = &mut self.baselines;
+        let (mut at, mut same) = (0, true);
         net.visit_params_ref(&mut |p| {
-            digests.insert(p.name().to_string(), p.integrity_digest());
-            snapshots.insert(
-                p.name().to_string(),
-                LayerSnapshot {
-                    store: p.store().clone(),
-                    velocity: p.velocity().cloned(),
-                },
-            );
-            if let Some(ratio) = p.saturation_ratio() {
-                baseline_sat.insert(p.name().to_string(), ratio);
+            match baselines.get_mut(at) {
+                Some(b) if same && b.name == p.name() => b.recapture(p, digests),
+                _ => same = false,
             }
+            at += 1;
         });
-        self.profiler_snapshot = profiler.export();
+        if !same || at != baselines.len() {
+            let old = std::mem::take(baselines);
+            net.visit_params_ref(&mut |p| {
+                let handled = old.iter().find(|b| b.name == p.name());
+                let handled = handled.and_then(|b| b.sat_handled);
+                baselines.push(Baseline::of(p, digests, handled));
+            });
+        }
+        profiler.export_into(&mut self.profiler_snapshot);
+    }
+
+    /// The baseline of the `at`-th visited parameter, `name`: where the
+    /// last refresh put it, or wherever a network visited in another order
+    /// has it.
+    fn baseline_of(baselines: &[Baseline], at: usize, name: &str) -> Option<usize> {
+        match baselines.get(at) {
+            Some(b) if b.name == name => Some(at),
+            _ => baselines.iter().position(|b| b.name == name),
+        }
     }
 
     /// Scans weights, momentum, quantiser calibration and the Gavg profile
@@ -273,25 +334,21 @@ impl StepGuard {
         let mut first_err: Option<apt_nn::NnError> = None;
         let mut healed: Vec<String> = Vec::new();
         if self.cfg.check_digests {
-            let digests = &self.digests;
-            let snapshots = &self.snapshots;
+            let baselines = &self.baselines;
+            let mut at = 0;
             net.visit_params(&mut |p| {
+                let found = Self::baseline_of(baselines, at, p.name());
+                at += 1;
                 if first_err.is_some() {
                     return;
                 }
-                let Some(&expected) = digests.get(p.name()) else {
+                let Some(b) = found.map(|i| &baselines[i]) else {
                     return;
                 };
-                if p.integrity_digest() == expected {
+                if p.integrity_digest() == b.digest {
                     return;
                 }
-                let Some(snap) = snapshots.get(p.name()) else {
-                    return;
-                };
-                match p
-                    .set_store(snap.store.clone())
-                    .and_then(|()| p.set_velocity(snap.velocity.clone()))
-                {
+                match b.heal(p) {
                     Ok(()) => healed.push(p.name().to_string()),
                     Err(e) => first_err = Some(e),
                 }
@@ -299,7 +356,7 @@ impl StepGuard {
             if let Some(e) = first_err.take() {
                 return Err(e.into());
             }
-            if profiler.export() != self.profiler_snapshot {
+            if !profiler.exports(&self.profiler_snapshot) {
                 profiler.restore(&self.profiler_snapshot);
                 healed.push("<gavg-ema>".to_string());
             }
@@ -308,10 +365,11 @@ impl StepGuard {
         let mut raised: Vec<String> = Vec::new();
         {
             let cfg = self.cfg;
-            let snapshots = &self.snapshots;
-            let baseline_sat = &self.baseline_sat;
-            let sat_handled = &self.sat_handled;
+            let baselines = &mut self.baselines;
+            let mut at = 0;
             net.visit_params(&mut |p| {
+                let found = Self::baseline_of(baselines, at, p.name());
+                at += 1;
                 if first_err.is_some() || p.len() < 8 {
                     return;
                 }
@@ -321,69 +379,43 @@ impl StepGuard {
                 if ratio <= cfg.saturation_limit {
                     return;
                 }
+                let b = found.map(|i| &baselines[i]);
                 // Only a *crossing* is a violation: a layer whose clean
                 // baseline already sat past the limit (constant tensors
                 // quantise onto a single rail) is its natural state.
-                if baseline_sat
-                    .get(p.name())
-                    .is_some_and(|&b| b > cfg.saturation_limit)
-                {
+                if (b.and_then(|b| b.sat)).is_some_and(|s| s > cfg.saturation_limit) {
                     return;
                 }
                 let Some(bits) = p.bits() else {
                     return;
                 };
-                if sat_handled.get(p.name()) == Some(&bits.get()) {
+                if b.and_then(|b| b.sat_handled) == Some(bits.get()) {
                     return;
                 }
                 // Heal first (undoes an injected rail-pin), then raise
                 // precision so a genuinely saturating layer gets headroom —
                 // Algorithm 1's own lever, applied as a safety response.
-                if let Some(snap) = snapshots.get(p.name()) {
-                    if let Err(e) = p
-                        .set_store(snap.store.clone())
-                        .and_then(|()| p.set_velocity(snap.velocity.clone()))
-                    {
-                        first_err = Some(e);
-                        return;
-                    }
+                let raise = b.map_or(Ok(()), |b| b.heal(p));
+                if let Err(e) = raise.and_then(|()| p.set_bits(bits.increment())) {
+                    first_err = Some(e);
+                    return;
                 }
-                match p.set_bits(bits.increment()) {
-                    Ok(()) => raised.push(p.name().to_string()),
-                    Err(e) => first_err = Some(e),
+                raised.push(p.name().to_string());
+                // The raise legitimately changed this store: re-baseline it
+                // and remember the level, so an unavoidably rail-heavy
+                // layer is not re-flagged every step.
+                let level = p.bits().map(|k| k.get());
+                match found {
+                    Some(i) => {
+                        baselines[i].recapture(p, cfg.check_digests);
+                        baselines[i].sat_handled = level;
+                    }
+                    None => baselines.push(Baseline::of(p, cfg.check_digests, level)),
                 }
             });
             if let Some(e) = first_err.take() {
                 return Err(e.into());
             }
-        }
-        if !raised.is_empty() {
-            // The raise legitimately changed these stores: re-baseline them
-            // and remember the level so an unavoidably rail-heavy layer is
-            // not re-flagged every step.
-            let digests = &mut self.digests;
-            let snapshots = &mut self.snapshots;
-            let baseline_sat = &mut self.baseline_sat;
-            let sat_handled = &mut self.sat_handled;
-            net.visit_params_ref(&mut |p| {
-                if !raised.iter().any(|n| n == p.name()) {
-                    return;
-                }
-                digests.insert(p.name().to_string(), p.integrity_digest());
-                snapshots.insert(
-                    p.name().to_string(),
-                    LayerSnapshot {
-                        store: p.store().clone(),
-                        velocity: p.velocity().cloned(),
-                    },
-                );
-                if let Some(ratio) = p.saturation_ratio() {
-                    baseline_sat.insert(p.name().to_string(), ratio);
-                }
-                if let Some(b) = p.bits() {
-                    sat_handled.insert(p.name().to_string(), b.get());
-                }
-            });
         }
 
         if healed.is_empty() && raised.is_empty() {
@@ -451,12 +483,7 @@ impl StepGuard {
     /// report). Skips do **not** advance the incident ladder: a corrupt
     /// sample says nothing about the integrity of the model itself.
     pub fn check_batch(&mut self, batch: &Batch, num_classes: usize, info: &StepInfo) -> bool {
-        let max = self.cfg.max_abs_input;
-        let bad_pixel = batch
-            .images
-            .data()
-            .iter()
-            .any(|&x| !x.is_finite() || x.abs() > max);
+        let bad_pixel = any_beyond(batch.images.data(), self.cfg.max_abs_input);
         let bad_label = batch.labels.iter().any(|&l| l >= num_classes);
         if !bad_pixel && !bad_label {
             return false;
@@ -490,11 +517,7 @@ impl StepGuard {
             if offender.is_some() {
                 return;
             }
-            if p.grad()
-                .data()
-                .iter()
-                .any(|&g| !g.is_finite() || g.abs() > max)
-            {
+            if any_beyond(p.grad().data(), max) {
                 offender = Some(p.name().to_string());
             }
         });
@@ -722,5 +745,229 @@ mod tests {
         let out = guard.check_grads(&net, &info(1)).unwrap().unwrap();
         assert!(out.rollback && !out.reroll);
         assert_eq!(guard.report().gradient_violations, 1);
+    }
+
+    /// The early-exit scan [`any_beyond`] replaced.
+    fn any_beyond_serial(xs: &[f32], max: f32) -> bool {
+        xs.iter().any(|&x| !x.is_finite() || x.abs() > max)
+    }
+
+    #[test]
+    fn chunked_range_screen_agrees_with_the_early_exit_scan() {
+        let c = SCREEN_CHUNK;
+        let max = IntegrityConfig::default().max_abs_grad;
+        let (under, over) = (
+            f32::from_bits(max.to_bits() - 1),
+            f32::from_bits(max.to_bits() + 1),
+        );
+        for n in [0, 1, c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1] {
+            // Everything the screen must let through: zeros of both signs,
+            // the bound itself and the float under it, either sign.
+            let fill = [0.0, -0.0, max, -max, under, -under, 1e-40];
+            let clean: Vec<f32> = (0..n).map(|i| fill[i % fill.len()]).collect();
+            assert!(!any_beyond(&clean, max) && !any_beyond_serial(&clean, max));
+            let edges = [0, c - 1, c, c + 1, 2 * c - 1, 2 * c, n.saturating_sub(1)];
+            for at in edges.into_iter().filter(|&at| at < n) {
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, over, -over] {
+                    let mut xs = clean.clone();
+                    xs[at] = bad;
+                    assert!(any_beyond(&xs, max), "n={n} {bad} at {at}");
+                    assert!(any_beyond_serial(&xs, max));
+                }
+            }
+        }
+        // A bound that is not finite keeps the serial form's meaning too.
+        for max in [f32::INFINITY, f32::NAN] {
+            for x in [1.0, f32::MAX, f32::INFINITY, f32::NAN] {
+                assert_eq!(any_beyond(&[x], max), any_beyond_serial(&[x], max));
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_screen_names_the_first_offender_in_visiting_order() {
+        let mut net = net6();
+        let mut guard = StepGuard::new(IntegrityConfig::default());
+        // Two poisoned parameters, the later one hit first in memory order
+        // of its own buffer: the report names the earlier *parameter*.
+        net.visit_params(&mut |p| match p.name() {
+            "fc0.bias" => *p.grad_mut().data_mut().last_mut().unwrap() = f32::INFINITY,
+            "fc1.weight" => p.grad_mut().data_mut()[0] = f32::NAN,
+            _ => {}
+        });
+        assert!(guard.check_grads(&net, &info(1)).unwrap().is_some());
+        let event = &guard.report().events[0];
+        assert_eq!(event.param.as_deref(), Some("fc0.bias"));
+    }
+
+    fn net8() -> Network {
+        let scheme = QuantScheme::fully_quantized(Bitwidth::new(8).unwrap());
+        models::mlp("m", &[6, 16, 3], &scheme, &mut seeded(3)).unwrap()
+    }
+
+    /// `name`'s store as (tier, bitwidth, codes, quantisers).
+    fn store_of(net: &Network, name: &str) -> (&'static str, u32, Vec<i64>, Vec<String>) {
+        let mut out = None;
+        net.visit_params_ref(&mut |p| {
+            if let (true, ParamStore::Quantized(q)) = (p.name() == name, p.store()) {
+                let quantizers = q.quantizers().iter().map(|q| format!("{q:?}")).collect();
+                let tier = q.store().tier_name();
+                out = Some((tier, q.bits().get(), q.store().to_vec(), quantizers));
+            }
+        });
+        out.expect("a quantised parameter of that name")
+    }
+
+    fn with_param(net: &mut Network, name: &str, f: impl Fn(&mut Param)) {
+        net.visit_params(&mut |p| {
+            if p.name() == name {
+                f(p);
+            }
+        });
+    }
+
+    #[test]
+    fn a_layer_raised_across_a_tier_boundary_heals_to_its_new_store() {
+        // Algorithm 1 takes fc0.weight from 8 bits (an `i8` store) to 9
+        // (`i16`) between two refreshes: the baseline refreshed in place
+        // must hold the new store, not the buffer it had.
+        let mut net = net8();
+        let mut prof = GavgProfiler::new(0.2);
+        let mut guard = StepGuard::new(IntegrityConfig::default());
+        guard.refresh(&net, &prof);
+        let nine = Bitwidth::new(9).unwrap();
+        with_param(&mut net, "fc0.weight", |p| p.set_bits(nine).unwrap());
+        with_param(&mut net, "fc0.weight", |p| p.velocity_mut().fill(0.25));
+        guard.refresh(&net, &prof);
+        let (clean, store) = (net.integrity_digests(), store_of(&net, "fc0.weight"));
+        assert_eq!((store.0, store.1), ("i16", 9));
+        for (elem, bit) in [(0, 0), (5, 8), (95, 3)] {
+            with_param(&mut net, "fc0.weight", |p| {
+                p.flip_stored_bit(elem, bit).unwrap()
+            });
+            assert_ne!(net.integrity_digests(), clean);
+            guard.step_clean();
+            let out = guard.pre_step(&mut net, &mut prof, &info(1)).unwrap();
+            assert_eq!(out.healed, 1);
+            assert_eq!(net.integrity_digests(), clean, "{elem}:{bit}");
+            assert_eq!(store_of(&net, "fc0.weight"), store);
+        }
+        // And back down: a smaller store into the larger buffer.
+        let seven = Bitwidth::new(7).unwrap();
+        with_param(&mut net, "fc0.weight", |p| p.set_bits(seven).unwrap());
+        guard.refresh(&net, &prof);
+        let (clean, store) = (net.integrity_digests(), store_of(&net, "fc0.weight"));
+        with_param(&mut net, "fc0.weight", |p| {
+            assert!(p.flip_velocity_bit(7, 30));
+            p.flip_stored_bit(7, 6).unwrap();
+        });
+        guard.step_clean();
+        assert_eq!(
+            guard
+                .pre_step(&mut net, &mut prof, &info(2))
+                .unwrap()
+                .healed,
+            1
+        );
+        assert_eq!(net.integrity_digests(), clean);
+        assert_eq!(store_of(&net, "fc0.weight"), store);
+    }
+
+    #[test]
+    fn the_saturation_raise_rebaselines_across_the_tier_boundary() {
+        let mut net = net8();
+        let mut prof = GavgProfiler::new(0.2);
+        let cfg = IntegrityConfig {
+            check_digests: false,
+            ..Default::default()
+        };
+        let mut guard = StepGuard::new(cfg);
+        guard.refresh(&net, &prof);
+        assert!(
+            guard.baselines.iter().all(|b| b.digest == 0),
+            "no digest is computed with the digest check off"
+        );
+        with_param(&mut net, "fc0.weight", |p| {
+            assert!(p.saturate_codes(0.9, true) > 0)
+        });
+        let out = guard.pre_step(&mut net, &mut prof, &info(1)).unwrap();
+        assert_eq!((out.healed, guard.report().bit_raises), (1, 1));
+        // The guard's copy is the raised 9-bit store, whole.
+        let raised = store_of(&net, "fc0.weight");
+        assert_eq!((raised.0, raised.1), ("i16", 9));
+        let held = guard.baselines.iter().find(|b| b.name == "fc0.weight");
+        let held = held.expect("a baseline per parameter");
+        assert_eq!(held.sat_handled, Some(9));
+        let mut copy = net8();
+        with_param(&mut copy, "fc0.weight", |p| {
+            p.set_store(held.store.clone()).unwrap()
+        });
+        assert_eq!(store_of(&copy, "fc0.weight"), raised);
+        // The level survives refreshes, in place or rebuilt.
+        guard.refresh(&net, &prof);
+        guard.refresh(
+            &models::mlp("other", &[6, 3], &QuantScheme::float32(), &mut seeded(1)).unwrap(),
+            &prof,
+        );
+        guard.refresh(&net, &prof);
+        let held = guard.baselines.iter().find(|b| b.name == "fc0.weight");
+        assert_eq!(held.unwrap().sat_handled, Some(9));
+    }
+
+    #[test]
+    fn a_different_inventory_rebuilds_the_baselines() {
+        let prof = GavgProfiler::new(0.2);
+        let mut guard = StepGuard::new(IntegrityConfig::default());
+        let scheme = QuantScheme::fully_quantized(Bitwidth::new(6).unwrap());
+        // Four parameters, then six of which the first four share their
+        // names and two their shapes, then four again, then the same
+        // count under shapes of their own.
+        for dims in [&[6, 16, 3][..], &[6, 5, 16, 3], &[6, 16, 3], &[6, 7, 3]] {
+            let mut net = models::mlp("m", dims, &scheme, &mut seeded(4)).unwrap();
+            let mut prof = prof.clone();
+            guard.refresh(&net, &prof);
+            let mut names = Vec::new();
+            net.visit_params_ref(&mut |p| names.push(p.name().to_string()));
+            let held: Vec<&str> = guard.baselines.iter().map(|b| b.name.as_str()).collect();
+            assert_eq!(held, names, "one baseline per parameter, in order");
+            let clean = net.integrity_digests();
+            for name in &names {
+                with_param(&mut net, name, |p| {
+                    p.flip_stored_bit(p.len() - 1, 1).unwrap()
+                });
+                guard.step_clean();
+                let out = guard.pre_step(&mut net, &mut prof, &info(1)).unwrap();
+                assert_eq!(out.healed, 1, "{name} of {dims:?}");
+                assert_eq!(net.integrity_digests(), clean, "{name} of {dims:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_gavg_snapshot_is_compared_and_refreshed_in_place() {
+        let mut net = net6();
+        let mut prof = GavgProfiler::new(0.2);
+        let mut guard = StepGuard::new(IntegrityConfig::default());
+        guard.refresh(&net, &prof);
+        assert!(guard.profiler_snapshot.is_empty());
+        // The profile gains its layers after the first refresh.
+        with_param(&mut net, "fc0.weight", |p| p.grad_mut().fill(0.01));
+        prof.sample(&net);
+        guard.refresh(&net, &prof);
+        assert_eq!(guard.profiler_snapshot, prof.export());
+        prof.sample(&net);
+        guard.refresh(&net, &prof);
+        assert_eq!(guard.profiler_snapshot, prof.export());
+        // A flipped EMA is caught and put back.
+        let clean = prof.export();
+        assert!(prof.flip_ema_bit("fc0.weight", 51));
+        assert_ne!(prof.export(), clean);
+        let out = guard.pre_step(&mut net, &mut prof, &info(1)).unwrap();
+        assert_eq!(out.healed, 1);
+        assert_eq!(prof.export(), clean);
+        assert_eq!(
+            guard.report().events[0].param.as_deref(),
+            Some("<gavg-ema>")
+        );
     }
 }

@@ -673,7 +673,7 @@ impl Trainer {
             }
             None => {
                 let ls = LoopState::fresh();
-                let snap = keep_snap.then(|| self.capture_state(&ls, 0, 0));
+                let snap = keep_snap.then(|| self.capture_state(&ls, 0, 0, None));
                 (ls, snap)
             }
         };
@@ -741,8 +741,7 @@ impl Trainer {
                 // clamp NaN away (`max` ignores NaN), so a poisoned batch
                 // would otherwise silently corrupt the step instead of
                 // announcing itself through the loss.
-                let input_fault =
-                    sentinel.is_some() && batch.images.data().iter().any(|x| !x.is_finite());
+                let input_fault = sentinel.is_some() && batch.images.has_non_finite();
                 let ce = if input_fault {
                     None
                 } else {
@@ -829,8 +828,9 @@ impl Trainer {
                     .as_ref()
                     .is_some_and(|c| ls.global_step % c.every as u64 == 0);
                 if keep_snap || ck_due {
-                    // Cursor points at the *next* step to execute.
-                    let state = self.capture_state(&ls, epoch, iter + 1);
+                    // Cursor points at the *next* step to execute. The
+                    // snapshot this one replaces gives up its buffers.
+                    let state = self.capture_state(&ls, epoch, iter + 1, snapshot.take());
                     if ck_due {
                         crate::checkpoint::write_state(
                             checkpoint.as_ref().expect("ck_due implies config"),
@@ -898,7 +898,7 @@ impl Trainer {
             // guard for the same reason (Algorithm 1's changes are
             // legitimate, not corruption).
             if keep_snap {
-                snapshot = Some(self.capture_state(&ls, epoch + 1, 0));
+                snapshot = Some(self.capture_state(&ls, epoch + 1, 0, snapshot.take()));
             }
             if let Some(g) = guard.as_mut() {
                 g.refresh(&self.net, &self.profiler);
@@ -945,14 +945,40 @@ impl Trainer {
     }
 
     /// Captures the complete training state at the current point; `epoch`
-    /// and `iter` name the **next** step to execute.
-    fn capture_state(&mut self, ls: &LoopState, epoch: usize, iter: usize) -> TrainState {
-        let mut velocities = Vec::new();
+    /// and `iter` name the **next** step to execute. The state it replaces,
+    /// if the caller has one, is passed as `recycle`: its velocity tensors,
+    /// network blob and profiler export are overwritten in place and its
+    /// epoch records kept while no epoch has closed since, so a snapshot
+    /// per step costs the copies and next to no allocation.
+    fn capture_state(
+        &mut self,
+        ls: &LoopState,
+        epoch: usize,
+        iter: usize,
+        recycle: Option<TrainState>,
+    ) -> TrainState {
+        let (mut velocities, mut net_blob, mut profiler, mut epochs) = recycle
+            .map(|old| (old.velocities, old.net_blob, old.profiler, old.epochs))
+            .unwrap_or_default();
+        if epochs != ls.report.epochs {
+            epochs = ls.report.epochs.clone();
+        }
+        self.profiler.export_into(&mut profiler);
+        let mut at = 0;
         self.net.visit_params_ref(&mut |p| {
-            if let Some(v) = p.velocity() {
-                velocities.push((p.name().to_string(), v.clone()));
+            let Some(v) = p.velocity() else { return };
+            match velocities.get_mut(at) {
+                Some((name, kept)) if name == p.name() => kept.clone_from(v),
+                // Not the list last captured: keep what matched so far.
+                _ => {
+                    velocities.truncate(at);
+                    velocities.push((p.name().to_string(), v.clone()));
+                }
             }
+            at += 1;
         });
+        velocities.truncate(at);
+        apt_nn::checkpoint::save_full_into(&mut self.net, &mut net_blob);
         TrainState {
             seed: self.cfg.seed,
             total_epochs: self.cfg.epochs as u64,
@@ -970,12 +996,12 @@ impl Trainer {
             loss_ema: ls.loss_ema,
             peak_memory_bits: ls.report.peak_memory_bits,
             peak_resident_bytes: ls.report.peak_resident_bytes,
-            epochs: ls.report.epochs.clone(),
+            epochs,
             energy: self.meter.breakdown(),
-            profiler: self.profiler.export(),
+            profiler,
             optimizer: self.optimizer.export(),
             velocities,
-            net_blob: apt_nn::checkpoint::save_full(&mut self.net),
+            net_blob,
         }
     }
 

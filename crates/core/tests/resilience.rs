@@ -110,6 +110,57 @@ fn kill_anywhere_then_resume_is_bit_identical() {
     }
 }
 
+/// `(global_step, bytes, crc32)` of every state file a run armed with the
+/// sentinel, the integrity guard, Algorithm 1 and checkpoints writes, as
+/// the parent of the change that made `Trainer` refill one snapshot in
+/// place (5d8c73f) wrote them. The files cross three epoch boundaries and a
+/// precision change, so the recycled buffers shrink, grow and change tier.
+const STATE_FILES_AT_5D8C73F: [(u64, usize, u32); 8] = [
+    (3, 1312, 0x2882_E08C),
+    (6, 1312, 0x55F4_CD77),
+    (9, 1510, 0x16A9_BC30),
+    (12, 1510, 0x2731_F159),
+    (15, 1738, 0x53FD_36B0),
+    (18, 1738, 0x1436_5A7D),
+    (21, 1966, 0x04DD_B3F4),
+    (24, 1966, 0xD164_20CA),
+];
+
+#[test]
+fn recycled_snapshots_write_the_state_files_a_fresh_capture_wrote() {
+    let dir = tmp_dir("recycled");
+    let (train, test) = toy_data();
+    let mut cfg = base_cfg();
+    cfg.sentinel = Some(SentinelConfig::default());
+    cfg.integrity = Some(apt_core::IntegrityConfig::default());
+    cfg.policy = Some(apt_core::PolicyConfig::paper_default());
+    cfg.checkpoint = Some(CheckpointConfig {
+        dir: dir.clone(),
+        every: 3,
+        keep: 8,
+    });
+    let mut t = Trainer::new(toy_net(), cfg).unwrap();
+    let report = t.train(&train, &test).unwrap();
+    assert!(report.integrity.is_clean());
+    assert!(report.epochs.iter().any(|e| !e.changes.is_empty()));
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    let written: Vec<(u64, usize, u32)> = files
+        .iter()
+        .map(|path| {
+            let bytes = std::fs::read(path).unwrap();
+            let state = apt_core::TrainState::decode(&bytes).unwrap();
+            let crc = apt_nn::checkpoint::crc32(&bytes);
+            (state.global_step, bytes.len(), crc)
+        })
+        .collect();
+    assert_eq!(written, STATE_FILES_AT_5D8C73F, "{written:#x?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupt_newest_checkpoint_falls_back_to_previous_good_one() {
     let reference = baseline();

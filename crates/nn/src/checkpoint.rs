@@ -127,34 +127,79 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Wraps a payload in the framed header: magic, version, length, CRC32.
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 10 + payload.len());
+/// Framed header: magic, version, payload length, CRC32.
+const HEADER: usize = MAGIC.len() + 2 + 4 + 4;
+
+/// Starts a frame in `out` (emptied, its capacity kept): room for the
+/// header and `payload_len` bytes reserved in one step, the header written
+/// with its length and CRC fields blank, then the two section counts.
+fn begin_frame(out: &mut Vec<u8>, payload_len: usize) {
+    out.clear();
+    out.reserve(HEADER + payload_len);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    // Payload length and CRC, then param count and buffer count: all
+    // patched once known.
+    out.extend_from_slice(&[0u8; 8 + 8]);
+}
+
+/// Closes the frame [`begin_frame`] opened: the section counts, then the
+/// payload's length and CRC32 into the header in front of it — the payload
+/// is checksummed where it was written, not copied behind a header.
+fn end_frame(out: &mut [u8], params: u32, buffers: u32) {
+    out[HEADER..HEADER + 4].copy_from_slice(&params.to_le_bytes());
+    out[HEADER + 4..HEADER + 8].copy_from_slice(&buffers.to_le_bytes());
+    let (header, payload) = out.split_at_mut(HEADER);
+    header[6..10].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[10..14].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Serialises `net`'s parameters (no buffers) to a checkpoint blob.
+pub fn save(net: &Network) -> Vec<u8> {
+    let mut out = Vec::new();
+    let len = 8 + params_len(net);
+    begin_frame(&mut out, len);
+    let params = write_params(net, &mut out);
+    debug_assert_eq!(out.len(), HEADER + len, "the blob was sized exactly");
+    end_frame(&mut out, params, 0);
     out
 }
 
-/// Serialises `net`'s parameters and buffers to a checkpoint blob.
-pub fn save(net: &Network) -> Vec<u8> {
-    frame(params_payload(net))
+/// Bytes [`write_params`] appends for `net` — computed, not written, so
+/// the blob is allocated once at its final size.
+fn params_len(net: &Network) -> usize {
+    let mut len = 0;
+    net.visit_params_ref(&mut |p| {
+        let n = p.len();
+        len += section_head_len(p.name(), p.dims())
+            + 1
+            + match p.store() {
+                ParamStore::Float(_) => 4 * n,
+                ParamStore::Quantized(q) => {
+                    let groups = q.quantizers().len();
+                    let count = if q.is_per_channel() { 4 } else { 0 };
+                    let words = (n * q.bits().get() as usize).div_ceil(64);
+                    1 + count + QUANTIZER_BYTES * groups + 8 * words
+                }
+                ParamStore::MasterCopy { .. } | ParamStore::Projected { .. } => 1 + 4 * n,
+            };
+    });
+    len
 }
 
-/// Builds the payload section with all parameters and a zero buffer count
-/// (patched by [`save_full`]). Each store is serialised where it lives:
-/// code sections stream out of the tier
+/// Name (length-prefixed) and dims (rank-prefixed) of a section.
+fn section_head_len(name: &str, dims: &[usize]) -> usize {
+    4 + name.len() + 4 + 4 * dims.len()
+}
+
+/// Appends every parameter's section and returns how many there were. Each
+/// store is serialised where it lives: code sections stream out of the tier
 /// ([`apt_quant::CodeStore::write_packed_le`]), nothing is cloned first.
-fn params_payload(net: &Network) -> Vec<u8> {
-    // Param count and buffer count, both patched once known; a params-only
-    // checkpoint keeps the zero buffer count.
-    let mut out = vec![0u8; 8];
+fn write_params(net: &Network, out: &mut Vec<u8>) -> u32 {
     let mut count = 0u32;
     net.visit_params_ref(&mut |p| {
         count += 1;
-        let out = &mut out;
+        let out = &mut *out;
         write_str(out, p.name());
         match p.store() {
             ParamStore::Float(t) => {
@@ -192,24 +237,33 @@ fn params_payload(net: &Network) -> Vec<u8> {
             }
         }
     });
-    out[..4].copy_from_slice(&count.to_le_bytes());
-    out
+    count
 }
 
 /// Serialises `net` including batch-norm running statistics (requires
 /// `&mut` because buffer visitation is mutable by trait design).
 pub fn save_full(net: &mut Network) -> Vec<u8> {
-    let mut payload = params_payload(net);
+    let mut out = Vec::new();
+    save_full_into(net, &mut out);
+    out
+}
+
+/// [`save_full`] into a buffer the caller keeps: `out` is emptied and
+/// refilled, so a trainer snapshotting every step reuses one allocation.
+pub fn save_full_into(net: &mut Network, out: &mut Vec<u8>) {
+    let mut len = 8 + params_len(net);
+    net.visit_buffers(&mut |name, t| len += section_head_len(name, t.dims()) + 4 * t.len());
+    begin_frame(out, len);
+    let params = write_params(net, out);
     let mut buffers = 0u32;
     net.visit_buffers(&mut |name, t| {
         buffers += 1;
-        write_str(&mut payload, name);
-        write_dims(&mut payload, t.dims());
-        write_f32s(&mut payload, t.data());
+        write_str(out, name);
+        write_dims(out, t.dims());
+        write_f32s(out, t.data());
     });
-    // Buffer count lives right after the param count in the payload.
-    payload[4..8].copy_from_slice(&buffers.to_le_bytes());
-    frame(payload)
+    debug_assert_eq!(out.len(), HEADER + len, "the blob was sized exactly");
+    end_frame(out, params, buffers);
 }
 
 /// Restores a checkpoint produced by [`save_full`] (or [`save`]) into an
@@ -737,16 +791,16 @@ mod tests {
             fresh: fresh_cifarnet,
             input: &[2, 3, 8, 8],
             digests: &[
-                ("conv1.weight", 0xD6592292C005FAB1),
-                ("bn1.gamma", 0x059D811A5BAF6AE4),
-                ("bn1.beta", 0x36536E9044B99D6C),
-                ("conv2.weight", 0xD6AAE35167713974),
-                ("bn2.gamma", 0x7F17FB3B97F424A6),
-                ("bn2.beta", 0xAA8EEB17507C3773),
-                ("fc1.weight", 0x30CBBC6937CB979D),
-                ("fc1.bias", 0x1C19FA6C2D2D6CF7),
-                ("fc2.weight", 0x545BFF0DE801DBA5),
-                ("fc2.bias", 0x54175FAE69C1EDE6),
+                ("conv1.weight", 0xA2A709A839866713),
+                ("bn1.gamma", 0xF9D20814D2F2E9D7),
+                ("bn1.beta", 0x272735630FACA8ED),
+                ("conv2.weight", 0x0F360667F99B21A1),
+                ("bn2.gamma", 0x6B63BC2F4D4FF088),
+                ("bn2.beta", 0xDAA2E999417FFA29),
+                ("fc1.weight", 0x11E5E3816AEA20B1),
+                ("fc1.bias", 0xA94F70934C55CB4D),
+                ("fc2.weight", 0x6289BAADAD796BF2),
+                ("fc2.bias", 0x844B4C0EAC959847),
             ],
             resaved: (0xDC85E470, 3632),
         },
@@ -759,16 +813,16 @@ mod tests {
             fresh: fresh_cifarnet,
             input: &[2, 3, 8, 8],
             digests: &[
-                ("conv1.weight", 0x44B47E69A167E405),
-                ("bn1.gamma", 0x99E35C2E8D21EB7D),
-                ("bn1.beta", 0x8E44EF893FCB9AF1),
-                ("conv2.weight", 0xBB63D943F4B7BE93),
-                ("bn2.gamma", 0xD29C7A86ED14DA29),
-                ("bn2.beta", 0x01700DB7F2BE0FEB),
-                ("fc1.weight", 0x413D10E7C14F90C2),
-                ("fc1.bias", 0x940B148EF9CF5CBA),
-                ("fc2.weight", 0xF150AD79B5F2BDC7),
-                ("fc2.bias", 0x453A12F100752AC0),
+                ("conv1.weight", 0x8DD0F1F084431D11),
+                ("bn1.gamma", 0x68C91E733867801C),
+                ("bn1.beta", 0xEC756840AEEA5F61),
+                ("conv2.weight", 0x9CD309788288AC59),
+                ("bn2.gamma", 0xC431FB99B8086A07),
+                ("bn2.beta", 0x10C5A750B5F99E9B),
+                ("fc1.weight", 0x3F1BDBEDB21E712B),
+                ("fc1.bias", 0x621165C24ABD04A5),
+                ("fc2.weight", 0x95ABB395B0A9C8D2),
+                ("fc2.bias", 0x35A044D45463D722),
             ],
             resaved: (0x280AF85F, 2910),
         },
@@ -780,16 +834,16 @@ mod tests {
             fresh: fresh_cifarnet,
             input: &[2, 3, 8, 8],
             digests: &[
-                ("conv1.weight", 0x35D2DCB42A51A84E),
-                ("bn1.gamma", 0x059D811A5BAF6AE4),
-                ("bn1.beta", 0x36536E9044B99D6C),
-                ("conv2.weight", 0x17E59C4305072468),
-                ("bn2.gamma", 0x7F17FB3B97F424A6),
-                ("bn2.beta", 0xAA8EEB17507C3773),
-                ("fc1.weight", 0x748350163E7FD732),
-                ("fc1.bias", 0x1C19FA6C2D2D6CF7),
-                ("fc2.weight", 0x99647F2611BCC3AB),
-                ("fc2.bias", 0x54175FAE69C1EDE6),
+                ("conv1.weight", 0xDC5C4B9E3BFE05B4),
+                ("bn1.gamma", 0xF9D20814D2F2E9D7),
+                ("bn1.beta", 0x272735630FACA8ED),
+                ("conv2.weight", 0x95396822965436C3),
+                ("bn2.gamma", 0x6B63BC2F4D4FF088),
+                ("bn2.beta", 0xDAA2E999417FFA29),
+                ("fc1.weight", 0xEDF411AC74C311E9),
+                ("fc1.bias", 0xA94F70934C55CB4D),
+                ("fc2.weight", 0x7EF9824585806CBE),
+                ("fc2.bias", 0x844B4C0EAC959847),
             ],
             resaved: (0xB232600C, 4320),
         },
@@ -801,10 +855,10 @@ mod tests {
             fresh: fresh_mlp,
             input: &[2, 6],
             digests: &[
-                ("fc0.weight", 0x2745226BD52D2811),
-                ("fc0.bias", 0x45F0B4EBE5428D37),
-                ("fc1.weight", 0x35229D32606CBCB1),
-                ("fc1.bias", 0x54175FAE69C1EDE6),
+                ("fc0.weight", 0x59E72C331A3A74FA),
+                ("fc0.bias", 0x29A9F8C514FE3C5A),
+                ("fc1.weight", 0x18A07FADD4A04F98),
+                ("fc1.bias", 0x844B4C0EAC959847),
             ],
             resaved: (0x2566E395, 280),
         },

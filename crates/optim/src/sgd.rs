@@ -75,8 +75,8 @@ impl StepStats {
 /// weight dequantised straight from the code tier — no copy of the
 /// gradient, no fp32 view of the weights, no copy of the velocity. After
 /// the finiteness check, **pass B** is Eq. 3 on the tier itself
-/// ([`apt_quant::CodeStore::rewrite`]): `q ← q − round(lr·v/ε)`, with the
-/// rail count folded into the same sweep, so velocity cannot smuggle
+/// ([`apt_quant::CodeStore::rewrite_blocks`]): `q ← q − round(lr·v/ε)`, with
+/// the rail count folded into the same sweep, so velocity cannot smuggle
 /// sub-ε changes into the weights and no i64 shadow of the codes exists.
 ///
 /// Under the paper's truncation, pass B decides underflow without
@@ -84,8 +84,11 @@ impl StepStats {
 /// implies the correctly rounded quotient is at most `1 − 2⁻⁵³`, which
 /// truncates to zero — exactly what the division would have produced, and
 /// on an under-resolved layer (the condition Gavg watches for) it is nine
-/// elements in ten. Stochastic rounding still draws once per element, in
-/// element order.
+/// elements in ten. That test runs over a block of 64 elements at a time
+/// without a branch and leaves a mask of the elements that may move; only
+/// those enter the per-element body, so the sweep's unpredictable branch
+/// per element is gone. Stochastic rounding still draws once per element,
+/// in element order.
 #[derive(Debug)]
 pub struct Sgd {
     cfg: SgdConfig,

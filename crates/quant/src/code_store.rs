@@ -30,11 +30,13 @@
 //!
 //! Anything that walks a whole store once per training step goes through
 //! an operation that resolves the tier **once per call**:
-//! [`CodeStore::for_each`] (in-order read of a range), [`CodeStore::rewrite`]
-//! (in-place `q ← f(i, q)` over a range — a range so that a per-channel
-//! tensor walks one channel at a time with that channel's quantiser
-//! loop-invariant), [`CodeStore::for_each_word`] (resident words,
-//! for digests), [`CodeStore::for_each_packed_word`] /
+//! [`CodeStore::for_each`] (in-order read of a range),
+//! [`CodeStore::rewrite_blocks`] (in-place `q ← f(i, q)` over the elements
+//! a per-block mask selects, with the rail count of what it leaves behind
+//! — a range so that a per-channel tensor walks one channel at a time with
+//! that channel's quantiser loop-invariant),
+//! [`CodeStore::for_each_word_block`] (resident words, `N` at a time, for
+//! digests), [`CodeStore::for_each_packed_word`] /
 //! [`CodeStore::write_packed_le`] (the canonical serialisation, streamed
 //! from a bit accumulator) and [`CodeStore::from_code_iter`] (build
 //! straight into the tier). No `Vec<i64>` of the codes exists on any of
@@ -114,12 +116,29 @@ fn check_data_words(words: &[u64], len: usize, bits: Bitwidth) -> crate::Result<
 /// assert_eq!(p.resident_bytes(), 16); // 1 data word + 1 padding word
 /// # Ok::<(), apt_quant::QuantError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct PackedCodes {
     /// Data words followed by one always-zero padding word.
     words: Vec<u64>,
     len: usize,
     bits: Bitwidth,
+}
+
+impl Clone for PackedCodes {
+    fn clone(&self) -> Self {
+        PackedCodes {
+            words: self.words.clone(),
+            len: self.len,
+            bits: self.bits,
+        }
+    }
+
+    /// Into the words `self` already owns.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+        self.bits = source.bits;
+    }
 }
 
 impl PackedCodes {
@@ -355,13 +374,127 @@ enum Repr {
 /// assert_eq!(s.resident_bytes(), 3); // i8 tier: one byte per code
 /// # Ok::<(), apt_quant::QuantError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct CodeStore {
     repr: Repr,
     bits: Bitwidth,
 }
 
+impl Clone for CodeStore {
+    fn clone(&self) -> Self {
+        CodeStore {
+            repr: self.repr.clone(),
+            bits: self.bits,
+        }
+    }
+
+    /// Into the buffer `self` already owns when the tier is the same one;
+    /// a store that crossed a tier boundary is cloned afresh.
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut self.repr, &source.repr) {
+            (Repr::I8(to), Repr::I8(from)) => to.clone_from(from),
+            (Repr::I16(to), Repr::I16(from)) => to.clone_from(from),
+            (Repr::Packed(to), Repr::Packed(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+        self.bits = source.bits;
+    }
+}
+
+/// A resident element of the `i8` / `i16` tiers: the centred code at the
+/// tier's width. What lets the block kernels be written once for both.
+trait Centred: Copy + PartialEq {
+    fn widen(self) -> i64;
+    /// Keeps the low bits; callers pass a code the tier holds.
+    fn narrow(c: i64) -> Self;
+}
+
+impl Centred for i8 {
+    #[inline(always)]
+    fn widen(self) -> i64 {
+        i64::from(self)
+    }
+    #[inline(always)]
+    fn narrow(c: i64) -> Self {
+        c as i8
+    }
+}
+
+impl Centred for i16 {
+    #[inline(always)]
+    fn widen(self) -> i64 {
+        i64::from(self)
+    }
+    #[inline(always)]
+    fn narrow(c: i64) -> Self {
+        c as i16
+    }
+}
+
+/// How many of `codes` equal `lo` or `hi`: compares summed per
+/// [`RAIL_BLOCK`] in byte lanes, so the pass is a vector compare and add
+/// with no branch per element.
+#[inline]
+fn rails_in<T: Centred>(codes: &[T], lo: T, hi: T) -> usize {
+    let block_sum = |block: &[T]| {
+        let on_rail = |n: u8, &c: &T| n + u8::from((c == lo) | (c == hi));
+        usize::from(block.iter().fold(0u8, on_rail))
+    };
+    codes.chunks(RAIL_BLOCK).map(block_sum).sum()
+}
+
+/// [`rails_in`] for the packed tier: each field extracted and compared.
+fn rails_packed(p: &PackedCodes, range: Range<usize>, lo: i64, hi: i64) -> usize {
+    let on_rail = |&i: &usize| {
+        let c = p.get(i);
+        c == lo || c == hi
+    };
+    range.filter(on_rail).count()
+}
+
+/// Codes per byte-lane rail sum; under 256, so a lane cannot overflow.
+const RAIL_BLOCK: usize = 128;
+
+/// [`CodeStore::rewrite_blocks`] over one tier's slice, `start` the store
+/// index of `codes[0]`.
+#[inline(always)]
+fn rewrite_blocks_in<T: Centred>(
+    codes: &mut [T],
+    mut start: usize,
+    half: i64,
+    (lo, hi): (T, T),
+    mut select: impl FnMut(Range<usize>) -> u64,
+    mut f: impl FnMut(usize, i64) -> i64,
+) -> usize {
+    let mut rails = 0;
+    for block in codes.chunks_mut(CodeStore::BLOCK) {
+        let mut mask = select(start..start + block.len()) & low_bits(block.len());
+        while mask != 0 {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            block[j] = T::narrow(f(start + j, block[j].widen() + half) - half);
+        }
+        rails += rails_in(block, lo, hi);
+        start += block.len();
+    }
+    rails
+}
+
+/// A mask of the low `n ≤ 64` bits.
+#[inline(always)]
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
 impl CodeStore {
+    /// Elements per block of [`rewrite_blocks`](Self::rewrite_blocks): one
+    /// bit each of its `u64` mask.
+    pub const BLOCK: usize = 64;
+
     /// `2^(k−1)`, the offset between raw and centered codes.
     fn half(bits: Bitwidth) -> i64 {
         1i64 << (bits.get() - 1)
@@ -478,46 +611,69 @@ impl CodeStore {
         }
     }
 
-    /// Replaces every code `q` at index `i` of `range` with `f(i, q)`, in
-    /// element order and in place; `f` must return a code on the grid
-    /// (return `q` to leave an element alone). The tier is resolved once
-    /// per call; as with [`for_each`](Self::for_each), a large `f` wants
-    /// `#[inline(always)]`.
+    /// The sparse in-place rewrite Eq. 3 runs on: `range` is walked in
+    /// blocks of at most [`BLOCK`](Self::BLOCK) elements; per block,
+    /// `select(block_range)` returns a mask — bit `j` set if element
+    /// `block_range.start + j` may change — and `f(i, q)` is then called for
+    /// the set bits only, in ascending element order, its result (a code on
+    /// the grid; return `q` to leave the element alone) written back.
+    /// Returns how many codes of `range` sit on a grid rail (`q == 0` or
+    /// `q == 2^k − 1`) afterwards, summed per block in the tier's native
+    /// width.
+    ///
+    /// `select` sees a whole block's range at once, so it can be a
+    /// branch-free pass over whatever decides the mask; the only
+    /// data-dependent branches left are one per *set* bit. An all-ones mask
+    /// makes it the dense in-order rewrite. The tier is resolved once per
+    /// call; a large `f` wants `#[inline(always)]` at the call site.
     ///
     /// # Panics
     ///
     /// If `range` reaches past the end of the store.
     #[inline]
-    pub fn rewrite(&mut self, range: Range<usize>, mut f: impl FnMut(usize, i64) -> i64) {
+    pub fn rewrite_blocks(
+        &mut self,
+        range: Range<usize>,
+        mut select: impl FnMut(Range<usize>) -> u64,
+        mut f: impl FnMut(usize, i64) -> i64,
+    ) -> usize {
         let half = Self::half(self.bits);
         let max = self.bits.num_steps() as i64;
         let mut checked = |i: usize, q: i64| {
             let new = f(i, q);
             debug_assert!((0..=max).contains(&new), "code {new} off the grid");
-            new - half
+            new
         };
+        let start = range.start;
         match &mut self.repr {
             Repr::I8(v) => {
-                let start = range.start;
-                for (j, c) in v[range].iter_mut().enumerate() {
-                    *c = checked(start + j, i64::from(*c) + half) as i8;
-                }
+                let rails = ((-half) as i8, (max - half) as i8);
+                rewrite_blocks_in(&mut v[range], start, half, rails, select, checked)
             }
             Repr::I16(v) => {
-                let start = range.start;
-                for (j, c) in v[range].iter_mut().enumerate() {
-                    *c = checked(start + j, i64::from(*c) + half) as i16;
-                }
+                let rails = ((-half) as i16, (max - half) as i16);
+                rewrite_blocks_in(&mut v[range], start, half, rails, select, checked)
             }
             Repr::Packed(p) => {
                 assert!(range.end <= p.len(), "range past the end of the store");
-                for i in range {
-                    let old = p.get(i);
-                    let new = checked(i, old + half);
-                    if new != old {
-                        p.set(i, new);
+                let mut rails = 0;
+                let mut start = range.start;
+                while start < range.end {
+                    let end = range.end.min(start + Self::BLOCK);
+                    let mut mask = select(start..end) & low_bits(end - start);
+                    while mask != 0 {
+                        let i = start + mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        let old = p.get(i) + half;
+                        let new = checked(i, old);
+                        if new != old {
+                            p.set(i, new - half);
+                        }
                     }
+                    rails += rails_packed(p, start..end, -half, max - half);
+                    start = end;
                 }
+                rails
             }
         }
     }
@@ -527,23 +683,9 @@ impl CodeStore {
     pub fn count_rails(&self, max_code: i64) -> usize {
         let half = Self::half(self.bits);
         match &self.repr {
-            Repr::I8(v) => {
-                let (lo, hi) = ((-half) as i8, (max_code - half) as i8);
-                v.iter().filter(|&&c| c == lo || c == hi).count()
-            }
-            Repr::I16(v) => {
-                let (lo, hi) = ((-half) as i16, (max_code - half) as i16);
-                v.iter().filter(|&&c| c == lo || c == hi).count()
-            }
-            Repr::Packed(p) => {
-                let (lo, hi) = (-half, max_code - half);
-                (0..p.len())
-                    .filter(|&i| {
-                        let c = p.get(i);
-                        c == lo || c == hi
-                    })
-                    .count()
-            }
+            Repr::I8(v) => rails_in(v, (-half) as i8, (max_code - half) as i8),
+            Repr::I16(v) => rails_in(v, (-half) as i16, (max_code - half) as i16),
+            Repr::Packed(p) => rails_packed(p, 0..p.len(), -half, max_code - half),
         }
     }
 
@@ -615,43 +757,59 @@ impl CodeStore {
         }
     }
 
-    /// Feeds the physical representation to `f` word by word — the basis
+    /// Feeds the physical representation out a word at a time — the basis
     /// of integrity digests, which must change when any resident bit
     /// flips. `i8`/`i16` chunk their bytes little-endian, the last word
-    /// zero-padded; the packed tier emits its data words.
+    /// zero-padded; the packed tier emits its data words. The words go to
+    /// `block`, `N` consecutive ones per call, while `N` whole ones are
+    /// left, and the rest (fewer than `N` whole words and the padded last
+    /// one) to `tail` one by one: a caller that keeps `N` independent
+    /// accumulators gets them `N` at a time, from one load each, with the
+    /// tier resolved once.
     #[inline]
-    pub fn for_each_word(&self, mut f: impl FnMut(u64)) {
-        /// The short last chunk as one zero-padded little-endian word.
-        fn tail_word<T: Copy>(tail: &[T], lane: impl Fn(T) -> u64) -> u64 {
+    pub fn for_each_word_block<const N: usize>(
+        &self,
+        mut block: impl FnMut([u64; N]),
+        mut tail: impl FnMut(u64),
+    ) {
+        /// A chunk of at most one word's elements as one zero-padded
+        /// little-endian word.
+        #[inline(always)]
+        fn word<T: Copy>(chunk: &[T], lane: impl Fn(T) -> u64) -> u64 {
             let width = 8 * std::mem::size_of::<T>();
-            tail.iter()
+            chunk
+                .iter()
                 .enumerate()
                 .fold(0, |w, (j, &x)| w | lane(x) << (width * j))
         }
+        /// `per_word` elements to the word, `N` words to the block.
+        #[inline(always)]
+        fn walk<T: Copy, const N: usize>(
+            v: &[T],
+            lane: impl Fn(T) -> u64 + Copy,
+            mut block: impl FnMut([u64; N]),
+            mut tail: impl FnMut(u64),
+        ) {
+            let per_word = 8 / std::mem::size_of::<T>();
+            let mut blocks = v.chunks_exact(per_word * N);
+            for b in &mut blocks {
+                block(std::array::from_fn(|j| {
+                    word(&b[per_word * j..per_word * (j + 1)], lane)
+                }));
+            }
+            for chunk in blocks.remainder().chunks(per_word) {
+                tail(word(chunk, lane));
+            }
+        }
         match &self.repr {
-            Repr::I8(v) => {
-                let mut chunks = v.chunks_exact(8);
-                for c in &mut chunks {
-                    f(u64::from_le_bytes(std::array::from_fn(|j| c[j] as u8)));
-                }
-                if !chunks.remainder().is_empty() {
-                    f(tail_word(chunks.remainder(), |c| u64::from(c as u8)));
-                }
-            }
-            Repr::I16(v) => {
-                let mut chunks = v.chunks_exact(4);
-                for c in &mut chunks {
-                    let lane = |j: usize| u64::from(c[j] as u16) << (16 * j);
-                    f(lane(0) | lane(1) | lane(2) | lane(3));
-                }
-                if !chunks.remainder().is_empty() {
-                    f(tail_word(chunks.remainder(), |c| u64::from(c as u16)));
-                }
-            }
+            Repr::I8(v) => walk(v, |c| u64::from(c as u8), block, tail),
+            Repr::I16(v) => walk(v, |c| u64::from(c as u16), block, tail),
             Repr::Packed(p) => {
-                for &w in p.data_words() {
-                    f(w);
+                let mut blocks = p.data_words().chunks_exact(N);
+                for b in &mut blocks {
+                    block(std::array::from_fn(|j| b[j]));
                 }
+                blocks.remainder().iter().for_each(|&w| tail(w));
             }
         }
     }
@@ -766,37 +924,98 @@ mod tests {
         }
     }
 
+    /// The per-element loop `count_rails` was before it summed by block.
+    fn rails_one_by_one(store: &CodeStore, range: Range<usize>) -> usize {
+        let max = store.bits().num_steps() as i64;
+        range
+            .filter(|&i| store.get(i) == 0 || store.get(i) == max)
+            .count()
+    }
+
     #[test]
-    fn in_place_rewrite_agrees_with_set() {
+    fn block_rewrite_agrees_with_set_for_dense_and_sparse_masks() {
         for k in 2..=32u32 {
             let levels = b(k).num_steps() as i64 + 1;
-            for n in edge_lengths(k) {
+            let mut lens = edge_lengths(k);
+            lens.extend([127, 128, 129, 200]);
+            for n in lens {
                 let codes = grid_codes(k, n, u64::from(k) * 137 + n as u64);
-                // Moves most codes, leaves every third alone.
-                let f = |i: usize, q: i64| {
-                    if i.is_multiple_of(3) {
-                        q
-                    } else {
-                        (q * 5 + i as i64 + 1) % levels
+                let f = |i: usize, q: i64| (q * 5 + i as i64 + 1) % levels;
+                // Dense, every third element, and nothing at all.
+                for keep in [|_| true, |i: usize| i.is_multiple_of(3), |_| false] {
+                    let mut bulk = CodeStore::from_codes(&codes, b(k));
+                    let (mut visited, mut rails) = (Vec::new(), 0);
+                    // In two ranges, as a per-channel tensor walks its groups.
+                    for range in [0..n / 3, n / 3..n] {
+                        let mut blocks = range.start;
+                        rails += bulk.rewrite_blocks(
+                            range.clone(),
+                            |block| {
+                                // Consecutive, full but for the last.
+                                assert_eq!(block.start, blocks, "k={k} n={n}");
+                                assert!(block.end <= range.end && !block.is_empty());
+                                let full = block.len() == CodeStore::BLOCK;
+                                assert!(full || block.end == range.end);
+                                blocks = block.end;
+                                // Bits past the block's end are ignored.
+                                !low_bits(block.len())
+                                    | block
+                                        .clone()
+                                        .filter(|&i| keep(i))
+                                        .fold(0, |m, i| m | 1 << (i - block.start))
+                            },
+                            |i, q| {
+                                assert_eq!(q, codes[i], "k={k} n={n}");
+                                visited.push(i);
+                                f(i, q)
+                            },
+                        );
+                        assert_eq!(blocks, range.end);
                     }
-                };
-                let mut bulk = CodeStore::from_codes(&codes, b(k));
-                let mut visited = 0;
-                for range in [0..n / 3, n / 3..n] {
-                    bulk.rewrite(range, |i, q| {
-                        assert_eq!((i, q), (visited, codes[i]), "k={k} n={n}");
-                        visited += 1;
-                        f(i, q)
-                    });
+                    let expect: Vec<usize> = (0..n).filter(|&i| keep(i)).collect();
+                    assert_eq!(visited, expect, "ascending, selected only: k={k} n={n}");
+                    let mut one_by_one = CodeStore::from_codes(&codes, b(k));
+                    for &i in &expect {
+                        one_by_one.set(i, f(i, one_by_one.get(i)));
+                    }
+                    assert_eq!(bulk, one_by_one, "k={k} n={n}");
+                    assert_eq!(rails, rails_one_by_one(&bulk, 0..n), "k={k} n={n}");
+                    // Equal stores, padding bits included.
+                    assert_eq!(bulk.to_packed(), packed_by_set(&bulk.to_vec(), k));
                 }
-                assert_eq!(visited, n);
-                let mut one_by_one = CodeStore::from_codes(&codes, b(k));
-                for i in 0..n {
-                    one_by_one.set(i, f(i, one_by_one.get(i)));
+            }
+        }
+    }
+
+    #[test]
+    fn rail_sums_agree_with_the_per_element_count_at_every_block_edge() {
+        // Both rail codes planted at the first, the last and either side of
+        // every sum-block boundary, over a store with no rail code
+        // elsewhere; lengths around one block and around two.
+        let c = RAIL_BLOCK;
+        for k in [2u32, 6, 8, 9, 16, 20] {
+            let max = b(k).num_steps() as i64;
+            for n in [0, 1, c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1] {
+                let inner = |i: usize| if max > 1 { 1 + i as i64 % (max - 1) } else { 1 };
+                let plain: Vec<i64> = (0..n).map(inner).collect();
+                let store = |codes: &[i64]| CodeStore::from_codes(codes, b(k));
+                assert_eq!(store(&plain).count_rails(max), if max > 1 { 0 } else { n });
+                let edges = [0, c - 1, c, c + 1, 2 * c - 1, 2 * c, n.saturating_sub(1)];
+                for at in edges.into_iter().filter(|&at| at < n) {
+                    for rail in [0, max] {
+                        let mut codes = plain.clone();
+                        codes[at] = rail;
+                        let s = store(&codes);
+                        assert_eq!(
+                            s.count_rails(max),
+                            rails_one_by_one(&s, 0..n),
+                            "k={k} n={n} rail {rail} at {at}"
+                        );
+                    }
                 }
-                assert_eq!(bulk, one_by_one, "k={k} n={n}");
-                // Equal stores, padding bits included.
-                assert_eq!(bulk.to_packed(), packed_by_set(&bulk.to_vec(), k));
+                // Every element on a rail: the byte lanes do not overflow.
+                let all: Vec<i64> = (0..n).map(|i| if i % 2 == 0 { 0 } else { max }).collect();
+                assert_eq!(store(&all).count_rails(max), n, "k={k} n={n}");
             }
         }
     }
@@ -848,11 +1067,21 @@ mod tests {
                             .fold(0u64, |w, (j, &x)| w | u64::from(x) << (8 * j))
                     })
                     .collect();
-                let mut words = Vec::new();
-                store.for_each_word(|w| words.push(w));
-                assert_eq!(words, expect, "k={k} n={n}");
+                assert_eq!(resident_words::<1>(&store), expect, "k={k} n={n}");
+                assert_eq!(resident_words::<4>(&store), expect, "k={k} n={n}");
+                assert_eq!(resident_words::<8>(&store), expect, "k={k} n={n}");
             }
         }
+    }
+
+    /// Every resident word in order, through `for_each_word_block::<N>`:
+    /// whole blocks first, then at most `N` tail words.
+    fn resident_words<const N: usize>(store: &CodeStore) -> Vec<u64> {
+        let (mut blocks, mut tail) = (Vec::new(), Vec::new());
+        store.for_each_word_block::<N>(|block| blocks.extend(block), |w| tail.push(w));
+        assert!(tail.len() <= N, "{} tail words at N = {N}", tail.len());
+        blocks.extend(tail);
+        blocks
     }
 
     #[test]
@@ -1085,16 +1314,12 @@ mod tests {
 
     #[test]
     fn for_each_word_covers_every_resident_bit() {
-        // A digest built on for_each_word must see any single stored-bit
+        // A digest built on the resident words must see any single stored-bit
         // change; spot-check by flipping one code bit per tier.
         for k in [6u32, 12, 24] {
             let codes = grid_codes(k, 50, 31);
             let mut s = CodeStore::from_codes(&codes, b(k));
-            let collect = |s: &CodeStore| {
-                let mut v = Vec::new();
-                s.for_each_word(|w| v.push(w));
-                v
-            };
+            let collect = resident_words::<4>;
             let before = collect(&s);
             s.flip_bit(49, k - 1); // sign bit of the last element
             let after = collect(&s);

@@ -114,11 +114,31 @@ impl Grid {
 /// assert_eq!(q.memory_bits(), 3 * 8);
 /// # Ok::<(), apt_quant::QuantError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct QuantizedTensor {
     store: CodeStore,
     dims: Vec<usize>,
     grid: Grid,
+}
+
+impl Clone for QuantizedTensor {
+    fn clone(&self) -> Self {
+        QuantizedTensor {
+            store: self.store.clone(),
+            dims: self.dims.clone(),
+            grid: self.grid.clone(),
+        }
+    }
+
+    /// Into the code buffer, shape and quantiser list `self` already owns.
+    fn clone_from(&mut self, source: &Self) {
+        self.store.clone_from(&source.store);
+        self.dims.clone_from(&source.dims);
+        match (&mut self.grid, &source.grid) {
+            (Grid::PerChannel(to), Grid::PerChannel(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 impl QuantizedTensor {
@@ -447,38 +467,53 @@ impl QuantizedTensor {
         let lr = f64::from(lr);
         let max_code = self.bits().num_steps() as i64;
         let g = grad.data();
-        let (mut underflowed, mut on_rails) = (0usize, 0usize);
+        // Underflow is counted where it is decided: by the block mask for
+        // the elements it rules out, by the element body for the rest.
+        let (mut masked_out, mut underflowed, mut on_rails) = (0usize, 0usize, 0usize);
         // `(index, raw code)` of every update that left its grid, in index
         // order: a `k`-bit field cannot hold it, so the store keeps the old
         // code there (counted, for now, at the code it kept).
         let mut spills: Vec<(usize, i64)> = Vec::new();
         for (range, quantizer) in self.grid.groups(self.store.len()) {
             let eps = f64::from(quantizer.eps());
-            self.store.rewrite(
+            on_rails += self.store.rewrite_blocks(
                 range,
+                // Under truncation an element with `|lr·g| < ε` takes zero
+                // steps ([`RoundingMode::round_quotient`]'s exact test),
+                // and on an under-resolved layer that is nine in ten: one
+                // branch-free pass rules them out a block at a time, so
+                // the body below is entered for the rest only. The other
+                // modes can move on any element.
+                |block| {
+                    if mode != RoundingMode::Truncate {
+                        return u64::MAX;
+                    }
+                    let (mask, zero_steps) = may_move(&g[block], lr, eps);
+                    masked_out += zero_steps;
+                    mask
+                },
                 #[inline(always)]
                 |i, q| {
                     let steps = mode.round_quotient(lr * f64::from(g[i]), eps, rng);
-                    let mut new = q;
                     if steps == 0 {
                         underflowed += usize::from(g[i] != 0.0);
-                    } else {
-                        // Saturating: a pathological gradient can round to
-                        // ±i64::MAX steps, and plain subtraction would
-                        // overflow. The saturated code is out of range, so
-                        // it spills.
-                        let moved = q.saturating_sub(steps);
-                        if (0..=max_code).contains(&moved) {
-                            new = moved;
-                        } else {
-                            spills.push((i, moved));
-                        }
+                        return q;
                     }
-                    on_rails += usize::from(new == 0 || new == max_code);
-                    new
+                    // Saturating: a pathological gradient can round to
+                    // ±i64::MAX steps, and plain subtraction would
+                    // overflow. The saturated code is out of range, so it
+                    // spills.
+                    let moved = q.saturating_sub(steps);
+                    if (0..=max_code).contains(&moved) {
+                        moved
+                    } else {
+                        spills.push((i, moved));
+                        q
+                    }
                 },
             );
         }
+        let underflowed = masked_out + underflowed;
         if !spills.is_empty() {
             self.expand(&spills)?;
             on_rails = self.store.count_rails(max_code);
@@ -515,9 +550,11 @@ impl QuantizedTensor {
                 // code).
                 self.store = new.quantize_to_store(&values);
             } else {
-                self.store.rewrite(range.clone(), |i, _| {
-                    new.quantize_value(values[i - range.start])
-                });
+                self.store.rewrite_blocks(
+                    range.clone(),
+                    |_| u64::MAX,
+                    |i, _| new.quantize_value(values[i - range.start]),
+                );
             }
             self.grid.quantizers_mut()[c] = new;
         }
@@ -590,6 +627,30 @@ impl QuantizedTensor {
         }
         forced
     }
+}
+
+/// Eq. 3's truncation test over one block of at most 64 gradients: bit `j`
+/// of the mask is set unless `|lr·g_j| < eps` — the element may take a
+/// step — and the count is of the cleared bits with `g_j ≠ 0`, the
+/// block's underflows. Flags first, then eight flags to the byte: both
+/// loops are branch-free and the first is a vector compare.
+#[inline(always)]
+fn may_move(g: &[f32], lr: f64, eps: f64) -> (u64, usize) {
+    let mut flags = [0u8; CodeStore::BLOCK];
+    let mut zero_steps = 0usize;
+    for (flag, &g) in flags.iter_mut().zip(g) {
+        let under = (lr * f64::from(g)).abs() < eps;
+        *flag = u8::from(!under);
+        zero_steps += usize::from(under & (g != 0.0));
+    }
+    // Eight 0/1 bytes times this constant put byte `i`'s bit at 56 + i, and
+    // no two partial products share a bit, so nothing carries.
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mask = flags.chunks_exact(8).enumerate().fold(0, |mask, (j, c)| {
+        let bytes = u64::from_le_bytes(c.try_into().expect("chunks of eight"));
+        mask | (bytes.wrapping_mul(GATHER) >> 56) << (8 * j)
+    });
+    (mask, zero_steps)
 }
 
 #[cfg(test)]
@@ -740,15 +801,24 @@ mod tests {
         assert!(q
             .sgd_update(&bad_shape, 0.1, RoundingMode::Truncate, &mut seeded(0))
             .is_err());
-        let mut nan_grad = Tensor::from_slice(&[1.0, 1.0]);
-        nan_grad.data_mut()[0] = f32::NAN;
+        // A refused operand is refused before any code is written: the
+        // first element's step is a whole one, inwards off its rail, and
+        // would have landed.
+        let before = q.store.clone();
+        let mut nan_grad = Tensor::from_slice(&[-1.0, 1.0]);
+        nan_grad.data_mut()[1] = f32::NAN;
         assert!(q
             .sgd_update(&nan_grad, 0.1, RoundingMode::Truncate, &mut seeded(0))
             .is_err());
-        let fine = Tensor::from_slice(&[1.0, 1.0]);
+        let fine = Tensor::from_slice(&[-1.0, 1.0]);
         assert!(q
             .sgd_update(&fine, f32::INFINITY, RoundingMode::Truncate, &mut seeded(0))
             .is_err());
+        assert_eq!(q.store, before);
+        assert!(q
+            .sgd_update(&fine, 0.1, RoundingMode::Truncate, &mut seeded(0))
+            .is_ok());
+        assert_ne!(q.store, before);
     }
 
     #[test]
@@ -997,5 +1067,190 @@ mod tests {
             "expanded channel recalibrates"
         );
         assert_eq!(eps_after[1], eps_before[1], "other channel untouched");
+    }
+
+    /// Eq. 3 as it ran before the block form: one element at a time, a
+    /// branch on the step count each — the loop
+    /// [`QuantizedTensor::sgd_update`] is held to.
+    fn sgd_update_per_element(
+        t: &mut QuantizedTensor,
+        grad: &Tensor,
+        lr: f32,
+        mode: RoundingMode,
+        rng: &mut StdRng,
+    ) -> crate::Result<UpdateStats> {
+        t.check_shape("sgd_update", grad)?;
+        if !lr.is_finite() || grad.data().iter().any(|x| !x.is_finite()) {
+            return Err(QuantError::NonFiniteOperand { op: "sgd_update" });
+        }
+        let lr = f64::from(lr);
+        let max_code = t.bits().num_steps() as i64;
+        let g = grad.data();
+        let (mut underflowed, mut on_rails) = (0usize, 0usize);
+        let mut spills: Vec<(usize, i64)> = Vec::new();
+        let groups: Vec<_> = t.grid.groups(t.store.len()).collect();
+        for (range, quantizer) in groups {
+            let eps = f64::from(quantizer.eps());
+            for i in range {
+                let q = t.store.get(i);
+                let steps = mode.round_quotient(lr * f64::from(g[i]), eps, rng);
+                let mut new = q;
+                if steps == 0 {
+                    underflowed += usize::from(g[i] != 0.0);
+                } else {
+                    let moved = q.saturating_sub(steps);
+                    if (0..=max_code).contains(&moved) {
+                        new = moved;
+                    } else {
+                        spills.push((i, moved));
+                    }
+                }
+                on_rails += usize::from(new == 0 || new == max_code);
+                t.store.set(i, new);
+            }
+        }
+        if !spills.is_empty() {
+            t.expand(&spills)?;
+            on_rails = t.store.count_rails(max_code);
+        }
+        Ok(UpdateStats {
+            underflowed,
+            expanded: spills.len(),
+            saturated: on_rails,
+            total: t.store.len(),
+        })
+    }
+
+    mod block_form {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::Rng;
+
+        const MODES: [RoundingMode; 3] = [
+            RoundingMode::Truncate,
+            RoundingMode::Nearest,
+            RoundingMode::Stochastic,
+        ];
+        /// Every tier, and both sides of each tier boundary.
+        const WIDTHS: [u32; 6] = [2, 6, 8, 9, 16, 20];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn sgd_update_equals_the_per_element_loop(
+                seed in 0u64..u64::MAX,
+                mode in 0usize..3,
+                width in 0usize..6,
+                per_channel in any::<bool>(),
+                channels in 1usize..5,
+                // A group is one to three blocks long and mostly ends off a
+                // block boundary; 64 and 128 are in the range too.
+                stride in 1usize..150,
+                spill in any::<bool>(),
+            ) {
+                let (mode, bits) = (MODES[mode], b(WIDTHS[width]));
+                let mut r = rng::substream(seed, 1);
+                let w = normal(&[channels, stride], 0.5, &mut r);
+                let quantized = if per_channel {
+                    QuantizedTensor::from_tensor_per_channel(&w, bits)
+                } else {
+                    QuantizedTensor::from_tensor(&w, bits)
+                };
+                let mut block = quantized.unwrap();
+                let mut one = block.clone();
+                // Against ε: exact zeros, a majority under one step (most
+                // of a block masked out), a few steps, and — when asked —
+                // a few far off the grid, which spill and recalibrate.
+                let eps = block.eps();
+                let mut g = normal(&[channels, stride], eps * 0.6, &mut r);
+                for x in g.data_mut() {
+                    match r.gen_range(0..16u32) {
+                        0 => *x = 0.0,
+                        1 => *x = -0.0,
+                        2 | 3 => *x *= 8.0,
+                        4 if spill => *x *= 1e4,
+                        _ => {}
+                    }
+                }
+                let lr = [1.0f32, 0.25][r.gen_range(0..2usize)];
+                let (mut rng_block, mut rng_one) = (seeded(seed ^ 7), seeded(seed ^ 7));
+                let got = block.sgd_update(&g, lr, mode, &mut rng_block).unwrap();
+                let want = sgd_update_per_element(&mut one, &g, lr, mode, &mut rng_one).unwrap();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(&block.store, &one.store);
+                prop_assert_eq!(block.quantizers(), one.quantizers());
+                prop_assert_eq!(rng_block.gen::<u64>(), rng_one.gen::<u64>());
+            }
+        }
+
+        #[test]
+        fn the_cases_reach_every_outcome_of_eq3() {
+            // What the property above is relied on to cover, counted over
+            // the same construction at a fixed spread of seeds.
+            let (mut underflowed, mut moved, mut expanded) = (0, 0, 0);
+            for seed in 0..32u64 {
+                let mut r = rng::substream(seed, 1);
+                let w = normal(&[3, 70], 0.5, &mut r);
+                let mut q = QuantizedTensor::from_tensor(&w, b(6)).unwrap();
+                let before = q.store.to_vec();
+                let mut g = normal(&[3, 70], q.eps() * 0.6, &mut r);
+                g.data_mut()[seed as usize] *= 1e4;
+                let s = q
+                    .sgd_update(&g, 1.0, RoundingMode::Truncate, &mut seeded(seed))
+                    .unwrap();
+                underflowed += s.underflowed;
+                expanded += s.expanded;
+                moved += usize::from(q.store.to_vec() != before);
+            }
+            assert!(underflowed > 32 * 150 && moved == 32 && expanded >= 16);
+        }
+    }
+
+    #[test]
+    fn may_move_mask_is_the_truncation_test_bit_for_bit() {
+        let mut r = seeded(31);
+        for len in [0usize, 1, 7, 8, 9, 63, 64] {
+            for _ in 0..50 {
+                let eps = 0.01f64;
+                let g: Vec<f32> = (0..len)
+                    .map(|i| match i % 5 {
+                        0 => 0.0,
+                        // Either side of ε, to the last bit.
+                        1 => f32::from_bits((0.01f32).to_bits() - 1),
+                        2 => 0.01,
+                        _ => normal(&[1], 0.02, &mut r).data()[0],
+                    })
+                    .collect();
+                let (mask, zero_steps) = may_move(&g, 1.0, eps);
+                let mut want = (0u64, 0usize);
+                for (j, &x) in g.iter().enumerate() {
+                    let under = f64::from(x).abs() < eps;
+                    want.0 |= u64::from(!under) << j;
+                    want.1 += usize::from(under && x != 0.0);
+                }
+                assert_eq!((mask, zero_steps), want, "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_follows_the_source_across_tiers_and_forms() {
+        let w = normal(&[4, 16], 0.5, &mut seeded(1));
+        let sources = [
+            QuantizedTensor::from_tensor(&w, b(6)).unwrap(),
+            QuantizedTensor::from_tensor(&w, b(9)).unwrap(),
+            QuantizedTensor::from_tensor(&w, b(20)).unwrap(),
+            QuantizedTensor::from_tensor_per_channel(&w, b(8)).unwrap(),
+            QuantizedTensor::from_tensor(&normal(&[5], 1.0, &mut seeded(2)), b(6)).unwrap(),
+        ];
+        let mut kept = sources[0].clone();
+        for source in sources.iter().chain(sources.iter().rev()) {
+            kept.clone_from(source);
+            assert_eq!(kept.store, source.store);
+            assert_eq!(kept.quantizers(), source.quantizers());
+            assert_eq!(kept.dims(), source.dims());
+            assert_eq!(kept.is_per_channel(), source.is_per_channel());
+        }
     }
 }

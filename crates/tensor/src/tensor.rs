@@ -15,10 +15,29 @@ use std::fmt;
 /// assert_eq!(t.shape().dims(), &[2, 3]);
 /// assert_eq!(t.len(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            data: self.data.clone(),
+            shape: self.shape.clone(),
+        }
+    }
+
+    /// Copies `source` into the buffers `self` already owns: no allocation
+    /// when the element count fits and the shape is unchanged — what lets a
+    /// per-step snapshot be refreshed in place.
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        if self.shape != source.shape {
+            self.shape = source.shape.clone();
+        }
+    }
 }
 
 impl Tensor {
@@ -252,9 +271,13 @@ impl Tensor {
         }
     }
 
-    /// `true` if any element is NaN or infinite.
+    /// `true` if any element is NaN or infinite. A branch-free OR-fold per
+    /// [`SCREEN_CHUNK`] elements, so the scan is a vector compare; it leaves
+    /// between chunks, not between elements.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
+        self.data
+            .chunks(SCREEN_CHUNK)
+            .any(|c| c.iter().fold(false, |bad, x| bad | !x.is_finite()))
     }
 
     /// L2 norm of the flattened tensor.
@@ -271,6 +294,9 @@ impl Tensor {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 }
+
+/// Elements a screening fold covers between two looks at its verdict.
+const SCREEN_CHUNK: usize = 256;
 
 impl Default for Tensor {
     fn default() -> Self {
@@ -363,6 +389,54 @@ mod tests {
         assert!(t.has_non_finite());
         t.data_mut()[0] = f32::INFINITY;
         assert!(t.has_non_finite());
+    }
+
+    #[test]
+    fn chunked_non_finite_scan_agrees_with_the_early_exit_scan() {
+        // The `any` scan this replaced, at every place a chunked fold could
+        // lose an element: first, last and either side of each chunk edge.
+        let serial = |t: &Tensor| t.data().iter().any(|x| !x.is_finite());
+        let c = SCREEN_CHUNK;
+        for n in [0, 1, c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1] {
+            // Everything a finite screen must let through.
+            let fill = [
+                0.0,
+                -0.0,
+                1.5,
+                f32::MAX,
+                f32::MIN,
+                f32::MIN_POSITIVE,
+                -1e-40,
+            ];
+            let clean = Tensor::from_vec((0..n).map(|i| fill[i % fill.len()]).collect(), &[n]);
+            let clean = clean.unwrap();
+            assert!(!clean.has_non_finite() && !serial(&clean), "n={n}");
+            let edges = [0, c - 1, c, c + 1, 2 * c - 1, 2 * c, n.saturating_sub(1)];
+            for at in edges.into_iter().filter(|&at| at < n) {
+                for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut t = clean.clone();
+                    t.data_mut()[at] = bad;
+                    assert!(t.has_non_finite() && serial(&t), "n={n} {bad} at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_buffer_it_has() {
+        let source = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 4]).unwrap();
+        let mut kept = Tensor::zeros(&[3, 4]);
+        let buffer = kept.data().as_ptr();
+        kept.clone_from(&source);
+        assert_eq!(kept, source);
+        assert_eq!(kept.data().as_ptr(), buffer, "same length: no new buffer");
+        // Another shape of the same volume, a smaller and a larger tensor.
+        for dims in [&[4, 3][..], &[2], &[5, 5]] {
+            let other = Tensor::full(dims, 2.5);
+            kept.clone_from(&other);
+            assert_eq!(kept, other);
+            assert_eq!(kept.dims(), dims);
+        }
     }
 
     #[test]

@@ -32,10 +32,11 @@
 //!    thread, and an idle server costs no wake-ups. A request that arrives
 //!    alone runs inline on the reactor (no queue hop, no allocation);
 //!    requests that arrive together go through the batcher; after a tick
-//!    that served something the reactor rests briefly, so under load its
-//!    tick rate is set by a timer and concurrent requests meet in one
-//!    tick. Unix only in earnest: elsewhere the wait degrades to a short
-//!    sleep.
+//!    that served something, with two or more connections open, the
+//!    reactor rests briefly, so under load its tick rate is set by a timer
+//!    and concurrent requests meet in one tick — a lone connection has no
+//!    one to meet and is answered at wake-up speed. Unix only in earnest:
+//!    elsewhere the wait degrades to a short sleep.
 //!    Overload protection is typed
 //!    end-to-end ([`ConnLimits`]): connection caps refuse at accept, idle
 //!    and mid-frame deadlines reap slowloris peers, request deadlines

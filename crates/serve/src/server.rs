@@ -34,21 +34,19 @@
 //! request deadline, and drain.
 //!
 //! **Tick moderation.** A tick that served something — dispatched a frame
-//! or delivered a completion — is followed by a rest: the reactor flushes
-//! what it owes, then sleeps out what is left of `TICK_PERIOD` since the
-//! tick began before it waits again. A tick that only accepted, timed out
-//! or found nothing does not rest, so an idle server still never wakes.
-//! Under load the next wait therefore finds everything that arrived during
-//! the rest: requests from different connections are admitted in one tick
-//! and reach the batcher together, a closed-loop client's next request is
-//! already there, and the tick rate (every tick rebuilds the poll set,
-//! O(connections)) is set by a timer. Because the rest is what the tick's
-//! own work left of the period, a served request costs the same whether
-//! the host ran the plan fast or slowly that minute. The price is latency:
-//! a lone closed-loop request waits out the period its predecessor opened
-//! — about 120 µs a round trip with the kernel's default timer slack,
-//! where an unmoderated reactor reads 70 µs in its quietest minutes and
-//! 100 µs in the rest.
+//! or delivered a completion — while two or more connections are open is
+//! followed by a rest: the reactor flushes what it owes, then sleeps out
+//! what is left of `TICK_PERIOD` since the tick began before it waits
+//! again. The next wait then finds everything that arrived during the
+//! rest: requests from different connections are admitted in one tick and
+//! reach the batcher together, and the tick rate (every tick rebuilds the
+//! poll set, O(connections)) is set by a timer, not by how fast the peers
+//! turn around. Both jobs need a second connection. With one open there is
+//! no other request to meet and the poll set is O(1), so the reactor does
+//! not rest, and a lone closed-loop client is answered at wake-up speed
+//! (about 45 µs a round trip on the build host). A tick that only
+//! accepted, timed out or found nothing never rests, so an idle server
+//! still never wakes. `reactor_rests` in the stats counts the rests taken.
 //!
 //! Overload protection is layered and typed:
 //!
@@ -179,14 +177,14 @@ const OUT_SOFT_CAP: usize = 1024 * 1024;
 const ACCEPTS_PER_TICK: usize = 128;
 /// How long a draining server waits for in-flight responses to flush.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
-/// Least time between the starts of two ticks that serve something (tick
-/// moderation, see the module doc). A sleep overshoots by the kernel's
-/// timer slack and the wake-up — about 60 µs here — so ticks under load
-/// come about 120 µs apart.
+/// Least time between the starts of two ticks that serve something while
+/// two or more connections are open (tick moderation, see the module doc).
+/// A sleep overshoots by the kernel's timer slack and the wake-up — about
+/// 60 µs here — so such ticks come about 120 µs apart.
 const TICK_PERIOD: Duration = Duration::from_micros(60);
-/// The rest is never skipped, however long the tick ran: without it two
-/// closed-loop peers can keep finding the reactor free one after the other
-/// and never meet in a tick.
+/// A rest that is due is never skipped, however long the tick ran: without
+/// it two closed-loop peers can keep finding the reactor free one after
+/// the other and never meet in a tick.
 const MIN_REST: Duration = Duration::from_micros(1);
 
 /// A running server. Dropping (or calling [`shutdown`](Server::shutdown))
@@ -490,7 +488,8 @@ struct Conn {
     /// Dispatch stopped at a bound with bytes still buffered: they may
     /// hold whole frames, and no readiness event will announce them.
     backlog: bool,
-    /// Peer sent EOF; serve out what's in flight, then close.
+    /// Peer sent EOF; dispatch what is buffered, serve out what's in
+    /// flight, then close.
     peer_closed: bool,
     /// Close after the out buffer flushes (protocol violation).
     closing: bool,
@@ -532,14 +531,17 @@ impl Conn {
         self.inflight == 0 && self.ready.is_empty() && self.out_pending() == 0
     }
 
+    /// Whether the reactor takes another request from this connection
+    /// right now, from the socket or from frames its decoder holds.
+    fn admits(&self, limits: &ConnLimits) -> bool {
+        !self.closing && self.inflight < limits.max_pipeline && self.out_pending() <= OUT_SOFT_CAP
+    }
+
     /// Whether the reactor will read from this connection right now. A
     /// connection for which this is `false` must not be registered for
     /// readability, or the level-triggered wait spins.
     fn wants_read(&self, limits: &ConnLimits) -> bool {
-        !self.closing
-            && !self.peer_closed
-            && self.inflight < limits.max_pipeline
-            && self.out_pending() <= OUT_SOFT_CAP
+        !self.peer_closed && self.admits(limits)
     }
 
     /// The instant past which the deadline sweep closes this connection,
@@ -633,8 +635,9 @@ impl Conn {
     }
 
     /// Close-after-flush: a connection that has been answered in full is
-    /// closed once the peer is gone or a protocol violation ended it — or,
-    /// when the server drains, once it has been told so.
+    /// closed once a protocol violation ended it, or once the peer is gone
+    /// and no frame it sent is left in the decoder — or, when the server
+    /// drains, once it has been told so.
     fn settle(&mut self, draining: bool, now: Instant) {
         if draining {
             if self.drained() && !self.notice_sent {
@@ -648,7 +651,7 @@ impl Conn {
             if self.notice_sent && self.out_pending() == 0 {
                 self.dead = Some(CloseReason::Plain);
             }
-        } else if (self.closing || self.peer_closed) && self.drained() {
+        } else if (self.closing || (self.peer_closed && !self.backlog)) && self.drained() {
             self.dead = Some(CloseReason::Plain);
         }
     }
@@ -699,8 +702,9 @@ struct Reactor {
     read_buf: [u8; READ_CHUNK],
     /// When the current tick began.
     tick_began: Instant,
-    /// The current tick dispatched a frame or delivered a completion: the
-    /// reactor rests out its [`TICK_PERIOD`] before the next wait.
+    /// The current tick dispatched a frame or delivered a completion: with
+    /// another connection open, the reactor rests out its [`TICK_PERIOD`]
+    /// before the next wait.
     served: bool,
     stop: Arc<AtomicBool>,
     stopping: Option<Instant>,
@@ -754,9 +758,13 @@ impl Reactor {
                     return;
                 }
             }
-            if std::mem::take(&mut self.served) {
+            // Rest only while another connection is open (counted after
+            // `prepare` dropped the dead): with one, there is no request
+            // to meet in the next tick and the poll set is O(1).
+            if std::mem::take(&mut self.served) && self.conns.len() >= 2 {
                 let left = TICK_PERIOD.saturating_sub(self.tick_began.elapsed());
                 thread::sleep(left.max(MIN_REST));
+                self.ctx.stats.record_reactor_rest();
             }
             if poll::wait(&mut self.fds, timeout).is_err() {
                 // Nothing was reported ready; do not spin on a failing wait.
@@ -817,8 +825,8 @@ impl Reactor {
                 ctx.stats.record_conn_close();
                 return false;
             }
+            backlog |= !draining && conn.backlog && conn.admits(limits);
             let read = !draining && conn.wants_read(limits);
-            backlog |= read && conn.backlog;
             fds.push(PollFd::new(&conn.stream, read, conn.out_pending() > 0));
             true
         });
@@ -901,17 +909,20 @@ impl Reactor {
     }
 
     /// Services `conns[at]` after a wait: reads and dispatches if the
-    /// reactor is reading from it and there is something to read, and
-    /// closes it if the wait found it broken while reads are paused —
-    /// nothing more can be delivered either way.
+    /// reactor admits work from it and there is something to read or a
+    /// backlog to dispatch, and closes it if the wait found it broken while
+    /// it admits none — nothing more can be delivered either way.
     fn service(&mut self, at: usize) {
         let fd = self.fds[CONN_FDS + at];
         let conn = &self.conns[at];
         if conn.dead.is_some() {
             return;
         }
-        let reading = self.stopping.is_none() && conn.wants_read(&self.limits);
-        if reading && (fd.readable() || fd.hung_up() || conn.backlog) {
+        // Admitting, not reading: frames a half-closed peer sent before its
+        // EOF are dispatched from the decoder (re-reading its socket just
+        // finds the EOF again).
+        let admits = self.stopping.is_none() && conn.admits(&self.limits);
+        if admits && (fd.readable() || fd.hung_up() || conn.backlog) {
             self.read_and_dispatch(at);
         } else if fd.hung_up() {
             self.conns[at].dead = Some(CloseReason::Plain);

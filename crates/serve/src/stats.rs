@@ -36,6 +36,7 @@ pub struct ServeStats {
     plans_frozen: AtomicU64,
     freeze_fallbacks: AtomicU64,
     reactor_wakeups: AtomicU64,
+    reactor_rests: AtomicU64,
     inline_requests: AtomicU64,
     lat: [AtomicU64; LAT_BUCKETS],
     batch_sizes: [AtomicU64; BATCH_BUCKETS],
@@ -62,6 +63,7 @@ impl Default for ServeStats {
             plans_frozen: AtomicU64::new(0),
             freeze_fallbacks: AtomicU64::new(0),
             reactor_wakeups: AtomicU64::new(0),
+            reactor_rests: AtomicU64::new(0),
             inline_requests: AtomicU64::new(0),
             lat: std::array::from_fn(|_| AtomicU64::new(0)),
             batch_sizes: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -174,6 +176,12 @@ impl ServeStats {
         self.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one rest the reactor took after a serving tick (tick
+    /// moderation; taken only while two or more connections are open).
+    pub(crate) fn record_reactor_rest(&self) {
+        self.reactor_rests.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one infer request the reactor executed itself instead of
     /// queueing it for the batching worker.
     pub fn record_inline(&self) {
@@ -243,6 +251,7 @@ impl ServeStats {
             plans_frozen: self.plans_frozen.load(Ordering::Relaxed),
             freeze_fallbacks: self.freeze_fallbacks.load(Ordering::Relaxed),
             reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
+            reactor_rests: self.reactor_rests.load(Ordering::Relaxed),
             inline_requests: self.inline_requests.load(Ordering::Relaxed),
             p50_us: pct(0.50),
             p90_us: pct(0.90),
@@ -297,6 +306,10 @@ pub struct StatsSnapshot {
     pub freeze_fallbacks: u64,
     /// Times the server's reactor returned from its readiness wait.
     pub reactor_wakeups: u64,
+    /// Rests the reactor took after a tick that served something, to let
+    /// requests from different connections meet in the next tick; a lone
+    /// connection is never made to wait one out.
+    pub reactor_rests: u64,
     /// Infer requests executed on the reactor thread (a batch of one that
     /// never crossed the queue); the rest of `completed` went through the
     /// batching worker.
@@ -330,7 +343,7 @@ impl StatsSnapshot {
              \"model_unavailable\":{},\"models_resident\":{},\
              \"resident_bytes\":{},\
              \"plans_frozen\":{},\"freeze_fallbacks\":{},\
-             \"reactor_wakeups\":{},\"inline_requests\":{},\
+             \"reactor_wakeups\":{},\"reactor_rests\":{},\"inline_requests\":{},\
              \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"mean_batch\":{:.3},\
              \"batch_hist\":[{}]}}",
             self.completed,
@@ -351,6 +364,7 @@ impl StatsSnapshot {
             self.plans_frozen,
             self.freeze_fallbacks,
             self.reactor_wakeups,
+            self.reactor_rests,
             self.inline_requests,
             self.p50_us,
             self.p90_us,
@@ -495,11 +509,15 @@ mod tests {
         s.record_reactor_wakeup();
         s.record_reactor_wakeup();
         s.record_reactor_wakeup();
+        s.record_reactor_rest();
+        s.record_reactor_rest();
         s.record_inline();
         let snap = s.snapshot();
         assert_eq!((snap.reactor_wakeups, snap.inline_requests), (3, 1));
+        assert_eq!(snap.reactor_rests, 2);
         let j = snap.to_json();
         assert!(j.contains("\"reactor_wakeups\":3"), "{j}");
+        assert!(j.contains("\"reactor_rests\":2"), "{j}");
         assert!(j.contains("\"inline_requests\":1"), "{j}");
     }
 

@@ -312,6 +312,58 @@ fn pipelining_beyond_bound_is_throttled_not_dropped() {
 }
 
 #[test]
+fn half_closed_pipeliner_past_the_bound_gets_every_answer() {
+    // The peer's EOF arrives while frames past the pipelining bound are
+    // still in the decoder: the socket has nothing more to read, and those
+    // frames are owed answers all the same.
+    let (mut server, local) = start(ConnLimits {
+        max_pipeline: 2,
+        ..ConnLimits::default()
+    });
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let samples: Vec<Vec<f32>> = (0..8)
+        .map(|i| {
+            (0..IN_DIM)
+                .map(|j| (i * IN_DIM + j) as f32 * 0.11 - 0.9)
+                .collect()
+        })
+        .collect();
+    let mut burst = Vec::new();
+    for s in &samples {
+        protocol::write_frame(&mut burst, OP_INFER, &protocol::encode_f32s(s)).unwrap();
+    }
+    raw.write_all(&burst).unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    for (i, s) in samples.iter().enumerate() {
+        let (status, body) = protocol::read_frame(&mut raw)
+            .unwrap_or_else(|e| panic!("answer {i} of {} never came: {e}", samples.len()));
+        assert_eq!(status, STATUS_OK, "request {i}");
+        assert_eq!(
+            protocol::decode_f32s(&body)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            local
+                .infer_one(s)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            "request {i} corrupted or misordered"
+        );
+    }
+    let mut after = [0u8; 1];
+    let eof = raw.read(&mut after);
+    assert!(
+        matches!(eof, Ok(0)),
+        "expected EOF after the last answer, got {eof:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn request_deadline_sheds_typed_through_the_wire() {
     // A zero-ish request deadline: everything expires in the queue and
     // must come back as a typed deadline status, never a hang.
@@ -446,27 +498,56 @@ fn connection_parked_at_the_pipelining_bound_does_not_spin_the_reactor() {
     server.shutdown();
 }
 
-#[test]
-fn a_closed_loop_peer_cannot_drive_the_tick_rate() {
-    // Tick moderation: ticks that serve something start at least a period
-    // (60 µs) apart, however small the model and however fast the peer
-    // turns around. Only the lower bound is asserted — a sleep never
-    // returns early, so it holds on any host.
-    let (mut server, _local) = start(ConnLimits::default());
-    let mut client = ServeClient::connect(server.addr()).unwrap();
+/// Round trips each closed-loop test below times, after one to warm up.
+const LOOP_N: u32 = 300;
+
+/// Runs `1 + LOOP_N` closed-loop round trips on `client` and returns how
+/// long the last `LOOP_N` took.
+fn closed_loop(client: &mut ServeClient) -> Duration {
     let sample = [0.25; IN_DIM];
     client.infer(&sample).unwrap();
-    const N: u32 = 300;
     let t0 = Instant::now();
-    for _ in 0..N {
+    for _ in 0..LOOP_N {
         client.infer(&sample).unwrap();
     }
-    let took = t0.elapsed();
+    t0.elapsed()
+}
+
+#[test]
+fn a_closed_loop_peer_cannot_drive_the_tick_rate() {
+    // Tick moderation: with another connection open, ticks that serve
+    // something start at least a period (60 µs) apart, however small the
+    // model and however fast the peer turns around. Only the lower bound
+    // is asserted — a sleep never returns early, so it holds on any host.
+    let (mut server, _local) = start(ConnLimits::default());
+    let mut other = ServeClient::connect(server.addr()).unwrap();
+    other.health().unwrap();
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let took = closed_loop(&mut client);
     assert!(
-        took >= Duration::from_micros(60) * (N - 1),
-        "{N} round trips, one tick each, took only {took:?}"
+        took >= Duration::from_micros(60) * (LOOP_N - 1),
+        "{LOOP_N} round trips, one tick each, took only {took:?}"
     );
-    assert_eq!(server.stats().inline_requests, u64::from(N) + 1);
+    let snap = server.stats();
+    assert_eq!(snap.inline_requests, u64::from(LOOP_N) + 1);
+    assert!(
+        snap.reactor_rests >= u64::from(LOOP_N),
+        "{} rests for {LOOP_N} served ticks",
+        snap.reactor_rests
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_lone_closed_loop_peer_is_never_made_to_rest() {
+    // One connection open: no other request could meet this one's in a
+    // tick, so the reactor goes straight back to its wait.
+    let (mut server, _local) = start(ConnLimits::default());
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    closed_loop(&mut client);
+    let snap = server.stats();
+    assert_eq!(snap.inline_requests, u64::from(LOOP_N) + 1);
+    assert_eq!(snap.reactor_rests, 0, "a lone connection waited out a rest");
     server.shutdown();
 }
 

@@ -9,6 +9,18 @@
 //! states — never a half-written visible checkpoint; a cut after
 //! [`write_state`] returns cannot lose the file.
 //!
+//! Inside [`crate::Trainer::run`] the work is split across two threads.
+//! When a checkpoint falls due, the step thread encodes the state straight
+//! into its `.tmp` file, checksumming as the bytes stream out — no copy of
+//! the state and no file-sized buffer is built; a writer thread then does
+//! the sync, rename, directory sync and prune, the same function
+//! [`write_state`] ends with, while training continues. A checkpoint that
+//! falls due while the previous one is still being made durable waits for
+//! it, and `run` returns — on success, interruption, divergence or error —
+//! only once the last one is durable, so the files on disk at each return
+//! are those a synchronous writer would have left. A failed write is the
+//! run's [`CoreError::Io`].
+//!
 //! Read path (corruption safe): [`latest_valid`] scans the directory
 //! newest-first and returns the first blob whose CRC and structure check
 //! out, silently skipping corrupt files — a flipped byte in the newest
@@ -17,7 +29,9 @@
 use crate::state::TrainState;
 use crate::CoreError;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 
 /// Extension of visible checkpoint files.
 const EXT: &str = "apts";
@@ -82,6 +96,24 @@ fn list_states(dir: &Path) -> crate::Result<Vec<PathBuf>> {
 /// Returns [`CoreError::Io`] if the directory cannot be created or any
 /// write/sync/rename fails.
 pub fn write_state(cfg: &CheckpointConfig, state: &TrainState) -> crate::Result<PathBuf> {
+    let staged = stage(cfg, state.global_step, |f| f.write_all(&state.encode()))?;
+    commit(cfg, staged)
+}
+
+/// A state file written to its hidden `.tmp` name but not yet durable.
+pub(crate) struct Staged {
+    file: fs::File,
+    tmp_path: PathBuf,
+    final_path: PathBuf,
+}
+
+/// Creates `cfg.dir` if needed and `write`s the state after `global_step`
+/// steps into a fresh `.tmp` file there; [`commit`] makes it durable.
+fn stage(
+    cfg: &CheckpointConfig,
+    global_step: u64,
+    write: impl FnOnce(&mut fs::File) -> std::io::Result<()>,
+) -> crate::Result<Staged> {
     let is_missing = |p: &&Path| !p.as_os_str().is_empty() && !p.is_dir();
     let created = cfg.dir.ancestors().take_while(is_missing).count();
     fs::create_dir_all(&cfg.dir).map_err(|e| io_err("creating", &cfg.dir, e))?;
@@ -89,24 +121,108 @@ pub fn write_state(cfg: &CheckpointConfig, state: &TrainState) -> crate::Result<
     for parent in cfg.dir.ancestors().skip(1).take(created) {
         sync_dir(parent)?;
     }
-    let final_path = cfg.dir.join(file_name(state.global_step));
-    let tmp_path = cfg
-        .dir
-        .join(format!(".{}.tmp", file_name(state.global_step)));
-    let blob = state.encode();
-    {
-        use std::io::Write;
-        let mut f = fs::File::create(&tmp_path).map_err(|e| io_err("creating", &tmp_path, e))?;
-        f.write_all(&blob)
-            .map_err(|e| io_err("writing", &tmp_path, e))?;
-        f.sync_all().map_err(|e| io_err("syncing", &tmp_path, e))?;
-    }
+    let final_path = cfg.dir.join(file_name(global_step));
+    let tmp_path = cfg.dir.join(format!(".{}.tmp", file_name(global_step)));
+    let mut file = fs::File::create(&tmp_path).map_err(|e| io_err("creating", &tmp_path, e))?;
+    write(&mut file).map_err(|e| io_err("writing", &tmp_path, e))?;
+    Ok(Staged {
+        file,
+        tmp_path,
+        final_path,
+    })
+}
+
+/// Syncs a staged file, renames it to its visible name, syncs the
+/// directory and prunes old files down to `cfg.keep`. Returns the path of
+/// the new checkpoint.
+fn commit(cfg: &CheckpointConfig, staged: Staged) -> crate::Result<PathBuf> {
+    let Staged {
+        file,
+        tmp_path,
+        final_path,
+    } = staged;
+    file.sync_all()
+        .map_err(|e| io_err("syncing", &tmp_path, e))?;
+    drop(file);
     fs::rename(&tmp_path, &final_path).map_err(|e| io_err("renaming", &tmp_path, e))?;
     // Until the directory itself is synced the rename is only in the page
     // cache: a power cut could lose the file this call reports written.
     sync_dir(&cfg.dir)?;
     prune(cfg)?;
     Ok(final_path)
+}
+
+/// The thread a training run hands its due checkpoints to. The step thread
+/// [`stage`]s each state — its file created and written — and the writer
+/// thread [`commit`]s it: sync, rename, directory sync and prune, the
+/// steps [`write_state`] ends with. At most one commit is in flight; the
+/// next checkpoint that falls due waits for it before it writes anything.
+pub(crate) struct Writer<'a> {
+    cfg: &'a CheckpointConfig,
+    jobs: mpsc::Sender<Staged>,
+    done: mpsc::Receiver<crate::Result<PathBuf>>,
+    in_flight: bool,
+}
+
+impl<'a> Writer<'a> {
+    /// Starts the writer thread in `scope`; it ends once the `Writer` is
+    /// dropped.
+    pub(crate) fn spawn(scope: &'a std::thread::Scope<'a, '_>, cfg: &'a CheckpointConfig) -> Self {
+        let (jobs, inbox) = mpsc::channel::<Staged>();
+        let (outbox, done) = mpsc::channel();
+        scope.spawn(move || {
+            for staged in inbox {
+                if outbox.send(commit(cfg, staged)).is_err() {
+                    break;
+                }
+            }
+        });
+        Writer {
+            cfg,
+            jobs,
+            done,
+            in_flight: false,
+        }
+    }
+
+    /// Whether a checkpoint falls due once `global_step` steps are done.
+    pub(crate) fn is_due(&self, global_step: u64) -> bool {
+        global_step.is_multiple_of(self.cfg.every as u64)
+    }
+
+    /// Once the previous checkpoint is durable, `write`s the state after
+    /// `global_step` steps to its file and hands it to the thread.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Io`] from the previous commit or from this write.
+    pub(crate) fn write(
+        &mut self,
+        global_step: u64,
+        write: impl FnOnce(&mut fs::File) -> std::io::Result<()>,
+    ) -> crate::Result<()> {
+        self.wait()?;
+        let staged = stage(self.cfg, global_step, write)?;
+        // Fails only if the thread is gone, which the next wait reports.
+        let _ = self.jobs.send(staged);
+        self.in_flight = true;
+        Ok(())
+    }
+
+    /// Waits for the commit in flight, if any.
+    ///
+    /// # Errors
+    ///
+    /// That commit's [`CoreError::Io`].
+    pub(crate) fn wait(&mut self) -> crate::Result<()> {
+        if !std::mem::take(&mut self.in_flight) {
+            return Ok(());
+        }
+        let committed = self.done.recv().map_err(|_| CoreError::Io {
+            reason: "the checkpoint writer thread stopped".into(),
+        })?;
+        committed.map(drop)
+    }
 }
 
 /// Flushes `dir`'s entries (a create or rename inside it) to stable

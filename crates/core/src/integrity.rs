@@ -34,10 +34,10 @@
 
 use crate::faults::StepInfo;
 use crate::gavg::GavgProfiler;
+use crate::snapshot::{roll_back_params, ParamCopy};
 use crate::CoreError;
 use apt_data::Batch;
-use apt_nn::{Network, Param, ParamStore};
-use apt_tensor::Tensor;
+use apt_nn::{Network, Param};
 
 /// Tuning knobs for the in-memory integrity layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,10 +185,11 @@ fn any_beyond(xs: &[f32], max: f32) -> bool {
 
 /// What the guard keeps of one parameter: its digest, its saturation
 /// baseline and its last known-clean in-memory state, refreshed in place
-/// after every clean step.
+/// after every clean step. The clean state is also what a rollback
+/// restores ([`crate::snapshot`]): a guarded run holds one copy of the
+/// model beside the live one.
 #[derive(Debug, Clone)]
 struct Baseline {
-    name: String,
     /// [`Param::integrity_digest`] at the last refresh; not computed (and
     /// not read) with [`IntegrityConfig::check_digests`] off.
     digest: u64,
@@ -201,39 +202,31 @@ struct Baseline {
     /// unavoidably rail-heavy layer is not re-flagged every step. Outlives
     /// refreshes.
     sat_handled: Option<u32>,
-    store: ParamStore,
-    velocity: Option<Tensor>,
+    copy: ParamCopy,
 }
 
 impl Baseline {
     fn of(p: &Param, digests: bool, sat_handled: Option<u32>) -> Self {
         Baseline {
-            name: p.name().to_string(),
             digest: if digests { p.integrity_digest() } else { 0 },
             sat: p.saturation_ratio(),
             sat_handled,
-            store: p.store().clone(),
-            velocity: p.velocity().cloned(),
+            copy: ParamCopy::of(p),
         }
     }
 
-    /// Re-captures `p` into the buffers this baseline already owns.
-    fn recapture(&mut self, p: &Param, digests: bool) {
+    /// Re-captures `p` into the buffers this baseline already owns; a
+    /// `commit` also makes it the state a rollback returns to.
+    fn recapture(&mut self, p: &Param, digests: bool, commit: bool) {
         if digests {
             self.digest = p.integrity_digest();
         }
         self.sat = p.saturation_ratio();
-        self.store.clone_from(p.store());
-        match (&mut self.velocity, p.velocity()) {
-            (Some(to), Some(from)) => to.clone_from(from),
-            (to, from) => *to = from.cloned(),
+        if commit {
+            self.copy.commit(p);
+        } else {
+            self.copy.follow(p);
         }
-    }
-
-    /// Puts the clean store and momentum back into `p`.
-    fn heal(&self, p: &mut Param) -> apt_nn::Result<()> {
-        p.set_store(self.store.clone())?;
-        p.set_velocity(self.velocity.clone())
     }
 }
 
@@ -284,12 +277,29 @@ impl StepGuard {
     /// inventory allocates nothing. A network whose parameters are not the
     /// ones last captured, name for name in order, gets a fresh list.
     pub fn refresh(&mut self, net: &Network, profiler: &GavgProfiler) {
+        self.recapture(net, profiler, true);
+    }
+
+    /// [`refresh`](StepGuard::refresh) after a rollback: the restored (and
+    /// possibly escalated) state is what the guard heals to, while a later
+    /// rollback still returns to the last clean step.
+    pub(crate) fn follow(&mut self, net: &Network, profiler: &GavgProfiler) {
+        self.recapture(net, profiler, false);
+    }
+
+    /// Restores every store and momentum buffer of `net` to the last clean
+    /// step.
+    pub(crate) fn roll_back(&self, net: &mut Network) -> crate::Result<()> {
+        roll_back_params(net, &self.baselines, |b| &b.copy)
+    }
+
+    fn recapture(&mut self, net: &Network, profiler: &GavgProfiler, commit: bool) {
         let digests = self.cfg.check_digests;
         let baselines = &mut self.baselines;
         let (mut at, mut same) = (0, true);
         net.visit_params_ref(&mut |p| {
             match baselines.get_mut(at) {
-                Some(b) if same && b.name == p.name() => b.recapture(p, digests),
+                Some(b) if same && b.copy.name == p.name() => b.recapture(p, digests, commit),
                 _ => same = false,
             }
             at += 1;
@@ -297,7 +307,7 @@ impl StepGuard {
         if !same || at != baselines.len() {
             let old = std::mem::take(baselines);
             net.visit_params_ref(&mut |p| {
-                let handled = old.iter().find(|b| b.name == p.name());
+                let handled = old.iter().find(|b| b.copy.name == p.name());
                 let handled = handled.and_then(|b| b.sat_handled);
                 baselines.push(Baseline::of(p, digests, handled));
             });
@@ -310,8 +320,8 @@ impl StepGuard {
     /// has it.
     fn baseline_of(baselines: &[Baseline], at: usize, name: &str) -> Option<usize> {
         match baselines.get(at) {
-            Some(b) if b.name == name => Some(at),
-            _ => baselines.iter().position(|b| b.name == name),
+            Some(b) if b.copy.name == name => Some(at),
+            _ => baselines.iter().position(|b| b.copy.name == name),
         }
     }
 
@@ -348,7 +358,7 @@ impl StepGuard {
                 if p.integrity_digest() == b.digest {
                     return;
                 }
-                match b.heal(p) {
+                match b.copy.heal(p) {
                     Ok(()) => healed.push(p.name().to_string()),
                     Err(e) => first_err = Some(e),
                 }
@@ -395,7 +405,7 @@ impl StepGuard {
                 // Heal first (undoes an injected rail-pin), then raise
                 // precision so a genuinely saturating layer gets headroom —
                 // Algorithm 1's own lever, applied as a safety response.
-                let raise = b.map_or(Ok(()), |b| b.heal(p));
+                let raise = b.map_or(Ok(()), |b| b.copy.heal(p));
                 if let Err(e) = raise.and_then(|()| p.set_bits(bits.increment())) {
                     first_err = Some(e);
                     return;
@@ -403,11 +413,12 @@ impl StepGuard {
                 raised.push(p.name().to_string());
                 // The raise legitimately changed this store: re-baseline it
                 // and remember the level, so an unavoidably rail-heavy
-                // layer is not re-flagged every step.
+                // layer is not re-flagged every step. A rollback of this
+                // step still returns to the store before the raise.
                 let level = p.bits().map(|k| k.get());
                 match found {
                     Some(i) => {
-                        baselines[i].recapture(p, cfg.check_digests);
+                        baselines[i].recapture(p, cfg.check_digests, false);
                         baselines[i].sat_handled = level;
                     }
                     None => baselines.push(Baseline::of(p, cfg.check_digests, level)),
@@ -589,9 +600,10 @@ impl StepGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apt_nn::{models, QuantScheme};
+    use apt_nn::{models, ParamStore, QuantScheme};
     use apt_quant::Bitwidth;
     use apt_tensor::rng::seeded;
+    use apt_tensor::Tensor;
 
     fn net6() -> Network {
         models::mlp(
@@ -895,13 +907,11 @@ mod tests {
         // The guard's copy is the raised 9-bit store, whole.
         let raised = store_of(&net, "fc0.weight");
         assert_eq!((raised.0, raised.1), ("i16", 9));
-        let held = guard.baselines.iter().find(|b| b.name == "fc0.weight");
+        let held = guard.baselines.iter().find(|b| b.copy.name == "fc0.weight");
         let held = held.expect("a baseline per parameter");
         assert_eq!(held.sat_handled, Some(9));
         let mut copy = net8();
-        with_param(&mut copy, "fc0.weight", |p| {
-            p.set_store(held.store.clone()).unwrap()
-        });
+        with_param(&mut copy, "fc0.weight", |p| held.copy.heal(p).unwrap());
         assert_eq!(store_of(&copy, "fc0.weight"), raised);
         // The level survives refreshes, in place or rebuilt.
         guard.refresh(&net, &prof);
@@ -910,7 +920,7 @@ mod tests {
             &prof,
         );
         guard.refresh(&net, &prof);
-        let held = guard.baselines.iter().find(|b| b.name == "fc0.weight");
+        let held = guard.baselines.iter().find(|b| b.copy.name == "fc0.weight");
         assert_eq!(held.unwrap().sat_handled, Some(9));
     }
 
@@ -928,7 +938,11 @@ mod tests {
             guard.refresh(&net, &prof);
             let mut names = Vec::new();
             net.visit_params_ref(&mut |p| names.push(p.name().to_string()));
-            let held: Vec<&str> = guard.baselines.iter().map(|b| b.name.as_str()).collect();
+            let held: Vec<&str> = guard
+                .baselines
+                .iter()
+                .map(|b| b.copy.name.as_str())
+                .collect();
             assert_eq!(held, names, "one baseline per parameter, in order");
             let clean = net.integrity_digests();
             for name in &names {

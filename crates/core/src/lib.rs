@@ -45,6 +45,7 @@ pub mod gavg;
 pub mod integrity;
 pub mod policy;
 pub mod reduce;
+mod snapshot;
 pub mod state;
 pub mod trainer;
 

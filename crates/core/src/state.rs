@@ -23,10 +23,11 @@
 use crate::trainer::EpochRecord;
 use crate::{CoreError, PrecisionChange};
 use apt_energy::EnergyBreakdown;
-use apt_nn::checkpoint::{crc32, write_f32s};
+use apt_nn::checkpoint::{crc32, crc32_update, write_f32s};
 use apt_optim::{AdamState, SgdState};
 use apt_quant::Bitwidth;
 use apt_tensor::Tensor;
+use std::io::{Seek, SeekFrom, Write};
 
 /// File magic for training-state blobs (`APTS` = APT State).
 pub const STATE_MAGIC: &[u8; 4] = b"APTS";
@@ -116,32 +117,41 @@ fn corrupt(reason: impl Into<String>) -> CoreError {
 
 // ---------------------------------------------------------------- encode
 
-struct Writer {
-    out: Vec<u8>,
+/// The frame header of a payload of `len` bytes with CRC-32 `crc`.
+fn header(len: usize, crc: u32) -> [u8; HEADER] {
+    let mut h = [0u8; HEADER];
+    h[..4].copy_from_slice(STATE_MAGIC);
+    h[4..6].copy_from_slice(&STATE_VERSION.to_le_bytes());
+    h[6..10].copy_from_slice(&(len as u32).to_le_bytes());
+    h[10..14].copy_from_slice(&crc.to_le_bytes());
+    h
 }
 
-impl Writer {
-    fn new() -> Self {
-        Writer { out: Vec::new() }
-    }
+/// Where [`write_payload`] puts what it writes: the bytes themselves, a
+/// stream, or only their count — the sizing pass that lets a frame be
+/// allocated once, at its final size.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+    fn put_f32s(&mut self, vals: &[f32]);
+
     fn u8(&mut self, v: u8) {
-        self.out.push(v);
+        self.put(&[v]);
     }
     fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn f32(&mut self, v: f32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn f64(&mut self, v: f64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.out.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
     fn opt_f64(&mut self, v: Option<f64>) {
         match v {
@@ -157,13 +167,89 @@ impl Writer {
         for &d in t.dims() {
             self.u32(d as u32);
         }
-        write_f32s(&mut self.out, t.data());
+        self.put_f32s(t.data());
     }
     fn bytes(&mut self, b: &[u8]) {
         self.u32(b.len() as u32);
-        self.out.extend_from_slice(b);
+        self.put(b);
     }
 }
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    fn put_f32s(&mut self, vals: &[f32]) {
+        write_f32s(self, vals);
+    }
+}
+
+/// A [`Sink`] that only counts.
+struct Count(usize);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+    fn put_f32s(&mut self, vals: &[f32]) {
+        self.0 += 4 * vals.len();
+    }
+}
+
+/// Bytes a [`Stream`] gathers before it checksums and writes them.
+const STREAM_CHUNK: usize = 64 * 1024;
+
+/// A [`Sink`] that writes to `out` in [`STREAM_CHUNK`]s, counting and
+/// checksumming what passes; the first write error is kept and the rest of
+/// the payload dropped.
+struct Stream<'a, W> {
+    out: &'a mut W,
+    chunk: Vec<u8>,
+    len: usize,
+    crc: u32,
+    err: Option<std::io::Error>,
+}
+
+impl<W: Write> Stream<'_, W> {
+    fn emit(&mut self, bytes: &[u8]) {
+        self.len += bytes.len();
+        self.crc = crc32_update(self.crc, bytes);
+        if self.err.is_none() {
+            self.err = self.out.write_all(bytes).err();
+        }
+    }
+
+    fn flush(&mut self) {
+        let mut chunk = std::mem::take(&mut self.chunk);
+        self.emit(&chunk);
+        chunk.clear();
+        self.chunk = chunk;
+    }
+}
+
+impl<W: Write> Sink for Stream<'_, W> {
+    fn put(&mut self, bytes: &[u8]) {
+        if self.chunk.len() + bytes.len() > STREAM_CHUNK {
+            self.flush();
+        }
+        if bytes.len() > STREAM_CHUNK {
+            self.emit(bytes);
+        } else {
+            self.chunk.extend_from_slice(bytes);
+        }
+    }
+    fn put_f32s(&mut self, vals: &[f32]) {
+        for part in vals.chunks(STREAM_CHUNK / 4) {
+            if self.chunk.len() + 4 * part.len() > STREAM_CHUNK {
+                self.flush();
+            }
+            write_f32s(&mut self.chunk, part);
+        }
+    }
+}
+
+/// Calls its argument once per `(parameter name, velocity)`, in order.
+pub(crate) type Velocities<'a> = &'a dyn Fn(&mut dyn FnMut(&str, &Tensor));
 
 // ---------------------------------------------------------------- decode
 
@@ -276,90 +362,67 @@ impl<'a> Reader<'a> {
 impl TrainState {
     /// Serialises this state into the CRC-framed `APTS` binary format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.seed);
-        w.u64(self.total_epochs);
-        w.u64(self.epoch);
-        w.u64(self.iter);
-        w.u64(self.global_step);
-        w.f64(self.loss_sum);
-        w.u64(self.loss_count);
-        w.u64(self.underflowed);
-        w.u64(self.quantized_total);
-        w.f64(self.last_acc);
-        w.f64(self.best_seen);
-        w.u64(self.evals_since_best);
-        w.f64(self.lr_scale);
-        w.opt_f64(self.loss_ema);
-        w.u64(self.peak_memory_bits);
-        w.u64(self.peak_resident_bytes);
-        w.u32(self.epochs.len() as u32);
-        for e in &self.epochs {
-            w.u64(e.epoch as u64);
-            w.f32(e.lr);
-            w.f64(e.train_loss);
-            w.f64(e.test_accuracy);
-            w.f64(e.cumulative_energy_pj);
-            w.u64(e.memory_bits);
-            w.u64(e.resident_bytes);
-            w.u32(e.layer_bits.len() as u32);
-            for (name, bits) in &e.layer_bits {
-                w.str(name);
-                w.u32(*bits);
-            }
-            w.u32(e.gavg.len() as u32);
-            for (name, g) in &e.gavg {
-                w.str(name);
-                w.f64(*g);
-            }
-            w.f64(e.underflow_rate);
-            w.u32(e.changes.len() as u32);
-            for c in &e.changes {
-                w.str(&c.layer);
-                w.u32(c.from.get());
-                w.u32(c.to.get());
-                w.f64(c.gavg);
-            }
-        }
-        w.f64(self.energy.compute_pj);
-        w.f64(self.energy.memory_pj);
-        w.u64(self.energy.iterations);
-        w.u32(self.profiler.len() as u32);
-        for (name, v) in &self.profiler {
-            w.str(name);
-            w.f64(*v);
-        }
-        match &self.optimizer {
-            OptimizerState::Sgd(s) => {
-                w.u8(0);
-                w.u64(s.steps);
-            }
-            OptimizerState::Adam(a) => {
-                w.u8(1);
-                w.u64(a.t);
-                w.u32(a.moments.len() as u32);
-                for (name, m, v) in &a.moments {
-                    w.str(name);
-                    w.tensor(m);
-                    w.tensor(v);
-                }
-            }
-        }
-        w.u32(self.velocities.len() as u32);
-        for (name, v) in &self.velocities {
-            w.str(name);
-            w.tensor(v);
-        }
-        w.bytes(&self.net_blob);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
 
-        let payload = w.out;
-        let mut framed = Vec::with_capacity(HEADER + payload.len());
-        framed.extend_from_slice(STATE_MAGIC);
-        framed.extend_from_slice(&STATE_VERSION.to_le_bytes());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        framed
+    /// [`encode`](TrainState::encode) into a buffer the caller keeps: `out`
+    /// is emptied and refilled, allocated (when it must grow) at exactly
+    /// the framed size, and the payload is checksummed where it was
+    /// written. Same bytes as `encode`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let velocities = |f: &mut dyn FnMut(&str, &Tensor)| {
+            for (name, v) in &self.velocities {
+                f(name, v);
+            }
+        };
+        let mut len = Count(0);
+        write_payload(&mut len, self, &velocities, &self.net_blob);
+        out.clear();
+        out.reserve_exact(HEADER + len.0);
+        out.extend_from_slice(&header(0, 0));
+        write_payload(out, self, &velocities, &self.net_blob);
+        debug_assert_eq!(out.len(), HEADER + len.0, "the frame was sized exactly");
+        let (head, payload) = out.split_at_mut(HEADER);
+        head.copy_from_slice(&header(payload.len(), crc32(payload)));
+    }
+
+    /// [`encode`](TrainState::encode) streamed to `out` (a file, in the
+    /// trainer) through a small buffer, with the velocities and the network
+    /// blob supplied by the caller in place of `self.velocities` and
+    /// `self.net_blob`: the live network's momentum buffers go out without
+    /// a copy of the state being made first. The header is written last,
+    /// once the payload's length and CRC are known. Same bytes as `encode`.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returned.
+    pub(crate) fn encode_to<W: Write + Seek>(
+        &self,
+        out: &mut W,
+        velocities: Velocities<'_>,
+        net_blob: &[u8],
+    ) -> std::io::Result<()> {
+        let start = out.stream_position()?;
+        out.write_all(&header(0, 0))?;
+        let mut stream = Stream {
+            out: &mut *out,
+            chunk: Vec::with_capacity(STREAM_CHUNK),
+            len: 0,
+            crc: 0,
+            err: None,
+        };
+        write_payload(&mut stream, self, velocities, net_blob);
+        stream.flush();
+        let (len, crc) = (stream.len, stream.crc);
+        if let Some(e) = stream.err {
+            return Err(e);
+        }
+        out.seek(SeekFrom::Start(start))?;
+        out.write_all(&header(len, crc))?;
+        out.seek(SeekFrom::End(0))?;
+        Ok(())
     }
 
     /// Parses a blob produced by [`encode`](TrainState::encode).
@@ -541,6 +604,87 @@ impl TrainState {
     }
 }
 
+/// The `APTS` payload: `s`'s fields in format order, with the velocities
+/// and the network blob taken from the arguments.
+fn write_payload(w: &mut impl Sink, s: &TrainState, velocities: Velocities<'_>, net_blob: &[u8]) {
+    w.u64(s.seed);
+    w.u64(s.total_epochs);
+    w.u64(s.epoch);
+    w.u64(s.iter);
+    w.u64(s.global_step);
+    w.f64(s.loss_sum);
+    w.u64(s.loss_count);
+    w.u64(s.underflowed);
+    w.u64(s.quantized_total);
+    w.f64(s.last_acc);
+    w.f64(s.best_seen);
+    w.u64(s.evals_since_best);
+    w.f64(s.lr_scale);
+    w.opt_f64(s.loss_ema);
+    w.u64(s.peak_memory_bits);
+    w.u64(s.peak_resident_bytes);
+    w.u32(s.epochs.len() as u32);
+    for e in &s.epochs {
+        w.u64(e.epoch as u64);
+        w.f32(e.lr);
+        w.f64(e.train_loss);
+        w.f64(e.test_accuracy);
+        w.f64(e.cumulative_energy_pj);
+        w.u64(e.memory_bits);
+        w.u64(e.resident_bytes);
+        w.u32(e.layer_bits.len() as u32);
+        for (name, bits) in &e.layer_bits {
+            w.str(name);
+            w.u32(*bits);
+        }
+        w.u32(e.gavg.len() as u32);
+        for (name, g) in &e.gavg {
+            w.str(name);
+            w.f64(*g);
+        }
+        w.f64(e.underflow_rate);
+        w.u32(e.changes.len() as u32);
+        for c in &e.changes {
+            w.str(&c.layer);
+            w.u32(c.from.get());
+            w.u32(c.to.get());
+            w.f64(c.gavg);
+        }
+    }
+    w.f64(s.energy.compute_pj);
+    w.f64(s.energy.memory_pj);
+    w.u64(s.energy.iterations);
+    w.u32(s.profiler.len() as u32);
+    for (name, v) in &s.profiler {
+        w.str(name);
+        w.f64(*v);
+    }
+    match &s.optimizer {
+        OptimizerState::Sgd(s) => {
+            w.u8(0);
+            w.u64(s.steps);
+        }
+        OptimizerState::Adam(a) => {
+            w.u8(1);
+            w.u64(a.t);
+            w.u32(a.moments.len() as u32);
+            for (name, m, v) in &a.moments {
+                w.str(name);
+                w.tensor(m);
+                w.tensor(v);
+            }
+        }
+    }
+    let mut n = 0u32;
+    velocities(&mut |_, _| n += 1);
+    w.u32(n);
+    velocities(&mut |name, v| {
+        w.str(name);
+        w.tensor(v);
+    });
+    w.bytes(net_blob);
+}
+
 fn read_bitwidth(r: &mut Reader<'_>) -> crate::Result<Bitwidth> {
     let raw = r.u32()?;
     Bitwidth::new(raw).map_err(|_| corrupt(format!("bitwidth {raw} outside [2, 32]")))
@@ -620,6 +764,33 @@ mod tests {
         });
         s.loss_ema = None;
         assert_eq!(TrainState::decode(&s.encode()).unwrap(), s);
+    }
+
+    #[test]
+    fn streamed_and_exact_size_encodes_are_the_bytes_of_encode() {
+        let mut s = sample_state();
+        // Long enough to cross several stream chunks, in a tensor and in
+        // the blob.
+        let long = Tensor::from_vec((0..40_000).map(|i| i as f32 * 0.5).collect(), &[200, 200]);
+        s.velocities.push(("big".into(), long.unwrap()));
+        s.net_blob = (0..150_000u32).map(|i| (i % 251) as u8).collect();
+        let blob = s.encode();
+        let mut out = vec![1, 2, 3];
+        s.encode_into(&mut out);
+        assert_eq!(out, blob);
+        assert_eq!(out.capacity(), blob.len(), "allocated at the framed size");
+
+        let velocities = |f: &mut dyn FnMut(&str, &Tensor)| {
+            for (name, v) in &s.velocities {
+                f(name, v);
+            }
+        };
+        // After a prefix, as a file opened for append would have.
+        let mut file = std::io::Cursor::new(vec![9u8; 5]);
+        file.seek(SeekFrom::End(0)).unwrap();
+        s.encode_to(&mut file, &velocities, &s.net_blob).unwrap();
+        assert_eq!(file.position() as usize, 5 + blob.len());
+        assert_eq!(&file.get_ref()[5..], &blob[..]);
     }
 
     #[test]

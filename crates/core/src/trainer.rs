@@ -14,10 +14,11 @@
 //! so every Figure 2–5 comparison shares identical data order,
 //! augmentation draws, loss, and metering code.
 
-use crate::checkpoint::CheckpointConfig;
+use crate::checkpoint::{CheckpointConfig, Writer};
 use crate::faults::{FaultSurface, NoFaults, StepAction, StepHook, StepInfo, SurfaceKind};
 use crate::integrity::{IntegrityConfig, IntegrityReport, StepGuard};
 use crate::reduce::GradReducer;
+use crate::snapshot::Snapshot;
 use crate::state::{OptimizerState, TrainState};
 use crate::{apply_policy, CoreError, GavgProfiler, PolicyConfig, PrecisionChange};
 use apt_data::{AugmentConfig, Batcher, Dataset};
@@ -641,7 +642,7 @@ impl Trainer {
         test: &Dataset,
         resume: Option<TrainState>,
         hooks: &mut dyn StepHook,
-        mut reducer: Option<&mut dyn GradReducer>,
+        reducer: Option<&mut dyn GradReducer>,
     ) -> crate::Result<TrainReport> {
         if reducer.is_some() && (self.cfg.sentinel.is_some() || self.cfg.integrity.is_some()) {
             return Err(CoreError::BadConfig {
@@ -655,28 +656,49 @@ impl Trainer {
                 reason: "empty training split".into(),
             });
         }
+        let checkpoint = self.cfg.checkpoint.clone();
+        std::thread::scope(|scope| {
+            let mut writer = checkpoint.as_ref().map(|ck| Writer::spawn(scope, ck));
+            let run = self.run_loop(train, test, resume, hooks, reducer, writer.as_mut());
+            // Every path drains the writer first; a failed write happened
+            // before whatever ended the loop, so it is the run's error.
+            let written = writer.map_or(Ok(()), |mut w| w.wait());
+            written.and(run)
+        })
+    }
+
+    fn run_loop(
+        &mut self,
+        train: &Dataset,
+        test: &Dataset,
+        resume: Option<TrainState>,
+        hooks: &mut dyn StepHook,
+        mut reducer: Option<&mut dyn GradReducer>,
+        mut writer: Option<&mut Writer<'_>>,
+    ) -> crate::Result<TrainReport> {
         let batcher = Batcher::new(self.cfg.batch_size, self.cfg.augment, self.cfg.seed)?;
         let sentinel = self.cfg.sentinel;
-        let checkpoint = self.cfg.checkpoint.clone();
         let mut guard = self.cfg.integrity.map(StepGuard::new);
         // Both the sentinel and the integrity guard roll back to this
-        // snapshot, so it must exist whenever either is armed.
+        // snapshot, so it is kept current whenever either is armed; its
+        // scalar state is also what a due checkpoint encodes.
         let keep_snap = sentinel.is_some() || guard.is_some();
-        // The in-memory snapshot the sentinel rolls back to. Kept current
-        // with every clean step; doubles as the payload of disk
-        // checkpoints so both paths exercise the same capture code.
-        let (mut ls, mut snapshot) = match resume {
-            Some(state) => {
+        let (mut ls, mut snap) = match resume {
+            Some(mut state) => {
                 let ls = self.restore_from_state(&state)?;
-                let snap = keep_snap.then_some(state);
-                (ls, snap)
+                state.velocities = Vec::new();
+                state.net_blob = Vec::new();
+                (ls, Snapshot::new(state))
             }
             None => {
                 let ls = LoopState::fresh();
-                let snap = keep_snap.then(|| self.capture_state(&ls, 0, 0, None));
-                (ls, snap)
+                let state = self.capture_state(&ls, 0, 0, None);
+                (ls, Snapshot::new(state))
             }
         };
+        if keep_snap {
+            snap.capture_model(&mut self.net, guard.is_some());
+        }
         if let Some(g) = guard.as_mut() {
             g.refresh(&self.net, &self.profiler);
         }
@@ -725,7 +747,7 @@ impl Trainer {
                             .reroll(0x5A17 ^ ls.global_step.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                     }
                     if outcome.rollback {
-                        self.roll_back(&mut ls, snapshot.as_ref(), outcome.escalate, Some(g))?;
+                        self.roll_back(&mut ls, &snap, outcome.escalate, Some(g))?;
                         continue;
                     }
                     // Corrupt input never reaches the forward pass: the
@@ -770,7 +792,7 @@ impl Trainer {
                         // The ladder: the first fault only skips the
                         // offending batch, the second also halves the
                         // learning rate, any further one raises precision.
-                        self.roll_back(&mut ls, snapshot.as_ref(), faults > 2, guard.as_mut())?;
+                        self.roll_back(&mut ls, &snap, faults > 2, guard.as_mut())?;
                         if faults == 2 {
                             ls.lr_scale *= 0.5;
                         }
@@ -797,7 +819,7 @@ impl Trainer {
                                 0x5A17 ^ ls.global_step.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                             );
                         }
-                        self.roll_back(&mut ls, snapshot.as_ref(), outcome.escalate, Some(g))?;
+                        self.roll_back(&mut ls, &snap, outcome.escalate, Some(g))?;
                         continue;
                     }
                 }
@@ -824,22 +846,16 @@ impl Trainer {
                 self.meter.record_iteration(&self.net);
                 ls.global_step += 1;
 
-                let ck_due = checkpoint
-                    .as_ref()
-                    .is_some_and(|c| ls.global_step % c.every as u64 == 0);
+                let ck_due = writer.as_ref().is_some_and(|w| w.is_due(ls.global_step));
                 if keep_snap || ck_due {
-                    // Cursor points at the *next* step to execute. The
-                    // snapshot this one replaces gives up its buffers.
-                    let state = self.capture_state(&ls, epoch, iter + 1, snapshot.take());
-                    if ck_due {
-                        crate::checkpoint::write_state(
-                            checkpoint.as_ref().expect("ck_due implies config"),
-                            &state,
-                        )?;
-                    }
-                    if keep_snap {
-                        snapshot = Some(state);
-                    }
+                    // Cursor points at the *next* step to execute.
+                    snap.state = self.capture_state(&ls, epoch, iter + 1, Some(snap.state));
+                }
+                if keep_snap {
+                    snap.capture_model(&mut self.net, guard.is_some());
+                }
+                if let Some(w) = writer.as_mut().filter(|_| ck_due) {
+                    self.write_checkpoint(w, &snap.state)?;
                 }
                 if let Some(g) = guard.as_mut() {
                     g.step_clean();
@@ -898,7 +914,8 @@ impl Trainer {
             // guard for the same reason (Algorithm 1's changes are
             // legitimate, not corruption).
             if keep_snap {
-                snapshot = Some(self.capture_state(&ls, epoch + 1, 0, snapshot.take()));
+                snap.state = self.capture_state(&ls, epoch + 1, 0, Some(snap.state));
+                snap.capture_model(&mut self.net, guard.is_some());
             }
             if let Some(g) = guard.as_mut() {
                 g.refresh(&self.net, &self.profiler);
@@ -921,64 +938,51 @@ impl Trainer {
         Ok(report)
     }
 
-    /// The rollback every recovery rung shares: restores the subsystems and
-    /// the loop accumulators from the in-memory snapshot, raises precision
-    /// when the rung `escalate`s, then re-baselines the guard — the rollback
-    /// rewrote stores legitimately, and the guard must not "heal" them back.
+    /// The rollback every recovery rung shares: restores the model, the
+    /// subsystems and the loop accumulators from the in-memory snapshot,
+    /// raises precision when the rung `escalate`s, then re-baselines the
+    /// guard — the rollback rewrote stores legitimately, and the guard must
+    /// not "heal" them back.
     fn roll_back(
         &mut self,
         ls: &mut LoopState,
-        snapshot: Option<&TrainState>,
+        snap: &Snapshot,
         escalate: bool,
         guard: Option<&mut StepGuard>,
     ) -> crate::Result<()> {
-        let snap = snapshot.expect("a snapshot is kept while the sentinel or the guard is armed");
-        self.restore_subsystems(snap)?;
-        ls.rollback_accumulators(snap);
+        snap.restore_model(&mut self.net, guard.as_deref())?;
+        self.restore_scalars(&snap.state)?;
+        ls.rollback_accumulators(&snap.state);
         if escalate {
             self.escalate_bits();
         }
         if let Some(g) = guard {
-            g.refresh(&self.net, &self.profiler);
+            g.follow(&self.net, &self.profiler);
         }
         Ok(())
     }
 
-    /// Captures the complete training state at the current point; `epoch`
-    /// and `iter` name the **next** step to execute. The state it replaces,
-    /// if the caller has one, is passed as `recycle`: its velocity tensors,
-    /// network blob and profiler export are overwritten in place and its
-    /// epoch records kept while no epoch has closed since, so a snapshot
-    /// per step costs the copies and next to no allocation.
+    /// Captures the scalar training state at the current point; `epoch`
+    /// and `iter` name the **next** step to execute. Velocities and the
+    /// network blob are left empty: a rollback restores the model from the
+    /// [`Snapshot`]'s copy, a checkpoint encodes them from the live
+    /// network. The state it replaces, if the caller has one, is passed as
+    /// `recycle`: its profiler export is overwritten in place and its epoch
+    /// records kept while no epoch has closed since.
     fn capture_state(
-        &mut self,
+        &self,
         ls: &LoopState,
         epoch: usize,
         iter: usize,
         recycle: Option<TrainState>,
     ) -> TrainState {
-        let (mut velocities, mut net_blob, mut profiler, mut epochs) = recycle
-            .map(|old| (old.velocities, old.net_blob, old.profiler, old.epochs))
+        let (mut profiler, mut epochs) = recycle
+            .map(|old| (old.profiler, old.epochs))
             .unwrap_or_default();
         if epochs != ls.report.epochs {
             epochs = ls.report.epochs.clone();
         }
         self.profiler.export_into(&mut profiler);
-        let mut at = 0;
-        self.net.visit_params_ref(&mut |p| {
-            let Some(v) = p.velocity() else { return };
-            match velocities.get_mut(at) {
-                Some((name, kept)) if name == p.name() => kept.clone_from(v),
-                // Not the list last captured: keep what matched so far.
-                _ => {
-                    velocities.truncate(at);
-                    velocities.push((p.name().to_string(), v.clone()));
-                }
-            }
-            at += 1;
-        });
-        velocities.truncate(at);
-        apt_nn::checkpoint::save_full_into(&mut self.net, &mut net_blob);
         TrainState {
             seed: self.cfg.seed,
             total_epochs: self.cfg.epochs as u64,
@@ -1000,9 +1004,30 @@ impl Trainer {
             energy: self.meter.breakdown(),
             profiler,
             optimizer: self.optimizer.export(),
-            velocities,
-            net_blob,
+            velocities: Vec::new(),
+            net_blob: Vec::new(),
         }
+    }
+
+    /// Writes `state`, with the live network's velocities and blob, through
+    /// the checkpoint writer.
+    fn write_checkpoint(
+        &mut self,
+        writer: &mut Writer<'_>,
+        state: &TrainState,
+    ) -> crate::Result<()> {
+        let net_blob = apt_nn::checkpoint::save_full(&mut self.net);
+        let net = &self.net;
+        let velocities = |f: &mut dyn FnMut(&str, &Tensor)| {
+            net.visit_params_ref(&mut |p| {
+                if let Some(v) = p.velocity() {
+                    f(p.name(), v);
+                }
+            });
+        };
+        writer.write(state.global_step, |file| {
+            state.encode_to(file, &velocities, &net_blob)
+        })
     }
 
     /// Validates `state` against the active config and restores every
@@ -1021,8 +1046,7 @@ impl Trainer {
     }
 
     /// Restores network parameters/buffers, velocities, optimiser,
-    /// profiler and energy meter from `state` (the shared machinery of
-    /// resume and sentinel rollback).
+    /// profiler and energy meter from `state`.
     fn restore_subsystems(&mut self, state: &TrainState) -> crate::Result<()> {
         apt_nn::checkpoint::load(&mut self.net, &state.net_blob)?;
         let mut vmap: HashMap<&str, &Tensor> = state
@@ -1047,6 +1071,11 @@ impl Trainer {
                 reason: format!("checkpoint carries velocity for unknown parameter `{name}`"),
             });
         }
+        self.restore_scalars(state)
+    }
+
+    /// Restores the optimiser, profiler and energy meter from `state`.
+    fn restore_scalars(&mut self, state: &TrainState) -> crate::Result<()> {
         self.optimizer.restore(&state.optimizer)?;
         self.profiler.restore(&state.profiler);
         self.meter.restore(state.energy);

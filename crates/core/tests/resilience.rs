@@ -387,3 +387,387 @@ fn resume_from_dir_without_config_is_an_error() {
         Err(CoreError::BadConfig { .. })
     ));
 }
+
+/// `global_step`s of the visible state files in `dir`, oldest first, each
+/// decoded (so its CRC checked) and returned with its bytes.
+fn state_files(dir: &std::path::Path) -> Vec<(u64, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .map(|entries| entries.map(|e| e.unwrap().path()).collect())
+        .unwrap_or_default();
+    files.retain(|p| p.extension().is_some_and(|e| e == "apts"));
+    files.sort();
+    files
+        .iter()
+        .map(|path| {
+            let bytes = std::fs::read(path).unwrap();
+            let state = apt_core::TrainState::decode(&bytes)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            (state.global_step, bytes)
+        })
+        .collect()
+}
+
+#[test]
+fn a_power_cut_leaves_every_due_checkpoint_durable() {
+    let (train, test) = toy_data();
+    // Every file an uninterrupted run writes, to compare the cut runs'
+    // files against byte for byte.
+    let full_dir = tmp_dir("cut-full");
+    let mut cfg = base_cfg();
+    cfg.checkpoint = Some(CheckpointConfig {
+        keep: 100,
+        ..ck_cfg(&full_dir)
+    });
+    Trainer::new(toy_net(), cfg)
+        .unwrap()
+        .train(&train, &test)
+        .unwrap();
+    let full = state_files(&full_dir);
+    assert_eq!(full.len(), 8, "4 epochs × 6 steps, every 3");
+    let _ = std::fs::remove_dir_all(&full_dir);
+
+    // A cut "after step 24" would come after the last step: the run ends.
+    for kill_at in 1..24u64 {
+        let dir = tmp_dir(&format!("cut{kill_at}"));
+        let mut cfg = base_cfg();
+        cfg.checkpoint = Some(ck_cfg(&dir));
+        let err = Trainer::new(toy_net(), cfg)
+            .unwrap()
+            .train_with_hooks(&train, &test, &mut PowerCut::after(kill_at))
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Interrupted { .. }), "{err:?}");
+        // What a synchronous writer leaves: the two newest due steps, the
+        // one written just before the cut included.
+        let due: Vec<u64> = (1..=kill_at).filter(|s| s % 3 == 0).collect();
+        let expected = &due[due.len().saturating_sub(2)..];
+        let found = state_files(&dir);
+        let steps: Vec<u64> = found.iter().map(|(s, _)| *s).collect();
+        assert_eq!(steps, expected, "cut after step {kill_at}");
+        for (step, bytes) in &found {
+            let same = full.iter().find(|(s, _)| s == step).map(|(_, b)| b);
+            assert_eq!(same, Some(bytes), "cut {kill_at}: state-{step} differs");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_failed_checkpoint_write_is_the_runs_error() {
+    let (train, test) = toy_data();
+    // A directory that cannot be created: its parent is a regular file.
+    let file = tmp_dir("not-a-dir");
+    std::fs::write(&file, b"x").unwrap();
+    // Due every 3 steps, the failure is seen when the next one falls due;
+    // due only after the last step, nothing but the run's end sees it.
+    for every in [3, 24] {
+        let mut cfg = base_cfg();
+        cfg.checkpoint = Some(CheckpointConfig {
+            every,
+            ..ck_cfg(&file.join("ck"))
+        });
+        let err = Trainer::new(toy_net(), cfg).unwrap().train(&train, &test);
+        assert!(
+            matches!(err, Err(CoreError::Io { .. })),
+            "every {every}: {err:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&file);
+
+    // A failure on the writer thread itself: the file is written, but a
+    // non-empty directory holds the name it is renamed to.
+    for every in [3, 24] {
+        let dir = tmp_dir(&format!("blocked{every}"));
+        std::fs::create_dir_all(dir.join(format!("state-{every:012}.apts/x"))).unwrap();
+        let mut cfg = base_cfg();
+        cfg.checkpoint = Some(CheckpointConfig {
+            every,
+            ..ck_cfg(&dir)
+        });
+        let err = Trainer::new(toy_net(), cfg).unwrap().train(&train, &test);
+        assert!(
+            matches!(err, Err(CoreError::Io { .. })),
+            "blocked rename, every {every}: {err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // A directory that stops being one after the first write: the hook
+    // replaces it with a file, so every later write fails.
+    struct Clobber(PathBuf);
+    impl StepHook for Clobber {
+        fn before_step(&mut self, info: &StepInfo, _batch: &mut Batch) -> StepAction {
+            // A write still in flight may recreate the directory: retry
+            // until the file holds the name.
+            while info.global_step == 4 && !self.0.is_file() {
+                let _ = std::fs::remove_dir_all(&self.0);
+                let _ = std::fs::write(&self.0, b"x");
+            }
+            StepAction::Continue
+        }
+    }
+    let dir = tmp_dir("clobbered");
+    let mut cfg = base_cfg();
+    cfg.checkpoint = Some(ck_cfg(&dir));
+    let err = Trainer::new(toy_net(), cfg).unwrap().train_with_hooks(
+        &train,
+        &test,
+        &mut Clobber(dir.clone()),
+    );
+    assert!(matches!(err, Err(CoreError::Io { .. })), "{err:?}");
+    let _ = std::fs::remove_file(&dir);
+}
+
+/// Fills the images of one step with `f32::MAX`, once, and records every
+/// step it is asked about. The pixels are finite, so they pass both input
+/// screens; the first convolution overflows, the batch-norm layer folds
+/// the non-finite batch statistics into its running statistics, and the
+/// step is rolled back once its loss or gradients are looked at.
+struct SpikeAt {
+    at: u64,
+    fired: bool,
+    seen: Vec<u64>,
+}
+
+impl StepHook for SpikeAt {
+    fn before_step(&mut self, info: &StepInfo, batch: &mut Batch) -> StepAction {
+        self.seen.push(info.global_step);
+        if !self.fired && info.global_step == self.at {
+            self.fired = true;
+            batch.images.data_mut().fill(f32::MAX);
+        }
+        StepAction::Continue
+    }
+}
+
+/// What a guarded cifarnet run with one rolled-back step ends with, as the
+/// parent of the change that made the rollback copy a plain in-memory copy
+/// (99b0385) produced it: `crc32(save_full)`, its length, the per-epoch
+/// `train_loss` bits, the final accuracy bits, and the CRC of the newest
+/// state file.
+const BN_ROLLBACK_AT_99B0385: (u32, usize, [u64; 3], u64, u32) = (
+    0x484F_06DF,
+    4912,
+    [
+        0x4003_39AA_6000_0000,
+        0x3FFD_FD61_5555_5555,
+        0x3FF9_679D_F000_0000,
+    ],
+    0x3FD0_0000_0000_0000,
+    0x552B_AA90,
+);
+
+#[test]
+fn a_rolled_back_batch_norm_model_gets_its_running_stats_back() {
+    use apt_data::{SynthCifar, SynthCifarConfig};
+    let data = SynthCifar::generate(&SynthCifarConfig {
+        num_classes: 4,
+        train_per_class: 16,
+        test_per_class: 6,
+        img_size: 8,
+        seed: 5,
+        ..Default::default()
+    })
+    .unwrap();
+    let net = models::cifarnet(
+        4,
+        8,
+        0.25,
+        &QuantScheme::paper_apt(),
+        &mut apt_tensor::rng::seeded(11),
+    )
+    .unwrap();
+    let dir = tmp_dir("bn-rollback");
+    let cfg = TrainConfig {
+        epochs: 3,
+        batch_size: 16,
+        schedule: LrSchedule::Constant(0.05),
+        policy: Some(apt_core::PolicyConfig::paper_default()),
+        interval: 2,
+        seed: 13,
+        sentinel: Some(SentinelConfig::default()),
+        // The batch screen lets the finite payload through to the
+        // forward pass.
+        integrity: Some(apt_core::IntegrityConfig {
+            max_abs_input: f32::MAX,
+            ..Default::default()
+        }),
+        checkpoint: Some(CheckpointConfig {
+            dir: dir.clone(),
+            every: 5,
+            keep: 2,
+        }),
+        threads: Some(1),
+        ..TrainConfig::default()
+    };
+    let mut hook = SpikeAt {
+        at: 7,
+        fired: false,
+        seen: Vec::new(),
+    };
+    let mut t = Trainer::new(net, cfg).unwrap();
+    let report = t
+        .train_with_hooks(&data.train, &data.test, &mut hook)
+        .unwrap();
+    assert_eq!(
+        hook.seen.iter().filter(|&&s| s == 7).count(),
+        2,
+        "step 7 was rolled back and retried"
+    );
+    let blob = apt_nn::checkpoint::save_full(t.network_mut());
+    let mut loss_bits = [0u64; 3];
+    for (slot, e) in loss_bits.iter_mut().zip(&report.epochs) {
+        *slot = e.train_loss.to_bits();
+    }
+    let newest = state_files(&dir).pop().expect("a state file").1;
+    let got = (
+        apt_nn::checkpoint::crc32(&blob),
+        blob.len(),
+        loss_bits,
+        report.final_accuracy.to_bits(),
+        apt_nn::checkpoint::crc32(&newest),
+    );
+    assert_eq!(got, BN_ROLLBACK_AT_99B0385, "{got:#x?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fills the images of `remaining` consecutive step attempts, from the
+/// first at `from` on, with `f32::MAX`.
+struct MaxBurst {
+    from: u64,
+    remaining: usize,
+}
+
+impl StepHook for MaxBurst {
+    fn before_step(&mut self, info: &StepInfo, batch: &mut Batch) -> StepAction {
+        if info.global_step >= self.from && self.remaining > 0 {
+            self.remaining -= 1;
+            batch.images.data_mut().fill(f32::MAX);
+        }
+        StepAction::Continue
+    }
+}
+
+/// What the run of the next test ends with at 99b0385: `crc32(save_full)`,
+/// the final `layer_bits` and the per-epoch `train_loss` bits.
+/// Three of the five rollbacks escalate; each starts from the 6-bit clean
+/// step again, so the run ends at 7 bits, not 9.
+const ESCALATIONS_AT_99B0385: (u32, [u32; 2], [u64; 4]) = (
+    0x4581_AC6C,
+    [7, 7],
+    [
+        0x3FF5_C123_6CCC_CCCD,
+        0x3FEB_5D7B_2000_0000,
+        0x3FE2_21F9_5555_5555,
+        0x3FCF_7E7C_CAAA_AAAB,
+    ],
+);
+
+#[test]
+fn escalated_rollbacks_return_to_the_last_clean_step() {
+    // Five rolled-back attempts in a row with the guard and the sentinel
+    // armed: the later ones raise precision, and each rollback goes back
+    // to the last clean step, not to the state the previous rollback
+    // escalated.
+    let (train, test) = toy_data();
+    let mut cfg = base_cfg();
+    cfg.sentinel = Some(SentinelConfig {
+        max_retries: 6,
+        ..Default::default()
+    });
+    cfg.integrity = Some(apt_core::IntegrityConfig {
+        max_abs_input: f32::MAX,
+        max_retries: 6,
+        ..Default::default()
+    });
+    let mut t = Trainer::new(toy_net(), cfg).unwrap();
+    let report = t
+        .train_with_hooks(
+            &train,
+            &test,
+            &mut MaxBurst {
+                from: 5,
+                remaining: 5,
+            },
+        )
+        .unwrap();
+    let blob = apt_nn::checkpoint::save_full(t.network_mut());
+    let last = report.epochs.last().unwrap();
+    let mut bits = [0u32; 2];
+    for (slot, (_, k)) in bits.iter_mut().zip(&last.layer_bits) {
+        *slot = *k;
+    }
+    let mut loss_bits = [0u64; 4];
+    for (slot, e) in loss_bits.iter_mut().zip(&report.epochs) {
+        *slot = e.train_loss.to_bits();
+    }
+    let got = (apt_nn::checkpoint::crc32(&blob), bits, loss_bits);
+    assert_eq!(
+        got, ESCALATIONS_AT_99B0385,
+        "{got:#x?} {:?}",
+        report.integrity
+    );
+}
+
+/// At step `at`, pins most of `fc0.weight`'s codes to the top rail and
+/// fills the batch with `f32::MAX`.
+struct SaturateThenSpike {
+    at: u64,
+    fired: bool,
+}
+
+impl StepHook for SaturateThenSpike {
+    fn inject(&mut self, info: &StepInfo, surface: &mut dyn apt_core::faults::FaultSurface) {
+        if info.global_step == self.at && !self.fired {
+            assert!(surface.saturate("fc0.weight", 0.9, true) > 0);
+        }
+    }
+
+    fn before_step(&mut self, info: &StepInfo, batch: &mut Batch) -> StepAction {
+        if info.global_step == self.at && !self.fired {
+            self.fired = true;
+            batch.images.data_mut().fill(f32::MAX);
+        }
+        StepAction::Continue
+    }
+}
+
+/// What the run of the next test ends with at 99b0385: `crc32(save_full)`,
+/// the final `layer_bits` and the guard's bit-raise count.
+const RAISE_THEN_ROLLBACK_AT_99B0385: (u32, [u32; 2], usize) = (0x566C_47D7, [6, 6], 1);
+
+#[test]
+fn a_rollback_undoes_a_saturation_raise_made_in_the_same_step() {
+    // The saturation screen raises fc0.weight to 7 bits before the step's
+    // forward pass; the step then rolls back, to the 6-bit clean step.
+    let (train, test) = toy_data();
+    let mut cfg = base_cfg();
+    cfg.sentinel = Some(SentinelConfig::default());
+    cfg.integrity = Some(apt_core::IntegrityConfig {
+        check_digests: false,
+        max_abs_input: f32::MAX,
+        ..Default::default()
+    });
+    let mut t = Trainer::new(toy_net(), cfg).unwrap();
+    let report = t
+        .train_with_hooks(
+            &train,
+            &test,
+            &mut SaturateThenSpike {
+                at: 5,
+                fired: false,
+            },
+        )
+        .unwrap();
+    let blob = apt_nn::checkpoint::save_full(t.network_mut());
+    let last = report.epochs.last().unwrap();
+    let mut bits = [0u32; 2];
+    for (slot, (_, k)) in bits.iter_mut().zip(&last.layer_bits) {
+        *slot = *k;
+    }
+    let got = (
+        apt_nn::checkpoint::crc32(&blob),
+        bits,
+        report.integrity.bit_raises,
+    );
+    assert_eq!(got, RAISE_THEN_ROLLBACK_AT_99B0385, "{got:#x?}");
+}

@@ -33,7 +33,6 @@ pub struct Batcher {
     batch_size: usize,
     augment: Option<AugmentConfig>,
     seed: u64,
-    skip_corrupt: Option<Option<f32>>,
 }
 
 impl Batcher {
@@ -56,20 +55,7 @@ impl Batcher {
             batch_size,
             augment,
             seed,
-            skip_corrupt: None,
         })
-    }
-
-    /// Enables the skip-and-count policy: samples with non-finite pixels —
-    /// or, when `max_abs` is given, pixels beyond `±max_abs` — are silently
-    /// excluded from every epoch instead of poisoning a whole batch.
-    ///
-    /// The check runs on the *raw* stored sample, before augmentation, so a
-    /// sensor glitch is caught at the source. [`Batcher::epoch`] applies the
-    /// policy transparently.
-    pub fn skip_corrupt(mut self, max_abs: Option<f32>) -> Self {
-        self.skip_corrupt = Some(max_abs);
-        self
     }
 
     /// Materialises the shuffled, augmented batches of epoch `epoch`.
@@ -78,22 +64,9 @@ impl Batcher {
     ///
     /// Propagates augmentation/stacking errors.
     pub fn epoch(&self, data: &Dataset, epoch: usize) -> crate::Result<Vec<Batch>> {
-        Ok(self.epoch_counted(data, epoch)?.0)
-    }
-
-    /// [`Batcher::epoch`], plus how many samples the skip-and-count policy
-    /// dropped (always 0 unless [`Batcher::skip_corrupt`] was enabled).
-    fn epoch_counted(&self, data: &Dataset, epoch: usize) -> crate::Result<(Vec<Batch>, usize)> {
         let mut rng = trng::substream(self.seed, 0x6000 + epoch as u64);
         let mut indices: Vec<usize> = (0..data.len()).collect();
         trng::shuffle_indices(&mut indices, &mut rng);
-        let mut skipped = 0usize;
-        if let Some(max_abs) = self.skip_corrupt {
-            let before = indices.len();
-            indices
-                .retain(|&i| crate::dataset::sample_corruption(data.image(i), max_abs).is_none());
-            skipped = before - indices.len();
-        }
         let mut batches = Vec::new();
         for chunk in indices.chunks(self.batch_size) {
             let mut images = Vec::with_capacity(chunk.len());
@@ -111,7 +84,7 @@ impl Batcher {
                 labels,
             });
         }
-        Ok((batches, skipped))
+        Ok(batches)
     }
 
     /// Materialises the dataset in order, un-augmented (evaluation).
@@ -178,59 +151,6 @@ mod tests {
         assert_eq!(batches[0].images.dims()[0], 2);
         // first image must equal the stored one exactly (no augmentation)
         assert_eq!(&batches[0].images.data()[..16], data.image(0).data());
-    }
-
-    #[test]
-    fn skip_corrupt_drops_and_counts_bad_samples() {
-        let mut rng = seeded(1);
-        let mut images: Vec<Tensor> = (0..10).map(|_| normal(&[1, 4, 4], 1.0, &mut rng)).collect();
-        images[3].data_mut()[0] = f32::NAN;
-        images[7].data_mut()[5] = 1e9; // finite but absurd
-        let labels = (0..10).map(|i| i % 2).collect();
-        let data = Dataset::new(images, labels, 2).unwrap();
-
-        // Without the policy every sample flows through (NaN included).
-        let plain = Batcher::new(3, None, 7).unwrap();
-        let (batches, skipped) = plain.epoch_counted(&data, 0).unwrap();
-        assert_eq!(skipped, 0);
-        assert_eq!(batches.iter().map(Batch::len).sum::<usize>(), 10);
-
-        // Non-finite-only policy drops just the NaN sample.
-        let finite = plain.clone().skip_corrupt(None);
-        let (batches, skipped) = finite.epoch_counted(&data, 0).unwrap();
-        assert_eq!(skipped, 1);
-        assert_eq!(batches.iter().map(Batch::len).sum::<usize>(), 9);
-        assert!(batches
-            .iter()
-            .all(|b| b.images.data().iter().all(|x| x.is_finite())));
-
-        // With a magnitude bound, the absurd pixel goes too — and `epoch`
-        // applies the same policy.
-        let bounded = plain.clone().skip_corrupt(Some(100.0));
-        let (_, skipped) = bounded.epoch_counted(&data, 0).unwrap();
-        assert_eq!(skipped, 2);
-        let total: usize = bounded
-            .epoch(&data, 0)
-            .unwrap()
-            .iter()
-            .map(Batch::len)
-            .sum();
-        assert_eq!(total, 8);
-    }
-
-    #[test]
-    fn skip_corrupt_on_clean_data_changes_nothing() {
-        let data = dataset(10);
-        let plain = Batcher::new(3, None, 7).unwrap();
-        let guarded = plain.clone().skip_corrupt(Some(1000.0));
-        let a = plain.epoch(&data, 2).unwrap();
-        let (b, skipped) = guarded.epoch_counted(&data, 2).unwrap();
-        assert_eq!(skipped, 0);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.images.data(), y.images.data());
-            assert_eq!(x.labels, y.labels);
-        }
     }
 
     #[test]

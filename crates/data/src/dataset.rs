@@ -61,9 +61,7 @@ impl Dataset {
     /// may be standardised in place afterwards. `validate` is the value
     /// check: it rejects non-finite pixels and, when `max_abs` is given,
     /// pixels whose magnitude exceeds it (a sane bound for standardised
-    /// sensor data is single digits). Call it after ingest/augmentation, or
-    /// let the [`crate::Batcher`]'s skip-and-count policy handle bad
-    /// samples one at a time during training.
+    /// sensor data is single digits). Call it after ingest/augmentation.
     ///
     /// # Errors
     ///
@@ -225,8 +223,7 @@ impl Dataset {
 
 /// Returns why an image is corrupt (`None` when it is clean): the first
 /// non-finite pixel, or the first pixel whose magnitude exceeds `max_abs`.
-/// Shared by [`Dataset::validate`] and the batcher's skip-and-count policy.
-pub(crate) fn sample_corruption(img: &Tensor, max_abs: Option<f32>) -> Option<String> {
+fn sample_corruption(img: &Tensor, max_abs: Option<f32>) -> Option<String> {
     for (j, &x) in img.data().iter().enumerate() {
         if !x.is_finite() {
             return Some(format!("non-finite pixel {x} at offset {j}"));

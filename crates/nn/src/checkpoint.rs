@@ -106,8 +106,15 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// Shared by the model checkpoint and the trainer-state file so a single
 /// integrity scheme covers everything written to flash.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Continues a CRC-32: `crc32_update(crc32(a), b) == crc32(a ++ b)`, and
+/// `crc32_update(0, b) == crc32(b)` — for a checksum computed as the bytes
+/// stream out.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut crc = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
@@ -910,6 +917,16 @@ mod tests {
         }
         let big: Vec<u8> = (0..100_003).map(|_| r.gen()).collect();
         assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn crc32_continues_across_any_split() {
+        let bytes: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        let whole = crc32(&bytes);
+        for at in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(at);
+            assert_eq!(crc32_update(crc32(a), b), whole, "split at {at}");
+        }
     }
 
     #[test]

@@ -360,18 +360,10 @@ impl<'a> Reader<'a> {
 }
 
 impl TrainState {
-    /// Serialises this state into the CRC-framed `APTS` binary format.
+    /// Serialises this state into the CRC-framed `APTS` binary format,
+    /// allocated at exactly the framed size, the payload checksummed where
+    /// it was written.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// [`encode`](TrainState::encode) into a buffer the caller keeps: `out`
-    /// is emptied and refilled, allocated (when it must grow) at exactly
-    /// the framed size, and the payload is checksummed where it was
-    /// written. Same bytes as `encode`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let velocities = |f: &mut dyn FnMut(&str, &Tensor)| {
             for (name, v) in &self.velocities {
                 f(name, v);
@@ -379,13 +371,13 @@ impl TrainState {
         };
         let mut len = Count(0);
         write_payload(&mut len, self, &velocities, &self.net_blob);
-        out.clear();
-        out.reserve_exact(HEADER + len.0);
+        let mut out = Vec::with_capacity(HEADER + len.0);
         out.extend_from_slice(&header(0, 0));
-        write_payload(out, self, &velocities, &self.net_blob);
+        write_payload(&mut out, self, &velocities, &self.net_blob);
         debug_assert_eq!(out.len(), HEADER + len.0, "the frame was sized exactly");
         let (head, payload) = out.split_at_mut(HEADER);
         head.copy_from_slice(&header(payload.len(), crc32(payload)));
+        out
     }
 
     /// [`encode`](TrainState::encode) streamed to `out` (a file, in the
@@ -775,10 +767,7 @@ mod tests {
         s.velocities.push(("big".into(), long.unwrap()));
         s.net_blob = (0..150_000u32).map(|i| (i % 251) as u8).collect();
         let blob = s.encode();
-        let mut out = vec![1, 2, 3];
-        s.encode_into(&mut out);
-        assert_eq!(out, blob);
-        assert_eq!(out.capacity(), blob.len(), "allocated at the framed size");
+        assert_eq!(blob.capacity(), blob.len(), "allocated at the framed size");
 
         let velocities = |f: &mut dyn FnMut(&str, &Tensor)| {
             for (name, v) in &s.velocities {

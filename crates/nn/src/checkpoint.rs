@@ -137,17 +137,17 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
 /// Framed header: magic, version, payload length, CRC32.
 const HEADER: usize = MAGIC.len() + 2 + 4 + 4;
 
-/// Starts a frame in `out` (emptied, its capacity kept): room for the
-/// header and `payload_len` bytes reserved in one step, the header written
-/// with its length and CRC fields blank, then the two section counts.
-fn begin_frame(out: &mut Vec<u8>, payload_len: usize) {
-    out.clear();
-    out.reserve(HEADER + payload_len);
+/// Starts a frame: room for the header and `payload_len` bytes allocated
+/// in one step, the header written with its length and CRC fields blank,
+/// then the two section counts.
+fn begin_frame(payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER + payload_len);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     // Payload length and CRC, then param count and buffer count: all
     // patched once known.
     out.extend_from_slice(&[0u8; 8 + 8]);
+    out
 }
 
 /// Closes the frame [`begin_frame`] opened: the section counts, then the
@@ -163,9 +163,8 @@ fn end_frame(out: &mut [u8], params: u32, buffers: u32) {
 
 /// Serialises `net`'s parameters (no buffers) to a checkpoint blob.
 pub fn save(net: &Network) -> Vec<u8> {
-    let mut out = Vec::new();
     let len = 8 + params_len(net);
-    begin_frame(&mut out, len);
+    let mut out = begin_frame(len);
     let params = write_params(net, &mut out);
     debug_assert_eq!(out.len(), HEADER + len, "the blob was sized exactly");
     end_frame(&mut out, params, 0);
@@ -250,27 +249,20 @@ fn write_params(net: &Network, out: &mut Vec<u8>) -> u32 {
 /// Serialises `net` including batch-norm running statistics (requires
 /// `&mut` because buffer visitation is mutable by trait design).
 pub fn save_full(net: &mut Network) -> Vec<u8> {
-    let mut out = Vec::new();
-    save_full_into(net, &mut out);
-    out
-}
-
-/// [`save_full`] into a buffer the caller keeps: `out` is emptied and
-/// refilled, so a trainer snapshotting every step reuses one allocation.
-pub fn save_full_into(net: &mut Network, out: &mut Vec<u8>) {
     let mut len = 8 + params_len(net);
     net.visit_buffers(&mut |name, t| len += section_head_len(name, t.dims()) + 4 * t.len());
-    begin_frame(out, len);
-    let params = write_params(net, out);
+    let mut out = begin_frame(len);
+    let params = write_params(net, &mut out);
     let mut buffers = 0u32;
     net.visit_buffers(&mut |name, t| {
         buffers += 1;
-        write_str(out, name);
-        write_dims(out, t.dims());
-        write_f32s(out, t.data());
+        write_str(&mut out, name);
+        write_dims(&mut out, t.dims());
+        write_f32s(&mut out, t.data());
     });
     debug_assert_eq!(out.len(), HEADER + len, "the blob was sized exactly");
-    end_frame(out, params, buffers);
+    end_frame(&mut out, params, buffers);
+    out
 }
 
 /// Restores a checkpoint produced by [`save_full`] (or [`save`]) into an

@@ -209,6 +209,17 @@ pub trait Layer: Send + Sync {
     }
 }
 
+/// The state a layer's training forward cached for its backward, or
+/// [`crate::NnError::BackwardBeforeForward`] naming `layer` when there is
+/// none.
+pub(crate) fn cached<'a, T>(cache: &'a Option<T>, layer: &str) -> crate::Result<&'a T> {
+    cache
+        .as_ref()
+        .ok_or_else(|| crate::NnError::BackwardBeforeForward {
+            layer: layer.to_string(),
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

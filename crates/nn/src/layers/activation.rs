@@ -1,111 +1,70 @@
-use crate::{Layer, Mode, NnError, Param};
+use crate::layer::cached;
+use crate::{Layer, Mode, Param};
+use apt_tensor::ops::fused::Epilogue;
 use apt_tensor::Tensor;
 
-/// Rectified linear unit: `y = max(x, 0)`.
+/// A clamp activation, written once for its two instances: [`Relu`]
+/// (`SIX == false`) and [`Relu6`] (`SIX == true`).
 #[derive(Debug)]
-pub struct Relu {
+pub struct Clamp<const SIX: bool> {
     name: String,
     cached_input: Option<Tensor>,
 }
 
-impl Relu {
-    /// Creates a ReLU layer.
-    pub fn new(name: impl Into<String>) -> Self {
-        Relu {
-            name: name.into(),
-            cached_input: None,
-        }
-    }
-}
-
-impl Layer for Relu {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
-        let y = input.map(|x| x.max(0.0));
-        self.cached_input = Some(input.clone());
-        Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(input.map(|x| x.max(0.0)))
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
-        Ok(input.zip(grad_output, |x, g| if x > 0.0 { g } else { 0.0 })?)
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-    fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
-
-    fn lower(&self, builder: &mut crate::plan::PlanBuilder) -> crate::Result<()> {
-        builder.push_relu();
-        Ok(())
-    }
-}
+/// Rectified linear unit: `y = max(x, 0)`.
+pub type Relu = Clamp<false>;
 
 /// ReLU6 (`y = min(max(x, 0), 6)`) — MobileNetV2's activation (Sandler et
 /// al. \[17\]).
-#[derive(Debug)]
-pub struct Relu6 {
-    name: String,
-    cached_input: Option<Tensor>,
-}
+pub type Relu6 = Clamp<true>;
 
-impl Relu6 {
-    /// Creates a ReLU6 layer.
+impl<const SIX: bool> Clamp<SIX> {
+    /// Creates the activation layer.
     pub fn new(name: impl Into<String>) -> Self {
-        Relu6 {
+        Clamp {
             name: name.into(),
             cached_input: None,
         }
     }
 }
 
-impl Layer for Relu6 {
+/// `∂L/∂x` of a ReLU (`six == false`) or ReLU6 at pre-activation `x`:
+/// `g` where the clamp passes `x` through, 0 where it clamps.
+pub(crate) fn clamp_grad(six: bool, x: &Tensor, g: &Tensor) -> crate::Result<Tensor> {
+    Ok(if six {
+        x.zip(g, |x, g| if x > 0.0 && x < 6.0 { g } else { 0.0 })?
+    } else {
+        x.zip(g, |x, g| if x > 0.0 { g } else { 0.0 })?
+    })
+}
+
+impl<const SIX: bool> Layer for Clamp<SIX> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
+        let y = self.forward_inference(input)?;
+        if mode == Mode::Train {
+            self.cached_input = Some(input.clone());
         }
-        let y = input.map(|x| x.clamp(0.0, 6.0));
-        self.cached_input = Some(input.clone());
         Ok(y)
     }
 
     fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(input.map(|x| x.clamp(0.0, 6.0)))
+        Ok(input.map(|x| if SIX { x.clamp(0.0, 6.0) } else { x.max(0.0) }))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
-        Ok(input.zip(grad_output, |x, g| if x > 0.0 && x < 6.0 { g } else { 0.0 })?)
+        let input = cached(&self.cached_input, &self.name)?;
+        clamp_grad(SIX, input, grad_output)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
 
     fn lower(&self, builder: &mut crate::plan::PlanBuilder) -> crate::Result<()> {
-        builder.push_relu6();
+        builder.push_act(if SIX { Epilogue::Relu6 } else { Epilogue::Relu });
         Ok(())
     }
 }

@@ -1,3 +1,4 @@
+use crate::layer::cached;
 use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
 use apt_quant::{fake, Bitwidth};
 use apt_tensor::Tensor;
@@ -87,12 +88,7 @@ impl Layer for ActQuant {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
+        let input = cached(&self.cached_input, &self.name)?;
         let (alpha, _) = self.grid();
         // dα accumulates from saturated positions; dx passes inside (0, α).
         let mut dalpha = 0.0f64;

@@ -1,3 +1,4 @@
+use crate::layer::cached;
 use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
 use apt_tensor::{ops::reduce, Tensor};
 
@@ -207,12 +208,7 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let cache = self
-            .cache
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
+        let cache = cached(&self.cache, &self.name)?;
         if grad_output.dims() != cache.dims.as_slice() {
             return Err(NnError::BadInput {
                 layer: self.name.clone(),

@@ -1,3 +1,4 @@
+use crate::layer::cached;
 use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
 use apt_tensor::ops::conv::{self, Conv2dParams};
 use apt_tensor::{ops, rng as trng, Tensor};
@@ -171,12 +172,7 @@ impl Layer for Conv2d {
     /// `grad_output` against the cached input and those dims — every check
     /// backward-input would repeat.
     fn backward_params(&mut self, grad_output: &Tensor) -> crate::Result<()> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
+        let input = cached(&self.cached_input, &self.name)?;
         let dims = self.weight.dims();
         let dw = conv::conv2d_backward_weight(input, grad_output, dims, &self.params)?;
         self.weight.accumulate_grad(&dw)?;

@@ -1,3 +1,4 @@
+use crate::layer::cached;
 use crate::{Layer, Mode, NnError, Param};
 use apt_tensor::Tensor;
 
@@ -45,12 +46,7 @@ impl Layer for Flatten {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
+        let dims = cached(&self.cached_dims, &self.name)?;
         Ok(grad_output.reshape(dims)?)
     }
 

@@ -1,3 +1,4 @@
+use crate::layer::cached;
 use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
 use apt_tensor::{ops, rng as trng, Tensor};
 use rand::rngs::StdRng;
@@ -131,12 +132,7 @@ impl Layer for Linear {
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> crate::Result<()> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
+        let input = cached(&self.cached_input, &self.name)?;
         if grad_output.rank() != 2
             || grad_output.dims()[0] != input.dims()[0]
             || grad_output.dims()[1] != self.out_features

@@ -1,3 +1,4 @@
+use crate::layer::cached;
 use crate::{Layer, Mode, NnError, Param};
 use apt_tensor::Tensor;
 
@@ -85,12 +86,7 @@ impl Layer for ZeroPad2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
+        let dims = cached(&self.cached_dims, &self.name)?;
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let p = self.pad;
         let (oh, ow) = (h + 2 * p, w + 2 * p);

@@ -1,4 +1,5 @@
-use crate::{Layer, Mode, NnError, Param};
+use crate::layer::cached;
+use crate::{Layer, Mode, Param};
 use apt_tensor::ops::pool;
 use apt_tensor::Tensor;
 
@@ -40,12 +41,7 @@ impl Layer for MaxPool2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let (argmax, dims) = self
-            .cache
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
+        let (argmax, dims) = cached(&self.cache, &self.name)?;
         Ok(pool::max_pool2d_backward(grad_output, argmax, dims)?)
     }
 
@@ -95,12 +91,7 @@ impl Layer for AvgPool2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
+        let dims = cached(&self.cached_dims, &self.name)?;
         Ok(pool::avg_pool2d_backward(grad_output, dims, self.k)?)
     }
 
@@ -149,12 +140,7 @@ impl Layer for GlobalAvgPool {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            })?;
+        let dims = cached(&self.cached_dims, &self.name)?;
         Ok(pool::global_avg_pool_backward(grad_output, dims)?)
     }
 

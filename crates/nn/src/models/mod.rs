@@ -9,6 +9,10 @@
 //! * [`vgg_small`] — the WAGE-style "VGG-like" network.
 //! * [`mlp`] — multilayer perceptron for toy problems and tests.
 
+use crate::layers::{BatchNorm2d, Conv2d};
+use crate::{Layer, ParamKind, QuantScheme};
+use rand::rngs::StdRng;
+
 mod mobilenet;
 mod resnet;
 mod simple;
@@ -16,6 +20,36 @@ mod simple;
 pub use mobilenet::mobilenet_v2;
 pub use resnet::{resnet, resnet110, resnet20};
 pub use simple::{cifarnet, mlp, vgg_small};
+
+/// `{at}.{conv}`, a bias-free `k × k` convolution `c_in → c_out` with
+/// `k / 2` padding, then `{at}.{bn}`, the batch norm behind it: the pair
+/// every stem, block and head of the residual backbones repeats.
+pub(crate) fn conv_bn(
+    at: &str,
+    [conv, bn]: [impl std::fmt::Display; 2],
+    [c_in, c_out, k, stride, groups]: [usize; 5],
+    scheme: &QuantScheme,
+    rng: &mut StdRng,
+) -> crate::Result<[Box<dyn Layer>; 2]> {
+    let wp = scheme.precision_for(ParamKind::Weight);
+    let conv = Conv2d::new(
+        format!("{at}.{conv}"),
+        c_in,
+        c_out,
+        k,
+        stride,
+        k / 2,
+        groups,
+        wp,
+        None,
+        rng,
+    )?;
+    let bnp = scheme.precision_for(ParamKind::BnGamma);
+    Ok([
+        Box::new(conv),
+        Box::new(BatchNorm2d::new(format!("{at}.{bn}"), c_out, bnp)?),
+    ])
+}
 
 /// Scales a channel count by a width multiplier, flooring at 4 channels.
 pub(crate) fn scale_width(channels: usize, width_mult: f32) -> usize {

@@ -1,6 +1,7 @@
-use crate::layers::{BasicBlock, BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
-use crate::models::scale_width;
-use crate::{Layer, Network, NnError, ParamKind, QuantScheme};
+use crate::layers::{GlobalAvgPool, Linear, Relu, Residual, Sequential};
+use crate::models::{conv_bn, scale_width};
+use crate::{Network, NnError, ParamKind, QuantScheme};
+use apt_tensor::ops::fused::Epilogue;
 use rand::rngs::StdRng;
 
 /// Builds a CIFAR-style ResNet of depth `6n + 2` (He et al. \[6\]).
@@ -38,37 +39,18 @@ pub fn resnet(
         scale_width(32, width_mult),
         scale_width(64, width_mult),
     ];
-    let wp = scheme.precision_for(ParamKind::Weight);
-    let bnp = scheme.precision_for(ParamKind::BnGamma);
 
-    let mut layers: Vec<Box<dyn Layer>> = Vec::new();
-    layers.push(Box::new(Conv2d::new(
-        "stem.conv",
-        3,
-        widths[0],
-        3,
-        1,
-        1,
-        1,
-        wp,
-        None,
-        rng,
-    )?));
-    layers.push(Box::new(BatchNorm2d::new("stem.bn", widths[0], bnp)?));
+    let stem = conv_bn("stem", ["conv", "bn"], [3, widths[0], 3, 1, 1], scheme, rng)?;
+    let mut layers = Vec::from(stem);
     layers.push(Box::new(Relu::new("stem.relu")));
 
     let mut in_ch = widths[0];
     for (stage, &out_ch) in widths.iter().enumerate() {
         for block in 0..n {
             let stride = if stage > 0 && block == 0 { 2 } else { 1 };
-            layers.push(Box::new(BasicBlock::new(
-                format!("stage{}.block{}", stage + 1, block),
-                in_ch,
-                out_ch,
-                stride,
-                scheme,
-                rng,
-            )?));
+            let name = format!("stage{}.block{}", stage + 1, block);
+            let block = basic_block(&name, in_ch, out_ch, stride, scheme, rng)?;
+            layers.push(Box::new(block));
             in_ch = out_ch;
         }
     }
@@ -78,12 +60,62 @@ pub fn resnet(
         "head.fc",
         widths[2],
         num_classes,
-        wp,
+        scheme.precision_for(ParamKind::Weight),
         Some(scheme.precision_for(ParamKind::Bias)),
         rng,
     )?));
 
     Ok(Network::new(format!("resnet{depth}"), layers))
+}
+
+/// The ResNet basic residual block (He et al. \[6\]):
+///
+/// ```text
+/// out = relu( bn2(conv2(relu(bn1(conv1(x))))) + shortcut(x) )
+/// ```
+///
+/// The shortcut is identity when the shape is preserved, otherwise a 1×1
+/// strided convolution + batch-norm projection. Both 3×3 convolutions (and
+/// the projection, if any) carry their own independently adaptable
+/// quantised weights — these are the "layers" whose bitwidths Figure 3
+/// traces.
+fn basic_block(
+    name: &str,
+    in_ch: usize,
+    out_ch: usize,
+    stride: usize,
+    scheme: &QuantScheme,
+    rng: &mut StdRng,
+) -> crate::Result<Residual> {
+    let [conv1, bn1] = conv_bn(
+        name,
+        ["conv1", "bn1"],
+        [in_ch, out_ch, 3, stride, 1],
+        scheme,
+        rng,
+    )?;
+    let [conv2, bn2] = conv_bn(
+        name,
+        ["conv2", "bn2"],
+        [out_ch, out_ch, 3, 1, 1],
+        scheme,
+        rng,
+    )?;
+    let relu1 = Box::new(Relu::new(format!("{name}.relu1")));
+    let body = Sequential::new(name, vec![conv1, bn1, relu1, conv2, bn2]);
+    let shortcut = if stride != 1 || in_ch != out_ch {
+        let [conv, bn] = conv_bn(
+            name,
+            ["shortcut.conv", "shortcut.bn"],
+            [in_ch, out_ch, 1, stride, 1],
+            scheme,
+            rng,
+        )?;
+        Some(Sequential::new(format!("{name}.shortcut"), vec![conv, bn]))
+    } else {
+        None
+    };
+    Ok(Residual::new(body, shortcut, Epilogue::Relu))
 }
 
 /// ResNet-20 — the paper's primary backbone for Figures 2–5 and Table I.
@@ -117,8 +149,55 @@ pub fn resnet110(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
+    use crate::layers::assert_input_gradient;
+    use crate::{Layer, Mode};
     use apt_tensor::rng::{normal, seeded};
+    use apt_tensor::Tensor;
+
+    fn block(in_ch: usize, out_ch: usize, stride: usize, seed: u64) -> Residual {
+        let (scheme, mut r) = (QuantScheme::float32(), seeded(seed));
+        basic_block("b", in_ch, out_ch, stride, &scheme, &mut r).unwrap()
+    }
+
+    #[test]
+    fn identity_and_projection_blocks_shapes() {
+        for (in_ch, out_ch, stride, dims, out) in [
+            (8, 8, 1, [2, 8, 4, 4], [2, 8, 4, 4]),
+            (8, 16, 2, [1, 8, 8, 8], [1, 16, 4, 4]),
+        ] {
+            let mut b = block(in_ch, out_ch, stride, 0);
+            let x = normal(&dims, 1.0, &mut seeded(1));
+            assert_eq!(b.forward(&x, Mode::Train).unwrap().dims(), out);
+            assert_eq!(b.backward(&Tensor::ones(&out)).unwrap().dims(), x.dims());
+            assert!(b.macs_last_forward() > 0);
+        }
+    }
+
+    #[test]
+    fn block_gradient_matches_finite_difference() {
+        assert_input_gradient(&mut block(2, 2, 1, 3), &[1, 2, 4, 4], [1, 11, 23]);
+    }
+
+    #[test]
+    fn param_count_identity_vs_projection() {
+        let names = |b: &Residual| {
+            let mut n = Vec::new();
+            b.visit_params_ref(&mut |p| n.push(p.name().to_string()));
+            n
+        };
+        // 2 convs × 1 weight + 2 bns × 2 = 6; projection adds conv + bn = 3 more
+        assert_eq!(names(&block(8, 8, 1, 0)).len(), 6);
+        let projected = names(&block(8, 16, 2, 0));
+        assert_eq!(projected.len(), 9);
+        let want = "b.shortcut.conv.weight b.shortcut.bn.gamma b.shortcut.bn.beta";
+        assert_eq!(projected[6..].join(" "), want, "the shortcut's come last");
+    }
+
+    #[test]
+    fn block_backward_requires_forward() {
+        let mut b = block(4, 4, 1, 0);
+        assert!(b.backward(&Tensor::zeros(&[1, 4, 2, 2])).is_err());
+    }
 
     #[test]
     fn resnet20_has_expected_weight_layers() {
@@ -136,9 +215,7 @@ mod tests {
         let x = normal(&[2, 3, 8, 8], 1.0, &mut seeded(2));
         let y = net.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), &[2, 10]);
-        let dx = net
-            .backward_by_hand(&apt_tensor::Tensor::ones(&[2, 10]))
-            .unwrap();
+        let dx = net.backward_by_hand(&Tensor::ones(&[2, 10])).unwrap();
         assert_eq!(dx.dims(), x.dims());
         assert!(net.macs_last_forward() > 0);
     }

@@ -1,5 +1,5 @@
 use crate::layers::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu};
-use crate::models::scale_width;
+use crate::models::{conv_bn, scale_width};
 use crate::{Layer, Network, NnError, ParamKind, QuantScheme};
 use rand::rngs::StdRng;
 
@@ -119,7 +119,6 @@ pub fn vgg_small(
     }
     let wp = scheme.precision_for(ParamKind::Weight);
     let bp = scheme.precision_for(ParamKind::Bias);
-    let bnp = scheme.precision_for(ParamKind::BnGamma);
     let widths = [
         scale_width(128, width_mult),
         scale_width(256, width_mult),
@@ -131,23 +130,9 @@ pub fn vgg_small(
     let mut in_ch = 3;
     for (stage, &w) in widths.iter().enumerate() {
         for rep in 0..2 {
-            layers.push(Box::new(Conv2d::new(
-                format!("stage{stage}.conv{rep}"),
-                in_ch,
-                w,
-                3,
-                1,
-                1,
-                1,
-                wp,
-                None,
-                rng,
-            )?));
-            layers.push(Box::new(BatchNorm2d::new(
-                format!("stage{stage}.bn{rep}"),
-                w,
-                bnp,
-            )?));
+            let at = format!("stage{stage}");
+            let names = [format!("conv{rep}"), format!("bn{rep}")];
+            layers.extend(conv_bn(&at, names, [in_ch, w, 3, 1, 1], scheme, rng)?);
             layers.push(Box::new(Relu::new(format!("stage{stage}.relu{rep}"))));
             in_ch = w;
         }

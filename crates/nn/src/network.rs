@@ -1,9 +1,10 @@
+use crate::layers::Sequential;
 use crate::{KernelLane, Layer, Mode, Param, ParamKind};
 use apt_tensor::Tensor;
 
-/// A sequential container of layers — the unit APT trains.
+/// A named [`Sequential`] of layers — the unit APT trains.
 ///
-/// `Network` wires layer forward/backward passes together and exposes the
+/// `Network` runs the chain's forward/backward passes and exposes the
 /// parameter set through visitors, which is how the optimiser, the energy
 /// meter and the APT precision controller all reach the weights without
 /// the network knowing about any of them.
@@ -18,43 +19,22 @@ use apt_tensor::Tensor;
 /// assert_eq!(y.dims(), &[1, 2]);
 /// # Ok::<(), apt_nn::NnError>(())
 /// ```
-pub struct Network {
-    name: String,
-    layers: Vec<Box<dyn Layer>>,
-}
-
-/// Threads `input` through `steps`: the first step reads the borrowed
-/// tensor itself, every later one the tensor the step before it produced.
-/// `None` when there was no step.
-fn thread<L>(
-    steps: impl Iterator<Item = L>,
-    input: &Tensor,
-    mut step: impl FnMut(L, &Tensor) -> crate::Result<Tensor>,
-) -> crate::Result<Option<Tensor>> {
-    let mut x = None;
-    for s in steps {
-        x = Some(step(s, x.as_ref().unwrap_or(input))?);
-    }
-    Ok(x)
-}
+pub struct Network(Sequential);
 
 impl Network {
     /// Creates a network from an ordered layer list.
     pub fn new(name: impl Into<String>, layers: Vec<Box<dyn Layer>>) -> Self {
-        Network {
-            name: name.into(),
-            layers,
-        }
+        Network(Sequential::new(name, layers))
     }
 
     /// The network's name (e.g. `"resnet20"`).
     pub fn name(&self) -> &str {
-        &self.name
+        self.0.name()
     }
 
     /// Number of layers (composite blocks count as one).
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.0.len()
     }
 
     /// Runs the full forward pass.
@@ -63,8 +43,7 @@ impl Network {
     ///
     /// Propagates the first failing layer's error.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        let y = thread(self.layers.iter_mut(), input, |l, x| l.forward(x, mode))?;
-        Ok(y.unwrap_or_else(|| input.clone()))
+        self.0.forward(input, mode)
     }
 
     /// Runs the full forward pass through a **shared** reference —
@@ -91,8 +70,7 @@ impl Network {
     ///
     /// Propagates the first failing layer's error.
     pub fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        let y = thread(self.layers.iter(), input, |l, x| l.forward_inference(x))?;
-        Ok(y.unwrap_or_else(|| input.clone()))
+        self.0.forward_inference(input)
     }
 
     /// Runs the backward pass from `∂L/∂output`, accumulating every
@@ -111,34 +89,17 @@ impl Network {
     ///
     /// Propagates the first failing layer's error.
     pub fn backward(&mut self, grad_output: &Tensor) -> crate::Result<()> {
-        let has_params = |l: &dyn Layer| {
-            let mut any = false;
-            l.visit_params_ref(&mut |_| any = true);
-            any
-        };
-        // Where the pass stops: the first layer that has parameters, or the
-        // first layer of a network that has none.
-        let stop = self.layers.iter().position(|l| has_params(l.as_ref()));
-        let stop = stop.unwrap_or(0);
-        let Some((first, behind)) = self.layers[stop..].split_first_mut() else {
-            return Ok(());
-        };
-        let g = thread(behind.iter_mut().rev(), grad_output, |l, g| l.backward(g))?;
-        first.backward_params(g.as_ref().unwrap_or(grad_output))
+        self.0.backward_params(grad_output)
     }
 
     /// Visits every parameter mutably, in layer order.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
-        }
+        self.0.visit_params(f);
     }
 
     /// Visits every parameter immutably, in layer order.
     pub fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        for layer in &self.layers {
-            layer.visit_params_ref(f);
-        }
+        self.0.visit_params_ref(f);
     }
 
     /// Clears every parameter's gradient accumulator.
@@ -200,28 +161,19 @@ impl Network {
 
     /// Multiply-accumulates executed by the most recent forward pass.
     pub fn macs_last_forward(&self) -> u64 {
-        self.layers.iter().map(|l| l.macs_last_forward()).sum()
+        self.0.macs_last_forward()
     }
 
     /// Visits every (weight-parameter name, MACs of last forward) pair
     /// across all layers — the energy model's per-tensor compute inventory.
     pub fn visit_compute(&self, f: &mut dyn FnMut(&str, u64)) {
-        for layer in &self.layers {
-            layer.visit_compute(f);
-        }
+        self.0.visit_compute(f);
     }
 
     /// Visits every non-learnable state buffer (batch-norm running
     /// statistics) mutably, for checkpointing.
     pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&str, &mut Tensor)) {
-        for layer in &mut self.layers {
-            layer.visit_buffers(f);
-        }
-    }
-
-    /// Immutable access to the layer list.
-    pub fn layers(&self) -> &[Box<dyn Layer>] {
-        &self.layers
+        self.0.visit_buffers(f);
     }
 
     /// Compiles the network into an immutable, fused, arena-planned
@@ -249,36 +201,25 @@ impl Network {
         lane: KernelLane,
     ) -> crate::Result<crate::FrozenPlan> {
         let mut builder = crate::PlanBuilder::new(sample_dims, lane)?;
-        for layer in &self.layers {
-            builder.set_layer(layer.name());
-            layer.lower(&mut builder)?;
-        }
+        self.0.lower(&mut builder)?;
         builder.finish()
     }
 }
 
 #[cfg(test)]
 impl Network {
-    /// Every layer's [`Layer::backward`] called by hand, last to first,
-    /// returning the first layer's `∂L/∂input`: the loop
+    /// Every layer's [`Layer::backward`], last to first (the chain's own
+    /// `backward`), returning the first layer's `∂L/∂input`: the loop
     /// [`backward`](Network::backward) was, kept as its reference.
     pub(crate) fn backward_by_hand(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
-        }
-        Ok(g)
+        self.0.backward(grad_output)
     }
 }
 
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
-            .field("name", &self.name)
-            .field(
-                "layers",
-                &self.layers.iter().map(|l| l.name()).collect::<Vec<_>>(),
-            )
+            .field("layers", &self.0)
             .field("num_params", &self.num_params())
             .finish()
     }

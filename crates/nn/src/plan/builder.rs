@@ -282,16 +282,10 @@ impl PlanBuilder {
         Ok(())
     }
 
-    /// Lowers a ReLU activation.
-    pub fn push_relu(&mut self) {
+    /// Lowers an element-wise activation.
+    pub fn push_act(&mut self, act: Epilogue) {
         let dims = self.current_dims().to_vec();
-        self.push_step(StepKind::Act(Epilogue::Relu), dims);
-    }
-
-    /// Lowers a ReLU6 activation.
-    pub fn push_relu6(&mut self) {
-        let dims = self.current_dims().to_vec();
-        self.push_step(StepKind::Act(Epilogue::Relu6), dims);
+        self.push_step(StepKind::Act(act), dims);
     }
 
     /// Lowers a PACT fake-quantisation step with clip `alpha` and grid

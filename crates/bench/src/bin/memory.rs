@@ -17,8 +17,9 @@
 //! * a per-parameter breakdown (logical k, physical storage width, bytes).
 //!
 //! Outputs: `results/memory.csv` (one row per parameter plus a `net` total
-//! row per cell) and `BENCH_memory.json` (cell summaries); a `--smoke` run
-//! writes `results/memory_smoke.{csv,json}` and leaves the record alone.
+//! row per cell) and `BENCH_memory.json` (cell summaries, and the training
+//! step of gate 5 under `training_step`); a `--smoke` run writes
+//! `results/memory_smoke.{csv,json}` and leaves the record alone.
 //!
 //! ```text
 //! cargo run --release -p apt-bench --bin memory             # full sweep
@@ -36,13 +37,19 @@
 //!    architecture (6-bit packed words vs 32-bit floats ≈ 0.19 + framing),
 //! 4. *building* a quantised net at any k ≤ 16 peaks no higher than building
 //!    the fp32 one: the codes are quantised straight into the `i8`/`i16`
-//!    tier, so no transient outweighs the fp32 tensors it replaces.
+//!    tier, so no transient outweighs the fp32 tensors it replaces,
+//! 5. a training step gives back the heap it takes: one cifarnet(10, 16,
+//!    0.5) `paper_apt` forward and `Network::backward` at batch 32, logits
+//!    and gradient dropped, ends within 4 KiB of the live heap before its
+//!    `forward` — each layer's stash goes with the backward that reads it
+//!    — and peaks at most 1.1× as far above that level as it did when the
+//!    gate was set.
 
 use apt_bench::{json_doc, row, schema, smoke_flag, table, write_output, CountingAlloc, Gates};
 use apt_metrics::Table;
-use apt_nn::{checkpoint, models, Network, ParamStore, QuantScheme};
+use apt_nn::{checkpoint, models, Mode, Network, ParamStore, QuantScheme};
 use apt_quant::Bitwidth;
-use apt_tensor::rng;
+use apt_tensor::{par, rng};
 use std::process::ExitCode;
 
 #[global_allocator]
@@ -126,7 +133,47 @@ fn find<'a>(cells: &'a [Cell], backend: &str, bits: u32) -> &'a Cell {
         .expect("cell present in sweep")
 }
 
-fn smoke(cells: &[Cell]) -> ExitCode {
+/// Gate 5's batch, `[n, c, h, w]`: what `benchmark/`'s `train-conv` feeds
+/// cifarnet.
+const STEP_BATCH: [usize; 4] = [32, 3, 16, 16];
+
+/// Gate 5's step peak above its starting level, as measured when the gate
+/// was set; a step may peak a tenth higher.
+const STEP_PEAK_BYTES: usize = 1_805_064;
+
+/// One training step's heap, from the live level just before `forward`.
+struct StepCell {
+    /// How far above that level the step peaked.
+    peak_above: usize,
+    /// Where the step ended, against that level.
+    retained: isize,
+}
+
+/// Gate 5's measurement, on one thread. The first step sizes the thread's
+/// im2col scratch, which stays; the second is the one read.
+fn training_step() -> StepCell {
+    par::with_threads(1, || {
+        let scheme = QuantScheme::paper_apt();
+        let mut net = models::cifarnet(10, STEP_BATCH[2], 0.5, &scheme, &mut rng::seeded(7))
+            .expect("cifarnet builds");
+        let x = rng::normal(&STEP_BATCH, 1.0, &mut rng::seeded(8));
+        let mut step = || {
+            let logits = net.forward(&x, Mode::Train).expect("a training forward");
+            let grad = rng::normal(logits.dims(), 1.0, &mut rng::seeded(9));
+            net.backward(&grad).expect("a backward behind its forward");
+        };
+        step();
+        let before = ALLOC.live();
+        ALLOC.reset_peak();
+        step();
+        StepCell {
+            peak_above: ALLOC.peak() - before,
+            retained: ALLOC.live() as isize - before as isize,
+        }
+    })
+}
+
+fn smoke(cells: &[Cell], step: &StepCell) -> ExitCode {
     let mut gates = Gates::stdout();
     let f32_cell = find(cells, "float", 32);
     let tiered_6 = find(cells, "tiered", 6);
@@ -183,6 +230,24 @@ fn smoke(cells: &[Cell]) -> ExitCode {
         worst.peak_live_bytes <= f32_cell.peak_live_bytes,
         "building a k<=16 net peaks above building the fp32 net",
     );
+
+    // Gate 5: a training step gives back what it took — each stash goes
+    // with the backward that reads it — and peaks no higher than when the
+    // stashes were cut to what backward reads.
+    let bound = STEP_PEAK_BYTES + STEP_PEAK_BYTES / 10;
+    gates.open(format_args!(
+        "training step, cifarnet 16x16 w0.5 batch 32: peak {} B above its start \
+         (need <= {bound}), {} B retained (need |.| <= 4096)",
+        step.peak_above, step.retained
+    ));
+    gates.check(
+        step.retained.unsigned_abs() <= 4096,
+        "a stash outlived the backward that read it",
+    );
+    gates.check(
+        step.peak_above <= bound,
+        "a training step peaks above 1.1x its recorded peak",
+    );
     gates.finish()
 }
 
@@ -215,11 +280,20 @@ fn main() -> ExitCode {
         ]);
     }
     println!("{summary}");
+    let step = training_step();
+    let mut steps = table(schema::MEMORY_STEP);
+    steps.push_row(row![
+        "cifarnet",
+        STEP_BATCH[0],
+        step.peak_above,
+        step.retained
+    ]);
+    println!("{steps}");
     write_output(smoke_mode, "results/memory.csv", &breakdown.to_csv());
-    let record = json_doc(&[], &[("cells", &summary)]);
+    let record = json_doc(&[], &[("cells", &summary), ("training_step", &steps)]);
     write_output(smoke_mode, "BENCH_memory.json", &record);
     if smoke_mode {
-        smoke(&cells)
+        smoke(&cells, &step)
     } else {
         ExitCode::SUCCESS
     }

@@ -18,6 +18,8 @@ pub mod schema {
     /// `BENCH_memory.json` → `cells`.
     pub const MEMORY: &str = "backend,bits,params,resident_bytes,memory_bits,\
          measured_live_bytes,peak_live_bytes,checkpoint_bytes";
+    /// `BENCH_memory.json` → `training_step`.
+    pub const MEMORY_STEP: &str = "model,batch,peak_above_bytes,retained_bytes";
     /// `BENCH_kernels.json` → `cells`.
     pub const KERNELS: &str = "op,shape,threads,ns_per_iter,gflops,speedup_vs_1t";
     /// `BENCH_kernels.json` → `memory_bound`.

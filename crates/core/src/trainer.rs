@@ -708,15 +708,17 @@ impl Trainer {
 
         for epoch in ls.start_epoch..self.cfg.epochs {
             let base_lr = self.cfg.schedule.lr_at(epoch);
-            let batches = batcher.epoch(train, epoch)?;
             let start_iter = if epoch == ls.start_epoch {
-                ls.start_iter.min(batches.len())
+                ls.start_iter
             } else {
                 0
             };
-
-            for (iter, source) in batches.iter().enumerate().skip(start_iter) {
-                let mut batch = source.clone();
+            // One batch at a time. `skip` pulls the batches before a resumed
+            // cursor and drops them: their augmentation draws are in the
+            // epoch's stream, so every later batch is the uninterrupted run's.
+            let batches = batcher.stream(train, Some(epoch)).enumerate();
+            for (iter, batch) in batches.skip(start_iter) {
+                let mut batch = batch?;
                 let info = StepInfo {
                     epoch,
                     iter,
@@ -1109,7 +1111,8 @@ impl Trainer {
         let batcher = Batcher::new(self.cfg.batch_size, None, 0)?;
         let mut preds = Vec::with_capacity(data.len());
         let mut labels = Vec::with_capacity(data.len());
-        for batch in batcher.eval_batches(data)? {
+        for batch in batcher.stream(data, None) {
+            let batch = batch?;
             let logits = self.net.forward(&batch.images, Mode::Eval)?;
             preds.extend(argmax_rows(&logits)?);
             labels.extend(batch.labels);

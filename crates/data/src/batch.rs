@@ -1,5 +1,6 @@
 use crate::{AugmentConfig, DataError, Dataset};
 use apt_tensor::{ops::pad, rng as trng, Tensor};
+use rand::rngs::StdRng;
 
 /// One mini-batch: stacked NCHW images plus labels.
 #[derive(Debug, Clone)]
@@ -22,17 +23,33 @@ impl Batch {
     }
 }
 
-/// Deterministic shuffling mini-batch iterator with optional augmentation.
+/// Deterministic shuffling mini-batch generator with optional augmentation.
 ///
-/// A `Batcher` is bound to a dataset and a master seed; each call to
-/// [`epoch`](Batcher::epoch) derives an epoch-specific RNG stream, so the
-/// whole training run is reproducible while every epoch sees a fresh
-/// shuffle and fresh augmentation draws (the paper's training recipe).
+/// A `Batcher` is bound to a batch size, an augmentation and a master seed.
+/// [`stream`](Batcher::stream) walks one pass over a dataset a batch at a
+/// time; each training epoch derives its own RNG stream, so the whole run
+/// is reproducible while every epoch sees a fresh shuffle and fresh
+/// augmentation draws (the paper's training recipe).
 #[derive(Debug, Clone)]
 pub struct Batcher {
     batch_size: usize,
     augment: Option<AugmentConfig>,
     seed: u64,
+}
+
+/// One pass over a dataset, built a batch per [`next`](Iterator::next) —
+/// what [`Batcher::stream`] returns. Only the index order is held; each
+/// batch is gathered (and augmented) when it is pulled, and is the
+/// caller's.
+#[derive(Debug)]
+pub struct Batches<'a> {
+    data: &'a Dataset,
+    order: Vec<usize>,
+    at: usize,
+    batch_size: usize,
+    /// A training epoch's augmentation and the RNG stream it draws from,
+    /// where the shuffle left it.
+    augment: Option<(AugmentConfig, StdRng)>,
 }
 
 impl Batcher {
@@ -58,53 +75,85 @@ impl Batcher {
         })
     }
 
-    /// Materialises the shuffled, augmented batches of epoch `epoch`.
+    /// The batches of one pass over `data`, built one at a time as they are
+    /// pulled.
+    ///
+    /// `Some(epoch)` is a training epoch: its RNG stream shuffles the order
+    /// first, then draws each image's augmentation in batch order. A
+    /// resumed run must still pull the batches before its cursor — their
+    /// draws are in the stream — and `skip`, which pulls them, keeps every
+    /// later batch the uninterrupted run's. `None` is evaluation: in order,
+    /// un-augmented.
+    pub fn stream<'a>(&self, data: &'a Dataset, epoch: Option<usize>) -> Batches<'a> {
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        let rng = epoch.map(|epoch| {
+            let mut rng = trng::substream(self.seed, 0x6000 + epoch as u64);
+            trng::shuffle_indices(&mut order, &mut rng);
+            rng
+        });
+        Batches {
+            data,
+            order,
+            at: 0,
+            batch_size: self.batch_size,
+            augment: self.augment.zip(rng),
+        }
+    }
+
+    /// Every batch of training epoch `epoch` at once: [`stream`](Self::stream)
+    /// collected.
     ///
     /// # Errors
     ///
     /// Propagates augmentation/stacking errors.
     pub fn epoch(&self, data: &Dataset, epoch: usize) -> crate::Result<Vec<Batch>> {
-        let mut rng = trng::substream(self.seed, 0x6000 + epoch as u64);
-        let mut indices: Vec<usize> = (0..data.len()).collect();
-        trng::shuffle_indices(&mut indices, &mut rng);
-        let mut batches = Vec::new();
-        for chunk in indices.chunks(self.batch_size) {
-            let mut images = Vec::with_capacity(chunk.len());
-            let mut labels = Vec::with_capacity(chunk.len());
-            for &i in chunk {
-                let img = match &self.augment {
-                    Some(a) => a.apply(data.image(i), &mut rng)?,
-                    None => data.image(i).clone(),
-                };
-                images.push(img);
-                labels.push(data.label(i));
-            }
-            batches.push(Batch {
-                images: pad::stack_chw(&images)?,
-                labels,
-            });
-        }
-        Ok(batches)
+        self.stream(data, Some(epoch)).collect()
     }
 
-    /// Materialises the dataset in order, un-augmented (evaluation).
+    /// The dataset in order, un-augmented (evaluation), at once.
     ///
     /// # Errors
     ///
     /// Propagates stacking errors.
     pub fn eval_batches(&self, data: &Dataset) -> crate::Result<Vec<Batch>> {
-        let mut batches = Vec::new();
-        let indices: Vec<usize> = (0..data.len()).collect();
-        for chunk in indices.chunks(self.batch_size) {
-            let images: Vec<Tensor> = chunk.iter().map(|&i| data.image(i).clone()).collect();
-            let labels: Vec<usize> = chunk.iter().map(|&i| data.label(i)).collect();
-            batches.push(Batch {
-                images: pad::stack_chw(&images)?,
-                labels,
-            });
-        }
-        Ok(batches)
+        self.stream(data, None).collect()
     }
+}
+
+impl Iterator for Batches<'_> {
+    type Item = crate::Result<Batch>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = &self.order[self.at..];
+        if rest.is_empty() {
+            return None;
+        }
+        let chunk = &rest[..rest.len().min(self.batch_size)];
+        self.at += chunk.len();
+        Some(gather(self.data, chunk, self.augment.as_mut()))
+    }
+}
+
+/// Stacks the examples `chunk` names into one batch, augmenting each first
+/// when there is an augmentation and its RNG.
+fn gather(
+    data: &Dataset,
+    chunk: &[usize],
+    augment: Option<&mut (AugmentConfig, StdRng)>,
+) -> crate::Result<Batch> {
+    let mut images = Vec::with_capacity(chunk.len());
+    match augment {
+        Some((a, rng)) => {
+            for &i in chunk {
+                images.push(a.apply(data.image(i), rng)?);
+            }
+        }
+        None => images.extend(chunk.iter().map(|&i| data.image(i).clone())),
+    }
+    Ok(Batch {
+        images: pad::stack_chw(&images)?,
+        labels: chunk.iter().map(|&i| data.label(i)).collect(),
+    })
 }
 
 #[cfg(test)]
@@ -139,6 +188,25 @@ mod tests {
         assert_eq!(e0a[0].labels, e0b[0].labels);
         let e1 = b.epoch(&data, 1).unwrap();
         assert_ne!(e0a[0].images.data(), e1[0].images.data());
+    }
+
+    #[test]
+    fn a_resumed_stream_draws_what_the_whole_epoch_draws() {
+        // Augmentation draws from the epoch's one stream in batch order, so
+        // the batches a resume skips must still be drawn.
+        let data = dataset(10);
+        let b = Batcher::new(3, Some(AugmentConfig::default()), 9).unwrap();
+        let whole = b.epoch(&data, 2).unwrap();
+        let resumed: Vec<Batch> = b
+            .stream(&data, Some(2))
+            .skip(2)
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(resumed.len(), whole.len() - 2);
+        for (r, w) in resumed.iter().zip(&whole[2..]) {
+            assert_eq!(r.images.data(), w.images.data());
+            assert_eq!(r.labels, w.labels);
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod synth;
 mod toy;
 
 pub use augment::AugmentConfig;
-pub use batch::{Batch, Batcher};
+pub use batch::{Batch, Batcher, Batches};
 pub use dataset::Dataset;
 pub use error::DataError;
 pub use synth::{SynthCifar, SynthCifarConfig};

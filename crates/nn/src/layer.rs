@@ -84,10 +84,12 @@ impl KernelLane {
 ///
 /// The contract mirrors classic define-by-run frameworks:
 ///
-/// 1. [`forward`](Layer::forward) consumes an input batch and caches
-///    whatever it needs for the backward pass (in [`Mode::Train`]).
+/// 1. [`forward`](Layer::forward) consumes an input batch and, in
+///    [`Mode::Train`], stashes what its backward reads — and no more.
 /// 2. [`backward`](Layer::backward) consumes `∂L/∂output`, **accumulates**
-///    parameter gradients into its [`Param`]s, and returns `∂L/∂input`.
+///    parameter gradients into its [`Param`]s, returns `∂L/∂input`, and
+///    releases the stash: a second backward without a forward between is
+///    [`crate::NnError::BackwardBeforeForward`].
 ///    [`backward_params`](Layer::backward_params) is the same pass for the
 ///    layer whose `∂L/∂input` nobody reads — the first trainable layer of
 ///    a [`crate::Network`] — and may skip computing it.
@@ -209,12 +211,13 @@ pub trait Layer: Send + Sync {
     }
 }
 
-/// The state a layer's training forward cached for its backward, or
-/// [`crate::NnError::BackwardBeforeForward`] naming `layer` when there is
-/// none.
-pub(crate) fn cached<'a, T>(cache: &'a Option<T>, layer: &str) -> crate::Result<&'a T> {
-    cache
-        .as_ref()
+/// The stash a layer's training forward left for its backward, taken: the
+/// backward that reads it frees it, so it never lives beside the next
+/// forward's. [`crate::NnError::BackwardBeforeForward`] naming `layer` when
+/// there is none — before any training forward, or on a second backward.
+pub(crate) fn take_stash<T>(stash: &mut Option<T>, layer: &str) -> crate::Result<T> {
+    stash
+        .take()
         .ok_or_else(|| crate::NnError::BackwardBeforeForward {
             layer: layer.to_string(),
         })

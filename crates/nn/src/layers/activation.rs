@@ -1,14 +1,16 @@
-use crate::layer::cached;
+use crate::layer::take_stash;
 use crate::{Layer, Mode, Param};
 use apt_tensor::ops::fused::Epilogue;
-use apt_tensor::Tensor;
+use apt_tensor::{Tensor, TensorError};
 
 /// A clamp activation, written once for its two instances: [`Relu`]
 /// (`SIX == false`) and [`Relu6`] (`SIX == true`).
 #[derive(Debug)]
 pub struct Clamp<const SIX: bool> {
     name: String,
-    cached_input: Option<Tensor>,
+    /// Where each input of the last training forward fell, until the
+    /// backward that reads it.
+    mask: Option<RegionMask>,
 }
 
 /// Rectified linear unit: `y = max(x, 0)`.
@@ -23,19 +25,84 @@ impl<const SIX: bool> Clamp<SIX> {
     pub fn new(name: impl Into<String>) -> Self {
         Clamp {
             name: name.into(),
-            cached_input: None,
+            mask: None,
         }
     }
 }
 
-/// `∂L/∂x` of a ReLU (`six == false`) or ReLU6 at pre-activation `x`:
-/// `g` where the clamp passes `x` through, 0 where it clamps.
-pub(crate) fn clamp_grad(six: bool, x: &Tensor, g: &Tensor) -> crate::Result<Tensor> {
-    Ok(if six {
-        x.zip(g, |x, g| if x > 0.0 && x < 6.0 { g } else { 0.0 })?
-    } else {
-        x.zip(g, |x, g| if x > 0.0 { g } else { 0.0 })?
-    })
+/// Where each element of a clamp's input fell, a byte each: 0 below the
+/// band (`x ≤ 0`, NaN), 1 inside it, where the gradient passes, 2 at or
+/// above its top. The stash of [`Clamp`], of a `Residual`'s activation and
+/// of `ActQuant`, whose clip gradient sums over the 2s: all their backward
+/// reads of the input, at a quarter of its bytes.
+#[derive(Debug)]
+pub(crate) struct RegionMask(Vec<u8>);
+
+/// [`RegionMask`]'s value where the gradient passes.
+const PASS: u8 = 1;
+/// [`RegionMask`]'s value at or above the top.
+const SATURATED: u8 = 2;
+
+impl RegionMask {
+    /// Applies `act` to `x` in place and records, in the same pass, where
+    /// each element fell against the band `(0, top)`. `top` must be above
+    /// 0; with none, nothing saturates (ReLU).
+    #[inline]
+    pub(crate) fn apply(x: &mut Tensor, top: Option<f32>, act: impl Fn(f32) -> f32) -> Self {
+        // Every comparison with NaN is false: no top, no saturation.
+        let top = top.unwrap_or(f32::NAN);
+        let mut mask = vec![0; x.len()];
+        for (v, m) in x.data_mut().iter_mut().zip(&mut mask) {
+            // A saturated element is above 0 too, so the two flags sum to
+            // its region.
+            *m = u8::from(*v > 0.0) + u8::from(*v >= top);
+            *v = act(*v);
+        }
+        RegionMask(mask)
+    }
+
+    /// ReLU6 when `six`, else ReLU, over `x` in place, and its mask.
+    #[inline]
+    pub(crate) fn clamp(x: &mut Tensor, six: bool) -> Self {
+        if six {
+            Self::apply(x, Some(6.0), |v| v.clamp(0.0, 6.0))
+        } else {
+            Self::apply(x, None, |v| v.max(0.0))
+        }
+    }
+
+    /// `∂L/∂x`: `g` where the element passed, 0 where it was clamped — a
+    /// select, so a NaN or `−0` gradient passes as itself.
+    pub(crate) fn pass(&self, g: &Tensor) -> crate::Result<Tensor> {
+        self.check(g)?;
+        let dx = self.0.iter().zip(g.data());
+        let dx = dx.map(|(&m, &g)| if m == PASS { g } else { 0.0 }).collect();
+        Ok(Tensor::from_vec(dx, g.dims())?)
+    }
+
+    /// `Σ g` over the saturated elements, in element order on one `f64`
+    /// chain.
+    pub(crate) fn saturated_sum(&self, g: &Tensor) -> crate::Result<f64> {
+        self.check(g)?;
+        let mut sum = 0.0f64;
+        for (&m, &g) in self.0.iter().zip(g.data()) {
+            if m == SATURATED {
+                sum += f64::from(g);
+            }
+        }
+        Ok(sum)
+    }
+
+    fn check(&self, g: &Tensor) -> crate::Result<()> {
+        if g.len() != self.0.len() {
+            return Err(TensorError::LengthMismatch {
+                expected: self.0.len(),
+                actual: g.len(),
+            }
+            .into());
+        }
+        Ok(())
+    }
 }
 
 impl<const SIX: bool> Layer for Clamp<SIX> {
@@ -44,10 +111,11 @@ impl<const SIX: bool> Layer for Clamp<SIX> {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        let y = self.forward_inference(input)?;
-        if mode == Mode::Train {
-            self.cached_input = Some(input.clone());
+        if mode == Mode::Eval {
+            return self.forward_inference(input);
         }
+        let mut y = input.clone();
+        self.mask = Some(RegionMask::clamp(&mut y, SIX));
         Ok(y)
     }
 
@@ -56,8 +124,7 @@ impl<const SIX: bool> Layer for Clamp<SIX> {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let input = cached(&self.cached_input, &self.name)?;
-        clamp_grad(SIX, input, grad_output)
+        take_stash(&mut self.mask, &self.name)?.pass(grad_output)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

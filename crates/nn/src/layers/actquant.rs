@@ -1,4 +1,5 @@
-use crate::layer::cached;
+use super::activation::RegionMask;
+use crate::layer::take_stash;
 use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
 use apt_quant::{fake, Bitwidth};
 use apt_tensor::Tensor;
@@ -19,7 +20,9 @@ pub struct ActQuant {
     name: String,
     bits: Bitwidth,
     clip: Param,
-    cached_input: Option<Tensor>,
+    /// Where each input of the last training forward fell against
+    /// `(0, α)`, until the backward that reads it.
+    mask: Option<RegionMask>,
 }
 
 impl ActQuant {
@@ -46,7 +49,7 @@ impl ActQuant {
             name,
             bits,
             clip,
-            cached_input: None,
+            mask: None,
         })
     }
 
@@ -77,8 +80,10 @@ impl Layer for ActQuant {
         if mode == Mode::Eval {
             return self.forward_inference(input);
         }
-        let y = self.forward_inference(input)?;
-        self.cached_input = Some(input.clone());
+        let (alpha, eps) = self.grid();
+        let mut y = input.clone();
+        let snap = |x| fake::quantize_clipped(x, alpha, eps);
+        self.mask = Some(RegionMask::apply(&mut y, Some(alpha), snap));
         Ok(y)
     }
 
@@ -88,22 +93,12 @@ impl Layer for ActQuant {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let input = cached(&self.cached_input, &self.name)?;
-        let (alpha, _) = self.grid();
+        let mask = take_stash(&mut self.mask, &self.name)?;
         // dα accumulates from saturated positions; dx passes inside (0, α).
-        let mut dalpha = 0.0f64;
-        for (&x, &g) in input.data().iter().zip(grad_output.data()) {
-            if x >= alpha {
-                dalpha += g as f64;
-            }
-        }
+        let dalpha = mask.saturated_sum(grad_output)?;
         self.clip
             .accumulate_grad(&Tensor::from_slice(&[dalpha as f32]))?;
-        let dx = input.zip(
-            grad_output,
-            |x, g| if x > 0.0 && x < alpha { g } else { 0.0 },
-        )?;
-        Ok(dx)
+        mask.pass(grad_output)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,4 +1,4 @@
-use crate::layer::cached;
+use crate::layer::take_stash;
 use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
 use apt_tensor::{ops::reduce, Tensor};
 
@@ -208,7 +208,7 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let cache = cached(&self.cache, &self.name)?;
+        let cache = take_stash(&mut self.cache, &self.name)?;
         if grad_output.dims() != cache.dims.as_slice() {
             return Err(NnError::BadInput {
                 layer: self.name.clone(),

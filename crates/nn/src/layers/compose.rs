@@ -1,5 +1,5 @@
-use super::activation::clamp_grad;
-use crate::layer::cached;
+use super::activation::RegionMask;
+use crate::layer::take_stash;
 use crate::plan::PlanBuilder;
 use crate::{Layer, Mode, NnError, Param};
 use apt_tensor::ops::fused::Epilogue;
@@ -138,9 +138,10 @@ pub struct Residual {
     body: Sequential,
     shortcut: Option<Sequential>,
     act: Epilogue,
-    /// The pre-activation sum of the last training forward, on which
-    /// `act`'s gradient mask is taken. Not kept when `act` is `None`.
-    cached_sum: Option<Tensor>,
+    /// Where the pre-activation sum of the last training forward fell
+    /// against `act`, until the backward that reads it. Not kept when `act`
+    /// is `None`.
+    mask: Option<RegionMask>,
 }
 
 impl Residual {
@@ -151,7 +152,7 @@ impl Residual {
             body,
             shortcut,
             act,
-            cached_sum: None,
+            mask: None,
         }
     }
 
@@ -189,13 +190,10 @@ impl Layer for Residual {
             .as_mut()
             .map(|s| s.forward(input, mode))
             .transpose()?;
-        let sum = self.add(&main, side.as_ref().unwrap_or(input))?;
-        if self.act == Epilogue::None {
-            return Ok(sum);
+        let mut out = self.add(&main, side.as_ref().unwrap_or(input))?;
+        if self.act != Epilogue::None {
+            self.mask = Some(RegionMask::clamp(&mut out, self.act == Epilogue::Relu6));
         }
-        let mut out = sum.clone();
-        self.act.apply(out.data_mut());
-        self.cached_sum = Some(sum);
         Ok(out)
     }
 
@@ -214,9 +212,9 @@ impl Layer for Residual {
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
         let masked = match self.act {
             Epilogue::None => None,
-            act => {
-                let sum = cached(&self.cached_sum, self.name())?;
-                Some(clamp_grad(act == Epilogue::Relu6, sum, grad_output)?)
+            _ => {
+                let mask = take_stash(&mut self.mask, self.body.name())?;
+                Some(mask.pass(grad_output)?)
             }
         };
         let dsum = masked.as_ref().unwrap_or(grad_output);

@@ -1,4 +1,4 @@
-use crate::layer::cached;
+use crate::layer::take_stash;
 use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
 use apt_tensor::ops::conv::{self, Conv2dParams};
 use apt_tensor::{ops, rng as trng, Tensor};
@@ -132,6 +132,23 @@ impl Conv2d {
         }
         Ok(y)
     }
+
+    /// `dW` and `db` from the stashed input, which goes with them; returns
+    /// the input's dims, all backward-input still needs. Backward-weight
+    /// needs just the weight's dims, which the parameter has without
+    /// dequantising, and it validates `grad_output` against the input and
+    /// those dims — every check backward-input would repeat.
+    fn param_grads(&mut self, grad_output: &Tensor) -> crate::Result<[usize; 4]> {
+        let input = take_stash(&mut self.cached_input, &self.name)?;
+        let dims = self.weight.dims();
+        let dw = conv::conv2d_backward_weight(&input, grad_output, dims, &self.params)?;
+        self.weight.accumulate_grad(&dw)?;
+        if let Some(bias) = &mut self.bias {
+            bias.accumulate_grad(&ops::reduce::sum_channels(grad_output)?)?;
+        }
+        // `validate_input` held the stashed input to rank 4.
+        Ok(std::array::from_fn(|i| input.dims()[i]))
+    }
 }
 
 impl Layer for Conv2d {
@@ -156,30 +173,17 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        // `dW` has dropped by the time `value()` allocates.
-        self.backward_params(grad_output)?;
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward_params returned Ok, so an input is cached");
+        let input_dims = self.param_grads(grad_output)?;
+        // The stashed input and `dW` are gone by the time `value()`
+        // allocates.
         let w = self.weight.value();
-        let dx = conv::conv2d_backward_input(grad_output, &w, input.dims(), &self.params)?;
+        let dx = conv::conv2d_backward_input(grad_output, &w, &input_dims, &self.params)?;
         Ok(dx)
     }
 
-    /// `dW` and `db` only. Backward-weight needs just the weight's dims,
-    /// which the parameter has without dequantising, and it validates
-    /// `grad_output` against the cached input and those dims — every check
-    /// backward-input would repeat.
+    /// `dW` and `db` only.
     fn backward_params(&mut self, grad_output: &Tensor) -> crate::Result<()> {
-        let input = cached(&self.cached_input, &self.name)?;
-        let dims = self.weight.dims();
-        let dw = conv::conv2d_backward_weight(input, grad_output, dims, &self.params)?;
-        self.weight.accumulate_grad(&dw)?;
-        if let Some(bias) = &mut self.bias {
-            bias.accumulate_grad(&ops::reduce::sum_channels(grad_output)?)?;
-        }
-        Ok(())
+        self.param_grads(grad_output).map(drop)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,4 +1,4 @@
-use crate::layer::cached;
+use crate::layer::take_stash;
 use crate::{Layer, Mode, NnError, Param};
 use apt_tensor::Tensor;
 
@@ -46,8 +46,8 @@ impl Layer for Flatten {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let dims = cached(&self.cached_dims, &self.name)?;
-        Ok(grad_output.reshape(dims)?)
+        let dims = take_stash(&mut self.cached_dims, &self.name)?;
+        Ok(grad_output.reshape(&dims)?)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

@@ -1,4 +1,4 @@
-use crate::layer::cached;
+use crate::layer::take_stash;
 use crate::{Layer, Mode, NnError, Param, ParamKind, ParamPrecision};
 use apt_tensor::{ops, rng as trng, Tensor};
 use rand::rngs::StdRng;
@@ -123,8 +123,8 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        // dX = dY · W. The `[out, in]` f32 `dW` is gone before `value()`
-        // dequantises a second tensor of that shape.
+        // dX = dY · W. The stashed input and the `[out, in]` f32 `dW` are
+        // gone before `value()` dequantises a second tensor of that shape.
         self.backward_params(grad_output)?;
         let w = self.weight.value();
         let dx = ops::matmul(grad_output, &w)?;
@@ -132,7 +132,7 @@ impl Layer for Linear {
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> crate::Result<()> {
-        let input = cached(&self.cached_input, &self.name)?;
+        let input = take_stash(&mut self.cached_input, &self.name)?;
         if grad_output.rank() != 2
             || grad_output.dims()[0] != input.dims()[0]
             || grad_output.dims()[1] != self.out_features
@@ -149,7 +149,7 @@ impl Layer for Linear {
         // dW = dYᵀ · X, db = Σ_rows dY; each temporary drops as soon as it
         // is accumulated.
         self.weight
-            .accumulate_grad(&ops::matmul_at_b(grad_output, input)?)?;
+            .accumulate_grad(&ops::matmul_at_b(grad_output, &input)?)?;
         if let Some(bias) = &mut self.bias {
             bias.accumulate_grad(&ops::reduce::sum_rows(grad_output)?)?;
         }

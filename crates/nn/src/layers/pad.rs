@@ -1,4 +1,4 @@
-use crate::layer::cached;
+use crate::layer::take_stash;
 use crate::{Layer, Mode, NnError, Param};
 use apt_tensor::Tensor;
 
@@ -86,7 +86,7 @@ impl Layer for ZeroPad2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let dims = cached(&self.cached_dims, &self.name)?;
+        let dims = take_stash(&mut self.cached_dims, &self.name)?;
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let p = self.pad;
         let (oh, ow) = (h + 2 * p, w + 2 * p);

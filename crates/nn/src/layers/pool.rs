@@ -1,6 +1,6 @@
-use crate::layer::cached;
-use crate::{Layer, Mode, Param};
-use apt_tensor::ops::pool;
+use crate::layer::take_stash;
+use crate::{Layer, Mode, NnError, Param};
+use apt_tensor::ops::{fused, pool};
 use apt_tensor::Tensor;
 
 /// Non-overlapping max pooling with window and stride `k`.
@@ -8,7 +8,9 @@ use apt_tensor::Tensor;
 pub struct MaxPool2d {
     name: String,
     k: usize,
-    cache: Option<(Vec<usize>, Vec<usize>)>, // (argmax, input dims)
+    /// The last training forward's argmax table — a byte per window — and
+    /// input dims, until the backward that reads them.
+    stash: Option<(Vec<u8>, [usize; 4])>,
 }
 
 impl MaxPool2d {
@@ -17,7 +19,7 @@ impl MaxPool2d {
         MaxPool2d {
             name: name.into(),
             k,
-            cache: None,
+            stash: None,
         }
     }
 }
@@ -32,17 +34,36 @@ impl Layer for MaxPool2d {
             return self.forward_inference(input);
         }
         let out = pool::max_pool2d(input, self.k)?;
-        self.cache = Some((out.argmax, input.dims().to_vec()));
+        // `max_pool2d` takes only `[n, c, h, w]`.
+        let dims = std::array::from_fn(|i| input.dims()[i]);
+        self.stash = Some((out.argmax, dims));
         Ok(out.output)
     }
 
+    /// The frozen plans' kernel: the training walk without its argmax
+    /// table.
     fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(pool::max_pool2d(input, self.k)?.output)
+        let &[n, c, h, w] = input.dims() else {
+            return Err(NnError::BadInput {
+                layer: self.name.clone(),
+                reason: format!("expected [n, c, h, w], got {:?}", input.dims()),
+            });
+        };
+        // A zero `k` sizes an empty output, which `max_pool2d_into` refuses.
+        let (oh, ow) = (h.checked_div(self.k), w.checked_div(self.k));
+        let mut y = Tensor::zeros(&[n, c, oh.unwrap_or(0), ow.unwrap_or(0)]);
+        fused::max_pool2d_into(input.data(), y.data_mut(), n * c, h, w, self.k)?;
+        Ok(y)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let (argmax, dims) = cached(&self.cache, &self.name)?;
-        Ok(pool::max_pool2d_backward(grad_output, argmax, dims)?)
+        let (argmax, dims) = take_stash(&mut self.stash, &self.name)?;
+        Ok(pool::max_pool2d_backward(
+            grad_output,
+            &argmax,
+            &dims,
+            self.k,
+        )?)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -91,8 +112,8 @@ impl Layer for AvgPool2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let dims = cached(&self.cached_dims, &self.name)?;
-        Ok(pool::avg_pool2d_backward(grad_output, dims, self.k)?)
+        let dims = take_stash(&mut self.cached_dims, &self.name)?;
+        Ok(pool::avg_pool2d_backward(grad_output, &dims, self.k)?)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -140,8 +161,8 @@ impl Layer for GlobalAvgPool {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let dims = cached(&self.cached_dims, &self.name)?;
-        Ok(pool::global_avg_pool_backward(grad_output, dims)?)
+        let dims = take_stash(&mut self.cached_dims, &self.name)?;
+        Ok(pool::global_avg_pool_backward(grad_output, &dims)?)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -163,6 +184,8 @@ mod tests {
         let x = normal(&[1, 2, 4, 4], 1.0, &mut seeded(1));
         let y = p.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), &[1, 2, 2, 2]);
+        let eval = p.forward_inference(&x).unwrap();
+        assert_eq!(eval.data(), y.data(), "evaluation walks the same windows");
         let dx = p.backward(&Tensor::ones(&[1, 2, 2, 2])).unwrap();
         assert_eq!(dx.dims(), x.dims());
         assert_eq!(dx.sum(), 8.0);

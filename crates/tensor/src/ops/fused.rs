@@ -285,14 +285,14 @@ fn check_pool_geometry(
 
 /// Non-overlapping max pooling into a caller-provided slice.
 ///
-/// `planes` is `n·c`; each `[h × w]` plane pools independently with the
-/// same serial window walk as [`max_pool2d`](crate::ops::pool::max_pool2d)
-/// (bit-identical output, no argmax table — this is a forward-only
-/// serving kernel).
+/// `planes` is `n·c`; each `[h × w]` plane pools through the window walk of
+/// [`max_pool2d`](crate::ops::pool::max_pool2d) without its argmax table —
+/// bit-identical output, at any `k`.
 ///
 /// # Errors
 ///
-/// Same geometry contract as [`max_pool2d`](crate::ops::pool::max_pool2d).
+/// Same geometry contract as [`max_pool2d`](crate::ops::pool::max_pool2d),
+/// without its bound on `k`.
 pub fn max_pool2d_into(
     input: &[f32],
     out: &mut [f32],
@@ -301,24 +301,8 @@ pub fn max_pool2d_into(
     w: usize,
     k: usize,
 ) -> Result<()> {
-    let (oh, ow) = check_pool_geometry("max_pool2d_into", input.len(), out.len(), planes, h, w, k)?;
-    for (p, op) in out.chunks_mut(oh * ow).enumerate() {
-        let base = p * h * w;
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                for di in 0..k {
-                    for dj in 0..k {
-                        let v = input[base + (oi * k + di) * w + oj * k + dj];
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                }
-                op[oi * ow + oj] = best;
-            }
-        }
-    }
+    check_pool_geometry("max_pool2d_into", input.len(), out.len(), planes, h, w, k)?;
+    crate::ops::pool::max_pool_planes(input, h, w, k, out, None);
     Ok(())
 }
 

@@ -1,14 +1,16 @@
 //! Pooling kernels (NCHW): max pooling, average pooling and global average
 //! pooling, each with its backward pass.
 //!
-//! Forward passes and the dense backward passes parallelise over
-//! `(image, channel)` planes — each plane owns a disjoint output slice
-//! and is computed in serial order, so results are bit-identical for
-//! every thread count. [`max_pool2d_backward`] stays serial: it scatters
-//! through the argmax table, and scattered writes cannot be partitioned
-//! by output region.
+//! Every pass parallelises over `(image, channel)` planes — each plane owns
+//! a disjoint output slice and is computed in serial order, so results are
+//! bit-identical for every thread count. Windows do not overlap, so even
+//! [`max_pool2d_backward`]'s scatter stays inside the plane it came from.
 
 use crate::{par, Result, Tensor, TensorError};
+
+/// The widest max-pool window whose argmax table fits a byte: offsets
+/// `di·k + dj` run to `k² − 1 = 255`.
+const MAX_TABLE_K: usize = 16;
 
 fn check4(op: &'static str, t: &Tensor) -> Result<(usize, usize, usize, usize)> {
     if t.rank() != 4 {
@@ -22,141 +24,221 @@ fn check4(op: &'static str, t: &Tensor) -> Result<(usize, usize, usize, usize)> 
 }
 
 /// Result of a max-pool forward pass: the pooled tensor plus the argmax
-/// indices needed by [`max_pool2d_backward`].
+/// table [`max_pool2d_backward`] reads.
 #[derive(Debug, Clone)]
 pub struct MaxPoolOutput {
     /// Pooled activations `[n, c, oh, ow]`.
     pub output: Tensor,
-    /// Flat input index of the winning element for every output element.
-    pub argmax: Vec<usize>,
+    /// Where each output element's winner sits in its own window: the
+    /// offset `di·k + dj`, one byte per output element.
+    pub argmax: Vec<u8>,
 }
 
-/// The one max-pool loop. `out` / `arg` hold whole output rows of `ow =
-/// w / k` elements, the first of them output row `row0` of the tensor
-/// (planes are contiguous, so output row `r` pools input rows `r·k..`).
+/// The one max-pool window walk, behind training, evaluation and the frozen
+/// plans alike. `out` (and `arg`, when there is one) hold whole output rows
+/// of `ow = w / k` elements, the first of them output row `row0` of the
+/// tensor (planes are contiguous, so output row `r` pools input rows
+/// `r·k..`).
 ///
 /// Candidates are visited in `(di, dj)` order and taken on a strict `>`,
 /// written as selects: on activations the winner of a window is a coin
 /// toss, and a branch per candidate mispredicts accordingly. The running
-/// maximum starts at `−∞` and the index at the window's own first element,
-/// so a window with nothing above `−∞` (all NaN, all `−∞`) routes its
-/// gradient to itself.
+/// maximum starts at `−∞` and the offset at 0, the window's own first
+/// element, so a window with nothing above `−∞` (all NaN, all `−∞`) routes
+/// its gradient to itself.
 ///
 /// `#[inline(always)]` so a caller passing a literal `k` gets the window
-/// loops unrolled and the slices' bounds hoisted — the GEMM tile's trick.
+/// loops unrolled and the slices' bounds hoisted — the GEMM tile's trick —
+/// and one passing `None` loses the offset bookkeeping.
 #[inline(always)]
-fn max_pool_rows(x: &[f32], w: usize, k: usize, row0: usize, out: &mut [f32], arg: &mut [usize]) {
+fn max_pool_rows(
+    x: &[f32],
+    w: usize,
+    k: usize,
+    row0: usize,
+    out: &mut [f32],
+    mut arg: Option<&mut [u8]>,
+) {
     let ow = w / k;
-    for (r, (orow, arow)) in out
-        .chunks_exact_mut(ow)
-        .zip(arg.chunks_exact_mut(ow))
-        .enumerate()
-    {
+    for (r, orow) in out.chunks_exact_mut(ow).enumerate() {
         let base = (row0 + r) * k * w;
         let rows = &x[base..base + k * w];
-        for (oj, (o, a)) in orow.iter_mut().zip(arow.iter_mut()).enumerate() {
-            let first = base + oj * k;
-            let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
+        let mut arow = arg.as_deref_mut().map(|a| &mut a[r * ow..][..ow]);
+        for (oj, o) in orow.iter_mut().enumerate() {
+            let (mut best, mut at) = (f32::NEG_INFINITY, 0);
             for di in 0..k {
                 let window_row = &rows[di * w + oj * k..][..k];
                 for (dj, &v) in window_row.iter().enumerate() {
                     let take = v > best;
                     best = if take { v } else { best };
-                    best_idx = if take { first + di * w + dj } else { best_idx };
+                    at = if take { di * k + dj } else { at };
                 }
             }
             *o = best;
-            *a = best_idx;
+            if let Some(a) = arow.as_deref_mut() {
+                // A table is only kept for `k ≤ MAX_TABLE_K`: the offset fits.
+                a[oj] = at as u8;
+            }
         }
     }
+}
+
+/// Pools every `[h × w]` plane of `x` into `out` — and each winner's offset
+/// into `arg`, when there is one — a chunk of planes per task. The caller
+/// has checked the geometry: `k` divides `h` and `w`, and `out` (and `arg`)
+/// hold one element per window.
+pub(crate) fn max_pool_planes(
+    x: &[f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    out: &mut [f32],
+    arg: Option<&mut [u8]>,
+) {
+    let (oh, ow) = (h / k, w / k);
+    if oh * ow == 0 {
+        return;
+    }
+    let planes_per_chunk = par::chunk_items(out.len() / (oh * ow), h * w);
+    let chunk = planes_per_chunk * oh * ow;
+    let row0 = |ci: usize| ci * planes_per_chunk * oh;
+    // Every pool in the model zoo is 2 × 2; a literal there halves the pass
+    // (63–72 µs against 131–134 for the loop with `k` a variable,
+    // [32, 16, 16, 16] on the build host).
+    match arg {
+        Some(arg) => par::for_each_chunk_mut2(out, chunk, arg, chunk, |ci, out, arg| match k {
+            2 => max_pool_rows(x, w, 2, row0(ci), out, Some(arg)),
+            _ => max_pool_rows(x, w, k, row0(ci), out, Some(arg)),
+        }),
+        None => par::for_each_chunk_mut(out, chunk, |ci, out| match k {
+            2 => max_pool_rows(x, w, 2, row0(ci), out, None),
+            _ => max_pool_rows(x, w, k, row0(ci), out, None),
+        }),
+    }
+}
+
+/// The window [`max_pool2d`] and [`max_pool2d_backward`] accept: `k` in
+/// `1..=16`, dividing both spatial sides.
+fn check_table_window(op: &'static str, h: usize, w: usize, k: usize) -> Result<()> {
+    if k == 0 || k > MAX_TABLE_K || !h.is_multiple_of(k) || !w.is_multiple_of(k) {
+        return Err(TensorError::InvalidArgument {
+            op,
+            reason: format!("window {k} must be in 1..={MAX_TABLE_K} and divide {h}x{w}"),
+        });
+    }
+    Ok(())
 }
 
 /// Max pooling with square window `k` and stride `k` (non-overlapping).
 ///
 /// The argmax of a window is its first element (in row-major order) that
 /// no other exceeds; NaN candidates never win, and a window holding
-/// nothing above `−∞` yields `−∞` and its own first element.
+/// nothing above `−∞` yields `−∞` and its own first element (offset 0).
 ///
 /// # Errors
 ///
-/// Returns an error if the input is not rank 4, `k == 0`, or `k` does not
-/// divide the spatial dimensions.
+/// Returns an error if the input is not rank 4, or `k` is 0, does not
+/// divide the spatial dimensions, or is above 16 — the window offset must
+/// fit its byte (every pool in the model zoo is 2 × 2).
 pub fn max_pool2d(input: &Tensor, k: usize) -> Result<MaxPoolOutput> {
     let (n, c, h, w) = check4("max_pool2d", input)?;
-    if k == 0 || h % k != 0 || w % k != 0 {
-        return Err(TensorError::InvalidArgument {
-            op: "max_pool2d",
-            reason: format!("window {k} must be >0 and divide {h}x{w}"),
-        });
-    }
-    let (oh, ow) = (h / k, w / k);
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    let mut argmax = vec![0usize; n * c * oh * ow];
-    let x = input.data();
-    let plane = oh * ow;
-    if plane > 0 {
-        let planes_per_chunk = par::chunk_items(n * c, h * w);
-        par::for_each_chunk_mut2(
-            out.data_mut(),
-            planes_per_chunk * plane,
-            &mut argmax,
-            planes_per_chunk * plane,
-            |ci, out_planes, arg_planes| {
-                let row0 = ci * planes_per_chunk * oh;
-                // Every pool in the model zoo is 2 × 2; a literal there
-                // halves the pass (63–72 µs against 131–134 for the loop
-                // with `k` a variable, [32, 16, 16, 16] on the build host).
-                match k {
-                    2 => max_pool_rows(x, w, 2, row0, out_planes, arg_planes),
-                    _ => max_pool_rows(x, w, k, row0, out_planes, arg_planes),
-                }
-            },
-        );
-    }
-    Ok(MaxPoolOutput {
-        output: out,
-        argmax,
-    })
+    check_table_window("max_pool2d", h, w, k)?;
+    let mut output = Tensor::zeros(&[n, c, h / k, w / k]);
+    let mut argmax = vec![0u8; output.len()];
+    let table = Some(argmax.as_mut_slice());
+    max_pool_planes(input.data(), h, w, k, output.data_mut(), table);
+    Ok(MaxPoolOutput { output, argmax })
 }
 
-/// Backward pass of [`max_pool2d`]: routes each output gradient to the
-/// winning input element.
+/// Backward pass of [`max_pool2d`]: adds each output gradient to the input
+/// element its window offset names, plane by plane.
 ///
 /// # Errors
 ///
-/// Returns an error if `grad_output` volume does not match `argmax` length.
+/// [`TensorError::RankMismatch`] unless `input_dims` is `[n, c, h, w]`;
+/// [`TensorError::InvalidArgument`] for a window [`max_pool2d`] refuses;
+/// [`TensorError::LengthMismatch`] unless `grad_output` and `argmax` hold
+/// one element per window; [`TensorError::IndexOutOfBounds`] for an offset
+/// of `k²` or more.
 pub fn max_pool2d_backward(
     grad_output: &Tensor,
-    argmax: &[usize],
+    argmax: &[u8],
     input_dims: &[usize],
+    k: usize,
 ) -> Result<Tensor> {
-    if grad_output.len() != argmax.len() {
-        return Err(TensorError::LengthMismatch {
-            expected: argmax.len(),
-            actual: grad_output.len(),
+    let &[n, c, h, w] = input_dims else {
+        return Err(TensorError::RankMismatch {
+            op: "max_pool2d_backward",
+            expected: 4,
+            actual: input_dims.len(),
+        });
+    };
+    check_table_window("max_pool2d_backward", h, w, k)?;
+    let (oh, ow) = (h / k, w / k);
+    let windows = n * c * oh * ow;
+    for len in [argmax.len(), grad_output.len()] {
+        if len != windows {
+            return Err(TensorError::LengthMismatch {
+                expected: windows,
+                actual: len,
+            });
+        }
+    }
+    // One vectorised pass over the bytes rather than a check per scatter.
+    let kk = k * k;
+    if let Some(top) = argmax
+        .iter()
+        .copied()
+        .max()
+        .filter(|&o| usize::from(o) >= kk)
+    {
+        return Err(TensorError::IndexOutOfBounds {
+            index: top.into(),
+            bound: kk,
         });
     }
     let mut grad_in = Tensor::zeros(input_dims);
-    let gd = grad_in.data_mut();
-    // Serial on purpose: this is a scatter through `argmax`, and nothing
-    // bounds which input element a given output gradient lands on.
-    for (&src, &g) in argmax.iter().zip(grad_output.data()) {
-        if src >= gd.len() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: src,
-                bound: gd.len(),
-            });
-        }
-        gd[src] += g;
+    if windows > 0 {
+        let go = grad_output.data();
+        let planes_per_chunk = par::chunk_items(n * c, h * w);
+        par::for_each_chunk_mut(grad_in.data_mut(), planes_per_chunk * h * w, |ci, gi| {
+            let (at, len) = (
+                ci * planes_per_chunk * oh * ow,
+                gi.len() / (h * w) * oh * ow,
+            );
+            let (go, arg) = (&go[at..at + len], &argmax[at..at + len]);
+            // With the literal 2 the offset splits as a shift and a mask.
+            match k {
+                2 => scatter_rows(gi, go, arg, w, 2),
+                _ => scatter_rows(gi, go, arg, w, k),
+            }
+        });
     }
     Ok(grad_in)
+}
+
+/// Adds the gradients of whole output rows `go` onto `gi` — the `k` input
+/// rows of each — at the window offsets `arg` names.
+#[inline(always)]
+fn scatter_rows(gi: &mut [f32], go: &[f32], arg: &[u8], w: usize, k: usize) {
+    let ow = w / k;
+    let rows = gi
+        .chunks_exact_mut(k * w)
+        .zip(go.chunks_exact(ow).zip(arg.chunks_exact(ow)));
+    for (block, (go_row, arg_row)) in rows {
+        for (oj, (&g, &at)) in go_row.iter().zip(arg_row).enumerate() {
+            let (di, dj) = (usize::from(at) / k, usize::from(at) % k);
+            block[di * w + oj * k + dj] += g;
+        }
+    }
 }
 
 /// Average pooling with square window `k` and stride `k`.
 ///
 /// # Errors
 ///
-/// Same contract as [`max_pool2d`].
+/// Returns an error if the input is not rank 4, `k == 0`, or `k` does not
+/// divide the spatial dimensions.
 pub fn avg_pool2d(input: &Tensor, k: usize) -> Result<Tensor> {
     let (n, c, h, w) = check4("avg_pool2d", input)?;
     if k == 0 || h % k != 0 || w % k != 0 {
@@ -328,8 +410,9 @@ mod tests {
         .unwrap();
         let MaxPoolOutput { output, argmax } = max_pool2d(&x, 2).unwrap();
         assert_eq!(output.data(), &[6., 8., 14., 16.]);
+        assert_eq!(argmax, [3, 3, 3, 3], "each window's last element");
         let go = Tensor::from_vec(vec![1., 2., 3., 4.], &[1, 1, 2, 2]).unwrap();
-        let gi = max_pool2d_backward(&go, &argmax, x.dims()).unwrap();
+        let gi = max_pool2d_backward(&go, &argmax, x.dims(), 2).unwrap();
         assert_eq!(gi.at(&[0, 0, 1, 1]).unwrap(), 1.0);
         assert_eq!(gi.at(&[0, 0, 1, 3]).unwrap(), 2.0);
         assert_eq!(gi.at(&[0, 0, 3, 1]).unwrap(), 3.0);
@@ -338,8 +421,15 @@ mod tests {
     }
 
     /// The loop [`max_pool_rows`] replaced: a branch per candidate and a
-    /// *flat* index seed of 0, kept as its reference.
-    fn max_pool_branchy(x: &[f32], planes: usize, h: usize, w: usize, k: usize) -> MaxPoolOutput {
+    /// *flat* index seed of 0, kept as its reference. Returns the pooled
+    /// tensor and each window's flat argmax.
+    fn max_pool_branchy(
+        x: &[f32],
+        planes: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+    ) -> (Tensor, Vec<usize>) {
         let (oh, ow) = (h / k, w / k);
         let mut out = vec![0.0f32; planes * oh * ow];
         let mut argmax = vec![0usize; planes * oh * ow];
@@ -363,10 +453,8 @@ mod tests {
                 }
             }
         }
-        MaxPoolOutput {
-            output: Tensor::from_vec(out, &[1, planes, oh, ow]).unwrap(),
-            argmax,
-        }
+        let out = Tensor::from_vec(out, &[1, planes, oh, ow]).unwrap();
+        (out, argmax)
     }
 
     #[test]
@@ -403,18 +491,20 @@ mod tests {
             x[h * w..2 * h * w].fill(f32::NAN);
             x[2 * h * w..3 * h * w].fill(f32::NEG_INFINITY);
             let input = Tensor::from_vec(x.clone(), &[1, planes, h, w]).unwrap();
-            let want = max_pool_branchy(&x, planes, h, w, k);
+            let (want, want_argmax) = max_pool_branchy(&x, planes, h, w, k);
             // (window position, special value) pairs met in windows that have a
             // winner.
             let mut seen = std::collections::BTreeSet::new();
             for threads in [1, 3] {
                 let got = par::with_threads(threads, || max_pool2d(&input, k).unwrap());
-                assert_eq!(got.output.dims(), want.output.dims());
+                assert_eq!(got.output.dims(), want.dims());
                 let (ow, per_plane) = (w / k, (h / k) * (w / k));
-                for (t, (g, r)) in got.output.data().iter().zip(want.output.data()).enumerate() {
+                for (t, (g, r)) in got.output.data().iter().zip(want.data()).enumerate() {
                     assert_eq!(g.to_bits(), r.to_bits(), "k={k} output {t}");
                     let (p, oi, oj) = (t / per_plane, (t % per_plane) / ow, t % ow);
                     let first = p * h * w + oi * k * w + oj * k;
+                    let at = usize::from(got.argmax[t]);
+                    let flat = first + at / k * w + at % k;
                     let window = (0..k * k).map(|c| x[first + (c / k) * w + c % k]);
                     if window.clone().any(|v| v > f32::NEG_INFINITY) {
                         seen.extend(window.enumerate().filter_map(|(c, v)| {
@@ -423,11 +513,11 @@ mod tests {
                                 .position(|s| s.to_bits() == v.to_bits())?;
                             Some((c, special))
                         }));
-                        assert_eq!(got.argmax[t], want.argmax[t], "k={k} argmax {t}");
+                        assert_eq!(flat, want_argmax[t], "k={k} argmax {t}");
                     } else {
                         // The seed the bugfix moved: the reference says 0.
                         assert_eq!(g.to_bits(), f32::NEG_INFINITY.to_bits());
-                        assert_eq!((got.argmax[t], want.argmax[t]), (first, 0), "k={k} {t}");
+                        assert_eq!((flat, want_argmax[t]), (first, 0), "k={k} {t}");
                     }
                 }
             }
@@ -452,17 +542,94 @@ mod tests {
             x.data_mut()[late + off] = f32::NAN;
         }
         let MaxPoolOutput { output, argmax } = max_pool2d(&x, 2).unwrap();
-        let t = argmax
-            .iter()
-            .position(|&a| a == late)
-            .expect("argmax inside the window");
+        let t = ((3 + 2) * 2 + 1) * 2 + 1; // that window's output element
         assert_eq!(output.data()[t], f32::NEG_INFINITY);
+        assert_eq!(argmax[t], 0, "the window's own first element");
         let mut go = Tensor::zeros(output.dims());
         go.data_mut()[t] = 5.0;
-        let gi = max_pool2d_backward(&go, &argmax, x.dims()).unwrap();
+        let gi = max_pool2d_backward(&go, &argmax, x.dims(), 2).unwrap();
         assert_eq!(gi.data()[0], 0.0, "element 0 is another image's pixel");
         assert_eq!(gi.data()[late], 5.0);
         assert_eq!(gi.sum(), 5.0);
+    }
+
+    #[test]
+    fn every_table_width_round_trips_and_a_wider_window_is_refused() {
+        for k in [1usize, 2, 3, 16] {
+            let (planes, h, w) = (3, 2 * k, 3 * k);
+            // Distinct values (7919 is a unit mod the prime 10007), and the
+            // first window's last element above them all: offset k² − 1.
+            let mut x: Vec<f32> = (0..planes * h * w)
+                .map(|i| ((i * 7919) % 10007) as f32)
+                .collect();
+            x[(k - 1) * w + k - 1] = 1e6;
+            let input = Tensor::from_vec(x.clone(), &[1, planes, h, w]).unwrap();
+            let (oh, ow) = (h / k, w / k);
+            for threads in [1, 3] {
+                let (out, gi) = par::with_threads(threads, || {
+                    let out = max_pool2d(&input, k).unwrap();
+                    let go: Vec<f32> = (1..=out.argmax.len()).map(|v| v as f32).collect();
+                    let go = Tensor::from_vec(go, out.output.dims()).unwrap();
+                    let gi = max_pool2d_backward(&go, &out.argmax, input.dims(), k).unwrap();
+                    (out, gi)
+                });
+                assert_eq!(usize::from(out.argmax[0]), k * k - 1, "k={k}");
+                for (t, (&y, &at)) in out.output.data().iter().zip(&out.argmax).enumerate() {
+                    let (p, oi, oj) = (t / (oh * ow), t % (oh * ow) / ow, t % ow);
+                    let first = p * h * w + oi * k * w + oj * k;
+                    let at = usize::from(at);
+                    let winner = first + at / k * w + at % k;
+                    let best = (0..k * k)
+                        .map(|c| x[first + c / k * w + c % k])
+                        .fold(f32::NEG_INFINITY, f32::max);
+                    assert!(
+                        at < k * k && x[winner] == y && y == best,
+                        "k={k} window {t}"
+                    );
+                    assert_eq!(gi.data()[winner], (t + 1) as f32, "k={k} window {t}");
+                }
+                let routed = gi.data().iter().filter(|&&g| g != 0.0).count();
+                assert_eq!(routed, out.argmax.len(), "k={k}: a gradient went astray");
+            }
+        }
+        let x = Tensor::zeros(&[1, 1, 17, 17]);
+        assert!(matches!(
+            max_pool2d(&x, 17),
+            Err(TensorError::InvalidArgument { .. })
+        ));
+    }
+
+    #[test]
+    fn backward_refuses_a_table_its_geometry_cannot_hold() {
+        let go = Tensor::ones(&[1, 1, 2, 2]);
+        let dims = [1, 1, 4, 4];
+        assert!(max_pool2d_backward(&go, &[0, 1, 2, 3], &dims, 2).is_ok());
+        let err = |argmax: &[u8], dims: &[usize], k: usize| {
+            max_pool2d_backward(&go, argmax, dims, k).unwrap_err()
+        };
+        assert_eq!(
+            err(&[0, 1, 4, 3], &dims, 2),
+            TensorError::IndexOutOfBounds { index: 4, bound: 4 }
+        );
+        assert!(matches!(
+            err(&[0; 4], &[1, 1, 5, 5], 2),
+            TensorError::InvalidArgument { .. }
+        ));
+        assert!(matches!(
+            err(&[0; 4], &dims, 0),
+            TensorError::InvalidArgument { .. }
+        ));
+        assert_eq!(
+            err(&[0; 3], &dims, 2),
+            TensorError::LengthMismatch {
+                expected: 4,
+                actual: 3
+            }
+        );
+        assert!(matches!(
+            err(&[0; 4], &[1, 4, 4], 2),
+            TensorError::RankMismatch { .. }
+        ));
     }
 
     #[test]
@@ -507,6 +674,5 @@ mod tests {
         assert!(avg_pool2d_backward(&go, &[1, 1, 5, 5], 2).is_err());
         let go2 = Tensor::zeros(&[1, 2]);
         assert!(global_avg_pool_backward(&go2, &[1, 3, 2, 2]).is_err());
-        assert!(max_pool2d_backward(&go, &[0, 1, 2], &[1, 1, 4, 4]).is_err());
     }
 }

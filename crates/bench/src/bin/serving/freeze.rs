@@ -1,7 +1,7 @@
-//! Plan-vs-eval cells, gate 10: the same k=8 network at the default lane,
-//! once through its compiled plan and once through
-//! `Network::forward_inference` (trainer eval, and what an unfreezable
-//! model falls back to), driven in-process on one thread so the comparison
+//! Plan-vs-eval cells, gate 10: the same k=8 checkpoint at the default
+//! lane, once through a session's compiled plan and once through
+//! `forward(Mode::Eval)` (trainer eval) on a network loaded from the same
+//! blob, driven in-process on one thread so the comparison
 //! measures the plan (fused kernels, resident weights, arena intermediates)
 //! and not TCP framing. Requests are **single-sample** and the model is a
 //! deep, narrow MLP — the paper's constrained-device serving shape, where
@@ -17,17 +17,18 @@
 use crate::{push_row, Cell, Gates, Policy, Served, Tally};
 use apt_bench::{bit_identical, median, paired_rounds};
 use apt_metrics::Table;
-use apt_nn::{checkpoint, models, QuantScheme};
+use apt_nn::{checkpoint, models, Mode, QuantScheme};
 use apt_quant::Bitwidth;
 use apt_serve::{InferenceSession, ModelArch, ModelSpec, ServeStats};
 use apt_tensor::{par, rng, Tensor};
+use std::cell::RefCell;
 use std::time::Duration;
 
 const FREEZE_DIMS: &[usize] = &[64, 64, 64, 64, 64, 64, 10];
 
 pub(crate) fn run(gates: &mut Gates, rows: &mut Table, iters: usize) {
     gates.open(
-        "freeze — compiled plan ≥ forward_inference samples/s, bit-identical (k=8, \
+        "freeze — compiled plan ≥ eval forward samples/s, bit-identical (k=8, \
          single-sample in-process, 1 thread)",
     );
     par::set_global_threads(1);
@@ -42,20 +43,18 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table, iters: usize) {
         width_mult: 1.0,
     };
     let frozen = InferenceSession::from_checkpoint(&spec, &blob).expect("session loads");
-    gates.check(
-        frozen.is_frozen(),
-        format_args!(
-            "freeze cell's session fell back: {:?}",
-            frozen.freeze_reason()
-        ),
-    );
+    let mut loaded = spec.build().expect("model builds");
+    checkpoint::load(&mut loaded, &blob).expect("checkpoint loads");
+    let net = RefCell::new(loaded);
     // The eval side does what a served request does around the forward:
     // stage the samples into one batch, run, split the rows back out.
-    let net = frozen.network();
     let eval = |samples: &[Vec<f32>]| -> Vec<Vec<f32>> {
         let batch = Tensor::from_vec(samples.concat(), &[samples.len(), FREEZE_DIMS[0]])
             .expect("batch shape");
-        let out = net.forward_inference(&batch).expect("eval forward");
+        let out = net
+            .borrow_mut()
+            .forward(&batch, Mode::Eval)
+            .expect("eval forward");
         (0..samples.len())
             .map(|i| out.row(i).expect("row").to_vec())
             .collect()
@@ -72,7 +71,7 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table, iters: usize) {
         want.len() == got.len() && want.iter().zip(&got).all(|(w, g)| bit_identical(w, g));
     gates.check(
         bit_exact,
-        "frozen plan diverged from forward_inference on a BN-free model",
+        "frozen plan diverged from the eval forward on a BN-free model",
     );
 
     // Warm both paths (arena buffers, allocator), then time paired rounds
@@ -102,12 +101,12 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table, iters: usize) {
     gates.check(
         ratio >= 1.0,
         format_args!(
-            "frozen plan {frozen_rps:.0} samples/s below forward_inference {eval_rps:.0} \
+            "frozen plan {frozen_rps:.0} samples/s below eval forward {eval_rps:.0} \
              samples/s ({ratio:.2}×)"
         ),
     );
     gates.pass(format_args!(
-        "frozen {frozen_rps:.0} samples/s ≥ forward_inference {eval_rps:.0} samples/s \
+        "frozen {frozen_rps:.0} samples/s ≥ eval forward {eval_rps:.0} samples/s \
          ({ratio:.2}×), bit-identical"
     ));
 

@@ -15,16 +15,6 @@ pub(crate) fn run(gates: &mut Gates) {
     gates.open("zero heap allocations per request on the frozen path");
     par::set_global_threads(1);
     let session = build_session(8, KernelLane::default());
-    let frozen = gates.check(
-        session.is_frozen(),
-        format_args!(
-            "zero-alloc cell needs a frozen session: {:?}",
-            session.freeze_reason()
-        ),
-    );
-    if !frozen {
-        return;
-    }
     let batch = 8usize;
     let mut r = rng::substream(2003, 0);
     let input = rng::normal(&[batch * DIMS[0]], 1.0, &mut r).into_vec();

@@ -7,32 +7,12 @@
 //! share the process allocator, so parallel tests would pollute the
 //! counters).
 
+use apt_bench::CountingAlloc;
 use apt_tensor::ops::conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dParams};
 use apt_tensor::{par, rng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocated() -> usize {
-    ALLOCATED.load(Ordering::Relaxed)
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 #[test]
 fn conv_scratch_is_reused_across_calls() {
@@ -49,27 +29,36 @@ fn conv_scratch_is_reused_across_calls() {
         let w = rng::normal(&[c_out, c_in, k, k], 1.0, &mut r);
         let y = conv2d(&x, &w, &p).unwrap();
         let go = rng::normal(y.dims(), 1.0, &mut r);
-
-        // Warm up: grows the thread-local scratch to its steady-state size.
-        conv2d(&x, &w, &p).unwrap();
-        conv2d_backward_input(&go, &w, x.dims(), &p).unwrap();
-        conv2d_backward_weight(&x, &go, w.dims(), &p).unwrap();
-
-        const CALLS: usize = 10;
-        let before = allocated();
-        for _ in 0..CALLS {
+        let step = || {
             conv2d(&x, &w, &p).unwrap();
             conv2d_backward_input(&go, &w, x.dims(), &p).unwrap();
             conv2d_backward_weight(&x, &go, w.dims(), &p).unwrap();
-        }
-        let per_call = (allocated() - before) / CALLS;
+        };
 
-        // Each iteration legitimately allocates its three output tensors
-        // (~56 KiB here). One fresh col buffer per call would add
-        // ≥ col_bytes (147 KiB); assert steady state stays well below that.
+        // Warm up: grows the thread-local scratch to its steady-state size.
+        step();
+
+        const CALLS: usize = 10;
+        ALLOC.reset_peak();
+        let (live, calls) = (ALLOC.live(), ALLOC.calls());
+        for _ in 0..CALLS {
+            step();
+        }
+        let calls_per_step = (ALLOC.calls() - calls) / CALLS;
+        let peak_growth = ALLOC.peak() - live;
+
+        // Each step legitimately allocates its three output tensors (a
+        // data and a shape buffer each), the largest 32 KiB here, and
+        // frees them before the next. One fresh col buffer per call would
+        // hold ≥ col_bytes (147 KiB) live at once.
         assert!(
-            per_call < col_bytes,
-            "conv allocates {per_call} B/call — scratch is not being reused \
+            calls_per_step <= 3 * 2,
+            "a conv step makes {calls_per_step} allocation calls — more than its \
+             three output tensors"
+        );
+        assert!(
+            peak_growth < col_bytes,
+            "conv peaks {peak_growth} B above its start — scratch is not being reused \
              (col buffer alone is {col_bytes} B)"
         );
     });

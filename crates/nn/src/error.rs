@@ -34,9 +34,9 @@ pub enum NnError {
         reason: String,
     },
     /// A layer (or layer configuration) cannot be lowered into a frozen
-    /// inference plan. Callers treat this as a *typed fallback signal* —
-    /// serving degrades to `Network::forward_inference` and records the
-    /// reason — never as a fatal load error.
+    /// inference plan: the plan builder's geometry or grid refusals, and a
+    /// layer whose [`lower`](crate::Layer::lower) declines. Serving
+    /// refuses such a model at load.
     Unfreezable {
         /// Name of the layer that refused to lower.
         layer: String,

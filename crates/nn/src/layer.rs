@@ -4,6 +4,10 @@ use apt_tensor::Tensor;
 /// Whether a forward pass is part of training (batch-norm uses batch
 /// statistics and caches activations) or evaluation (running statistics, no
 /// caching requirements).
+///
+/// `Mode::Eval` is the trainer's evaluation; serving runs the
+/// [`FrozenPlan`](crate::FrozenPlan) compiled from the same layers, which
+/// matches it bit for bit on the `DequantCache` lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
     /// Training: batch statistics, activations cached for backward.
@@ -17,18 +21,13 @@ pub enum Mode {
 ///
 /// The lane is a request to the plan compiler
 /// ([`Network::freeze`](crate::Network::freeze)) and nothing else: layers
-/// hold no lane state, so `forward` and `forward_inference` are the same
-/// fp32 arithmetic whatever a plan built from them was compiled for.
+/// hold no lane state, so `forward` is the same fp32 arithmetic whatever a
+/// plan built from them was compiled for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelLane {
-    /// The exact arithmetic of `forward(input, Mode::Eval)`. Compiles the
-    /// same program as [`DequantCache`](Self::DequantCache); it is also
-    /// what a session that could not freeze reports, because
-    /// `forward_inference` dequantises on every forward.
-    F32,
     /// Dequantise each weight **once** at compile time and serve from the
-    /// f32 copy. Same arithmetic as [`F32`](Self::F32) — bit-identical —
-    /// at the cost of an f32 weight copy held resident.
+    /// f32 copy: the arithmetic of `forward(input, Mode::Eval)`, bit for
+    /// bit, at the cost of an f32 weight copy held resident.
     #[default]
     DequantCache,
     /// The dequant-free integer lane: weights stay integer codes, packed
@@ -46,7 +45,6 @@ impl KernelLane {
     /// logs.
     pub fn as_str(self) -> &'static str {
         match self {
-            KernelLane::F32 => "fp32",
             KernelLane::DequantCache => "dequant-cache",
             KernelLane::IntGemm => "int-gemm",
         }
@@ -55,27 +53,19 @@ impl KernelLane {
     /// Parses a name produced by [`as_str`](Self::as_str).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "fp32" => Some(KernelLane::F32),
             "dequant-cache" => Some(KernelLane::DequantCache),
             "int-gemm" => Some(KernelLane::IntGemm),
             _ => None,
         }
     }
 
-    /// The weaker of two achieved lanes, ordered by how much of the
-    /// dequant-free machinery is engaged: `F32 < DequantCache < IntGemm`.
-    /// A plan that packed an integer panel for one weight but fell back to
-    /// the cache for another reports the fallback.
+    /// The weaker of two achieved lanes: `DequantCache < IntGemm`. A plan
+    /// that packed an integer panel for one weight but fell back to the
+    /// cache for another reports the fallback.
     pub fn weakest(self, other: Self) -> Self {
-        let rank = |l: Self| match l {
-            KernelLane::F32 => 0u8,
-            KernelLane::DequantCache => 1,
-            KernelLane::IntGemm => 2,
-        };
-        if rank(other) < rank(self) {
-            other
-        } else {
-            self
+        match self {
+            KernelLane::IntGemm => other,
+            KernelLane::DequantCache => self,
         }
     }
 }
@@ -109,29 +99,15 @@ pub trait Layer: Send + Sync {
     /// Runs the layer on `input`, caching activations when `mode` is
     /// [`Mode::Train`].
     ///
-    /// In [`Mode::Eval`] this MUST be equivalent to
-    /// [`forward_inference`](Layer::forward_inference) — same output bits,
-    /// no mutation of training scratch (activation caches, MAC counters).
+    /// In [`Mode::Eval`] it runs evaluation arithmetic (batch-norm running
+    /// statistics, quantised grids) and touches no training scratch
+    /// (activation caches, MAC counters); a plan the layer
+    /// [`lower`](Layer::lower)s to computes the same bits.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError`] for shape mismatches.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor>;
-
-    /// Runs the layer through a **shared** reference: evaluation-mode
-    /// arithmetic (batch-norm running statistics, quantised grids), no
-    /// activation caching, no gradient bookkeeping, no MAC accounting.
-    ///
-    /// Because it takes `&self`, a network behind an `Arc` can execute
-    /// concurrent inferences without locks. The output is bit-identical to
-    /// `forward(input, Mode::Eval)` by contract — this is trainer eval and
-    /// what a session falls back to when a layer has no
-    /// [`lower`](Layer::lower).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::NnError`] for shape mismatches.
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor>;
 
     /// Back-propagates `grad_output`, accumulating parameter gradients and
     /// returning the gradient w.r.t. the layer input.
@@ -191,24 +167,13 @@ pub trait Layer: Send + Sync {
     /// Lowers this layer into the freeze compiler's step program by
     /// appending steps to `builder`. Composite layers lower their children
     /// in evaluation order (including branch/merge steps for residual
-    /// adds).
-    ///
-    /// The default implementation returns
-    /// [`NnError::Unfreezable`](crate::NnError::Unfreezable), which callers
-    /// of [`Network::freeze`](crate::Network::freeze) treat as a typed
-    /// per-model fallback signal, not a fatal error.
+    /// adds). Every layer has a lowering — it is how the layer is served.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::NnError::Unfreezable`] when the layer has no plan
-    /// lowering, and shape errors when the incoming value's dimensions are
-    /// incompatible.
-    fn lower(&self, _builder: &mut crate::plan::PlanBuilder) -> crate::Result<()> {
-        Err(crate::NnError::Unfreezable {
-            layer: self.name().to_string(),
-            reason: "layer type has no frozen-plan lowering".to_string(),
-        })
-    }
+    /// Returns [`crate::NnError::Unfreezable`] when the incoming value's
+    /// dimensions or the layer's grid cannot be expressed as plan steps.
+    fn lower(&self, builder: &mut crate::plan::PlanBuilder) -> crate::Result<()>;
 }
 
 /// The stash a layer's training forward left for its backward, taken: the
@@ -240,14 +205,11 @@ mod tests {
 
     #[test]
     fn lane_names_round_trip() {
-        for lane in [
-            KernelLane::F32,
-            KernelLane::DequantCache,
-            KernelLane::IntGemm,
-        ] {
+        for lane in [KernelLane::DequantCache, KernelLane::IntGemm] {
             assert_eq!(KernelLane::parse(lane.as_str()), Some(lane));
         }
         assert_eq!(KernelLane::parse("turbo"), None);
+        assert_eq!(KernelLane::parse("fp32"), None);
         assert_eq!(KernelLane::default(), KernelLane::DequantCache);
     }
 
@@ -256,7 +218,7 @@ mod tests {
         use KernelLane::*;
         assert_eq!(IntGemm.weakest(DequantCache), DequantCache);
         assert_eq!(DequantCache.weakest(IntGemm), DequantCache);
-        assert_eq!(F32.weakest(IntGemm), F32);
+        assert_eq!(DequantCache.weakest(DequantCache), DequantCache);
         assert_eq!(IntGemm.weakest(IntGemm), IntGemm);
     }
 }

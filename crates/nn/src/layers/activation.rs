@@ -112,15 +112,11 @@ impl<const SIX: bool> Layer for Clamp<SIX> {
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
         if mode == Mode::Eval {
-            return self.forward_inference(input);
+            return Ok(input.map(|x| if SIX { x.clamp(0.0, 6.0) } else { x.max(0.0) }));
         }
         let mut y = input.clone();
         self.mask = Some(RegionMask::clamp(&mut y, SIX));
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(input.map(|x| if SIX { x.clamp(0.0, 6.0) } else { x.max(0.0) }))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

@@ -77,19 +77,14 @@ impl Layer for ActQuant {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let (alpha, eps) = self.grid();
+        if mode == Mode::Eval {
+            return Ok(input.map(|x| fake::quantize_clipped(x, alpha, eps)));
+        }
         let mut y = input.clone();
         let snap = |x| fake::quantize_clipped(x, alpha, eps);
         self.mask = Some(RegionMask::apply(&mut y, Some(alpha), snap));
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        let (alpha, eps) = self.grid();
-        Ok(input.map(|x| fake::quantize_clipped(x, alpha, eps)))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -110,7 +105,7 @@ impl Layer for ActQuant {
     }
 
     fn lower(&self, builder: &mut crate::plan::PlanBuilder) -> crate::Result<()> {
-        // The grid `forward_inference` uses, captured at compile time —
+        // The grid evaluation uses, captured at compile time —
         // freezing snapshots the learned clip.
         let (alpha, eps) = self.grid();
         builder.push_act_quant(alpha, eps)

@@ -179,10 +179,11 @@ impl Layer for BatchNorm2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         self.check_input(input)?;
+        if mode == Mode::Eval {
+            let (y, _) = self.normalize(input, &self.running_mean, &self.running_var, None);
+            return Ok(y);
+        }
         let (mean, var) = reduce::channel_mean_var(input)?;
         // running = (1−m)·running + m·batch
         for ch in 0..self.channels {
@@ -198,12 +199,6 @@ impl Layer for BatchNorm2d {
             inv_std,
             dims: input.dims().to_vec(),
         });
-        Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        self.check_input(input)?;
-        let (y, _) = self.normalize(input, &self.running_mean, &self.running_var, None);
         Ok(y)
     }
 
@@ -491,8 +486,6 @@ mod tests {
                                     stats,
                                     (gamma.data(), beta.data()),
                                 );
-                                let got = bn.forward_inference(x).unwrap();
-                                assert!(same(got.data(), &y_eval), "eval y at {at}");
                                 let got = bn.forward(x, Mode::Eval).unwrap();
                                 assert!(same(got.data(), &y_eval), "Mode::Eval y at {at}");
                             });

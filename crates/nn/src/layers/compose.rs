@@ -65,11 +65,6 @@ impl Layer for Sequential {
         Ok(y.unwrap_or_else(|| input.clone()))
     }
 
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        let y = thread(self.layers.iter(), input, |l, x| l.forward_inference(x))?;
-        Ok(y.unwrap_or_else(|| input.clone()))
-    }
-
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
         let g = thread(self.layers.iter_mut().rev(), grad_output, |l, g| {
             l.backward(g)
@@ -181,9 +176,6 @@ impl Layer for Residual {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let main = self.body.forward(input, mode)?;
         let side = self
             .shortcut
@@ -191,21 +183,11 @@ impl Layer for Residual {
             .map(|s| s.forward(input, mode))
             .transpose()?;
         let mut out = self.add(&main, side.as_ref().unwrap_or(input))?;
-        if self.act != Epilogue::None {
+        if mode == Mode::Eval {
+            self.act.apply(out.data_mut());
+        } else if self.act != Epilogue::None {
             self.mask = Some(RegionMask::clamp(&mut out, self.act == Epilogue::Relu6));
         }
-        Ok(out)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        let main = self.body.forward_inference(input)?;
-        let side = self
-            .shortcut
-            .as_ref()
-            .map(|s| s.forward_inference(input))
-            .transpose()?;
-        let mut out = self.add(&main, side.as_ref().unwrap_or(input))?;
-        self.act.apply(out.data_mut());
         Ok(out)
     }
 

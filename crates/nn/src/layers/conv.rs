@@ -157,19 +157,15 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let y = self.compute_output(input)?;
+        if mode == Mode::Eval {
+            return Ok(y);
+        }
         let (n, oh, ow) = (y.dims()[0], y.dims()[2], y.dims()[3]);
         let c_in_g = self.in_channels / self.params.groups;
         self.macs = (n * self.out_channels * oh * ow * c_in_g * self.kernel * self.kernel) as u64;
         self.cached_input = Some(input.clone());
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        self.compute_output(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

@@ -25,15 +25,6 @@ impl Layer for Flatten {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
-        let y = self.forward_inference(input)?;
-        self.cached_dims = Some(input.dims().to_vec());
-        Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
         if input.rank() < 2 {
             return Err(NnError::BadInput {
                 layer: self.name.clone(),
@@ -42,7 +33,11 @@ impl Layer for Flatten {
         }
         let n = input.dims()[0];
         let features = input.len() / n.max(1);
-        Ok(input.reshape(&[n, features])?)
+        let y = input.reshape(&[n, features])?;
+        if mode == Mode::Train {
+            self.cached_dims = Some(input.dims().to_vec());
+        }
+        Ok(y)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

@@ -109,17 +109,13 @@ impl Layer for Linear {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let y = self.compute_output(input)?;
+        if mode == Mode::Eval {
+            return Ok(y);
+        }
         self.macs = (input.dims()[0] * self.out_features * self.in_features) as u64;
         self.cached_input = Some(input.clone());
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        self.compute_output(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

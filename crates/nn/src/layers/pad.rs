@@ -52,15 +52,6 @@ impl Layer for ZeroPad2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
-        let y = self.forward_inference(input)?;
-        self.cached_dims = Some(input.dims().to_vec());
-        Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
         let dims = input.dims();
         if dims.len() != 4 {
             return Err(NnError::BadInput {
@@ -82,7 +73,11 @@ impl Layer for ZeroPad2d {
                 out[d..d + w].copy_from_slice(&src[s..s + w]);
             }
         }
-        Ok(Tensor::from_vec(out, &[n, c, oh, ow])?)
+        let y = Tensor::from_vec(out, &[n, c, oh, ow])?;
+        if mode == Mode::Train {
+            self.cached_dims = Some(dims.to_vec());
+        }
+        Ok(y)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {

@@ -31,29 +31,25 @@ impl Layer for MaxPool2d {
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
         if mode == Mode::Eval {
-            return self.forward_inference(input);
+            // The frozen plans' kernel: the training walk without its
+            // argmax table.
+            let &[n, c, h, w] = input.dims() else {
+                return Err(NnError::BadInput {
+                    layer: self.name.clone(),
+                    reason: format!("expected [n, c, h, w], got {:?}", input.dims()),
+                });
+            };
+            // A zero `k` sizes an empty output, which `max_pool2d_into` refuses.
+            let (oh, ow) = (h.checked_div(self.k), w.checked_div(self.k));
+            let mut y = Tensor::zeros(&[n, c, oh.unwrap_or(0), ow.unwrap_or(0)]);
+            fused::max_pool2d_into(input.data(), y.data_mut(), n * c, h, w, self.k)?;
+            return Ok(y);
         }
         let out = pool::max_pool2d(input, self.k)?;
         // `max_pool2d` takes only `[n, c, h, w]`.
         let dims = std::array::from_fn(|i| input.dims()[i]);
         self.stash = Some((out.argmax, dims));
         Ok(out.output)
-    }
-
-    /// The frozen plans' kernel: the training walk without its argmax
-    /// table.
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        let &[n, c, h, w] = input.dims() else {
-            return Err(NnError::BadInput {
-                layer: self.name.clone(),
-                reason: format!("expected [n, c, h, w], got {:?}", input.dims()),
-            });
-        };
-        // A zero `k` sizes an empty output, which `max_pool2d_into` refuses.
-        let (oh, ow) = (h.checked_div(self.k), w.checked_div(self.k));
-        let mut y = Tensor::zeros(&[n, c, oh.unwrap_or(0), ow.unwrap_or(0)]);
-        fused::max_pool2d_into(input.data(), y.data_mut(), n * c, h, w, self.k)?;
-        Ok(y)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -99,16 +95,11 @@ impl Layer for AvgPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let y = pool::avg_pool2d(input, self.k)?;
-        self.cached_dims = Some(input.dims().to_vec());
+        if mode == Mode::Train {
+            self.cached_dims = Some(input.dims().to_vec());
+        }
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(pool::avg_pool2d(input, self.k)?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -148,16 +139,11 @@ impl Layer for GlobalAvgPool {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        if mode == Mode::Eval {
-            return self.forward_inference(input);
-        }
         let y = pool::global_avg_pool(input)?;
-        self.cached_dims = Some(input.dims().to_vec());
+        if mode == Mode::Train {
+            self.cached_dims = Some(input.dims().to_vec());
+        }
         Ok(y)
-    }
-
-    fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        Ok(pool::global_avg_pool(input)?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
@@ -184,7 +170,7 @@ mod tests {
         let x = normal(&[1, 2, 4, 4], 1.0, &mut seeded(1));
         let y = p.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), &[1, 2, 2, 2]);
-        let eval = p.forward_inference(&x).unwrap();
+        let eval = p.forward(&x, Mode::Eval).unwrap();
         assert_eq!(eval.data(), y.data(), "evaluation walks the same windows");
         let dx = p.backward(&Tensor::ones(&[1, 2, 2, 2])).unwrap();
         assert_eq!(dx.dims(), x.dims());

@@ -139,7 +139,7 @@ mod tests {
 
     /// Whether `b` merges a skip: its lowered program ends in an add.
     fn has_skip(b: Box<dyn Layer>, sample: &[usize]) -> bool {
-        let plan = Network::new("n", vec![b]).freeze(sample, KernelLane::F32);
+        let plan = Network::new("n", vec![b]).freeze(sample, KernelLane::DequantCache);
         plan.unwrap().step_mnemonics().contains(&"add")
     }
 

@@ -46,33 +46,6 @@ impl Network {
         self.0.forward(input, mode)
     }
 
-    /// Runs the full forward pass through a **shared** reference —
-    /// evaluation arithmetic, no activation caching, no gradient or MAC
-    /// bookkeeping.
-    ///
-    /// Because this never mutates the network, a frozen model wrapped in
-    /// an `Arc<Network>` can serve concurrent inferences from many threads;
-    /// the output is bit-identical to `forward(input, Mode::Eval)`.
-    ///
-    /// ```
-    /// use apt_nn::{models, Mode, QuantScheme};
-    /// use apt_tensor::{rng, Tensor};
-    ///
-    /// let mut net = models::mlp("m", &[4, 6, 2], &QuantScheme::float32(), &mut rng::seeded(0))?;
-    /// let x = Tensor::zeros(&[1, 4]);
-    /// let eval = net.forward(&x, Mode::Eval)?;
-    /// let infer = net.forward_inference(&x)?;
-    /// assert_eq!(eval.data(), infer.data());
-    /// # Ok::<(), apt_nn::NnError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing layer's error.
-    pub fn forward_inference(&self, input: &Tensor) -> crate::Result<Tensor> {
-        self.0.forward_inference(input)
-    }
-
     /// Runs the backward pass from `∂L/∂output`, accumulating every
     /// parameter gradient.
     ///
@@ -191,10 +164,8 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`NnError::Unfreezable`](crate::NnError::Unfreezable) when
-    /// a layer has no plan lowering or the shapes cannot be threaded
-    /// through — callers treat this as a typed signal to fall back to
-    /// [`forward_inference`](Self::forward_inference), not as a fatal
-    /// error.
+    /// the shapes cannot be threaded through or a layer's grid cannot be
+    /// expressed — a model that cannot freeze cannot be served.
     pub fn freeze(
         &self,
         sample_dims: &[usize],

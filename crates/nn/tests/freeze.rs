@@ -104,12 +104,10 @@ fn frozen_plan_matches_layer_eval_across_backbones_and_schemes() {
 }
 
 #[test]
-fn mlp_frozen_is_bit_identical_at_both_exact_lanes() {
-    for lane in [KernelLane::F32, KernelLane::DequantCache] {
-        let mut net =
-            models::mlp("m", &[16, 8, 10], &QuantScheme::paper_apt(), &mut seeded(7)).unwrap();
-        freeze_and_compare(&mut net, &[2, 16], lane, true);
-    }
+fn mlp_frozen_is_bit_identical_at_the_exact_lane() {
+    let mut net =
+        models::mlp("m", &[16, 8, 10], &QuantScheme::paper_apt(), &mut seeded(7)).unwrap();
+    freeze_and_compare(&mut net, &[2, 16], KernelLane::DequantCache, true);
 }
 
 /// A one-layer k-bit net: the smallest program whose `int-gemm` plan is a
@@ -290,7 +288,7 @@ fn pad_chains_constant_fold_into_the_conv_bit_identically() {
     );
     let x = normal(&[2, 2, 5, 5], 1.0, &mut seeded(32));
     let expected = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&[2, 5, 5], KernelLane::F32).unwrap();
+    let plan = net.freeze(&[2, 5, 5], KernelLane::DequantCache).unwrap();
     let report = plan.report();
     assert_eq!(report.pad_folds, 2, "pad→pad merge plus pad→conv: {report}");
     assert!(
@@ -318,7 +316,7 @@ fn standalone_pad_survives_and_executes_bit_identically() {
     );
     let x = normal(&[2, 3, 4, 4], 1.0, &mut seeded(33));
     let expected = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&[3, 4, 4], KernelLane::F32).unwrap();
+    let plan = net.freeze(&[3, 4, 4], KernelLane::DequantCache).unwrap();
     assert_eq!(plan.report().pad_folds, 0);
     assert_eq!(plan.step_mnemonics(), vec!["pad", "maxpool"]);
     let got = plan.infer(&x).unwrap();
@@ -327,8 +325,8 @@ fn standalone_pad_survives_and_executes_bit_identically() {
 
 #[test]
 fn unfreezable_layer_reports_typed_reason() {
-    // A network containing a layer with no lowering must fail with the
-    // typed `Unfreezable` error naming the layer, not a panic.
+    // A network containing a layer that declines to lower must fail with
+    // the typed `Unfreezable` error naming the layer, not a panic.
     struct Opaque;
     impl apt_nn::Layer for Opaque {
         fn name(&self) -> &str {
@@ -337,14 +335,17 @@ fn unfreezable_layer_reports_typed_reason() {
         fn forward(&mut self, input: &Tensor, _mode: Mode) -> apt_nn::Result<Tensor> {
             Ok(input.clone())
         }
-        fn forward_inference(&self, input: &Tensor) -> apt_nn::Result<Tensor> {
-            Ok(input.clone())
-        }
         fn backward(&mut self, grad: &Tensor) -> apt_nn::Result<Tensor> {
             Ok(grad.clone())
         }
         fn visit_params(&mut self, _f: &mut dyn FnMut(&mut apt_nn::Param)) {}
         fn visit_params_ref(&self, _f: &mut dyn FnMut(&apt_nn::Param)) {}
+        fn lower(&self, _builder: &mut apt_nn::PlanBuilder) -> apt_nn::Result<()> {
+            Err(apt_nn::NnError::Unfreezable {
+                layer: "opaque".to_string(),
+                reason: "layer type has no frozen-plan lowering".to_string(),
+            })
+        }
     }
     impl std::fmt::Debug for Opaque {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -352,7 +353,7 @@ fn unfreezable_layer_reports_typed_reason() {
         }
     }
     let net = Network::new("n", vec![Box::new(Opaque)]);
-    let err = net.freeze(&[4], KernelLane::F32).unwrap_err();
+    let err = net.freeze(&[4], KernelLane::DequantCache).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("opaque") && msg.contains("frozen"), "{msg}");
 }
@@ -442,7 +443,7 @@ proptest! {
         let mut net = conv_bn_net(c_in, c_out, &gamma, &beta, &mean, &var);
         let x = normal(&[2, c_in, 5, 5], 1.0, &mut r);
         let expected = net.forward(&x, Mode::Eval).unwrap();
-        let plan = net.freeze(&[c_in, 5, 5], KernelLane::F32).unwrap();
+        let plan = net.freeze(&[c_in, 5, 5], KernelLane::DequantCache).unwrap();
         prop_assert_eq!(plan.report().bn_folds, 1);
         let got = plan.infer(&x).unwrap();
         for (&e, &g) in expected.data().iter().zip(got.data()) {

@@ -489,13 +489,13 @@ fn shed_expired_jobs(
 }
 
 /// Partitions a coalesced batch by plan identity (the `Arc` pointer of
-/// each job's frozen network) and executes one sub-batch per plan,
+/// each job's frozen plan) and executes one sub-batch per plan,
 /// preserving submission order within each plan. In the common
 /// single-model case this is one group and zero extra copies.
 fn run_batches(stats: &ServeStats, jobs: Vec<Job>, bells: &mut Vec<CompletionTx>) {
-    let mut groups: Vec<(*const apt_nn::Network, Vec<Job>)> = Vec::new();
+    let mut groups: Vec<(*const apt_nn::FrozenPlan, Vec<Job>)> = Vec::new();
     for job in jobs {
-        let key = Arc::as_ptr(job.session.network());
+        let key = Arc::as_ptr(job.session.plan());
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, group)) => group.push(job),
             None => groups.push((key, vec![job])),

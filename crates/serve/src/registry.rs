@@ -14,15 +14,17 @@
 //! 1. [`apt_nn::checkpoint::verify`] — structural walk of the blob
 //!    (framing, version, CRC, section bounds) with nothing materialised.
 //! 2. [`apt_nn::checkpoint::load`] via [`InferenceSession::from_checkpoint`]
-//!    — full decode with CRC/bounds/packed-word validation, plus the
-//!    construction-time probe forward.
-//! 3. Digest stability — per-layer integrity digests
-//!    ([`apt_nn::Network::integrity_digests`]) are captured, a second probe
-//!    forward runs, and the digests are re-captured: inference must not
-//!    mutate the plan. The digest absorbs resident state a 64-bit word per
-//!    bijective step ([`apt_nn::Param::integrity_digest`]), so a change
-//!    confined to any one word is certain to show; it identifies content
-//!    within this build only and is carried by no file or frame.
+//!    — full decode with CRC/bounds/packed-word validation, compilation
+//!    into the [`apt_nn::FrozenPlan`] that will serve (a network that
+//!    cannot freeze is refused here), and one probe run of that plan.
+//!
+//! Serving never reads the network once the plan is compiled
+//! ([`apt_nn::FrozenPlan::execute`] takes `&self`), so no inference can
+//! change it. The per-layer integrity digests
+//! ([`apt_nn::Network::integrity_digests`]) captured at publish identify
+//! what was loaded: each absorbs resident state a 64-bit word per bijective
+//! step ([`apt_nn::Param::integrity_digest`]), within this build only, and
+//! is carried by no file or frame.
 //!
 //! A file failing the ladder is moved to a **quarantine directory** with a
 //! `.reason` sidecar and counted; the previously published plan (if any)
@@ -262,9 +264,9 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// Typed rejection from any rung: [`ServeError::Nn`] for structural or
-    /// decode failures, [`ServeError::BadRequest`] for probe/shape
-    /// failures, [`ServeError::Internal`] for digest instability, and
+    /// Typed rejection from any rung: [`ServeError::Nn`] for structural,
+    /// decode or freeze failures, [`ServeError::BadRequest`] for
+    /// probe/shape failures, and
     /// [`ServeError::ModelUnavailable`] when the plan alone exceeds the
     /// budget. On error the registry is untouched — a previously published
     /// plan under `id` keeps serving.
@@ -399,28 +401,14 @@ impl ModelRegistry {
         }
     }
 
-    /// Rungs 1–3 of the ingestion ladder, run **outside** the registry
-    /// lock (a probe forward on a large plan is not cheap).
+    /// Rungs 1–2 of the ingestion ladder, run **outside** the registry
+    /// lock (compiling and probing a large plan is not cheap).
     fn validate(&self, spec: &ModelSpec, blob: &[u8]) -> Result<InferenceSession, ServeError> {
         // Rung 1: structural walk — framing, version, CRC, section bounds.
         checkpoint::verify(blob)?;
-        // Rung 2: full decode + construction-time probe, compiling the
-        // frozen plan for the configured kernel lane — so rung 3's probe
-        // exercises the program that will serve.
-        let session = InferenceSession::from_checkpoint_with_lane(spec, blob, self.config.lane)?;
-        // Rung 3: digest stability — inference must not mutate the plan.
-        let before = session.network().integrity_digests();
-        let zeros = vec![0.0f32; session.sample_len()];
-        session.infer_one(&zeros)?;
-        let after = session.network().integrity_digests();
-        if before != after {
-            return Err(ServeError::Internal {
-                reason: "integrity digests changed across a probe forward; \
-                         plan is not immutable"
-                    .to_string(),
-            });
-        }
-        Ok(session)
+        // Rung 2: full decode, compiling the frozen plan for the configured
+        // kernel lane, and a probe run of the program that will serve.
+        InferenceSession::from_checkpoint_with_lane(spec, blob, self.config.lane)
     }
 
     /// The atomic publish: validate id and budget, swap the entry under
@@ -433,9 +421,8 @@ impl ModelRegistry {
     ) -> Result<PublishOutcome, ServeError> {
         validate_id(id)?;
         // Session-level residency: parameter stores plus the compiled
-        // plan's packed weights (or the per-layer lane cache on fallback).
+        // plan's cached or packed weights.
         let bytes = session.resident_bytes();
-        let frozen = session.is_frozen();
         let budget = self.config.budget_bytes;
         if budget > 0 && bytes > budget {
             self.stats.record_model_unavailable();
@@ -482,11 +469,7 @@ impl ModelRegistry {
         if replaced {
             self.stats.record_swap();
         }
-        if frozen {
-            self.stats.record_plan_frozen();
-        } else {
-            self.stats.record_freeze_fallback();
-        }
+        self.stats.record_plan_frozen();
         let evicted = self.evict_to_budget(&mut inner, id);
         self.refresh_gauges(&inner);
         Ok(PublishOutcome {

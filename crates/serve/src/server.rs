@@ -1023,7 +1023,7 @@ impl Reactor {
     /// with and nobody it would keep waiting. Anything else goes to the
     /// batcher's queue, where requests that arrive together leave together.
     fn execute_jobs(&mut self) {
-        if self.jobs.len() == 1 && self.inflight == 0 && self.jobs[0].session.is_frozen() {
+        if self.jobs.len() == 1 && self.inflight == 0 {
             if let Some(job) = self.jobs.pop() {
                 self.run_inline(job);
             }

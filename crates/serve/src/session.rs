@@ -16,10 +16,8 @@
 //! is counted by [`InferenceSession::resident_bytes`], so registry eviction
 //! budgets see the real footprint.
 //!
-//! A network with a layer that has no plan lowering still loads: the
-//! session records the typed reason and serves through
-//! [`apt_nn::Network::forward_inference`] — plain fp32 eval arithmetic,
-//! reported as [`KernelLane::F32`] whatever lane was requested.
+//! A session is always a plan: a network that cannot freeze is refused at
+//! load with the compiler's typed [`apt_nn::NnError::Unfreezable`].
 //!
 //! Input staging goes through a [`ScratchArena`] so steady-state request
 //! handling reuses buffers instead of allocating per call.
@@ -193,20 +191,20 @@ impl ScratchArena {
     }
 }
 
-/// An immutable, `Arc`-shared frozen network plus the bookkeeping the
-/// batcher and server need: sample geometry, output width, and a scratch
-/// arena for staging buffers.
+/// An immutable, `Arc`-shared frozen network and the plan compiled from
+/// it, plus the bookkeeping the batcher and server need: sample geometry,
+/// output width, and a scratch arena for staging buffers.
 ///
-/// Cloning a session is cheap — clones share the network and the arena.
+/// Cloning a session is cheap — clones share the network, the plan and the
+/// arena.
 #[derive(Debug, Clone)]
 pub struct InferenceSession {
+    /// The loaded network: what [`resident_bytes`](Self::resident_bytes)
+    /// and the registry's publish-time digests count. Requests never read
+    /// it.
     net: Arc<Network>,
-    /// Compiled frozen plan — the serving path. `None` only when a layer
-    /// had no plan lowering and the session fell back to
-    /// `Network::forward_inference`.
-    plan: Option<Arc<FrozenPlan>>,
-    /// Why freezing fell back, when it did.
-    freeze_reason: Option<Arc<str>>,
+    /// Compiled frozen plan — the serving path.
+    plan: Arc<FrozenPlan>,
     arena: Arc<ScratchArena>,
     /// Shared so that cloning a session — once per served request, at the
     /// registry's hot-swap read point — does not allocate.
@@ -235,15 +233,11 @@ impl InferenceSession {
     /// cannot build an integer panel degrade, see [`KernelLane::IntGemm`]),
     /// readable via [`lane`](Self::lane).
     ///
-    /// When compilation reports a typed [`apt_nn::NnError::Unfreezable`]
-    /// the session records the reason
-    /// ([`freeze_reason`](Self::freeze_reason)) and serves through
-    /// [`Network::forward_inference`] at [`KernelLane::F32`] — a fallback
-    /// is never a load failure.
-    ///
     /// # Errors
     ///
-    /// Same contract as [`from_checkpoint`](Self::from_checkpoint).
+    /// Same contract as [`from_checkpoint`](Self::from_checkpoint), plus
+    /// [`ServeError::Nn`] carrying [`apt_nn::NnError::Unfreezable`] when
+    /// the network cannot be compiled.
     pub fn from_checkpoint_with_lane(
         spec: &ModelSpec,
         blob: &[u8],
@@ -269,37 +263,23 @@ impl InferenceSession {
             });
         }
         let sample_len: usize = sample_dims.iter().product();
-        let (plan, freeze_reason, num_outputs, lane) = match net.freeze(sample_dims, lane) {
-            Ok(plan) => {
-                // A zero-sample probe validates the compiled program end
-                // to end.
-                let mut probe_out = vec![0.0f32; plan.output_len()];
-                plan.execute(
-                    &vec![0.0f32; sample_len],
-                    1,
-                    &mut Vec::new(),
-                    &mut probe_out,
-                )?;
-                let (outputs, achieved) = (plan.output_len(), plan.lane());
-                (Some(Arc::new(plan)), None, outputs, achieved)
-            }
-            Err(e) => {
-                let mut probe_dims = vec![1];
-                probe_dims.extend_from_slice(sample_dims);
-                let probe = net.forward_inference(&Tensor::zeros(&probe_dims))?;
-                let reason = Arc::<str>::from(e.to_string().as_str());
-                (None, Some(reason), probe.len(), KernelLane::F32)
-            }
-        };
+        let plan = net.freeze(sample_dims, lane)?;
+        // A zero-sample probe validates the compiled program end to end.
+        let mut probe_out = vec![0.0f32; plan.output_len()];
+        plan.execute(
+            &vec![0.0f32; sample_len],
+            1,
+            &mut Vec::new(),
+            &mut probe_out,
+        )?;
         Ok(InferenceSession {
             net: Arc::new(net),
-            plan,
-            freeze_reason,
             arena: Arc::new(ScratchArena::default()),
             sample_dims: sample_dims.into(),
             sample_len,
-            num_outputs,
-            lane,
+            num_outputs: plan.output_len(),
+            lane: plan.lane(),
+            plan: Arc::new(plan),
         })
     }
 
@@ -308,33 +288,33 @@ impl InferenceSession {
         &self.net
     }
 
-    /// Whether this session serves from a compiled [`FrozenPlan`] (as
-    /// opposed to the `forward_inference` fallback).
+    /// The compiled plan every request runs.
+    pub(crate) fn plan(&self) -> &Arc<FrozenPlan> {
+        &self.plan
+    }
+
+    /// Always `true`: every session serves a compiled [`FrozenPlan`]. Kept
+    /// with its signature because `benchmark/` calls it; ROADMAP item 4a
+    /// (the `benchmark/`-only PR) retires it.
     pub fn is_frozen(&self) -> bool {
-        self.plan.is_some()
+        true
     }
 
-    /// Why freezing fell back to `forward_inference`, when it did. `None`
-    /// on the frozen path.
-    pub fn freeze_reason(&self) -> Option<&str> {
-        self.freeze_reason.as_deref()
-    }
-
-    /// The compile report of the frozen plan, when one was compiled.
+    /// The compile report of the frozen plan — always `Some`. The `Option`
+    /// stays because `benchmark/` calls it; ROADMAP item 4a retires it.
     pub fn plan_report(&self) -> Option<&PlanReport> {
-        self.plan.as_deref().map(FrozenPlan::report)
+        Some(self.plan.report())
     }
 
     /// Bytes this session keeps resident for serving: the parameter
     /// stores plus whatever the compiled plan holds. This is the figure
     /// registry budgets must count.
     pub fn resident_bytes(&self) -> u64 {
-        self.net.resident_bytes() + self.plan.as_deref().map_or(0, FrozenPlan::resident_bytes)
+        self.net.resident_bytes() + self.plan.resident_bytes()
     }
 
     /// The kernel lane the session actually achieved at load time: the
-    /// weakest lane across the plan's weight-bearing steps, or
-    /// [`KernelLane::F32`] on the fallback path.
+    /// weakest lane across the plan's weight-bearing steps.
     pub fn lane(&self) -> KernelLane {
         self.lane
     }
@@ -366,10 +346,7 @@ impl InferenceSession {
     ///
     /// Propagates layer shape errors.
     pub fn infer_batch(&self, batch: &Tensor) -> Result<Tensor, ServeError> {
-        match &self.plan {
-            Some(plan) => Ok(plan.infer(batch)?),
-            None => Ok(self.net.forward_inference(batch)?),
-        }
+        Ok(self.plan.infer(batch)?)
     }
 
     /// Zero-allocation inference into a caller-provided output buffer:
@@ -380,18 +357,13 @@ impl InferenceSession {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Internal`] when the session is not frozen
-    /// (the fallback path cannot honour the no-allocation contract), and
-    /// [`ServeError::BadRequest`] on geometry mismatches.
+    /// Returns [`ServeError::BadRequest`] on geometry mismatches.
     pub fn infer_into(
         &self,
         input: &[f32],
         n: usize,
         output: &mut [f32],
     ) -> Result<(), ServeError> {
-        let plan = self.plan.as_ref().ok_or_else(|| ServeError::Internal {
-            reason: "infer_into requires a frozen session".into(),
-        })?;
         if input.len() != n * self.sample_len {
             return Err(ServeError::BadRequest {
                 reason: format!(
@@ -410,8 +382,8 @@ impl InferenceSession {
                 ),
             });
         }
-        let mut scratch = self.arena.take(plan.arena_floats_per_sample() * n);
-        plan.execute(input, n, &mut scratch, output)?;
+        let mut scratch = self.arena.take(self.plan.arena_floats_per_sample() * n);
+        self.plan.execute(input, n, &mut scratch, output)?;
         self.arena.put(scratch);
         Ok(())
     }
@@ -445,27 +417,15 @@ impl InferenceSession {
         for s in samples {
             staging.extend_from_slice(s);
         }
-        if self.plan.is_some() {
-            // Frozen path: run straight out of the staging buffer into a
-            // recycled output buffer — no tensor wrapping, no per-request
-            // intermediate allocation.
-            let mut out = self.arena.take(n * self.num_outputs);
-            out.resize(n * self.num_outputs, 0.0);
-            self.infer_into(&staging, n, &mut out)?;
-            let rows = out.chunks(self.num_outputs).map(<[f32]>::to_vec).collect();
-            self.arena.put(staging);
-            self.arena.put(out);
-            return Ok(rows);
-        }
-        let mut dims = vec![n];
-        dims.extend_from_slice(&self.sample_dims);
-        let batch = Tensor::from_vec(staging, &dims).map_err(apt_nn::NnError::from)?;
-        let out = self.net.forward_inference(&batch)?;
-        self.arena.put(batch.into_vec());
-        let rows = (0..n)
-            .map(|i| out.row(i).map(<[f32]>::to_vec))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(apt_nn::NnError::from)?;
+        // Run straight out of the staging buffer into a recycled output
+        // buffer — no tensor wrapping, no per-request intermediate
+        // allocation.
+        let mut out = self.arena.take(n * self.num_outputs);
+        out.resize(n * self.num_outputs, 0.0);
+        self.infer_into(&staging, n, &mut out)?;
+        let rows = out.chunks(self.num_outputs).map(<[f32]>::to_vec).collect();
+        self.arena.put(staging);
+        self.arena.put(out);
         Ok(rows)
     }
 
@@ -593,8 +553,8 @@ mod tests {
         }
     }
 
-    /// An identity layer with no `lower()`: the network around it cannot
-    /// freeze.
+    /// An identity layer whose `lower()` declines: the network around it
+    /// cannot freeze.
     #[derive(Debug)]
     struct Opaque;
 
@@ -605,14 +565,17 @@ mod tests {
         fn forward(&mut self, input: &Tensor, _mode: Mode) -> apt_nn::Result<Tensor> {
             Ok(input.clone())
         }
-        fn forward_inference(&self, input: &Tensor) -> apt_nn::Result<Tensor> {
-            Ok(input.clone())
-        }
         fn backward(&mut self, grad: &Tensor) -> apt_nn::Result<Tensor> {
             Ok(grad.clone())
         }
         fn visit_params(&mut self, _f: &mut dyn FnMut(&mut apt_nn::Param)) {}
         fn visit_params_ref(&self, _f: &mut dyn FnMut(&apt_nn::Param)) {}
+        fn lower(&self, _builder: &mut apt_nn::PlanBuilder) -> apt_nn::Result<()> {
+            Err(apt_nn::NnError::Unfreezable {
+                layer: "opaque".to_string(),
+                reason: "layer type has no frozen-plan lowering".to_string(),
+            })
+        }
     }
 
     fn unfreezable_net() -> Network {
@@ -628,35 +591,21 @@ mod tests {
         Network::new("odd", vec![Box::new(fc), Box::new(Opaque)])
     }
 
+    /// No session exists for a network that cannot freeze, so none can be
+    /// published: the registry only ever holds plans.
     #[test]
-    fn unfreezable_network_falls_back_to_fp32_eval() {
-        let s =
-            InferenceSession::from_network_with_lane(unfreezable_net(), &[6], KernelLane::IntGemm)
-                .unwrap();
-        assert!(!s.is_frozen());
-        assert!(s.plan_report().is_none());
-        let reason = s.freeze_reason().unwrap();
-        assert!(reason.contains("opaque"), "{reason}");
-        assert_eq!(s.lane(), KernelLane::F32, "whatever lane was requested");
-        assert_eq!(s.resident_bytes(), s.network().resident_bytes());
-
-        let x = apt_tensor::rng::normal(&[3, 6], 1.0, &mut rng::seeded(4));
-        let want = unfreezable_net().forward(&x, Mode::Eval).unwrap();
-        let samples: Vec<Vec<f32>> = (0..3).map(|i| x.row(i).unwrap().to_vec()).collect();
-        let rows = s.infer_samples(&samples).unwrap();
-        for (i, row) in rows.iter().enumerate() {
-            let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(row), bits(want.row(i).unwrap()), "row {i}");
+    fn unfreezable_network_is_refused_at_load() {
+        for lane in [KernelLane::DequantCache, KernelLane::IntGemm] {
+            let got = InferenceSession::from_network_with_lane(unfreezable_net(), &[6], lane);
+            assert!(
+                matches!(
+                    got,
+                    Err(ServeError::Nn(apt_nn::NnError::Unfreezable { ref layer, .. }))
+                        if layer == "opaque"
+                ),
+                "{lane:?}: {got:?}"
+            );
         }
-        assert!(matches!(
-            s.infer_into(x.data(), 3, &mut [0.0; 12]),
-            Err(ServeError::Internal { .. })
-        ));
-
-        let registry = crate::ModelRegistry::new(crate::RegistryConfig::default());
-        registry.publish("odd", s).unwrap();
-        let stats = registry.stats();
-        assert_eq!((stats.plans_frozen, stats.freeze_fallbacks), (0, 1));
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub struct ServeStats {
     models_resident: AtomicU64,
     resident_bytes: AtomicU64,
     plans_frozen: AtomicU64,
-    freeze_fallbacks: AtomicU64,
     reactor_wakeups: AtomicU64,
     reactor_rests: AtomicU64,
     inline_requests: AtomicU64,
@@ -61,7 +60,6 @@ impl Default for ServeStats {
             models_resident: AtomicU64::new(0),
             resident_bytes: AtomicU64::new(0),
             plans_frozen: AtomicU64::new(0),
-            freeze_fallbacks: AtomicU64::new(0),
             reactor_wakeups: AtomicU64::new(0),
             reactor_rests: AtomicU64::new(0),
             inline_requests: AtomicU64::new(0),
@@ -164,12 +162,6 @@ impl ServeStats {
         self.plans_frozen.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one session that fell back to `Network::forward_inference`
-    /// because its network could not be frozen.
-    pub fn record_freeze_fallback(&self) {
-        self.freeze_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one return of the reactor's readiness wait, whatever ended
     /// it: traffic, a completion, a deadline, shutdown.
     pub fn record_reactor_wakeup(&self) {
@@ -249,7 +241,6 @@ impl ServeStats {
             models_resident: self.models_resident.load(Ordering::Relaxed),
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
             plans_frozen: self.plans_frozen.load(Ordering::Relaxed),
-            freeze_fallbacks: self.freeze_fallbacks.load(Ordering::Relaxed),
             reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
             reactor_rests: self.reactor_rests.load(Ordering::Relaxed),
             inline_requests: self.inline_requests.load(Ordering::Relaxed),
@@ -300,10 +291,8 @@ pub struct StatsSnapshot {
     pub models_resident: u64,
     /// Summed resident bytes of every resident model (gauge).
     pub resident_bytes: u64,
-    /// Sessions loaded onto the compiled frozen-plan path.
+    /// Sessions published: each serves a compiled frozen plan.
     pub plans_frozen: u64,
-    /// Sessions that fell back to `Network::forward_inference` at load.
-    pub freeze_fallbacks: u64,
     /// Times the server's reactor returned from its readiness wait.
     pub reactor_wakeups: u64,
     /// Rests the reactor took after a tick that served something, to let
@@ -342,7 +331,7 @@ impl StatsSnapshot {
              \"swaps\":{},\"evictions\":{},\"quarantines\":{},\
              \"model_unavailable\":{},\"models_resident\":{},\
              \"resident_bytes\":{},\
-             \"plans_frozen\":{},\"freeze_fallbacks\":{},\
+             \"plans_frozen\":{},\
              \"reactor_wakeups\":{},\"reactor_rests\":{},\"inline_requests\":{},\
              \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"mean_batch\":{:.3},\
              \"batch_hist\":[{}]}}",
@@ -362,7 +351,6 @@ impl StatsSnapshot {
             self.models_resident,
             self.resident_bytes,
             self.plans_frozen,
-            self.freeze_fallbacks,
             self.reactor_wakeups,
             self.reactor_rests,
             self.inline_requests,
@@ -494,13 +482,10 @@ mod tests {
         let s = ServeStats::default();
         s.record_plan_frozen();
         s.record_plan_frozen();
-        s.record_freeze_fallback();
         let snap = s.snapshot();
         assert_eq!(snap.plans_frozen, 2);
-        assert_eq!(snap.freeze_fallbacks, 1);
         let j = snap.to_json();
         assert!(j.contains("\"plans_frozen\":2"), "{j}");
-        assert!(j.contains("\"freeze_fallbacks\":1"), "{j}");
     }
 
     #[test]

@@ -159,7 +159,6 @@ fn integer_lane_is_bit_close_everywhere_dequant_cache_bit_exact() {
         let cached =
             InferenceSession::from_checkpoint_with_lane(spec, &blob, KernelLane::DequantCache)
                 .unwrap();
-        assert!(cached.is_frozen(), "{ctx}: {:?}", cached.freeze_reason());
         assert_eq!(cached.lane(), KernelLane::DequantCache);
         let cached_rows = cached.infer_samples(&samples).unwrap();
         if is_mlp {
@@ -173,7 +172,6 @@ fn integer_lane_is_bit_close_everywhere_dequant_cache_bit_exact() {
         // compile f32) and must say so.
         let int =
             InferenceSession::from_checkpoint_with_lane(spec, &blob, KernelLane::IntGemm).unwrap();
-        assert!(int.is_frozen(), "{ctx}: {:?}", int.freeze_reason());
         let expect_lane = if is_mlp {
             KernelLane::IntGemm
         } else {

@@ -88,7 +88,7 @@ model geometry (must match how the checkpoint was trained):
 
 serving:
   --addr HOST:PORT      bind address                  [default 127.0.0.1:7878]
-  --lane LANE           kernel lane the plan is compiled for: fp32 |
+  --lane LANE           kernel lane the plan is compiled for:
                         dequant-cache | int-gemm (int-gemm serves linear
                         layers straight from packed integer codes;
                         bit-close, not bit-exact)     [default dequant-cache]
@@ -124,7 +124,7 @@ model geometry (must match how the checkpoint was trained):
   --width-mult F        channel width multiplier      [default 0.25]
 
 compilation:
-  --lane LANE           fp32 | dequant-cache | int-gemm [default dequant-cache]";
+  --lane LANE           dequant-cache | int-gemm      [default dequant-cache]";
 
 const TRAIN_USAGE: &str = "usage: apt train --model MODEL [options]
 
@@ -228,7 +228,7 @@ where
 fn parse_lane(value: &str) -> Result<KernelLane, CliError> {
     KernelLane::parse(value).ok_or_else(|| {
         CliError::Usage(format!(
-            "bad value `{value}` for --lane (want fp32 | dequant-cache | int-gemm)"
+            "bad value `{value}` for --lane (want dequant-cache | int-gemm)"
         ))
     })
 }
@@ -442,21 +442,13 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
     let mut server = Server::start_with_registry(Arc::clone(&registry), config)
         .map_err(|e| CliError::Runtime(format!("cannot start server on `{}`: {e}", a.addr)))?;
     println!(
-        "serving {default_model} [{:?}] ({} inputs → {} outputs, {} resident bytes, {} models, lane {}, {}) on {}",
+        "serving {default_model} [{:?}] ({} inputs → {} outputs, {} resident bytes, {} models, lane {}, frozen plan) on {}",
         spec.arch,
         session.sample_len(),
         session.num_outputs(),
         registry.resident_bytes(),
         registry.models().len(),
         session.lane().as_str(),
-        if session.is_frozen() {
-            "frozen plan".to_string()
-        } else {
-            format!(
-                "fp32 eval fallback: {}",
-                session.freeze_reason().unwrap_or("unknown reason")
-            )
-        },
         server.addr()
     );
     if let Some(report) = session.plan_report() {
@@ -515,7 +507,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
 
 fn print_stats(s: &apt_serve::StatsSnapshot) {
     println!(
-        "stats: {} ok ({} inline) / {} shed / {} expired / {} errors | p50 {}µs p90 {}µs p99 {}µs | mean batch {:.2} | {} wake-ups, {} rests | conns {} open, {} refused, {} idle-reaped, {} slow-reaped | fleet {} resident ({} bytes), {} swaps, {} evictions, {} quarantined | plans {} frozen, {} fallbacks",
+        "stats: {} ok ({} inline) / {} shed / {} expired / {} errors | p50 {}µs p90 {}µs p99 {}µs | mean batch {:.2} | {} wake-ups, {} rests | conns {} open, {} refused, {} idle-reaped, {} slow-reaped | fleet {} resident ({} bytes), {} swaps, {} evictions, {} quarantined | plans {} frozen",
         s.completed,
         s.inline_requests,
         s.shed,
@@ -536,8 +528,7 @@ fn print_stats(s: &apt_serve::StatsSnapshot) {
         s.swaps,
         s.evictions,
         s.quarantines,
-        s.plans_frozen,
-        s.freeze_fallbacks
+        s.plans_frozen
     );
 }
 

@@ -171,6 +171,16 @@ fn resume_is_consent_and_reproduces_the_uninterrupted_run() {
 }
 
 #[test]
+fn freeze_names_the_two_lanes_when_given_another() {
+    let output = apt(&["freeze", "m.aptc", "--model", "cifarnet", "--lane", "fp32"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    let first = stderr.lines().next().unwrap();
+    assert!(first.starts_with("apt freeze: "), "{stderr}");
+    assert!(first.contains("dequant-cache | int-gemm"), "{stderr}");
+}
+
+#[test]
 fn malformed_invocations_exit_2_with_one_line() {
     let dir = scratch("usage");
     for bad in [

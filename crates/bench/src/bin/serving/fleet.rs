@@ -70,7 +70,7 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table) {
     registry
         .ingest_blob("m", &spec, &blobs[0])
         .expect("initial publish");
-    let cell = Cell::k8("fleet", Policy::new("batch8", 8, 500), FLEET_CLIENTS + 1);
+    let cell = Cell::k8("fleet", Policy::new("batch8", 8), FLEET_CLIENTS + 1);
     let config = cell.server_config("m", 256, ConnLimits::default());
     let mut server =
         Server::start_with_registry(Arc::clone(&registry), config).expect("server starts");

@@ -116,7 +116,7 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table, iters: usize) {
     for (lane, wall_s) in [("eval", eval_s), ("frozen", frozen_s)] {
         let cell = Cell {
             lane,
-            ..Cell::k8("freeze", Policy::new("inproc1", batch, 0), 1)
+            ..Cell::k8("freeze", Policy::new("inproc1", batch), 1)
         };
         let tally = Tally {
             ok: total,

@@ -202,21 +202,16 @@ fn drive(
 struct Policy {
     name: &'static str,
     max_batch: usize,
-    max_delay_us: u64,
 }
 
 impl Policy {
-    const fn new(name: &'static str, max_batch: usize, max_delay_us: u64) -> Policy {
-        Policy {
-            name,
-            max_batch,
-            max_delay_us,
-        }
+    const fn new(name: &'static str, max_batch: usize) -> Policy {
+        Policy { name, max_batch }
     }
 }
 
-const SINGLE: Policy = Policy::new("single", 1, 0);
-const BATCH8: Policy = Policy::new("batch8", 8, 2000);
+const SINGLE: Policy = Policy::new("single", 1);
+const BATCH8: Policy = Policy::new("batch8", 8);
 
 /// How a cell was set up — the columns the server cannot know.
 #[derive(Debug, Clone, Copy)]
@@ -249,7 +244,6 @@ impl Cell {
             addr: "127.0.0.1:0".to_string(),
             policy: BatchPolicy {
                 max_batch: self.policy.max_batch,
-                max_delay: Duration::from_micros(self.policy.max_delay_us),
                 queue_depth,
             },
             model_name: model.to_string(),
@@ -317,7 +311,8 @@ fn push_row(rows: &mut Table, cell: &Cell, s: &Served) {
         cell.threads,
         cell.policy.name,
         cell.policy.max_batch,
-        cell.policy.max_delay_us,
+        // The coalescer no longer holds a batch; the column stays so old rows compare.
+        0,
         cell.clients,
         s.requests,
         s.tally.ok,

@@ -22,7 +22,7 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table, per_client: usize) {
     par::set_global_threads(1);
     let session = build_session(8, KernelLane::default());
     let workloads = build_workloads(&session, OVERLOAD_CLIENTS);
-    let cell = Cell::k8("overload", Policy::new("batch4", 4, 500), OVERLOAD_CLIENTS);
+    let cell = Cell::k8("overload", Policy::new("batch4", 4), OVERLOAD_CLIENTS);
     let limits = ConnLimits {
         // Tight enough that queue waits at the contention tail expire
         // (exercising deadline shedding), loose enough that the bulk

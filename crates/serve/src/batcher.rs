@@ -1,14 +1,18 @@
 //! Dynamic micro-batching with admission control.
 //!
 //! Single-sample requests land on a **bounded** MPSC queue. A dedicated
-//! worker thread pops the first request, then keeps coalescing until
-//! either [`BatchPolicy::max_batch`] requests are in hand or
-//! [`BatchPolicy::max_delay`] has elapsed since the first one — the
-//! classic latency/throughput knob; at `max_delay` zero coalescing is
-//! purely opportunistic (whatever is already queued, never a wait). The
+//! worker thread pops the first request, then takes whatever else is
+//! already queued, up to [`BatchPolicy::max_batch`] requests, and never
+//! waits for more: a batch is what arrived while the previous one ran
+//! (the "no added delay" policy of Clipper's and Triton's dynamic
+//! batchers). Requests that reach the queue together — the server admits
+//! concurrent connections in one reactor tick — leave together. The
 //! coalesced batch runs once through the frozen [`InferenceSession`] and
 //! each requester gets its own output row back; the reactor is woken once
-//! per batch, after the last row is queued for it.
+//! per batch, after the last row is queued for it. The worker's
+//! bookkeeping lives in buffers it reuses from batch to batch, and
+//! staging goes through the session arena, so a steady stream of batches
+//! allocates only the responses it hands out.
 //!
 //! Backpressure is typed, not implicit: a full queue sheds the request
 //! with [`ServeError::Overloaded`] instead of queueing unboundedly, and a
@@ -36,9 +40,6 @@ use std::time::{Duration, Instant};
 pub struct BatchPolicy {
     /// Largest batch the worker will coalesce.
     pub max_batch: usize,
-    /// Longest an under-filled batch is held open for co-batchees,
-    /// counted from its first request's admission; zero never waits.
-    pub max_delay: Duration,
     /// Bound of the admission queue; requests beyond it are shed.
     pub queue_depth: usize,
 }
@@ -47,7 +48,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: 8,
-            max_delay: Duration::from_micros(500),
             queue_depth: 128,
         }
     }
@@ -94,20 +94,21 @@ pub(crate) enum Reply {
 }
 
 impl Reply {
-    /// Delivers `result`. An event completion is only queued here: its
-    /// sender goes to `bells`, which the worker rings once the whole batch
-    /// is queued, so the reactor finds every row of a batch in one tick.
-    fn send(self, result: Result<Vec<f32>, ServeError>, bells: &mut Vec<CompletionTx>) {
+    /// Delivers `result`, an output row borrowed from the batch's output
+    /// buffer: a blocking caller gets its own copy, an event completion
+    /// the encoded response payload (so the serialisation cost lands on
+    /// the worker thread, not the reactor). An event completion is only
+    /// queued here: its sender goes to `bells`, which the worker rings
+    /// once the whole batch is queued, so the reactor finds every row of a
+    /// batch in one tick.
+    fn send(self, result: Result<&[f32], ServeError>, bells: &mut Vec<CompletionTx>) {
         match self {
             // A hung-up requester is not an error; drop its result.
             Reply::Blocking(tx) => {
-                let _ = tx.send(result);
+                let _ = tx.send(result.map(<[f32]>::to_vec));
             }
-            // Event completions carry the *encoded* response payload so
-            // the serialisation cost lands on the worker thread, not the
-            // reactor.
             Reply::Event { conn, seq, tx } => {
-                let result = result.map(|row| crate::protocol::encode_f32s(&row));
+                let result = result.map(crate::protocol::encode_f32s);
                 tx.queue(Completion { conn, seq, result });
                 bells.push(tx);
             }
@@ -407,132 +408,148 @@ impl BatcherHandle {
     }
 }
 
-/// The worker: coalesce → execute → respond, until told to stop.
+/// The worker: coalesce → screen → execute → respond, until told to stop.
+/// Every buffer here outlives the batch that fills it.
+struct Worker<'a> {
+    rx: &'a mpsc::Receiver<Msg>,
+    stats: &'a ServeStats,
+    max_batch: usize,
+    /// Admission closed before `Stop` was sent, so from then on the queue
+    /// only empties: take what it still holds without blocking, then exit.
+    stopping: bool,
+    /// The coalesced batch; after each sub-batch, what is left to run.
+    jobs: Vec<Job>,
+    /// The same-plan sub-batch being run.
+    group: Vec<Job>,
+    /// Completion senders to wake once the batch is queued.
+    bells: Vec<CompletionTx>,
+}
+
 fn worker_loop(rx: &mpsc::Receiver<Msg>, stats: &ServeStats, policy: &BatchPolicy) {
-    // Admission closed before `Stop` was sent, so from then on the queue
-    // only empties: take what it still holds without blocking, then exit.
-    let mut stopping = false;
-    let mut bells = Vec::new();
-    loop {
-        let next = if stopping {
-            rx.try_recv().ok()
-        } else {
-            rx.recv().ok()
-        };
-        let first = match next {
-            Some(Msg::Job(job)) => job,
-            Some(Msg::Stop) => {
-                stopping = true;
-                continue;
-            }
-            None => return,
-        };
-        let jobs = coalesce(rx, first, policy, &mut stopping);
+    let mut worker = Worker {
+        rx,
+        stats,
+        max_batch: policy.max_batch,
+        stopping: false,
+        jobs: Vec::new(),
+        group: Vec::new(),
+        bells: Vec::new(),
+    };
+    while worker.coalesce() {
         // Deadlines hold during drain too: expired queued work gets a
         // typed error, not a hang and not a post-deadline answer.
-        let live = shed_expired_jobs(jobs, stats, &mut bells);
-        if !live.is_empty() {
-            run_batches(stats, live, &mut bells);
+        worker.screen();
+        while worker.split_first_plan() {
+            worker.run_batch();
         }
-        for tx in bells.drain(..) {
+        for tx in worker.bells.drain(..) {
             tx.wake();
         }
     }
 }
 
-/// Collects up to `max_batch` jobs, waiting at most `max_delay` past the
-/// first job's admission — and not at all once the queue is draining.
-fn coalesce(
-    rx: &mpsc::Receiver<Msg>,
-    first: Job,
-    policy: &BatchPolicy,
-    stopping: &mut bool,
-) -> Vec<Job> {
-    let deadline = first.enqueued + policy.max_delay;
-    let mut jobs = vec![first];
-    while jobs.len() < policy.max_batch {
-        let wait = deadline.saturating_duration_since(Instant::now());
-        let next = if *stopping || wait.is_zero() {
-            rx.try_recv().ok()
-        } else {
-            rx.recv_timeout(wait).ok()
+impl Worker<'_> {
+    /// Blocks for a first job (unless stopping), then takes what is
+    /// already queued behind it, up to `max_batch` jobs. Never waits for a
+    /// job that has not arrived. `false` once the queue is empty after
+    /// `Stop`, or gone.
+    fn coalesce(&mut self) -> bool {
+        while self.jobs.is_empty() {
+            let next = if self.stopping {
+                self.rx.try_recv().ok()
+            } else {
+                self.rx.recv().ok()
+            };
+            match next {
+                Some(Msg::Job(job)) => self.jobs.push(job),
+                Some(Msg::Stop) => self.stopping = true,
+                None => return false,
+            }
+        }
+        while self.jobs.len() < self.max_batch {
+            match self.rx.try_recv() {
+                Ok(Msg::Job(job)) => self.jobs.push(job),
+                Ok(Msg::Stop) => self.stopping = true,
+                Err(_) => break,
+            }
+        }
+        true
+    }
+
+    /// Answers the jobs that must not run — deadline passed, or a sample
+    /// of the wrong length for its plan — with typed errors, and keeps the
+    /// rest in order. One bad sample fails only its own request.
+    fn screen(&mut self) {
+        let now = Instant::now();
+        let refused =
+            |job: &mut Job| job.expired(now) || job.sample.len() != job.session.sample_len();
+        for job in self.jobs.extract_if(.., refused) {
+            let refusal = if job.expired(now) {
+                self.stats.record_deadline_expired();
+                ServeError::DeadlineExceeded {
+                    waited_us: micros(job.enqueued.elapsed()),
+                }
+            } else {
+                self.stats.record_error();
+                ServeError::BadRequest {
+                    reason: format!(
+                        "expected {} input values, got {}",
+                        job.session.sample_len(),
+                        job.sample.len()
+                    ),
+                }
+            };
+            job.resp.send(Err(refusal), &mut self.bells);
+        }
+    }
+
+    /// Moves the jobs that share the first job's plan (the `Arc` pointer
+    /// of its frozen plan) into `group`, in submission order, leaving the
+    /// others queued in order. `false` when nothing is left to run. In the
+    /// common single-model case this is one group per batch.
+    fn split_first_plan(&mut self) -> bool {
+        let Some(first) = self.jobs.first() else {
+            return false;
         };
-        match next {
-            Some(Msg::Job(job)) => jobs.push(job),
-            Some(Msg::Stop) => *stopping = true,
-            None => break,
-        }
+        let key = Arc::as_ptr(first.session.plan());
+        let same_plan = |job: &mut Job| Arc::as_ptr(job.session.plan()) == key;
+        self.group.extend(self.jobs.extract_if(.., same_plan));
+        true
     }
-    jobs
-}
 
-/// Splits a batch into live jobs (returned) and expired ones, which are
-/// answered with typed deadline errors; inference never runs for them.
-fn shed_expired_jobs(
-    jobs: Vec<Job>,
-    stats: &ServeStats,
-    bells: &mut Vec<CompletionTx>,
-) -> Vec<Job> {
-    let now = Instant::now();
-    let mut live = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        if job.expired(now) {
-            stats.record_deadline_expired();
-            let waited_us = micros(job.enqueued.elapsed());
-            job.resp
-                .send(Err(ServeError::DeadlineExceeded { waited_us }), bells);
-        } else {
-            live.push(job);
+    /// Runs `group` as one batch: samples are staged into a buffer from the
+    /// session arena, the plan runs into another, and each row is answered
+    /// straight from its chunk of the output. Both buffers go back to the
+    /// arena; the request samples are dropped, so the arena's few slots
+    /// hold the batch-sized buffers the next batch takes.
+    fn run_batch(&mut self) {
+        let n = self.group.len();
+        self.stats.record_batch(n);
+        let session = self.group[0].session.clone();
+        let arena = session.arena();
+        let width = session.num_outputs();
+        let mut staging = arena.take(n * session.sample_len());
+        for job in &self.group {
+            staging.extend_from_slice(&job.sample);
         }
-    }
-    live
-}
-
-/// Partitions a coalesced batch by plan identity (the `Arc` pointer of
-/// each job's frozen plan) and executes one sub-batch per plan,
-/// preserving submission order within each plan. In the common
-/// single-model case this is one group and zero extra copies.
-fn run_batches(stats: &ServeStats, jobs: Vec<Job>, bells: &mut Vec<CompletionTx>) {
-    let mut groups: Vec<(*const apt_nn::FrozenPlan, Vec<Job>)> = Vec::new();
-    for job in jobs {
-        let key = Arc::as_ptr(job.session.plan());
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, group)) => group.push(job),
-            None => groups.push((key, vec![job])),
+        let mut out = arena.take(n * width);
+        out.resize(n * width, 0.0);
+        let ran = session.infer_into(&staging, n, &mut out);
+        for (job, row) in self.group.drain(..).zip(out.chunks_exact(width)) {
+            let result = match &ran {
+                Ok(()) => {
+                    self.stats.record_completed(micros(job.enqueued.elapsed()));
+                    Ok(row)
+                }
+                Err(e) => {
+                    self.stats.record_error();
+                    Err(e.duplicate())
+                }
+            };
+            job.resp.send(result, &mut self.bells);
         }
-    }
-    for (_, group) in groups {
-        run_batch(stats, group, bells);
-    }
-}
-
-/// Runs one same-plan batch and distributes per-row results. Input vectors
-/// are recycled through the session arena after staging.
-fn run_batch(stats: &ServeStats, jobs: Vec<Job>, bells: &mut Vec<CompletionTx>) {
-    stats.record_batch(jobs.len());
-    let session = jobs[0].session.clone();
-    let mut samples = Vec::with_capacity(jobs.len());
-    let mut waiters = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        samples.push(job.sample);
-        waiters.push((job.enqueued, job.resp));
-    }
-    match session.infer_samples(&samples) {
-        Ok(rows) => {
-            for ((enqueued, resp), row) in waiters.into_iter().zip(rows) {
-                stats.record_completed(micros(enqueued.elapsed()));
-                resp.send(Ok(row), bells);
-            }
-        }
-        Err(e) => {
-            for (_, resp) in waiters {
-                stats.record_error();
-                resp.send(Err(e.duplicate()), bells);
-            }
-        }
-    }
-    for sample in samples {
-        session.arena().put(sample);
+        arena.put(staging);
+        arena.put(out);
     }
 }
 
@@ -566,6 +583,25 @@ mod tests {
         assert_eq!(snap.shed, 0);
     }
 
+    /// A request with nobody queued behind it runs at once. A hold of
+    /// `HOLD` or more per request could only make the loop slower than
+    /// `N × HOLD`, so no batch is ever held open waiting for company.
+    #[test]
+    fn lone_request_is_never_held_open() {
+        const N: u32 = 400;
+        const HOLD: Duration = Duration::from_micros(250);
+        let batcher = MicroBatcher::new(session(), BatchPolicy::default()).unwrap();
+        let h = batcher.handle();
+        let began = Instant::now();
+        for i in 0..N {
+            h.infer_blocking(vec![i as f32 * 0.01; 5]).unwrap();
+        }
+        let took = began.elapsed();
+        let snap = batcher.stats();
+        assert_eq!(snap.batch_hist, vec![(1, u64::from(N))], "{snap:?}");
+        assert!(took < HOLD * N, "{N} lone requests took {took:?}");
+    }
+
     /// Parks the worker inside a rendezvous reply: until the returned
     /// receiver is read, everything submitted queues up behind it, so
     /// batches form with no timing involved.
@@ -593,7 +629,6 @@ mod tests {
         let s = session();
         let policy = BatchPolicy {
             max_batch: 4,
-            max_delay: Duration::ZERO,
             queue_depth: 64,
         };
         let batcher = MicroBatcher::new(s.clone(), policy).unwrap();
@@ -668,7 +703,6 @@ mod tests {
         let s = session();
         let policy = BatchPolicy {
             max_batch: 4,
-            max_delay: Duration::ZERO,
             queue_depth: 64,
         };
         let mut batcher = MicroBatcher::new(s.clone(), policy).unwrap();
@@ -765,7 +799,6 @@ mod tests {
 
         let policy = BatchPolicy {
             max_batch: 16,
-            max_delay: Duration::ZERO,
             queue_depth: 64,
         };
         let batcher = MicroBatcher::new(a.clone(), policy).unwrap();
@@ -817,7 +850,6 @@ mod tests {
         // A policy that admits one queued request at a time.
         let policy = BatchPolicy {
             max_batch: 1,
-            max_delay: Duration::ZERO,
             queue_depth: 1,
         };
         let batcher = MicroBatcher::new(session(), policy).unwrap();

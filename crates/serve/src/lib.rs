@@ -16,13 +16,13 @@
 //!    documented bound, faster than f32 at low `k`).
 //! 2. **[`MicroBatcher`]** — a dynamic micro-batcher that coalesces
 //!    single-sample requests from a bounded MPSC queue under a
-//!    [`BatchPolicy`] (`max_batch` / `max_delay` / `queue_depth`),
-//!    executes them as one batched forward on the `apt_tensor::par` worker
-//!    pool, and applies admission control: the queue sheds excess load
-//!    with a typed [`ServeError::Overloaded`] instead of building an
-//!    unbounded backlog. An under-filled batch is held open at most
-//!    `max_delay` (500 µs by default; zero takes only what is already
-//!    queued). Coalescing is lossless: batch-invariant kernels mean a
+//!    [`BatchPolicy`] (`max_batch` / `queue_depth`), executes them as one
+//!    batched forward on the `apt_tensor::par` worker pool, and applies
+//!    admission control: the queue sheds excess load with a typed
+//!    [`ServeError::Overloaded`] instead of building an unbounded backlog.
+//!    A batch is whatever is already queued when the worker frees, up to
+//!    `max_batch`; it is never held open for requests still to come.
+//!    Coalescing is lossless: batch-invariant kernels mean a
 //!    coalesced batch answers every request bit-identically to running it
 //!    alone.
 //! 3. **[`Server`]** — a std-only TCP front-end built on a nonblocking

@@ -20,8 +20,9 @@
 //! straight into the connection's write buffer — no queue hop, no wake-up
 //! of another thread, no allocation. Anything else (two requests in one
 //! tick, or work already in flight) goes to the bounded [`MicroBatcher`]
-//! queue, whose worker coalesces under the [`BatchPolicy`], and comes back
-//! over a completion channel tagged with a connection token and
+//! queue, whose worker runs whatever is already queued as one batch (up
+//! to [`BatchPolicy::max_batch`], never held open for more), and comes
+//! back over a completion channel tagged with a connection token and
 //! per-connection sequence number; either way responses are written
 //! strictly in request order. Running a plan on the reactor is safe for
 //! the ladder below because of when it happens: nothing else was asking
@@ -39,12 +40,14 @@
 //! what is left of `TICK_PERIOD` since the tick began before it waits
 //! again. The next wait then finds everything that arrived during the
 //! rest: requests from different connections are admitted in one tick and
-//! reach the batcher together, and the tick rate (every tick rebuilds the
-//! poll set, O(connections)) is set by a timer, not by how fast the peers
-//! turn around. Both jobs need a second connection. With one open there is
-//! no other request to meet and the poll set is O(1), so the reactor does
-//! not rest, and a lone closed-loop client is answered at wake-up speed
-//! (about 45 µs a round trip on the build host). A tick that only
+//! reach the batcher together — this rest, not a timer in the batcher, is
+//! what makes concurrent requests share a batch — and the tick rate
+//! (every tick rebuilds the poll set, O(connections)) is set by a timer,
+//! not by how fast the peers turn around. Both jobs need a second
+//! connection. With one open there is no other request to meet and the
+//! poll set is O(1), so the reactor does not rest, and a lone closed-loop
+//! client is answered at wake-up speed (about 45 µs a round trip on the
+//! build host). A tick that only
 //! accepted, timed out or found nothing never rests, so an idle server
 //! still never wakes. `reactor_rests` in the stats counts the rests taken.
 //!

@@ -389,9 +389,9 @@ impl InferenceSession {
     }
 
     /// Runs a set of flat samples as one coalesced batch and returns one
-    /// output row per sample. This is the micro-batcher's execution path:
-    /// samples are staged into an arena buffer, run once, and the staging
-    /// buffer is recycled.
+    /// output row per sample: samples are staged into an arena buffer, run
+    /// once, and the staging buffer is recycled. (The micro-batcher stages
+    /// the same way but answers each row straight from the output buffer.)
     ///
     /// # Errors
     ///

@@ -579,7 +579,6 @@ fn retry_policy_rides_out_overload() {
             policy: BatchPolicy {
                 max_batch: 1,
                 queue_depth: 1,
-                ..BatchPolicy::default()
             },
             model_name: "retry-test".to_string(),
             limits: ConnLimits::default(),

@@ -83,7 +83,6 @@ fn hundred_swaps_under_load_lose_nothing() {
             addr: "127.0.0.1:0".to_string(),
             policy: BatchPolicy {
                 max_batch: 8,
-                max_delay: Duration::from_micros(200),
                 queue_depth: 512,
             },
             model_name: "m".to_string(),

@@ -119,7 +119,6 @@ fn concurrent_clients_lose_nothing() {
     let policy = BatchPolicy {
         max_batch: 8,
         queue_depth: 256,
-        ..BatchPolicy::default()
     };
     let (mut server, local) = start_server(&[4, 12, 3], policy);
     let addr = server.addr();
@@ -154,6 +153,61 @@ fn concurrent_clients_lose_nothing() {
     assert_eq!(snap.errors, 0);
     assert_eq!(snap.shed, 0);
     assert!(snap.batches <= snap.completed);
+    server.shutdown();
+}
+
+/// Reads one unsigned counter out of the `OP_STATS` JSON: the number that
+/// follows `key`.
+fn stat_after(json: &str, key: &str) -> u64 {
+    let at = json.find(key).map_or(json.len(), |i| i + key.len());
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap_or(0)
+}
+
+/// Two closed-loop clients at the default policy keep meeting in batches
+/// of two with no timer holding a batch open: the reactor admits their
+/// requests in one tick, and the worker takes both from the queue. The
+/// 60 % floor sits well below the share this test read on a two-core host
+/// (60 runs: 0.91–1.00); taking only the first job reads 0.
+#[test]
+fn two_closed_loop_clients_batch_without_a_timer() {
+    let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
+    let addr = server.addr();
+    const ROUND_TRIPS: usize = 300;
+    let barrier = std::sync::Barrier::new(2);
+    let mut clients: Vec<ServeClient> = (0..2)
+        .map(|_| ServeClient::connect(addr).unwrap())
+        .collect();
+    thread::scope(|s| {
+        for (c, client) in clients.iter_mut().enumerate() {
+            let (barrier, local) = (&barrier, &local);
+            s.spawn(move || {
+                barrier.wait();
+                for r in 0..ROUND_TRIPS {
+                    let sample: Vec<f32> = (0..6).map(|j| ((c + r + j) % 7) as f32 * 0.3).collect();
+                    let got = client.infer(&sample).unwrap();
+                    assert_eq!(
+                        got,
+                        local.infer_one(&sample).unwrap(),
+                        "client {c} request {r}"
+                    );
+                }
+            });
+        }
+    });
+    let stats = clients[0].stats_json().unwrap();
+    let completed = stat_after(&stats, "\"completed\":");
+    let in_pairs = 2 * stat_after(&stats, "{\"size\":2,\"count\":");
+    assert_eq!(completed, 2 * ROUND_TRIPS as u64, "stats: {stats}");
+    let share = in_pairs as f64 / completed as f64;
+    println!("size-2 share {share:.3}");
+    assert!(
+        share >= 0.6,
+        "{share:.3} of requests ran in pairs; stats: {stats}"
+    );
     server.shutdown();
 }
 

@@ -39,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         addr: "127.0.0.1:0".to_string(), // ephemeral port
         policy: BatchPolicy {
             max_batch: 8,
-            max_delay: Duration::from_micros(2000),
             queue_depth: 64,
         },
         model_name: "mlp:48-32-10".to_string(),

@@ -92,9 +92,8 @@ serving:
                         dequant-cache | int-gemm (int-gemm serves linear
                         layers straight from packed integer codes;
                         bit-close, not bit-exact)     [default dequant-cache]
-  --max-batch N         micro-batch coalescing cap    [default 8]
-  --max-delay-us N      longest an under-filled batch is held open for
-                        company; 0 never waits        [default 500]
+  --max-batch N         micro-batch coalescing cap; a batch is what is
+                        already queued, never held open [default 8]
   --queue-depth N       admission queue bound         [default 128]
   --threads N           compute pool size             [default all cores]
   --stats-every SECS    print serving stats period    [default 10, 0 = off]
@@ -327,9 +326,6 @@ fn parse_serve_args(args: &[String]) -> Result<(ServeArgs, ModelSpec), CliError>
             "--addr" => out.addr = value.clone(),
             "--lane" => out.lane = parse_lane(value)?,
             "--max-batch" => out.policy.max_batch = parse_flag(flag, value)?,
-            "--max-delay-us" => {
-                out.policy.max_delay = Duration::from_micros(parse_flag(flag, value)?)
-            }
             "--queue-depth" => out.policy.queue_depth = parse_flag(flag, value)?,
             "--max-conns" => out.limits.max_connections = parse_flag(flag, value)?,
             "--idle-timeout-ms" => {
@@ -463,10 +459,8 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         );
     }
     println!(
-        "policy: max_batch {}, max_delay {}µs, queue_depth {}",
-        a.policy.max_batch,
-        a.policy.max_delay.as_micros(),
-        a.policy.queue_depth
+        "policy: max_batch {}, queue_depth {}",
+        a.policy.max_batch, a.policy.queue_depth
     );
     println!(
         "limits: max_conns {}, idle {}ms, read {}ms, request {}ms, pipeline {}",

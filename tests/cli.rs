@@ -204,3 +204,17 @@ fn malformed_invocations_exit_2_with_one_line() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn serve_refuses_the_removed_delay_flag() {
+    let output = apt(&["serve", "--max-delay-us", "500"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    let mut lines = stderr.lines();
+    assert_eq!(
+        lines.next(),
+        Some("apt serve: unknown flag `--max-delay-us`"),
+        "{stderr}"
+    );
+    assert_eq!(lines.next(), Some(""), "one line, then usage: {stderr}");
+}

@@ -49,7 +49,11 @@
 //!    old branchy loops is ~100× and trips them),
 //! 6. the freeze compiler's fused conv+bias+ReLU kernel is bit-identical
 //!    to the unfused conv → bias → ReLU sequence and at least as fast
-//!    within timer tolerance (paired rounds, median ratio).
+//!    within timer tolerance (paired rounds, median ratio),
+//! 7. a frozen plan's linear step at batch 1 (`linear_bias_act` on `Wᵀ`,
+//!    1 × 256 × 256) is bit-identical to the layer path (`matmul_a_bt` +
+//!    bias on `W`) and at least 1.5× as fast (paired rounds, median
+//!    ratio): the guard against a plan sliding back to scalar dot chains.
 
 use apt_bench::{
     arg_value, bit_identical, json_doc, median, paired_rounds, row, schema, smoke_flag, table,
@@ -65,7 +69,7 @@ use apt_tensor::ops::int_gemm::{self, gemm_i8_rescale, IntRescale};
 use apt_tensor::ops::pool::max_pool2d;
 use apt_tensor::ops::reduce::channel_mean_var;
 use apt_tensor::ops::softmax::softmax_rows;
-use apt_tensor::ops::{add, gemm_isa, matmul, matmul_a_bt, matmul_at_b};
+use apt_tensor::ops::{add, gemm_isa, matmul, matmul_a_bt, matmul_at_b, transpose};
 use apt_tensor::{par, rng, Tensor};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -118,6 +122,19 @@ fn kernels() -> Vec<Kernel> {
             shape: format!("{s}x{s}x{s}"),
             flops: 2.0 * (s * s * s) as f64,
             run: Box::new(move || matmul_a_bt(&a2, &b2).unwrap().data().to_vec()),
+        });
+    }
+    {
+        // A frozen plan's linear step at batch 1: `Wᵀ`, bias in the epilogue.
+        let s = 256usize;
+        let x = tensor(&[1, s], 25);
+        let wt = transpose(&tensor(&[s, s], 26)).unwrap();
+        let bias = tensor(&[s], 27);
+        v.push(Kernel {
+            op: "linear_bias_act",
+            shape: format!("1x{s}x{s}"),
+            flops: 2.0 * (s * s) as f64,
+            run: Box::new(move || plan_linear(&x, &wt, &bias)),
         });
     }
 
@@ -475,6 +492,25 @@ fn fused_conv_relu(x: &Tensor, w: &Tensor, bias: &Tensor) -> Vec<f32> {
     out
 }
 
+/// A frozen plan's linear step, `x·W + b` with `W` given transposed (`Wᵀ`,
+/// `[in_f × out_f]`), through the freeze compiler's fused kernel.
+fn plan_linear(x: &Tensor, wt: &Tensor, bias: &Tensor) -> Vec<f32> {
+    let (m, in_f, out_f) = (x.dims()[0], wt.dims()[0], wt.dims()[1]);
+    let mut out = vec![0.0f32; m * out_f];
+    fused::linear_bias_act(
+        x.data(),
+        wt.data(),
+        &mut out,
+        m,
+        in_f,
+        out_f,
+        Some(bias.data()),
+        fused::Epilogue::None,
+    )
+    .unwrap();
+    out
+}
+
 /// Times one call: warm up once, pick an iteration count targeting
 /// [`TARGET_SECS`], report mean ns/iter.
 fn time_ns(run: &mut dyn FnMut()) -> f64 {
@@ -795,11 +831,77 @@ fn smoke() -> ExitCode {
         );
     }
 
+    // Gate 7: a frozen plan's linear step at batch 1 (`linear_bias_act`
+    // on `Wᵀ`) against the layer path (`matmul_a_bt` + bias on `W`). Below
+    // 8 rows the layer path runs four scalar dot chains at a time; the
+    // plan runs the tile's wide row strip, eight vector chains. The two
+    // must be bit-identical, and the plan at least PLAN_LINEAR_FLOOR× as
+    // fast, so a plan that slides back to dot chains (~1×) trips it.
+    gates.open(format_args!(
+        "plan linear vs layer path at 1x256x256 (1 thread, paired rounds, \
+         floor {PLAN_LINEAR_FLOOR}x)"
+    ));
+    {
+        let s = 256usize;
+        let x = tensor(&[1, s], 34);
+        let w = tensor(&[s, s], 35);
+        let wt = transpose(&w).unwrap();
+        let bias = tensor(&[s], 36);
+        let layer = || {
+            let mut y = matmul_a_bt(&x, &w).unwrap().into_vec();
+            for (v, &b) in y.iter_mut().zip(bias.data()) {
+                *v += b;
+            }
+            y
+        };
+        let plan = || plan_linear(&x, &wt, &bias);
+        let same = gates.check(
+            bit_identical(&layer(), &plan()),
+            "plan linear on Wᵀ differs from matmul_a_bt + bias on W",
+        );
+        if same {
+            println!("  plan == layer path bit-identical");
+        }
+        // A 1x256x256 call is a few microseconds: time 100 of them a side.
+        let rounds = par::with_threads(1, || {
+            paired_rounds(
+                &|| {
+                    for _ in 0..100 {
+                        std::hint::black_box(layer());
+                    }
+                },
+                &|| {
+                    for _ in 0..100 {
+                        std::hint::black_box(plan());
+                    }
+                },
+            )
+        });
+        for (round, (layer_ns, plan_ns)) in rounds.iter().enumerate() {
+            println!(
+                "  round {round}: plan {:.2} us, layer {:.2} us ({:.2}x)",
+                plan_ns / 100.0 / 1e3,
+                layer_ns / 100.0 / 1e3,
+                layer_ns / plan_ns
+            );
+        }
+        let ratio = median(rounds.iter().map(|(l, p)| l / p).collect());
+        println!("  median layer/plan ratio {ratio:.2}x (floor {PLAN_LINEAR_FLOOR}x)");
+        gates.check(
+            ratio >= PLAN_LINEAR_FLOOR,
+            format_args!("plan linear below {PLAN_LINEAR_FLOOR}x the layer path (median)"),
+        );
+    }
+
     println!("# memory-bound passes (1 thread, ungated):");
     println!("{}", memory_bound_cells());
 
     gates.finish()
 }
+
+/// What smoke gate 7 holds a frozen plan's batch-1 linear step to, as a
+/// multiple of the layer path's speed.
+const PLAN_LINEAR_FLOOR: f64 = 1.5;
 
 /// What smoke gate 2 holds the tiled matmul to, as a multiple of the naive
 /// kernel: the lead of a wide micro-kernel, whatever its name, or parity

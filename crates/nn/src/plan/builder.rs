@@ -7,6 +7,7 @@ use crate::{KernelLane, NnError, Param, ParamStore, Result};
 use apt_quant::WeightPanel;
 use apt_tensor::ops::conv::Conv2dParams;
 use apt_tensor::ops::fused::Epilogue;
+use apt_tensor::ops::transpose;
 
 /// Incrementally builds a frozen plan while layers lower themselves.
 ///
@@ -123,7 +124,9 @@ impl PlanBuilder {
     /// Lowers a fully-connected layer `y = x·Wᵀ (+ b)`. Under an
     /// [`KernelLane::IntGemm`] request integer storage packs a
     /// [`WeightPanel`] here; anything else dequantises once into an f32
-    /// slot.
+    /// slot. Every f32 copy (the slot, and the integer slot's non-finite
+    /// fallback) is stored transposed, `Wᵀ` `[in_f × out_f]`, the operand
+    /// [`linear_bias_act`](apt_tensor::ops::fused::linear_bias_act) reads.
     ///
     /// # Errors
     ///
@@ -151,7 +154,7 @@ impl PlanBuilder {
             }
             _ => None,
         };
-        let dequant = weight.value().into_vec();
+        let dequant = transpose(&weight.value())?.into_vec();
         let slot = match panel {
             Some(panel) => {
                 self.packed_panels += 1;

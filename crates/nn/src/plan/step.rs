@@ -23,9 +23,9 @@ pub(crate) enum WeightSlot {
     Int {
         /// Compile-time-packed codes + per-channel rescale metadata.
         panel: WeightPanel,
-        /// `dequant(panel)` — used only when activation rows cannot be
-        /// quantised, so NaN/Inf propagate instead of being flushed onto
-        /// the grid.
+        /// `dequant(panel)`, transposed like the `F32` slot — used only
+        /// when activation rows cannot be quantised, so NaN/Inf propagate
+        /// instead of being flushed onto the grid. Counted resident.
         dequant: Vec<f32>,
     },
 }
@@ -46,7 +46,7 @@ impl WeightSlot {
 pub(crate) enum StepKind {
     /// Fully-connected `y = act(x·Wᵀ + b)`.
     Linear {
-        /// Weight slot (`[out_f × in_f]`).
+        /// Weight slot: `Wᵀ`, `[in_f × out_f]` (k-major) in every f32 copy.
         weight: WeightSlot,
         /// Bias, possibly absorbed from a folded BatchNorm.
         bias: Option<Vec<f32>>,

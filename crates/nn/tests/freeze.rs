@@ -110,6 +110,31 @@ fn mlp_frozen_is_bit_identical_at_the_exact_lane() {
     freeze_and_compare(&mut net, &[2, 16], KernelLane::DequantCache, true);
 }
 
+#[test]
+fn serving_shaped_mlp_is_bit_identical_at_every_small_batch() {
+    // Rectangular layers wider than the widest row strip: a plan that
+    // stored `W` (or transposed it with the wrong stride) would read
+    // another weight for most output columns. Batch 1 and 3 run the wide
+    // strip, batch 8 the 4-row tiles.
+    let mut net = models::mlp(
+        "m",
+        &[300, 260, 130, 10],
+        &QuantScheme::paper_apt(),
+        &mut seeded(7),
+    )
+    .unwrap();
+    let plan = net.freeze(&[300], KernelLane::DequantCache).unwrap();
+    for batch in [1, 3, 8] {
+        let x = normal(&[batch, 300], 1.0, &mut seeded(batch as u64));
+        let want = net.forward(&x, Mode::Eval).unwrap();
+        let got = plan.infer(&x).unwrap();
+        assert_eq!(want.dims(), got.dims());
+        for (i, (w, g)) in want.data().iter().zip(got.data()).enumerate() {
+            assert_eq!(w.to_bits(), g.to_bits(), "batch {batch} [{i}]: {w} vs {g}");
+        }
+    }
+}
+
 /// A one-layer k-bit net: the smallest program whose `int-gemm` plan is a
 /// single `WeightSlot::Int` step.
 fn quantized_linear_net(out: usize, inp: usize, k: u32) -> Network {

@@ -164,6 +164,11 @@ impl Conv2dParams {
 /// Each `(c, ki, kj, oi)` row of the matrix is one input row shifted by
 /// `kj − padding`: the valid `oj` range is copied as a slice (a strided
 /// walk when `stride > 1`) and the out-of-image edges are zero-filled.
+/// When `stride == 1` and `ow == w` (a "same" convolution) the whole
+/// `(c, ki, kj)` row is the channel plane shifted by one offset, so its
+/// valid span is one block copy, after which the edge columns it carried
+/// in from neighbouring input rows are zeroed. The valid ranges depend on
+/// the tap alone and are computed once per `ki` / `kj`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn im2col_group(
     input: &[f32],
@@ -179,16 +184,34 @@ pub(crate) fn im2col_group(
     col: &mut [f32],
 ) {
     let col_w = oh * ow;
-    for c in 0..c_g {
-        let chan = &input[(c_start + c) * h * w..(c_start + c + 1) * h * w];
-        for ki in 0..kh {
-            let (oi_lo, oi_hi) = p.valid_outputs(ki, h, oh);
-            for kj in 0..kw {
-                let (oj_lo, oj_hi) = p.valid_outputs(kj, w, ow);
+    let one_block = p.stride == 1 && ow == w;
+    for ki in 0..kh {
+        let (oi_lo, oi_hi) = p.valid_outputs(ki, h, oh);
+        for kj in 0..kw {
+            let (oj_lo, oj_hi) = p.valid_outputs(kj, w, ow);
+            for c in 0..c_g {
+                let chan = &input[(c_start + c) * h * w..(c_start + c + 1) * h * w];
                 let row = &mut col[((c * kh + ki) * kw + kj) * col_w..][..col_w];
-                if oj_lo == oj_hi {
-                    // This tap reads padding only (kernel wider than the image).
+                if oj_lo == oj_hi || oi_lo == oi_hi {
+                    // This tap reads padding only (kernel wider or taller
+                    // than the image).
                     row.fill(0.0);
+                    continue;
+                }
+                if one_block {
+                    // Output `(oi, oj)` reads input `(oi + ki − padding,
+                    // oj + kj − padding)`: with `ow == w` that is one fixed
+                    // offset from the output index, from the first valid
+                    // element to the last.
+                    let (start, end) = (oi_lo * ow + oj_lo, (oi_hi - 1) * ow + oj_hi);
+                    let src = (oi_lo + ki - p.padding) * w + oj_lo + kj - p.padding;
+                    row[..start].fill(0.0);
+                    row[end..].fill(0.0);
+                    row[start..end].copy_from_slice(&chan[src..src + (end - start)]);
+                    for oi in oi_lo..oi_hi - 1 {
+                        // Right edge of output row `oi`, left edge of `oi + 1`.
+                        row[oi * ow + oj_hi..(oi + 1) * ow + oj_lo].fill(0.0);
+                    }
                     continue;
                 }
                 row[..oi_lo * ow].fill(0.0);

@@ -8,15 +8,18 @@
 //! that write straight into a caller-provided slice.
 //!
 //! Bit-compatibility contract: every kernel here reuses the exact compute
-//! cores of the unfused ops (`matmul_impl::gemm*`, the same
-//! `im2col_group` staging and the same per-plane pooling loops), and the
-//! epilogue applies bias-then-activation per element in the same order
-//! the layer path applies them as separate passes. Element-wise passes
-//! commute with chunking, so fused output is bit-identical to the
-//! unfused sequence for every thread count.
+//! cores of the unfused ops (the same `matmul_impl::gemm`, `im2col_group`
+//! staging and per-plane pooling loops), and the epilogue applies
+//! bias-then-activation per element in the same order the layer path
+//! applies them as separate passes. The one change of operand is the
+//! linear kernel's: it reads `Wᵀ` and runs `C += A·B` where the layer runs
+//! `A·Bᵀ` on `W`; each output element sees the same chain of the same
+//! products (see [`linear_bias_act`]). Element-wise passes commute with
+//! chunking, so fused output is bit-identical to the unfused sequence for
+//! every thread count.
 
 use crate::ops::conv::{im2col_group, with_col_scratch, Conv2dParams};
-use crate::ops::matmul_impl::{gemm, gemm_a_bt};
+use crate::ops::matmul_impl::gemm;
 use crate::{par, Result, TensorError};
 
 /// Activation applied in-register after a fused kernel's bias add.
@@ -62,13 +65,22 @@ impl Epilogue {
 /// Fused fully-connected forward: `out = act(x·Wᵀ + b)` on flat slices.
 ///
 /// * `input` — `[m × in_f]` row-major.
-/// * `weight` — `[out_f × in_f]` row-major.
+/// * `weight` — `Wᵀ`, `[in_f × out_f]` row-major (k-major): the layer's
+///   `[out_f × in_f]` weight transposed once, when the plan is compiled.
 /// * `out` — `[m × out_f]`, fully overwritten.
 ///
-/// Runs the same `gemm_a_bt` core as [`matmul_a_bt`](crate::ops::matmul_a_bt)
-/// on the zeroed destination, then adds the bias per row and applies the
-/// epilogue — bit-identical to the unfused matmul → bias-loop → map
-/// sequence.
+/// Zero-fills the destination and runs the `C += A·B` core of
+/// [`matmul`](crate::ops::matmul) on it at every batch size, so one vector
+/// of the micro-kernel tile carries several output columns' chains; then
+/// adds the bias per row and applies the epilogue.
+///
+/// Bit-identical to the layer path (`matmul_a_bt` on `W` → bias loop →
+/// map). There each element is one j-ascending dot product started at
+/// `+0.0` and added once to the zeroed C. Here the tile loads the same
+/// `+0.0` from C and runs the same chain of the same products in place.
+/// Under round-to-nearest a sum that starts at `+0.0` can never be `−0.0`,
+/// so the layer path's final `+0.0 + s` is `s` for every partial sum `s`,
+/// NaN payloads included.
 ///
 /// # Errors
 ///
@@ -112,7 +124,7 @@ pub fn linear_bias_act(
         }
     }
     out.fill(0.0);
-    gemm_a_bt(input, weight, out, m, out_f, in_f);
+    gemm(input, weight, out, m, in_f, out_f);
     if let Some(b) = bias {
         for row in out.chunks_mut(out_f) {
             for (y, &bj) in row.iter_mut().zip(b) {
@@ -397,37 +409,75 @@ mod tests {
         }
     }
 
+    /// Plants `−0.0`, `+inf`, `−inf` and (when `nan_col` is given) a NaN
+    /// in one row. The NaN is the one this host's `inf − inf` yields: where
+    /// a planted NaN meets one that `0·inf` or `inf − inf` made, both
+    /// operands carry the same bits, whichever the hardware returns.
+    fn plant(row: &mut [f32], nan_col: Option<usize>) {
+        let cols = row.len();
+        row[0] = -0.0;
+        row[cols - 1] = f32::INFINITY;
+        row[cols / 2] = f32::NEG_INFINITY;
+        if let Some(j) = nan_col {
+            row[j] = std::hint::black_box(f32::INFINITY) - f32::INFINITY;
+        }
+    }
+
     #[test]
     fn fused_linear_matches_unfused_sequence_bitwise() {
+        // The plan passes `Wᵀ`; the reference is the layer path on `W`:
+        // `matmul_a_bt` (its dot path below 8 rows, its packed path from 8)
+        // → per-row bias loop → activation. Batch 1–3 reach the wide row
+        // strip, out_f 130 and 256 its full width, in_f 200 a second KC
+        // block.
         let mut r = rng::seeded(40);
-        for &(m, in_f, out_f) in &[(3usize, 16usize, 6usize), (12, 32, 10)] {
-            let x = rng::normal(&[m, in_f], 1.0, &mut r);
-            let wt = rng::normal(&[out_f, in_f], 1.0, &mut r);
-            let b = rng::normal(&[out_f], 1.0, &mut r);
-            // layer-path reference: matmul_a_bt → per-row bias loop → relu map
-            let mut want = ops::matmul_a_bt(&x, &wt).unwrap();
-            for i in 0..m {
-                for (y, &bj) in want.data_mut()[i * out_f..(i + 1) * out_f]
-                    .iter_mut()
-                    .zip(b.data())
-                {
-                    *y += bj;
+        for &m in &[1usize, 2, 3, 8, 12] {
+            for &out_f in &[6usize, 10, 130, 256] {
+                for (in_f, x_specials, x_nan) in [
+                    (16usize, false, false),
+                    (16, true, false),
+                    (200, true, true),
+                ] {
+                    let mut x = rng::normal(&[m, in_f], 1.0, &mut r);
+                    let mut w = rng::normal(&[out_f, in_f], 1.0, &mut r);
+                    let b = rng::normal(&[out_f], 1.0, &mut r);
+                    // Output columns o ≡ 1 (mod 4) read the specials, o ≡ 2
+                    // the specials and a NaN; the others stay finite.
+                    for (o, row) in w.data_mut().chunks_mut(in_f).enumerate() {
+                        match o % 4 {
+                            1 => plant(row, None),
+                            2 => plant(row, Some(5)),
+                            _ => {}
+                        }
+                    }
+                    if m > 1 {
+                        // In the finite columns every product of this row
+                        // is ±0.0, and the sum, started at +0.0, must come
+                        // out with the same sign on both paths.
+                        x.data_mut()[..in_f].fill(-0.0);
+                    }
+                    if x_specials {
+                        plant(&mut x.data_mut()[(m - 1) * in_f..], x_nan.then_some(1));
+                    }
+                    let wt = ops::transpose(&w).unwrap();
+                    for (bias, relu) in [(Some(b.data()), true), (None, false)] {
+                        let mut want = ops::matmul_a_bt(&x, &w).unwrap();
+                        if let Some(bias) = bias {
+                            for row in want.data_mut().chunks_mut(out_f) {
+                                for (y, &bj) in row.iter_mut().zip(bias) {
+                                    *y += bj;
+                                }
+                            }
+                        }
+                        let want = if relu { want.map(|v| v.max(0.0)) } else { want };
+                        let mut got = vec![f32::NAN; m * out_f];
+                        let act = if relu { Epilogue::Relu } else { Epilogue::None };
+                        linear_bias_act(x.data(), wt.data(), &mut got, m, in_f, out_f, bias, act)
+                            .unwrap();
+                        assert_bits(&got, want.data());
+                    }
                 }
             }
-            let want = want.map(|v| v.max(0.0));
-            let mut got = vec![0.0f32; m * out_f];
-            linear_bias_act(
-                x.data(),
-                wt.data(),
-                &mut got,
-                m,
-                in_f,
-                out_f,
-                Some(b.data()),
-                Epilogue::Relu,
-            )
-            .unwrap();
-            assert_bits(&got, want.data());
         }
     }
 

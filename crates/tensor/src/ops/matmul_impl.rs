@@ -225,12 +225,32 @@ fn strip<const N: usize>(
 /// first row), tiled `TN` columns wide. k is cut into [`KC`] blocks (a
 /// pause in each element's chain, never a reorder); within a block, column
 /// strips run outermost so one B strip serves every row tile.
+///
+/// A chunk of fewer than [`TM`] rows (a frozen plan's batch of 1–3) has no
+/// row tile to share a strip with, and a single-row `TN` tile holds only
+/// two vector chains, each add waiting on the one before. Such a chunk
+/// walks `WIDE = 4·TN` columns at once first: eight vector chains in
+/// flight. Every element still sees its own kk-ascending chain, so the
+/// bits are those of the `TN` strip.
 #[inline(always)]
-fn rows_tiled<const TN: usize>(a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
+fn rows_tiled<const TN: usize, const WIDE: usize>(
+    a: Lhs,
+    b: &[f32],
+    c: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    let few_rows = c.len() < TM * n;
     let mut k0 = 0;
     while k0 < k {
         let k1 = (k0 + KC).min(k);
         let mut j = 0;
+        if few_rows {
+            while j + WIDE <= n {
+                strip::<WIDE>(a, b, c, j, n, k0, k1);
+                j += WIDE;
+            }
+        }
         while j + TN <= n {
             strip::<TN>(a, b, c, j, n, k0, k1);
             j += TN;
@@ -261,7 +281,7 @@ fn rows_tiled<const TN: usize>(a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: us
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn rows_avx2(a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
-    rows_tiled::<16>(a, b, c, k, n);
+    rows_tiled::<16, 64>(a, b, c, k, n);
 }
 
 /// [`rows_tiled`] at `TN = 32` with `avx512f` code generation: two `zmm`
@@ -270,14 +290,14 @@ fn rows_avx2(a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn rows_avx512(a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
-    rows_tiled::<32>(a, b, c, k, n);
+    rows_tiled::<32, 128>(a, b, c, k, n);
 }
 
 /// Serial core of every GEMM form: runs the micro-kernel instantiation
 /// `isa` names over one chunk of C rows.
 fn kernel_rows(isa: Isa, a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
     match isa {
-        Isa::Portable => rows_tiled::<8>(a, b, c, k, n),
+        Isa::Portable => rows_tiled::<8, 32>(a, b, c, k, n),
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 | Isa::Avx512 => {
             // SAFETY: `rows_avx2` requires a CPU with AVX2 and `rows_avx512`
@@ -775,6 +795,13 @@ mod tests {
         for s in [0, 1, KC - 1, KC, KC + 1] {
             for (rows, cols) in [(5, 19), (9, 33), (33, 9), (13, 7)] {
                 shapes.push((rows, s, cols));
+            }
+        }
+        // Fewer rows than TM with cols on both sides of one and two wide
+        // strips of the widest tile (4 × 32), and past them.
+        for rows in 1..TM {
+            for cols in [127, 128, 129, 255, 256, 257, 300] {
+                shapes.push((rows, 5, cols));
             }
         }
         // One shape with more than CHUNK_ROWS_MIN rows in every form: on

@@ -38,19 +38,14 @@
 //!    median ratio — robust to shared-host noise),
 //! 3. on machines with ≥ 4 cores, 4-thread 256³ matmul reaches ≥ 1.5×
 //!    the 1-thread throughput (skipped, loudly, on smaller machines),
-//! 4. the integer GEMM holds an absolute GOP/s floor at 256³
-//!    single-thread (its ratio to the f32 matmul is printed from paired
-//!    rounds, ungated: the f32 kernel is runtime-dispatched to AVX2 and the
-//!    integer one is not, so the ratio says which host ran, not whether
-//!    the integer kernel regressed),
-//! 5. branch-free quantize/dequantize — `quantize_to_store` and
+//! 4. branch-free quantize/dequantize — `quantize_to_store` and
 //!    `QuantizedTensor::to_tensor`, what every parameter is built and read
 //!    through — stay above absolute Gelem/s floors (a regression to the
 //!    old branchy loops is ~100× and trips them),
-//! 6. the freeze compiler's fused conv+bias+ReLU kernel is bit-identical
+//! 5. the freeze compiler's fused conv+bias+ReLU kernel is bit-identical
 //!    to the unfused conv → bias → ReLU sequence and at least as fast
 //!    within timer tolerance (paired rounds, median ratio),
-//! 7. a frozen plan's linear step at batch 1 (`linear_bias_act` on `Wᵀ`,
+//! 6. a frozen plan's linear step at batch 1 (`linear_bias_act` on `Wᵀ`,
 //!    1 × 256 × 256) is bit-identical to the layer path (`matmul_a_bt` +
 //!    bias on `W`) and at least 1.5× as fast (paired rounds, median
 //!    ratio): the guard against a plan sliding back to scalar dot chains.
@@ -65,7 +60,6 @@ use apt_nn::{checkpoint, models, Layer, Mode, ParamPrecision, ParamStore, QuantS
 use apt_quant::{AffineQuantizer, Bitwidth, QuantizedTensor, RoundingMode};
 use apt_tensor::ops::conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dParams};
 use apt_tensor::ops::fused;
-use apt_tensor::ops::int_gemm::{self, gemm_i8_rescale, IntRescale};
 use apt_tensor::ops::pool::max_pool2d;
 use apt_tensor::ops::reduce::channel_mean_var;
 use apt_tensor::ops::softmax::softmax_rows;
@@ -220,52 +214,6 @@ fn kernels() -> Vec<Kernel> {
             run: Box::new(move || {
                 let (mean, var) = channel_mean_var(&x).unwrap();
                 [mean.data(), var.data()].concat()
-            }),
-        });
-    }
-    {
-        // Fused integer GEMM (the dequant-free serving kernel): i8 codes,
-        // k=4 centered weight codes, per-channel rescale + bias folded in.
-        let s = 256usize;
-        let mut r = rng::seeded(15);
-        let a: Vec<i8> = rng::normal(&[s * s], 1.0, &mut r)
-            .data()
-            .iter()
-            .map(|v| (v * 40.0).clamp(-128.0, 127.0) as i8)
-            .collect();
-        let w: Vec<i8> = rng::normal(&[s * s], 1.0, &mut r)
-            .data()
-            .iter()
-            .map(|v| (v * 4.0).clamp(-8.0, 7.0) as i8)
-            .collect();
-        let w_sum: Vec<i64> = (0..s)
-            .map(|o| w[o * s..(o + 1) * s].iter().map(|&v| i64::from(v)).sum())
-            .collect();
-        let act_sum: Vec<i64> = (0..s)
-            .map(|i| a[i * s..(i + 1) * s].iter().map(|&v| i64::from(v)).sum())
-            .collect();
-        let w_scale = vec![0.02f32; s];
-        let w_dw = vec![1i32; s];
-        let act_scale = vec![0.01f32; s];
-        let act_dx = vec![3i32; s];
-        let bias = vec![0.1f32; s];
-        v.push(Kernel {
-            op: "i8_gemm",
-            shape: format!("{s}x{s}x{s}"),
-            flops: 2.0 * (s * s * s) as f64,
-            run: Box::new(move || {
-                let mut out = vec![0.0f32; s * s];
-                let p = IntRescale {
-                    w_scale: &w_scale,
-                    w_dw: &w_dw,
-                    w_sum: &w_sum,
-                    act_scale: &act_scale,
-                    act_dx: &act_dx,
-                    act_sum: &act_sum,
-                    bias: Some(&bias),
-                };
-                gemm_i8_rescale(&a, &w, &mut out, s, s, s, &p);
-                out
             }),
         });
     }
@@ -678,56 +626,6 @@ fn smoke() -> ExitCode {
         gates.skip(format_args!("only {cores} core(s) available, need >= 4"));
     }
 
-    // Gate 4: the integer GEMM at 256^3, single thread, against an
-    // absolute floor: ~40 % of the worst round observed on the reference
-    // CI host (15 GOP/s across machine phases) — a regression tripwire for
-    // the kernel, as gate 5 is for quantize/dequantize. Its ratio to the
-    // f32 matmul is printed from the paired rounds but not gated: the f32
-    // GEMM dispatches to an AVX2 micro-kernel and the staged integer kernel
-    // does not (DESIGN.md section 14), so the ratio says which host ran.
-    gates.open("i8 GEMM floor (256^3, 1 thread, paired rounds with f32 matmul)");
-    const I8_FLOOR_GOPS: f64 = 6.0;
-    {
-        let s = 256usize;
-        let mut r = rng::seeded(15);
-        let af = rng::normal(&[s, s], 1.0, &mut r);
-        let bf = rng::normal(&[s, s], 1.0, &mut r);
-        let a8: Vec<i8> = (0..s * s)
-            .map(|i| (((i * 7) % 255) as i32 - 127) as i8)
-            .collect();
-        let w8: Vec<i8> = (0..s * s)
-            .map(|i| (((i * 13) % 15) as i32 - 7) as i8)
-            .collect();
-        let flops = 2.0 * (s * s * s) as f64;
-        let rounds = par::with_threads(1, || {
-            paired_rounds(
-                &|| {
-                    std::hint::black_box(matmul(&af, &bf).unwrap());
-                },
-                &|| {
-                    let mut c = vec![0i32; s * s];
-                    int_gemm::gemm_i8(&a8, &w8, &mut c, s, s, s);
-                    std::hint::black_box(&c);
-                },
-            )
-        });
-        for (round, (f32_ns, i8_ns)) in rounds.iter().enumerate() {
-            println!(
-                "  round {round}: i8 {:.2} GOP/s, f32 {:.2} GFLOP/s ({:.2}x)",
-                flops / i8_ns,
-                flops / f32_ns,
-                f32_ns / i8_ns
-            );
-        }
-        let ratio = median(rounds.iter().map(|(f, i)| f / i).collect());
-        let i8_gops = median(rounds.iter().map(|(_, i)| flops / i).collect());
-        println!("  median i8/f32 ratio {ratio:.2}x (ungated; f32 micro-kernel: `{simd}`)");
-        println!("  median i8 rate {i8_gops:.2} GOP/s (floor {I8_FLOOR_GOPS})");
-        gates.check(
-            i8_gops >= I8_FLOOR_GOPS,
-            format_args!("i8 GEMM below the {I8_FLOOR_GOPS} GOP/s floor at 256^3 (median)"),
-        );
-    }
     let all = kernels();
     let cell = |op: &str| {
         all.iter()
@@ -736,7 +634,7 @@ fn smoke() -> ExitCode {
     };
     let measure_1t = |k: &Kernel| par::with_threads(1, || time_kernel(k));
 
-    // Gate 5: branch-free quantize/dequantize absolute throughput floors.
+    // Gate 4: branch-free quantize/dequantize absolute throughput floors.
     // Set at ~40% of the worst observed single-thread rate on the
     // reference CI host (0.14 / 0.45 Gelem/s across machine phases), so a
     // regression to the old branchy inner loops (~100x slower) trips the
@@ -758,7 +656,7 @@ fn smoke() -> ExitCode {
         );
     }
 
-    // Gate 6: the freeze compiler's fused conv+bias+ReLU kernel against
+    // Gate 5: the freeze compiler's fused conv+bias+ReLU kernel against
     // the unfused conv → bias add → ReLU sequence it replaces. The fused
     // form must be bit-identical (the compiled plan's correctness
     // contract: same gemm core, epilogue applied per element in the same
@@ -831,7 +729,7 @@ fn smoke() -> ExitCode {
         );
     }
 
-    // Gate 7: a frozen plan's linear step at batch 1 (`linear_bias_act`
+    // Gate 6: a frozen plan's linear step at batch 1 (`linear_bias_act`
     // on `Wᵀ`) against the layer path (`matmul_a_bt` + bias on `W`). Below
     // 8 rows the layer path runs four scalar dot chains at a time; the
     // plan runs the tile's wide row strip, eight vector chains. The two
@@ -899,7 +797,7 @@ fn smoke() -> ExitCode {
     gates.finish()
 }
 
-/// What smoke gate 7 holds a frozen plan's batch-1 linear step to, as a
+/// What smoke gate 6 holds a frozen plan's batch-1 linear step to, as a
 /// multiple of the layer path's speed.
 const PLAN_LINEAR_FLOOR: f64 = 1.5;
 

@@ -1,18 +1,18 @@
-//! Plan-vs-eval cells, gate 10: the same k=8 checkpoint at the default
-//! lane, once through a session's compiled plan and once through
-//! `forward(Mode::Eval)` (trainer eval) on a network loaded from the same
-//! blob, driven in-process on one thread so the comparison
-//! measures the plan (fused kernels, resident weights, arena intermediates)
-//! and not TCP framing. Requests are **single-sample** and the model is a
-//! deep, narrow MLP — the paper's constrained-device serving shape, where
-//! per-layer overhead (tensor allocation, separate bias and activation
-//! passes, dispatch) is commensurate with each layer's tiny GEMM, so the
-//! compiler's fusion and arena planning show up as throughput instead of
-//! vanishing under a 256-wide matmul. The model has no batch norm —
-//! nothing folds — so the frozen plan must be **bit-identical** to the
-//! eval forward, and must not be slower. Timing is [`paired_rounds`], as
-//! in the kernels gates, so a slow scheduling phase penalises both sides
-//! equally; each row reports its side's median round.
+//! Plan-vs-eval cells, gate 9: the same k=8 checkpoint, once through a
+//! session's compiled plan and once through `forward(Mode::Eval)` (trainer
+//! eval) on a network loaded from the same blob, driven in-process on one
+//! thread so the comparison measures the plan (fused kernels, resident
+//! weights, arena intermediates) and not TCP framing. Requests are
+//! **single-sample** and the model is a deep, narrow MLP — the paper's
+//! constrained-device serving shape, where per-layer overhead (tensor
+//! allocation, separate bias and activation passes, dispatch) is
+//! commensurate with each layer's tiny GEMM, so the compiler's fusion and
+//! arena planning show up as throughput instead of vanishing under a
+//! 256-wide matmul. The model has no batch norm — nothing folds — so the
+//! frozen plan must be **bit-identical** to the eval forward, and must not
+//! be slower. Timing is [`paired_rounds`], as in the kernels gates, so a
+//! slow scheduling phase penalises both sides equally; each row reports its
+//! side's median round.
 
 use crate::{push_row, Cell, Gates, Policy, Served, Tally};
 use apt_bench::{bit_identical, median, paired_rounds};

@@ -12,7 +12,7 @@
 //! One module per cell, in gate order; each module's doc says what its cell
 //! does and what it gates: [`throughput`] (gates 1–3), [`soak`] (4),
 //! [`slowloris`] (5), [`overload`] (6), [`fleet`] (7), [`corruption`] (8),
-//! [`parity`] (9), [`freeze`] (10), [`zero_alloc`] (11).
+//! [`freeze`] (9), [`zero_alloc`] (10).
 //!
 //! `--smoke` is the CI gate: it runs every cell and writes
 //! `results/serving_smoke.{csv,json}`. A full run drives the same cells
@@ -26,7 +26,6 @@ mod corruption;
 mod fleet;
 mod freeze;
 mod overload;
-mod parity;
 mod slowloris;
 mod soak;
 mod throughput;
@@ -39,8 +38,8 @@ use apt_metrics::Table;
 use apt_nn::{checkpoint, models, QuantScheme};
 use apt_quant::Bitwidth;
 use apt_serve::{
-    BatchPolicy, ConnLimits, InferenceSession, KernelLane, ModelArch, ModelSpec, RetryPolicy,
-    ServeClient, ServeError, Server, ServerConfig, StatsSnapshot,
+    BatchPolicy, ConnLimits, InferenceSession, ModelArch, ModelSpec, RetryPolicy, ServeClient,
+    ServeError, Server, ServerConfig, StatsSnapshot,
 };
 use apt_tensor::{par, rng};
 use std::net::SocketAddr;
@@ -89,11 +88,10 @@ fn build_blob(bits: u32, seed: u64) -> Vec<u8> {
     checkpoint::save_full(&mut net)
 }
 
-/// Builds a frozen session via a full checkpoint round-trip, exactly as
-/// `apt serve` would load it, on the requested kernel lane.
-fn build_session(bits: u32, lane: KernelLane) -> InferenceSession {
-    InferenceSession::from_checkpoint_with_lane(&spec(), &build_blob(bits, 11), lane)
-        .expect("session loads")
+/// Builds a frozen session of the k=8 model via a full checkpoint
+/// round-trip, exactly as `apt serve` would load it.
+fn build_session() -> InferenceSession {
+    InferenceSession::from_checkpoint(&spec(), &build_blob(8, 11)).expect("session loads")
 }
 
 /// One client's request samples and the outputs a local forward gives them.
@@ -225,13 +223,14 @@ struct Cell {
 }
 
 impl Cell {
-    /// The shape most cells share: the k=8 model on the default lane, one
-    /// compute thread.
+    /// The shape most cells share: the k=8 model, one compute thread.
     fn k8(name: &'static str, policy: Policy, clients: usize) -> Cell {
         Cell {
             name,
             bits: 8,
-            lane: KernelLane::default().as_str(),
+            // Every plan dequantises once at load; the column stays so old
+            // rows compare.
+            lane: "dequant-cache",
             threads: 1,
             policy,
             clients,
@@ -354,7 +353,6 @@ fn main() -> ExitCode {
     overload::run(&mut gates, &mut rows, per_client);
     fleet::run(&mut gates, &mut rows);
     corruption::run(&mut gates, &mut rows);
-    parity::run(&mut gates, &mut rows, per_client);
     freeze::run(&mut gates, &mut rows, freeze_iters);
     zero_alloc::run(&mut gates);
 

@@ -10,7 +10,7 @@ use crate::{
     build_session, build_workloads, drive, push_row, Cell, Gates, Policy, Served, P99_BUDGET_US,
 };
 use apt_metrics::Table;
-use apt_serve::{ConnLimits, KernelLane, Server};
+use apt_serve::{ConnLimits, Server};
 use apt_tensor::par;
 use std::time::{Duration, Instant};
 
@@ -20,7 +20,7 @@ const OVERLOAD_CLIENTS: usize = 24;
 pub(crate) fn run(gates: &mut Gates, rows: &mut Table, per_client: usize) {
     gates.open("overload — typed refusals, exact accounting, p99 protected");
     par::set_global_threads(1);
-    let session = build_session(8, KernelLane::default());
+    let session = build_session();
     let workloads = build_workloads(&session, OVERLOAD_CLIENTS);
     let cell = Cell::k8("overload", Policy::new("batch4", 4), OVERLOAD_CLIENTS);
     let limits = ConnLimits {

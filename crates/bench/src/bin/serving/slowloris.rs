@@ -7,7 +7,7 @@ use crate::{
     build_session, build_workloads, drive, push_row, wait_until, Cell, Gates, Served, BATCH8,
 };
 use apt_metrics::Table;
-use apt_serve::{protocol, ConnLimits, KernelLane, Server};
+use apt_serve::{protocol, ConnLimits, Server};
 use apt_tensor::par;
 use std::io::Write;
 use std::net::TcpStream;
@@ -23,7 +23,7 @@ const HEALTHY: usize = 4;
 pub(crate) fn run(gates: &mut Gates, rows: &mut Table, per_client: usize) {
     gates.open("slowloris — dribblers reaped, healthy clients bit-exact");
     par::set_global_threads(1);
-    let session = build_session(8, KernelLane::default());
+    let session = build_session();
     let workloads = build_workloads(&session, HEALTHY);
     let cell = Cell::k8("slowloris", BATCH8, HEALTHY + SLOWLORIS_ATTACKERS);
     let limits = ConnLimits {

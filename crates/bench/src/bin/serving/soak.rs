@@ -8,7 +8,7 @@ use crate::{
     BATCH8, P99_BUDGET_US,
 };
 use apt_metrics::Table;
-use apt_serve::{ConnLimits, KernelLane, Server};
+use apt_serve::{ConnLimits, Server};
 use apt_tensor::par;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -26,7 +26,7 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table, per_client: usize) {
         "soak — {SOAK_CONNS} idle conns, bounded heap, healthy p99 holds"
     ));
     par::set_global_threads(1);
-    let session = build_session(8, KernelLane::default());
+    let session = build_session();
     let workloads = build_workloads(&session, 1);
     let cell = Cell::k8("soak", BATCH8, SOAK_CONNS + 1);
     let limits = ConnLimits {

@@ -14,7 +14,7 @@ use crate::{
     P99_BUDGET_US, SINGLE,
 };
 use apt_metrics::Table;
-use apt_serve::{ConnLimits, KernelLane, RetryPolicy, Server};
+use apt_serve::{ConnLimits, RetryPolicy, Server};
 use apt_tensor::par;
 use std::time::{Duration, Instant};
 
@@ -23,28 +23,16 @@ const CLIENTS: usize = 8;
 
 /// Drives one throughput cell: starts a server, hammers it with [`CLIENTS`]
 /// connections × `per_client` requests, verifies every response
-/// bit-exactly, and reads the server-side histograms. The cell's `lane` is
-/// the one the plan achieved, which may not be the one requested.
-pub(crate) fn cell(
-    name: &'static str,
-    bits: u32,
-    threads: usize,
-    policy: Policy,
-    per_client: usize,
-    lane: KernelLane,
-) -> (Cell, Served) {
+/// bit-exactly, and reads the server-side histograms.
+fn cell(threads: usize, policy: Policy, per_client: usize) -> (Cell, Served) {
     par::set_global_threads(threads);
-    let session = build_session(bits, lane);
+    let session = build_session();
     let cell = Cell {
-        name,
-        bits,
-        lane: session.lane().as_str(),
         threads,
-        policy,
-        clients: CLIENTS,
+        ..Cell::k8("throughput", policy, CLIENTS)
     };
     let workloads = build_workloads(&session, CLIENTS);
-    let config = cell.server_config(&format!("mlp-k{bits}"), 128, ConnLimits::default());
+    let config = cell.server_config("mlp-k8", 128, ConnLimits::default());
     let mut server = Server::start(session, config).expect("server starts");
 
     // Typed backpressure is retried with jittered exponential backoff;
@@ -66,11 +54,10 @@ pub(crate) fn cell(
 pub(crate) fn run(gates: &mut Gates, rows: &mut Table, per_client: usize) {
     let cores = par::default_threads();
     let gate_threads = if cores >= 4 { 4 } else { 1 };
-    println!("# single vs batched @ k=8, {gate_threads} thread(s), default lane");
-    let lane = KernelLane::default();
-    let (single_cell, single) = cell("throughput", 8, gate_threads, SINGLE, per_client, lane);
+    println!("# single vs batched @ k=8, {gate_threads} thread(s)");
+    let (single_cell, single) = cell(gate_threads, SINGLE, per_client);
     push_row(rows, &single_cell, &single);
-    let (batched_cell, batched) = cell("throughput", 8, gate_threads, BATCH8, per_client, lane);
+    let (batched_cell, batched) = cell(gate_threads, BATCH8, per_client);
     push_row(rows, &batched_cell, &batched);
 
     // Gate 1: nothing lost or corrupted under concurrent load.

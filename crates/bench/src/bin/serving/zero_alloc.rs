@@ -1,4 +1,4 @@
-//! Zero-allocation cell, gate 11: the frozen plan's headline mechanical
+//! Zero-allocation cell, gate 10: the frozen plan's headline mechanical
 //! claim — once warm, `infer_into` on a frozen session performs **zero heap
 //! allocations per request**. Staging and output live in caller buffers,
 //! scratch is recycled through the session arena, and every intermediate
@@ -7,14 +7,13 @@
 //! allocator *calls* around a steady-state loop.
 
 use crate::{build_session, Gates, ALLOC, DIMS};
-use apt_serve::KernelLane;
 use apt_tensor::{par, rng};
 use std::time::Instant;
 
 pub(crate) fn run(gates: &mut Gates) {
     gates.open("zero heap allocations per request on the frozen path");
     par::set_global_threads(1);
-    let session = build_session(8, KernelLane::default());
+    let session = build_session();
     let batch = 8usize;
     let mut r = rng::substream(2003, 0);
     let input = rng::normal(&[batch * DIMS[0]], 1.0, &mut r).into_vec();

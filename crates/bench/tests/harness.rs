@@ -83,6 +83,69 @@ fn a_steady_state_guard_scan_allocates_nothing() {
     assert!(guard.report().is_clean());
 }
 
+/// `FrozenPlan`'s contract: once its arena is warm, a request allocates
+/// nothing, at batch 1 and at batch 8, on linear and conv programs, under
+/// every weight storage a plan is built from.
+#[test]
+fn a_warm_frozen_plan_executes_without_allocating() {
+    use apt_nn::{models, Network, QuantScheme};
+    use apt_quant::Bitwidth;
+    let _serial = serial();
+    let mlp = |scheme: QuantScheme| {
+        let net = models::mlp(
+            "m",
+            &[300, 260, 130, 10],
+            &scheme,
+            &mut apt_tensor::rng::seeded(7),
+        );
+        (net.unwrap(), vec![300])
+    };
+    let nets: Vec<(&str, (Network, Vec<usize>))> = vec![
+        ("mlp float32", mlp(QuantScheme::float32())),
+        ("mlp paper_apt", mlp(QuantScheme::paper_apt())),
+        (
+            "mlp per_channel(6)",
+            mlp(QuantScheme::per_channel(Bitwidth::new(6).unwrap())),
+        ),
+        (
+            "cifarnet paper_apt",
+            (
+                models::cifarnet(
+                    10,
+                    8,
+                    0.25,
+                    &QuantScheme::paper_apt(),
+                    &mut apt_tensor::rng::seeded(7),
+                )
+                .unwrap(),
+                vec![3, 8, 8],
+            ),
+        ),
+    ];
+    // One compute thread: a pool dispatch allocates its job state by design.
+    apt_tensor::par::with_threads(1, || {
+        for (name, (net, dims)) in &nets {
+            let plan = net.freeze(dims).unwrap();
+            let mut arena = Vec::new();
+            for batch in [1, 8] {
+                let input = vec![0.25f32; batch * plan.sample_len()];
+                let mut output = vec![0.0f32; batch * plan.output_len()];
+                plan.execute(&input, batch, &mut arena, &mut output)
+                    .unwrap();
+                // libtest's own thread may allocate while this one measures,
+                // which only ever adds: one round at zero is the contract.
+                let rounds = (0..5).map(|_| {
+                    let before = ALLOC.calls();
+                    plan.execute(&input, batch, &mut arena, &mut output)
+                        .unwrap();
+                    ALLOC.calls() - before
+                });
+                assert_eq!(rounds.min(), Some(0), "{name} at batch {batch}");
+            }
+        }
+    });
+}
+
 #[test]
 fn json_doc_lays_a_record_out_like_the_committed_files() {
     let _serial = serial();

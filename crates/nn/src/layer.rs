@@ -7,7 +7,7 @@ use apt_tensor::Tensor;
 ///
 /// `Mode::Eval` is the trainer's evaluation; serving runs the
 /// [`FrozenPlan`](crate::FrozenPlan) compiled from the same layers, which
-/// matches it bit for bit on the `DequantCache` lane.
+/// matches it bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
     /// Training: batch statistics, activations cached for backward.
@@ -15,59 +15,6 @@ pub enum Mode {
     Train,
     /// Inference: running statistics, gradients not required.
     Eval,
-}
-
-/// Which compute kernels a [`FrozenPlan`](crate::FrozenPlan) executes.
-///
-/// The lane is a request to the plan compiler
-/// ([`Network::freeze`](crate::Network::freeze)) and nothing else: layers
-/// hold no lane state, so `forward` is the same fp32 arithmetic whatever a
-/// plan built from them was compiled for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelLane {
-    /// Dequantise each weight **once** at compile time and serve from the
-    /// f32 copy: the arithmetic of `forward(input, Mode::Eval)`, bit for
-    /// bit, at the cost of an f32 weight copy held resident.
-    #[default]
-    DequantCache,
-    /// The dequant-free integer lane: weights stay integer codes, packed
-    /// once into [`apt_quant::WeightPanel`]s and multiplied through the
-    /// fused `apt_tensor::ops::int_gemm` kernels against per-row 8-bit
-    /// requantised activations. Bit-*close* (weight side exact, activation
-    /// rounding ≤ εx/2 per element), not bit-exact. Layers that cannot
-    /// build a panel (float/master-copy/projected storage, `k > 16`) fall
-    /// back per-layer to [`DequantCache`](Self::DequantCache).
-    IntGemm,
-}
-
-impl KernelLane {
-    /// Stable lower-case name used by CLI flags, bench CSV columns and
-    /// logs.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelLane::DequantCache => "dequant-cache",
-            KernelLane::IntGemm => "int-gemm",
-        }
-    }
-
-    /// Parses a name produced by [`as_str`](Self::as_str).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "dequant-cache" => Some(KernelLane::DequantCache),
-            "int-gemm" => Some(KernelLane::IntGemm),
-            _ => None,
-        }
-    }
-
-    /// The weaker of two achieved lanes: `DequantCache < IntGemm`. A plan
-    /// that packed an integer panel for one weight but fell back to the
-    /// cache for another reports the fallback.
-    pub fn weakest(self, other: Self) -> Self {
-        match self {
-            KernelLane::IntGemm => other,
-            KernelLane::DequantCache => self,
-        }
-    }
 }
 
 /// A differentiable network layer with manual forward/backward passes.
@@ -201,24 +148,5 @@ mod tests {
     #[test]
     fn layer_is_object_safe() {
         fn _takes_dyn(_: &dyn Layer) {}
-    }
-
-    #[test]
-    fn lane_names_round_trip() {
-        for lane in [KernelLane::DequantCache, KernelLane::IntGemm] {
-            assert_eq!(KernelLane::parse(lane.as_str()), Some(lane));
-        }
-        assert_eq!(KernelLane::parse("turbo"), None);
-        assert_eq!(KernelLane::parse("fp32"), None);
-        assert_eq!(KernelLane::default(), KernelLane::DequantCache);
-    }
-
-    #[test]
-    fn weakest_orders_lanes() {
-        use KernelLane::*;
-        assert_eq!(IntGemm.weakest(DequantCache), DequantCache);
-        assert_eq!(DequantCache.weakest(IntGemm), DequantCache);
-        assert_eq!(DequantCache.weakest(DequantCache), DequantCache);
-        assert_eq!(IntGemm.weakest(IntGemm), IntGemm);
     }
 }

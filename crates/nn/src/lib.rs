@@ -45,7 +45,7 @@ mod param;
 pub mod plan;
 
 pub use error::NnError;
-pub use layer::{KernelLane, Layer, Mode};
+pub use layer::{Layer, Mode};
 pub use network::Network;
 pub use param::{Param, ParamKind, ParamPrecision, ParamStore, Projection, QuantScheme};
 pub use plan::{FrozenPlan, PlanBuilder, PlanReport};

@@ -128,7 +128,7 @@ fn inverted_residual(
 mod tests {
     use super::*;
     use crate::layers::assert_input_gradient;
-    use crate::{KernelLane, Mode};
+    use crate::Mode;
     use apt_tensor::rng::{normal, seeded};
     use apt_tensor::Tensor;
 
@@ -139,7 +139,7 @@ mod tests {
 
     /// Whether `b` merges a skip: its lowered program ends in an add.
     fn has_skip(b: Box<dyn Layer>, sample: &[usize]) -> bool {
-        let plan = Network::new("n", vec![b]).freeze(sample, KernelLane::DequantCache);
+        let plan = Network::new("n", vec![b]).freeze(sample);
         plan.unwrap().step_mnemonics().contains(&"add")
     }
 

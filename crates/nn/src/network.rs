@@ -1,5 +1,5 @@
 use crate::layers::Sequential;
-use crate::{KernelLane, Layer, Mode, Param, ParamKind};
+use crate::{Layer, Mode, Param, ParamKind};
 use apt_tensor::Tensor;
 
 /// A named [`Sequential`] of layers — the unit APT trains.
@@ -151,7 +151,7 @@ impl Network {
 
     /// Compiles the network into an immutable, fused, arena-planned
     /// [`FrozenPlan`](crate::FrozenPlan) for inputs of per-sample shape
-    /// `sample_dims`, targeting kernel `lane`.
+    /// `sample_dims`.
     ///
     /// Each layer lowers itself into typed steps
     /// ([`Layer::lower`](crate::Layer::lower)), then the plan pipeline
@@ -166,12 +166,8 @@ impl Network {
     /// Returns [`NnError::Unfreezable`](crate::NnError::Unfreezable) when
     /// the shapes cannot be threaded through or a layer's grid cannot be
     /// expressed — a model that cannot freeze cannot be served.
-    pub fn freeze(
-        &self,
-        sample_dims: &[usize],
-        lane: KernelLane,
-    ) -> crate::Result<crate::FrozenPlan> {
-        let mut builder = crate::PlanBuilder::new(sample_dims, lane)?;
+    pub fn freeze(&self, sample_dims: &[usize]) -> crate::Result<crate::FrozenPlan> {
+        let mut builder = crate::PlanBuilder::new(sample_dims)?;
         self.0.lower(&mut builder)?;
         builder.finish()
     }

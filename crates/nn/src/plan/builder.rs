@@ -1,10 +1,9 @@
 //! Lowering surface: layers append typed steps through a [`PlanBuilder`].
 
 use super::exec::FrozenPlan;
-use super::step::{Step, StepKind, ValueId, WeightSlot};
+use super::step::{Step, StepKind, ValueId};
 use super::{arena, optimize, PlanReport};
-use crate::{KernelLane, NnError, Param, ParamStore, Result};
-use apt_quant::WeightPanel;
+use crate::{NnError, Param, Result};
 use apt_tensor::ops::conv::Conv2dParams;
 use apt_tensor::ops::fused::Epilogue;
 use apt_tensor::ops::transpose;
@@ -19,38 +18,30 @@ use apt_tensor::ops::transpose;
 /// [`push_add`](Self::push_add).
 #[derive(Debug)]
 pub struct PlanBuilder {
-    lane: KernelLane,
     steps: Vec<Step>,
     /// Per-sample dims of each value.
     values: Vec<Vec<usize>>,
     current: ValueId,
-    /// Achieved lane per weight-carrying step.
-    weight_lanes: Vec<KernelLane>,
-    packed_panels: usize,
     /// Name of the layer currently lowering, for error attribution.
     layer: String,
 }
 
 impl PlanBuilder {
-    /// Starts a plan for inputs of per-sample shape `sample_dims`,
-    /// targeting kernel `lane`.
+    /// Starts a plan for inputs of per-sample shape `sample_dims`.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] for an empty or zero-sized shape.
-    pub fn new(sample_dims: &[usize], lane: KernelLane) -> Result<Self> {
+    pub fn new(sample_dims: &[usize]) -> Result<Self> {
         if sample_dims.is_empty() || sample_dims.contains(&0) {
             return Err(NnError::BadConfig {
                 reason: format!("invalid plan input shape {sample_dims:?}"),
             });
         }
         Ok(PlanBuilder {
-            lane,
             steps: Vec::new(),
             values: vec![sample_dims.to_vec()],
             current: ValueId(0),
-            weight_lanes: Vec::new(),
-            packed_panels: 0,
             layer: String::new(),
         })
     }
@@ -121,12 +112,10 @@ impl PlanBuilder {
         dst
     }
 
-    /// Lowers a fully-connected layer `y = x·Wᵀ (+ b)`. Under an
-    /// [`KernelLane::IntGemm`] request integer storage packs a
-    /// [`WeightPanel`] here; anything else dequantises once into an f32
-    /// slot. Every f32 copy (the slot, and the integer slot's non-finite
-    /// fallback) is stored transposed, `Wᵀ` `[in_f × out_f]`, the operand
-    /// [`linear_bias_act`](apt_tensor::ops::fused::linear_bias_act) reads.
+    /// Lowers a fully-connected layer `y = x·Wᵀ (+ b)`. The weight is
+    /// dequantised once and stored transposed, `Wᵀ` `[in_f × out_f]`, the
+    /// operand [`linear_bias_act`](apt_tensor::ops::fused::linear_bias_act)
+    /// reads.
     ///
     /// # Errors
     ///
@@ -145,32 +134,11 @@ impl PlanBuilder {
                 "linear expects {in_f} input features, value has {flat}"
             )));
         }
-        // A panel needs integer storage, `k ≤ 16` and rows short enough for
-        // the `i8` dot tier; every other weight, and every other lane, takes
-        // the f32 slot (a frozen plan never re-dequantises per forward).
-        let panel = match (self.lane, weight.store()) {
-            (KernelLane::IntGemm, ParamStore::Quantized(q)) => {
-                WeightPanel::from_quantized(q, out_f, in_f)
-            }
-            _ => None,
-        };
-        let dequant = transpose(&weight.value())?.into_vec();
-        let slot = match panel {
-            Some(panel) => {
-                self.packed_panels += 1;
-                self.weight_lanes.push(KernelLane::IntGemm);
-                WeightSlot::Int { panel, dequant }
-            }
-            None => {
-                self.weight_lanes
-                    .push(self.lane.weakest(KernelLane::DequantCache));
-                WeightSlot::F32(dequant)
-            }
-        };
+        let weight = transpose(&weight.value())?.into_vec();
         let bias = bias.map(|b| b.value().into_vec());
         self.push_step(
             StepKind::Linear {
-                weight: slot,
+                weight,
                 bias,
                 act: Epilogue::None,
                 in_f,
@@ -217,10 +185,6 @@ impl PlanBuilder {
             )));
         }
         let (oh, ow) = (params.out_size(h, kernel), params.out_size(w, kernel));
-        // Conv always compiles f32 weights (see `StepKind::Conv::weight`);
-        // under an IntGemm request it contributes a DequantCache arm.
-        self.weight_lanes
-            .push(self.lane.weakest(KernelLane::DequantCache));
         let bias = bias.map(|b| b.value().into_vec());
         self.push_step(
             StepKind::Conv {
@@ -440,12 +404,9 @@ impl PlanBuilder {
     /// lowered a step — there is no output to serve).
     pub fn finish(self) -> Result<FrozenPlan> {
         let PlanBuilder {
-            lane,
             mut steps,
             values,
             current,
-            weight_lanes,
-            packed_panels,
             ..
         } = self;
         if steps.is_empty() {
@@ -457,7 +418,6 @@ impl PlanBuilder {
         let lowered_steps = steps.len();
         let output_value = current;
         let counters = optimize::run(&mut steps, output_value);
-        let achieved = weight_lanes.iter().fold(lane, |acc, &l| acc.weakest(l));
         let value_len: Vec<usize> = values.iter().map(|d| d.iter().product()).collect();
         let layout = arena::plan(&steps, &value_len, output_value);
         let report = PlanReport {
@@ -467,9 +427,7 @@ impl PlanBuilder {
             act_fusions: counters.act_fusions,
             quant_elims: counters.quant_elims,
             pad_folds: counters.pad_folds,
-            packed_panels,
             arena_floats_per_sample: layout.arena_len,
-            lane: achieved,
         };
         Ok(FrozenPlan::assemble(
             steps,
@@ -477,7 +435,6 @@ impl PlanBuilder {
             value_len,
             layout,
             output_value,
-            achieved,
             report,
         ))
     }

@@ -1,10 +1,10 @@
 //! The immutable compiled plan and its allocation-free executor.
 
 use super::arena::Layout;
-use super::step::{Step, StepKind, ValueId, WeightSlot};
+use super::step::{Step, StepKind, ValueId};
 use super::PlanReport;
-use crate::{KernelLane, NnError, Result};
-use apt_quant::{fake, ActPanel};
+use crate::{NnError, Result};
+use apt_quant::fake;
 use apt_tensor::ops::fused;
 use apt_tensor::Tensor;
 
@@ -31,7 +31,6 @@ pub struct FrozenPlan {
     output_dims: Vec<usize>,
     output_len: usize,
     output_value: ValueId,
-    lane: KernelLane,
     report: PlanReport,
 }
 
@@ -42,7 +41,6 @@ impl FrozenPlan {
         value_len: Vec<usize>,
         layout: Layout,
         output_value: ValueId,
-        lane: KernelLane,
         report: PlanReport,
     ) -> Self {
         let sample_dims = values[0].clone();
@@ -60,19 +58,13 @@ impl FrozenPlan {
             output_dims,
             output_len,
             output_value,
-            lane,
             report,
         }
     }
 
-    /// The compile-time report (step counts, folds, arena size, lane).
+    /// The compile-time report (step counts, folds, arena size).
     pub fn report(&self) -> &PlanReport {
         &self.report
-    }
-
-    /// The kernel lane the plan achieved (weakest over weight steps).
-    pub fn lane(&self) -> KernelLane {
-        self.lane
     }
 
     /// Elements per input sample.
@@ -107,17 +99,14 @@ impl FrozenPlan {
         self.steps.iter().map(|s| s.kind.mnemonic()).collect()
     }
 
-    /// Bytes the plan keeps resident: fused weights, biases, folded
-    /// BatchNorm parameters and packed integer panels. Counted into the
+    /// Bytes the plan keeps resident: fused weights, biases and folded
+    /// BatchNorm parameters. Counted into the
     /// serving registry's budget alongside the network parameters.
     pub fn resident_bytes(&self) -> u64 {
         let mut total = 0u64;
         for s in &self.steps {
             total += match &s.kind {
-                StepKind::Linear { weight, bias, .. } => {
-                    weight.resident_bytes() + bias.as_ref().map_or(0, |b| b.len() as u64 * 4)
-                }
-                StepKind::Conv { weight, bias, .. } => {
+                StepKind::Linear { weight, bias, .. } | StepKind::Conv { weight, bias, .. } => {
                     weight.len() as u64 * 4 + bias.as_ref().map_or(0, |b| b.len() as u64 * 4)
                 }
                 StepKind::Bn {
@@ -231,40 +220,7 @@ impl FrozenPlan {
                 out_f,
             } => {
                 let (src, dst) = rw(buf, s_off, s_len, d_off, d_len);
-                match weight {
-                    WeightSlot::F32(w) => fused::linear_bias_act(
-                        src,
-                        w,
-                        dst,
-                        n,
-                        *in_f,
-                        *out_f,
-                        bias.as_deref(),
-                        *act,
-                    )?,
-                    WeightSlot::Int { panel, dequant } => {
-                        match ActPanel::quantize_rows(src, n, *in_f) {
-                            Some(act_panel) => {
-                                dst.fill(0.0);
-                                panel.gemm_rescale(&act_panel, dst, bias.as_deref())?;
-                                act.apply(dst);
-                            }
-                            // Non-finite activation rows cannot be code-
-                            // quantised; the dequantised weights propagate
-                            // NaN/Inf the way `forward(Eval)` does.
-                            None => fused::linear_bias_act(
-                                src,
-                                dequant,
-                                dst,
-                                n,
-                                *in_f,
-                                *out_f,
-                                bias.as_deref(),
-                                *act,
-                            )?,
-                        }
-                    }
-                }
+                fused::linear_bias_act(src, weight, dst, n, *in_f, *out_f, bias.as_deref(), *act)?;
             }
             StepKind::Conv {
                 weight,

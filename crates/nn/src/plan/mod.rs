@@ -12,8 +12,7 @@
 //! 2. **Decluttering** ([`optimize`]) — BatchNorm running statistics fold
 //!    into the preceding convolution's weights+bias (exact per-channel
 //!    affine algebra), activations fuse into conv/linear epilogues, and
-//!    adjacent identical fake-quant steps deduplicate. Weight panels for
-//!    the integer lane are packed here, at compile time.
+//!    adjacent identical fake-quant steps deduplicate.
 //! 3. **Arena planning** ([`arena`]) — every intermediate value gets a
 //!    liveness interval and a first-fit offset into one flat scratch
 //!    arena, with element-wise steps aliased in place. Steady-state
@@ -34,7 +33,6 @@ pub use exec::FrozenPlan;
 
 pub use step::ValueId;
 
-use crate::KernelLane;
 use std::fmt;
 
 /// Compile-time summary of what the freeze pipeline did to a network —
@@ -54,12 +52,8 @@ pub struct PlanReport {
     /// Zero-padding steps constant-folded (pad→pad merges and pads
     /// absorbed into a convolution's padding parameter).
     pub pad_folds: usize,
-    /// Integer weight panels packed at compile time.
-    pub packed_panels: usize,
     /// Scratch arena size, in f32 elements per sample.
     pub arena_floats_per_sample: usize,
-    /// The kernel lane the compiled plan achieved.
-    pub lane: KernelLane,
 }
 
 impl fmt::Display for PlanReport {
@@ -73,14 +67,12 @@ impl fmt::Display for PlanReport {
         writeln!(f, "act fusions: {}", self.act_fusions)?;
         writeln!(f, "quant eliminations: {}", self.quant_elims)?;
         writeln!(f, "pad folds: {}", self.pad_folds)?;
-        writeln!(f, "packed int panels: {}", self.packed_panels)?;
-        writeln!(
+        write!(
             f,
             "arena: {} floats ({} bytes) per sample",
             self.arena_floats_per_sample,
             self.arena_floats_per_sample * 4
-        )?;
-        write!(f, "lane: {}", self.lane.as_str())
+        )
     }
 }
 
@@ -97,9 +89,7 @@ mod tests {
             act_fusions: 2,
             quant_elims: 0,
             pad_folds: 4,
-            packed_panels: 1,
             arena_floats_per_sample: 4096,
-            lane: KernelLane::IntGemm,
         };
         let s = r.to_string();
         for needle in [
@@ -109,7 +99,6 @@ mod tests {
             "act fusions: 2",
             "pad folds: 4",
             "4096",
-            "int-gemm",
         ] {
             assert!(s.contains(needle), "missing {needle} in {s}");
         }

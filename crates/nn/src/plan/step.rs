@@ -1,6 +1,5 @@
 //! Typed steps of a frozen plan's flat program.
 
-use apt_quant::WeightPanel;
 use apt_tensor::ops::conv::Conv2dParams;
 use apt_tensor::ops::fused::Epilogue;
 
@@ -11,43 +10,15 @@ use apt_tensor::ops::fused::Epilogue;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ValueId(pub(crate) usize);
 
-/// How a GEMM weight is held resident in the plan.
-#[derive(Debug, Clone)]
-pub(crate) enum WeightSlot {
-    /// Dequantised once at compile time (the dequant-cache lane, and the
-    /// fp32 lane — a frozen plan never re-dequantises per forward).
-    F32(Vec<f32>),
-    /// Packed integer panel for the dequant-free lane, plus the f32
-    /// dequantisation kept for the NaN-input fallback path (the integer
-    /// activation quantiser cannot represent non-finite rows).
-    Int {
-        /// Compile-time-packed codes + per-channel rescale metadata.
-        panel: WeightPanel,
-        /// `dequant(panel)`, transposed like the `F32` slot — used only
-        /// when activation rows cannot be quantised, so NaN/Inf propagate
-        /// instead of being flushed onto the grid. Counted resident.
-        dequant: Vec<f32>,
-    },
-}
-
-impl WeightSlot {
-    /// Bytes this slot keeps resident.
-    pub(crate) fn resident_bytes(&self) -> u64 {
-        match self {
-            WeightSlot::F32(w) => w.len() as u64 * 4,
-            WeightSlot::Int { panel, dequant } => panel.resident_bytes() + dequant.len() as u64 * 4,
-        }
-    }
-}
-
 /// One operation of the compiled program. Geometry is baked in at compile
 /// time (per-sample); the executor scales by the batch size.
 #[derive(Debug, Clone)]
 pub(crate) enum StepKind {
     /// Fully-connected `y = act(x·Wᵀ + b)`.
     Linear {
-        /// Weight slot: `Wᵀ`, `[in_f × out_f]` (k-major) in every f32 copy.
-        weight: WeightSlot,
+        /// `Wᵀ`, `[in_f × out_f]` (k-major), dequantised once at compile
+        /// time: a frozen plan never re-dequantises per forward.
+        weight: Vec<f32>,
         /// Bias, possibly absorbed from a folded BatchNorm.
         bias: Option<Vec<f32>>,
         /// Fused activation epilogue.
@@ -59,11 +30,7 @@ pub(crate) enum StepKind {
     },
     /// 2-D convolution `y = act(conv(x, W) + b)` on NCHW values.
     Conv {
-        /// Weight `[c_out, c_in/groups, k, k]`, flattened. Convolutions
-        /// always compile to f32 weights: an integer conv would stage
-        /// per-group activation panels per forward, which is incompatible
-        /// with the zero-allocation arena contract, so under an `IntGemm`
-        /// request conv steps report the dequant cache instead.
+        /// Weight `[c_out, c_in/groups, k, k]`, flattened.
         weight: Vec<f32>,
         /// Per-output-channel bias (folded BatchNorm lands here).
         bias: Option<Vec<f32>>,

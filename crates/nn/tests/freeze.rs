@@ -6,13 +6,13 @@
 //!
 //! * **bit-identical** — plans with no BatchNorm folding (the MLP) replay
 //!   exactly the same float op sequence as the layer path, so the outputs
-//!   must match to the bit at every kernel lane.
+//!   must match to the bit.
 //! * **rows-close** — BN folding rescales conv weights at compile time,
 //!   which reassociates the per-channel multiply (`Σ (s·w)·x` vs
 //!   `s·Σ w·x`). That is exact algebra with only float rounding drift, so
 //!   outputs agree to `REL_TOL` relative to each row's max magnitude.
 
-use apt_nn::{checkpoint, models, KernelLane, Mode, Network, ParamPrecision, QuantScheme};
+use apt_nn::{checkpoint, models, Mode, Network, ParamPrecision, QuantScheme};
 use apt_tensor::rng::{normal, seeded};
 use apt_tensor::Tensor;
 use proptest::prelude::*;
@@ -79,18 +79,13 @@ fn assert_close(name: &str, expected: &Tensor, got: &Tensor, exact: bool) {
 
 /// Trains one step so BN running stats move off their init, then compares
 /// the frozen plan against `Mode::Eval` layer evaluation.
-fn freeze_and_compare(net: &mut Network, dims: &[usize], lane: KernelLane, exact: bool) {
+fn freeze_and_compare(net: &mut Network, dims: &[usize], exact: bool) {
     let x = normal(dims, 1.0, &mut seeded(11));
     let _ = net.forward(&x, Mode::Train).unwrap();
     let expected = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&dims[1..], lane).unwrap();
+    let plan = net.freeze(&dims[1..]).unwrap();
     let got = plan.infer(&x).unwrap();
-    assert_close(
-        &format!("{} [{}]", net.name(), lane.as_str()),
-        &expected,
-        &got,
-        exact,
-    );
+    assert_close(net.name(), &expected, &got, exact);
 }
 
 #[test]
@@ -98,7 +93,7 @@ fn frozen_plan_matches_layer_eval_across_backbones_and_schemes() {
     for scheme in [QuantScheme::float32(), QuantScheme::paper_apt()] {
         for (mut net, dims) in zoo(&scheme) {
             let exact = net.name() == "m"; // the MLP has no BN to fold
-            freeze_and_compare(&mut net, &dims, KernelLane::DequantCache, exact);
+            freeze_and_compare(&mut net, &dims, exact);
         }
     }
 }
@@ -107,7 +102,7 @@ fn frozen_plan_matches_layer_eval_across_backbones_and_schemes() {
 fn mlp_frozen_is_bit_identical_at_the_exact_lane() {
     let mut net =
         models::mlp("m", &[16, 8, 10], &QuantScheme::paper_apt(), &mut seeded(7)).unwrap();
-    freeze_and_compare(&mut net, &[2, 16], KernelLane::DequantCache, true);
+    freeze_and_compare(&mut net, &[2, 16], true);
 }
 
 #[test]
@@ -123,7 +118,7 @@ fn serving_shaped_mlp_is_bit_identical_at_every_small_batch() {
         &mut seeded(7),
     )
     .unwrap();
-    let plan = net.freeze(&[300], KernelLane::DequantCache).unwrap();
+    let plan = net.freeze(&[300]).unwrap();
     for batch in [1, 3, 8] {
         let x = normal(&[batch, 300], 1.0, &mut seeded(batch as u64));
         let want = net.forward(&x, Mode::Eval).unwrap();
@@ -135,82 +130,12 @@ fn serving_shaped_mlp_is_bit_identical_at_every_small_batch() {
     }
 }
 
-/// A one-layer k-bit net: the smallest program whose `int-gemm` plan is a
-/// single `WeightSlot::Int` step.
-fn quantized_linear_net(out: usize, inp: usize, k: u32) -> Network {
-    let fc = apt_nn::layers::Linear::new(
-        "fcq",
-        inp,
-        out,
-        ParamPrecision::Quantized(apt_quant::Bitwidth::new(k).unwrap()),
-        Some(ParamPrecision::Float32),
-        &mut seeded(7),
-    )
-    .unwrap();
-    Network::new("one", vec![Box::new(fc)])
-}
-
-#[test]
-fn integer_lane_is_within_the_requant_bound() {
-    let mut net = quantized_linear_net(6, 16, 4);
-    let x = normal(&[3, 16], 1.0, &mut seeded(9));
-    let base = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&[16], KernelLane::IntGemm).unwrap();
-    assert_eq!(plan.lane(), KernelLane::IntGemm);
-    assert_eq!(plan.report().packed_panels, 1);
-    let int = plan.infer(&x).unwrap();
-    let mut wv = None;
-    net.visit_params_ref(&mut |p| {
-        if p.kind() == apt_nn::ParamKind::Weight {
-            wv = Some(p.value());
-        }
-    });
-    let w = wv.unwrap();
-    // Weight side is exact; the divergence is bounded by the 8-bit
-    // activation rounding pushed through the dequantised weights.
-    for i in 0..3 {
-        let row = &x.data()[i * 16..(i + 1) * 16];
-        let (lo, hi) = row
-            .iter()
-            .fold((0.0f32, 0.0f32), |(a, b), &v| (a.min(v), b.max(v)));
-        let eps_x = ((hi - lo) / 255.0).max(1e-12);
-        for o in 0..6 {
-            let wsum: f32 = w.data()[o * 16..(o + 1) * 16].iter().map(|v| v.abs()).sum();
-            let bound = 0.5 * eps_x * wsum * 1.001 + 1e-4;
-            let (g, want) = (int.data()[i * 6 + o], base.data()[i * 6 + o]);
-            assert!(
-                (g - want).abs() <= bound,
-                "[{i},{o}] {g} vs {want} ± {bound}"
-            );
-        }
-    }
-}
-
-#[test]
-fn integer_lane_falls_back_on_non_finite_input() {
-    let mut net = quantized_linear_net(4, 8, 4);
-    let plan = net.freeze(&[8], KernelLane::IntGemm).unwrap();
-    assert_eq!(plan.lane(), KernelLane::IntGemm);
-    let mut x = normal(&[2, 8], 1.0, &mut seeded(10));
-    x.data_mut()[3] = f32::NAN;
-    let y = plan.infer(&x).unwrap();
-    assert!(
-        y.data().iter().any(|v| v.is_nan()),
-        "fallback must propagate NaN, not flush it onto the grid"
-    );
-    // The fallback is the dequantised-weight kernel, i.e. `forward(Eval)`.
-    let want = net.forward(&x, Mode::Eval).unwrap();
-    for (a, b) in y.data().iter().zip(want.data()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-}
-
 #[test]
 fn a_plan_is_a_snapshot_that_training_neither_sees_nor_moves() {
     let mut net =
         models::mlp("m", &[16, 8, 10], &QuantScheme::paper_apt(), &mut seeded(7)).unwrap();
     let x = normal(&[2, 16], 1.0, &mut seeded(41));
-    let plan = net.freeze(&[16], KernelLane::DequantCache).unwrap();
+    let plan = net.freeze(&[16]).unwrap();
     let before = plan.infer(&x).unwrap();
 
     // One SGD step (Eq. 3 on the quantised weights).
@@ -255,7 +180,7 @@ fn frozen_plan_matches_after_checkpoint_round_trip() {
         .unwrap();
         checkpoint::load(&mut fresh, &blob).unwrap();
         let expected = fresh.forward(&x, Mode::Eval).unwrap();
-        let plan = fresh.freeze(&dims[1..], KernelLane::DequantCache).unwrap();
+        let plan = fresh.freeze(&dims[1..]).unwrap();
         let got = plan.infer(&x).unwrap();
         assert_close(&name, &expected, &got, name == "m");
     }
@@ -268,7 +193,7 @@ fn frozen_plan_reports_fusions_and_zero_bn_steps_on_plain_chains() {
     let mut net = models::cifarnet(10, 8, 0.25, &QuantScheme::float32(), &mut seeded(3)).unwrap();
     let x = normal(&[2, 3, 8, 8], 1.0, &mut seeded(4));
     let _ = net.forward(&x, Mode::Train).unwrap();
-    let plan = net.freeze(&[3, 8, 8], KernelLane::DequantCache).unwrap();
+    let plan = net.freeze(&[3, 8, 8]).unwrap();
     let report = plan.report();
     assert_eq!(report.bn_folds, 2, "both BNs fold");
     assert!(report.act_fusions >= 3, "{report}");
@@ -313,7 +238,7 @@ fn pad_chains_constant_fold_into_the_conv_bit_identically() {
     );
     let x = normal(&[2, 2, 5, 5], 1.0, &mut seeded(32));
     let expected = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&[2, 5, 5], KernelLane::DequantCache).unwrap();
+    let plan = net.freeze(&[2, 5, 5]).unwrap();
     let report = plan.report();
     assert_eq!(report.pad_folds, 2, "pad→pad merge plus pad→conv: {report}");
     assert!(
@@ -341,7 +266,7 @@ fn standalone_pad_survives_and_executes_bit_identically() {
     );
     let x = normal(&[2, 3, 4, 4], 1.0, &mut seeded(33));
     let expected = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&[3, 4, 4], KernelLane::DequantCache).unwrap();
+    let plan = net.freeze(&[3, 4, 4]).unwrap();
     assert_eq!(plan.report().pad_folds, 0);
     assert_eq!(plan.step_mnemonics(), vec!["pad", "maxpool"]);
     let got = plan.infer(&x).unwrap();
@@ -378,7 +303,7 @@ fn unfreezable_layer_reports_typed_reason() {
         }
     }
     let net = Network::new("n", vec![Box::new(Opaque)]);
-    let err = net.freeze(&[4], KernelLane::DequantCache).unwrap_err();
+    let err = net.freeze(&[4]).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("opaque") && msg.contains("frozen"), "{msg}");
 }
@@ -468,7 +393,7 @@ proptest! {
         let mut net = conv_bn_net(c_in, c_out, &gamma, &beta, &mean, &var);
         let x = normal(&[2, c_in, 5, 5], 1.0, &mut r);
         let expected = net.forward(&x, Mode::Eval).unwrap();
-        let plan = net.freeze(&[c_in, 5, 5], KernelLane::DequantCache).unwrap();
+        let plan = net.freeze(&[c_in, 5, 5]).unwrap();
         prop_assert_eq!(plan.report().bn_folds, 1);
         let got = plan.infer(&x).unwrap();
         for (&e, &g) in expected.data().iter().zip(got.data()) {

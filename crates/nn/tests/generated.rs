@@ -9,7 +9,7 @@ use apt_nn::layers::{
     ActQuant, AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu, Relu6, Residual,
     Sequential, ZeroPad2d,
 };
-use apt_nn::{checkpoint, KernelLane, Layer, Mode, Network, ParamPrecision};
+use apt_nn::{checkpoint, Layer, Mode, Network, ParamPrecision};
 use apt_quant::{Bitwidth, RoundingMode};
 use apt_tensor::ops::fused::Epilogue;
 use apt_tensor::rng::{normal, seeded};
@@ -274,7 +274,7 @@ proptest! {
 
         let mut has_bn = false;
         net.visit_buffers(&mut |_, _| has_bn = true);
-        let got = net.freeze(&dims[1..], KernelLane::DequantCache).unwrap().infer(&x).unwrap();
+        let got = net.freeze(&dims[1..]).unwrap().infer(&x).unwrap();
         prop_assert_eq!(got.dims(), eval.dims());
         for (e, g) in eval.data().chunks(3).zip(got.data().chunks(3)) {
             let scale = e.iter().fold(1.0f32, |m, v| m.max(v.abs()));

@@ -25,10 +25,6 @@
 //!   memory instead of a simulated 64. [`QuantizedTensor::resident_bytes`]
 //!   reports the real footprint next to the modeled
 //!   [`memory_bits`](QuantizedTensor::memory_bits).
-//! * [`WeightPanel`] / [`ActPanel`] — GEMM-ready integer panels for the
-//!   dequant-free serving lane: codes unpacked once at session load
-//!   (weights) or per request (activations) into the centered row-major
-//!   layout the `apt_tensor::ops::int_gemm` kernels consume.
 //! * [`fake`] — one-shot "fake quantisation" (quantise→dequantise in float),
 //!   plus ternarisation/binarisation; these power the fp32-master-copy
 //!   baselines of Table I (DoReFa/TTQ/TWN/BNN/TernGrad style).
@@ -59,7 +55,6 @@ mod code_store;
 mod error;
 pub mod fake;
 mod grad;
-mod panel;
 mod quantizer;
 mod rounding;
 mod tensor_q;
@@ -68,7 +63,6 @@ pub use bitwidth::Bitwidth;
 pub use code_store::{CodeStore, PackedCodes};
 pub use error::QuantError;
 pub use grad::GradCodec;
-pub use panel::{ActPanel, WeightPanel};
 pub use quantizer::AffineQuantizer;
 pub use rounding::RoundingMode;
 pub use tensor_q::{QuantizedTensor, UpdateStats};

@@ -8,12 +8,9 @@
 //!    folded, activations fused, one pre-planned arena). Packed quantized
 //!    weights stay resident at their physical width, and request samples
 //!    are staged through a recycled [`ScratchArena`] so the steady-state
-//!    hot path does not grow the heap. The [`KernelLane`] is a request to
-//!    the plan compiler: the default dequant cache keeps outputs within
-//!    BN-fold rounding of the trainer's `Mode::Eval` forward (bit-identical
-//!    without BatchNorm), while the opt-in `int-gemm` lane serves linear
-//!    layers dequant-free from packed integer panels (bit-close,
-//!    documented bound, faster than f32 at low `k`).
+//!    hot path does not grow the heap. The plan dequantises each weight
+//!    once at load and keeps outputs within BN-fold rounding of the
+//!    trainer's `Mode::Eval` forward (bit-identical without BatchNorm).
 //! 2. **[`MicroBatcher`]** — a dynamic micro-batcher that coalesces
 //!    single-sample requests from a bounded MPSC queue under a
 //!    [`BatchPolicy`] (`max_batch` / `queue_depth`), executes them as one
@@ -78,7 +75,6 @@ mod stats;
 
 pub mod protocol;
 
-pub use apt_nn::KernelLane;
 pub use batcher::{BatchPolicy, BatcherHandle, MicroBatcher};
 pub use client::{ClientConfig, RetryPolicy, ServeClient};
 pub use error::ServeError;

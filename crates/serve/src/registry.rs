@@ -38,7 +38,7 @@
 //! single model larger than the whole budget is rejected at publish time.
 
 use crate::protocol::MAX_MODEL_ID;
-use crate::{InferenceSession, KernelLane, ModelSpec, ServeError, ServeStats, StatsSnapshot};
+use crate::{InferenceSession, ModelSpec, ServeError, ServeStats, StatsSnapshot};
 use apt_nn::checkpoint;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -59,11 +59,6 @@ pub struct RegistryConfig {
     /// Architecture used to load checkpoints ingested from files. Blob
     /// ingestion ([`ModelRegistry::ingest_blob`]) carries its own spec.
     pub spec: Option<ModelSpec>,
-    /// Kernel lane every ingested checkpoint is compiled for (default: the
-    /// bit-exact dequant cache). Panels or cached weights built for the
-    /// lane are part of each plan's resident bytes, so the budget sees
-    /// them.
-    pub lane: KernelLane,
 }
 
 /// One registered model's bookkeeping.
@@ -406,9 +401,9 @@ impl ModelRegistry {
     fn validate(&self, spec: &ModelSpec, blob: &[u8]) -> Result<InferenceSession, ServeError> {
         // Rung 1: structural walk — framing, version, CRC, section bounds.
         checkpoint::verify(blob)?;
-        // Rung 2: full decode, compiling the frozen plan for the configured
-        // kernel lane, and a probe run of the program that will serve.
-        InferenceSession::from_checkpoint_with_lane(spec, blob, self.config.lane)
+        // Rung 2: full decode, compiling the frozen plan, and a probe run
+        // of the program that will serve.
+        InferenceSession::from_checkpoint(spec, blob)
     }
 
     /// The atomic publish: validate id and budget, swap the entry under

@@ -3,18 +3,16 @@
 //! An [`InferenceSession`] is the serving counterpart of the trainer: the
 //! network is loaded once, kept **immutable** behind an `Arc`, and compiled
 //! into a [`FrozenPlan`] — BatchNorm folded, activations fused,
-//! intermediates arena-planned, weights dequantised or packed once.
+//! intermediates arena-planned, weights dequantised once.
 //! Quantised weights in the network itself stay resident at their physical
 //! packed width (the code store is loaded verbatim from the checkpoint;
 //! nothing is inflated to fp32 at rest).
 //!
-//! The [`KernelLane`] is a request to the plan compiler and lives nowhere
-//! else: the default [`KernelLane::DequantCache`] plan is bit-exact against
-//! `forward(Mode::Eval)`, while [`KernelLane::IntGemm`] serves linear
-//! layers straight from packed integer panels through the fused integer
-//! GEMM kernels (bit-close, documented bound). What the plan keeps resident
-//! is counted by [`InferenceSession::resident_bytes`], so registry eviction
-//! budgets see the real footprint.
+//! The plan is bit-exact against `forward(Mode::Eval)` for networks without
+//! BatchNorm, and within float reassociation of it for folded ones. What
+//! the plan keeps resident is counted by
+//! [`InferenceSession::resident_bytes`], so registry eviction budgets see
+//! the real footprint.
 //!
 //! A session is always a plan: a network that cannot freeze is refused at
 //! load with the compiler's typed [`apt_nn::NnError::Unfreezable`].
@@ -23,7 +21,7 @@
 //! handling reuses buffers instead of allocating per call.
 
 use crate::ServeError;
-use apt_nn::{checkpoint, models, FrozenPlan, KernelLane, Network, PlanReport, QuantScheme};
+use apt_nn::{checkpoint, models, FrozenPlan, Network, PlanReport, QuantScheme};
 use apt_tensor::{rng, Tensor};
 use rand::rngs::StdRng;
 use std::str::FromStr;
@@ -211,59 +209,37 @@ pub struct InferenceSession {
     sample_dims: Arc<[usize]>,
     sample_len: usize,
     num_outputs: usize,
-    lane: KernelLane,
 }
 
 impl InferenceSession {
     /// Loads a `.aptc` checkpoint blob (any supported version: v1, v2, v3)
-    /// into the architecture described by `spec` and compiles it for the
-    /// default [`KernelLane::DequantCache`] (bit-exact).
+    /// into the architecture described by `spec` and compiles it into a
+    /// [`FrozenPlan`].
     ///
     /// # Errors
     ///
     /// Propagates architecture construction and checkpoint decode errors,
-    /// and fails if a probe forward pass cannot run.
+    /// returns [`ServeError::Nn`] carrying
+    /// [`apt_nn::NnError::Unfreezable`] when the network cannot be
+    /// compiled, and fails if a probe forward pass cannot run.
     pub fn from_checkpoint(spec: &ModelSpec, blob: &[u8]) -> Result<Self, ServeError> {
-        Self::from_checkpoint_with_lane(spec, blob, KernelLane::default())
-    }
-
-    /// [`from_checkpoint`](Self::from_checkpoint) with an explicit kernel
-    /// lane request. The network is compiled into a [`FrozenPlan`] for
-    /// `lane`; the session records the **achieved** lane (weights that
-    /// cannot build an integer panel degrade, see [`KernelLane::IntGemm`]),
-    /// readable via [`lane`](Self::lane).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`from_checkpoint`](Self::from_checkpoint), plus
-    /// [`ServeError::Nn`] carrying [`apt_nn::NnError::Unfreezable`] when
-    /// the network cannot be compiled.
-    pub fn from_checkpoint_with_lane(
-        spec: &ModelSpec,
-        blob: &[u8],
-        lane: KernelLane,
-    ) -> Result<Self, ServeError> {
         let mut net = spec.build()?;
         checkpoint::load(&mut net, blob)?;
-        Self::from_network_with_lane(net, &spec.sample_dims(), lane)
+        Self::from_network(net, &spec.sample_dims())
     }
 
     /// Compiles a loaded network into a session. `sample_dims` is the shape
     /// of one input sample without the batch axis; the probe (a batch of
     /// one zero sample) catches a sample-shape mismatch here rather than on
     /// the first request.
-    fn from_network_with_lane(
-        net: Network,
-        sample_dims: &[usize],
-        lane: KernelLane,
-    ) -> Result<Self, ServeError> {
+    fn from_network(net: Network, sample_dims: &[usize]) -> Result<Self, ServeError> {
         if sample_dims.is_empty() || sample_dims.contains(&0) {
             return Err(ServeError::BadRequest {
                 reason: format!("invalid sample dims {sample_dims:?}"),
             });
         }
         let sample_len: usize = sample_dims.iter().product();
-        let plan = net.freeze(sample_dims, lane)?;
+        let plan = net.freeze(sample_dims)?;
         // A zero-sample probe validates the compiled program end to end.
         let mut probe_out = vec![0.0f32; plan.output_len()];
         plan.execute(
@@ -278,7 +254,6 @@ impl InferenceSession {
             sample_dims: sample_dims.into(),
             sample_len,
             num_outputs: plan.output_len(),
-            lane: plan.lane(),
             plan: Arc::new(plan),
         })
     }
@@ -311,12 +286,6 @@ impl InferenceSession {
     /// registry budgets must count.
     pub fn resident_bytes(&self) -> u64 {
         self.net.resident_bytes() + self.plan.resident_bytes()
-    }
-
-    /// The kernel lane the session actually achieved at load time: the
-    /// weakest lane across the plan's weight-bearing steps.
-    pub fn lane(&self) -> KernelLane {
-        self.lane
     }
 
     /// Shape of one input sample (no batch axis).
@@ -595,17 +564,15 @@ mod tests {
     /// published: the registry only ever holds plans.
     #[test]
     fn unfreezable_network_is_refused_at_load() {
-        for lane in [KernelLane::DequantCache, KernelLane::IntGemm] {
-            let got = InferenceSession::from_network_with_lane(unfreezable_net(), &[6], lane);
-            assert!(
-                matches!(
-                    got,
-                    Err(ServeError::Nn(apt_nn::NnError::Unfreezable { ref layer, .. }))
-                        if layer == "opaque"
-                ),
-                "{lane:?}: {got:?}"
-            );
-        }
+        let got = InferenceSession::from_network(unfreezable_net(), &[6]);
+        assert!(
+            matches!(
+                got,
+                Err(ServeError::Nn(apt_nn::NnError::Unfreezable { ref layer, .. }))
+                    if layer == "opaque"
+            ),
+            "{got:?}"
+        );
     }
 
     #[test]
@@ -616,13 +583,12 @@ mod tests {
             img_size: 0,
             width_mult: 1.0,
         };
-        let lane = KernelLane::default();
         let net = spec.build().unwrap();
-        assert!(InferenceSession::from_network_with_lane(net, &[], lane).is_err());
+        assert!(InferenceSession::from_network(net, &[]).is_err());
         let net2 = spec.build().unwrap();
-        assert!(InferenceSession::from_network_with_lane(net2, &[0], lane).is_err());
+        assert!(InferenceSession::from_network(net2, &[0]).is_err());
         // probe catches arch/sample mismatch up front
         let net3 = spec.build().unwrap();
-        assert!(InferenceSession::from_network_with_lane(net3, &[5], lane).is_err());
+        assert!(InferenceSession::from_network(net3, &[5]).is_err());
     }
 }

@@ -12,7 +12,9 @@
 //!   same weights as the trainer's eval forward;
 //! * the **frozen** session folds BatchNorm into conv weights at compile
 //!   time, which reassociates per-channel float multiplies, so its logits
-//!   agree with that reference within a small relative tolerance.
+//!   agree with that reference within a small relative tolerance; a
+//!   BN-free MLP folds nothing and matches it to the bit. Every backbone
+//!   of the model zoo is swept.
 
 use apt_core::{PolicyConfig, TrainConfig, Trainer};
 use apt_data::{SynthCifar, SynthCifarConfig};
@@ -104,5 +106,79 @@ fn session_matches_trainer_eval_after_checkpoint_round_trip() {
                 "frozen logits drifted past tolerance: {e} vs {g}"
             );
         }
+    }
+}
+
+/// Every backbone the model zoo serves, fresh at paper-APT precision,
+/// `save_full` → `from_checkpoint`, against `forward(Mode::Eval)` on a
+/// network loaded from the same blob: the BN-free MLP to the bit, the
+/// BatchNorm nets within the fold's reassociation drift (`1e-4` of the
+/// largest logit magnitude, floored at 1). The plan's own weights must be
+/// counted resident on top of the network's stores.
+#[test]
+fn every_backbone_serves_its_eval_forward() {
+    let backbones = [
+        ModelSpec {
+            arch: ModelArch::Mlp(vec![48, 32, 3]),
+            classes: 3,
+            img_size: 0,
+            width_mult: 1.0,
+        },
+        spec(),
+        ModelSpec {
+            arch: ModelArch::VggSmall,
+            ..spec()
+        },
+        ModelSpec {
+            arch: ModelArch::Resnet20,
+            ..spec()
+        },
+        ModelSpec {
+            arch: ModelArch::Resnet110,
+            ..spec()
+        },
+        ModelSpec {
+            arch: ModelArch::MobilenetV2,
+            ..spec()
+        },
+    ];
+    for spec in &backbones {
+        let ctx = format!("{:?}", spec.arch);
+        let blob = checkpoint::save_full(&mut spec.build().unwrap());
+        let sample_len: usize = spec.sample_dims().iter().product();
+        let samples: Vec<Vec<f32>> = (0..2)
+            .map(|i| {
+                (0..sample_len)
+                    .map(|j| ((i * 31 + j * 7) % 23) as f32 * 0.08 - 0.9)
+                    .collect()
+            })
+            .collect();
+        let mut dims = vec![samples.len()];
+        dims.extend(spec.sample_dims());
+        let batch = Tensor::from_vec(samples.concat(), &dims).unwrap();
+        let mut loaded = spec.build().unwrap();
+        checkpoint::load(&mut loaded, &blob).unwrap();
+        let want = loaded.forward(&batch, Mode::Eval).unwrap();
+
+        let session = InferenceSession::from_checkpoint(spec, &blob).unwrap();
+        let got = session.infer_samples(&samples).unwrap().concat();
+        assert_eq!(got.len(), want.len(), "{ctx}: output length");
+        if matches!(spec.arch, ModelArch::Mlp(_)) {
+            for (g, w) in got.iter().zip(want.data()) {
+                assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: {g} vs {w}");
+            }
+        } else {
+            let scale = want.data().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+            for (g, w) in got.iter().zip(want.data()) {
+                assert!(
+                    (g - w).abs() <= 1e-4 * scale,
+                    "{ctx}: {g} vs {w} (± 1e-4·{scale})"
+                );
+            }
+        }
+        assert!(
+            session.resident_bytes() > session.network().resident_bytes(),
+            "{ctx}: the compiled plan's weights must be counted resident"
+        );
     }
 }

@@ -6,8 +6,6 @@
 //! * [`matmul`](self::matmul()) — register-tiled GEMM plus transposed
 //!   variants, one micro-kernel in three widths (`avx512`, `avx2`,
 //!   `portable`), dispatched by [`gemm_isa`].
-//! * [`int_gemm`] — integer-domain GEMM with fused per-channel rescale
-//!   (the dequant-free serving lane's compute kernel).
 //! * [`conv`] — 2-D convolution (im2col + GEMM) with both backward kernels.
 //! * [`fused`] — single-pass conv/linear kernels with bias + activation
 //!   epilogues for compiled inference plans.
@@ -22,7 +20,6 @@
 pub mod conv;
 pub mod elementwise;
 pub mod fused;
-pub mod int_gemm;
 mod matmul_impl;
 pub mod pad;
 pub mod pool;

@@ -10,10 +10,9 @@
 //! (`--model-dir`, one model per file) into an
 //! [`apt_serve::ModelRegistry`] and exposes the fleet over the
 //! length-prefixed TCP protocol; every ingested model is compiled into
-//! a frozen plan (BN folded, activations fused, arena-planned) for the
-//! requested `--lane`.
+//! a frozen plan (BN folded, activations fused, arena-planned).
 //! `freeze` compiles a checkpoint without serving it and prints the plan
-//! report (step counts, fusions, arena size, achieved lane). `train` is
+//! report (step counts, fusions, arena size). `train` is
 //! the one way to start a run from a shell: Algorithm 2 on the
 //! synthetic-CIFAR workload under any storage scheme of Table I
 //! (`--scheme`), on `--workers N` in-process ranks exchanging
@@ -36,8 +35,8 @@ use apt_nn::QuantScheme;
 use apt_optim::LrSchedule;
 use apt_quant::Bitwidth;
 use apt_serve::{
-    BatchPolicy, ConnLimits, KernelLane, ModelArch, ModelRegistry, ModelSpec, RegistryConfig,
-    Server, ServerConfig,
+    BatchPolicy, ConnLimits, ModelArch, ModelRegistry, ModelSpec, RegistryConfig, Server,
+    ServerConfig,
 };
 use apt_tensor::rng;
 use std::fmt;
@@ -88,10 +87,6 @@ model geometry (must match how the checkpoint was trained):
 
 serving:
   --addr HOST:PORT      bind address                  [default 127.0.0.1:7878]
-  --lane LANE           kernel lane the plan is compiled for:
-                        dequant-cache | int-gemm (int-gemm serves linear
-                        layers straight from packed integer codes;
-                        bit-close, not bit-exact)     [default dequant-cache]
   --max-batch N         micro-batch coalescing cap; a batch is what is
                         already queued, never held open [default 8]
   --queue-depth N       admission queue bound         [default 128]
@@ -109,8 +104,7 @@ const FREEZE_USAGE: &str = "usage: apt freeze CHECKPOINT --model MODEL [options]
 
 Compiles a trained .aptc checkpoint into a frozen inference plan without
 serving it, and prints the compile report: steps lowered vs kept,
-BN folds, activation fusions, packed weight panels, arena size, and the
-achieved kernel lane.
+BN folds, activation fusions, and arena size.
 
 required:
   CHECKPOINT            a trained .aptc checkpoint (v1/v2/v3)
@@ -120,10 +114,7 @@ required:
 model geometry (must match how the checkpoint was trained):
   --classes N           classifier outputs            [default 10]
   --img-size N          input image side length       [default 12]
-  --width-mult F        channel width multiplier      [default 0.25]
-
-compilation:
-  --lane LANE           dequant-cache | int-gemm      [default dequant-cache]";
+  --width-mult F        channel width multiplier      [default 0.25]";
 
 const TRAIN_USAGE: &str = "usage: apt train --model MODEL [options]
 
@@ -224,14 +215,6 @@ where
         .map_err(|e| CliError::Usage(format!("bad value `{value}` for {flag}: {e}")))
 }
 
-fn parse_lane(value: &str) -> Result<KernelLane, CliError> {
-    KernelLane::parse(value).ok_or_else(|| {
-        CliError::Usage(format!(
-            "bad value `{value}` for --lane (want dequant-cache | int-gemm)"
-        ))
-    })
-}
-
 /// The value following `args[i]`, or the usage error that names the flag.
 fn flag_value(args: &[String], i: usize) -> Result<&String, CliError> {
     args.get(i + 1)
@@ -290,7 +273,6 @@ struct ServeArgs {
     default_model: Option<String>,
     budget_mb: u64,
     addr: String,
-    lane: KernelLane,
     policy: BatchPolicy,
     limits: ConnLimits,
     threads: Option<usize>,
@@ -306,7 +288,6 @@ fn parse_serve_args(args: &[String]) -> Result<(ServeArgs, ModelSpec), CliError>
         default_model: None,
         budget_mb: 0,
         addr: "127.0.0.1:7878".to_string(),
-        lane: KernelLane::default(),
         policy: BatchPolicy::default(),
         limits: ConnLimits::default(),
         threads: None,
@@ -324,7 +305,6 @@ fn parse_serve_args(args: &[String]) -> Result<(ServeArgs, ModelSpec), CliError>
             "--default-model" => out.default_model = Some(value.clone()),
             "--resident-budget-mb" => out.budget_mb = parse_flag(flag, value)?,
             "--addr" => out.addr = value.clone(),
-            "--lane" => out.lane = parse_lane(value)?,
             "--max-batch" => out.policy.max_batch = parse_flag(flag, value)?,
             "--queue-depth" => out.policy.queue_depth = parse_flag(flag, value)?,
             "--max-conns" => out.limits.max_connections = parse_flag(flag, value)?,
@@ -383,7 +363,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         model_dir: a.model_dir.clone().map(PathBuf::from),
         quarantine_dir: a.quarantine_dir.clone().map(PathBuf::from),
         spec: Some(spec.clone()),
-        lane: a.lane,
     }));
 
     // Populate the fleet: one validated checkpoint, or a directory scan
@@ -438,23 +417,21 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
     let mut server = Server::start_with_registry(Arc::clone(&registry), config)
         .map_err(|e| CliError::Runtime(format!("cannot start server on `{}`: {e}", a.addr)))?;
     println!(
-        "serving {default_model} [{:?}] ({} inputs → {} outputs, {} resident bytes, {} models, lane {}, frozen plan) on {}",
+        "serving {default_model} [{:?}] ({} inputs → {} outputs, {} resident bytes, {} models, frozen plan) on {}",
         spec.arch,
         session.sample_len(),
         session.num_outputs(),
         registry.resident_bytes(),
         registry.models().len(),
-        session.lane().as_str(),
         server.addr()
     );
     if let Some(report) = session.plan_report() {
         println!(
-            "frozen plan: {} steps (from {}), {} bn folds, {} act fusions, {} packed panels, arena {} floats/sample",
+            "frozen plan: {} steps (from {}), {} bn folds, {} act fusions, arena {} floats/sample",
             report.steps,
             report.lowered_steps,
             report.bn_folds,
             report.act_fusions,
-            report.packed_panels,
             report.arena_floats_per_sample
         );
     }
@@ -531,7 +508,6 @@ fn print_stats(s: &apt_serve::StatsSnapshot) {
 fn run_freeze(args: &[String]) -> Result<(), CliError> {
     let mut checkpoint_path: Option<String> = None;
     let mut spec = SpecArgs::new();
-    let mut lane = KernelLane::default();
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -548,7 +524,6 @@ fn run_freeze(args: &[String]) -> Result<(), CliError> {
         let value = flag_value(args, i)?;
         match flag {
             _ if spec.take(flag, value)? => {}
-            "--lane" => lane = parse_lane(value)?,
             other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
         }
         i += 2;
@@ -564,13 +539,9 @@ fn run_freeze(args: &[String]) -> Result<(), CliError> {
     apt_nn::checkpoint::load(&mut net, &blob)
         .map_err(|e| CliError::Runtime(format!("cannot load `{ckpt}` as {spec:?}: {e}")))?;
     let plan = net
-        .freeze(&spec.sample_dims(), lane)
+        .freeze(&spec.sample_dims())
         .map_err(|e| CliError::Runtime(format!("cannot freeze `{ckpt}`: {e}")))?;
-    println!(
-        "frozen {} [{arch:?}] from `{ckpt}` (requested lane {})",
-        net.name(),
-        lane.as_str()
-    );
+    println!("frozen {} [{arch:?}] from `{ckpt}`", net.name());
     println!("{}", plan.report());
     println!("steps: {}", plan.step_mnemonics().join(" → "));
     println!(

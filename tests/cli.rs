@@ -171,13 +171,24 @@ fn resume_is_consent_and_reproduces_the_uninterrupted_run() {
 }
 
 #[test]
-fn freeze_names_the_two_lanes_when_given_another() {
-    let output = apt(&["freeze", "m.aptc", "--model", "cifarnet", "--lane", "fp32"]);
+fn freeze_refuses_the_removed_lane_flag() {
+    // The flag is refused before its value is read: the old default fails
+    // as loudly as the removed integer lane.
+    let output = apt(&[
+        "freeze",
+        "m.aptc",
+        "--model",
+        "cifarnet",
+        "--lane",
+        "dequant-cache",
+    ]);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(2), "{stderr}");
-    let first = stderr.lines().next().unwrap();
-    assert!(first.starts_with("apt freeze: "), "{stderr}");
-    assert!(first.contains("dequant-cache | int-gemm"), "{stderr}");
+    assert_eq!(
+        stderr.lines().next(),
+        Some("apt freeze: unknown flag `--lane`"),
+        "{stderr}"
+    );
 }
 
 #[test]

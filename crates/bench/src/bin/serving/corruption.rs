@@ -1,4 +1,4 @@
-//! Corruption-campaign cell, gate 8: flipped and truncated checkpoint
+//! Corruption-campaign cell, gate 9: flipped and truncated checkpoint
 //! uploads hit the in-band directory-reload path (`OP_RELOAD`). Every
 //! upload is a v3 blob, whose CRC makes rejection of any flip or cut a hard
 //! contract (legacy v1/v2 ingestion is swept in

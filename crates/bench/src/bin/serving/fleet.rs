@@ -1,4 +1,4 @@
-//! Fleet cell, gate 7: closed-loop clients hammer the default model while
+//! Fleet cell, gate 8: closed-loop clients hammer the default model while
 //! [`FLEET_SWAPS`] hot-swaps push new checkpoint versions through the full
 //! validation ladder, then the memory-pressure leg evicts a cold tenant
 //! under a tight resident-bytes budget.

@@ -1,4 +1,4 @@
-//! Plan-vs-eval cells, gate 9: the same k=8 checkpoint, once through a
+//! Plan-vs-eval cells, gate 10: the same k=8 checkpoint, once through a
 //! session's compiled plan and once through `forward(Mode::Eval)` (trainer
 //! eval) on a network loaded from the same blob, driven in-process on one
 //! thread so the comparison measures the plan (fused kernels, resident

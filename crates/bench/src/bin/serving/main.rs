@@ -10,9 +10,9 @@
 //! corrupted, or misrouted response is counted and fails its gate.
 //!
 //! One module per cell, in gate order; each module's doc says what its cell
-//! does and what it gates: [`throughput`] (gates 1–3), [`soak`] (4),
-//! [`slowloris`] (5), [`overload`] (6), [`fleet`] (7), [`corruption`] (8),
-//! [`freeze`] (9), [`zero_alloc`] (10).
+//! does and what it gates: [`throughput`] (gates 1–4), [`soak`] (5),
+//! [`slowloris`] (6), [`overload`] (7), [`fleet`] (8), [`corruption`] (9),
+//! [`freeze`] (10), [`zero_alloc`] (11).
 //!
 //! `--smoke` is the CI gate: it runs every cell and writes
 //! `results/serving_smoke.{csv,json}`. A full run drives the same cells

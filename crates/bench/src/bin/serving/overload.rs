@@ -1,4 +1,4 @@
-//! Overload cell, gate 6: [`OVERLOAD_CLIENTS`] closed-loop clients against
+//! Overload cell, gate 7: [`OVERLOAD_CLIENTS`] closed-loop clients against
 //! a tiny admission queue with a short request deadline — roughly 4× what
 //! the queue can hold. Every request must resolve to a bit-exact answer or
 //! a typed refusal (`Overloaded`/`DeadlineExceeded`), client-observed

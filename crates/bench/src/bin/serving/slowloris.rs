@@ -1,4 +1,4 @@
-//! Slowloris cell, gate 5: [`SLOWLORIS_ATTACKERS`] writers dribble one byte
+//! Slowloris cell, gate 6: [`SLOWLORIS_ATTACKERS`] writers dribble one byte
 //! of an open frame at a time while healthy clients run a full workload.
 //! Every attacker must be reaped through the read deadline (typed
 //! `slow_reaped`) and the healthy stream must stay bit-exact.

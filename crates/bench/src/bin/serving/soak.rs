@@ -1,4 +1,4 @@
-//! Soak cell, gate 4: [`SOAK_CONNS`] registered-but-silent connections
+//! Soak cell, gate 5: [`SOAK_CONNS`] registered-but-silent connections
 //! squat on the table while one healthy client keeps inferring. The
 //! counting allocator bounds what an idle connection costs the server, and
 //! the healthy stream must stay bit-exact inside the p99 budget.

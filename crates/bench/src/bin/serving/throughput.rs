@@ -7,7 +7,10 @@
 //!    smaller machines print the ratio ungated — a frozen plan leaves a
 //!    single core too little per-request compute for coalescing to
 //!    amortise),
-//! 3. p99 latency under [`P99_BUDGET_US`] on the batched cell.
+//! 3. p99 latency under [`P99_BUDGET_US`] on the batched cell,
+//! 4. the batched cell coalesces: its mean batch is at least
+//!    [`MIN_MEAN_BATCH`] on any core count, so a serving change cannot buy
+//!    latency by not batching.
 
 use crate::{
     build_session, build_workloads, drive, push_row, Cell, Gates, Policy, Served, BATCH8,
@@ -20,6 +23,9 @@ use std::time::{Duration, Instant};
 
 /// Concurrent client connections per throughput cell.
 const CLIENTS: usize = 8;
+
+/// Least mean batch the batched cell's [`CLIENTS`] connections must form.
+const MIN_MEAN_BATCH: f64 = 2.0;
 
 /// Drives one throughput cell: starts a server, hammers it with [`CLIENTS`]
 /// connections × `per_client` requests, verifies every response
@@ -102,4 +108,16 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table, per_client: usize) {
         format_args!("p99 {p99}µs over budget"),
     );
     gates.pass(format_args!("p99 {p99}µs"));
+
+    // Gate 4: concurrent requests share batches, whatever the core count.
+    gates.open(format_args!("batched mean batch ≥ {MIN_MEAN_BATCH:.1}"));
+    let mean = batched.stats.mean_batch;
+    gates.check(
+        mean >= MIN_MEAN_BATCH,
+        format_args!(
+            "mean batch {mean:.2} from {CLIENTS} clients; histogram {:?}",
+            batched.stats.batch_hist
+        ),
+    );
+    gates.pass(format_args!("mean batch {mean:.2}"));
 }

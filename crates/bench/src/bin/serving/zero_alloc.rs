@@ -1,4 +1,4 @@
-//! Zero-allocation cell, gate 10: the frozen plan's headline mechanical
+//! Zero-allocation cell, gate 11: the frozen plan's headline mechanical
 //! claim — once warm, `infer_into` on a frozen session performs **zero heap
 //! allocations per request**. Staging and output live in caller buffers,
 //! scratch is recycled through the session arena, and every intermediate

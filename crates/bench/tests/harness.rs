@@ -146,6 +146,85 @@ fn a_warm_frozen_plan_executes_without_allocating() {
     });
 }
 
+/// Two requests that meet in one reactor tick run there as one batch, and
+/// the server allocates nothing for them: the samples decode into
+/// recycled buffers, the plan runs from reactor-owned staging into
+/// reactor-owned rows, and the answers are encoded into the connection's
+/// write buffer.
+#[test]
+fn an_inline_batch_of_two_allocates_nothing() {
+    use apt_serve::protocol::{self, OP_INFER, STATUS_OK};
+    use apt_serve::{InferenceSession, ModelArch, ModelSpec, Server, ServerConfig};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    let _serial = serial();
+    const OUT: usize = 4;
+    // A 5-byte header, the count, then the floats.
+    const ANSWER: usize = 5 + 4 + 4 * OUT;
+    const WARM: usize = 20;
+    const ROUNDS: usize = 200;
+    const WINDOWS: usize = 3;
+    let spec = ModelSpec {
+        arch: ModelArch::Mlp(vec![6, 10, OUT]),
+        classes: OUT,
+        img_size: 0,
+        width_mult: 1.0,
+    };
+    let mut net = spec.build().unwrap();
+    let blob = apt_nn::checkpoint::save_full(&mut net);
+    let session = InferenceSession::from_checkpoint(&spec, &blob).unwrap();
+    let samples = [[0.25f32; 6], [-0.5f32; 6]];
+    let mut server = Server::start(
+        session.clone(),
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let mut frames = Vec::new();
+    for sample in &samples {
+        protocol::write_frame(&mut frames, OP_INFER, &protocol::encode_f32s(sample)).unwrap();
+    }
+    // Both frames in one write land in one tick.
+    let mut answers = [0u8; 2 * ANSWER];
+    let mut round = || {
+        raw.write_all(&frames).unwrap();
+        raw.read_exact(&mut answers).unwrap();
+    };
+    for _ in 0..WARM {
+        round();
+    }
+    // libtest's own thread may allocate while this one measures, which only
+    // ever adds: one window at zero is the contract.
+    let calls: Vec<usize> = (0..WINDOWS)
+        .map(|_| {
+            let before = ALLOC.calls();
+            for _ in 0..ROUNDS {
+                round();
+            }
+            ALLOC.calls() - before
+        })
+        .collect();
+    let snap = server.stats();
+    server.shutdown();
+    let rounds = WARM + WINDOWS * ROUNDS;
+    assert!(
+        calls.contains(&0),
+        "allocator calls per {ROUNDS} rounds of two pipelined requests: {calls:?}"
+    );
+    assert_eq!(snap.batch_hist, vec![(2, rounds as u64)], "{snap:?}");
+    assert_eq!(snap.inline_requests, 2 * rounds as u64, "{snap:?}");
+    for (answer, sample) in answers.chunks_exact(ANSWER).zip(&samples) {
+        assert_eq!(answer[0], STATUS_OK);
+        assert_eq!(
+            protocol::decode_f32s(&answer[5..]).unwrap(),
+            session.infer_one(sample).unwrap()
+        );
+    }
+}
+
 #[test]
 fn json_doc_lays_a_record_out_like_the_committed_files() {
     let _serial = serial();

@@ -5,8 +5,11 @@
 //! already queued, up to [`BatchPolicy::max_batch`] requests, and never
 //! waits for more: a batch is what arrived while the previous one ran
 //! (the "no added delay" policy of Clipper's and Triton's dynamic
-//! batchers). Requests that reach the queue together — the server admits
-//! concurrent connections in one reactor tick — leave together. The
+//! batchers). Requests that reach the queue together leave together. The
+//! server runs a reactor tick's requests itself, as one batch, when they
+//! fit `max_batch`, share one plan and nothing is in flight; the queue
+//! takes the ticks that overflow `max_batch`, mix plans or meet work in
+//! flight, and [`BatcherHandle::infer_blocking`] callers. The
 //! coalesced batch runs once through the frozen [`InferenceSession`] and
 //! each requester gets its own output row back; the reactor is woken once
 //! per batch, after the last row is queued for it. The worker's

@@ -26,9 +26,10 @@
 //!    readiness-driven reactor: one thread sleeps in `poll(2)` over every
 //!    connection and drives them through incremental per-connection frame
 //!    state machines, so slow or hostile peers cost a table slot, not a
-//!    thread, and an idle server costs no wake-ups. A request that arrives
-//!    alone runs inline on the reactor (no queue hop, no allocation);
-//!    requests that arrive together go through the batcher; after a tick
+//!    thread, and an idle server costs no wake-ups. The requests one tick
+//!    admits run inline on the reactor as one batch (no queue hop, no
+//!    allocation) when they fit `max_batch`, share a plan and nothing is
+//!    in flight; anything else goes through the batcher. After a tick
 //!    that served something, with two or more connections open, the
 //!    reactor rests briefly, so under load its tick rate is set by a timer
 //!    and concurrent requests meet in one tick — a lone connection has no

@@ -14,25 +14,30 @@
 //! single peer, so a slow or hostile client costs one connection-table
 //! slot, not a thread.
 //!
-//! **Where inference runs.** A tick that decoded exactly one infer request
-//! while nothing is queued or in flight runs it **inline on the reactor**:
-//! the frozen plan executes into a reactor-owned row that is encoded
-//! straight into the connection's write buffer — no queue hop, no wake-up
-//! of another thread, no allocation. Anything else (two requests in one
-//! tick, or work already in flight) goes to the bounded [`MicroBatcher`]
-//! queue, whose worker runs whatever is already queued as one batch (up
-//! to [`BatchPolicy::max_batch`], never held open for more), and comes
-//! back over a completion channel tagged with a connection token and
-//! per-connection sequence number; either way responses are written
-//! strictly in request order. Running a plan on the reactor is safe for
-//! the ladder below because of when it happens: nothing else was asking
-//! for the reactor — no other request this tick, no completion owed — so
-//! the only work it can delay is what arrives *during* the run, which
-//! waits in the kernel's socket buffers for at most one plan execution and
-//! is then seen together (and so queued, not run inline). Every check the
-//! queued path applies is applied inline too: the registry resolve at
-//! admission (the hot-swap read point), the sample-length check, the
-//! request deadline, and drain.
+//! **Where inference runs.** At the end of a tick, with nothing queued or
+//! in flight, the infer requests the tick admitted run **inline on the
+//! reactor, as one batch**, when they fit one (at most
+//! [`BatchPolicy::max_batch`]) and are all pinned to one plan: their
+//! samples are staged side by side in a reactor-owned buffer, the frozen
+//! plan runs once into reactor-owned rows, and each row is encoded straight
+//! into its connection's write buffer — no queue hop, no wake-up of another
+//! thread, no allocation. A lone request is the batch of one, run straight
+//! from the buffer it was decoded into. Anything else (a tick that
+//! overflows `max_batch` or mixes plans, or work already in flight) goes
+//! to the bounded [`MicroBatcher`] queue, whose worker runs whatever is
+//! already queued as one batch (up to `max_batch`, never held open for
+//! more), and comes back over a completion channel tagged with a
+//! connection token and per-connection sequence number; either way
+//! responses are written strictly in request order. Running a batch on the
+//! reactor is safe for the ladder below because of when it happens:
+//! nothing else was asking for the reactor — every request of the tick is
+//! in the batch, no completion is owed — so the only work it can delay is
+//! what arrives *during* the run, which waits in the kernel's socket
+//! buffers for at most one batch of `max_batch` or fewer and is then seen
+//! in the next tick. Every check the queued path applies is applied
+//! inline too, request by request: the registry resolve at admission (the
+//! hot-swap read point), the sample-length check, the request deadline,
+//! and drain; a plan error fails every request of the batch.
 //!
 //! **Tick moderation.** A tick that served something — dispatched a frame
 //! or delivered a completion — while two or more connections are open is
@@ -40,14 +45,14 @@
 //! what is left of `TICK_PERIOD` since the tick began before it waits
 //! again. The next wait then finds everything that arrived during the
 //! rest: requests from different connections are admitted in one tick and
-//! reach the batcher together — this rest, not a timer in the batcher, is
-//! what makes concurrent requests share a batch — and the tick rate
+//! run as one batch — this rest, not a timer, is what makes concurrent
+//! requests share a batch — and the tick rate
 //! (every tick rebuilds the poll set, O(connections)) is set by a timer,
 //! not by how fast the peers turn around. Both jobs need a second
 //! connection. With one open there is no other request to meet and the
 //! poll set is O(1), so the reactor does not rest, and a lone closed-loop
-//! client is answered at wake-up speed (about 45 µs a round trip on the
-//! build host). A tick that only
+//! client is answered at wake-up speed (about 27 µs a round trip on a
+//! two-vCPU host). A tick that only
 //! accepted, timed out or found nothing never rests, so an idle server
 //! still never wakes. `reactor_rests` in the stats counts the rests taken.
 //!
@@ -244,14 +249,13 @@ impl Server {
             let ctx = ConnCtx {
                 handle: batcher.handle(),
                 registry: Arc::clone(&registry),
-                default_model: config.model_name,
+                default_model: config.model_name.clone(),
                 stats: batcher.stats_handle(),
                 reload_busy: Arc::new(AtomicBool::new(false)),
             };
             let stop = Arc::clone(&stop);
-            let limits = config.limits.clone();
             let waker = waker.clone();
-            thread::spawn(move || Reactor::new(listener, ctx, limits, stop, waker, wake_rx).run())
+            thread::spawn(move || Reactor::new(listener, ctx, &config, stop, waker, wake_rx).run())
         };
         Ok(Server {
             addr,
@@ -339,6 +343,43 @@ struct Pending {
     deadline: Option<Instant>,
 }
 
+impl Pending {
+    /// `true` once the request's deadline has passed.
+    fn expired(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|d| now >= d)
+    }
+}
+
+/// The reactor's free list of decoded-sample buffers. Admission takes one
+/// per request; an inline run or a refusal gives it back, and a queued
+/// request takes it along to the worker. At most `cap` (one batch) are
+/// kept.
+struct SampleBufs {
+    free: Vec<Vec<f32>>,
+    cap: usize,
+}
+
+impl SampleBufs {
+    fn new(cap: usize) -> SampleBufs {
+        SampleBufs {
+            free: Vec::with_capacity(cap),
+            cap,
+        }
+    }
+
+    fn take(&mut self) -> Vec<f32> {
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// Keeps `buf` for a later request, unless it holds nothing worth
+    /// keeping or the list is full.
+    fn give(&mut self, buf: Vec<f32>) {
+        if buf.capacity() > 0 && self.free.len() < self.cap {
+            self.free.push(buf);
+        }
+    }
+}
+
 impl ConnCtx {
     /// Turns one request frame into what the reactor must do about it.
     /// Nothing here touches the connection, so `payload` may borrow its
@@ -347,14 +388,14 @@ impl ConnCtx {
         &self,
         op: u8,
         payload: &[u8],
-        spare: &mut Vec<f32>,
+        samples: &mut SampleBufs,
         now: Instant,
         limits: &ConnLimits,
     ) -> Request {
         match op {
-            OP_INFER => self.admit(&self.default_model, payload, spare, now, limits),
+            OP_INFER => self.admit(&self.default_model, payload, samples, now, limits),
             OP_INFER_MODEL => match protocol::split_model_infer(payload) {
-                Ok((model, floats)) => self.admit(model, floats, spare, now, limits),
+                Ok((model, floats)) => self.admit(model, floats, samples, now, limits),
                 Err(e) => Request::Reply(Err(e)),
             },
             OP_RELOAD => {
@@ -395,18 +436,18 @@ impl ConnCtx {
         }
     }
 
-    /// Decodes the sample into the reactor's spare buffer, resolves `model`
-    /// against the fleet and checks the geometry. On refusal the buffer
-    /// goes back to `spare`.
+    /// Decodes the sample into a buffer from the reactor's free list,
+    /// resolves `model` against the fleet and checks the geometry. On
+    /// refusal the buffer goes back to the list.
     fn admit(
         &self,
         model: &str,
         floats: &[u8],
-        spare: &mut Vec<f32>,
+        samples: &mut SampleBufs,
         now: Instant,
         limits: &ConnLimits,
     ) -> Request {
-        let mut sample = std::mem::take(spare);
+        let mut sample = samples.take();
         let admitted = protocol::decode_f32s_into(floats, &mut sample).and_then(|()| {
             // The hot-swap read point: the plan is pinned here, so this
             // request finishes on it even if a new version is published a
@@ -433,7 +474,7 @@ impl ConnCtx {
                 deadline: (!limits.request_timeout.is_zero()).then(|| now + limits.request_timeout),
             },
             Err(e) => {
-                *spare = sample;
+                samples.give(sample);
                 Request::Reply(Err(e))
             }
         }
@@ -696,11 +737,14 @@ struct Reactor {
     /// Infer requests admitted this tick, until the tick decides where
     /// they run.
     jobs: Vec<Pending>,
-    /// The buffer the next sample decodes into; an inline run hands it
-    /// back, a queued request takes it along.
-    spare: Vec<f32>,
-    /// Output row of the inline path.
-    row: Vec<f32>,
+    /// Most jobs one inline run takes ([`BatchPolicy::max_batch`]).
+    max_batch: usize,
+    /// The buffers samples decode into.
+    samples: SampleBufs,
+    /// The inline batch's samples, concatenated.
+    staging: Vec<f32>,
+    /// The inline batch's output rows, `n × num_outputs`.
+    rows: Vec<f32>,
     /// The one read buffer every connection's bounded read goes through.
     read_buf: [u8; READ_CHUNK],
     /// When the current tick began.
@@ -717,16 +761,17 @@ impl Reactor {
     fn new(
         listener: TcpListener,
         ctx: ConnCtx,
-        limits: ConnLimits,
+        config: &ServerConfig,
         stop: Arc<AtomicBool>,
         waker: Waker,
         wake_rx: WakeRx,
     ) -> Reactor {
+        let max_batch = config.policy.max_batch;
         let (completions_tx, completions_rx) = mpsc::channel();
         Reactor {
             listener: Some(listener),
             ctx,
-            limits,
+            limits: config.limits.clone(),
             conns: Vec::new(),
             fds: Vec::new(),
             rr: 0,
@@ -736,8 +781,10 @@ impl Reactor {
             wake_rx,
             inflight: 0,
             jobs: Vec::new(),
-            spare: Vec::new(),
-            row: Vec::new(),
+            max_batch,
+            samples: SampleBufs::new(max_batch),
+            staging: Vec::new(),
+            rows: Vec::new(),
             read_buf: [0; READ_CHUNK],
             tick_began: Instant::now(),
             served: false,
@@ -942,7 +989,7 @@ impl Reactor {
             ctx,
             limits,
             jobs,
-            spare,
+            samples,
             read_buf,
             inflight,
             completions_tx,
@@ -972,7 +1019,7 @@ impl Reactor {
                 break;
             }
             let request = match conn.decoder.try_frame_ref() {
-                Ok(Some((op, payload))) => Ok(ctx.parse(op, payload, spare, now, limits)),
+                Ok(Some((op, payload))) => Ok(ctx.parse(op, payload, samples, now, limits)),
                 Ok(None) => break,
                 Err(e) => Err(e),
             };
@@ -1021,15 +1068,24 @@ impl Reactor {
         }
     }
 
-    /// Executes what the tick admitted. Exactly one request, with nothing
-    /// queued or in flight, runs here and now: there is nobody to batch it
-    /// with and nobody it would keep waiting. Anything else goes to the
-    /// batcher's queue, where requests that arrive together leave together.
+    /// Executes what the tick admitted. With nothing queued or in flight,
+    /// a tick's jobs that fit one batch and share one plan run here and
+    /// now, as one batch: the requests that met in this tick are all the
+    /// company they will get, and nobody else is waiting on the reactor.
+    /// Anything else — a tick that overflows `max_batch`, mixes plans, or
+    /// meets work in flight — goes to the batcher's queue, where requests
+    /// that arrive together leave together.
     fn execute_jobs(&mut self) {
-        if self.jobs.len() == 1 && self.inflight == 0 {
-            if let Some(job) = self.jobs.pop() {
-                self.run_inline(job);
-            }
+        let Some(first) = self.jobs.first() else {
+            return;
+        };
+        let key = Arc::as_ptr(first.session.plan());
+        let one_plan = self
+            .jobs
+            .iter()
+            .all(|job| Arc::as_ptr(job.session.plan()) == key);
+        if self.inflight == 0 && self.jobs.len() <= self.max_batch && one_plan {
+            self.run_inline();
             return;
         }
         let mut jobs = std::mem::take(&mut self.jobs);
@@ -1045,44 +1101,78 @@ impl Reactor {
         self.jobs = jobs;
     }
 
-    /// Runs one admitted request on the reactor thread, with the checks
-    /// the batching worker applies: drain, deadline, then the plan.
-    fn run_inline(&mut self, job: Pending) {
-        let stats = &self.ctx.stats;
-        stats.record_inline();
+    /// Runs the tick's jobs on the reactor thread as one batch, with the
+    /// checks the batching worker applies, job by job: drain, deadline,
+    /// then the plan. The samples that pass run through the plan once, into
+    /// `rows`, and each job is answered in admission order — each
+    /// connection's request order — straight from its row.
+    fn run_inline(&mut self) {
+        let Reactor {
+            ctx,
+            conns,
+            jobs,
+            samples,
+            staging,
+            rows,
+            ..
+        } = self;
+        let stats = &ctx.stats;
         let now = Instant::now();
-        let outcome = if self.ctx.handle.is_draining() {
-            Err(ServeError::ShuttingDown)
-        } else if job.deadline.is_some_and(|d| now >= d) {
-            stats.record_deadline_expired();
-            Err(ServeError::DeadlineExceeded {
-                waited_us: micros(now.duration_since(job.admitted)),
-            })
+        let draining = ctx.handle.is_draining();
+        let runs = |job: &Pending| !draining && !job.expired(now);
+        let n = jobs.iter().filter(|job| runs(job)).count();
+        let session = &jobs[0].session;
+        let width = session.num_outputs();
+        rows.resize(n * width, 0.0);
+        let ran = if n == 0 {
+            Ok(())
         } else {
-            stats.record_batch(1);
-            self.row.resize(job.session.num_outputs(), 0.0);
-            match job.session.infer_into(&job.sample, 1, &mut self.row) {
-                Ok(()) => {
-                    stats.record_completed(micros(job.admitted.elapsed()));
-                    Ok(())
+            stats.record_batch(n);
+            // A lone request runs from its own buffer; a batch is staged.
+            let input = if let [job] = jobs.as_slice() {
+                &job.sample
+            } else {
+                staging.clear();
+                for job in jobs.iter().filter(|job| runs(job)) {
+                    staging.extend_from_slice(&job.sample);
                 }
-                Err(e) => {
-                    stats.record_error();
-                    Err(e)
-                }
-            }
+                &*staging
+            };
+            session.infer_into(input, n, rows)
         };
-        match outcome {
-            Ok(()) => {
-                if let Some(conn) = conn_mut(&mut self.conns, job.conn) {
-                    let row = &self.row;
-                    conn.inflight = conn.inflight.saturating_sub(1);
-                    conn.respond(job.seq, STATUS_OK, |out| protocol::put_f32s(out, row), now);
+        let mut row = rows.chunks_exact(width);
+        for job in jobs.drain(..) {
+            stats.record_inline();
+            let outcome = if draining {
+                Err(ServeError::ShuttingDown)
+            } else if job.expired(now) {
+                stats.record_deadline_expired();
+                Err(ServeError::DeadlineExceeded {
+                    waited_us: micros(now.duration_since(job.admitted)),
+                })
+            } else {
+                match &ran {
+                    Ok(()) => {
+                        stats.record_completed(micros(job.admitted.elapsed()));
+                        Ok(row.next().expect("one output row per request that ran"))
+                    }
+                    Err(e) => {
+                        stats.record_error();
+                        Err(e.duplicate())
+                    }
+                }
+            };
+            if let Some(conn) = conn_mut(conns, job.conn) {
+                conn.inflight = conn.inflight.saturating_sub(1);
+                match outcome {
+                    Ok(row) => {
+                        conn.respond(job.seq, STATUS_OK, |out| protocol::put_f32s(out, row), now)
+                    }
+                    Err(e) => conn.respond_result(job.seq, Err(&e), now),
                 }
             }
-            Err(e) => self.answer(job.conn, job.seq, Err(&e)),
+            samples.give(job.sample);
         }
-        self.spare = job.sample;
     }
 
     /// Answers an admitted request from the reactor itself.

@@ -299,9 +299,9 @@ pub struct StatsSnapshot {
     /// requests from different connections meet in the next tick; a lone
     /// connection is never made to wait one out.
     pub reactor_rests: u64,
-    /// Infer requests executed on the reactor thread (a batch of one that
-    /// never crossed the queue); the rest of `completed` went through the
-    /// batching worker.
+    /// Infer requests the reactor thread took on itself, as part of a
+    /// tick's batch that never crossed the queue (refused ones included);
+    /// the rest of `completed` went through the batching worker.
     pub inline_requests: u64,
     /// Median end-to-end latency, µs (log₂-bucket upper bound).
     pub p50_us: u64,

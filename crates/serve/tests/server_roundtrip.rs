@@ -3,13 +3,17 @@
 //! graceful shutdown.
 
 use apt_nn::checkpoint;
-use apt_serve::protocol::{self, OP_INFER, STATUS_BAD_REQUEST, STATUS_OK};
-use apt_serve::{
-    BatchPolicy, InferenceSession, ModelArch, ModelSpec, ServeClient, ServeError, Server,
-    ServerConfig,
+use apt_serve::protocol::{
+    self, OP_INFER, OP_INFER_MODEL, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_OK,
 };
+use apt_serve::{
+    BatchPolicy, ConnLimits, InferenceSession, ModelArch, ModelSpec, ServeClient, ServeError,
+    Server, ServerConfig,
+};
+use std::io::Write;
 use std::net::TcpStream;
 use std::thread;
+use std::time::Duration;
 
 fn session(dims: &[usize]) -> InferenceSession {
     let spec = ModelSpec {
@@ -24,6 +28,14 @@ fn session(dims: &[usize]) -> InferenceSession {
 }
 
 fn start_server(dims: &[usize], policy: BatchPolicy) -> (Server, InferenceSession) {
+    start_limited(dims, policy, ConnLimits::default())
+}
+
+fn start_limited(
+    dims: &[usize],
+    policy: BatchPolicy,
+    limits: ConnLimits,
+) -> (Server, InferenceSession) {
     let s = session(dims);
     let server = Server::start(
         s.clone(),
@@ -31,7 +43,7 @@ fn start_server(dims: &[usize], policy: BatchPolicy) -> (Server, InferenceSessio
             addr: "127.0.0.1:0".to_string(),
             policy,
             model_name: "test-mlp".to_string(),
-            ..ServerConfig::default()
+            limits,
         },
     )
     .unwrap();
@@ -301,5 +313,198 @@ fn shutdown_drains_and_refuses() {
     assert!(TcpStream::connect(addr).is_err());
 
     // Idempotent.
+    server.shutdown();
+}
+
+/// Writes every `(op, payload)` frame in one `write_all` — so the server
+/// reads them in one tick — and reads back one answer per frame.
+fn pipelined(raw: &mut TcpStream, frames: &[(u8, Vec<u8>)]) -> Vec<(u8, Vec<u8>)> {
+    let mut burst = Vec::new();
+    for (op, payload) in frames {
+        protocol::write_frame(&mut burst, *op, payload).unwrap();
+    }
+    raw.write_all(&burst).unwrap();
+    frames
+        .iter()
+        .map(|_| protocol::read_frame(raw).unwrap())
+        .collect()
+}
+
+/// The float bits of an `OK` answer.
+fn answer_bits(status: u8, body: &[u8]) -> Vec<u32> {
+    assert_eq!(status, STATUS_OK, "{}", String::from_utf8_lossy(body));
+    let row = protocol::decode_f32s(body).unwrap();
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
+fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A named-model infer payload, laid out by hand.
+fn model_infer(model: &str, sample: &[f32]) -> Vec<u8> {
+    let mut payload = vec![protocol::MODEL_INFER_V1, model.len() as u8];
+    payload.extend_from_slice(model.as_bytes());
+    payload.extend_from_slice(&protocol::encode_f32s(sample));
+    payload
+}
+
+/// Rounds each pipelining test below runs; every round's frames land in
+/// one tick.
+const PIPELINED_ROUNDS: usize = 50;
+
+#[test]
+fn two_requests_in_one_tick_run_inline_as_one_batch() {
+    let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    for r in 0..PIPELINED_ROUNDS {
+        let samples: Vec<Vec<f32>> = (0..2)
+            .map(|i| {
+                (0..6)
+                    .map(|j| ((r + 3 * i + j) % 11) as f32 * 0.19 - 0.9)
+                    .collect()
+            })
+            .collect();
+        let frames: Vec<_> = samples
+            .iter()
+            .map(|s| (OP_INFER, protocol::encode_f32s(s)))
+            .collect();
+        for (i, ((status, body), s)) in pipelined(&mut raw, &frames)
+            .iter()
+            .zip(&samples)
+            .enumerate()
+        {
+            assert_eq!(
+                answer_bits(*status, body),
+                bits(&local.infer_one(s).unwrap()),
+                "round {r} request {i} corrupted or misordered"
+            );
+        }
+    }
+    let snap = server.stats();
+    let rounds = PIPELINED_ROUNDS as u64;
+    assert_eq!(snap.batch_hist, vec![(2, rounds)], "{snap:?}");
+    assert_eq!(
+        (snap.inline_requests, snap.completed),
+        (2 * rounds, 2 * rounds)
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_tick_over_max_batch_goes_through_the_queue() {
+    const MAX_BATCH: usize = 4;
+    let policy = BatchPolicy {
+        max_batch: MAX_BATCH,
+        ..BatchPolicy::default()
+    };
+    let (mut server, local) = start_server(&[6, 10, 4], policy);
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    for r in 0..PIPELINED_ROUNDS {
+        let samples: Vec<Vec<f32>> = (0..=MAX_BATCH)
+            .map(|i| {
+                (0..6)
+                    .map(|j| ((r + 5 * i + j) % 13) as f32 * 0.17 - 1.0)
+                    .collect()
+            })
+            .collect();
+        let frames: Vec<_> = samples
+            .iter()
+            .map(|s| (OP_INFER, protocol::encode_f32s(s)))
+            .collect();
+        for (i, ((status, body), s)) in pipelined(&mut raw, &frames)
+            .iter()
+            .zip(&samples)
+            .enumerate()
+        {
+            assert_eq!(
+                answer_bits(*status, body),
+                bits(&local.infer_one(s).unwrap()),
+                "round {r} request {i} corrupted or misordered"
+            );
+        }
+    }
+    let snap = server.stats();
+    assert_eq!(snap.inline_requests, 0, "{snap:?}");
+    assert_eq!(snap.completed, (PIPELINED_ROUNDS * (MAX_BATCH + 1)) as u64);
+    assert!(
+        snap.batch_hist.iter().all(|&(size, _)| size <= MAX_BATCH),
+        "{snap:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_tick_that_mixes_plans_goes_through_the_queue() {
+    let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
+    let mut net = apt_nn::models::mlp(
+        "mlp",
+        &[6, 10, 4],
+        &apt_nn::QuantScheme::paper_apt(),
+        &mut apt_tensor::rng::seeded(41),
+    )
+    .unwrap();
+    let spec = ModelSpec {
+        arch: ModelArch::Mlp(vec![6, 10, 4]),
+        classes: 4,
+        img_size: 0,
+        width_mult: 1.0,
+    };
+    let side = InferenceSession::from_checkpoint(&spec, &checkpoint::save_full(&mut net)).unwrap();
+    server.registry().publish("side", side.clone()).unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let sample: Vec<f32> = (0..6).map(|j| j as f32 * 0.3 - 0.7).collect();
+    let (want_main, want_side) = (
+        bits(&local.infer_one(&sample).unwrap()),
+        bits(&side.infer_one(&sample).unwrap()),
+    );
+    assert_ne!(want_main, want_side, "the two plans must differ");
+    for r in 0..PIPELINED_ROUNDS {
+        let frames = [
+            (OP_INFER_MODEL, model_infer("test-mlp", &sample)),
+            (OP_INFER_MODEL, model_infer("side", &sample)),
+        ];
+        let answers = pipelined(&mut raw, &frames);
+        assert_eq!(
+            answer_bits(answers[0].0, &answers[0].1),
+            want_main,
+            "round {r}"
+        );
+        assert_eq!(
+            answer_bits(answers[1].0, &answers[1].1),
+            want_side,
+            "round {r}"
+        );
+    }
+    let snap = server.stats();
+    assert_eq!(snap.inline_requests, 0, "{snap:?}");
+    assert_eq!(snap.completed, 2 * PIPELINED_ROUNDS as u64);
+    server.shutdown();
+}
+
+#[test]
+fn expired_requests_in_one_tick_are_shed_inline() {
+    let limits = ConnLimits {
+        request_timeout: Duration::from_nanos(1),
+        ..ConnLimits::default()
+    };
+    let (mut server, _local) = start_limited(&[6, 10, 4], BatchPolicy::default(), limits);
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let frames = [
+        (OP_INFER, protocol::encode_f32s(&[0.1; 6])),
+        (OP_INFER, protocol::encode_f32s(&[0.2; 6])),
+    ];
+    for (status, body) in pipelined(&mut raw, &frames) {
+        assert_eq!(
+            status,
+            STATUS_DEADLINE_EXCEEDED,
+            "{}",
+            String::from_utf8_lossy(&body)
+        );
+    }
+    let snap = server.stats();
+    assert_eq!(snap.completed, 0, "expired work must not run");
+    assert_eq!((snap.deadline_expired, snap.inline_requests), (2, 2));
+    assert_eq!(snap.batches, 0, "{snap:?}");
     server.shutdown();
 }

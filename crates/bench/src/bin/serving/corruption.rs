@@ -1,8 +1,8 @@
 //! Corruption-campaign cell, gate 9: flipped and truncated checkpoint
 //! uploads hit the in-band directory-reload path (`OP_RELOAD`). Every
-//! upload is a v3 blob, whose CRC makes rejection of any flip or cut a hard
-//! contract (legacy v1/v2 ingestion is swept in
-//! `serve/tests/ingest_faults.rs`).
+//! upload is a v3 blob, the only version the reader accepts, whose CRC
+//! makes rejection of any flip or cut a hard contract (older versions are
+//! refused by version in `serve/tests/ingest_faults.rs`).
 //!
 //! 100% of the damaged uploads must be typed-rejected and moved to
 //! quarantine with `.reason` sidecars, none left in the model dir; the

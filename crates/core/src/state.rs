@@ -7,23 +7,27 @@
 //! profiler's moving averages, the energy account, the report accumulated
 //! so far, the divergence-sentinel state, and the loop cursor itself.
 //!
-//! The binary framing mirrors the network checkpoint's v2 format:
+//! The blob is framed, written and read through the network checkpoint's
+//! codec ([`apt_nn::checkpoint`]: one frame, one [`Sink`] writer interface,
+//! one bounds-checked [`Reader`]):
 //!
 //! ```text
-//! magic "APTS" | version u16 | payload_len u32 | crc32 u32 | payload
+//! magic "APTS" | version u16 = 3 | payload_len u32 | crc32 u32 | payload
 //! ```
 //!
-//! (little-endian throughout). The CRC covers the payload, so any single
-//! flipped or missing byte is detected on load; the checkpoint directory
-//! logic in [`crate::checkpoint`] then falls back to the previous good
-//! file. All decode paths are hardened: length fields are bounds-checked
-//! against the remaining bytes before any allocation, so truncated or
-//! garbage input yields a typed [`CoreError::Corrupt`], never a panic.
+//! (little-endian throughout). Only the current version is read. The CRC
+//! covers the payload, so any single flipped or missing byte is detected
+//! on load; the checkpoint directory logic in [`crate::checkpoint`] then
+//! falls back to the previous good file. Every length field is
+//! bounds-checked against the remaining bytes before any allocation, so
+//! truncated or garbage input yields a typed [`CoreError::Corrupt`], never
+//! a panic.
 
 use crate::trainer::EpochRecord;
 use crate::{CoreError, PrecisionChange};
 use apt_energy::EnergyBreakdown;
-use apt_nn::checkpoint::{crc32, crc32_update, write_f32s};
+use apt_nn::checkpoint::{crc32_update, frame, frame_head, unframe, Reader, Sink, HEADER};
+use apt_nn::NnError;
 use apt_optim::{AdamState, SgdState};
 use apt_quant::Bitwidth;
 use apt_tensor::Tensor;
@@ -34,10 +38,6 @@ pub const STATE_MAGIC: &[u8; 4] = b"APTS";
 /// Current training-state format version. v3 added the physically-resident
 /// memory accounting (`resident_bytes` per epoch, `peak_resident_bytes`).
 pub const STATE_VERSION: u16 = 3;
-/// Fixed header size: magic + version + payload_len + crc32.
-const HEADER: usize = 4 + 2 + 4 + 4;
-/// Dimension-count sanity cap for serialised tensors.
-const MAX_RANK: usize = 8;
 
 /// Optimiser state embedded in a [`TrainState`], tagged by kind so a
 /// resume under the wrong [`crate::OptimizerKind`] fails loudly instead of
@@ -105,96 +105,31 @@ pub struct TrainState {
     /// whose velocity has been materialised appear).
     pub velocities: Vec<(String, Tensor)>,
     /// Network parameters + buffers as an [`apt_nn::checkpoint::save_full`]
-    /// blob (itself CRC-framed and version-dispatched).
+    /// blob (itself CRC-framed).
     pub net_blob: Vec<u8>,
 }
 
-fn corrupt(reason: impl Into<String>) -> CoreError {
-    CoreError::Corrupt {
+fn corrupt(reason: impl Into<String>) -> NnError {
+    NnError::Corrupt {
         reason: reason.into(),
     }
 }
 
+/// The one boundary where an on-flash decode error becomes this crate's:
+/// structural damage and a foreign version are both a corrupt state file.
+fn corrupt_state(e: NnError) -> CoreError {
+    match e {
+        NnError::Corrupt { reason } => CoreError::Corrupt { reason },
+        NnError::UnsupportedVersion { version } => CoreError::Corrupt {
+            reason: format!(
+                "unsupported training-state version {version} (expected {STATE_VERSION})"
+            ),
+        },
+        other => other.into(),
+    }
+}
+
 // ---------------------------------------------------------------- encode
-
-/// The frame header of a payload of `len` bytes with CRC-32 `crc`.
-fn header(len: usize, crc: u32) -> [u8; HEADER] {
-    let mut h = [0u8; HEADER];
-    h[..4].copy_from_slice(STATE_MAGIC);
-    h[4..6].copy_from_slice(&STATE_VERSION.to_le_bytes());
-    h[6..10].copy_from_slice(&(len as u32).to_le_bytes());
-    h[10..14].copy_from_slice(&crc.to_le_bytes());
-    h
-}
-
-/// Where [`write_payload`] puts what it writes: the bytes themselves, a
-/// stream, or only their count — the sizing pass that lets a frame be
-/// allocated once, at its final size.
-trait Sink {
-    fn put(&mut self, bytes: &[u8]);
-    fn put_f32s(&mut self, vals: &[f32]);
-
-    fn u8(&mut self, v: u8) {
-        self.put(&[v]);
-    }
-    fn u32(&mut self, v: u32) {
-        self.put(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.put(&v.to_le_bytes());
-    }
-    fn f32(&mut self, v: f32) {
-        self.put(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.put(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.put(s.as_bytes());
-    }
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-    fn tensor(&mut self, t: &Tensor) {
-        self.u32(t.dims().len() as u32);
-        for &d in t.dims() {
-            self.u32(d as u32);
-        }
-        self.put_f32s(t.data());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.put(b);
-    }
-}
-
-impl Sink for Vec<u8> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-    fn put_f32s(&mut self, vals: &[f32]) {
-        write_f32s(self, vals);
-    }
-}
-
-/// A [`Sink`] that only counts.
-struct Count(usize);
-
-impl Sink for Count {
-    fn put(&mut self, bytes: &[u8]) {
-        self.0 += bytes.len();
-    }
-    fn put_f32s(&mut self, vals: &[f32]) {
-        self.0 += 4 * vals.len();
-    }
-}
 
 /// Bytes a [`Stream`] gathers before it checksums and writes them.
 const STREAM_CHUNK: usize = 64 * 1024;
@@ -243,121 +178,13 @@ impl<W: Write> Sink for Stream<'_, W> {
             if self.chunk.len() + 4 * part.len() > STREAM_CHUNK {
                 self.flush();
             }
-            write_f32s(&mut self.chunk, part);
+            self.chunk.put_f32s(part);
         }
     }
 }
 
 /// Calls its argument once per `(parameter name, velocity)`, in order.
 pub(crate) type Velocities<'a> = &'a dyn Fn(&mut dyn FnMut(&str, &Tensor));
-
-// ---------------------------------------------------------------- decode
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    fn take(&mut self, n: usize) -> crate::Result<&'a [u8]> {
-        if n > self.remaining() {
-            return Err(corrupt(format!(
-                "need {n} bytes at offset {}, only {} left",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> crate::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> crate::Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> crate::Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-    fn f32(&mut self) -> crate::Result<f32> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn f64(&mut self) -> crate::Result<f64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(f64::from_le_bytes(a))
-    }
-    /// Reads an element count and bounds-checks it against the remaining
-    /// bytes, assuming each element occupies at least `min_elem` bytes.
-    /// Rejects absurd counts before any allocation happens.
-    fn count(&mut self, min_elem: usize) -> crate::Result<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem.max(1)) > self.remaining() {
-            return Err(corrupt(format!(
-                "count {n} cannot fit in {} remaining bytes",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> crate::Result<String> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string field is not UTF-8"))
-    }
-    fn opt_f64(&mut self) -> crate::Result<Option<f64>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            tag => Err(corrupt(format!("bad Option tag {tag}"))),
-        }
-    }
-    fn tensor(&mut self) -> crate::Result<Tensor> {
-        let rank = self.count(4)?;
-        if rank > MAX_RANK {
-            return Err(corrupt(format!("tensor rank {rank} exceeds {MAX_RANK}")));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(self.u32()? as usize);
-        }
-        let len = dims
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or_else(|| corrupt("tensor volume overflows"))?;
-        let byte_len = len
-            .checked_mul(4)
-            .ok_or_else(|| corrupt("tensor byte length overflows"))?;
-        if byte_len > self.remaining() {
-            return Err(corrupt(format!(
-                "tensor of {len} elements cannot fit in {} remaining bytes",
-                self.remaining()
-            )));
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(self.f32()?);
-        }
-        Tensor::from_vec(data, &dims).map_err(CoreError::from)
-    }
-    fn bytes(&mut self) -> crate::Result<Vec<u8>> {
-        let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-}
 
 impl TrainState {
     /// Serialises this state into the CRC-framed `APTS` binary format,
@@ -369,15 +196,9 @@ impl TrainState {
                 f(name, v);
             }
         };
-        let mut len = Count(0);
-        write_payload(&mut len, self, &velocities, &self.net_blob);
-        let mut out = Vec::with_capacity(HEADER + len.0);
-        out.extend_from_slice(&header(0, 0));
-        write_payload(&mut out, self, &velocities, &self.net_blob);
-        debug_assert_eq!(out.len(), HEADER + len.0, "the frame was sized exactly");
-        let (head, payload) = out.split_at_mut(HEADER);
-        head.copy_from_slice(&header(payload.len(), crc32(payload)));
-        out
+        frame(STATE_MAGIC, STATE_VERSION, |w| {
+            write_payload(w, self, &velocities, &self.net_blob)
+        })
     }
 
     /// [`encode`](TrainState::encode) streamed to `out` (a file, in the
@@ -397,7 +218,7 @@ impl TrainState {
         net_blob: &[u8],
     ) -> std::io::Result<()> {
         let start = out.stream_position()?;
-        out.write_all(&header(0, 0))?;
+        out.write_all(&[0; HEADER])?;
         let mut stream = Stream {
             out: &mut *out,
             chunk: Vec::with_capacity(STREAM_CHUNK),
@@ -412,7 +233,7 @@ impl TrainState {
             return Err(e);
         }
         out.seek(SeekFrom::Start(start))?;
-        out.write_all(&header(len, crc))?;
+        out.write_all(&frame_head(STATE_MAGIC, STATE_VERSION, len, crc))?;
         out.seek(SeekFrom::End(0))?;
         Ok(())
     }
@@ -425,40 +246,12 @@ impl TrainState {
     /// a length/CRC mismatch, or any structural inconsistency in the
     /// payload. Never panics, for any input.
     pub fn decode(blob: &[u8]) -> crate::Result<TrainState> {
-        if blob.len() < HEADER {
-            return Err(corrupt(format!(
-                "blob of {} bytes is shorter than the {HEADER}-byte header",
-                blob.len()
-            )));
-        }
-        if &blob[..4] != STATE_MAGIC {
-            return Err(corrupt("bad magic (not an APTS training state)"));
-        }
-        let version = u16::from_le_bytes([blob[4], blob[5]]);
-        if version != STATE_VERSION {
-            return Err(corrupt(format!(
-                "unsupported training-state version {version} (expected {STATE_VERSION})"
-            )));
-        }
-        let len = u32::from_le_bytes([blob[6], blob[7], blob[8], blob[9]]) as usize;
-        let crc = u32::from_le_bytes([blob[10], blob[11], blob[12], blob[13]]);
-        let payload = &blob[HEADER..];
-        if payload.len() != len {
-            return Err(corrupt(format!(
-                "payload length mismatch: header says {len}, blob carries {}",
-                payload.len()
-            )));
-        }
-        let actual = crc32(payload);
-        if actual != crc {
-            return Err(corrupt(format!(
-                "CRC mismatch: stored {crc:#010x}, computed {actual:#010x}"
-            )));
-        }
-        Self::decode_payload(payload)
+        unframe(blob, STATE_MAGIC, STATE_VERSION)
+            .and_then(Self::decode_payload)
+            .map_err(corrupt_state)
     }
 
-    fn decode_payload(payload: &[u8]) -> crate::Result<TrainState> {
+    fn decode_payload(payload: &[u8]) -> apt_nn::Result<TrainState> {
         let mut r = Reader::new(payload);
         let seed = r.u64()?;
         let total_epochs = r.u64()?;
@@ -473,7 +266,11 @@ impl TrainState {
         let best_seen = r.f64()?;
         let evals_since_best = r.u64()?;
         let lr_scale = r.f64()?;
-        let loss_ema = r.opt_f64()?;
+        let loss_ema = match r.u8()? {
+            0 => None,
+            1 => Some(r.f64()?),
+            tag => return Err(corrupt(format!("bad Option tag {tag}"))),
+        };
         let peak_memory_bits = r.u64()?;
         let peak_resident_bytes = r.u64()?;
 
@@ -492,20 +289,20 @@ impl TrainState {
             let n_bits = r.count(8)?;
             let mut layer_bits = Vec::with_capacity(n_bits);
             for _ in 0..n_bits {
-                let name = r.str()?;
+                let name = r.str()?.to_string();
                 layer_bits.push((name, r.u32()?));
             }
             let n_gavg = r.count(12)?;
             let mut gavg = Vec::with_capacity(n_gavg);
             for _ in 0..n_gavg {
-                let name = r.str()?;
+                let name = r.str()?.to_string();
                 gavg.push((name, r.f64()?));
             }
             let underflow_rate = r.f64()?;
             let n_changes = r.count(20)?;
             let mut changes = Vec::with_capacity(n_changes);
             for _ in 0..n_changes {
-                let layer = r.str()?;
+                let layer = r.str()?.to_string();
                 let from = read_bitwidth(&mut r)?;
                 let to = read_bitwidth(&mut r)?;
                 changes.push(PrecisionChange {
@@ -538,7 +335,7 @@ impl TrainState {
         let n_prof = r.count(12)?;
         let mut profiler = Vec::with_capacity(n_prof);
         for _ in 0..n_prof {
-            let name = r.str()?;
+            let name = r.str()?.to_string();
             profiler.push((name, r.f64()?));
         }
         let optimizer = match r.u8()? {
@@ -548,7 +345,7 @@ impl TrainState {
                 let n = r.count(12)?;
                 let mut moments = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let name = r.str()?;
+                    let name = r.str()?.to_string();
                     let m = r.tensor()?;
                     moments.push((name, m, r.tensor()?));
                 }
@@ -559,10 +356,11 @@ impl TrainState {
         let n_vel = r.count(8)?;
         let mut velocities = Vec::with_capacity(n_vel);
         for _ in 0..n_vel {
-            let name = r.str()?;
+            let name = r.str()?.to_string();
             velocities.push((name, r.tensor()?));
         }
-        let net_blob = r.bytes()?;
+        let n = r.count(1)?;
+        let net_blob = r.take(n)?.to_vec();
         if r.remaining() != 0 {
             return Err(corrupt(format!(
                 "{} trailing bytes after training state",
@@ -598,7 +396,7 @@ impl TrainState {
 
 /// The `APTS` payload: `s`'s fields in format order, with the velocities
 /// and the network blob taken from the arguments.
-fn write_payload(w: &mut impl Sink, s: &TrainState, velocities: Velocities<'_>, net_blob: &[u8]) {
+fn write_payload(w: &mut dyn Sink, s: &TrainState, velocities: Velocities<'_>, net_blob: &[u8]) {
     w.u64(s.seed);
     w.u64(s.total_epochs);
     w.u64(s.epoch);
@@ -612,7 +410,13 @@ fn write_payload(w: &mut impl Sink, s: &TrainState, velocities: Velocities<'_>, 
     w.f64(s.best_seen);
     w.u64(s.evals_since_best);
     w.f64(s.lr_scale);
-    w.opt_f64(s.loss_ema);
+    match s.loss_ema {
+        Some(x) => {
+            w.u8(1);
+            w.f64(x);
+        }
+        None => w.u8(0),
+    }
     w.u64(s.peak_memory_bits);
     w.u64(s.peak_resident_bytes);
     w.u32(s.epochs.len() as u32);
@@ -674,10 +478,11 @@ fn write_payload(w: &mut impl Sink, s: &TrainState, velocities: Velocities<'_>, 
         w.str(name);
         w.tensor(v);
     });
-    w.bytes(net_blob);
+    w.u32(net_blob.len() as u32);
+    w.put(net_blob);
 }
 
-fn read_bitwidth(r: &mut Reader<'_>) -> crate::Result<Bitwidth> {
+fn read_bitwidth(r: &mut Reader<'_>) -> apt_nn::Result<Bitwidth> {
     let raw = r.u32()?;
     Bitwidth::new(raw).map_err(|_| corrupt(format!("bitwidth {raw} outside [2, 32]")))
 }
@@ -685,6 +490,8 @@ fn read_bitwidth(r: &mut Reader<'_>) -> crate::Result<Bitwidth> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apt_nn::checkpoint::crc32;
+    use apt_tensor::rng;
 
     fn sample_state() -> TrainState {
         TrainState {
@@ -845,5 +652,99 @@ mod tests {
             // was an f64 fragment.
             let _ = TrainState::decode(&blob);
         }
+    }
+
+    /// A [`Sink`] that keeps the bytes and where each `u8` / `u32` field —
+    /// every count, string length, tag and bitwidth — lies.
+    #[derive(Default)]
+    struct Fields {
+        bytes: Vec<u8>,
+        sites: Vec<(usize, usize)>,
+    }
+
+    impl Sink for Fields {
+        fn put(&mut self, bytes: &[u8]) {
+            self.bytes.put(bytes);
+        }
+        fn put_f32s(&mut self, vals: &[f32]) {
+            self.bytes.put_f32s(vals);
+        }
+        fn u8(&mut self, v: u8) {
+            self.sites.push((self.bytes.len(), 1));
+            self.bytes.u8(v);
+        }
+        fn u32(&mut self, v: u32) {
+            self.sites.push((self.bytes.len(), 4));
+            self.bytes.u32(v);
+        }
+    }
+
+    #[test]
+    fn structured_mutations_past_the_crc_end_typed() {
+        // Each case rewrites one or two count, length, tag or bitwidth
+        // fields of a real state's payload as a hostile writer would, and
+        // frames the result with a correct CRC: it reaches the payload
+        // parser, which the flip and truncation sweeps (stopped by the CRC)
+        // never do. Every case decodes or is refused as `Corrupt`, never
+        // panics, and a state that decodes carries a network blob that
+        // loads or is refused typed.
+        use rand::Rng;
+        let scheme = apt_nn::QuantScheme::paper_apt();
+        let mut net = apt_nn::models::mlp("m", &[4, 3, 2], &scheme, &mut rng::seeded(1)).unwrap();
+        let mut sgd = sample_state();
+        sgd.net_blob = apt_nn::checkpoint::save_full(&mut net);
+        let mut adam = sgd.clone();
+        let moment = Tensor::from_vec(vec![0.1, 0.2], &[2]).unwrap();
+        adam.optimizer = OptimizerState::Adam(AdamState {
+            t: 5,
+            moments: vec![("fc0.weight".into(), moment.clone(), moment)],
+        });
+        let mut r = rng::seeded(36);
+        let (mut refused, mut decoded) = (0, 0);
+        for s in [sgd, adam] {
+            let velocities = |f: &mut dyn FnMut(&str, &Tensor)| {
+                for (name, v) in &s.velocities {
+                    f(name, v);
+                }
+            };
+            let mut fields = Fields::default();
+            write_payload(&mut fields, &s, &velocities, &s.net_blob);
+            assert_eq!(fields.bytes, s.encode()[HEADER..]);
+            for _ in 0..1000 {
+                let mut payload = fields.bytes.clone();
+                for _ in 0..r.gen_range(1..=2) {
+                    let (at, width) = fields.sites[r.gen_range(0..fields.sites.len())];
+                    let mut old = [0u8; 4];
+                    old[..width].copy_from_slice(&payload[at..at + width]);
+                    let old = u32::from_le_bytes(old);
+                    let new = match r.gen_range(0..7) {
+                        0 => 0,
+                        1 => 1,
+                        2 => old.wrapping_add(1),
+                        3 => old.wrapping_sub(1),
+                        4 => old.wrapping_mul(2),
+                        5 => u32::MAX,
+                        _ => r.gen(),
+                    };
+                    payload[at..at + width].copy_from_slice(&new.to_le_bytes()[..width]);
+                }
+                let head = frame_head(STATE_MAGIC, STATE_VERSION, payload.len(), crc32(&payload));
+                match TrainState::decode(&[&head[..], &payload].concat()) {
+                    Ok(state) => {
+                        let _ = apt_nn::checkpoint::load(&mut net, &state.net_blob);
+                        decoded += 1;
+                    }
+                    Err(CoreError::Corrupt { reason }) => {
+                        assert!(!reason.contains("CRC"), "{reason}");
+                        refused += 1;
+                    }
+                    Err(other) => panic!("refused untyped: {other:?}"),
+                }
+            }
+        }
+        assert!(
+            refused > 1000 && decoded > 0,
+            "{refused} refused, {decoded} decoded"
+        );
     }
 }

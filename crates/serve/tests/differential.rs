@@ -1,9 +1,8 @@
 //! Differential proof that the serving path is the training eval path:
 //! an [`InferenceSession`] loaded from a checkpoint must reproduce the
 //! trainer's own `forward(Mode::Eval)` on the network that wrote the
-//! checkpoint. (That a legacy v1/v2 blob loads to the same network as its
-//! v3 re-save is `apt-nn`'s fixture test; once `load` returns, the version
-//! is gone.)
+//! checkpoint. (That a frozen blob loads to the network it was saved from
+//! is `apt-nn`'s fixture test.)
 //!
 //! Two grades of agreement:
 //!

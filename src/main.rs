@@ -67,7 +67,7 @@ impl fmt::Display for CliError {
 const USAGE: &str = "usage: apt serve (--checkpoint PATH | --model-dir DIR) --model MODEL [options]
 
 required:
-  --checkpoint PATH     one trained .aptc checkpoint (v1/v2/v3), or
+  --checkpoint PATH     one trained .aptc checkpoint (format v3), or
   --model-dir DIR       directory of .aptc checkpoints (model id = file
                         stem); bad files are quarantined, OP_RELOAD rescans
   --model MODEL         cifarnet | vgg_small | resnet20 | resnet110 |
@@ -107,7 +107,7 @@ serving it, and prints the compile report: steps lowered vs kept,
 BN folds, activation fusions, and arena size.
 
 required:
-  CHECKPOINT            a trained .aptc checkpoint (v1/v2/v3)
+  CHECKPOINT            a trained .aptc checkpoint (format v3)
   --model MODEL         cifarnet | vgg_small | resnet20 | resnet110 |
                         mobilenet_v2 | mlp:IN-HIDDEN-...-OUT
 

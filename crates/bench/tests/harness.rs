@@ -225,6 +225,90 @@ fn an_inline_batch_of_two_allocates_nothing() {
     }
 }
 
+/// A tick of one connection's pipelined requests, more than two batches'
+/// worth on one plan, runs on the reactor in `max_batch` chunks, and the
+/// server allocates nothing for it: every chunk reuses the reactor's
+/// staging and rows, and every sample the reactor's recycled buffers.
+#[test]
+fn a_tick_over_two_batches_allocates_nothing() {
+    use apt_serve::protocol::{self, OP_INFER, STATUS_OK};
+    use apt_serve::{BatchPolicy, InferenceSession, ModelArch, ModelSpec, Server, ServerConfig};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    let _serial = serial();
+    const OUT: usize = 4;
+    const ANSWER: usize = 5 + 4 + 4 * OUT;
+    const MAX_BATCH: usize = 4;
+    const SENT: usize = 2 * MAX_BATCH + 1;
+    const WARM: usize = 20;
+    const ROUNDS: usize = 200;
+    const WINDOWS: usize = 3;
+    let spec = ModelSpec {
+        arch: ModelArch::Mlp(vec![6, 10, OUT]),
+        classes: OUT,
+        img_size: 0,
+        width_mult: 1.0,
+    };
+    let mut net = spec.build().unwrap();
+    let blob = apt_nn::checkpoint::save_full(&mut net);
+    let session = InferenceSession::from_checkpoint(&spec, &blob).unwrap();
+    let samples: Vec<[f32; 6]> = (0..SENT).map(|i| [i as f32 * 0.1 - 0.4; 6]).collect();
+    let mut server = Server::start(
+        session.clone(),
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            policy: BatchPolicy {
+                max_batch: MAX_BATCH,
+                ..BatchPolicy::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let mut frames = Vec::new();
+    for sample in &samples {
+        protocol::write_frame(&mut frames, OP_INFER, &protocol::encode_f32s(sample)).unwrap();
+    }
+    let mut answers = [0u8; SENT * ANSWER];
+    let mut round = || {
+        raw.write_all(&frames).unwrap();
+        raw.read_exact(&mut answers).unwrap();
+    };
+    for _ in 0..WARM {
+        round();
+    }
+    let calls: Vec<usize> = (0..WINDOWS)
+        .map(|_| {
+            let before = ALLOC.calls();
+            for _ in 0..ROUNDS {
+                round();
+            }
+            ALLOC.calls() - before
+        })
+        .collect();
+    let snap = server.stats();
+    server.shutdown();
+    let rounds = (WARM + WINDOWS * ROUNDS) as u64;
+    assert!(
+        calls.contains(&0),
+        "allocator calls per {ROUNDS} rounds of {SENT} pipelined requests: {calls:?}"
+    );
+    assert_eq!(
+        snap.batch_hist,
+        vec![(1, rounds), (MAX_BATCH, 2 * rounds)],
+        "{snap:?}"
+    );
+    assert_eq!(snap.inline_requests, SENT as u64 * rounds, "{snap:?}");
+    for (answer, sample) in answers.chunks_exact(ANSWER).zip(&samples) {
+        assert_eq!(answer[0], STATUS_OK);
+        assert_eq!(
+            protocol::decode_f32s(&answer[5..]).unwrap(),
+            session.infer_one(sample).unwrap()
+        );
+    }
+}
+
 #[test]
 fn json_doc_lays_a_record_out_like_the_committed_files() {
     let _serial = serial();

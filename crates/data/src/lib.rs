@@ -43,7 +43,7 @@ pub use batch::{Batch, Batcher, Batches};
 pub use dataset::Dataset;
 pub use error::DataError;
 pub use synth::{SynthCifar, SynthCifarConfig};
-pub use toy::{blobs, xor_cloud};
+pub use toy::blobs;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, DataError>;

@@ -45,37 +45,6 @@ pub fn blobs(
     Dataset::new(images, labels, num_classes)
 }
 
-/// A 2-class XOR-style point cloud in 2-D — not linearly separable, so it
-/// exercises hidden-layer learning in the smallest possible setting.
-///
-/// # Errors
-///
-/// Returns [`DataError::BadConfig`] for `per_quadrant == 0`.
-pub fn xor_cloud(per_quadrant: usize, noise: f32, seed: u64) -> crate::Result<Dataset> {
-    if per_quadrant == 0 {
-        return Err(DataError::BadConfig {
-            reason: "per_quadrant must be ≥ 1".into(),
-        });
-    }
-    let mut rng = trng::substream(seed, 0x0A0B);
-    let mut images = Vec::new();
-    let mut labels = Vec::new();
-    for (sx, sy, label) in [
-        (1.0, 1.0, 0),
-        (-1.0, -1.0, 0),
-        (1.0, -1.0, 1),
-        (-1.0, 1.0, 1),
-    ] {
-        for _ in 0..per_quadrant {
-            let x = sx * (1.0 + noise * trng::standard_normal(&mut rng));
-            let y = sy * (1.0 + noise * trng::standard_normal(&mut rng));
-            images.push(Tensor::from_vec(vec![x, y], &[1, 1, 2])?);
-            labels.push(label);
-        }
-    }
-    Dataset::new(images, labels, 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,19 +86,5 @@ mod tests {
             }
         }
         assert!((intra / ni as f32) < (inter / nx as f32));
-    }
-
-    #[test]
-    fn xor_is_balanced_and_not_linearly_separable_by_axes() {
-        let d = xor_cloud(10, 0.05, 2).unwrap();
-        assert_eq!(d.len(), 40);
-        assert_eq!(d.labels().iter().filter(|&&l| l == 0).count(), 20);
-        // label correlates with the product sign, not either coordinate
-        for i in 0..d.len() {
-            let v = d.image(i).data();
-            let expected = if v[0] * v[1] > 0.0 { 0 } else { 1 };
-            assert_eq!(d.label(i), expected);
-        }
-        assert!(xor_cloud(0, 0.1, 1).is_err());
     }
 }

@@ -11,8 +11,8 @@
 //!    hot path does not grow the heap. The plan dequantises each weight
 //!    once at load and keeps outputs within BN-fold rounding of the
 //!    trainer's `Mode::Eval` forward (bit-identical without BatchNorm).
-//! 2. **[`MicroBatcher`]** — a dynamic micro-batcher that coalesces
-//!    single-sample requests from a bounded MPSC queue under a
+//! 2. **[`MicroBatcher`]** — an in-process dynamic micro-batcher that
+//!    coalesces single-sample requests from a bounded MPSC queue under a
 //!    [`BatchPolicy`] (`max_batch` / `queue_depth`), executes them as one
 //!    batched forward on the `apt_tensor::par` worker pool, and applies
 //!    admission control: the queue sheds excess load with a typed
@@ -21,15 +21,15 @@
 //!    `max_batch`; it is never held open for requests still to come.
 //!    Coalescing is lossless: batch-invariant kernels mean a
 //!    coalesced batch answers every request bit-identically to running it
-//!    alone.
+//!    alone. The server below does not use it.
 //! 3. **[`Server`]** — a std-only TCP front-end built on a nonblocking
 //!    readiness-driven reactor: one thread sleeps in `poll(2)` over every
 //!    connection and drives them through incremental per-connection frame
 //!    state machines, so slow or hostile peers cost a table slot, not a
-//!    thread, and an idle server costs no wake-ups. The requests one tick
-//!    admits run inline on the reactor as one batch (no queue hop, no
-//!    allocation) when they fit `max_batch`, share a plan and nothing is
-//!    in flight; anything else goes through the batcher. After a tick
+//!    thread, and an idle server costs no wake-ups. The reactor runs every
+//!    infer request itself, with no queue and no other thread: the
+//!    requests one tick admits (at most `queue_depth`) are split by plan
+//!    and run in batches of at most `max_batch`, with no allocation. After a tick
 //!    that served something, with two or more connections open, the
 //!    reactor rests briefly, so under load its tick rate is set by a timer
 //!    and concurrent requests meet in one tick — a lone connection has no
@@ -38,7 +38,7 @@
 //!    Overload protection is typed
 //!    end-to-end ([`ConnLimits`]): connection caps refuse at accept, idle
 //!    and mid-frame deadlines reap slowloris peers, request deadlines
-//!    propagate into the batcher so expired work is shed *before*
+//!    are checked before each plan run so expired work is shed *before*
 //!    inference, and per-connection pipelining bounds plus a round-robin
 //!    scan keep healthy clients fair under attack. Lock-free serving
 //!    metrics ([`ServeStats`]) expose the full shed taxonomy

@@ -161,18 +161,13 @@ pub struct ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// Creates an empty registry with its own stats collector.
+    /// Creates an empty registry with its own stats collector, which a
+    /// server started on it records into too.
     pub fn new(config: RegistryConfig) -> ModelRegistry {
-        ModelRegistry::with_stats(config, Arc::new(ServeStats::default()))
-    }
-
-    /// Creates an empty registry recording fleet gauges into a shared
-    /// stats collector (so server, batcher, and registry report as one).
-    pub fn with_stats(config: RegistryConfig, stats: Arc<ServeStats>) -> ModelRegistry {
         ModelRegistry {
             config,
             inner: Mutex::new(Inner::default()),
-            stats,
+            stats: Arc::new(ServeStats::default()),
         }
     }
 

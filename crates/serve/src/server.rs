@@ -4,40 +4,38 @@
 //! accepted sockets run in nonblocking mode, and the reactor sleeps in one
 //! blocking readiness wait ([`crate::poll`]: `poll(2)` over the listener,
 //! every connection that currently wants reading or writing, and a wake
-//! channel written by batch completions, reload threads and
-//! [`Server::shutdown`]). The wait's timeout is the next deadline the
-//! reactor would act on, so an idle server with idle connections does not
-//! wake at all. A wake-up is one **tick**: deliver completions, accept,
-//! read whatever bytes the kernel has for each ready connection, feed them
-//! to its incremental [`protocol::FrameDecoder`], dispatch complete
-//! frames, then execute what the tick found. No thread is ever parked on a
-//! single peer, so a slow or hostile client costs one connection-table
-//! slot, not a thread.
+//! channel written by reload threads and [`Server::shutdown`]). The wait's
+//! timeout is the next deadline the reactor would act on, so an idle server
+//! with idle connections does not wake at all. A wake-up is one **tick**:
+//! deliver finished reloads, accept, read whatever bytes the kernel has for
+//! each ready connection, feed them to its incremental
+//! [`protocol::FrameDecoder`], dispatch complete frames, then run the
+//! inference the tick admitted. No thread is ever parked on a single peer,
+//! so a slow or hostile client costs one connection-table slot, not a
+//! thread.
 //!
-//! **Where inference runs.** At the end of a tick, with nothing queued or
-//! in flight, the infer requests the tick admitted run **inline on the
-//! reactor, as one batch**, when they fit one (at most
-//! [`BatchPolicy::max_batch`]) and are all pinned to one plan: their
-//! samples are staged side by side in a reactor-owned buffer, the frozen
-//! plan runs once into reactor-owned rows, and each row is encoded straight
-//! into its connection's write buffer — no queue hop, no wake-up of another
-//! thread, no allocation. A lone request is the batch of one, run straight
-//! from the buffer it was decoded into. Anything else (a tick that
-//! overflows `max_batch` or mixes plans, or work already in flight) goes
-//! to the bounded [`MicroBatcher`] queue, whose worker runs whatever is
-//! already queued as one batch (up to `max_batch`, never held open for
-//! more), and comes back over a completion channel tagged with a
-//! connection token and per-connection sequence number; either way
-//! responses are written strictly in request order. Running a batch on the
-//! reactor is safe for the ladder below because of when it happens:
-//! nothing else was asking for the reactor — every request of the tick is
-//! in the batch, no completion is owed — so the only work it can delay is
-//! what arrives *during* the run, which waits in the kernel's socket
-//! buffers for at most one batch of `max_batch` or fewer and is then seen
-//! in the next tick. Every check the queued path applies is applied
-//! inline too, request by request: the registry resolve at admission (the
-//! hot-swap read point), the sample-length check, the request deadline,
-//! and drain; a plan error fails every request of the batch.
+//! **Where inference runs.** On the reactor, always: at the end of a tick
+//! the infer requests it admitted are split by plan (the `Arc` identity of
+//! the frozen plan each was pinned to at admission) and cut into chunks of
+//! at most [`BatchPolicy::max_batch`]. Each chunk takes the oldest request
+//! left and the later ones on its plan, in admission order; its samples are
+//! staged side by side in a reactor-owned buffer, the frozen plan runs once
+//! into reactor-owned rows, and each row is encoded straight into its
+//! connection's write buffer — no queue, no other thread, no allocation. A
+//! lone request is the batch of one, run straight from the buffer it was
+//! decoded into. Responses are written strictly in request order.
+//!
+//! Running inference on the reactor is safe for the ladder below because
+//! the stall it causes is bounded: a tick admits at most
+//! [`BatchPolicy::queue_depth`] infer requests (admission sheds the rest
+//! with a typed [`ServeError::Overloaded`]), and a tick whose `n` requests
+//! are pinned to one plan costs at most ⌈n / `max_batch`⌉ plan runs — one
+//! such count per plan the tick saw. What arrives during those runs waits
+//! in the kernel's socket buffers and is seen in the next tick. Every check
+//! applies request by request: the registry resolve at admission (the
+//! hot-swap read point), the sample-length check at admission, and, per
+//! chunk, drain and the request deadline; a plan error fails every request
+//! of its chunk.
 //!
 //! **Tick moderation.** A tick that served something — dispatched a frame
 //! or delivered a completion — while two or more connections are open is
@@ -66,6 +64,9 @@
 //! * **Read/write deadline** — a connection stuck mid-frame (slowloris) or
 //!   not draining its responses for [`ConnLimits::read_timeout`] is reaped
 //!   (`slow_reaped`).
+//! * **Tick bound** — a tick admits at most [`BatchPolicy::queue_depth`]
+//!   infer requests; the rest are shed with [`ServeError::Overloaded`]
+//!   (counted as `shed`).
 //! * **Request deadline** — every infer request carries
 //!   `now + request_timeout`; work still waiting at its deadline is shed
 //!   with [`ServeError::DeadlineExceeded`] *before* inference runs.
@@ -79,15 +80,15 @@
 //! paused (pipelining bound, write backlog, half-closed peer, drain), and
 //! for writing only while bytes are pending.
 
-use crate::batcher::{micros, Completion, CompletionTx};
+use crate::batcher::micros;
 use crate::poll::{self, PollFd, WakeRx, Waker};
 use crate::protocol::{
     self, FrameDecoder, OP_HEALTH, OP_INFER, OP_INFER_MODEL, OP_RELOAD, OP_STATS, STATUS_OK,
     STATUS_OVERLOADED, STATUS_SHUTTING_DOWN,
 };
 use crate::{
-    BatchPolicy, BatcherHandle, InferenceSession, MicroBatcher, ModelRegistry, RegistryConfig,
-    ServeError, ServeStats, StatsSnapshot,
+    BatchPolicy, InferenceSession, ModelRegistry, RegistryConfig, ServeError, ServeStats,
+    StatsSnapshot,
 };
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -109,8 +110,8 @@ pub struct ConnLimits {
     /// A connection stalled mid-frame, or not draining its responses, for
     /// this long is closed (`slow_reaped`) — the slowloris defence.
     pub read_timeout: Duration,
-    /// Deadline attached to every infer request; queued work older than
-    /// this is shed before inference ([`ServeError::DeadlineExceeded`]).
+    /// Deadline attached to every infer request; work older than this is
+    /// shed before inference ([`ServeError::DeadlineExceeded`]).
     /// Zero disables request deadlines.
     pub request_timeout: Duration,
     /// Most in-flight infer requests one connection may pipeline; further
@@ -154,7 +155,7 @@ impl ConnLimits {
 pub struct ServerConfig {
     /// Bind address, e.g. `"127.0.0.1:7878"` (`:0` picks a free port).
     pub addr: String,
-    /// The micro-batching policy behind the socket.
+    /// How many infer requests one plan run takes, and one tick admits.
     pub policy: BatchPolicy,
     /// Human-readable model identity reported by the health op.
     pub model_name: String,
@@ -202,7 +203,6 @@ pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     waker: Waker,
-    batcher: MicroBatcher,
     registry: Arc<ModelRegistry>,
     reactor_thread: Option<thread::JoinHandle<()>>,
 }
@@ -221,8 +221,9 @@ impl Server {
         Server::start_with_registry(registry, config)
     }
 
-    /// Binds the listener, spawns the batcher and the reactor thread over
-    /// an existing model fleet, and returns immediately.
+    /// Binds the listener, spawns the reactor thread — the one thread that
+    /// serves every connection and runs every infer request — over an
+    /// existing model fleet, and returns immediately.
     /// [`ServerConfig::model_name`] names the **default model** — the plan
     /// `OP_INFER` requests (which carry no model id) resolve to; it must be
     /// resident at start. Publishing to the registry while the server runs
@@ -236,21 +237,20 @@ impl Server {
         registry: Arc<ModelRegistry>,
         config: ServerConfig,
     ) -> Result<Server, ServeError> {
+        config.policy.validate()?;
         config.limits.validate()?;
-        let default_session = registry.get(&config.model_name)?;
+        registry.get(&config.model_name)?;
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let (waker, wake_rx) = poll::wake_pair()?;
-        let stats = registry.stats_handle();
-        let batcher = MicroBatcher::with_stats(default_session, config.policy.clone(), stats)?;
         let stop = Arc::new(AtomicBool::new(false));
         let reactor_thread = {
             let ctx = ConnCtx {
-                handle: batcher.handle(),
                 registry: Arc::clone(&registry),
                 default_model: config.model_name.clone(),
-                stats: batcher.stats_handle(),
+                stats: registry.stats_handle(),
+                queue_depth: config.policy.queue_depth,
                 reload_busy: Arc::new(AtomicBool::new(false)),
             };
             let stop = Arc::clone(&stop);
@@ -261,7 +261,6 @@ impl Server {
             addr,
             stop,
             waker,
-            batcher,
             registry,
             reactor_thread: Some(reactor_thread),
         })
@@ -282,19 +281,18 @@ impl Server {
 
     /// Snapshot of the serving counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.batcher.stats()
+        self.registry.stats()
     }
 
     /// Graceful shutdown: stop accepting, flush responses for everything
-    /// already in flight, close every connection, then drain and join the
-    /// batcher. Idempotent.
+    /// already in flight, close every connection, and join the reactor.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.waker.wake();
         if let Some(t) = self.reactor_thread.take() {
             let _ = t.join();
         }
-        self.batcher.shutdown();
     }
 }
 
@@ -307,11 +305,12 @@ impl Drop for Server {
 /// Everything request dispatch needs, owned by the reactor.
 #[derive(Debug)]
 struct ConnCtx {
-    handle: BatcherHandle,
     registry: Arc<ModelRegistry>,
     /// The model `OP_INFER` (no model id on the wire) resolves to.
     default_model: String,
     stats: Arc<ServeStats>,
+    /// Most infer requests one tick admits ([`BatchPolicy::queue_depth`]).
+    queue_depth: usize,
     /// At most one directory rescan runs at a time; concurrent `OP_RELOAD`
     /// requests are refused typed rather than queued.
     reload_busy: Arc<AtomicBool>,
@@ -320,7 +319,7 @@ struct ConnCtx {
 /// What one complete request frame asks of the reactor.
 enum Request {
     /// An admitted infer request: the plan is pinned and the sample has the
-    /// plan's length. Where it runs is decided at the end of the tick.
+    /// plan's length. It runs at the end of the tick.
     Infer {
         session: InferenceSession,
         sample: Vec<f32>,
@@ -351,9 +350,8 @@ impl Pending {
 }
 
 /// The reactor's free list of decoded-sample buffers. Admission takes one
-/// per request; an inline run or a refusal gives it back, and a queued
-/// request takes it along to the worker. At most `cap` (one batch) are
-/// kept.
+/// per request; the run or a refusal gives it back. At most `cap` (one
+/// tick's worth) are kept.
 struct SampleBufs {
     free: Vec<Vec<f32>>,
     cap: usize,
@@ -384,6 +382,7 @@ impl ConnCtx {
     /// Turns one request frame into what the reactor must do about it.
     /// Nothing here touches the connection, so `payload` may borrow its
     /// decoder.
+    /// `pending` counts the infer requests this tick has admitted so far.
     fn parse(
         &self,
         op: u8,
@@ -391,11 +390,12 @@ impl ConnCtx {
         samples: &mut SampleBufs,
         now: Instant,
         limits: &ConnLimits,
+        pending: usize,
     ) -> Request {
         match op {
-            OP_INFER => self.admit(&self.default_model, payload, samples, now, limits),
+            OP_INFER => self.admit(&self.default_model, payload, samples, now, limits, pending),
             OP_INFER_MODEL => match protocol::split_model_infer(payload) {
-                Ok((model, floats)) => self.admit(model, floats, samples, now, limits),
+                Ok((model, floats)) => self.admit(model, floats, samples, now, limits, pending),
                 Err(e) => Request::Reply(Err(e)),
             },
             OP_RELOAD => {
@@ -436,9 +436,10 @@ impl ConnCtx {
         }
     }
 
-    /// Decodes the sample into a buffer from the reactor's free list,
-    /// resolves `model` against the fleet and checks the geometry. On
-    /// refusal the buffer goes back to the list.
+    /// Sheds the request if the tick already holds `queue_depth` infer
+    /// requests; otherwise decodes the sample into a buffer from the
+    /// reactor's free list, resolves `model` against the fleet and checks
+    /// the geometry. On refusal the buffer goes back to the list.
     fn admit(
         &self,
         model: &str,
@@ -446,7 +447,14 @@ impl ConnCtx {
         samples: &mut SampleBufs,
         now: Instant,
         limits: &ConnLimits,
+        pending: usize,
     ) -> Request {
+        if pending >= self.queue_depth {
+            self.stats.record_shed();
+            return Request::Reply(Err(ServeError::Overloaded {
+                queue_depth: self.queue_depth,
+            }));
+        }
         let mut sample = samples.take();
         let admitted = protocol::decode_f32s_into(floats, &mut sample).and_then(|()| {
             // The hot-swap read point: the plan is pinned here, so this
@@ -454,8 +462,8 @@ impl ConnCtx {
             // microsecond later.
             let session = self.registry.get(model)?;
             // Geometry is checked against the pinned plan before admission,
-            // so a wrong-length sample can never reach (and fail) a
-            // coalesced batch that also carries other connections' requests.
+            // so a wrong-length sample can never reach (and fail) a batch
+            // that also carries other connections' requests.
             if sample.len() != session.sample_len() {
                 return Err(ServeError::BadRequest {
                     reason: format!(
@@ -482,16 +490,29 @@ impl ConnCtx {
 
     /// Rescans validate checkpoints (probe forwards included), which is far
     /// too slow for the reactor thread: run it on a one-shot thread and
-    /// deliver the report as a normal sequenced completion.
-    fn spawn_reload(&self, conn: u64, seq: u64, tx: CompletionTx) {
+    /// deliver the report as a normal sequenced completion: queued on `tx`,
+    /// then announced through `waker`.
+    fn spawn_reload(&self, conn: u64, seq: u64, tx: mpsc::Sender<Completion>, waker: Waker) {
         let registry = Arc::clone(&self.registry);
         let busy = Arc::clone(&self.reload_busy);
         thread::spawn(move || {
             let result = registry.rescan().map(|r| r.to_json().into_bytes());
             busy.store(false, Ordering::SeqCst);
-            tx.send(Completion { conn, seq, result });
+            // A reactor that has already gone is not an error; the report
+            // is dropped with it.
+            let _ = tx.send(Completion { conn, seq, result });
+            waker.wake();
         });
     }
+}
+
+/// A finished reload, routed back to the reactor: the report (or a typed
+/// failure) for request `seq` of connection `conn`.
+#[derive(Debug)]
+struct Completion {
+    conn: u64,
+    seq: u64,
+    result: Result<Vec<u8>, ServeError>,
 }
 
 /// Why a connection is being closed (drives the shed taxonomy).
@@ -729,21 +750,22 @@ struct Reactor {
     rr: usize,
     next_token: u64,
     completions_rx: mpsc::Receiver<Completion>,
-    completions_tx: CompletionTx,
+    completions_tx: mpsc::Sender<Completion>,
+    /// Wakes the reactor's own wait; reload threads get a clone.
+    waker: Waker,
     wake_rx: WakeRx,
-    /// Requests handed to the batcher or a reload thread whose completion
-    /// has not come back yet.
-    inflight: usize,
-    /// Infer requests admitted this tick, until the tick decides where
-    /// they run.
+    /// Infer requests admitted this tick and not yet run, in admission
+    /// order.
     jobs: Vec<Pending>,
-    /// Most jobs one inline run takes ([`BatchPolicy::max_batch`]).
+    /// The requests of the plan run in progress, taken from `jobs`.
+    chunk: Vec<Pending>,
+    /// Most jobs one plan run takes ([`BatchPolicy::max_batch`]).
     max_batch: usize,
     /// The buffers samples decode into.
     samples: SampleBufs,
-    /// The inline batch's samples, concatenated.
+    /// The chunk's samples, concatenated.
     staging: Vec<f32>,
-    /// The inline batch's output rows, `n × num_outputs`.
+    /// The chunk's output rows, `n × num_outputs`.
     rows: Vec<f32>,
     /// The one read buffer every connection's bounded read goes through.
     read_buf: [u8; READ_CHUNK],
@@ -766,7 +788,10 @@ impl Reactor {
         waker: Waker,
         wake_rx: WakeRx,
     ) -> Reactor {
-        let max_batch = config.policy.max_batch;
+        let BatchPolicy {
+            max_batch,
+            queue_depth,
+        } = config.policy;
         let (completions_tx, completions_rx) = mpsc::channel();
         Reactor {
             listener: Some(listener),
@@ -777,12 +802,13 @@ impl Reactor {
             rr: 0,
             next_token: 0,
             completions_rx,
-            completions_tx: CompletionTx::new(completions_tx, waker),
+            completions_tx,
+            waker,
             wake_rx,
-            inflight: 0,
             jobs: Vec::new(),
+            chunk: Vec::new(),
             max_batch,
-            samples: SampleBufs::new(max_batch),
+            samples: SampleBufs::new(queue_depth),
             staging: Vec::new(),
             rows: Vec::new(),
             read_buf: [0; READ_CHUNK],
@@ -886,8 +912,8 @@ impl Reactor {
         wake_at.map(|at| at.saturating_duration_since(now))
     }
 
-    /// One wake-up's work: deliver completions, accept, read and dispatch
-    /// every ready connection, then execute what that found.
+    /// One wake-up's work: deliver finished reloads, accept, read and
+    /// dispatch every ready connection, then run the inference that found.
     fn tick(&mut self) {
         // The wake bytes go before the completions they announce: a
         // completion sent after this drain writes a fresh byte, so none is
@@ -906,7 +932,7 @@ impl Reactor {
         let registered = self.fds.len() - CONN_FDS;
         if registered > 0 {
             // The start index rotates so no connection is always served
-            // (and admitted to the queue) first.
+            // (and admitted within the tick's bound) first.
             self.rr = (self.rr + 1) % registered;
             for i in 0..registered {
                 self.service((self.rr + i) % registered);
@@ -917,7 +943,6 @@ impl Reactor {
 
     fn route_completion(&mut self, c: Completion) {
         self.served = true;
-        self.inflight = self.inflight.saturating_sub(1);
         // A completion for a connection that died in the meantime is
         // dropped, like a hung-up blocking requester.
         if let Some(conn) = conn_mut(&mut self.conns, c.conn) {
@@ -981,8 +1006,8 @@ impl Reactor {
 
     /// Reads one bounded chunk from the socket, advances the frame
     /// decoder, and dispatches every complete frame: infer requests are
-    /// admitted into `jobs`, reloads start their thread, everything else is
-    /// answered on the spot.
+    /// admitted into `jobs` (or shed past the tick's bound), reloads start
+    /// their thread, everything else is answered on the spot.
     fn read_and_dispatch(&mut self, at: usize) {
         let Reactor {
             conns,
@@ -991,8 +1016,8 @@ impl Reactor {
             jobs,
             samples,
             read_buf,
-            inflight,
             completions_tx,
+            waker,
             served,
             ..
         } = self;
@@ -1019,7 +1044,9 @@ impl Reactor {
                 break;
             }
             let request = match conn.decoder.try_frame_ref() {
-                Ok(Some((op, payload))) => Ok(ctx.parse(op, payload, samples, now, limits)),
+                Ok(Some((op, payload))) => {
+                    Ok(ctx.parse(op, payload, samples, now, limits, jobs.len()))
+                }
                 Ok(None) => break,
                 Err(e) => Err(e),
             };
@@ -1045,8 +1072,7 @@ impl Reactor {
                 }
                 Ok(Request::Reload) => {
                     conn.inflight += 1;
-                    *inflight += 1;
-                    ctx.spawn_reload(conn.token, seq, completions_tx.clone());
+                    ctx.spawn_reload(conn.token, seq, completions_tx.clone(), waker.clone());
                 }
                 Ok(Request::Reply(result)) => conn.respond_result(seq, result.as_deref(), now),
                 Err(e) => {
@@ -1068,60 +1094,47 @@ impl Reactor {
         }
     }
 
-    /// Executes what the tick admitted. With nothing queued or in flight,
-    /// a tick's jobs that fit one batch and share one plan run here and
-    /// now, as one batch: the requests that met in this tick are all the
-    /// company they will get, and nobody else is waiting on the reactor.
-    /// Anything else — a tick that overflows `max_batch`, mixes plans, or
-    /// meets work in flight — goes to the batcher's queue, where requests
-    /// that arrive together leave together.
+    /// Runs every infer request the tick admitted, here, one plan run per
+    /// chunk: a chunk is the oldest job left and the later ones pinned to
+    /// its plan, in admission order, up to `max_batch` of them. A plan that
+    /// `n` of the tick's jobs share runs ⌈n / `max_batch`⌉ times.
     fn execute_jobs(&mut self) {
-        let Some(first) = self.jobs.first() else {
-            return;
-        };
-        let key = Arc::as_ptr(first.session.plan());
-        let one_plan = self
-            .jobs
-            .iter()
-            .all(|job| Arc::as_ptr(job.session.plan()) == key);
-        if self.inflight == 0 && self.jobs.len() <= self.max_batch && one_plan {
-            self.run_inline();
-            return;
+        while let Some(first) = self.jobs.first() {
+            let key = Arc::as_ptr(first.session.plan());
+            let mut room = self.max_batch;
+            let on_plan = |job: &mut Pending| {
+                let take = room > 0 && Arc::as_ptr(job.session.plan()) == key;
+                room -= usize::from(take);
+                take
+            };
+            self.chunk.extend(self.jobs.extract_if(.., on_plan));
+            self.run_chunk();
         }
-        let mut jobs = std::mem::take(&mut self.jobs);
-        for job in jobs.drain(..) {
-            let (conn, seq) = (job.conn, job.seq);
-            let (handle, tx) = (&self.ctx.handle, self.completions_tx.clone());
-            match handle.submit_event(job.session, job.sample, job.deadline, conn, seq, tx) {
-                Ok(()) => self.inflight += 1,
-                // A typed refusal is the answer; no completion will come.
-                Err(e) => self.answer(conn, seq, Err(&e)),
-            }
-        }
-        self.jobs = jobs;
     }
 
-    /// Runs the tick's jobs on the reactor thread as one batch, with the
-    /// checks the batching worker applies, job by job: drain, deadline,
-    /// then the plan. The samples that pass run through the plan once, into
-    /// `rows`, and each job is answered in admission order — each
-    /// connection's request order — straight from its row.
-    fn run_inline(&mut self) {
+    /// Runs `chunk` as one batch, with the checks of the request path, job
+    /// by job: drain (a shutdown asked for since the tick began answers
+    /// the chunk `ShuttingDown`), deadline, then the plan. The samples that
+    /// pass run through the plan once, into `rows`, and each job is
+    /// answered in admission order — each connection's request order —
+    /// straight from its row.
+    fn run_chunk(&mut self) {
         let Reactor {
             ctx,
             conns,
-            jobs,
+            chunk,
             samples,
             staging,
             rows,
+            stop,
             ..
         } = self;
         let stats = &ctx.stats;
         let now = Instant::now();
-        let draining = ctx.handle.is_draining();
+        let draining = stop.load(Ordering::SeqCst);
         let runs = |job: &Pending| !draining && !job.expired(now);
-        let n = jobs.iter().filter(|job| runs(job)).count();
-        let session = &jobs[0].session;
+        let n = chunk.iter().filter(|job| runs(job)).count();
+        let session = &chunk[0].session;
         let width = session.num_outputs();
         rows.resize(n * width, 0.0);
         let ran = if n == 0 {
@@ -1129,11 +1142,11 @@ impl Reactor {
         } else {
             stats.record_batch(n);
             // A lone request runs from its own buffer; a batch is staged.
-            let input = if let [job] = jobs.as_slice() {
+            let input = if let [job] = chunk.as_slice() {
                 &job.sample
             } else {
                 staging.clear();
-                for job in jobs.iter().filter(|job| runs(job)) {
+                for job in chunk.iter().filter(|job| runs(job)) {
                     staging.extend_from_slice(&job.sample);
                 }
                 &*staging
@@ -1141,7 +1154,7 @@ impl Reactor {
             session.infer_into(input, n, rows)
         };
         let mut row = rows.chunks_exact(width);
-        for job in jobs.drain(..) {
+        for job in chunk.drain(..) {
             stats.record_inline();
             let outcome = if draining {
                 Err(ServeError::ShuttingDown)
@@ -1172,14 +1185,6 @@ impl Reactor {
                 }
             }
             samples.give(job.sample);
-        }
-    }
-
-    /// Answers an admitted request from the reactor itself.
-    fn answer(&mut self, conn: u64, seq: u64, result: Result<&[u8], &ServeError>) {
-        if let Some(conn) = conn_mut(&mut self.conns, conn) {
-            conn.inflight = conn.inflight.saturating_sub(1);
-            conn.respond_result(seq, result, Instant::now());
         }
     }
 }

@@ -174,8 +174,8 @@ impl ServeStats {
         self.reactor_rests.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one infer request the reactor executed itself instead of
-    /// queueing it for the batching worker.
+    /// Records one infer request the server's reactor took to the end of
+    /// its tick: run, shed at its deadline, or answered during drain.
     pub fn record_inline(&self) {
         self.inline_requests.fetch_add(1, Ordering::Relaxed);
     }
@@ -299,9 +299,9 @@ pub struct StatsSnapshot {
     /// requests from different connections meet in the next tick; a lone
     /// connection is never made to wait one out.
     pub reactor_rests: u64,
-    /// Infer requests the reactor thread took on itself, as part of a
-    /// tick's batch that never crossed the queue (refused ones included);
-    /// the rest of `completed` went through the batching worker.
+    /// Infer requests the server's reactor took to the end of a tick —
+    /// every admitted one: run, or refused at its deadline or by drain.
+    /// An in-process [`crate::MicroBatcher`] counts none.
     pub inline_requests: u64,
     /// Median end-to-end latency, µs (log₂-bucket upper bound).
     pub p50_us: u64,

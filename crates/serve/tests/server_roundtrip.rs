@@ -5,6 +5,7 @@
 use apt_nn::checkpoint;
 use apt_serve::protocol::{
     self, OP_INFER, OP_INFER_MODEL, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_OK,
+    STATUS_OVERLOADED,
 };
 use apt_serve::{
     BatchPolicy, ConnLimits, InferenceSession, ModelArch, ModelSpec, ServeClient, ServeError,
@@ -12,8 +13,23 @@ use apt_serve::{
 };
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 use std::time::Duration;
+
+/// libtest runs this file's tests on parallel threads, and a test that
+/// reads how requests met in the reactor's ticks reads how fast both
+/// clients got the CPU: each test holds this lock, shared, and such a test
+/// holds it alone.
+static CPU: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    CPU.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    CPU.write().unwrap_or_else(|e| e.into_inner())
+}
 
 fn session(dims: &[usize]) -> InferenceSession {
     let spec = ModelSpec {
@@ -52,6 +68,7 @@ fn start_limited(
 
 #[test]
 fn infer_over_tcp_is_bit_exact() {
+    let _shared = shared();
     let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
     let mut client = ServeClient::connect(server.addr()).unwrap();
 
@@ -82,6 +99,7 @@ fn infer_over_tcp_is_bit_exact() {
 
 #[test]
 fn inline_path_reads_the_registry_and_refuses_typed() {
+    let _shared = shared();
     let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
     let mut client = ServeClient::connect(server.addr()).unwrap();
     let sample: Vec<f32> = (0..6).map(|j| j as f32 * 0.2 - 0.5).collect();
@@ -128,6 +146,7 @@ fn inline_path_reads_the_registry_and_refuses_typed() {
 
 #[test]
 fn concurrent_clients_lose_nothing() {
+    let _shared = shared();
     let policy = BatchPolicy {
         max_batch: 8,
         queue_depth: 256,
@@ -180,12 +199,15 @@ fn stat_after(json: &str, key: &str) -> u64 {
 }
 
 /// Two closed-loop clients at the default policy keep meeting in batches
-/// of two with no timer holding a batch open: the reactor admits their
-/// requests in one tick, and the worker takes both from the queue. The
+/// of two with no timer holding a batch open: the reactor's rest lets it
+/// admit their requests in one tick, and it runs them as one batch. The
 /// 60 % floor sits well below the share this test read on a two-core host
-/// (60 runs: 0.91–1.00); taking only the first job reads 0.
+/// (60 runs: 0.91–1.00); taking only the first job reads 0. The share
+/// needs both clients on a CPU while the reactor rests, so the test runs
+/// with none of this file's other tests beside it.
 #[test]
 fn two_closed_loop_clients_batch_without_a_timer() {
+    let _alone = alone();
     let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
     let addr = server.addr();
     const ROUND_TRIPS: usize = 300;
@@ -225,6 +247,7 @@ fn two_closed_loop_clients_batch_without_a_timer() {
 
 #[test]
 fn protocol_errors_answered_in_band() {
+    let _shared = shared();
     let (mut server, _local) = start_server(&[3, 5, 2], BatchPolicy::default());
     let mut client = ServeClient::connect(server.addr()).unwrap();
 
@@ -249,6 +272,7 @@ fn protocol_errors_answered_in_band() {
 
 #[test]
 fn model_infer_routes_and_unknown_model_is_typed() {
+    let _shared = shared();
     let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
     let mut client = ServeClient::connect(server.addr()).unwrap();
     let sample: Vec<f32> = (0..6).map(|j| j as f32 * 0.3 - 0.8).collect();
@@ -294,6 +318,7 @@ fn model_infer_routes_and_unknown_model_is_typed() {
 
 #[test]
 fn shutdown_drains_and_refuses() {
+    let _shared = shared();
     let (mut server, _local) = start_server(&[3, 4, 2], BatchPolicy::default());
     let addr = server.addr();
     let mut client = ServeClient::connect(addr).unwrap();
@@ -355,6 +380,7 @@ const PIPELINED_ROUNDS: usize = 50;
 
 #[test]
 fn two_requests_in_one_tick_run_inline_as_one_batch() {
+    let _shared = shared();
     let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     for r in 0..PIPELINED_ROUNDS {
@@ -392,7 +418,8 @@ fn two_requests_in_one_tick_run_inline_as_one_batch() {
 }
 
 #[test]
-fn a_tick_over_max_batch_goes_through_the_queue() {
+fn a_tick_over_max_batch_runs_on_the_reactor() {
+    let _shared = shared();
     const MAX_BATCH: usize = 4;
     let policy = BatchPolicy {
         max_batch: MAX_BATCH,
@@ -424,18 +451,26 @@ fn a_tick_over_max_batch_goes_through_the_queue() {
             );
         }
     }
+    // Each round's tick runs one full chunk and the one request left over.
     let snap = server.stats();
-    assert_eq!(snap.inline_requests, 0, "{snap:?}");
-    assert_eq!(snap.completed, (PIPELINED_ROUNDS * (MAX_BATCH + 1)) as u64);
+    let rounds = PIPELINED_ROUNDS as u64;
+    let requests = rounds * (MAX_BATCH as u64 + 1);
+    assert_eq!((snap.inline_requests, snap.completed), (requests, requests));
     assert!(
         snap.batch_hist.iter().all(|&(size, _)| size <= MAX_BATCH),
+        "{snap:?}"
+    );
+    assert_eq!(
+        snap.batch_hist,
+        vec![(1, rounds), (MAX_BATCH, rounds)],
         "{snap:?}"
     );
     server.shutdown();
 }
 
 #[test]
-fn a_tick_that_mixes_plans_goes_through_the_queue() {
+fn a_tick_that_mixes_plans_runs_on_the_reactor() {
+    let _shared = shared();
     let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
     let mut net = apt_nn::models::mlp(
         "mlp",
@@ -476,14 +511,65 @@ fn a_tick_that_mixes_plans_goes_through_the_queue() {
             "round {r}"
         );
     }
+    // One plan run per plan: two batches of one a round.
     let snap = server.stats();
-    assert_eq!(snap.inline_requests, 0, "{snap:?}");
-    assert_eq!(snap.completed, 2 * PIPELINED_ROUNDS as u64);
+    let requests = 2 * PIPELINED_ROUNDS as u64;
+    assert_eq!((snap.inline_requests, snap.completed), (requests, requests));
+    assert_eq!(snap.batch_hist, vec![(1, requests)], "{snap:?}");
+    server.shutdown();
+}
+
+#[test]
+fn a_tick_sheds_what_it_admits_past_queue_depth() {
+    let _shared = shared();
+    const QUEUE_DEPTH: usize = 6;
+    const SENT: usize = QUEUE_DEPTH + 4;
+    let policy = BatchPolicy {
+        max_batch: 4,
+        queue_depth: QUEUE_DEPTH,
+    };
+    let (mut server, local) = start_server(&[6, 10, 4], policy);
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    for r in 0..PIPELINED_ROUNDS {
+        let samples: Vec<Vec<f32>> = (0..SENT)
+            .map(|i| {
+                (0..6)
+                    .map(|j| ((r + 3 * i + j) % 7) as f32 * 0.23 - 0.6)
+                    .collect()
+            })
+            .collect();
+        let frames: Vec<_> = samples
+            .iter()
+            .map(|s| (OP_INFER, protocol::encode_f32s(s)))
+            .collect();
+        let answers = pipelined(&mut raw, &frames);
+        for (i, ((status, body), s)) in answers.iter().zip(&samples).enumerate() {
+            if i < QUEUE_DEPTH {
+                assert_eq!(
+                    answer_bits(*status, body),
+                    bits(&local.infer_one(s).unwrap()),
+                    "round {r} request {i}"
+                );
+            } else {
+                assert_eq!(*status, STATUS_OVERLOADED, "round {r} request {i}");
+            }
+        }
+    }
+    let snap = server.stats();
+    let rounds = PIPELINED_ROUNDS as u64;
+    let (admitted, excess) = (QUEUE_DEPTH as u64, (SENT - QUEUE_DEPTH) as u64);
+    assert_eq!(snap.shed, rounds * excess, "{snap:?}");
+    assert_eq!(
+        (snap.completed, snap.inline_requests),
+        (rounds * admitted, rounds * admitted)
+    );
+    assert_eq!(snap.batch_hist, vec![(2, rounds), (4, rounds)], "{snap:?}");
     server.shutdown();
 }
 
 #[test]
 fn expired_requests_in_one_tick_are_shed_inline() {
+    let _shared = shared();
     let limits = ConnLimits {
         request_timeout: Duration::from_nanos(1),
         ..ConnLimits::default()

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         model_name: "mlp:48-32-10".to_string(),
         // Overload protection: connection cap, idle/read deadlines for
-        // hostile peers, and a per-request queue deadline. Defaults are
+        // hostile peers, and a per-request deadline. Defaults are
         // production-ish; shown explicitly here.
         limits: ConnLimits {
             max_connections: 64,

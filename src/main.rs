@@ -87,9 +87,9 @@ model geometry (must match how the checkpoint was trained):
 
 serving:
   --addr HOST:PORT      bind address                  [default 127.0.0.1:7878]
-  --max-batch N         micro-batch coalescing cap; a batch is what is
-                        already queued, never held open [default 8]
-  --queue-depth N       admission queue bound         [default 128]
+  --max-batch N         most requests one plan run takes; a batch is
+                        what one tick read, never held open [default 8]
+  --queue-depth N       most requests one tick admits [default 128]
   --threads N           compute pool size             [default all cores]
   --stats-every SECS    print serving stats period    [default 10, 0 = off]
 
@@ -97,7 +97,7 @@ overload protection:
   --max-conns N         concurrent connection cap     [default 1024]
   --idle-timeout-ms N   reap silent connections after [default 60000, 0 = off]
   --read-timeout-ms N   reap mid-frame stalls after   [default 10000, 0 = off]
-  --request-timeout-ms N  shed queued requests after  [default 5000, 0 = off]
+  --request-timeout-ms N  shed waiting requests after [default 5000, 0 = off]
   --max-pipeline N      per-connection in-flight cap  [default 32]";
 
 const FREEZE_USAGE: &str = "usage: apt freeze CHECKPOINT --model MODEL [options]

@@ -301,8 +301,13 @@ fn wait_until(patience: Duration, mut done: impl FnMut() -> bool) -> bool {
 }
 
 /// Appends a cell's row — the one place a [`StatsSnapshot`] is spelled out
-/// in [`schema::SERVING`] order.
+/// in [`schema::SERVING`] order — and prints how the reactor's rests
+/// ended, which the row does not carry.
 fn push_row(rows: &mut Table, cell: &Cell, s: &Served) {
+    println!(
+        "# {} {}: {} rests, {} ended early",
+        cell.name, cell.policy.name, s.stats.reactor_rests, s.stats.reactor_rests_early
+    );
     rows.push_row(row![
         cell.name,
         cell.bits,

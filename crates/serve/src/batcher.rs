@@ -111,7 +111,6 @@ pub struct MicroBatcher {
     stats: Arc<ServeStats>,
     draining: Arc<AtomicBool>,
     policy: BatchPolicy,
-    session: InferenceSession,
     worker: Option<thread::JoinHandle<()>>,
 }
 
@@ -128,7 +127,7 @@ impl MicroBatcher {
         let draining = Arc::new(AtomicBool::new(false));
         let worker = {
             let stats = Arc::clone(&stats);
-            let (session, max_batch) = (session.clone(), policy.max_batch);
+            let max_batch = policy.max_batch;
             thread::spawn(move || worker_loop(&rx, &stats, &session, max_batch))
         };
         Ok(MicroBatcher {
@@ -136,7 +135,6 @@ impl MicroBatcher {
             stats,
             draining,
             policy,
-            session,
             worker: Some(worker),
         })
     }
@@ -149,16 +147,6 @@ impl MicroBatcher {
             draining: Arc::clone(&self.draining),
             queue_depth: self.policy.queue_depth,
         }
-    }
-
-    /// The session this batcher executes on.
-    pub fn session(&self) -> &InferenceSession {
-        &self.session
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
     }
 
     /// Snapshot of the serving counters.

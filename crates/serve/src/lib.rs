@@ -23,7 +23,7 @@
 //!    coalesced batch answers every request bit-identically to running it
 //!    alone. The server below does not use it.
 //! 3. **[`Server`]** — a std-only TCP front-end built on a nonblocking
-//!    readiness-driven reactor: one thread sleeps in `poll(2)` over every
+//!    readiness-driven reactor: one thread sleeps in `ppoll(2)` over every
 //!    connection and drives them through incremental per-connection frame
 //!    state machines, so slow or hostile peers cost a table slot, not a
 //!    thread, and an idle server costs no wake-ups. The reactor runs every
@@ -31,9 +31,10 @@
 //!    requests one tick admits (at most `queue_depth`) are split by plan
 //!    and run in batches of at most `max_batch`, with no allocation. After a tick
 //!    that served something, with two or more connections open, the
-//!    reactor rests briefly, so under load its tick rate is set by a timer
-//!    and concurrent requests meet in one tick — a lone connection has no
-//!    one to meet and is answered at wake-up speed. Unix only in earnest:
+//!    reactor rests until every reading connection has sent or a short
+//!    period passes, so concurrent requests meet in one tick and one peer
+//!    cannot drive the tick rate — a lone connection has no one to meet
+//!    and is answered at wake-up speed. Unix only in earnest:
 //!    elsewhere the wait degrades to a short sleep.
 //!    Overload protection is typed
 //!    end-to-end ([`ConnLimits`]): connection caps refuse at accept, idle

@@ -1,13 +1,16 @@
 //! The readiness seam: one blocking wait over a set of sockets plus a wake
 //! channel other threads use to interrupt it.
 //!
-//! On unix the wait is `poll(2)` — the crate's only foreign call, and the
-//! only `unsafe` in it — and the wake channel is a
+//! On Linux the wait is `ppoll(2)`, whose timeout has nanosecond grain; on
+//! other unix targets it is `poll(2)`, whose timeout is rounded up to the
+//! millisecond. That call is the crate's only foreign call, and the only
+//! `unsafe` in it. The wake channel is a
 //! [`UnixStream::pair`](std::os::unix::net::UnixStream::pair): a byte
 //! written to one end makes the other end readable, so the reactor sleeps
-//! in the kernel until there is something to do. `poll` is level-triggered:
-//! a descriptor registered for an event it will not act on makes every
-//! wait return at once, so callers register only what they will service.
+//! in the kernel until there is something to do. The wait is
+//! level-triggered: a descriptor registered for an event it will not act
+//! on makes every wait return at once, so callers register only what they
+//! will service.
 //!
 //! Other platforms get a stub with the same shape: the wait is a fixed
 //! short sleep that reports everything ready, and waking is a no-op. The
@@ -19,6 +22,9 @@ pub(crate) use sys::{wait, wake_pair, PollFd, WakeRx, Waker};
 #[cfg(unix)]
 mod sys {
     use std::io::{self, Read, Write};
+    use std::os::raw::c_int;
+    #[cfg(target_os = "linux")]
+    use std::os::raw::{c_long, c_ulong, c_void};
     use std::os::unix::io::{AsRawFd, RawFd};
     use std::os::unix::net::UnixStream;
     use std::sync::Arc;
@@ -31,12 +37,31 @@ mod sys {
     const POLLNVAL: i16 = 0x020;
 
     #[cfg(target_os = "linux")]
-    type Nfds = std::os::raw::c_ulong;
+    type Nfds = c_ulong;
     #[cfg(not(target_os = "linux"))]
     type Nfds = std::os::raw::c_uint;
 
+    /// C's `struct timespec` (`time_t` is a `long` on Linux).
+    #[cfg(target_os = "linux")]
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
+    #[cfg(target_os = "linux")]
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: std::os::raw::c_int) -> std::os::raw::c_int;
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: Nfds,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
     }
 
     /// One entry of a poll set, laid out as C's `struct pollfd`.
@@ -66,6 +91,16 @@ mod sys {
             }
         }
 
+        /// The same descriptor watched for reading only, if this entry is
+        /// watched for reading at all.
+        pub(crate) fn for_reading(&self) -> Option<PollFd> {
+            (self.events & POLLIN != 0).then_some(PollFd {
+                events: POLLIN,
+                revents: 0,
+                ..*self
+            })
+        }
+
         /// The last wait found bytes (or EOF) to read.
         pub(crate) fn readable(&self) -> bool {
             self.revents & POLLIN != 0
@@ -80,19 +115,10 @@ mod sys {
 
     /// Blocks until an entry is ready or `timeout` passes (`None` waits
     /// without bound); readiness is left in each entry. A signal ends the
-    /// wait early with nothing ready.
+    /// wait early with nothing ready. The wait never ends before `timeout`
+    /// for lack of readiness, so a deadline it was sized for has passed.
     pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
-        // Rounded up to poll's millisecond grain so a deadline is never
-        // checked before it has passed.
-        let ms = timeout.map_or(-1, |t| {
-            t.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
-        });
-        // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
-        // entries with `struct pollfd`'s layout, and the length passed is
-        // the slice's own; `poll` writes only the `revents` of those
-        // entries and keeps no pointer past the call.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) };
-        if rc >= 0 {
+        if raw_wait(fds, timeout) >= 0 {
             return Ok(());
         }
         let err = io::Error::last_os_error();
@@ -103,6 +129,46 @@ mod sys {
             return Ok(());
         }
         Err(err)
+    }
+
+    /// `ppoll` takes the timeout to the nanosecond.
+    #[cfg(target_os = "linux")]
+    fn raw_wait(fds: &mut [PollFd], timeout: Option<Duration>) -> c_int {
+        let timeout = timeout.map(|t| Timespec {
+            tv_sec: t.as_secs().min(c_long::MAX as u64) as c_long,
+            tv_nsec: t.subsec_nanos() as c_long,
+        });
+        let timeout = timeout
+            .as_ref()
+            .map_or(std::ptr::null(), |t| t as *const Timespec);
+        // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+        // entries with `struct pollfd`'s layout, and the length passed is
+        // the slice's own; `timeout` is null or points at a live
+        // `struct timespec`, and a null signal mask leaves the mask alone.
+        // `ppoll` writes only the `revents` of those entries and keeps no
+        // pointer past the call.
+        unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as Nfds,
+                timeout,
+                std::ptr::null(),
+            )
+        }
+    }
+
+    /// `poll` takes whole milliseconds: the timeout is rounded up so a
+    /// deadline is never checked before it has passed.
+    #[cfg(not(target_os = "linux"))]
+    fn raw_wait(fds: &mut [PollFd], timeout: Option<Duration>) -> c_int {
+        let ms = timeout.map_or(-1, |t| {
+            t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int
+        });
+        // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+        // entries with `struct pollfd`'s layout, and the length passed is
+        // the slice's own; `poll` writes only the `revents` of those
+        // entries and keeps no pointer past the call.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) }
     }
 
     /// The sending half of the wake channel; cheap to clone, usable from
@@ -169,6 +235,15 @@ mod sys {
         /// Watches `source` for readability and/or writability.
         pub(crate) fn new<T>(_source: &T, read: bool, _write: bool) -> PollFd {
             PollFd { read, ready: false }
+        }
+
+        /// The same entry watched for reading only, if it is watched for
+        /// reading at all.
+        pub(crate) fn for_reading(&self) -> Option<PollFd> {
+            self.read.then_some(PollFd {
+                ready: false,
+                ..*self
+            })
         }
 
         /// The last wait ended; a nonblocking read is worth trying.

@@ -2,7 +2,7 @@
 //!
 //! One **reactor thread** owns every connection: the listener and all
 //! accepted sockets run in nonblocking mode, and the reactor sleeps in one
-//! blocking readiness wait ([`crate::poll`]: `poll(2)` over the listener,
+//! blocking readiness wait ([`crate::poll`]: `ppoll(2)` over the listener,
 //! every connection that currently wants reading or writing, and a wake
 //! channel written by reload threads and [`Server::shutdown`]). The wait's
 //! timeout is the next deadline the reactor would act on, so an idle server
@@ -39,20 +39,24 @@
 //!
 //! **Tick moderation.** A tick that served something — dispatched a frame
 //! or delivered a completion — while two or more connections are open is
-//! followed by a rest: the reactor flushes what it owes, then sleeps out
-//! what is left of `TICK_PERIOD` since the tick began before it waits
-//! again. The next wait then finds everything that arrived during the
+//! followed by a rest: the reactor flushes what it owes, then waits until
+//! every connection registered for reading has bytes (or has hung up),
+//! the wake channel fires, or `TICK_PERIOD` has passed since the rest
+//! began. The next tick then finds everything that arrived during the
 //! rest: requests from different connections are admitted in one tick and
 //! run as one batch — this rest, not a timer, is what makes concurrent
-//! requests share a batch — and the tick rate
-//! (every tick rebuilds the poll set, O(connections)) is set by a timer,
-//! not by how fast the peers turn around. Both jobs need a second
+//! requests share a batch. A rest ends early only when every reading
+//! connection has something for the next tick, so the poll-set rebuild
+//! every tick pays (O(connections)) stays O(1) a served request; with an
+//! idle connection open the rest runs its full period, so one peer's
+//! turnaround cannot drive the tick rate. Both jobs need a second
 //! connection. With one open there is no other request to meet and the
 //! poll set is O(1), so the reactor does not rest, and a lone closed-loop
 //! client is answered at wake-up speed (about 27 µs a round trip on a
-//! two-vCPU host). A tick that only
-//! accepted, timed out or found nothing never rests, so an idle server
-//! still never wakes. `reactor_rests` in the stats counts the rests taken.
+//! two-vCPU host). A tick that only accepted, timed out or found nothing
+//! never rests, so an idle server still never wakes. `reactor_rests` in
+//! the stats counts the rests taken, `reactor_rests_early` those that
+//! ended before their period.
 //!
 //! Overload protection is layered and typed:
 //!
@@ -186,15 +190,11 @@ const OUT_SOFT_CAP: usize = 1024 * 1024;
 const ACCEPTS_PER_TICK: usize = 128;
 /// How long a draining server waits for in-flight responses to flush.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
-/// Least time between the starts of two ticks that serve something while
-/// two or more connections are open (tick moderation, see the module doc).
-/// A sleep overshoots by the kernel's timer slack and the wake-up — about
-/// 60 µs here — so such ticks come about 120 µs apart.
+/// Longest rest after a tick that served something while two or more
+/// connections are open (tick moderation, see the module doc), counted
+/// from the start of the rest. The kernel's timer slack stretches a rest
+/// that runs its full length — by up to 50 µs on a default Linux thread.
 const TICK_PERIOD: Duration = Duration::from_micros(60);
-/// A rest that is due is never skipped, however long the tick ran: without
-/// it two closed-loop peers can keep finding the reactor free one after
-/// the other and never meet in a tick.
-const MIN_REST: Duration = Duration::from_micros(1);
 
 /// A running server. Dropping (or calling [`shutdown`](Server::shutdown))
 /// stops accepting, drains in-flight requests, and joins the reactor.
@@ -729,7 +729,7 @@ fn conn_mut(conns: &mut [Conn], token: u64) -> Option<&mut Conn> {
     Some(&mut conns[at])
 }
 
-/// Index of the wake channel's entry in the poll set.
+/// Index of the wake channel's entry in the poll set, and in a rest's.
 const WAKE_FD: usize = 0;
 /// Index of the listener's entry ([`PollFd::NONE`] once draining).
 const LISTENER_FD: usize = 1;
@@ -746,6 +746,9 @@ struct Reactor {
     conns: Vec<Conn>,
     /// The poll set of the current wait, rebuilt before each one.
     fds: Vec<PollFd>,
+    /// The poll set of a rest: the wake channel and every connection of
+    /// `fds` registered for reading not yet found ready.
+    rest_fds: Vec<PollFd>,
     /// Where the read scan starts; rotates every tick.
     rr: usize,
     next_token: u64,
@@ -769,11 +772,8 @@ struct Reactor {
     rows: Vec<f32>,
     /// The one read buffer every connection's bounded read goes through.
     read_buf: [u8; READ_CHUNK],
-    /// When the current tick began.
-    tick_began: Instant,
     /// The current tick dispatched a frame or delivered a completion: with
-    /// another connection open, the reactor rests out its [`TICK_PERIOD`]
-    /// before the next wait.
+    /// another connection open, the reactor rests before the next wait.
     served: bool,
     stop: Arc<AtomicBool>,
     stopping: Option<Instant>,
@@ -799,6 +799,7 @@ impl Reactor {
             limits: config.limits.clone(),
             conns: Vec::new(),
             fds: Vec::new(),
+            rest_fds: Vec::new(),
             rr: 0,
             next_token: 0,
             completions_rx,
@@ -812,7 +813,6 @@ impl Reactor {
             staging: Vec::new(),
             rows: Vec::new(),
             read_buf: [0; READ_CHUNK],
-            tick_began: Instant::now(),
             served: false,
             stop,
             stopping: None,
@@ -838,17 +838,43 @@ impl Reactor {
             // `prepare` dropped the dead): with one, there is no request
             // to meet in the next tick and the poll set is O(1).
             if std::mem::take(&mut self.served) && self.conns.len() >= 2 {
-                let left = TICK_PERIOD.saturating_sub(self.tick_began.elapsed());
-                thread::sleep(left.max(MIN_REST));
-                self.ctx.stats.record_reactor_rest();
+                self.rest();
             }
             if poll::wait(&mut self.fds, timeout).is_err() {
                 // Nothing was reported ready; do not spin on a failing wait.
                 thread::sleep(Duration::from_millis(1));
             }
-            self.tick_began = Instant::now();
             self.ctx.stats.record_reactor_wakeup();
             self.tick();
+        }
+    }
+
+    /// Waits, after a serving tick, until every connection registered for
+    /// reading has bytes or has hung up, the wake channel fires, or
+    /// [`TICK_PERIOD`] has passed since the rest began. A connection found
+    /// ready leaves the rest's poll set, so the wait does not return at once
+    /// again for it; nothing is read, and the wait that follows reports
+    /// the same readiness to the tick.
+    fn rest(&mut self) {
+        let until = Instant::now() + TICK_PERIOD;
+        let rest = &mut self.rest_fds;
+        rest.clear();
+        rest.push(self.wake_rx.pollfd());
+        rest.extend(self.fds[CONN_FDS..].iter().filter_map(PollFd::for_reading));
+        self.ctx.stats.record_reactor_rest();
+        loop {
+            if rest[WAKE_FD].readable() {
+                return;
+            }
+            rest.retain(|fd| !fd.readable() && !fd.hung_up());
+            if rest.len() == 1 {
+                self.ctx.stats.record_reactor_rest_early();
+                return;
+            }
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() || poll::wait(rest, Some(left)).is_err() {
+                return;
+            }
         }
     }
 

@@ -36,6 +36,7 @@ pub struct ServeStats {
     plans_frozen: AtomicU64,
     reactor_wakeups: AtomicU64,
     reactor_rests: AtomicU64,
+    reactor_rests_early: AtomicU64,
     inline_requests: AtomicU64,
     lat: [AtomicU64; LAT_BUCKETS],
     batch_sizes: [AtomicU64; BATCH_BUCKETS],
@@ -62,6 +63,7 @@ impl Default for ServeStats {
             plans_frozen: AtomicU64::new(0),
             reactor_wakeups: AtomicU64::new(0),
             reactor_rests: AtomicU64::new(0),
+            reactor_rests_early: AtomicU64::new(0),
             inline_requests: AtomicU64::new(0),
             lat: std::array::from_fn(|_| AtomicU64::new(0)),
             batch_sizes: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -174,6 +176,12 @@ impl ServeStats {
         self.reactor_rests.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one rest that ended before its period because every
+    /// connection registered for reading had bytes or had hung up.
+    pub(crate) fn record_reactor_rest_early(&self) {
+        self.reactor_rests_early.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one infer request the server's reactor took to the end of
     /// its tick: run, shed at its deadline, or answered during drain.
     pub fn record_inline(&self) {
@@ -243,6 +251,7 @@ impl ServeStats {
             plans_frozen: self.plans_frozen.load(Ordering::Relaxed),
             reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
             reactor_rests: self.reactor_rests.load(Ordering::Relaxed),
+            reactor_rests_early: self.reactor_rests_early.load(Ordering::Relaxed),
             inline_requests: self.inline_requests.load(Ordering::Relaxed),
             p50_us: pct(0.50),
             p90_us: pct(0.90),
@@ -299,6 +308,9 @@ pub struct StatsSnapshot {
     /// requests from different connections meet in the next tick; a lone
     /// connection is never made to wait one out.
     pub reactor_rests: u64,
+    /// Rests that ended before their period because every connection
+    /// registered for reading had bytes or had hung up.
+    pub reactor_rests_early: u64,
     /// Infer requests the server's reactor took to the end of a tick —
     /// every admitted one: run, or refused at its deadline or by drain.
     /// An in-process [`crate::MicroBatcher`] counts none.
@@ -332,7 +344,8 @@ impl StatsSnapshot {
              \"model_unavailable\":{},\"models_resident\":{},\
              \"resident_bytes\":{},\
              \"plans_frozen\":{},\
-             \"reactor_wakeups\":{},\"reactor_rests\":{},\"inline_requests\":{},\
+             \"reactor_wakeups\":{},\"reactor_rests\":{},\"reactor_rests_early\":{},\
+             \"inline_requests\":{},\
              \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"mean_batch\":{:.3},\
              \"batch_hist\":[{}]}}",
             self.completed,
@@ -353,6 +366,7 @@ impl StatsSnapshot {
             self.plans_frozen,
             self.reactor_wakeups,
             self.reactor_rests,
+            self.reactor_rests_early,
             self.inline_requests,
             self.p50_us,
             self.p90_us,
@@ -496,13 +510,15 @@ mod tests {
         s.record_reactor_wakeup();
         s.record_reactor_rest();
         s.record_reactor_rest();
+        s.record_reactor_rest_early();
         s.record_inline();
         let snap = s.snapshot();
         assert_eq!((snap.reactor_wakeups, snap.inline_requests), (3, 1));
-        assert_eq!(snap.reactor_rests, 2);
+        assert_eq!((snap.reactor_rests, snap.reactor_rests_early), (2, 1));
         let j = snap.to_json();
         assert!(j.contains("\"reactor_wakeups\":3"), "{j}");
         assert!(j.contains("\"reactor_rests\":2"), "{j}");
+        assert!(j.contains("\"reactor_rests_early\":1"), "{j}");
         assert!(j.contains("\"inline_requests\":1"), "{j}");
     }
 

@@ -515,10 +515,11 @@ fn closed_loop(client: &mut ServeClient) -> Duration {
 
 #[test]
 fn a_closed_loop_peer_cannot_drive_the_tick_rate() {
-    // Tick moderation: with another connection open, ticks that serve
-    // something start at least a period (60 µs) apart, however small the
-    // model and however fast the peer turns around. Only the lower bound
-    // is asserted — a sleep never returns early, so it holds on any host.
+    // Tick moderation: with an idle connection open, every rest runs its
+    // full period (60 µs), so ticks that serve something are at least that
+    // far apart however small the model and however fast the peer turns
+    // around, and no rest ends early. Only the lower bound is asserted — a
+    // timed wait never returns early, so it holds on any host.
     let (mut server, _local) = start(ConnLimits::default());
     let mut other = ServeClient::connect(server.addr()).unwrap();
     other.health().unwrap();
@@ -534,6 +535,10 @@ fn a_closed_loop_peer_cannot_drive_the_tick_rate() {
         snap.reactor_rests >= u64::from(LOOP_N),
         "{} rests for {LOOP_N} served ticks",
         snap.reactor_rests
+    );
+    assert_eq!(
+        snap.reactor_rests_early, 0,
+        "a rest ended early while a connection had sent nothing"
     );
     server.shutdown();
 }

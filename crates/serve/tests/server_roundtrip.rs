@@ -245,6 +245,36 @@ fn two_closed_loop_clients_batch_without_a_timer() {
     server.shutdown();
 }
 
+/// Two closed-loop clients: once both have sent, the reactor's rest ends
+/// without waiting out its period. Each client sends its next request as
+/// soon as its answer is back, so over 300 round trips each some rest
+/// sees both requests arrive; a rest that always ran its full period
+/// reads 0.
+#[test]
+fn a_rest_ends_once_every_connection_has_sent() {
+    let _alone = alone();
+    let (mut server, _local) = start_server(&[6, 10, 4], BatchPolicy::default());
+    let addr = server.addr();
+    const ROUND_TRIPS: usize = 300;
+    let barrier = std::sync::Barrier::new(2);
+    thread::scope(|s| {
+        for _ in 0..2 {
+            let barrier = &barrier;
+            s.spawn(move || {
+                let mut client = ServeClient::connect(addr).unwrap();
+                barrier.wait();
+                for _ in 0..ROUND_TRIPS {
+                    client.infer(&[0.25; 6]).unwrap();
+                }
+            });
+        }
+    });
+    let snap = server.stats();
+    server.shutdown();
+    assert_eq!(snap.completed, 2 * ROUND_TRIPS as u64, "{snap:?}");
+    assert!(snap.reactor_rests_early >= 1, "{snap:?}");
+}
+
 #[test]
 fn protocol_errors_answered_in_band() {
     let _shared = shared();

@@ -478,7 +478,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
 
 fn print_stats(s: &apt_serve::StatsSnapshot) {
     println!(
-        "stats: {} ok ({} inline) / {} shed / {} expired / {} errors | p50 {}µs p90 {}µs p99 {}µs | mean batch {:.2} | {} wake-ups, {} rests | conns {} open, {} refused, {} idle-reaped, {} slow-reaped | fleet {} resident ({} bytes), {} swaps, {} evictions, {} quarantined | plans {} frozen",
+        "stats: {} ok ({} inline) / {} shed / {} expired / {} errors | p50 {}µs p90 {}µs p99 {}µs | mean batch {:.2} | {} wake-ups, {} rests ({} ended early) | conns {} open, {} refused, {} idle-reaped, {} slow-reaped | fleet {} resident ({} bytes), {} swaps, {} evictions, {} quarantined | plans {} frozen",
         s.completed,
         s.inline_requests,
         s.shed,
@@ -490,6 +490,7 @@ fn print_stats(s: &apt_serve::StatsSnapshot) {
         s.mean_batch,
         s.reactor_wakeups,
         s.reactor_rests,
+        s.reactor_rests_early,
         s.open_conns,
         s.refused_accept,
         s.idle_reaped,

@@ -37,7 +37,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod autotune;
 pub mod checkpoint;
 mod error;
 pub mod faults;
@@ -49,7 +48,6 @@ mod snapshot;
 pub mod state;
 pub mod trainer;
 
-pub use autotune::{autotune_t_min, AutoTuneConfig, AutoTuneReport, PilotResult, TuneObjective};
 pub use checkpoint::{latest_valid, write_state, CheckpointConfig};
 pub use error::CoreError;
 pub use faults::{

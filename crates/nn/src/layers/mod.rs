@@ -2,11 +2,10 @@
 //!
 //! Primitive layers ([`Linear`], [`Conv2d`], [`BatchNorm2d`], [`Relu`] and
 //! [`Relu6`] — the two instances of [`Clamp`] —, [`MaxPool2d`],
-//! [`AvgPool2d`], [`GlobalAvgPool`], [`Flatten`], [`ZeroPad2d`],
-//! [`ActQuant`]) and the two composites every deeper architecture is built
-//! from: [`Sequential`], a named chain, and [`Residual`],
-//! `act(body(x) + shortcut(x))`. The paper's ResNet and MobileNetV2 blocks
-//! are builders over these two in [`crate::models`].
+//! [`GlobalAvgPool`], [`Flatten`], [`ActQuant`]) and the two composites
+//! every deeper architecture is built from: [`Sequential`], a named chain,
+//! and [`Residual`], `act(body(x) + shortcut(x))`. The paper's ResNet and
+//! MobileNetV2 blocks are builders over these two in [`crate::models`].
 //!
 //! A layer's training forward stashes what its backward reads, in the
 //! smallest form that gives the same bits: [`Conv2d`] and [`Linear`] their
@@ -25,7 +24,6 @@ mod compose;
 mod conv;
 mod flatten;
 mod linear;
-mod pad;
 mod pool;
 
 pub use activation::{Clamp, Relu, Relu6};
@@ -37,8 +35,7 @@ pub use compose::{Residual, Sequential};
 pub use conv::Conv2d;
 pub use flatten::Flatten;
 pub use linear::Linear;
-pub use pad::ZeroPad2d;
-pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
+pub use pool::{GlobalAvgPool, MaxPool2d};
 
 #[cfg(test)]
 mod tests {

@@ -70,51 +70,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Non-overlapping average pooling with window and stride `k`.
-#[derive(Debug)]
-pub struct AvgPool2d {
-    name: String,
-    k: usize,
-    cached_dims: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer with square window `k`.
-    pub fn new(name: impl Into<String>, k: usize) -> Self {
-        AvgPool2d {
-            name: name.into(),
-            k,
-            cached_dims: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> crate::Result<Tensor> {
-        let y = pool::avg_pool2d(input, self.k)?;
-        if mode == Mode::Train {
-            self.cached_dims = Some(input.dims().to_vec());
-        }
-        Ok(y)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> crate::Result<Tensor> {
-        let dims = take_stash(&mut self.cached_dims, &self.name)?;
-        Ok(pool::avg_pool2d_backward(grad_output, &dims, self.k)?)
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-    fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
-
-    fn lower(&self, builder: &mut crate::plan::PlanBuilder) -> crate::Result<()> {
-        builder.push_avg_pool(self.k)
-    }
-}
-
 /// Global average pooling `[n, c, h, w] → [n, c]` (the ResNet/MobileNet
 /// head).
 #[derive(Debug)]
@@ -178,16 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_layer_roundtrip() {
-        let mut p = AvgPool2d::new("ap", 2);
-        let x = normal(&[2, 1, 4, 4], 1.0, &mut seeded(2));
-        let y = p.forward(&x, Mode::Train).unwrap();
-        assert_eq!(y.dims(), &[2, 1, 2, 2]);
-        let dx = p.backward(&Tensor::ones(&[2, 1, 2, 2])).unwrap();
-        assert!((dx.sum() - 8.0).abs() < 1e-5);
-    }
-
-    #[test]
     fn global_pool_layer_roundtrip() {
         let mut p = GlobalAvgPool::new("gap");
         let x = normal(&[3, 4, 2, 2], 1.0, &mut seeded(3));
@@ -200,9 +145,6 @@ mod tests {
     #[test]
     fn backward_requires_forward() {
         assert!(MaxPool2d::new("a", 2)
-            .backward(&Tensor::zeros(&[1, 1, 1, 1]))
-            .is_err());
-        assert!(AvgPool2d::new("b", 2)
             .backward(&Tensor::zeros(&[1, 1, 1, 1]))
             .is_err());
         assert!(GlobalAvgPool::new("c")

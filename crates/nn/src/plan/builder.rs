@@ -273,33 +273,6 @@ impl PlanBuilder {
         Ok(())
     }
 
-    /// Lowers spatial zero padding on the current `[c,h,w]` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Unfreezable`] for a non-spatial value or a zero
-    /// padding.
-    pub fn push_pad(&mut self, pad: usize) -> Result<()> {
-        let dims = self.current_dims();
-        if dims.len() != 3 {
-            return Err(self.unfreezable(format!("pad expects a [c,h,w] value, got {dims:?}")));
-        }
-        if pad == 0 {
-            return Err(self.unfreezable("padding must be positive".to_string()));
-        }
-        let (c, h, w) = (dims[0], dims[1], dims[2]);
-        self.push_step(
-            StepKind::Pad {
-                channels: c,
-                h,
-                w,
-                pad,
-            },
-            vec![c, h + 2 * pad, w + 2 * pad],
-        );
-        Ok(())
-    }
-
     /// Lowers a flatten: pure metadata, no step — the value's dims
     /// collapse to one axis in place.
     pub fn push_flatten(&mut self) {
@@ -307,7 +280,13 @@ impl PlanBuilder {
         self.values[self.current.0] = vec![flat];
     }
 
-    fn pool_geometry(&self, k: usize) -> Result<(usize, usize, usize)> {
+    /// Lowers non-overlapping max pooling with window `k`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Unfreezable`] unless `k` divides both spatial
+    /// dims (the same contract the layer enforces at runtime).
+    pub fn push_max_pool(&mut self, k: usize) -> Result<()> {
         let dims = self.current_dims();
         if dims.len() != 3 {
             return Err(self.unfreezable(format!("pooling expects a [c,h,w] value, got {dims:?}")));
@@ -318,39 +297,8 @@ impl PlanBuilder {
                 self.unfreezable(format!("pool window {k} must divide spatial dims {h}x{w}"))
             );
         }
-        Ok((c, h, w))
-    }
-
-    /// Lowers non-overlapping max pooling with window `k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Unfreezable`] unless `k` divides both spatial
-    /// dims (the same contract the layer enforces at runtime).
-    pub fn push_max_pool(&mut self, k: usize) -> Result<()> {
-        let (c, h, w) = self.pool_geometry(k)?;
         self.push_step(
             StepKind::MaxPool {
-                channels: c,
-                h,
-                w,
-                k,
-            },
-            vec![c, h / k, w / k],
-        );
-        Ok(())
-    }
-
-    /// Lowers non-overlapping average pooling with window `k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Unfreezable`] unless `k` divides both spatial
-    /// dims.
-    pub fn push_avg_pool(&mut self, k: usize) -> Result<()> {
-        let (c, h, w) = self.pool_geometry(k)?;
-        self.push_step(
-            StepKind::AvgPool {
                 channels: c,
                 h,
                 w,
@@ -426,7 +374,6 @@ impl PlanBuilder {
             bn_folds: counters.bn_folds,
             act_fusions: counters.act_fusions,
             quant_elims: counters.quant_elims,
-            pad_folds: counters.pad_folds,
             arena_floats_per_sample: layout.arena_len,
         };
         Ok(FrozenPlan::assemble(

@@ -309,34 +309,9 @@ impl FrozenPlan {
                 let (src, dst) = rw(buf, s_off, s_len, d_off, d_len);
                 fused::max_pool2d_into(src, dst, n * channels, *h, *w, *k)?;
             }
-            StepKind::AvgPool { channels, h, w, k } => {
-                let (src, dst) = rw(buf, s_off, s_len, d_off, d_len);
-                fused::avg_pool2d_into(src, dst, n * channels, *h, *w, *k)?;
-            }
             StepKind::GlobalAvgPool { channels, h, w } => {
                 let (src, dst) = rw(buf, s_off, s_len, d_off, d_len);
                 fused::global_avg_pool_into(src, dst, n * channels, *h, *w)?;
-            }
-            StepKind::Pad {
-                channels,
-                h,
-                w,
-                pad,
-            } => {
-                // Same write pattern as the layer path: zero the border,
-                // copy each interior row — bit-identical by construction.
-                let (src, dst) = rw(buf, s_off, s_len, d_off, d_len);
-                let (oh, ow) = (h + 2 * pad, w + 2 * pad);
-                dst.fill(0.0);
-                for img in 0..n * channels {
-                    let s0 = img * h * w;
-                    let d0 = img * oh * ow;
-                    for row in 0..*h {
-                        let s = s0 + row * w;
-                        let d = d0 + (row + pad) * ow + pad;
-                        dst[d..d + w].copy_from_slice(&src[s..s + w]);
-                    }
-                }
             }
             StepKind::Add { rhs, act } => {
                 // dst = src; dst += rhs; act(dst) — element-wise, so the

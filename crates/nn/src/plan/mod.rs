@@ -49,9 +49,6 @@ pub struct PlanReport {
     pub act_fusions: usize,
     /// Redundant adjacent fake-quantisation steps eliminated.
     pub quant_elims: usize,
-    /// Zero-padding steps constant-folded (pad→pad merges and pads
-    /// absorbed into a convolution's padding parameter).
-    pub pad_folds: usize,
     /// Scratch arena size, in f32 elements per sample.
     pub arena_floats_per_sample: usize,
 }
@@ -66,7 +63,6 @@ impl fmt::Display for PlanReport {
         writeln!(f, "bn folds: {}", self.bn_folds)?;
         writeln!(f, "act fusions: {}", self.act_fusions)?;
         writeln!(f, "quant eliminations: {}", self.quant_elims)?;
-        writeln!(f, "pad folds: {}", self.pad_folds)?;
         write!(
             f,
             "arena: {} floats ({} bytes) per sample",
@@ -88,18 +84,10 @@ mod tests {
             bn_folds: 3,
             act_fusions: 2,
             quant_elims: 0,
-            pad_folds: 4,
             arena_floats_per_sample: 4096,
         };
         let s = r.to_string();
-        for needle in [
-            "12",
-            "7",
-            "bn folds: 3",
-            "act fusions: 2",
-            "pad folds: 4",
-            "4096",
-        ] {
+        for needle in ["12", "7", "bn folds: 3", "act fusions: 2", "4096"] {
             assert!(s.contains(needle), "missing {needle} in {s}");
         }
     }

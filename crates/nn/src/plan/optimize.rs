@@ -13,12 +13,6 @@
 //!   fake-quantisation grids — re-snapping an already-snapped value is
 //!   the identity up to the grid's own rounding, which an identical grid
 //!   reproduces.
-//! * **Pad fold** constant-folds zero-padding chains: adjacent pads merge
-//!   (`p₁` then `p₂` is one pad of `p₁+p₂`), and a pad feeding a
-//!   convolution disappears into the conv's `padding` parameter. Both are
-//!   bit-identical — the conv kernel reads implicit boundary zeros exactly
-//!   where the materialised pad held explicit zeros, and every `+0.0` term
-//!   leaves a finite f32 accumulator unchanged.
 
 use super::step::{Step, StepKind, ValueId};
 use apt_tensor::ops::fused::Epilogue;
@@ -29,7 +23,6 @@ pub(crate) struct Counters {
     pub(crate) bn_folds: usize,
     pub(crate) act_fusions: usize,
     pub(crate) quant_elims: usize,
-    pub(crate) pad_folds: usize,
 }
 
 /// Number of steps reading `v` (plus the final output, which is read by
@@ -51,74 +44,14 @@ fn use_count(steps: &[Step], v: ValueId, output: ValueId) -> usize {
 
 /// Runs all passes in order; returns rewrite counters.
 pub(crate) fn run(steps: &mut Vec<Step>, output: ValueId) -> Counters {
-    let pad_folds = fold_pads(steps, output);
     let bn_folds = fold_bn(steps, output);
     let act_fusions = fuse_acts(steps, output);
     let quant_elims = dedup_quant(steps, output);
     Counters {
-        pad_folds,
         bn_folds,
         act_fusions,
         quant_elims,
     }
-}
-
-/// Folds zero-padding steps forward: `pad → pad` merges into one pad, and
-/// `pad → conv` vanishes into the convolution's `padding` parameter (the
-/// conv's recorded input geometry shrinks back to the pad's input). Runs
-/// before the BN fold so a `pad → conv → bn` chain collapses fully.
-fn fold_pads(steps: &mut Vec<Step>, output: ValueId) -> usize {
-    let mut folds = 0;
-    let mut i = 0;
-    while i + 1 < steps.len() {
-        let chained = {
-            let (a, b) = (&steps[i], &steps[i + 1]);
-            matches!(&a.kind, StepKind::Pad { .. })
-                && b.src == a.dst
-                && use_count(steps, a.dst, output) == 1
-        };
-        let into_pad = chained && matches!(&steps[i + 1].kind, StepKind::Pad { .. });
-        let into_conv = chained && matches!(&steps[i + 1].kind, StepKind::Conv { .. });
-        if into_pad {
-            // p₁ then p₂ writes the same picture as one pad of p₁+p₂.
-            let second = steps.remove(i + 1);
-            let StepKind::Pad { pad: p2, .. } = second.kind else {
-                unreachable!("matched Pad above");
-            };
-            let first = &mut steps[i];
-            let StepKind::Pad { pad, .. } = &mut first.kind else {
-                unreachable!("matched Pad above");
-            };
-            *pad += p2;
-            first.dst = second.dst;
-            folds += 1;
-            // Re-examine: the merged pad may now feed a conv.
-        } else if into_conv {
-            let pad_step = steps.remove(i);
-            let StepKind::Pad {
-                h: ph, w: pw, pad, ..
-            } = pad_step.kind
-            else {
-                unreachable!("matched Pad above");
-            };
-            let conv = &mut steps[i];
-            let StepKind::Conv {
-                params, h, width, ..
-            } = &mut conv.kind
-            else {
-                unreachable!("matched Conv above");
-            };
-            // (h + 2p) + 2p_c = h + 2(p_c + p): identical output geometry.
-            params.padding += pad;
-            *h = ph;
-            *width = pw;
-            conv.src = pad_step.src;
-            folds += 1;
-        } else {
-            i += 1;
-        }
-    }
-    folds
 }
 
 /// Folds `conv → bn` pairs: with `s_r = γ_r·inv_std_r`, the composition

@@ -87,17 +87,6 @@ pub(crate) enum StepKind {
         /// Window / stride.
         k: usize,
     },
-    /// Non-overlapping average pooling.
-    AvgPool {
-        /// Channels per sample.
-        channels: usize,
-        /// Input spatial height.
-        h: usize,
-        /// Input spatial width.
-        w: usize,
-        /// Window / stride.
-        k: usize,
-    },
     /// Global average pooling `[c,h,w] → [c]`.
     GlobalAvgPool {
         /// Channels per sample.
@@ -106,20 +95,6 @@ pub(crate) enum StepKind {
         h: usize,
         /// Input spatial width.
         w: usize,
-    },
-    /// Spatial zero padding `[c,h,w] → [c,h+2p,w+2p]`. Exists only until
-    /// the pad-fold pass absorbs it into a following convolution's
-    /// `padding` parameter; it survives when the consumer is shared, is
-    /// not a conv (e.g. pooling), or is the plan output.
-    Pad {
-        /// Channels per sample.
-        channels: usize,
-        /// Input spatial height.
-        h: usize,
-        /// Input spatial width.
-        w: usize,
-        /// Zero rows/columns added on each side.
-        pad: usize,
     },
     /// Residual merge: `dst = act(src + rhs)`.
     Add {
@@ -141,9 +116,7 @@ impl StepKind {
             StepKind::Act(_) => "act",
             StepKind::ActQuant { .. } => "actquant",
             StepKind::MaxPool { .. } => "maxpool",
-            StepKind::AvgPool { .. } => "avgpool",
             StepKind::GlobalAvgPool { .. } => "gap",
-            StepKind::Pad { .. } => "pad",
             StepKind::Add { .. } => "add",
         }
     }

@@ -207,73 +207,6 @@ fn frozen_plan_reports_fusions_and_zero_bn_steps_on_plain_chains() {
 }
 
 #[test]
-fn pad_chains_constant_fold_into_the_conv_bit_identically() {
-    // pad(1) → pad(1) → conv(k3, p0) → relu: the two pads first merge into
-    // one pad(2), which then vanishes into the conv's padding parameter.
-    // Explicit zeros and implicit boundary zeros feed the accumulators the
-    // same `+0.0` terms, so the folded plan is bit-identical.
-    use apt_nn::layers::{Conv2d, Relu, ZeroPad2d};
-    let mut r = seeded(31);
-    let conv = Conv2d::new(
-        "c",
-        2,
-        3,
-        3,
-        1,
-        0,
-        1,
-        ParamPrecision::Float32,
-        Some(ParamPrecision::Float32),
-        &mut r,
-    )
-    .unwrap();
-    let mut net = Network::new(
-        "padded",
-        vec![
-            Box::new(ZeroPad2d::new("p0", 1).unwrap()),
-            Box::new(ZeroPad2d::new("p1", 1).unwrap()),
-            Box::new(conv),
-            Box::new(Relu::new("r")),
-        ],
-    );
-    let x = normal(&[2, 2, 5, 5], 1.0, &mut seeded(32));
-    let expected = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&[2, 5, 5]).unwrap();
-    let report = plan.report();
-    assert_eq!(report.pad_folds, 2, "pad→pad merge plus pad→conv: {report}");
-    assert!(
-        !plan.step_mnemonics().contains(&"pad"),
-        "no pad steps survive: {:?}",
-        plan.step_mnemonics()
-    );
-    // The relu still fuses into the (now padded) conv.
-    assert_eq!(plan.step_mnemonics(), vec!["conv"]);
-    let got = plan.infer(&x).unwrap();
-    assert_close("padded", &expected, &got, true);
-}
-
-#[test]
-fn standalone_pad_survives_and_executes_bit_identically() {
-    // A pad feeding a non-conv consumer (pooling) cannot fold; the plan
-    // keeps a pad step whose executor writes exactly the layer's picture.
-    use apt_nn::layers::{MaxPool2d, ZeroPad2d};
-    let mut net = Network::new(
-        "pad-pool",
-        vec![
-            Box::new(ZeroPad2d::new("p", 1).unwrap()),
-            Box::new(MaxPool2d::new("mp", 2)),
-        ],
-    );
-    let x = normal(&[2, 3, 4, 4], 1.0, &mut seeded(33));
-    let expected = net.forward(&x, Mode::Eval).unwrap();
-    let plan = net.freeze(&[3, 4, 4]).unwrap();
-    assert_eq!(plan.report().pad_folds, 0);
-    assert_eq!(plan.step_mnemonics(), vec!["pad", "maxpool"]);
-    let got = plan.infer(&x).unwrap();
-    assert_close("pad-pool", &expected, &got, true);
-}
-
-#[test]
 fn unfreezable_layer_reports_typed_reason() {
     // A network containing a layer that declines to lower must fail with
     // the typed `Unfreezable` error naming the layer, not a panic.

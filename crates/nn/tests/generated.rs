@@ -6,8 +6,7 @@
 //! one backward reaches every parameter.
 
 use apt_nn::layers::{
-    ActQuant, AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu, Relu6, Residual,
-    Sequential, ZeroPad2d,
+    ActQuant, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu, Relu6, Residual, Sequential,
 };
 use apt_nn::{checkpoint, Layer, Mode, Network, ParamPrecision};
 use apt_quant::{Bitwidth, RoundingMode};
@@ -44,9 +43,9 @@ struct Gen {
     /// into a whole grid step, so none is drawn from here on.
     folded: bool,
     /// The value is an activation quantiser's output, not yet mixed by a
-    /// conv, linear or average pool: a max pool would pick its saturated
-    /// elements, whose straight-through gradient is zero, and a second
-    /// quantiser could find none of its few levels inside its clip.
+    /// conv or linear: a max pool would pick its saturated elements, whose
+    /// straight-through gradient is zero, and a second quantiser could find
+    /// none of its few levels inside its clip.
     saturated: bool,
 }
 
@@ -102,13 +101,13 @@ impl Gen {
     }
 
     /// `len` draws from `shape` on, which they move along. Inside a
-    /// residual body a value keeps its rank and never grows (no flatten, no
-    /// pad), so a projection can always meet it; composites nest while
+    /// residual body a value keeps its rank and never grows (no flatten),
+    /// so a projection can always meet it; composites nest while
     /// `depth < 2`.
     fn chain(&mut self, depth: usize, shape: &mut Shape, len: usize, body: bool) -> Layers {
         let mut layers: Layers = Vec::new();
         for _ in 0..len {
-            let pick = self.rng.gen_range(0..12);
+            let pick = self.rng.gen_range(0..11);
             let after_conv = std::mem::take(&mut self.after_conv);
             let layer: Box<dyn Layer> = match (pick, *shape) {
                 (0 | 1, _) if depth < 2 => {
@@ -135,20 +134,11 @@ impl Gen {
                     Box::new(ActQuant::new(self.name("aq"), k, alpha).unwrap())
                 }
                 (5, Shape::Map { c, .. }) => self.bn(c, after_conv),
-                (6, Shape::Map { c, hw }) if hw.is_multiple_of(2) && hw >= 4 => {
+                (6, Shape::Map { c, hw }) if hw.is_multiple_of(2) && hw >= 4 && !self.saturated => {
                     *shape = Shape::Map { c, hw: hw / 2 };
-                    if !self.saturated && self.rng.gen_bool(0.5) {
-                        Box::new(MaxPool2d::new(self.name("maxpool"), 2))
-                    } else {
-                        self.saturated = false;
-                        Box::new(AvgPool2d::new(self.name("avgpool"), 2))
-                    }
+                    Box::new(MaxPool2d::new(self.name("maxpool"), 2))
                 }
-                (7, Shape::Map { c, hw }) if !body && hw <= 8 => {
-                    *shape = Shape::Map { c, hw: hw + 2 };
-                    Box::new(ZeroPad2d::new(self.name("pad"), 1).unwrap())
-                }
-                (8, Shape::Map { c, hw }) if !body => {
+                (7, Shape::Map { c, hw }) if !body => {
                     layers.push(Box::new(Flatten::new(self.name("flatten"))));
                     *shape = Shape::Flat(c * hw * hw);
                     continue;

@@ -22,7 +22,7 @@
 
 use crate::ServeError;
 use apt_nn::{checkpoint, models, FrozenPlan, Network, PlanReport, QuantScheme};
-use apt_tensor::{rng, Tensor};
+use apt_tensor::rng;
 use rand::rngs::StdRng;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
@@ -308,16 +308,6 @@ impl InferenceSession {
         &self.arena
     }
 
-    /// Runs a pre-shaped batch `[n, sample_dims…]` through the frozen
-    /// network.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer shape errors.
-    pub fn infer_batch(&self, batch: &Tensor) -> Result<Tensor, ServeError> {
-        Ok(self.plan.infer(batch)?)
-    }
-
     /// Zero-allocation inference into a caller-provided output buffer:
     /// `input` is `n` concatenated flat samples, `output` must hold
     /// `n * num_outputs` floats. Steady state performs **no heap
@@ -415,6 +405,7 @@ impl InferenceSession {
 mod tests {
     use super::*;
     use apt_nn::Mode;
+    use apt_tensor::Tensor;
 
     fn mlp_session() -> InferenceSession {
         let spec = ModelSpec {
@@ -467,8 +458,9 @@ mod tests {
         let session = InferenceSession::from_checkpoint(&spec, &blob).unwrap();
         let x = apt_tensor::rng::normal(&[3, 6], 1.0, &mut rng::seeded(7));
         let want = net.forward(&x, Mode::Eval).unwrap();
-        let got = session.infer_batch(&x).unwrap();
-        assert_eq!(want.data(), got.data());
+        let mut got = vec![0.0; 3 * session.num_outputs()];
+        session.infer_into(x.data(), 3, &mut got).unwrap();
+        assert_eq!(want.data(), got);
     }
 
     #[test]

@@ -73,16 +73,6 @@ pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(par_zip(a, b, |x, y| x - y))
 }
 
-/// Element-wise (Hadamard) product `a ⊙ b`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-pub fn mul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    check_same("mul", a, b)?;
-    Ok(par_zip(a, b, |x, y| x * y))
-}
-
 /// Scalar multiply `s · a` returning a new tensor.
 pub fn scale(a: &Tensor, s: f32) -> Tensor {
     par_map(a, |x| x * s)
@@ -131,37 +121,6 @@ pub fn axpy(alpha: f32, x: &Tensor, y: &mut Tensor) -> Result<()> {
     Ok(())
 }
 
-/// ReLU: `max(x, 0)` element-wise.
-pub fn relu(a: &Tensor) -> Tensor {
-    par_map(a, |x| x.max(0.0))
-}
-
-/// Gradient mask for ReLU: `grad ⊙ 1[input > 0]`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-pub fn relu_backward(input: &Tensor, grad: &Tensor) -> Result<Tensor> {
-    check_same("relu_backward", input, grad)?;
-    Ok(par_zip(input, grad, |x, g| if x > 0.0 { g } else { 0.0 }))
-}
-
-/// Clamps every element into `[lo, hi]`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] if `lo > hi` or either bound is
-/// not finite.
-pub fn clamp(a: &Tensor, lo: f32, hi: f32) -> Result<Tensor> {
-    if lo > hi || !lo.is_finite() || !hi.is_finite() {
-        return Err(TensorError::InvalidArgument {
-            op: "clamp",
-            reason: format!("invalid range [{lo}, {hi}]"),
-        });
-    }
-    Ok(par_map(a, |x| x.clamp(lo, hi)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,12 +130,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_mul() {
+    fn add_sub() {
         let a = t(&[1.0, 2.0]);
         let b = t(&[3.0, -4.0]);
         assert_eq!(add(&a, &b).unwrap().data(), &[4.0, -2.0]);
         assert_eq!(sub(&a, &b).unwrap().data(), &[-2.0, 6.0]);
-        assert_eq!(mul(&a, &b).unwrap().data(), &[3.0, -8.0]);
     }
 
     #[test]
@@ -185,7 +143,6 @@ mod tests {
         let b = t(&[1.0]);
         assert!(add(&a, &b).is_err());
         assert!(sub(&a, &b).is_err());
-        assert!(mul(&a, &b).is_err());
         let mut c = a.clone();
         assert!(add_in_place(&mut c, &b).is_err());
         assert!(axpy(1.0, &b, &mut c).is_err());
@@ -206,21 +163,5 @@ mod tests {
         let mut y = t(&[0.5, -0.5]);
         axpy(2.0, &x, &mut y).unwrap();
         assert_eq!(y.data(), &[2.5, 1.5]);
-    }
-
-    #[test]
-    fn relu_and_backward() {
-        let x = t(&[-1.0, 0.0, 2.0]);
-        assert_eq!(relu(&x).data(), &[0.0, 0.0, 2.0]);
-        let g = t(&[10.0, 10.0, 10.0]);
-        assert_eq!(relu_backward(&x, &g).unwrap().data(), &[0.0, 0.0, 10.0]);
-    }
-
-    #[test]
-    fn clamp_validates_range() {
-        let x = t(&[-5.0, 0.5, 5.0]);
-        assert_eq!(clamp(&x, -1.0, 1.0).unwrap().data(), &[-1.0, 0.5, 1.0]);
-        assert!(clamp(&x, 1.0, -1.0).is_err());
-        assert!(clamp(&x, f32::NEG_INFINITY, 0.0).is_err());
     }
 }

@@ -264,37 +264,6 @@ pub fn conv2d_bias_act(
     Ok(())
 }
 
-fn check_pool_geometry(
-    op: &'static str,
-    input_len: usize,
-    out_len: usize,
-    planes: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-) -> Result<(usize, usize)> {
-    if k == 0 || !h.is_multiple_of(k) || !w.is_multiple_of(k) {
-        return Err(TensorError::InvalidArgument {
-            op,
-            reason: format!("window {k} must be >0 and divide {h}x{w}"),
-        });
-    }
-    let (oh, ow) = (h / k, w / k);
-    if input_len != planes * h * w {
-        return Err(TensorError::LengthMismatch {
-            expected: planes * h * w,
-            actual: input_len,
-        });
-    }
-    if out_len != planes * oh * ow {
-        return Err(TensorError::LengthMismatch {
-            expected: planes * oh * ow,
-            actual: out_len,
-        });
-    }
-    Ok((oh, ow))
-}
-
 /// Non-overlapping max pooling into a caller-provided slice.
 ///
 /// `planes` is `n·c`; each `[h × w]` plane pools through the window walk of
@@ -313,50 +282,31 @@ pub fn max_pool2d_into(
     w: usize,
     k: usize,
 ) -> Result<()> {
-    check_pool_geometry("max_pool2d_into", input.len(), out.len(), planes, h, w, k)?;
-    crate::ops::pool::max_pool_planes(input, h, w, k, out, None);
-    Ok(())
-}
-
-/// Non-overlapping average pooling into a caller-provided slice.
-///
-/// Accumulates each window in the same `di`-then-`dj` order as
-/// [`avg_pool2d`](crate::ops::pool::avg_pool2d), so output is
-/// bit-identical to the tensor kernel.
-///
-/// # Errors
-///
-/// Same geometry contract as [`avg_pool2d`](crate::ops::pool::avg_pool2d).
-pub fn avg_pool2d_into(
-    input: &[f32],
-    out: &mut [f32],
-    planes: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-) -> Result<()> {
-    let (oh, ow) = check_pool_geometry("avg_pool2d_into", input.len(), out.len(), planes, h, w, k)?;
-    let inv = 1.0 / (k * k) as f32;
-    for (p, op) in out.chunks_mut(oh * ow).enumerate() {
-        let base = p * h * w;
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let mut acc = 0.0;
-                for di in 0..k {
-                    for dj in 0..k {
-                        acc += input[base + (oi * k + di) * w + oj * k + dj];
-                    }
-                }
-                op[oi * ow + oj] = acc * inv;
-            }
-        }
+    if k == 0 || !h.is_multiple_of(k) || !w.is_multiple_of(k) {
+        return Err(TensorError::InvalidArgument {
+            op: "max_pool2d_into",
+            reason: format!("window {k} must be >0 and divide {h}x{w}"),
+        });
     }
+    if input.len() != planes * h * w {
+        return Err(TensorError::LengthMismatch {
+            expected: planes * h * w,
+            actual: input.len(),
+        });
+    }
+    if out.len() != planes * (h / k) * (w / k) {
+        return Err(TensorError::LengthMismatch {
+            expected: planes * (h / k) * (w / k),
+            actual: out.len(),
+        });
+    }
+    crate::ops::pool::max_pool_planes(input, h, w, k, out, None);
     Ok(())
 }
 
 /// Global average pooling `[planes, h·w] → [planes]` into a caller slice.
 ///
-/// Uses the same serial `iter().sum()` per plane as
+/// Each plane goes through the per-plane sum of
 /// [`global_avg_pool`](crate::ops::pool::global_avg_pool), so output is
 /// bit-identical.
 ///
@@ -388,11 +338,7 @@ pub fn global_avg_pool_into(
             actual: out.len(),
         });
     }
-    let inv = 1.0 / (h * w) as f32;
-    for (p, o) in out.iter_mut().enumerate() {
-        let s: f32 = input[p * h * w..(p + 1) * h * w].iter().sum();
-        *o = s * inv;
-    }
+    crate::ops::pool::global_avg_pool_planes(input, h * w, out);
     Ok(())
 }
 
@@ -561,11 +507,6 @@ mod tests {
         max_pool2d_into(x.data(), &mut got, 6, 4, 4, 2).unwrap();
         assert_bits(&got, mp.data());
 
-        let ap = pool::avg_pool2d(&x, 2).unwrap();
-        let mut got = vec![0.0f32; ap.len()];
-        avg_pool2d_into(x.data(), &mut got, 6, 4, 4, 2).unwrap();
-        assert_bits(&got, ap.data());
-
         let gp = pool::global_avg_pool(&x).unwrap();
         let mut got = vec![0.0f32; gp.len()];
         global_avg_pool_into(x.data(), &mut got, 6, 4, 4).unwrap();
@@ -629,7 +570,6 @@ mod tests {
         )
         .is_err());
         assert!(max_pool2d_into(&[0.0; 9], &mut out, 1, 3, 3, 2).is_err());
-        assert!(avg_pool2d_into(&[0.0; 16], &mut out, 1, 4, 4, 0).is_err());
         assert!(global_avg_pool_into(&[0.0; 16], &mut out, 1, 4, 0).is_err());
         let _ = Tensor::zeros(&[1]);
     }

@@ -2,15 +2,15 @@
 //!
 //! Kernels are grouped by family:
 //!
-//! * [`elementwise`] — add/sub/mul/axpy/scale and friends.
+//! * [`elementwise`] — add/sub/axpy/scale and friends.
 //! * [`matmul`](self::matmul()) — register-tiled GEMM plus transposed
 //!   variants, one micro-kernel in three widths (`avx512`, `avx2`,
 //!   `portable`), dispatched by [`gemm_isa`].
 //! * [`conv`] — 2-D convolution (im2col + GEMM) with both backward kernels.
 //! * [`fused`] — single-pass conv/linear kernels with bias + activation
 //!   epilogues for compiled inference plans.
-//! * [`pool`] — max/average/global-average pooling with backward.
-//! * [`reduce`] — sums, means, argmax and axis reductions.
+//! * [`pool`] — max and global-average pooling with backward.
+//! * [`reduce`] — axis sums and means, and argmax.
 //! * [`pad`] — zero-padding, cropping and flipping (data augmentation).
 //! * [`softmax`] — row softmax / log-softmax and cross-entropy.
 //!
@@ -26,5 +26,5 @@ pub mod pool;
 pub mod reduce;
 pub mod softmax;
 
-pub use elementwise::{add, add_in_place, axpy, mul, scale, scale_in_place, sub};
+pub use elementwise::{add, add_in_place, axpy, scale, scale_in_place, sub};
 pub use matmul_impl::{gemm_isa, matmul, matmul_a_bt, matmul_at_b, transpose};

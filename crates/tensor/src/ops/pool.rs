@@ -1,5 +1,5 @@
-//! Pooling kernels (NCHW): max pooling, average pooling and global average
-//! pooling, each with its backward pass.
+//! Pooling kernels (NCHW): max pooling and global average pooling, each
+//! with its backward pass.
 //!
 //! Every pass parallelises over `(image, channel)` planes — each plane owns
 //! a disjoint output slice and is computed in serial order, so results are
@@ -233,98 +233,6 @@ fn scatter_rows(gi: &mut [f32], go: &[f32], arg: &[u8], w: usize, k: usize) {
     }
 }
 
-/// Average pooling with square window `k` and stride `k`.
-///
-/// # Errors
-///
-/// Returns an error if the input is not rank 4, `k == 0`, or `k` does not
-/// divide the spatial dimensions.
-pub fn avg_pool2d(input: &Tensor, k: usize) -> Result<Tensor> {
-    let (n, c, h, w) = check4("avg_pool2d", input)?;
-    if k == 0 || h % k != 0 || w % k != 0 {
-        return Err(TensorError::InvalidArgument {
-            op: "avg_pool2d",
-            reason: format!("window {k} must be >0 and divide {h}x{w}"),
-        });
-    }
-    let (oh, ow) = (h / k, w / k);
-    let inv = 1.0 / (k * k) as f32;
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    let x = input.data();
-    let plane = oh * ow;
-    if plane > 0 {
-        let planes_per_chunk = par::chunk_items(n * c, h * w);
-        par::for_each_chunk_mut(
-            out.data_mut(),
-            planes_per_chunk * plane,
-            |ci, out_planes| {
-                let p0 = ci * planes_per_chunk;
-                for (local, op) in out_planes.chunks_mut(plane).enumerate() {
-                    let base = (p0 + local) * h * w;
-                    for oi in 0..oh {
-                        for oj in 0..ow {
-                            let mut acc = 0.0;
-                            for di in 0..k {
-                                for dj in 0..k {
-                                    acc += x[base + (oi * k + di) * w + oj * k + dj];
-                                }
-                            }
-                            op[oi * ow + oj] = acc * inv;
-                        }
-                    }
-                }
-            },
-        );
-    }
-    Ok(out)
-}
-
-/// Backward pass of [`avg_pool2d`]: spreads each output gradient uniformly
-/// over its window.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatch.
-pub fn avg_pool2d_backward(grad_output: &Tensor, input_dims: &[usize], k: usize) -> Result<Tensor> {
-    let (n, c, oh, ow) = check4("avg_pool2d_backward", grad_output)?;
-    if input_dims.len() != 4 || input_dims[2] != oh * k || input_dims[3] != ow * k {
-        return Err(TensorError::ShapeMismatch {
-            op: "avg_pool2d_backward",
-            lhs: grad_output.dims().to_vec(),
-            rhs: input_dims.to_vec(),
-        });
-    }
-    let (h, w) = (input_dims[2], input_dims[3]);
-    let inv = 1.0 / (k * k) as f32;
-    let mut grad_in = Tensor::zeros(input_dims);
-    let go = grad_output.data();
-    let plane = h * w;
-    if plane > 0 && n * c > 0 {
-        let planes_per_chunk = par::chunk_items(n * c, h * w);
-        par::for_each_chunk_mut(
-            grad_in.data_mut(),
-            planes_per_chunk * plane,
-            |ci, gi_planes| {
-                let p0 = ci * planes_per_chunk;
-                for (local, gp) in gi_planes.chunks_mut(plane).enumerate() {
-                    let obase = (p0 + local) * oh * ow;
-                    for oi in 0..oh {
-                        for oj in 0..ow {
-                            let g = go[obase + oi * ow + oj] * inv;
-                            for di in 0..k {
-                                for dj in 0..k {
-                                    gp[(oi * k + di) * w + oj * k + dj] += g;
-                                }
-                            }
-                        }
-                    }
-                }
-            },
-        );
-    }
-    Ok(grad_in)
-}
-
 /// Global average pooling: `[n, c, h, w] → [n, c]`.
 ///
 /// # Errors
@@ -338,19 +246,26 @@ pub fn global_avg_pool(input: &Tensor) -> Result<Tensor> {
             reason: "zero spatial size".into(),
         });
     }
-    let inv = 1.0 / (h * w) as f32;
     let mut out = Tensor::zeros(&[n, c]);
-    let x = input.data();
-    let planes_per_chunk = par::chunk_items(n * c, h * w);
-    par::for_each_chunk_mut(out.data_mut(), planes_per_chunk, |ci, planes| {
+    global_avg_pool_planes(input.data(), h * w, out.data_mut());
+    Ok(out)
+}
+
+/// Averages every `hw`-element plane of `x` into its element of `out`, a
+/// chunk of planes per task — one serial sum per plane, behind training,
+/// evaluation and the frozen plans alike. The caller has checked that `x`
+/// holds `out.len()` planes and that `hw` is not zero.
+pub(crate) fn global_avg_pool_planes(x: &[f32], hw: usize, out: &mut [f32]) {
+    let inv = 1.0 / hw as f32;
+    let planes_per_chunk = par::chunk_items(out.len(), hw);
+    par::for_each_chunk_mut(out, planes_per_chunk, |ci, planes| {
         let p0 = ci * planes_per_chunk;
         for (local, o) in planes.iter_mut().enumerate() {
-            let base = (p0 + local) * h * w;
-            let s: f32 = x[base..base + h * w].iter().sum();
+            let base = (p0 + local) * hw;
+            let s: f32 = x[base..base + hw].iter().sum();
             *o = s * inv;
         }
     });
-    Ok(out)
 }
 
 /// Backward pass of [`global_avg_pool`].
@@ -633,19 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_and_backward_conserve_mass() {
-        let x = Tensor::ones(&[2, 3, 4, 4]);
-        let y = avg_pool2d(&x, 2).unwrap();
-        assert_eq!(y.dims(), &[2, 3, 2, 2]);
-        assert!(y.data().iter().all(|&v| (v - 1.0).abs() < 1e-6));
-        let go = Tensor::ones(&[2, 3, 2, 2]);
-        let gi = avg_pool2d_backward(&go, x.dims(), 2).unwrap();
-        // each input cell receives 1/4 of one output gradient
-        assert!(gi.data().iter().all(|&v| (v - 0.25).abs() < 1e-6));
-        assert!((gi.sum() - go.sum()).abs() < 1e-4);
-    }
-
-    #[test]
     fn global_avg_pool_roundtrip() {
         let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[1, 2, 2, 2]).unwrap();
         let y = global_avg_pool(&x).unwrap();
@@ -662,7 +564,6 @@ mod tests {
         let x = Tensor::zeros(&[1, 1, 5, 5]);
         assert!(max_pool2d(&x, 2).is_err());
         assert!(max_pool2d(&x, 0).is_err());
-        assert!(avg_pool2d(&x, 3).is_err());
         let x3 = Tensor::zeros(&[5, 5]);
         assert!(max_pool2d(&x3, 1).is_err());
         assert!(global_avg_pool(&x3).is_err());
@@ -670,8 +571,6 @@ mod tests {
 
     #[test]
     fn backward_shape_validation() {
-        let go = Tensor::zeros(&[1, 1, 2, 2]);
-        assert!(avg_pool2d_backward(&go, &[1, 1, 5, 5], 2).is_err());
         let go2 = Tensor::zeros(&[1, 2]);
         assert!(global_avg_pool_backward(&go2, &[1, 3, 2, 2]).is_err());
     }

@@ -1,13 +1,11 @@
-//! Reductions: full-tensor and axis sums/means, argmax, and the row/column
-//! reductions used by linear-layer backward passes.
+//! Reductions: axis sums and means, argmax, and the row/column reductions
+//! used by linear-layer backward passes.
 //!
 //! Axis reductions parallelise over **output** elements (columns for
 //! [`sum_rows`], channels for [`sum_channels`] / [`channel_mean_var`],
 //! rows for [`argmax_rows`]): each output element is reduced by one
 //! thread in the same order as the serial loop, so results are
-//! bit-identical for every thread count. Full-tensor scalar reductions
-//! ([`mean_abs`]) stay serial — splitting them would need a reduction
-//! tree, which changes the floating-point accumulation order.
+//! bit-identical for every thread count.
 //!
 //! A floating-point sum is a chain: one add per element, each waiting out
 //! the latency of the one before. [`channel_mean_var`] is defined as one
@@ -127,14 +125,6 @@ pub fn argmax_rows(a: &Tensor) -> Result<Vec<usize>> {
     Ok(out)
 }
 
-/// Mean absolute value of all elements; 0.0 for empty tensors.
-pub fn mean_abs(a: &Tensor) -> f32 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    (a.data().iter().map(|&x| x.abs() as f64).sum::<f64>() / a.len() as f64) as f32
-}
-
 /// Per-channel mean and (biased) variance of an NCHW tensor, as used by
 /// batch normalisation: returns `(mean[c], var[c])`.
 ///
@@ -252,13 +242,6 @@ mod tests {
         assert_eq!(argmax_rows(&a).unwrap(), vec![1, 0]);
         assert!(argmax_rows(&Tensor::zeros(&[3])).is_err());
         assert!(argmax_rows(&Tensor::zeros(&[2, 0])).is_err());
-    }
-
-    #[test]
-    fn mean_abs_basic() {
-        let a = Tensor::from_slice(&[-2.0, 2.0, -4.0, 4.0]);
-        assert_eq!(mean_abs(&a), 3.0);
-        assert_eq!(mean_abs(&Tensor::from_vec(vec![], &[0]).unwrap()), 0.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! hold exactly — `f32::to_bits` equality, no tolerances.
 
 use apt_tensor::ops::conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dParams};
-use apt_tensor::ops::pool::{avg_pool2d, global_avg_pool, max_pool2d};
+use apt_tensor::ops::pool::{global_avg_pool, max_pool2d};
 use apt_tensor::ops::reduce::{argmax_rows, channel_mean_var, sum_channels, sum_rows};
 use apt_tensor::ops::softmax::{cross_entropy, softmax_rows};
 use apt_tensor::ops::{self};
@@ -87,15 +87,11 @@ proptest! {
         let b = rng::normal(&[m, n], 2.0, &mut r);
 
         assert_thread_invariant("add", || bits(&ops::add(&a, &b).unwrap()));
-        assert_thread_invariant("mul", || bits(&ops::mul(&a, &b).unwrap()));
         assert_thread_invariant("scale", || bits(&ops::scale(&a, s)));
         assert_thread_invariant("axpy", || {
             let mut y = b.clone();
             ops::axpy(s, &a, &mut y).unwrap();
             bits(&y)
-        });
-        assert_thread_invariant("relu_backward", || {
-            bits(&ops::elementwise::relu_backward(&a, &b).unwrap())
         });
         assert_thread_invariant("softmax_rows", || bits(&softmax_rows(&a).unwrap()));
 
@@ -136,7 +132,6 @@ proptest! {
             v.extend(out.argmax.iter().map(|&i| i as u32));
             v
         });
-        assert_thread_invariant("avg_pool2d", || bits(&avg_pool2d(&x, 2).unwrap()));
         assert_thread_invariant("global_avg_pool", || bits(&global_avg_pool(&x).unwrap()));
     }
 }

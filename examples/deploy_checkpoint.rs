@@ -6,17 +6,17 @@
 //!
 //! Trains a model with APT, saves it **at its adapted per-layer bitwidths**
 //! (integer codes, no fp32 anywhere), "ships" the blob into a frozen
-//! [`InferenceSession`] (the serving runtime's loader), verifies bit-exact
-//! behaviour, then resumes in-situ training from the same checkpoint — the
-//! paper's §I scenario of a device that "has to learn in-situ frequently
-//! after deployment".
+//! [`InferenceSession`] (the serving runtime's loader), checks it against
+//! the trained network, then resumes in-situ training from the same
+//! checkpoint — the paper's §I scenario of a device that "has to learn
+//! in-situ frequently after deployment".
 
 use apt::core::{PolicyConfig, TrainConfig, Trainer};
 use apt::data::{SynthCifar, SynthCifarConfig};
 use apt::nn::{checkpoint, models, Mode, QuantScheme};
 use apt::optim::LrSchedule;
 use apt::serve::{InferenceSession, ModelArch, ModelSpec};
-use apt::tensor::rng;
+use apt::tensor::{rng, Tensor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = SynthCifar::generate(&SynthCifarConfig {
@@ -57,7 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Phase 3: "ship" — the device loads the blob into a frozen inference
-    // session (exactly what `apt serve` does); behaviour must be bit-exact.
+    // session (exactly what `apt serve` does). The plan folds each batch
+    // norm into the convolution before it, which reassociates float
+    // products: it agrees with the trainer's eval forward within 1e-4 of
+    // each row's largest logit (at least 1), and bit-exactly only on a
+    // network without batch norm. One request alone and the same request
+    // in a batch run the same plan, so those two must match bit-exactly.
     let spec = ModelSpec {
         arch: ModelArch::Cifarnet,
         classes: 10,
@@ -65,21 +70,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         width_mult: 0.25,
     };
     let session = InferenceSession::from_checkpoint(&spec, &blob)?;
-    let x = data.test.image(0).clone().reshape(&[1, 3, 12, 12])?;
-    let a = trained.forward(&x, Mode::Eval)?;
-    let b = session.infer_batch(&x)?;
-    assert_eq!(a.data(), b.data(), "shipped model must match bit-exactly");
-    let logits = session.infer_one(x.data())?;
-    assert_eq!(
-        logits,
-        b.data(),
-        "single-sample path matches the batch path"
+    let (n, outputs) = (4, session.num_outputs());
+    let mut input = Vec::with_capacity(n * session.sample_len());
+    for i in 0..n {
+        input.extend_from_slice(data.test.image(i).data());
+    }
+    let mut batch = vec![0.0; n * outputs];
+    session.infer_into(&input, n, &mut batch)?;
+    let eval = trained.forward(
+        &Tensor::from_vec(input.clone(), &[n, 3, 12, 12])?,
+        Mode::Eval,
+    )?;
+    let mut worst = 0.0f32;
+    for (want, got) in eval.data().chunks(outputs).zip(batch.chunks(outputs)) {
+        let scale = want.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+        for (e, g) in want.iter().zip(got) {
+            worst = worst.max((e - g).abs() / scale);
+        }
+    }
+    assert!(
+        worst <= 1e-4,
+        "shipped model must match eval within 1e-4 relative, off by {worst:e}"
     );
+    for (sample, row) in input
+        .chunks(session.sample_len())
+        .zip(batch.chunks(outputs))
+    {
+        assert_eq!(
+            session.infer_one(sample)?,
+            row,
+            "single-sample path matches the batch path bit-exactly"
+        );
+    }
     println!(
-        "shipped model verified bit-exact in the serving session \
+        "shipped model verified in the serving session: within {worst:.1e} of eval \
+         (bound 1e-4 relative), single-sample path bit-exact with the batch path \
          ({} resident bytes, {} outputs)",
         session.network().resident_bytes(),
-        session.num_outputs()
+        outputs
     );
 
     // Phase 4: resume learning in-situ on the device's own (shifted) data.

@@ -134,26 +134,9 @@ impl BaselineSpec {
         self
     }
 
-    /// The parameter-storage scheme.
-    pub fn scheme(&self) -> &QuantScheme {
-        &self.scheme
-    }
-
-    /// The gradient treatment.
-    pub fn grad_quant(&self) -> GradQuant {
-        self.grad_quant
-    }
-
     /// The precision policy, if this arm adapts.
     pub fn policy(&self) -> Option<&PolicyConfig> {
         self.policy.as_ref()
-    }
-
-    /// The optimiser this arm trains with (Table I's "Optimizer" column —
-    /// Adam for the BNN/TWN/TTQ/DoReFa/TernGrad comparators, SGD for
-    /// WAGE and APT, as in the paper).
-    pub fn optimizer(&self) -> OptimizerKind {
-        self.optimizer
     }
 
     /// Display name of the optimiser for Table I.

@@ -80,7 +80,7 @@ fn a_steady_state_guard_scan_allocates_nothing() {
         ALLOC.calls() - before
     });
     assert_eq!(rounds.min(), Some(0));
-    assert!(guard.report().is_clean());
+    assert!(guard.into_report().is_clean());
 }
 
 /// `FrozenPlan`'s contract: once its arena is warm, a request allocates
@@ -185,7 +185,10 @@ fn an_inline_batch_of_two_allocates_nothing() {
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     let mut frames = Vec::new();
     for sample in &samples {
-        protocol::write_frame(&mut frames, OP_INFER, &protocol::encode_f32s(sample)).unwrap();
+        frames.extend(protocol::encode_frame(
+            OP_INFER,
+            &protocol::encode_f32s(sample),
+        ));
     }
     // Both frames in one write land in one tick.
     let mut answers = [0u8; 2 * ANSWER];
@@ -268,7 +271,10 @@ fn a_tick_over_two_batches_allocates_nothing() {
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     let mut frames = Vec::new();
     for sample in &samples {
-        protocol::write_frame(&mut frames, OP_INFER, &protocol::encode_f32s(sample)).unwrap();
+        frames.extend(protocol::encode_frame(
+            OP_INFER,
+            &protocol::encode_f32s(sample),
+        ));
     }
     let mut answers = [0u8; SENT * ANSWER];
     let mut round = || {
@@ -380,7 +386,13 @@ fn record_schemas_are_the_ones_recorded_at_ca6199d() {
         // What the writers emit, for a synthetic row of mixed cell types.
         let mut t = table(schema);
         let cells = ["x", "1", "0.5", "true"].map(String::from);
-        t.push_row(cells.into_iter().cycle().take(t.columns().len()).collect());
+        t.push_row(
+            cells
+                .into_iter()
+                .cycle()
+                .take(schema.split(',').count())
+                .collect(),
+        );
         assert_eq!(keys(&t.to_json_rows()), recorded, "{file} `{array}` writer");
 
         // And the committed record still reads the same.

@@ -48,18 +48,6 @@ pub struct CheckpointConfig {
     pub keep: usize,
 }
 
-impl CheckpointConfig {
-    /// A config writing to `dir` every 25 steps, keeping the 2 most recent
-    /// files.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        CheckpointConfig {
-            dir: dir.into(),
-            every: 25,
-            keep: 2,
-        }
-    }
-}
-
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> CoreError {
     CoreError::Io {
         reason: format!("{what} {}: {e}", path.display()),
@@ -329,10 +317,18 @@ mod tests {
         dir
     }
 
+    fn every_25(dir: &Path) -> CheckpointConfig {
+        CheckpointConfig {
+            dir: dir.to_path_buf(),
+            every: 25,
+            keep: 2,
+        }
+    }
+
     #[test]
     fn write_then_latest_roundtrips() {
         let dir = temp_dir("roundtrip");
-        let cfg = CheckpointConfig::new(&dir);
+        let cfg = every_25(&dir);
         let s = tiny_state(25);
         let path = write_state(&cfg, &s).unwrap();
         assert!(path.ends_with("state-000000000025.apts"));
@@ -347,7 +343,7 @@ mod tests {
         let dir = temp_dir("rotate");
         let cfg = CheckpointConfig {
             keep: 2,
-            ..CheckpointConfig::new(&dir)
+            ..every_25(&dir)
         };
         for step in [10, 20, 30, 40] {
             write_state(&cfg, &tiny_state(step)).unwrap();
@@ -362,7 +358,7 @@ mod tests {
     #[test]
     fn corrupt_newest_falls_back_to_previous() {
         let dir = temp_dir("fallback");
-        let cfg = CheckpointConfig::new(&dir);
+        let cfg = every_25(&dir);
         write_state(&cfg, &tiny_state(25)).unwrap();
         let newest = write_state(&cfg, &tiny_state(50)).unwrap();
         // Flip one payload byte of the newest checkpoint.

@@ -147,50 +147,6 @@ impl StepHook for PowerCut {
     }
 }
 
-/// Poisons the images of one step — the canonical divergence trigger for
-/// exercising the sentinel's rollback path. The default payload is NaN
-/// (caught by the sentinel's input check); a huge finite payload (for
-/// example `1e20`) instead drives the loss through the roof and exercises
-/// the spike detector.
-///
-/// One-shot by design: a sentinel skip does *not* advance `global_step`
-/// (no optimiser step ran), so a bomb keyed on the step counter alone
-/// would re-fire on the retry and masquerade as sustained divergence.
-#[derive(Debug, Clone, Copy)]
-pub struct NanBomb {
-    at_step: u64,
-    payload: f32,
-    armed: bool,
-}
-
-impl NanBomb {
-    /// A NaN bomb armed for the given global step.
-    pub fn at(at_step: u64) -> Self {
-        Self::with_payload(at_step, f32::NAN)
-    }
-
-    /// A bomb that fills the images with an arbitrary payload value.
-    pub fn with_payload(at_step: u64, payload: f32) -> Self {
-        NanBomb {
-            at_step,
-            payload,
-            armed: true,
-        }
-    }
-}
-
-impl StepHook for NanBomb {
-    fn before_step(&mut self, info: &StepInfo, batch: &mut Batch) -> StepAction {
-        if self.armed && info.global_step == self.at_step {
-            self.armed = false;
-            for x in batch.images.data_mut() {
-                *x = self.payload;
-            }
-        }
-        StepAction::Continue
-    }
-}
-
 /// One bit flip an injector actually landed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlipRecord {
@@ -342,52 +298,26 @@ const BATCH_FAULTS: [BatchFault; 4] = [
     BatchFault::BadLabel,
 ];
 
-/// Corrupts input batches in flight — a flaky sensor or DMA engine. Unlike
-/// [`NanBomb`] (which poisons *every* pixel to force divergence), this
-/// writes a single bad value, the realistic case the batch screen must
-/// catch before the forward pass consumes it.
+/// Corrupts input batches in flight — a flaky sensor or DMA engine. Each
+/// firing writes a single bad value, the realistic case the batch screen
+/// must catch before the forward pass consumes it.
 #[derive(Debug, Clone)]
 pub struct BatchCorruptor {
     seed: u64,
     rate: f64,
-    at: Option<u64>,
-    kind: Option<BatchFault>,
-    fired: bool,
     calls: u64,
     injected: usize,
 }
 
 impl BatchCorruptor {
-    /// Corrupts exactly one batch, at global step `at_step`.
-    pub fn at(at_step: u64, seed: u64) -> Self {
-        BatchCorruptor {
-            seed,
-            rate: 0.0,
-            at: Some(at_step),
-            kind: None,
-            fired: false,
-            calls: 0,
-            injected: 0,
-        }
-    }
-
     /// Corrupts each batch independently with probability `rate`.
     pub fn with_rate(rate: f64, seed: u64) -> Self {
         BatchCorruptor {
             seed,
             rate: rate.clamp(0.0, 1.0),
-            at: None,
-            kind: None,
-            fired: false,
             calls: 0,
             injected: 0,
         }
-    }
-
-    /// Pins the payload instead of drawing it per firing.
-    pub fn with_kind(mut self, kind: BatchFault) -> Self {
-        self.kind = Some(kind);
-        self
     }
 
     /// How many batches have been corrupted so far.
@@ -400,9 +330,7 @@ impl BatchCorruptor {
             return;
         }
         let mut rng = trng::substream(self.seed ^ 0xBAD_BA7C, draw);
-        let kind = self
-            .kind
-            .unwrap_or_else(|| BATCH_FAULTS[rng.gen_range(0..BATCH_FAULTS.len())]);
+        let kind = BATCH_FAULTS[rng.gen_range(0..BATCH_FAULTS.len())];
         match kind {
             BatchFault::BadLabel => {
                 let i = rng.gen_range(0..batch.labels.len());
@@ -423,14 +351,7 @@ impl BatchCorruptor {
 }
 
 impl StepHook for BatchCorruptor {
-    fn before_step(&mut self, info: &StepInfo, batch: &mut Batch) -> StepAction {
-        if let Some(at) = self.at {
-            if !self.fired && info.global_step == at {
-                self.fired = true;
-                self.corrupt(info.global_step, batch);
-            }
-            return StepAction::Continue;
-        }
+    fn before_step(&mut self, _info: &StepInfo, batch: &mut Batch) -> StepAction {
         if self.rate > 0.0 {
             // Keyed on a private call counter, not `global_step`: a skipped
             // batch does not advance the step counter, and a step-keyed draw
@@ -454,42 +375,19 @@ impl StepHook for BatchCorruptor {
 #[derive(Debug, Clone)]
 pub struct Saturator {
     at: u64,
-    param: Option<String>,
-    fraction: f64,
-    high: bool,
     fired: bool,
     forced: usize,
 }
 
 impl Saturator {
-    /// Saturates one layer (90% of codes to the high rail) at `at_step`.
+    /// Saturates the first weight of at least 8 codes (90% of them to the
+    /// high rail) at `at_step`.
     pub fn at(at_step: u64) -> Self {
         Saturator {
             at: at_step,
-            param: None,
-            fraction: 0.9,
-            high: true,
             fired: false,
             forced: 0,
         }
-    }
-
-    /// Attacks a specific parameter instead of the first sizeable one.
-    pub fn target(mut self, name: impl Into<String>) -> Self {
-        self.param = Some(name.into());
-        self
-    }
-
-    /// Fraction of codes to pin (clamped to `(0, 1]`).
-    pub fn fraction(mut self, fraction: f64) -> Self {
-        self.fraction = fraction.clamp(f64::EPSILON, 1.0);
-        self
-    }
-
-    /// Pins to the low rail (code 0) instead of the high one.
-    pub fn low(mut self) -> Self {
-        self.high = false;
-        self
     }
 
     /// How many codes were forced onto a rail.
@@ -508,16 +406,13 @@ impl StepHook for Saturator {
             return;
         }
         self.fired = true;
-        let name = match &self.param {
-            Some(n) => Some(n.clone()),
-            None => surface
-                .targets(SurfaceKind::Weight)
-                .into_iter()
-                .find(|(_, len)| *len >= 8)
-                .map(|(n, _)| n),
-        };
+        let name = surface
+            .targets(SurfaceKind::Weight)
+            .into_iter()
+            .find(|(_, len)| *len >= 8)
+            .map(|(n, _)| n);
         if let Some(name) = name {
-            self.forced = surface.saturate(&name, self.fraction, self.high);
+            self.forced = surface.saturate(&name, 0.9, true);
         }
     }
 }
@@ -592,31 +487,6 @@ mod tests {
         assert_eq!(hook.before_step(&at(2), &mut b), StepAction::Continue);
         assert_eq!(hook.before_step(&at(3), &mut b), StepAction::PowerCut);
         assert_eq!(hook.before_step(&at(9), &mut b), StepAction::PowerCut);
-    }
-
-    #[test]
-    fn nan_bomb_poisons_exactly_one_step() {
-        let mut hook = NanBomb::at(1);
-        let mut b = batch();
-        let info = StepInfo {
-            epoch: 0,
-            iter: 0,
-            global_step: 0,
-        };
-        assert_eq!(hook.before_step(&info, &mut b), StepAction::Continue);
-        assert!(b.images.data().iter().all(|x| x.is_finite()));
-        let info = StepInfo {
-            epoch: 0,
-            iter: 1,
-            global_step: 1,
-        };
-        hook.before_step(&info, &mut b);
-        assert!(b.images.data().iter().all(|x| x.is_nan()));
-        // One-shot: the same (skipped, so unchanged) global step must not
-        // re-poison the retry batch.
-        let mut fresh = batch();
-        hook.before_step(&info, &mut fresh);
-        assert!(fresh.images.data().iter().all(|x| x.is_finite()));
     }
 
     #[derive(Default)]
@@ -698,31 +568,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_corruptor_writes_the_pinned_payload() {
-        let info = StepInfo {
-            epoch: 0,
-            iter: 1,
-            global_step: 1,
-        };
-        let mut b = batch();
-        let mut hook = BatchCorruptor::at(1, 5).with_kind(BatchFault::NanPixel);
-        hook.before_step(&info, &mut b);
-        assert_eq!(hook.injected(), 1);
-        assert_eq!(b.images.data().iter().filter(|x| x.is_nan()).count(), 1);
-
-        let mut b = batch();
-        let mut hook = BatchCorruptor::at(1, 5).with_kind(BatchFault::BadLabel);
-        hook.before_step(&info, &mut b);
-        assert_eq!(b.labels, vec![usize::MAX]);
-        // One-shot: same step re-presented stays clean.
-        let mut fresh = batch();
-        hook.before_step(&info, &mut fresh);
-        assert_eq!(fresh.labels, vec![0]);
-    }
-
-    #[test]
     fn saturator_picks_a_sizeable_weight_by_default() {
-        let mut hook = Saturator::at(0).fraction(0.5).low();
+        let mut hook = Saturator::at(0);
         let mut surface = MockSurface::default();
         let info = StepInfo {
             epoch: 0,
@@ -732,12 +579,7 @@ mod tests {
         hook.inject(&info, &mut surface);
         hook.inject(&info, &mut surface);
         assert_eq!(hook.forced(), 7);
-        assert_eq!(surface.saturated, vec![("w0".to_string(), 0.5, false)]);
-
-        let mut hook = Saturator::at(0).target("w1");
-        let mut surface = MockSurface::default();
-        hook.inject(&info, &mut surface);
-        assert_eq!(surface.saturated[0].0, "w1");
+        assert_eq!(surface.saturated, vec![("w0".to_string(), 0.9, true)]);
     }
 
     #[test]

@@ -261,16 +261,6 @@ impl StepGuard {
         }
     }
 
-    /// The configuration this guard runs with.
-    pub fn config(&self) -> &IntegrityConfig {
-        &self.cfg
-    }
-
-    /// Consecutive un-reset incidents (the escalation-ladder level).
-    pub fn incidents(&self) -> usize {
-        self.incidents
-    }
-
     /// Re-captures digests, per-layer snapshots and the Gavg profile from
     /// the current (trusted) state — into the buffers the guard already
     /// holds, so a refresh after a step that changed no tier and no
@@ -569,11 +559,6 @@ impl StepGuard {
         self.incidents = 0;
     }
 
-    /// The report accumulated so far.
-    pub fn report(&self) -> &IntegrityReport {
-        &self.report
-    }
-
     /// Consumes the guard, yielding the final report.
     pub fn into_report(self) -> IntegrityReport {
         self.report
@@ -633,7 +618,7 @@ mod tests {
         let out = guard.pre_step(&mut net, &mut prof, &info(0)).unwrap();
         assert_eq!(out, ScanOutcome::default());
         assert_eq!(net.integrity_digests(), before);
-        assert!(guard.report().is_clean());
+        assert!(guard.report.is_clean());
     }
 
     #[test]
@@ -654,12 +639,12 @@ mod tests {
         assert!(!out.rollback);
         // Healing is exact: the digests match the pre-fault state again.
         assert_eq!(net.integrity_digests(), clean);
-        assert_eq!(guard.report().digest_violations, 1);
-        assert_eq!(guard.report().healed_layers, 1);
-        assert_eq!(guard.report().events.len(), 1);
+        assert_eq!(guard.report.digest_violations, 1);
+        assert_eq!(guard.report.healed_layers, 1);
+        assert_eq!(guard.report.events.len(), 1);
         // A clean step resets the ladder.
         guard.step_clean();
-        assert_eq!(guard.incidents(), 0);
+        assert_eq!(guard.incidents, 0);
     }
 
     #[test]
@@ -689,8 +674,8 @@ mod tests {
             Err(CoreError::IntegrityViolation { incidents: 4, .. }) => {}
             other => panic!("expected IntegrityViolation, got {other:?}"),
         }
-        assert_eq!(guard.report().rounding_rerolls, 2);
-        assert_eq!(guard.report().rollbacks, 1);
+        assert_eq!(guard.report.rounding_rerolls, 2);
+        assert_eq!(guard.report.rollbacks, 1);
     }
 
     #[test]
@@ -713,8 +698,8 @@ mod tests {
         });
         let out = guard.pre_step(&mut net, &mut prof, &info(1)).unwrap();
         assert_eq!(out.healed, 1);
-        assert_eq!(guard.report().saturation_violations, 1);
-        assert_eq!(guard.report().bit_raises, 1);
+        assert_eq!(guard.report.saturation_violations, 1);
+        assert_eq!(guard.report.bit_raises, 1);
         let mut bits = None;
         net.visit_params_ref(&mut |p| {
             if p.name() == "fc0.weight" {
@@ -745,8 +730,8 @@ mod tests {
         batch.images.data_mut()[2] = 0.0;
         batch.labels[0] = usize::MAX;
         assert!(guard.check_batch(&batch, 3, &info(0)));
-        assert_eq!(guard.report().skipped_batches, 2);
-        assert_eq!(guard.incidents(), 0, "batch skips are not incidents");
+        assert_eq!(guard.report.skipped_batches, 2);
+        assert_eq!(guard.incidents, 0, "batch skips are not incidents");
 
         assert!(guard.check_grads(&net, &info(1)).unwrap().is_none());
         net.visit_params(&mut |p| {
@@ -756,7 +741,7 @@ mod tests {
         });
         let out = guard.check_grads(&net, &info(1)).unwrap().unwrap();
         assert!(out.rollback && !out.reroll);
-        assert_eq!(guard.report().gradient_violations, 1);
+        assert_eq!(guard.report.gradient_violations, 1);
     }
 
     /// The early-exit scan [`any_beyond`] replaced.
@@ -808,7 +793,7 @@ mod tests {
             _ => {}
         });
         assert!(guard.check_grads(&net, &info(1)).unwrap().is_some());
-        let event = &guard.report().events[0];
+        let event = &guard.report.events[0];
         assert_eq!(event.param.as_deref(), Some("fc0.bias"));
     }
 
@@ -817,13 +802,14 @@ mod tests {
         models::mlp("m", &[6, 16, 3], &scheme, &mut seeded(3)).unwrap()
     }
 
-    /// `name`'s store as (tier, bitwidth, codes, quantisers).
-    fn store_of(net: &Network, name: &str) -> (&'static str, u32, Vec<i64>, Vec<String>) {
+    /// `name`'s store as (bits per resident code, i.e. the tier, bitwidth,
+    /// codes, quantisers).
+    fn store_of(net: &Network, name: &str) -> (u32, u32, Vec<i64>, Vec<String>) {
         let mut out = None;
         net.visit_params_ref(&mut |p| {
             if let (true, ParamStore::Quantized(q)) = (p.name() == name, p.store()) {
                 let quantizers = q.quantizers().iter().map(|q| format!("{q:?}")).collect();
-                let tier = q.store().tier_name();
+                let tier = q.store().resident_bits_per_code();
                 out = Some((tier, q.bits().get(), q.store().to_vec(), quantizers));
             }
         });
@@ -852,7 +838,7 @@ mod tests {
         with_param(&mut net, "fc0.weight", |p| p.velocity_mut().fill(0.25));
         guard.refresh(&net, &prof);
         let (clean, store) = (net.integrity_digests(), store_of(&net, "fc0.weight"));
-        assert_eq!((store.0, store.1), ("i16", 9));
+        assert_eq!((store.0, store.1), (16, 9));
         for (elem, bit) in [(0, 0), (5, 8), (95, 3)] {
             with_param(&mut net, "fc0.weight", |p| {
                 p.flip_stored_bit(elem, bit).unwrap()
@@ -903,10 +889,10 @@ mod tests {
             assert!(p.saturate_codes(0.9, true) > 0)
         });
         let out = guard.pre_step(&mut net, &mut prof, &info(1)).unwrap();
-        assert_eq!((out.healed, guard.report().bit_raises), (1, 1));
+        assert_eq!((out.healed, guard.report.bit_raises), (1, 1));
         // The guard's copy is the raised 9-bit store, whole.
         let raised = store_of(&net, "fc0.weight");
-        assert_eq!((raised.0, raised.1), ("i16", 9));
+        assert_eq!((raised.0, raised.1), (16, 9));
         let held = guard.baselines.iter().find(|b| b.copy.name == "fc0.weight");
         let held = held.expect("a baseline per parameter");
         assert_eq!(held.sat_handled, Some(9));
@@ -979,9 +965,6 @@ mod tests {
         let out = guard.pre_step(&mut net, &mut prof, &info(1)).unwrap();
         assert_eq!(out.healed, 1);
         assert_eq!(prof.export(), clean);
-        assert_eq!(
-            guard.report().events[0].param.as_deref(),
-            Some("<gavg-ema>")
-        );
+        assert_eq!(guard.report.events[0].param.as_deref(), Some("<gavg-ema>"));
     }
 }

@@ -52,7 +52,7 @@ pub use checkpoint::{latest_valid, write_state, CheckpointConfig};
 pub use error::CoreError;
 pub use faults::{
     flip_byte, truncate_file, BatchCorruptor, BatchFault, BitFlip, FaultSurface, FlipRecord,
-    NanBomb, NoFaults, PowerCut, Saturator, StepAction, StepHook, StepInfo, SurfaceKind,
+    NoFaults, PowerCut, Saturator, StepAction, StepHook, StepInfo, SurfaceKind,
 };
 pub use gavg::{gavg_of, GavgProfiler};
 pub use integrity::{

@@ -170,7 +170,8 @@ mod tests {
     #[test]
     fn clamped_at_bounds() {
         let cfg = PolicyConfig::new(6.0, 10.0).unwrap();
-        assert_eq!(adjust_bitwidth(0.0, Bitwidth::MAX, &cfg), Bitwidth::MAX);
+        let max = Bitwidth::new(32).unwrap();
+        assert_eq!(adjust_bitwidth(0.0, max, &cfg), max);
         assert_eq!(adjust_bitwidth(1e9, Bitwidth::MIN, &cfg), Bitwidth::MIN);
     }
 

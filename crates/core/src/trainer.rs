@@ -550,11 +550,6 @@ impl Trainer {
         &mut self.net
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &TrainConfig {
-        &self.cfg
-    }
-
     /// Consumes the trainer, returning the trained network.
     pub fn into_network(self) -> Network {
         self.net
@@ -1135,11 +1130,6 @@ impl Trainer {
         out
     }
 
-    /// The energy meter (cumulative account of the run so far).
-    pub fn energy(&self) -> &EnergyMeter {
-        &self.meter
-    }
-
     fn apply_grad_quant(&mut self) -> crate::Result<()> {
         match self.cfg.grad_quant {
             GradQuant::None => Ok(()),
@@ -1332,7 +1322,8 @@ mod tests {
         let (train, test) = toy_data();
         let mut images: Vec<_> = (0..train.len()).map(|i| train.image(i).clone()).collect();
         images[0].data_mut()[0] = f32::NAN;
-        let poisoned = Dataset::new(images, train.labels().to_vec(), train.num_classes()).unwrap();
+        let labels = (0..train.len()).map(|i| train.label(i)).collect();
+        let poisoned = Dataset::new(images, labels, train.num_classes()).unwrap();
         let net = models::mlp("m", &[6, 8, 3], &QuantScheme::paper_apt(), &mut seeded(5)).unwrap();
         let mut cfg = base_cfg(1);
         cfg.grad_quant = GradQuant::Fixed(Bitwidth::new(8).unwrap());

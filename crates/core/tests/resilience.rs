@@ -3,7 +3,7 @@
 //! corruption with CRC fallback, and divergence-sentinel recovery.
 
 use apt_core::faults::{
-    flip_byte, truncate_file, NanBomb, NoFaults, PowerCut, StepAction, StepHook, StepInfo,
+    flip_byte, truncate_file, NoFaults, PowerCut, StepAction, StepHook, StepInfo,
 };
 use apt_core::{
     latest_valid, CheckpointConfig, CoreError, SentinelConfig, TrainConfig, TrainReport, Trainer,
@@ -249,6 +249,36 @@ fn resume_rejects_checkpoint_from_a_different_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Fills the images of global step `at_step` with `payload`: NaN trips the
+/// sentinel's input check, a huge finite value its loss-spike detector.
+/// One-shot: a skipped step does not advance `global_step`, so a bomb keyed
+/// on the step alone would re-fire on the retry.
+struct NanBomb {
+    at_step: u64,
+    payload: f32,
+    armed: bool,
+}
+
+impl NanBomb {
+    fn at(at_step: u64, payload: f32) -> Self {
+        NanBomb {
+            at_step,
+            payload,
+            armed: true,
+        }
+    }
+}
+
+impl StepHook for NanBomb {
+    fn before_step(&mut self, info: &StepInfo, batch: &mut Batch) -> StepAction {
+        if self.armed && info.global_step == self.at_step {
+            self.armed = false;
+            batch.images.data_mut().fill(self.payload);
+        }
+        StepAction::Continue
+    }
+}
+
 #[test]
 fn nan_batch_triggers_rollback_and_the_run_completes() {
     let (train, test) = toy_data();
@@ -256,7 +286,7 @@ fn nan_batch_triggers_rollback_and_the_run_completes() {
     cfg.sentinel = Some(SentinelConfig::default());
     let mut t = Trainer::new(toy_net(), cfg.clone()).unwrap();
     let report = t
-        .train_with_hooks(&train, &test, &mut NanBomb::at(5))
+        .train_with_hooks(&train, &test, &mut NanBomb::at(5, f32::NAN))
         .unwrap();
     assert_eq!(report.epochs.len(), cfg.epochs, "run must complete");
     for e in &report.epochs {
@@ -275,7 +305,7 @@ fn loss_spike_triggers_rollback_via_the_ema_detector() {
     cfg.sentinel = Some(SentinelConfig::default());
     let mut t = Trainer::new(toy_net(), cfg.clone()).unwrap();
     let report = t
-        .train_with_hooks(&train, &test, &mut NanBomb::with_payload(5, 1e10))
+        .train_with_hooks(&train, &test, &mut NanBomb::at(5, 1e10))
         .unwrap();
     assert_eq!(report.epochs.len(), cfg.epochs);
     assert!(
@@ -369,7 +399,7 @@ fn sentinel_disarmed_lets_a_poisoned_batch_corrupt_the_stats() {
     let (train, test) = toy_data();
     let mut t = Trainer::new(toy_net(), base_cfg()).unwrap();
     let report = t
-        .train_with_hooks(&train, &test, &mut NanBomb::with_payload(2, 1e10))
+        .train_with_hooks(&train, &test, &mut NanBomb::at(2, 1e10))
         .unwrap();
     assert!(
         report.epochs[0].train_loss > 3.0,

@@ -22,14 +22,6 @@ impl Default for AugmentConfig {
 }
 
 impl AugmentConfig {
-    /// No-op augmentation (evaluation / ablation).
-    pub fn none() -> Self {
-        AugmentConfig {
-            pad: 0,
-            flip: false,
-        }
-    }
-
     /// Applies pad→random-crop→maybe-flip to one CHW image.
     ///
     /// # Errors
@@ -67,7 +59,10 @@ mod tests {
 
     #[test]
     fn none_is_identity() {
-        let cfg = AugmentConfig::none();
+        let cfg = AugmentConfig {
+            pad: 0,
+            flip: false,
+        };
         let img = normal(&[3, 8, 8], 1.0, &mut seeded(1));
         let out = cfg.apply(&img, &mut seeded(2)).unwrap();
         assert_eq!(out.data(), img.data());

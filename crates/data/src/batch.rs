@@ -12,11 +12,6 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Number of examples in the batch.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
     /// `true` for an empty batch.
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
@@ -174,7 +169,7 @@ mod tests {
         let b = Batcher::new(3, None, 7).unwrap();
         let batches = b.epoch(&data, 0).unwrap();
         assert_eq!(batches.len(), 4); // 3+3+3+1
-        let total: usize = batches.iter().map(Batch::len).sum();
+        let total: usize = batches.iter().map(|b| b.labels.len()).sum();
         assert_eq!(total, 10);
     }
 

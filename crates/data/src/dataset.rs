@@ -53,28 +53,6 @@ impl Dataset {
         })
     }
 
-    /// Scans every sample for corrupt pixel data and reports the first
-    /// offender.
-    ///
-    /// Construction ([`Dataset::new`]) validates *structure* — counts,
-    /// label ranges, shapes — but deliberately not *values*, since tensors
-    /// may be standardised in place afterwards. `validate` is the value
-    /// check: it rejects non-finite pixels and, when `max_abs` is given,
-    /// pixels whose magnitude exceeds it (a sane bound for standardised
-    /// sensor data is single digits). Call it after ingest/augmentation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::CorruptSample`] for the first bad sample found.
-    pub fn validate(&self, max_abs: Option<f32>) -> crate::Result<()> {
-        for (i, img) in self.images.iter().enumerate() {
-            if let Some(reason) = sample_corruption(img, max_abs) {
-                return Err(DataError::CorruptSample { index: i, reason });
-            }
-        }
-        Ok(())
-    }
-
     /// Number of examples.
     pub fn len(&self) -> usize {
         self.images.len()
@@ -106,16 +84,6 @@ impl Dataset {
     /// Panics if `i >= len()`.
     pub fn label(&self, i: usize) -> usize {
         self.labels[i]
-    }
-
-    /// All labels.
-    pub fn labels(&self) -> &[usize] {
-        &self.labels
-    }
-
-    /// Shape of one image, or `None` for an empty dataset.
-    pub fn image_dims(&self) -> Option<&[usize]> {
-        self.images.first().map(|t| t.dims())
     }
 
     /// Standardises this dataset *and* `other` using this dataset's global
@@ -221,22 +189,6 @@ impl Dataset {
     }
 }
 
-/// Returns why an image is corrupt (`None` when it is clean): the first
-/// non-finite pixel, or the first pixel whose magnitude exceeds `max_abs`.
-fn sample_corruption(img: &Tensor, max_abs: Option<f32>) -> Option<String> {
-    for (j, &x) in img.data().iter().enumerate() {
-        if !x.is_finite() {
-            return Some(format!("non-finite pixel {x} at offset {j}"));
-        }
-        if let Some(limit) = max_abs {
-            if x.abs() > limit {
-                return Some(format!("pixel {x} at offset {j} exceeds |{limit}|"));
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,45 +207,13 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d.num_classes(), 2);
         assert_eq!(d.label(1), 1);
-        assert_eq!(d.image_dims().unwrap(), &[1, 2, 2]);
-    }
-
-    #[test]
-    fn validate_flags_corrupt_pixels() {
-        let clean = Dataset::new(vec![img(0.5), img(-0.5)], vec![0, 1], 2).unwrap();
-        assert!(clean.validate(None).is_ok());
-        assert!(clean.validate(Some(1.0)).is_ok());
-        // Out-of-range but finite: only caught with a bound.
-        assert_eq!(
-            Dataset::new(vec![img(0.5), img(1e7)], vec![0, 1], 2)
-                .unwrap()
-                .validate(Some(100.0)),
-            Err(DataError::CorruptSample {
-                index: 1,
-                reason: "pixel 10000000 at offset 0 exceeds |100|".into()
-            })
-        );
-        // Non-finite: always caught, and the index is the offender's.
-        let mut bad = img(0.0);
-        bad.data_mut()[3] = f32::NAN;
-        let d = Dataset::new(vec![img(0.0), bad, img(1.0)], vec![0, 1, 0], 2).unwrap();
-        match d.validate(None) {
-            Err(DataError::CorruptSample { index: 1, .. }) => {}
-            other => panic!("expected CorruptSample at 1, got {other:?}"),
-        }
-        let mut inf = img(0.0);
-        inf.data_mut()[0] = f32::NEG_INFINITY;
-        assert!(Dataset::new(vec![inf], vec![0], 2)
-            .unwrap()
-            .validate(None)
-            .is_err());
+        assert_eq!(d.image(0).dims(), &[1, 2, 2]);
     }
 
     #[test]
     fn empty_dataset_is_fine() {
         let d = Dataset::new(vec![], vec![], 3).unwrap();
         assert!(d.is_empty());
-        assert!(d.image_dims().is_none());
     }
 
     #[test]
@@ -339,7 +259,9 @@ mod tests {
         let (mean, std) = train.standardize_with(&mut test);
         assert_eq!(mean, 3.0);
         assert!(std > 0.0);
-        let total: f32 = (0..train.len()).map(|i| train.image(i).sum()).sum();
+        let total: f32 = (0..train.len())
+            .map(|i| train.image(i).data().iter().sum::<f32>())
+            .sum();
         assert!(total.abs() < 1e-4);
         // test transformed with the same statistics
         assert!(test.image(0).data().iter().all(|&x| x.abs() < 1e-6));

@@ -14,16 +14,6 @@ pub enum DataError {
         /// Explanation of the inconsistency.
         reason: String,
     },
-    /// A sample holds garbage values — non-finite or wildly out-of-range
-    /// pixels, the kind a flaky edge sensor or corrupted DMA buffer
-    /// produces. Surfaced by [`crate::Dataset::validate`] so training never
-    /// silently consumes it.
-    CorruptSample {
-        /// Index of the offending sample within the dataset.
-        index: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
     /// An underlying tensor kernel failed.
     Tensor(apt_tensor::TensorError),
 }
@@ -33,9 +23,6 @@ impl fmt::Display for DataError {
         match self {
             DataError::BadConfig { reason } => write!(f, "bad dataset config: {reason}"),
             DataError::Inconsistent { reason } => write!(f, "inconsistent dataset: {reason}"),
-            DataError::CorruptSample { index, reason } => {
-                write!(f, "corrupt sample {index}: {reason}")
-            }
             DataError::Tensor(e) => write!(f, "tensor error: {e}"),
         }
     }

@@ -207,9 +207,9 @@ mod tests {
         assert_eq!(d.test.len(), 20);
         assert_eq!(d.train.num_classes(), 4);
         for c in 0..4 {
-            assert_eq!(d.train.labels().iter().filter(|&&l| l == c).count(), 10);
+            assert_eq!((0..40).filter(|&i| d.train.label(i) == c).count(), 10);
         }
-        assert_eq!(d.train.image_dims().unwrap(), &[3, 8, 8]);
+        assert_eq!(d.train.image(0).dims(), &[3, 8, 8]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod tests {
         let a = blobs(3, 5, 4, 0.3, 1).unwrap();
         assert_eq!(a.len(), 15);
         assert_eq!(a.num_classes(), 3);
-        assert_eq!(a.image_dims().unwrap(), &[1, 1, 4]);
+        assert_eq!(a.image(0).dims(), &[1, 1, 4]);
         let b = blobs(3, 5, 4, 0.3, 1).unwrap();
         assert_eq!(a.image(7).data(), b.image(7).data());
         assert!(blobs(0, 5, 4, 0.3, 1).is_err());

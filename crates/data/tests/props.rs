@@ -38,8 +38,9 @@ proptest! {
         let mut seen: Vec<i64> = batches
             .iter()
             .flat_map(|bt| {
-                let per = bt.images.len() / bt.len();
-                (0..bt.len()).map(move |i| bt.images.data()[i * per] as i64)
+                let n = bt.labels.len();
+                let per = bt.images.len() / n;
+                (0..n).map(move |i| bt.images.data()[i * per] as i64)
             })
             .collect();
         seen.sort_unstable();
@@ -87,7 +88,8 @@ proptest! {
         };
         let d = SynthCifar::generate(&cfg).unwrap();
         for c in 0..classes {
-            prop_assert_eq!(d.train.labels().iter().filter(|&&l| l == c).count(), per);
+            let count = (0..d.train.len()).filter(|&i| d.train.label(i) == c).count();
+            prop_assert_eq!(count, per);
         }
     }
 }

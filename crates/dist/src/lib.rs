@@ -42,9 +42,6 @@ mod trainer;
 pub use reducer::TreeReducer;
 pub use trainer::{DistConfig, DistFault, DistReport, DistTrainer};
 
-/// Convenience result alias (same error type as the training core).
-pub type Result<T> = apt_core::Result<T>;
-
 /// Wire accounting for one rank's view of the exchange.
 ///
 /// All byte counts are **analytic fabric totals** — computed from the

@@ -598,10 +598,12 @@ mod tests {
                 }
             }
             let wire_trip = |codes: &[i64], bits: Bitwidth| {
-                let sent = PackedCodes::from_signed(codes, bits).unwrap();
-                let words = sent.data_words().to_vec();
+                let narrow: Vec<i32> = codes.iter().map(|&c| c as i32).collect();
+                let mut words = Vec::new();
+                PackedCodes::append_words(&narrow, bits, &mut words).unwrap();
+                let sent = 8 * words.len() as u64;
                 let got = PackedCodes::from_data_words(words, codes.len(), bits).unwrap();
-                (got.to_signed_vec(), 8 * sent.data_words().len() as u64)
+                (got.to_signed_vec(), sent)
             };
             let inv = 1.0f32 / self.world as f32;
             let (mut reduced, mut payload) = (Vec::new(), 0u64);

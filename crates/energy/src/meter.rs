@@ -60,11 +60,6 @@ impl EnergyMeter {
         }
     }
 
-    /// The cost model in use.
-    pub fn model(&self) -> &EnergyModel {
-        &self.model
-    }
-
     /// Charges one training iteration of `net` to the account.
     pub fn record_iteration(&mut self, net: &Network) {
         // Inventory: weight-param name →
@@ -130,11 +125,6 @@ impl EnergyMeter {
     /// Total energy so far, pJ.
     pub fn total_pj(&self) -> f64 {
         self.breakdown.total_pj()
-    }
-
-    /// Resets the account to zero.
-    pub fn reset(&mut self) {
-        self.breakdown = EnergyBreakdown::default();
     }
 
     /// Replaces the account with a previously captured breakdown — the
@@ -222,8 +212,6 @@ mod tests {
         meter.record_iteration(&net);
         assert!((meter.total_pj() - 2.0 * one).abs() < 1e-9);
         assert_eq!(meter.breakdown().iterations, 2);
-        meter.reset();
-        assert_eq!(meter.total_pj(), 0.0);
     }
 
     #[test]
@@ -242,7 +230,7 @@ mod tests {
         let mut meter = EnergyMeter::default();
         meter.record_comm(wire_bytes);
         let charged = meter.breakdown().memory_pj;
-        assert_eq!(charged, meter.model().mem_energy(wire_bytes * 8));
+        assert_eq!(charged, meter.model.mem_energy(wire_bytes * 8));
         assert_eq!(meter.breakdown().compute_pj, 0.0, "comm is pure traffic");
         // An fp32 exchange of the same tensor moves 8x the bits at k=4 —
         // the energy account must reflect the full ratio.

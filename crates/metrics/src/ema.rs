@@ -33,16 +33,6 @@ impl Ema {
     pub fn value(&self) -> Option<f64> {
         self.value
     }
-
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Clears the average (used at epoch boundaries when re-profiling).
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
 }
 
 #[cfg(test)]
@@ -74,17 +64,8 @@ mod tests {
 
     #[test]
     fn clamps_bad_alpha() {
-        assert_eq!(Ema::new(5.0).alpha(), 1.0);
-        assert!(Ema::new(-1.0).alpha() > 0.0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut e = Ema::new(0.3);
-        e.update(1.0);
-        e.reset();
-        assert_eq!(e.value(), None);
-        assert_eq!(e.update(9.0), 9.0);
+        assert_eq!(Ema::new(5.0).alpha, 1.0);
+        assert!(Ema::new(-1.0).alpha > 0.0);
     }
 
     #[test]

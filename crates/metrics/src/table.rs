@@ -29,26 +29,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Column headers.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// Data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders RFC-4180-ish CSV (quotes cells containing `, " \n`).
     pub fn to_csv(&self) -> String {
         fn esc(cell: &str) -> String {
@@ -253,14 +233,5 @@ mod tests {
         sample().write_csv(&path).unwrap();
         assert!(path.exists());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn counting() {
-        let t = sample();
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-        assert_eq!(t.columns().len(), 2);
-        assert!(Table::new(&["x"]).is_empty());
     }
 }

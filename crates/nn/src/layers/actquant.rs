@@ -53,11 +53,6 @@ impl ActQuant {
         })
     }
 
-    /// The activation bitwidth.
-    pub fn bits(&self) -> Bitwidth {
-        self.bits
-    }
-
     /// The current clipping point α.
     fn clip_value(&self) -> f32 {
         self.clip.value().data()[0]
@@ -138,7 +133,7 @@ mod tests {
         let mut levels: Vec<i64> = y.data().iter().map(|&v| (v * 1e5) as i64).collect();
         levels.sort_unstable();
         levels.dedup();
-        assert!(levels.len() as u64 <= aq.bits().num_levels() + 1);
+        assert!(levels.len() as u64 <= b(3).num_levels() + 1);
     }
 
     #[test]

@@ -71,16 +71,6 @@ impl BatchNorm2d {
         })
     }
 
-    /// Running mean buffer (inference statistics).
-    pub fn running_mean(&self) -> &Tensor {
-        &self.running_mean
-    }
-
-    /// Running variance buffer (inference statistics).
-    pub fn running_var(&self) -> &Tensor {
-        &self.running_var
-    }
-
     fn check_input(&self, input: &Tensor) -> crate::Result<()> {
         if input.rank() != 4 || input.dims()[1] != self.channels {
             return Err(NnError::BadInput {

@@ -38,11 +38,6 @@ impl Sequential {
             layers,
         }
     }
-
-    /// Number of direct children (a composite child counts as one).
-    pub(crate) fn len(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 impl std::fmt::Debug for Sequential {

@@ -91,11 +91,6 @@ impl Conv2d {
         })
     }
 
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
     fn validate_input(&self, input: &Tensor) -> crate::Result<()> {
         if input.rank() != 4 || input.dims()[1] != self.in_channels {
             return Err(NnError::BadInput {

@@ -197,7 +197,8 @@ mod tests {
     #[test]
     fn has_depthwise_stages() {
         let net = mobilenet_v2(10, 0.25, &QuantScheme::paper_apt(), &mut seeded(2)).unwrap();
-        let names = net.weight_param_names();
+        let mut names = Vec::new();
+        net.visit_params_ref(&mut |p| names.push(p.name().to_string()));
         assert!(names.iter().any(|n| n.contains("dw.conv")));
         assert!(names.iter().any(|n| n.contains("expand.conv")));
         assert!(names.iter().any(|n| n.contains("project.conv")));

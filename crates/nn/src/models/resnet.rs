@@ -150,7 +150,18 @@ pub fn resnet110(
 mod tests {
     use super::*;
     use crate::layers::assert_input_gradient;
-    use crate::{Layer, Mode};
+    use crate::{Layer, Mode, ParamKind};
+
+    /// Names of the weight parameters, in network order.
+    fn weight_names(net: &Network) -> Vec<String> {
+        let mut names = Vec::new();
+        net.visit_params_ref(&mut |p| {
+            if p.kind() == ParamKind::Weight {
+                names.push(p.name().to_string());
+            }
+        });
+        names
+    }
     use apt_tensor::rng::{normal, seeded};
     use apt_tensor::Tensor;
 
@@ -202,7 +213,7 @@ mod tests {
     #[test]
     fn resnet20_has_expected_weight_layers() {
         let net = resnet20(10, 0.25, &QuantScheme::paper_apt(), &mut seeded(0)).unwrap();
-        let names = net.weight_param_names();
+        let names = weight_names(&net);
         // stem + 9 blocks × 2 convs + 2 projection convs + head fc = 22
         assert_eq!(names.len(), 22, "{names:?}");
         assert!(names[0].contains("stem"));
@@ -233,8 +244,8 @@ mod tests {
     fn resnet110_is_deep() {
         // width_mult tiny to keep the test fast; 110 = 6·18 + 2.
         let net = resnet110(100, 0.05, &QuantScheme::paper_apt(), &mut seeded(3)).unwrap();
-        // stem + 54 blocks + gap + fc... layer count = 3 + 54 + 2
-        assert_eq!(net.num_layers(), 59);
+        // stem + 54 blocks × 2 convs + 2 projection convs + head fc = 112
+        assert_eq!(weight_names(&net).len(), 112);
         assert_eq!(net.name(), "resnet110");
     }
 

@@ -1,5 +1,5 @@
 use crate::layers::Sequential;
-use crate::{Layer, Mode, Param, ParamKind};
+use crate::{Layer, Mode, Param};
 use apt_tensor::Tensor;
 
 /// A named [`Sequential`] of layers — the unit APT trains.
@@ -30,11 +30,6 @@ impl Network {
     /// The network's name (e.g. `"resnet20"`).
     pub fn name(&self) -> &str {
         self.0.name()
-    }
-
-    /// Number of layers (composite blocks count as one).
-    pub fn num_layers(&self) -> usize {
-        self.0.len()
     }
 
     /// Runs the full forward pass.
@@ -85,18 +80,6 @@ impl Network {
         let mut n = 0;
         self.visit_params_ref(&mut |p| n += p.len());
         n
-    }
-
-    /// Names of the weight parameters, in network order — the "M layers"
-    /// whose bitwidths Algorithm 1 adapts.
-    pub fn weight_param_names(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        self.visit_params_ref(&mut |p| {
-            if p.kind() == ParamKind::Weight {
-                names.push(p.name().to_string());
-            }
-        });
-        names
     }
 
     /// The [`Param::integrity_digest`] of every parameter, in layer order.
@@ -196,7 +179,7 @@ impl std::fmt::Debug for Network {
 mod tests {
     use super::*;
     use crate::layers::{Flatten, Linear, Relu};
-    use crate::{ParamPrecision, QuantScheme};
+    use crate::{ParamKind, ParamPrecision, QuantScheme};
     use apt_tensor::rng::{normal, seeded};
 
     fn tiny_net() -> Network {
@@ -346,8 +329,13 @@ mod tests {
         assert_eq!(net.num_params(), 67);
         assert_eq!(net.memory_bits(), 67 * 32);
         assert_eq!(net.resident_bytes(), 67 * 4, "all-fp32 net: 4 bytes/param");
-        assert_eq!(net.weight_param_names(), vec!["fc1.weight", "fc2.weight"]);
-        assert_eq!(net.num_layers(), 3);
+        let mut weights = Vec::new();
+        net.visit_params_ref(&mut |p| {
+            if p.kind() == ParamKind::Weight {
+                weights.push(p.name().to_string());
+            }
+        });
+        assert_eq!(weights, ["fc1.weight", "fc2.weight"]);
         assert_eq!(net.name(), "tiny");
     }
 
@@ -359,13 +347,13 @@ mod tests {
         net.backward(&Tensor::ones(&[2, 3])).unwrap();
         let mut nonzero = 0;
         net.visit_params_ref(&mut |p| {
-            if p.grad().abs_max() > 0.0 {
+            if p.grad().l2_norm() > 0.0 {
                 nonzero += 1;
             }
         });
         assert!(nonzero > 0);
         net.zero_grads();
-        net.visit_params_ref(&mut |p| assert_eq!(p.grad().abs_max(), 0.0));
+        net.visit_params_ref(&mut |p| assert_eq!(p.grad().l2_norm(), 0.0));
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub struct FrozenPlan {
     aliased: Vec<bool>,
     /// Arena length per sample, in f32 elements.
     arena_len: usize,
-    sample_dims: Vec<usize>,
     sample_len: usize,
     output_dims: Vec<usize>,
     output_len: usize,
@@ -43,7 +42,6 @@ impl FrozenPlan {
         output_value: ValueId,
         report: PlanReport,
     ) -> Self {
-        let sample_dims = values[0].clone();
         let output_dims = values[output_value.0].clone();
         let sample_len = value_len[0];
         let output_len = value_len[output_value.0];
@@ -53,7 +51,6 @@ impl FrozenPlan {
             value_len,
             aliased: layout.aliased,
             arena_len: layout.arena_len,
-            sample_dims,
             sample_len,
             output_dims,
             output_len,
@@ -72,19 +69,9 @@ impl FrozenPlan {
         self.sample_len
     }
 
-    /// Per-sample input shape the plan was compiled for.
-    pub fn sample_dims(&self) -> &[usize] {
-        &self.sample_dims
-    }
-
     /// Elements per output sample.
     pub fn output_len(&self) -> usize {
         self.output_len
-    }
-
-    /// Number of executable steps after optimisation.
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
     }
 
     /// Scratch arena size per sample, in f32 elements.
@@ -189,8 +176,8 @@ impl FrozenPlan {
             return Err(NnError::BadInput {
                 layer: "<plan>".to_string(),
                 reason: format!(
-                    "batch shape {dims:?} incompatible with compiled sample shape {:?}",
-                    self.sample_dims
+                    "batch shape {dims:?} incompatible with compiled sample length {}",
+                    self.sample_len
                 ),
             });
         }

@@ -113,7 +113,7 @@ fn every_scheme_builds_every_backbone() {
             assert_eq!(y.dims()[1], 10, "{}", net.name());
             net.backward(&Tensor::ones(y.dims())).unwrap();
             let mut with_grad = 0;
-            net.visit_params_ref(&mut |p| with_grad += usize::from(p.grad().abs_max() > 0.0));
+            net.visit_params_ref(&mut |p| with_grad += usize::from(p.grad().l2_norm() > 0.0));
             assert!(
                 with_grad > 0,
                 "{}: backward reached no parameter",

@@ -78,11 +78,6 @@ impl Adam {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &AdamConfig {
-        &self.cfg
-    }
-
     /// The serialisable optimiser state.
     pub fn state(&self) -> AdamState {
         let mut moments: Vec<(String, Tensor, Tensor)> = self
@@ -312,7 +307,6 @@ mod tests {
         assert!(bad.step(&mut net, 0.01).is_err());
         let mut adam = Adam::new(AdamConfig::default(), 0);
         assert!(adam.step(&mut net, f32::NAN).is_err());
-        assert_eq!(adam.config().beta2, 0.999);
     }
 
     #[test]

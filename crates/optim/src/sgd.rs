@@ -49,17 +49,6 @@ pub struct StepStats {
     pub params: usize,
 }
 
-impl StepStats {
-    /// Fraction of quantised elements that underflowed this step.
-    pub fn underflow_rate(&self) -> f64 {
-        if self.quantized_total == 0 {
-            0.0
-        } else {
-            self.underflowed as f64 / self.quantized_total as f64
-        }
-    }
-}
-
 /// Stochastic gradient descent with momentum and weight decay, aware of
 /// quantised parameter stores.
 ///
@@ -136,11 +125,6 @@ impl Sgd {
     /// checkpoint-resumed run starts back at salt 0.
     pub fn reroll_rounding(&mut self, salt: u64) {
         self.salt = salt;
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SgdConfig {
-        &self.cfg
     }
 
     /// The serialisable progress state.
@@ -231,11 +215,19 @@ impl Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apt_nn::{models, Mode, ParamKind, ParamPrecision, Projection, QuantScheme};
+    use apt_nn::{models, Mode, ParamKind, ParamPrecision, ParamStore, Projection, QuantScheme};
     use apt_quant::Bitwidth;
     use apt_tensor::ops::softmax::cross_entropy;
     use apt_tensor::rng::{normal, seeded};
     use apt_tensor::{ops, Tensor};
+
+    /// The quantisation step of a quantised parameter's store.
+    fn eps(p: &Param) -> Option<f32> {
+        match p.store() {
+            ParamStore::Quantized(q) => Some(q.eps()),
+            _ => None,
+        }
+    }
 
     /// The multi-pass step [`Param::sgd_step`] replaced, kept as the
     /// reference the fused one must match bit for bit: clone the gradient,
@@ -292,7 +284,7 @@ mod tests {
     /// exact zeros, sub-ε values of both signs, values of a few ε, and a
     /// handful large enough to leave the grid (range expansion).
     fn mixed_grad(p: &Param, seed: u64) -> Tensor {
-        let eps = p.eps().unwrap_or(0.02);
+        let eps = eps(p).unwrap_or(0.02);
         let mut g = normal(p.dims(), eps * 12.0, &mut seeded(seed));
         for (i, x) in g.data_mut().iter_mut().enumerate() {
             match i % 7 {
@@ -608,7 +600,6 @@ mod tests {
         let mut sgd = Sgd::new(SgdConfig::default(), 0);
         assert!(sgd.step(&mut net, f32::NAN).is_err());
         assert!(sgd.step(&mut net, -0.1).is_err());
-        assert_eq!(sgd.config().momentum, 0.9);
     }
 
     #[test]
@@ -632,7 +623,7 @@ mod tests {
                 net.zero_grads();
                 net.visit_params(&mut |p| {
                     if p.kind() == ParamKind::Weight {
-                        let eps = p.eps().unwrap();
+                        let eps = eps(p).unwrap();
                         let g = Tensor::full(p.dims(), eps * 0.5);
                         p.accumulate_grad(&g).unwrap();
                     }

@@ -21,8 +21,6 @@ pub struct Bitwidth(u8);
 impl Bitwidth {
     /// Smallest supported precision (2 bits), per Algorithm 1.
     pub const MIN: Bitwidth = Bitwidth(2);
-    /// Largest supported precision (32 bits), per Algorithm 1.
-    pub const MAX: Bitwidth = Bitwidth(32);
     /// The paper's default initial precision for APT runs (§IV: "we set
     /// initial bitwidth to 6").
     pub const PAPER_INITIAL: Bitwidth = Bitwidth(6);
@@ -55,7 +53,7 @@ impl Bitwidth {
         self.num_levels() - 1
     }
 
-    /// One step up, saturating at [`Bitwidth::MAX`] (Alg. 1 line 3).
+    /// One step up, saturating at 32 bits (Alg. 1 line 3).
     pub fn increment(self) -> Bitwidth {
         Bitwidth((self.0 + 1).min(32))
     }
@@ -127,16 +125,17 @@ mod tests {
     fn levels_and_steps() {
         assert_eq!(Bitwidth::new(2).unwrap().num_levels(), 4);
         assert_eq!(Bitwidth::new(8).unwrap().num_steps(), 255);
-        assert_eq!(Bitwidth::MAX.num_levels(), 1u64 << 32);
+        assert_eq!(Bitwidth::new(32).unwrap().num_levels(), 1u64 << 32);
     }
 
     #[test]
     fn increment_decrement_saturate() {
-        assert_eq!(Bitwidth::MAX.increment(), Bitwidth::MAX);
+        let max = Bitwidth::new(32).unwrap();
+        assert_eq!(max.increment(), max);
         assert_eq!(Bitwidth::MIN.decrement(), Bitwidth::MIN);
         assert_eq!(Bitwidth::new(6).unwrap().increment().get(), 7);
         assert_eq!(Bitwidth::new(6).unwrap().decrement().get(), 5);
-        assert!(Bitwidth::MAX.is_max());
+        assert!(max.is_max());
         assert!(Bitwidth::MIN.is_min());
     }
 

@@ -40,9 +40,8 @@
 //! [`CodeStore::write_packed_le`] (the canonical serialisation, streamed
 //! from a bit accumulator) and [`CodeStore::from_code_iter`] (build
 //! straight into the tier). No `Vec<i64>` of the codes exists on any of
-//! them. [`CodeStore::get`], [`CodeStore::set`], [`CodeStore::to_vec`] and
-//! [`CodeStore::to_packed`] remain for single elements, fault injection
-//! and tests.
+//! them. [`CodeStore::set`] and [`CodeStore::to_vec`] remain for single
+//! elements, fault injection and tests.
 //!
 //! ## The canonical layout without a store
 //!
@@ -111,7 +110,10 @@ fn check_data_words(words: &[u64], len: usize, bits: Bitwidth) -> crate::Result<
 ///
 /// ```
 /// use apt_quant::{Bitwidth, PackedCodes};
-/// let p = PackedCodes::from_signed(&[-4, -1, 0, 3], Bitwidth::new(3)?)?;
+/// let k = Bitwidth::new(3)?;
+/// let mut words = Vec::new();
+/// PackedCodes::append_words(&[-4, -1, 0, 3], k, &mut words)?;
+/// let p = PackedCodes::from_data_words(words, 4, k)?;
 /// assert_eq!(p.to_signed_vec(), vec![-4, -1, 0, 3]);
 /// assert_eq!(p.resident_bytes(), 16); // 1 data word + 1 padding word
 /// # Ok::<(), apt_quant::QuantError>(())
@@ -153,23 +155,6 @@ impl PackedCodes {
         (len * bits.get() as usize).div_ceil(64)
     }
 
-    /// Packs signed codes, validating each against the `k`-bit
-    /// two's-complement range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::CorruptStore`] if any code is outside
-    /// `[−2^(k−1), 2^(k−1) − 1]`.
-    pub fn from_signed(codes: &[i64], bits: Bitwidth) -> crate::Result<Self> {
-        let half = 1i64 << (bits.get() - 1);
-        if codes.iter().any(|&c| c < -half || c >= half) {
-            return Err(QuantError::CorruptStore {
-                reason: "signed code outside the k-bit two's-complement range",
-            });
-        }
-        Ok(Self::pack(codes.iter().copied(), bits))
-    }
-
     /// Packs a stream of in-range signed codes (no validation: only the
     /// low `k` bits of each are kept).
     fn pack(signed: impl Iterator<Item = i64>, bits: Bitwidth) -> Self {
@@ -190,11 +175,6 @@ impl PackedCodes {
     /// `true` if no codes are stored.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Field width.
-    pub fn bits(&self) -> Bitwidth {
-        self.bits
     }
 
     /// Extracts element `i`, sign-extended to `i64`.
@@ -271,7 +251,7 @@ impl PackedCodes {
     }
 
     /// Appends the canonical words of `codes` to `out` — the layout
-    /// [`from_signed`](Self::from_signed) builds, written where the caller
+    /// [`data_words`](Self::data_words) holds, written where the caller
     /// wants it (a wire frame) with no store in between. A `k ≤ 32`-bit
     /// field is an `i32`, so that is what the streaming pair speaks.
     ///
@@ -545,17 +525,6 @@ impl CodeStore {
         self.bits
     }
 
-    /// Reads the raw grid code of element `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> i64 {
-        let half = Self::half(self.bits);
-        match &self.repr {
-            Repr::I8(v) => i64::from(v[i]) + half,
-            Repr::I16(v) => i64::from(v[i]) + half,
-            Repr::Packed(p) => p.get(i) + half,
-        }
-    }
-
     /// Writes raw grid code `q` (must be on the grid) into element `i`.
     #[inline]
     pub fn set(&mut self, i: usize, q: i64) {
@@ -747,16 +716,6 @@ impl CodeStore {
         }
     }
 
-    /// Name of the active tier (`"i8"`, `"i16"`, `"packed"`) for
-    /// diagnostics and bench output.
-    pub fn tier_name(&self) -> &'static str {
-        match &self.repr {
-            Repr::I8(_) => "i8",
-            Repr::I16(_) => "i16",
-            Repr::Packed(_) => "packed",
-        }
-    }
-
     /// Feeds the physical representation out a word at a time — the basis
     /// of integrity digests, which must change when any resident bit
     /// flips. `i8`/`i16` chunk their bytes little-endian, the last word
@@ -814,8 +773,8 @@ impl CodeStore {
         }
     }
 
-    /// Feeds the canonical bit-packed form to `f` word by word: the words
-    /// [`to_packed`](Self::to_packed) would hold, identical for identical
+    /// Feeds the canonical bit-packed form to `f` word by word: the words a
+    /// [`PackedCodes`] of the same codes would hold, identical for identical
     /// logical content whatever the tier, streamed from a bit accumulator
     /// with no intermediate store.
     #[inline]
@@ -833,22 +792,6 @@ impl CodeStore {
     pub fn write_packed_le(&self, out: &mut Vec<u8>) {
         out.reserve(PackedCodes::data_word_count(self.len(), self.bits) * 8);
         self.for_each_packed_word(|w| out.extend_from_slice(&w.to_le_bytes()));
-    }
-
-    /// Converts to the canonical bit-packed form — identical words for
-    /// identical logical content regardless of the active tier.
-    pub fn to_packed(&self) -> PackedCodes {
-        if let Repr::Packed(p) = &self.repr {
-            return p.clone();
-        }
-        let mut words = Vec::with_capacity(PackedCodes::data_word_count(self.len(), self.bits) + 1);
-        self.for_each_packed_word(|w| words.push(w));
-        words.push(0);
-        PackedCodes {
-            words,
-            len: self.len(),
-            bits: self.bits,
-        }
     }
 }
 
@@ -883,6 +826,26 @@ mod tests {
         lens
     }
 
+    /// Element `i`'s code, through the range visitor.
+    fn code_at(store: &CodeStore, i: usize) -> i64 {
+        let mut code = None;
+        store.for_each(i..i + 1, |_, q| code = Some(q));
+        code.expect("i < len")
+    }
+
+    /// The canonical packed words, as the streaming packer emits them.
+    fn packed_words(store: &CodeStore) -> Vec<u64> {
+        let mut words = Vec::new();
+        store.for_each_packed_word(|w| words.push(w));
+        words
+    }
+
+    /// [`packed_by_set`] of two's-complement codes.
+    fn packed_signed(signed: &[i64], k: u32) -> PackedCodes {
+        let half = 1i64 << (k - 1);
+        packed_by_set(&signed.iter().map(|&c| c + half).collect::<Vec<_>>(), k)
+    }
+
     /// The canonical packing built one `set` at a time — the per-element
     /// path the streaming packer must agree with.
     fn packed_by_set(codes: &[i64], k: u32) -> PackedCodes {
@@ -911,7 +874,7 @@ mod tests {
                 for range in [0..n / 3, n / 3..n] {
                     store.for_each(range, |i, q| {
                         assert_eq!(i, seen.len(), "in order, k={k} n={n}");
-                        assert_eq!(q, store.get(i), "k={k} n={n} i={i}");
+                        assert_eq!(q, code_at(&store, i), "k={k} n={n} i={i}");
                         seen.push(q);
                     });
                 }
@@ -928,7 +891,7 @@ mod tests {
     fn rails_one_by_one(store: &CodeStore, range: Range<usize>) -> usize {
         let max = store.bits().num_steps() as i64;
         range
-            .filter(|&i| store.get(i) == 0 || store.get(i) == max)
+            .filter(|&i| code_at(store, i) == 0 || code_at(store, i) == max)
             .count()
     }
 
@@ -976,12 +939,13 @@ mod tests {
                     assert_eq!(visited, expect, "ascending, selected only: k={k} n={n}");
                     let mut one_by_one = CodeStore::from_codes(&codes, b(k));
                     for &i in &expect {
-                        one_by_one.set(i, f(i, one_by_one.get(i)));
+                        one_by_one.set(i, f(i, code_at(&one_by_one, i)));
                     }
                     assert_eq!(bulk, one_by_one, "k={k} n={n}");
                     assert_eq!(rails, rails_one_by_one(&bulk, 0..n), "k={k} n={n}");
                     // Equal stores, padding bits included.
-                    assert_eq!(bulk.to_packed(), packed_by_set(&bulk.to_vec(), k));
+                    let by_set = packed_by_set(&bulk.to_vec(), k);
+                    assert_eq!(packed_words(&bulk), by_set.data_words());
                 }
             }
         }
@@ -1030,15 +994,12 @@ mod tests {
                 let mut words = Vec::new();
                 store.for_each_packed_word(|w| words.push(w));
                 assert_eq!(words, reference.data_words(), "k={k} n={n}");
-                assert_eq!(store.to_packed(), reference, "k={k} n={n}");
                 let mut bytes = vec![0xAB]; // appends, does not overwrite
                 store.write_packed_le(&mut bytes);
                 let expect: Vec<u8> = std::iter::once(0xAB)
                     .chain(reference.data_words().iter().flat_map(|w| w.to_le_bytes()))
                     .collect();
                 assert_eq!(bytes, expect, "k={k} n={n}");
-                let signed: Vec<i64> = codes.iter().map(|&q| q - (1i64 << (k - 1))).collect();
-                assert_eq!(PackedCodes::from_signed(&signed, b(k)).unwrap(), reference);
             }
         }
     }
@@ -1093,7 +1054,7 @@ mod tests {
             signed[0] = -half;
             signed[1] = half - 1;
             signed[2] = 0;
-            let p = PackedCodes::from_signed(&signed, b(k)).unwrap();
+            let p = packed_signed(&signed, k);
             assert_eq!(p.to_signed_vec(), signed, "k={k}");
             assert_eq!(p.len(), 257);
             // Exactly ceil(257k/64) data words plus one padding word.
@@ -1107,9 +1068,7 @@ mod tests {
 
     #[test]
     fn packed_rejects_out_of_range_and_corrupt_words() {
-        assert!(PackedCodes::from_signed(&[4], b(3)).is_err());
-        assert!(PackedCodes::from_signed(&[-5], b(3)).is_err());
-        let p = PackedCodes::from_signed(&[1, -2, 3], b(5)).unwrap();
+        let p = packed_signed(&[1, -2, 3], 5);
         // Wrong word count.
         assert!(PackedCodes::from_data_words(vec![0, 0], 3, b(5)).is_err());
         // Nonzero padding bit beyond 15 used bits.
@@ -1133,7 +1092,7 @@ mod tests {
                     signed[n - 1] = half - 1;
                 }
                 let narrow: Vec<i32> = signed.iter().map(|&c| c as i32).collect();
-                let reference = PackedCodes::from_signed(&signed, b(k)).unwrap();
+                let reference = packed_signed(&signed, k);
                 let mut words = vec![7]; // appends, does not overwrite
                 PackedCodes::append_words(&narrow, b(k), &mut words).unwrap();
                 assert_eq!(words[0], 7);
@@ -1174,7 +1133,7 @@ mod tests {
             let half = 1i64 << (k - 1);
             let mut r = rng::seeded(100 + u64::from(k));
             let signed: Vec<i64> = (0..100).map(|_| r.gen_range(-half..half)).collect();
-            let mut p = PackedCodes::from_signed(&signed, b(k)).unwrap();
+            let mut p = packed_signed(&signed, k);
             for _ in 0..500 {
                 let i = r.gen_range(0..100usize);
                 let c = r.gen_range(-half..half);
@@ -1193,13 +1152,13 @@ mod tests {
 
     #[test]
     fn tiering_matches_bitwidth() {
-        let s = |k: u32| CodeStore::from_codes(&grid_codes(k, 16, 1), b(k));
-        assert_eq!(s(2).tier_name(), "i8");
-        assert_eq!(s(8).tier_name(), "i8");
-        assert_eq!(s(9).tier_name(), "i16");
-        assert_eq!(s(16).tier_name(), "i16");
-        assert_eq!(s(17).tier_name(), "packed");
-        assert_eq!(s(32).tier_name(), "packed");
+        let s = |k: u32| CodeStore::from_codes(&grid_codes(k, 16, 1), b(k)).repr;
+        assert!(matches!(s(2), Repr::I8(_)));
+        assert!(matches!(s(8), Repr::I8(_)));
+        assert!(matches!(s(9), Repr::I16(_)));
+        assert!(matches!(s(16), Repr::I16(_)));
+        assert!(matches!(s(17), Repr::Packed(_)));
+        assert!(matches!(s(32), Repr::Packed(_)));
     }
 
     #[test]
@@ -1210,7 +1169,7 @@ mod tests {
             let store = CodeStore::from_codes(&codes, b(k));
             assert_eq!(store.to_vec(), codes, "k={k}");
             for (i, &q) in codes.iter().enumerate() {
-                assert_eq!(store.get(i), q, "k={k} i={i}");
+                assert_eq!(code_at(&store, i), q, "k={k} i={i}");
             }
             let max = b(k).num_steps() as i64;
             let rails = codes.iter().filter(|&&q| q == 0 || q == max).count();
@@ -1218,8 +1177,8 @@ mod tests {
             let half = 1i64 << (k - 1);
             let centered: Vec<i64> = codes.iter().map(|&q| q - half).collect();
             assert_eq!(
-                store.to_packed(),
-                PackedCodes::from_signed(&centered, b(k)).unwrap(),
+                packed_words(&store),
+                packed_signed(&centered, k).data_words(),
                 "canonical packing must not depend on the tier (k={k})"
             );
         }
@@ -1231,7 +1190,7 @@ mod tests {
         // 6-bit fields 0x20, 0x3F, 0x1F laid LSB-first:
         // 0x20 | 0x3F << 6 | 0x1F << 12 = 0x1FFE0.
         let store = CodeStore::from_codes(&[0, 31, 63], b(6));
-        assert_eq!(store.to_packed().data_words(), [0x1FFE0]);
+        assert_eq!(packed_words(&store), [0x1FFE0]);
     }
 
     #[test]
@@ -1245,7 +1204,7 @@ mod tests {
                 let i = r.gen_range(0..65usize);
                 let q = r.gen_range(0..=max);
                 s.set(i, q);
-                assert_eq!(s.get(i), q, "k={k}");
+                assert_eq!(code_at(&s, i), q, "k={k}");
             }
         }
     }
@@ -1274,19 +1233,14 @@ mod tests {
         let k = 21u32; // fields straddle word boundaries
         let codes = grid_codes(k, 40, 23);
         let mut s = CodeStore::from_codes(&codes, b(k));
-        let before = s.to_packed();
+        let before = packed_words(&s);
         let elem = 3usize; // bits [63, 84): straddles words 0 and 1
         let bit = 2u32;
         s.flip_bit(elem, bit);
-        let after = s.to_packed();
+        let after = packed_words(&s);
         let pos = elem * k as usize + bit as usize;
         let mut diff_bits = 0u32;
-        for (i, (a, b_)) in before
-            .data_words()
-            .iter()
-            .zip(after.data_words())
-            .enumerate()
-        {
+        for (i, (a, b_)) in before.iter().zip(&after).enumerate() {
             let d = a ^ b_;
             diff_bits += d.count_ones();
             if d != 0 {
@@ -1335,8 +1289,7 @@ mod tests {
         assert_eq!(s.resident_bytes(), 0);
         assert_eq!(s.to_vec(), Vec::<i64>::new());
         assert_eq!(s.count_rails(63), 0);
-        assert_eq!(s.to_packed().data_words().len(), 0);
-        let p = PackedCodes::from_signed(&[], b(20)).unwrap();
-        assert_eq!(p.resident_bytes(), 8); // just the padding word
+        assert_eq!(packed_words(&s).len(), 0);
+        assert_eq!(packed_signed(&[], 20).resident_bytes(), 8); // just the padding word
     }
 }

@@ -139,11 +139,6 @@ impl AffineQuantizer {
         self.bits
     }
 
-    /// Largest representable real value (`q = 2^k − 1`).
-    pub fn range_max(&self) -> f32 {
-        self.dequantize_value(self.bits.num_steps() as i64)
-    }
-
     /// Quantises a real value to its nearest code, clamped to the grid.
     /// Saturating: values beyond the `i64` range (possible after a
     /// pathological update expanded the grid) clamp instead of overflowing.
@@ -211,7 +206,7 @@ mod tests {
         let q = AffineQuantizer::from_range(2.0, 6.0, b(4)).unwrap();
         assert!(q.dequantize_value(0) <= 0.0 + q.eps() / 2.0);
         let q = AffineQuantizer::from_range(-6.0, -2.0, b(4)).unwrap();
-        assert!(q.range_max() >= 0.0 - q.eps() / 2.0);
+        assert!(q.dequantize_value(b(4).num_steps() as i64) >= 0.0 - q.eps() / 2.0);
     }
 
     #[test]
@@ -300,9 +295,9 @@ mod tests {
             for i in 0..1000 {
                 vals.push(-2.0 + 5.0 * (i as f32 / 999.0));
             }
-            let store = q.quantize_to_store(&vals);
+            let codes = q.quantize_to_store(&vals).to_vec();
             for (i, &r) in vals.iter().enumerate() {
-                assert_eq!(store.get(i), q.quantize_value(r), "k={k} r={r}");
+                assert_eq!(codes[i], q.quantize_value(r), "k={k} r={r}");
             }
         }
     }

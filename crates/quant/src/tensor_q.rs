@@ -351,13 +351,8 @@ impl QuantizedTensor {
     }
 
     /// Number of parameters.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.store.len()
-    }
-
-    /// `true` if the tensor holds no parameters.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
     }
 
     /// Training-memory footprint of this parameter in bits: `N · k`, plus
@@ -694,11 +689,7 @@ mod tests {
 
     #[test]
     fn large_updates_apply_in_eps_multiples() {
-        let w = Tensor::from_slice(&[0.0, 0.0, 0.0, 0.0]);
-        // zero-range tensor gets MIN_SCALE eps; use a real range instead
-        let w = w
-            .zip(&Tensor::from_slice(&[-1.0, 0.0, 0.5, 1.0]), |_, b_| b_)
-            .unwrap();
+        let w = Tensor::from_slice(&[-1.0, 0.0, 0.5, 1.0]);
         let mut q = QuantizedTensor::from_tensor(&w, b(6)).unwrap();
         let eps = q.eps();
         // Positive gradients shrink weights; keep the minimum fixed so no
@@ -784,12 +775,10 @@ mod tests {
         let meta = std::mem::size_of::<AffineQuantizer>() as u64;
         let mut q = QuantizedTensor::from_tensor(&w, b(6)).unwrap();
         // One byte per 6-bit code.
-        assert_eq!(q.store().tier_name(), "i8");
         assert_eq!(q.resident_bytes(), 100 + meta);
         q.set_bits(b(13)).unwrap();
         assert_eq!(q.resident_bytes(), 200 + meta);
         q.set_bits(b(20)).unwrap();
-        assert_eq!(q.store().tier_name(), "packed");
         assert_eq!(q.resident_bytes(), (2000u64.div_ceil(64) + 1) * 8 + meta);
     }
 
@@ -867,7 +856,7 @@ mod tests {
         assert_eq!(forced, 32);
         assert!(q.saturation_ratio() >= 0.5);
         // All forced codes decode to the calibrated maximum.
-        let max = q.quantizers()[0].range_max();
+        let max = q.quantizers()[0].dequantize_value(b(6).num_steps() as i64);
         let t = q.to_tensor();
         for v in t.data().iter().step_by(2) {
             assert!((v - max).abs() <= q.eps(), "v={v} max={max}");
@@ -1003,7 +992,6 @@ mod tests {
         let t = normal(&[3, 8], 1.0, &mut seeded(2));
         let pc = QuantizedTensor::from_tensor_per_channel(&t, b(6)).unwrap();
         let meta = 3 * std::mem::size_of::<AffineQuantizer>() as u64;
-        assert_eq!(pc.store().tier_name(), "i8");
         assert_eq!(pc.resident_bytes(), 24 + meta);
     }
 
@@ -1089,10 +1077,11 @@ mod tests {
         let (mut underflowed, mut on_rails) = (0usize, 0usize);
         let mut spills: Vec<(usize, i64)> = Vec::new();
         let groups: Vec<_> = t.grid.groups(t.store.len()).collect();
+        let codes = t.store.to_vec();
         for (range, quantizer) in groups {
             let eps = f64::from(quantizer.eps());
             for i in range {
-                let q = t.store.get(i);
+                let q = codes[i];
                 let steps = mode.round_quotient(lr * f64::from(g[i]), eps, rng);
                 let mut new = q;
                 if steps == 0 {

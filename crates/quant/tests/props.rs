@@ -278,7 +278,10 @@ proptest! {
         // including negatives and both rails, and the serialised words
         // round-trip through the checkpoint-v3 validation path.
         let (bits, signed) = case;
-        let p = PackedCodes::from_signed(&signed, bits).unwrap();
+        let narrow: Vec<i32> = signed.iter().map(|&c| c as i32).collect();
+        let mut words = Vec::new();
+        PackedCodes::append_words(&narrow, bits, &mut words).unwrap();
+        let p = PackedCodes::from_data_words(words, signed.len(), bits).unwrap();
         prop_assert_eq!(p.to_signed_vec(), signed.clone());
         for (i, &c) in signed.iter().enumerate() {
             prop_assert_eq!(p.get(i), c);
@@ -296,15 +299,15 @@ proptest! {
         let (bits, codes) = case;
         let store = CodeStore::from_codes(&codes, bits);
         prop_assert_eq!(store.to_vec(), codes.clone());
-        for (i, &q) in codes.iter().enumerate() {
-            prop_assert_eq!(store.get(i), q);
-        }
         let max = bits.num_steps() as i64;
         let rails = codes.iter().filter(|&&q| q == 0 || q == max).count();
         prop_assert_eq!(store.count_rails(max), rails);
         let half = 1i64 << (bits.get() - 1);
-        let centered: Vec<i64> = codes.iter().map(|&q| q - half).collect();
-        prop_assert_eq!(store.to_packed(), PackedCodes::from_signed(&centered, bits).unwrap());
+        let centered: Vec<i32> = codes.iter().map(|&q| (q - half) as i32).collect();
+        let (mut words, mut direct) = (Vec::new(), Vec::new());
+        store.for_each_packed_word(|w| words.push(w));
+        PackedCodes::append_words(&centered, bits, &mut direct).unwrap();
+        prop_assert_eq!(words, direct);
         // The physical footprint never exceeds one i64 per code.
         prop_assert!(store.resident_bytes() <= 8 * codes.len() as u64);
     }

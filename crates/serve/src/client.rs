@@ -21,7 +21,7 @@ use crate::protocol::{
 };
 use crate::ServeError;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -169,11 +169,6 @@ impl ServeClient {
         })))
     }
 
-    /// The resolved address this client talks (and reconnects) to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Encodes the request frame into the send buffer: `op`, then whatever
     /// payload `fill` appends.
     fn compose(&mut self, op: u8, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), ServeError> {
@@ -195,20 +190,7 @@ impl ServeClient {
     /// typed [`ServeError`]s.
     fn exchange(&mut self) -> Result<(), ServeError> {
         self.stream.write_all(&self.tx)?;
-        let mut header = [0u8; 5];
-        self.stream.read_exact(&mut header)?;
-        let status = header[0];
-        let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
-        if len > protocol::MAX_FRAME {
-            return Err(ServeError::Protocol {
-                reason: format!(
-                    "incoming frame claims {len} bytes, cap is {}",
-                    protocol::MAX_FRAME
-                ),
-            });
-        }
-        self.rx.resize(len, 0);
-        self.stream.read_exact(&mut self.rx)?;
+        let status = protocol::read_frame(&mut self.stream, &mut self.rx)?;
         let text = || String::from_utf8_lossy(&self.rx).into_owned();
         match status {
             STATUS_OK => Ok(()),
@@ -428,8 +410,10 @@ mod tests {
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let mut served = 0usize;
-            while let Ok((_op, _payload)) = protocol::read_frame(&mut stream) {
-                let _ = protocol::write_frame(&mut stream, status, b"future ladder rung");
+            let mut request = Vec::new();
+            while protocol::read_frame(&mut stream, &mut request).is_ok() {
+                let answer = protocol::encode_frame(status, b"future ladder rung");
+                let _ = stream.write_all(&answer);
                 served += 1;
             }
             let _ = tx.send(served);

@@ -19,7 +19,7 @@
 //! prefix cannot make the server allocate unboundedly.
 
 use crate::ServeError;
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Run one sample through the default model; payload is `count + f32s`.
 pub const OP_INFER: u8 = 1;
@@ -75,26 +75,6 @@ pub fn status_for(err: &ServeError) -> u8 {
     }
 }
 
-/// Writes one frame.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Protocol`] for an oversized payload and I/O
-/// errors from the writer.
-pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> Result<(), ServeError> {
-    if payload.len() > MAX_FRAME {
-        return Err(ServeError::Protocol {
-            reason: format!("outgoing frame of {} bytes exceeds cap", payload.len()),
-        });
-    }
-    // One header write: on a `TCP_NODELAY` socket every `write_all` is a
-    // segment of its own.
-    w.write_all(&frame_header(tag, payload.len()))?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
-}
-
 /// The 5-byte frame header: tag, then the payload length little-endian.
 fn frame_header(tag: u8, len: usize) -> [u8; 5] {
     let l = (len as u32).to_le_bytes();
@@ -129,25 +109,26 @@ pub fn encode_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Reads one frame, enforcing [`MAX_FRAME`].
+/// Reads one frame into `payload`, resized to fit (a reused buffer stops
+/// allocating once it is large enough), enforcing [`MAX_FRAME`]. Returns
+/// the tag.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Protocol`] for an oversized length prefix and
 /// I/O errors (including clean EOF) from the reader.
-pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ServeError> {
+pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<u8, ServeError> {
     let mut header = [0u8; 5];
     r.read_exact(&mut header)?;
-    let tag = header[0];
     let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
     if len > MAX_FRAME {
         return Err(ServeError::Protocol {
             reason: format!("incoming frame claims {len} bytes, cap is {MAX_FRAME}"),
         });
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok((tag, payload))
+    payload.resize(len, 0);
+    r.read_exact(payload)?;
+    Ok(header[0])
 }
 
 /// An incremental, non-blocking frame decoder for the event-loop server.
@@ -383,9 +364,9 @@ mod tests {
 
     #[test]
     fn frame_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, OP_INFER, &[1, 2, 3]).unwrap();
-        let (tag, payload) = read_frame(&mut buf.as_slice()).unwrap();
+        let buf = encode_frame(OP_INFER, &[1, 2, 3]);
+        let mut payload = vec![9; 8];
+        let tag = read_frame(&mut buf.as_slice(), &mut payload).unwrap();
         assert_eq!(tag, OP_INFER);
         assert_eq!(payload, vec![1, 2, 3]);
     }
@@ -413,34 +394,29 @@ mod tests {
     }
 
     #[test]
-    fn oversized_frames_rejected_both_ways() {
+    fn oversized_frames_rejected() {
         let mut hdr = vec![OP_INFER];
         hdr.extend_from_slice(&(u32::MAX).to_le_bytes());
         assert!(matches!(
-            read_frame(&mut hdr.as_slice()),
+            read_frame(&mut hdr.as_slice(), &mut Vec::new()),
             Err(ServeError::Protocol { .. })
         ));
-        let huge = vec![0u8; MAX_FRAME + 1];
-        let mut sink = Vec::new();
-        assert!(write_frame(&mut sink, OP_INFER, &huge).is_err());
     }
 
     #[test]
     fn truncated_stream_is_io_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, OP_STATS, b"hello").unwrap();
+        let mut buf = encode_frame(OP_STATS, b"hello");
         buf.truncate(buf.len() - 2);
         assert!(matches!(
-            read_frame(&mut buf.as_slice()),
+            read_frame(&mut buf.as_slice(), &mut Vec::new()),
             Err(ServeError::Io(_))
         ));
     }
 
     #[test]
     fn incremental_decoder_handles_torn_reads() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, OP_INFER, &encode_f32s(&[1.0, -2.5])).unwrap();
-        write_frame(&mut wire, OP_STATS, &[]).unwrap();
+        let mut wire = encode_frame(OP_INFER, &encode_f32s(&[1.0, -2.5]));
+        wire.extend(encode_frame(OP_STATS, &[]));
 
         // Byte at a time: NeedMore until each frame completes.
         let mut d = FrameDecoder::new();

@@ -271,14 +271,6 @@ impl Server {
         self.addr
     }
 
-    /// The model fleet behind this server. Publishing or ingesting through
-    /// it while the server runs performs an atomic hot-swap: requests
-    /// resolved after the publish run the new plan, in-flight requests
-    /// finish on the old one.
-    pub fn registry(&self) -> Arc<ModelRegistry> {
-        Arc::clone(&self.registry)
-    }
-
     /// Snapshot of the serving counters.
     pub fn stats(&self) -> StatsSnapshot {
         self.registry.stats()

@@ -182,11 +182,6 @@ impl ScratchArena {
             }
         }
     }
-
-    /// Number of buffers currently parked in the free list.
-    pub fn parked(&self) -> usize {
-        self.free.lock().map(|f| f.len()).unwrap_or(0)
-    }
 }
 
 /// An immutable, `Arc`-shared frozen network and the plan compiled from
@@ -204,17 +199,14 @@ pub struct InferenceSession {
     /// Compiled frozen plan — the serving path.
     plan: Arc<FrozenPlan>,
     arena: Arc<ScratchArena>,
-    /// Shared so that cloning a session — once per served request, at the
-    /// registry's hot-swap read point — does not allocate.
-    sample_dims: Arc<[usize]>,
     sample_len: usize,
     num_outputs: usize,
 }
 
 impl InferenceSession {
-    /// Loads a `.aptc` checkpoint blob (any supported version: v1, v2, v3)
-    /// into the architecture described by `spec` and compiles it into a
-    /// [`FrozenPlan`].
+    /// Loads a `.aptc` checkpoint blob (version 3, the only one
+    /// [`checkpoint::load`] reads) into the architecture described by
+    /// `spec` and compiles it into a [`FrozenPlan`].
     ///
     /// # Errors
     ///
@@ -251,7 +243,6 @@ impl InferenceSession {
         Ok(InferenceSession {
             net: Arc::new(net),
             arena: Arc::new(ScratchArena::default()),
-            sample_dims: sample_dims.into(),
             sample_len,
             num_outputs: plan.output_len(),
             plan: Arc::new(plan),
@@ -286,11 +277,6 @@ impl InferenceSession {
     /// registry budgets must count.
     pub fn resident_bytes(&self) -> u64 {
         self.net.resident_bytes() + self.plan.resident_bytes()
-    }
-
-    /// Shape of one input sample (no batch axis).
-    pub fn sample_dims(&self) -> &[usize] {
-        &self.sample_dims
     }
 
     /// Scalar count of one input sample.
@@ -440,7 +426,6 @@ mod tests {
     #[test]
     fn session_probe_and_shapes() {
         let s = mlp_session();
-        assert_eq!(s.sample_dims(), &[6]);
         assert_eq!(s.sample_len(), 6);
         assert_eq!(s.num_outputs(), 4);
     }
@@ -478,11 +463,12 @@ mod tests {
     #[test]
     fn arena_recycles_staging() {
         let s = mlp_session();
+        let parked = || s.arena().free.lock().unwrap().len();
         let _ = s.infer_one(&[1.0; 6]).unwrap();
-        assert!(s.arena().parked() >= 1, "staging buffer should be recycled");
-        let before = s.arena().parked();
+        assert!(parked() >= 1, "staging buffer should be recycled");
+        let before = parked();
         let _ = s.infer_one(&[1.0; 6]).unwrap();
-        assert_eq!(s.arena().parked(), before, "steady state reuses buffers");
+        assert_eq!(parked(), before, "steady state reuses buffers");
     }
 
     #[test]

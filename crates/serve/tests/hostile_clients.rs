@@ -253,13 +253,14 @@ fn pipelined_requests_answered_in_order() {
         .collect();
     let mut burst = Vec::new();
     for s in &samples {
-        protocol::write_frame(&mut burst, OP_INFER, &protocol::encode_f32s(s)).unwrap();
+        burst.extend(protocol::encode_frame(OP_INFER, &protocol::encode_f32s(s)));
     }
     raw.write_all(&burst).unwrap();
 
     // Responses come back in request order, each bit-exact.
     for (i, s) in samples.iter().enumerate() {
-        let (status, body) = protocol::read_frame(&mut raw).unwrap();
+        let mut body = Vec::new();
+        let status = protocol::read_frame(&mut raw, &mut body).unwrap();
         assert_eq!(status, STATUS_OK, "pipelined request {i} failed");
         let got = protocol::decode_f32s(&body).unwrap();
         let want = local.infer_one(s).unwrap();
@@ -296,11 +297,12 @@ fn pipelining_beyond_bound_is_throttled_not_dropped() {
         .collect();
     let mut burst = Vec::new();
     for s in &samples {
-        protocol::write_frame(&mut burst, OP_INFER, &protocol::encode_f32s(s)).unwrap();
+        burst.extend(protocol::encode_frame(OP_INFER, &protocol::encode_f32s(s)));
     }
     raw.write_all(&burst).unwrap();
     for (i, s) in samples.iter().enumerate() {
-        let (status, body) = protocol::read_frame(&mut raw).unwrap();
+        let mut body = Vec::new();
+        let status = protocol::read_frame(&mut raw, &mut body).unwrap();
         assert_eq!(status, STATUS_OK, "request {i}");
         assert_eq!(
             protocol::decode_f32s(&body).unwrap(),
@@ -330,13 +332,14 @@ fn half_closed_pipeliner_past_the_bound_gets_every_answer() {
         .collect();
     let mut burst = Vec::new();
     for s in &samples {
-        protocol::write_frame(&mut burst, OP_INFER, &protocol::encode_f32s(s)).unwrap();
+        burst.extend(protocol::encode_frame(OP_INFER, &protocol::encode_f32s(s)));
     }
     raw.write_all(&burst).unwrap();
     raw.shutdown(std::net::Shutdown::Write).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     for (i, s) in samples.iter().enumerate() {
-        let (status, body) = protocol::read_frame(&mut raw)
+        let mut body = Vec::new();
+        let status = protocol::read_frame(&mut raw, &mut body)
             .unwrap_or_else(|e| panic!("answer {i} of {} never came: {e}", samples.len()));
         assert_eq!(status, STATUS_OK, "request {i}");
         assert_eq!(
@@ -402,8 +405,9 @@ fn shutdown_notice_is_typed_on_idle_connections() {
     let (mut server2, _) = start(ConnLimits::default());
     let mut raw = TcpStream::connect(server2.addr()).unwrap();
     // Ensure registration before shutdown.
-    protocol::write_frame(&mut raw, apt_serve::protocol::OP_HEALTH, &[]).unwrap();
-    let (status, _) = protocol::read_frame(&mut raw).unwrap();
+    raw.write_all(&protocol::encode_frame(apt_serve::protocol::OP_HEALTH, &[]))
+        .unwrap();
+    let status = protocol::read_frame(&mut raw, &mut Vec::new()).unwrap();
     assert_eq!(status, STATUS_OK);
     server2.shutdown();
     let bytes = read_until_eof(&mut raw, Duration::from_secs(3));
@@ -431,7 +435,7 @@ fn wakeups_for_burst(server: &Server, local: &InferenceSession, n: usize, half_c
         .collect();
     let mut burst = Vec::new();
     for s in &samples {
-        protocol::write_frame(&mut burst, OP_INFER, &protocol::encode_f32s(s)).unwrap();
+        burst.extend(protocol::encode_frame(OP_INFER, &protocol::encode_f32s(s)));
     }
     let before = server.stats().reactor_wakeups;
     raw.write_all(&burst).unwrap();
@@ -439,7 +443,8 @@ fn wakeups_for_burst(server: &Server, local: &InferenceSession, n: usize, half_c
         raw.shutdown(std::net::Shutdown::Write).unwrap();
     }
     for (i, s) in samples.iter().enumerate() {
-        let (status, body) = protocol::read_frame(&mut raw).unwrap();
+        let mut body = Vec::new();
+        let status = protocol::read_frame(&mut raw, &mut body).unwrap();
         assert_eq!(status, STATUS_OK, "request {i}");
         assert_eq!(
             protocol::decode_f32s(&body).unwrap(),

@@ -44,7 +44,7 @@ proptest! {
         for (i, &len) in payload_lens.iter().enumerate() {
             let tag = tags[i.min(tags.len() - 1)];
             let payload = vec![fill.wrapping_add(i as u8); len];
-            protocol::write_frame(&mut wire, tag, &payload).unwrap();
+            wire.extend(protocol::encode_frame(tag, &payload));
             want.push((tag, payload));
         }
 
@@ -65,7 +65,7 @@ proptest! {
         chunk in 1usize..9,
     ) {
         let mut wire = Vec::new();
-        protocol::write_frame(&mut wire, 1, &vec![0xAB; len]).unwrap();
+        wire.extend(protocol::encode_frame(1, &vec![0xAB; len]));
         let cut = cut % wire.len().max(1);
         let truncated = &wire[..cut];
 

@@ -8,12 +8,12 @@ use apt_serve::protocol::{
     STATUS_OVERLOADED,
 };
 use apt_serve::{
-    BatchPolicy, ConnLimits, InferenceSession, ModelArch, ModelSpec, ServeClient, ServeError,
-    Server, ServerConfig,
+    BatchPolicy, ConnLimits, InferenceSession, ModelArch, ModelRegistry, ModelSpec, RegistryConfig,
+    ServeClient, ServeError, Server, ServerConfig,
 };
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -52,18 +52,28 @@ fn start_limited(
     policy: BatchPolicy,
     limits: ConnLimits,
 ) -> (Server, InferenceSession) {
-    let s = session(dims);
-    let server = Server::start(
-        s.clone(),
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            policy,
-            model_name: "test-mlp".to_string(),
-            limits,
-        },
-    )
-    .unwrap();
+    let (server, s, _fleet) = start_fleet(dims, policy, limits);
     (server, s)
+}
+
+/// A server over a registry the test keeps, to publish into while it runs
+/// (what `apt serve` does on a reload).
+fn start_fleet(
+    dims: &[usize],
+    policy: BatchPolicy,
+    limits: ConnLimits,
+) -> (Server, InferenceSession, Arc<ModelRegistry>) {
+    let s = session(dims);
+    let fleet = Arc::new(ModelRegistry::new(RegistryConfig::default()));
+    fleet.publish("test-mlp", s.clone()).unwrap();
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        policy,
+        model_name: "test-mlp".to_string(),
+        limits,
+    };
+    let server = Server::start_with_registry(Arc::clone(&fleet), config).unwrap();
+    (server, s, fleet)
 }
 
 #[test]
@@ -100,7 +110,8 @@ fn infer_over_tcp_is_bit_exact() {
 #[test]
 fn inline_path_reads_the_registry_and_refuses_typed() {
     let _shared = shared();
-    let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
+    let (mut server, local, fleet) =
+        start_fleet(&[6, 10, 4], BatchPolicy::default(), ConnLimits::default());
     let mut client = ServeClient::connect(server.addr()).unwrap();
     let sample: Vec<f32> = (0..6).map(|j| j as f32 * 0.2 - 0.5).collect();
     let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -128,7 +139,7 @@ fn inline_path_reads_the_registry_and_refuses_typed() {
         InferenceSession::from_checkpoint(&spec, &checkpoint::save_full(&mut net)).unwrap();
     let want = swapped.infer_one(&sample).unwrap();
     assert_ne!(bits(&want), bits(&local.infer_one(&sample).unwrap()));
-    server.registry().publish("test-mlp", swapped).unwrap();
+    fleet.publish("test-mlp", swapped).unwrap();
     assert_eq!(bits(&client.infer(&sample).unwrap()), bits(&want));
 
     // A wrong-length sample is refused before anything runs, in band.
@@ -290,11 +301,15 @@ fn protocol_errors_answered_in_band() {
 
     // Unknown op: BadRequest status, connection survives.
     let mut raw = TcpStream::connect(server.addr()).unwrap();
-    protocol::write_frame(&mut raw, 99, &[]).unwrap();
-    let (status, _) = protocol::read_frame(&mut raw).unwrap();
+    raw.write_all(&protocol::encode_frame(99, &[])).unwrap();
+    let status = protocol::read_frame(&mut raw, &mut Vec::new()).unwrap();
     assert_eq!(status, STATUS_BAD_REQUEST);
-    protocol::write_frame(&mut raw, OP_INFER, &protocol::encode_f32s(&[0.0, 0.0, 0.0])).unwrap();
-    let (status, _) = protocol::read_frame(&mut raw).unwrap();
+    raw.write_all(&protocol::encode_frame(
+        OP_INFER,
+        &protocol::encode_f32s(&[0.0, 0.0, 0.0]),
+    ))
+    .unwrap();
+    let status = protocol::read_frame(&mut raw, &mut Vec::new()).unwrap();
     assert_eq!(status, STATUS_OK);
 
     server.shutdown();
@@ -303,7 +318,8 @@ fn protocol_errors_answered_in_band() {
 #[test]
 fn model_infer_routes_and_unknown_model_is_typed() {
     let _shared = shared();
-    let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
+    let (mut server, local, fleet) =
+        start_fleet(&[6, 10, 4], BatchPolicy::default(), ConnLimits::default());
     let mut client = ServeClient::connect(server.addr()).unwrap();
     let sample: Vec<f32> = (0..6).map(|j| j as f32 * 0.3 - 0.8).collect();
     let want = local.infer_one(&sample).unwrap();
@@ -337,7 +353,7 @@ fn model_infer_routes_and_unknown_model_is_typed() {
     // A second model published under live traffic serves its own plan.
     let other = session(&[6, 10, 4]);
     let want_b = other.infer_one(&sample).unwrap();
-    server.registry().publish("side", other).unwrap();
+    fleet.publish("side", other).unwrap();
     let got_b = client.infer_model("side", &sample).unwrap();
     assert_eq!(
         got_b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -376,12 +392,15 @@ fn shutdown_drains_and_refuses() {
 fn pipelined(raw: &mut TcpStream, frames: &[(u8, Vec<u8>)]) -> Vec<(u8, Vec<u8>)> {
     let mut burst = Vec::new();
     for (op, payload) in frames {
-        protocol::write_frame(&mut burst, *op, payload).unwrap();
+        burst.extend(protocol::encode_frame(*op, payload));
     }
     raw.write_all(&burst).unwrap();
     frames
         .iter()
-        .map(|_| protocol::read_frame(raw).unwrap())
+        .map(|_| {
+            let mut body = Vec::new();
+            (protocol::read_frame(raw, &mut body).unwrap(), body)
+        })
         .collect()
 }
 
@@ -501,7 +520,8 @@ fn a_tick_over_max_batch_runs_on_the_reactor() {
 #[test]
 fn a_tick_that_mixes_plans_runs_on_the_reactor() {
     let _shared = shared();
-    let (mut server, local) = start_server(&[6, 10, 4], BatchPolicy::default());
+    let (mut server, local, fleet) =
+        start_fleet(&[6, 10, 4], BatchPolicy::default(), ConnLimits::default());
     let mut net = apt_nn::models::mlp(
         "mlp",
         &[6, 10, 4],
@@ -516,7 +536,7 @@ fn a_tick_that_mixes_plans_runs_on_the_reactor() {
         width_mult: 1.0,
     };
     let side = InferenceSession::from_checkpoint(&spec, &checkpoint::save_full(&mut net)).unwrap();
-    server.registry().publish("side", side.clone()).unwrap();
+    fleet.publish("side", side.clone()).unwrap();
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     let sample: Vec<f32> = (0..6).map(|j| j as f32 * 0.3 - 0.7).collect();
     let (want_main, want_side) = (

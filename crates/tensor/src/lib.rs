@@ -29,7 +29,7 @@
 //! use apt_tensor::{Tensor, ops};
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-//! let b = Tensor::eye(2);
+//! let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
 //! let c = ops::matmul(&a, &b).unwrap();
 //! assert_eq!(c.data(), a.data());
 //! ```

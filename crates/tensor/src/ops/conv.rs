@@ -497,7 +497,7 @@ mod tests {
 
     /// Direct (non-im2col) reference convolution.
     fn naive_conv(input: &Tensor, weight: &Tensor, p: &Conv2dParams) -> Tensor {
-        let (n, _c_in, h, w) = (
+        let (n, c_in, h, w) = (
             input.dims()[0],
             input.dims()[1],
             input.dims()[2],
@@ -528,13 +528,13 @@ mod tests {
                                     if ii < 0 || jj < 0 || ii as usize >= h || jj as usize >= w {
                                         continue;
                                     }
-                                    acc +=
-                                        input.at(&[img, c_abs, ii as usize, jj as usize]).unwrap()
-                                            * weight.at(&[co, ci, ki, kj]).unwrap();
+                                    let (ii, jj) = (ii as usize, jj as usize);
+                                    acc += input.data()[((img * c_in + c_abs) * h + ii) * w + jj]
+                                        * weight.data()[((co * c_in_g + ci) * kh + ki) * kw + kj];
                                 }
                             }
                         }
-                        out.set(&[img, co, oi, oj], acc).unwrap();
+                        out.data_mut()[((img * c_out + co) * oh + oi) * ow + oj] = acc;
                     }
                 }
             }

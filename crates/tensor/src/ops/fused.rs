@@ -51,15 +51,6 @@ impl Epilogue {
             }
         }
     }
-
-    /// Short display name for plan reports (`"-"`, `"relu"`, `"relu6"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Epilogue::None => "-",
-            Epilogue::Relu => "relu",
-            Epilogue::Relu6 => "relu6",
-        }
-    }
 }
 
 /// Fused fully-connected forward: `out = act(x·Wᵀ + b)` on flat slices.

@@ -260,11 +260,6 @@ pub fn current_pool() -> Arc<ThreadPool> {
         .clone()
 }
 
-/// Thread count kernels on this thread will currently use.
-pub fn current_threads() -> usize {
-    current_pool().threads()
-}
-
 /// Run `f` with `pool` installed as this thread's pool (scoped, nestable,
 /// panic-safe). Used by determinism tests to compare thread counts.
 pub fn with_pool<R>(pool: Arc<ThreadPool>, f: impl FnOnce() -> R) -> R {

@@ -72,15 +72,6 @@ impl Tensor {
         }
     }
 
-    /// Identity matrix of size `n × n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Builds a tensor from a data buffer and a shape.
     ///
     /// # Errors
@@ -171,26 +162,6 @@ impl Tensor {
         Ok(&self.data[i * stride..(i + 1) * stride])
     }
 
-    /// Element access by multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index errors from [`Shape::flat_index`].
-    pub fn at(&self, idx: &[usize]) -> crate::Result<f32> {
-        Ok(self.data[self.shape.flat_index(idx)?])
-    }
-
-    /// Sets the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index errors from [`Shape::flat_index`].
-    pub fn set(&mut self, idx: &[usize], value: f32) -> crate::Result<()> {
-        let flat = self.shape.flat_index(idx)?;
-        self.data[flat] = value;
-        Ok(())
-    }
-
     /// Returns a tensor with the same data reinterpreted under a new shape.
     ///
     /// # Errors
@@ -225,49 +196,10 @@ impl Tensor {
         }
     }
 
-    /// Combines two same-shaped tensors element-wise with `f`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> crate::Result<Tensor> {
-        if !self.shape.same_as(&other.shape) {
-            return Err(TensorError::ShapeMismatch {
-                op: "zip",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Ok(Tensor {
-            data,
-            shape: self.shape.clone(),
-        })
-    }
-
     /// Fills the tensor with `value`.
     pub fn fill(&mut self, value: f32) {
         for x in &mut self.data {
             *x = value;
-        }
-    }
-
-    /// Sum of all elements (f64 accumulator for stability).
-    pub fn sum(&self) -> f32 {
-        self.data.iter().map(|&x| x as f64).sum::<f64>() as f32
-    }
-
-    /// Mean of all elements; 0.0 for empty tensors.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
         }
     }
 
@@ -287,11 +219,6 @@ impl Tensor {
             .map(|&x| (x as f64) * (x as f64))
             .sum::<f64>()
             .sqrt() as f32
-    }
-
-    /// Maximum absolute element; 0.0 for empty tensors.
-    pub fn abs_max(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 }
 
@@ -338,14 +265,10 @@ mod tests {
 
     #[test]
     fn constructors() {
-        assert_eq!(Tensor::zeros(&[2, 2]).sum(), 0.0);
-        assert_eq!(Tensor::ones(&[3]).sum(), 3.0);
-        assert_eq!(Tensor::full(&[2], 2.5).sum(), 5.0);
+        assert_eq!(Tensor::zeros(&[2, 2]).data(), &[0.0; 4]);
+        assert_eq!(Tensor::ones(&[3]).data(), &[1.0; 3]);
+        assert_eq!(Tensor::full(&[2], 2.5).data(), &[2.5; 2]);
         assert_eq!(Tensor::scalar(7.0).data(), &[7.0]);
-        let e = Tensor::eye(3);
-        assert_eq!(e.sum(), 3.0);
-        assert_eq!(e.at(&[1, 1]).unwrap(), 1.0);
-        assert_eq!(e.at(&[0, 1]).unwrap(), 0.0);
     }
 
     #[test]
@@ -363,21 +286,15 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip() {
+    fn map_applies_per_element() {
         let a = Tensor::from_slice(&[1.0, -2.0, 3.0]);
         let b = a.map(f32::abs);
         assert_eq!(b.data(), &[1.0, 2.0, 3.0]);
-        let c = a.zip(&b, |x, y| x + y).unwrap();
-        assert_eq!(c.data(), &[2.0, 0.0, 6.0]);
-        let bad = Tensor::zeros(&[2]);
-        assert!(a.zip(&bad, |x, _| x).is_err());
     }
 
     #[test]
-    fn statistics() {
+    fn l2_norm() {
         let t = Tensor::from_slice(&[-1.0, 0.0, 3.0]);
-        assert!((t.mean() - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(t.abs_max(), 3.0);
         assert!((t.l2_norm() - 10.0f32.sqrt()).abs() < 1e-6);
     }
 
@@ -437,14 +354,6 @@ mod tests {
             assert_eq!(kept, other);
             assert_eq!(kept.dims(), dims);
         }
-    }
-
-    #[test]
-    fn set_and_at() {
-        let mut t = Tensor::zeros(&[2, 2]);
-        t.set(&[1, 0], 5.0).unwrap();
-        assert_eq!(t.at(&[1, 0]).unwrap(), 5.0);
-        assert!(t.set(&[2, 0], 1.0).is_err());
     }
 
     #[test]

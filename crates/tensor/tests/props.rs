@@ -2,7 +2,7 @@
 
 use apt_tensor::ops::conv::{conv2d, Conv2dParams};
 use apt_tensor::ops::{self, pad};
-use apt_tensor::{rng, Shape, Tensor};
+use apt_tensor::{rng, Tensor};
 use proptest::prelude::*;
 
 fn tensor_strategy(max_len: usize) -> impl Strategy<Value = Tensor> {
@@ -11,15 +11,6 @@ fn tensor_strategy(max_len: usize) -> impl Strategy<Value = Tensor> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn flat_multi_index_roundtrip(dims in prop::collection::vec(1usize..6, 1..4)) {
-        let s = Shape::new(&dims);
-        for flat in 0..s.volume() {
-            let multi = s.multi_index(flat).unwrap();
-            prop_assert_eq!(s.flat_index(&multi).unwrap(), flat);
-        }
-    }
 
     #[test]
     fn add_is_commutative_and_sub_inverts(v in tensor_strategy(64)) {
@@ -118,7 +109,8 @@ proptest! {
         let mut r = rng::seeded(seed);
         let img = rng::normal(&[1, 3, 3], 1.0, &mut r);
         let padded = pad::pad_chw(&img, p).unwrap();
-        prop_assert!((padded.sum() - img.sum()).abs() < 1e-4);
+        let sum = |t: &Tensor| t.data().iter().sum::<f32>();
+        prop_assert!((sum(&padded) - sum(&img)).abs() < 1e-4);
     }
 
     #[test]

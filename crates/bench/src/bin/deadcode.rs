@@ -33,10 +33,6 @@ const ITEM_KEYWORDS: [&str; 9] = [
     "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "use",
 ];
 
-/// A location this close to a rewritten line (in lines) is that line's
-/// "defined here" note.
-const NOTE_REACH: usize = 3;
-
 fn main() -> ExitCode {
     match run() {
         Ok(dead) => {
@@ -244,21 +240,12 @@ impl Source {
         true
     }
 
-    /// The rewritten line a location at 1-based `line` belongs to: the
-    /// `use` statement it falls in, else the nearest rewritten line at or
-    /// after it, else before it, within [`NOTE_REACH`] lines. Restored
-    /// lines still own their locations, so a second error at one restores
-    /// nothing next to it.
+    /// The rewritten line a location at 1-based `line` belongs to: that
+    /// line itself, or the `use` statement it falls in.
     fn owner(&self, line: usize) -> Option<usize> {
         let at = line.checked_sub(1)?;
-        if let Some(&start) = self.rewritten.range(..=at).next_back() {
-            if self.is_use(start) && self.statement_end(start) >= at {
-                return Some(start);
-            }
-        }
-        let after = at..=at + NOTE_REACH;
-        let before = (at.saturating_sub(NOTE_REACH)..at).rev();
-        after.chain(before).find(|i| self.rewritten.contains(i))
+        let &start = self.rewritten.range(..=at).next_back()?;
+        (start == at || self.is_use(start) && self.statement_end(start) >= at).then_some(start)
     }
 
     fn is_use(&self, i: usize) -> bool {
@@ -603,6 +590,10 @@ error: could not compile `apt-core` (lib) due to 2 previous errors
 ";
         assert_eq!(krate.restore(out), 1);
         assert_eq!(restored(&krate), [("ema.rs", 10)]);
+        // A location off every rewritten line and outside every `use`
+        // restores nothing, not the item nearest to it.
+        let near = out.replace("ema.rs:10:5", "ema.rs:9:5");
+        assert_eq!(metrics().restore(&near), 0);
     }
 
     #[test]

@@ -94,10 +94,9 @@ pub trait FaultSurface {
     /// does not exist or has no such surface (e.g. no momentum buffer yet).
     fn flip_bit(&mut self, kind: SurfaceKind, name: &str, elem: usize, bit: u32) -> bool;
 
-    /// Pins roughly `fraction` of `name`'s quantised codes to the low or
-    /// high rail, returning how many codes were forced (0 for fp32
-    /// stores).
-    fn saturate(&mut self, name: &str, fraction: f64, high: bool) -> usize;
+    /// Pins roughly 90% of `name`'s quantised codes to the high rail,
+    /// returning how many codes were forced (0 for fp32 stores).
+    fn saturate(&mut self, name: &str) -> usize;
 }
 
 /// Observer/injector consulted before every training step.
@@ -380,8 +379,7 @@ pub struct Saturator {
 }
 
 impl Saturator {
-    /// Saturates the first weight of at least 8 codes (90% of them to the
-    /// high rail) at `at_step`.
+    /// Saturates the first weight of at least 8 codes at `at_step`.
     pub fn at(at_step: u64) -> Self {
         Saturator {
             at: at_step,
@@ -412,7 +410,7 @@ impl StepHook for Saturator {
             .find(|(_, len)| *len >= 8)
             .map(|(n, _)| n);
         if let Some(name) = name {
-            self.forced = surface.saturate(&name, 0.9, true);
+            self.forced = surface.saturate(&name);
         }
     }
 }
@@ -492,7 +490,7 @@ mod tests {
     #[derive(Default)]
     struct MockSurface {
         flips: Vec<(SurfaceKind, String, usize, u32)>,
-        saturated: Vec<(String, f64, bool)>,
+        saturated: Vec<String>,
     }
 
     impl FaultSurface for MockSurface {
@@ -509,8 +507,8 @@ mod tests {
             true
         }
 
-        fn saturate(&mut self, name: &str, fraction: f64, high: bool) -> usize {
-            self.saturated.push((name.to_string(), fraction, high));
+        fn saturate(&mut self, name: &str) -> usize {
+            self.saturated.push(name.to_string());
             7
         }
     }
@@ -579,7 +577,55 @@ mod tests {
         hook.inject(&info, &mut surface);
         hook.inject(&info, &mut surface);
         assert_eq!(hook.forced(), 7);
-        assert_eq!(surface.saturated, vec![("w0".to_string(), 0.9, true)]);
+        assert_eq!(surface.saturated, vec!["w0".to_string()]);
+    }
+
+    #[test]
+    fn batch_corruptor_writes_one_payload_per_fired_batch() {
+        let info = StepInfo {
+            epoch: 0,
+            iter: 0,
+            global_step: 0,
+        };
+        // Batches hold the pixels 1..=4 and the label 0: anything else is
+        // a payload. `kinds` counts pixel and label payloads.
+        let mut hook = BatchCorruptor::with_rate(1.0, 5);
+        let mut kinds = [0; 2];
+        for n in 1..=32 {
+            let mut b = batch();
+            assert_eq!(hook.before_step(&info, &mut b), StepAction::Continue);
+            assert_eq!(hook.injected(), n);
+            let data = b.images.data();
+            let bad: Vec<f32> = data
+                .iter()
+                .copied()
+                .filter(|v| !(1.0..=4.0).contains(v))
+                .collect();
+            let label = usize::from(b.labels == [usize::MAX]);
+            assert_eq!(
+                bad.len() + label,
+                1,
+                "one payload per batch: {data:?} {:?}",
+                b.labels
+            );
+            assert!(bad.iter().all(|v| !v.is_finite() || *v == 1e9), "{bad:?}");
+            kinds[label] += 1;
+        }
+        assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
+
+        let mut hook = BatchCorruptor::with_rate(0.5, 5);
+        for _ in 0..32 {
+            hook.before_step(&info, &mut batch());
+        }
+        assert!((4..=28).contains(&hook.injected()), "{}", hook.injected());
+
+        let mut hook = BatchCorruptor::with_rate(0.0, 5);
+        let mut b = batch();
+        for _ in 0..8 {
+            hook.before_step(&info, &mut b);
+        }
+        assert_eq!(b.images.data(), batch().images.data());
+        assert_eq!((b.labels, hook.injected()), (vec![0], 0));
     }
 
     #[test]

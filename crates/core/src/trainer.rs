@@ -332,11 +332,11 @@ impl FaultSurface for TrainerSurface<'_> {
         done
     }
 
-    fn saturate(&mut self, name: &str, fraction: f64, high: bool) -> usize {
+    fn saturate(&mut self, name: &str) -> usize {
         let mut forced = 0;
         self.net.visit_params(&mut |p| {
             if p.name() == name {
-                forced += p.saturate_codes(fraction, high);
+                forced += p.saturate_codes(0.9, true);
             }
         });
         forced

@@ -128,6 +128,7 @@ fn inverted_residual(
 mod tests {
     use super::*;
     use crate::layers::assert_input_gradient;
+    use crate::network::tests::weight_names;
     use crate::Mode;
     use apt_tensor::rng::{normal, seeded};
     use apt_tensor::Tensor;
@@ -197,8 +198,7 @@ mod tests {
     #[test]
     fn has_depthwise_stages() {
         let net = mobilenet_v2(10, 0.25, &QuantScheme::paper_apt(), &mut seeded(2)).unwrap();
-        let mut names = Vec::new();
-        net.visit_params_ref(&mut |p| names.push(p.name().to_string()));
+        let names = weight_names(&net);
         assert!(names.iter().any(|n| n.contains("dw.conv")));
         assert!(names.iter().any(|n| n.contains("expand.conv")));
         assert!(names.iter().any(|n| n.contains("project.conv")));

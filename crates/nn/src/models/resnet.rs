@@ -150,18 +150,8 @@ pub fn resnet110(
 mod tests {
     use super::*;
     use crate::layers::assert_input_gradient;
+    use crate::network::tests::weight_names;
     use crate::{Layer, Mode, ParamKind};
-
-    /// Names of the weight parameters, in network order.
-    fn weight_names(net: &Network) -> Vec<String> {
-        let mut names = Vec::new();
-        net.visit_params_ref(&mut |p| {
-            if p.kind() == ParamKind::Weight {
-                names.push(p.name().to_string());
-            }
-        });
-        names
-    }
     use apt_tensor::rng::{normal, seeded};
     use apt_tensor::Tensor;
 

@@ -176,11 +176,22 @@ impl std::fmt::Debug for Network {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::layers::{Flatten, Linear, Relu};
     use crate::{ParamKind, ParamPrecision, QuantScheme};
     use apt_tensor::rng::{normal, seeded};
+
+    /// Names of the weight parameters, in network order.
+    pub(crate) fn weight_names(net: &Network) -> Vec<String> {
+        let mut names = Vec::new();
+        net.visit_params_ref(&mut |p| {
+            if p.kind() == ParamKind::Weight {
+                names.push(p.name().to_string());
+            }
+        });
+        names
+    }
 
     fn tiny_net() -> Network {
         let mut rng = seeded(0);
@@ -329,13 +340,7 @@ mod tests {
         assert_eq!(net.num_params(), 67);
         assert_eq!(net.memory_bits(), 67 * 32);
         assert_eq!(net.resident_bytes(), 67 * 4, "all-fp32 net: 4 bytes/param");
-        let mut weights = Vec::new();
-        net.visit_params_ref(&mut |p| {
-            if p.kind() == ParamKind::Weight {
-                weights.push(p.name().to_string());
-            }
-        });
-        assert_eq!(weights, ["fc1.weight", "fc2.weight"]);
+        assert_eq!(weight_names(&net), ["fc1.weight", "fc2.weight"]);
         assert_eq!(net.name(), "tiny");
     }
 

@@ -221,14 +221,6 @@ mod tests {
     use apt_tensor::rng::{normal, seeded};
     use apt_tensor::{ops, Tensor};
 
-    /// The quantisation step of a quantised parameter's store.
-    fn eps(p: &Param) -> Option<f32> {
-        match p.store() {
-            ParamStore::Quantized(q) => Some(q.eps()),
-            _ => None,
-        }
-    }
-
     /// The multi-pass step [`Param::sgd_step`] replaced, kept as the
     /// reference the fused one must match bit for bit: clone the gradient,
     /// clip it, `axpy` a materialised fp32 view of the weights into it,
@@ -284,7 +276,10 @@ mod tests {
     /// exact zeros, sub-ε values of both signs, values of a few ε, and a
     /// handful large enough to leave the grid (range expansion).
     fn mixed_grad(p: &Param, seed: u64) -> Tensor {
-        let eps = eps(p).unwrap_or(0.02);
+        let eps = match p.store() {
+            ParamStore::Quantized(q) => q.eps(),
+            _ => 0.02,
+        };
         let mut g = normal(p.dims(), eps * 12.0, &mut seeded(seed));
         for (i, x) in g.data_mut().iter_mut().enumerate() {
             match i % 7 {
@@ -623,8 +618,10 @@ mod tests {
                 net.zero_grads();
                 net.visit_params(&mut |p| {
                     if p.kind() == ParamKind::Weight {
-                        let eps = eps(p).unwrap();
-                        let g = Tensor::full(p.dims(), eps * 0.5);
+                        let ParamStore::Quantized(q) = p.store() else {
+                            unreachable!("every weight is quantised")
+                        };
+                        let g = Tensor::full(p.dims(), q.eps() * 0.5);
                         p.accumulate_grad(&g).unwrap();
                     }
                 });

@@ -6,7 +6,9 @@
 //!
 //! For each crate `C` under `crates/`, in a scratch copy of the tree:
 //!
-//! 1. every line-leading `pub` before an item keyword in `C/src` becomes
+//! 1. each grouped `pub use a::{X, Y};` in `C/src` is split into one
+//!    `pub use` per name, so that reaching `X` does not keep `Y` public;
+//!    then every line-leading `pub` before an item keyword becomes
 //!    `pub(crate)` (fields keep theirs);
 //! 2. every program is checked: the workspace's libs, bins and examples,
 //!    then the `benchmark/` package;
@@ -207,7 +209,7 @@ struct Source {
 
 impl Source {
     fn privatised(path: &str, text: &str) -> Source {
-        let mut lines: Vec<String> = text.split_inclusive('\n').map(str::to_owned).collect();
+        let mut lines = split_grouped_uses(text);
         let mut rewritten = BTreeSet::new();
         for (i, line) in lines.iter_mut().enumerate() {
             let body = line.trim_start();
@@ -278,6 +280,43 @@ impl Source {
             })
             .collect()
     }
+}
+
+/// `text`'s lines, each with its line ending, with every grouped
+/// `pub use a::{X, Y};` made one `pub use a::X;` line per name. A group
+/// that nests braces, or follows an attribute that would then cover only
+/// its first name, stays as written.
+fn split_grouped_uses(text: &str) -> Vec<String> {
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    let mut out = Vec::with_capacity(lines.len());
+    let mut i = 0;
+    while i < lines.len() {
+        let body = lines[i].trim_start();
+        let after_attribute = i > 0 && lines[i - 1].trim_start().starts_with("#[");
+        if body.starts_with("pub use ") && !after_attribute {
+            let indent = &lines[i][..lines[i].len() - body.len()];
+            let end = (i..lines.len())
+                .find(|&j| lines[j].contains(';'))
+                .unwrap_or(i);
+            let statement = lines[i..=end].concat();
+            let group = statement
+                .trim()
+                .strip_prefix("pub use ")
+                .and_then(|s| s.strip_suffix("};"))
+                .and_then(|s| s.split_once('{'))
+                .filter(|(_, names)| !names.contains('{'));
+            if let Some((prefix, names)) = group {
+                for name in names.split(',').map(str::trim).filter(|n| !n.is_empty()) {
+                    out.push(format!("{indent}pub use {prefix}{name};\n"));
+                }
+                i = end + 1;
+                continue;
+            }
+        }
+        out.push(lines[i].to_owned());
+        i += 1;
+    }
+    out
 }
 
 /// The identifiers and keywords in `text`.
@@ -525,7 +564,7 @@ impl Ema {
         let krate = metrics();
         let lib: Vec<usize> = krate.files[0].rewritten.iter().map(|i| i + 1).collect();
         let ema: Vec<usize> = krate.files[1].rewritten.iter().map(|i| i + 1).collect();
-        assert_eq!(lib, [1, 2, 5]);
+        assert_eq!(lib, [1, 2, 3, 4], "the grouped use is one line per name");
         assert_eq!(ema, [1, 6, 10], "the field and the pub(crate) fn stay");
         assert_eq!(
             krate.files[1].lines[5],
@@ -545,9 +584,9 @@ impl Ema {
    |                  ^^^^^^^^ private function
    |
 note: the function `accuracy` is defined here
-  --> crates/metrics/src/lib.rs:5:1
+  --> crates/metrics/src/lib.rs:4:1
    |
-5  | pub(crate) fn accuracy(p: &[usize]) -> f64 {
+4  | pub(crate) fn accuracy(p: &[usize]) -> f64 {
    | ^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^
 
 error[E0603]: struct `Ema` is private
@@ -556,18 +595,16 @@ error[E0603]: struct `Ema` is private
 12 | use apt_metrics::Ema;
    |                  ^^^ private struct
    |
-note: the struct `Ema` is defined here
-  --> crates/metrics/src/lib.rs:3:5
+note: the struct import `Ema` is defined here...
+  --> crates/metrics/src/lib.rs:2:21
    |
-3  |     Ema, Window,
-   |     ^^^
+2  | pub(crate) use ema::Ema;
+   |                     ^^^
 
 error: could not compile `apt-core` (lib) due to 2 previous errors
 ";
         assert_eq!(krate.restore(out), 2);
-        // The note inside the `use` restores the statement, not the `fn`
-        // two lines below it.
-        assert_eq!(restored(&krate), [("lib.rs", 2), ("lib.rs", 5)]);
+        assert_eq!(restored(&krate), [("lib.rs", 2), ("lib.rs", 4)]);
         assert_eq!(krate.changed().len(), 1, "lib.rs");
         // The same errors again restore nothing next to them.
         assert_eq!(krate.restore(out), 0);
@@ -603,20 +640,73 @@ error: could not compile `apt-core` (lib) due to 2 previous errors
             "error[E0365]: `ema` is only public within the crate, and cannot be re-exported outside
  --> crates/metrics/src/lib.rs:2:9
   |
-2 | pub use ema::{
+2 | pub use ema::Ema;
   |         ^^^ re-export of crate public `ema`
 ";
-        assert_eq!(krate.restore(out), 2, "the module and the use naming it");
-        assert_eq!(restored(&krate), [("lib.rs", 1), ("lib.rs", 2)]);
+        assert_eq!(krate.restore(out), 3, "the module and each use naming it");
+        assert_eq!(
+            restored(&krate),
+            [("lib.rs", 1), ("lib.rs", 2), ("lib.rs", 3)]
+        );
         let out = "error[E0364]: `Ema` is private, and cannot be re-exported
- --> crates/metrics/src/lib.rs:3:5
+ --> crates/metrics/src/lib.rs:2:14
   |
-3 |     Ema, Window,
-  |     ^^^
+2 | pub use ema::Ema;
+  |              ^^^
 ";
         assert_eq!(krate.restore(out), 1, "the struct; its use reads pub");
-        let want = [("lib.rs", 1), ("lib.rs", 2), ("ema.rs", 1)];
+        let want = [("lib.rs", 1), ("lib.rs", 2), ("lib.rs", 3), ("ema.rs", 1)];
         assert_eq!(restored(&krate), want);
+    }
+
+    #[test]
+    fn a_grouped_use_keeps_the_name_no_other_crate_reaches_private() {
+        let mut krate = metrics();
+        let out = "error[E0603]: struct `Ema` is private
+  --> crates/core/src/gavg.rs:12:18
+   |
+12 | use apt_metrics::Ema;
+   |                  ^^^ private struct
+   |
+note: the struct import `Ema` is defined here...
+  --> crates/metrics/src/lib.rs:2:21
+   |
+2  | pub(crate) use ema::Ema;
+   |                     ^^^
+note: ...and refers to the struct `Ema` which is defined here
+  --> crates/metrics/src/ema.rs:1:1
+   |
+1  | pub(crate) struct Ema {
+   | ^^^^^^^^^^^^^^^^^^^^^
+";
+        assert_eq!(krate.restore(out), 2);
+        let lib = krate.files[0].lines.concat();
+        assert!(lib.contains("\npub use ema::Ema;\n"), "{lib}");
+        assert!(lib.contains("\npub(crate) use ema::Window;\n"), "{lib}");
+    }
+
+    #[test]
+    fn groups_split_per_name_unless_nested_or_under_an_attribute() {
+        let text = "pub use a::{X, Y as Z};
+    pub use b::{
+        P,
+    };
+#[cfg(test)]
+pub use c::{Q, R};
+pub use d::{e::{S, T}, U};
+pub use f::V;
+";
+        assert_eq!(
+            split_grouped_uses(text).concat(),
+            "pub use a::X;
+pub use a::Y as Z;
+    pub use b::P;
+#[cfg(test)]
+pub use c::{Q, R};
+pub use d::{e::{S, T}, U};
+pub use f::V;
+"
+        );
     }
 
     #[test]

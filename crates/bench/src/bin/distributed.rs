@@ -1,12 +1,11 @@
-//! distributed — scaling / bandwidth / recovery campaign for the
+//! distributed — bandwidth / determinism / recovery campaign for the
 //! data-parallel trainer with k-bit gradient exchange.
 //!
 //! Sweeps world size × gradient bitwidth on the synthetic-CIFAR MLP
 //! workload, running every cell twice to check bit-reproducibility, then
 //! runs a PowerCut recovery campaign (kill a rank mid-run, measure the
 //! fleet-rollback cost and verify the recovered run is bit-identical to
-//! the uninterrupted one) and a rank-scaling measurement on a larger
-//! replica. Outputs `results/distributed{,_recovery}.csv` +
+//! the uninterrupted one). Outputs `results/distributed{,_recovery}.csv` +
 //! `BENCH_distributed.json`; a `--smoke` run writes its two cells to
 //! `results/distributed*_smoke.*` and leaves the record alone.
 //!
@@ -25,22 +24,20 @@
 //!    replicas agree on all replicated state;
 //! 4. recovery: a rank power-cut mid-run rolls back once and finishes
 //!    bit-identical to the uninterrupted fleet;
-//! 5. rank scaling: with ≥ 4 cores, 4 workers beat 1 worker ≥ 1.5× on the
-//!    compute-bound replica (auto-relaxed to a loud SKIP on smaller hosts —
-//!    gates 1–4 are the primary, core-count-independent contract);
-//! 6. the exchange stays O(frames): the allocation calls a step makes
+//! 5. the exchange stays O(frames): the allocation calls a step makes
 //!    because it exchanges — a two-rank step less what its ranks allocate
 //!    training alone — hold a bound set from the streaming reducer's count.
 
 use apt_bench::{
-    arg_value, json_doc, row, schema, smoke_flag, table, write_output, CountingAlloc, Gates,
+    available_parallelism, json_doc, row, schema, smoke_flag, table, write_output, CountingAlloc,
+    Gates,
 };
 use apt_core::{CheckpointConfig, PolicyConfig, TrainConfig, Trainer};
 use apt_data::{Dataset, SynthCifar, SynthCifarConfig};
 use apt_dist::{DistConfig, DistFault, DistReport, DistTrainer};
 use apt_nn::{models, Network, QuantScheme};
 use apt_quant::Bitwidth;
-use apt_tensor::{par, rng};
+use apt_tensor::rng;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -69,18 +66,6 @@ fn replica() -> apt_core::Result<Network> {
 fn replica_in(scheme: &QuantScheme) -> apt_core::Result<Network> {
     models::mlp("dist-mlp", &[108, 24, 2], scheme, &mut rng::seeded(7))
         .map_err(apt_core::CoreError::from)
-}
-
-/// The scaling replica: wide enough that per-step compute dominates the
-/// exchange, so rank speedup is measurable.
-fn wide_replica() -> apt_core::Result<Network> {
-    models::mlp(
-        "dist-wide",
-        &[108, 512, 256, 2],
-        &QuantScheme::paper_apt(),
-        &mut rng::seeded(7),
-    )
-    .map_err(apt_core::CoreError::from)
 }
 
 fn base_cfg(ckpt_root: Option<&Path>) -> TrainConfig {
@@ -208,33 +193,8 @@ fn recovery_campaign(data: &SynthCifar, at_steps: &[u64]) -> Vec<RecoveryCell> {
     cells
 }
 
-/// Wall-clock of the wide replica at `world` ranks (inner-op threading
-/// pinned to 1, so worker ranks are the only parallelism).
-fn scaling_wall_ms(world: usize, data: &SynthCifar) -> f64 {
-    let cfg = DistConfig {
-        train: TrainConfig {
-            epochs: 2,
-            ..base_cfg(None)
-        },
-        max_recovery_rounds: 0,
-        ..dist_cfg(world, 4, None)
-    };
-    let t = Instant::now();
-    DistTrainer::new(cfg, wide_replica)
-        .expect("trainer")
-        .train(&data.train, &data.test)
-        .expect("scaling run");
-    t.elapsed().as_secs_f64() * 1e3
-}
-
-/// Rank scaling on the wide replica, `(1-worker, 4-worker)` wall ms —
-/// measured only where there are cores for four ranks to run on.
-fn rank_scaling(data: &SynthCifar) -> Option<(f64, f64)> {
-    (par::default_threads() >= 4).then(|| (scaling_wall_ms(1, data), scaling_wall_ms(4, data)))
-}
-
 /// Allocation calls per step that exist only because the step exchanges
-/// (gate 6). A fleet's per-step count is the difference between a run of
+/// (gate 5). A fleet's per-step count is the difference between a run of
 /// `2 · EPOCHS` and one of `EPOCHS`, so what a call pays once — replicas,
 /// threads, the fabric, reports — cancels; taking each rank's figure when
 /// it trains alone on its own shard, so the per-rank batch is the same, off
@@ -263,12 +223,7 @@ fn exchange_allocs_per_step(data: &SynthCifar) -> f64 {
 
 /// Prints both tables and writes `results/distributed.csv`,
 /// `results/distributed_recovery.csv` and `BENCH_distributed.json`.
-fn write_outputs(
-    smoke: bool,
-    cells: &[Cell],
-    recovery: &[RecoveryCell],
-    scaling: Option<(f64, f64)>,
-) {
+fn write_outputs(smoke: bool, cells: &[Cell], recovery: &[RecoveryCell]) {
     let mut sweep = table(schema::DISTRIBUTED);
     for c in cells {
         sweep.push_row(row![
@@ -300,24 +255,12 @@ fn write_outputs(
     write_output(smoke, "results/distributed.csv", &sweep.to_csv());
     write_output(smoke, "results/distributed_recovery.csv", &kills.to_csv());
 
-    let scaling_json = scaling.map_or("null".to_string(), |(w1, w4)| {
-        let mut t = table("world1_wall_ms,world4_wall_ms,speedup");
-        t.push_row(row![
-            format!("{w1:.1}"),
-            format!("{w4:.1}"),
-            format!("{:.2}", w1 / w4.max(1e-9))
-        ]);
-        t.to_json_rows().trim_start().to_string()
-    });
-    let head = [
-        ("available_parallelism", par::default_threads().to_string()),
-        ("scaling", scaling_json),
-    ];
+    let head = [("available_parallelism", available_parallelism().to_string())];
     let record = json_doc(&head, &[("cells", &sweep), ("recovery", &kills)]);
     write_output(smoke, "BENCH_distributed.json", &record);
 }
 
-/// Gate 6's bound: what the exchange may add to a two-rank step, both
+/// Gate 5's bound: what the exchange may add to a two-rank step, both
 /// ranks together. The streaming reducer reads 7.2 — per rank an `amax`
 /// (which becomes `gmax`), a `scales` and one payload, the root's `gmax`
 /// copy for its peer, and a channel block every 31 frames — whatever the
@@ -385,26 +328,7 @@ fn smoke() -> ExitCode {
     }
     gates.pass("fleet rollback reproduced the uninterrupted run");
 
-    // Gate 5: rank scaling — needs real cores to mean anything.
-    let scaling = rank_scaling(&data);
-    match scaling {
-        Some((w1, w4)) => {
-            gates.open("4 workers >= 1.5x faster than 1 on the wide replica");
-            let speedup = w1 / w4.max(1e-9);
-            gates.check(
-                speedup >= 1.5,
-                format_args!("only {speedup:.2}x ({w1:.0} ms vs {w4:.0} ms)"),
-            );
-            gates.pass(format_args!("{speedup:.2}x ({w1:.0} ms vs {w4:.0} ms)"));
-        }
-        None => gates.skip(format_args!(
-            "only {} core(s); rank scaling needs >= 4 (gates 1-4 are the \
-             core-count-independent contract)",
-            par::default_threads()
-        )),
-    }
-
-    // Gate 6: the exchange allocates per frame, not per parameter.
+    // Gate 5: the exchange allocates per frame, not per parameter.
     gates.open("the exchange adds <= 9 allocations a step at N=2");
     let added = exchange_allocs_per_step(&data);
     gates.check(
@@ -413,7 +337,7 @@ fn smoke() -> ExitCode {
     );
     gates.pass(format_args!("{added:.1} allocations a step, both ranks"));
 
-    write_outputs(true, &[cell, two], &recovery, scaling);
+    write_outputs(true, &[cell, two], &recovery);
     gates.finish()
 }
 
@@ -427,34 +351,15 @@ fn full_sweep() {
     }
     // world=2 k=4, killed at steps 1/5/9.
     let recovery = recovery_campaign(&data, &[1, 5, 9]);
-    let scaling = rank_scaling(&data);
-    match scaling {
-        Some((w1, w4)) => println!(
-            "# rank scaling (wide replica): {w1:.0} ms @ 1 worker, {w4:.0} ms @ 4 ({:.2}x)",
-            w1 / w4.max(1e-9)
-        ),
-        None => println!(
-            "# rank scaling SKIPPED: only {} core(s)",
-            par::default_threads()
-        ),
-    }
-    write_outputs(false, &cells, &recovery, scaling);
+    write_outputs(false, &cells, &recovery);
 }
 
 fn main() -> ExitCode {
-    // Rank threads are the unit of parallelism being measured; pin the
-    // inner-op pool so it does not compete with them (overridable).
-    let threads = arg_value("--threads")
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1);
-    par::set_global_threads(threads);
-
     if smoke_flag() {
         println!("# distributed --smoke: bandwidth / determinism / divergence / recovery gates");
         return smoke();
     }
-    println!("# distributed: world x grad-bits sweep, recovery campaign, rank scaling");
+    println!("# distributed: world x grad-bits sweep, recovery campaign");
     full_sweep();
     ExitCode::SUCCESS
 }

@@ -283,7 +283,7 @@ fn print_guard_cost() {
         let report = trainer.train(&train, &test).expect("a clean run finishes");
         assert!(report.integrity.is_clean());
     };
-    let rounds = paired_rounds(&|| clean_run(None), &|| {
+    let rounds = paired_rounds(5, &|| clean_run(None), &|| {
         clean_run(Some(IntegrityConfig::default()))
     });
     let ratio = median(rounds.iter().map(|(bare, armed)| armed / bare).collect());
@@ -331,12 +331,6 @@ fn main() -> ExitCode {
     let seeds = arg_value("--seeds")
         .and_then(|s| s.parse::<u64>().ok())
         .unwrap_or(5);
-    if let Some(n) = arg_value("--threads")
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-    {
-        apt_tensor::par::set_global_threads(n);
-    }
 
     if smoke_flag() {
         println!("# fault-campaign --smoke: one-shot weight flips, 6-bit, 10 seeds");

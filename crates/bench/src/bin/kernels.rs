@@ -1,18 +1,18 @@
 //! kernels — compute-backend micro-benchmark and determinism gate.
 //!
-//! Sweeps op × shape × thread-count over the parallelised hot-path kernels
-//! (matmul variants, conv2d forward/backward, softmax, pooling, batch-norm
-//! statistics, quantise/dequantise, elementwise), timing each cell with
+//! Sweeps op × shape over the hot-path kernels (matmul variants, conv2d
+//! forward/backward, softmax, pooling, batch-norm statistics,
+//! quantise/dequantise, elementwise), timing each cell with
 //! `std::time::Instant` and writing:
 //!
 //! * `results/kernels.csv` — one row per cell,
 //! * `BENCH_kernels.json` (repo root) — the same data as machine-readable
-//!   JSON, plus the machine's available parallelism and which f32 GEMM
+//!   JSON, plus the machine's core count and which f32 GEMM
 //!   micro-kernel ran (`"simd"`: `avx512`, `avx2` or `portable` — the same
 //!   cells read up to ~2× apart between them, so the file says which it
 //!   recorded), plus `"memory_bound"`: the conv training step's passes
 //!   that do no arithmetic to speak of (batch-norm statistics, forward
-//!   and backward, max-pool) at `[32, 16, 16, 16]` on one thread, each
+//!   and backward, max-pool) at `[32, 16, 16, 16]`, each
 //!   with the bytes it has to move and the rate it moved them at, beside
 //!   an `add` over the same element count — what "memory speed" is here —
 //!   and the guarded step's O(parameters) passes (integrity digest,
@@ -23,36 +23,36 @@
 //! ```text
 //! cargo run --release -p apt-bench --bin kernels             # full sweep
 //! cargo run --release -p apt-bench --bin kernels -- --smoke  # CI gate
-//! cargo run --release -p apt-bench --bin kernels -- --threads 1,2,4
 //! ```
+//!
+//! Every kernel runs on the calling thread.
 //!
 //! `--smoke` is the CI acceptance gate. It asserts that
 //!
-//! 1. every parallelised op is **bit-identical** across thread counts
-//!    {1, 2, 3, 7} (`f32::to_bits` comparison against the 1-thread run),
+//! 1. every op is **bit-identical** from one call to the next
+//!    (`f32::to_bits` comparison; the first call grows the thread-local
+//!    scratch, the second reuses it),
 //! 2. the register-tiled serial matmul beats the old naive zero-skip
 //!    kernel (kept here as a reference implementation) by ≥ 1.25× where
 //!    `gemm_isa()` reports a wide micro-kernel (`avx2`, `avx512` —
 //!    anything but `portable`), and is at least as fast within a 10 %
 //!    timer tolerance on the portable one (paired interleaved rounds,
 //!    median ratio — robust to shared-host noise),
-//! 3. on machines with ≥ 4 cores, 4-thread 256³ matmul reaches ≥ 1.5×
-//!    the 1-thread throughput (skipped, loudly, on smaller machines),
-//! 4. branch-free quantize/dequantize — `quantize_to_store` and
+//! 3. branch-free quantize/dequantize — `quantize_to_store` and
 //!    `QuantizedTensor::to_tensor`, what every parameter is built and read
 //!    through — stay above absolute Gelem/s floors (a regression to the
 //!    old branchy loops is ~100× and trips them),
-//! 5. the freeze compiler's fused conv+bias+ReLU kernel is bit-identical
+//! 4. the freeze compiler's fused conv+bias+ReLU kernel is bit-identical
 //!    to the unfused conv → bias → ReLU sequence and at least as fast
 //!    within timer tolerance (paired rounds, median ratio),
-//! 6. a frozen plan's linear step at batch 1 (`linear_bias_act` on `Wᵀ`,
+//! 5. a frozen plan's linear step at batch 1 (`linear_bias_act` on `Wᵀ`,
 //!    1 × 256 × 256) is bit-identical to the layer path (`matmul_a_bt` +
 //!    bias on `W`) and at least 1.5× as fast (paired rounds, median
 //!    ratio): the guard against a plan sliding back to scalar dot chains.
 
 use apt_bench::{
-    arg_value, bit_identical, json_doc, median, paired_rounds, row, schema, smoke_flag, table,
-    write_output, Gates,
+    available_parallelism, bit_identical, json_doc, median, paired_rounds, row, schema, smoke_flag,
+    table, write_output, Gates,
 };
 use apt_metrics::Table;
 use apt_nn::layers::BatchNorm2d;
@@ -64,7 +64,7 @@ use apt_tensor::ops::pool::max_pool2d;
 use apt_tensor::ops::reduce::channel_mean_var;
 use apt_tensor::ops::softmax::softmax_rows;
 use apt_tensor::ops::{add, gemm_isa, matmul, matmul_a_bt, matmul_at_b, transpose};
-use apt_tensor::{par, rng, Tensor};
+use apt_tensor::{rng, Tensor};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -271,7 +271,7 @@ const ACTIVATION: [usize; 4] = [32, 16, 16, 16];
 /// The guarded workload's model: what its O(parameters) passes walk.
 const GUARDED_MLP: [usize; 4] = [768, 256, 256, 10];
 
-/// The training steps' memory-bound passes on one thread: op, shape, ns per
+/// The training steps' memory-bound passes: op, shape, ns per
 /// call, the bytes the pass must move (each input element read once per
 /// pass over it, each output element written once) and the rate that comes
 /// to. `add` over the activation's element count is the yardstick: three
@@ -281,7 +281,7 @@ fn memory_bound_cells() -> Table {
     // `less_ns` comes off the time: what `run` spends rebuilding the state
     // the measured pass consumes. Returns the time recorded.
     let mut cell = |op: &str, shape: &str, bytes: usize, less_ns: f64, run: &mut dyn FnMut()| {
-        let ns = par::with_threads(1, || time_ns(run)) - less_ns;
+        let ns = time_ns(run) - less_ns;
         cells.push_row(row![
             op,
             shape,
@@ -477,34 +477,25 @@ fn time_kernel(k: &Kernel) -> f64 {
     time_ns(&mut || drop(std::hint::black_box((k.run)())))
 }
 
-/// Times every kernel at every thread count, prints the cells and writes
-/// `results/kernels.csv` + `BENCH_kernels.json`.
-fn sweep(thread_counts: &[usize]) {
+/// Times every kernel, prints the cells and writes `results/kernels.csv` +
+/// `BENCH_kernels.json`.
+fn sweep() {
     let mut cells = table(schema::KERNELS);
     for k in kernels() {
-        let mut ns_1t = f64::NAN;
-        for &t in thread_counts {
-            let ns = par::with_threads(t, || time_kernel(&k));
-            if t == 1 {
-                ns_1t = ns;
-            }
-            let speedup_vs_1t = if ns_1t.is_finite() { ns_1t / ns } else { 1.0 };
-            cells.push_row(row![
-                k.op,
-                k.shape,
-                t,
-                format!("{ns:.1}"),
-                format!("{:.4}", k.flops / ns),
-                format!("{speedup_vs_1t:.4}")
-            ]);
-        }
+        let ns = time_kernel(&k);
+        cells.push_row(row![
+            k.op,
+            k.shape,
+            format!("{ns:.1}"),
+            format!("{:.4}", k.flops / ns)
+        ]);
     }
     println!("{cells}");
     write_output(false, "results/kernels.csv", &cells.to_csv());
     let memory_bound = memory_bound_cells();
     println!("{memory_bound}");
     let head = [
-        ("available_parallelism", par::default_threads().to_string()),
+        ("available_parallelism", available_parallelism().to_string()),
         ("simd", format!("\"{}\"", gemm_isa())),
     ];
     let arrays = [("cells", &cells), ("memory_bound", &memory_bound)];
@@ -533,17 +524,14 @@ fn naive_matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
 fn smoke() -> ExitCode {
     let mut gates = Gates::stdout();
 
-    // Gate 1: bit-exactness across thread counts for every kernel.
-    gates.open("bit-exactness across threads {1, 2, 3, 7}");
+    // Gate 1: bit-exactness from one call to the next for every kernel.
+    gates.open("bit-exactness call to call");
     for k in kernels() {
-        let reference = par::with_threads(1, || (k.run)());
-        for t in [2usize, 3, 7] {
-            let got = par::with_threads(t, || (k.run)());
-            gates.check(
-                bit_identical(&reference, &got),
-                format_args!("{} ({}) differs at {t} threads", k.op, k.shape),
-            );
-        }
+        let reference = (k.run)();
+        gates.check(
+            bit_identical(&reference, &(k.run)()),
+            format_args!("{} ({}) differs on its second call", k.op, k.shape),
+        );
         println!("  {:<18} {:<22} bit-identical", k.op, k.shape);
     }
 
@@ -562,18 +550,17 @@ fn smoke() -> ExitCode {
         let s = 192usize;
         let a = tensor(&[s, s], 21);
         let b = tensor(&[s, s], 22);
-        let rounds = par::with_threads(1, || {
-            paired_rounds(
-                &|| {
-                    let mut c = vec![0.0f32; s * s];
-                    naive_matmul(a.data(), b.data(), &mut c, s, s, s);
-                    std::hint::black_box(&c);
-                },
-                &|| {
-                    std::hint::black_box(matmul(&a, &b).unwrap());
-                },
-            )
-        });
+        let rounds = paired_rounds(
+            5,
+            &|| {
+                let mut c = vec![0.0f32; s * s];
+                naive_matmul(a.data(), b.data(), &mut c, s, s, s);
+                std::hint::black_box(&c);
+            },
+            &|| {
+                std::hint::black_box(matmul(&a, &b).unwrap());
+            },
+        );
         for (round, (naive_ns, tiled_ns)) in rounds.iter().enumerate() {
             println!(
                 "  round {round}: naive {:.2} ms, tiled {:.2} ms ({:.2}x)",
@@ -590,56 +577,19 @@ fn smoke() -> ExitCode {
         );
     }
 
-    // Gate 3: multi-thread speedup, only meaningful with enough cores.
-    let cores = par::default_threads();
-    if cores >= 4 {
-        gates.open(format_args!(
-            "4-thread 256^3 matmul speedup (machine has {cores} cores)"
-        ));
-        let s = 256usize;
-        let a = tensor(&[s, s], 23);
-        let b = tensor(&[s, s], 24);
-        let bench = |t: usize| {
-            par::with_threads(t, || {
-                std::hint::black_box(matmul(&a, &b).unwrap()); // warm up
-                let iters = 12;
-                let t0 = Instant::now();
-                for _ in 0..iters {
-                    std::hint::black_box(matmul(&a, &b).unwrap());
-                }
-                t0.elapsed().as_secs_f64() / iters as f64
-            })
-        };
-        let t1 = bench(1);
-        let t4 = bench(4);
-        println!(
-            "  1t {:.2} ms, 4t {:.2} ms ({:.2}x)",
-            t1 * 1e3,
-            t4 * 1e3,
-            t1 / t4
-        );
-        gates.check(
-            t1 / t4 >= 1.5,
-            "expected >= 1.5x speedup at 4 threads on a >= 4-core machine",
-        );
-    } else {
-        gates.skip(format_args!("only {cores} core(s) available, need >= 4"));
-    }
-
     let all = kernels();
     let cell = |op: &str| {
         all.iter()
             .find(|k| k.op == op)
             .unwrap_or_else(|| panic!("missing kernel cell `{op}`"))
     };
-    let measure_1t = |k: &Kernel| par::with_threads(1, || time_kernel(k));
 
-    // Gate 4: branch-free quantize/dequantize absolute throughput floors.
+    // Gate 3: branch-free quantize/dequantize absolute throughput floors.
     // Set at ~40% of the worst observed single-thread rate on the
     // reference CI host (0.14 / 0.45 Gelem/s across machine phases), so a
     // regression to the old branchy inner loops (~100x slower) trips the
     // gate without flaking on a slow phase.
-    gates.open("quantize/dequantize throughput floors (1 thread)");
+    gates.open("quantize/dequantize throughput floors");
     const QUANT_FLOOR_GELEMS: f64 = 0.06;
     const DEQUANT_FLOOR_GELEMS: f64 = 0.18;
     for (op, floor) in [
@@ -647,7 +597,7 @@ fn smoke() -> ExitCode {
         ("dequantize_store", DEQUANT_FLOOR_GELEMS),
     ] {
         let k = cell(op);
-        let ns = measure_1t(k);
+        let ns = time_kernel(k);
         let gelems = k.flops / ns;
         println!("  {op:<17} {gelems:.3} Gelem/s (floor {floor})");
         gates.check(
@@ -656,16 +606,19 @@ fn smoke() -> ExitCode {
         );
     }
 
-    // Gate 5: the freeze compiler's fused conv+bias+ReLU kernel against
+    // Gate 4: the freeze compiler's fused conv+bias+ReLU kernel against
     // the unfused conv → bias add → ReLU sequence it replaces. The fused
     // form must be bit-identical (the compiled plan's correctness
     // contract: same gemm core, epilogue applied per element in the same
     // order) and at least as fast within the usual 10% timer tolerance —
     // it saves two full passes over the output and one allocation, which
     // is a small fraction of the im2col+gemm cost at this shape, so the
-    // gate is a regression floor, not a speedup claim. Paired interleaved
-    // rounds with a median ratio keep it robust on noisy hosts.
-    gates.open("fused conv+bias+relu vs unfused sequence (1 thread, paired rounds)");
+    // gate is a regression floor, not a speedup claim, and single rounds
+    // read 0.85–0.99x on a shared host: the median of FUSED_ROUNDS paired
+    // interleaved rounds keeps it robust.
+    gates.open(format_args!(
+        "fused conv+bias+relu vs unfused sequence ({FUSED_ROUNDS} paired rounds)"
+    ));
     {
         let (n, c_in, c_out, hw, k) = (8usize, 8usize, 16usize, 16usize, 3usize);
         let p = Conv2dParams::new(1, 1, 1);
@@ -674,45 +627,35 @@ fn smoke() -> ExitCode {
         let bias = tensor(&[c_out], 33);
         let plane = hw * hw;
 
-        let unfused = |threads: usize| {
-            par::with_threads(threads, || {
-                let mut out = conv2d(&x, &w, &p).unwrap().data().to_vec();
-                for img in out.chunks_mut(c_out * plane) {
-                    for (ch, row) in img.chunks_mut(plane).enumerate() {
-                        let b = bias.data()[ch];
-                        for v in row {
-                            *v = (*v + b).max(0.0);
-                        }
+        let unfused = || {
+            let mut out = conv2d(&x, &w, &p).unwrap().data().to_vec();
+            for img in out.chunks_mut(c_out * plane) {
+                for (ch, row) in img.chunks_mut(plane).enumerate() {
+                    let b = bias.data()[ch];
+                    for v in row {
+                        *v = (*v + b).max(0.0);
                     }
                 }
-                out
-            })
-        };
-        let fused_run =
-            |threads: usize| par::with_threads(threads, || fused_conv_relu(&x, &w, &bias));
-        for threads in [1usize, 3] {
-            let want = unfused(threads);
-            let got = fused_run(threads);
-            let same = gates.check(
-                bit_identical(&want, &got),
-                format_args!(
-                    "fused conv+bias+relu differs from the unfused sequence at {threads} threads"
-                ),
-            );
-            if same {
-                println!("  fused == unfused bit-identical at {threads} thread(s)");
             }
+            out
+        };
+        let fused_run = || fused_conv_relu(&x, &w, &bias);
+        let same = gates.check(
+            bit_identical(&unfused(), &fused_run()),
+            "fused conv+bias+relu differs from the unfused sequence",
+        );
+        if same {
+            println!("  fused == unfused bit-identical");
         }
-        let rounds = par::with_threads(1, || {
-            paired_rounds(
-                &|| {
-                    std::hint::black_box(unfused(1));
-                },
-                &|| {
-                    std::hint::black_box(fused_run(1));
-                },
-            )
-        });
+        let rounds = paired_rounds(
+            FUSED_ROUNDS,
+            &|| {
+                std::hint::black_box(unfused());
+            },
+            &|| {
+                std::hint::black_box(fused_run());
+            },
+        );
         for (round, (unfused_ns, fused_ns)) in rounds.iter().enumerate() {
             println!(
                 "  round {round}: fused {:.3} ms, unfused {:.3} ms ({:.2}x)",
@@ -729,15 +672,14 @@ fn smoke() -> ExitCode {
         );
     }
 
-    // Gate 6: a frozen plan's linear step at batch 1 (`linear_bias_act`
+    // Gate 5: a frozen plan's linear step at batch 1 (`linear_bias_act`
     // on `Wᵀ`) against the layer path (`matmul_a_bt` + bias on `W`). Below
     // 8 rows the layer path runs four scalar dot chains at a time; the
     // plan runs the tile's wide row strip, eight vector chains. The two
     // must be bit-identical, and the plan at least PLAN_LINEAR_FLOOR× as
     // fast, so a plan that slides back to dot chains (~1×) trips it.
     gates.open(format_args!(
-        "plan linear vs layer path at 1x256x256 (1 thread, paired rounds, \
-         floor {PLAN_LINEAR_FLOOR}x)"
+        "plan linear vs layer path at 1x256x256 (paired rounds, floor {PLAN_LINEAR_FLOOR}x)"
     ));
     {
         let s = 256usize;
@@ -761,20 +703,19 @@ fn smoke() -> ExitCode {
             println!("  plan == layer path bit-identical");
         }
         // A 1x256x256 call is a few microseconds: time 100 of them a side.
-        let rounds = par::with_threads(1, || {
-            paired_rounds(
-                &|| {
-                    for _ in 0..100 {
-                        std::hint::black_box(layer());
-                    }
-                },
-                &|| {
-                    for _ in 0..100 {
-                        std::hint::black_box(plan());
-                    }
-                },
-            )
-        });
+        let rounds = paired_rounds(
+            5,
+            &|| {
+                for _ in 0..100 {
+                    std::hint::black_box(layer());
+                }
+            },
+            &|| {
+                for _ in 0..100 {
+                    std::hint::black_box(plan());
+                }
+            },
+        );
         for (round, (layer_ns, plan_ns)) in rounds.iter().enumerate() {
             println!(
                 "  round {round}: plan {:.2} us, layer {:.2} us ({:.2}x)",
@@ -791,15 +732,18 @@ fn smoke() -> ExitCode {
         );
     }
 
-    println!("# memory-bound passes (1 thread, ungated):");
+    println!("# memory-bound passes (ungated):");
     println!("{}", memory_bound_cells());
 
     gates.finish()
 }
 
-/// What smoke gate 6 holds a frozen plan's batch-1 linear step to, as a
+/// What smoke gate 5 holds a frozen plan's batch-1 linear step to, as a
 /// multiple of the layer path's speed.
 const PLAN_LINEAR_FLOOR: f64 = 1.5;
+
+/// Paired rounds smoke gate 4 takes the median of.
+const FUSED_ROUNDS: usize = 21;
 
 /// What smoke gate 2 holds the tiled matmul to, as a multiple of the naive
 /// kernel: the lead of a wide micro-kernel, whatever its name, or parity
@@ -823,26 +767,10 @@ fn main() -> ExitCode {
         return smoke();
     }
 
-    let thread_counts: Vec<usize> = arg_value("--threads")
-        .map(|s| {
-            s.split(',')
-                .map(|p| match p.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!(
-                            "bad value `{p}` for --threads (want comma-separated counts ≥ 1)"
-                        );
-                        std::process::exit(2);
-                    }
-                })
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1, 2, 4]);
-
     println!(
-        "# kernels: op x shape x threads sweep (machine has {} core(s))",
-        par::default_threads()
+        "# kernels: op x shape sweep (machine has {} core(s))",
+        available_parallelism()
     );
-    sweep(&thread_counts);
+    sweep();
     ExitCode::SUCCESS
 }

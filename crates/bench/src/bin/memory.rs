@@ -49,7 +49,7 @@ use apt_bench::{json_doc, row, schema, smoke_flag, table, write_output, Counting
 use apt_metrics::Table;
 use apt_nn::{checkpoint, models, Mode, Network, ParamStore, QuantScheme};
 use apt_quant::Bitwidth;
-use apt_tensor::{par, rng};
+use apt_tensor::rng;
 use std::process::ExitCode;
 
 #[global_allocator]
@@ -149,28 +149,26 @@ struct StepCell {
     retained: isize,
 }
 
-/// Gate 5's measurement, on one thread. The first step sizes the thread's
-/// im2col scratch, which stays; the second is the one read.
+/// Gate 5's measurement. The first step sizes the thread's im2col scratch,
+/// which stays; the second is the one read.
 fn training_step() -> StepCell {
-    par::with_threads(1, || {
-        let scheme = QuantScheme::paper_apt();
-        let mut net = models::cifarnet(10, STEP_BATCH[2], 0.5, &scheme, &mut rng::seeded(7))
-            .expect("cifarnet builds");
-        let x = rng::normal(&STEP_BATCH, 1.0, &mut rng::seeded(8));
-        let mut step = || {
-            let logits = net.forward(&x, Mode::Train).expect("a training forward");
-            let grad = rng::normal(logits.dims(), 1.0, &mut rng::seeded(9));
-            net.backward(&grad).expect("a backward behind its forward");
-        };
-        step();
-        let before = ALLOC.live();
-        ALLOC.reset_peak();
-        step();
-        StepCell {
-            peak_above: ALLOC.peak() - before,
-            retained: ALLOC.live() as isize - before as isize,
-        }
-    })
+    let scheme = QuantScheme::paper_apt();
+    let mut net = models::cifarnet(10, STEP_BATCH[2], 0.5, &scheme, &mut rng::seeded(7))
+        .expect("cifarnet builds");
+    let x = rng::normal(&STEP_BATCH, 1.0, &mut rng::seeded(8));
+    let mut step = || {
+        let logits = net.forward(&x, Mode::Train).expect("a training forward");
+        let grad = rng::normal(logits.dims(), 1.0, &mut rng::seeded(9));
+        net.backward(&grad).expect("a backward behind its forward");
+    };
+    step();
+    let before = ALLOC.live();
+    ALLOC.reset_peak();
+    step();
+    StepCell {
+        peak_above: ALLOC.peak() - before,
+        retained: ALLOC.live() as isize - before as isize,
+    }
 }
 
 fn smoke(cells: &[Cell], step: &StepCell) -> ExitCode {

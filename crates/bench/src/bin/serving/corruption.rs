@@ -1,4 +1,4 @@
-//! Corruption-campaign cell, gate 9: flipped and truncated checkpoint
+//! Corruption-campaign cell, gate 8: flipped and truncated checkpoint
 //! uploads hit the in-band directory-reload path (`OP_RELOAD`). Every
 //! upload is a v3 blob, the only version the reader accepts, whose CRC
 //! makes rejection of any flip or cut a hard contract (older versions are
@@ -14,13 +14,12 @@ use apt_bench::bit_identical;
 use apt_core::faults::{flip_byte, truncate_file};
 use apt_metrics::Table;
 use apt_serve::{ConnLimits, ModelRegistry, RegistryConfig, ServeClient, ServeError, Server};
-use apt_tensor::{par, rng};
+use apt_tensor::rng;
 use std::sync::Arc;
 use std::time::Instant;
 
 pub(crate) fn run(gates: &mut Gates, rows: &mut Table) {
     gates.open("corruption — 100% quarantine, serving plan undisturbed");
-    par::set_global_threads(1);
     let dir = std::env::temp_dir().join(format!("apt-bench-corruption-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("campaign dir");

@@ -1,4 +1,4 @@
-//! Fleet cell, gate 8: closed-loop clients hammer the default model while
+//! Fleet cell, gate 7: closed-loop clients hammer the default model while
 //! [`FLEET_SWAPS`] hot-swaps push new checkpoint versions through the full
 //! validation ladder, then the memory-pressure leg evicts a cold tenant
 //! under a tight resident-bytes budget.
@@ -15,7 +15,7 @@ use apt_metrics::Table;
 use apt_serve::{
     ConnLimits, InferenceSession, ModelRegistry, RegistryConfig, ServeClient, ServeError, Server,
 };
-use apt_tensor::{par, rng};
+use apt_tensor::rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,7 +39,6 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table) {
         "fleet — {FLEET_SWAPS} hot-swaps under load, swap p99 ≤ {SWAP_P99_BUDGET_US}µs, typed \
          eviction under memory pressure"
     ));
-    par::set_global_threads(1);
     let spec = spec();
     let blobs: Vec<Vec<u8>> = (0..FLEET_VERSIONS as u64)
         .map(|v| build_blob(8, 4000 + v))

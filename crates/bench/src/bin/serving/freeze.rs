@@ -1,4 +1,4 @@
-//! Plan-vs-eval cells, gate 10: the same k=8 checkpoint, once through a
+//! Plan-vs-eval cells, gate 9: the same k=8 checkpoint, once through a
 //! session's compiled plan and once through `forward(Mode::Eval)` (trainer
 //! eval) on a network loaded from the same blob, driven in-process on one
 //! thread so the comparison measures the plan (fused kernels, resident
@@ -20,7 +20,7 @@ use apt_metrics::Table;
 use apt_nn::{checkpoint, models, Mode, QuantScheme};
 use apt_quant::Bitwidth;
 use apt_serve::{InferenceSession, ModelArch, ModelSpec, ServeStats};
-use apt_tensor::{par, rng, Tensor};
+use apt_tensor::{rng, Tensor};
 use std::cell::RefCell;
 use std::time::Duration;
 
@@ -31,7 +31,6 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table, iters: usize) {
         "freeze — compiled plan ≥ eval forward samples/s, bit-identical (k=8, \
          single-sample in-process, 1 thread)",
     );
-    par::set_global_threads(1);
     let scheme = QuantScheme::fully_quantized(Bitwidth::new(8).expect("valid bitwidth"));
     let mut net = models::mlp("freeze-bench", FREEZE_DIMS, &scheme, &mut rng::seeded(23))
         .expect("model builds");
@@ -82,6 +81,7 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table, iters: usize) {
     }
     let per_round = iters.div_ceil(15).max(1);
     let rounds = paired_rounds(
+        5,
         &|| {
             for _ in 0..per_round {
                 std::hint::black_box(eval(&samples));

@@ -10,9 +10,9 @@
 //! corrupted, or misrouted response is counted and fails its gate.
 //!
 //! One module per cell, in gate order; each module's doc says what its cell
-//! does and what it gates: [`throughput`] (gates 1–4), [`soak`] (5),
-//! [`slowloris`] (6), [`overload`] (7), [`fleet`] (8), [`corruption`] (9),
-//! [`freeze`] (10), [`zero_alloc`] (11).
+//! does and what it gates: [`throughput`] (gates 1–3), [`soak`] (4),
+//! [`slowloris`] (5), [`overload`] (6), [`fleet`] (7), [`corruption`] (8),
+//! [`freeze`] (9), [`zero_alloc`] (10).
 //!
 //! `--smoke` is the CI gate: it runs every cell and writes
 //! `results/serving_smoke.{csv,json}`. A full run drives the same cells
@@ -32,7 +32,8 @@ mod throughput;
 mod zero_alloc;
 
 use apt_bench::{
-    bit_identical, json_doc, row, schema, smoke_flag, table, write_output, CountingAlloc,
+    available_parallelism, bit_identical, json_doc, row, schema, smoke_flag, table, write_output,
+    CountingAlloc,
 };
 use apt_metrics::Table;
 use apt_nn::{checkpoint, models, QuantScheme};
@@ -41,7 +42,7 @@ use apt_serve::{
     BatchPolicy, ConnLimits, InferenceSession, ModelArch, ModelSpec, RetryPolicy, ServeClient,
     ServeError, Server, ServerConfig, StatsSnapshot,
 };
-use apt_tensor::{par, rng};
+use apt_tensor::rng;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -217,13 +218,12 @@ struct Cell {
     name: &'static str,
     bits: u32,
     lane: &'static str,
-    threads: usize,
     policy: Policy,
     clients: usize,
 }
 
 impl Cell {
-    /// The shape most cells share: the k=8 model, one compute thread.
+    /// The shape most cells share: the k=8 model.
     fn k8(name: &'static str, policy: Policy, clients: usize) -> Cell {
         Cell {
             name,
@@ -231,7 +231,6 @@ impl Cell {
             // Every plan dequantises once at load; the column stays so old
             // rows compare.
             lane: "dequant-cache",
-            threads: 1,
             policy,
             clients,
         }
@@ -312,7 +311,6 @@ fn push_row(rows: &mut Table, cell: &Cell, s: &Served) {
         cell.name,
         cell.bits,
         cell.lane,
-        cell.threads,
         cell.policy.name,
         cell.policy.max_batch,
         // The coalescer no longer holds a batch; the column stays so old rows compare.
@@ -348,7 +346,7 @@ fn main() -> ExitCode {
         "# serving{}: end-to-end correctness + batching + overload + fleet + freeze gates over \
          TCP (machine has {} core(s))",
         if smoke { " --smoke" } else { "" },
-        par::default_threads()
+        available_parallelism()
     );
     let mut gates = Gates::stdout();
     let mut rows = table(schema::SERVING);
@@ -366,7 +364,7 @@ fn main() -> ExitCode {
     let dims: Vec<String> = DIMS.iter().map(|d| d.to_string()).collect();
     let head = [
         ("model", format!("\"mlp:{}\"", dims.join("-"))),
-        ("available_parallelism", par::default_threads().to_string()),
+        ("available_parallelism", available_parallelism().to_string()),
     ];
     let record = json_doc(&head, &[("cells", &rows)]);
     write_output(smoke, "BENCH_serving.json", &record);

@@ -1,4 +1,4 @@
-//! Overload cell, gate 7: [`OVERLOAD_CLIENTS`] closed-loop clients against
+//! Overload cell, gate 6: [`OVERLOAD_CLIENTS`] closed-loop clients against
 //! a tiny admission queue with a short request deadline — roughly 4× what
 //! the queue can hold. Every request must resolve to a bit-exact answer or
 //! a typed refusal (`Overloaded`/`DeadlineExceeded`), client-observed
@@ -11,7 +11,6 @@ use crate::{
 };
 use apt_metrics::Table;
 use apt_serve::{ConnLimits, Server};
-use apt_tensor::par;
 use std::time::{Duration, Instant};
 
 /// Closed-loop clients in the overload cell (~4× the queue's capacity).
@@ -19,7 +18,6 @@ const OVERLOAD_CLIENTS: usize = 24;
 
 pub(crate) fn run(gates: &mut Gates, rows: &mut Table, per_client: usize) {
     gates.open("overload — typed refusals, exact accounting, p99 protected");
-    par::set_global_threads(1);
     let session = build_session();
     let workloads = build_workloads(&session, OVERLOAD_CLIENTS);
     let cell = Cell::k8("overload", Policy::new("batch4", 4), OVERLOAD_CLIENTS);

@@ -1,4 +1,4 @@
-//! Slowloris cell, gate 6: [`SLOWLORIS_ATTACKERS`] writers dribble one byte
+//! Slowloris cell, gate 5: [`SLOWLORIS_ATTACKERS`] writers dribble one byte
 //! of an open frame at a time while healthy clients run a full workload.
 //! Every attacker must be reaped through the read deadline (typed
 //! `slow_reaped`) and the healthy stream must stay bit-exact.
@@ -8,7 +8,6 @@ use crate::{
 };
 use apt_metrics::Table;
 use apt_serve::{protocol, ConnLimits, Server};
-use apt_tensor::par;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,7 +21,6 @@ const HEALTHY: usize = 4;
 
 pub(crate) fn run(gates: &mut Gates, rows: &mut Table, per_client: usize) {
     gates.open("slowloris — dribblers reaped, healthy clients bit-exact");
-    par::set_global_threads(1);
     let session = build_session();
     let workloads = build_workloads(&session, HEALTHY);
     let cell = Cell::k8("slowloris", BATCH8, HEALTHY + SLOWLORIS_ATTACKERS);

@@ -1,4 +1,4 @@
-//! Soak cell, gate 5: [`SOAK_CONNS`] registered-but-silent connections
+//! Soak cell, gate 4: [`SOAK_CONNS`] registered-but-silent connections
 //! squat on the table while one healthy client keeps inferring. The
 //! counting allocator bounds what an idle connection costs the server, and
 //! the healthy stream must stay bit-exact inside the p99 budget.
@@ -9,7 +9,6 @@ use crate::{
 };
 use apt_metrics::Table;
 use apt_serve::{ConnLimits, Server};
-use apt_tensor::par;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -25,7 +24,6 @@ pub(crate) fn run(gates: &mut Gates, rows: &mut Table, per_client: usize) {
     gates.open(format_args!(
         "soak — {SOAK_CONNS} idle conns, bounded heap, healthy p99 holds"
     ));
-    par::set_global_threads(1);
     let session = build_session();
     let workloads = build_workloads(&session, 1);
     let cell = Cell::k8("soak", BATCH8, SOAK_CONNS + 1);

@@ -1,18 +1,16 @@
-//! Zero-allocation cell, gate 11: the frozen plan's headline mechanical
+//! Zero-allocation cell, gate 10: the frozen plan's headline mechanical
 //! claim — once warm, `infer_into` on a frozen session performs **zero heap
 //! allocations per request**. Staging and output live in caller buffers,
 //! scratch is recycled through the session arena, and every intermediate
-//! sits at a compile-time offset inside that one scratch block. Runs on
-//! one thread (pool dispatch allocates job state by design) and counts
+//! sits at a compile-time offset inside that one scratch block. Counts
 //! allocator *calls* around a steady-state loop.
 
 use crate::{build_session, Gates, ALLOC, DIMS};
-use apt_tensor::{par, rng};
+use apt_tensor::rng;
 use std::time::Instant;
 
 pub(crate) fn run(gates: &mut Gates) {
     gates.open("zero heap allocations per request on the frozen path");
-    par::set_global_threads(1);
     let session = build_session();
     let batch = 8usize;
     let mut r = rng::substream(2003, 0);

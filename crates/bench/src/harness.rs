@@ -21,11 +21,11 @@ pub mod schema {
     /// `BENCH_memory.json` → `training_step`.
     pub const MEMORY_STEP: &str = "model,batch,peak_above_bytes,retained_bytes";
     /// `BENCH_kernels.json` → `cells`.
-    pub const KERNELS: &str = "op,shape,threads,ns_per_iter,gflops,speedup_vs_1t";
+    pub const KERNELS: &str = "op,shape,ns_per_iter,gflops";
     /// `BENCH_kernels.json` → `memory_bound`.
     pub const KERNELS_MEMORY_BOUND: &str = "op,shape,ns_per_iter,bytes,gbytes_per_s";
     /// `BENCH_serving.json` → `cells`.
-    pub const SERVING: &str = "cell,bits,lane,threads,policy,max_batch,max_delay_us,clients,\
+    pub const SERVING: &str = "cell,bits,lane,policy,max_batch,max_delay_us,clients,\
          requests,ok,shed,deadline_expired,corrupted,lost,refused_accept,idle_reaped,\
          slow_reaped,wall_ms,rps,p50_us,p90_us,p99_us,mean_batch,swaps,evictions,\
          quarantines,model_unavailable,swap_p99_us";
@@ -46,6 +46,12 @@ pub fn table(columns: &str) -> Table {
 #[macro_export]
 macro_rules! row {
     ($($cell:expr),* $(,)?) => { vec![$($cell.to_string()),*] };
+}
+
+/// The host's core count, recorded beside a `BENCH_*.json` record's cells
+/// (every cell computes on one thread).
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// `true` when the process was started with `--smoke`.
@@ -105,8 +111,7 @@ pub fn json_doc(head: &[(&str, String)], arrays: &[(&str, &Table)]) -> String {
 /// The numbered acceptance checks of one `--smoke` run. Every gate opens
 /// with `# smoke gate N: …`; a check that does not hold prints `FAIL: …`
 /// under it and fails the run; a gate whose checks all held may print
-/// `ok: …`; a gate the host cannot decide prints `SKIPPED: …` on its
-/// header line and counts as neither.
+/// `ok: …`.
 #[derive(Debug)]
 pub struct Gates<W: Write> {
     out: W,
@@ -143,11 +148,6 @@ impl<W: Write> Gates<W> {
         self.failed_before_gate = self.failed;
         let n = self.gate;
         self.line(format_args!("# smoke gate {n}: {what}"));
-    }
-
-    /// Takes the next number for a gate this host cannot decide.
-    pub fn skip(&mut self, why: impl std::fmt::Display) {
-        self.open(format_args!("SKIPPED: {why}"));
     }
 
     /// One check of the open gate: prints `FAIL: {otherwise}` and fails the
@@ -187,14 +187,14 @@ pub fn bit_identical(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Paired timing for the smoke gates: interleaves `a` and `b` over five
-/// rounds, best-of-3 within each round, and returns the per-round
+/// Paired timing for the smoke gates: interleaves `a` and `b` over
+/// `rounds` rounds, best-of-3 within each round, and returns the per-round
 /// `(a_ns, b_ns)`. Shared CI hosts drift through multi-second throughput
 /// phases, so a single timing of each side is a coin flip; interleaving
 /// puts both sides in the same phase and the gates judge the MEDIAN of
 /// the per-round figures.
-pub fn paired_rounds(a: &dyn Fn(), b: &dyn Fn()) -> Vec<(f64, f64)> {
-    (0..5)
+pub fn paired_rounds(rounds: usize, a: &dyn Fn(), b: &dyn Fn()) -> Vec<(f64, f64)> {
+    (0..rounds)
         .map(|_| {
             let (mut a_ns, mut b_ns) = (f64::MAX, f64::MAX);
             for _ in 0..3 {

@@ -41,8 +41,8 @@ mod harness;
 
 pub use alloc::CountingAlloc;
 pub use harness::{
-    arg_value, bit_identical, json_doc, median, output_path, paired_rounds, schema, smoke_flag,
-    table, write_output, Gates,
+    arg_value, available_parallelism, bit_identical, json_doc, median, output_path, paired_rounds,
+    schema, smoke_flag, table, write_output, Gates,
 };
 
 use apt_core::TrainConfig;
@@ -198,13 +198,8 @@ impl ExpParams {
     }
 }
 
-/// Parses `--scale`/`--seed`/`--threads` from the process arguments;
-/// unknown flags are ignored so binaries can add their own.
-///
-/// `--threads N` sizes the global [`apt_tensor::par`] compute pool as a
-/// side effect (kernels are bit-identical for any thread count, so this
-/// only changes speed). Without it the pool obeys `APT_THREADS` or the
-/// machine's available parallelism.
+/// Parses `--scale`/`--seed` from the process arguments; unknown flags are
+/// ignored so binaries can add their own.
 pub fn parse_cli() -> ExpParams {
     /// `flag`'s value through `parse`; absent → `None`, unparsable → exit 2.
     fn value<T>(flag: &str, parse: impl Fn(&str) -> Option<T>, want: &str) -> Option<T> {
@@ -216,10 +211,6 @@ pub fn parse_cli() -> ExpParams {
     }
     let scale = value("--scale", Scale::parse, "tiny|small|paper").unwrap_or_default();
     let seed = value("--seed", |s| s.parse().ok(), "a u64").unwrap_or(42);
-    let threads = |s: &str| s.parse().ok().filter(|&n: &usize| n >= 1);
-    if let Some(n) = value("--threads", threads, "need ≥ 1") {
-        apt_tensor::par::set_global_threads(n);
-    }
     ExpParams::for_scale(scale, seed)
 }
 

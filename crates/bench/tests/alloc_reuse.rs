@@ -9,7 +9,7 @@
 
 use apt_bench::CountingAlloc;
 use apt_tensor::ops::conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dParams};
-use apt_tensor::{par, rng};
+use apt_tensor::rng;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -23,43 +23,41 @@ fn conv_scratch_is_reused_across_calls() {
     let p = Conv2dParams::new(1, 1, 1);
     let col_bytes = (c_in * k * k) * (hw * hw) * std::mem::size_of::<f32>();
 
-    par::with_threads(1, || {
-        let mut r = rng::seeded(11);
-        let x = rng::normal(&[n, c_in, hw, hw], 1.0, &mut r);
-        let w = rng::normal(&[c_out, c_in, k, k], 1.0, &mut r);
-        let y = conv2d(&x, &w, &p).unwrap();
-        let go = rng::normal(y.dims(), 1.0, &mut r);
-        let step = || {
-            conv2d(&x, &w, &p).unwrap();
-            conv2d_backward_input(&go, &w, x.dims(), &p).unwrap();
-            conv2d_backward_weight(&x, &go, w.dims(), &p).unwrap();
-        };
+    let mut r = rng::seeded(11);
+    let x = rng::normal(&[n, c_in, hw, hw], 1.0, &mut r);
+    let w = rng::normal(&[c_out, c_in, k, k], 1.0, &mut r);
+    let y = conv2d(&x, &w, &p).unwrap();
+    let go = rng::normal(y.dims(), 1.0, &mut r);
+    let step = || {
+        conv2d(&x, &w, &p).unwrap();
+        conv2d_backward_input(&go, &w, x.dims(), &p).unwrap();
+        conv2d_backward_weight(&x, &go, w.dims(), &p).unwrap();
+    };
 
-        // Warm up: grows the thread-local scratch to its steady-state size.
+    // Warm up: grows the thread-local scratch to its steady-state size.
+    step();
+
+    const CALLS: usize = 10;
+    ALLOC.reset_peak();
+    let (live, calls) = (ALLOC.live(), ALLOC.calls());
+    for _ in 0..CALLS {
         step();
+    }
+    let calls_per_step = (ALLOC.calls() - calls) / CALLS;
+    let peak_growth = ALLOC.peak() - live;
 
-        const CALLS: usize = 10;
-        ALLOC.reset_peak();
-        let (live, calls) = (ALLOC.live(), ALLOC.calls());
-        for _ in 0..CALLS {
-            step();
-        }
-        let calls_per_step = (ALLOC.calls() - calls) / CALLS;
-        let peak_growth = ALLOC.peak() - live;
-
-        // Each step legitimately allocates its three output tensors (a
-        // data and a shape buffer each), the largest 32 KiB here, and
-        // frees them before the next. One fresh col buffer per call would
-        // hold ≥ col_bytes (147 KiB) live at once.
-        assert!(
-            calls_per_step <= 3 * 2,
-            "a conv step makes {calls_per_step} allocation calls — more than its \
-             three output tensors"
-        );
-        assert!(
-            peak_growth < col_bytes,
-            "conv peaks {peak_growth} B above its start — scratch is not being reused \
-             (col buffer alone is {col_bytes} B)"
-        );
-    });
+    // Each step legitimately allocates its three output tensors (a
+    // data and a shape buffer each), the largest 32 KiB here, and
+    // frees them before the next. One fresh col buffer per call would
+    // hold ≥ col_bytes (147 KiB) live at once.
+    assert!(
+        calls_per_step <= 3 * 2,
+        "a conv step makes {calls_per_step} allocation calls — more than its \
+         three output tensors"
+    );
+    assert!(
+        peak_growth < col_bytes,
+        "conv peaks {peak_growth} B above its start — scratch is not being reused \
+         (col buffer alone is {col_bytes} B)"
+    );
 }

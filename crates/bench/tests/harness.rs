@@ -122,28 +122,25 @@ fn a_warm_frozen_plan_executes_without_allocating() {
             ),
         ),
     ];
-    // One compute thread: a pool dispatch allocates its job state by design.
-    apt_tensor::par::with_threads(1, || {
-        for (name, (net, dims)) in &nets {
-            let plan = net.freeze(dims).unwrap();
-            let mut arena = Vec::new();
-            for batch in [1, 8] {
-                let input = vec![0.25f32; batch * plan.sample_len()];
-                let mut output = vec![0.0f32; batch * plan.output_len()];
+    for (name, (net, dims)) in &nets {
+        let plan = net.freeze(dims).unwrap();
+        let mut arena = Vec::new();
+        for batch in [1, 8] {
+            let input = vec![0.25f32; batch * plan.sample_len()];
+            let mut output = vec![0.0f32; batch * plan.output_len()];
+            plan.execute(&input, batch, &mut arena, &mut output)
+                .unwrap();
+            // libtest's own thread may allocate while this one measures,
+            // which only ever adds: one round at zero is the contract.
+            let rounds = (0..5).map(|_| {
+                let before = ALLOC.calls();
                 plan.execute(&input, batch, &mut arena, &mut output)
                     .unwrap();
-                // libtest's own thread may allocate while this one measures,
-                // which only ever adds: one round at zero is the contract.
-                let rounds = (0..5).map(|_| {
-                    let before = ALLOC.calls();
-                    plan.execute(&input, batch, &mut arena, &mut output)
-                        .unwrap();
-                    ALLOC.calls() - before
-                });
-                assert_eq!(rounds.min(), Some(0), "{name} at batch {batch}");
-            }
+                ALLOC.calls() - before
+            });
+            assert_eq!(rounds.min(), Some(0), "{name} at batch {batch}");
         }
-    });
+    }
 }
 
 /// Two requests that meet in one reactor tick run there as one batch, and
@@ -325,11 +322,11 @@ fn json_doc_lays_a_record_out_like_the_committed_files() {
     recovery.push_row(row![0, true]);
     let head = [
         ("available_parallelism", 1.to_string()),
-        ("scaling", "null".to_string()),
+        ("simd", "\"avx2\"".to_string()),
     ];
     assert_eq!(
         json_doc(&head, &[("cells", &cells), ("recovery", &recovery)]),
-        "{\n\"available_parallelism\": 1,\n\"scaling\": null,\n\"cells\": [\n  \
+        "{\n\"available_parallelism\": 1,\n\"simd\": \"avx2\",\n\"cells\": [\n  \
          {\"world\":1,\"wall_ms\":3.9,\"lockstep\":true},\n  \
          {\"world\":2,\"wall_ms\":7.0,\"lockstep\":true}\n],\n\"recovery\": [\n  \
          {\"rank\":0,\"bit_identical\":true}\n]\n}\n"
@@ -352,12 +349,14 @@ fn keys(row: &str) -> String {
 }
 
 /// One row's keys of each array of each record, as committed at ca6199d —
-/// the parent of the harness change — in [`PINNED`] order.
+/// the parent of the harness change — less the kernels' `threads` and
+/// `speedup_vs_1t` and the serving `threads` columns, dropped when the
+/// compute stack became single-threaded; in [`PINNED`] order.
 const RECORDED: [&str; 5] = [
     "backend,bits,params,resident_bytes,memory_bits,measured_live_bytes,peak_live_bytes,\
      checkpoint_bytes",
-    "op,shape,threads,ns_per_iter,gflops,speedup_vs_1t",
-    "cell,bits,lane,threads,policy,max_batch,max_delay_us,clients,requests,ok,shed,\
+    "op,shape,ns_per_iter,gflops",
+    "cell,bits,lane,policy,max_batch,max_delay_us,clients,requests,ok,shed,\
      deadline_expired,corrupted,lost,refused_accept,idle_reaped,slow_reaped,wall_ms,rps,p50_us,\
      p90_us,p99_us,mean_batch,swaps,evictions,quarantines,model_unavailable,swap_p99_us",
     "world,bits,steps,wall_ms,final_accuracy,bytes_on_wire,fp32_bytes,wire_ratio,digest_checks,\
@@ -423,28 +422,28 @@ fn a_smoke_run_writes_only_under_results() {
 }
 
 #[test]
-fn gates_number_fail_skip_and_report_a_status() {
+fn gates_number_fail_and_report_a_status() {
     let _serial = serial();
     let mut out = Vec::new();
     let mut gates = Gates::to(&mut out);
     gates.open("first");
     assert!(gates.check(true, "unused"));
     gates.pass("held");
-    gates.skip("needs 4 cores");
-    gates.open("third");
+    gates.open("second");
     assert!(!gates.check(1 + 1 == 3, format_args!("{} != 3", 1 + 1)));
     gates.pass("never printed");
     assert_eq!(gates.finish(), ExitCode::FAILURE);
     assert_eq!(
         String::from_utf8(out).expect("utf-8"),
-        "# smoke gate 1: first\nok: held\n# smoke gate 2: SKIPPED: needs 4 cores\n\
-         # smoke gate 3: third\nFAIL: 2 != 3\nsmoke: 1 check(s) failed\n"
+        "# smoke gate 1: first\nok: held\n\
+         # smoke gate 2: second\nFAIL: 2 != 3\nsmoke: 1 check(s) failed\n"
     );
 
-    // A skipped gate does not fail the run.
+    // A run whose gates all held passes.
     let mut out = Vec::new();
     let mut gates = Gates::to(&mut out);
-    gates.skip("no cores");
+    gates.open("only");
+    gates.pass("held");
     assert_eq!(gates.finish(), ExitCode::SUCCESS);
     assert!(String::from_utf8(out)
         .expect("utf-8")

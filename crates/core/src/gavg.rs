@@ -8,26 +8,13 @@
 //! The metric deliberately excludes the learning rate and momentum
 //! (§III-B) so users can layer any optimiser tricks on top without
 //! invalidating the profile.
+//!
+//! One layer's Eq. 4 is [`apt_quant::QuantizedTensor::gavg`], over the
+//! tensor's own grid; this module keeps the moving averages of it.
 
 use apt_metrics::Ema;
 use apt_nn::Network;
-use apt_tensor::Tensor;
 use std::collections::HashMap;
-
-/// Computes Eq. 4 for one layer: the mean of `|g/ε|` over the gradient
-/// tensor. Returns 0.0 for empty gradients; `ε` is floored by the
-/// quantiser, so this never divides by zero.
-pub fn gavg_of(grad: &Tensor, eps: f32) -> f64 {
-    if grad.is_empty() {
-        return 0.0;
-    }
-    let inv = 1.0 / eps as f64;
-    grad.data()
-        .iter()
-        .map(|&g| (g as f64).abs() * inv)
-        .sum::<f64>()
-        / grad.len() as f64
-}
 
 /// Moving-average Gavg profiles for every quantised weight tensor of a
 /// network (Algorithm 2 lines 6–9).
@@ -162,33 +149,7 @@ mod tests {
     use super::*;
     use apt_nn::{models, Mode, QuantScheme};
     use apt_tensor::rng::{normal, seeded};
-
-    #[test]
-    fn gavg_matches_hand_computation() {
-        let g = Tensor::from_slice(&[0.1, -0.2, 0.3, 0.0]);
-        // mean(|g|)/eps = (0.1+0.2+0.3+0)/4 / 0.1 = 1.5
-        assert!((gavg_of(&g, 0.1) - 1.5).abs() < 1e-6);
-        let empty = Tensor::from_vec(vec![], &[0]).unwrap();
-        assert_eq!(gavg_of(&empty, 0.1), 0.0);
-    }
-
-    #[test]
-    fn gavg_is_scale_invariant_in_the_right_way() {
-        // Scaling gradients and eps together leaves Gavg unchanged (Eq. 4).
-        let g = normal(&[128], 1.0, &mut seeded(1));
-        let g2 = g.map(|x| x * 7.0);
-        let a = gavg_of(&g, 0.01);
-        let b = gavg_of(&g2, 0.07);
-        assert!((a - b).abs() / a < 1e-5);
-    }
-
-    #[test]
-    fn higher_precision_raises_gavg() {
-        // Same gradients, smaller eps (more bits) ⇒ larger Gavg: the lever
-        // Algorithm 1 pulls.
-        let g = normal(&[64], 0.01, &mut seeded(2));
-        assert!(gavg_of(&g, 0.001) > gavg_of(&g, 0.01) * 9.9);
-    }
+    use apt_tensor::Tensor;
 
     #[test]
     fn profiler_samples_only_quantized_weights() {

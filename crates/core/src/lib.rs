@@ -54,7 +54,7 @@ pub use faults::{
     flip_byte, truncate_file, BatchCorruptor, BatchFault, BitFlip, FaultSurface, FlipRecord,
     NoFaults, PowerCut, Saturator, StepAction, StepHook, StepInfo, SurfaceKind,
 };
-pub use gavg::{gavg_of, GavgProfiler};
+pub use gavg::GavgProfiler;
 pub use integrity::{
     IntegrityAction, IntegrityConfig, IntegrityEvent, IntegrityKind, IntegrityReport, ScanOutcome,
     StepGuard,

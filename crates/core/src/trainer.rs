@@ -104,10 +104,10 @@ pub struct TrainConfig {
     /// range screens and the quantiser saturation check run around every
     /// step, healing soft errors in place (`None` disables).
     pub integrity: Option<IntegrityConfig>,
-    /// `Some(n)` sizes the global [`apt_tensor::par`] compute pool to `n`
-    /// threads when the trainer is built; `None` leaves the pool alone
-    /// (`APT_THREADS` env var or available parallelism). Kernels are
-    /// bit-identical for every thread count, so this only changes speed.
+    /// Compute threads per process: `None` or `Some(1)`, the only count
+    /// the stack has (every kernel runs on the calling thread; see
+    /// [`apt_tensor::par`]). Any other value is refused with
+    /// [`CoreError::BadConfig`]; scale with ranks instead.
     pub threads: Option<usize>,
 }
 
@@ -518,13 +518,12 @@ impl Trainer {
                 });
             }
         }
-        if let Some(threads) = cfg.threads {
-            if threads == 0 {
-                return Err(CoreError::BadConfig {
-                    reason: "threads must be ≥ 1 when set".into(),
-                });
-            }
-            apt_tensor::par::set_global_threads(threads);
+        if cfg.threads.is_some_and(|t| t != 1) {
+            return Err(CoreError::BadConfig {
+                reason: "the compute stack runs on the calling thread; scale with ranks \
+                         (`--workers`)"
+                    .into(),
+            });
         }
         let optimizer = match cfg.optimizer {
             OptimizerKind::Sgd => AnyOptimizer::Sgd(Box::new(Sgd::new(cfg.sgd, cfg.seed))),
@@ -1350,6 +1349,26 @@ mod tests {
         let mut t = Trainer::new(net, base_cfg(1)).unwrap();
         let empty = apt_data::Dataset::new(vec![], vec![], 2).unwrap();
         assert!(t.train(&empty, &empty).is_err());
+    }
+
+    #[test]
+    fn one_compute_thread_is_the_only_count() {
+        let net = || models::mlp("m", &[2, 2], &QuantScheme::float32(), &mut seeded(6)).unwrap();
+        let with = |threads| TrainConfig {
+            threads,
+            ..base_cfg(1)
+        };
+        for threads in [Some(0), Some(2)] {
+            let err = Trainer::new(net(), with(threads)).err();
+            let refused = |r: &str| r.contains("scale with ranks (`--workers`)");
+            assert!(
+                matches!(&err, Some(CoreError::BadConfig { reason }) if refused(reason)),
+                "{threads:?}: {err:?}"
+            );
+        }
+        for threads in [None, Some(1)] {
+            assert!(Trainer::new(net(), with(threads)).is_ok(), "{threads:?}");
+        }
     }
 
     #[test]

@@ -1,40 +1,54 @@
 //! Property-based tests of the paper's core: the Gavg metric (Eq. 4) and
 //! the Algorithm 1 policy.
 
-use apt_core::{adjust_bitwidth, gavg_of, PolicyConfig};
-use apt_quant::Bitwidth;
+use apt_core::{adjust_bitwidth, PolicyConfig};
+use apt_quant::{Bitwidth, QuantizedTensor};
 use apt_tensor::{rng, Tensor};
 use proptest::prelude::*;
+
+/// Eq. 4 as the trainer computes it: `grad`'s Gavg on the per-tensor
+/// `bits`-bit grid of `weights`, and that grid's `ε`.
+fn gavg(weights: &Tensor, bits: u32, grad: &Tensor) -> (f64, f64) {
+    let q = QuantizedTensor::from_tensor(weights, Bitwidth::new(bits).unwrap()).unwrap();
+    (q.gavg(grad).unwrap(), f64::from(q.eps()))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn gavg_is_nonnegative_and_finite(
+    fn gavg_is_the_mean_gradient_over_eps(
         vals in prop::collection::vec(-10.0f32..10.0, 1..128),
-        eps in 1e-6f32..1.0,
+        seed in 0u64..1000,
+        bits in 2u32..=16,
     ) {
-        let g = gavg_of(&Tensor::from_slice(&vals), eps);
-        prop_assert!(g.is_finite());
-        prop_assert!(g >= 0.0);
+        let grad = Tensor::from_slice(&vals);
+        let weights = rng::normal(&[vals.len()], 1.0, &mut rng::seeded(seed));
+        let (g, eps) = gavg(&weights, bits, &grad);
+        let want = vals.iter().map(|&v| f64::from(v).abs() / eps).sum::<f64>() / vals.len() as f64;
+        prop_assert!(g.is_finite() && g >= 0.0);
+        prop_assert!((g - want).abs() <= want * 1e-12, "{g} vs {want}");
     }
 
     #[test]
-    fn gavg_scales_inversely_with_eps(seed in 0u64..1000, factor in 1.5f32..50.0) {
-        let grad = rng::normal(&[64], 0.1, &mut rng::seeded(seed));
-        let base = gavg_of(&grad, 0.01);
-        let finer = gavg_of(&grad, 0.01 / factor);
-        prop_assume!(base > 1e-9);
-        prop_assert!(((finer / base - factor as f64).abs() / (factor as f64)) < 1e-4);
+    fn a_bit_more_precision_roughly_doubles_gavg(seed in 0u64..1000, bits in 2u32..16) {
+        // Same gradients, one more bit (ε about halved) ⇒ Gavg about
+        // doubled: the lever Algorithm 1 pulls.
+        let weights = rng::normal(&[64], 1.0, &mut rng::seeded(seed));
+        let grad = rng::normal(&[64], 0.1, &mut rng::seeded(seed ^ 1));
+        let (coarse, _) = gavg(&weights, bits, &grad);
+        let (fine, _) = gavg(&weights, bits + 1, &grad);
+        prop_assert!(fine > 1.9 * coarse && fine < 2.4 * coarse, "{coarse} -> {fine}");
     }
 
     #[test]
     fn gavg_joint_scale_invariance(seed in 0u64..1000, c in 0.1f32..10.0) {
-        // Gavg(c·g, c·ε) == Gavg(g, ε): Eq. 4 is a pure ratio.
-        let grad = rng::normal(&[64], 0.1, &mut rng::seeded(seed));
-        let scaled = grad.map(|x| x * c);
-        let a = gavg_of(&grad, 0.01);
-        let b = gavg_of(&scaled, 0.01 * c);
+        // Gavg(c·g, c·ε) == Gavg(g, ε): Eq. 4 is a pure ratio, and scaling
+        // the weights by c scales their grid's ε by c.
+        let weights = rng::normal(&[64], 1.0, &mut rng::seeded(seed));
+        let grad = rng::normal(&[64], 0.1, &mut rng::seeded(seed ^ 1));
+        let (a, _) = gavg(&weights, 6, &grad);
+        let (b, _) = gavg(&weights.map(|x| x * c), 6, &grad.map(|x| x * c));
         prop_assume!(a > 1e-9);
         prop_assert!((a - b).abs() / a < 1e-3);
     }

@@ -577,7 +577,6 @@ fn a_rolled_back_batch_norm_model_gets_its_running_stats_back() {
             every: 5,
             keep: 2,
         }),
-        threads: Some(1),
         ..TrainConfig::default()
     };
     // `f32::MAX` pixels are finite, so they pass both input screens; the

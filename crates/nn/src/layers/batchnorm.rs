@@ -417,7 +417,6 @@ mod tests {
 
     #[test]
     fn fused_and_interleaved_passes_match_the_serial_layer_bit_for_bit() {
-        use apt_tensor::par;
         let same = |a: &[f32], b: &[f32]| {
             a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
         };
@@ -443,43 +442,39 @@ mod tests {
                         cases.push((plain_x.clone(), go));
                     }
                     for (x, go) in &cases {
-                        for threads in [1, 3] {
-                            par::with_threads(threads, || {
-                                let at = format!("{dims:?}, {threads} threads");
-                                let mut bn = BatchNorm2d::new("bn", c, ParamPrecision::Float32);
-                                let bn = bn.as_mut().unwrap();
-                                let float = crate::ParamStore::Float;
-                                bn.gamma.set_store(float(gamma.clone())).unwrap();
-                                bn.beta.set_store(float(beta.clone())).unwrap();
+                        let at = format!("{dims:?}");
+                        let mut bn = BatchNorm2d::new("bn", c, ParamPrecision::Float32);
+                        let bn = bn.as_mut().unwrap();
+                        let float = crate::ParamStore::Float;
+                        bn.gamma.set_store(float(gamma.clone())).unwrap();
+                        bn.beta.set_store(float(beta.clone())).unwrap();
 
-                                let (mean, var) = reduce::channel_mean_var(x).unwrap();
-                                let [y, dx, dgamma, dbeta] = serial_layer(
-                                    (n, c, h * w),
-                                    x.data(),
-                                    go.data(),
-                                    (mean.data(), var.data()),
-                                    (gamma.data(), beta.data()),
-                                );
-                                let got_y = bn.forward(x, Mode::Train).unwrap();
-                                assert!(same(got_y.data(), &y), "y at {at}");
-                                let got_dx = bn.backward(go).unwrap();
-                                assert!(same(got_dx.data(), &dx), "dx at {at}");
-                                assert!(same(bn.gamma.grad().data(), &dgamma), "dγ at {at}");
-                                assert!(same(bn.beta.grad().data(), &dbeta), "dβ at {at}");
+                        let (mean, var) = reduce::channel_mean_var(x).unwrap();
+                        let [y, dx, dgamma, dbeta] = serial_layer(
+                            (n, c, h * w),
+                            x.data(),
+                            go.data(),
+                            (mean.data(), var.data()),
+                            (gamma.data(), beta.data()),
+                        );
+                        let got_y = bn.forward(x, Mode::Train).unwrap();
+                        assert!(same(got_y.data(), &y), "y at {at}");
+                        let got_dx = bn.backward(go).unwrap();
+                        assert!(same(got_dx.data(), &dx), "dx at {at}");
+                        assert!(same(bn.gamma.grad().data(), &dgamma), "dγ at {at}");
+                        assert!(same(bn.beta.grad().data(), &dbeta), "dβ at {at}");
 
-                                // Evaluation: the same pass without the x̂ store.
-                                let stats = (bn.running_mean.data(), bn.running_var.data());
-                                let [y_eval, ..] = serial_layer(
-                                    (n, c, h * w),
-                                    x.data(),
-                                    go.data(),
-                                    stats,
-                                    (gamma.data(), beta.data()),
-                                );
-                                let got = bn.forward(x, Mode::Eval).unwrap();
-                                assert!(same(got.data(), &y_eval), "Mode::Eval y at {at}");
-                            });
-                        }
+                        // Evaluation: the same pass without the x̂ store.
+                        let stats = (bn.running_mean.data(), bn.running_var.data());
+                        let [y_eval, ..] = serial_layer(
+                            (n, c, h * w),
+                            x.data(),
+                            go.data(),
+                            stats,
+                            (gamma.data(), beta.data()),
+                        );
+                        let got = bn.forward(x, Mode::Eval).unwrap();
+                        assert!(same(got.data(), &y_eval), "Mode::Eval y at {at}");
                     }
                 }
             }

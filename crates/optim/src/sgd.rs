@@ -539,7 +539,9 @@ mod tests {
             let mut moved = 0.0;
             net.visit_params_ref(&mut |p| {
                 if p.kind() == ParamKind::Weight {
-                    moved += ops::sub(&p.value(), &first).unwrap().l2_norm();
+                    let mut step = p.value();
+                    ops::axpy(-1.0, &first, &mut step).unwrap();
+                    moved += step.l2_norm();
                 }
             });
             moved
@@ -732,7 +734,9 @@ mod clip_tests {
             let mut i = 0;
             let mut total = 0.0;
             net.visit_params_ref(&mut |p| {
-                total += ops::sub(&p.value(), &base[i]).unwrap().l2_norm();
+                let mut step = p.value();
+                ops::axpy(-1.0, &base[i], &mut step).unwrap();
+                total += step.l2_norm();
                 i += 1;
             });
             total

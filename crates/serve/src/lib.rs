@@ -14,7 +14,7 @@
 //! 2. **[`MicroBatcher`]** — an in-process dynamic micro-batcher that
 //!    coalesces single-sample requests from a bounded MPSC queue under a
 //!    [`BatchPolicy`] (`max_batch` / `queue_depth`), executes them as one
-//!    batched forward on the `apt_tensor::par` worker pool, and applies
+//!    batched forward on its worker thread, and applies
 //!    admission control: the queue sheds excess load with a typed
 //!    [`ServeError::Overloaded`] instead of building an unbounded backlog.
 //!    A batch is whatever is already queued when the worker frees, up to

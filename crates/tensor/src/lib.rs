@@ -16,12 +16,10 @@
 //! * Pooling, padding/cropping/flipping (used by data augmentation),
 //!   reductions, element-wise kernels.
 //! * Deterministic random initialisation helpers ([`rng`]).
-//! * A deterministic in-tree thread pool ([`par`]) that parallelises the
-//!   hot kernels while keeping results bit-identical to the serial
-//!   reference for every thread count.
 //!
-//! The crate is deliberately dependency-light (only `rand`) and fully
-//! deterministic given a seed, which the experiment harness relies on.
+//! Every kernel runs on the calling thread ([`par`]), and the crate is
+//! deliberately dependency-light (only `rand`) and fully deterministic
+//! given a seed, which the experiment harness relies on.
 //!
 //! ## Example
 //!
@@ -35,11 +33,9 @@
 //! ```
 
 #![deny(missing_docs)]
-// `unsafe` is denied everywhere except the narrowly-audited pointer
-// plumbing inside `par` and the one call into the `avx2`- / `avx512f`-
-// compiled GEMM micro-kernel in `ops::matmul_impl` (made only after
-// runtime detection);
-// each site carries its own SAFETY justification.
+// `unsafe` is denied everywhere except the one call into the `avx2`- /
+// `avx512f`-compiled GEMM micro-kernel in `ops::matmul_impl` (made only
+// after runtime detection), which carries its own SAFETY justification.
 #![deny(unsafe_code)]
 
 mod error;

@@ -25,16 +25,12 @@
 //! steady-state training allocates nothing here beyond the output
 //! tensor. The GEMMs run on the scratch slices directly via the
 //! `pub(crate)` kernels in `matmul_impl` — the register-tiled micro-kernel
-//! every conv and linear layer shares. Forward and backward-input are
-//! parallelised over images (each image owns a disjoint output slice);
-//! backward-weight keeps its image loop serial — every image's
-//! contribution is `+=`-accumulated into the same weight gradient, and
-//! the serial loop pins that accumulation order — while the GEMM inside
-//! each image parallelises over output rows. All of it is bit-identical
-//! for every thread count.
+//! every conv and linear layer shares. Every kernel walks the images in
+//! order; backward-weight `+=`-accumulates each image's contribution into
+//! the same weight gradient, so that order is also its summation order.
 
 use crate::ops::matmul_impl::{gemm, gemm_a_bt, gemm_at_b};
-use crate::{par, Result, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
 
 thread_local! {
@@ -310,35 +306,30 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, params: &Conv2dParams) -> Result<
     if n == 0 || img_len == 0 {
         return Ok(out);
     }
-    let img_cost = 2 * c_out * col_rows * col_w;
-    let imgs_per_chunk = par::chunk_items(n, img_cost);
     let (in_data, w_data) = (input.data(), weight.data());
-    par::for_each_chunk_mut(out.data_mut(), imgs_per_chunk * img_len, |ci, out_chunk| {
-        for (local, out_img) in out_chunk.chunks_mut(img_len).enumerate() {
-            let img = ci * imgs_per_chunk + local;
-            let in_img = &in_data[img * c_in * h * w..(img + 1) * c_in * h * w];
-            with_col_scratch(col_rows * col_w, |col| {
-                for grp in 0..g {
-                    im2col_group(
-                        in_img,
-                        grp * c_in_g,
-                        c_in_g,
-                        h,
-                        w,
-                        kh,
-                        kw,
-                        params,
-                        oh,
-                        ow,
-                        col,
-                    );
-                    let w_grp = &w_data[grp * c_out_g * col_rows..(grp + 1) * c_out_g * col_rows];
-                    let dst = &mut out_img[grp * c_out_g * col_w..(grp + 1) * c_out_g * col_w];
-                    gemm(w_grp, col, dst, c_out_g, col_rows, col_w);
-                }
-            });
-        }
-    });
+    for (img, out_img) in out.data_mut().chunks_mut(img_len).enumerate() {
+        let in_img = &in_data[img * c_in * h * w..(img + 1) * c_in * h * w];
+        with_col_scratch(col_rows * col_w, |col| {
+            for grp in 0..g {
+                im2col_group(
+                    in_img,
+                    grp * c_in_g,
+                    c_in_g,
+                    h,
+                    w,
+                    kh,
+                    kw,
+                    params,
+                    oh,
+                    ow,
+                    col,
+                );
+                let w_grp = &w_data[grp * c_out_g * col_rows..(grp + 1) * c_out_g * col_rows];
+                let dst = &mut out_img[grp * c_out_g * col_w..(grp + 1) * c_out_g * col_w];
+                gemm(w_grp, col, dst, c_out_g, col_rows, col_w);
+            }
+        });
+    }
     Ok(out)
 }
 
@@ -384,42 +375,32 @@ pub fn conv2d_backward_input(
     if n == 0 || img_len == 0 {
         return Ok(grad_in);
     }
-    let img_cost = 2 * c_out * col_rows * col_w;
-    let imgs_per_chunk = par::chunk_items(n, img_cost);
     let (go_data, w_data) = (grad_output.data(), weight.data());
-    par::for_each_chunk_mut(
-        grad_in.data_mut(),
-        imgs_per_chunk * img_len,
-        |ci, gi_chunk| {
-            for (local, gi_img) in gi_chunk.chunks_mut(img_len).enumerate() {
-                let img = ci * imgs_per_chunk + local;
-                with_col_scratch(col_rows * col_w, |dcol| {
-                    for grp in 0..g {
-                        let go_base = img * c_out * col_w + grp * c_out_g * col_w;
-                        let go = &go_data[go_base..go_base + c_out_g * col_w];
-                        let w_grp =
-                            &w_data[grp * c_out_g * col_rows..(grp + 1) * c_out_g * col_rows];
-                        // dCol[col_rows, col_w] = Wᵀ · dY
-                        dcol.fill(0.0);
-                        gemm_at_b(w_grp, go, dcol, c_out_g, col_rows, col_w);
-                        col2im_group(
-                            dcol,
-                            grp * c_in_g,
-                            c_in_g,
-                            h,
-                            w,
-                            kh,
-                            kw,
-                            params,
-                            oh,
-                            ow,
-                            gi_img,
-                        );
-                    }
-                });
+    for (img, gi_img) in grad_in.data_mut().chunks_mut(img_len).enumerate() {
+        with_col_scratch(col_rows * col_w, |dcol| {
+            for grp in 0..g {
+                let go_base = img * c_out * col_w + grp * c_out_g * col_w;
+                let go = &go_data[go_base..go_base + c_out_g * col_w];
+                let w_grp = &w_data[grp * c_out_g * col_rows..(grp + 1) * c_out_g * col_rows];
+                // dCol[col_rows, col_w] = Wᵀ · dY
+                dcol.fill(0.0);
+                gemm_at_b(w_grp, go, dcol, c_out_g, col_rows, col_w);
+                col2im_group(
+                    dcol,
+                    grp * c_in_g,
+                    c_in_g,
+                    h,
+                    w,
+                    kh,
+                    kw,
+                    params,
+                    oh,
+                    ow,
+                    gi_img,
+                );
             }
-        },
-    );
+        });
+    }
     Ok(grad_in)
 }
 
@@ -458,9 +439,7 @@ pub fn conv2d_backward_weight(
     let col_w = oh * ow;
 
     let mut grad_w = Tensor::zeros(weight_dims);
-    // Images stay serial on purpose: every image accumulates into the
-    // same dW, and the serial loop fixes that order. The per-image GEMM
-    // below still parallelises over dW rows (disjoint chunks).
+    // Every image accumulates into the same dW, in image order.
     for img in 0..n {
         let in_img = &input.data()[img * c_in * h * w..(img + 1) * c_in * h * w];
         with_col_scratch(col_rows * col_w, |col| {

@@ -4,17 +4,8 @@
 //! operands. Broadcasting is intentionally not implemented — the layers in
 //! `apt-nn` expand biases explicitly, which keeps every kernel O(n) and
 //! trivially auditable.
-//!
-//! All kernels here are embarrassingly parallel (no cross-element
-//! accumulation), so they chunk the output into fixed-size pieces and run
-//! them on the [`crate::par`] pool; small tensors never leave the calling
-//! thread. Results are bit-identical for every thread count.
 
-use crate::{par, Result, Tensor, TensorError};
-
-/// Elements per parallel chunk. Fixed (shape-independent), so chunk
-/// boundaries never depend on the thread count.
-const EW_CHUNK: usize = 16 * 1024;
+use crate::{Result, Tensor, TensorError};
 
 fn check_same(op: &'static str, a: &Tensor, b: &Tensor) -> Result<()> {
     if !a.shape().same_as(b.shape()) {
@@ -27,29 +18,21 @@ fn check_same(op: &'static str, a: &Tensor, b: &Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Parallel `out[i] = f(a[i])` into a fresh tensor shaped like `a`.
-fn par_map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+/// `out[i] = f(a[i])` into a fresh tensor shaped like `a`.
+fn map(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     let mut out = Tensor::zeros(a.dims());
-    let ad = a.data();
-    par::for_each_chunk_mut(out.data_mut(), EW_CHUNK, |ci, chunk| {
-        let base = ci * EW_CHUNK;
-        for (j, o) in chunk.iter_mut().enumerate() {
-            *o = f(ad[base + j]);
-        }
-    });
+    for (o, &x) in out.data_mut().iter_mut().zip(a.data()) {
+        *o = f(x);
+    }
     out
 }
 
-/// Parallel `out[i] = f(a[i], b[i])` into a fresh tensor shaped like `a`.
-fn par_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+/// `out[i] = f(a[i], b[i])` into a fresh tensor shaped like `a`.
+fn zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     let mut out = Tensor::zeros(a.dims());
-    let (ad, bd) = (a.data(), b.data());
-    par::for_each_chunk_mut(out.data_mut(), EW_CHUNK, |ci, chunk| {
-        let base = ci * EW_CHUNK;
-        for (j, o) in chunk.iter_mut().enumerate() {
-            *o = f(ad[base + j], bd[base + j]);
-        }
-    });
+    for (o, (&x, &y)) in out.data_mut().iter_mut().zip(a.data().iter().zip(b.data())) {
+        *o = f(x, y);
+    }
     out
 }
 
@@ -60,31 +43,19 @@ fn par_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor
 /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
 pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     check_same("add", a, b)?;
-    Ok(par_zip(a, b, |x, y| x + y))
-}
-
-/// Element-wise difference `a − b`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    check_same("sub", a, b)?;
-    Ok(par_zip(a, b, |x, y| x - y))
+    Ok(zip(a, b, |x, y| x + y))
 }
 
 /// Scalar multiply `s · a` returning a new tensor.
 pub fn scale(a: &Tensor, s: f32) -> Tensor {
-    par_map(a, |x| x * s)
+    map(a, |x| x * s)
 }
 
 /// Scalar multiply in place.
 pub fn scale_in_place(a: &mut Tensor, s: f32) {
-    par::for_each_chunk_mut(a.data_mut(), EW_CHUNK, |_, chunk| {
-        for v in chunk.iter_mut() {
-            *v *= s;
-        }
-    });
+    for v in a.data_mut() {
+        *v *= s;
+    }
 }
 
 /// In-place accumulate `a += b`.
@@ -94,13 +65,9 @@ pub fn scale_in_place(a: &mut Tensor, s: f32) {
 /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
 pub fn add_in_place(a: &mut Tensor, b: &Tensor) -> Result<()> {
     check_same("add_in_place", a, b)?;
-    let bd = b.data();
-    par::for_each_chunk_mut(a.data_mut(), EW_CHUNK, |ci, chunk| {
-        let base = ci * EW_CHUNK;
-        for (j, x) in chunk.iter_mut().enumerate() {
-            *x += bd[base + j];
-        }
-    });
+    for (x, &v) in a.data_mut().iter_mut().zip(b.data()) {
+        *x += v;
+    }
     Ok(())
 }
 
@@ -111,13 +78,9 @@ pub fn add_in_place(a: &mut Tensor, b: &Tensor) -> Result<()> {
 /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
 pub fn axpy(alpha: f32, x: &Tensor, y: &mut Tensor) -> Result<()> {
     check_same("axpy", y, x)?;
-    let xd = x.data();
-    par::for_each_chunk_mut(y.data_mut(), EW_CHUNK, |ci, chunk| {
-        let base = ci * EW_CHUNK;
-        for (j, yi) in chunk.iter_mut().enumerate() {
-            *yi += alpha * xd[base + j];
-        }
-    });
+    for (yi, &xi) in y.data_mut().iter_mut().zip(x.data()) {
+        *yi += alpha * xi;
+    }
     Ok(())
 }
 
@@ -130,11 +93,10 @@ mod tests {
     }
 
     #[test]
-    fn add_sub() {
+    fn add_adds() {
         let a = t(&[1.0, 2.0]);
         let b = t(&[3.0, -4.0]);
         assert_eq!(add(&a, &b).unwrap().data(), &[4.0, -2.0]);
-        assert_eq!(sub(&a, &b).unwrap().data(), &[-2.0, 6.0]);
     }
 
     #[test]
@@ -142,7 +104,6 @@ mod tests {
         let a = t(&[1.0, 2.0]);
         let b = t(&[1.0]);
         assert!(add(&a, &b).is_err());
-        assert!(sub(&a, &b).is_err());
         let mut c = a.clone();
         assert!(add_in_place(&mut c, &b).is_err());
         assert!(axpy(1.0, &b, &mut c).is_err());

@@ -14,13 +14,12 @@
 //! applies them as separate passes. The one change of operand is the
 //! linear kernel's: it reads `Wᵀ` and runs `C += A·B` where the layer runs
 //! `A·Bᵀ` on `W`; each output element sees the same chain of the same
-//! products (see [`linear_bias_act`]). Element-wise passes commute with
-//! chunking, so fused output is bit-identical to the unfused sequence for
-//! every thread count.
+//! products (see [`linear_bias_act`]). Fused output is bit-identical to the
+//! unfused sequence.
 
 use crate::ops::conv::{im2col_group, with_col_scratch, Conv2dParams};
 use crate::ops::matmul_impl::gemm;
-use crate::{par, Result, TensorError};
+use crate::{Result, TensorError};
 
 /// Activation applied in-register after a fused kernel's bias add.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -135,10 +134,10 @@ pub fn linear_bias_act(
 /// * `out` — `[n, c_out, oh, ow]` flattened, fully overwritten.
 ///
 /// Replicates [`conv2d`](crate::ops::conv::conv2d)'s exact decomposition
-/// (same per-image parallel chunking, same `im2col_group` staging, same
-/// `gemm` core), then adds the per-channel bias and applies the epilogue
-/// inside each image's disjoint output slice — bit-identical to the
-/// unfused conv → bias → activation sequence for every thread count.
+/// (same image order, same `im2col_group` staging, same `gemm` core),
+/// then adds the per-channel bias and applies the epilogue inside each
+/// image's output slice — bit-identical to the unfused conv → bias →
+/// activation sequence.
 ///
 /// # Errors
 ///
@@ -215,43 +214,38 @@ pub fn conv2d_bias_act(
     if n == 0 || img_len == 0 {
         return Ok(());
     }
-    let img_cost = 2 * c_out * col_rows * col_w;
-    let imgs_per_chunk = par::chunk_items(n, img_cost);
-    par::for_each_chunk_mut(out, imgs_per_chunk * img_len, |ci, out_chunk| {
-        for (local, out_img) in out_chunk.chunks_mut(img_len).enumerate() {
-            let img = ci * imgs_per_chunk + local;
-            let in_img = &input[img * c_in * h * w..(img + 1) * c_in * h * w];
-            with_col_scratch(col_rows * col_w, |col| {
-                for grp in 0..g {
-                    im2col_group(
-                        in_img,
-                        grp * c_in_g,
-                        c_in_g,
-                        h,
-                        w,
-                        kernel,
-                        kernel,
-                        params,
-                        oh,
-                        ow,
-                        col,
-                    );
-                    let w_grp = &weight[grp * c_out_g * col_rows..(grp + 1) * c_out_g * col_rows];
-                    let dst = &mut out_img[grp * c_out_g * col_w..(grp + 1) * c_out_g * col_w];
-                    gemm(w_grp, col, dst, c_out_g, col_rows, col_w);
-                }
-            });
-            if let Some(b) = bias {
-                for (ch, plane) in out_img.chunks_mut(col_w).enumerate() {
-                    let bch = b[ch];
-                    for v in plane.iter_mut() {
-                        *v += bch;
-                    }
+    for (img, out_img) in out.chunks_mut(img_len).enumerate() {
+        let in_img = &input[img * c_in * h * w..(img + 1) * c_in * h * w];
+        with_col_scratch(col_rows * col_w, |col| {
+            for grp in 0..g {
+                im2col_group(
+                    in_img,
+                    grp * c_in_g,
+                    c_in_g,
+                    h,
+                    w,
+                    kernel,
+                    kernel,
+                    params,
+                    oh,
+                    ow,
+                    col,
+                );
+                let w_grp = &weight[grp * c_out_g * col_rows..(grp + 1) * c_out_g * col_rows];
+                let dst = &mut out_img[grp * c_out_g * col_w..(grp + 1) * c_out_g * col_w];
+                gemm(w_grp, col, dst, c_out_g, col_rows, col_w);
+            }
+        });
+        if let Some(b) = bias {
+            for (ch, plane) in out_img.chunks_mut(col_w).enumerate() {
+                let bch = b[ch];
+                for v in plane.iter_mut() {
+                    *v += bch;
                 }
             }
-            act.apply(out_img);
         }
-    });
+        act.apply(out_img);
+    }
     Ok(())
 }
 
@@ -563,36 +557,5 @@ mod tests {
         assert!(max_pool2d_into(&[0.0; 9], &mut out, 1, 3, 3, 2).is_err());
         assert!(global_avg_pool_into(&[0.0; 16], &mut out, 1, 4, 0).is_err());
         let _ = Tensor::zeros(&[1]);
-    }
-
-    #[test]
-    fn fused_conv_is_thread_count_invariant() {
-        let mut r = rng::seeded(44);
-        let p = Conv2dParams::new(1, 1, 1);
-        let x = rng::normal(&[4, 3, 6, 6], 1.0, &mut r);
-        let wt = rng::normal(&[4, 3, 3, 3], 1.0, &mut r);
-        let b = rng::normal(&[4], 1.0, &mut r);
-        let run = |threads: usize| {
-            par::with_threads(threads, || {
-                let mut got = vec![0.0f32; 4 * 4 * 6 * 6];
-                conv2d_bias_act(
-                    x.data(),
-                    wt.data(),
-                    &mut got,
-                    4,
-                    3,
-                    6,
-                    6,
-                    4,
-                    3,
-                    &p,
-                    Some(b.data()),
-                    Epilogue::Relu,
-                )
-                .unwrap();
-                got
-            })
-        };
-        assert_bits(&run(1), &run(4));
     }
 }

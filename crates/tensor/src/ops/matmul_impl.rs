@@ -27,8 +27,8 @@
 //! for `matmul_a_bt`), each step a separately rounded multiply then add:
 //! `fma` is never enabled, because a fused rounding would make the wide
 //! and the portable build (and two hosts) disagree in the last bit. So
-//! results are bit-identical across instruction sets, thread counts and
-//! both `matmul_a_bt` paths.
+//! results are bit-identical across instruction sets and both
+//! `matmul_a_bt` paths.
 //!
 //! The old kernels skipped `aik == 0.0` terms; that branch defeated
 //! autovectorisation and silently swallowed NaN/Inf coming from B (a
@@ -40,7 +40,7 @@
 //! which call them directly on im2col scratch buffers to avoid per-call
 //! tensor allocation.
 
-use crate::{par, Result, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 use std::cell::RefCell;
 
 /// Shared-dimension tile: a `KC × TN` strip of B (at most 16 KiB) stays in
@@ -48,12 +48,12 @@ use std::cell::RefCell;
 const KC: usize = 128;
 /// C rows per register tile.
 const TM: usize = 4;
-/// Fewest C rows in a pool chunk: eight row tiles share each B strip, so
-/// the strip's trip from L2 is amortised. Chunks are walked one by one
-/// whatever the thread count, so one-tile chunks re-stream the whole B
-/// panel for every four rows of C on one thread too (192³ 297 → 262 µs
-/// from 4 rows to 32, 128³ and 256³ level; 64 reads the same).
-const CHUNK_ROWS_MIN: usize = 8 * TM;
+/// C rows per chunk: the kernel walks C one chunk at a time, and eight row
+/// tiles share each B strip, so the strip's trip from L2 is amortised.
+/// One-tile chunks re-stream the whole B panel for every four rows of C
+/// (192³ 297 → 262 µs from 4 rows to 32, 128³ and 256³ level; 64 reads
+/// the same).
+const CHUNK_ROWS: usize = 8 * TM;
 /// Minimum C-row count before [`gemm_a_bt`] packs a transposed panel:
 /// below this the one-off transpose rivals the GEMM itself and the
 /// register-dot kernel wins.
@@ -317,33 +317,26 @@ fn kernel_rows(isa: Isa, a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
     }
 }
 
-/// `C[rows × n] += A · B[k × n]`, parallel over C row chunks whose
-/// boundaries depend on the shape only: whole row tiles, at least
-/// [`CHUNK_ROWS_MIN`] rows each.
-fn kernel_par(isa: Isa, a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
-    let rows = c.len() / n;
-    let row_cost = 2 * k.max(1) * n;
-    if !par::worth_parallelising(rows * row_cost) {
-        kernel_rows(isa, a, b, c, k, n);
-        return;
+/// `C[rows × n] += A · B[k × n]`, one chunk of [`CHUNK_ROWS`] C rows at a
+/// time.
+fn kernel_chunks(isa: Isa, a: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    if k == 0 {
+        return; // C gains nothing, and A holds no element to index
     }
-    let rows_per_chunk = par::chunk_items(rows, row_cost)
-        .max(CHUNK_ROWS_MIN)
-        .next_multiple_of(TM);
-    par::for_each_chunk_mut(c, rows_per_chunk * n, |ci, c_rows| {
+    for (ci, c_rows) in c.chunks_mut(CHUNK_ROWS * n).enumerate() {
         let a_chunk = Lhs {
-            data: &a.data[ci * rows_per_chunk * a.rs..],
+            data: &a.data[ci * CHUNK_ROWS * a.rs..],
             ..a
         };
         kernel_rows(isa, a_chunk, b, c_rows, k, n);
-    });
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Slice-level kernels (shared with ops::conv)
 // ---------------------------------------------------------------------------
 
-/// `C[m×n] += A[m×k] · B[k×n]` on raw slices, parallel over C row chunks.
+/// `C[m×n] += A[m×k] · B[k×n]` on raw slices, one C row chunk at a time.
 /// Per C element the accumulation walks k ascending, matching the naive
 /// serial loop.
 pub(crate) fn gemm(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
@@ -362,11 +355,11 @@ fn gemm_on(isa: Isa, ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize,
         rs: k,
         ks: 1,
     };
-    kernel_par(isa, a, bd, cd, k, n);
+    kernel_chunks(isa, a, bd, cd, k, n);
 }
 
-/// `C[k×n] += Aᵀ·B` (A stored `[m×k]`) on raw slices, parallel over C row
-/// chunks. Per C element the accumulation walks i = 0..m ascending,
+/// `C[k×n] += Aᵀ·B` (A stored `[m×k]`) on raw slices, one C row chunk at a
+/// time. Per C element the accumulation walks i = 0..m ascending,
 /// matching the naive serial loop.
 pub(crate) fn gemm_at_b(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
     gemm_at_b_on(Isa::detect(), ad, bd, cd, m, k, n);
@@ -384,12 +377,11 @@ fn gemm_at_b_on(isa: Isa, ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: u
         rs: 1,
         ks: k,
     };
-    kernel_par(isa, a, bd, cd, m, n);
+    kernel_chunks(isa, a, bd, cd, m, n);
 }
 
-/// `C[m×k] += A·Bᵀ` (B stored `[k×n]`) on raw slices, parallel over C row
-/// chunks. Each C element is a j-ascending dot product, matching the
-/// naive serial loop.
+/// `C[m×k] += A·Bᵀ` (B stored `[k×n]`) on raw slices. Each C element is a
+/// j-ascending dot product, matching the naive serial loop.
 pub(crate) fn gemm_a_bt(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
     gemm_a_bt_on(Isa::detect(), ad, bd, cd, m, k, n);
 }
@@ -405,15 +397,7 @@ fn gemm_a_bt_on(isa: Isa, ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: u
         gemm_a_bt_packed(isa, ad, bd, cd, m, k, n);
         return;
     }
-    let row_cost = 2 * k * n.max(1);
-    if !par::worth_parallelising(m * row_cost) {
-        a_bt_rows(ad, bd, cd, 0, k, n);
-        return;
-    }
-    let rows_per_chunk = par::chunk_items(m, row_cost);
-    par::for_each_chunk_mut(cd, rows_per_chunk * k, |ci, c_rows| {
-        a_bt_rows(ad, bd, c_rows, ci * rows_per_chunk, k, n);
-    });
+    a_bt_rows(ad, bd, cd, k, n);
 }
 
 /// Packed path of [`gemm_a_bt`]: transposes **whichever operand has fewer
@@ -462,7 +446,7 @@ fn gemm_a_bt_packed(
                 rs: n,
                 ks: 1,
             };
-            kernel_par(isa, left, pt, acc, n, width);
+            kernel_chunks(isa, left, pt, acc, n, width);
             if pack_a {
                 for (i, c_row) in cd.chunks_exact_mut(k).enumerate() {
                     for (kk, cv) in c_row.iter_mut().enumerate() {
@@ -478,12 +462,12 @@ fn gemm_a_bt_packed(
     });
 }
 
-/// Serial core of [`gemm_a_bt`] for C rows `row0..row0 + c_rows.len()/k`.
-/// Four dot products run per pass over the A row, sharing its loads.
-fn a_bt_rows(ad: &[f32], bd: &[f32], c_rows: &mut [f32], row0: usize, k: usize, n: usize) {
+/// Register-dot core of [`gemm_a_bt`] for C rows too few to pack. Four
+/// dot products run per pass over the A row, sharing its loads.
+fn a_bt_rows(ad: &[f32], bd: &[f32], c_rows: &mut [f32], k: usize, n: usize) {
     let rows = c_rows.len() / k;
     for r in 0..rows {
-        let a_row = &ad[(row0 + r) * n..(row0 + r + 1) * n];
+        let a_row = &ad[r * n..(r + 1) * n];
         let c_row = &mut c_rows[r * k..(r + 1) * k];
         let mut kk = 0;
         while kk + 4 <= k {
@@ -715,7 +699,7 @@ mod tests {
             );
 
             let mut dotk = seed.data().to_vec();
-            a_bt_rows(a.data(), b.data(), &mut dotk, 0, k, n);
+            a_bt_rows(a.data(), b.data(), &mut dotk, k, n);
 
             assert!(packed
                 .iter()
@@ -804,38 +788,34 @@ mod tests {
                 shapes.push((rows, 5, cols));
             }
         }
-        // One shape with more than CHUNK_ROWS_MIN rows in every form: on
-        // three threads each is cut into several pool chunks, the last of
-        // them ragged.
+        // One shape with more than CHUNK_ROWS rows in every form: each is
+        // cut into several chunks, the last of them ragged.
         const BIG: (usize, usize, usize) = (70, 130, 241);
-        const { assert!(BIG.0 > 2 * CHUNK_ROWS_MIN && !BIG.0.is_multiple_of(CHUNK_ROWS_MIN)) };
-        const { assert!(BIG.2 > 2 * CHUNK_ROWS_MIN && !BIG.2.is_multiple_of(CHUNK_ROWS_MIN)) };
+        const { assert!(BIG.0 > 2 * CHUNK_ROWS && !BIG.0.is_multiple_of(CHUNK_ROWS)) };
+        const { assert!(BIG.2 > 2 * CHUNK_ROWS && !BIG.2.is_multiple_of(CHUNK_ROWS)) };
         shapes.push(BIG);
         let mut rng = crate::rng::seeded(23);
-        par::with_threads(3, || {
-            for &(rows, s, cols) in &shapes {
-                let a = crate::rng::normal(&[rows * s], 1.0, &mut rng);
-                let b = crate::rng::normal(&[s * cols], 1.0, &mut rng);
-                let seed = crate::rng::normal(&[rows * cols], 1.0, &mut rng);
-                for c0 in [vec![0.0; rows * cols], seed.data().to_vec()] {
-                    let want = naive_forms(a.data(), b.data(), &c0, rows, s, cols);
-                    for &isa in &isas {
-                        let mut got = [c0.clone(), c0.clone(), c0.clone()];
-                        gemm_on(isa, a.data(), b.data(), &mut got[0], rows, s, cols);
-                        gemm_at_b_on(isa, a.data(), b.data(), &mut got[1], s, rows, cols);
-                        gemm_a_bt_on(isa, a.data(), b.data(), &mut got[2], rows, cols, s);
-                        for (form, (g, w)) in
-                            ["a_b", "at_b", "a_bt"].iter().zip(got.iter().zip(&want))
-                        {
-                            assert!(
-                                g.iter().zip(w).all(|(x, y)| x.to_bits() == y.to_bits()),
-                                "{form} {isa:?} differs from the naive loop at {rows}x{s}x{cols}"
-                            );
-                        }
+        for &(rows, s, cols) in &shapes {
+            let a = crate::rng::normal(&[rows * s], 1.0, &mut rng);
+            let b = crate::rng::normal(&[s * cols], 1.0, &mut rng);
+            let seed = crate::rng::normal(&[rows * cols], 1.0, &mut rng);
+            for c0 in [vec![0.0; rows * cols], seed.data().to_vec()] {
+                let want = naive_forms(a.data(), b.data(), &c0, rows, s, cols);
+                for &isa in &isas {
+                    let mut got = [c0.clone(), c0.clone(), c0.clone()];
+                    gemm_on(isa, a.data(), b.data(), &mut got[0], rows, s, cols);
+                    gemm_at_b_on(isa, a.data(), b.data(), &mut got[1], s, rows, cols);
+                    gemm_a_bt_on(isa, a.data(), b.data(), &mut got[2], rows, cols, s);
+                    for (form, (g, w)) in ["a_b", "at_b", "a_bt"].iter().zip(got.iter().zip(&want))
+                    {
+                        assert!(
+                            g.iter().zip(w).all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "{form} {isa:?} differs from the naive loop at {rows}x{s}x{cols}"
+                        );
                     }
                 }
             }
-        });
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Kernels are grouped by family:
 //!
-//! * [`elementwise`] — add/sub/axpy/scale and friends.
+//! * [`elementwise`] — add/axpy/scale and friends.
 //! * [`matmul`](self::matmul()) — register-tiled GEMM plus transposed
 //!   variants, one micro-kernel in three widths (`avx512`, `avx2`,
 //!   `portable`), dispatched by [`gemm_isa`].
@@ -26,5 +26,5 @@ pub mod pool;
 pub mod reduce;
 pub mod softmax;
 
-pub use elementwise::{add, add_in_place, axpy, scale, scale_in_place, sub};
+pub use elementwise::{add, add_in_place, axpy, scale, scale_in_place};
 pub use matmul_impl::{gemm_isa, matmul, matmul_a_bt, matmul_at_b, transpose};

@@ -1,12 +1,11 @@
 //! Pooling kernels (NCHW): max pooling and global average pooling, each
 //! with its backward pass.
 //!
-//! Every pass parallelises over `(image, channel)` planes — each plane owns
-//! a disjoint output slice and is computed in serial order, so results are
-//! bit-identical for every thread count. Windows do not overlap, so even
+//! Every pass walks the `(image, channel)` planes in order, each plane
+//! writing its own output slice. Windows do not overlap, so even
 //! [`max_pool2d_backward`]'s scatter stays inside the plane it came from.
 
-use crate::{par, Result, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 
 /// The widest max-pool window whose argmax table fits a byte: offsets
 /// `di·k + dj` run to `k² − 1 = 255`.
@@ -36,9 +35,8 @@ pub struct MaxPoolOutput {
 
 /// The one max-pool window walk, behind training, evaluation and the frozen
 /// plans alike. `out` (and `arg`, when there is one) hold whole output rows
-/// of `ow = w / k` elements, the first of them output row `row0` of the
-/// tensor (planes are contiguous, so output row `r` pools input rows
-/// `r·k..`).
+/// of `ow = w / k` elements (planes are contiguous, so output row `r`
+/// pools input rows `r·k..`).
 ///
 /// Candidates are visited in `(di, dj)` order and taken on a strict `>`,
 /// written as selects: on activations the winner of a window is a coin
@@ -51,17 +49,10 @@ pub struct MaxPoolOutput {
 /// loops unrolled and the slices' bounds hoisted — the GEMM tile's trick —
 /// and one passing `None` loses the offset bookkeeping.
 #[inline(always)]
-fn max_pool_rows(
-    x: &[f32],
-    w: usize,
-    k: usize,
-    row0: usize,
-    out: &mut [f32],
-    mut arg: Option<&mut [u8]>,
-) {
+fn max_pool_rows(x: &[f32], w: usize, k: usize, out: &mut [f32], mut arg: Option<&mut [u8]>) {
     let ow = w / k;
     for (r, orow) in out.chunks_exact_mut(ow).enumerate() {
-        let base = (row0 + r) * k * w;
+        let base = r * k * w;
         let rows = &x[base..base + k * w];
         let mut arow = arg.as_deref_mut().map(|a| &mut a[r * ow..][..ow]);
         for (oj, o) in orow.iter_mut().enumerate() {
@@ -84,7 +75,7 @@ fn max_pool_rows(
 }
 
 /// Pools every `[h × w]` plane of `x` into `out` — and each winner's offset
-/// into `arg`, when there is one — a chunk of planes per task. The caller
+/// into `arg`, when there is one — row by row. The caller
 /// has checked the geometry: `k` divides `h` and `w`, and `out` (and `arg`)
 /// hold one element per window.
 pub(crate) fn max_pool_planes(
@@ -95,25 +86,15 @@ pub(crate) fn max_pool_planes(
     out: &mut [f32],
     arg: Option<&mut [u8]>,
 ) {
-    let (oh, ow) = (h / k, w / k);
-    if oh * ow == 0 {
+    if (h / k) * (w / k) == 0 {
         return;
     }
-    let planes_per_chunk = par::chunk_items(out.len() / (oh * ow), h * w);
-    let chunk = planes_per_chunk * oh * ow;
-    let row0 = |ci: usize| ci * planes_per_chunk * oh;
     // Every pool in the model zoo is 2 × 2; a literal there halves the pass
     // (63–72 µs against 131–134 for the loop with `k` a variable,
     // [32, 16, 16, 16] on the build host).
-    match arg {
-        Some(arg) => par::for_each_chunk_mut2(out, chunk, arg, chunk, |ci, out, arg| match k {
-            2 => max_pool_rows(x, w, 2, row0(ci), out, Some(arg)),
-            _ => max_pool_rows(x, w, k, row0(ci), out, Some(arg)),
-        }),
-        None => par::for_each_chunk_mut(out, chunk, |ci, out| match k {
-            2 => max_pool_rows(x, w, 2, row0(ci), out, None),
-            _ => max_pool_rows(x, w, k, row0(ci), out, None),
-        }),
+    match k {
+        2 => max_pool_rows(x, w, 2, out, arg),
+        _ => max_pool_rows(x, w, k, out, arg),
     }
 }
 
@@ -199,20 +180,12 @@ pub fn max_pool2d_backward(
     }
     let mut grad_in = Tensor::zeros(input_dims);
     if windows > 0 {
-        let go = grad_output.data();
-        let planes_per_chunk = par::chunk_items(n * c, h * w);
-        par::for_each_chunk_mut(grad_in.data_mut(), planes_per_chunk * h * w, |ci, gi| {
-            let (at, len) = (
-                ci * planes_per_chunk * oh * ow,
-                gi.len() / (h * w) * oh * ow,
-            );
-            let (go, arg) = (&go[at..at + len], &argmax[at..at + len]);
-            // With the literal 2 the offset splits as a shift and a mask.
-            match k {
-                2 => scatter_rows(gi, go, arg, w, 2),
-                _ => scatter_rows(gi, go, arg, w, k),
-            }
-        });
+        let (gi, go) = (grad_in.data_mut(), grad_output.data());
+        // With the literal 2 the offset splits as a shift and a mask.
+        match k {
+            2 => scatter_rows(gi, go, argmax, w, 2),
+            _ => scatter_rows(gi, go, argmax, w, k),
+        }
     }
     Ok(grad_in)
 }
@@ -251,21 +224,16 @@ pub fn global_avg_pool(input: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Averages every `hw`-element plane of `x` into its element of `out`, a
-/// chunk of planes per task — one serial sum per plane, behind training,
+/// Averages every `hw`-element plane of `x` into its element of `out` —
+/// one serial sum per plane, behind training,
 /// evaluation and the frozen plans alike. The caller has checked that `x`
 /// holds `out.len()` planes and that `hw` is not zero.
 pub(crate) fn global_avg_pool_planes(x: &[f32], hw: usize, out: &mut [f32]) {
     let inv = 1.0 / hw as f32;
-    let planes_per_chunk = par::chunk_items(out.len(), hw);
-    par::for_each_chunk_mut(out, planes_per_chunk, |ci, planes| {
-        let p0 = ci * planes_per_chunk;
-        for (local, o) in planes.iter_mut().enumerate() {
-            let base = (p0 + local) * hw;
-            let s: f32 = x[base..base + hw].iter().sum();
-            *o = s * inv;
-        }
-    });
+    for (o, plane) in out.iter_mut().zip(x.chunks_exact(hw)) {
+        let s: f32 = plane.iter().sum();
+        *o = s * inv;
+    }
 }
 
 /// Backward pass of [`global_avg_pool`].
@@ -294,18 +262,10 @@ pub fn global_avg_pool_backward(grad_output: &Tensor, input_dims: &[usize]) -> R
     let mut grad_in = Tensor::zeros(input_dims);
     let go = grad_output.data();
     let plane = h * w;
-    if plane > 0 && n * c > 0 {
-        let planes_per_chunk = par::chunk_items(n * c, plane);
-        par::for_each_chunk_mut(
-            grad_in.data_mut(),
-            planes_per_chunk * plane,
-            |ci, gi_planes| {
-                let p0 = ci * planes_per_chunk;
-                for (local, gp) in gi_planes.chunks_mut(plane).enumerate() {
-                    gp.fill(go[p0 + local] * inv);
-                }
-            },
-        );
+    if plane > 0 {
+        for (gp, &g) in grad_in.data_mut().chunks_exact_mut(plane).zip(go) {
+            gp.fill(g * inv);
+        }
     }
     Ok(grad_in)
 }
@@ -409,30 +369,28 @@ mod tests {
             // (window position, special value) pairs met in windows that have a
             // winner.
             let mut seen = std::collections::BTreeSet::new();
-            for threads in [1, 3] {
-                let got = par::with_threads(threads, || max_pool2d(&input, k).unwrap());
-                assert_eq!(got.output.dims(), want.dims());
-                let (ow, per_plane) = (w / k, (h / k) * (w / k));
-                for (t, (g, r)) in got.output.data().iter().zip(want.data()).enumerate() {
-                    assert_eq!(g.to_bits(), r.to_bits(), "k={k} output {t}");
-                    let (p, oi, oj) = (t / per_plane, (t % per_plane) / ow, t % ow);
-                    let first = p * h * w + oi * k * w + oj * k;
-                    let at = usize::from(got.argmax[t]);
-                    let flat = first + at / k * w + at % k;
-                    let window = (0..k * k).map(|c| x[first + (c / k) * w + c % k]);
-                    if window.clone().any(|v| v > f32::NEG_INFINITY) {
-                        seen.extend(window.enumerate().filter_map(|(c, v)| {
-                            let special = [f32::NAN, f32::NEG_INFINITY, -0.0, 0.0]
-                                .iter()
-                                .position(|s| s.to_bits() == v.to_bits())?;
-                            Some((c, special))
-                        }));
-                        assert_eq!(flat, want_argmax[t], "k={k} argmax {t}");
-                    } else {
-                        // The seed the bugfix moved: the reference says 0.
-                        assert_eq!(g.to_bits(), f32::NEG_INFINITY.to_bits());
-                        assert_eq!((flat, want_argmax[t]), (first, 0), "k={k} {t}");
-                    }
+            let got = max_pool2d(&input, k).unwrap();
+            assert_eq!(got.output.dims(), want.dims());
+            let (ow, per_plane) = (w / k, (h / k) * (w / k));
+            for (t, (g, r)) in got.output.data().iter().zip(want.data()).enumerate() {
+                assert_eq!(g.to_bits(), r.to_bits(), "k={k} output {t}");
+                let (p, oi, oj) = (t / per_plane, (t % per_plane) / ow, t % ow);
+                let first = p * h * w + oi * k * w + oj * k;
+                let at = usize::from(got.argmax[t]);
+                let flat = first + at / k * w + at % k;
+                let window = (0..k * k).map(|c| x[first + (c / k) * w + c % k]);
+                if window.clone().any(|v| v > f32::NEG_INFINITY) {
+                    seen.extend(window.enumerate().filter_map(|(c, v)| {
+                        let special = [f32::NAN, f32::NEG_INFINITY, -0.0, 0.0]
+                            .iter()
+                            .position(|s| s.to_bits() == v.to_bits())?;
+                        Some((c, special))
+                    }));
+                    assert_eq!(flat, want_argmax[t], "k={k} argmax {t}");
+                } else {
+                    // The seed the bugfix moved: the reference says 0.
+                    assert_eq!(g.to_bits(), f32::NEG_INFINITY.to_bits());
+                    assert_eq!((flat, want_argmax[t]), (first, 0), "k={k} {t}");
                 }
             }
             // (A one-element window holding NaN or −∞ has no winner.)
@@ -479,32 +437,27 @@ mod tests {
             x[(k - 1) * w + k - 1] = 1e6;
             let input = Tensor::from_vec(x.clone(), &[1, planes, h, w]).unwrap();
             let (oh, ow) = (h / k, w / k);
-            for threads in [1, 3] {
-                let (out, gi) = par::with_threads(threads, || {
-                    let out = max_pool2d(&input, k).unwrap();
-                    let go: Vec<f32> = (1..=out.argmax.len()).map(|v| v as f32).collect();
-                    let go = Tensor::from_vec(go, out.output.dims()).unwrap();
-                    let gi = max_pool2d_backward(&go, &out.argmax, input.dims(), k).unwrap();
-                    (out, gi)
-                });
-                assert_eq!(usize::from(out.argmax[0]), k * k - 1, "k={k}");
-                for (t, (&y, &at)) in out.output.data().iter().zip(&out.argmax).enumerate() {
-                    let (p, oi, oj) = (t / (oh * ow), t % (oh * ow) / ow, t % ow);
-                    let first = p * h * w + oi * k * w + oj * k;
-                    let at = usize::from(at);
-                    let winner = first + at / k * w + at % k;
-                    let best = (0..k * k)
-                        .map(|c| x[first + c / k * w + c % k])
-                        .fold(f32::NEG_INFINITY, f32::max);
-                    assert!(
-                        at < k * k && x[winner] == y && y == best,
-                        "k={k} window {t}"
-                    );
-                    assert_eq!(gi.data()[winner], (t + 1) as f32, "k={k} window {t}");
-                }
-                let routed = gi.data().iter().filter(|&&g| g != 0.0).count();
-                assert_eq!(routed, out.argmax.len(), "k={k}: a gradient went astray");
+            let out = max_pool2d(&input, k).unwrap();
+            let go: Vec<f32> = (1..=out.argmax.len()).map(|v| v as f32).collect();
+            let go = Tensor::from_vec(go, out.output.dims()).unwrap();
+            let gi = max_pool2d_backward(&go, &out.argmax, input.dims(), k).unwrap();
+            assert_eq!(usize::from(out.argmax[0]), k * k - 1, "k={k}");
+            for (t, (&y, &at)) in out.output.data().iter().zip(&out.argmax).enumerate() {
+                let (p, oi, oj) = (t / (oh * ow), t % (oh * ow) / ow, t % ow);
+                let first = p * h * w + oi * k * w + oj * k;
+                let at = usize::from(at);
+                let winner = first + at / k * w + at % k;
+                let best = (0..k * k)
+                    .map(|c| x[first + c / k * w + c % k])
+                    .fold(f32::NEG_INFINITY, f32::max);
+                assert!(
+                    at < k * k && x[winner] == y && y == best,
+                    "k={k} window {t}"
+                );
+                assert_eq!(gi.data()[winner], (t + 1) as f32, "k={k} window {t}");
             }
+            let routed = gi.data().iter().filter(|&&g| g != 0.0).count();
+            assert_eq!(routed, out.argmax.len(), "k={k}: a gradient went astray");
         }
         let x = Tensor::zeros(&[1, 1, 17, 17]);
         assert!(matches!(

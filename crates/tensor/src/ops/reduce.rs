@@ -1,12 +1,6 @@
 //! Reductions: axis sums and means, argmax, and the row/column reductions
 //! used by linear-layer backward passes.
 //!
-//! Axis reductions parallelise over **output** elements (columns for
-//! [`sum_rows`], channels for [`sum_channels`] / [`channel_mean_var`],
-//! rows for [`argmax_rows`]): each output element is reduced by one
-//! thread in the same order as the serial loop, so results are
-//! bit-identical for every thread count.
-//!
 //! A floating-point sum is a chain: one add per element, each waiting out
 //! the latency of the one before. [`channel_mean_var`] is defined as one
 //! partial sum per image folded in image order, so the partials of
@@ -16,7 +10,7 @@
 //! added to or its place in it, so the bits are the serial loop's (kept in
 //! the test module as the reference).
 
-use crate::{par, Result, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 
 /// Sum over axis 0 of a rank-2 tensor: `[m, n] → [n]`.
 ///
@@ -33,19 +27,15 @@ pub fn sum_rows(a: &Tensor) -> Result<Tensor> {
             actual: a.rank(),
         });
     }
-    let (m, n) = (a.dims()[0], a.dims()[1]);
+    let n = a.dims()[1];
     let mut out = Tensor::zeros(&[n]);
-    let ad = a.data();
-    let cols_per_chunk = par::chunk_items(n, 2 * m.max(1));
-    par::for_each_chunk_mut(out.data_mut(), cols_per_chunk, |ci, cols| {
-        let col0 = ci * cols_per_chunk;
-        for i in 0..m {
-            let row = &ad[i * n + col0..i * n + col0 + cols.len()];
-            for (o, &v) in cols.iter_mut().zip(row) {
+    if n > 0 {
+        for row in a.data().chunks_exact(n) {
+            for (o, &v) in out.data_mut().iter_mut().zip(row) {
                 *o += v;
             }
         }
-    });
+    }
     Ok(out)
 }
 
@@ -67,17 +57,12 @@ pub fn sum_channels(a: &Tensor) -> Result<Tensor> {
     let (n, c, h, w) = (a.dims()[0], a.dims()[1], a.dims()[2], a.dims()[3]);
     let mut out = Tensor::zeros(&[c]);
     let x = a.data();
-    let chans_per_chunk = par::chunk_items(c, n * h * w);
-    par::for_each_chunk_mut(out.data_mut(), chans_per_chunk, |ci, chans| {
-        let ch0 = ci * chans_per_chunk;
-        for (k, o) in chans.iter_mut().enumerate() {
-            let ch = ch0 + k;
-            for img in 0..n {
-                let base = (img * c + ch) * h * w;
-                *o += x[base..base + h * w].iter().sum::<f32>();
-            }
+    for (ch, o) in out.data_mut().iter_mut().enumerate() {
+        for img in 0..n {
+            let base = (img * c + ch) * h * w;
+            *o += x[base..base + h * w].iter().sum::<f32>();
         }
-    });
+    }
     Ok(out)
 }
 
@@ -98,31 +83,23 @@ pub fn argmax_rows(a: &Tensor) -> Result<Vec<usize>> {
             actual: a.rank(),
         });
     }
-    let (m, n) = (a.dims()[0], a.dims()[1]);
+    let n = a.dims()[1];
     if n == 0 {
         return Err(TensorError::InvalidArgument {
             op: "argmax_rows",
             reason: "zero columns".into(),
         });
     }
-    let mut out = vec![0usize; m];
-    let ad = a.data();
-    let rows_per_chunk = par::chunk_items(m, n);
-    par::for_each_chunk_mut(&mut out, rows_per_chunk, |ci, rows| {
-        let row0 = ci * rows_per_chunk;
-        for (k, o) in rows.iter_mut().enumerate() {
-            let i = row0 + k;
-            let row = &ad[i * n..(i + 1) * n];
-            let mut best = 0usize;
-            for (j, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = j;
-                }
+    let argmax = |row: &[f32]| {
+        let mut best = 0usize;
+        for (j, &v) in row.iter().enumerate() {
+            if v > row[best] {
+                best = j;
             }
-            *o = best;
         }
-    });
-    Ok(out)
+        best
+    };
+    Ok(a.data().chunks(n).map(argmax).collect())
 }
 
 /// Per-channel mean and (biased) variance of an NCHW tensor, as used by
@@ -150,27 +127,17 @@ pub fn channel_mean_var(a: &Tensor) -> Result<(Tensor, Tensor)> {
     let mut mean = Tensor::zeros(&[c]);
     let mut var = Tensor::zeros(&[c]);
     let x = a.data();
-    let chans_per_chunk = par::chunk_items(c, 4 * count);
-    let (mean_d, var_d) = (mean.data_mut(), var.data_mut());
-    par::for_each_chunk_mut2(
-        mean_d,
-        chans_per_chunk,
-        var_d,
-        chans_per_chunk,
-        |ci, mean_c, var_c| {
-            let ch0 = ci * chans_per_chunk;
-            for (k, (mu_out, var_out)) in mean_c.iter_mut().zip(var_c.iter_mut()).enumerate() {
-                let plane = |img: usize| &x[(img * c + ch0 + k) * h * w..][..h * w];
-                let mu = sum_over_images(n, plane, |v| v as f64) / count as f64;
-                let sq = sum_over_images(n, plane, |v| {
-                    let d = v as f64 - mu;
-                    d * d
-                });
-                *mu_out = mu as f32;
-                *var_out = (sq / count as f64) as f32;
-            }
-        },
-    );
+    let outs = mean.data_mut().iter_mut().zip(var.data_mut());
+    for (ch, (mu_out, var_out)) in outs.enumerate() {
+        let plane = |img: usize| &x[(img * c + ch) * h * w..][..h * w];
+        let mu = sum_over_images(n, plane, |v| v as f64) / count as f64;
+        let sq = sum_over_images(n, plane, |v| {
+            let d = v as f64 - mu;
+            d * d
+        });
+        *mu_out = mu as f32;
+        *var_out = (sq / count as f64) as f32;
+    }
     Ok((mean, var))
 }
 
@@ -307,14 +274,11 @@ mod tests {
                     }
                     for a in &cases {
                         let (want_mean, want_var) = channel_mean_var_serial(a);
-                        for threads in [1, 3] {
-                            let (mean, var) =
-                                par::with_threads(threads, || channel_mean_var(a).unwrap());
-                            assert!(
-                                same(mean.data(), &want_mean) && same(var.data(), &want_var),
-                                "[{n}, {c}, {h}, {w}] at {threads} threads"
-                            );
-                        }
+                        let (mean, var) = channel_mean_var(a).unwrap();
+                        assert!(
+                            same(mean.data(), &want_mean) && same(var.data(), &want_var),
+                            "[{n}, {c}, {h}, {w}]"
+                        );
                     }
                 }
             }

@@ -5,13 +5,11 @@
 //! (`dlogits = (softmax − one_hot)/batch`) which is both faster and more
 //! numerically stable than composing the two gradients.
 //!
-//! [`softmax_rows`] parallelises over rows (each row is normalised
-//! independently, in serial order, so results are bit-identical for every
-//! thread count); the scalar loss accumulation in [`cross_entropy`] stays
-//! serial to pin its f64 summation order.
+//! [`softmax_rows`] normalises each row on its own, and [`cross_entropy`]
+//! accumulates the loss in one f64 chain in row order.
 
 use crate::ops::elementwise;
-use crate::{par, Result, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 
 fn check_logits(op: &'static str, logits: &Tensor) -> Result<(usize, usize)> {
     if logits.rank() != 2 {
@@ -39,24 +37,17 @@ fn check_logits(op: &'static str, logits: &Tensor) -> Result<(usize, usize)> {
 pub fn softmax_rows(logits: &Tensor) -> Result<Tensor> {
     let (m, n) = check_logits("softmax_rows", logits)?;
     let mut out = Tensor::zeros(&[m, n]);
-    let ld = logits.data();
-    let rows_per_chunk = par::chunk_items(m, 4 * n);
-    par::for_each_chunk_mut(out.data_mut(), rows_per_chunk * n, |ci, out_rows| {
-        let row0 = ci * rows_per_chunk;
-        for (k, dst) in out_rows.chunks_mut(n).enumerate() {
-            let i = row0 + k;
-            let row = &ld[i * n..(i + 1) * n];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0.0f32;
-            for (d, &x) in dst.iter_mut().zip(row) {
-                *d = (x - max).exp();
-                z += *d;
-            }
-            for d in dst.iter_mut() {
-                *d /= z;
-            }
+    for (dst, row) in out.data_mut().chunks_mut(n).zip(logits.data().chunks(n)) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut z = 0.0f32;
+        for (d, &x) in dst.iter_mut().zip(row) {
+            *d = (x - max).exp();
+            z += *d;
         }
-    });
+        for d in dst.iter_mut() {
+            *d /= z;
+        }
+    }
     Ok(out)
 }
 

@@ -13,12 +13,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn add_is_commutative_and_sub_inverts(v in tensor_strategy(64)) {
+    fn add_is_commutative_and_axpy_inverts(v in tensor_strategy(64)) {
         let w = v.map(|x| x * 0.5 - 1.0);
         let ab = ops::add(&v, &w).unwrap();
         let ba = ops::add(&w, &v).unwrap();
         prop_assert_eq!(ab.data(), ba.data());
-        let back = ops::sub(&ab, &w).unwrap();
+        let mut back = ab.clone();
+        ops::axpy(-1.0, &w, &mut back).unwrap();
         for (x, y) in back.data().iter().zip(v.data()) {
             prop_assert!((x - y).abs() < 1e-4);
         }

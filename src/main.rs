@@ -90,7 +90,6 @@ serving:
   --max-batch N         most requests one plan run takes; a batch is
                         what one tick read, never held open [default 8]
   --queue-depth N       most requests one tick admits [default 128]
-  --threads N           compute pool size             [default all cores]
   --stats-every SECS    print serving stats period    [default 10, 0 = off]
 
 overload protection:
@@ -121,8 +120,8 @@ const TRAIN_USAGE: &str = "usage: apt train --model MODEL [options]
 Runs Algorithm 2 on a synthetic-CIFAR task and writes the trained model
 (OUT.aptc, what `apt serve` / `apt freeze` load under the same --model and
 geometry flags) and a per-epoch OUT.csv. Both are a pure function of the
-flags: any --threads, any rerun, and a killed run continued with --resume
-give the same bytes.
+flags: any rerun, and a killed run continued with --resume, give the same
+bytes. Each rank computes on one thread; scale with --workers.
 
 required:
   --model MODEL         cifarnet | vgg_small | resnet20 | resnet110 |
@@ -137,7 +136,6 @@ training:
   --epochs N            lr is divided by 10 at 50 % and 75 %  [default 20]
   --batch-size N                                              [default 32]
   --seed N              data, initialisation and shuffling    [default 42]
-  --threads N           inner-op compute pool size            [default 1]
   --out OUT             writes OUT.csv and OUT.aptc   [default results/train]
 
 data and geometry:
@@ -275,7 +273,6 @@ struct ServeArgs {
     addr: String,
     policy: BatchPolicy,
     limits: ConnLimits,
-    threads: Option<usize>,
     stats_every: u64,
 }
 
@@ -290,7 +287,6 @@ fn parse_serve_args(args: &[String]) -> Result<(ServeArgs, ModelSpec), CliError>
         addr: "127.0.0.1:7878".to_string(),
         policy: BatchPolicy::default(),
         limits: ConnLimits::default(),
-        threads: None,
         stats_every: 10,
     };
     let mut i = 0;
@@ -318,13 +314,6 @@ fn parse_serve_args(args: &[String]) -> Result<(ServeArgs, ModelSpec), CliError>
                 out.limits.request_timeout = Duration::from_millis(parse_flag(flag, value)?)
             }
             "--max-pipeline" => out.limits.max_pipeline = parse_flag(flag, value)?,
-            "--threads" => {
-                let n: usize = parse_flag(flag, value)?;
-                if n == 0 {
-                    return Err(CliError::Usage("--threads needs a value ≥ 1".into()));
-                }
-                out.threads = Some(n);
-            }
             "--stats-every" => out.stats_every = parse_flag(flag, value)?,
             other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
         }
@@ -355,9 +344,6 @@ fn parse_serve_args(args: &[String]) -> Result<(ServeArgs, ModelSpec), CliError>
 
 fn run_serve(args: &[String]) -> Result<(), CliError> {
     let (a, spec) = parse_serve_args(args)?;
-    if let Some(n) = a.threads {
-        apt_tensor::par::set_global_threads(n);
-    }
     let registry = Arc::new(ModelRegistry::new(RegistryConfig {
         budget_bytes: a.budget_mb * 1024 * 1024,
         model_dir: a.model_dir.clone().map(PathBuf::from),
@@ -595,7 +581,6 @@ fn run_train(args: &[String]) -> Result<(), CliError> {
     let mut epochs = 20usize;
     let mut batch_size = 32usize;
     let mut seed = 42u64;
-    let mut threads = 1usize;
     let mut out = "results/train".to_string();
     let mut per_class = 60usize;
     let mut workers = 1usize;
@@ -619,7 +604,6 @@ fn run_train(args: &[String]) -> Result<(), CliError> {
                     "--epochs" => epochs = parse_flag(flag, value)?,
                     "--batch-size" => batch_size = parse_flag(flag, value)?,
                     "--seed" => seed = parse_flag(flag, value)?,
-                    "--threads" => threads = parse_flag(flag, value)?,
                     "--out" => out = value.clone(),
                     "--per-class" => per_class = parse_flag(flag, value)?,
                     "--workers" => workers = parse_flag(flag, value)?,
@@ -687,7 +671,6 @@ fn run_train(args: &[String]) -> Result<(), CliError> {
         schedule: LrSchedule::paper_cifar10(epochs),
         policy,
         seed,
-        threads: Some(threads),
         checkpoint: checkpoint_dir.map(|dir| CheckpointConfig {
             dir,
             every: checkpoint_every,

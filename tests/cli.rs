@@ -229,3 +229,17 @@ fn serve_refuses_the_removed_delay_flag() {
     );
     assert_eq!(lines.next(), Some(""), "one line, then usage: {stderr}");
 }
+
+#[test]
+fn train_and_serve_refuse_the_removed_threads_flag() {
+    for cmd in ["train", "serve"] {
+        let output = apt(&[cmd, "--threads", "1"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{stderr}");
+        assert_eq!(
+            stderr.lines().next(),
+            Some(format!("apt {cmd}: unknown flag `--threads`").as_str()),
+            "{stderr}"
+        );
+    }
+}

@@ -68,7 +68,7 @@ pub fn arg_value(flag: &str) -> Option<String> {
 /// Where an output goes. A full run writes `full` as given — the committed
 /// `BENCH_<bin>.json` record or a file under `results/`. A `--smoke` run
 /// measures reduced cells, so it never touches a committed record: it
-/// writes `results/<bin>_smoke.<ext>`, under the git-ignored `results/`.
+/// writes `results/<bin>_smoke.<ext>`, a name `.gitignore` ignores.
 pub fn output_path(smoke: bool, full: &str) -> PathBuf {
     let full = Path::new(full);
     if !smoke {

@@ -14,7 +14,8 @@
 //! timing. Figure and gate binaries only: the training command is `apt
 //! train`, in the root package.
 //!
-//! Every figure binary accepts:
+//! Every figure binary accepts these flags and refuses any other with
+//! exit code 2:
 //!
 //! ```text
 //! --scale tiny|small|paper   (default: tiny)
@@ -198,20 +199,41 @@ impl ExpParams {
     }
 }
 
-/// Parses `--scale`/`--seed` from the process arguments; unknown flags are
-/// ignored so binaries can add their own.
-pub fn parse_cli() -> ExpParams {
-    /// `flag`'s value through `parse`; absent → `None`, unparsable → exit 2.
-    fn value<T>(flag: &str, parse: impl Fn(&str) -> Option<T>, want: &str) -> Option<T> {
-        let text = arg_value(flag)?;
-        parse(&text).or_else(|| {
-            eprintln!("invalid {flag} `{text}` ({want})");
-            std::process::exit(2)
-        })
+/// Parses a figure binary's arguments, program name excluded: `--scale`
+/// and `--seed`, each followed by its value. Any other argument, or a flag
+/// with no value, is an error that names it.
+fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<ExpParams, String> {
+    let (mut scale, mut seed) = (Scale::default(), 42);
+    let mut args = args.iter().map(AsRef::as_ref);
+    while let Some(flag) = args.next() {
+        if flag != "--scale" && flag != "--seed" {
+            return Err(format!("unknown flag `{flag}`"));
+        }
+        let text = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        if flag == "--scale" {
+            scale = Scale::parse(text)
+                .ok_or_else(|| format!("invalid --scale `{text}` (tiny|small|paper)"))?;
+        } else {
+            seed = text
+                .parse()
+                .map_err(|_| format!("invalid --seed `{text}` (a u64)"))?;
+        }
     }
-    let scale = value("--scale", Scale::parse, "tiny|small|paper").unwrap_or_default();
-    let seed = value("--seed", |s| s.parse().ok(), "a u64").unwrap_or(42);
-    ExpParams::for_scale(scale, seed)
+    Ok(ExpParams::for_scale(scale, seed))
+}
+
+/// Parses `--scale`/`--seed` from the process arguments. A malformed
+/// command line prints one line naming the fault, then the usage, and
+/// exits 2, as `apt` does.
+pub fn parse_cli() -> ExpParams {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let bin = std::path::Path::new(&bin).file_name().unwrap_or_default();
+    let bin = bin.to_string_lossy();
+    parse_args(&args.collect::<Vec<_>>()).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}\n\nusage: {bin} [--scale tiny|small|paper] [--seed U64]");
+        std::process::exit(2)
+    })
 }
 
 /// Formats a ratio as a percentage string with one decimal.
@@ -261,6 +283,29 @@ mod tests {
         assert_eq!(cfg.epochs, params.epochs);
         assert_eq!(cfg.schedule.lr_at(0), 0.1);
         assert_eq!(cfg.sgd.momentum, 0.9);
+    }
+
+    #[test]
+    fn figure_flags_parse_and_anything_else_is_refused() {
+        let params = parse_args(&["--scale", "tiny", "--seed", "3"]).unwrap();
+        assert_eq!(params, ExpParams::for_scale(Scale::Tiny, 3));
+        assert_eq!(
+            parse_args::<&str>(&[]).unwrap(),
+            ExpParams::for_scale(Scale::Tiny, 42)
+        );
+        for (args, fault) in [
+            (&["--sede", "3"][..], "unknown flag `--sede`"),
+            (
+                &["--scale", "tiny", "--threads", "4"],
+                "unknown flag `--threads`",
+            ),
+            (&["--seed"], "--seed needs a value"),
+            (&["--scale", "huge"], "invalid --scale `huge`"),
+            (&["--seed", "-1"], "invalid --seed `-1`"),
+        ] {
+            let e = parse_args(args).unwrap_err();
+            assert!(e.starts_with(fault), "{args:?}: {e}");
+        }
     }
 
     #[test]

@@ -30,32 +30,23 @@ impl<const SIX: bool> Clamp<SIX> {
     }
 }
 
-/// Where each element of a clamp's input fell, a byte each: 0 below the
-/// band (`x ≤ 0`, NaN), 1 inside it, where the gradient passes, 2 at or
-/// above its top. The stash of [`Clamp`], of a `Residual`'s activation and
-/// of `ActQuant`, whose clip gradient sums over the 2s: all their backward
-/// reads of the input, at a quarter of its bytes.
+/// Whether the gradient passes each element of a clamp's input, a byte
+/// each: `true` inside the band `(0, top)`, `false` outside it or at NaN.
+/// The stash of [`Clamp`] and of a `Residual`'s activation: all their
+/// backward reads of the input, at a quarter of its bytes.
 #[derive(Debug)]
-pub(crate) struct RegionMask(Vec<u8>);
-
-/// [`RegionMask`]'s value where the gradient passes.
-const PASS: u8 = 1;
-/// [`RegionMask`]'s value at or above the top.
-const SATURATED: u8 = 2;
+pub(crate) struct RegionMask(Vec<bool>);
 
 impl RegionMask {
-    /// Applies `act` to `x` in place and records, in the same pass, where
-    /// each element fell against the band `(0, top)`. `top` must be above
-    /// 0; with none, nothing saturates (ReLU).
+    /// Applies `act` to `x` in place and records, in the same pass, whether
+    /// each element fell inside the band `(0, top)`. `top` must be above 0;
+    /// with none, the band has no top (ReLU).
     #[inline]
-    pub(crate) fn apply(x: &mut Tensor, top: Option<f32>, act: impl Fn(f32) -> f32) -> Self {
-        // Every comparison with NaN is false: no top, no saturation.
-        let top = top.unwrap_or(f32::NAN);
-        let mut mask = vec![0; x.len()];
+    fn apply(x: &mut Tensor, top: Option<f32>, act: impl Fn(f32) -> f32) -> Self {
+        let mut mask = vec![false; x.len()];
         for (v, m) in x.data_mut().iter_mut().zip(&mut mask) {
-            // A saturated element is above 0 too, so the two flags sum to
-            // its region.
-            *m = u8::from(*v > 0.0) + u8::from(*v >= top);
+            // A NaN input fails `v > 0` and passes nothing.
+            *m = *v > 0.0 && top.is_none_or(|t| *v < t);
             *v = act(*v);
         }
         RegionMask(mask)
@@ -74,26 +65,6 @@ impl RegionMask {
     /// `∂L/∂x`: `g` where the element passed, 0 where it was clamped — a
     /// select, so a NaN or `−0` gradient passes as itself.
     pub(crate) fn pass(&self, g: &Tensor) -> crate::Result<Tensor> {
-        self.check(g)?;
-        let dx = self.0.iter().zip(g.data());
-        let dx = dx.map(|(&m, &g)| if m == PASS { g } else { 0.0 }).collect();
-        Ok(Tensor::from_vec(dx, g.dims())?)
-    }
-
-    /// `Σ g` over the saturated elements, in element order on one `f64`
-    /// chain.
-    pub(crate) fn saturated_sum(&self, g: &Tensor) -> crate::Result<f64> {
-        self.check(g)?;
-        let mut sum = 0.0f64;
-        for (&m, &g) in self.0.iter().zip(g.data()) {
-            if m == SATURATED {
-                sum += f64::from(g);
-            }
-        }
-        Ok(sum)
-    }
-
-    fn check(&self, g: &Tensor) -> crate::Result<()> {
         if g.len() != self.0.len() {
             return Err(TensorError::LengthMismatch {
                 expected: self.0.len(),
@@ -101,7 +72,9 @@ impl RegionMask {
             }
             .into());
         }
-        Ok(())
+        let dx = self.0.iter().zip(g.data());
+        let dx = dx.map(|(&m, &g)| if m { g } else { 0.0 }).collect();
+        Ok(Tensor::from_vec(dx, g.dims())?)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Primitive layers ([`Linear`], [`Conv2d`], [`BatchNorm2d`], [`Relu`] and
 //! [`Relu6`] — the two instances of [`Clamp`] —, [`MaxPool2d`],
-//! [`GlobalAvgPool`], [`Flatten`], [`ActQuant`]) and the two composites
+//! [`GlobalAvgPool`], [`Flatten`]) and the two composites
 //! every deeper architecture is built from: [`Sequential`], a named chain,
 //! and [`Residual`], `act(body(x) + shortcut(x))`. The paper's ResNet and
 //! MobileNetV2 blocks are builders over these two in [`crate::models`].
@@ -10,15 +10,14 @@
 //! A layer's training forward stashes what its backward reads, in the
 //! smallest form that gives the same bits: [`Conv2d`] and [`Linear`] their
 //! input, [`BatchNorm2d`] x̂ and 1/σ, the clamps ([`Relu`], [`Relu6`], a
-//! [`Residual`]'s activation) and [`ActQuant`] one byte per element saying
-//! where the input fell, [`MaxPool2d`] one byte per window naming its
-//! winner, the rest their input's dims. The backward that reads a stash
+//! [`Residual`]'s activation) one byte per element saying whether the
+//! gradient passes, [`MaxPool2d`] one byte per window naming its winner,
+//! the rest their input's dims. The backward that reads a stash
 //! takes it, so it is freed before the next forward builds its own, and a
 //! second backward is [`crate::NnError::BackwardBeforeForward`] (DESIGN.md
 //! §10, "The training stash").
 
 mod activation;
-mod actquant;
 mod batchnorm;
 mod compose;
 mod conv;
@@ -27,7 +26,6 @@ mod linear;
 mod pool;
 
 pub use activation::{Clamp, Relu, Relu6};
-pub use actquant::ActQuant;
 pub use batchnorm::BatchNorm2d;
 #[cfg(test)]
 pub(crate) use compose::tests::assert_input_gradient;
@@ -41,7 +39,6 @@ pub use pool::{GlobalAvgPool, MaxPool2d};
 mod tests {
     use super::*;
     use crate::{Layer, Mode, NnError, ParamPrecision};
-    use apt_quant::Bitwidth;
     use apt_tensor::ops::fused::Epilogue;
     use apt_tensor::rng::{normal, seeded};
     use apt_tensor::Tensor;
@@ -58,7 +55,6 @@ mod tests {
             Box::new(BatchNorm2d::new("bn", 2, fp).unwrap()),
             Box::new(Relu::new("relu")),
             Box::new(Relu6::new("relu6")),
-            Box::new(ActQuant::new("aq", Bitwidth::new(4).unwrap(), 1.0).unwrap()),
             Box::new(MaxPool2d::new("pool", 2)),
             Box::new(Residual::new(body, None, Epilogue::Relu)),
         ]
@@ -96,13 +92,8 @@ mod tests {
     #[test]
     fn masks_pass_what_the_element_rule_passes_bit_for_bit() {
         // The rule the masks replace: the gradient passes where 0 < x < top
-        // (no top: ReLU); x ≥ top is saturated, and ActQuant's dα sums g
-        // there in element order on one f64 chain.
-        let rule = |x: f32, top: Option<f32>| {
-            let pass = x > 0.0 && top.is_none_or(|t| x < t);
-            (pass, top.is_some_and(|t| x >= t))
-        };
-        let alpha = 2.5;
+        // (no top: ReLU).
+        let rule = |x: f32, top: Option<f32>| x > 0.0 && top.is_none_or(|t| x < t);
         let up = |v: f32| f32::from_bits(v.to_bits() + 1);
         let down = |v: f32| f32::from_bits(v.to_bits() - 1);
         let tiny = f32::from_bits(1);
@@ -122,27 +113,19 @@ mod tests {
             6.0,
             down(6.0),
             up(6.0),
-            alpha,
-            down(alpha),
-            up(alpha),
             f32::MAX,
             f32::MIN,
         ];
         let gs = [1.5, -0.0, 0.0, -2.0, f32::NAN, tiny, f32::INFINITY];
         let (x, g): (Vec<f32>, Vec<f32>) = xs.iter().flat_map(|&x| gs.map(|g| (x, g))).unzip();
         let n = x.len();
-        let finite: Vec<f32> = g
-            .iter()
-            .map(|&g| if g.is_finite() { g } else { 0.25 })
-            .collect();
         let x = Tensor::from_vec(x, &[n]).unwrap();
-        let finite = Tensor::from_vec(finite, &[n]).unwrap();
         let g = Tensor::from_vec(g, &[n]).unwrap();
         let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let passed = |x: &Tensor, g: &Tensor, top| -> Vec<f32> {
             let pairs = x.data().iter().zip(g.data());
             pairs
-                .map(|(&x, &g)| if rule(x, top).0 { g } else { 0.0 })
+                .map(|(&x, &g)| if rule(x, top) { g } else { 0.0 })
                 .collect()
         };
 
@@ -170,22 +153,6 @@ mod tests {
             let want: Vec<f32> = passed(&sum, &g, top).iter().map(|&m| m + m).collect();
             let dx = block.backward(&g).unwrap();
             assert_eq!(bits(dx.data()), bits(&want), "{act:?}");
-        }
-
-        for g in [&g, &finite] {
-            let mut aq = ActQuant::new("aq", Bitwidth::new(4).unwrap(), alpha).unwrap();
-            aq.forward(&x, Mode::Train).unwrap();
-            let dx = aq.backward(g).unwrap();
-            assert_eq!(bits(dx.data()), bits(&passed(&x, g, Some(alpha))));
-            let dalpha = x
-                .data()
-                .iter()
-                .zip(g.data())
-                .filter(|&(&x, _)| rule(x, Some(alpha)).1)
-                .fold(0.0f64, |sum, (_, &g)| sum + f64::from(g));
-            let mut clip_grad = f32::NAN;
-            aq.visit_params_ref(&mut |p| clip_grad = p.grad().data()[0]);
-            assert_eq!(clip_grad.to_bits(), (0.0 + dalpha as f32).to_bits());
         }
     }
 }

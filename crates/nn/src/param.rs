@@ -20,9 +20,6 @@ pub enum ParamKind {
     BnGamma,
     /// Batch-norm shift (β).
     BnBeta,
-    /// Learnable activation clipping point (§III-B: "the clipping point of
-    /// activation" is among the parameters Gavg applies to).
-    ActClip,
 }
 
 impl std::fmt::Display for ParamKind {
@@ -32,7 +29,6 @@ impl std::fmt::Display for ParamKind {
             ParamKind::Bias => "bias",
             ParamKind::BnGamma => "bn_gamma",
             ParamKind::BnBeta => "bn_beta",
-            ParamKind::ActClip => "act_clip",
         };
         f.write_str(s)
     }
@@ -166,8 +162,6 @@ impl QuantScheme {
             ParamKind::Weight => self.weights,
             ParamKind::Bias => self.biases,
             ParamKind::BnGamma | ParamKind::BnBeta => self.batch_norm,
-            // The activation clip is a scalar; it follows the bias setting.
-            ParamKind::ActClip => self.biases,
         }
     }
 }

@@ -8,9 +8,9 @@
 //! allocated destination can never overlap a live operand — operands are
 //! still active while the destination is placed.
 //!
-//! Element-wise steps (BatchNorm, activations, fake-quant) whose operand
-//! dies at the step alias their destination onto the operand's region and
-//! run in place — the common conv→bn→relu spine threads one buffer.
+//! Element-wise steps (BatchNorm, activations) whose operand dies at the
+//! step alias their destination onto the operand's region and run in
+//! place — the common conv→bn→relu spine threads one buffer.
 
 use super::step::{Step, StepKind, ValueId};
 

@@ -255,24 +255,6 @@ impl PlanBuilder {
         self.push_step(StepKind::Act(act), dims);
     }
 
-    /// Lowers a PACT fake-quantisation step with clip `alpha` and grid
-    /// step `eps`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Unfreezable`] for a non-finite or non-positive
-    /// grid.
-    pub fn push_act_quant(&mut self, alpha: f32, eps: f32) -> Result<()> {
-        if !alpha.is_finite() || !eps.is_finite() || eps <= 0.0 {
-            return Err(self.unfreezable(format!(
-                "activation quantiser grid is degenerate (alpha {alpha}, eps {eps})"
-            )));
-        }
-        let dims = self.current_dims().to_vec();
-        self.push_step(StepKind::ActQuant { alpha, eps }, dims);
-        Ok(())
-    }
-
     /// Lowers a flatten: pure metadata, no step — the value's dims
     /// collapse to one axis in place.
     pub fn push_flatten(&mut self) {
@@ -373,7 +355,6 @@ impl PlanBuilder {
             steps: steps.len(),
             bn_folds: counters.bn_folds,
             act_fusions: counters.act_fusions,
-            quant_elims: counters.quant_elims,
             arena_floats_per_sample: layout.arena_len,
         };
         Ok(FrozenPlan::assemble(

@@ -4,7 +4,6 @@ use super::arena::Layout;
 use super::step::{Step, StepKind, ValueId};
 use super::PlanReport;
 use crate::{NnError, Result};
-use apt_quant::fake;
 use apt_tensor::ops::fused;
 use apt_tensor::Tensor;
 
@@ -277,19 +276,6 @@ impl FrozenPlan {
                     let (src, dst) = rw(buf, s_off, s_len, d_off, d_len);
                     dst.copy_from_slice(src);
                     ep.apply(dst);
-                }
-            }
-            StepKind::ActQuant { alpha, eps } => {
-                let snap = |x: f32| fake::quantize_clipped(x, *alpha, *eps);
-                if in_place {
-                    for v in &mut buf[d_off..d_off + d_len] {
-                        *v = snap(*v);
-                    }
-                } else {
-                    let (src, dst) = rw(buf, s_off, s_len, d_off, d_len);
-                    for (x, y) in src.iter().zip(dst) {
-                        *y = snap(*x);
-                    }
                 }
             }
             StepKind::MaxPool { channels, h, w, k } => {

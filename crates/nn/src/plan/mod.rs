@@ -11,8 +11,7 @@
 //!    branch/merge steps.
 //! 2. **Decluttering** ([`optimize`]) — BatchNorm running statistics fold
 //!    into the preceding convolution's weights+bias (exact per-channel
-//!    affine algebra), activations fuse into conv/linear epilogues, and
-//!    adjacent identical fake-quant steps deduplicate.
+//!    affine algebra) and activations fuse into conv/linear epilogues.
 //! 3. **Arena planning** ([`arena`]) — every intermediate value gets a
 //!    liveness interval and a first-fit offset into one flat scratch
 //!    arena, with element-wise steps aliased in place. Steady-state
@@ -47,8 +46,6 @@ pub struct PlanReport {
     pub bn_folds: usize,
     /// Activations fused into a conv/linear kernel epilogue.
     pub act_fusions: usize,
-    /// Redundant adjacent fake-quantisation steps eliminated.
-    pub quant_elims: usize,
     /// Scratch arena size, in f32 elements per sample.
     pub arena_floats_per_sample: usize,
 }
@@ -62,7 +59,6 @@ impl fmt::Display for PlanReport {
         )?;
         writeln!(f, "bn folds: {}", self.bn_folds)?;
         writeln!(f, "act fusions: {}", self.act_fusions)?;
-        writeln!(f, "quant eliminations: {}", self.quant_elims)?;
         write!(
             f,
             "arena: {} floats ({} bytes) per sample",
@@ -83,7 +79,6 @@ mod tests {
             steps: 7,
             bn_folds: 3,
             act_fusions: 2,
-            quant_elims: 0,
             arena_floats_per_sample: 4096,
         };
         let s = r.to_string();

@@ -9,10 +9,6 @@
 //!   differential tests bound.
 //! * **Activation fusion** moves a bit-identical element-wise map into
 //!   the producing kernel's epilogue.
-//! * **Quant dedup** removes the second of two adjacent identical
-//!   fake-quantisation grids — re-snapping an already-snapped value is
-//!   the identity up to the grid's own rounding, which an identical grid
-//!   reproduces.
 
 use super::step::{Step, StepKind, ValueId};
 use apt_tensor::ops::fused::Epilogue;
@@ -22,7 +18,6 @@ use apt_tensor::ops::fused::Epilogue;
 pub(crate) struct Counters {
     pub(crate) bn_folds: usize,
     pub(crate) act_fusions: usize,
-    pub(crate) quant_elims: usize,
 }
 
 /// Number of steps reading `v` (plus the final output, which is read by
@@ -46,11 +41,9 @@ fn use_count(steps: &[Step], v: ValueId, output: ValueId) -> usize {
 pub(crate) fn run(steps: &mut Vec<Step>, output: ValueId) -> Counters {
     let bn_folds = fold_bn(steps, output);
     let act_fusions = fuse_acts(steps, output);
-    let quant_elims = dedup_quant(steps, output);
     Counters {
         bn_folds,
         act_fusions,
-        quant_elims,
     }
 }
 
@@ -161,36 +154,4 @@ fn fuse_acts(steps: &mut Vec<Step>, output: ValueId) -> usize {
         fusions += 1;
     }
     fusions
-}
-
-/// Drops the second of two adjacent fake-quantisation steps with the
-/// *identical* grid — snapping twice onto the same grid is one snap.
-fn dedup_quant(steps: &mut Vec<Step>, output: ValueId) -> usize {
-    let mut elims = 0;
-    let mut i = 0;
-    while i + 1 < steps.len() {
-        let dedup = {
-            let (a, b) = (&steps[i], &steps[i + 1]);
-            match (&a.kind, &b.kind) {
-                (
-                    StepKind::ActQuant { alpha: a1, eps: e1 },
-                    StepKind::ActQuant { alpha: a2, eps: e2 },
-                ) => {
-                    a1.to_bits() == a2.to_bits()
-                        && e1.to_bits() == e2.to_bits()
-                        && b.src == a.dst
-                        && use_count(steps, a.dst, output) == 1
-                }
-                _ => false,
-            }
-        };
-        if !dedup {
-            i += 1;
-            continue;
-        }
-        let second = steps.remove(i + 1);
-        steps[i].dst = second.dst;
-        elims += 1;
-    }
-    elims
 }

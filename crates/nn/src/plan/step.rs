@@ -68,14 +68,6 @@ pub(crate) enum StepKind {
     },
     /// Standalone element-wise activation (not yet fused into a producer).
     Act(Epilogue),
-    /// PACT-style activation fake-quantisation:
-    /// `y = round(clamp(x, 0, α)/ε)·ε`.
-    ActQuant {
-        /// Learned clipping level α (already floored to `f32::MIN_POSITIVE`).
-        alpha: f32,
-        /// Grid step `α / (2^k - 1)`.
-        eps: f32,
-    },
     /// Non-overlapping max pooling.
     MaxPool {
         /// Channels per sample.
@@ -114,7 +106,6 @@ impl StepKind {
             StepKind::Conv { .. } => "conv",
             StepKind::Bn { .. } => "bn",
             StepKind::Act(_) => "act",
-            StepKind::ActQuant { .. } => "actquant",
             StepKind::MaxPool { .. } => "maxpool",
             StepKind::GlobalAvgPool { .. } => "gap",
             StepKind::Add { .. } => "add",
@@ -124,10 +115,7 @@ impl StepKind {
     /// Whether this step is a pure element-wise map (candidate for
     /// in-place arena aliasing).
     pub(crate) fn is_elementwise(&self) -> bool {
-        matches!(
-            self,
-            StepKind::Bn { .. } | StepKind::Act(_) | StepKind::ActQuant { .. }
-        )
+        matches!(self, StepKind::Bn { .. } | StepKind::Act(_))
     }
 }
 

@@ -6,7 +6,7 @@
 //! one backward reaches every parameter.
 
 use apt_nn::layers::{
-    ActQuant, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu, Relu6, Residual, Sequential,
+    BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu, Relu6, Residual, Sequential,
 };
 use apt_nn::{checkpoint, Layer, Mode, Network, ParamPrecision};
 use apt_quant::{Bitwidth, RoundingMode};
@@ -35,18 +35,6 @@ struct Gen {
     /// 0: fp32 weights, 1: per-tensor codes (`paper_apt`), 2: per-channel.
     scheme: u64,
     layers: usize,
-    /// The last layer drawn was a convolution: a batch norm now would fold
-    /// into it when the network is frozen.
-    after_conv: bool,
-    /// A batch norm folded somewhere upstream. The fold moves values by a
-    /// rounding error, which an activation quantiser downstream could turn
-    /// into a whole grid step, so none is drawn from here on.
-    folded: bool,
-    /// The value is an activation quantiser's output, not yet mixed by a
-    /// conv or linear: a max pool would pick its saturated elements, whose
-    /// straight-through gradient is zero, and a second quantiser could find
-    /// none of its few levels inside its clip.
-    saturated: bool,
 }
 
 impl Gen {
@@ -68,7 +56,6 @@ impl Gen {
     /// Bias-free, like every conv in the zoo: a batch norm behind it would
     /// zero a bias's gradient.
     fn conv(&mut self, c: usize, out: usize, k: usize, stride: usize, groups: usize) -> Conv2d {
-        self.saturated = false;
         let (name, wp) = (self.name("conv"), self.weights());
         Conv2d::new(
             name,
@@ -85,16 +72,12 @@ impl Gen {
         .unwrap()
     }
 
-    /// A batch norm; `after_conv` when it directly follows a convolution,
-    /// which a frozen plan folds it into.
-    fn bn(&mut self, c: usize, after_conv: bool) -> Box<dyn Layer> {
-        self.folded |= after_conv;
+    fn bn(&mut self, c: usize) -> Box<dyn Layer> {
         let bn = BatchNorm2d::new(self.name("bn"), c, ParamPrecision::Float32);
         Box::new(bn.unwrap())
     }
 
     fn linear(&mut self, f: usize, out: usize) -> Linear {
-        self.saturated = false;
         let (name, wp) = (self.name("fc"), self.weights());
         let bias = self.rng.gen_bool(0.5).then_some(ParamPrecision::Float32);
         Linear::new(name, f, out, wp, bias, &mut self.rng).unwrap()
@@ -107,12 +90,10 @@ impl Gen {
     fn chain(&mut self, depth: usize, shape: &mut Shape, len: usize, body: bool) -> Layers {
         let mut layers: Layers = Vec::new();
         for _ in 0..len {
-            let pick = self.rng.gen_range(0..11);
-            let after_conv = std::mem::take(&mut self.after_conv);
+            let pick = self.rng.gen_range(0..10);
             let layer: Box<dyn Layer> = match (pick, *shape) {
                 (0 | 1, _) if depth < 2 => {
                     let len = self.rng.gen_range(1..=3);
-                    self.after_conv = after_conv;
                     if self.rng.gen_bool(0.5) {
                         self.residual(depth, shape, len)
                     } else {
@@ -123,22 +104,12 @@ impl Gen {
                 }
                 (2, _) => Box::new(Relu::new(self.name("relu"))),
                 (3, _) => Box::new(Relu6::new(self.name("relu6"))),
-                (4, Shape::Map { c, .. }) if !after_conv && !self.folded && !self.saturated => {
-                    // Behind a batch norm in training mode every channel of
-                    // a batch of 8 has an element ≥ 1/√7 > α, so the clip
-                    // always receives a gradient.
-                    layers.push(self.bn(c, false));
-                    let k = Bitwidth::new(self.rng.gen_range(2..=8)).unwrap();
-                    let alpha = self.rng.gen_range(0.1f32..0.35);
-                    self.saturated = true;
-                    Box::new(ActQuant::new(self.name("aq"), k, alpha).unwrap())
-                }
-                (5, Shape::Map { c, .. }) => self.bn(c, after_conv),
-                (6, Shape::Map { c, hw }) if hw.is_multiple_of(2) && hw >= 4 && !self.saturated => {
+                (4, Shape::Map { c, .. }) => self.bn(c),
+                (5, Shape::Map { c, hw }) if hw.is_multiple_of(2) && hw >= 4 => {
                     *shape = Shape::Map { c, hw: hw / 2 };
                     Box::new(MaxPool2d::new(self.name("maxpool"), 2))
                 }
-                (7, Shape::Map { c, hw }) if !body => {
+                (6, Shape::Map { c, hw }) if !body => {
                     layers.push(Box::new(Flatten::new(self.name("flatten"))));
                     *shape = Shape::Flat(c * hw * hw);
                     continue;
@@ -153,9 +124,7 @@ impl Gen {
                     let halve = hw.is_multiple_of(2) && hw >= 4 && self.rng.gen_bool(0.3);
                     let s = if halve { 2 } else { 1 };
                     *shape = Shape::Map { c: out, hw: hw / s };
-                    let conv = self.conv(c, out, k, s, if depthwise { c } else { 1 });
-                    self.after_conv = true;
-                    Box::new(conv)
+                    Box::new(self.conv(c, out, k, s, if depthwise { c } else { 1 }))
                 }
                 (_, Shape::Flat(f)) => {
                     let out = self.rng.gen_range(2..=8);
@@ -181,7 +150,7 @@ impl Gen {
                 (Shape::Map { c, hw }, Shape::Map { c: out, hw: end }) => {
                     projection.push(Box::new(self.conv(c, out, 1, hw / end, 1)));
                     if self.rng.gen_bool(0.5) {
-                        projection.push(self.bn(out, true));
+                        projection.push(self.bn(out));
                     }
                 }
                 (Shape::Flat(f), Shape::Flat(out)) => {
@@ -192,7 +161,6 @@ impl Gen {
             Some(Sequential::new(format!("{name}.shortcut"), projection))
         };
         let act = [Epilogue::None, Epilogue::Relu, Epilogue::Relu6][self.rng.gen_range(0..3)];
-        (self.after_conv, self.saturated) = (false, false);
         Box::new(Residual::new(body, shortcut, act))
     }
 }
@@ -205,9 +173,6 @@ fn arch(seed: u64) -> (Network, Vec<usize>) {
         rng: seeded(seed),
         scheme: seed % 3,
         layers: 0,
-        after_conv: false,
-        folded: false,
-        saturated: false,
     };
     let c = g.rng.gen_range(2..=3);
     let mut shape = Shape::Map { c, hw: 8 };

@@ -4,10 +4,8 @@
 //! master copy and only *view* the parameters through a quantised lens:
 //!
 //! * [`fake_quantize`] — quantise→dequantise at `k` bits (DoReFa/TTQ-style
-//!   weight views, WAGE-style activations).
-//! * [`quantize_clipped`] — one value onto the `[0, α]` activation grid: the
-//!   arithmetic of the PACT-style `ActQuant` layer and of the plan step it
-//!   lowers to, written once so the two cannot drift apart.
+//!   weight views, WAGE-style gradients). Nothing here quantises
+//!   activations: the paper quantises weights only (§IV-A).
 //! * [`ternarize`] — TWN/TernGrad-style `{−s, 0, +s}` projection.
 //! * [`binarize`] — BNN-style `{−s, +s}` projection.
 //!
@@ -44,15 +42,6 @@ fn round_trip(q: &AffineQuantizer, src: &[f32], dst: &mut [f32]) {
     for (o, &x) in dst.iter_mut().zip(src) {
         *o = q.dequantize_value(q.quantize_value(x));
     }
-}
-
-/// Snaps `x` onto the uniform grid of step `eps` over `[0, alpha]`:
-/// `round(clamp(x, 0, α) / ε) · ε`. The caller derives `eps = α / (2^k − 1)`
-/// once; a frozen plan must reproduce the eval forward bit for bit, so these
-/// four `f32` operations, in this order, are the contract.
-#[inline]
-pub fn quantize_clipped(x: f32, alpha: f32, eps: f32) -> f32 {
-    (x.clamp(0.0, alpha) / eps).round() * eps
 }
 
 /// Projects onto `{−s, 0, +s}` with threshold `0.7·mean(|t|)` and scale `s`
